@@ -219,15 +219,6 @@ impl VirtualWarehouse {
         Ok(n)
     }
 
-    /// Start fetching a segment's index blob on its assigned worker without
-    /// blocking, so the transfer overlaps with whatever runs before that
-    /// segment's search. No-op (false) when the segment is already resident
-    /// or the remote store cannot defer transfers.
-    pub fn prefetch_index(&self, meta: &Arc<SegmentMeta>) -> Result<bool> {
-        let (_, target) = self.owner_of(meta)?;
-        target.index_cache().prefetch(meta)
-    }
-
     /// One segment's ANN search with serving + retry (the VW data path).
     pub fn search_segment(
         &self,
@@ -658,17 +649,6 @@ mod tests {
         };
         assert_eq!(run(false), 500_000, "blocking: rpc then compute");
         assert_eq!(run(true), 300_000, "overlapped: max(rpc, compute)");
-    }
-
-    #[test]
-    fn prefetch_index_noop_on_resident_or_non_deferred() {
-        let t = table(300, 300);
-        let v = vw(&t, VwConfig::default(), 2);
-        let metas = t.segments();
-        // for_tests store has no reactor → prefetch declines.
-        assert!(!v.prefetch_index(&metas[0]).unwrap());
-        v.preload(&metas).unwrap();
-        assert!(!v.prefetch_index(&metas[0]).unwrap());
     }
 
     #[test]

@@ -46,10 +46,14 @@ pub struct WorkerConfig {
     /// Zero by default; the elasticity experiments set it so that capacity —
     /// not the host's core count — bounds throughput, as in a real cluster.
     pub compute_per_segment: bh_common::LatencyModel,
-    /// Route this worker's simulated RPC charges through a completion-queue
-    /// reactor so callers can overlap the wire time with other work
-    /// ([`Worker::charge_rpc_begin`]). Off by default: blocking charges keep
-    /// existing latency accounting bit-identical.
+    /// Overlap this worker's **RPC** charges only: route the simulated
+    /// worker-to-worker wire time through a per-worker completion-queue
+    /// reactor so a serving call's latency runs concurrently with the peer's
+    /// compute ([`Worker::charge_rpc_begin`]). It does not govern store I/O:
+    /// whether index/column transfers overlap is a property of the remote
+    /// store (reactor-backed or not), and under `Database` that is
+    /// unconditional. Off by default: blocking charges keep existing RPC
+    /// latency accounting bit-identical.
     pub overlap: bool,
     /// Serve cold segments from a head-only partial index when the blob is
     /// tiered (v3), instead of brute-forcing while the full index loads.

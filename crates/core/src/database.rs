@@ -7,8 +7,8 @@ use bh_common::ids::IdGenerator;
 use bh_common::metrics::{self, Counter, Gauge, Histogram};
 use bh_common::querylog::{normalize_sql, SlowQueryTrace, STATEMENT_KINDS};
 use bh_common::{
-    BhError, DeploymentLatencies, MetricsRegistry, QueryLog, QueryLogRecord, RealClock, Result,
-    SharedClock, SlowQueryPolicy, VirtualClock, VwId,
+    BhError, DeploymentLatencies, MetricsRegistry, QueryLog, QueryLogRecord, Reactor, RealClock,
+    Result, SharedClock, SlowQueryPolicy, VirtualClock, VwId,
 };
 use bh_query::bind::{bind_predicate, literal_to_value};
 use bh_query::exec::{QueryEngine, QueryOptions};
@@ -232,12 +232,19 @@ impl Database {
         let metrics = MetricsRegistry::new();
         let clock: SharedClock =
             if cfg.real_time { RealClock::shared() } else { VirtualClock::shared() };
-        let remote: SharedObjectStore = Arc::new(InMemoryObjectStore::new(
-            clock.clone(),
-            cfg.latencies.remote_store,
-            metrics.clone(),
-            "remote",
-        ));
+        // Always reactor-backed: index prefetches issued by the batch
+        // executor overlap (N cold bodies cost max, not sum), while a lone
+        // get still costs exactly its synchronous charge and zero-latency
+        // profiles never touch the reactor at all.
+        let remote: SharedObjectStore = Arc::new(
+            InMemoryObjectStore::new(
+                clock.clone(),
+                cfg.latencies.remote_store,
+                metrics.clone(),
+                "remote",
+            )
+            .with_reactor(Reactor::shared(clock.clone())),
+        );
         let querylog = QueryLog::new(cfg.query_log_capacity);
         querylog.set_slow_policy(cfg.slow_query.clone());
         // Pre-register the SLO histograms and process self-metrics so
@@ -309,6 +316,13 @@ impl Database {
     /// The simulated remote shared store all tables persist to.
     pub fn remote_store(&self) -> &SharedObjectStore {
         &self.remote
+    }
+
+    /// The deployment clock every simulated latency is charged against
+    /// (virtual unless `real_time`): its delta across a call is that call's
+    /// simulated cost.
+    pub fn clock(&self) -> &SharedClock {
+        &self.clock
     }
 
     /// The database's default per-query options.
@@ -1285,5 +1299,123 @@ mod tests {
         assert_eq!(rs.len(), 1, "per-kind SLO histogram registered");
         let text = db.metrics_text();
         assert!(text.contains("quantile=\"0.95\""), "{text}");
+    }
+
+    /// ROADMAP aim 1's deterministic work count for the overlapped cold
+    /// path, through the facade: a cold 16-statement batch over 8 tiered
+    /// HNSW segments, index cache about a third of the data, pays the
+    /// remote store `max` (one body transfer), not `sum`; every cold body
+    /// is prefetched once and consumed in flight; no head range-get and no
+    /// head-only answer; rows equal a fully preloaded database's.
+    #[test]
+    fn cold_batch_overlaps_index_transfers_max_not_sum() {
+        use bh_cluster::worker::WorkerConfig;
+        const SEGMENTS: usize = 8;
+        const ROWS_PER_SEGMENT: usize = 250;
+        const DIM: usize = 16;
+        // Hash-scattered coordinates: no two rows tie at a query's k-th
+        // distance, so row order cannot depend on thread interleaving.
+        let coord = |i: usize, d: usize| {
+            let h = ((i * DIM + d) as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+            format!("{:.4}", h as f32 / (1u64 << 24) as f32 * 10.0)
+        };
+        let build = |worker: WorkerConfig| {
+            let db = Database::new(DatabaseConfig {
+                latencies: DeploymentLatencies::cloud_scaled(),
+                table: TableStoreConfig {
+                    segment_max_rows: ROWS_PER_SEGMENT,
+                    ..Default::default()
+                },
+                vw: VwConfig { worker, ..Default::default() },
+                ..Default::default()
+            });
+            db.execute(&format!(
+                "CREATE TABLE t (id UInt64, x Int64, emb Array(Float32), \
+                 INDEX ann emb TYPE HNSW('DIM={DIM}')) ORDER BY id"
+            ))
+            .unwrap();
+            let rows: Vec<String> = (0..SEGMENTS * ROWS_PER_SEGMENT)
+                .map(|i| {
+                    let v: Vec<String> = (0..DIM).map(|d| coord(i, d)).collect();
+                    format!("({i}, {}, [{}])", i % 100, v.join(", "))
+                })
+                .collect();
+            db.execute(&format!("INSERT INTO t VALUES {}", rows.join(", "))).unwrap();
+            db
+        };
+        let stmts: Vec<bh_sql::SelectStmt> = (0..16)
+            .map(|q| {
+                let v: Vec<String> = (0..DIM).map(|d| coord(1_000_000 + q, d)).collect();
+                let filter = if q % 4 == 3 { "WHERE x < 50 " } else { "" };
+                let sql = format!(
+                    "SELECT id, dist FROM t {filter}ORDER BY L2Distance(emb, [{}]) AS dist LIMIT 10",
+                    v.join(", ")
+                );
+                match parse_statement(&sql).unwrap() {
+                    Statement::Select(sel) => sel,
+                    other => panic!("expected SELECT, got {other:?}"),
+                }
+            })
+            .collect();
+        let run = |db: &Database| {
+            let (table, vw) = (db.table("t").unwrap(), db.default_vw());
+            db.engine().execute_select_batch(&table, &vw, &db.default_options(), &stmts).unwrap()
+        };
+
+        let db = build(WorkerConfig {
+            index_mem_bytes: SEGMENTS * ROWS_PER_SEGMENT * (DIM * 4 + 160) / 3,
+            tiered_loading: true,
+            ..Default::default()
+        });
+        let (table, vw) = (db.table("t").unwrap(), db.default_vw());
+        let segments = table.segments();
+        assert_eq!(segments.len(), SEGMENTS);
+        assert!(segments.iter().all(|m| m.index_head_bytes > 0), "segments must be tiered");
+        // One pass to fill the block caches, then drop every index and
+        // decoded column: the measured batch reads index bodies only.
+        run(&db);
+        for wid in vw.worker_ids() {
+            let worker = vw.worker(wid).unwrap();
+            for meta in &segments {
+                worker.index_cache().invalidate(meta);
+            }
+            worker.invalidate_columns();
+        }
+
+        let counters = [
+            "query.index_prefetches",
+            "cache.index.prefetch.hit",
+            "cache.index.head.fetch",
+            "worker.head_search",
+            "remote.get",
+        ];
+        let before = counters.map(|c| db.metrics().counter_value(c));
+        let t0 = db.clock().now_nanos();
+        let cold = run(&db);
+        let elapsed = db.clock().now_nanos() - t0;
+        let moved: Vec<u64> =
+            counters.iter().zip(before).map(|(c, b)| db.metrics().counter_value(c) - b).collect();
+
+        // (a) max, not sum: all eight bodies cost at most two of the largest.
+        let largest = segments.iter().map(|m| m.index_bytes as usize).max().unwrap();
+        let one_get = db.cfg.latencies.remote_store.cost(largest).as_nanos() as u64;
+        assert!(elapsed > 0 && elapsed <= 2 * one_get, "{elapsed} ns vs one get {one_get} ns");
+        // (b) every cold body prefetched once and consumed while in flight;
+        // (c) no head range-get, no head-only answer; nothing else fetched.
+        assert_eq!(moved, [SEGMENTS as u64, SEGMENTS as u64, 0, 0, SEGMENTS as u64]);
+        let resident: usize = vw
+            .worker_ids()
+            .into_iter()
+            .map(|wid| vw.worker(wid).unwrap().index_cache().resident_count())
+            .sum();
+        assert!(resident < SEGMENTS, "cache must be smaller than the working set");
+
+        // (d) residency does not change a batch's rows.
+        let warm_db = build(WorkerConfig::default());
+        assert_eq!(warm_db.preload("t", "default").unwrap(), SEGMENTS);
+        let warm = run(&warm_db);
+        for (i, (c, w)) in cold.iter().zip(&warm).enumerate() {
+            assert_eq!(c.rows, w.rows, "statement {i} differs from the preloaded database");
+        }
     }
 }

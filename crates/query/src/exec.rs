@@ -94,8 +94,8 @@ impl Default for QueryOptions {
 /// Per-(segment, query) context threaded into [`QueryEngine`]'s segment
 /// search by the batched path: the query's shared pruning bound (when
 /// eligible) and the segment's index handle pinned once per batch task
-/// (only when it was already memory-resident on a live owner, so pinning
-/// never changes the residency evolution a sequential loop would see).
+/// (when it was memory-resident, or its body transfer already in flight,
+/// on a live owner — see [`QueryEngine::run_segment_task`]).
 /// Sequential execution passes `SegCtx::default()` — no bound, no pin.
 #[derive(Clone, Copy, Default)]
 struct SegCtx<'a> {
@@ -123,6 +123,21 @@ struct BatchQueryState<'q> {
     /// common bound instead of each rediscovering it.
     bound: Option<Arc<SharedBound>>,
     done: bool,
+}
+
+/// The index transfers one batch round started, by the worker they were
+/// started on. Dropping it cancels those no segment task consumed, so a
+/// round that errors out (or whose task never reached the cache) strands
+/// neither blob bytes nor reactor slots in `IndexCache::pending`.
+#[derive(Default)]
+struct RoundPrefetches(Vec<(Arc<Worker>, SegmentId)>);
+
+impl Drop for RoundPrefetches {
+    fn drop(&mut self) {
+        for (worker, seg) in &self.0 {
+            worker.index_cache().cancel_prefetch(*seg);
+        }
+    }
 }
 
 /// The query engine: planner state (cost constants, plan cache) shared
@@ -288,14 +303,19 @@ impl QueryEngine {
 
     /// Execute a batch of bound SELECTs as one scheduling unit (DESIGN.md
     /// §7). Results come back in batch order and are bit-identical to
-    /// running [`Self::execute_bound`] on each statement sequentially.
+    /// running [`Self::execute_bound`] on each statement sequentially over
+    /// the same residency, with one deliberate exception (DESIGN.md §11.3):
+    /// on a reactor-backed store a cold segment is answered from its full
+    /// index — what the sequential loop returns once warm — not from the
+    /// head-only/brute-force first answer a lone cold statement gets.
     ///
     /// The segment snapshot is taken once for the whole batch. Each round
-    /// fans out one work-stealing task per distinct pending segment; a task
-    /// pins the segment's index handle once (only if already resident on a
-    /// live owner) and then runs every query that scheduled the segment *in
-    /// batch order*, so per-segment side effects (warming, serving
-    /// upgrades) replay exactly as the sequential loop would. Pure top-k
+    /// orders its tasks resident-first, starts every cold segment's index
+    /// transfer, then fans out one work-stealing task per distinct pending
+    /// segment; a task pins the segment's index handle once (resident or in
+    /// flight on a live owner) and then runs every query that scheduled the
+    /// segment *in batch order*, so per-segment side effects (warming,
+    /// serving upgrades) replay exactly as the sequential loop would. Pure top-k
     /// queries additionally carry a [`SharedBound`]: segments searched
     /// later skip candidates that provably cannot enter the final top-k.
     pub fn execute_batch(
@@ -406,7 +426,7 @@ impl QueryEngine {
         loop {
             // Distinct segments still pending for any live query, each with
             // the (batch-ordered) list of queries that scheduled it.
-            let mut seg_tasks: Vec<(Arc<SegmentMeta>, Vec<usize>)> = Vec::new();
+            let mut round_tasks: Vec<(Arc<SegmentMeta>, Vec<usize>)> = Vec::new();
             let mut seg_slot: BTreeMap<SegmentId, usize> = BTreeMap::new();
             for (qi, st) in states.iter().enumerate() {
                 let Some(st) = st.as_ref() else { continue };
@@ -415,28 +435,46 @@ impl QueryEngine {
                 }
                 for meta in &st.pending {
                     let slot = *seg_slot.entry(meta.id).or_insert_with(|| {
-                        seg_tasks.push((meta.clone(), Vec::new()));
-                        seg_tasks.len() - 1
+                        round_tasks.push((meta.clone(), Vec::new()));
+                        round_tasks.len() - 1
                     });
-                    seg_tasks[slot].1.push(qi);
+                    round_tasks[slot].1.push(qi);
                 }
             }
-            if seg_tasks.is_empty() {
+            if round_tasks.is_empty() {
                 break;
             }
-            // Overlapped cold-path I/O: before fanning out, start every
-            // scheduled segment's index transfer (reactor-backed stores
-            // only) so the blob fetches run concurrently and each task
-            // finds its transfer already in flight instead of paying the
-            // full remote latency serially.
-            let mut prefetched = 0u64;
-            for (meta, _) in &seg_tasks {
-                if matches!(vw.prefetch_index(meta), Ok(true)) {
-                    prefetched += 1;
+            // One pass over the round's tasks, one owner lookup each:
+            //
+            // * Resident segments go first (stable within each group): with
+            //   the cache smaller than the working set, a cold load would
+            //   otherwise evict a resident index just before its own task
+            //   runs. Results are unaffected — each query merges in its own
+            //   pending order.
+            // * Every cold segment's index transfer starts now, before the
+            //   fan-out, so the blob fetches run concurrently (N transfers
+            //   cost max, not sum) while the resident segments are searched;
+            //   each cold task then waits out a transfer already in flight
+            //   instead of paying the full remote latency serially.
+            //   `round_prefetches` cancels whatever no task consumed on
+            //   every exit from this round, error paths included.
+            let mut round_prefetches = RoundPrefetches::default();
+            let (mut seg_tasks, mut cold) = (Vec::new(), Vec::new());
+            for task in round_tasks {
+                match vw.owner_of(&task.0) {
+                    Ok((_, owner)) if owner.index_resident(&task.0) => seg_tasks.push(task),
+                    Ok((_, owner)) => {
+                        if matches!(owner.index_cache().prefetch(&task.0), Ok(true)) {
+                            round_prefetches.0.push((owner, task.0.id));
+                        }
+                        cold.push(task);
+                    }
+                    Err(_) => cold.push(task),
                 }
             }
-            if prefetched > 0 {
-                self.metrics.counter("query.index_prefetches").add(prefetched);
+            seg_tasks.append(&mut cold);
+            if !round_prefetches.0.is_empty() {
+                self.metrics.counter("query.index_prefetches").add(round_prefetches.0.len() as u64);
             }
             let per_task = self.run_segment_tasks(table, vw, opts, &states, &seg_tasks)?;
 
@@ -603,10 +641,18 @@ impl QueryEngine {
             .collect()
     }
 
-    /// One segment's task: pin the index handle once (only when already
-    /// memory-resident on a live owner — pinning must never force a load,
-    /// or the residency evolution would diverge from the sequential loop),
-    /// then run every assigned query against this segment in batch order.
+    /// One segment's task: pin the index handle once, then run every
+    /// assigned query against this segment in batch order.
+    ///
+    /// The pin is taken when the index is memory-resident on a live owner
+    /// **or its body transfer is already in flight** there (the round's
+    /// prefetch): the task serves several statements and needs the full
+    /// index anyway, so it waits out the transfer it already paid to start
+    /// and answers every statement from the full index, instead of a
+    /// synchronous head range-get plus an approximate head-only first
+    /// answer. Pinning never *starts* a load: a cold segment with nothing in
+    /// flight (blocking store) takes the per-statement miss path — head or
+    /// brute force first, then warm — exactly like the sequential loop.
     #[allow(clippy::too_many_arguments)]
     fn run_segment_task(
         &self,
@@ -623,7 +669,8 @@ impl QueryEngine {
         task_span.attr("queries", qis.len());
         let pin: Option<(Arc<Worker>, Arc<dyn bh_vector::VectorIndex>)> = (|| {
             let (_, owner) = vw.owner_of(meta).ok()?;
-            if !owner.is_alive() || !owner.index_resident(meta) {
+            let cache = owner.index_cache();
+            if !owner.is_alive() || !(cache.resident(meta.id) || cache.in_flight(meta.id)) {
                 return None;
             }
             let idx = owner.index_handle(meta).ok()??;
@@ -1165,8 +1212,15 @@ impl QueryEngine {
                 // instead (previous owner answers via RPC, Fig. 4), applying
                 // the predicate to the returned candidates. The owner warms
                 // in the background, so this window is transient.
+                // A pinned handle outlives its eviction from the cache, so a
+                // task holding one is never cold.
                 let (_, owner) = vw.owner_of(meta)?;
-                if meta.index_kind.is_some() && owner.is_alive() && !owner.index_resident(meta) {
+                let pinned = matches!(ctx.pin, Some((w, _)) if Arc::ptr_eq(w, &owner));
+                if meta.index_kind.is_some()
+                    && owner.is_alive()
+                    && !pinned
+                    && !owner.index_resident(meta)
+                {
                     let fetch_k = k.saturating_mul(opts.sigma.max(1)).saturating_mul(2);
                     let hits =
                         vw.search_segment(table, meta, &v.query, fetch_k, &opts.search, None)?;

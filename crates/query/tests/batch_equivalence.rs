@@ -77,18 +77,7 @@ fn build_fixture() -> Fixture {
         table.insert_rows(rows).unwrap();
         table.delete_where(&Predicate::eq("id", Value::UInt64(0))).unwrap();
         table.delete_where(&Predicate::eq("id", Value::UInt64(45))).unwrap();
-        let vw = VirtualWarehouse::new(
-            bh_common::VwId(0),
-            "q",
-            VwConfig::default(),
-            table.remote_store().clone(),
-            table.registry().clone(),
-            VirtualClock::shared(),
-            metrics.clone(),
-            Arc::new(IdGenerator::starting_at(1000)),
-        );
-        vw.scale_up(&[]);
-        vw.scale_up(&[]);
+        let vw = make_vw(&table, &metrics);
         let engine = QueryEngine::new(metrics.clone());
         let fix = Fixture { table: Arc::new(table), vw, engine, metrics };
         // Warm every segment so sequential and batched runs start from the
@@ -100,6 +89,23 @@ fn build_fixture() -> Fixture {
         );
         fix
     }
+}
+
+/// A cold two-worker VW over `table`.
+fn make_vw(table: &TableStore, metrics: &MetricsRegistry) -> VirtualWarehouse {
+    let vw = VirtualWarehouse::new(
+        bh_common::VwId(0),
+        "q",
+        VwConfig::default(),
+        table.remote_store().clone(),
+        table.registry().clone(),
+        VirtualClock::shared(),
+        metrics.clone(),
+        Arc::new(IdGenerator::starting_at(1000)),
+    );
+    vw.scale_up(&[]);
+    vw.scale_up(&[]);
+    vw
 }
 
 fn parse(sql: &str) -> SelectStmt {
@@ -162,6 +168,37 @@ proptest! {
                     &s.rows,
                     &b.rows,
                     "statement {} diverged (share_bound={}): {}",
+                    i,
+                    share_bound,
+                    sqls[i]
+                );
+            }
+
+            // Half-resident start: the batch searches its resident segments
+            // first, so segment tasks run in a different order than the
+            // sequential loop visits them and the shared bound tightens
+            // along a different path — the merged rows must not notice. On
+            // this blocking store both sides answer a cold segment's first
+            // statement by brute force and warm it, one fresh VW each.
+            let metas = fix.table.segments();
+            let (vw_seq, vw_batch) =
+                (make_vw(&fix.table, &fix.metrics), make_vw(&fix.table, &fix.metrics));
+            for vw in [&vw_seq, &vw_batch] {
+                vw.preload(&metas[metas.len() / 2..]).unwrap();
+            }
+            let sequential: Vec<ResultSet> = stmts
+                .iter()
+                .map(|s| fix.engine.execute_select(&fix.table, &vw_seq, &opts, s).unwrap())
+                .collect();
+            let batched = fix
+                .engine
+                .execute_select_batch(&fix.table, &vw_batch, &opts, &stmts)
+                .unwrap();
+            for (i, (s, b)) in sequential.iter().zip(&batched).enumerate() {
+                prop_assert_eq!(
+                    &s.rows,
+                    &b.rows,
+                    "half-resident statement {} diverged (share_bound={}): {}",
                     i,
                     share_bound,
                     sqls[i]

@@ -1,9 +1,18 @@
-//! Property test: the overlapped execution path (reactor-backed object
-//! store, `WorkerConfig::overlap`, executor-issued index prefetches) is
-//! bit-identical to the blocking path across cold, mixed, and warm cache
-//! residency. Overlap only changes *when* simulated latencies are paid —
-//! never which bytes come back — so every query must merge the exact same
-//! rows either way (DESIGN.md §11).
+//! The overlapped cold path's equivalence contract (DESIGN.md §11.3).
+//!
+//! On a reactor-backed store the batch executor prefetches every cold
+//! segment's index body and each segment task consumes the transfer in
+//! flight, so a batch is answered from full indexes at *every* starting
+//! residency. The contract, asserted by the proptest:
+//!
+//! * overlapped-cold ≡ blocking-warm — residency no longer changes a
+//!   batch's rows (the blocking cold path answers its first statement per
+//!   segment by brute force or from a head, so it is *not* the reference);
+//! * overlapped-warm ≡ blocking-warm, bit for bit — overlap only changes
+//!   *when* simulated latencies are paid, never which bytes come back.
+//!
+//! A second test pins the failure path: a batch that errors out leaves no
+//! prefetch stranded in any worker's `IndexCache`.
 
 use bh_cluster::vw::{VirtualWarehouse, VwConfig};
 use bh_cluster::worker::WorkerConfig;
@@ -20,79 +29,82 @@ use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-struct Fixture {
+/// One table with its own store, clock, metrics and engine.
+struct Side {
     table: Arc<TableStore>,
     clock: SharedClock,
     metrics: MetricsRegistry,
     engine: QueryEngine,
 }
 
-/// 480 rows in 4 clusters across 8 segments, persisted through a
-/// reactor-backed in-memory store with nonzero transfer latency so deferred
-/// gets and executor prefetches actually engage the completion queue.
-fn fixture() -> &'static Fixture {
-    static FIX: OnceLock<Fixture> = OnceLock::new();
-    FIX.get_or_init(|| {
-        let clock: SharedClock = VirtualClock::shared();
-        let metrics = MetricsRegistry::new();
-        let reactor = Arc::new(Reactor::new(clock.clone()));
-        let store = Arc::new(
-            InMemoryObjectStore::new(
-                clock.clone(),
-                LatencyModel::new(Duration::from_micros(50), Duration::from_nanos(2)),
-                metrics.clone(),
-                "remote",
-            )
-            .with_reactor(reactor),
-        );
-        let schema = TableSchema::new("t")
-            .with_column("id", ColumnType::UInt64)
-            .with_column("emb", ColumnType::Vector(4))
-            .with_vector_index("i", "emb", IndexKind::Hnsw, 4, Metric::L2);
-        let table = TableStore::new(
-            schema,
-            store,
-            Arc::new(IndexRegistry::with_builtins()),
-            TableStoreConfig { segment_max_rows: 60, ..Default::default() },
-            Arc::new(IdGenerator::new()),
-            metrics.clone(),
-        )
-        .unwrap();
-        let rows: Vec<Vec<Value>> = (0..480)
-            .map(|i| {
-                let c = (i % 4) as f32 * 8.0 + (i as f32) * 1e-4;
-                vec![
-                    Value::UInt64(i as u64),
-                    Value::Vector(vec![c, c + 0.1, c + 0.2, c - 0.1]),
-                ]
-            })
-            .collect();
-        table.insert_rows(rows).unwrap();
-        Fixture {
-            table: Arc::new(table),
-            clock,
-            engine: QueryEngine::new(metrics.clone()),
-            metrics,
-        }
-    })
+/// 480 rows in 4 clusters across 8 segments, persisted through an in-memory
+/// store with nonzero transfer latency. `overlapped` routes the store
+/// through a reactor (what `Database` always does), so deferred gets and
+/// executor prefetches engage the completion queue; without it every get
+/// charges synchronously. Index builds are seeded, so both sides hold
+/// byte-identical segments.
+fn side(overlapped: bool) -> Side {
+    let clock: SharedClock = VirtualClock::shared();
+    let metrics = MetricsRegistry::new();
+    let store = InMemoryObjectStore::new(
+        clock.clone(),
+        LatencyModel::new(Duration::from_micros(50), Duration::from_nanos(2)),
+        metrics.clone(),
+        "remote",
+    );
+    let store = Arc::new(if overlapped {
+        store.with_reactor(Arc::new(Reactor::new(clock.clone())))
+    } else {
+        store
+    });
+    let schema = TableSchema::new("t")
+        .with_column("id", ColumnType::UInt64)
+        .with_column("emb", ColumnType::Vector(4))
+        .with_vector_index("i", "emb", IndexKind::Hnsw, 4, Metric::L2);
+    let table = TableStore::new(
+        schema,
+        store,
+        Arc::new(IndexRegistry::with_builtins()),
+        TableStoreConfig { segment_max_rows: 60, ..Default::default() },
+        Arc::new(IdGenerator::new()),
+        metrics.clone(),
+    )
+    .unwrap();
+    let rows: Vec<Vec<Value>> = (0..480)
+        .map(|i| {
+            let c = (i % 4) as f32 * 8.0 + (i as f32) * 1e-4;
+            vec![Value::UInt64(i as u64), Value::Vector(vec![c, c + 0.1, c + 0.2, c - 0.1])]
+        })
+        .collect();
+    table.insert_rows(rows).unwrap();
+    Side { table: Arc::new(table), clock, engine: QueryEngine::new(metrics.clone()), metrics }
 }
 
-/// A fresh two-worker VW over the shared table. `overlap` routes worker RPC
-/// charges through a per-worker reactor; everything else is identical so the
-/// only difference between the two warehouses under test is the overlap path.
-fn make_vw(fix: &Fixture, overlap: bool) -> VirtualWarehouse {
+struct Fixture {
+    blocking: Side,
+    overlapped: Side,
+}
+
+fn fixture() -> &'static Fixture {
+    static FIX: OnceLock<Fixture> = OnceLock::new();
+    FIX.get_or_init(|| Fixture { blocking: side(false), overlapped: side(true) })
+}
+
+/// A fresh two-worker VW over one side's table. `overlap` additionally
+/// routes worker RPC charges through a per-worker reactor.
+fn make_vw(side: &Side, overlap: bool) -> VirtualWarehouse {
     let vw = VirtualWarehouse::new(
-        if overlap { VwId(1) } else { VwId(0) },
+        VwId(u64::from(overlap)),
         if overlap { "ovl" } else { "blk" },
         VwConfig {
             rpc: LatencyModel::fixed(Duration::from_micros(100)),
             worker: WorkerConfig { overlap, ..Default::default() },
             ..Default::default()
         },
-        fix.table.remote_store().clone(),
-        fix.table.registry().clone(),
-        fix.clock.clone(),
-        fix.metrics.clone(),
+        side.table.remote_store().clone(),
+        side.table.registry().clone(),
+        side.clock.clone(),
+        side.metrics.clone(),
         Arc::new(IdGenerator::starting_at(1000)),
     );
     vw.scale_up(&[]);
@@ -107,56 +119,68 @@ fn parse(sql: &str) -> SelectStmt {
     }
 }
 
+fn stmt_sql(cluster: u32, k: usize, filtered: bool) -> String {
+    let c = cluster as f32 * 8.0;
+    let w = if filtered { "WHERE id < 240 " } else { "" };
+    format!(
+        "SELECT id, dist FROM t {w}ORDER BY \
+         L2Distance(emb, [{c}.0, {:.1}, {:.1}, {:.1}]) AS dist LIMIT {k}",
+        c + 0.1,
+        c + 0.2,
+        c - 0.1,
+    )
+}
+
 fn stmt_strategy() -> impl Strategy<Value = String> {
-    (0u32..4, 1usize..=20, any::<bool>()).prop_map(|(cluster, k, filtered)| {
-        let c = cluster as f32 * 8.0;
-        let w = if filtered { "WHERE id < 240 " } else { "" };
-        format!(
-            "SELECT id, dist FROM t {w}ORDER BY \
-             L2Distance(emb, [{c}.0, {:.1}, {:.1}, {:.1}]) AS dist LIMIT {k}",
-            c + 0.1,
-            c + 0.2,
-            c - 0.1,
-        )
-    })
+    (0u32..4, 1usize..=20, any::<bool>())
+        .prop_map(|(cluster, k, filtered)| stmt_sql(cluster, k, filtered))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
     #[test]
-    fn overlapped_batch_is_bit_identical_to_blocking(
+    fn overlapped_batch_at_any_residency_matches_blocking_warm(
         sqls in prop::collection::vec(stmt_strategy(), 1..=6),
         residency in 0usize..3,
     ) {
         let fix = fixture();
         let stmts: Vec<SelectStmt> = sqls.iter().map(|s| parse(s)).collect();
-        let metas = fix.table.segments();
-        let vw_blocking = make_vw(fix, false);
-        let vw_overlap = make_vw(fix, true);
-        // Same starting residency on both warehouses: none, half, or all of
-        // the segments preloaded. Cold queries warm caches synchronously, so
-        // identical statements evolve both warehouses identically.
-        let preload = &metas[..metas.len() * residency / 2];
-        vw_blocking.preload(preload).unwrap();
-        vw_overlap.preload(preload).unwrap();
+        // The reference: blocking store, every index preloaded.
+        let vw_reference = make_vw(&fix.blocking, false);
+        vw_reference.preload(&fix.blocking.table.segments()).unwrap();
+        // Under test: reactor-backed store, none, half, or all preloaded.
+        let vw_overlap = make_vw(&fix.overlapped, true);
+        let metas = fix.overlapped.table.segments();
+        vw_overlap.preload(&metas[..metas.len() * residency / 2]).unwrap();
 
         let opts = QueryOptions::default();
+        let prefetches = fix.overlapped.metrics.counter("query.index_prefetches");
         // Two rounds: the first runs at the chosen residency, the second on
-        // whatever mix the first round's warming produced.
+        // whatever mix the first round's loads produced.
         for round in 0..2 {
-            let blocking = fix
+            let reference = fix
+                .blocking
                 .engine
-                .execute_select_batch(&fix.table, &vw_blocking, &opts, &stmts)
+                .execute_select_batch(&fix.blocking.table, &vw_reference, &opts, &stmts)
                 .unwrap();
+            let before = prefetches.get();
             let overlapped = fix
+                .overlapped
                 .engine
-                .execute_select_batch(&fix.table, &vw_overlap, &opts, &stmts)
+                .execute_select_batch(&fix.overlapped.table, &vw_overlap, &opts, &stmts)
                 .unwrap();
-            prop_assert_eq!(blocking.len(), overlapped.len());
-            for (i, (b, o)) in blocking.iter().zip(&overlapped).enumerate() {
+            // The overlapped path must actually have engaged when cold, and
+            // must not fetch anything when warm.
+            match (residency, round) {
+                (0, 0) => prop_assert!(prefetches.get() > before, "cold batch prefetched nothing"),
+                (2, _) => prop_assert_eq!(prefetches.get(), before),
+                _ => {}
+            }
+            prop_assert_eq!(reference.len(), overlapped.len());
+            for (i, (r, o)) in reference.iter().zip(&overlapped).enumerate() {
                 prop_assert_eq!(
-                    &b.rows,
+                    &r.rows,
                     &o.rows,
                     "statement {} diverged (residency={}, round={}): {}",
                     i,
@@ -167,4 +191,45 @@ proptest! {
             }
         }
     }
+}
+
+/// A batch that fails after its round's prefetches went out (every owner
+/// dies undetected, so no task can consume them) must leave every worker's
+/// pending map empty, and the next batch on the same VW must prefetch and
+/// succeed as usual.
+#[test]
+fn failed_batch_strands_no_prefetch() {
+    let side = side(true);
+    let vw = make_vw(&side, true);
+    let metas = side.table.segments();
+    let stmts: Vec<SelectStmt> = (0..4).map(|c| parse(&stmt_sql(c, 10, false))).collect();
+    let opts = QueryOptions::default();
+    let issued = side.metrics.counter("cache.index.prefetch");
+
+    let workers: Vec<_> = vw.worker_ids().into_iter().map(|w| vw.worker(w).unwrap()).collect();
+    for w in &workers {
+        vw.inject_failure(w.id()).unwrap();
+    }
+    let failed = side.engine.execute_select_batch(&side.table, &vw, &opts, &stmts);
+    assert!(failed.is_err(), "a VW with only dead workers cannot answer");
+    assert_eq!(issued.get(), metas.len() as u64, "the round's prefetches did go out");
+    for w in &workers {
+        for meta in &metas {
+            assert!(
+                !w.index_cache().in_flight(meta.id),
+                "prefetch of {:?} stranded on {}",
+                meta.id,
+                w.id()
+            );
+        }
+    }
+
+    // Replacement workers: same VW, cold again, served as usual.
+    vw.scale_up(&[]);
+    vw.scale_up(&[]);
+    let before = issued.get();
+    let rows = side.engine.execute_select_batch(&side.table, &vw, &opts, &stmts).unwrap();
+    assert_eq!(rows.len(), stmts.len());
+    assert!(rows.iter().all(|rs| rs.rows.len() == 10));
+    assert!(issued.get() > before, "cache.index.prefetch counted again");
 }

@@ -39,7 +39,8 @@ pub struct IndexCache {
     inflight_cv: Condvar,
     /// In-flight prefetched blobs, consumed by the next [`IndexCache::get`].
     /// Never promoted to `mem` by themselves — `resident` stays false until
-    /// someone actually asks for the index.
+    /// someone actually asks for the index. The single owner of the "body
+    /// transfer in flight" fact: read it through [`IndexCache::in_flight`].
     pending: Mutex<HashMap<SegmentId, PendingGet>>,
     /// Head-only partial indexes (tiered v3 blobs), served while the body is
     /// still in flight; dropped once the full index lands in `mem`.
@@ -188,6 +189,20 @@ impl IndexCache {
         Ok(true)
     }
 
+    /// Is a prefetched body transfer for this segment in flight, i.e. would
+    /// the next [`IndexCache::get`] consume it instead of starting a fetch?
+    /// The batch executor pins such segments (waiting out the transfer it
+    /// already started) rather than detouring through a head-only index.
+    pub fn in_flight(&self, seg: SegmentId) -> bool {
+        self.pending.lock().contains_key(&seg)
+    }
+
+    /// Drop an unconsumed prefetch: the blob bytes are released and the
+    /// reactor ticket forgotten. Returns whether one was pending.
+    pub fn cancel_prefetch(&self, seg: SegmentId) -> bool {
+        self.pending.lock().remove(&seg).is_some()
+    }
+
     /// Tiered partial load (v3 blobs): fetch only the head prefix of the
     /// index blob, deserialize it into a head-only partial index, and start
     /// prefetching the full blob so the next `get` completes without a
@@ -237,8 +252,7 @@ impl IndexCache {
     pub fn invalidate(&self, meta: &SegmentMeta) {
         self.mem.remove(&meta.id);
         self.partial.lock().remove(&meta.id);
-        // Dropping a PendingGet forgets its reactor ticket (no stranded op).
-        self.pending.lock().remove(&meta.id);
+        self.cancel_prefetch(meta.id);
         if let Some(disk) = &self.disk {
             let _ = disk.delete(&meta.index_key());
         }
@@ -749,6 +763,58 @@ mod tests {
         assert_eq!(metrics.counter_value("cache.index.prefetch"), 2);
         assert_eq!(metrics.counter_value("cache.index.prefetch.hit"), 2);
         assert!(cache.resident(m1.id) && cache.resident(m2.id));
+        assert!(!cache.prefetch(&m1).unwrap(), "resident: nothing to fetch");
+    }
+
+    /// The batch executor's pin path: a body transfer is pending for a
+    /// tiered segment, so `get` waits it out and hands back the full index —
+    /// no head range-get, no partial left behind.
+    #[test]
+    fn pending_body_on_tiered_segment_yields_full_index_and_no_partial() {
+        let clock = VirtualClock::shared();
+        let metrics = MetricsRegistry::new();
+        let remote = Arc::new(
+            InMemoryObjectStore::new(
+                clock.clone(),
+                LatencyModel::fixed(Duration::from_micros(500)),
+                metrics.clone(),
+                "remote",
+            )
+            .with_reactor(Arc::new(bh_common::Reactor::new(clock.clone()))),
+        );
+        let registry = Arc::new(IndexRegistry::with_builtins());
+        let meta = build_tiered_segment(remote.as_ref(), &registry, 8, 600);
+        assert!(meta.index_head_bytes > 0, "fixture must be tiered");
+        let gets_before = metrics.counter_value("remote.get");
+        let t0 = clock.now_nanos();
+
+        let cache = IndexCache::new(
+            1 << 24,
+            None,
+            remote as Arc<dyn ObjectStore>,
+            registry,
+            metrics.clone(),
+        );
+        assert!(!cache.in_flight(meta.id));
+        assert!(cache.prefetch(&meta).unwrap());
+        assert!(cache.in_flight(meta.id) && !cache.resident(meta.id));
+
+        let full = cache.get(&meta).unwrap().unwrap();
+        assert!(!full.is_partial());
+        assert!(cache.resident(meta.id) && !cache.in_flight(meta.id));
+        assert_eq!(cache.head_count(), 0, "no partial left behind");
+        assert_eq!(metrics.counter_value("cache.index.head.fetch"), 0);
+        assert_eq!(metrics.counter_value("cache.index.prefetch.hit"), 1);
+        // One body transfer, paid once.
+        assert_eq!(metrics.counter_value("remote.get") - gets_before, 1);
+        assert_eq!(clock.now_nanos() - t0, 500_000);
+
+        // A cancelled prefetch releases its slot and is no longer in flight.
+        cache.invalidate(&meta);
+        assert!(cache.prefetch(&meta).unwrap());
+        assert!(cache.cancel_prefetch(meta.id));
+        assert!(!cache.in_flight(meta.id) && !cache.cancel_prefetch(meta.id));
+        assert_eq!(clock.now_nanos() - t0, 500_000, "cancelled transfer charges nothing");
     }
 
     #[test]

@@ -133,7 +133,9 @@ pub struct InMemoryObjectStore {
     /// Metric name prefix, e.g. `"remote"` → counters `remote.get`, …
     label: String,
     /// When set, transfer time is deferred through the reactor so concurrent
-    /// gets overlap instead of serializing.
+    /// gets overlap instead of serializing. `Database` always sets it; the
+    /// `None` arm is the blocking reference the overlap tests and the
+    /// `cold_scan` bench compare against.
     reactor: Option<Arc<Reactor>>,
 }
 
