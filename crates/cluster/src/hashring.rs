@@ -7,29 +7,42 @@
 //! space, and — the property BlendHouse scaling relies on — adding or
 //! removing a worker only moves the keys whose winning probe pointed at it.
 
-use bh_common::WorkerId;
+use bh_common::{SegmentId, WorkerId};
 use std::collections::BTreeMap;
+
+/// FNV-1a 64-bit running state. `Copy`, so a key's bytes are hashed once and
+/// each probe continues from that prefix instead of re-hashing (or
+/// re-allocating) `key ‖ probe`.
+#[derive(Clone, Copy)]
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    const fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn write(mut self, bytes: &[u8]) -> Self {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self
+    }
+
+    /// FNV's avalanche is weak for short, similar strings (worker names);
+    /// finish with the SplitMix64 mixer so ring points spread uniformly.
+    fn finish(self) -> u64 {
+        let mut h = self.0;
+        h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        h ^ (h >> 31)
+    }
+}
 
 /// FNV-1a 64-bit hash — stable across platforms and runs, which matters
 /// because segment→worker maps must agree between scheduler and preload.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    // FNV's avalanche is weak for short, similar strings (worker names);
-    // finish with the SplitMix64 mixer so ring points spread uniformly.
-    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^ (h >> 31)
-}
-
-fn probe_hash(key: &str, probe: u32) -> u64 {
-    let mut buf = Vec::with_capacity(key.len() + 4);
-    buf.extend_from_slice(key.as_bytes());
-    buf.extend_from_slice(&probe.to_le_bytes());
-    fnv1a(&buf)
+    Fnv1a::new().write(bytes).finish()
 }
 
 fn worker_point(w: WorkerId) -> u64 {
@@ -89,9 +102,21 @@ impl MultiProbeRing {
 
     /// Assign a key: the probe with the smallest clockwise distance wins.
     pub fn assign(&self, key: &str) -> Option<WorkerId> {
+        self.assign_bytes(key.as_bytes())
+    }
+
+    /// [`Self::assign`] for a segment's stable key ([`SegmentId::key`]),
+    /// without building the key string.
+    pub fn assign_segment(&self, seg: SegmentId) -> Option<WorkerId> {
+        self.assign_bytes(&seg.key_bytes())
+    }
+
+    /// Probe `p` hashes `key ‖ p.to_le_bytes()`.
+    fn assign_bytes(&self, key: &[u8]) -> Option<WorkerId> {
+        let prefix = Fnv1a::new().write(key);
         let mut best: Option<(u64, WorkerId)> = None;
         for p in 0..self.probes {
-            let h = probe_hash(key, p);
+            let h = prefix.write(&p.to_le_bytes()).finish();
             if let Some((dist, w)) = self.clockwise_next(h) {
                 if best.map(|(bd, _)| dist < bd).unwrap_or(true) {
                     best = Some((dist, w));
@@ -132,6 +157,51 @@ mod tests {
     fn keys(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("seg-{i:016x}")).collect()
     }
+
+    /// The allocating probe hash this module used before the streaming one:
+    /// the reference the golden test compares against.
+    fn reference_probe_hash(key: &str, probe: u32) -> u64 {
+        let mut buf = Vec::with_capacity(key.len() + 4);
+        buf.extend_from_slice(key.as_bytes());
+        buf.extend_from_slice(&probe.to_le_bytes());
+        fnv1a(&buf)
+    }
+
+    fn reference_assign(r: &MultiProbeRing, key: &str) -> Option<WorkerId> {
+        let mut best: Option<(u64, WorkerId)> = None;
+        for p in 0..r.probes {
+            if let Some((dist, w)) = r.clockwise_next(reference_probe_hash(key, p)) {
+                if best.map(|(bd, _)| dist < bd).unwrap_or(true) {
+                    best = Some((dist, w));
+                }
+            }
+        }
+        best.map(|(_, w)| w)
+    }
+
+    #[test]
+    fn segment_assignment_is_pinned() {
+        // Scheduler and preload must keep agreeing across versions (§II-D):
+        // 1,000 segment ids × {1, 3, 8} workers, streamed hash == allocating
+        // reference == string-key entry point, and the whole table folds to
+        // a checksum recorded from the pre-streaming implementation.
+        let mut checksum = Fnv1a::new();
+        for n_workers in [1usize, 3, 8] {
+            let r = ring(n_workers, 21);
+            for i in 0..1000u64 {
+                // Spread ids over the u64 range, small ones included.
+                let seg =
+                    SegmentId(if i % 2 == 0 { i } else { i.wrapping_mul(0x9E37_79B9_7F4A_7C15) });
+                let want = reference_assign(&r, &seg.key());
+                assert_eq!(r.assign_segment(seg), want, "{seg} on {n_workers} workers");
+                assert_eq!(r.assign(&seg.key()), want);
+                checksum = checksum.write(&want.expect("non-empty ring").raw().to_le_bytes());
+            }
+        }
+        assert_eq!(checksum.finish(), GOLDEN_ASSIGNMENTS, "segment→worker table changed");
+    }
+
+    const GOLDEN_ASSIGNMENTS: u64 = 5_862_892_139_736_951_199;
 
     #[test]
     fn empty_ring_assigns_nothing() {

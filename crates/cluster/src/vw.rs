@@ -5,7 +5,10 @@
 //!
 //! * **Scaling-friendly allocation** (§II-D): adding/removing workers moves
 //!   only the minimal key range; `previous_owner` remembers where each
-//!   reassigned segment lived *before* the last topology change.
+//!   reassigned segment lived *before* the last topology change. The ring is
+//!   the one source of truth for ownership; `owners` memoises its answers
+//!   and is wiped inside every critical section that changes the ring or the
+//!   worker map, so a warm statement resolves an owner with one map lookup.
 //! * **Vector search serving** (Fig. 4): when the assigned worker misses its
 //!   index cache, the VW calls the previous owner's search RPC (latency
 //!   charged) instead of falling back to brute force, and warms the new
@@ -18,8 +21,10 @@
 use crate::hashring::MultiProbeRing;
 use crate::worker::{SegmentQuery, Worker, WorkerConfig};
 use bh_common::ids::IdGenerator;
+use bh_common::metrics::Counter;
 use bh_common::{
-    BhError, Bitset, LatencyModel, MetricsRegistry, Result, SharedClock, VwId, WorkerId,
+    BhError, Bitset, LatencyModel, MetricsRegistry, Result, SegmentId, SharedClock, VwId,
+    WorkerId,
 };
 use bh_storage::objectstore::ObjectStore;
 use bh_storage::segment::SegmentMeta;
@@ -57,6 +62,9 @@ impl Default for VwConfig {
     }
 }
 
+/// Entries the owner memo may hold before it is wiped and refilled.
+const OWNER_MEMO_CAP: usize = 1 << 16;
+
 /// A virtual warehouse.
 pub struct VirtualWarehouse {
     id: VwId,
@@ -69,8 +77,15 @@ pub struct VirtualWarehouse {
     ids: Arc<IdGenerator>,
     workers: RwLock<BTreeMap<WorkerId, Arc<Worker>>>,
     ring: RwLock<MultiProbeRing>,
-    /// Segment key → owner before the most recent topology change.
-    previous_owner: RwLock<HashMap<String, WorkerId>>,
+    /// Segment → owner before the most recent topology change.
+    previous_owner: RwLock<HashMap<SegmentId, WorkerId>>,
+    /// Memo of `ring.assign_segment` + `workers` lookup, filled by
+    /// [`Self::owner_of`] on a miss (under read guards of both) and wiped by
+    /// [`Self::change_topology`] (under write guards of both), so an entry
+    /// can never outlive the topology it was computed from.
+    owners: RwLock<HashMap<SegmentId, (WorkerId, Arc<Worker>)>>,
+    /// `vw.ring_assigns`: multi-probe ring walks actually performed.
+    ring_assigns: Arc<Counter>,
 }
 
 impl VirtualWarehouse {
@@ -94,11 +109,13 @@ impl VirtualWarehouse {
             remote,
             registry,
             clock,
-            metrics,
             ids,
             workers: RwLock::new(&classes::VW_WORKERS, BTreeMap::new()),
             ring: RwLock::new(&classes::VW_RING, MultiProbeRing::new(probes)),
             previous_owner: RwLock::new(&classes::VW_PREV_OWNER, HashMap::new()),
+            owners: RwLock::new(&classes::VW_OWNER_MEMO, HashMap::new()),
+            ring_assigns: metrics.counter("vw.ring_assigns"),
+            metrics,
         }
     }
 
@@ -136,22 +153,39 @@ impl VirtualWarehouse {
             .ok_or_else(|| BhError::NotFound(format!("{id} in {}", self.name)))
     }
 
-    /// Record the current assignment of `known_segments` as the "previous"
-    /// topology, then apply a membership change. Serving consults this map.
-    fn remember_assignment(&self, known_segments: &[Arc<SegmentMeta>]) {
-        let ring = self.ring.read();
-        let mut prev = self.previous_owner.write();
-        for meta in known_segments {
-            if let Some(w) = ring.assign(&meta.id.key()) {
-                prev.insert(meta.id.key(), w);
+    /// One multi-probe walk of the ring (counted: `vw.ring_assigns`).
+    fn walk(&self, ring: &MultiProbeRing, seg: SegmentId) -> Option<WorkerId> {
+        self.ring_assigns.inc();
+        ring.assign_segment(seg)
+    }
+
+    /// The one critical section every membership change runs in: record the
+    /// current assignment of `known_segments` as the "previous" topology
+    /// (serving consults it), apply `change` to the worker map and the ring,
+    /// and wipe the owner memo before either write guard is released.
+    fn change_topology<T>(
+        &self,
+        known_segments: &[Arc<SegmentMeta>],
+        change: impl FnOnce(&mut BTreeMap<WorkerId, Arc<Worker>>, &mut MultiProbeRing) -> T,
+    ) -> T {
+        let mut workers = self.workers.write();
+        let mut ring = self.ring.write();
+        {
+            let mut prev = self.previous_owner.write();
+            for meta in known_segments {
+                if let Some(w) = self.walk(&ring, meta.id) {
+                    prev.insert(meta.id, w);
+                }
             }
         }
+        let out = change(&mut workers, &mut ring);
+        self.owners.write().clear();
+        out
     }
 
     /// Add a worker (scale up). `known_segments` lets the VW remember the
     /// pre-scaling owners for serving.
     pub fn scale_up(&self, known_segments: &[Arc<SegmentMeta>]) -> WorkerId {
-        self.remember_assignment(known_segments);
         let wid = self.ids.next_worker();
         let w = Arc::new(Worker::new(
             wid,
@@ -162,37 +196,58 @@ impl VirtualWarehouse {
             self.clock.clone(),
             self.metrics.clone(),
         ));
-        self.workers.write().insert(wid, w);
-        self.ring.write().add_worker(wid);
+        self.change_topology(known_segments, |workers, ring| {
+            workers.insert(wid, w);
+            ring.add_worker(wid);
+        });
         self.metrics.counter("vw.scale_up").inc();
         wid
     }
 
     /// Remove a worker (scale down or failure eviction).
     pub fn scale_down(&self, wid: WorkerId, known_segments: &[Arc<SegmentMeta>]) -> Result<()> {
-        self.remember_assignment(known_segments);
-        self.workers
-            .write()
-            .remove(&wid)
-            .ok_or_else(|| BhError::NotFound(format!("{wid} in {}", self.name)))?;
-        self.ring.write().remove_worker(wid);
+        self.change_topology(known_segments, |workers, ring| match workers.remove(&wid) {
+            Some(_) => {
+                ring.remove_worker(wid);
+                Ok(())
+            }
+            None => Err(BhError::NotFound(format!("{wid} in {}", self.name))),
+        })?;
         self.metrics.counter("vw.scale_down").inc();
         Ok(())
     }
 
     /// Current owner of a segment.
     pub fn owner_of(&self, meta: &SegmentMeta) -> Result<(WorkerId, Arc<Worker>)> {
+        if let Some(owner) = self.owners.read().get(&meta.id) {
+            return Ok(owner.clone());
+        }
+        // Miss: ask the ring. The read guards are held across the memo
+        // insert, so a concurrent `change_topology` (which needs both write
+        // guards) either finished before this walk or wipes this entry.
+        let workers = self.workers.read();
+        let ring = self.ring.read();
         let wid = self
-            .ring
-            .read()
-            .assign(&meta.id.key())
+            .walk(&ring, meta.id)
             .ok_or_else(|| BhError::WorkerUnavailable(format!("{} has no workers", self.name)))?;
-        Ok((wid, self.worker(wid)?))
+        let worker = workers
+            .get(&wid)
+            .cloned()
+            .ok_or_else(|| BhError::NotFound(format!("{wid} in {}", self.name)))?;
+        let mut owners = self.owners.write();
+        // Compacted-away segments leave entries behind until the next
+        // topology change; a full wipe keeps the memo bounded meanwhile.
+        if owners.len() >= OWNER_MEMO_CAP {
+            owners.clear();
+        }
+        owners.insert(meta.id, (wid, worker.clone()));
+        drop(owners);
+        Ok((wid, worker))
     }
 
     /// Pre-scaling owner of a segment, if recorded and still a member.
     fn previous_owner_of(&self, meta: &SegmentMeta) -> Option<Arc<Worker>> {
-        let wid = *self.previous_owner.read().get(&meta.id.key())?;
+        let wid = *self.previous_owner.read().get(&meta.id)?;
         self.workers.read().get(&wid).cloned()
     }
 
@@ -201,7 +256,7 @@ impl VirtualWarehouse {
         let ring = self.ring.read();
         let mut out: BTreeMap<WorkerId, Vec<Arc<SegmentMeta>>> = BTreeMap::new();
         for meta in metas {
-            if let Some(w) = ring.assign(&meta.id.key()) {
+            if let Some(w) = self.walk(&ring, meta.id) {
                 out.entry(w).or_default().push(meta.clone());
             }
         }
@@ -412,6 +467,8 @@ mod tests {
     use bh_storage::table::TableStoreConfig;
     use bh_storage::value::{ColumnType, Value};
     use bh_vector::IndexKind;
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
 
     fn table(n: usize, seg_rows: usize) -> Arc<TableStore> {
@@ -754,5 +811,207 @@ mod tests {
                 assert_eq!(still, Some(true), "segment moved though its worker stayed");
             }
         }
+    }
+
+    // ------------------------------------------------------- owner memo
+
+    /// The ring a warehouse rebuilt from scratch with `v`'s membership has.
+    fn fresh_ring(v: &VirtualWarehouse) -> MultiProbeRing {
+        let mut ring = MultiProbeRing::new(VwConfig::default().probes);
+        for wid in v.worker_ids() {
+            ring.add_worker(wid);
+        }
+        ring
+    }
+
+    /// `owner_of` must answer exactly what a fresh walk of the ring would.
+    fn assert_memo_matches_ring(v: &VirtualWarehouse, metas: &[Arc<SegmentMeta>]) {
+        let ring = fresh_ring(v);
+        for meta in metas {
+            match v.owner_of(meta) {
+                Ok((wid, worker)) => {
+                    assert_eq!(
+                        Some(wid),
+                        ring.assign_segment(meta.id),
+                        "stale owner for {}",
+                        meta.id
+                    );
+                    assert_eq!(worker.id(), wid);
+                }
+                Err(_) => assert!(ring.is_empty(), "owner_of failed on a non-empty ring"),
+            }
+        }
+    }
+
+    #[test]
+    fn owner_memo_answers_warm_lookups_without_walking_the_ring() {
+        let t = table(500, 50);
+        let v = vw(&t, VwConfig::default(), 3);
+        let metas = t.segments();
+        let walks = || t.metrics().counter_value("vw.ring_assigns");
+        assert_memo_matches_ring(&v, &metas);
+        let after_fill = walks();
+        assert_eq!(after_fill, metas.len() as u64, "one walk per segment fills the memo");
+        for _ in 0..5 {
+            assert_memo_matches_ring(&v, &metas);
+        }
+        assert_eq!(walks(), after_fill, "warm lookups are memo hits");
+        // Any membership change wipes it; the next lookups walk once more.
+        v.scale_up(&[]);
+        assert_memo_matches_ring(&v, &metas);
+        assert_eq!(walks(), after_fill + metas.len() as u64);
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum TopoOp {
+        ScaleUp,
+        ScaleDown(usize),
+        Kill(usize),
+        Query(u8),
+    }
+
+    fn topo_op() -> impl Strategy<Value = TopoOp> {
+        prop_oneof![
+            Just(TopoOp::ScaleUp),
+            (0usize..8).prop_map(TopoOp::ScaleDown),
+            (0usize..8).prop_map(TopoOp::Kill),
+            (0u8..40).prop_map(TopoOp::Query),
+        ]
+    }
+
+    fn shared_table() -> &'static Arc<TableStore> {
+        static T: std::sync::OnceLock<Arc<TableStore>> = std::sync::OnceLock::new();
+        T.get_or_init(|| table(400, 50))
+    }
+
+    /// Per-segment top-3 ids for one query through the VW data path. One
+    /// call retries past one dead owner (§II-E); with several workers down a
+    /// segment can land on a second dead owner, so ask again like a client
+    /// would — every attempt evicts one more.
+    fn search_all(v: &VirtualWarehouse, t: &TableStore, q: f32) -> Vec<Vec<u64>> {
+        t.segments()
+            .iter()
+            .map(|meta| {
+                let search =
+                    || v.search_segment(t, meta, &[q; 4], 3, &SearchParams::default(), None);
+                let mut hits = search();
+                while matches!(&hits, Err(e) if e.is_retryable()) {
+                    hits = search();
+                }
+                hits.unwrap().iter().map(|nb| nb.id).collect()
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        /// Random scale_up / scale_down / inject_failure / query sequences:
+        /// after every step the memoised owner equals a fresh ring walk, a
+        /// worker evicted by a retry is never handed out again, and query
+        /// results equal those of a warehouse rebuilt from scratch with the
+        /// same membership.
+        #[test]
+        fn owner_memo_tracks_every_topology_change(
+            ops in proptest::collection::vec(topo_op(), 1..14)
+        ) {
+            let t = shared_table();
+            let metas = t.segments();
+            let v = vw(t, VwConfig::default(), 2);
+            // Worker ids are minted sequentially from 100, so a rebuilt
+            // warehouse reaches the same membership by minting as many and
+            // removing the ones that are gone.
+            let mut minted = 2usize;
+            let mut killed: Vec<WorkerId> = Vec::new();
+            assert_memo_matches_ring(&v, &metas);
+            for op in ops {
+                let members = v.worker_ids();
+                let alive: Vec<WorkerId> =
+                    members.iter().copied().filter(|w| !killed.contains(w)).collect();
+                match op {
+                    TopoOp::ScaleUp => {
+                        v.scale_up(&metas);
+                        minted += 1;
+                    }
+                    // Keep one live worker so queries stay answerable.
+                    TopoOp::ScaleDown(i) if alive.len() > 1 => {
+                        let wid = alive[i % alive.len()];
+                        v.scale_down(wid, &metas).unwrap();
+                    }
+                    TopoOp::Kill(i) if alive.len() > 1 => {
+                        let wid = alive[i % alive.len()];
+                        v.inject_failure(wid).unwrap();
+                        killed.push(wid);
+                    }
+                    TopoOp::ScaleDown(_) | TopoOp::Kill(_) => {}
+                    TopoOp::Query(q) => {
+                        // Off-grid query point: no distance ties.
+                        let q = q as f32 * 9.7 + 0.137;
+                        let got = search_all(&v, t, q);
+                        // The retries evicted the dead owners they ran
+                        // into (serving can mask a dead *new* owner, which
+                        // then stays a member); an evicted worker is never
+                        // handed out again.
+                        let members = v.worker_ids();
+                        for meta in &metas {
+                            let (wid, _) = v.owner_of(meta).unwrap();
+                            prop_assert!(
+                                members.contains(&wid),
+                                "{} routed to evicted {}",
+                                meta.id,
+                                wid
+                            );
+                        }
+                        let rebuilt = vw(t, VwConfig::default(), minted);
+                        for wid in rebuilt.worker_ids() {
+                            if !v.worker_ids().contains(&wid) {
+                                rebuilt.scale_down(wid, &[]).unwrap();
+                            }
+                        }
+                        prop_assert_eq!(rebuilt.worker_ids(), v.worker_ids());
+                        prop_assert_eq!(got, search_all(&rebuilt, t, q));
+                    }
+                }
+                assert_memo_matches_ring(&v, &metas);
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_owner_lookups_and_scaling_respect_lock_order() {
+        // Two readers hammer `owner_of` (memo hits, and ring walks that fill
+        // the memo under the workers+ring read guards) while a writer scales
+        // up and down (write guards, previous-owner update, memo wipe). Run
+        // in a debug build or under `--cfg lockdep`, every nested
+        // acquisition here is rank-checked at runtime; in any build the
+        // final memo must agree with the final ring.
+        let t = table(500, 50);
+        let v = vw(&t, VwConfig::default(), 2);
+        let metas = t.segments();
+        let start = std::sync::Barrier::new(3);
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    while !stop.load(Ordering::Relaxed) {
+                        for meta in &metas {
+                            let (wid, worker) = v.owner_of(meta).expect("never empty");
+                            assert_eq!(worker.id(), wid);
+                        }
+                    }
+                });
+            }
+            s.spawn(|| {
+                start.wait();
+                for _ in 0..200 {
+                    let wid = v.scale_up(&metas);
+                    v.scale_down(wid, &metas).expect("just added");
+                }
+                stop.store(true, Ordering::Relaxed);
+            });
+        });
+        assert_eq!(v.worker_count(), 2);
+        assert_memo_matches_ring(&v, &metas);
     }
 }

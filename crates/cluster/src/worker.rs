@@ -13,6 +13,7 @@
 //! column. `serve_remote_search` is the RPC-exposed entry other workers call
 //! during scaling — it only answers from the local memory cache.
 
+use bh_common::metrics::Counter;
 use bh_common::{
     BhError, Bitset, LatencyModel, MetricsRegistry, Result, SharedBound, SharedClock, Stopwatch,
     WorkerId,
@@ -111,6 +112,8 @@ pub struct Worker {
     warming: bh_common::sync::Mutex<std::collections::HashSet<bh_common::SegmentId>>,
     cfg: WorkerConfig,
     metrics: MetricsRegistry,
+    /// `worker.local_search`, resolved once: bumped per segment per statement.
+    local_search: Arc<Counter>,
     clock: SharedClock,
     /// Completion-queue reactor for overlapped RPC charges (`cfg.overlap`).
     reactor: Option<Arc<bh_common::Reactor>>,
@@ -158,6 +161,7 @@ impl Worker {
                 std::collections::HashSet::new(),
             ),
             cfg,
+            local_search: metrics.counter("worker.local_search"),
             metrics,
             clock,
             reactor,
@@ -272,7 +276,7 @@ impl Worker {
                 .index_cache
                 .get(meta)?
                 .ok_or_else(|| BhError::Internal("resident index vanished".into()))?;
-            self.metrics.counter("worker.local_search").inc();
+            self.local_search.inc();
             span.attr("mode", "local");
             return idx.search_with_bound(query, k, params, filter, bound);
         }
@@ -327,7 +331,7 @@ impl Worker {
             }
             match &handle {
                 Some(idx) => {
-                    self.metrics.counter("worker.local_search").inc();
+                    self.local_search.inc();
                     out.push(idx.search_with_bound(q.query, q.k, params, q.filter, q.bound)?);
                 }
                 None => {
@@ -368,7 +372,7 @@ impl Worker {
         bound: Option<&SharedBound>,
     ) -> Result<Vec<Neighbor>> {
         self.check_alive()?;
-        self.metrics.counter("worker.local_search").inc();
+        self.local_search.inc();
         idx.search_with_bound(query, k, params, filter, bound)
     }
 

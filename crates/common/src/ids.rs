@@ -42,7 +42,16 @@ impl SegmentId {
     }
     /// Stable string key used for consistent hashing and blob naming.
     pub fn key(self) -> String {
-        format!("seg-{:016x}", self.0)
+        self.key_bytes().iter().map(|&b| b as char).collect()
+    }
+    /// The bytes of [`Self::key`] (`seg-` + 16 lowercase hex digits) without
+    /// a heap allocation, for the hash ring's hot path.
+    pub fn key_bytes(self) -> [u8; 20] {
+        let mut key = *b"seg-0000000000000000";
+        for (i, b) in key[4..].iter_mut().enumerate() {
+            *b = b"0123456789abcdef"[(self.0 >> (60 - 4 * i)) as usize & 0xf];
+        }
+        key
     }
 }
 
@@ -157,6 +166,15 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert!(a.starts_with("seg-"));
+    }
+
+    #[test]
+    fn segment_key_format_is_pinned() {
+        // Blob names and ring positions both derive from this exact text.
+        for id in [0, 1, 0xabc, 0x0123_4567_89ab_cdef, u64::MAX] {
+            assert_eq!(SegmentId(id).key(), format!("seg-{id:016x}"));
+            assert_eq!(SegmentId(id).key_bytes().as_slice(), SegmentId(id).key().as_bytes());
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! * [`bound`] — an atomic shared k-th-distance upper bound that lets
 //!   batched/fanned-out scans skip candidates which cannot reach the top-k.
 //! * [`cursor`] — the work-stealing claim counter behind intra-query and
-//!   compaction fan-out.
+//!   compaction fan-out, and the persistent caller-first helper pool the
+//!   query path fans out on.
 //! * [`loom`] — an in-tree model checker (loom-lite) that exhaustively
 //!   explores interleavings of the lock-free paths under `--cfg loom`.
 //! * [`cq`] — a completion-queue reactor over the shared clock so
@@ -52,7 +53,7 @@ pub mod trace;
 
 pub use bitset::Bitset;
 pub use bound::SharedBound;
-pub use cursor::StealingCursor;
+pub use cursor::{Fanout, FanoutPool, StealingCursor};
 pub use clock::{
     Clock, DeploymentLatencies, LatencyModel, RealClock, SharedClock, Stopwatch, VirtualClock,
 };

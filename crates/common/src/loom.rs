@@ -42,9 +42,14 @@
 //!   CI TSan lane covers ordering races.
 //! * `compare_exchange_weak` is modeled as the strong variant (no spurious
 //!   failures); every user loop must tolerate strong semantics anyway.
-//! * Only atomics yield. Model threads must share mutable state through the
-//!   [`sync::atomic`] wrappers (plus `Arc`), which is all our lock-free code
-//!   uses.
+//! * Only atomics (and [`thread::park`]) yield. Model threads must share
+//!   mutable state through the [`sync::atomic`] wrappers (plus `Arc`), which
+//!   is all our lock-free code uses. A `std` lock is harmless as long as no
+//!   yield point sits inside its critical section (the section is then atomic
+//!   in the model); holding one across a yield wedges the scheduler.
+//! * [`thread::park`] blocks at model level until [`thread::Thread::unpark`]
+//!   (token semantics like std, no spurious wake-ups); a model that leaves a
+//!   thread parked forever is reported as a deadlock.
 //!
 //! The module is always compiled (so it typechecks in ordinary builds), but
 //! the workspace only switches its atomics to these wrappers under
@@ -77,6 +82,10 @@ struct State {
     finished: Vec<bool>,
     /// Per-thread: the thread id it is blocked joining on, if any.
     blocked_on: Vec<Option<usize>>,
+    /// Per-thread: blocked in [`thread::park`] awaiting an unpark.
+    parked: Vec<bool>,
+    /// Per-thread: an unpark arrived while not parked (std's park token).
+    unpark_token: Vec<bool>,
     /// The single thread currently allowed to run.
     active: usize,
     /// Decisions taken so far in this run.
@@ -133,6 +142,8 @@ impl Sched {
                 runnable: vec![true],
                 finished: vec![false],
                 blocked_on: vec![None],
+                parked: vec![false],
+                unpark_token: vec![false],
                 active: 0,
                 schedule: Vec::new(),
                 preset,
@@ -167,8 +178,8 @@ impl Sched {
                 st.abort = true;
                 if st.payload.is_none() {
                     st.payload = Some(Box::new(String::from(
-                        "loom-lite: deadlock — threads are blocked on join but no \
-                         thread is runnable",
+                        "loom-lite: deadlock — threads are blocked on join or park \
+                         but no thread is runnable",
                     )));
                 }
             }
@@ -216,6 +227,8 @@ impl Sched {
         st.runnable.push(true);
         st.finished.push(false);
         st.blocked_on.push(None);
+        st.parked.push(false);
+        st.unpark_token.push(false);
         tid
     }
 
@@ -248,6 +261,43 @@ impl Sched {
         if st.abort {
             drop(st);
             aborted();
+        }
+    }
+
+    /// Block thread `me` until unparked; a pending token is consumed instead
+    /// (then this is a plain scheduling point).
+    fn park(&self, me: usize) {
+        let mut st = self.lock();
+        if st.abort {
+            drop(st);
+            aborted();
+        }
+        if st.unpark_token[me] {
+            st.unpark_token[me] = false;
+        } else {
+            st.runnable[me] = false;
+            st.parked[me] = true;
+        }
+        self.pick_next(&mut st);
+        while st.active != me && !st.abort {
+            st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
+        }
+        if st.abort {
+            drop(st);
+            aborted();
+        }
+    }
+
+    /// Make a parked `target` runnable, or leave it a token. Not itself a
+    /// scheduling point: the state change is atomic and the caller's next
+    /// atomic operation yields.
+    fn unpark(&self, target: usize) {
+        let mut st = self.lock();
+        if st.parked[target] {
+            st.parked[target] = false;
+            st.runnable[target] = true;
+        } else if !st.finished[target] {
+            st.unpark_token[target] = true;
         }
     }
 
@@ -359,25 +409,58 @@ where
 
 /// Mirror of `loom::thread`.
 pub mod thread {
-    use super::{catch_unwind, current, Arc, AssertUnwindSafe, Ctx, Mutex, CURRENT};
+    use super::{catch_unwind, Arc, AssertUnwindSafe, Ctx, Mutex, CURRENT};
+
+    /// A model thread's identity: the target of [`Thread::unpark`].
+    #[derive(Debug, Clone)]
+    pub struct Thread {
+        tid: usize,
+    }
+
+    impl Thread {
+        /// Wake the thread from [`park`], or make its next `park` return
+        /// immediately (std's token semantics).
+        pub fn unpark(&self) {
+            let ctx =
+                super::current().expect("loom-lite: Thread::unpark called outside model()");
+            ctx.sched.unpark(self.tid);
+        }
+    }
+
+    /// The calling model thread.
+    pub fn current() -> Thread {
+        let ctx = super::current().expect("loom-lite: thread::current called outside model()");
+        Thread { tid: ctx.tid }
+    }
+
+    /// Block until another thread unparks this one (a scheduling point).
+    pub fn park() {
+        let ctx = super::current().expect("loom-lite: thread::park called outside model()");
+        ctx.sched.park(ctx.tid);
+    }
 
     /// Handle to a model thread; `join` blocks at model level (a scheduling
     /// point), then reaps the OS thread.
     pub struct JoinHandle<T> {
-        tid: usize,
+        thread: Thread,
         result: Arc<Mutex<Option<T>>>,
         os: Option<std::thread::JoinHandle<()>>,
     }
 
     impl<T> JoinHandle<T> {
+        /// The spawned thread's identity.
+        pub fn thread(&self) -> &Thread {
+            &self.thread
+        }
+
         /// Wait for the thread to finish and return its value. Mirrors
         /// `std::thread::JoinHandle::join`; a panicking child aborts the
         /// whole model, so by the time this returns `Err` is impossible —
         /// the `Result` exists for std/loom signature compatibility.
         pub fn join(mut self) -> std::thread::Result<T> {
-            let ctx = current()
+            let ctx = super::current()
                 .expect("loom-lite: JoinHandle::join called outside model()");
-            ctx.sched.join_model(ctx.tid, self.tid);
+            ctx.sched.join_model(ctx.tid, self.thread.tid);
             if let Some(os) = self.os.take() {
                 let _ = os.join();
             }
@@ -398,7 +481,7 @@ pub mod thread {
         T: Send + 'static,
     {
         let ctx =
-            current().expect("loom-lite: thread::spawn called outside model()");
+            super::current().expect("loom-lite: thread::spawn called outside model()");
         let sched = Arc::clone(&ctx.sched);
         let tid = sched.register();
         let result: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
@@ -422,7 +505,7 @@ pub mod thread {
         });
         // Spawning is itself a scheduling point: the child may run first.
         ctx.sched.switch(ctx.tid);
-        JoinHandle { tid, result, os: Some(os) }
+        JoinHandle { thread: Thread { tid }, result, os: Some(os) }
     }
 
     /// Explicit scheduling point (no-op outside a model).

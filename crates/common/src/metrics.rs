@@ -57,6 +57,9 @@ pub const NAMES: &[&str] = &[
     "query.bound_skips",
     "query.exec_ns",
     "query.executed",
+    "query.fanout.caller_tasks",
+    "query.fanout.helper_tasks",
+    "query.fanout.threads_started",
     "query.fanout_batches",
     "query.index_prefetches",
     "query.iterator_visited",
@@ -81,6 +84,7 @@ pub const NAMES: &[&str] = &[
     "table.rows_updated",
     "table.segments_created",
     "vw.query_retries",
+    "vw.ring_assigns",
     "vw.scale_down",
     "vw.scale_up",
     "vw.serving_calls",

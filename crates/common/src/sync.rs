@@ -102,6 +102,11 @@ lock_rank_table! {
     /// `VirtualWarehouse::previous_owner` cache-affinity map; acquired
     /// under `VW_RING`.
     VW_PREV_OWNER = 220,
+    /// `VirtualWarehouse::owners` segment→owner memo. Filled under read
+    /// guards of `VW_WORKERS` + `VW_RING`, wiped under their write guards, so
+    /// it ranks after both (and after `VW_PREV_OWNER`, which the same
+    /// critical section updates first).
+    VW_OWNER_MEMO = 230,
     /// `Worker::warming` in-flight background-warm claim set.
     WORKER_WARMING = 250,
     /// `TableStore::compaction_lock` — serializes compaction passes; held
@@ -136,6 +141,10 @@ lock_rank_table! {
     /// `cq::Reactor` deadline heap; near the top — completion-queue
     /// bookkeeping may be reached from under any storage lock.
     CQ_INNER = 800,
+    /// `FanoutPool` helper mailbox (job hand-off + thread handles). A leaf:
+    /// held only to move a job in or out, never across a task, so it ranks
+    /// above everything a statement may hold when it fans out.
+    FANOUT_SLOT = 840,
     /// `MetricsRegistry` counter map. Metrics are leaf locks: counters are
     /// bumped from under nearly every other lock in the system.
     METRICS_COUNTERS = 850,

@@ -6,16 +6,18 @@
 //! RUSTFLAGS="--cfg loom" cargo test -p bh-common --test loom --release
 //! ```
 //!
-//! Under `--cfg loom`, `SharedBound` and `StealingCursor` swap their std
-//! atomics for `bh_common::loom::sync::atomic` wrappers, and `loom::model`
-//! exhaustively explores every sequentially-consistent interleaving of the
-//! model threads (see `src/loom.rs` for fidelity limits).
+//! Under `--cfg loom`, `SharedBound`, `StealingCursor` and `FanoutPool` swap
+//! their std atomics (and the pool its threads and park/unpark) for the
+//! `bh_common::loom` wrappers, and `loom::model` exhaustively explores every
+//! sequentially-consistent interleaving of the model threads (see
+//! `src/loom.rs` for fidelity limits).
 
 #![cfg(loom)]
 
 use bh_common::cq::{OpTable, Ticket};
 use bh_common::loom::{self, sync::Arc, thread};
-use bh_common::{SharedBound, StealingCursor};
+use bh_common::{BhError, FanoutPool, SharedBound, StealingCursor};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// DESIGN.md §7 publish rule: whatever interleaving the publishers race
 /// through, the bound settles on the minimum of all published thresholds,
@@ -293,5 +295,103 @@ fn lockgraph_publish_is_first_sighting_exactly_once() {
         assert!(won_disjoint, "a disjoint edge publish is never lost");
         assert!(g.has_edge(1, 65) && g.has_edge(2, 65));
         assert!(!g.has_edge(65, 1), "publication must not smear other bits");
+    });
+}
+
+/// Fan-out primitive, invariant #1: whatever the caller and a helper race
+/// through — helper spawned but never scheduled, helper claiming everything,
+/// any split in between — every index runs exactly once, the results come
+/// back in index order, and the two tallies add up to the list.
+///
+/// The same model shows that progress never depends on a helper waking: in
+/// the schedules where the helper does not run until the caller has
+/// returned, the caller finishes the whole list alone (`helper_tasks == 0`),
+/// and the helper that wakes afterwards finds a closed cursor.
+#[test]
+fn fanout_runs_every_index_exactly_once() {
+    let caller_alone = Arc::new(AtomicUsize::new(0));
+    let helper_took_part = Arc::new(AtomicUsize::new(0));
+    let (alone, shared) = (Arc::clone(&caller_alone), Arc::clone(&helper_took_part));
+    loom::model(move || {
+        const LEN: usize = 2;
+        let pool = FanoutPool::new(1);
+        let runs: [AtomicUsize; LEN] = [AtomicUsize::new(0), AtomicUsize::new(0)];
+        let out = pool.run(LEN, 2, |i| {
+            runs[i].fetch_add(1, Ordering::Relaxed);
+            Ok(i + 10)
+        });
+        for r in &runs {
+            assert_eq!(r.load(Ordering::Relaxed), 1, "an index ran twice or not at all");
+        }
+        assert_eq!(out.caller_tasks + out.helper_tasks, LEN);
+        assert_eq!(out.threads_started, 1);
+        if out.helper_tasks == 0 {
+            alone.fetch_add(1, Ordering::Relaxed);
+        } else {
+            shared.fetch_add(1, Ordering::Relaxed);
+        }
+        assert_eq!(out.into_results().unwrap(), vec![10, 11]);
+        // Dropping the pool here joins the helper wherever it is: not yet
+        // started, inside a stale job, or parked.
+    });
+    assert!(caller_alone.load(Ordering::Relaxed) > 0, "never saw the caller finish alone");
+    assert!(helper_took_part.load(Ordering::Relaxed) > 0, "never saw the helper claim a task");
+}
+
+thread_local! {
+    /// Set on the model's main thread so a task body can tell whether a
+    /// helper is running it.
+    static IS_CALLER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Fan-out primitive, invariant #2: a helper that claims an index and then
+/// panics inside the task yields `Internal` for that fan-out, the caller
+/// still returns (it waits for the claimed index to be *finished*, which the
+/// panic path records too), and the next fan-out on the same pool — same
+/// helper thread — works.
+#[test]
+fn fanout_helper_panic_is_internal_and_pool_survives() {
+    let saw_panic = Arc::new(AtomicUsize::new(0));
+    let saw = Arc::clone(&saw_panic);
+    loom::model(move || {
+        IS_CALLER.with(|c| c.set(true));
+        let pool = FanoutPool::new(1);
+        let out = pool.run(2, 2, |i| {
+            if !IS_CALLER.with(|c| c.get()) {
+                // resume_unwind: a panic without the hook's stderr noise.
+                std::panic::resume_unwind(Box::new("helper task failed"));
+            }
+            Ok(i)
+        });
+        if out.panicked {
+            saw.fetch_add(1, Ordering::Relaxed);
+            assert!(out.helper_tasks >= 1, "only a helper's task panics in this model");
+            assert!(matches!(out.into_results(), Err(BhError::Internal(_))));
+        } else {
+            assert_eq!(out.helper_tasks, 0);
+            assert_eq!(out.into_results().unwrap(), vec![0, 1]);
+        }
+        let again = pool.run(2, 2, |i| Ok(i * 2));
+        assert_eq!(again.threads_started, 0, "the helper thread survived the panic");
+        assert!(!again.panicked);
+        assert_eq!(again.caller_tasks + again.helper_tasks, 2);
+        assert_eq!(again.into_results().unwrap(), vec![0, 2]);
+        IS_CALLER.with(|c| c.set(false));
+    });
+    assert!(saw_panic.load(Ordering::Relaxed) > 0, "never saw the helper's task panic");
+}
+
+/// Fan-out primitive, invariant #3: dropping a pool whose helper is parked
+/// between jobs (or has never been offered one) does not hang — loom-lite
+/// reports a thread left parked forever as a deadlock.
+#[test]
+fn fanout_pool_drop_wakes_and_joins_parked_helper() {
+    loom::model(|| {
+        let pool = FanoutPool::new(1);
+        let first = pool.run(2, 2, |i| Ok(i));
+        assert_eq!(first.into_results().unwrap(), vec![0, 1]);
+        drop(pool);
+        // A pool that never fanned out has no thread to join.
+        drop(FanoutPool::new(1));
     });
 }

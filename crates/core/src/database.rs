@@ -936,6 +936,8 @@ mod tests {
         // Segment scheduling and result accounting.
         assert!(text.contains("segments_total="), "{text}");
         assert!(text.contains("segments_visited="), "{text}");
+        // Whether the fan-out helpers took part in this statement.
+        assert!(text.contains("helper_tasks="), "{text}");
         assert!(text.contains("result rows: 5"), "{text}");
         assert!(text.contains("kernel tier: "), "{text}");
         // Counter deltas: cold query pays remote reads and cache misses.

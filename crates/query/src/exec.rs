@@ -23,8 +23,9 @@ use crate::result::ResultSet;
 use bh_cluster::scheduler::{select_segments, PruneConfig, SegmentSelection};
 use bh_cluster::vw::VirtualWarehouse;
 use bh_cluster::worker::Worker;
+use bh_common::metrics::Counter;
 use bh_common::{
-    BhError, Bitset, MetricsRegistry, Result, SegmentId, SharedBound, SpanId, StealingCursor,
+    BhError, Bitset, FanoutPool, MetricsRegistry, Result, SegmentId, SharedBound, SpanId,
     Stopwatch, TopK,
 };
 use bh_sql::ast::SelectStmt;
@@ -59,9 +60,12 @@ pub struct QueryOptions {
     pub prune: PruneConfig,
     /// Segments pulled from the reserve per adaptive expansion.
     pub adaptive_batch: usize,
-    /// Maximum worker threads searching segments of one query concurrently
-    /// (the paper's intra-query fan-out, Fig. 9–12). `1` disables the
-    /// fan-out; the default is the machine's available parallelism.
+    /// Maximum threads searching segments of one query concurrently (the
+    /// paper's intra-query fan-out, Fig. 9–12): the calling thread plus up
+    /// to `intra_query_parallelism - 1` of the engine's parked helpers (of
+    /// which there are at most `available_parallelism - 1`). `1` keeps the
+    /// statement on the calling thread; the default is the machine's
+    /// available parallelism.
     pub intra_query_parallelism: usize,
     /// Share a per-query atomic k-th-distance bound across the segments of a
     /// batched query ([`QueryEngine::execute_batch`]) so segments searched
@@ -140,12 +144,26 @@ impl Drop for RoundPrefetches {
     }
 }
 
-/// The query engine: planner state (cost constants, plan cache) shared
-/// across queries of one database.
+/// Counters bumped once or more per segment per statement, resolved once at
+/// construction instead of by name on the hot path.
+struct HotCounters {
+    segment_ns: Arc<Counter>,
+    parallel_segments: Arc<Counter>,
+    fanout_batches: Arc<Counter>,
+    fanout_caller_tasks: Arc<Counter>,
+    fanout_helper_tasks: Arc<Counter>,
+    fanout_threads_started: Arc<Counter>,
+}
+
+/// The query engine: planner state (cost constants, plan cache) and the
+/// fan-out helper threads, shared across queries of one database.
 pub struct QueryEngine {
     cost: CostParams,
     plan_cache: PlanCache,
     metrics: MetricsRegistry,
+    hot: HotCounters,
+    /// Persistent helpers every statement's segment fan-out runs on.
+    fanout: FanoutPool,
 }
 
 impl QueryEngine {
@@ -155,7 +173,21 @@ impl QueryEngine {
         // per engine (`kernel.tier.avx2|neon|scalar` = 1).
         let tier = bh_vector::distance::KernelTier::current();
         metrics.gauge(&format!("kernel.tier.{}", tier.name())).set(1);
-        Self { cost: CostParams::default(), plan_cache: PlanCache::new(), metrics }
+        let hot = HotCounters {
+            segment_ns: metrics.counter("query.segment_ns"),
+            parallel_segments: metrics.counter("query.parallel_segments"),
+            fanout_batches: metrics.counter("query.fanout_batches"),
+            fanout_caller_tasks: metrics.counter("query.fanout.caller_tasks"),
+            fanout_helper_tasks: metrics.counter("query.fanout.helper_tasks"),
+            fanout_threads_started: metrics.counter("query.fanout.threads_started"),
+        };
+        Self {
+            cost: CostParams::default(),
+            plan_cache: PlanCache::new(),
+            metrics,
+            hot,
+            fanout: FanoutPool::for_machine(),
+        }
     }
 
     /// Replace the cost-model constants (e.g. with calibrated ones).
@@ -476,7 +508,16 @@ impl QueryEngine {
             if !round_prefetches.0.is_empty() {
                 self.metrics.counter("query.index_prefetches").add(round_prefetches.0.len() as u64);
             }
-            let per_task = self.run_segment_tasks(table, vw, opts, &states, &seg_tasks)?;
+            // Helper threads cannot see this thread's span stack; capture
+            // the parent span here and attach every task span explicitly.
+            let trace_parent = self.metrics.tracer().current();
+            let (per_task, _) = self.fan_out(opts, seg_tasks.len(), |i| {
+                let (meta, qis) = &seg_tasks[i];
+                // Per-query errors travel inside the task's output: a batch
+                // reports the first error in (batch, pending) order, which
+                // needs every task's answer.
+                Ok(self.run_segment_task(table, vw, opts, &states, meta, qis, trace_parent))
+            })?;
 
             // Move task outputs into a (segment, query)-keyed map so each
             // query can merge in its own pending order.
@@ -557,88 +598,30 @@ impl QueryEngine {
             .collect()
     }
 
-    /// One round of the batched fan-out: segment-major tasks over the
-    /// work-stealing pool. Returns, per task, `(query index, result)` pairs.
-    /// A panicked worker thread becomes `BhError::Internal`, like
-    /// [`Self::search_segments_parallel`].
-    fn run_segment_tasks(
+    /// The one fan-out scaffold: run `task(i)` for `i` in `0..len` on the
+    /// calling thread plus up to `intra_query_parallelism - 1` pool helpers
+    /// (caller-first, work-stealing by atomic cursor — DESIGN.md §6).
+    /// Returns the outputs in index order, so merges are bit-identical to
+    /// parallelism 1, plus how many tasks helpers ran. The first `Err` in
+    /// index order wins and stops further claims; a panicked task becomes
+    /// `BhError::Internal`.
+    fn fan_out<T: Send + Sync>(
         &self,
-        table: &TableStore,
-        vw: &VirtualWarehouse,
         opts: &QueryOptions,
-        states: &[Option<BatchQueryState<'_>>],
-        seg_tasks: &[(Arc<SegmentMeta>, Vec<usize>)],
-    ) -> Result<Vec<Vec<(usize, Result<Vec<Neighbor>>)>>> {
-        let par = opts.intra_query_parallelism.max(1).min(seg_tasks.len());
-        // Fan-out threads cannot see this thread's span stack; capture the
-        // parent span here and attach every task span to it explicitly.
-        let trace_parent = self.metrics.tracer().current();
-        if par <= 1 {
-            return Ok(seg_tasks
-                .iter()
-                .map(|(meta, qis)| {
-                    self.run_segment_task(table, vw, opts, states, meta, qis, trace_parent)
-                })
-                .collect());
+        len: usize,
+        task: impl Fn(usize) -> Result<T> + Sync,
+    ) -> Result<(Vec<T>, usize)> {
+        let par = opts.intra_query_parallelism.max(1).min(len);
+        let out = self.fanout.run(len, par, task);
+        if par > 1 {
+            self.hot.fanout_batches.inc();
+            self.hot.parallel_segments.add((out.caller_tasks + out.helper_tasks) as u64);
+            self.hot.fanout_caller_tasks.add(out.caller_tasks as u64);
+            self.hot.fanout_helper_tasks.add(out.helper_tasks as u64);
+            self.hot.fanout_threads_started.add(out.threads_started as u64);
         }
-        self.metrics.counter("query.parallel_segments").add(seg_tasks.len() as u64);
-        self.metrics.counter("query.fanout_batches").inc();
-        let cursor = StealingCursor::new();
-        let merged: Vec<Option<Vec<(usize, Result<Vec<Neighbor>>)>>> =
-            std::thread::scope(|scope| {
-                let cursor = &cursor;
-                let handles: Vec<_> = (0..par)
-                    .map(|_| {
-                        scope.spawn(move || {
-                            let mut local = Vec::new();
-                            while let Some(i) = cursor.claim(seg_tasks.len()) {
-                                let (meta, qis) = &seg_tasks[i];
-                                local.push((
-                                    i,
-                                    self.run_segment_task(
-                                        table,
-                                        vw,
-                                        opts,
-                                        states,
-                                        meta,
-                                        qis,
-                                        trace_parent,
-                                    ),
-                                ));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                let mut merged: Vec<Option<Vec<(usize, Result<Vec<Neighbor>>)>>> =
-                    (0..seg_tasks.len()).map(|_| None).collect();
-                let mut panicked = false;
-                for h in handles {
-                    match h.join() {
-                        Ok(local) => {
-                            for (i, r) in local {
-                                merged[i] = Some(r);
-                            }
-                        }
-                        Err(_) => panicked = true,
-                    }
-                }
-                if panicked {
-                    merged.clear();
-                }
-                merged
-            });
-        if merged.is_empty() {
-            return Err(BhError::Internal("segment search worker panicked".into()));
-        }
-        merged
-            .into_iter()
-            .map(|slot| {
-                slot.ok_or_else(|| {
-                    BhError::Internal("segment search aborted by peer failure".into())
-                })
-            })
-            .collect()
+        let helper_tasks = out.helper_tasks;
+        Ok((out.into_results()?, helper_tasks))
     }
 
     /// One segment's task: pin the index handle once, then run every
@@ -885,6 +868,10 @@ impl QueryEngine {
         vec_span.attr("segments_pruned", selection.scalar_pruned);
         let mut expansions = 0u64;
         let mut visited = 0u64;
+        let mut helper_tasks = 0u64;
+        // Segment spans opened on helper threads (whose span stacks are
+        // empty) parent to the span open here.
+        let trace_parent = self.metrics.tracer().current();
 
         let total_rows: usize = segments.iter().map(|m| m.row_count).sum();
         let k = v.k.unwrap_or(total_rows.max(1));
@@ -892,12 +879,15 @@ impl QueryEngine {
 
         let mut pending: Vec<Arc<SegmentMeta>> = selection.scheduled.clone();
         loop {
-            // Fan the batch out across threads; per-segment hit lists come
-            // back in `pending` order so the global merge is bit-identical
-            // to the sequential path. Adaptive expansion below keeps its
-            // barrier semantics: expand only after the whole batch merged.
-            let per_segment =
-                self.search_segments_parallel(table, vw, opts, bound, v, plan, &pending, k)?;
+            // Fan the batch out; per-segment hit lists come back in `pending`
+            // order so the global merge is bit-identical to parallelism 1.
+            // Adaptive expansion below keeps its barrier semantics: expand
+            // only after the whole batch merged.
+            let (per_segment, by_helpers) = self.fan_out(opts, pending.len(), |i| {
+                let ctx = SegCtx { trace_parent: Some(trace_parent), ..SegCtx::default() };
+                self.search_one_segment(table, vw, opts, bound, v, plan, &pending[i], k, ctx)
+            })?;
+            helper_tasks += by_helpers as u64;
             visited += pending.len() as u64;
             for (meta, hits) in pending.iter().zip(per_segment) {
                 for nb in hits {
@@ -917,6 +907,7 @@ impl QueryEngine {
             self.metrics.counter("query.adaptive_expansions").inc();
         }
         vec_span.attr("segments_visited", visited);
+        vec_span.attr("helper_tasks", helper_tasks);
         if expansions > 0 {
             vec_span.attr("adaptive_expansions", expansions);
         }
@@ -933,117 +924,6 @@ impl QueryEngine {
         let hit_list: Vec<(SegmentId, u32, f32)> =
             hits.into_iter().map(|s| (s.item.0, s.item.1, s.distance)).collect();
         self.materialize(table, vw, bound, plan, &hit_list)
-    }
-
-    /// Search one batch of scheduled segments, fanning out across up to
-    /// `opts.intra_query_parallelism` threads (scoped, work-stealing by
-    /// atomic cursor). Returns per-segment hit lists in `pending` order; a
-    /// worker panic becomes `BhError::Internal` and the first per-segment
-    /// `Err` (in `pending` order) is propagated, matching the sequential
-    /// path's error behaviour.
-    #[allow(clippy::too_many_arguments)]
-    fn search_segments_parallel(
-        &self,
-        table: &TableStore,
-        vw: &VirtualWarehouse,
-        opts: &QueryOptions,
-        bound: &BoundSelect,
-        v: &VectorQuery,
-        plan: &CachedPlan,
-        pending: &[Arc<SegmentMeta>],
-        k: usize,
-    ) -> Result<Vec<Vec<Neighbor>>> {
-        let par = opts.intra_query_parallelism.max(1).min(pending.len());
-        if par <= 1 {
-            return pending
-                .iter()
-                .map(|meta| {
-                    self.search_one_segment(
-                        table,
-                        vw,
-                        opts,
-                        bound,
-                        v,
-                        plan,
-                        meta,
-                        k,
-                        SegCtx::default(),
-                    )
-                })
-                .collect();
-        }
-        self.metrics.counter("query.parallel_segments").add(pending.len() as u64);
-        self.metrics.counter("query.fanout_batches").inc();
-        // Worker threads have their own (empty) span stacks; parent their
-        // segment spans to the span open on this scheduling thread.
-        let trace_parent = self.metrics.tracer().current();
-        let cursor = StealingCursor::new();
-        let merged: Vec<Option<Result<Vec<Neighbor>>>> = std::thread::scope(|scope| {
-            let cursor = &cursor;
-            let handles: Vec<_> = (0..par)
-                .map(|_| {
-                    scope.spawn(move || {
-                        let mut local = Vec::new();
-                        while let Some(i) = cursor.claim(pending.len()) {
-                            let r = self.search_one_segment(
-                                table,
-                                vw,
-                                opts,
-                                bound,
-                                v,
-                                plan,
-                                &pending[i],
-                                k,
-                                SegCtx { trace_parent: Some(trace_parent), ..SegCtx::default() },
-                            );
-                            let failed = r.is_err();
-                            local.push((i, r));
-                            if failed {
-                                // This worker stops pulling segments; peers
-                                // drain theirs and the error surfaces below.
-                                break;
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            let mut merged: Vec<Option<Result<Vec<Neighbor>>>> =
-                (0..pending.len()).map(|_| None).collect();
-            let mut panicked = false;
-            for h in handles {
-                match h.join() {
-                    Ok(local) => {
-                        for (i, r) in local {
-                            merged[i] = Some(r);
-                        }
-                    }
-                    Err(_) => panicked = true,
-                }
-            }
-            if panicked {
-                merged.clear();
-            }
-            merged
-        });
-        if merged.is_empty() {
-            return Err(BhError::Internal("segment search worker panicked".into()));
-        }
-        // First error in pending order wins (deterministic, like sequential).
-        let mut out = Vec::with_capacity(pending.len());
-        for slot in merged {
-            match slot {
-                Some(Ok(hits)) => out.push(hits),
-                Some(Err(e)) => return Err(e),
-                // Unreached segments exist only when some worker errored.
-                None => {
-                    return Err(BhError::Internal(
-                        "segment search aborted by peer failure".into(),
-                    ))
-                }
-            }
-        }
-        Ok(out)
     }
 
     /// Per-segment ANN search under the selected strategy. Returned neighbor
@@ -1067,7 +947,7 @@ impl QueryEngine {
         // aggregate per-segment scan effort.
         let t = Stopwatch::start();
         let r = self.search_one_segment_timed(table, vw, opts, bound, v, plan, meta, k, ctx);
-        self.metrics.counter("query.segment_ns").add(t.elapsed_nanos());
+        self.hot.segment_ns.add(t.elapsed_nanos());
         r
     }
 
@@ -2038,22 +1918,43 @@ mod tests {
         let sql = "SELECT id, dist FROM t \
                    ORDER BY L2Distance(emb, [0.0, 0.1, 0.2, -0.1]) AS dist LIMIT 25";
         let seq_opts = QueryOptions { intra_query_parallelism: 1, ..Default::default() };
-        let par_opts = QueryOptions { intra_query_parallelism: 8, ..Default::default() };
         let seq = execute_sql_select(&engine, &ts, &vw, &seq_opts, sql).unwrap();
-        let par = execute_sql_select(&engine, &ts, &vw, &par_opts, sql).unwrap();
-        assert_eq!(ids_of(&seq), ids_of(&par));
-        assert!(!ids_of(&par).contains(&0));
-        assert!(!ids_of(&par).contains(&45));
+        assert_eq!(
+            engine.metrics.counter_value("query.fanout_batches"),
+            0,
+            "parallelism 1 stays off the fan-out path"
+        );
         let ds: Vec<f64> =
             seq.column_values("dist").unwrap().iter().map(|v| v.as_f64().unwrap()).collect();
-        let dp: Vec<f64> =
-            par.column_values("dist").unwrap().iter().map(|v| v.as_f64().unwrap()).collect();
-        assert_eq!(ds, dp, "parallel distances must be bit-identical to sequential");
-        for w in dp.windows(2) {
-            assert!(w[0] <= w[1]);
+        for parallelism in [2, 4, 8] {
+            let par_opts =
+                QueryOptions { intra_query_parallelism: parallelism, ..Default::default() };
+            let par = execute_sql_select(&engine, &ts, &vw, &par_opts, sql).unwrap();
+            assert_eq!(ids_of(&seq), ids_of(&par));
+            assert!(!ids_of(&par).contains(&0));
+            assert!(!ids_of(&par).contains(&45));
+            let dp: Vec<f64> =
+                par.column_values("dist").unwrap().iter().map(|v| v.as_f64().unwrap()).collect();
+            assert_eq!(ds, dp, "parallel distances must be bit-identical to sequential");
+            for w in dp.windows(2) {
+                assert!(w[0] <= w[1]);
+            }
         }
-        assert!(engine.metrics.counter_value("query.parallel_segments") >= 12);
-        assert!(engine.metrics.counter_value("query.fanout_batches") >= 1);
+        let m = &engine.metrics;
+        assert_eq!(m.counter_value("query.parallel_segments"), 3 * 12);
+        assert_eq!(m.counter_value("query.fanout_batches"), 3);
+        assert_eq!(
+            m.counter_value("query.fanout.caller_tasks")
+                + m.counter_value("query.fanout.helper_tasks"),
+            m.counter_value("query.parallel_segments"),
+            "every fanned-out segment ran on the caller or on a helper"
+        );
+        let spare_cores =
+            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) as u64 - 1;
+        assert!(
+            m.counter_value("query.fanout.threads_started") <= spare_cores.min(7),
+            "helpers are capped by the machine and by intra_query_parallelism - 1"
+        );
         // Exactly one kernel-tier gauge is set.
         let tiers = ["kernel.tier.avx2", "kernel.tier.neon", "kernel.tier.scalar"];
         let set: u64 = tiers.iter().map(|t| engine.metrics.gauge_value(t)).sum();
@@ -2180,6 +2081,60 @@ mod tests {
                 "{kind:?}: quantized scans should have skipped far candidates"
             );
         }
+    }
+
+    #[test]
+    fn failing_segment_stops_the_fan_out_early() {
+        // 32 segments at parallelism 2, the first one unreadable. Every
+        // segment search (the failing one included) costs 2 ms of simulated
+        // worker compute on a real clock, so by the time the second thread
+        // is back for its next claim the abort flag is up: all but a handful
+        // of segments stay unsearched, and the statement still reports the
+        // error of the first segment in pending order, not a peer's.
+        let (ts, _, engine) = setup(32 * 20, IndexKind::Hnsw, 20);
+        let metas = ts.segments();
+        assert_eq!(metas.len(), 32);
+        let vw = VirtualWarehouse::new(
+            bh_common::VwId(0),
+            "slow",
+            VwConfig {
+                worker: bh_cluster::worker::WorkerConfig {
+                    compute_per_segment: bh_common::LatencyModel::fixed(
+                        std::time::Duration::from_millis(2),
+                    ),
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            ts.remote_store().clone(),
+            ts.registry().clone(),
+            bh_common::RealClock::shared(),
+            engine.metrics.clone(),
+            Arc::new(IdGenerator::starting_at(2000)),
+        );
+        vw.scale_up(&[]);
+        ts.remote_store()
+            .put(&metas[0].block_key("emb", 0), b"not a column block".to_vec().into())
+            .unwrap();
+        let opts = QueryOptions {
+            forced_strategy: Some(Strategy::BruteForce),
+            intra_query_parallelism: 2,
+            ..Default::default()
+        };
+        let sql = "SELECT id FROM t ORDER BY L2Distance(emb, [0.0, 0.1, 0.2, -0.1]) LIMIT 5";
+        let err = execute_sql_select(&engine, &ts, &vw, &opts, sql).unwrap_err();
+        assert!(
+            !matches!(err, BhError::Internal(_)),
+            "segment 0's own error must surface, got {err:?}"
+        );
+        let m = &engine.metrics;
+        let searched = m.counter_value("query.fanout.caller_tasks")
+            + m.counter_value("query.fanout.helper_tasks");
+        assert!(
+            (1..=16).contains(&searched),
+            "{searched} of 32 segments searched after the failure"
+        );
+        assert_eq!(m.counter_value("query.parallel_segments"), searched);
     }
 
     #[test]

@@ -154,25 +154,42 @@ proptest! {
         let fix = fixture();
         let stmts: Vec<SelectStmt> = sqls.iter().map(|s| parse(s)).collect();
         for share_bound in [true, false] {
-            let opts = QueryOptions { share_bound, ..Default::default() };
+            // The reference runs entirely on the calling thread; every
+            // fan-out width (single statements and batches both go through
+            // the engine's one fan-out primitive) must reproduce it.
+            let opts = QueryOptions { share_bound, intra_query_parallelism: 1, ..Default::default() };
             let sequential: Vec<ResultSet> = sqls.iter().map(|s| run_sql(fix, &opts, s)).collect();
-            let batched = fix
-                .engine
-                .execute_select_batch(&fix.table, &fix.vw, &opts, &stmts)
-                .unwrap();
-            prop_assert_eq!(batched.len(), sequential.len());
-            for (i, (s, b)) in sequential.iter().zip(&batched).enumerate() {
-                // Rows carry both ids and f64-widened distances, so this is
-                // a bit-identity check on the merged results.
-                prop_assert_eq!(
-                    &s.rows,
-                    &b.rows,
-                    "statement {} diverged (share_bound={}): {}",
-                    i,
-                    share_bound,
-                    sqls[i]
-                );
+            for parallelism in [1, 2, 4] {
+                let opts = QueryOptions { intra_query_parallelism: parallelism, ..opts.clone() };
+                let fanned: Vec<ResultSet> = sqls.iter().map(|s| run_sql(fix, &opts, s)).collect();
+                let batched = fix
+                    .engine
+                    .execute_select_batch(&fix.table, &fix.vw, &opts, &stmts)
+                    .unwrap();
+                prop_assert_eq!(batched.len(), sequential.len());
+                for (i, s) in sequential.iter().enumerate() {
+                    // Rows carry both ids and f64-widened distances, so this
+                    // is a bit-identity check on the merged results.
+                    prop_assert_eq!(
+                        &s.rows,
+                        &fanned[i].rows,
+                        "statement {} diverged at parallelism {}: {}",
+                        i,
+                        parallelism,
+                        sqls[i]
+                    );
+                    prop_assert_eq!(
+                        &s.rows,
+                        &batched[i].rows,
+                        "batched statement {} diverged (share_bound={}, parallelism={}): {}",
+                        i,
+                        share_bound,
+                        parallelism,
+                        sqls[i]
+                    );
+                }
             }
+            let opts = QueryOptions { share_bound, ..Default::default() };
 
             // Half-resident start: the batch searches its resident segments
             // first, so segment tasks run in a different order than the

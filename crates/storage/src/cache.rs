@@ -17,6 +17,7 @@
 use crate::lru::LruCache;
 use crate::objectstore::{ObjectStore, PendingGet};
 use crate::segment::SegmentMeta;
+use bh_common::metrics::Counter;
 use bh_common::{MetricsRegistry, Result, SegmentId};
 use bh_vector::{IndexKind, IndexRegistry, VectorIndex};
 use bytes::Bytes;
@@ -32,6 +33,10 @@ pub struct IndexCache {
     remote: Arc<dyn ObjectStore>,
     registry: Arc<IndexRegistry>,
     metrics: MetricsRegistry,
+    /// `cache.index.mem.{hit,miss}`, resolved once: every warm segment
+    /// search bumps one of them.
+    mem_hit: Arc<Counter>,
+    mem_miss: Arc<Counter>,
     /// Segments whose blob fetch is currently in flight (single-flight
     /// dedup): one caller fetches, the rest wait on `inflight_cv` and then
     /// re-check the memory tier.
@@ -61,6 +66,8 @@ impl IndexCache {
             disk,
             remote,
             registry,
+            mem_hit: metrics.counter("cache.index.mem.hit"),
+            mem_miss: metrics.counter("cache.index.mem.miss"),
             metrics,
             inflight: Mutex::new(&classes::IDXCACHE_INFLIGHT, HashSet::new()),
             inflight_cv: Condvar::new(),
@@ -88,11 +95,11 @@ impl IndexCache {
         span.attr("segment", meta.id.raw());
         loop {
             if let Some(idx) = self.mem.get(&meta.id) {
-                self.metrics.counter("cache.index.mem.hit").inc();
+                self.mem_hit.inc();
                 span.attr("tier", "mem");
                 return Ok(Some(idx));
             }
-            self.metrics.counter("cache.index.mem.miss").inc();
+            self.mem_miss.inc();
             let mut g = self.inflight.lock_checked()?;
             if g.insert(meta.id) {
                 break; // we own the fetch
@@ -212,7 +219,7 @@ impl IndexCache {
     pub fn get_head(&self, meta: &SegmentMeta) -> Result<Option<Arc<dyn VectorIndex>>> {
         let Some(kind) = meta.index_kind else { return Ok(None) };
         if let Some(idx) = self.mem.get(&meta.id) {
-            self.metrics.counter("cache.index.mem.hit").inc();
+            self.mem_hit.inc();
             return Ok(Some(idx));
         }
         if meta.index_head_bytes == 0 || meta.index_head_bytes >= meta.index_bytes {
