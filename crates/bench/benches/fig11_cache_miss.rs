@@ -89,7 +89,7 @@ fn main() {
         // The newcomer charges the RPC and the previous owner answers.
         cold.charge_rpc(&rpc, data.dim() * 4);
         std::hint::black_box(
-            warm.serve_remote_search(&meta, &q[qi % q.len()], 10, &params, None).unwrap(),
+            warm.serve_remote_search(&meta, &q[qi % q.len()], 10, &params, None, None).unwrap(),
         );
         qi += 1;
     });

@@ -10,6 +10,12 @@
 //! previous owners' caches, so QPS tracks capacity; with serving disabled,
 //! each scale step pays a window of brute-force fallbacks (the dip the
 //! paper contrasts against Manu's load-and-wait behaviour).
+//!
+//! Since the engine has one cold contract (DESIGN.md §11.3) a statement
+//! through `db.execute` — whose store defers transfers — loads a moved
+//! segment's index overlapped and waits for it, with serving on or off, so
+//! the two columns no longer differ here; the serving path itself is
+//! exercised at the VW level (`bh-cluster`) and on blocking stores.
 
 use bh_bench::datasets::DatasetSpec;
 use bh_bench::harness::{print_table, CpuPool};

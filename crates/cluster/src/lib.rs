@@ -28,4 +28,4 @@ pub mod worker;
 pub use hashring::MultiProbeRing;
 pub use scheduler::{PruneConfig, SegmentSelection};
 pub use vw::{VirtualWarehouse, VwConfig};
-pub use worker::{SegmentQuery, Worker, WorkerConfig};
+pub use worker::{Worker, WorkerConfig};

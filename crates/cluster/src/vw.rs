@@ -19,7 +19,7 @@
 //!   the ring assigns them to.
 
 use crate::hashring::MultiProbeRing;
-use crate::worker::{SegmentQuery, Worker, WorkerConfig};
+use crate::worker::{Worker, WorkerConfig};
 use bh_common::ids::IdGenerator;
 use bh_common::metrics::Counter;
 use bh_common::{
@@ -287,8 +287,8 @@ impl VirtualWarehouse {
         self.search_segment_bounded(table, meta, query, k, params, filter, None)
     }
 
-    /// [`Self::search_segment`] with an optional shared pruning bound for
-    /// batched execution (DESIGN.md §7).
+    /// [`Self::search_segment`] with an optional shared pruning bound
+    /// (DESIGN.md §7).
     #[allow(clippy::too_many_arguments)]
     pub fn search_segment_bounded(
         &self,
@@ -345,75 +345,7 @@ impl VirtualWarehouse {
                     // the wire time runs concurrently with the peer's search.
                     let pending = target.charge_rpc_begin(&self.cfg.rpc, query.len() * 4);
                     self.metrics.counter("vw.serving_calls").inc();
-                    let result = prev.serve_remote_search_batch(
-                        meta,
-                        &[SegmentQuery { query, k, filter, bound }],
-                        params,
-                    );
-                    if let Some((reactor, ticket)) = pending {
-                        reactor.wait(ticket);
-                    }
-                    let mut result = result?;
-                    self.warm(target.clone(), meta.clone());
-                    return Ok(result.pop().unwrap_or_default());
-                }
-            }
-        }
-        // No serving possible: brute force now, warm for the future.
-        let result = target.search_segment_bounded(table, meta, query, k, params, filter, bound)?;
-        self.warm(target, meta.clone());
-        Ok(result)
-    }
-
-    /// A whole batch of queries against one segment: the routing decision is
-    /// made once and, when the serving path is taken, the batch ships as one
-    /// RPC (one latency charge for the combined payload) to the previous
-    /// owner instead of B round-trips — the multi-node scatter path of
-    /// batched execution.
-    pub fn search_segment_batch(
-        &self,
-        table: &TableStore,
-        meta: &Arc<SegmentMeta>,
-        queries: &[SegmentQuery<'_>],
-        params: &SearchParams,
-    ) -> Result<Vec<Vec<Neighbor>>> {
-        match self.search_segment_batch_once(table, meta, queries, params) {
-            Ok(r) => Ok(r),
-            Err(e) if e.is_retryable() => {
-                self.metrics.counter("vw.query_retries").inc();
-                if let Ok((wid, w)) = self.owner_of(meta) {
-                    if !w.is_alive() {
-                        let _ = self.scale_down(wid, &[meta.clone()]);
-                    }
-                }
-                self.search_segment_batch_once(table, meta, queries, params)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    fn search_segment_batch_once(
-        &self,
-        table: &TableStore,
-        meta: &Arc<SegmentMeta>,
-        queries: &[SegmentQuery<'_>],
-        params: &SearchParams,
-    ) -> Result<Vec<Vec<Neighbor>>> {
-        let (_, target) = self.owner_of(meta)?;
-        if target.index_resident(meta) || meta.index_kind.is_none() {
-            return target.search_segment_batch(table, meta, queries, params);
-        }
-        if self.cfg.serving_enabled {
-            if let Some(prev) = self.previous_owner_of(meta) {
-                if prev.is_alive() && prev.index_resident(meta) {
-                    let bytes: usize = queries.iter().map(|q| q.query.len() * 4).sum();
-                    let mut span = self.metrics.tracer().span("serving");
-                    span.attr("segment", meta.id.raw());
-                    span.attr("queries", queries.len());
-                    span.attr("bytes", bytes);
-                    let pending = target.charge_rpc_begin(&self.cfg.rpc, bytes);
-                    self.metrics.counter("vw.serving_calls").inc();
-                    let result = prev.serve_remote_search_batch(meta, queries, params);
+                    let result = prev.serve_remote_search(meta, query, k, params, filter, bound);
                     if let Some((reactor, ticket)) = pending {
                         reactor.wait(ticket);
                     }
@@ -423,15 +355,10 @@ impl VirtualWarehouse {
                 }
             }
         }
-        // Cold with no serving peer: fall back to the per-query path so the
-        // synchronous warm after the first miss upgrades the rest of the
-        // batch to the index, exactly like a sequential loop would.
-        queries
-            .iter()
-            .map(|q| {
-                self.search_segment_once(table, meta, q.query, q.k, params, q.filter, q.bound)
-            })
-            .collect()
+        // No serving possible: brute force now, warm for the future.
+        let result = target.search_segment_bounded(table, meta, query, k, params, filter, bound)?;
+        self.warm(target, meta.clone());
+        Ok(result)
     }
 
     fn warm(&self, worker: Arc<Worker>, meta: Arc<SegmentMeta>) {
@@ -604,62 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_serving_ships_one_rpc_for_the_whole_batch() {
-        let t = table(300, 300);
-        let clock = VirtualClock::shared();
-        let v = VirtualWarehouse::new(
-            VwId(0),
-            "vw",
-            VwConfig {
-                rpc: LatencyModel::fixed(Duration::from_micros(200)),
-                ..Default::default()
-            },
-            t.remote_store().clone(),
-            t.registry().clone(),
-            clock.clone(),
-            t.metrics().clone(),
-            Arc::new(IdGenerator::starting_at(100)),
-        );
-        v.scale_up(&[]);
-        let metas = t.segments();
-        v.preload(&metas).unwrap();
-        let meta = metas[0].clone();
-        let (old_owner, _) = v.owner_of(&meta).unwrap();
-        let mut moved = false;
-        for _ in 0..20 {
-            v.scale_up(&metas);
-            let (now_owner, w) = v.owner_of(&meta).unwrap();
-            if now_owner != old_owner && !w.index_resident(&meta) {
-                moved = true;
-                break;
-            }
-        }
-        assert!(moved, "segment never moved after 20 scale-ups");
-
-        let before_serving = t.metrics().counter_value("vw.serving_calls");
-        let q5 = [5.0f32; 4];
-        let q7 = [7.0f32; 4];
-        let q9 = [9.0f32; 4];
-        let queries = [
-            SegmentQuery { query: &q5, k: 2, filter: None, bound: None },
-            SegmentQuery { query: &q7, k: 2, filter: None, bound: None },
-            SegmentQuery { query: &q9, k: 2, filter: None, bound: None },
-        ];
-        let got = v
-            .search_segment_batch(&t, &meta, &queries, &SearchParams::default())
-            .unwrap();
-        assert_eq!(got.len(), 3);
-        assert_eq!(got[0][0].id, 5);
-        assert_eq!(got[1][0].id, 7);
-        assert_eq!(got[2][0].id, 9);
-        // One serving RPC covered all three queries.
-        assert_eq!(t.metrics().counter_value("vw.serving_calls"), before_serving + 1);
-        // Synchronous warm: the batch leaves the new owner resident.
-        let (_, w) = v.owner_of(&meta).unwrap();
-        assert!(w.index_resident(&meta));
-    }
-
-    #[test]
     fn overlapped_serving_hides_rpc_behind_peer_compute() {
         // With a reactor-backed target worker, the serving RPC's wire time
         // runs concurrently with the previous owner's search compute:
@@ -706,27 +577,6 @@ mod tests {
         };
         assert_eq!(run(false), 500_000, "blocking: rpc then compute");
         assert_eq!(run(true), 300_000, "overlapped: max(rpc, compute)");
-    }
-
-    #[test]
-    fn batched_search_on_resident_owner_stays_local() {
-        let t = table(300, 300);
-        let v = vw(&t, VwConfig::default(), 2);
-        let metas = t.segments();
-        v.preload(&metas).unwrap();
-        let q3 = [3.0f32; 4];
-        let q8 = [8.0f32; 4];
-        let queries = [
-            SegmentQuery { query: &q3, k: 1, filter: None, bound: None },
-            SegmentQuery { query: &q8, k: 1, filter: None, bound: None },
-        ];
-        let got = v
-            .search_segment_batch(&t, &metas[0], &queries, &SearchParams::default())
-            .unwrap();
-        assert_eq!(got[0][0].id, 3);
-        assert_eq!(got[1][0].id, 8);
-        assert_eq!(t.metrics().counter_value("vw.serving_calls"), 0);
-        assert_eq!(t.metrics().counter_value("worker.brute_force"), 0);
     }
 
     #[test]

@@ -56,8 +56,13 @@ pub struct WorkerConfig {
     /// unconditional. Off by default: blocking charges keep existing RPC
     /// latency accounting bit-identical.
     pub overlap: bool,
-    /// Serve cold segments from a head-only partial index when the blob is
-    /// tiered (v3), instead of brute-forcing while the full index loads.
+    /// On this worker's miss path ([`Worker::search_segment`] with the index
+    /// not resident), answer from a head-only partial index when the blob is
+    /// tiered (v3) instead of brute-forcing while the full index loads. The
+    /// query engine reaches that path only with no body transfer in flight,
+    /// i.e. on a store that cannot defer: where it can (every `Database`), a
+    /// statement's cold segments wait out their overlapped transfers and are
+    /// answered from full indexes.
     /// Off by default so the overlapped path stays byte-identical to the
     /// blocking path (head results are approximate until the body arrives).
     pub tiered_loading: bool,
@@ -76,22 +81,6 @@ impl Default for WorkerConfig {
             tiered_loading: false,
         }
     }
-}
-
-/// One query of a batched per-segment search request: the unit shipped B at
-/// a time through the batch RPC entries so multi-node scatter sends one
-/// request per worker instead of B.
-#[derive(Clone, Copy)]
-pub struct SegmentQuery<'a> {
-    /// Query vector.
-    pub query: &'a [f32],
-    /// Candidates requested (already σ-amplified by the caller if needed).
-    pub k: usize,
-    /// Row filter (visibility ∧ predicate), if any.
-    pub filter: Option<&'a Bitset>,
-    /// Shared k-th-distance pruning bound for this query, if batched
-    /// execution enabled it.
-    pub bound: Option<&'a SharedBound>,
 }
 
 /// One compute worker.
@@ -237,11 +226,10 @@ impl Worker {
         &self.block_cache
     }
 
-    /// Per-segment ANN search through this worker's caches.
-    ///
-    /// `allow_fallback` = false restricts to the memory-resident fast path
-    /// (used by the serving RPC); the hierarchy (disk/remote) is still
-    /// consulted when `allow_fallback` is true and the index exists.
+    /// Per-segment ANN search through this worker's caches: the resident
+    /// index when there is one, otherwise a head-only partial index
+    /// (`tiered_loading`) or a brute-force scan of the raw column. It never
+    /// loads the index itself; callers warm it ([`Self::warm_index`]).
     pub fn search_segment(
         &self,
         table: &TableStore,
@@ -255,7 +243,7 @@ impl Worker {
     }
 
     /// [`Self::search_segment`] with an optional shared pruning bound
-    /// threaded through to the index scan (batched execution, DESIGN.md §7).
+    /// threaded through to the index scan (DESIGN.md §7).
     #[allow(clippy::too_many_arguments)]
     pub fn search_segment_bounded(
         &self,
@@ -306,62 +294,10 @@ impl Worker {
         Ok(self.index_cache.get_head(meta)?.filter(|h| h.head_servable()))
     }
 
-    /// Batched variant of [`Self::search_segment`]: one aliveness check, one
-    /// per-segment compute charge, and one cache traversal cover the whole
-    /// query batch. Residency is re-checked per query so a mid-batch warm
-    /// upgrades later queries to the index, exactly like a sequential loop.
-    pub fn search_segment_batch(
-        &self,
-        table: &TableStore,
-        meta: &SegmentMeta,
-        queries: &[SegmentQuery<'_>],
-        params: &SearchParams,
-    ) -> Result<Vec<Vec<Neighbor>>> {
-        self.check_alive()?;
-        self.cfg.compute_per_segment.charge(self.clock.as_ref(), 0);
-        let mut span = self.metrics.tracer().span("worker.search");
-        span.attr("segment", meta.id.raw());
-        span.attr("queries", queries.len());
-        let mut handle: Option<Arc<dyn bh_vector::VectorIndex>> = None;
-        let mut head: Option<Arc<dyn bh_vector::VectorIndex>> = None;
-        let mut out = Vec::with_capacity(queries.len());
-        for q in queries {
-            if handle.is_none() && self.index_cache.resident(meta.id) {
-                handle = self.index_cache.get(meta)?;
-            }
-            match &handle {
-                Some(idx) => {
-                    self.local_search.inc();
-                    out.push(idx.search_with_bound(q.query, q.k, params, q.filter, q.bound)?);
-                }
-                None => {
-                    if head.is_none() {
-                        head = self.head_handle(meta)?;
-                    }
-                    match &head {
-                        Some(h) => {
-                            self.metrics.counter("worker.head_search").inc();
-                            out.push(h.search_with_bound(
-                                q.query, q.k, params, q.filter, q.bound,
-                            )?);
-                        }
-                        None => {
-                            self.metrics.counter("worker.brute_force").inc();
-                            out.push(self.brute_force_inner(
-                                table, meta, q.query, q.k, q.filter, q.bound,
-                            )?);
-                        }
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Search a pre-pinned index handle on behalf of this worker. The caller
     /// already paid the cache traversal and per-segment compute charge when
-    /// it pinned the handle (once per batch), so only aliveness and the
-    /// search itself remain.
+    /// it pinned the handle (once per segment task), so only aliveness and
+    /// the search itself remain.
     pub fn search_pinned(
         &self,
         idx: &Arc<dyn bh_vector::VectorIndex>,
@@ -385,60 +321,32 @@ impl Worker {
         k: usize,
         params: &SearchParams,
         filter: Option<&Bitset>,
+        bound: Option<&SharedBound>,
     ) -> Result<Vec<Neighbor>> {
-        let mut out = self.serve_remote_search_batch(
-            meta,
-            &[SegmentQuery { query, k, filter, bound: None }],
-            params,
-        )?;
-        Ok(out.pop().unwrap_or_default())
-    }
-
-    /// Batched serving RPC: a whole batch's worth of sub-queries against one
-    /// segment arrives as a single request — one aliveness check, one compute
-    /// charge, one residency check, one handle fetch — instead of B
-    /// round-trips. Callers charge the (single) RPC latency themselves.
-    pub fn serve_remote_search_batch(
-        &self,
-        meta: &SegmentMeta,
-        queries: &[SegmentQuery<'_>],
-        params: &SearchParams,
-    ) -> Result<Vec<Vec<Neighbor>>> {
-        let t = Stopwatch::start();
-        let r = self.serve_remote_search_batch_timed(meta, queries, params);
         // `worker.rpc_ns` sums serving-RPC service time; the query log
         // reports its per-query delta as the RPC stage.
+        let t = Stopwatch::start();
+        let r = (|| {
+            self.check_alive()?;
+            self.cfg.compute_per_segment.charge(self.clock.as_ref(), 0);
+            let mut span = self.metrics.tracer().span("rpc.serve");
+            span.attr("segment", meta.id.raw());
+            if !self.index_cache.resident(meta.id) {
+                span.attr("resident", false);
+                return Err(BhError::Rpc(format!(
+                    "{}: segment {} not resident for serving",
+                    self.id, meta.id
+                )));
+            }
+            let idx = self
+                .index_cache
+                .get(meta)?
+                .ok_or_else(|| BhError::Internal("resident index vanished".into()))?;
+            self.metrics.counter("worker.served_remote").inc();
+            idx.search_with_bound(query, k, params, filter, bound)
+        })();
         self.metrics.counter("worker.rpc_ns").add(t.elapsed_nanos());
         r
-    }
-
-    fn serve_remote_search_batch_timed(
-        &self,
-        meta: &SegmentMeta,
-        queries: &[SegmentQuery<'_>],
-        params: &SearchParams,
-    ) -> Result<Vec<Vec<Neighbor>>> {
-        self.check_alive()?;
-        self.cfg.compute_per_segment.charge(self.clock.as_ref(), 0);
-        let mut span = self.metrics.tracer().span("rpc.serve");
-        span.attr("segment", meta.id.raw());
-        span.attr("queries", queries.len());
-        if !self.index_cache.resident(meta.id) {
-            span.attr("resident", false);
-            return Err(BhError::Rpc(format!(
-                "{}: segment {} not resident for serving",
-                self.id, meta.id
-            )));
-        }
-        let idx = self
-            .index_cache
-            .get(meta)?
-            .ok_or_else(|| BhError::Internal("resident index vanished".into()))?;
-        self.metrics.counter("worker.served_remote").add(queries.len() as u64);
-        queries
-            .iter()
-            .map(|q| idx.search_with_bound(q.query, q.k, params, q.filter, q.bound))
-            .collect()
     }
 
     /// Fetch the segment's index through the cache hierarchy (used by the
@@ -479,20 +387,6 @@ impl Worker {
     ) -> Result<Vec<Neighbor>> {
         self.check_alive()?;
         self.cfg.compute_per_segment.charge(self.clock.as_ref(), 0);
-        self.brute_force_inner(table, meta, query, k, filter, bound)
-    }
-
-    /// Scan body shared by the charged entry points and the batch path
-    /// (which pays the aliveness check and compute charge once per batch).
-    fn brute_force_inner(
-        &self,
-        table: &TableStore,
-        meta: &SegmentMeta,
-        query: &[f32],
-        k: usize,
-        filter: Option<&Bitset>,
-        bound: Option<&SharedBound>,
-    ) -> Result<Vec<Neighbor>> {
         let idx_def = table
             .schema()
             .indexes
@@ -951,11 +845,11 @@ mod tests {
         let q = vec![1.0; 4];
         let params = SearchParams::default();
         assert!(matches!(
-            w.serve_remote_search(&meta, &q, 2, &params, None),
+            w.serve_remote_search(&meta, &q, 2, &params, None, None),
             Err(BhError::Rpc(_))
         ));
         w.warm_index(&meta).unwrap();
-        let got = w.serve_remote_search(&meta, &q, 2, &params, None).unwrap();
+        let got = w.serve_remote_search(&meta, &q, 2, &params, None, None).unwrap();
         assert_eq!(got[0].id, 1);
         assert_eq!(t.metrics().counter_value("worker.served_remote"), 1);
     }

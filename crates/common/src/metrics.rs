@@ -34,6 +34,9 @@ use std::time::Duration;
 /// `cache.<space>.{hit,miss}`, `<store-label>.get*`) are outside the rule's
 /// reach; their *prefixes* are listed here for documentation only and the
 /// lint does not match against them. Keep the list sorted.
+///
+/// `query.batch_size` counts every executed SELECT: the engine has one
+/// executor and a single statement is a batch of one.
 pub const NAMES: &[&str] = &[
     "cache.data.bypass",
     "cache.index.disk.hit",

@@ -1304,11 +1304,13 @@ mod tests {
     }
 
     /// ROADMAP aim 1's deterministic work count for the overlapped cold
-    /// path, through the facade: a cold 16-statement batch over 8 tiered
-    /// HNSW segments, index cache about a third of the data, pays the
-    /// remote store `max` (one body transfer), not `sum`; every cold body
-    /// is prefetched once and consumed in flight; no head range-get and no
-    /// head-only answer; rows equal a fully preloaded database's.
+    /// path, through the facade: a cold batch — 16 statements, or one —
+    /// over 8 tiered HNSW segments, index cache about a third of the data,
+    /// pays the remote store `max` (one body transfer), not `sum`; every
+    /// cold body is prefetched once and consumed in flight; no head
+    /// range-get and no head-only answer; rows equal a fully preloaded
+    /// database's. Forced to Plan A, which reads only the raw column, the
+    /// same statement fetches no index at all.
     #[test]
     fn cold_batch_overlaps_index_transfers_max_not_sum() {
         use bh_cluster::worker::WorkerConfig;
@@ -1359,9 +1361,9 @@ mod tests {
                 }
             })
             .collect();
-        let run = |db: &Database| {
+        let run = |db: &Database, stmts: &[bh_sql::SelectStmt], opts: &QueryOptions| {
             let (table, vw) = (db.table("t").unwrap(), db.default_vw());
-            db.engine().execute_select_batch(&table, &vw, &db.default_options(), &stmts).unwrap()
+            db.engine().execute_select_batch(&table, &vw, opts, stmts).unwrap()
         };
 
         let db = build(WorkerConfig {
@@ -1369,20 +1371,28 @@ mod tests {
             tiered_loading: true,
             ..Default::default()
         });
+        let opts = db.default_options();
         let (table, vw) = (db.table("t").unwrap(), db.default_vw());
         let segments = table.segments();
         assert_eq!(segments.len(), SEGMENTS);
         assert!(segments.iter().all(|m| m.index_head_bytes > 0), "segments must be tiered");
-        // One pass to fill the block caches, then drop every index and
-        // decoded column: the measured batch reads index bodies only.
-        run(&db);
-        for wid in vw.worker_ids() {
-            let worker = vw.worker(wid).unwrap();
-            for meta in &segments {
-                worker.index_cache().invalidate(meta);
+        let workers: Vec<_> =
+            vw.worker_ids().into_iter().map(|wid| vw.worker(wid).unwrap()).collect();
+        // Drop every index and decoded column: a measured run reads index
+        // bodies only (the block caches stay filled).
+        let make_cold = || {
+            for worker in &workers {
+                for meta in &segments {
+                    worker.index_cache().invalidate(meta);
+                }
+                worker.invalidate_columns();
             }
-            worker.invalidate_columns();
-        }
+        };
+        let resident = || workers.iter().map(|w| w.index_cache().resident_count()).sum::<usize>();
+        let warm_db = build(WorkerConfig::default());
+        assert_eq!(warm_db.preload("t", "default").unwrap(), SEGMENTS);
+        // One pass to fill the block caches.
+        run(&db, &stmts, &opts);
 
         let counters = [
             "query.index_prefetches",
@@ -1391,33 +1401,51 @@ mod tests {
             "worker.head_search",
             "remote.get",
         ];
-        let before = counters.map(|c| db.metrics().counter_value(c));
-        let t0 = db.clock().now_nanos();
-        let cold = run(&db);
-        let elapsed = db.clock().now_nanos() - t0;
-        let moved: Vec<u64> =
-            counters.iter().zip(before).map(|(c, b)| db.metrics().counter_value(c) - b).collect();
+        for input in [&stmts[..], &stmts[..1]] {
+            make_cold();
+            let before = counters.map(|c| db.metrics().counter_value(c));
+            let t0 = db.clock().now_nanos();
+            let cold = run(&db, input, &opts);
+            let elapsed = db.clock().now_nanos() - t0;
+            let moved: Vec<u64> = counters
+                .iter()
+                .zip(before)
+                .map(|(c, b)| db.metrics().counter_value(c) - b)
+                .collect();
 
-        // (a) max, not sum: all eight bodies cost at most two of the largest.
-        let largest = segments.iter().map(|m| m.index_bytes as usize).max().unwrap();
-        let one_get = db.cfg.latencies.remote_store.cost(largest).as_nanos() as u64;
-        assert!(elapsed > 0 && elapsed <= 2 * one_get, "{elapsed} ns vs one get {one_get} ns");
-        // (b) every cold body prefetched once and consumed while in flight;
-        // (c) no head range-get, no head-only answer; nothing else fetched.
-        assert_eq!(moved, [SEGMENTS as u64, SEGMENTS as u64, 0, 0, SEGMENTS as u64]);
-        let resident: usize = vw
-            .worker_ids()
-            .into_iter()
-            .map(|wid| vw.worker(wid).unwrap().index_cache().resident_count())
-            .sum();
-        assert!(resident < SEGMENTS, "cache must be smaller than the working set");
+            // (a) max, not sum: all eight bodies cost at most two of the largest.
+            let largest = segments.iter().map(|m| m.index_bytes as usize).max().unwrap();
+            let one_get = db.cfg.latencies.remote_store.cost(largest).as_nanos() as u64;
+            assert!(elapsed > 0 && elapsed <= 2 * one_get, "{elapsed} ns vs one get {one_get} ns");
+            // (b) every cold body prefetched once and consumed while in flight;
+            // (c) no head range-get, no head-only answer; nothing else fetched.
+            assert_eq!(moved, [SEGMENTS as u64, SEGMENTS as u64, 0, 0, SEGMENTS as u64]);
+            assert!(resident() < SEGMENTS, "cache must be smaller than the working set");
 
-        // (d) residency does not change a batch's rows.
-        let warm_db = build(WorkerConfig::default());
-        assert_eq!(warm_db.preload("t", "default").unwrap(), SEGMENTS);
-        let warm = run(&warm_db);
-        for (i, (c, w)) in cold.iter().zip(&warm).enumerate() {
-            assert_eq!(c.rows, w.rows, "statement {i} differs from the preloaded database");
+            // (d) residency does not change a batch's rows.
+            let warm = run(&warm_db, input, &opts);
+            for (i, (c, w)) in cold.iter().zip(&warm).enumerate() {
+                assert_eq!(c.rows, w.rows, "statement {i} differs from the preloaded database");
+            }
+        }
+
+        // (e) a round fetches no index that nobody will search.
+        make_cold();
+        let index_counters = [
+            "query.index_prefetches",
+            "cache.index.prefetch",
+            "cache.index.prefetch.hit",
+            "cache.index.remote.fetch",
+            "cache.index.mem.miss",
+        ];
+        let before = index_counters.map(|c| db.metrics().counter_value(c));
+        let plan_a = QueryOptions { forced_strategy: Some(bh_query::Strategy::BruteForce), ..opts.clone() };
+        let exact = run(&db, &stmts[..1], &plan_a);
+        assert_eq!(exact[0].rows.len(), 10);
+        assert_eq!(index_counters.map(|c| db.metrics().counter_value(c)), before);
+        assert_eq!(resident(), 0, "Plan A left the segments cold");
+        for worker in &workers {
+            assert!(segments.iter().all(|m| !worker.index_cache().in_flight(m.id)));
         }
     }
 }

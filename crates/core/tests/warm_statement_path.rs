@@ -1,6 +1,7 @@
 //! Deterministic work counts of the warm statement path (ROADMAP aim 1): a
-//! warm `point_topk`-shaped statement pays for topology once and for threads
-//! never.
+//! warm `point_topk`-shaped statement pays for topology once, for threads
+//! never, and for exactly one index-cache lookup per segment it searches
+//! through an index.
 //!
 //! This is the only test in the file on purpose: it reads the process's
 //! thread count, which other tests running in the same binary would disturb.
@@ -26,7 +27,7 @@ fn os_thread_count() -> Option<String> {
 }
 
 #[test]
-fn thousand_warm_statements_walk_no_ring_and_start_no_thread() {
+fn thousand_warm_statements_walk_no_ring_start_no_thread_and_look_up_each_index_once() {
     let db = Database::new(DatabaseConfig {
         table: TableStoreConfig { segment_max_rows: ROWS_PER_SEGMENT, ..Default::default() },
         ..Default::default()
@@ -69,6 +70,15 @@ fn thousand_warm_statements_walk_no_ring_and_start_no_thread() {
     let walks = counter("vw.ring_assigns");
     let started = counter("query.fanout.threads_started");
     let threads = os_thread_count();
+    let index_plans = || {
+        ["pre_filter", "post_filter", "filtered_traversal"]
+            .map(|p| counter(&format!("query.plan.{p}")))
+            .iter()
+            .sum::<u64>()
+    };
+    let cache_counters = ["cache.index.mem.hit", "cache.index.mem.miss", "query.index_prefetches"];
+    let before = (index_plans(), counter("query.plan.brute_force"), cache_counters.map(counter));
+    assert_eq!(counter("query.batch_size"), 3, "every SELECT is a batch of one");
     assert!(walks >= SEGMENTS as u64, "cold lookups walk the ring: {walks}");
     let spare_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) - 1;
     assert_eq!(
@@ -89,4 +99,14 @@ fn thousand_warm_statements_walk_no_ring_and_start_no_thread() {
         "every fanned-out segment ran on the caller or on a helper"
     );
     assert_eq!(counter("query.parallel_segments"), 1003 * SEGMENTS as u64);
+    assert_eq!(counter("query.batch_size"), 1003);
+
+    // One index-cache lookup per (statement, segment) whose plan reads the
+    // index — the segment task's pin replaces the lookup a search would
+    // make, it does not add one — and none for Plan A; nothing is cold.
+    let through_index = index_plans() - before.0;
+    assert_eq!(through_index + counter("query.plan.brute_force") - before.1, 1000);
+    let moved: Vec<u64> =
+        cache_counters.iter().zip(before.2).map(|(c, b)| counter(c) - b).collect();
+    assert_eq!(moved, [through_index * SEGMENTS as u64, 0, 0]);
 }

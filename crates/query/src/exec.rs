@@ -33,8 +33,9 @@ use bh_storage::predicate::Predicate;
 use bh_storage::segment::SegmentMeta;
 use bh_storage::table::TableStore;
 use bh_storage::value::Value;
-use bh_vector::{Neighbor, SearchParams};
-use std::collections::BTreeMap;
+use bh_vector::{IndexKind, Neighbor, SearchParams, VectorIndex};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Per-query execution knobs.
@@ -67,11 +68,10 @@ pub struct QueryOptions {
     /// statement on the calling thread; the default is the machine's
     /// available parallelism.
     pub intra_query_parallelism: usize,
-    /// Share a per-query atomic k-th-distance bound across the segments of a
-    /// batched query ([`QueryEngine::execute_batch`]) so segments searched
-    /// later can skip candidates that cannot enter the final top-k. Exact
-    /// (DESIGN.md §7); only applies to pure top-k queries (`k` set, no
-    /// distance range).
+    /// Share a per-query atomic k-th-distance bound across the segments a
+    /// statement searches, so segments searched later can skip candidates
+    /// that cannot enter the final top-k. Exact (DESIGN.md §7); only applies
+    /// to pure top-k queries (`k` set, no distance range).
     pub share_bound: bool,
 }
 
@@ -95,38 +95,50 @@ impl Default for QueryOptions {
     }
 }
 
-/// Per-(segment, query) context threaded into [`QueryEngine`]'s segment
-/// search by the batched path: the query's shared pruning bound (when
-/// eligible) and the segment's index handle pinned once per batch task
-/// (when it was memory-resident, or its body transfer already in flight,
-/// on a live owner — see [`QueryEngine::run_segment_task`]).
-/// Sequential execution passes `SegCtx::default()` — no bound, no pin.
-#[derive(Clone, Copy, Default)]
+/// What one segment task hands to each of its statements' searches
+/// ([`QueryEngine::run_segment_task`]).
+#[derive(Clone, Copy)]
 struct SegCtx<'a> {
-    bound: Option<&'a SharedBound>,
-    pin: Option<&'a (Arc<Worker>, Arc<dyn bh_vector::VectorIndex>)>,
-    /// Explicit trace parent for spans opened on a fan-out thread (where the
-    /// scheduling thread's span stack is not visible). `SpanId::NONE` (the
-    /// default) means "parent from the current thread's span stack".
-    trace_parent: Option<SpanId>,
+    /// The segment's owner, resolved once in the round's ordering pass.
+    owner: &'a Arc<Worker>,
+    /// The segment's index on `owner`, pinned once per task when it was
+    /// memory-resident there or its body transfer was already in flight.
+    pin: Option<&'a Arc<dyn VectorIndex>>,
 }
 
-/// Per-statement progress of a batch ([`QueryEngine::execute_batch`]):
-/// mirrors the locals of the sequential `exec_vector` loop, plus the
-/// query's shared pruning bound when it is eligible for one.
-struct BatchQueryState<'q> {
+/// Per-statement progress of the vector statements of a batch
+/// ([`QueryEngine::execute_batch`]).
+struct StmtState<'q> {
+    /// Position in the batch (where the result goes).
+    qi: usize,
     sel: &'q BoundSelect,
     v: &'q VectorQuery,
     plan: &'q CachedPlan,
     selection: SegmentSelection,
+    /// Segments the current round searches for this statement; empty once
+    /// the statement is finished.
     pending: Vec<Arc<SegmentMeta>>,
+    /// Where each pending segment's hits land in the round's output:
+    /// `(task, position in the task's statement list)`.
+    slots: Vec<(usize, usize)>,
     global: TopK<(SegmentId, u32)>,
     k: usize,
     /// Shared across *identical* statements in the batch (same column, k,
     /// query vector, and predicate), so duplicate queries tighten one
     /// common bound instead of each rediscovering it.
     bound: Option<Arc<SharedBound>>,
-    done: bool,
+}
+
+/// One round's unit of work: a segment and every statement that scheduled
+/// it, in batch order.
+struct SegTask {
+    meta: Arc<SegmentMeta>,
+    owner: Arc<Worker>,
+    /// Indices into the batch's `StmtState`s.
+    stmts: Vec<usize>,
+    /// Some statement here runs a plan that reads the index (anything but
+    /// Plan A, which scans the raw column only).
+    wants_index: bool,
 }
 
 /// The index transfers one batch round started, by the worker they were
@@ -206,7 +218,8 @@ impl QueryEngine {
         &self.cost
     }
 
-    /// Execute a parsed SELECT.
+    /// Execute a parsed SELECT: a batch of one
+    /// ([`Self::execute_select_batch`]).
     pub fn execute_select(
         &self,
         table: &TableStore,
@@ -214,13 +227,7 @@ impl QueryEngine {
         opts: &QueryOptions,
         stmt: &SelectStmt,
     ) -> Result<ResultSet> {
-        let t = Stopwatch::start();
-        let bound = {
-            let _span = self.metrics.tracer().span("bind");
-            bind_select(table.schema(), stmt)?
-        };
-        self.metrics.counter("query.bind_ns").add(t.elapsed_nanos());
-        self.execute_bound(table, vw, opts, &bound)
+        only_result(self.execute_select_batch(table, vw, opts, std::slice::from_ref(stmt)))
     }
 
     /// Produce an EXPLAIN report for a SELECT: the optimized logical plan,
@@ -263,12 +270,8 @@ impl QueryEngine {
         Ok(out)
     }
 
-    /// Execute an already-bound SELECT.
-    ///
-    /// Queries run against a snapshot of the segment set; a background
-    /// compaction can garbage-collect a segment (and its blobs) mid-query.
-    /// Per §II-E the system retries at the query level: the retry takes a
-    /// fresh snapshot, which the new merged segments serve.
+    /// Execute an already-bound SELECT: a batch of one
+    /// ([`Self::execute_batch`]).
     pub fn execute_bound(
         &self,
         table: &TableStore,
@@ -276,43 +279,7 @@ impl QueryEngine {
         opts: &QueryOptions,
         bound: &BoundSelect,
     ) -> Result<ResultSet> {
-        let t = Stopwatch::start();
-        let planned = {
-            let mut span = self.metrics.tracer().span("plan");
-            let planned = self.plan_phase(table, opts, bound)?;
-            span.attr("strategy", planned.strategy.name());
-            planned
-        };
-        self.note_plan(planned.strategy);
-        self.metrics.counter("query.plan_ns").add(t.elapsed_nanos());
-
-        let t = Stopwatch::start();
-        let mut exec_span = self.metrics.tracer().span("exec");
-        let mut attempts = 0;
-        let out = loop {
-            let result = match &bound.vector {
-                Some(v) => self.exec_vector(table, vw, opts, bound, v, &planned),
-                None => self.exec_scalar(table, vw, opts, bound, &planned),
-            };
-            match result {
-                Err(e) if is_snapshot_race(&e) && attempts < 3 => {
-                    attempts += 1;
-                    self.metrics.counter("query.snapshot_retries").inc();
-                    continue;
-                }
-                other => break other,
-            }
-        };
-        if attempts > 0 {
-            exec_span.attr("snapshot_retries", attempts as u64);
-        }
-        if let Ok(rs) = &out {
-            exec_span.attr("rows", rs.rows.len());
-        }
-        drop(exec_span);
-        self.metrics.counter("query.exec_ns").add(t.elapsed_nanos());
-        self.metrics.counter("query.executed").inc();
-        out
+        only_result(self.execute_batch(table, vw, opts, std::slice::from_ref(bound)))
     }
 
     /// Convenience wrapper over [`Self::execute_batch`]: bind and run a
@@ -325,31 +292,40 @@ impl QueryEngine {
         stmts: &[SelectStmt],
     ) -> Result<Vec<ResultSet>> {
         let t = Stopwatch::start();
-        let batch: Vec<BoundSelect> = stmts
-            .iter()
-            .map(|s| bind_select(table.schema(), s))
-            .collect::<Result<_>>()?;
+        let batch: Vec<BoundSelect> = {
+            let _span = self.metrics.tracer().span("bind");
+            stmts.iter().map(|s| bind_select(table.schema(), s)).collect::<Result<_>>()?
+        };
         self.metrics.counter("query.bind_ns").add(t.elapsed_nanos());
         self.execute_batch(table, vw, opts, &batch)
     }
 
     /// Execute a batch of bound SELECTs as one scheduling unit (DESIGN.md
-    /// §7). Results come back in batch order and are bit-identical to
-    /// running [`Self::execute_bound`] on each statement sequentially over
-    /// the same residency, with one deliberate exception (DESIGN.md §11.3):
-    /// on a reactor-backed store a cold segment is answered from its full
-    /// index — what the sequential loop returns once warm — not from the
-    /// head-only/brute-force first answer a lone cold statement gets.
+    /// §7) — the engine's one execution path; a single statement is a batch
+    /// of one. Results come back in batch order and are bit-identical to
+    /// running each statement as its own batch over the same residency.
     ///
     /// The segment snapshot is taken once for the whole batch. Each round
-    /// orders its tasks resident-first, starts every cold segment's index
-    /// transfer, then fans out one work-stealing task per distinct pending
-    /// segment; a task pins the segment's index handle once (resident or in
-    /// flight on a live owner) and then runs every query that scheduled the
-    /// segment *in batch order*, so per-segment side effects (warming,
-    /// serving upgrades) replay exactly as the sequential loop would. Pure top-k
-    /// queries additionally carry a [`SharedBound`]: segments searched
-    /// later skip candidates that provably cannot enter the final top-k.
+    /// resolves every pending segment's owner once, orders its tasks
+    /// resident-first, starts the index transfer of every cold segment some
+    /// statement will search through its index, then fans out one
+    /// work-stealing task per distinct pending segment; a task pins the
+    /// segment's index handle once (resident or in flight on a live owner)
+    /// and then runs every query that scheduled the segment *in batch
+    /// order*, so per-segment side effects (warming, serving upgrades)
+    /// replay exactly as one statement after another would. On a store that
+    /// can defer (every `Database`) a cold segment is therefore answered
+    /// from its full index after one overlapped transfer (DESIGN.md §11.3);
+    /// on a blocking store nothing is in flight, nothing is pinned, and the
+    /// worker-level miss path (brute force or head first, serving from the
+    /// previous owner, then warm) answers. Pure top-k queries additionally
+    /// carry a [`SharedBound`]: segments searched later skip candidates that
+    /// provably cannot enter the final top-k.
+    ///
+    /// Queries run against a snapshot of the segment set; a background
+    /// compaction can garbage-collect a segment (and its blobs) mid-query.
+    /// Per §II-E the system retries at the query level: the retry takes a
+    /// fresh snapshot, which the new merged segments serve.
     pub fn execute_batch(
         &self,
         table: &TableStore,
@@ -359,16 +335,16 @@ impl QueryEngine {
     ) -> Result<Vec<ResultSet>> {
         self.metrics.counter("query.batch_size").add(batch.len() as u64);
         let t = Stopwatch::start();
-        let plans: Vec<CachedPlan> = {
-            let _span = self.metrics.tracer().span("plan");
-            batch
-                .iter()
-                .map(|b| self.plan_phase(table, opts, b))
-                .collect::<Result<_>>()?
-        };
-        for plan in &plans {
-            self.note_plan(plan.strategy);
-        }
+        let plans: Vec<CachedPlan> = batch
+            .iter()
+            .map(|b| {
+                let mut span = self.metrics.tracer().span("plan");
+                let planned = self.plan_phase(table, opts, b)?;
+                span.attr("strategy", planned.strategy.name());
+                self.note_plan(planned.strategy);
+                Ok(planned)
+            })
+            .collect::<Result<_>>()?;
         self.metrics.counter("query.plan_ns").add(t.elapsed_nanos());
 
         let t = Stopwatch::start();
@@ -388,6 +364,9 @@ impl QueryEngine {
         if attempts > 0 {
             exec_span.attr("snapshot_retries", attempts as u64);
         }
+        if let Ok(results) = &out {
+            exec_span.attr("rows", results.iter().map(|rs| rs.rows.len()).sum::<usize>());
+        }
         drop(exec_span);
         self.metrics.counter("query.exec_ns").add(t.elapsed_nanos());
         self.metrics.counter("query.executed").add(batch.len() as u64);
@@ -406,18 +385,11 @@ impl QueryEngine {
         let total_rows: usize = segments.iter().map(|m| m.row_count).sum();
 
         let mut results: Vec<Option<ResultSet>> = (0..batch.len()).map(|_| None).collect();
-        let mut states: Vec<Option<BatchQueryState<'_>>> = Vec::with_capacity(batch.len());
-        // Cross-query bound dedup: identical pure top-k statements (same
-        // column, k, query bits, predicate) share ONE bound. The key must
-        // include the predicate — an unfiltered query's kth distance would
-        // unsoundly prune a filtered query's sparser candidate set.
-        type BoundKey = (String, usize, Vec<u32>, String);
-        let mut bound_pool: BTreeMap<BoundKey, Arc<SharedBound>> = BTreeMap::new();
-        for (i, sel) in batch.iter().enumerate() {
+        let mut states: Vec<StmtState<'_>> = Vec::with_capacity(batch.len());
+        for (qi, (sel, plan)) in batch.iter().zip(plans).enumerate() {
             let Some(v) = &sel.vector else {
                 // Scalar statements don't participate in the vector fan-out.
-                results[i] = Some(self.exec_scalar(table, vw, opts, sel, &plans[i])?);
-                states.push(None);
+                results[qi] = Some(self.exec_scalar(table, vw, opts, sel, plan)?);
                 continue;
             };
             let selection =
@@ -430,146 +402,44 @@ impl QueryEngine {
             // must return everything within the range, and an unbounded k
             // never prunes anyway.
             let share = opts.share_bound && v.k.is_some() && v.range.is_none();
-            let pending = selection.scheduled.clone();
+            // Cross-query bound dedup: identical pure top-k statements (same
+            // column, k, query, predicate) share ONE bound. The predicate
+            // must match too — an unfiltered query's kth distance would
+            // unsoundly prune a filtered query's sparser candidate set.
             let bound = share.then(|| {
-                let key: BoundKey = (
-                    v.column.clone(),
-                    k,
-                    v.query.iter().map(|f| f.to_bits()).collect(),
-                    format!("{:?}", sel.predicate),
-                );
-                Arc::clone(
-                    bound_pool.entry(key).or_insert_with(|| Arc::new(SharedBound::new())),
-                )
+                states
+                    .iter()
+                    .filter(|p| {
+                        p.k == k
+                            && p.v.query == v.query
+                            && p.v.column == v.column
+                            && p.sel.predicate == sel.predicate
+                    })
+                    .find_map(|p| p.bound.clone())
+                    .unwrap_or_else(|| Arc::new(SharedBound::new()))
             });
-            states.push(Some(BatchQueryState {
+            states.push(StmtState {
+                qi,
                 sel,
                 v,
-                plan: &plans[i],
+                plan,
+                pending: selection.scheduled.clone(),
+                slots: Vec::new(),
                 selection,
-                pending,
                 global: TopK::new(k),
                 k,
                 bound,
-                done: false,
-            }));
+            });
         }
-
-        loop {
-            // Distinct segments still pending for any live query, each with
-            // the (batch-ordered) list of queries that scheduled it.
-            let mut round_tasks: Vec<(Arc<SegmentMeta>, Vec<usize>)> = Vec::new();
-            let mut seg_slot: BTreeMap<SegmentId, usize> = BTreeMap::new();
-            for (qi, st) in states.iter().enumerate() {
-                let Some(st) = st.as_ref() else { continue };
-                if st.done {
-                    continue;
-                }
-                for meta in &st.pending {
-                    let slot = *seg_slot.entry(meta.id).or_insert_with(|| {
-                        round_tasks.push((meta.clone(), Vec::new()));
-                        round_tasks.len() - 1
-                    });
-                    round_tasks[slot].1.push(qi);
-                }
-            }
-            if round_tasks.is_empty() {
-                break;
-            }
-            // One pass over the round's tasks, one owner lookup each:
-            //
-            // * Resident segments go first (stable within each group): with
-            //   the cache smaller than the working set, a cold load would
-            //   otherwise evict a resident index just before its own task
-            //   runs. Results are unaffected — each query merges in its own
-            //   pending order.
-            // * Every cold segment's index transfer starts now, before the
-            //   fan-out, so the blob fetches run concurrently (N transfers
-            //   cost max, not sum) while the resident segments are searched;
-            //   each cold task then waits out a transfer already in flight
-            //   instead of paying the full remote latency serially.
-            //   `round_prefetches` cancels whatever no task consumed on
-            //   every exit from this round, error paths included.
-            let mut round_prefetches = RoundPrefetches::default();
-            let (mut seg_tasks, mut cold) = (Vec::new(), Vec::new());
-            for task in round_tasks {
-                match vw.owner_of(&task.0) {
-                    Ok((_, owner)) if owner.index_resident(&task.0) => seg_tasks.push(task),
-                    Ok((_, owner)) => {
-                        if matches!(owner.index_cache().prefetch(&task.0), Ok(true)) {
-                            round_prefetches.0.push((owner, task.0.id));
-                        }
-                        cold.push(task);
-                    }
-                    Err(_) => cold.push(task),
-                }
-            }
-            seg_tasks.append(&mut cold);
-            if !round_prefetches.0.is_empty() {
-                self.metrics.counter("query.index_prefetches").add(round_prefetches.0.len() as u64);
-            }
-            // Helper threads cannot see this thread's span stack; capture
-            // the parent span here and attach every task span explicitly.
-            let trace_parent = self.metrics.tracer().current();
-            let (per_task, _) = self.fan_out(opts, seg_tasks.len(), |i| {
-                let (meta, qis) = &seg_tasks[i];
-                // Per-query errors travel inside the task's output: a batch
-                // reports the first error in (batch, pending) order, which
-                // needs every task's answer.
-                Ok(self.run_segment_task(table, vw, opts, &states, meta, qis, trace_parent))
-            })?;
-
-            // Move task outputs into a (segment, query)-keyed map so each
-            // query can merge in its own pending order.
-            let mut by_seg_query: BTreeMap<(SegmentId, usize), Result<Vec<Neighbor>>> =
-                BTreeMap::new();
-            for ((meta, _), task_out) in seg_tasks.iter().zip(per_task) {
-                for (qi, r) in task_out {
-                    by_seg_query.insert((meta.id, qi), r);
-                }
-            }
-            for (qi, st) in states.iter_mut().enumerate() {
-                let Some(st) = st.as_mut() else { continue };
-                if st.done {
-                    continue;
-                }
-                for meta in &st.pending {
-                    // First error in (batch, pending) order wins, matching
-                    // the deterministic error the sequential loop reports.
-                    match by_seg_query.remove(&(meta.id, qi)) {
-                        Some(Ok(hits)) => {
-                            for nb in hits {
-                                st.global.push(nb.distance, (meta.id, nb.id as u32));
-                            }
-                        }
-                        Some(Err(e)) => return Err(e),
-                        None => {
-                            return Err(BhError::Internal(
-                                "batched segment search missing a result".into(),
-                            ))
-                        }
-                    }
-                }
-                if st.global.len() >= st.k || st.selection.exhausted() {
-                    st.done = true;
-                    st.pending.clear();
-                    continue;
-                }
-                // Adaptive runtime adjustment (§IV-B), per query.
-                st.pending = st.selection.expand(opts.adaptive_batch.max(1));
-                if st.pending.is_empty() {
-                    st.done = true;
-                } else {
-                    self.metrics.counter("query.adaptive_expansions").inc();
-                }
-            }
+        // A batch of scalar statements has no vector phase.
+        if !states.is_empty() {
+            self.search_rounds(table, vw, opts, segments.len(), &mut states)?;
         }
 
         // Skips accumulate on the (possibly shared) bound: count each
         // distinct bound once, not once per statement that aliases it.
         let mut counted: Vec<*const SharedBound> = Vec::new();
-        for (qi, st) in states.into_iter().enumerate() {
-            let Some(st) = st else { continue };
+        for st in states {
             if let Some(b) = &st.bound {
                 let p = Arc::as_ptr(b);
                 if !counted.contains(&p) {
@@ -586,16 +456,145 @@ impl QueryEngine {
             }
             let hit_list: Vec<(SegmentId, u32, f32)> =
                 hits.into_iter().map(|s| (s.item.0, s.item.1, s.distance)).collect();
-            results[qi] = Some(self.materialize(table, vw, st.sel, st.plan, &hit_list)?);
+            results[st.qi] = Some(self.materialize(table, vw, st.sel, &hit_list)?);
         }
         results
             .into_iter()
-            .map(|r| {
-                r.ok_or_else(|| {
-                    BhError::Internal("batch statement produced no result".into())
-                })
-            })
-            .collect()
+            .collect::<Option<_>>()
+            .ok_or_else(|| BhError::Internal("batch statement produced no result".into()))
+    }
+
+    /// The vector statements' select → fan-out → merge loop: every round
+    /// searches each unfinished statement's pending segments, merges the hits
+    /// per statement in its own pending order, then lets statements that
+    /// came up short pull reserve segments (§IV-B) for the next round.
+    fn search_rounds(
+        &self,
+        table: &TableStore,
+        vw: &VirtualWarehouse,
+        opts: &QueryOptions,
+        segments_total: usize,
+        states: &mut [StmtState<'_>],
+    ) -> Result<()> {
+        let mut vec_span = self.metrics.tracer().span("exec.vector");
+        vec_span.attr("segments_total", segments_total * states.len());
+        vec_span.attr(
+            "segments_scheduled",
+            states.iter().map(|st| st.selection.scheduled.len()).sum::<usize>(),
+        );
+        vec_span
+            .attr("segments_pruned", states.iter().map(|st| st.selection.scalar_pruned).sum::<usize>());
+        let (mut expansions, mut visited, mut helper_tasks) = (0u64, 0u64, 0u64);
+        // Helper threads cannot see this thread's span stack; every task
+        // span attaches to the span open here explicitly.
+        let trace_parent = self.metrics.tracer().current();
+
+        loop {
+            // Distinct segments still pending for any unfinished statement,
+            // each with the (batch-ordered) list of statements that
+            // scheduled it and its owner, resolved once for the whole round.
+            let widest = states.iter().map(|st| st.pending.len()).max().unwrap_or(0);
+            let mut tasks: Vec<SegTask> = Vec::with_capacity(widest);
+            let mut task_of: HashMap<SegmentId, usize> = HashMap::with_capacity(widest);
+            for (si, st) in states.iter_mut().enumerate() {
+                st.slots.clear();
+                st.slots.reserve(st.pending.len());
+                for meta in &st.pending {
+                    let t = match task_of.entry(meta.id) {
+                        Entry::Occupied(e) => *e.get(),
+                        Entry::Vacant(e) => {
+                            let (_, owner) = vw.owner_of(meta)?;
+                            tasks.push(SegTask {
+                                meta: meta.clone(),
+                                owner,
+                                stmts: Vec::new(),
+                                wants_index: false,
+                            });
+                            *e.insert(tasks.len() - 1)
+                        }
+                    };
+                    tasks[t].wants_index |= st.plan.strategy != Strategy::BruteForce;
+                    st.slots.push((t, tasks[t].stmts.len()));
+                    tasks[t].stmts.push(si);
+                }
+                visited += st.pending.len() as u64;
+            }
+            if tasks.is_empty() {
+                break;
+            }
+            // Execution order, one residency probe per task:
+            //
+            // * Resident segments go first (stable within each group): with
+            //   the cache smaller than the working set, a cold load would
+            //   otherwise evict a resident index just before its own task
+            //   runs. Results are unaffected — each query merges in its own
+            //   pending order.
+            // * Every cold segment whose index some statement will search
+            //   starts its transfer now, before the fan-out, so the blob
+            //   fetches run concurrently (N transfers cost max, not sum)
+            //   while the resident segments are searched; each cold task
+            //   then waits out a transfer already in flight instead of
+            //   paying the full remote latency serially. A task that only
+            //   runs Plan A reads the raw column and fetches no index.
+            //   `round_prefetches` cancels whatever no task consumed on
+            //   every exit from this round, error paths included.
+            let mut round_prefetches = RoundPrefetches::default();
+            let (mut order, mut cold) = (Vec::with_capacity(tasks.len()), Vec::new());
+            for (t, task) in tasks.iter().enumerate() {
+                if task.owner.index_resident(&task.meta) {
+                    order.push(t);
+                    continue;
+                }
+                if task.wants_index
+                    && matches!(task.owner.index_cache().prefetch(&task.meta), Ok(true))
+                {
+                    round_prefetches.0.push((task.owner.clone(), task.meta.id));
+                }
+                cold.push(t);
+            }
+            order.append(&mut cold);
+            if !round_prefetches.0.is_empty() {
+                self.metrics.counter("query.index_prefetches").add(round_prefetches.0.len() as u64);
+            }
+            let (outs, by_helpers) = self.fan_out(opts, order.len(), |i| {
+                self.run_segment_task(table, vw, opts, states, &tasks[order[i]], trace_parent)
+            })?;
+            helper_tasks += by_helpers as u64;
+
+            // Task outputs, addressed by task instead of by execution order.
+            let mut by_task: Vec<Vec<Vec<Neighbor>>> = vec![Vec::new(); tasks.len()];
+            for (&t, out) in order.iter().zip(outs) {
+                by_task[t] = out;
+            }
+            for st in states.iter_mut().filter(|st| !st.pending.is_empty()) {
+                // Pushing in pending order keeps the merge bit-identical at
+                // every fan-out width and batch composition.
+                for (meta, &(t, pos)) in st.pending.iter().zip(&st.slots) {
+                    for nb in std::mem::take(&mut by_task[t][pos]) {
+                        st.global.push(nb.distance, (meta.id, nb.id as u32));
+                    }
+                }
+                if st.global.len() >= st.k || st.selection.exhausted() {
+                    st.pending.clear();
+                    continue;
+                }
+                // Adaptive runtime adjustment (§IV-B), per query: semantic
+                // pruning was too aggressive; pull reserve segments. The
+                // barrier holds: expand only after the whole round merged.
+                st.pending = st.selection.expand(opts.adaptive_batch.max(1));
+                if !st.pending.is_empty() {
+                    expansions += 1;
+                    self.metrics.counter("query.adaptive_expansions").inc();
+                }
+            }
+        }
+        vec_span.attr("segments_visited", visited);
+        vec_span.attr("helper_tasks", helper_tasks);
+        if expansions > 0 {
+            vec_span.attr("adaptive_expansions", expansions);
+        }
+        vec_span.attr("candidates", states.iter().map(|st| st.global.len()).sum::<usize>());
+        Ok(())
     }
 
     /// The one fan-out scaffold: run `task(i)` for `i` in `0..len` on the
@@ -625,66 +624,53 @@ impl QueryEngine {
     }
 
     /// One segment's task: pin the index handle once, then run every
-    /// assigned query against this segment in batch order.
+    /// assigned statement against this segment in batch order. The task
+    /// fails as soon as one of its statements does.
     ///
-    /// The pin is taken when the index is memory-resident on a live owner
-    /// **or its body transfer is already in flight** there (the round's
-    /// prefetch): the task serves several statements and needs the full
-    /// index anyway, so it waits out the transfer it already paid to start
-    /// and answers every statement from the full index, instead of a
-    /// synchronous head range-get plus an approximate head-only first
-    /// answer. Pinning never *starts* a load: a cold segment with nothing in
-    /// flight (blocking store) takes the per-statement miss path — head or
-    /// brute force first, then warm — exactly like the sequential loop.
-    #[allow(clippy::too_many_arguments)]
+    /// The pin is taken only when some statement here searches the index,
+    /// and then when the index is memory-resident on a live owner **or its
+    /// body transfer is already in flight** there (the round's prefetch):
+    /// the task needs the full index anyway, so it waits out the transfer
+    /// the round already paid to start and answers every statement from the
+    /// full index, instead of a synchronous head range-get plus an
+    /// approximate head-only first answer. Pinning never *starts* a load: a
+    /// cold segment with nothing in flight (blocking store) takes the
+    /// per-statement miss path — head or brute force first, then warm.
+    ///
+    /// `query.segment_ns` sums wall time across (statement, segment)
+    /// searches, so with fan-out it can exceed `query.exec_ns`; the query
+    /// log reports it as the aggregate per-segment scan effort.
     fn run_segment_task(
         &self,
         table: &TableStore,
         vw: &VirtualWarehouse,
         opts: &QueryOptions,
-        states: &[Option<BatchQueryState<'_>>],
-        meta: &Arc<SegmentMeta>,
-        qis: &[usize],
+        states: &[StmtState<'_>],
+        task: &SegTask,
         trace_parent: SpanId,
-    ) -> Vec<(usize, Result<Vec<Neighbor>>)> {
+    ) -> Result<Vec<Vec<Neighbor>>> {
+        let (meta, owner) = (&task.meta, &task.owner);
         let mut task_span = self.metrics.tracer().span_under(trace_parent, "segment.task");
         task_span.attr("segment", meta.id.raw());
-        task_span.attr("queries", qis.len());
-        let pin: Option<(Arc<Worker>, Arc<dyn bh_vector::VectorIndex>)> = (|| {
-            let (_, owner) = vw.owner_of(meta).ok()?;
-            let cache = owner.index_cache();
-            if !owner.is_alive() || !(cache.resident(meta.id) || cache.in_flight(meta.id)) {
-                return None;
-            }
-            let idx = owner.index_handle(meta).ok()??;
-            Some((owner, idx))
-        })();
-        qis.iter()
-            .map(|&qi| {
-                let Some(st) = states.get(qi).and_then(|s| s.as_ref()) else {
-                    return (
-                        qi,
-                        Err(BhError::Internal(
-                            "segment task assigned to a scalar query".into(),
-                        )),
-                    );
-                };
-                // `task_span` is still open on this thread, so the segment
-                // search span parents from the TLS stack.
-                let ctx =
-                    SegCtx { bound: st.bound.as_deref(), pin: pin.as_ref(), trace_parent: None };
-                let r = self.search_one_segment(
-                    table,
-                    vw,
-                    opts,
-                    st.sel,
-                    st.v,
-                    st.plan,
-                    meta,
-                    st.k,
-                    ctx,
-                );
-                (qi, r)
+        task_span.attr("queries", task.stmts.len());
+        let cache = owner.index_cache();
+        let pin = if task.wants_index
+            && owner.is_alive()
+            && (cache.resident(meta.id) || cache.in_flight(meta.id))
+        {
+            owner.index_handle(meta).ok().flatten()
+        } else {
+            None
+        };
+        task.stmts
+            .iter()
+            .map(|&si| {
+                let st = &states[si];
+                let ctx = SegCtx { owner, pin: pin.as_ref() };
+                let t = Stopwatch::start();
+                let r = self.search_one_segment(table, vw, opts, st, meta, ctx);
+                self.hot.segment_ns.add(t.elapsed_nanos());
+                r
             })
             .collect()
     }
@@ -831,169 +817,45 @@ impl QueryEngine {
             beta,
             gamma: (beta * 2.0).min(1.0),
             k: v.k.unwrap_or(100),
-            graph_index: matches!(
-                kind,
-                Some(bh_vector::IndexKind::Hnsw) | Some(bh_vector::IndexKind::HnswSq)
-            ),
-            quantized: matches!(
-                kind,
-                Some(bh_vector::IndexKind::HnswSq)
-                    | Some(bh_vector::IndexKind::IvfPq)
-                    | Some(bh_vector::IndexKind::IvfPqFs)
-            ),
+            graph_index: matches!(kind, Some(IndexKind::Hnsw | IndexKind::HnswSq)),
+            quantized: index_is_quantized(table),
         }
     }
 
     // ------------------------------------------------------------ vector path
 
-    fn exec_vector(
-        &self,
-        table: &TableStore,
-        vw: &VirtualWarehouse,
-        opts: &QueryOptions,
-        bound: &BoundSelect,
-        v: &VectorQuery,
-        plan: &CachedPlan,
-    ) -> Result<ResultSet> {
-        let segments = table.segments();
-        let mut selection =
-            select_segments(&segments, &bound.predicate, Some(&v.query), &opts.prune);
-        self.metrics
-            .counter("query.segments_pruned")
-            .add(selection.scalar_pruned as u64);
-
-        let mut vec_span = self.metrics.tracer().span("exec.vector");
-        vec_span.attr("segments_total", segments.len());
-        vec_span.attr("segments_scheduled", selection.scheduled.len());
-        vec_span.attr("segments_pruned", selection.scalar_pruned);
-        let mut expansions = 0u64;
-        let mut visited = 0u64;
-        let mut helper_tasks = 0u64;
-        // Segment spans opened on helper threads (whose span stacks are
-        // empty) parent to the span open here.
-        let trace_parent = self.metrics.tracer().current();
-
-        let total_rows: usize = segments.iter().map(|m| m.row_count).sum();
-        let k = v.k.unwrap_or(total_rows.max(1));
-        let mut global: TopK<(SegmentId, u32)> = TopK::new(k);
-
-        let mut pending: Vec<Arc<SegmentMeta>> = selection.scheduled.clone();
-        loop {
-            // Fan the batch out; per-segment hit lists come back in `pending`
-            // order so the global merge is bit-identical to parallelism 1.
-            // Adaptive expansion below keeps its barrier semantics: expand
-            // only after the whole batch merged.
-            let (per_segment, by_helpers) = self.fan_out(opts, pending.len(), |i| {
-                let ctx = SegCtx { trace_parent: Some(trace_parent), ..SegCtx::default() };
-                self.search_one_segment(table, vw, opts, bound, v, plan, &pending[i], k, ctx)
-            })?;
-            helper_tasks += by_helpers as u64;
-            visited += pending.len() as u64;
-            for (meta, hits) in pending.iter().zip(per_segment) {
-                for nb in hits {
-                    global.push(nb.distance, (meta.id, nb.id as u32));
-                }
-            }
-            if global.len() >= k || selection.exhausted() {
-                break;
-            }
-            // Adaptive runtime adjustment (§IV-B): semantic pruning was too
-            // aggressive for this query; pull reserve segments.
-            pending = selection.expand(opts.adaptive_batch.max(1));
-            if pending.is_empty() {
-                break;
-            }
-            expansions += 1;
-            self.metrics.counter("query.adaptive_expansions").inc();
-        }
-        vec_span.attr("segments_visited", visited);
-        vec_span.attr("helper_tasks", helper_tasks);
-        if expansions > 0 {
-            vec_span.attr("adaptive_expansions", expansions);
-        }
-        vec_span.attr("candidates", global.len());
-        drop(vec_span);
-
-        let mut hits = global.into_sorted();
-        if let Some(r) = v.range {
-            hits.retain(|s| s.distance <= r);
-        }
-        if let Some(limit) = bound.limit {
-            hits.truncate(limit);
-        }
-        let hit_list: Vec<(SegmentId, u32, f32)> =
-            hits.into_iter().map(|s| (s.item.0, s.item.1, s.distance)).collect();
-        self.materialize(table, vw, bound, plan, &hit_list)
-    }
-
-    /// Per-segment ANN search under the selected strategy. Returned neighbor
-    /// ids are segment row offsets; distances are exact (refine applied for
-    /// quantized indexes).
-    #[allow(clippy::too_many_arguments)]
+    /// One statement's ANN search of one segment under its selected
+    /// strategy. Returned neighbor ids are segment row offsets; distances
+    /// are exact (refine applied for quantized indexes).
     fn search_one_segment(
         &self,
         table: &TableStore,
         vw: &VirtualWarehouse,
         opts: &QueryOptions,
-        bound: &BoundSelect,
-        v: &VectorQuery,
-        plan: &CachedPlan,
+        st: &StmtState<'_>,
         meta: &Arc<SegmentMeta>,
-        k: usize,
         ctx: SegCtx<'_>,
     ) -> Result<Vec<Neighbor>> {
-        // `query.segment_ns` sums wall time across segments, so with fan-out
-        // it can exceed `query.exec_ns`; the query log reports it as the
-        // aggregate per-segment scan effort.
-        let t = Stopwatch::start();
-        let r = self.search_one_segment_timed(table, vw, opts, bound, v, plan, meta, k, ctx);
-        self.hot.segment_ns.add(t.elapsed_nanos());
-        r
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn search_one_segment_timed(
-        &self,
-        table: &TableStore,
-        vw: &VirtualWarehouse,
-        opts: &QueryOptions,
-        bound: &BoundSelect,
-        v: &VectorQuery,
-        plan: &CachedPlan,
-        meta: &Arc<SegmentMeta>,
-        k: usize,
-        ctx: SegCtx<'_>,
-    ) -> Result<Vec<Neighbor>> {
-        let strategy = plan.strategy;
-        let tracer = self.metrics.tracer();
-        let mut seg_span = match ctx.trace_parent {
-            Some(parent) => tracer.span_under(parent, "segment.search"),
-            None => tracer.span("segment.search"),
-        };
+        let (bound, v, k, bnd) = (st.sel, st.v, st.k, st.bound.as_deref());
+        let strategy = st.plan.strategy;
+        // `segment.task` is open on this thread, so this parents to it.
+        let mut seg_span = self.metrics.tracer().span("segment.search");
         seg_span.attr("segment", meta.id.raw());
         seg_span.attr("strategy", strategy.name());
         seg_span.attr("rows", meta.row_count);
         let vis = table.visibility(meta);
         let has_pred = !matches!(bound.predicate, Predicate::True);
+        // σ over-fetch exists to feed the exact-distance refine of quantized
+        // indexes; raw-vector indexes return exact distances already, so
+        // padding the demand only inflates the beam (for Plan D the
+        // traversal wades ~1/s nodes per demanded result — σ there doubles
+        // the whole walk).
+        let fetch_k =
+            if index_is_quantized(table) { k.saturating_mul(opts.sigma.max(1)) } else { k };
 
         match strategy {
             Strategy::BruteForce => with_segment_retry(vw, meta, |worker| {
-                let bits = self.filter_bits(table, &worker, meta, bound, &vis, has_pred)?;
-                if bits.is_all_clear() {
-                    return Ok(Vec::new());
-                }
-                let mut hits = worker.brute_force_segment_bounded(
-                    table,
-                    meta,
-                    &v.query,
-                    k,
-                    Some(&bits),
-                    ctx.bound,
-                )?;
-                if let Some(r) = v.range {
-                    hits.retain(|nb| nb.distance <= r);
-                }
-                Ok(hits)
+                self.exact_scan(table, &worker, meta, st, &vis)
             }),
             Strategy::PreFilter | Strategy::FilteredTraversal => {
                 // Compute the bitset on the owning worker, then run the ANN
@@ -1004,7 +866,7 @@ impl QueryEngine {
                 // estimate sizing the beam and hop budget. Non-graph indexes
                 // ignore the flag and degrade to the Plan-B bitmap scan.
                 let bits = with_segment_retry(vw, meta, |worker| {
-                    self.filter_bits(table, &worker, meta, bound, &vis, has_pred)
+                    self.filter_bits(table, &worker, meta, bound, &vis)
                 })?;
                 if bits.is_all_clear() {
                     return Ok(Vec::new());
@@ -1012,33 +874,13 @@ impl QueryEngine {
                 let search = if strategy == Strategy::FilteredTraversal {
                     let mut p = opts.search.with_filter_traversal(true);
                     if p.filter_selectivity.is_none() {
-                        p.filter_selectivity = plan.selectivity;
+                        p.filter_selectivity = st.plan.selectivity;
                     }
                     p
                 } else {
                     opts.search
                 };
-                // σ over-fetch exists to feed the exact-distance refine of
-                // quantized indexes; raw-vector indexes return exact
-                // distances already, so padding the demand only inflates the
-                // beam (for Plan D the traversal wades ~1/s nodes per
-                // demanded result — σ there doubles the whole walk).
-                let needs_refine = table
-                    .schema()
-                    .indexes
-                    .first()
-                    .map(|d| {
-                        matches!(
-                            d.spec.kind,
-                            bh_vector::IndexKind::HnswSq
-                                | bh_vector::IndexKind::IvfPq
-                                | bh_vector::IndexKind::IvfPqFs
-                        )
-                    })
-                    .unwrap_or(false);
-                let fetch_k =
-                    if needs_refine { k.saturating_mul(opts.sigma.max(1)) } else { k };
-                let mut hits = match v.range {
+                let hits = match v.range {
                     Some(r) if v.k.is_none() => with_segment_retry(vw, meta, |worker| {
                         match worker.index_handle(meta)? {
                             Some(idx) => {
@@ -1057,17 +899,17 @@ impl QueryEngine {
                             }
                         }
                     })?,
-                    // A live pin skips the per-query owner resolution and
-                    // cache lookup; the index Arc is the one the sequential
-                    // path would have fetched, so results are identical.
+                    // A live pin skips the owner resolution and cache lookup;
+                    // the index Arc is the one the VW path would have
+                    // fetched, so results are identical.
                     _ => match ctx.pin {
-                        Some((w, idx)) if w.is_alive() => w.search_pinned(
+                        Some(idx) if ctx.owner.is_alive() => ctx.owner.search_pinned(
                             idx,
                             &v.query,
                             fetch_k,
                             &search,
                             Some(&bits),
-                            ctx.bound,
+                            bnd,
                         )?,
                         _ => vw.search_segment_bounded(
                             table,
@@ -1076,11 +918,11 @@ impl QueryEngine {
                             fetch_k,
                             &search,
                             Some(&bits),
-                            ctx.bound,
+                            bnd,
                         )?,
                     },
                 };
-                hits = self.maybe_refine(table, vw, meta, v, opts, hits, k, ctx.bound)?;
+                let mut hits = self.refine(table, vw, opts, st, meta, hits)?;
                 if let Some(r) = v.range {
                     hits.retain(|nb| nb.distance <= r);
                 }
@@ -1094,12 +936,10 @@ impl QueryEngine {
                 // in the background, so this window is transient.
                 // A pinned handle outlives its eviction from the cache, so a
                 // task holding one is never cold.
-                let (_, owner) = vw.owner_of(meta)?;
-                let pinned = matches!(ctx.pin, Some((w, _)) if Arc::ptr_eq(w, &owner));
                 if meta.index_kind.is_some()
-                    && owner.is_alive()
-                    && !pinned
-                    && !owner.index_resident(meta)
+                    && ctx.owner.is_alive()
+                    && ctx.pin.is_none()
+                    && !ctx.owner.index_resident(meta)
                 {
                     let fetch_k = k.saturating_mul(opts.sigma.max(1)).saturating_mul(2);
                     let hits =
@@ -1107,88 +947,38 @@ impl QueryEngine {
                     let visible: Vec<Neighbor> =
                         hits.into_iter().filter(|nb| vis.contains(nb.id as usize)).collect();
                     let passing = if has_pred {
+                        let pred_cols = bound.predicate.referenced_columns();
                         with_segment_retry(vw, meta, |worker| {
-                            let pred_cols = bound.predicate.referenced_columns();
-                            let offsets: Vec<u32> =
-                                visible.iter().map(|nb| nb.id as u32).collect();
-                            let mut cells: BTreeMap<String, Vec<Value>> = BTreeMap::new();
-                            for c in &pred_cols {
-                                cells.insert(
-                                    c.clone(),
-                                    worker.read_cells(table, meta, c, &offsets)?,
-                                );
-                            }
-                            let mut out = Vec::new();
-                            for (i, nb) in visible.iter().enumerate() {
-                                let row: BTreeMap<String, Value> = pred_cols
-                                    .iter()
-                                    .map(|c| (c.clone(), cells[c][i].clone()))
-                                    .collect();
-                                if bound.predicate.eval(&row)? {
-                                    out.push(*nb);
-                                }
-                            }
-                            Ok(out)
+                            self.passing_rows(table, &worker, meta, bound, &pred_cols, &visible)
                         })?
                     } else {
                         visible
                     };
-                    let mut hits =
-                        self.maybe_refine(table, vw, meta, v, opts, passing, k, ctx.bound)?;
+                    let mut hits = self.refine(table, vw, opts, st, meta, passing)?;
                     if let Some(r) = v.range {
                         hits.retain(|nb| nb.distance <= r);
                     }
-                    hits.truncate(k);
                     return Ok(hits);
                 }
                 with_segment_retry(vw, meta, |worker| {
-                // Use the batch task's pinned handle when it belongs to this
-                // same owner — one cache lookup for the whole batch.
+                // Use the task's pinned handle when the retry did not move
+                // the segment — one cache lookup for the whole task.
                 let handle = match ctx.pin {
-                    Some((w, idx)) if Arc::ptr_eq(w, &worker) => Some(idx.clone()),
+                    Some(idx) if Arc::ptr_eq(ctx.owner, &worker) => Some(idx.clone()),
                     _ => worker.index_handle(meta)?,
                 };
                 let Some(index) = handle else {
                     // No index (tiny segment) — brute force is exact anyway.
-                    let bits = self.filter_bits(table, &worker, meta, bound, &vis, has_pred)?;
-                    let mut hits = worker.brute_force_segment_bounded(
-                        table,
-                        meta,
-                        &v.query,
-                        k,
-                        Some(&bits),
-                        ctx.bound,
-                    )?;
-                    if let Some(r) = v.range {
-                        hits.retain(|nb| nb.distance <= r);
-                    }
-                    return Ok(hits);
+                    return self.exact_scan(table, &worker, meta, st, &vis);
                 };
                 if !has_pred && v.range.is_none() {
                     // Pure top-k: nothing can be filtered away, so the plain
                     // beam search (which honours ef_search) beats driving the
                     // incremental iterator.
-                    let fetch = if index.needs_refine() {
-                        k.saturating_mul(opts.sigma.max(1))
-                    } else {
-                        k
-                    };
                     let filter = if vis.is_all_set() { None } else { Some(&vis) };
-                    let hits =
-                        index.search_with_bound(&v.query, fetch, &opts.search, filter, ctx.bound)?;
-                    let mut hits = self.maybe_refine_on(
-                        table,
-                        &worker,
-                        meta,
-                        v,
-                        opts,
-                        hits,
-                        k,
-                        index.needs_refine(),
-                        ctx.bound,
-                    )?;
-                    hits.truncate(k);
-                    return Ok(hits);
+                    let hits = index
+                        .search_with_bound(&v.query, fetch_k, &opts.search, filter, bnd)?;
+                    return self.refine(table, vw, opts, st, meta, hits);
                 }
                 let mut it = index.search_iterator(&v.query, &opts.search)?;
                 let pred_cols = bound.predicate.referenced_columns();
@@ -1215,49 +1005,78 @@ impl QueryEngine {
                         continue;
                     }
                     if has_pred {
-                        // Evaluate the predicate on just these rows.
-                        let offsets: Vec<u32> = visible.iter().map(|nb| nb.id as u32).collect();
-                        let mut cells: BTreeMap<String, Vec<Value>> = BTreeMap::new();
-                        for c in &pred_cols {
-                            cells.insert(
-                                c.clone(),
-                                worker.read_cells(table, meta, c, &offsets)?,
-                            );
-                        }
-                        for (i, nb) in visible.iter().enumerate() {
-                            let row: BTreeMap<String, Value> = pred_cols
-                                .iter()
-                                .map(|c| (c.clone(), cells[c][i].clone()))
-                                .collect();
-                            if bound.predicate.eval(&row)? {
-                                collected.push(*nb);
-                            }
-                        }
+                        collected.extend(
+                            self.passing_rows(table, &worker, meta, bound, &pred_cols, &visible)?,
+                        );
                     } else {
                         collected.extend(visible);
                     }
                 }
                 self.metrics.counter("query.iterator_visited").add(it.visited() as u64);
                 drop(it);
-                let mut hits = self.maybe_refine_on(
-                    table,
-                    &worker,
-                    meta,
-                    v,
-                    opts,
-                    collected,
-                    k,
-                    index.needs_refine(),
-                    ctx.bound,
-                )?;
+                let mut hits = self.refine(table, vw, opts, st, meta, collected)?;
                 if let Some(r) = v.range {
                     hits.retain(|nb| nb.distance <= r);
                 }
-                hits.truncate(k);
                 Ok(hits)
                 })
             }
         }
+    }
+
+    /// Plan A on one segment: exact distances over the raw vectors of the
+    /// rows that are visible and pass the predicate.
+    fn exact_scan(
+        &self,
+        table: &TableStore,
+        worker: &Arc<Worker>,
+        meta: &SegmentMeta,
+        st: &StmtState<'_>,
+        vis: &Bitset,
+    ) -> Result<Vec<Neighbor>> {
+        let bits = self.filter_bits(table, worker, meta, st.sel, vis)?;
+        if bits.is_all_clear() {
+            return Ok(Vec::new());
+        }
+        let mut hits = worker.brute_force_segment_bounded(
+            table,
+            meta,
+            &st.v.query,
+            st.k,
+            Some(&bits),
+            st.bound.as_deref(),
+        )?;
+        if let Some(r) = st.v.range {
+            hits.retain(|nb| nb.distance <= r);
+        }
+        Ok(hits)
+    }
+
+    /// The candidates whose rows pass the statement's predicate, evaluated
+    /// on just those rows (order kept).
+    fn passing_rows(
+        &self,
+        table: &TableStore,
+        worker: &Arc<Worker>,
+        meta: &SegmentMeta,
+        bound: &BoundSelect,
+        pred_cols: &[String],
+        candidates: &[Neighbor],
+    ) -> Result<Vec<Neighbor>> {
+        let offsets: Vec<u32> = candidates.iter().map(|nb| nb.id as u32).collect();
+        let mut cells: BTreeMap<&str, Vec<Value>> = BTreeMap::new();
+        for c in pred_cols {
+            cells.insert(c, worker.read_cells(table, meta, c, &offsets)?);
+        }
+        let mut out = Vec::new();
+        for (i, nb) in candidates.iter().enumerate() {
+            let row: BTreeMap<String, Value> =
+                pred_cols.iter().map(|c| (c.clone(), cells[c.as_str()][i].clone())).collect();
+            if bound.predicate.eval(&row)? {
+                out.push(*nb);
+            }
+        }
+        Ok(out)
     }
 
     /// Predicate ∧ visibility bitset for one segment.
@@ -1268,9 +1087,8 @@ impl QueryEngine {
         meta: &SegmentMeta,
         bound: &BoundSelect,
         vis: &Bitset,
-        has_pred: bool,
     ) -> Result<Bitset> {
-        if !has_pred {
+        if matches!(bound.predicate, Predicate::True) {
             return Ok(vis.clone());
         }
         let mut bits = worker.eval_predicate(table, meta, &bound.predicate)?;
@@ -1278,71 +1096,36 @@ impl QueryEngine {
         Ok(bits)
     }
 
-    /// Refine through the VW-assigned worker.
-    #[allow(clippy::too_many_arguments)]
-    fn maybe_refine(
-        &self,
-        table: &TableStore,
-        vw: &VirtualWarehouse,
-        meta: &Arc<SegmentMeta>,
-        v: &VectorQuery,
-        opts: &QueryOptions,
-        hits: Vec<Neighbor>,
-        k: usize,
-        bnd: Option<&SharedBound>,
-    ) -> Result<Vec<Neighbor>> {
-        let needs = table
-            .schema()
-            .indexes
-            .first()
-            .map(|d| {
-                matches!(
-                    d.spec.kind,
-                    bh_vector::IndexKind::HnswSq
-                        | bh_vector::IndexKind::IvfPq
-                        | bh_vector::IndexKind::IvfPqFs
-                )
-            })
-            .unwrap_or(false);
-        if !needs || hits.is_empty() {
-            let mut hits = hits;
-            hits.truncate(k.max(1));
-            return Ok(hits);
-        }
-        with_segment_retry(vw, meta, |worker| {
-            self.maybe_refine_on(table, &worker, meta, v, opts, hits.clone(), k, true, bnd)
-        })
-    }
-
-    /// Exact-distance re-rank of the top `σ·k` candidates (`σ·k·c_d`).
+    /// Exact-distance re-rank of the top `σ·k` candidates of a quantized
+    /// index (`σ·k·c_d`), on the segment's owner; at most `k` come back.
+    /// Exact indexes only truncate.
     ///
     /// When the query carries a shared bound, a full refined top-k also
     /// *publishes*: the segment-local exact k-th distance is an upper
     /// bound on the global k-th, so CAS-min'ing it into the bound is sound
     /// and lets quantized sibling-segment scans prune against it even
     /// though their own (approximate) scans never publish.
-    #[allow(clippy::too_many_arguments)]
-    fn maybe_refine_on(
+    fn refine(
         &self,
         table: &TableStore,
-        worker: &Arc<Worker>,
-        meta: &SegmentMeta,
-        v: &VectorQuery,
+        vw: &VirtualWarehouse,
         opts: &QueryOptions,
+        st: &StmtState<'_>,
+        meta: &Arc<SegmentMeta>,
         mut hits: Vec<Neighbor>,
-        k: usize,
-        needs_refine: bool,
-        bnd: Option<&SharedBound>,
     ) -> Result<Vec<Neighbor>> {
-        if !needs_refine || hits.is_empty() {
-            hits.truncate(k.max(hits.len().min(k))); // keep at most k
+        let (v, k) = (st.v, st.k);
+        if !index_is_quantized(table) || hits.is_empty() {
+            hits.truncate(k);
             return Ok(hits);
         }
         hits.truncate(k.saturating_mul(opts.sigma.max(1)));
-        let mut refined = worker.refine_distances(table, meta, &v.query, v.metric, &hits)?;
+        let mut refined = with_segment_retry(vw, meta, |worker| {
+            worker.refine_distances(table, meta, &v.query, v.metric, &hits)
+        })?;
         refined.truncate(k);
         self.metrics.counter("query.refined").add(refined.len() as u64);
-        if let (Some(b), Some(kth)) = (bnd, refined.get(k.wrapping_sub(1))) {
+        if let (Some(b), Some(kth)) = (&st.bound, refined.get(k.wrapping_sub(1))) {
             b.update(kth.distance);
         }
         Ok(refined)
@@ -1373,11 +1156,10 @@ impl QueryEngine {
         );
         // (sort key, row) pairs when ordering is requested.
         let mut keyed: Vec<(Option<Value>, Vec<Value>)> = Vec::new();
-        let has_pred = !matches!(bound.predicate, Predicate::True);
         for meta in &selection.scheduled {
             let vis = table.visibility(meta);
             let rows_bits = with_segment_retry(vw, meta, |worker| {
-                self.filter_bits(table, &worker, meta, bound, &vis, has_pred)
+                self.filter_bits(table, &worker, meta, bound, &vis)
             })?;
             if rows_bits.is_all_clear() {
                 continue;
@@ -1442,7 +1224,6 @@ impl QueryEngine {
         table: &TableStore,
         vw: &VirtualWarehouse,
         bound: &BoundSelect,
-        plan: &CachedPlan,
         hits: &[(SegmentId, u32, f32)],
     ) -> Result<ResultSet> {
         let mut mat_span = self.metrics.tracer().span("materialize");
@@ -1466,8 +1247,6 @@ impl QueryEngine {
                 ProjItem::Distance(_) => None,
             })
             .collect();
-        let _ = &plan.columns_needed; // columns_needed ⊇ proj_cols by construction
-
         let mut rows: Vec<Vec<Value>> = vec![Vec::new(); hits.len()];
         for (seg, entries) in by_segment {
             let meta = table.segment(seg)?;
@@ -1494,6 +1273,21 @@ impl QueryEngine {
         out.rows = rows;
         Ok(out)
     }
+}
+
+/// The single result of a batch of one.
+fn only_result(batch: Result<Vec<ResultSet>>) -> Result<ResultSet> {
+    batch?.pop().ok_or_else(|| BhError::Internal("batch of one produced no result".into()))
+}
+
+/// Does the table's vector index hold quantized codes (approximate
+/// distances, so searches over-fetch `σ·k` and refine on the raw vectors)?
+/// Agrees with `VectorIndex::needs_refine` of every index built for it.
+fn index_is_quantized(table: &TableStore) -> bool {
+    matches!(
+        table.schema().indexes.first().map(|d| d.spec.kind),
+        Some(IndexKind::HnswSq | IndexKind::IvfPq | IndexKind::IvfPqFs)
+    )
 }
 
 /// A failure caused by the query's segment snapshot racing a concurrent
@@ -2135,6 +1929,33 @@ mod tests {
             "{searched} of 32 segments searched after the failure"
         );
         assert_eq!(m.counter_value("query.parallel_segments"), searched);
+    }
+
+    #[test]
+    fn moved_segment_is_served_by_its_previous_owner_on_a_blocking_store() {
+        // Fig. 4 through the engine: this store cannot defer, so nothing is
+        // in flight for a segment that a scale-up moved to a cold worker and
+        // the VW's miss path answers — serving RPC to the previous owner,
+        // then warm — never brute force.
+        let (ts, vw, engine) = setup(400, IndexKind::Hnsw, 50);
+        let metas = ts.segments();
+        vw.preload(&metas).unwrap();
+        let opts = QueryOptions::default();
+        let sql = "SELECT id, dist FROM t \
+                   ORDER BY L2Distance(emb, [6.0, 6.1, 6.2, 5.9]) AS dist LIMIT 12";
+        let baseline = execute_sql_select(&engine, &ts, &vw, &opts, sql).unwrap();
+        let m = &engine.metrics;
+        let brute = m.counter_value("worker.brute_force");
+        let is_cold = |meta: &Arc<SegmentMeta>| !vw.owner_of(meta).unwrap().1.index_resident(meta);
+        while !metas.iter().any(is_cold) {
+            vw.scale_up(&metas);
+        }
+        let moved = execute_sql_select(&engine, &ts, &vw, &opts, sql).unwrap();
+        assert_eq!(moved.rows, baseline.rows);
+        assert!(m.counter_value("vw.serving_calls") > 0, "no serving call for the moved segments");
+        assert_eq!(m.counter_value("worker.brute_force"), brute);
+        assert_eq!(m.counter_value("query.index_prefetches"), 0, "a blocking store defers nothing");
+        assert!(!metas.iter().any(is_cold), "serving warms the new owner");
     }
 
     #[test]

@@ -1,6 +1,11 @@
-//! Property test: [`QueryEngine::execute_batch`] is bit-identical to running
-//! the same statements through the sequential per-query path, across batch
-//! sizes, filters, deletes, and with the shared pruning bound on and off.
+//! Property test of the one executor's contract: a batch of N statements
+//! through [`QueryEngine::execute_batch`] returns, per statement, exactly
+//! what N batches of one return on the calling thread with the shared
+//! pruning bound off — across batch sizes, filters, deletes, fan-out
+//! widths, and with the bound on and off. A single statement *is* a batch of
+//! one, so what this checks is cross-statement interference (shared bounds,
+//! pinned handles, task order); the ground-truth tests in `exec.rs` and
+//! `plan_d.rs` are the independent reference for the rows themselves.
 //!
 //! The table is built once (clustered 4-dim embeddings with a per-row jitter
 //! so all distances are distinct — ties are the one documented caveat of
@@ -80,8 +85,8 @@ fn build_fixture() -> Fixture {
         let vw = make_vw(&table, &metrics);
         let engine = QueryEngine::new(metrics.clone());
         let fix = Fixture { table: Arc::new(table), vw, engine, metrics };
-        // Warm every segment so sequential and batched runs start from the
-        // same residency state (on-demand warming is order-dependent).
+        // Warm every segment so every run starts from the same residency
+        // state (on-demand warming is order-dependent).
         run_sql(
             &fix,
             &QueryOptions::default(),
@@ -150,36 +155,43 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     #[test]
-    fn execute_batch_is_bit_identical_to_sequential(sqls in batch_strategy()) {
+    fn batch_of_n_is_bit_identical_to_n_batches_of_one(sqls in batch_strategy()) {
         let fix = fixture();
         let stmts: Vec<SelectStmt> = sqls.iter().map(|s| parse(s)).collect();
+        // The reference: one statement per batch, entirely on the calling
+        // thread, no shared bound.
+        let reference_opts =
+            QueryOptions { share_bound: false, intra_query_parallelism: 1, ..Default::default() };
+        let reference: Vec<ResultSet> =
+            sqls.iter().map(|s| run_sql(fix, &reference_opts, s)).collect();
         for share_bound in [true, false] {
-            // The reference runs entirely on the calling thread; every
-            // fan-out width (single statements and batches both go through
-            // the engine's one fan-out primitive) must reproduce it.
-            let opts = QueryOptions { share_bound, intra_query_parallelism: 1, ..Default::default() };
-            let sequential: Vec<ResultSet> = sqls.iter().map(|s| run_sql(fix, &opts, s)).collect();
             for parallelism in [1, 2, 4] {
-                let opts = QueryOptions { intra_query_parallelism: parallelism, ..opts.clone() };
-                let fanned: Vec<ResultSet> = sqls.iter().map(|s| run_sql(fix, &opts, s)).collect();
+                let opts = QueryOptions {
+                    share_bound,
+                    intra_query_parallelism: parallelism,
+                    ..Default::default()
+                };
+                let one_by_one: Vec<ResultSet> =
+                    sqls.iter().map(|s| run_sql(fix, &opts, s)).collect();
                 let batched = fix
                     .engine
                     .execute_select_batch(&fix.table, &fix.vw, &opts, &stmts)
                     .unwrap();
-                prop_assert_eq!(batched.len(), sequential.len());
-                for (i, s) in sequential.iter().enumerate() {
+                prop_assert_eq!(batched.len(), reference.len());
+                for (i, r) in reference.iter().enumerate() {
                     // Rows carry both ids and f64-widened distances, so this
                     // is a bit-identity check on the merged results.
                     prop_assert_eq!(
-                        &s.rows,
-                        &fanned[i].rows,
-                        "statement {} diverged at parallelism {}: {}",
+                        &r.rows,
+                        &one_by_one[i].rows,
+                        "statement {} alone diverged (share_bound={}, parallelism={}): {}",
                         i,
+                        share_bound,
                         parallelism,
                         sqls[i]
                     );
                     prop_assert_eq!(
-                        &s.rows,
+                        &r.rows,
                         &batched[i].rows,
                         "batched statement {} diverged (share_bound={}, parallelism={}): {}",
                         i,
@@ -189,31 +201,34 @@ proptest! {
                     );
                 }
             }
-            let opts = QueryOptions { share_bound, ..Default::default() };
 
-            // Half-resident start: the batch searches its resident segments
-            // first, so segment tasks run in a different order than the
-            // sequential loop visits them and the shared bound tightens
-            // along a different path — the merged rows must not notice. On
-            // this blocking store both sides answer a cold segment's first
-            // statement by brute force and warm it, one fresh VW each.
+            // Half-resident start: a round searches its resident segments
+            // first, so a batch's segment tasks run in a different order
+            // than the one-by-one statements visit them and the shared bound
+            // tightens along a different path — the merged rows must not
+            // notice. On this blocking store both sides answer a cold
+            // segment's first statement by brute force and warm it, one
+            // fresh VW each.
+            let opts = QueryOptions { share_bound, ..Default::default() };
             let metas = fix.table.segments();
-            let (vw_seq, vw_batch) =
+            let (vw_ref, vw_batch) =
                 (make_vw(&fix.table, &fix.metrics), make_vw(&fix.table, &fix.metrics));
-            for vw in [&vw_seq, &vw_batch] {
+            for vw in [&vw_ref, &vw_batch] {
                 vw.preload(&metas[metas.len() / 2..]).unwrap();
             }
-            let sequential: Vec<ResultSet> = stmts
+            let one_by_one: Vec<ResultSet> = stmts
                 .iter()
-                .map(|s| fix.engine.execute_select(&fix.table, &vw_seq, &opts, s).unwrap())
+                .map(|s| {
+                    fix.engine.execute_select(&fix.table, &vw_ref, &reference_opts, s).unwrap()
+                })
                 .collect();
             let batched = fix
                 .engine
                 .execute_select_batch(&fix.table, &vw_batch, &opts, &stmts)
                 .unwrap();
-            for (i, (s, b)) in sequential.iter().zip(&batched).enumerate() {
+            for (i, (r, b)) in one_by_one.iter().zip(&batched).enumerate() {
                 prop_assert_eq!(
-                    &s.rows,
+                    &r.rows,
                     &b.rows,
                     "half-resident statement {} diverged (share_bound={}): {}",
                     i,
@@ -225,29 +240,32 @@ proptest! {
     }
 
     /// Plan D forced across the whole batch: the filter-aware traversal is as
-    /// deterministic as the other strategies, so batching (with the shared
-    /// pruning bound on and off) must stay bit-identical to sequential runs.
+    /// deterministic as the other strategies, so a batch (with the shared
+    /// pruning bound on and off) must stay bit-identical to batches of one.
     /// Unfiltered statements degrade to the plain path inside the same arm, so
     /// the mix exercises both the traversal and its fallback.
     #[test]
     fn filtered_traversal_batch_is_bit_identical(sqls in batch_strategy()) {
         let fix = fixture();
         let stmts: Vec<SelectStmt> = sqls.iter().map(|s| parse(s)).collect();
+        let forced = QueryOptions {
+            forced_strategy: Some(PlanStrategy::FilteredTraversal),
+            ..Default::default()
+        };
+        let reference_opts =
+            QueryOptions { share_bound: false, intra_query_parallelism: 1, ..forced.clone() };
+        let reference: Vec<ResultSet> =
+            sqls.iter().map(|s| run_sql(fix, &reference_opts, s)).collect();
         for share_bound in [true, false] {
-            let opts = QueryOptions {
-                share_bound,
-                forced_strategy: Some(PlanStrategy::FilteredTraversal),
-                ..Default::default()
-            };
-            let sequential: Vec<ResultSet> = sqls.iter().map(|s| run_sql(fix, &opts, s)).collect();
+            let opts = QueryOptions { share_bound, ..forced.clone() };
             let batched = fix
                 .engine
                 .execute_select_batch(&fix.table, &fix.vw, &opts, &stmts)
                 .unwrap();
-            prop_assert_eq!(batched.len(), sequential.len());
-            for (i, (s, b)) in sequential.iter().zip(&batched).enumerate() {
+            prop_assert_eq!(batched.len(), reference.len());
+            for (i, (r, b)) in reference.iter().zip(&batched).enumerate() {
                 prop_assert_eq!(
-                    &s.rows,
+                    &r.rows,
                     &b.rows,
                     "Plan D statement {} diverged (share_bound={}): {}",
                     i,
@@ -259,7 +277,7 @@ proptest! {
     }
 
     /// Tracing is observation only: enabling the tracer (what EXPLAIN ANALYZE
-    /// does under the hood) must leave both the sequential and the batched
+    /// does under the hood) must leave both single statements' and a batch's
     /// results bit-identical to untraced runs.
     #[test]
     fn tracing_does_not_change_results(sqls in batch_strategy()) {

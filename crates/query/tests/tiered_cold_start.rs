@@ -1,8 +1,15 @@
-//! Cold-start behaviour of tiered partial index loading at the query layer:
-//! a brand-new warehouse with `tiered_loading` enabled answers its first
-//! query from head-only indexes (entry point + upper HNSW layers, ≤10% of
-//! each blob), and once the bodies arrive the results are bit-identical to
-//! an always-warm warehouse — partial serving trades nothing permanent.
+//! Cold-start behaviour of a brand-new warehouse with `tiered_loading`
+//! enabled, at the query layer (DESIGN.md §11.3):
+//!
+//! * on a reactor-backed store (what every `Database` has) the first
+//!   statement waits out the overlapped body transfers and is answered from
+//!   full indexes — bit-identical to an always-warm warehouse, no head-only
+//!   or brute-force answer on the way;
+//! * on a blocking store nothing can be in flight, so the worker-level miss
+//!   path answers first from head-only indexes (entry point + upper HNSW
+//!   layers, ≤10% of each blob), and once the bodies arrive the results are
+//!   bit-identical to an always-warm warehouse — partial serving trades
+//!   nothing permanent.
 
 use bh_cluster::vw::{VirtualWarehouse, VwConfig};
 use bh_cluster::worker::WorkerConfig;
@@ -49,22 +56,23 @@ fn make_vw(
     vw
 }
 
-#[test]
-fn cold_start_serves_from_heads_then_matches_warm_results() {
-    // Dim-16 clustered vectors, several segments: large enough that HNSW
-    // heads stay a small fraction of each blob.
+/// Dim-16 clustered vectors, several segments: large enough that HNSW heads
+/// stay a small fraction of each blob. `overlapped` routes the store through
+/// a reactor, so index transfers can be deferred.
+fn fixture(overlapped: bool) -> (Arc<TableStore>, SharedClock, MetricsRegistry) {
     let clock: SharedClock = VirtualClock::shared();
     let metrics = MetricsRegistry::new();
-    let reactor = Arc::new(Reactor::new(clock.clone()));
-    let store = Arc::new(
-        InMemoryObjectStore::new(
-            clock.clone(),
-            LatencyModel::new(Duration::from_micros(100), Duration::from_nanos(10)),
-            metrics.clone(),
-            "remote",
-        )
-        .with_reactor(reactor),
+    let store = InMemoryObjectStore::new(
+        clock.clone(),
+        LatencyModel::new(Duration::from_micros(100), Duration::from_nanos(10)),
+        metrics.clone(),
+        "remote",
     );
+    let store = Arc::new(if overlapped {
+        store.with_reactor(Arc::new(Reactor::new(clock.clone())))
+    } else {
+        store
+    });
     let schema = TableSchema::new("t")
         .with_column("id", ColumnType::UInt64)
         .with_column("emb", ColumnType::Vector(16))
@@ -88,10 +96,9 @@ fn cold_start_serves_from_heads_then_matches_warm_results() {
         })
         .collect();
     table.insert_rows(rows).unwrap();
-    let table = Arc::new(table);
 
-    // Acceptance criterion: first indexed result must be reachable after
-    // only the head prefix — every persisted blob's head is ≤10% of it.
+    // First indexed result must be reachable after only the head prefix —
+    // every persisted blob's head is ≤10% of it.
     let metas = table.segments();
     let indexed = metas.iter().filter(|m| m.index_kind.is_some()).count();
     assert!(indexed >= 4, "expected several indexed segments, got {indexed}");
@@ -105,14 +112,43 @@ fn cold_start_serves_from_heads_then_matches_warm_results() {
             meta.id
         );
     }
+    (Arc::new(table), clock, metrics)
+}
 
-    let engine = QueryEngine::new(metrics.clone());
-    let opts = QueryOptions::default();
-    let stmt = parse(
+fn query() -> SelectStmt {
+    parse(
         "SELECT id, dist FROM t ORDER BY \
          L2Distance(emb, [10.0, 10.1, 10.2, 10.0, 10.0, 10.0, 10.0, 10.0, \
          10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 10.0]) AS dist LIMIT 10",
-    );
+    )
+}
+
+#[test]
+fn deferring_store_answers_the_first_statement_from_full_indexes() {
+    let (table, clock, metrics) = fixture(true);
+    let engine = QueryEngine::new(metrics.clone());
+    let opts = QueryOptions::default();
+    let stmt = query();
+
+    let vw_warm = make_vw(&table, &clock, &metrics, "warm", false);
+    vw_warm.preload(&table.segments()).unwrap();
+    let always_warm = engine.execute_select(&table, &vw_warm, &opts, &stmt).unwrap();
+
+    let vw_cold = make_vw(&table, &clock, &metrics, "cold", true);
+    let head_before = metrics.counter("worker.head_search").get();
+    let brute_before = metrics.counter("worker.brute_force").get();
+    let first = engine.execute_select(&table, &vw_cold, &opts, &stmt).unwrap();
+    assert_eq!(first.rows, always_warm.rows, "a cold first statement differs from warm");
+    assert_eq!(metrics.counter("worker.head_search").get(), head_before);
+    assert_eq!(metrics.counter("worker.brute_force").get(), brute_before);
+}
+
+#[test]
+fn blocking_store_serves_from_heads_then_matches_warm_results() {
+    let (table, clock, metrics) = fixture(false);
+    let engine = QueryEngine::new(metrics.clone());
+    let opts = QueryOptions::default();
+    let stmt = query();
 
     // Cold warehouse with tiered loading: the first query is answered by
     // head-only searches, never the brute-force fallback.
@@ -134,7 +170,7 @@ fn cold_start_serves_from_heads_then_matches_warm_results() {
     // The synchronous warm after the miss pulled the bodies in; the second
     // run must be indistinguishable from a warehouse that was never cold.
     let vw_warm = make_vw(&table, &clock, &metrics, "warm", false);
-    vw_warm.preload(&metas).unwrap();
+    vw_warm.preload(&table.segments()).unwrap();
     let after_body = engine.execute_select(&table, &vw_cold, &opts, &stmt).unwrap();
     let always_warm = engine.execute_select(&table, &vw_warm, &opts, &stmt).unwrap();
     assert_eq!(

@@ -1,7 +1,7 @@
 //! Elastic scaling walk-through: the disaggregated-architecture features of
 //! §II — stateless virtual warehouses, multi-probe consistent hashing,
-//! cache-aware preload, vector search serving on scale-up, and query-level
-//! retry on worker failure.
+//! cache-aware preload, scale-up without brute-force fallbacks, and
+//! query-level retry on worker failure.
 //!
 //! Run with: `cargo run --release -p blendhouse-examples --bin elastic_scaling`
 
@@ -37,8 +37,11 @@ fn main() {
     let baseline = db.execute(&sql).unwrap().rows();
     println!("query over 1 worker returns {} rows", baseline.len());
 
-    // Scale out. Passing the segment list lets the VW remember previous
-    // owners, so moved segments are served via RPC instead of brute force.
+    // Scale out. A statement that finds a moved segment cold on its new
+    // owner starts that index's transfer together with the others it needs
+    // and answers from the full index — never by brute force. (Passing the
+    // segment list lets the VW remember previous owners, which serve moved
+    // segments via RPC where the store cannot defer transfers.)
     let segments = table.segments();
     for _ in 0..3 {
         vw.scale_up(&segments);
@@ -50,10 +53,10 @@ fn main() {
     }
     let after = db.execute(&sql).unwrap().rows();
     assert_eq!(baseline.rows, after.rows, "scaling must not change results");
-    let serving = db.metrics().counter_value("vw.serving_calls");
+    let prefetched = db.metrics().counter_value("query.index_prefetches");
     let brute = db.metrics().counter_value("worker.brute_force");
     println!(
-        "post-scaling query served identically (serving RPCs: {serving}, brute-force fallbacks: {brute})"
+        "post-scaling query served identically (overlapped index loads: {prefetched}, brute-force fallbacks: {brute})"
     );
 
     // Fault tolerance: kill a worker mid-flight; queries retry on the
