@@ -7,13 +7,18 @@
 //! large top-k over a large-ish table in a few big segments (the paper's
 //! production shape is top-1000 over 30M rows; scaled here to top-100 over
 //! 60k). Each cell reports QPS and mean recall@k against the exact
-//! filtered ground truth. Expected shape: A wins at the extreme low end
-//! (few candidates — scanning them exactly is cheapest), C wins at the
-//! high end (the filter barely bites, plain ANN + drop is enough), and D
-//! owns the mid band where B used to be the only index-accelerated option
-//! — the traversal keeps the beam near √(1/s) where B's bitmap scan
-//! widens by 1/s. The bench asserts Plan D beats the best of A/B/C at
-//! ≥0.9 recall on at least two mid-range pass fractions.
+//! filtered ground truth. Expected shape: A wins the low end (up to about
+//! a fifth of the rows passing — a sequential distance is a twelfth of a
+//! graph hop, DESIGN.md §14.2), C wins at the high end (the filter barely
+//! bites, plain ANN + drop is enough), and D owns the band between, where
+//! B used to be the only index-accelerated option — the traversal spends
+//! its beam on passing rows only, B's bitmap scan widens blindly. The
+//! bench asserts Plan D beats the best of A/B/C at ≥0.9 recall on at least
+//! two mid-range pass fractions. Since Plan A's selective scan gathers from
+//! the cached column (1.5–2.8x faster at 0.05–0.2) the 0.1–0.2 cells are
+//! Plan A's and D's band is 0.3–0.5, with B, C and D within noise of each
+//! other at 0.5 (DESIGN.md §14.3 has the runs): the margin this assertion
+//! has left is thin, and re-anchoring the sweep is a ROADMAP item.
 //!
 //! Results go to `target/bench-fresh/BENCH_filter.json` in the committed
 //! schema so `cargo xtask bench-diff` gates the `_qps` fields (recall
@@ -29,7 +34,7 @@ use blendhouse::{Database, DatabaseConfig, QueryOptions, Strategy};
 use std::time::Duration;
 
 const SELECTIVITIES: &[f64] = &[0.001, 0.01, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.9, 0.99];
-/// The band where the cost model routes graph indexes to Plan D.
+/// The band in which Plan D has to win.
 const MID_RANGE: (f64, f64) = (0.05, 0.5);
 const QUERIES: usize = 16;
 const K: usize = 200;

@@ -395,103 +395,91 @@ impl Worker {
         let metric = idx_def.spec.metric;
         let mut tk = bh_common::TopK::new(k);
         let mut skipped = 0u64;
-        // Plan A's cost is s·n·c_d: with a selective filter, fetch only the
-        // qualifying vectors (block-granular) instead of the whole column —
-        // the "skip rows via primary keys/indices" behaviour of §II-C.
-        let selective = filter
-            .filter(|f| self.cfg.fine_grained_reads && f.count() * 4 < meta.row_count);
-        if let Some(f) = selective {
+        // One scanned row: brute-force distances are exact, so a row beaten
+        // by the bound is skipped and a full local top-k publishes its k-th.
+        let mut offer = |row: usize, d: f32| {
+            if let Some(b) = bound {
+                if d > b.get() {
+                    skipped += 1;
+                    return;
+                }
+            }
+            if tk.push(d, row as u64) && tk.is_full() {
+                if let Some(b) = bound {
+                    b.update(tk.threshold());
+                }
+            }
+        };
+        // Plan A's cost is s·n·c_d: with a selective filter whose rows sit
+        // in fewer blocks than the column has, fetch only those blocks
+        // instead of the whole column — the "skip rows via primary
+        // keys/indices" behaviour of §II-C. When every block would be
+        // fetched anyway, or the decoded column is already in cache, there
+        // is nothing to skip: the column is read (and cached) and the
+        // qualifying rows are gathered from it directly.
+        let blocks_covered = |f: &Bitset| {
+            let (mut blocks, mut last) = (0, usize::MAX);
+            for block in f.iter().map(ColumnData::block_of) {
+                blocks += usize::from(block != last);
+                last = block;
+            }
+            blocks
+        };
+        let fetch_cells = filter.filter(|f| {
+            self.cfg.fine_grained_reads
+                && f.count() * 4 < meta.row_count
+                && !self.column_cache.contains(&(meta.id, idx_def.column.clone()))
+                && blocks_covered(f) < meta.block_count()
+        });
+        if let Some(f) = fetch_cells {
             let offsets: Vec<u32> = f.iter().map(|o| o as u32).collect();
             let cells = self.read_cells(table, meta, &idx_def.column, &offsets)?;
-            for (o, cell) in offsets.iter().zip(cells) {
+            for (o, cell) in offsets.iter().zip(&cells) {
                 let v = cell
                     .as_vector()
-                    .ok_or_else(|| BhError::Internal("vector column expected".into()))?
-                    .to_vec();
+                    .ok_or_else(|| BhError::Internal("vector column expected".into()))?;
                 if query.len() != v.len() {
                     return Err(BhError::DimensionMismatch {
                         expected: v.len(),
                         got: query.len(),
                     });
                 }
-                let d = metric.distance(query, &v);
-                if let Some(b) = bound {
-                    if d > b.get() {
-                        skipped += 1;
-                        continue;
+                offer(*o as usize, metric.distance(query, v));
+            }
+        } else {
+            let col = self.read_column(table, meta, &idx_def.column, meta.row_count)?;
+            let (data, dim) = col
+                .vector_data()
+                .ok_or_else(|| BhError::Internal("vector column expected".into()))?;
+            if query.len() != dim {
+                return Err(BhError::DimensionMismatch { expected: dim, got: query.len() });
+            }
+            match filter.filter(|f| !f.is_all_set()) {
+                Some(f) => {
+                    for row in f.iter() {
+                        offer(row, metric.distance(query, &data[row * dim..(row + 1) * dim]));
                     }
                 }
-                if tk.push(d, *o as u64) && tk.is_full() {
-                    if let Some(b) = bound {
-                        b.update(tk.threshold());
-                    }
-                }
-            }
-            if let Some(b) = bound {
-                b.record_skips(skipped);
-            }
-            return Ok(tk
-                .into_sorted()
-                .into_iter()
-                .map(|s| Neighbor::new(s.item, s.distance))
-                .collect());
-        }
-        let col = self.read_column(table, meta, &idx_def.column, meta.row_count)?;
-        let (data, dim) = col
-            .vector_data()
-            .ok_or_else(|| BhError::Internal("vector column expected".into()))?;
-        if query.len() != dim {
-            return Err(BhError::DimensionMismatch { expected: dim, got: query.len() });
-        }
-        match filter {
-            Some(f) => {
-                for row in 0..meta.row_count {
-                    if !f.contains(row) {
-                        continue;
-                    }
-                    let d = metric.distance(query, &data[row * dim..(row + 1) * dim]);
-                    if let Some(b) = bound {
-                        if d > b.get() {
-                            skipped += 1;
-                            continue;
+                None => {
+                    // Every row: batched kernel over the contiguous column,
+                    // in blocks that keep the distance output in L1.
+                    let mut dists = [0.0f32; 256];
+                    let mut row = 0;
+                    while row < meta.row_count {
+                        let rows = 256.min(meta.row_count - row);
+                        let block = &data[row * dim..(row + rows) * dim];
+                        bh_vector::distance::distance_batch(
+                            metric,
+                            query,
+                            block,
+                            dim,
+                            &mut dists[..rows],
+                        )?;
+                        for (r, &d) in dists[..rows].iter().enumerate() {
+                            offer(row + r, d);
                         }
+                        row += rows;
                     }
-                    if tk.push(d, row as u64) && tk.is_full() {
-                        if let Some(b) = bound {
-                            b.update(tk.threshold());
-                        }
-                    }
-                }
-            }
-            None => {
-                // Unfiltered brute force: batched kernel over the contiguous
-                // column, in blocks that keep the distance output in L1.
-                let mut dists = [0.0f32; 256];
-                let mut row = 0;
-                while row < meta.row_count {
-                    let rows = 256.min(meta.row_count - row);
-                    let block = &data[row * dim..(row + rows) * dim];
-                    bh_vector::distance::distance_batch(
-                        metric,
-                        query,
-                        block,
-                        dim,
-                        &mut dists[..rows],
-                    )?;
-                    for (r, &d) in dists[..rows].iter().enumerate() {
-                        if let Some(b) = bound {
-                            if d > b.get() {
-                                skipped += 1;
-                                continue;
-                            }
-                        }
-                        if tk.push(d, (row + r) as u64) && tk.is_full() {
-                            if let Some(b) = bound {
-                                b.update(tk.threshold());
-                            }
-                        }
-                    }
-                    row += rows;
                 }
             }
         }
@@ -896,6 +884,52 @@ mod tests {
             "fine-grained ({m_fine} fetches) must beat coarse ({m_coarse})"
         );
         assert_eq!(m_fine, 1, "3 adjacent cells live in one block");
+    }
+
+    #[test]
+    fn brute_force_paths_agree_bit_for_bit() {
+        let t = table(3000); // ~3 blocks of 1024
+        let meta = t.segments()[0].clone();
+        let (query, k) = ([1234.3f32, 1234.1, 1233.9, 1234.6], 20);
+        let scan = |w: &Worker, filter: Option<&Bitset>, bound: Option<&SharedBound>| {
+            w.brute_force_segment_bounded(&t, &meta, &query, k, filter, bound).unwrap()
+        };
+        // An all-set bitset scans like no filter at all.
+        let w = worker(&t, WorkerConfig::default());
+        let all = scan(&w, None, None);
+        assert_eq!(all.len(), k);
+        assert_eq!(scan(&w, Some(&Bitset::full(3000)), None), all);
+
+        // A selective filter whose rows sit in one of the three blocks: a
+        // cold worker fetches that block's cells only; a worker holding the
+        // decoded column gathers from it. Same rows, same distances, same
+        // shared-bound bookkeeping.
+        let clustered = Bitset::from_positions(3000, (1100..1900).step_by(7));
+        let cold = worker(&t, WorkerConfig::default());
+        let counter = |name: &str| t.metrics().counter_value(name);
+        let (gets, column_hits) = (counter("test-store.get"), counter("cache.column.hit"));
+        let (b_cells, b_gather) = (SharedBound::new(), SharedBound::new());
+        let from_cells = scan(&cold, Some(&clustered), Some(&b_cells));
+        assert_eq!(counter("test-store.get"), gets + 1, "one block covers the rows");
+        assert_eq!(counter("cache.column.hit"), column_hits, "cold: cell reads");
+        let from_column = scan(&w, Some(&clustered), Some(&b_gather));
+        assert!(counter("cache.column.hit") > column_hits);
+        assert_eq!(from_cells, from_column);
+        assert_eq!((b_cells.get(), b_cells.skips()), (b_gather.get(), b_gather.skips()));
+        let expect: Vec<Neighbor> =
+            all.iter().copied().filter(|nb| clustered.contains(nb.id as usize)).collect();
+        assert!(!expect.is_empty());
+        assert_eq!(from_column[..expect.len()], expect[..], "the gather sees the same distances");
+
+        // A selective filter spread over every block skips nothing: the cold
+        // worker reads the column once, keeps it, and gathers.
+        let spread = Bitset::from_positions(3000, (0..3000).step_by(7));
+        let misses = counter("cache.column.miss");
+        let first = scan(&cold, Some(&spread), None);
+        assert_eq!(counter("cache.column.miss"), misses + 1);
+        assert_eq!(scan(&cold, Some(&spread), None), first);
+        assert_eq!(counter("cache.column.miss"), misses + 1, "second scan hits the cached column");
+        assert_eq!(first, scan(&w, Some(&spread), None));
     }
 
     #[test]

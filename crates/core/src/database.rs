@@ -757,6 +757,12 @@ mod tests {
         db
     }
 
+    /// The database's options with the strategy pinned: toy tables are
+    /// cheaper to scan (Plan A), so a test about an index path says so.
+    fn forcing(db: &Database, strategy: bh_query::Strategy) -> QueryOptions {
+        QueryOptions { forced_strategy: Some(strategy), ..db.default_options() }
+    }
+
     #[test]
     fn create_insert_select_roundtrip() {
         let db = images_db(100);
@@ -884,7 +890,11 @@ mod tests {
         let joined = text.join("\n");
         assert!(joined.contains("AnnScan"), "{joined}");
         assert!(joined.contains("strategy:"), "{joined}");
-        assert!(joined.contains("cost[brute-force (Plan A)]"), "{joined}");
+        // Per plan: the work it is expected to touch and what that costs.
+        assert!(joined.contains("estimates: n=200 k=5 ef=64 selectivity=0.5"), "{joined}");
+        assert!(joined.contains("runner-up="), "{joined}");
+        assert!(joined.contains("brute-force (Plan A): 100 visits, cost 200.0"), "{joined}");
+        assert!(joined.contains("filtered-traversal (Plan D): "), "{joined}");
         assert!(joined.contains("distance-topk-pushdown"), "{joined}");
     }
 
@@ -911,10 +921,14 @@ mod tests {
         db.execute(&format!("INSERT INTO images VALUES {}", values.join(", "))).unwrap();
         assert!(db.table("images").unwrap().segments().len() > 1, "need multiple segments");
 
+        // An index plan, stated: 200 rows are cheaper to scan (Plan A), and
+        // a scan would leave the index caches out of the profile.
+        let traversal = forcing(&db, bh_query::Strategy::FilteredTraversal);
         let rs = db
-            .execute(
+            .execute_with(
                 "EXPLAIN ANALYZE SELECT id FROM images WHERE label = 'l0' \
                  ORDER BY L2Distance(emb, [0.0, 0.0, 0.0, 0.0]) LIMIT 5",
+                &traversal,
             )
             .unwrap()
             .rows();
@@ -1217,8 +1231,14 @@ mod tests {
     #[test]
     fn system_caches_segments_and_lock_classes_scan() {
         let db = images_db(300);
-        db.execute("SELECT id FROM images ORDER BY L2Distance(emb, [0.0,0.0,0.0,0.0]) LIMIT 3")
-            .unwrap();
+        // Through the index (300 rows would otherwise be scanned, Plan A), so
+        // the index caches have something to show.
+        let index_plan = forcing(&db, bh_query::Strategy::PostFilter);
+        db.execute_with(
+            "SELECT id FROM images ORDER BY L2Distance(emb, [0.0,0.0,0.0,0.0]) LIMIT 3",
+            &index_plan,
+        )
+        .unwrap();
 
         let caches = db.execute("SELECT * FROM system.caches").unwrap().rows();
         // default VW has 2 workers × (index.mem, index.head, block.meta, block.data).
@@ -1371,7 +1391,9 @@ mod tests {
             tiered_loading: true,
             ..Default::default()
         });
-        let opts = db.default_options();
+        // The cold *index* path is the subject; 2,000 rows would otherwise
+        // be scanned (Plan A, the last case below).
+        let opts = forcing(&db, bh_query::Strategy::PostFilter);
         let (table, vw) = (db.table("t").unwrap(), db.default_vw());
         let segments = table.segments();
         assert_eq!(segments.len(), SEGMENTS);

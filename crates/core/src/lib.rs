@@ -9,7 +9,7 @@
 //!   stateless workers — create separate VWs for reads and writes to get the
 //!   paper's read/write isolation;
 //! * one **query engine** ([`bh_query::QueryEngine`]) with a shared plan
-//!   cache and calibrated cost model;
+//!   cache and measured cost model;
 //! * a SQL front door: [`Database::execute`] runs any statement of the
 //!   dialect (Example 1 end to end).
 //!

@@ -4,14 +4,15 @@
 //! Hybrid workloads are highly repetitive: the same SELECT shape with a
 //! different query vector, filter constant or threshold on every call. The
 //! cache keys on a **parameterized signature** — the statement structure
-//! with every literal masked — and stores the expensive-to-recompute parts
-//! of planning: the rule results (pruned column set) and the CBO's strategy
-//! choice. **Short-circuit processing** additionally bypasses planning
-//! entirely for trivially-shaped queries (single conjunct or none, plain
-//! top-k).
+//! with every literal masked — and stores the part of planning that
+//! depends on the shape alone: the rule results (pruned column set). The
+//! CBO's strategy choice depends on the masked literals (`k`, the filter
+//! constants' selectivity) and on the table's size, so the executor makes
+//! it per statement. **Short-circuit processing** additionally bypasses
+//! rule matching for trivially-shaped queries (single conjunct or none,
+//! plain top-k).
 
 use crate::bind::{BoundSelect, ProjItem};
-use crate::cost::Strategy;
 use bh_storage::predicate::Predicate;
 use bh_common::sync::{classes, Mutex};
 use std::collections::HashMap;
@@ -20,17 +21,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// What the cache preserves across parameter changes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedPlan {
-    /// The CBO's strategy choice for this shape/selectivity band.
-    pub strategy: Strategy,
     /// Scalar columns the executor must read (post column-pruning).
     pub columns_needed: Vec<String>,
     /// Whether the projection asks for the raw vector column.
     pub needs_raw_vectors: bool,
-    /// Histogram-estimated pass fraction of the structured predicate, when
-    /// the query has both a vector search and a filter. Plan D feeds it to
-    /// the traversal (beam widening + hop budget); stale-by-a-band values
-    /// only shift those knobs, never correctness.
-    pub selectivity: Option<f32>,
 }
 
 /// Structural signature of a bound query with literals masked.
@@ -245,15 +239,10 @@ mod tests {
         assert!(cache.get(&sig).is_none());
         cache.put(
             sig.clone(),
-            CachedPlan {
-                strategy: Strategy::PostFilter,
-                columns_needed: vec!["id".into()],
-                needs_raw_vectors: false,
-                selectivity: None,
-            },
+            CachedPlan { columns_needed: vec!["id".into()], needs_raw_vectors: false },
         );
         let hit = cache.get(&sig).unwrap();
-        assert_eq!(hit.strategy, Strategy::PostFilter);
+        assert_eq!(hit.columns_needed, ["id"]);
         assert_eq!(cache.stats(), (1, 1));
         assert_eq!(cache.len(), 1);
         cache.clear();

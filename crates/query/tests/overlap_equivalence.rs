@@ -14,12 +14,16 @@
 //!
 //! A second test pins the failure path: a batch that errors out leaves no
 //! prefetch stranded in any worker's `IndexCache`.
+//!
+//! Both force an index plan: on a 480-row table the optimizer would scan
+//! the raw column (Plan A), which fetches no index at all.
 
 use bh_cluster::vw::{VirtualWarehouse, VwConfig};
 use bh_cluster::worker::WorkerConfig;
 use bh_common::ids::IdGenerator;
 use bh_common::{LatencyModel, MetricsRegistry, Reactor, SharedClock, VirtualClock, VwId};
 use bh_query::exec::{QueryEngine, QueryOptions};
+use bh_query::Strategy as Plan;
 use bh_sql::ast::SelectStmt;
 use bh_storage::objectstore::InMemoryObjectStore;
 use bh_storage::schema::TableSchema;
@@ -132,6 +136,9 @@ fn stmt_sql(cluster: u32, k: usize, filtered: bool) -> String {
     )
 }
 
+/// The plans that search a segment through its index.
+const INDEX_PLANS: [Plan; 3] = [Plan::PreFilter, Plan::PostFilter, Plan::FilteredTraversal];
+
 fn stmt_strategy() -> impl Strategy<Value = String> {
     (0u32..4, 1usize..=20, any::<bool>())
         .prop_map(|(cluster, k, filtered)| stmt_sql(cluster, k, filtered))
@@ -151,6 +158,7 @@ proptest! {
     fn overlapped_batch_at_any_residency_matches_blocking_warm(
         sqls in batch_strategy(),
         residency in 0usize..3,
+        plan in 0usize..INDEX_PLANS.len(),
     ) {
         let fix = fixture();
         let stmts: Vec<SelectStmt> = sqls.iter().map(|s| parse(s)).collect();
@@ -162,7 +170,8 @@ proptest! {
         let metas = fix.overlapped.table.segments();
         vw_overlap.preload(&metas[..metas.len() * residency / 2]).unwrap();
 
-        let opts = QueryOptions::default();
+        let opts =
+            QueryOptions { forced_strategy: Some(INDEX_PLANS[plan]), ..Default::default() };
         let prefetches = fix.overlapped.metrics.counter("query.index_prefetches");
         // Two rounds: the first runs at the chosen residency, the second on
         // whatever mix the first round's loads produced.
@@ -190,10 +199,11 @@ proptest! {
                 prop_assert_eq!(
                     &r.rows,
                     &o.rows,
-                    "statement {} diverged (residency={}, round={}): {}",
+                    "statement {} diverged (residency={}, round={}, {:?}): {}",
                     i,
                     residency,
                     round,
+                    INDEX_PLANS[plan],
                     sqls[i]
                 );
             }
@@ -211,7 +221,7 @@ fn failed_batch_strands_no_prefetch() {
     let vw = make_vw(&side, true);
     let metas = side.table.segments();
     let stmts: Vec<SelectStmt> = (0..4).map(|c| parse(&stmt_sql(c, 10, false))).collect();
-    let opts = QueryOptions::default();
+    let opts = QueryOptions { forced_strategy: Some(Plan::PostFilter), ..Default::default() };
     let issued = side.metrics.counter("cache.index.prefetch");
 
     let workers: Vec<_> = vw.worker_ids().into_iter().map(|w| vw.worker(w).unwrap()).collect();

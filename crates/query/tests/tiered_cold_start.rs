@@ -123,11 +123,17 @@ fn query() -> SelectStmt {
     )
 }
 
+/// Both tests are about how a cold *index* is served; at this table size the
+/// optimizer would scan the raw column instead (Plan A) and never touch one.
+fn index_plan() -> QueryOptions {
+    QueryOptions { forced_strategy: Some(bh_query::Strategy::PostFilter), ..Default::default() }
+}
+
 #[test]
 fn deferring_store_answers_the_first_statement_from_full_indexes() {
     let (table, clock, metrics) = fixture(true);
     let engine = QueryEngine::new(metrics.clone());
-    let opts = QueryOptions::default();
+    let opts = index_plan();
     let stmt = query();
 
     let vw_warm = make_vw(&table, &clock, &metrics, "warm", false);
@@ -147,7 +153,7 @@ fn deferring_store_answers_the_first_statement_from_full_indexes() {
 fn blocking_store_serves_from_heads_then_matches_warm_results() {
     let (table, clock, metrics) = fixture(false);
     let engine = QueryEngine::new(metrics.clone());
-    let opts = QueryOptions::default();
+    let opts = index_plan();
     let stmt = query();
 
     // Cold warehouse with tiered loading: the first query is answered by

@@ -1872,6 +1872,96 @@ mod tests {
         }
     }
 
+    /// Benchmark-shaped rows: 32 cluster centres in `[-1, 1]^dim`, unit-ish
+    /// noise of spread 0.35 around them.
+    fn centred(n: usize, dim: usize, seed: u64) -> Vec<f32> {
+        let mut r = rng(seed);
+        let centres: Vec<f32> = (0..32 * dim).map(|_| r.gen_range(-1.0f32..1.0)).collect();
+        let mut data = Vec::with_capacity(n * dim);
+        for _ in 0..n {
+            let c = r.gen_range(0..32usize) * dim;
+            data.extend(centres[c..c + dim].iter().map(|m| m + r.gen_range(-0.6f32..0.6)));
+        }
+        data
+    }
+
+    /// `SearchParams::predicted_visits` against the counts the beam loops
+    /// report, over table size x beam width x pass fraction, for all four
+    /// ways the executor drives the graph. The cost model prices graph
+    /// plans by this prediction, so it has to stay within 2x of the work.
+    #[test]
+    fn predicted_visits_stay_within_2x_of_the_beam_loops() {
+        use crate::types::GraphScan;
+        let (dim, k) = (16, 10);
+        for rows in [128usize, 1_000, 8_000] {
+            let data = centred(rows + 16, dim, rows as u64);
+            let (data, queries) = data.split_at(rows * dim);
+            let ids: Vec<u64> = (0..rows as u64).collect();
+            let spec = IndexSpec::new(IndexKind::Hnsw, dim, Metric::L2);
+            let mut hb = Box::new(HnswBuilder::new(&spec, IndexKind::Hnsw).unwrap());
+            hb.add_with_ids(data, &ids).unwrap();
+            let blob = (hb as Box<dyn IndexBuilder>).finish().unwrap().save_bytes().unwrap();
+            let idx = HnswIndex::load_bytes(&blob).unwrap();
+            // Mean visits over the query set of one way of driving layer 0.
+            let mean = |walk: &dyn Fn(&[f32], u32) -> usize| -> f64 {
+                let total: usize = queries
+                    .chunks(dim)
+                    .map(|q| walk(q, idx.greedy_to_level(q, idx.entry, idx.max_level, 0)))
+                    .sum();
+                total as f64 / (queries.len() / dim) as f64
+            };
+            for ef in [16usize, 64, 256] {
+                for s in [1.0f64, 0.9, 0.3, 0.1, 0.01] {
+                    let p = SearchParams::default().with_ef(ef).with_selectivity(s as f32);
+                    let mut draw = rng(7);
+                    let bits = Bitset::from_positions(
+                        rows,
+                        (0..rows).filter(|_| draw.gen_range(0.0..1.0f64) < s),
+                    );
+                    // The pull's demand (σ·k of the executor) varies with the cell.
+                    let want = ef;
+                    let beam = |q: &[f32], e: u32| idx.search_layer(q, e, ef, 0).1;
+                    let widened = |q: &[f32], e: u32| idx.search_layer(q, e, p.widened_ef(ef), 0).1;
+                    let traversal = |q: &[f32], e: u32| {
+                        let ef = p.traversal_ef(ef);
+                        idx.search_layer0_filtered(q, e, ef, &bits, p.hop_budget()).1
+                    };
+                    let pull = |q: &[f32], _: u32| {
+                        let mut it = idx.search_iterator(q, &p).unwrap();
+                        let mut passing = 0;
+                        while passing < want {
+                            let batch = it.next_batch(16).unwrap();
+                            if batch.is_empty() {
+                                break;
+                            }
+                            passing +=
+                                batch.iter().filter(|nb| bits.contains(nb.id as usize)).count();
+                        }
+                        it.visited()
+                    };
+                    let walks: [(GraphScan, usize, &dyn Fn(&[f32], u32) -> usize); 4] = [
+                        (GraphScan::Beam, k, &beam),
+                        (GraphScan::WidenedBeam, k, &widened),
+                        (GraphScan::FilteredTraversal, k, &traversal),
+                        (GraphScan::IteratorPull, want, &pull),
+                    ];
+                    // The unfiltered beam is the s = 1 column, the rest the others.
+                    for (scan, k, walk) in walks {
+                        if (scan == GraphScan::Beam) != (s == 1.0) {
+                            continue;
+                        }
+                        let real = mean(walk);
+                        let predicted = p.predicted_visits(scan, rows, k, s) as f64;
+                        assert!(
+                            predicted <= 2.0 * real && real <= 2.0 * predicted,
+                            "{scan:?} rows {rows} ef {ef} s {s}: predicted {predicted}, real {real:.0}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn corrupt_blob_rejected() {
         let (hnsw, _, _) = build_pair(50, 4, IndexKind::Hnsw, 10);

@@ -52,5 +52,6 @@ pub use distance::Metric;
 pub use iterator::{GenericSearchIterator, SearchIterator};
 pub use registry::{IndexFactory, IndexRegistry};
 pub use types::{
-    IndexBuilder, IndexKind, IndexMeta, IndexSpec, Neighbor, SearchParams, VectorIndex,
+    GraphScan, IndexBuilder, IndexGroup, IndexKind, IndexMeta, IndexSpec, Neighbor, SearchParams,
+    VectorIndex,
 };

@@ -109,6 +109,13 @@ impl IndexKind {
         }
     }
 
+    /// Whether the index holds quantized codes (SQ/PQ): its distances are
+    /// approximate, so searches over-fetch and refine on the raw vectors.
+    /// Agrees with [`VectorIndex::needs_refine`] of every index of the kind.
+    pub fn is_quantized(&self) -> bool {
+        matches!(self, IndexKind::HnswSq | IndexKind::IvfPq | IndexKind::IvfPqFs)
+    }
+
     /// Whether building requires a training pass (k-means for IVF/PQ).
     pub fn requires_training(&self) -> bool {
         matches!(
@@ -262,8 +269,9 @@ impl SearchParams {
     /// unchanged. Unlike the bitmap-filtered beam, the traversal's result
     /// heap admits only predicate-passing rows, so an `ef`-sized heap
     /// already demands `ef` *answerable* candidates — the widening is
-    /// implicit in the ~`1/√s` failing nodes the wavefront crosses to
-    /// collect them (the `β/√s` term of cost_D). Multiplying ef on top of
+    /// implicit: to collect them the wavefront covers the ball holding the
+    /// `ef/s` nearest rows, i.e. it visits what a plain beam of width
+    /// `ef/s` would ([`Self::predicted_visits`]). Multiplying ef on top of
     /// that double-counts the selectivity and re-inflates the beam the
     /// traversal exists to avoid (ACORN keeps the candidate list size
     /// unchanged for the same reason).
@@ -274,7 +282,9 @@ impl SearchParams {
     /// How many consecutive predicate-failing hops the traversal may take
     /// from the last passing node before abandoning a path. Selective
     /// filters leave fewer passing nodes, so the graph needs deeper
-    /// detours to stay connected (ACORN's expansion depth).
+    /// detours to stay connected (ACORN's expansion depth). The budget
+    /// trims the walk a little (up to ~15 % on the grid test's cells); the
+    /// visit count stays that of the `ef/s`-wide beam.
     pub fn hop_budget(&self) -> usize {
         match self.filter_selectivity {
             Some(s) if s >= 0.5 => 2,
@@ -283,6 +293,45 @@ impl SearchParams {
             None => 3,
         }
     }
+
+    /// Layer-0 nodes a graph index of `rows` nodes is expected to visit to
+    /// return `k` rows (for [`GraphScan::IteratorPull`]: to surface `k`
+    /// passing rows) when a fraction `s` of its rows passes the filter.
+    ///
+    /// Every candidate source is a best-first walk that ends once some
+    /// number of nearest rows — its *width* — has been surfaced, and what
+    /// it visits is the approach path plus the neighbourhoods of that many
+    /// rows: `12·log2(rows) + 2.5·width`, at most `rows`. The constants
+    /// are fitted to the counts the beam loops report (`n_visited`); the
+    /// grid test in `hnsw.rs` holds the prediction within 2x of them. This
+    /// is the work count the cost model prices graph plans by.
+    pub fn predicted_visits(&self, scan: GraphScan, rows: usize, k: usize, s: f64) -> usize {
+        let ef = self.ef_search.max(k) as f64;
+        let s = s.clamp(1e-6, 1.0);
+        let width = match scan {
+            GraphScan::Beam => ef,
+            GraphScan::WidenedBeam => ef * self.filter_widen_factor() as f64,
+            GraphScan::FilteredTraversal => ef / s,
+            GraphScan::IteratorPull => k as f64 / s,
+        };
+        let rows = rows as f64;
+        (12.0 * rows.max(2.0).log2() + 2.5 * width).min(rows) as usize
+    }
+}
+
+/// The ways the executor drives a graph index
+/// ([`SearchParams::predicted_visits`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GraphScan {
+    /// Plain `ef`-wide beam (unfiltered top-k).
+    Beam,
+    /// Beam widened by [`SearchParams::filter_widen_factor`], bitmap applied
+    /// to its candidates afterwards (Plan B).
+    WidenedBeam,
+    /// Predicate-aware traversal collecting `ef` passing rows (Plan D).
+    FilteredTraversal,
+    /// Iterator pulled nearest-first until `k` rows pass (Plan C).
+    IteratorPull,
 }
 
 /// A built, immutable, searchable vector index (execution-layer interface of

@@ -7,7 +7,7 @@
 
 use bh_bench::datasets::DatasetSpec;
 use bh_bench::setup::{build_database, TableOptions};
-use blendhouse::DatabaseConfig;
+use blendhouse::{DatabaseConfig, QueryOptions};
 
 fn main() {
     let data = DatasetSpec::tiny().generate();
@@ -34,7 +34,15 @@ fn main() {
             q.join(", ")
         )
     };
-    let baseline = db.execute(&sql).unwrap().rows();
+    // The walk-through is about where indexes live; a table this small the
+    // optimizer would simply scan (Plan A), so the statements ask for the
+    // index plan.
+    let opts = QueryOptions {
+        forced_strategy: Some(bh_query::Strategy::PostFilter),
+        ..db.default_options()
+    };
+    let search = || db.execute_with(&sql, &opts).unwrap().rows();
+    let baseline = search();
     println!("query over 1 worker returns {} rows", baseline.len());
 
     // Scale out. A statement that finds a moved segment cold on its new
@@ -51,7 +59,7 @@ fn main() {
     for (wid, segs) in &assignment {
         println!("  {wid}: {} segments", segs.len());
     }
-    let after = db.execute(&sql).unwrap().rows();
+    let after = search();
     assert_eq!(baseline.rows, after.rows, "scaling must not change results");
     let prefetched = db.metrics().counter_value("query.index_prefetches");
     let brute = db.metrics().counter_value("worker.brute_force");
@@ -64,7 +72,7 @@ fn main() {
     let victim = vw.worker_ids()[0];
     vw.inject_failure(victim).unwrap();
     println!("\ninjected failure on {victim}");
-    let recovered = db.execute(&sql).unwrap().rows();
+    let recovered = search();
     assert_eq!(baseline.rows, recovered.rows);
     println!(
         "query retried and succeeded; VW now has {} workers (retries: {})",
@@ -96,7 +104,7 @@ fn main() {
     println!(
         "\nscale-down: {moved} segments moved, {stayed} stayed put (minimal movement property)"
     );
-    let final_rows = db.execute(&sql).unwrap().rows();
+    let final_rows = search();
     assert_eq!(baseline.rows, final_rows.rows);
     println!("results stable across the whole scaling lifecycle");
 }

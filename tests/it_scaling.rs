@@ -5,7 +5,7 @@
 use bh_bench::datasets::DatasetSpec;
 use bh_bench::setup::{build_database, TableOptions};
 use bh_bench::workloads::vector_search;
-use blendhouse::DatabaseConfig;
+use blendhouse::{Database, DatabaseConfig, QueryOptions, QueryOutput};
 
 fn db_with_segments() -> (blendhouse::Database, Vec<String>) {
     let data = DatasetSpec::tiny().generate();
@@ -19,12 +19,23 @@ fn db_with_segments() -> (blendhouse::Database, Vec<String>) {
     (db, sqls)
 }
 
+/// Run one search through its segment indexes: these tests are about where
+/// indexes live as the topology changes, and on a table this small the
+/// optimizer would scan the raw column (Plan A) and never touch one.
+fn search(db: &Database, sql: &str) -> QueryOutput {
+    let opts = QueryOptions {
+        forced_strategy: Some(bh_query::Strategy::PostFilter),
+        ..db.default_options()
+    };
+    db.execute_with(sql, &opts).unwrap()
+}
+
 #[test]
 fn results_stable_across_scale_out_and_in() {
     let (db, sqls) = db_with_segments();
     let vw = db.default_vw();
     db.preload("bench", "default").unwrap();
-    let baselines: Vec<_> = sqls.iter().map(|s| db.execute(s).unwrap().rows()).collect();
+    let baselines: Vec<_> = sqls.iter().map(|s| search(&db, s).rows()).collect();
 
     let segments = db.table("bench").unwrap().segments();
     for _ in 0..5 {
@@ -32,7 +43,7 @@ fn results_stable_across_scale_out_and_in() {
     }
     assert_eq!(vw.worker_count(), 6);
     for (sql, base) in sqls.iter().zip(&baselines) {
-        assert_eq!(db.execute(sql).unwrap().rows().rows, base.rows, "scale-out changed results");
+        assert_eq!(search(&db, sql).rows().rows, base.rows, "scale-out changed results");
     }
 
     // Scale back down to 2 workers.
@@ -41,7 +52,7 @@ fn results_stable_across_scale_out_and_in() {
         vw.scale_down(victim, &segments).unwrap();
     }
     for (sql, base) in sqls.iter().zip(&baselines) {
-        assert_eq!(db.execute(sql).unwrap().rows().rows, base.rows, "scale-in changed results");
+        assert_eq!(search(&db, sql).rows().rows, base.rows, "scale-in changed results");
     }
 }
 
@@ -51,7 +62,7 @@ fn moved_segments_are_loaded_overlapped_never_brute_forced() {
     let vw = db.default_vw();
     db.preload("bench", "default").unwrap();
     // Warm queries on 1 worker.
-    let baselines: Vec<_> = sqls.iter().map(|s| db.execute(s).unwrap().rows()).collect();
+    let baselines: Vec<_> = sqls.iter().map(|s| search(&db, s).rows()).collect();
     let counter = |name: &str| db.metrics().counter_value(name);
     let approximate = ["worker.brute_force", "worker.head_search"];
     let before = approximate.map(counter);
@@ -66,7 +77,7 @@ fn moved_segments_are_loaded_overlapped_never_brute_forced() {
     for _ in 0..4 {
         vw.scale_up(&segments);
         for (sql, base) in sqls.iter().zip(&baselines) {
-            assert_eq!(db.execute(sql).unwrap().rows().rows, base.rows, "scale-up changed results");
+            assert_eq!(search(&db, sql).rows().rows, base.rows, "scale-up changed results");
         }
     }
     assert_eq!(approximate.map(counter), before, "a moved segment got an approximate answer");
