@@ -159,7 +159,7 @@ impl MilvusSim {
         }
         match &seg.index {
             Some(idx) => {
-                let hits = idx.search_with_filter(query, k, params, bits.as_ref())?;
+                let hits = idx.search_with_bound(query, k, params, bits.as_ref(), None)?;
                 for nb in hits {
                     out.push(nb.distance, seg.data.ids[nb.id as usize]);
                 }

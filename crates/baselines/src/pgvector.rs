@@ -144,7 +144,7 @@ impl BaselineSystem for PgvectorSim {
         // then apply the predicate. No retry with larger ef — results may
         // come up short (the recall-collapse behaviour).
         let fetch = params.ef_search.max(k);
-        let candidates = index.search_with_filter(query, fetch, params, None)?;
+        let candidates = index.search_with_bound(query, fetch, params, None, None)?;
         let mut out = Vec::with_capacity(k);
         for nb in candidates {
             let row = nb.id as usize;

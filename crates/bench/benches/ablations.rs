@@ -136,7 +136,7 @@ fn ablation_row_offsets() -> Vec<Vec<String>> {
 
     let t = Timer::start();
     for q in &queries {
-        let hits = idx.search_with_filter(q, 100, &params, None).unwrap();
+        let hits = idx.search_with_bound(q, 100, &params, None, None).unwrap();
         std::hint::black_box(hits);
     }
     let offsets_time = t.secs();
@@ -144,7 +144,7 @@ fn ablation_row_offsets() -> Vec<Vec<String>> {
     let t = Timer::start();
     let mut acc = 0u64;
     for q in &queries {
-        let hits = idx.search_with_filter(q, 100, &params, None).unwrap();
+        let hits = idx.search_with_bound(q, 100, &params, None, None).unwrap();
         for h in &hits {
             // PK design: translate every hit through the PK index.
             for probe in 0..8 {

@@ -68,7 +68,7 @@ fn run_sequential(segments: &[Arc<dyn VectorIndex>], batch: &[Vec<f32>]) -> Vec<
         .map(|q| {
             let mut hits = Vec::new();
             for seg in segments {
-                hits.extend(seg.search_with_filter(q, K, &params, None).unwrap());
+                hits.extend(seg.search_with_bound(q, K, &params, None, None).unwrap());
             }
             merge_topk(hits)
         })

@@ -45,7 +45,7 @@ fn main() {
             let lat = measure_latency(32, || {
                 let q = &queries[qi % queries.len()];
                 qi += 1;
-                std::hint::black_box(idx.search_with_filter(q, 10, &params, None).unwrap());
+                std::hint::black_box(idx.search_with_bound(q, 10, &params, None, None).unwrap());
             });
             if lat < best.0 {
                 best = (lat, k);

@@ -239,7 +239,7 @@ fn probe_cost_constants(_c: &mut Criterion) {
         let p = SearchParams::default().with_ef(ef);
         let visits = p.predicted_visits(GraphScan::Beam, rows, k.min(ef), 1.0) as f64;
         let ns = ns_per_call(300, || {
-            black_box(index.search_with_filter(next_query(), k.min(ef), &p, None).unwrap());
+            black_box(index.search_with_bound(next_query(), k.min(ef), &p, None, None).unwrap());
         });
         lines.push((
             format!("c_g  beam ef={ef}, per predicted visit ({visits:.0})"),
@@ -253,7 +253,7 @@ fn probe_cost_constants(_c: &mut Criterion) {
         let walk = p.with_filter_traversal(true);
         let visits = p.predicted_visits(GraphScan::FilteredTraversal, rows, k, s) as f64;
         let ns = ns_per_call(100, || {
-            black_box(index.search_with_filter(next_query(), k, &walk, Some(&bits)).unwrap());
+            black_box(index.search_with_bound(next_query(), k, &walk, Some(&bits), None).unwrap());
         });
         lines.push((
             format!("c_g  traversal ef=256 s={s}, per predicted visit ({visits:.0})"),
@@ -337,7 +337,7 @@ fn probe_cost_constants(_c: &mut Criterion) {
         let p = SearchParams::default();
         for k in [16usize, 128] {
             let ns = ns_per_call(300, || {
-                black_box(ivf.search_with_filter(next_query(), k, &p, None).unwrap());
+                black_box(ivf.search_with_bound(next_query(), k, &p, None, None).unwrap());
             });
             let default = (kind == IndexKind::IvfPqFs).then_some(defaults.c_r);
             lines.push((format!("c_r  {} search, {rows} rows, k={k}", kind.name()), ns, default));

@@ -43,11 +43,16 @@ pub struct TopK<T> {
     heap: BinaryHeap<Scored<T>>,
 }
 
+/// Largest up-front reservation a collector makes. `k` comes straight from
+/// a statement's `LIMIT`, so it is outside input: a larger `k` still
+/// collects, its heap grows as rows actually arrive.
+const MAX_RESERVED_ROWS: usize = 4096;
+
 impl<T: PartialEq + Clone> TopK<T> {
     /// Create a collector retaining the `k` smallest-distance items.
     /// `k == 0` is allowed and collects nothing.
     pub fn new(k: usize) -> Self {
-        Self { k, heap: BinaryHeap::with_capacity(k.saturating_add(1)) }
+        Self { k, heap: BinaryHeap::with_capacity(k.saturating_add(1).min(MAX_RESERVED_ROWS)) }
     }
 
     /// Offer a candidate; returns `true` if it was retained.
@@ -195,6 +200,18 @@ mod tests {
         } else {
             ProptestConfig::default()
         }
+    }
+
+    #[test]
+    fn hostile_k_reserves_only_what_can_be_filled() {
+        let mut tk = TopK::<u64>::new(usize::MAX);
+        for i in 0..10u64 {
+            assert!(tk.push(10.0 - i as f32, i));
+        }
+        assert!(!tk.is_full());
+        assert_eq!(tk.threshold(), f32::INFINITY);
+        let ids: Vec<u64> = tk.into_sorted().into_iter().map(|s| s.item).collect();
+        assert_eq!(ids, (0..10).rev().collect::<Vec<u64>>());
     }
 
     proptest! {

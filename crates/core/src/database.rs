@@ -781,6 +781,57 @@ mod tests {
         }
     }
 
+    /// `LIMIT` is outside input: a value no table can fill must neither
+    /// reserve memory for itself nor lose rows, whatever the plan.
+    #[test]
+    fn hostile_limit_returns_every_visible_row() {
+        use bh_query::Strategy;
+        for index in ["HNSW('DIM=4')", "IVFPQFS('DIM=4')"] {
+            let db = Database::in_memory();
+            db.execute(&format!(
+                "CREATE TABLE t (id UInt64, x Int64, emb Array(Float32), \
+                 INDEX ann emb TYPE {index}) ORDER BY id"
+            ))
+            .unwrap();
+            // Hash-scattered coordinates: no exact distance ties.
+            let rows: Vec<String> = (0..300u64)
+                .map(|i| {
+                    let v: Vec<String> = (0..4u64)
+                        .map(|d| {
+                            let h = (i * 4 + d + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+                            format!("{:.4}", h as f32 / (1u64 << 24) as f32 * 10.0)
+                        })
+                        .collect();
+                    format!("({i}, {}, [{}])", i % 100, v.join(", "))
+                })
+                .collect();
+            db.execute(&format!("INSERT INTO t VALUES {}", rows.join(", "))).unwrap();
+            assert_eq!(db.execute("DELETE FROM t WHERE id < 20").unwrap().affected(), 20);
+            let plans = [
+                None,
+                Some(Strategy::BruteForce),
+                Some(Strategy::PreFilter),
+                Some(Strategy::PostFilter),
+                Some(Strategy::FilteredTraversal),
+            ];
+            for forced in plans {
+                // IVF probes a subset of cells unless told to probe them all.
+                let mut opts = QueryOptions { forced_strategy: forced, ..db.default_options() };
+                opts.search.nprobe = usize::MAX;
+                for (filter, visible) in [("", 280), ("WHERE x < 50 ", 130)] {
+                    let sql = format!(
+                        "SELECT id FROM t {filter}ORDER BY L2Distance(emb, [5.0, 5.0, 5.0, 5.0]) \
+                         LIMIT 1000000000000"
+                    );
+                    let rs = db.execute_with(&sql, &opts).unwrap().rows();
+                    let mut ids: Vec<&Value> = rs.rows.iter().map(|r| &r[0]).collect();
+                    ids.dedup();
+                    assert_eq!(ids.len(), visible, "{index} {forced:?} `{filter}`");
+                }
+            }
+        }
+    }
+
     #[test]
     fn duplicate_table_rejected() {
         let db = images_db(2);

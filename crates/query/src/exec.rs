@@ -969,7 +969,8 @@ impl QueryEngine {
                 let mut it = index.search_iterator(&v.query, &opts.search)?;
                 let pred_cols = bound.predicate.referenced_columns();
                 let want = k.saturating_mul(opts.sigma.max(1));
-                let mut collected: Vec<Neighbor> = Vec::with_capacity(want);
+                // `want` is LIMIT-sized; the segment can fill no more than its rows.
+                let mut collected: Vec<Neighbor> = Vec::with_capacity(want.min(meta.row_count));
                 let batch_size = k.clamp(16, 256);
                 while collected.len() < want {
                     let batch = it.next_batch(batch_size)?;

@@ -642,7 +642,7 @@ mod tests {
         );
         let idx = cache.get(&meta).unwrap().unwrap();
         let got = idx
-            .search_with_filter(&[5.0, 5.0, 5.0, 5.0], 1, &SearchParams::default(), None)
+            .search_with_bound(&[5.0, 5.0, 5.0, 5.0], 1, &SearchParams::default(), None, None)
             .unwrap();
         assert_eq!(got[0].id, 5);
     }
@@ -878,7 +878,7 @@ mod tests {
         assert!(meta.index_head_bytes * 10 <= meta.index_bytes, "head ≤ 10% of blob");
         // Partial serves real neighbors.
         let q: Vec<f32> = (0..16).map(|d| ((31 + d * 7) % 97) as f32).collect();
-        let got = head.search_with_filter(&q, 3, &SearchParams::default(), None).unwrap();
+        let got = head.search_with_bound(&q, 3, &SearchParams::default(), None, None).unwrap();
         assert!(!got.is_empty());
         // Second head read hits the partial cache.
         cache.get_head(&meta).unwrap().unwrap();

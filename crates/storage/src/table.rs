@@ -830,7 +830,7 @@ mod tests {
             let idx = ts.load_index(&meta).unwrap().unwrap();
             assert_eq!(idx.meta().len, meta.row_count);
             let q = meta.centroid.clone().unwrap();
-            let got = idx.search_with_filter(&q, 3, &SearchParams::default(), None).unwrap();
+            let got = idx.search_with_bound(&q, 3, &SearchParams::default(), None, None).unwrap();
             assert!(!got.is_empty());
         }
     }

@@ -10,9 +10,12 @@
 use crate::codec::{Reader, Writer};
 use crate::distance::distance_batch;
 use crate::iterator::SearchIterator;
-use crate::types::{check_batch, IndexBuilder, IndexMeta, IndexSpec, Neighbor, SearchParams, VectorIndex};
+use crate::types::{
+    check_batch, BoundedTopK, IndexBuilder, IndexMeta, IndexSpec, Neighbor, SearchParams,
+    VectorIndex,
+};
 use crate::{IndexKind, Metric};
-use bh_common::{Bitset, Result, SharedBound, TopK};
+use bh_common::{Bitset, Result, SharedBound};
 use bytes::Bytes;
 use std::sync::Arc;
 
@@ -46,7 +49,7 @@ impl FlatIndex {
     }
 
     /// Run `visit(row, distance)` over every stored row using the batched
-    /// kernel; used by the unfiltered scan paths.
+    /// kernel; used by the unfiltered scan and the iterator.
     fn scan_all(&self, query: &[f32], mut visit: impl FnMut(usize, f32)) -> Result<()> {
         let n = self.ids.len();
         let mut out = [0.0f32; SCAN_BLOCK_ROWS];
@@ -100,15 +103,18 @@ impl VectorIndex for FlatIndex {
         IndexMeta { kind: IndexKind::Flat, dim: self.dim, metric: self.metric, len: self.ids.len() }
     }
 
-    fn search_with_filter(
+    fn search_with_bound(
         &self,
         query: &[f32],
         k: usize,
         _params: &SearchParams,
         filter: Option<&Bitset>,
+        bound: Option<&SharedBound>,
     ) -> Result<Vec<Neighbor>> {
         self.check_query(query)?;
-        let mut tk = TopK::new(k);
+        // FLAT distances are exact, so candidates beaten by the shared bound
+        // can be dropped and our own k-th distance can be published.
+        let mut out = BoundedTopK::new(k, bound, true);
         match filter {
             Some(f) => {
                 // Selective path: skip excluded rows before paying for the
@@ -118,91 +124,12 @@ impl VectorIndex for FlatIndex {
                         continue;
                     }
                     let d = self.metric.distance(query, self.vector(row));
-                    tk.push(d, self.ids[row]);
+                    out.offer(d, d, self.ids[row]);
                 }
             }
-            None => self.scan_all(query, |row, d| {
-                tk.push(d, self.ids[row]);
-            })?,
+            None => self.scan_all(query, |row, d| out.offer(d, d, self.ids[row]))?,
         }
-        Ok(tk.into_sorted().into_iter().map(|s| Neighbor::new(s.item, s.distance)).collect())
-    }
-
-    fn search_with_bound(
-        &self,
-        query: &[f32],
-        k: usize,
-        _params: &SearchParams,
-        filter: Option<&Bitset>,
-        bound: Option<&SharedBound>,
-    ) -> Result<Vec<Neighbor>> {
-        let Some(b) = bound else {
-            return self.search_with_filter(query, k, _params, filter);
-        };
-        self.check_query(query)?;
-        // FLAT distances are exact, so candidates beaten by the shared bound
-        // can be dropped and our own k-th distance can be published.
-        let mut tk = TopK::new(k);
-        let mut skipped = 0u64;
-        match filter {
-            Some(f) => {
-                for row in 0..self.ids.len() {
-                    if !f.contains(self.ids[row] as usize) {
-                        continue;
-                    }
-                    let d = self.metric.distance(query, self.vector(row));
-                    if d > b.get() {
-                        skipped += 1;
-                        continue;
-                    }
-                    if tk.push(d, self.ids[row]) && tk.is_full() {
-                        b.update(tk.threshold());
-                    }
-                }
-            }
-            None => self.scan_all(query, |row, d| {
-                if d > b.get() {
-                    skipped += 1;
-                    return;
-                }
-                if tk.push(d, self.ids[row]) && tk.is_full() {
-                    b.update(tk.threshold());
-                }
-            })?,
-        }
-        b.record_skips(skipped);
-        Ok(tk.into_sorted().into_iter().map(|s| Neighbor::new(s.item, s.distance)).collect())
-    }
-
-    fn search_with_range(
-        &self,
-        query: &[f32],
-        radius: f32,
-        _params: &SearchParams,
-        filter: Option<&Bitset>,
-    ) -> Result<Vec<Neighbor>> {
-        self.check_query(query)?;
-        let mut out = Vec::new();
-        match filter {
-            Some(f) => {
-                for row in 0..self.ids.len() {
-                    if !f.contains(self.ids[row] as usize) {
-                        continue;
-                    }
-                    let d = self.metric.distance(query, self.vector(row));
-                    if d <= radius {
-                        out.push(Neighbor::new(self.ids[row], d));
-                    }
-                }
-            }
-            None => self.scan_all(query, |row, d| {
-                if d <= radius {
-                    out.push(Neighbor::new(self.ids[row], d));
-                }
-            })?,
-        }
-        out.sort_by(|a, b| a.distance.total_cmp(&b.distance));
-        Ok(out)
+        Ok(out.finish())
     }
 
     fn search_iterator<'a>(
@@ -217,10 +144,6 @@ impl VectorIndex for FlatIndex {
             sorted: None,
             cursor: 0,
         }))
-    }
-
-    fn has_native_iterator(&self) -> bool {
-        true
     }
 
     fn memory_usage(&self) -> usize {
@@ -338,7 +261,7 @@ mod tests {
         let dim = 8;
         let (idx, data) = build(100, dim, Metric::L2, 1);
         let q: Vec<f32> = data[0..dim].to_vec();
-        let got = idx.search_with_filter(&q, 5, &SearchParams::default(), None).unwrap();
+        let got = idx.search_with_bound(&q, 5, &SearchParams::default(), None, None).unwrap();
         assert_eq!(got.len(), 5);
         assert_eq!(got[0].id, 0, "nearest to itself");
         assert_eq!(got[0].distance, 0.0);
@@ -353,7 +276,8 @@ mod tests {
         let (idx, data) = build(50, dim, Metric::L2, 2);
         let q: Vec<f32> = data[0..dim].to_vec();
         let allowed = Bitset::from_positions(50, [10, 20, 30]);
-        let got = idx.search_with_filter(&q, 10, &SearchParams::default(), Some(&allowed)).unwrap();
+        let got =
+            idx.search_with_bound(&q, 10, &SearchParams::default(), Some(&allowed), None).unwrap();
         assert_eq!(got.len(), 3);
         for nb in &got {
             assert!([10, 20, 30].contains(&nb.id));
@@ -366,7 +290,8 @@ mod tests {
         let (idx, data) = build(10, dim, Metric::L2, 3);
         let q: Vec<f32> = data[0..dim].to_vec();
         let empty = Bitset::new(10);
-        let got = idx.search_with_filter(&q, 5, &SearchParams::default(), Some(&empty)).unwrap();
+        let got =
+            idx.search_with_bound(&q, 5, &SearchParams::default(), Some(&empty), None).unwrap();
         assert!(got.is_empty());
     }
 
@@ -394,14 +319,15 @@ mod tests {
     #[test]
     fn k_larger_than_n() {
         let (idx, data) = build(3, 4, Metric::L2, 5);
-        let got = idx.search_with_filter(&data[0..4], 100, &SearchParams::default(), None).unwrap();
+        let got =
+            idx.search_with_bound(&data[0..4], 100, &SearchParams::default(), None, None).unwrap();
         assert_eq!(got.len(), 3);
     }
 
     #[test]
     fn dimension_mismatch_rejected() {
         let (idx, _) = build(3, 4, Metric::L2, 6);
-        assert!(idx.search_with_filter(&[0.0; 3], 1, &SearchParams::default(), None).is_err());
+        assert!(idx.search_with_bound(&[0.0; 3], 1, &SearchParams::default(), None, None).is_err());
         assert!(idx.search_with_range(&[0.0; 5], 1.0, &SearchParams::default(), None).is_err());
     }
 
@@ -434,8 +360,8 @@ mod tests {
         let blob = idx.save_bytes().unwrap();
         let idx2 = FlatIndex::load_bytes(&blob).unwrap();
         let q = &data[0..dim];
-        let a = idx.search_with_filter(q, 5, &SearchParams::default(), None).unwrap();
-        let b = idx2.search_with_filter(q, 5, &SearchParams::default(), None).unwrap();
+        let a = idx.search_with_bound(q, 5, &SearchParams::default(), None, None).unwrap();
+        let b = idx2.search_with_bound(q, 5, &SearchParams::default(), None, None).unwrap();
         assert_eq!(a, b);
         assert_eq!(idx2.meta().metric, Metric::Cosine);
     }
@@ -456,7 +382,8 @@ mod tests {
         let mut b = Box::new(FlatBuilder::new(&spec).unwrap());
         b.add_with_ids(&[1.0, 0.0, 10.0, 0.0, 5.0, 0.0], &[0, 1, 2]).unwrap();
         let idx = (b as Box<dyn IndexBuilder>).finish().unwrap();
-        let got = idx.search_with_filter(&[1.0, 0.0], 3, &SearchParams::default(), None).unwrap();
+        let got =
+            idx.search_with_bound(&[1.0, 0.0], 3, &SearchParams::default(), None, None).unwrap();
         let ids: Vec<u64> = got.iter().map(|n| n.id).collect();
         assert_eq!(ids, vec![1, 2, 0], "largest dot product first");
     }

@@ -18,7 +18,8 @@ use crate::flat::{metric_from_u8, metric_to_u8};
 use crate::iterator::SearchIterator;
 use crate::quant::sq::Sq8;
 use crate::types::{
-    check_batch, IndexBuilder, IndexMeta, IndexSpec, Neighbor, SearchParams, VectorIndex,
+    check_batch, sorted_neighbors, BoundedTopK, IndexBuilder, IndexMeta, IndexSpec, Neighbor,
+    SearchParams, VectorIndex,
 };
 use crate::{IndexKind, Metric};
 use bh_common::rng::{derived_rng, DetRng};
@@ -32,8 +33,7 @@ use std::sync::Arc;
 const MAGIC: &[u8; 4] = b"BHHN";
 /// v2 appends a reconstruction-radius section to the SQ store payload
 /// (`flag u8` + `f32 rho`), the measured max ‖x − decode(encode(x))‖ over
-/// all build rows. v1 blobs load with `rho = None`, which disables the
-/// SQ margin-pruning path (bound searches fall back to plain search).
+/// all build rows. Nothing writes v1 any more, so older headers are rejected.
 const VERSION: u16 = 2;
 
 /// Ordered (distance, node) pair for binary heaps.
@@ -70,8 +70,7 @@ enum Store {
         /// the build rows at `finish()`. Turns asymmetric SQ distances into
         /// conservative lower bounds on exact distances (triangle
         /// inequality), letting HNSWSQ prune against a [`SharedBound`].
-        /// `None` for pre-v2 payloads: margin pruning disabled.
-        rho: Option<f32>,
+        rho: f32,
     },
 }
 
@@ -99,7 +98,9 @@ impl Store {
         }
     }
 
-    /// Serialize as the v2 store payload (tag, payload, rho section).
+    /// Serialize as the v2 store payload (tag, payload, rho section). The
+    /// rho section keeps its presence flag (always 1) from when the radius
+    /// was optional.
     fn write(&self, w: &mut Writer) {
         match self {
             Store::Raw { data } => {
@@ -110,13 +111,8 @@ impl Store {
                 w.put_u8(1);
                 sq.save(w);
                 w.put_bytes(codes);
-                match rho {
-                    Some(r) => {
-                        w.put_u8(1);
-                        w.put_f32(*r);
-                    }
-                    None => w.put_u8(0),
-                }
+                w.put_u8(1);
+                w.put_f32(*rho);
             }
         }
     }
@@ -129,8 +125,7 @@ impl Store {
                 let sq = Sq8::load(r)?;
                 let codes = r.get_bytes()?;
                 let rho = match r.get_u8()? {
-                    0 => None,
-                    1 => Some(r.get_f32()?),
+                    1 => r.get_f32()?,
                     x => return Err(BhError::Serde(format!("hnsw: bad rho flag {x}"))),
                 };
                 Ok(Store::Sq { sq, codes, rho })
@@ -205,6 +200,182 @@ impl Store {
     }
 }
 
+/// Where a walk reads adjacency and vectors from. Three sources exist: the
+/// sealed index ([`HnswIndex`], any level), the head's upper levels
+/// ([`HnswHeadIndex`], which holds a subset of the nodes under dense slots)
+/// and the builder's growing graph ([`HnswBuilder`]).
+trait Graph {
+    /// Number of addressable nodes (sizes the visited set).
+    fn node_count(&self) -> usize;
+    /// Link list of `node` at `level`; empty above the node's top level.
+    fn links(&self, node: u32, level: usize) -> &[u32];
+    /// The node a link refers to, or `None` when this source does not hold
+    /// it (the head keeps only upper-level nodes).
+    fn resolve(&self, link: u32) -> Option<u32> {
+        Some(link)
+    }
+    fn distance(&self, query: &[f32], node: u32) -> f32;
+    /// Pull `node`'s vector toward L1 ahead of its distance computation.
+    /// The builder keeps this no-op: its beam never prefetched, and doing
+    /// so measured no different on index build time.
+    fn prefetch(&self, _node: u32) {}
+}
+
+/// Which visited nodes may enter the beam's `ef`-bounded result heap, and
+/// how far the walk may stray from them.
+trait Admit {
+    /// Consecutive non-admitted hops since the last admitted node, carried
+    /// with each candidate (`Default` = standing on an admitted node).
+    type Hops: Copy + Ord + Default;
+    /// The hop state of `node` when reached from a candidate at `from`, and
+    /// whether it may enter the result heap.
+    fn classify(&self, from: Self::Hops, node: u32) -> (Self::Hops, bool);
+    /// Whether `hops` is past the detour budget.
+    fn over_budget(&self, hops: Self::Hops) -> bool;
+}
+
+/// The plain beam: every visited node is a result candidate.
+struct AdmitAll;
+
+impl Admit for AdmitAll {
+    type Hops = ();
+    #[inline]
+    fn classify(&self, _: (), _: u32) -> ((), bool) {
+        ((), true)
+    }
+    #[inline]
+    fn over_budget(&self, _: ()) -> bool {
+        false
+    }
+}
+
+/// Plan D (ACORN-style): nodes failing `filter` still steer navigation —
+/// they stay in the candidate heap and their neighborhoods are expanded —
+/// but only passing nodes enter the result heap, so the beam is spent
+/// entirely on rows that can appear in the answer. A path may cross at most
+/// `hop_budget` consecutive failing nodes beyond the last passing one:
+/// selective filters thin the passing subgraph, and bounded multi-hop
+/// detours keep it connected without devolving into an unbounded flood.
+struct AdmitPassing<'a> {
+    /// Node → row id, the domain `filter` is expressed in.
+    ids: &'a [u64],
+    filter: &'a Bitset,
+    hop_budget: usize,
+}
+
+impl Admit for AdmitPassing<'_> {
+    type Hops = usize;
+    #[inline]
+    fn classify(&self, from: usize, node: u32) -> (usize, bool) {
+        let pass = self.filter.contains(self.ids[node as usize] as usize);
+        (if pass { 0 } else { from + 1 }, pass)
+    }
+    #[inline]
+    fn over_budget(&self, hops: usize) -> bool {
+        hops > self.hop_budget
+    }
+}
+
+/// Greedy descent from `cur` through levels `from..to+1` to the closest
+/// node found at level `to + 1`.
+fn descend<G: Graph>(g: &G, query: &[f32], mut cur: u32, from: usize, to: usize) -> u32 {
+    let mut cur_d = g.distance(query, cur);
+    for level in (to + 1..=from).rev() {
+        let mut improved = true;
+        while improved {
+            improved = false;
+            // The list is the one `cur` had when the sweep began: moving to
+            // a closer node mid-sweep does not switch lists.
+            for &link in g.links(cur, level) {
+                let Some(nb) = g.resolve(link) else { continue };
+                let d = g.distance(query, nb);
+                if d < cur_d {
+                    cur_d = d;
+                    cur = nb;
+                    improved = true;
+                }
+            }
+        }
+    }
+    cur
+}
+
+/// The `ef`-bounded best-first beam over one level of `g`: up to `ef`
+/// admitted nodes nearest `query` in ascending order, and the number of
+/// nodes whose distance was computed.
+fn beam<G: Graph, A: Admit>(
+    g: &G,
+    query: &[f32],
+    entry: u32,
+    ef: usize,
+    level: usize,
+    admit: &A,
+) -> (Vec<DistNode>, usize) {
+    let mut visited = vec![false; g.node_count()];
+    visited[entry as usize] = true;
+    let d0 = g.distance(query, entry);
+    let (entry_hops, entry_admitted) = admit.classify(A::Hops::default(), entry);
+    let mut candidates = BinaryHeap::new(); // min-heap via Reverse
+    candidates.push(Reverse((DistNode { dist: d0, node: entry }, entry_hops)));
+    let mut results: BinaryHeap<DistNode> = BinaryHeap::new(); // max-heap
+    if entry_admitted {
+        results.push(DistNode { dist: d0, node: entry });
+    }
+    let mut n_visited = 1usize;
+    // A level-0 list holds up to 2·M links, 32 at the default M; a larger M
+    // grows this once.
+    let mut fresh: Vec<u32> = Vec::with_capacity(32);
+
+    while let Some(Reverse((c, hops))) = candidates.pop() {
+        let worst = results.peek().map(|r| r.dist).unwrap_or(f32::INFINITY);
+        if results.len() >= ef && c.dist > worst {
+            break;
+        }
+        // Gather-then-score: issue the whole neighborhood's vector
+        // prefetches before the first distance so the random-access loads
+        // overlap instead of serializing on memory latency. Nodes the hop
+        // budget then skips got a wasted prefetch; overlapping the rest
+        // still wins.
+        fresh.clear();
+        for &link in g.links(c.node, level) {
+            let Some(nb) = g.resolve(link) else { continue };
+            if !visited[nb as usize] {
+                g.prefetch(nb);
+                fresh.push(nb);
+            }
+        }
+        for &nb in &fresh {
+            let (nb_hops, admitted) = admit.classify(hops, nb);
+            // Pure navigation until the first admitted node is found: the
+            // greedy descent is predicate-blind, so the beam may start deep
+            // inside a failing region (correlated filters) and must be free
+            // to walk out of it. Once results exist, the hop budget bounds
+            // further detours.
+            if admit.over_budget(nb_hops) && !results.is_empty() {
+                // Leave unvisited: a shorter detour from another admitted
+                // node may still legitimately reach it later.
+                continue;
+            }
+            visited[nb as usize] = true;
+            n_visited += 1;
+            let d = g.distance(query, nb);
+            let worst = results.peek().map(|r| r.dist).unwrap_or(f32::INFINITY);
+            if results.len() < ef || d < worst {
+                candidates.push(Reverse((DistNode { dist: d, node: nb }, nb_hops)));
+                if admitted {
+                    results.push(DistNode { dist: d, node: nb });
+                    if results.len() > ef {
+                        results.pop();
+                    }
+                }
+            }
+        }
+    }
+    let mut out: Vec<DistNode> = results.into_vec();
+    out.sort();
+    (out, n_visited)
+}
+
 /// An immutable HNSW index.
 #[derive(Debug)]
 pub struct HnswIndex {
@@ -221,41 +392,36 @@ pub struct HnswIndex {
     store: Store,
 }
 
+impl Graph for HnswIndex {
+    fn node_count(&self) -> usize {
+        self.n()
+    }
+    #[inline]
+    fn links(&self, node: u32, level: usize) -> &[u32] {
+        self.links[node as usize].get(level).map_or(&[], Vec::as_slice)
+    }
+    #[inline]
+    fn distance(&self, query: &[f32], node: u32) -> f32 {
+        self.store.distance_to(self.metric, self.dim, query, node as usize)
+    }
+    #[inline]
+    fn prefetch(&self, node: u32) {
+        self.store.prefetch_row(self.dim, node as usize);
+    }
+}
+
 impl HnswIndex {
     fn n(&self) -> usize {
         self.ids.len()
     }
 
-    #[inline]
-    fn dist_q(&self, query: &[f32], node: u32) -> f32 {
-        self.store.distance_to(self.metric, self.dim, query, node as usize)
+    /// Greedy descent through upper levels to the closest entry at `to`.
+    fn greedy_to_level(&self, query: &[f32], cur: u32, from: usize, to: usize) -> u32 {
+        descend(self, query, cur, from, to)
     }
 
-    /// Greedy descent through upper levels to the closest entry at `level`.
-    fn greedy_to_level(&self, query: &[f32], mut cur: u32, from: usize, to: usize) -> u32 {
-        let mut cur_d = self.dist_q(query, cur);
-        for level in (to + 1..=from).rev() {
-            let mut improved = true;
-            while improved {
-                improved = false;
-                if level < self.links[cur as usize].len() {
-                    // Clone-free iteration; adjacency is immutable post-build.
-                    for &nb in &self.links[cur as usize][level] {
-                        let d = self.dist_q(query, nb);
-                        if d < cur_d {
-                            cur_d = d;
-                            cur = nb;
-                            improved = true;
-                        }
-                    }
-                }
-            }
-        }
-        cur
-    }
-
-    /// Beam search at one level: returns up to `ef` nearest as a max-heap
-    /// drained to ascending order. Also reports visited count.
+    /// Beam search at one level: up to `ef` nearest in ascending order, and
+    /// the visited count.
     fn search_layer(
         &self,
         query: &[f32],
@@ -263,63 +429,11 @@ impl HnswIndex {
         ef: usize,
         level: usize,
     ) -> (Vec<DistNode>, usize) {
-        let mut visited = vec![false; self.n()];
-        visited[entry as usize] = true;
-        let d0 = self.dist_q(query, entry);
-        let mut candidates = BinaryHeap::new(); // min-heap via Reverse
-        candidates.push(Reverse(DistNode { dist: d0, node: entry }));
-        let mut results: BinaryHeap<DistNode> = BinaryHeap::new(); // max-heap
-        results.push(DistNode { dist: d0, node: entry });
-        let mut n_visited = 1usize;
-        let mut fresh: Vec<u32> = Vec::with_capacity(2 * self.m.max(8));
-
-        while let Some(Reverse(c)) = candidates.pop() {
-            let worst = results.peek().map(|r| r.dist).unwrap_or(f32::INFINITY);
-            if results.len() >= ef && c.dist > worst {
-                break;
-            }
-            if level < self.links[c.node as usize].len() {
-                // Gather-then-score: issue the whole neighborhood's vector
-                // prefetches before the first distance so the random-access
-                // loads overlap instead of serializing on memory latency.
-                fresh.clear();
-                for &nb in &self.links[c.node as usize][level] {
-                    if visited[nb as usize] {
-                        continue;
-                    }
-                    self.store.prefetch_row(self.dim, nb as usize);
-                    fresh.push(nb);
-                }
-                for &nb in &fresh {
-                    visited[nb as usize] = true;
-                    n_visited += 1;
-                    let d = self.dist_q(query, nb);
-                    let worst = results.peek().map(|r| r.dist).unwrap_or(f32::INFINITY);
-                    if results.len() < ef || d < worst {
-                        candidates.push(Reverse(DistNode { dist: d, node: nb }));
-                        results.push(DistNode { dist: d, node: nb });
-                        if results.len() > ef {
-                            results.pop();
-                        }
-                    }
-                }
-            }
-        }
-        let mut out: Vec<DistNode> = results.into_vec();
-        out.sort();
-        (out, n_visited)
+        beam(self, query, entry, ef, level, &AdmitAll)
     }
 
-    /// Predicate-aware beam search at level 0 (Plan D, ACORN-style).
-    ///
-    /// Nodes failing `filter` still steer navigation — they stay in the
-    /// candidate heap and their neighborhoods are expanded — but only
-    /// passing nodes enter the `ef`-bounded result heap, so the beam is
-    /// spent entirely on rows that can appear in the answer. A path may
-    /// cross at most `hop_budget` consecutive failing nodes beyond the
-    /// last passing one: selective filters thin the passing subgraph, and
-    /// bounded multi-hop detours keep it connected without devolving into
-    /// an unbounded flood.
+    /// Predicate-aware beam search at level 0 (Plan D, ACORN-style): the
+    /// beam under the [`AdmitPassing`] policy.
     fn search_layer0_filtered(
         &self,
         query: &[f32],
@@ -328,72 +442,7 @@ impl HnswIndex {
         filter: &Bitset,
         hop_budget: usize,
     ) -> (Vec<DistNode>, usize) {
-        let passes = |node: u32| filter.contains(self.ids[node as usize] as usize);
-        let mut visited = vec![false; self.n()];
-        visited[entry as usize] = true;
-        let d0 = self.dist_q(query, entry);
-        let entry_hops = if passes(entry) { 0usize } else { 1 };
-        // Candidates carry the consecutive-failing-hop count since the last
-        // passing node (0 for a passing node).
-        let mut candidates = BinaryHeap::new();
-        candidates.push(Reverse((DistNode { dist: d0, node: entry }, entry_hops)));
-        let mut results: BinaryHeap<DistNode> = BinaryHeap::new();
-        if entry_hops == 0 {
-            results.push(DistNode { dist: d0, node: entry });
-        }
-        let mut n_visited = 1usize;
-        let mut fresh: Vec<u32> = Vec::with_capacity(2 * self.m.max(8));
-
-        while let Some(Reverse((c, hops))) = candidates.pop() {
-            let worst = results.peek().map(|r| r.dist).unwrap_or(f32::INFINITY);
-            if results.len() >= ef && c.dist > worst {
-                break;
-            }
-            if self.links[c.node as usize].is_empty() {
-                continue;
-            }
-            // Gather-then-score, as in `search_layer`: prefetch the whole
-            // neighborhood before the first distance. Budget-skipped nodes
-            // get a wasted prefetch; overlapping the rest still wins.
-            fresh.clear();
-            for &nb in &self.links[c.node as usize][0] {
-                if visited[nb as usize] {
-                    continue;
-                }
-                self.store.prefetch_row(self.dim, nb as usize);
-                fresh.push(nb);
-            }
-            for &nb in &fresh {
-                let nb_pass = passes(nb);
-                let nb_hops = if nb_pass { 0 } else { hops + 1 };
-                // Pure navigation until the first passing node is found: the
-                // greedy descent is predicate-blind, so the beam may start
-                // deep inside a failing region (correlated filters) and must
-                // be free to walk out of it. Once results exist, the hop
-                // budget bounds further detours.
-                if nb_hops > hop_budget && !results.is_empty() {
-                    // Leave unvisited: a shorter detour from another passing
-                    // node may still legitimately reach it later.
-                    continue;
-                }
-                visited[nb as usize] = true;
-                n_visited += 1;
-                let d = self.dist_q(query, nb);
-                let worst = results.peek().map(|r| r.dist).unwrap_or(f32::INFINITY);
-                if results.len() < ef || d < worst {
-                    candidates.push(Reverse((DistNode { dist: d, node: nb }, nb_hops)));
-                    if nb_pass {
-                        results.push(DistNode { dist: d, node: nb });
-                        if results.len() > ef {
-                            results.pop();
-                        }
-                    }
-                }
-            }
-        }
-        let mut out: Vec<DistNode> = results.into_vec();
-        out.sort();
-        (out, n_visited)
+        beam(self, query, entry, ef, 0, &AdmitPassing { ids: &self.ids, filter, hop_budget })
     }
 
     /// Level-0 candidate generation for filtered searches: the Plan D
@@ -430,6 +479,9 @@ impl HnswIndex {
     pub fn load_bytes(bytes: &[u8]) -> Result<HnswIndex> {
         let mut r = Reader::new(bytes);
         let version = r.expect_header(MAGIC)?;
+        if version < VERSION {
+            return Err(BhError::Serde(format!("hnsw: blob version {version} is no longer read")));
+        }
         let kind = match r.get_u8()? {
             0 => IndexKind::Hnsw,
             1 => IndexKind::HnswSq,
@@ -451,24 +503,7 @@ impl HnswIndex {
             }
             links.push(per);
         }
-        let store = match r.get_u8()? {
-            0 => Store::Raw { data: r.get_f32_vec()? },
-            1 => {
-                let sq = Sq8::load(&mut r)?;
-                let codes = r.get_bytes()?;
-                let rho = if version >= 2 {
-                    match r.get_u8()? {
-                        0 => None,
-                        1 => Some(r.get_f32()?),
-                        x => return Err(BhError::Serde(format!("hnsw: bad rho flag {x}"))),
-                    }
-                } else {
-                    None
-                };
-                Store::Sq { sq, codes, rho }
-            }
-            x => return Err(BhError::Serde(format!("hnsw: bad store byte {x}"))),
-        };
+        let store = Store::read(&mut r)?;
         let idx = HnswIndex { dim, metric, kind, m, ids, links, entry, max_level, store };
         if dim == 0 || (idx.n() > 0 && idx.store.len(dim) != idx.n()) {
             return Err(BhError::Serde("hnsw: corrupt geometry".into()));
@@ -714,78 +749,39 @@ impl HnswHeadIndex {
         self.upper.len()
     }
 
+    /// Beam search over level 1 (the lowest level present in the head),
+    /// entered by greedy descent from the global entry point.
+    fn search_upper(&self, query: &[f32], ef: usize) -> Vec<DistNode> {
+        let Some(&top) = self.dense_of.get(&self.entry) else { return Vec::new() };
+        let entry = descend(self, query, top, self.max_level, 1);
+        beam(self, query, entry, ef, 1, &AdmitAll).0
+    }
+}
+
+/// The head addresses its nodes by dense slot; links still name global
+/// nodes, most of which (everything that lives on level 0 only) it does
+/// not hold.
+impl Graph for HnswHeadIndex {
+    fn node_count(&self) -> usize {
+        self.upper.len()
+    }
     #[inline]
-    fn dist_dense(&self, query: &[f32], dense: u32) -> f32 {
+    fn links(&self, dense: u32, level: usize) -> &[u32] {
+        // Slot `l - 1` holds level `l`: level 0 stays in the body.
+        let per = &self.links[dense as usize];
+        level.checked_sub(1).and_then(|l| per.get(l)).map_or(&[], Vec::as_slice)
+    }
+    #[inline]
+    fn resolve(&self, link: u32) -> Option<u32> {
+        self.dense_of.get(&link).copied()
+    }
+    #[inline]
+    fn distance(&self, query: &[f32], dense: u32) -> f32 {
         self.store.distance_to(self.metric, self.dim, query, dense as usize)
     }
-
-    /// Links of dense node `dense` at graph level `level` (≥ 1).
-    fn links_at(&self, dense: u32, level: usize) -> &[u32] {
-        let per = &self.links[dense as usize];
-        match per.get(level - 1) {
-            Some(l) => l,
-            None => &[],
-        }
-    }
-
-    /// Greedy descent from the global entry through levels
-    /// `max_level..level+1`, returning the best dense node seen.
-    fn greedy_to_level(&self, query: &[f32], to: usize) -> Option<u32> {
-        let mut cur = *self.dense_of.get(&self.entry)?;
-        let mut cur_d = self.dist_dense(query, cur);
-        for level in (to + 1..=self.max_level).rev() {
-            let mut improved = true;
-            while improved {
-                improved = false;
-                for &nb in self.links_at(cur, level) {
-                    let Some(&nd) = self.dense_of.get(&nb) else { continue };
-                    let d = self.dist_dense(query, nd);
-                    if d < cur_d {
-                        cur_d = d;
-                        cur = nd;
-                        improved = true;
-                    }
-                }
-            }
-        }
-        Some(cur)
-    }
-
-    /// Beam search over level 1 (the lowest level present in the head).
-    fn search_upper(&self, query: &[f32], ef: usize) -> Vec<DistNode> {
-        let Some(entry) = self.greedy_to_level(query, 1) else { return Vec::new() };
-        let mut visited = vec![false; self.upper.len()];
-        visited[entry as usize] = true;
-        let d0 = self.dist_dense(query, entry);
-        let mut candidates = BinaryHeap::new();
-        candidates.push(Reverse(DistNode { dist: d0, node: entry }));
-        let mut results: BinaryHeap<DistNode> = BinaryHeap::new();
-        results.push(DistNode { dist: d0, node: entry });
-        while let Some(Reverse(c)) = candidates.pop() {
-            let worst = results.peek().map(|r| r.dist).unwrap_or(f32::INFINITY);
-            if results.len() >= ef && c.dist > worst {
-                break;
-            }
-            for &nb in self.links_at(c.node, 1) {
-                let Some(&nd) = self.dense_of.get(&nb) else { continue };
-                if visited[nd as usize] {
-                    continue;
-                }
-                visited[nd as usize] = true;
-                let d = self.dist_dense(query, nd);
-                let worst = results.peek().map(|r| r.dist).unwrap_or(f32::INFINITY);
-                if results.len() < ef || d < worst {
-                    candidates.push(Reverse(DistNode { dist: d, node: nd }));
-                    results.push(DistNode { dist: d, node: nd });
-                    if results.len() > ef {
-                        results.pop();
-                    }
-                }
-            }
-        }
-        let mut out: Vec<DistNode> = results.into_vec();
-        out.sort();
-        out
+    #[inline]
+    fn prefetch(&self, dense: u32) {
+        self.store.prefetch_row(self.dim, dense as usize);
     }
 }
 
@@ -794,12 +790,13 @@ impl VectorIndex for HnswHeadIndex {
         IndexMeta { kind: self.kind, dim: self.dim, metric: self.metric, len: self.total_len }
     }
 
-    fn search_with_filter(
+    fn search_with_bound(
         &self,
         query: &[f32],
         k: usize,
         params: &SearchParams,
         filter: Option<&Bitset>,
+        _bound: Option<&SharedBound>,
     ) -> Result<Vec<Neighbor>> {
         self.check_query(query)?;
         if self.upper.is_empty() || k == 0 {
@@ -813,34 +810,12 @@ impl VectorIndex for HnswHeadIndex {
         let mut tk = TopK::new(k);
         for c in self.search_upper(query, ef) {
             let id = self.ids[c.node as usize];
-            if let Some(f) = filter {
-                if !f.contains(id as usize) {
-                    continue;
-                }
+            if filter.is_some_and(|f| !f.contains(id as usize)) {
+                continue;
             }
             tk.push(c.dist, id);
         }
-        Ok(tk.into_sorted().into_iter().map(|s| Neighbor::new(s.item, s.distance)).collect())
-    }
-
-    fn search_with_range(
-        &self,
-        query: &[f32],
-        radius: f32,
-        params: &SearchParams,
-        filter: Option<&Bitset>,
-    ) -> Result<Vec<Neighbor>> {
-        self.check_query(query)?;
-        let ef = params.widened_ef(params.ef_search.max(16));
-        let mut out: Vec<Neighbor> = self
-            .search_upper(query, ef)
-            .into_iter()
-            .filter(|c| c.dist <= radius)
-            .map(|c| Neighbor::new(self.ids[c.node as usize], c.dist))
-            .filter(|nb| filter.map(|f| f.contains(nb.id as usize)).unwrap_or(true))
-            .collect();
-        out.sort_by(|a, b| a.distance.total_cmp(&b.distance));
-        Ok(out)
+        Ok(sorted_neighbors(tk))
     }
 
     fn search_iterator<'a>(
@@ -890,33 +865,6 @@ impl VectorIndex for HnswIndex {
         IndexMeta { kind: self.kind, dim: self.dim, metric: self.metric, len: self.n() }
     }
 
-    fn search_with_filter(
-        &self,
-        query: &[f32],
-        k: usize,
-        params: &SearchParams,
-        filter: Option<&Bitset>,
-    ) -> Result<Vec<Neighbor>> {
-        self.check_query(query)?;
-        if self.n() == 0 || k == 0 {
-            return Ok(Vec::new());
-        }
-        let ef = params.ef_search.max(k);
-        let entry = self.greedy_to_level(query, self.entry, self.max_level, 0);
-        let cands = self.filtered_candidates(query, entry, ef, params, filter);
-        let mut tk = TopK::new(k);
-        for c in cands {
-            let id = self.ids[c.node as usize];
-            if let Some(f) = filter {
-                if !f.contains(id as usize) {
-                    continue;
-                }
-            }
-            tk.push(c.dist, id);
-        }
-        Ok(tk.into_sorted().into_iter().map(|s| Neighbor::new(s.item, s.distance)).collect())
-    }
-
     fn search_with_bound(
         &self,
         query: &[f32],
@@ -925,13 +873,20 @@ impl VectorIndex for HnswIndex {
         filter: Option<&Bitset>,
         bound: Option<&SharedBound>,
     ) -> Result<Vec<Neighbor>> {
-        let Some(b) = bound else {
-            return self.search_with_filter(query, k, params, filter);
-        };
-        // SQ stores yield asymmetric (approximate) distances. With a measured
-        // reconstruction radius rho they still admit conservative lower
-        // bounds on the exact distance (triangle inequality), so HNSWSQ can
-        // *prune* against the shared bound — but never publish to it:
+        self.check_query(query)?;
+        if self.n() == 0 || k == 0 {
+            return Ok(Vec::new());
+        }
+        // The graph traversal itself never sees the bound — pruning mid-walk
+        // would change which neighborhoods get explored. Only the final
+        // candidate list participates, whichever source produced it.
+        let ef = params.ef_search.max(k);
+        let entry = self.greedy_to_level(query, self.entry, self.max_level, 0);
+        let cands = self.filtered_candidates(query, entry, ef, params, filter);
+        // SQ stores yield asymmetric (approximate) distances. With the
+        // measured reconstruction radius rho they still admit conservative
+        // lower bounds on the exact distance, so HNSWSQ can *prune* against
+        // the shared bound — but never publish to it:
         //
         //   L2:  ‖q − x‖ ≥ ‖q − x̂‖ − ‖x − x̂‖ ≥ sqrt(d_sq) − rho
         //        lower bound = max(0, sqrt(d_sq) − rho)²
@@ -939,100 +894,34 @@ impl VectorIndex for HnswIndex {
         //        lower bound = d_sq − ‖q‖·rho      (d = −⟨q, x⟩)
         //
         // Cosine over SQ measures distance to the *reconstruction* with no
-        // usable margin relation, and v1 payloads carry no rho — both fall
-        // back to the plain search.
-        let sq_margin = match &self.store {
+        // usable margin relation: nothing is pruned there. A raw store has
+        // no radius: its distances are exact.
+        let rho = match &self.store {
             Store::Raw { .. } => None,
-            Store::Sq { rho: Some(rho), .. } if self.metric != Metric::Cosine => Some(*rho),
-            Store::Sq { .. } => {
-                return self.search_with_filter(query, k, params, filter);
-            }
+            Store::Sq { rho, .. } => Some(*rho),
         };
-        self.check_query(query)?;
-        if self.n() == 0 || k == 0 {
-            return Ok(Vec::new());
-        }
-        let exact = matches!(self.store, Store::Raw { .. });
-        let q_norm = match (sq_margin, self.metric) {
-            (Some(_), Metric::InnerProduct) => crate::distance::dot(query, query).sqrt(),
+        let ip_slack = match (rho, self.metric) {
+            (Some(rho), Metric::InnerProduct) => crate::distance::dot(query, query).sqrt() * rho,
             _ => 0.0,
         };
-        // The graph traversal itself is untouched — pruning mid-walk would
-        // change which neighborhoods get explored. Only the final candidate
-        // list participates in the shared bound, so swapping the candidate
-        // source for the Plan D traversal preserves the prune/publish rules.
-        let ef = params.ef_search.max(k);
-        let entry = self.greedy_to_level(query, self.entry, self.max_level, 0);
-        let cands = self.filtered_candidates(query, entry, ef, params, filter);
-        let mut tk = TopK::new(k);
-        let mut skipped = 0u64;
+        let mut out = BoundedTopK::new(k, bound, rho.is_none());
         for c in cands {
             let id = self.ids[c.node as usize];
-            if let Some(f) = filter {
-                if !f.contains(id as usize) {
-                    continue;
-                }
+            if filter.is_some_and(|f| !f.contains(id as usize)) {
+                continue;
             }
-            let lower = match (sq_margin, self.metric) {
+            let lower = match (rho, self.metric) {
+                (None, _) => c.dist,
                 (Some(rho), Metric::L2) => {
                     let base = (c.dist.max(0.0).sqrt() - rho).max(0.0);
                     base * base
                 }
-                (Some(rho), _) => c.dist - q_norm * rho,
-                (None, _) => c.dist,
+                (Some(_), Metric::InnerProduct) => c.dist - ip_slack,
+                (Some(_), Metric::Cosine) => f32::NEG_INFINITY,
             };
-            if lower > b.get() {
-                skipped += 1;
-                continue;
-            }
-            // Only exact distances may tighten the shared bound; approximate
-            // SQ distances could over-prune sibling segments.
-            if tk.push(c.dist, id) && tk.is_full() && exact {
-                b.update(tk.threshold());
-            }
+            out.offer(lower, c.dist, id);
         }
-        b.record_skips(skipped);
-        Ok(tk.into_sorted().into_iter().map(|s| Neighbor::new(s.item, s.distance)).collect())
-    }
-
-    fn search_with_range(
-        &self,
-        query: &[f32],
-        radius: f32,
-        params: &SearchParams,
-        filter: Option<&Bitset>,
-    ) -> Result<Vec<Neighbor>> {
-        self.check_query(query)?;
-        if self.n() == 0 {
-            return Ok(Vec::new());
-        }
-        // Stream the native iterator until distances exceed the radius with
-        // a slack window (the traversal order is only approximately sorted).
-        let mut it = self.search_iterator(query, params)?;
-        let slack = params.ef_search.max(16);
-        let mut out = Vec::new();
-        let mut beyond = 0usize;
-        loop {
-            let batch = it.next_batch(slack)?;
-            if batch.is_empty() {
-                break;
-            }
-            for nb in batch {
-                if nb.distance <= radius {
-                    beyond = 0;
-                    if filter.map(|f| f.contains(nb.id as usize)).unwrap_or(true) {
-                        out.push(nb);
-                    }
-                } else {
-                    beyond += 1;
-                }
-            }
-            if beyond >= slack {
-                break;
-            }
-        }
-        out.sort_by(|a, b| a.distance.total_cmp(&b.distance));
-        Ok(out)
+        Ok(out.finish())
     }
 
     fn search_iterator<'a>(
@@ -1046,13 +935,9 @@ impl VectorIndex for HnswIndex {
         if self.n() > 0 {
             let entry = self.greedy_to_level(query, self.entry, self.max_level, 0);
             visited[entry as usize] = true;
-            heap.push(Reverse(DistNode { dist: self.dist_q(query, entry), node: entry }));
+            heap.push(Reverse(DistNode { dist: self.distance(query, entry), node: entry }));
         }
         Ok(Box::new(HnswIterator { index: self, query: query.to_vec(), heap, visited, n_visited: if self.n() > 0 { 1 } else { 0 } }))
-    }
-
-    fn has_native_iterator(&self) -> bool {
-        true
     }
 
     fn needs_refine(&self) -> bool {
@@ -1087,25 +972,7 @@ impl VectorIndex for HnswIndex {
                 w.put_u32_slice(l);
             }
         }
-        match &self.store {
-            Store::Raw { data } => {
-                w.put_u8(0);
-                w.put_f32_slice(data);
-            }
-            Store::Sq { sq, codes, rho } => {
-                w.put_u8(1);
-                sq.save(&mut w);
-                w.put_bytes(codes);
-                // v2 margin section.
-                match rho {
-                    Some(r) => {
-                        w.put_u8(1);
-                        w.put_f32(*r);
-                    }
-                    None => w.put_u8(0),
-                }
-            }
-        }
+        self.store.write(&mut w);
         Ok(w.finish())
     }
 
@@ -1134,7 +1001,7 @@ impl SearchIterator for HnswIterator<'_> {
                     if !self.visited[nb as usize] {
                         self.visited[nb as usize] = true;
                         self.n_visited += 1;
-                        let d = self.index.dist_q(&self.query, nb);
+                        let d = self.index.distance(&self.query, nb);
                         self.heap.push(Reverse(DistNode { dist: d, node: nb }));
                     }
                 }
@@ -1219,12 +1086,6 @@ impl HnswBuilder {
             .distance(&self.raw[a * dim..(a + 1) * dim], &self.raw[b * dim..(b + 1) * dim])
     }
 
-    #[inline]
-    fn dist_vec(&self, v: &[f32], node: usize) -> f32 {
-        let dim = self.dim();
-        self.spec.metric.distance(v, &self.raw[node * dim..(node + 1) * dim])
-    }
-
     fn max_links(&self, level: usize) -> usize {
         if level == 0 {
             self.m * 2
@@ -1263,43 +1124,6 @@ impl HnswBuilder {
         selected.into_iter().map(|s| s.node).collect()
     }
 
-    /// Beam search over the partially built graph.
-    fn search_layer_build(&self, query: &[f32], entry: u32, ef: usize, level: usize) -> Vec<DistNode> {
-        let mut visited = vec![false; self.links.len()];
-        visited[entry as usize] = true;
-        let d0 = self.dist_vec(query, entry as usize);
-        let mut candidates = BinaryHeap::new();
-        candidates.push(Reverse(DistNode { dist: d0, node: entry }));
-        let mut results: BinaryHeap<DistNode> = BinaryHeap::new();
-        results.push(DistNode { dist: d0, node: entry });
-        while let Some(Reverse(c)) = candidates.pop() {
-            let worst = results.peek().map(|r| r.dist).unwrap_or(f32::INFINITY);
-            if results.len() >= ef && c.dist > worst {
-                break;
-            }
-            if level < self.links[c.node as usize].len() {
-                for &nb in &self.links[c.node as usize][level] {
-                    if visited[nb as usize] {
-                        continue;
-                    }
-                    visited[nb as usize] = true;
-                    let d = self.dist_vec(query, nb as usize);
-                    let worst = results.peek().map(|r| r.dist).unwrap_or(f32::INFINITY);
-                    if results.len() < ef || d < worst {
-                        candidates.push(Reverse(DistNode { dist: d, node: nb }));
-                        results.push(DistNode { dist: d, node: nb });
-                        if results.len() > ef {
-                            results.pop();
-                        }
-                    }
-                }
-            }
-        }
-        let mut out: Vec<DistNode> = results.into_vec();
-        out.sort();
-        out
-    }
-
     fn insert(&mut self, node: usize) {
         let level = (-self.rng.gen::<f64>().ln() * self.ml).floor() as usize;
         self.levels.push(level);
@@ -1313,33 +1137,12 @@ impl HnswBuilder {
 
         let dim = self.dim();
         let query: Vec<f32> = self.raw[node * dim..(node + 1) * dim].to_vec();
-        let mut cur = self.entry;
-
         // Greedy descent through levels above the new node's level.
-        if self.max_level > level {
-            let mut cur_d = self.dist_vec(&query, cur as usize);
-            for l in (level + 1..=self.max_level).rev() {
-                let mut improved = true;
-                while improved {
-                    improved = false;
-                    if l < self.links[cur as usize].len() {
-                        let neigh = self.links[cur as usize][l].clone();
-                        for nb in neigh {
-                            let d = self.dist_vec(&query, nb as usize);
-                            if d < cur_d {
-                                cur_d = d;
-                                cur = nb;
-                                improved = true;
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        let mut cur = descend(&*self, &query, self.entry, self.max_level, level);
 
         // Connect at each level from min(level, max_level) down to 0.
         for l in (0..=level.min(self.max_level)).rev() {
-            let cands = self.search_layer_build(&query, cur, self.ef_construction, l);
+            let (cands, _) = beam(&*self, &query, cur, self.ef_construction, l, &AdmitAll);
             let m = self.max_links(l).min(self.m);
             let neighbors = self.select_neighbors(&cands, m);
             for &nb in &neighbors {
@@ -1365,6 +1168,22 @@ impl HnswBuilder {
             self.max_level = level;
             self.entry = node as u32;
         }
+    }
+}
+
+/// The graph as built so far, over the pending raw vectors.
+impl Graph for HnswBuilder {
+    fn node_count(&self) -> usize {
+        self.links.len()
+    }
+    #[inline]
+    fn links(&self, node: u32, level: usize) -> &[u32] {
+        self.links[node as usize].get(level).map_or(&[], Vec::as_slice)
+    }
+    #[inline]
+    fn distance(&self, query: &[f32], node: u32) -> f32 {
+        let dim = self.dim();
+        self.spec.metric.distance(query, &self.raw[node as usize * dim..(node as usize + 1) * dim])
     }
 }
 
@@ -1417,7 +1236,7 @@ impl IndexBuilder for HnswBuilder {
                     rho_sq = rho_sq.max(err);
                     codes.extend(code);
                 }
-                Store::Sq { sq, codes, rho: Some(rho_sq.max(0.0).sqrt()) }
+                Store::Sq { sq, codes, rho: rho_sq.max(0.0).sqrt() }
             }
             // lint: allow(panic) - the builder constructor rejects every
             // kind except Hnsw and HnswSq before this point
@@ -1444,21 +1263,24 @@ impl IndexBuilder for HnswBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distance::KernelTier;
     use crate::flat::FlatBuilder;
     use crate::recall::recall_at_k;
-    use bh_common::rng::rng;
+    use bh_common::rng::{derive_seed, rng};
     use rand::Rng;
 
+    /// Eight unit-width clusters, 4 apart. The coordinates come from a
+    /// SplitMix64 stream (`derive_seed`), not from `rand`, so the data — and
+    /// every recall figure and golden checksum below — is the same under the
+    /// registry `rand` and under the offline shims.
     fn clustered(n: usize, dim: usize, seed: u64) -> Vec<f32> {
-        let mut r = rng(seed);
-        let mut data = Vec::with_capacity(n * dim);
-        for i in 0..n {
-            let center = (i % 8) as f32 * 4.0;
-            for _ in 0..dim {
-                data.push(center + r.gen_range(-1.0f32..1.0));
-            }
-        }
-        data
+        (0..n * dim)
+            .map(|j| {
+                let center = ((j / dim) % 8) as f32 * 4.0;
+                let unit = (derive_seed(seed, j as u64) >> 40) as f32 / (1u64 << 24) as f32;
+                center + 2.0 * unit - 1.0
+            })
+            .collect()
     }
 
     fn build_pair(
@@ -1495,8 +1317,8 @@ mod tests {
             assert_eq!(rebuilt.save_bytes().unwrap(), whole, "{kind:?}");
             // And search identically.
             let params = SearchParams::default().with_ef(64);
-            let a = hnsw.search_with_filter(&data[..12], 10, &params, None).unwrap();
-            let b = rebuilt.search_with_filter(&data[..12], 10, &params, None).unwrap();
+            let a = hnsw.search_with_bound(&data[..12], 10, &params, None, None).unwrap();
+            let b = rebuilt.search_with_bound(&data[..12], 10, &params, None, None).unwrap();
             assert_eq!(a, b, "{kind:?}");
         }
     }
@@ -1524,9 +1346,9 @@ mod tests {
         // distance for that id.
         let params = SearchParams::default().with_ef(64);
         let q = &data[..dim];
-        let got = partial.search_with_filter(q, 5, &params, None).unwrap();
+        let got = partial.search_with_bound(q, 5, &params, None, None).unwrap();
         assert!(!got.is_empty(), "head-only search returned nothing");
-        let truth = flat.search_with_filter(q, n, &params, None).unwrap();
+        let truth = flat.search_with_bound(q, n, &params, None, None).unwrap();
         for nb in &got {
             let t = truth.iter().find(|t| t.id == nb.id).unwrap();
             assert!(
@@ -1546,7 +1368,7 @@ mod tests {
         let partial = HnswHeadIndex::load_bytes(&head).unwrap();
         let allow = Bitset::from_positions(800, (0..800).step_by(2));
         let got = partial
-            .search_with_filter(&data[..8], 10, &SearchParams::default(), Some(&allow))
+            .search_with_bound(&data[..8], 10, &SearchParams::default(), Some(&allow), None)
             .unwrap();
         for nb in got {
             assert_eq!(nb.id % 2, 0);
@@ -1575,8 +1397,8 @@ mod tests {
         let queries = 20;
         for q in 0..queries {
             let qv = &data[q * 37 * dim % (n * dim - dim)..][..dim];
-            let truth = flat.search_with_filter(qv, 10, &params, None).unwrap();
-            let got = hnsw.search_with_filter(qv, 10, &params, None).unwrap();
+            let truth = flat.search_with_bound(qv, 10, &params, None, None).unwrap();
+            let got = hnsw.search_with_bound(qv, 10, &params, None, None).unwrap();
             total += recall_at_k(&truth, &got, 10);
         }
         let recall = total / queries as f64;
@@ -1600,8 +1422,8 @@ mod tests {
         let mut total = 0.0;
         for q in 0..15 {
             let qv = &data[q * 53 * dim % (n * dim - dim)..][..dim];
-            let truth = flat.search_with_filter(qv, 10, &params, None).unwrap();
-            let got = hnswsq.search_with_filter(qv, 10, &params, None).unwrap();
+            let truth = flat.search_with_bound(qv, 10, &params, None, None).unwrap();
+            let got = hnswsq.search_with_bound(qv, 10, &params, None, None).unwrap();
             total += recall_at_k(&truth, &got, 10);
         }
         assert!(total / 15.0 >= 0.8, "hnswsq recall {} below floor", total / 15.0);
@@ -1613,7 +1435,7 @@ mod tests {
         let (hnsw, _, data) = build_pair(600, dim, IndexKind::Hnsw, 3);
         let allowed = Bitset::from_positions(600, (0..600).filter(|i| i % 7 == 0));
         let got = hnsw
-            .search_with_filter(&data[0..dim], 10, &SearchParams::default(), Some(&allowed))
+            .search_with_bound(&data[0..dim], 10, &SearchParams::default(), Some(&allowed), None)
             .unwrap();
         assert!(!got.is_empty());
         for nb in &got {
@@ -1627,12 +1449,12 @@ mod tests {
         let b = Box::new(HnswBuilder::new(&spec, IndexKind::Hnsw).unwrap());
         let idx = (b as Box<dyn IndexBuilder>).finish().unwrap();
         assert!(idx
-            .search_with_filter(&[0.0; 4], 5, &SearchParams::default(), None)
+            .search_with_bound(&[0.0; 4], 5, &SearchParams::default(), None, None)
             .unwrap()
             .is_empty());
         let (hnsw, _, data) = build_pair(50, 4, IndexKind::Hnsw, 4);
         assert!(hnsw
-            .search_with_filter(&data[0..4], 0, &SearchParams::default(), None)
+            .search_with_bound(&data[0..4], 0, &SearchParams::default(), None, None)
             .unwrap()
             .is_empty());
     }
@@ -1645,7 +1467,6 @@ mod tests {
         let q = data[0..dim].to_vec();
         let params = SearchParams::default();
         let mut it = hnsw.search_iterator(&q, &params).unwrap();
-        assert!(hnsw.has_native_iterator());
         let mut seen = std::collections::HashSet::new();
         loop {
             let b = it.next_batch(16).unwrap();
@@ -1669,7 +1490,7 @@ mod tests {
         let (hnsw, flat, data) = build_pair(500, dim, IndexKind::Hnsw, 6);
         let q = data[40 * dim..41 * dim].to_vec();
         let params = SearchParams::default().with_ef(64);
-        let truth = flat.search_with_filter(&q, 1, &params, None).unwrap();
+        let truth = flat.search_with_bound(&q, 1, &params, None, None).unwrap();
         let mut it = hnsw.search_iterator(&q, &params).unwrap();
         let first = it.next_batch(10).unwrap();
         assert!(
@@ -1711,8 +1532,8 @@ mod tests {
         let q = &data[0..dim];
         let params = SearchParams::default();
         assert_eq!(
-            hnsw.search_with_filter(q, 10, &params, None).unwrap(),
-            loaded.search_with_filter(q, 10, &params, None).unwrap()
+            hnsw.search_with_bound(q, 10, &params, None, None).unwrap(),
+            loaded.search_with_bound(q, 10, &params, None, None).unwrap()
         );
     }
 
@@ -1726,8 +1547,8 @@ mod tests {
         let q = &data[0..dim];
         let params = SearchParams::default();
         assert_eq!(
-            hnswsq.search_with_filter(q, 5, &params, None).unwrap(),
-            loaded.search_with_filter(q, 5, &params, None).unwrap()
+            hnswsq.search_with_bound(q, 5, &params, None, None).unwrap(),
+            loaded.search_with_bound(q, 5, &params, None, None).unwrap()
         );
     }
 
@@ -1742,11 +1563,11 @@ mod tests {
         let params = SearchParams::default().with_ef(160);
         let q = &data[0..dim];
         let k = 40;
-        let truth = flat.search_with_filter(q, 10, &params, None).unwrap();
+        let truth = flat.search_with_bound(q, 10, &params, None, None).unwrap();
         let bound_val = truth[9].distance;
         let b = SharedBound::new();
         b.update(bound_val);
-        let plain = hnswsq.search_with_filter(q, k, &params, None).unwrap();
+        let plain = hnswsq.search_with_bound(q, k, &params, None, None).unwrap();
         let got = hnswsq.search_with_bound(q, k, &params, None, Some(&b)).unwrap();
         assert!(b.skips() > 0, "tight bound produced no skips");
         let got_ids: Vec<u64> = got.iter().map(|nb| nb.id).collect();
@@ -1769,30 +1590,26 @@ mod tests {
     }
 
     #[test]
-    fn sq_v1_blob_without_rho_loads_and_falls_back() {
-        let dim = 8;
-        let (hnswsq, _, data) = build_pair(200, dim, IndexKind::HnswSq, 13);
-        let mut v1 = hnswsq.save_bytes().unwrap().to_vec();
-        // Rewrite the header version (bytes [4,6) little-endian) to 1 and
-        // strip the v2 rho section (flag byte + f32).
+    fn sq_blob_without_rho_is_rejected() {
+        let (hnswsq, _, _) = build_pair(200, 8, IndexKind::HnswSq, 13);
+        let blob = hnswsq.save_bytes().unwrap().to_vec();
+        assert!(HnswIndex::load_bytes(&blob).is_ok());
+        // A header version below 2 (bytes [4,6), little-endian).
+        let mut v1 = blob.clone();
         v1[4] = 1;
-        v1[5] = 0;
-        v1.truncate(v1.len() - 5);
-        let loaded = HnswIndex::load_bytes(&v1).unwrap();
-        let params = SearchParams::default().with_ef(96);
-        let q = &data[0..dim];
-        assert_eq!(
-            hnswsq.search_with_filter(q, 5, &params, None).unwrap(),
-            loaded.search_with_filter(q, 5, &params, None).unwrap(),
-            "v1 payload must search identically"
-        );
-        // No rho → the bound path must fall back: nothing skipped even
-        // under an impossibly tight bound.
-        let b = SharedBound::new();
-        b.update(0.0);
-        let got = loaded.search_with_bound(q, 5, &params, None, Some(&b)).unwrap();
-        assert_eq!(got, loaded.search_with_filter(q, 5, &params, None).unwrap());
-        assert_eq!(b.skips(), 0);
+        assert!(matches!(HnswIndex::load_bytes(&v1), Err(BhError::Serde(_))));
+        // A cleared rho flag: the blob ends with flag byte + f32 rho.
+        let mut unflagged = blob.clone();
+        let flag = blob.len() - 5;
+        assert_eq!(unflagged[flag], 1);
+        unflagged[flag] = 0;
+        assert!(matches!(HnswIndex::load_bytes(&unflagged), Err(BhError::Serde(_))));
+        // The tiered sections carry the same store payload.
+        let (head, body) = hnswsq.save_bytes_tiered().unwrap().unwrap();
+        let mut body = body.to_vec();
+        let flag = body.len() - 5;
+        body[flag] = 0;
+        assert!(matches!(HnswIndex::load_tiered_parts(&head, &body), Err(BhError::Serde(_))));
     }
 
     #[test]
@@ -1810,7 +1627,7 @@ mod tests {
             let queries = 12;
             for q in 0..queries {
                 let qv = &data[q * 83 * dim % (n * dim - dim)..][..dim];
-                let got = hnsw.search_with_filter(qv, k, &params, Some(&allow)).unwrap();
+                let got = hnsw.search_with_bound(qv, k, &params, Some(&allow), None).unwrap();
                 for nb in &got {
                     assert_eq!(
                         nb.id as usize % step,
@@ -1819,9 +1636,10 @@ mod tests {
                         nb.id
                     );
                 }
-                let truth = flat.search_with_filter(qv, k, &params, Some(&allow)).unwrap();
+                let truth = flat.search_with_bound(qv, k, &params, Some(&allow), None).unwrap();
                 total += recall_at_k(&truth, &got, k);
             }
+            // On this fixture the bands reach 1.0, 1.0 and 0.958.
             let recall = total / queries as f64;
             assert!(recall >= 0.85, "s={s}: traversal recall {recall} below floor");
         }
@@ -1837,7 +1655,7 @@ mod tests {
             SearchParams::default().with_ef(96).with_selectivity(0.2).with_filter_traversal(true);
         let q = &data[0..dim];
         let k = 15;
-        let plain = hnsw.search_with_filter(q, k, &params, Some(&allow)).unwrap();
+        let plain = hnsw.search_with_bound(q, k, &params, Some(&allow), None).unwrap();
         // A vacuous bound changes nothing and gets tightened by the exact
         // k-th distance once the local top-k fills.
         let b = SharedBound::new();
@@ -1846,7 +1664,7 @@ mod tests {
         assert!(b.get() < f32::INFINITY, "exact store must publish its k-th");
         // A tight bound (true filtered 5th distance) prunes exactly the
         // candidates whose exact distance exceeds it — never a survivor.
-        let truth = flat.search_with_filter(q, k, &params, Some(&allow)).unwrap();
+        let truth = flat.search_with_bound(q, k, &params, Some(&allow), None).unwrap();
         let tight = truth[4].distance;
         let b2 = SharedBound::new();
         b2.update(tight);
@@ -1865,7 +1683,7 @@ mod tests {
         let allow = Bitset::from_positions(n, (0..n).step_by(7));
         let params =
             SearchParams::default().with_ef(96).with_selectivity(0.15).with_filter_traversal(true);
-        let got = hnswsq.search_with_filter(&data[0..dim], 8, &params, Some(&allow)).unwrap();
+        let got = hnswsq.search_with_bound(&data[0..dim], 8, &params, Some(&allow), None).unwrap();
         assert!(!got.is_empty());
         for nb in got {
             assert_eq!(nb.id % 7, 0);
@@ -1961,6 +1779,115 @@ mod tests {
             }
         }
     }
+
+    /// FNV-1a over 64-bit words.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn new() -> Fnv {
+            Fnv(0xcbf2_9ce4_8422_2325)
+        }
+        fn word(&mut self, w: u64) {
+            for b in w.to_le_bytes() {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        fn hits(&mut self, hits: &[Neighbor]) {
+            self.word(hits.len() as u64);
+            for nb in hits {
+                self.word(nb.id);
+                self.word(u64::from(nb.distance.to_bits()));
+            }
+        }
+    }
+
+    /// Pins what every way of driving the graph returns — ids, distance
+    /// bits and visited counts — and the bytes the builder produces, so a
+    /// refactor of the beam loop, the descent or the codec shows up as a
+    /// changed constant. The constants were produced by this same test at
+    /// the commit before the four loops became one (CHANGES.md, PR 16).
+    #[test]
+    #[cfg_attr(miri, ignore = "two 1,000-row builds at ef_construction 120: hours under Miri")]
+    fn golden_traversal_and_blob_identity() {
+        // Distance bits follow the kernel tier's summation order, and the
+        // graph follows the distances: the constants are the AVX2 tier's,
+        // the one CI's x86_64 runners select.
+        if KernelTier::current() != KernelTier::Avx2 {
+            return;
+        }
+        let (dim, n, k, ef) = (8, 1000, 10, 96);
+        let allow = Bitset::from_positions(n, (0..n).filter(|i| i % 10 == 3));
+        for (kind, want_search, want_blob) in [
+            (IndexKind::Hnsw, GOLDEN_HNSW_SEARCH, GOLDEN_HNSW_BLOB),
+            (IndexKind::HnswSq, GOLDEN_HNSWSQ_SEARCH, GOLDEN_HNSWSQ_BLOB),
+        ] {
+            let (built, _, data) = build_pair(n, dim, kind, 77);
+            let blob = built.save_bytes().unwrap();
+            let mut bh = Fnv::new();
+            for chunk in blob.chunks(8) {
+                let mut w = [0u8; 8];
+                w[..chunk.len()].copy_from_slice(chunk);
+                bh.word(u64::from_le_bytes(w));
+            }
+            assert_eq!(bh.0, want_blob, "{kind:?}: save_bytes blob changed ({:#018x})", bh.0);
+
+            let idx = HnswIndex::load_bytes(&blob).unwrap();
+            let head = HnswHeadIndex::load_bytes(&idx.save_tiered_parts().unwrap().0).unwrap();
+            let plain = SearchParams::default().with_ef(ef);
+            let widened = plain.with_selectivity(0.1);
+            let walk = widened.with_filter_traversal(true);
+            let mut h = Fnv::new();
+            for q in 0..8 {
+                // Off-row queries: a data row shifted by a fixed offset.
+                let qv: Vec<f32> = data[q * 97 * dim..][..dim].iter().map(|x| x + 0.37).collect();
+                let entry = idx.greedy_to_level(&qv, idx.entry, idx.max_level, 0);
+                h.word(u64::from(entry));
+                // Plain beam.
+                let top = idx.search_with_bound(&qv, k, &plain, None, None).unwrap();
+                h.hits(&top);
+                h.word(idx.search_layer(&qv, entry, ef, 0).1 as u64);
+                // Plan B: widened beam, bitmap applied afterwards.
+                h.hits(&idx.search_with_bound(&qv, k, &widened, Some(&allow), None).unwrap());
+                h.word(idx.search_layer(&qv, entry, widened.widened_ef(ef), 0).1 as u64);
+                // Plan D: predicate-aware traversal.
+                h.hits(&idx.search_with_bound(&qv, k, &walk, Some(&allow), None).unwrap());
+                let (cands, visited) = idx.search_layer0_filtered(
+                    &qv,
+                    entry,
+                    walk.traversal_ef(ef),
+                    &allow,
+                    walk.hop_budget(),
+                );
+                h.word(cands.len() as u64);
+                h.word(visited as u64);
+                // Head-only index, with and without a filter.
+                h.hits(&head.search_with_bound(&qv, k, &plain, None, None).unwrap());
+                h.hits(&head.search_with_bound(&qv, k, &widened, Some(&allow), None).unwrap());
+                // Shared bound: a vacuous one gets published to (raw store
+                // only), a tight one prunes.
+                let open = SharedBound::new();
+                h.hits(&idx.search_with_bound(&qv, k, &plain, None, Some(&open)).unwrap());
+                h.word(u64::from(open.get().to_bits()));
+                let tight = SharedBound::new();
+                tight.update(top[4].distance);
+                let b = Some(&tight);
+                h.hits(&idx.search_with_bound(&qv, 4 * k, &walk, Some(&allow), b).unwrap());
+                h.hits(&idx.search_with_bound(&qv, 4 * k, &plain, None, b).unwrap());
+                h.word(tight.skips());
+                h.word(u64::from(tight.get().to_bits()));
+                // Native iterator, first 200 rows.
+                let mut it = idx.search_iterator(&qv, &plain).unwrap();
+                h.hits(&it.next_batch(200).unwrap());
+                h.word(it.visited() as u64);
+            }
+            assert_eq!(h.0, want_search, "{kind:?}: traversal changed ({:#018x})", h.0);
+        }
+    }
+
+    const GOLDEN_HNSW_SEARCH: u64 = 0x6445_4f1b_26dd_96e4;
+    const GOLDEN_HNSW_BLOB: u64 = 0x7cd7_0bbb_2be9_cd60;
+    const GOLDEN_HNSWSQ_SEARCH: u64 = 0xcf22_1ff9_f248_12e2;
+    const GOLDEN_HNSWSQ_BLOB: u64 = 0x40bc_3e76_e82a_7c15;
 
     #[test]
     fn corrupt_blob_rejected() {

@@ -36,7 +36,7 @@ pub trait SearchIterator {
 
 /// Restart-based iterator for indexes without native incremental search.
 ///
-/// Round `i` performs a fresh `search_with_filter(k = initial_k · 2^i)` and
+/// Round `i` performs a fresh `search_with_bound(k = initial_k · 2^i)` and
 /// emits only the rows no earlier round returned. An exact index returns the
 /// previous round's result as a prefix of the next, so those are the suffix;
 /// a quantized one (IVFPQ fast-scan) may reorder or swap rows when `k`
@@ -93,8 +93,7 @@ impl SearchIterator for GenericSearchIterator<'_> {
             let want = self.emitted.len() + (n - out.len());
             self.next_k = self.next_k.max(want).max(1).next_power_of_two();
             let results =
-                self.index
-                    .search_with_filter(&self.query, self.next_k, &self.params, None)?;
+                self.index.search_with_bound(&self.query, self.next_k, &self.params, None, None)?;
             // Full restart: every returned row was "visited" again.
             self.visited += results.len().max(self.next_k.min(self.index.meta().len));
             // Buffer the new rows in reverse so pop() yields nearest-first.
@@ -189,28 +188,20 @@ mod tests {
         fn meta(&self) -> crate::IndexMeta {
             self.0.meta()
         }
-        fn search_with_filter(
+        fn search_with_bound(
             &self,
             query: &[f32],
             k: usize,
             params: &SearchParams,
             filter: Option<&bh_common::Bitset>,
+            bound: Option<&bh_common::SharedBound>,
         ) -> Result<Vec<Neighbor>> {
-            let mut hits = self.0.search_with_filter(query, k, params, filter)?;
+            let mut hits = self.0.search_with_bound(query, k, params, filter, bound)?;
             if k.trailing_zeros() & 1 == 0 {
                 let by = 3.min(hits.len());
                 hits.rotate_left(by);
             }
             Ok(hits)
-        }
-        fn search_with_range(
-            &self,
-            query: &[f32],
-            radius: f32,
-            params: &SearchParams,
-            filter: Option<&bh_common::Bitset>,
-        ) -> Result<Vec<Neighbor>> {
-            self.0.search_with_range(query, radius, params, filter)
         }
         fn search_iterator<'a>(
             &'a self,
@@ -282,13 +273,5 @@ mod tests {
         let mut it = GenericSearchIterator::new(idx.as_ref(), &q, &params);
         assert!(it.next_batch(3).unwrap().is_empty());
         assert!(it.exhausted());
-    }
-
-    #[test]
-    fn flat_index_reports_native_iterator() {
-        // FlatIndex implements its own resumable scan; sanity-check the flag
-        // here since this module documents the two iterator families.
-        let idx = sample_index(3, 2);
-        assert!(idx.has_native_iterator());
     }
 }

@@ -24,15 +24,16 @@
 //! never *published* to the bound.
 
 use crate::codec::{Reader, Writer};
+use crate::distance::distance_batch;
 use crate::flat::{metric_from_u8, metric_to_u8};
 use crate::iterator::{GenericSearchIterator, SearchIterator};
 use crate::kmeans::{train_kmeans, KMeans, KMeansParams};
 use crate::quant::fastscan::FastScanCodes;
 use crate::quant::pq::{AdcTable, CodeBits, Pq, PqParams};
 use crate::types::{
-    check_batch, IndexBuilder, IndexMeta, IndexSpec, Neighbor, SearchParams, VectorIndex,
+    check_batch, sorted_neighbors, BoundedTopK, IndexBuilder, IndexMeta, IndexSpec, Neighbor,
+    SearchParams, VectorIndex,
 };
-use crate::distance::distance_batch;
 use crate::{distance, IndexKind, Metric};
 use bh_common::{BhError, Bitset, Result, SharedBound, TopK};
 use bytes::Bytes;
@@ -40,8 +41,8 @@ use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"BHIV";
 /// v2 appends the per-subspace worst-case encoding errors for PQ payloads
-/// (the margins behind bound-aware quantized pruning); v1 blobs still load,
-/// with margins absent and bound pruning disabled.
+/// (the margins behind bound-aware quantized pruning). Nothing writes v1
+/// any more, so older headers are rejected.
 const VERSION: u16 = 2;
 
 /// PQ code storage. 8-bit codes stay packed per cell; 4-bit codes keep only
@@ -65,8 +66,8 @@ enum Cells {
         /// Per-subspace maximum squared encoding error over every stored
         /// vector (`m` entries). `sqrt(sum)` bounds any stored vector's
         /// reconstruction error — the margin that makes pruning quantized
-        /// distances against an exact bound sound. `None` for v1 blobs.
-        margins: Option<Vec<f32>>,
+        /// distances against an exact bound sound.
+        margins: Vec<f32>,
     },
 }
 
@@ -115,71 +116,78 @@ impl IvfIndex {
         q
     }
 
-    /// Scan one cell, pushing (possibly approximate) distances into `tk`.
-    fn scan_cell(
+    /// Scan one flat cell into `out`. Posting lists hold raw vectors, so
+    /// distances are exact (in the post-scale domain for cosine): rows the
+    /// shared bound beats are dropped and the local k-th is published.
+    fn scan_flat_cell(
         &self,
+        vectors: &[f32],
+        cell_ids: &[u64],
+        q: &[f32],
+        filter: Option<&Bitset>,
+        out: &mut BoundedTopK<'_>,
+        dists: &mut Vec<f32>,
+    ) {
+        let scale = self.post_scale();
+        if filter.is_none() && !cell_ids.is_empty() {
+            // The whole posting list is scanned: use the batched kernel over
+            // the cell's contiguous row-major block.
+            dists.clear();
+            dists.resize(cell_ids.len(), 0.0);
+            if distance_batch(self.effective_metric(), q, vectors, self.dim, dists).is_ok() {
+                for (&d, &id) in dists.iter().zip(cell_ids) {
+                    let d = d * scale;
+                    out.offer(d, d, id);
+                }
+                return;
+            }
+        }
+        for (i, &id) in cell_ids.iter().enumerate() {
+            if filter.is_some_and(|f| !f.contains(id as usize)) {
+                continue;
+            }
+            let row = &vectors[i * self.dim..(i + 1) * self.dim];
+            let d = self.effective_metric().distance(q, row) * scale;
+            out.offer(d, d, id);
+        }
+    }
+
+    /// Scan one PQ cell, pushing approximate distances into `tk`. Returns
+    /// the quantization error bound of the pushed values (see
+    /// [`Self::pq_cell_distances`]).
+    #[allow(clippy::too_many_arguments)]
+    fn scan_pq_cell(
+        &self,
+        pq: &Pq,
+        store: &PqStore,
         cell: usize,
         q: &[f32],
         filter: Option<&Bitset>,
         tk: &mut TopK<u64>,
-        visited: &mut usize,
-    ) {
-        let scale = self.post_scale();
-        match &self.cells {
-            Cells::Flat { vectors } => {
-                let cell_ids = &self.ids[cell];
-                if filter.is_none() && !cell_ids.is_empty() {
-                    // The whole posting list is scanned: use the batched
-                    // kernel over the cell's contiguous row-major block.
-                    *visited += cell_ids.len();
-                    let mut out = vec![0.0f32; cell_ids.len()];
-                    if distance_batch(self.effective_metric(), q, &vectors[cell], self.dim, &mut out)
-                        .is_ok()
-                    {
-                        for (&d, &id) in out.iter().zip(cell_ids) {
-                            tk.push(d * scale, id);
-                        }
-                        return;
-                    }
-                    *visited -= cell_ids.len();
-                }
-                for (i, &id) in cell_ids.iter().enumerate() {
-                    *visited += 1;
-                    if let Some(f) = filter {
-                        if !f.contains(id as usize) {
-                            continue;
-                        }
-                    }
-                    let d = self.effective_metric().distance(q, &vectors[cell][i * self.dim..(i + 1) * self.dim]);
-                    tk.push(d * scale, id);
-                }
-            }
-            Cells::Pq { pq, store, .. } => {
-                // Residual ADC table for this cell.
-                let centroid = self.coarse.centroid(cell);
-                let resid: Vec<f32> = q.iter().zip(centroid).map(|(a, b)| a - b).collect();
-                let Ok(table) = pq.adc_table(&resid) else { return };
-                let mut out = Vec::new();
-                self.pq_cell_distances(pq, store, cell, &table, &mut out);
-                for (i, &id) in self.ids[cell].iter().enumerate() {
-                    *visited += 1;
-                    if let Some(f) = filter {
-                        if !f.contains(id as usize) {
-                            continue;
-                        }
-                    }
-                    tk.push(out[i] * scale, id);
-                }
-            }
+        dists: &mut Vec<f32>,
+    ) -> f32 {
+        if self.ids[cell].is_empty() {
+            return 0.0;
         }
+        // Residual ADC table for this cell.
+        let centroid = self.coarse.centroid(cell);
+        let resid: Vec<f32> = q.iter().zip(centroid).map(|(a, b)| a - b).collect();
+        let Ok(table) = pq.adc_table(&resid) else { return 0.0 };
+        let errq = self.pq_cell_distances(pq, store, cell, &table, dists);
+        let scale = self.post_scale();
+        for (i, &id) in self.ids[cell].iter().enumerate() {
+            if filter.is_some_and(|f| !f.contains(id as usize)) {
+                continue;
+            }
+            tk.push(dists[i] * scale, id);
+        }
+        errq
     }
 
     /// Fill `out` with the (unscaled) approximate distance of every row in
     /// `cell`. Returns the quantization error bound of the produced values:
     /// positive when the u8 fast-scan kernel ran, zero when the exact f32
-    /// ADC table was used. Both [`Self::scan_cell`] and the bound-aware path
-    /// go through here so batched and sequential executions see identical
-    /// candidate distances.
+    /// ADC table was used.
     fn pq_cell_distances(
         &self,
         pq: &Pq,
@@ -217,11 +225,12 @@ impl IvfIndex {
     }
 
     /// Deserialize an index written by [`VectorIndex::save_bytes`].
-    /// Accepts both the current v2 layout and v1 blobs (which carry no
-    /// margin section — bound-aware pruning is then disabled).
     pub fn load_bytes(bytes: &[u8]) -> Result<IvfIndex> {
         let mut r = Reader::new(bytes);
         let version = r.expect_header(MAGIC)?;
+        if version < VERSION {
+            return Err(BhError::Serde(format!("ivf: blob version {version} is no longer read")));
+        }
         let kind = match r.get_u8()? {
             0 => IndexKind::IvfFlat,
             1 => IndexKind::IvfPq,
@@ -276,21 +285,7 @@ impl IvfIndex {
                         PqStore::Blocked(blocked)
                     }
                 };
-                let margins = if version >= 2 {
-                    match r.get_u8()? {
-                        0 => None,
-                        1 => {
-                            let mg = r.get_f32_vec()?;
-                            if mg.len() != pq.m() {
-                                return Err(BhError::Serde("ivf: corrupt margin section".into()));
-                            }
-                            Some(mg)
-                        }
-                        x => return Err(BhError::Serde(format!("ivf: bad margin flag {x}"))),
-                    }
-                } else {
-                    None
-                };
+                let margins = read_margins(&mut r, &pq)?;
                 Cells::Pq { pq, store, margins }
             }
             x => return Err(BhError::Serde(format!("ivf: bad payload byte {x}"))),
@@ -326,13 +321,7 @@ impl IvfIndex {
             Cells::Pq { pq, margins, .. } => {
                 hw.put_u8(1);
                 pq.save(&mut hw);
-                match margins {
-                    Some(mg) => {
-                        hw.put_u8(1);
-                        hw.put_f32_slice(mg);
-                    }
-                    None => hw.put_u8(0),
-                }
+                write_margins(&mut hw, margins);
             }
         }
 
@@ -424,6 +413,26 @@ impl IvfIndex {
     }
 }
 
+/// The margin section: a presence flag (always 1 — the flag byte survives
+/// from when margins were optional) and the per-subspace errors.
+fn write_margins(w: &mut Writer, margins: &[f32]) {
+    w.put_u8(1);
+    w.put_f32_slice(margins);
+}
+
+fn read_margins(r: &mut Reader<'_>, pq: &Pq) -> Result<Vec<f32>> {
+    match r.get_u8()? {
+        1 => {
+            let mg = r.get_f32_vec()?;
+            if mg.len() != pq.m() {
+                return Err(BhError::Serde("ivf: corrupt margin section".into()));
+            }
+            Ok(mg)
+        }
+        x => Err(BhError::Serde(format!("ivf: bad margin flag {x}"))),
+    }
+}
+
 /// Magic for the head section of a tiered IVF blob.
 const HEAD_MAGIC: &[u8; 4] = b"BHIH";
 /// Magic for the body section of a tiered IVF blob.
@@ -432,7 +441,7 @@ const TIERED_PART_VERSION: u16 = 1;
 
 enum IvfHeadPayload {
     Flat,
-    Pq { pq: Pq, margins: Option<Vec<f32>> },
+    Pq { pq: Pq, margins: Vec<f32> },
 }
 
 /// Parsed head section of a tiered IVF blob.
@@ -468,17 +477,7 @@ impl IvfHead {
             0 => IvfHeadPayload::Flat,
             1 => {
                 let pq = Pq::load(&mut r)?;
-                let margins = match r.get_u8()? {
-                    0 => None,
-                    1 => {
-                        let mg = r.get_f32_vec()?;
-                        if mg.len() != pq.m() {
-                            return Err(BhError::Serde("ivf head: corrupt margin section".into()));
-                        }
-                        Some(mg)
-                    }
-                    x => return Err(BhError::Serde(format!("ivf head: bad margin flag {x}"))),
-                };
+                let margins = read_margins(&mut r, &pq)?;
                 IvfHeadPayload::Pq { pq, margins }
             }
             x => return Err(BhError::Serde(format!("ivf head: bad payload byte {x}"))),
@@ -518,27 +517,17 @@ impl VectorIndex for IvfHeadIndex {
         IndexMeta { kind: self.kind, dim: self.dim, metric: self.metric, len: self.len }
     }
 
-    fn search_with_filter(
+    fn search_with_bound(
         &self,
         query: &[f32],
         _k: usize,
         _params: &SearchParams,
         _filter: Option<&Bitset>,
+        _bound: Option<&SharedBound>,
     ) -> Result<Vec<Neighbor>> {
         self.check_query(query)?;
         // Posting lists are not resident; there is nothing to return. The
         // caller gates on `head_servable()` and brute-forces instead.
-        Ok(Vec::new())
-    }
-
-    fn search_with_range(
-        &self,
-        query: &[f32],
-        _radius: f32,
-        _params: &SearchParams,
-        _filter: Option<&Bitset>,
-    ) -> Result<Vec<Neighbor>> {
-        self.check_query(query)?;
         Ok(Vec::new())
     }
 
@@ -569,28 +558,6 @@ impl VectorIndex for IvfIndex {
         IndexMeta { kind: self.kind, dim: self.dim, metric: self.metric, len: self.len }
     }
 
-    fn search_with_filter(
-        &self,
-        query: &[f32],
-        k: usize,
-        params: &SearchParams,
-        filter: Option<&Bitset>,
-    ) -> Result<Vec<Neighbor>> {
-        self.check_query(query)?;
-        if self.len == 0 || k == 0 {
-            return Ok(Vec::new());
-        }
-        let q = self.prep_query(query);
-        let nprobe = params.nprobe.clamp(1, self.nlist());
-        let probes = self.coarse.nearest_centroids(&q, nprobe);
-        let mut tk = TopK::new(k);
-        let mut visited = 0usize;
-        for (cell, _) in probes {
-            self.scan_cell(cell, &q, filter, &mut tk, &mut visited);
-        }
-        Ok(tk.into_sorted().into_iter().map(|s| Neighbor::new(s.item, s.distance)).collect())
-    }
-
     fn search_with_bound(
         &self,
         query: &[f32],
@@ -599,52 +566,52 @@ impl VectorIndex for IvfIndex {
         filter: Option<&Bitset>,
         bound: Option<&SharedBound>,
     ) -> Result<Vec<Neighbor>> {
-        let Some(b) = bound else {
-            return self.search_with_filter(query, k, params, filter);
-        };
-        match &self.cells {
-            Cells::Flat { .. } => self.flat_search_with_bound(query, k, params, filter, b),
-            Cells::Pq { pq, store, margins } => {
-                // Margin pruning needs build-time margins (v2 blobs) and a
-                // metric whose approximate scan value bounds the exact
-                // distance from below — L2, and Cosine via normalized L2.
-                // The residual-IP approximation has no such relation, and a
-                // v1 blob carries no margins: both fall back to the plain
-                // path (no pruning, no publishing).
-                let (Some(margins), false) = (margins, self.metric == Metric::InnerProduct) else {
-                    return self.search_with_filter(query, k, params, filter);
-                };
-                self.pq_search_with_bound(pq, store, margins, query, k, params, filter, b)
-            }
-        }
-    }
-
-    fn search_with_range(
-        &self,
-        query: &[f32],
-        radius: f32,
-        params: &SearchParams,
-        filter: Option<&Bitset>,
-    ) -> Result<Vec<Neighbor>> {
         self.check_query(query)?;
-        if self.len == 0 {
+        if self.len == 0 || k == 0 {
             return Ok(Vec::new());
         }
         let q = self.prep_query(query);
         let nprobe = params.nprobe.clamp(1, self.nlist());
         let probes = self.coarse.nearest_centroids(&q, nprobe);
-        // Collect everything within radius from the probed cells.
-        let mut tk = TopK::new(self.len);
-        let mut visited = 0usize;
-        for (cell, _) in probes {
-            self.scan_cell(cell, &q, filter, &mut tk, &mut visited);
+        let mut dists: Vec<f32> = Vec::new();
+        match &self.cells {
+            Cells::Flat { vectors } => {
+                let mut out = BoundedTopK::new(k, bound, true);
+                for (cell, _) in probes {
+                    let ids = &self.ids[cell];
+                    self.scan_flat_cell(&vectors[cell], ids, &q, filter, &mut out, &mut dists);
+                }
+                Ok(out.finish())
+            }
+            Cells::Pq { pq, store, margins } => {
+                // Every row is pushed at its quantized distance whatever the
+                // bound says, so batched and sequential executions collect
+                // identical candidates; the bound only trims the result.
+                let mut tk = TopK::new(k);
+                // Cells may differ in LUT quantization step; the max across
+                // probed cells is a uniform (conservative) error bound.
+                let mut max_errq = 0.0f32;
+                for (cell, _) in probes {
+                    let errq = self.scan_pq_cell(pq, store, cell, &q, filter, &mut tk, &mut dists);
+                    max_errq = max_errq.max(errq);
+                }
+                let mut hits = sorted_neighbors(tk);
+                // Margin pruning needs a metric whose approximate scan value
+                // bounds the exact distance from below — L2, and Cosine via
+                // normalized L2. The residual-IP approximation has no such
+                // relation: no pruning there. Approximate distances are
+                // never published.
+                if let Some(b) = bound.filter(|_| self.metric != Metric::InnerProduct) {
+                    let before = hits.len();
+                    let (scale, rho) = (self.post_scale(), pq_radius(margins));
+                    let beaten =
+                        |nb: &Neighbor| pq_lower_bound(nb.distance, scale, max_errq, rho) > b.get();
+                    hits.retain(|nb| !beaten(nb));
+                    b.record_skips((before - hits.len()) as u64);
+                }
+                Ok(hits)
+            }
         }
-        Ok(tk
-            .into_sorted()
-            .into_iter()
-            .filter(|s| s.distance <= radius)
-            .map(|s| Neighbor::new(s.item, s.distance))
-            .collect())
     }
 
     fn search_iterator<'a>(
@@ -670,9 +637,7 @@ impl VectorIndex for IvfIndex {
                     PqStore::Bytes(codes) => codes.iter().map(|c| c.len() + 24).sum(),
                     PqStore::Blocked(cells) => cells.iter().map(|c| c.memory_usage()).sum(),
                 };
-                pq.memory_usage()
-                    + code_bytes
-                    + margins.as_ref().map_or(0, |m| m.len() * 4 + 24)
+                pq.memory_usage() + code_bytes + margins.len() * 4 + 24
             }
         };
         self.coarse.centroids.len() * 4 + id_bytes + cell_bytes + std::mem::size_of::<Self>()
@@ -722,14 +687,7 @@ impl VectorIndex for IvfIndex {
                         }
                     }
                 }
-                // v2 margin section.
-                match margins {
-                    Some(mg) => {
-                        w.put_u8(1);
-                        w.put_f32_slice(mg);
-                    }
-                    None => w.put_u8(0),
-                }
+                write_margins(&mut w, margins);
             }
         }
         Ok(w.finish())
@@ -740,156 +698,24 @@ impl VectorIndex for IvfIndex {
     }
 }
 
-impl IvfIndex {
-    /// Exact-distance bounded scan over flat cells: prunes on and publishes
-    /// to the shared bound (distances are exact, in the post-scale domain
-    /// for cosine).
-    fn flat_search_with_bound(
-        &self,
-        query: &[f32],
-        k: usize,
-        params: &SearchParams,
-        filter: Option<&Bitset>,
-        b: &SharedBound,
-    ) -> Result<Vec<Neighbor>> {
-        let Cells::Flat { vectors } = &self.cells else {
-            return Err(BhError::Internal("ivf: flat bound path on pq cells".into()));
-        };
-        self.check_query(query)?;
-        if self.len == 0 || k == 0 {
-            return Ok(Vec::new());
-        }
-        let q = self.prep_query(query);
-        let scale = self.post_scale();
-        let nprobe = params.nprobe.clamp(1, self.nlist());
-        let probes = self.coarse.nearest_centroids(&q, nprobe);
-        // IVFFLAT posting lists hold raw vectors, so distances are exact and
-        // the shared bound applies (in the post-scale domain for cosine).
-        let mut tk = TopK::new(k);
-        let mut skipped = 0u64;
-        let mut out: Vec<f32> = Vec::new();
-        for (cell, _) in probes {
-            let cell_ids = &self.ids[cell];
-            if cell_ids.is_empty() {
-                continue;
-            }
-            if filter.is_none() {
-                out.clear();
-                out.resize(cell_ids.len(), 0.0);
-                if distance_batch(self.effective_metric(), &q, &vectors[cell], self.dim, &mut out)
-                    .is_ok()
-                {
-                    for (&d, &id) in out.iter().zip(cell_ids) {
-                        let d = d * scale;
-                        if d > b.get() {
-                            skipped += 1;
-                            continue;
-                        }
-                        if tk.push(d, id) && tk.is_full() {
-                            b.update(tk.threshold());
-                        }
-                    }
-                    continue;
-                }
-            }
-            for (i, &id) in cell_ids.iter().enumerate() {
-                if let Some(f) = filter {
-                    if !f.contains(id as usize) {
-                        continue;
-                    }
-                }
-                let row = &vectors[cell][i * self.dim..(i + 1) * self.dim];
-                let d = self.effective_metric().distance(&q, row) * scale;
-                if d > b.get() {
-                    skipped += 1;
-                    continue;
-                }
-                if tk.push(d, id) && tk.is_full() {
-                    b.update(tk.threshold());
-                }
-            }
-        }
-        b.record_skips(skipped);
-        Ok(tk.into_sorted().into_iter().map(|s| Neighbor::new(s.item, s.distance)).collect())
-    }
+/// `sqrt(sum of per-subspace worst-case squared errors)`: no stored vector
+/// lies further than this from its reconstruction.
+fn pq_radius(margins: &[f32]) -> f32 {
+    margins.iter().map(|e| e.max(0.0)).sum::<f32>().sqrt()
+}
 
-    /// Bound-aware scan over PQ cells: runs the *same* quantized scan as the
-    /// unbounded path (identical candidate values, so batched and sequential
-    /// executions merge identically), then drops candidates whose exact
-    /// distance provably exceeds the shared exact threshold.
-    ///
-    /// For a candidate reported at quantized distance `d` (unscaled), the
-    /// exact f32 ADC value is at least `d - err_q`, the distance to the
-    /// *reconstruction* is at least `sqrt(max(0, d - err_q))`, and by the
-    /// triangle inequality the distance to the true vector is at least that
-    /// minus `rho = sqrt(sum of per-subspace worst-case squared errors)`.
-    /// Squaring (and post-scaling for cosine) gives a lower bound on the
-    /// exact distance; a candidate is skipped only when that bound strictly
-    /// exceeds `b.get()`. Approximate distances are never published.
-    #[allow(clippy::too_many_arguments)]
-    fn pq_search_with_bound(
-        &self,
-        pq: &Pq,
-        store: &PqStore,
-        margins: &[f32],
-        query: &[f32],
-        k: usize,
-        params: &SearchParams,
-        filter: Option<&Bitset>,
-        b: &SharedBound,
-    ) -> Result<Vec<Neighbor>> {
-        self.check_query(query)?;
-        if self.len == 0 || k == 0 {
-            return Ok(Vec::new());
-        }
-        let q = self.prep_query(query);
-        let scale = self.post_scale();
-        let nprobe = params.nprobe.clamp(1, self.nlist());
-        let probes = self.coarse.nearest_centroids(&q, nprobe);
-        let mut tk = TopK::new(k);
-        let mut max_errq = 0.0f32;
-        let mut out: Vec<f32> = Vec::new();
-        for (cell, _) in probes {
-            if self.ids[cell].is_empty() {
-                continue;
-            }
-            let centroid = self.coarse.centroid(cell);
-            let resid: Vec<f32> = q.iter().zip(centroid).map(|(a, b)| a - b).collect();
-            let Ok(table) = pq.adc_table(&resid) else { continue };
-            let errq = self.pq_cell_distances(pq, store, cell, &table, &mut out);
-            // Cells may differ in LUT quantization step; the max across
-            // probed cells is a uniform (conservative) error bound.
-            max_errq = max_errq.max(errq);
-            for (i, &id) in self.ids[cell].iter().enumerate() {
-                if let Some(f) = filter {
-                    if !f.contains(id as usize) {
-                        continue;
-                    }
-                }
-                tk.push(out[i] * scale, id);
-            }
-        }
-        let rho = margins.iter().map(|e| e.max(0.0)).sum::<f32>().sqrt();
-        let mut skipped = 0u64;
-        let hits: Vec<Neighbor> = tk
-            .into_sorted()
-            .into_iter()
-            .filter(|s| {
-                // post_scale is 1.0 or 0.5: the division below is exact.
-                let d = s.distance / scale;
-                let base = ((d - max_errq).max(0.0).sqrt() - rho).max(0.0);
-                if base * base * scale > b.get() {
-                    skipped += 1;
-                    false
-                } else {
-                    true
-                }
-            })
-            .map(|s| Neighbor::new(s.item, s.distance))
-            .collect();
-        b.record_skips(skipped);
-        Ok(hits)
-    }
+/// A lower bound on the exact distance of a candidate reported at
+/// (post-scaled) quantized distance `reported`.
+///
+/// Unscaled, the exact f32 ADC value is at least `d - err_q`, the distance
+/// to the *reconstruction* is at least `sqrt(max(0, d - err_q))`, and by the
+/// triangle inequality the distance to the true vector is at least that
+/// minus `rho`. Squaring (and post-scaling for cosine) gives the bound.
+fn pq_lower_bound(reported: f32, scale: f32, err_q: f32, rho: f32) -> f32 {
+    // post_scale is 1.0 or 0.5: the division below is exact.
+    let d = reported / scale;
+    let base = ((d - err_q).max(0.0).sqrt() - rho).max(0.0);
+    base * base * scale
 }
 
 /// Builder for the three IVF variants.
@@ -1086,7 +912,7 @@ impl IndexBuilder for IvfBuilder {
                     CodeBits::B4 => PqStore::Blocked(self.blocked),
                     CodeBits::B8 => PqStore::Bytes(self.codes),
                 };
-                Cells::Pq { pq, store, margins: Some(self.max_sq_err) }
+                Cells::Pq { pq, store, margins: self.max_sq_err }
             }
             None => Cells::Flat { vectors: self.flat },
         };
@@ -1163,8 +989,8 @@ mod tests {
         for q in 0..queries {
             let row = (q * 31) % n;
             let qv = &data[row * dim..(row + 1) * dim];
-            let truth = flat.search_with_filter(qv, 10, params, None).unwrap();
-            let got = ivf.search_with_filter(qv, 10, params, None).unwrap();
+            let truth = flat.search_with_bound(qv, 10, params, None, None).unwrap();
+            let got = ivf.search_with_bound(qv, 10, params, None, None).unwrap();
             total += recall_at_k(&truth, &got, 10);
         }
         total / queries as f64
@@ -1179,8 +1005,8 @@ mod tests {
             let rebuilt = IvfIndex::load_tiered_parts(&head, &body).unwrap();
             assert_eq!(rebuilt.save_bytes().unwrap(), whole, "{kind:?}");
             let params = SearchParams::default().with_nprobe(8);
-            let a = ivf.search_with_filter(&data[..8], 10, &params, None).unwrap();
-            let b = rebuilt.search_with_filter(&data[..8], 10, &params, None).unwrap();
+            let a = ivf.search_with_bound(&data[..8], 10, &params, None, None).unwrap();
+            let b = rebuilt.search_with_bound(&data[..8], 10, &params, None, None).unwrap();
             assert_eq!(a, b, "{kind:?}");
         }
     }
@@ -1198,10 +1024,11 @@ mod tests {
         assert_eq!(partial.nlist(), 10);
         // Searches are well-formed but empty (caller brute-forces instead).
         let got =
-            partial.search_with_filter(&data[..8], 5, &SearchParams::default(), None).unwrap();
+            partial.search_with_bound(&data[..8], 5, &SearchParams::default(), None, None).unwrap();
         assert!(got.is_empty());
         // Dimension checks still apply.
-        assert!(partial.search_with_filter(&[0.0; 3], 5, &SearchParams::default(), None).is_err());
+        let short = partial.search_with_bound(&[0.0; 3], 5, &SearchParams::default(), None, None);
+        assert!(short.is_err());
     }
 
     #[test]
@@ -1261,11 +1088,12 @@ mod tests {
         let (ivf, _, data) = build(IndexKind::IvfFlat, 500, dim, 8, Metric::L2, 5);
         let allowed = Bitset::from_positions(500, (0..500).filter(|i| i % 3 == 0));
         let got = ivf
-            .search_with_filter(
+            .search_with_bound(
                 &data[0..dim],
                 10,
                 &SearchParams::default().with_nprobe(8),
                 Some(&allowed),
+                None,
             )
             .unwrap();
         assert!(!got.is_empty());
@@ -1294,8 +1122,8 @@ mod tests {
         let (ivf, flat, data) = build(IndexKind::IvfFlat, 600, dim, 8, Metric::Cosine, 7);
         let q = &data[dim..2 * dim];
         let params = SearchParams::default().with_nprobe(8);
-        let truth = flat.search_with_filter(q, 5, &params, None).unwrap();
-        let got = ivf.search_with_filter(q, 5, &params, None).unwrap();
+        let truth = flat.search_with_bound(q, 5, &params, None, None).unwrap();
+        let got = ivf.search_with_bound(q, 5, &params, None, None).unwrap();
         let t_ids: Vec<u64> = truth.iter().map(|x| x.id).collect();
         let g_ids: Vec<u64> = got.iter().map(|x| x.id).collect();
         assert_eq!(t_ids, g_ids);
@@ -1335,8 +1163,8 @@ mod tests {
             let q = &data[0..dim];
             let params = SearchParams::default().with_nprobe(4);
             assert_eq!(
-                ivf.search_with_filter(q, 5, &params, None).unwrap(),
-                loaded.search_with_filter(q, 5, &params, None).unwrap(),
+                ivf.search_with_bound(q, 5, &params, None, None).unwrap(),
+                loaded.search_with_bound(q, 5, &params, None, None).unwrap(),
                 "{kind:?} roundtrip mismatch"
             );
         }
@@ -1358,7 +1186,7 @@ mod tests {
         let (ivf, flat, data) = build(IndexKind::IvfPqFs, 300, dim, 8, Metric::L2, 20);
         let params = SearchParams::default().with_nprobe(8);
         let q = &data[0..dim];
-        let truth = flat.search_with_filter(q, 10, &params, None).unwrap();
+        let truth = flat.search_with_bound(q, 10, &params, None, None).unwrap();
         let b = SharedBound::new();
         b.update(truth[9].distance);
         let got = ivf.search_with_bound(q, 80, &params, None, Some(&b)).unwrap();
@@ -1368,7 +1196,7 @@ mod tests {
         assert!(b.skips() > 0, "tight bound produced no skips");
         // The surviving list is the unbounded list minus skipped tail
         // entries only (post-scan filter preserves order and values).
-        let unbounded = ivf.search_with_filter(q, 80, &params, None).unwrap();
+        let unbounded = ivf.search_with_bound(q, 80, &params, None, None).unwrap();
         let got_ids: Vec<u64> = got.iter().map(|n| n.id).collect();
         let sub: Vec<u64> =
             unbounded.iter().map(|n| n.id).filter(|id| got_ids.contains(id)).collect();
@@ -1376,32 +1204,27 @@ mod tests {
     }
 
     #[test]
-    fn v1_blob_without_margins_loads_and_falls_back() {
-        let dim = 8;
-        let (ivf, _, data) = build(IndexKind::IvfPqFs, 400, dim, 8, Metric::L2, 21);
-        let blob = ivf.save_bytes().unwrap();
-        let mut v1 = blob.to_vec();
-        // Rewrite the header version (bytes [4,6) little-endian) to 1 and
-        // strip the v2 margin tail: flag byte + u64 len + m f32s, with
-        // m = 2 for dim 8 (largest divisor of 8 that is <= dim/4).
+    fn blob_without_margins_is_rejected() {
+        let (ivf, _, _) = build(IndexKind::IvfPqFs, 400, 8, 8, Metric::L2, 21);
+        let blob = ivf.save_bytes().unwrap().to_vec();
+        assert!(IvfIndex::load_bytes(&blob).is_ok());
+        // A header version below 2 (bytes [4,6), little-endian).
+        let mut v1 = blob.clone();
         v1[4] = 1;
-        v1[5] = 0;
-        v1.truncate(v1.len() - (1 + 8 + 4 * 2));
-        let loaded = IvfIndex::load_bytes(&v1).unwrap();
-        let params = SearchParams::default().with_nprobe(8);
-        let q = &data[0..dim];
-        assert_eq!(
-            ivf.search_with_filter(q, 5, &params, None).unwrap(),
-            loaded.search_with_filter(q, 5, &params, None).unwrap(),
-            "v1 payload must scan identically"
-        );
-        // No margins → the bound path must fall back: nothing skipped even
-        // under an impossibly tight bound.
-        let b = SharedBound::new();
-        b.update(0.0);
-        let got = loaded.search_with_bound(q, 5, &params, None, Some(&b)).unwrap();
-        assert_eq!(got, loaded.search_with_filter(q, 5, &params, None).unwrap());
-        assert_eq!(b.skips(), 0);
+        assert!(matches!(IvfIndex::load_bytes(&v1), Err(BhError::Serde(_))));
+        // A cleared margin flag: the tail is flag byte + u64 len + m f32s,
+        // with m = 2 for dim 8 (largest divisor of 8 that is <= dim/4).
+        let mut unflagged = blob.clone();
+        let flag = blob.len() - (1 + 8 + 4 * 2);
+        assert_eq!(unflagged[flag], 1);
+        unflagged[flag] = 0;
+        assert!(matches!(IvfIndex::load_bytes(&unflagged), Err(BhError::Serde(_))));
+        // The tiered head carries the same section, ending the head.
+        let (head, body) = ivf.save_bytes_tiered().unwrap().unwrap();
+        let mut head = head.to_vec();
+        let flag = head.len() - (1 + 8 + 4 * 2);
+        head[flag] = 0;
+        assert!(matches!(IvfIndex::load_tiered_parts(&head, &body), Err(BhError::Serde(_))));
     }
 
     proptest! {
@@ -1421,11 +1244,11 @@ mod tests {
             let (ivf, flat, data) = build(kind, 800, dim, 8, Metric::L2, 100 + seed);
             let params = SearchParams::default().with_nprobe(8);
             let q = &data[qrow * dim..(qrow + 1) * dim];
-            let truth = flat.search_with_filter(q, 10, &params, None).unwrap();
+            let truth = flat.search_with_bound(q, 10, &params, None, None).unwrap();
             let bound_val = truth[truth.len() - 1].distance;
             let b = SharedBound::new();
             b.update(bound_val);
-            let unbounded = ivf.search_with_filter(q, 30, &params, None).unwrap();
+            let unbounded = ivf.search_with_bound(q, 30, &params, None, None).unwrap();
             let got = ivf.search_with_bound(q, 30, &params, None, Some(&b)).unwrap();
             let got_ids: Vec<u64> = got.iter().map(|n| n.id).collect();
             for cand in &unbounded {
@@ -1452,6 +1275,6 @@ mod tests {
     #[test]
     fn dimension_mismatch_rejected() {
         let (ivf, _, _) = build(IndexKind::IvfFlat, 50, 8, 4, Metric::L2, 12);
-        assert!(ivf.search_with_filter(&[0.0; 7], 3, &SearchParams::default(), None).is_err());
+        assert!(ivf.search_with_bound(&[0.0; 7], 3, &SearchParams::default(), None, None).is_err());
     }
 }

@@ -4,8 +4,9 @@
 //! consumes from hnswlib / faiss / diskann, exposed behind the paper's
 //! "virtual vector index" abstraction (Fig. 5):
 //!
-//! * **Execution-layer interfaces**: [`VectorIndex::search_with_filter`],
-//!   [`VectorIndex::search_with_range`], and [`VectorIndex::search_iterator`].
+//! * **Execution-layer interfaces**: [`VectorIndex::search_with_bound`]
+//!   (`SearchWithFilter`), [`VectorIndex::search_with_range`], and
+//!   [`VectorIndex::search_iterator`].
 //! * **Storage-layer interfaces**: `CreateIndex` ([`registry::IndexRegistry::create_builder`]),
 //!   `Train` / `AddWithIds` ([`IndexBuilder`]), and `SaveIndex` / `LoadIndex`
 //!   ([`VectorIndex::save_bytes`] / [`registry::IndexRegistry::load`]).

@@ -320,7 +320,7 @@ mod tests {
             let loaded = reg.load(kind, &blob).unwrap();
             assert_eq!(loaded.meta().kind, kind);
             let got = loaded
-                .search_with_filter(&data[0..dim], 3, &SearchParams::default(), None)
+                .search_with_bound(&data[0..dim], 3, &SearchParams::default(), None, None)
                 .unwrap();
             assert!(!got.is_empty(), "{kind:?} returned nothing");
         }
@@ -348,8 +348,8 @@ mod tests {
             let full = reg.load(kind, &framed).unwrap();
             assert!(!full.is_partial(), "{kind:?}");
             let params = SearchParams::default().with_nprobe(8);
-            let want = idx.search_with_filter(&data[0..dim], 5, &params, None).unwrap();
-            let got = full.search_with_filter(&data[0..dim], 5, &params, None).unwrap();
+            let want = idx.search_with_bound(&data[0..dim], 5, &params, None, None).unwrap();
+            let got = full.search_with_bound(&data[0..dim], 5, &params, None, None).unwrap();
             assert_eq!(want, got, "{kind:?}");
 
             // A head-only prefix loads to a partial index.
@@ -385,24 +385,15 @@ mod tests {
             }
         }
 
-        fn search_with_filter(
+        fn search_with_bound(
             &self,
             _q: &[f32],
             _k: usize,
             _p: &SearchParams,
             _f: Option<&Bitset>,
+            _b: Option<&bh_common::SharedBound>,
         ) -> Result<Vec<Neighbor>> {
             Ok(vec![Neighbor::new(99, 0.0)])
-        }
-
-        fn search_with_range(
-            &self,
-            _q: &[f32],
-            _r: f32,
-            _p: &SearchParams,
-            _f: Option<&Bitset>,
-        ) -> Result<Vec<Neighbor>> {
-            Ok(vec![])
         }
 
         fn search_iterator<'a>(
@@ -450,7 +441,7 @@ mod tests {
         assert_eq!(reg.provider(IndexKind::Hnsw), Some("bh-hnswlib"));
         // And the new provider actually serves loads.
         let idx = reg.load(IndexKind::Flat, &[]).unwrap();
-        let got = idx.search_with_filter(&[0.0; 4], 1, &SearchParams::default(), None).unwrap();
+        let got = idx.search_with_bound(&[0.0; 4], 1, &SearchParams::default(), None, None).unwrap();
         assert_eq!(got[0].id, 99);
     }
 }

@@ -4,14 +4,14 @@
 //! layer builds indexes through [`IndexBuilder`] (`Train`, `AddWithIds`,
 //! `CreateIndex`) and persists them via [`VectorIndex::save_bytes`]
 //! (`SaveIndex`); the execution layer searches through
-//! [`VectorIndex::search_with_filter`], [`VectorIndex::search_with_range`] and
-//! [`VectorIndex::search_iterator`]. A new index library plugs in by
-//! implementing these traits and registering an
-//! [`crate::registry::IndexFactory`].
+//! [`VectorIndex::search_with_bound`] (the paper's `SearchWithFilter`),
+//! [`VectorIndex::search_with_range`] and [`VectorIndex::search_iterator`].
+//! A new index library plugs in by implementing the two required search
+//! methods and registering an [`crate::registry::IndexFactory`].
 
 use crate::distance::Metric;
 use crate::iterator::SearchIterator;
-use bh_common::{BhError, Bitset, Result, SharedBound};
+use bh_common::{BhError, Bitset, Result, SharedBound, TopK};
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -344,18 +344,10 @@ pub trait VectorIndex: Send + Sync {
     /// Descriptive metadata (kind, dim, metric, length).
     fn meta(&self) -> IndexMeta;
 
-    /// `SearchWithFilter`: top-`k` by distance among rows passing `filter`.
-    fn search_with_filter(
-        &self,
-        query: &[f32],
-        k: usize,
-        params: &SearchParams,
-        filter: Option<&Bitset>,
-    ) -> Result<Vec<Neighbor>>;
-
-    /// Like [`Self::search_with_filter`], but threaded with a shared k-th
-    /// distance upper bound published by peer workers of the same query
-    /// (batched execution, DESIGN.md §7).
+    /// `SearchWithFilter`: top-`k` by distance among rows passing `filter`,
+    /// optionally threaded with a shared k-th distance upper bound published
+    /// by peer workers of the same query (batched execution, DESIGN.md §7).
+    /// `bound: None` reads as a bound of `+inf` that is never published to.
     ///
     /// Implementations may (a) skip candidates whose exact distance — or a
     /// proven **lower bound** on it — is **strictly** greater than
@@ -366,8 +358,7 @@ pub trait VectorIndex: Send + Sync {
     /// a conservative margin (quantization error bound) subtracted from the
     /// approximate distance, as the IVFPQ and HNSW-SQ stores do (DESIGN.md
     /// §10) — the exact k-th for publication then comes from the refine
-    /// stage. The default ignores the bound entirely, which is always
-    /// correct.
+    /// stage. Ignoring the bound entirely is always correct.
     fn search_with_bound(
         &self,
         query: &[f32],
@@ -375,20 +366,47 @@ pub trait VectorIndex: Send + Sync {
         params: &SearchParams,
         filter: Option<&Bitset>,
         bound: Option<&SharedBound>,
-    ) -> Result<Vec<Neighbor>> {
-        let _ = bound;
-        self.search_with_filter(query, k, params, filter)
-    }
+    ) -> Result<Vec<Neighbor>>;
 
     /// `SearchWithRange`: all rows within `radius` of `query` (by the index
     /// metric), passing `filter`, sorted ascending by distance.
+    ///
+    /// Written once on top of [`Self::search_iterator`]: stream nearest-first
+    /// until a window of `slack` consecutive rows lies beyond the radius (an
+    /// approximate index's order is only approximately sorted).
     fn search_with_range(
         &self,
         query: &[f32],
         radius: f32,
         params: &SearchParams,
         filter: Option<&Bitset>,
-    ) -> Result<Vec<Neighbor>>;
+    ) -> Result<Vec<Neighbor>> {
+        let mut it = self.search_iterator(query, params)?;
+        let slack = params.ef_search.max(16);
+        let mut out = Vec::new();
+        let mut beyond = 0usize;
+        loop {
+            let batch = it.next_batch(slack)?;
+            if batch.is_empty() {
+                break;
+            }
+            for nb in batch {
+                if nb.distance <= radius {
+                    beyond = 0;
+                    if filter.map(|f| f.contains(nb.id as usize)).unwrap_or(true) {
+                        out.push(nb);
+                    }
+                } else {
+                    beyond += 1;
+                }
+            }
+            if beyond >= slack {
+                break;
+            }
+        }
+        out.sort_by(|a, b| a.distance.total_cmp(&b.distance));
+        Ok(out)
+    }
 
     /// `SearchIterator`: incremental nearest-first traversal used by the
     /// post-filter strategy. Indexes without native support return a
@@ -399,12 +417,6 @@ pub trait VectorIndex: Send + Sync {
         query: &[f32],
         params: &SearchParams,
     ) -> Result<Box<dyn SearchIterator + 'a>>;
-
-    /// Whether [`Self::search_iterator`] is natively incremental (true for
-    /// our extended HNSW) or a generic restart wrapper.
-    fn has_native_iterator(&self) -> bool {
-        false
-    }
 
     /// Whether returned distances are approximate (quantized) and benefit
     /// from exact-distance refinement on the raw vectors (the `σ·k·c_d` term
@@ -452,6 +464,52 @@ pub trait VectorIndex: Send + Sync {
         }
         Ok(())
     }
+}
+
+/// The top-`k` collector of this crate's bound-aware scans: the one place
+/// here the shared bound's prune and publish rules are written.
+pub(crate) struct BoundedTopK<'a> {
+    tk: TopK<u64>,
+    bound: Option<&'a SharedBound>,
+    /// Whether offered distances are exact. Only exact distances tighten
+    /// the bound — an approximate k-th could over-prune sibling segments.
+    exact: bool,
+    skipped: u64,
+}
+
+impl<'a> BoundedTopK<'a> {
+    pub(crate) fn new(k: usize, bound: Option<&'a SharedBound>, exact: bool) -> Self {
+        Self { tk: TopK::new(k), bound, exact, skipped: 0 }
+    }
+
+    /// Offer row `id` at distance `d`. `lower` is a proven lower bound on
+    /// its exact distance (`d` itself when distances are exact): the row is
+    /// skipped when that strictly exceeds the shared bound.
+    #[inline]
+    pub(crate) fn offer(&mut self, lower: f32, d: f32, id: u64) {
+        let Some(b) = self.bound else {
+            self.tk.push(d, id);
+            return;
+        };
+        if lower > b.get() {
+            self.skipped += 1;
+        } else if self.tk.push(d, id) && self.tk.is_full() && self.exact {
+            b.update(self.tk.threshold());
+        }
+    }
+
+    /// The retained rows, ascending by distance; records the skip count.
+    pub(crate) fn finish(self) -> Vec<Neighbor> {
+        if let Some(b) = self.bound {
+            b.record_skips(self.skipped);
+        }
+        sorted_neighbors(self.tk)
+    }
+}
+
+/// Drain a collector into hits sorted ascending by distance.
+pub(crate) fn sorted_neighbors(tk: TopK<u64>) -> Vec<Neighbor> {
+    tk.into_sorted().into_iter().map(|s| Neighbor::new(s.item, s.distance)).collect()
 }
 
 /// Storage-layer build interface of Fig. 5 (`Train`, `AddWithIds`, then

@@ -23,11 +23,12 @@ use crate::flat::{metric_from_u8, metric_to_u8};
 use crate::iterator::{GenericSearchIterator, SearchIterator};
 use crate::quant::pq::{CodeBits, Pq, PqParams};
 use crate::types::{
-    check_batch, IndexBuilder, IndexMeta, IndexSpec, Neighbor, SearchParams, VectorIndex,
+    check_batch, sorted_neighbors, IndexBuilder, IndexMeta, IndexSpec, Neighbor, SearchParams,
+    VectorIndex,
 };
 use crate::{IndexKind, Metric};
 use bh_common::rng::derived_rng;
-use bh_common::{BhError, Bitset, Result, TopK};
+use bh_common::{BhError, Bitset, Result, SharedBound, TopK};
 use bytes::Bytes;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -156,7 +157,7 @@ impl DiskAnnIndex {
                 }
             }
         }
-        Ok(exact.into_sorted().into_iter().map(|s| Neighbor::new(s.item, s.distance)).collect())
+        Ok(sorted_neighbors(exact))
     }
 
     /// Deserialize an index written by [`VectorIndex::save_bytes`].
@@ -194,12 +195,13 @@ impl VectorIndex for DiskAnnIndex {
         IndexMeta { kind: IndexKind::DiskAnn, dim: self.dim, metric: self.metric, len: self.n() }
     }
 
-    fn search_with_filter(
+    fn search_with_bound(
         &self,
         query: &[f32],
         k: usize,
         params: &SearchParams,
         filter: Option<&Bitset>,
+        _bound: Option<&SharedBound>,
     ) -> Result<Vec<Neighbor>> {
         self.check_query(query)?;
         if self.n() == 0 || k == 0 {
@@ -207,30 +209,6 @@ impl VectorIndex for DiskAnnIndex {
         }
         let beam = if filter.is_some() { params.ef_search * 2 } else { params.ef_search };
         self.beam_search(query, k, beam, filter)
-    }
-
-    fn search_with_range(
-        &self,
-        query: &[f32],
-        radius: f32,
-        params: &SearchParams,
-        filter: Option<&Bitset>,
-    ) -> Result<Vec<Neighbor>> {
-        self.check_query(query)?;
-        if self.n() == 0 {
-            return Ok(Vec::new());
-        }
-        // Grow k until the worst result clears the radius (or all rows seen).
-        let mut k = params.ef_search.max(32);
-        loop {
-            let got = self.beam_search(query, k, k, filter)?;
-            let exhausted = got.len() < k;
-            let worst_in = got.last().map(|n| n.distance <= radius).unwrap_or(false);
-            if exhausted || !worst_in || k >= self.n() {
-                return Ok(got.into_iter().filter(|n| n.distance <= radius).collect());
-            }
-            k = (k * 2).min(self.n());
-        }
     }
 
     fn search_iterator<'a>(
@@ -535,8 +513,8 @@ mod tests {
         for q in 0..15 {
             let row = (q * 53) % n;
             let qv = &data[row * dim..(row + 1) * dim];
-            let truth = flat.search_with_filter(qv, 10, &params, None).unwrap();
-            let got = dann.search_with_filter(qv, 10, &params, None).unwrap();
+            let truth = flat.search_with_bound(qv, 10, &params, None, None).unwrap();
+            let got = dann.search_with_bound(qv, 10, &params, None, None).unwrap();
             total += recall_at_k(&truth, &got, 10);
         }
         let recall = total / 15.0;
@@ -552,7 +530,7 @@ mod tests {
         };
         assert_eq!(dann_concrete.disk_reads(), 0);
         let params = SearchParams::default().with_ef(32);
-        dann_concrete.search_with_filter(&data[0..8], 5, &params, None).unwrap();
+        dann_concrete.search_with_bound(&data[0..8], 5, &params, None, None).unwrap();
         let reads = dann_concrete.disk_reads();
         assert!(reads > 0, "search must read the blob");
         assert!(
@@ -577,7 +555,7 @@ mod tests {
         let (dann, _, data) = build(400, 8, 4);
         let allowed = Bitset::from_positions(400, (0..400).filter(|i| i % 5 == 0));
         let got = dann
-            .search_with_filter(&data[0..8], 8, &SearchParams::default(), Some(&allowed))
+            .search_with_bound(&data[0..8], 8, &SearchParams::default(), Some(&allowed), None)
             .unwrap();
         assert!(!got.is_empty());
         for nb in &got {
@@ -605,8 +583,8 @@ mod tests {
         let loaded = DiskAnnIndex::load_bytes(&blob).unwrap();
         let params = SearchParams::default();
         assert_eq!(
-            dann.search_with_filter(&data[0..8], 5, &params, None).unwrap(),
-            loaded.search_with_filter(&data[0..8], 5, &params, None).unwrap()
+            dann.search_with_bound(&data[0..8], 5, &params, None, None).unwrap(),
+            loaded.search_with_bound(&data[0..8], 5, &params, None, None).unwrap()
         );
         assert!(DiskAnnIndex::load_bytes(&blob[..32]).is_err());
     }
@@ -621,7 +599,7 @@ mod tests {
         b2.add_with_ids(&[1.0, 2.0, 3.0, 4.0], &[42]).unwrap();
         let idx = (b2 as Box<dyn IndexBuilder>).finish().unwrap();
         let got = idx
-            .search_with_filter(&[1.0, 2.0, 3.0, 4.0], 1, &SearchParams::default(), None)
+            .search_with_bound(&[1.0, 2.0, 3.0, 4.0], 1, &SearchParams::default(), None, None)
             .unwrap();
         assert_eq!(got[0].id, 42);
     }

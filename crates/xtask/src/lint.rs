@@ -972,12 +972,11 @@ pub(crate) fn check_metric_names(sources: &[(String, String)]) -> Vec<Finding> {
     findings
 }
 
-/// Lint every `crates/*/src/**/*.rs` under the workspace root.
-pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
+/// Every `crates/*/src/**/*.rs` under the workspace root, sorted.
+fn src_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
-    let crates_dir = root.join("crates");
     let mut crate_dirs: Vec<PathBuf> =
-        fs::read_dir(&crates_dir)?.filter_map(|e| e.ok().map(|e| e.path())).collect();
+        fs::read_dir(root.join("crates"))?.filter_map(|e| e.ok().map(|e| e.path())).collect();
     crate_dirs.sort();
     for crate_dir in crate_dirs {
         let src = crate_dir.join("src");
@@ -985,18 +984,28 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
             rs_files(&src, &mut files)?;
         }
     }
-    let mut sources: Vec<(String, String)> = Vec::with_capacity(files.len());
-    for path in &files {
+    Ok(files)
+}
+
+/// `(root-relative path, content)` of every file [`lint_workspace`] scans.
+pub(crate) fn workspace_sources(root: &Path) -> io::Result<Vec<(String, String)>> {
+    let mut sources = Vec::new();
+    for path in src_files(root)? {
         let rel = path
             .strip_prefix(root)
-            .unwrap_or(path)
+            .unwrap_or(&path)
             .components()
             .map(|c| c.as_os_str().to_string_lossy())
             .collect::<Vec<_>>()
             .join("/");
-        let content = fs::read_to_string(path)?;
-        sources.push((rel, content));
+        sources.push((rel, fs::read_to_string(&path)?));
     }
+    Ok(sources)
+}
+
+/// Lint every `crates/*/src/**/*.rs` under the workspace root.
+pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
+    let sources = workspace_sources(root)?;
     let mut findings = Vec::new();
     for (rel, content) in &sources {
         findings.extend(lint_file(rel, content));
@@ -1033,18 +1042,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
 
 /// Number of files the workspace walk would visit (for the summary line).
 pub fn count_files(root: &Path) -> io::Result<usize> {
-    let mut files = Vec::new();
-    let crates_dir = root.join("crates");
-    let mut crate_dirs: Vec<PathBuf> =
-        fs::read_dir(&crates_dir)?.filter_map(|e| e.ok().map(|e| e.path())).collect();
-    crate_dirs.sort();
-    for crate_dir in crate_dirs {
-        let src = crate_dir.join("src");
-        if src.is_dir() {
-            rs_files(&src, &mut files)?;
-        }
-    }
-    Ok(files.len())
+    Ok(src_files(root)?.len())
 }
 
 #[cfg(test)]

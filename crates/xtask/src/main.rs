@@ -5,6 +5,7 @@
 //! ```text
 //! cargo run -p xtask -- lint [--format text|json|github]
 //! cargo run -p xtask -- bench-diff [--fresh <dir>] [--threshold <pct>]
+//! cargo run -p xtask -- loc [--base <rev>]
 //! ```
 //!
 //! `lint` runs the project-specific static analysis described in [`lint`]
@@ -16,9 +17,13 @@
 //! benchmark JSON (default `target/bench-fresh/BENCH_*.json`) against the
 //! committed copies at the workspace root and fails on any latency
 //! regression beyond the threshold (default 15%); see [`bench_diff`].
+//! `loc` prints code lines per crate and per file — comments, blanks and
+//! test code excluded — optionally next to the same count at `--base <rev>`;
+//! see [`loc`].
 
 mod bench_diff;
 mod lint;
+mod loc;
 mod lockorder;
 
 use std::env;
@@ -30,6 +35,7 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("lint") => run_lint(&args[1..]),
         Some("bench-diff") => run_bench_diff(&args[1..]),
+        Some("loc") => run_loc(&args[1..]),
         Some(other) => {
             eprintln!("xtask: unknown task `{other}`");
             eprintln!();
@@ -55,6 +61,8 @@ fn usage() {
     eprintln!("  bench-diff  compare fresh BENCH_*.json (--fresh <dir>, default");
     eprintln!("              target/bench-fresh) against committed copies; fail on");
     eprintln!("              latency regressions beyond --threshold <pct> (default 15)");
+    eprintln!("  loc         code lines per crate and per file (no comments, blanks or");
+    eprintln!("              tests); --base <rev> adds the count at that commit");
 }
 
 /// Workspace root: xtask lives at `<root>/crates/xtask`.
@@ -188,6 +196,27 @@ fn json_string(s: &str) -> String {
 /// Escape a workflow-command message (GitHub's own percent-encoding rules).
 fn github_escape(s: &str) -> String {
     s.replace('%', "%25").replace('\r', "%0D").replace('\n', "%0A")
+}
+
+fn run_loc(args: &[String]) -> ExitCode {
+    let base = match args {
+        [] => None,
+        [flag, rev] if flag == "--base" => Some(rev.as_str()),
+        _ => {
+            eprintln!("xtask loc: usage: loc [--base <rev>]");
+            return ExitCode::FAILURE;
+        }
+    };
+    match loc::run(&workspace_root(), base) {
+        Ok(report) => {
+            print!("{report}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("xtask loc: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 fn run_bench_diff(args: &[String]) -> ExitCode {
