@@ -1,0 +1,442 @@
+//! IVF/PQ build path (DESIGN.md §10.5): the dimension-major nearest-centroid
+//! kernel against the per-row dispatch it replaced, and what it and the
+//! subspace / row-tile fan-out make of a whole index build.
+//!
+//! Four tables, bottom row of the write path's cost first:
+//!
+//! 1. ns per (point, codebook) for "nearest of `k` centroids at `dim`" —
+//!    `distance_batch` + a first-lowest scan (the shape `train_kmeans`,
+//!    `Pq::encode` and `Pq::adc_table` used to have) vs `Codebook::nearest`,
+//!    at (k, dim) = (16, 4), (256, 4), (16, 2). Index and distance bits are
+//!    asserted equal before anything is timed.
+//! 2. ns per ADC table (one probed cell of an IVFPQ / IVFPQFS search).
+//! 3. `train` / `add_with_ids` ns per row for IVFFLAT / IVFPQ / IVFPQFS at
+//!    512 / 4,096 / 16,384 rows × dim 64, on a pool without helpers and on
+//!    one sized to the machine. The two blobs are asserted byte-identical.
+//! 4. The stages of an IVFPQFS `train` — coarse k-means, residual pass, PQ
+//!    training — timed through the same public functions with the builder's
+//!    parameters, plus `add_with_ids`, at 512 and 16,128 rows (the insert
+//!    and the last compaction of the `ingest_mixed` benchmark workload).
+//!
+//! 5. One write pass through `Database` — 32 INSERTs of 512 rows into an
+//!    IVFPQFS table with a compaction after every 8th, the write schedule
+//!    of `ingest_mixed` — and the share of its wall time the
+//!    `table.index_*_ns` / `table.compact_ns` histograms put in each stage.
+//!
+//! Besides the printed tables, results are written to
+//! `target/bench-fresh/BENCH_build.json` in the schema of the committed
+//! `BENCH_build.json`, so `cargo run -p xtask -- bench-diff` can compare.
+
+use bh_bench::datasets::DatasetSpec;
+use bh_bench::harness::{print_table, write_fresh_json, Timer};
+use bh_common::FanoutPool;
+use bh_vector::autoindex::auto_nlist;
+use bh_vector::distance::{distance_batch, Codebook, KernelTier};
+use bh_vector::ivf::IvfBuilder;
+use bh_vector::kmeans::{train_kmeans, KMeansParams};
+use bh_vector::quant::pq::{AdcTable, CodeBits, Pq, PqParams};
+use bh_vector::{IndexBuilder, IndexKind, IndexSpec, Metric};
+use blendhouse::Database;
+use std::fmt::Write as _;
+use std::hint::black_box;
+use std::sync::Arc;
+
+const DIM: usize = 64;
+const REPS: usize = 9;
+
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+/// Deterministic values in `[-1, 1)`.
+fn values(n: usize, seed: u64) -> Vec<f32> {
+    (0..n as u64)
+        .map(|j| (bh_common::rng::derive_seed(seed, j) >> 40) as f32 / (1u64 << 23) as f32 - 1.0)
+        .collect()
+}
+
+/// `(per_row_ns, kernel_ns)` per (point, codebook) at one shape.
+fn time_nearest(k: usize, dim: usize) -> (f64, f64) {
+    let points = 8_192;
+    let rows = values(k * dim, 1);
+    let data = values(points * dim, 2);
+    let book = Codebook::new(&rows, dim).unwrap();
+    let mut dists = vec![0.0f32; k];
+    let per_row = |p: &[f32], dists: &mut Vec<f32>| {
+        distance_batch(Metric::L2, p, &rows, dim, dists).unwrap();
+        let mut best = 0;
+        for c in 1..k {
+            if dists[c] < dists[best] {
+                best = c;
+            }
+        }
+        (best, dists[best])
+    };
+    for p in data.chunks_exact(dim) {
+        let (a, b) = (
+            per_row(p, &mut dists),
+            book.nearest(p, &mut Vec::new()).unwrap(),
+        );
+        assert_eq!(
+            (a.0, a.1.to_bits()),
+            (b.0, b.1.to_bits()),
+            "k {k} dim {dim}"
+        );
+    }
+    let (mut old, mut new) = (Vec::new(), Vec::new());
+    let mut scratch = Vec::new();
+    for _ in 0..REPS {
+        let t = Timer::start();
+        let mut acc = 0usize;
+        for p in data.chunks_exact(dim) {
+            acc += per_row(p, &mut dists).0;
+        }
+        black_box(acc);
+        old.push(t.secs() * 1e9 / points as f64);
+
+        let t = Timer::start();
+        let mut acc = 0usize;
+        for p in data.chunks_exact(dim) {
+            acc += book.nearest(p, &mut scratch).unwrap().0;
+        }
+        black_box(acc);
+        new.push(t.secs() * 1e9 / points as f64);
+    }
+    (median(old), median(new))
+}
+
+/// ns per `adc_table_into` of a dim-64, `dsub` = 4 quantizer.
+fn time_adc_table(bits: CodeBits, data: &[f32]) -> f64 {
+    let pq = Pq::train(
+        &data[..2_048 * DIM],
+        DIM,
+        Metric::L2,
+        &PqParams::new(DIM / 4, bits),
+    )
+    .unwrap();
+    let mut table = AdcTable::default();
+    let calls = 4_096;
+    let mut samples = Vec::new();
+    for _ in 0..REPS {
+        let t = Timer::start();
+        for q in data.chunks_exact(DIM).take(calls) {
+            pq.adc_table_into(q, &mut table).unwrap();
+            black_box(&table);
+        }
+        samples.push(t.secs() * 1e9 / calls as f64);
+    }
+    median(samples)
+}
+
+struct BuildTimes {
+    train_ns_per_row: f64,
+    add_ns_per_row: f64,
+    blob: Vec<u8>,
+}
+
+/// One IVF build on `pool`, the way the table store drives it.
+fn build(kind: IndexKind, data: &[f32], pool: &Arc<FanoutPool>) -> BuildTimes {
+    let rows = data.len() / DIM;
+    let spec = IndexSpec::new(kind, DIM, Metric::L2).with_param("nlist", auto_nlist(rows));
+    let ids: Vec<u64> = (0..rows as u64).collect();
+    let mut b = Box::new(IvfBuilder::with_pool(&spec, kind, Arc::clone(pool)).unwrap());
+    let t = Timer::start();
+    b.train(data).unwrap();
+    let train_ns_per_row = t.secs() * 1e9 / rows as f64;
+    let t = Timer::start();
+    b.add_with_ids(data, &ids).unwrap();
+    let add_ns_per_row = t.secs() * 1e9 / rows as f64;
+    let blob = (b as Box<dyn IndexBuilder>)
+        .finish()
+        .unwrap()
+        .save_bytes()
+        .unwrap()
+        .to_vec();
+    BuildTimes {
+        train_ns_per_row,
+        add_ns_per_row,
+        blob,
+    }
+}
+
+/// Median-of-three build times on one pool; every blob must be `want`'s.
+fn time_build(
+    kind: IndexKind,
+    data: &[f32],
+    pool: &Arc<FanoutPool>,
+    want: &mut Option<Vec<u8>>,
+) -> (f64, f64) {
+    let (mut train, mut add) = (Vec::new(), Vec::new());
+    for _ in 0..3 {
+        let times = build(kind, data, pool);
+        let want = want.get_or_insert_with(|| times.blob.clone());
+        assert!(
+            *want == times.blob,
+            "{kind:?}: blob depends on the pool or the run"
+        );
+        train.push(times.train_ns_per_row);
+        add.push(times.add_ns_per_row);
+    }
+    (median(train), median(add))
+}
+
+/// The stages of an IVFPQFS `train` on `pool`, ns per row: coarse k-means,
+/// residual pass, PQ training — the builder's own parameters.
+fn time_stages(data: &[f32], pool: &FanoutPool) -> [f64; 3] {
+    let rows = data.len() / DIM;
+    let nlist = auto_nlist(rows);
+    let mut samples = [Vec::new(), Vec::new(), Vec::new()];
+    for _ in 0..3 {
+        let t = Timer::start();
+        let coarse = train_kmeans(
+            data,
+            DIM,
+            &KMeansParams {
+                k: nlist,
+                max_iters: 6,
+                seed: 0,
+                sample_limit: (nlist * 24).clamp(1_024, 16_384),
+            },
+        )
+        .unwrap();
+        samples[0].push(t.secs() * 1e9 / rows as f64);
+
+        let t = Timer::start();
+        let mut residuals = Vec::with_capacity(data.len());
+        let mut dists = Vec::new();
+        for v in data.chunks_exact(DIM) {
+            let c = coarse.centroid(coarse.assign_into(v, &mut dists));
+            residuals.extend(v.iter().zip(c).map(|(a, b)| a - b));
+        }
+        samples[1].push(t.secs() * 1e9 / rows as f64);
+
+        let t = Timer::start();
+        let params = PqParams {
+            m: DIM / 4,
+            bits: CodeBits::B4,
+            seed: 0,
+            kmeans_iters: 8,
+        };
+        black_box(Pq::train_on(pool, &residuals, DIM, Metric::L2, &params).unwrap());
+        samples[2].push(t.secs() * 1e9 / rows as f64);
+    }
+    samples.map(median)
+}
+
+/// One write pass through the facade; `[wall, train, add, serialize,
+/// compact]` in ms, the last four from the table store's own histograms
+/// (index builds inside a compaction count in both).
+fn write_pass(data: &[f32]) -> [f64; 5] {
+    let (inserts, batch) = (32, 512);
+    let sqls: Vec<String> = (0..inserts)
+        .map(|b| {
+            let mut sql = String::from("INSERT INTO t VALUES ");
+            for i in b * batch..(b + 1) * batch {
+                let sep = if i % batch == 0 { "" } else { ", " };
+                write!(sql, "{sep}({i}, {:?})", &data[i * DIM..(i + 1) * DIM])
+                    .expect("string write");
+            }
+            sql
+        })
+        .collect();
+    let db = Database::in_memory();
+    db.execute(&format!(
+        "CREATE TABLE t (id UInt64, emb Array(Float32), INDEX ann emb TYPE IVFPQFS('DIM={DIM}')) ORDER BY id"
+    ))
+    .unwrap();
+    let t = Timer::start();
+    for (b, sql) in sqls.iter().enumerate() {
+        db.execute(sql).unwrap();
+        if b % 8 == 7 {
+            db.compact("t").unwrap();
+        }
+    }
+    let wall = t.secs() * 1e3;
+    let ms = |name: &str| db.metrics().histogram(name).snapshot().sum.as_secs_f64() * 1e3;
+    [
+        wall,
+        ms("table.index_train_ns"),
+        ms("table.index_add_ns"),
+        ms("table.index_serialize_ns"),
+        ms("table.compact_ns"),
+    ]
+}
+
+fn main() {
+    let cores = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    let solo = Arc::new(FanoutPool::new(0));
+    let machine = Arc::new(FanoutPool::for_machine());
+    let dataset = DatasetSpec {
+        name: "index-build",
+        n: 16_384,
+        dim: DIM,
+        clusters: 64,
+        seed: 17,
+    }
+    .generate();
+    let data = &dataset.vectors;
+
+    // 1. The kernel.
+    let mut rows = Vec::new();
+    let mut nearest_json = Vec::new();
+    let mut speedup_16_4 = 0.0;
+    for (k, dim) in [(16usize, 4usize), (256, 4), (16, 2)] {
+        let (old, new) = time_nearest(k, dim);
+        if (k, dim) == (16, 4) {
+            speedup_16_4 = old / new;
+        }
+        rows.push(vec![
+            format!("{k}"),
+            format!("{dim}"),
+            format!("{old:.1}"),
+            format!("{new:.1}"),
+            format!("{:.2}", old / new),
+        ]);
+        nearest_json.push(format!(
+            "    {{ \"k\": {k}, \"dim\": {dim}, \"per_row_ns\": {old:.1}, \"kernel_ns\": {new:.1}, \
+             \"speedup\": {:.2} }}",
+            old / new
+        ));
+    }
+    print_table(
+        "nearest centroid, ns per (point, codebook)",
+        &["k", "dim", "per-row", "kernel", "speedup"],
+        &rows,
+    );
+
+    // 2. One probed cell's lookup table.
+    let mut adc_json = Vec::new();
+    let mut rows = Vec::new();
+    for (bits, name) in [(CodeBits::B4, 4), (CodeBits::B8, 8)] {
+        let ns = time_adc_table(bits, data);
+        rows.push(vec![format!("{name}"), format!("{ns:.0}")]);
+        adc_json.push(format!(
+            "    {{ \"bits\": {name}, \"m\": {}, \"dsub\": 4, \"table_ns\": {ns:.0} }}",
+            DIM / 4
+        ));
+    }
+    print_table(
+        "ADC table build, dim 64 / dsub 4 (ns per probed cell)",
+        &["bits", "ns"],
+        &rows,
+    );
+
+    // 3. Whole builds, without and with helpers.
+    let mut rows = Vec::new();
+    let mut build_json = Vec::new();
+    for kind in [IndexKind::IvfFlat, IndexKind::IvfPq, IndexKind::IvfPqFs] {
+        for n in [512usize, 4_096, 16_384] {
+            let mut blob = None;
+            for (pool, helpers) in [(&solo, 0), (&machine, cores - 1)] {
+                let (train, add) = time_build(kind, &data[..n * DIM], pool, &mut blob);
+                rows.push(vec![
+                    kind.name().to_string(),
+                    format!("{n}"),
+                    format!("{helpers}"),
+                    format!("{:.2}", train / 1e3),
+                    format!("{:.2}", add / 1e3),
+                ]);
+                build_json.push(format!(
+                    "    {{ \"kind\": \"{}\", \"rows\": {n}, \"pool_helpers\": {helpers}, \
+                     \"train_ns_per_row\": {train:.0}, \"add_ns_per_row\": {add:.0} }}",
+                    kind.name()
+                ));
+            }
+        }
+    }
+    print_table(
+        "IVF build, dim 64 (us per row; blobs byte-identical across pools)",
+        &["kind", "rows", "helpers", "train", "add_with_ids"],
+        &rows,
+    );
+
+    // 4. Where an IVFPQFS build's time goes.
+    let mut rows = Vec::new();
+    let mut stage_json = Vec::new();
+    for n in [512usize, 16_128] {
+        for (pool, helpers) in [(&solo, 0), (&machine, cores - 1)] {
+            let [coarse, resid, pq] = time_stages(&data[..n * DIM], pool);
+            let (_, add) = time_build(IndexKind::IvfPqFs, &data[..n * DIM], pool, &mut None);
+            let ms = |ns_per_row: f64| format!("{:.2}", ns_per_row * n as f64 / 1e6);
+            rows.push(vec![
+                format!("{n}"),
+                format!("{helpers}"),
+                ms(coarse),
+                ms(resid),
+                ms(pq),
+                ms(add),
+            ]);
+            stage_json.push(format!(
+                "    {{ \"rows\": {n}, \"pool_helpers\": {helpers}, \"coarse_kmeans_ns_per_row\": {coarse:.0}, \
+                 \"residual_pass_ns_per_row\": {resid:.0}, \"pq_train_ns_per_row\": {pq:.0}, \
+                 \"add_ns_per_row\": {add:.0} }}"
+            ));
+        }
+    }
+    print_table(
+        "IVFPQFS build stages, dim 64 (ms per build)",
+        &[
+            "rows",
+            "helpers",
+            "coarse k-means",
+            "residual pass",
+            "PQ train",
+            "add_with_ids",
+        ],
+        &rows,
+    );
+
+    // 5. A write pass through the facade, by the table store's histograms.
+    let mut passes: Vec<[f64; 5]> = (0..3).map(|_| write_pass(data)).collect();
+    passes.sort_by(|a, b| a[0].total_cmp(&b[0]));
+    let [wall, train, add, serialize, compact] = passes[1];
+    let share = |ms: f64| format!("{:.1} %", 100.0 * ms / wall);
+    print_table(
+        "write pass through Database: 32 x 512-row INSERT, compaction every 8th (median of 3)",
+        &[
+            "wall ms",
+            "index train",
+            "index add",
+            "index serialize",
+            "compaction (incl. its builds)",
+        ],
+        &[vec![
+            format!("{wall:.0}"),
+            share(train),
+            share(add),
+            share(serialize),
+            share(compact),
+        ]],
+    );
+    let pass_json = format!(
+        "{{ \"inserts\": 32, \"rows_per_insert\": 512, \"compact_every\": 8, \"wall_ms\": {wall:.1}, \
+         \"index_train_ms\": {train:.1}, \"index_add_ms\": {add:.1}, \"index_serialize_ms\": {serialize:.1}, \
+         \"compact_ms\": {compact:.1}, \"train_share\": {:.3} }}",
+        train / wall
+    );
+
+    let verdict = if speedup_16_4 >= 4.0 {
+        "met"
+    } else {
+        "NOT met"
+    };
+    println!("[index_build] kernel vs per-row at (16, 4): {speedup_16_4:.2}x (acceptance >= 4x: {verdict})");
+    let json = format!(
+        "{{\n  \"benchmark\": \"IVF/PQ build path: dimension-major nearest-centroid kernel and build fan-out\",\n  \
+         \"machine\": {{ \"arch\": \"{}\", \"kernel_tier_detected\": \"{}\", \"cores\": {cores} }},\n  \
+         \"method\": \"crates/bench/benches/index_build.rs (plain-main harness). nearest_centroid: median of {REPS} passes over 8192 points, ns per (point, codebook); per_row is distance_batch + first-lowest scan, kernel is Codebook::nearest, index and distance bits asserted equal first. adc_table: median ns per Pq::adc_table_into at dim 64 / dsub 4. build: median of 3 IvfBuilder train / add_with_ids at dim 64 on a 64-cluster Gaussian mixture, nlist by the auto rule, on a pool with 0 helpers and on FanoutPool::for_machine(); the blobs of all runs asserted byte-identical. stages: the three parts of an IVFPQFS train timed through train_kmeans / assign_into / Pq::train_on with the builder's parameters. write_pass: median-wall of 3 passes of 32 SQL INSERTs of 512 rows with Database::compact after every 8th, stage times read from the table.index_*_ns and table.compact_ns histograms.\",\n  \
+         \"acceptance\": \"kernel >= 4x per-row at (16, 4) ({verdict}: {speedup_16_4:.2}x); byte-identical blobs across pool sizes (asserted)\",\n  \
+         \"nearest_centroid\": [\n{}\n  ],\n  \"adc_table\": [\n{}\n  ],\n  \"build\": [\n{}\n  ],\n  \"stages\": [\n{}\n  ],\n  \
+         \"write_pass\": {pass_json}\n}}\n",
+        std::env::consts::ARCH,
+        KernelTier::current().name(),
+        nearest_json.join(",\n"),
+        adc_json.join(",\n"),
+        build_json.join(",\n"),
+        stage_json.join(",\n"),
+    );
+    write_fresh_json("BENCH_build.json", &json);
+}

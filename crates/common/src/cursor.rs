@@ -1,13 +1,13 @@
 //! Work-stealing task cursor and the persistent fan-out pool built on it.
 //!
-//! Intra-query fan-out (`query::exec`) and compaction (`storage::table`) hand
-//! a task list to several threads. Rather than pre-partitioning (which
-//! straggles when segment costs are skewed), every participant claims the
-//! next unclaimed index from one shared [`StealingCursor`] until the list is
-//! exhausted. Compaction still runs its participants on scoped threads; the
-//! query path runs them on a [`FanoutPool`]: the calling thread always claims
-//! tasks itself and long-lived parked helpers join in when they wake, so a
-//! statement never creates a thread and never waits for one to start.
+//! Intra-query fan-out (`query::exec`), compaction (`storage::table`) and
+//! index builds (`vector::{ivf, quant::pq}`) hand a task list to several
+//! threads. Rather than pre-partitioning (which straggles when task costs
+//! are skewed), every participant claims the next unclaimed index from one
+//! shared [`StealingCursor`] until the list is exhausted. The participants
+//! run on a [`FanoutPool`]: the calling thread always claims tasks itself
+//! and long-lived parked helpers join in when they wake, so a statement or a
+//! build never creates a thread and never waits for one to start.
 //!
 //! The invariants the loom models (`crates/common/tests/loom.rs`) check: over
 //! any interleaving, each index in `0..len` is claimed by **exactly one**

@@ -80,7 +80,12 @@ pub const NAMES: &[&str] = &[
     "query.short_circuit",
     "query.slo",
     "query.snapshot_retries",
+    "table.compact_bytes_rewritten",
+    "table.compact_ns",
     "table.compactions",
+    "table.index_add_ns",
+    "table.index_serialize_ns",
+    "table.index_train_ns",
     "table.parallel_compact_groups",
     "table.rows_deleted",
     "table.rows_ingested",

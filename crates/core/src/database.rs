@@ -1359,6 +1359,31 @@ mod tests {
     }
 
     #[test]
+    fn write_path_timings_are_visible_in_system_metrics() {
+        let db = images_db(40);
+        db.execute("INSERT INTO images VALUES (100, 'l0', 5, [1.0, 2.0, 3.0, 4.0])").unwrap();
+        db.compact("images").unwrap();
+        let value = |name: &str| {
+            let sql = format!("SELECT value FROM system.metrics WHERE name = '{name}'");
+            let rs = db.execute(&sql).unwrap().rows();
+            assert_eq!(rs.len(), 1, "{name} is not in system.metrics");
+            let Value::Float64(v) = rs.rows[0][0] else { panic!("{name}") };
+            v
+        };
+        // One index per ingested segment (two partitions, then one more row)
+        // plus one for the merged segment of partition l0, each timed in
+        // three parts.
+        let built = value("table.segments_created") + 1.0;
+        assert_eq!(built, 4.0);
+        for stage in ["train", "add", "serialize"] {
+            assert_eq!(value(&format!("table.index_{stage}_ns.count")), built, "{stage}");
+        }
+        assert_eq!(value("table.compact_ns.count"), 1.0);
+        assert!(value("table.compact_ns.max_ns") > 0.0);
+        assert!(value("table.compact_bytes_rewritten") > 0.0);
+    }
+
+    #[test]
     fn slo_histograms_split_by_statement_kind() {
         let db = images_db(10);
         db.execute("SELECT id FROM images LIMIT 1").unwrap();

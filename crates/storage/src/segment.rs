@@ -247,17 +247,22 @@ impl Segment {
         self.columns.values().map(|c| c.memory_bytes()).sum()
     }
 
-    /// Persist all column blocks and metadata to `store`.
-    pub fn persist(&self, store: &dyn crate::objectstore::ObjectStore) -> Result<()> {
+    /// Persist all column blocks and metadata to `store`; returns the bytes
+    /// written.
+    pub fn persist(&self, store: &dyn crate::objectstore::ObjectStore) -> Result<u64> {
+        let mut bytes = 0;
         for (name, col) in &self.columns {
             for b in 0..col.block_count() {
-                store.put(&self.meta.block_key(name, b), col.encode_block(b))?;
+                let block = col.encode_block(b);
+                bytes += block.len() as u64;
+                store.put(&self.meta.block_key(name, b), block)?;
             }
         }
         let meta_json = serde_json::to_vec(&self.meta)
             .map_err(|e| BhError::Serde(format!("segment meta encode: {e}")))?;
+        bytes += meta_json.len() as u64;
         store.put(&self.meta.meta_key(), meta_json.into())?;
-        Ok(())
+        Ok(bytes)
     }
 
     /// Load segment metadata from the store.

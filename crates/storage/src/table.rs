@@ -33,9 +33,9 @@ use crate::segment::{Row, Segment, SegmentMeta};
 use crate::stats::{TableSketch, TableSketchBuilder};
 use crate::value::Value;
 use bh_common::ids::IdGenerator;
-use bh_common::{BhError, Bitset, MetricsRegistry, Result, SegmentId, StealingCursor};
+use bh_common::{BhError, Bitset, MetricsRegistry, Result, SegmentId, Stopwatch};
 use bh_vector::autoindex::apply_auto_index;
-use bh_vector::{IndexRegistry, VectorIndex};
+use bh_vector::{build_pool, IndexRegistry, VectorIndex};
 use bytes::Bytes;
 use bh_common::sync::{classes, Mutex, RwLock};
 use std::collections::BTreeMap;
@@ -65,8 +65,9 @@ pub struct TableStoreConfig {
     /// Seed for semantic clustering.
     pub semantic_seed: u64,
     /// Maximum threads rebuilding merged segments (row gather + index
-    /// build) concurrently during [`TableStore::compact`]. `1` keeps the
-    /// rebuild sequential; the default is the machine's parallelism.
+    /// build) concurrently during [`TableStore::compact`], out of the
+    /// process-wide [`build_pool`]. `1` keeps the rebuild sequential; the
+    /// default is the machine's parallelism.
     pub compact_parallelism: usize,
     /// Persist index blobs in the tiered v3 container (head + body) when the
     /// index kind supports it, enabling partial head-first loading on the
@@ -103,10 +104,10 @@ fn is_snapshot_race(e: &BhError) -> bool {
 /// prefix length in bytes (`0` for untiered v2 blobs).
 type IndexBlob = (Bytes, bh_vector::IndexKind, u64);
 
-/// One compacted group staged by the parallel rebuild phase: rows dropped
-/// plus the merged segment and its index blob, ready to commit (`None` when
-/// every row of the group was deleted).
-type RebuiltGroup = (usize, Option<(Segment, Option<IndexBlob>)>);
+/// One compacted group staged by the parallel rebuild phase: rows dropped,
+/// bytes uploaded, and the merged segment with its index blob, ready to
+/// commit (`None` when every row of the group was deleted).
+type RebuiltGroup = (usize, u64, Option<(Segment, Option<IndexBlob>)>);
 
 /// Outcome of one compaction run.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -331,19 +332,27 @@ impl TableStore {
             idx_def.spec.clone()
         };
         let mut builder = self.registry.create_builder(&spec)?;
+        let t = Stopwatch::start();
         if builder.requires_training() {
             builder.train(data)?;
         }
+        self.metrics.histogram("table.index_train_ns").record(t.elapsed());
+        let t = Stopwatch::start();
         let ids: Vec<u64> = (0..seg.row_count() as u64).collect();
         builder.add_with_ids(data, &ids)?;
         let index = builder.finish()?;
-        if self.cfg.tiered_index {
-            if let Some((head, body)) = index.save_bytes_tiered()? {
+        self.metrics.histogram("table.index_add_ns").record(t.elapsed());
+        let t = Stopwatch::start();
+        let tiered = if self.cfg.tiered_index { index.save_bytes_tiered()? } else { None };
+        let blob = match tiered {
+            Some((head, body)) => {
                 let head_bytes = bh_vector::tiered::head_prefix_len(head.len() as u64);
-                return Ok(Some((bh_vector::tiered::frame(&head, &body), spec.kind, head_bytes)));
+                (bh_vector::tiered::frame(&head, &body), spec.kind, head_bytes)
             }
-        }
-        Ok(Some((index.save_bytes()?, spec.kind, 0)))
+            None => (index.save_bytes()?, spec.kind, 0),
+        };
+        self.metrics.histogram("table.index_serialize_ns").record(t.elapsed());
+        Ok(Some(blob))
     }
 
     /// Persist index + final metadata and register the segment.
@@ -549,11 +558,12 @@ impl TableStore {
     /// The per-group rebuild (row gather, merged-segment construction, index
     /// build, blob upload) is the expensive part and touches only that
     /// group's disjoint segment set, so it fans out across up to
-    /// `compact_parallelism` scoped threads. Catalog mutations — registering
+    /// `compact_parallelism` threads of the build pool. Catalog mutations — registering
     /// the merged segment, dropping the old ones, garbage-collecting blobs —
     /// commit afterwards in group order, exactly as the sequential loop did.
     pub fn compact(&self) -> Result<CompactionReport> {
         let _guard = self.compaction_lock.lock();
+        let started = Stopwatch::start();
         let mut compact_span = self.metrics.tracer().span("compact");
         let snapshot = self.segments();
         // Group by (partition key, bucket).
@@ -588,62 +598,24 @@ impl TableStore {
             return Ok(CompactionReport::default());
         }
 
-        // Phase 2: rebuild groups concurrently (scoped fan-out, atomic
-        // cursor). A worker that hits an error stops pulling jobs; peers
-        // drain theirs and the first error in group order surfaces below.
-        let par = self.cfg.compact_parallelism.max(1).min(jobs.len());
-        let rebuilt: Vec<Option<Result<RebuiltGroup>>> = if par <= 1 {
-            jobs.iter().map(|(metas, id)| Some(self.rebuild_group(metas, *id))).collect()
-        } else {
+        // Phase 2: rebuild groups side by side on the build pool, this thread
+        // first. A failure stops further claims; groups already claimed
+        // finish and the first error in group order surfaces below.
+        if jobs.len() > 1 && self.cfg.compact_parallelism > 1 {
             self.metrics.counter("table.parallel_compact_groups").add(jobs.len() as u64);
-            let cursor = StealingCursor::new();
-            std::thread::scope(|scope| {
-                let cursor = &cursor;
-                let jobs = &jobs;
-                let handles: Vec<_> = (0..par)
-                    .map(|_| {
-                        scope.spawn(move || {
-                            let mut local = Vec::new();
-                            while let Some(i) = cursor.claim(jobs.len()) {
-                                let (metas, id) = &jobs[i];
-                                let r = self.rebuild_group(metas, *id);
-                                let failed = r.is_err();
-                                local.push((i, r));
-                                if failed {
-                                    break;
-                                }
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                let mut merged: Vec<Option<Result<RebuiltGroup>>> =
-                    (0..jobs.len()).map(|_| None).collect();
-                let mut panicked = false;
-                for h in handles {
-                    match h.join() {
-                        Ok(local) => {
-                            for (i, r) in local {
-                                merged[i] = Some(r);
-                            }
-                        }
-                        Err(_) => panicked = true,
-                    }
-                }
-                if panicked {
-                    merged.clear();
-                }
-                merged
-            })
-        };
-        if rebuilt.is_empty() {
+        }
+        let rebuilt = build_pool().run(jobs.len(), self.cfg.compact_parallelism, |i| {
+            self.rebuild_group(&jobs[i].0, jobs[i].1)
+        });
+        if rebuilt.panicked {
             return Err(BhError::Internal("compaction worker panicked".into()));
         }
 
         // Phase 3: commit in group order.
         let mut report = CompactionReport::default();
-        for ((metas, _), slot) in jobs.iter().zip(rebuilt) {
-            let (dropped, built) = match slot {
+        let mut bytes_rewritten = 0;
+        for ((metas, _), slot) in jobs.iter().zip(rebuilt.results) {
+            let (dropped, bytes, built) = match slot {
                 Some(Ok(r)) => r,
                 Some(Err(e)) => return Err(e),
                 None => {
@@ -652,6 +624,7 @@ impl TableStore {
                     ))
                 }
             };
+            bytes_rewritten += bytes;
             let new_segments = match built {
                 Some((mut seg, blob)) => {
                     self.finish_segment(&mut seg, blob)?;
@@ -675,6 +648,8 @@ impl TableStore {
             report.rows_dropped += dropped;
         }
         self.metrics.counter("table.compactions").inc();
+        self.metrics.counter("table.compact_bytes_rewritten").add(bytes_rewritten);
+        self.metrics.histogram("table.compact_ns").record(started.elapsed());
         compact_span.attr("merged_segments", report.merged_segments);
         compact_span.attr("new_segments", report.new_segments);
         compact_span.attr("rows_dropped", report.rows_dropped);
@@ -701,7 +676,7 @@ impl TableStore {
             }
         }
         if rows.is_empty() {
-            return Ok((dropped, None));
+            return Ok((dropped, 0, None));
         }
         let level = metas.iter().map(|m| m.level).max().unwrap_or(0).saturating_add(1);
         let partition_key = metas[0].partition_key.clone();
@@ -709,8 +684,9 @@ impl TableStore {
         let seg =
             Segment::from_rows(&self.schema, new_id, rows, partition_key, bucket, level)?;
         let blob = self.build_index_blob(&seg)?;
-        seg.persist(self.remote.as_ref())?;
-        Ok((dropped, Some((seg, blob))))
+        let bytes = seg.persist(self.remote.as_ref())?
+            + blob.as_ref().map_or(0, |(blob, ..)| blob.len() as u64);
+        Ok((dropped, bytes, Some((seg, blob))))
     }
 
     // -------------------------------------------------------------- reload

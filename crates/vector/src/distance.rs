@@ -20,12 +20,19 @@
 //! and `‖b‖²` together (the former three-pass formulation paid for three
 //! traversals of both vectors).
 //!
+//! Below the SIMD width none of that helps: at `dim` 4 (a PQ sub-quantizer)
+//! a row kernel is a call, two zeroed accumulators, a horizontal sum and a
+//! scalar tail. [`Codebook`] is the entry point for "one small vector
+//! against `k` others": it stores them dimension-major so all `k` sit in
+//! SIMD lanes, and returns the same bits the row kernels would.
+//!
 //! All distances are *smaller is more similar*: inner product and cosine are
 //! returned negated / inverted accordingly so every index can treat search
 //! uniformly as minimization.
 
 use bh_common::{BhError, Result};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::sync::OnceLock;
 
 /// Similarity metric for a vector column / index.
@@ -306,6 +313,206 @@ pub fn distance_batch(
     Ok(())
 }
 
+// ---------------------------------------------------------------- codebook
+
+/// Dimensionalities below this take [`Codebook`]'s dimension-major kernels:
+/// it is the width of the narrowest vector step of a row kernel (AVX2 and
+/// the scalar tier's lanes), so below it `l2_sq`/`dot` are a plain
+/// in-order loop whose bits the column kernels reproduce.
+const COLUMN_DIMS: usize = 8;
+
+/// Columns are padded to a multiple of this many vectors, so every tier
+/// loads whole registers.
+const COLUMN_LANES: usize = 8;
+
+/// `k` vectors of one dimensionality laid out to answer "one query against
+/// all of them": the Lloyd assignment and k-means++ update of
+/// [`crate::kmeans::train_kmeans`], PQ encoding and the per-query ADC table.
+///
+/// For `dim < 8` the vectors are copied **dimension-major** — `dim` columns
+/// of `k` values, each padded to a multiple of eight — so the `k` vectors
+/// occupy SIMD lanes and one dimension costs one broadcast, subtract,
+/// multiply and add for eight of them. Each lane's sum runs in dimension
+/// order from `+0.0` with separate multiply and add, which is exactly what
+/// [`l2_sq`] and [`dot`] do below their vector width on the AVX2 and scalar
+/// tiers: the results are bit-identical to the per-row calls (NEON's row
+/// kernels take a 4-wide step from `dim` 4, so there the columns match
+/// `scalar::*` and may differ from `neon::*` in the last ulp for dims 4–7).
+/// For `dim >= 8` the block is borrowed as it is and [`distance_batch`]
+/// serves it. Callers do not choose.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Codebook<'a> {
+    dim: usize,
+    k: usize,
+    /// `dim < 8`: `dim` columns of [`Self::stride`] values, tails padded
+    /// with `+inf`. Otherwise the caller's row-major `k × dim` block.
+    data: Cow<'a, [f32]>,
+}
+
+impl<'a> Codebook<'a> {
+    /// Lay out the `rows.len() / dim` row-major vectors of `rows`.
+    pub fn new(rows: &'a [f32], dim: usize) -> Result<Codebook<'a>> {
+        if dim == 0 || rows.is_empty() || rows.len() % dim != 0 {
+            return Err(BhError::InvalidArgument(format!(
+                "codebook: {} values are not a non-empty block of dim {dim}",
+                rows.len()
+            )));
+        }
+        let k = rows.len() / dim;
+        if dim >= COLUMN_DIMS {
+            return Ok(Codebook { dim, k, data: Cow::Borrowed(rows) });
+        }
+        let stride = k.next_multiple_of(COLUMN_LANES);
+        // `+inf` padding: a padded lane's L2 distance to a finite query is
+        // `+inf`, which loses every tie against a real, lower-indexed lane.
+        let mut cols = vec![f32::INFINITY; dim * stride];
+        for (c, row) in rows.chunks_exact(dim).enumerate() {
+            for (d, &x) in row.iter().enumerate() {
+                cols[d * stride + c] = x;
+            }
+        }
+        Ok(Codebook { dim, k, data: Cow::Owned(cols) })
+    }
+
+    /// Detach from the borrowed block (copies it when `dim >= 8`).
+    pub fn into_owned(self) -> Codebook<'static> {
+        Codebook { dim: self.dim, k: self.k, data: Cow::Owned(self.data.into_owned()) }
+    }
+
+    /// Number of vectors.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Bytes held (or borrowed) by the layout.
+    pub fn memory_usage(&self) -> usize {
+        self.data.len() * 4
+    }
+
+    fn columnar(&self) -> bool {
+        self.dim < COLUMN_DIMS
+    }
+
+    fn stride(&self) -> usize {
+        self.k.next_multiple_of(COLUMN_LANES)
+    }
+
+    /// Append vector `c` to `out`.
+    pub fn extend_row(&self, c: usize, out: &mut Vec<f32>) {
+        if self.columnar() {
+            let stride = self.stride();
+            out.extend((0..self.dim).map(|d| self.data[d * stride + c]));
+        } else {
+            out.extend_from_slice(&self.data[c * self.dim..(c + 1) * self.dim]);
+        }
+    }
+
+    #[inline]
+    fn check(&self, query: &[f32], out_len: usize) -> Result<()> {
+        if query.len() != self.dim || out_len != self.k {
+            return Err(BhError::InvalidArgument(format!(
+                "codebook: query len {} / out len {out_len} for {} vectors of dim {}",
+                query.len(),
+                self.k,
+                self.dim
+            )));
+        }
+        Ok(())
+    }
+
+    /// `out[c] = l2_sq(query, vector c)` for every vector.
+    #[inline]
+    pub fn l2_to_all(&self, query: &[f32], out: &mut [f32]) -> Result<()> {
+        self.to_all::<false>(KernelTier::current(), query, out)
+    }
+
+    /// `out[c] = -dot(query, vector c)` for every vector — the
+    /// [`Metric::InnerProduct`] form of [`distance_batch`].
+    #[inline]
+    pub fn neg_dot_to_all(&self, query: &[f32], out: &mut [f32]) -> Result<()> {
+        self.to_all::<true>(KernelTier::current(), query, out)
+    }
+
+    #[inline]
+    fn to_all<const DOT: bool>(
+        &self,
+        tier: KernelTier,
+        query: &[f32],
+        out: &mut [f32],
+    ) -> Result<()> {
+        if !self.columnar() {
+            let metric = if DOT { Metric::InnerProduct } else { Metric::L2 };
+            return distance_batch(metric, query, &self.data, self.dim, out);
+        }
+        self.check(query, out.len())?;
+        let (cols, stride) = (&self.data[..], self.stride());
+        match tier {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: tier checked: detect() verified avx2; `cols` holds
+            // `dim` columns of `stride` values and `out.len() == k <= stride`.
+            KernelTier::Avx2 => unsafe { avx2::columns_to_all::<DOT>(query, cols, stride, out) },
+            #[cfg(target_arch = "aarch64")]
+            // SAFETY: tier checked: detect() verified neon; `cols` holds
+            // `dim` columns of `stride` values and `out.len() == k <= stride`.
+            KernelTier::Neon => unsafe { neon::columns_to_all::<DOT>(query, cols, stride, out) },
+            _ => scalar::columns_to_all::<DOT>(query, cols, stride, out),
+        }
+        Ok(())
+    }
+
+    /// Index and squared-L2 distance of the vector nearest to `query`; of
+    /// several at the same distance the lowest index — the answer of a
+    /// `d[c] < d[best]` scan from index 0 over [`Self::l2_to_all`], which
+    /// is also how a NaN distance is treated. `scratch` is reused across
+    /// calls by the paths that materialize all `k` distances.
+    #[inline]
+    pub fn nearest(&self, query: &[f32], scratch: &mut Vec<f32>) -> Result<(usize, f32)> {
+        self.nearest_on(KernelTier::current(), query, scratch)
+    }
+
+    #[inline]
+    fn nearest_on(
+        &self,
+        tier: KernelTier,
+        query: &[f32],
+        scratch: &mut Vec<f32>,
+    ) -> Result<(usize, f32)> {
+        self.check(query, self.k)?;
+        // The vector argmin is AVX2's; its lane indices are `i32`s.
+        #[cfg(target_arch = "x86_64")]
+        if tier == KernelTier::Avx2 && self.columnar() && self.stride() <= i32::MAX as usize {
+            // SAFETY: tier checked: detect() verified avx2; `data` holds
+            // `dim` columns of `stride` values.
+            let found = unsafe { avx2::columns_nearest(query, &self.data, self.stride()) };
+            if let Some(hit) = found {
+                return Ok(hit);
+            }
+        }
+        self.nearest_by_scan(tier, query, scratch)
+    }
+
+    /// The scan itself, over distances the tier's kernels fill in: the
+    /// scalar and NEON tiers, `dim >= 8`, and a NaN among the first lanes
+    /// (which only the scan orders the way callers expect).
+    fn nearest_by_scan(
+        &self,
+        tier: KernelTier,
+        query: &[f32],
+        scratch: &mut Vec<f32>,
+    ) -> Result<(usize, f32)> {
+        scratch.clear();
+        scratch.resize(self.k, 0.0);
+        self.to_all::<false>(tier, query, scratch)?;
+        let mut best = 0;
+        for c in 1..self.k {
+            if scratch[c] < scratch[best] {
+                best = c;
+            }
+        }
+        Ok((best, scratch[best]))
+    }
+}
+
 // ------------------------------------------------------------------ scalar
 
 /// Auto-vectorized scalar reference kernels. Public so benchmarks and parity
@@ -383,6 +590,37 @@ pub mod scalar {
             bb += y * y;
         }
         (ab, aa, bb)
+    }
+
+    /// Column form of [`l2_sq`] (`DOT` = false) or negated [`dot`] for
+    /// `query.len() < 8`: `out[c]` accumulates dimension by dimension, as
+    /// the tail loops above do, over `query.len()` columns of `stride`
+    /// values. Eight lanes at a time so the loop vectorizes.
+    pub(super) fn columns_to_all<const DOT: bool>(
+        query: &[f32],
+        cols: &[f32],
+        stride: usize,
+        out: &mut [f32],
+    ) {
+        // Columns are padded to whole chunks of this width.
+        const LANES: usize = super::COLUMN_LANES;
+        for (j, chunk) in out.chunks_mut(LANES).enumerate() {
+            let mut acc = [0.0f32; LANES];
+            for (d, &q) in query.iter().enumerate() {
+                let col = &cols[d * stride + j * LANES..][..LANES];
+                for l in 0..LANES {
+                    if DOT {
+                        acc[l] += q * col[l];
+                    } else {
+                        let t = q - col[l];
+                        acc[l] += t * t;
+                    }
+                }
+            }
+            for (slot, a) in chunk.iter_mut().zip(acc) {
+                *slot = if DOT { -a } else { a };
+            }
+        }
     }
 
     /// Three-pass cosine distance kept as the parity oracle for the fused
@@ -536,6 +774,188 @@ mod avx2 {
             (ab, aa, bb)
         }
     }
+
+    /// Eight lanes of the column kernel: `acc` starts at `+0.0` and takes
+    /// one dimension per step with a separate multiply and add (no FMA, or
+    /// the bits would differ from the row kernels' scalar tails). `DIM` is
+    /// `query.len()`, a constant so the loop unrolls.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2, `query.len() == DIM`, and `cols` must be
+    /// valid for reads of eight floats at `d * stride + j` for `d < DIM`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn column_lanes<const DIM: usize, const DOT: bool>(
+        query: &[f32],
+        cols: *const f32,
+        stride: usize,
+        j: usize,
+    ) -> __m256 {
+        // SAFETY: the fn contract guarantees AVX2, `DIM` readable query
+        // values and that every load of eight floats at `d * stride + j`
+        // is in bounds; loads are unaligned.
+        unsafe {
+            let mut acc = _mm256_setzero_ps();
+            for d in 0..DIM {
+                let q = _mm256_set1_ps(*query.get_unchecked(d));
+                let c = _mm256_loadu_ps(cols.add(d * stride + j));
+                let t = if DOT {
+                    _mm256_mul_ps(q, c)
+                } else {
+                    let diff = _mm256_sub_ps(q, c);
+                    _mm256_mul_ps(diff, diff)
+                };
+                acc = _mm256_add_ps(acc, t);
+            }
+            if DOT {
+                _mm256_xor_ps(acc, _mm256_set1_ps(-0.0))
+            } else {
+                acc
+            }
+        }
+    }
+
+    /// # Safety
+    /// The CPU must support AVX2; `query.len() == DIM`, `stride` must be a
+    /// multiple of eight, `cols.len() == DIM * stride` and `out.len() <=
+    /// stride`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn to_all<const DIM: usize, const DOT: bool>(
+        query: &[f32],
+        cols: &[f32],
+        stride: usize,
+        out: &mut [f32],
+    ) {
+        // SAFETY: the fn contract guarantees AVX2 and the shapes: `j + 8 <=
+        // stride` for every chunk start `j < out.len()`, so the column loads
+        // stay inside `cols`; full chunks store inside `out`, the last
+        // partial one goes through a stack buffer.
+        unsafe {
+            let k = out.len();
+            let mut j = 0usize;
+            while j + 8 <= k {
+                let acc = column_lanes::<DIM, DOT>(query, cols.as_ptr(), stride, j);
+                _mm256_storeu_ps(out.as_mut_ptr().add(j), acc);
+                j += 8;
+            }
+            if j < k {
+                let mut tail = [0.0f32; 8];
+                let acc = column_lanes::<DIM, DOT>(query, cols.as_ptr(), stride, j);
+                _mm256_storeu_ps(tail.as_mut_ptr(), acc);
+                out[j..].copy_from_slice(&tail[..k - j]);
+            }
+        }
+    }
+
+    /// # Safety
+    /// The CPU must support AVX2; `query.len() == DIM`, `stride` must be a
+    /// non-zero multiple of eight no larger than `i32::MAX` and
+    /// `cols.len() == DIM * stride`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn nearest<const DIM: usize>(
+        query: &[f32],
+        cols: &[f32],
+        stride: usize,
+    ) -> Option<(usize, f32)> {
+        // SAFETY: the fn contract guarantees AVX2 and the shapes: every
+        // chunk start `j` is a multiple of eight below `stride`, so the
+        // column loads stay inside `cols`. The rest is register arithmetic.
+        unsafe {
+            // Per lane: the smallest distance seen and the first chunk that
+            // had it (strict `<` keeps the earlier index).
+            let mut best_d = column_lanes::<DIM, false>(query, cols.as_ptr(), stride, 0);
+            let mut idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            let mut best_i = idx;
+            let mut j = 8usize;
+            while j < stride {
+                idx = _mm256_add_epi32(idx, _mm256_set1_epi32(8));
+                let d = column_lanes::<DIM, false>(query, cols.as_ptr(), stride, j);
+                let lt = _mm256_cmp_ps::<_CMP_LT_OQ>(d, best_d);
+                best_d = _mm256_blendv_ps(best_d, d, lt);
+                best_i = _mm256_castps_si256(_mm256_blendv_ps(
+                    _mm256_castsi256_ps(best_i),
+                    _mm256_castsi256_ps(idx),
+                    lt,
+                ));
+                j += 8;
+            }
+            if _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_UNORD_Q>(best_d, best_d)) != 0 {
+                return None;
+            }
+            // Across lanes: the minimum, then the lowest index holding it.
+            let m = _mm256_min_ps(best_d, _mm256_permute2f128_ps::<1>(best_d, best_d));
+            let m = _mm256_min_ps(m, _mm256_shuffle_ps::<0b0100_1110>(m, m));
+            let m = _mm256_min_ps(m, _mm256_shuffle_ps::<0b1011_0001>(m, m));
+            let holds = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_EQ_OQ>(best_d, m));
+            let i = _mm256_blendv_epi8(_mm256_set1_epi32(i32::MAX), best_i, holds);
+            let i = _mm256_min_epi32(i, _mm256_permute2x128_si256::<1>(i, i));
+            let i = _mm256_min_epi32(i, _mm256_shuffle_epi32::<0b0100_1110>(i));
+            let i = _mm256_min_epi32(i, _mm256_shuffle_epi32::<0b1011_0001>(i));
+            Some((_mm256_cvtsi256_si32(i) as usize, _mm256_cvtss_f32(m)))
+        }
+    }
+
+    /// `out[c]` = squared L2 (`DOT` = false) or negated dot of `query` and
+    /// column `c`, for `query.len() < 8`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2; `stride` must be a multiple of eight,
+    /// `cols.len() == query.len() * stride` and `out.len() <= stride`.
+    #[inline]
+    pub unsafe fn columns_to_all<const DOT: bool>(
+        query: &[f32],
+        cols: &[f32],
+        stride: usize,
+        out: &mut [f32],
+    ) {
+        debug_assert!(stride % 8 == 0 && cols.len() == query.len() * stride && out.len() <= stride);
+        // SAFETY: the fn contract is the callees', with `DIM` matched to
+        // `query.len()`.
+        unsafe {
+            match query.len() {
+                1 => to_all::<1, DOT>(query, cols, stride, out),
+                2 => to_all::<2, DOT>(query, cols, stride, out),
+                3 => to_all::<3, DOT>(query, cols, stride, out),
+                4 => to_all::<4, DOT>(query, cols, stride, out),
+                5 => to_all::<5, DOT>(query, cols, stride, out),
+                6 => to_all::<6, DOT>(query, cols, stride, out),
+                7 => to_all::<7, DOT>(query, cols, stride, out),
+                _ => debug_assert!(false, "column kernels serve dims 1..=7"),
+            }
+        }
+    }
+
+    /// Nearest column by squared L2, lowest index on ties, over all
+    /// `stride` lanes (padding is `+inf`, so it never wins against a real
+    /// lane), for `query.len() < 8`. `None` when a NaN reached the running
+    /// minimum: the caller's scalar scan decides that case.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2; `stride` must be a non-zero multiple of
+    /// eight no larger than `i32::MAX` and `cols.len() == query.len() *
+    /// stride`.
+    #[inline]
+    pub unsafe fn columns_nearest(
+        query: &[f32],
+        cols: &[f32],
+        stride: usize,
+    ) -> Option<(usize, f32)> {
+        debug_assert!(stride >= 8 && stride % 8 == 0 && cols.len() == query.len() * stride);
+        // SAFETY: the fn contract is the callees', with `DIM` matched to
+        // `query.len()`.
+        unsafe {
+            match query.len() {
+                1 => nearest::<1>(query, cols, stride),
+                2 => nearest::<2>(query, cols, stride),
+                3 => nearest::<3>(query, cols, stride),
+                4 => nearest::<4>(query, cols, stride),
+                5 => nearest::<5>(query, cols, stride),
+                6 => nearest::<6>(query, cols, stride),
+                7 => nearest::<7>(query, cols, stride),
+                _ => None,
+            }
+        }
+    }
 }
 
 // ------------------------------------------------------------------- neon
@@ -678,6 +1098,75 @@ mod neon {
             (ab, aa, bb)
         }
     }
+
+    /// Four lanes of the column kernel: `acc` starts at `+0.0` and takes
+    /// one dimension per step with a separate multiply and add (no
+    /// `vfmaq`, or the bits would differ from the scalar tier's).
+    ///
+    /// # Safety
+    /// The CPU must support NEON, and `cols` must be valid for reads of
+    /// four floats at `d * stride + j` for every `d < query.len()`.
+    #[inline]
+    #[target_feature(enable = "neon")]
+    unsafe fn column_lanes<const DOT: bool>(
+        query: &[f32],
+        cols: *const f32,
+        stride: usize,
+        j: usize,
+    ) -> float32x4_t {
+        // SAFETY: the fn contract guarantees NEON and that every load of
+        // four floats at `d * stride + j` is in bounds.
+        unsafe {
+            let mut acc = vdupq_n_f32(0.0);
+            for (d, &q) in query.iter().enumerate() {
+                let q = vdupq_n_f32(q);
+                let c = vld1q_f32(cols.add(d * stride + j));
+                let t = if DOT {
+                    vmulq_f32(q, c)
+                } else {
+                    let diff = vsubq_f32(q, c);
+                    vmulq_f32(diff, diff)
+                };
+                acc = vaddq_f32(acc, t);
+            }
+            if DOT {
+                vnegq_f32(acc)
+            } else {
+                acc
+            }
+        }
+    }
+
+    /// # Safety
+    /// The CPU must support NEON; `stride` must be a multiple of four,
+    /// `cols.len() == query.len() * stride` and `out.len() <= stride`.
+    #[target_feature(enable = "neon")]
+    pub unsafe fn columns_to_all<const DOT: bool>(
+        query: &[f32],
+        cols: &[f32],
+        stride: usize,
+        out: &mut [f32],
+    ) {
+        debug_assert!(stride % 4 == 0 && cols.len() == query.len() * stride && out.len() <= stride);
+        // SAFETY: the fn contract guarantees NEON and the shapes: `j + 4 <=
+        // stride` for every chunk start `j < out.len()`, so the column loads
+        // stay inside `cols`; full chunks store inside `out`, the last
+        // partial one goes through a stack buffer.
+        unsafe {
+            let k = out.len();
+            let mut j = 0usize;
+            while j + 4 <= k {
+                let acc = column_lanes::<DOT>(query, cols.as_ptr(), stride, j);
+                vst1q_f32(out.as_mut_ptr().add(j), acc);
+                j += 4;
+            }
+            if j < k {
+                let mut tail = [0.0f32; 4];
+                vst1q_f32(tail.as_mut_ptr(), column_lanes::<DOT>(query, cols.as_ptr(), stride, j));
+                out[j..].copy_from_slice(&tail[..k - j]);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -806,7 +1295,167 @@ mod tests {
         assert!(distance_batch(Metric::L2, &q, &block, 4, &mut out).is_ok());
     }
 
+    /// The argmin contract of [`Codebook::nearest`]: a `<` scan from 0.
+    fn first_lowest(d: &[f32]) -> usize {
+        (1..d.len()).fold(0, |best, c| if d[c] < d[best] { c } else { best })
+    }
+
+    /// The tiers this machine can run, dispatched one first.
+    fn runnable_tiers() -> Vec<KernelTier> {
+        let mut tiers = vec![KernelTier::current()];
+        if tiers[0] != KernelTier::Scalar {
+            tiers.push(KernelTier::Scalar);
+        }
+        tiers
+    }
+
+    /// What the per-row dispatch returned for (`query`, `row`) before the
+    /// column kernels: on x86_64 the AVX2 row kernels where the CPU has
+    /// them (checked equal to the scalar tier's as well), elsewhere the
+    /// scalar tier's.
+    fn row_l2_and_dot(query: &[f32], row: &[f32]) -> (f32, f32) {
+        let (l2, dp) = (scalar::l2_sq(query, row), scalar::dot(query, row));
+        #[cfg(target_arch = "x86_64")]
+        if KernelTier::current() == KernelTier::Avx2 {
+            // SAFETY: tier checked: detect() verified avx2+fma
+            let (vl2, vdp) = unsafe { (avx2::l2_sq(query, row), avx2::dot(query, row)) };
+            assert_eq!((vl2.to_bits(), vdp.to_bits()), (l2.to_bits(), dp.to_bits()));
+        }
+        (l2, dp)
+    }
+
+    fn assert_codebook_matches_rows(rows: &[f32], dim: usize, query: &[f32]) {
+        let k = rows.len() / dim;
+        let book = Codebook::new(rows, dim).unwrap();
+        let (want_l2, want_dot): (Vec<f32>, Vec<f32>) =
+            rows.chunks_exact(dim).map(|row| row_l2_and_dot(query, row)).unzip();
+        let best = first_lowest(&want_l2);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for tier in runnable_tiers() {
+            let mut out = vec![0.0f32; k];
+            book.to_all::<false>(tier, query, &mut out).unwrap();
+            assert_eq!(bits(&out), bits(&want_l2), "{tier:?} l2 dim {dim} k {k}");
+            book.to_all::<true>(tier, query, &mut out).unwrap();
+            let neg: Vec<f32> = want_dot.iter().map(|x| -x).collect();
+            assert_eq!(bits(&out), bits(&neg), "{tier:?} dot dim {dim} k {k}");
+            let (i, d) = book.nearest_on(tier, query, &mut Vec::new()).unwrap();
+            let want = (best, want_l2[best].to_bits());
+            assert_eq!((i, d.to_bits()), want, "{tier:?} dim {dim} k {k}");
+        }
+    }
+
+    /// Every (dim, k) the column kernels serve, on a seven-point grid where
+    /// distinct vectors tie exactly: all chunk counts, tail widths and
+    /// padding shapes. (The proptest below draws shapes and magnitudes at
+    /// random.)
+    #[test]
+    fn codebook_matches_row_kernels_at_every_small_shape() {
+        let ks: Vec<usize> =
+            if cfg!(miri) { vec![1, 7, 8, 9, 16, 17, 255, 256] } else { (1..=256).collect() };
+        for dim in 1..COLUMN_DIMS {
+            for &k in &ks {
+                let seed = (dim * 1_000 + k) as u64;
+                let cell = |j: usize| (bh_common::rng::derive_seed(seed, j as u64) % 7) as f32 - 3.0;
+                let rows: Vec<f32> = (0..k * dim).map(cell).collect();
+                let query: Vec<f32> = (0..dim).map(|d| cell(usize::MAX - d)).collect();
+                assert_codebook_matches_rows(&rows, dim, &query);
+            }
+        }
+    }
+
+    #[test]
+    fn codebook_orders_nan_and_infinite_distances_like_the_scan() {
+        let dim = 3;
+        let finite: Vec<f32> = (0..20 * dim).map(|i| (i as f32 * 0.61).sin() * 4.0).collect();
+        let query = [0.3f32, -1.2, 2.5];
+        // A NaN vector first, among the first eight, and past them; an
+        // infinite one; a query that makes every distance NaN or infinite.
+        for (poison, at) in [(f32::NAN, 0), (f32::NAN, 3), (f32::NAN, 11), (f32::INFINITY, 2)] {
+            let mut rows = finite.clone();
+            rows[at * dim + 1] = poison;
+            assert_codebook_matches_rows(&rows, dim, &query);
+        }
+        assert_codebook_matches_rows(&finite, dim, &[f32::NAN, 0.0, 0.0]);
+        assert_codebook_matches_rows(&finite, dim, &[f32::INFINITY, 0.0, 0.0]);
+        assert_codebook_matches_rows(&finite[..5 * dim], dim, &[f32::MAX, f32::MAX, -f32::MAX]);
+    }
+
+    #[test]
+    fn codebook_at_the_simd_width_is_the_batched_row_kernel() {
+        let (dim, k) = (8, 37);
+        let rows: Vec<f32> = (0..k * dim).map(|i| (i as f32 * 0.29).cos() * 2.0).collect();
+        let query: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.7).sin()).collect();
+        let book = Codebook::new(&rows, dim).unwrap();
+        let mut want = vec![0.0f32; k];
+        let mut got = vec![0.0f32; k];
+        for (metric, dot) in [(Metric::L2, false), (Metric::InnerProduct, true)] {
+            distance_batch(metric, &query, &rows, dim, &mut want).unwrap();
+            if dot {
+                book.neg_dot_to_all(&query, &mut got).unwrap();
+            } else {
+                book.l2_to_all(&query, &mut got).unwrap();
+            }
+            assert_eq!(got, want);
+        }
+        let best = first_lowest(&want_l2(&query, &rows, dim));
+        assert_eq!(book.nearest(&query, &mut Vec::new()).unwrap().0, best);
+        let mut row = Vec::new();
+        book.extend_row(5, &mut row);
+        assert_eq!(row, rows[5 * dim..6 * dim]);
+    }
+
+    fn want_l2(query: &[f32], rows: &[f32], dim: usize) -> Vec<f32> {
+        rows.chunks_exact(dim).map(|row| l2_sq(query, row)).collect()
+    }
+
+    #[test]
+    fn codebook_rejects_bad_shapes() {
+        assert!(Codebook::new(&[], 4).is_err());
+        assert!(Codebook::new(&[0.0; 7], 4).is_err());
+        assert!(Codebook::new(&[0.0; 8], 0).is_err());
+        for dim in [4, 8] {
+            let rows = vec![0.0f32; 3 * dim];
+            let book = Codebook::new(&rows, dim).unwrap();
+            let mut out = [0.0f32; 3];
+            assert!(book.l2_to_all(&rows[..dim - 1], &mut out).is_err());
+            assert!(book.neg_dot_to_all(&rows[..dim], &mut out[..2]).is_err());
+            assert!(book.nearest(&rows[..dim + 1], &mut Vec::new()).is_err());
+            assert!(book.l2_to_all(&rows[..dim], &mut out).is_ok());
+        }
+    }
+
     proptest! {
+        /// Every (dim, k) below the SIMD width: the column kernels return
+        /// the bits of the per-row `l2_sq` / `dot` they replace, on every
+        /// tier this machine runs, and `nearest` is the first-lowest scan.
+        /// Half the cases draw coordinates from a seven-point grid, where
+        /// distinct vectors tie exactly and duplicates are common.
+        #[test]
+        fn prop_codebook_is_bit_identical_to_row_kernels(
+            dim in 1usize..=7,
+            k in 1usize..=256,
+            seed in any::<u64>(),
+            grid in any::<bool>(),
+        ) {
+            let value = |j: u64| {
+                let bits = bh_common::rng::derive_seed(seed, j);
+                if grid {
+                    (bits % 7) as f32 - 3.0
+                } else {
+                    // Sign, 24 mantissa bits, and a binary exponent in -8..8.
+                    let unit = (bits >> 40) as f32 / (1u64 << 24) as f32 - 0.5;
+                    unit * f32::powi(2.0, (bits % 16) as i32 - 8)
+                }
+            };
+            let rows: Vec<f32> = (0..(k * dim) as u64).map(value).collect();
+            let query: Vec<f32> = (0..dim as u64).map(|d| value(u64::MAX - d)).collect();
+            assert_codebook_matches_rows(&rows, dim, &query);
+            let mut row = Vec::new();
+            let book = Codebook::new(&rows, dim).unwrap();
+            book.extend_row(k - 1, &mut row);
+            prop_assert_eq!(&row[..], &rows[(k - 1) * dim..]);
+        }
+
         #[test]
         fn prop_l2_matches_naive(
             v in proptest::collection::vec((-100.0f32..100.0, -100.0f32..100.0), 0..64)

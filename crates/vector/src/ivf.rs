@@ -31,12 +31,13 @@ use crate::kmeans::{train_kmeans, KMeans, KMeansParams};
 use crate::quant::fastscan::FastScanCodes;
 use crate::quant::pq::{AdcTable, CodeBits, Pq, PqParams};
 use crate::types::{
-    check_batch, sorted_neighbors, BoundedTopK, IndexBuilder, IndexMeta, IndexSpec, Neighbor,
-    SearchParams, VectorIndex,
+    build_pool, check_batch, sorted_neighbors, BoundedTopK, IndexBuilder, IndexMeta, IndexSpec,
+    Neighbor, SearchParams, VectorIndex,
 };
 use crate::{distance, IndexKind, Metric};
-use bh_common::{BhError, Bitset, Result, SharedBound, TopK};
+use bh_common::{BhError, Bitset, FanoutPool, Result, SharedBound, TopK};
 use bytes::Bytes;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"BHIV";
@@ -69,6 +70,16 @@ enum Cells {
         /// distances against an exact bound sound.
         margins: Vec<f32>,
     },
+}
+
+/// What one search reuses across the PQ cells it probes: the query's
+/// residual against the cell centroid, that residual's ADC table and the
+/// cell's distances.
+#[derive(Default)]
+struct PqScanScratch {
+    resid: Vec<f32>,
+    table: AdcTable,
+    dists: Vec<f32>,
 }
 
 /// An immutable IVF index.
@@ -164,22 +175,25 @@ impl IvfIndex {
         q: &[f32],
         filter: Option<&Bitset>,
         tk: &mut TopK<u64>,
-        dists: &mut Vec<f32>,
+        scratch: &mut PqScanScratch,
     ) -> f32 {
         if self.ids[cell].is_empty() {
             return 0.0;
         }
         // Residual ADC table for this cell.
         let centroid = self.coarse.centroid(cell);
-        let resid: Vec<f32> = q.iter().zip(centroid).map(|(a, b)| a - b).collect();
-        let Ok(table) = pq.adc_table(&resid) else { return 0.0 };
-        let errq = self.pq_cell_distances(pq, store, cell, &table, dists);
+        scratch.resid.clear();
+        scratch.resid.extend(q.iter().zip(centroid).map(|(a, b)| a - b));
+        if pq.adc_table_into(&scratch.resid, &mut scratch.table).is_err() {
+            return 0.0;
+        }
+        let errq = self.pq_cell_distances(pq, store, cell, &scratch.table, &mut scratch.dists);
         let scale = self.post_scale();
         for (i, &id) in self.ids[cell].iter().enumerate() {
             if filter.is_some_and(|f| !f.contains(id as usize)) {
                 continue;
             }
-            tk.push(dists[i] * scale, id);
+            tk.push(scratch.dists[i] * scale, id);
         }
         errq
     }
@@ -573,9 +587,9 @@ impl VectorIndex for IvfIndex {
         let q = self.prep_query(query);
         let nprobe = params.nprobe.clamp(1, self.nlist());
         let probes = self.coarse.nearest_centroids(&q, nprobe);
-        let mut dists: Vec<f32> = Vec::new();
         match &self.cells {
             Cells::Flat { vectors } => {
+                let mut dists: Vec<f32> = Vec::new();
                 let mut out = BoundedTopK::new(k, bound, true);
                 for (cell, _) in probes {
                     let ids = &self.ids[cell];
@@ -591,8 +605,10 @@ impl VectorIndex for IvfIndex {
                 // Cells may differ in LUT quantization step; the max across
                 // probed cells is a uniform (conservative) error bound.
                 let mut max_errq = 0.0f32;
+                let mut scratch = PqScanScratch::default();
                 for (cell, _) in probes {
-                    let errq = self.scan_pq_cell(pq, store, cell, &q, filter, &mut tk, &mut dists);
+                    let errq =
+                        self.scan_pq_cell(pq, store, cell, &q, filter, &mut tk, &mut scratch);
                     max_errq = max_errq.max(errq);
                 }
                 let mut hits = sorted_neighbors(tk);
@@ -733,11 +749,54 @@ pub struct IvfBuilder {
     /// Running per-subspace maximum squared encoding error.
     max_sq_err: Vec<f32>,
     len: usize,
+    /// Where PQ sub-quantizers and row tiles fan out.
+    pool: Arc<FanoutPool>,
+}
+
+/// Rows per fan-out task of the residual pass and of `add_with_ids`: small
+/// enough that a 512-row insert splits across two threads, large enough
+/// that claiming a tile is noise next to assigning and encoding it.
+const TILE_ROWS: usize = 128;
+
+/// `task` over every tile of `TILE_ROWS` rows of `vectors`, side by side on
+/// `pool`; results in tile order.
+fn run_tiles<T: Send + Sync>(
+    pool: &FanoutPool,
+    vectors: &[f32],
+    dim: usize,
+    task: impl Fn(&[f32]) -> Result<T> + Sync,
+) -> Result<Vec<T>> {
+    let tile = TILE_ROWS * dim;
+    pool.run(vectors.len().div_ceil(tile), usize::MAX, |t| {
+        task(&vectors[t * tile..((t + 1) * tile).min(vectors.len())])
+    })
+    .into_results()
+}
+
+/// What one tile of `add_with_ids` computes before anything is appended.
+struct EncodedTile {
+    /// Coarse cell of every row.
+    cells: Vec<usize>,
+    /// PQ codes of every row, `code_size` bytes each (empty for IVFFLAT).
+    codes: Vec<u8>,
+    /// Per-subspace maximum squared encoding error over the tile.
+    max_sq_err: Vec<f32>,
 }
 
 impl IvfBuilder {
-    /// A builder for one of the IVF variants validated against `spec`.
+    /// A builder for one of the IVF variants validated against `spec`,
+    /// building on the process-wide [`build_pool`].
     pub fn new(spec: &IndexSpec, kind: IndexKind) -> Result<IvfBuilder> {
+        Self::with_pool(spec, kind, build_pool())
+    }
+
+    /// [`Self::new`] on a given pool. The index built is the same whatever
+    /// the pool's size.
+    pub fn with_pool(
+        spec: &IndexSpec,
+        kind: IndexKind,
+        pool: Arc<FanoutPool>,
+    ) -> Result<IvfBuilder> {
         spec.validate()?;
         if !matches!(kind, IndexKind::IvfFlat | IndexKind::IvfPq | IndexKind::IvfPqFs) {
             return Err(BhError::InvalidArgument(format!(
@@ -761,6 +820,7 @@ impl IvfBuilder {
             blocked: Vec::new(),
             max_sq_err: Vec::new(),
             len: 0,
+            pool,
         })
     }
 
@@ -768,14 +828,15 @@ impl IvfBuilder {
         self.spec.dim
     }
 
-    fn normalize_if_cosine(&self, vectors: &[f32]) -> Vec<f32> {
-        let mut out = vectors.to_vec();
-        if self.spec.metric == Metric::Cosine {
-            for chunk in out.chunks_mut(self.dim()) {
-                distance::normalize(chunk);
-            }
+    fn normalize_if_cosine<'a>(&self, vectors: &'a [f32]) -> Cow<'a, [f32]> {
+        if self.spec.metric != Metric::Cosine {
+            return Cow::Borrowed(vectors);
         }
-        out
+        let mut out = vectors.to_vec();
+        for chunk in out.chunks_mut(self.dim()) {
+            distance::normalize(chunk);
+        }
+        Cow::Owned(out)
     }
 
     fn pq_m(&self) -> Result<usize> {
@@ -831,16 +892,21 @@ impl IndexBuilder for IvfBuilder {
 
         if matches!(self.kind, IndexKind::IvfPq | IndexKind::IvfPqFs) {
             // Train PQ on residuals against the coarse centroids.
-            let mut residuals = Vec::with_capacity(sample.len());
-            for i in 0..n {
-                let v = &sample[i * dim..(i + 1) * dim];
-                let c = coarse.centroid(coarse.assign(v));
-                residuals.extend(v.iter().zip(c).map(|(a, b)| a - b));
-            }
+            let residuals = run_tiles(&self.pool, &sample, dim, |rows| {
+                let mut out = Vec::with_capacity(rows.len());
+                let mut dists = Vec::new();
+                for v in rows.chunks_exact(dim) {
+                    let c = coarse.centroid(coarse.assign_into(v, &mut dists));
+                    out.extend(v.iter().zip(c).map(|(a, b)| a - b));
+                }
+                Ok(out)
+            })?
+            .concat();
             let bits = if self.kind == IndexKind::IvfPqFs { CodeBits::B4 } else { CodeBits::B8 };
             let m = self.pq_m()?;
             let metric = if self.spec.metric == Metric::Cosine { Metric::L2 } else { self.spec.metric };
-            let pq = Pq::train(
+            let pq = Pq::train_on(
+                &self.pool,
                 &residuals,
                 dim,
                 metric,
@@ -872,30 +938,54 @@ impl IndexBuilder for IvfBuilder {
         let Some(coarse) = self.coarse.as_ref() else {
             return Err(BhError::Index("ivf: quantizer missing after auto-train".into()));
         };
-        let mut dist_scratch = Vec::new();
-        for i in 0..n {
-            let v = &vectors[i * dim..(i + 1) * dim];
-            let cell = coarse.assign_into(v, &mut dist_scratch);
-            self.ids[cell].push(ids[i]);
-            match (&self.pq, self.flat.is_empty()) {
-                (Some(pq), _) => {
-                    let c = coarse.centroid(cell);
-                    let resid: Vec<f32> = v.iter().zip(c).map(|(a, b)| a - b).collect();
-                    let (code, errs) = pq.encode_with_errors(&resid)?;
-                    for (slot, &e) in self.max_sq_err.iter_mut().zip(&errs) {
-                        *slot = slot.max(e);
-                    }
-                    match pq.bits() {
-                        CodeBits::B4 => self.blocked[cell].push(&code)?,
-                        CodeBits::B8 => self.codes[cell].extend(code),
-                    }
+        let pq = self.pq.as_ref();
+        if pq.is_none() && self.flat.is_empty() {
+            return Err(BhError::Internal("ivf: untrained payload".into()));
+        }
+        let cs = pq.map_or(0, Pq::code_size);
+
+        // Per tile, side by side: the cell of every row and, for PQ
+        // payloads, its code and encoding errors, in buffers the tile's
+        // rows share.
+        let tiles = run_tiles(&self.pool, &vectors, dim, |rows| {
+            let mut tile = EncodedTile {
+                cells: Vec::with_capacity(rows.len() / dim),
+                codes: vec![0u8; rows.len() / dim * cs],
+                max_sq_err: vec![0.0; self.max_sq_err.len()],
+            };
+            let mut dists = Vec::new();
+            let mut resid = vec![0.0f32; dim];
+            let mut errs = vec![0.0f32; self.max_sq_err.len()];
+            for (r, v) in rows.chunks_exact(dim).enumerate() {
+                let cell = coarse.assign_into(v, &mut dists);
+                tile.cells.push(cell);
+                let Some(pq) = pq else { continue };
+                for ((x, a), b) in resid.iter_mut().zip(v).zip(coarse.centroid(cell)) {
+                    *x = a - b;
                 }
-                (None, false) => {
-                    self.flat[cell].extend_from_slice(v);
+                let code = &mut tile.codes[r * cs..(r + 1) * cs];
+                pq.encode_into(&resid, code, &mut errs, &mut dists)?;
+                for (slot, &e) in tile.max_sq_err.iter_mut().zip(&errs) {
+                    *slot = slot.max(e);
                 }
-                (None, true) => {
-                    return Err(BhError::Internal("ivf: untrained payload".into()));
+            }
+            Ok(tile)
+        })?;
+
+        // Then, in row order, the appends.
+        let mut rows = ids.iter().zip(vectors.chunks_exact(dim));
+        for tile in &tiles {
+            for (r, (&cell, (&id, v))) in tile.cells.iter().zip(&mut rows).enumerate() {
+                self.ids[cell].push(id);
+                let code = &tile.codes[r * cs..(r + 1) * cs];
+                match pq.map(Pq::bits) {
+                    Some(CodeBits::B4) => self.blocked[cell].push(code)?,
+                    Some(CodeBits::B8) => self.codes[cell].extend_from_slice(code),
+                    None => self.flat[cell].extend_from_slice(v),
                 }
+            }
+            for (slot, &e) in self.max_sq_err.iter_mut().zip(&tile.max_sq_err) {
+                *slot = slot.max(e);
             }
         }
         self.len += n;
@@ -936,8 +1026,9 @@ impl IndexBuilder for IvfBuilder {
 mod tests {
     use super::*;
     use crate::flat::FlatBuilder;
+    use crate::distance::KernelTier;
     use crate::recall::recall_at_k;
-    use bh_common::rng::rng;
+    use bh_common::rng::{derive_seed, rng};
     use proptest::prelude::*;
     use rand::Rng;
 
@@ -1264,6 +1355,125 @@ mod tests {
             }
         }
     }
+
+    /// `rand`-free fixture (same reasoning as `hnsw::tests::clustered`):
+    /// eight clusters with SplitMix64-drawn centres in `[-4, 4)^dim` and
+    /// unit-width noise, so the bytes below are the same under the registry
+    /// `rand` and under the offline shims.
+    fn clustered_det(n: usize, dim: usize, seed: u64) -> Vec<f32> {
+        let unit = |s: u64, j: usize| (derive_seed(s, j as u64) >> 40) as f32 / (1u64 << 24) as f32;
+        (0..n * dim)
+            .map(|j| {
+                let (row, d) = (j / dim, j % dim);
+                let center = 8.0 * unit(seed ^ 0x5eed, (row % 8) * dim + d) - 4.0;
+                center + 2.0 * unit(seed, j) - 1.0
+            })
+            .collect()
+    }
+
+    fn fnv1a(h: &mut u64, bytes: &[u8]) {
+        for &b in (bytes.len() as u64).to_le_bytes().iter().chain(bytes) {
+            *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Pins the bytes the IVF build path produces — coarse k-means, residual
+    /// pass, PQ training, encoding, margins, both serializations — so that
+    /// a faster build shows up as an unchanged constant. One FNV-1a per
+    /// build over `save_bytes()` followed by the tiered head and body. The
+    /// constants were produced by this same test at the commit before the
+    /// nearest-centroid kernel and the subspace fan-out (CHANGES.md, PR 17),
+    /// once per kernel tier (the coarse quantizer's dim-64 distances follow
+    /// the tier's summation order; NEON's were never produced).
+    #[test]
+    #[cfg_attr(miri, ignore = "twenty IVF builds, up to 4,096 rows x 256 centroids: hours")]
+    fn golden_build_blob_identity() {
+        let tier = match KernelTier::current() {
+            KernelTier::Avx2 => 0,
+            KernelTier::Scalar => 1,
+            KernelTier::Neon => return,
+        };
+        let dim = 64;
+        let mut changed = Vec::new();
+        for &(kind, metric, rows, pq_m, want) in GOLDEN_BUILDS {
+            let data = clustered_det(rows, dim, 1_000 + rows as u64);
+            let ids: Vec<u64> = (0..rows as u64).collect();
+            // `nlist` is left to the builder's auto rule, as the table store
+            // leaves it; `pq_m` 0 is the default (`dsub` = 4).
+            let mut spec = IndexSpec::new(kind, dim, metric).with_param("seed", 17);
+            if pq_m > 0 {
+                spec = spec.with_param("pq_m", pq_m);
+            }
+            let mut b = Box::new(IvfBuilder::new(&spec, kind).unwrap());
+            b.train(&data).unwrap();
+            b.add_with_ids(&data, &ids).unwrap();
+            let idx = (b as Box<dyn IndexBuilder>).finish().unwrap();
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            fnv1a(&mut h, &idx.save_bytes().unwrap());
+            let (head, body) = idx.save_bytes_tiered().unwrap().unwrap();
+            fnv1a(&mut h, &head);
+            fnv1a(&mut h, &body);
+            if h != want[tier] {
+                changed.push(format!("{kind:?} {metric:?} rows {rows} pq_m {pq_m}: {h:#018x}"));
+            }
+        }
+        assert!(changed.is_empty(), "build bytes changed:\n{}", changed.join("\n"));
+    }
+
+    #[test]
+    fn build_does_not_depend_on_the_pool() {
+        // 700 rows in two batches: neither is a whole number of tiles.
+        let (dim, rows, split) = (16, 700, 300);
+        let data = clustered_det(rows, dim, 3);
+        let ids: Vec<u64> = (0..rows as u64).collect();
+        for (kind, metric) in [
+            (IndexKind::IvfFlat, Metric::Cosine),
+            (IndexKind::IvfPq, Metric::L2),
+            (IndexKind::IvfPqFs, Metric::Cosine),
+        ] {
+            let spec = IndexSpec::new(kind, dim, metric).with_param("seed", 9);
+            let blobs: Vec<_> = [0, 1, 3]
+                .into_iter()
+                .map(|helpers| {
+                    let pool = Arc::new(FanoutPool::new(helpers));
+                    let mut b = Box::new(IvfBuilder::with_pool(&spec, kind, pool).unwrap());
+                    b.train(&data).unwrap();
+                    b.add_with_ids(&data[..split * dim], &ids[..split]).unwrap();
+                    b.add_with_ids(&data[split * dim..], &ids[split..]).unwrap();
+                    let idx = (b as Box<dyn IndexBuilder>).finish().unwrap();
+                    assert_eq!(idx.meta().len, rows);
+                    (idx.save_bytes().unwrap(), idx.save_bytes_tiered().unwrap())
+                })
+                .collect();
+            assert!(blobs.windows(2).all(|w| w[0] == w[1]), "{kind:?}: bytes depend on the pool");
+        }
+    }
+
+    /// `(kind, metric, rows, pq_m, [avx2, scalar])`; the `pq_m` = 8 rows have
+    /// `dsub` = 8, the width the batched per-row kernels keep serving.
+    #[rustfmt::skip]
+    const GOLDEN_BUILDS: &[(IndexKind, Metric, usize, usize, [u64; 2])] = &[
+        (IndexKind::IvfFlat, Metric::L2, 32, 0, [0x9b33_27c1_cc47_1b96, 0x9b33_27c1_cc47_1b96]),
+        (IndexKind::IvfFlat, Metric::L2, 512, 0, [0x06a4_3094_e18a_79e4, 0x06a4_3094_e18a_79e4]),
+        (IndexKind::IvfFlat, Metric::L2, 4096, 0, [0xa929_07c8_e534_e06c, 0xa929_07c8_e534_e06c]),
+        (IndexKind::IvfFlat, Metric::Cosine, 32, 0, [0x4abc_bdba_d1f2_ae2c, 0x7d46_9801_1873_d3f8]),
+        (IndexKind::IvfFlat, Metric::Cosine, 512, 0, [0x7656_fe53_63f5_52fc, 0x0bed_7717_1e2f_474c]),
+        (IndexKind::IvfFlat, Metric::Cosine, 4096, 0, [0x6b91_7f38_7339_c6a8, 0x6b88_353d_42ae_fd78]),
+        (IndexKind::IvfPq, Metric::L2, 32, 0, [0x59d1_7969_8bc9_97ee, 0x59d1_7969_8bc9_97ee]),
+        (IndexKind::IvfPq, Metric::L2, 512, 0, [0x4606_f867_2367_0b3c, 0x4606_f867_2367_0b3c]),
+        (IndexKind::IvfPq, Metric::L2, 4096, 0, [0xa28e_bb8b_5b71_eb1e, 0xa28e_bb8b_5b71_eb1e]),
+        (IndexKind::IvfPq, Metric::Cosine, 32, 0, [0x6d8a_173b_93f5_a8b2, 0xd811_eafb_72fe_ba92]),
+        (IndexKind::IvfPq, Metric::Cosine, 512, 0, [0x0326_03dc_6657_574e, 0xd5e2_eb13_9a6d_d81e]),
+        (IndexKind::IvfPq, Metric::Cosine, 4096, 0, [0x3588_7525_fea6_1eba, 0x5a3e_0322_21c0_de1a]),
+        (IndexKind::IvfPqFs, Metric::L2, 32, 0, [0x9764_9f03_eadf_2c84, 0x9764_9f03_eadf_2c84]),
+        (IndexKind::IvfPqFs, Metric::L2, 512, 0, [0x9675_3247_78d7_08f6, 0x9675_3247_78d7_08f6]),
+        (IndexKind::IvfPqFs, Metric::L2, 4096, 0, [0x91b5_58ce_d4c6_f8b2, 0x91b5_58ce_d4c6_f8b2]),
+        (IndexKind::IvfPqFs, Metric::Cosine, 32, 0, [0xca73_f4b6_068e_e978, 0x6ba3_6f77_61a2_acec]),
+        (IndexKind::IvfPqFs, Metric::Cosine, 512, 0, [0xc81e_7c3f_643c_3682, 0x2e01_80fe_40ce_bc72]),
+        (IndexKind::IvfPqFs, Metric::Cosine, 4096, 0, [0xfe77_4966_8a47_4234, 0xbf73_b12e_e5bd_d7a0]),
+        (IndexKind::IvfPq, Metric::L2, 512, 8, [0xad21_729a_9853_5f82, 0xea17_21ac_a1e8_17be]),
+        (IndexKind::IvfPqFs, Metric::Cosine, 512, 8, [0x7683_58c9_2c3f_9b78, 0x89c9_dff2_9cff_3834]),
+    ];
 
     #[test]
     fn pq_m_must_divide_dim() {

@@ -5,8 +5,8 @@
 //! partitioning (§IV-B). Clustering always uses squared-L2 internally —
 //! cosine-metric callers normalize their vectors first.
 
-use crate::distance::{distance_batch, l2_sq, Metric};
-use bh_common::rng::{derived_rng, DetRng};
+use crate::distance::{distance_batch, l2_sq, Codebook, Metric};
+use bh_common::rng::derived_rng;
 use bh_common::{BhError, Result};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -135,28 +135,32 @@ pub fn train_kmeans(data: &[f32], dim: usize, params: &KMeansParams) -> Result<K
 
     let mut rng = derived_rng(params.seed, 0x6b6d_6561_6e73);
 
-    // Optional subsampling for large inputs.
-    let (train, n_train): (Vec<f32>, usize) = if n > params.sample_limit {
+    // Optional subsampling for large inputs; otherwise train on the caller's
+    // block in place.
+    let sampled: Vec<f32>;
+    let train: &[f32] = if n > params.sample_limit {
         let mut idx: Vec<usize> = (0..n).collect();
         idx.shuffle(&mut rng);
         idx.truncate(params.sample_limit);
-        let mut out = Vec::with_capacity(params.sample_limit * dim);
-        for i in &idx {
-            out.extend_from_slice(&data[i * dim..(i + 1) * dim]);
-        }
-        (out, params.sample_limit)
+        sampled = idx.iter().flat_map(|&i| &data[i * dim..(i + 1) * dim]).copied().collect();
+        &sampled
     } else {
-        (data.to_vec(), n)
+        data
     };
+    let n_train = train.len() / dim;
 
     let k = params.k.min(n_train);
     let point = |i: usize| &train[i * dim..(i + 1) * dim];
 
-    // k-means++ seeding.
+    // k-means++ seeding. Every step is "one new centroid against all
+    // points": the points are the codebook here.
+    let points = Codebook::new(train, dim)?;
     let mut centroids = Vec::with_capacity(k * dim);
     let first = rng.gen_range(0..n_train);
     centroids.extend_from_slice(point(first));
-    let mut min_d2: Vec<f32> = (0..n_train).map(|i| l2_sq(point(i), point(first))).collect();
+    let mut min_d2 = vec![0.0f32; n_train];
+    points.l2_to_all(point(first), &mut min_d2)?;
+    let mut d2 = vec![0.0f32; n_train];
     while centroids.len() / dim < k {
         let total: f64 = min_d2.iter().map(|&d| d as f64).sum();
         let chosen = if total <= f64::EPSILON {
@@ -175,39 +179,38 @@ pub fn train_kmeans(data: &[f32], dim: usize, params: &KMeansParams) -> Result<K
             pick
         };
         centroids.extend_from_slice(point(chosen));
-        let cid = centroids.len() / dim - 1;
-        for i in 0..n_train {
-            let d = l2_sq(point(i), &centroids[cid * dim..(cid + 1) * dim]);
-            if d < min_d2[i] {
-                min_d2[i] = d;
+        points.l2_to_all(point(chosen), &mut d2)?;
+        for (min, &d) in min_d2.iter_mut().zip(&d2) {
+            if d < *min {
+                *min = d;
             }
         }
     }
+    drop(points);
 
     let mut km = KMeans { dim, k, centroids };
 
-    // Lloyd iterations.
+    // Lloyd iterations: assign every point and add it to its cluster's sum,
+    // in point order.
     let mut assignments = vec![0usize; n_train];
     let mut dist_scratch = Vec::new();
     for _ in 0..params.max_iters {
         let mut moved = false;
-        for i in 0..n_train {
-            let a = km.assign_into(point(i), &mut dist_scratch);
-            if a != assignments[i] {
-                assignments[i] = a;
-                moved = true;
-            }
-        }
         let mut sums = vec![0.0f64; k * dim];
         let mut counts = vec![0usize; k];
-        for i in 0..n_train {
-            let c = assignments[i];
+        let book = Codebook::new(&km.centroids, dim)?;
+        for (p, assigned) in train.chunks_exact(dim).zip(assignments.iter_mut()) {
+            let (c, _) = book.nearest(p, &mut dist_scratch)?;
+            if c != *assigned {
+                *assigned = c;
+                moved = true;
+            }
             counts[c] += 1;
-            for d in 0..dim {
-                sums[c * dim + d] += point(i)[d] as f64;
+            for (sum, &x) in sums[c * dim..(c + 1) * dim].iter_mut().zip(p) {
+                *sum += x as f64;
             }
         }
-        reseed_empty_clusters(&mut sums, &mut counts, &train, dim, &assignments, &km, &mut rng);
+        reseed_empty_clusters(&mut sums, &mut counts, train, dim, &assignments, &km);
         for c in 0..k {
             if counts[c] > 0 {
                 for d in 0..dim {
@@ -231,7 +234,6 @@ fn reseed_empty_clusters(
     dim: usize,
     assignments: &[usize],
     km: &KMeans,
-    _rng: &mut DetRng,
 ) {
     let n = assignments.len();
     for c in 0..counts.len() {

@@ -16,12 +16,13 @@
 //!   by the same LUT arithmetic (documented in DESIGN.md).
 
 use crate::codec::{Reader, Writer};
-use crate::distance::{distance_batch, dot};
-use crate::kmeans::{train_kmeans, KMeansParams};
+use crate::distance::{dot, Codebook};
+use crate::kmeans::{train_kmeans, KMeans, KMeansParams};
 use crate::quant::fastscan::QuantizedLut;
+use crate::types::build_pool;
 use crate::Metric;
 use bh_common::rng::derive_seed;
-use bh_common::{BhError, Result};
+use bh_common::{BhError, FanoutPool, Result};
 
 /// Code width of a PQ codebook.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,8 +70,9 @@ pub struct Pq {
     m: usize,
     bits: CodeBits,
     dsub: usize,
-    /// Codebooks: `m * ks * dsub` floats, subspace-major.
-    codebooks: Vec<f32>,
+    /// One codebook per subspace: `ks` centroids of `dsub` dims, in the
+    /// layout [`Codebook`] picks for that width.
+    books: Vec<Codebook<'static>>,
     /// Squared centroid norms (`m * ks`), hoisted out of the per-query ADC
     /// table build: the L2 entry expands to `‖q‖² + ‖c‖² - 2⟨q,c⟩`, so with
     /// these precomputed only the dot products are evaluated per query.
@@ -78,15 +80,70 @@ pub struct Pq {
     metric: Metric,
 }
 
-/// Squared norm of every centroid, `m * ks` entries subspace-major.
-fn centroid_norms(codebooks: &[f32], dsub: usize) -> Vec<f32> {
-    codebooks.chunks_exact(dsub).map(|c| dot(c, c)).collect()
-}
-
 impl Pq {
+    /// Assemble a quantizer from its serialized form: `m * ks * dsub`
+    /// floats, subspace-major, each subspace's centroids row-major.
+    fn from_codebooks(
+        codebooks: &[f32],
+        dim: usize,
+        m: usize,
+        bits: CodeBits,
+        metric: Metric,
+    ) -> Result<Pq> {
+        let dsub = dim / m;
+        let books = codebooks
+            .chunks_exact(bits.ks() * dsub)
+            .map(|slab| Codebook::new(slab, dsub).map(Codebook::into_owned))
+            .collect::<Result<Vec<_>>>()?;
+        // Norms are derived state: recomputed on load, never serialized.
+        let cent_norms = codebooks.chunks_exact(dsub).map(|c| dot(c, c)).collect();
+        Ok(Pq { dim, m, bits, dsub, books, cent_norms, metric })
+    }
+
     /// Train codebooks on a row-major sample. For [`Metric::Cosine`] the
     /// caller is expected to have normalized the sample (IVF index does).
+    /// The sub-quantizers train side by side on the process-wide
+    /// [`build_pool`].
     pub fn train(sample: &[f32], dim: usize, metric: Metric, params: &PqParams) -> Result<Pq> {
+        Self::train_on(&build_pool(), sample, dim, metric, params)
+    }
+
+    /// [`Self::train`] on a given pool. Each sub-quantizer sees only its own
+    /// subspace and draws from its own seed (`derive_seed(seed, sub)`), so
+    /// the result does not depend on the pool's size or on which thread
+    /// trained what.
+    pub fn train_on(
+        pool: &FanoutPool,
+        sample: &[f32],
+        dim: usize,
+        metric: Metric,
+        params: &PqParams,
+    ) -> Result<Pq> {
+        let ks = params.bits.ks();
+        Self::train_with(pool, sample, dim, metric, params, |sub, subdata, dsub| {
+            train_kmeans(
+                subdata,
+                dsub,
+                &KMeansParams {
+                    k: ks,
+                    max_iters: params.kmeans_iters,
+                    seed: derive_seed(params.seed, sub as u64),
+                    sample_limit: 16_384,
+                },
+            )
+        })
+    }
+
+    /// The fan-out behind [`Self::train_on`], with the per-subspace trainer
+    /// `(sub, subvectors, dsub)` as a parameter so tests can fail one.
+    fn train_with(
+        pool: &FanoutPool,
+        sample: &[f32],
+        dim: usize,
+        metric: Metric,
+        params: &PqParams,
+        train_sub: impl Fn(usize, &[f32], usize) -> Result<KMeans> + Sync,
+    ) -> Result<Pq> {
         if dim == 0 || params.m == 0 || dim % params.m != 0 {
             return Err(BhError::InvalidArgument(format!(
                 "pq: m={} must divide dim={dim}",
@@ -96,37 +153,27 @@ impl Pq {
         if sample.is_empty() || sample.len() % dim != 0 {
             return Err(BhError::InvalidArgument("pq: bad sample shape".into()));
         }
-        let n = sample.len() / dim;
         let dsub = dim / params.m;
         let ks = params.bits.ks();
-        let mut codebooks = vec![0.0f32; params.m * ks * dsub];
-        for sub in 0..params.m {
-            // Gather the subvectors of this subspace.
-            let mut subdata = Vec::with_capacity(n * dsub);
-            for i in 0..n {
-                let off = i * dim + sub * dsub;
-                subdata.extend_from_slice(&sample[off..off + dsub]);
-            }
-            let km = train_kmeans(
-                &subdata,
-                dsub,
-                &KMeansParams {
-                    k: ks,
-                    max_iters: params.kmeans_iters,
-                    seed: derive_seed(params.seed, sub as u64),
-                    sample_limit: 16_384,
-                },
-            )?;
-            // km.k may be < ks when the sample is small; replicate the last
-            // centroid so every code id stays decodable.
-            for c in 0..ks {
-                let src = km.centroid(c.min(km.k - 1));
-                let dst = (sub * ks + c) * dsub;
-                codebooks[dst..dst + dsub].copy_from_slice(src);
-            }
-        }
-        let cent_norms = centroid_norms(&codebooks, dsub);
-        Ok(Pq { dim, m: params.m, bits: params.bits, dsub, codebooks, cent_norms, metric })
+        let slabs = pool
+            .run(params.m, params.m, |sub| {
+                // Gather the subvectors of this subspace.
+                let subdata: Vec<f32> = sample
+                    .chunks_exact(dim)
+                    .flat_map(|row| &row[sub * dsub..(sub + 1) * dsub])
+                    .copied()
+                    .collect();
+                let km = train_sub(sub, &subdata, dsub)?;
+                // km.k may be < ks when the sample is small; replicate the
+                // last centroid so every code id stays decodable.
+                let mut slab = Vec::with_capacity(ks * dsub);
+                for c in 0..ks {
+                    slab.extend_from_slice(km.centroid(c.min(km.k - 1)));
+                }
+                Ok(slab)
+            })
+            .into_results()?;
+        Self::from_codebooks(&slabs.concat(), dim, params.m, params.bits, metric)
     }
 
     /// Vector dimensionality the quantizer was trained for.
@@ -152,67 +199,49 @@ impl Pq {
         }
     }
 
-    #[inline]
-    fn centroid(&self, sub: usize, c: usize) -> &[f32] {
-        let off = (sub * self.bits.ks() + c) * self.dsub;
-        &self.codebooks[off..off + self.dsub]
-    }
-
-    /// The contiguous `ks × dsub` codebook slab of one subspace.
-    #[inline]
-    fn codebook(&self, sub: usize) -> &[f32] {
-        let ks = self.bits.ks();
-        &self.codebooks[sub * ks * self.dsub..(sub + 1) * ks * self.dsub]
-    }
-
     /// Encode one vector into `code_size()` bytes.
     pub fn encode(&self, v: &[f32]) -> Result<Vec<u8>> {
-        Ok(self.encode_with_errors(v)?.0)
+        let mut code = vec![0u8; self.code_size()];
+        self.encode_into(v, &mut code, &mut vec![0.0; self.m], &mut Vec::new())?;
+        Ok(code)
     }
 
-    /// Encode one vector and also report the squared reconstruction error of
-    /// each subspace (the distance to the chosen centroid). IVF aggregates
-    /// these into the per-subspace worst-case margins that make quantized
-    /// pruning against an exact bound sound.
-    pub fn encode_with_errors(&self, v: &[f32]) -> Result<(Vec<u8>, Vec<f32>)> {
+    /// Encode one vector into `code` (`code_size()` bytes) and report in
+    /// `errs` (`m` entries) the squared reconstruction error of each
+    /// subspace — the distance to the chosen centroid. IVF aggregates these
+    /// into the per-subspace worst-case margins that make quantized pruning
+    /// against an exact bound sound. Nothing is allocated: `scratch` is the
+    /// distance buffer of [`Codebook::nearest`], reused across calls.
+    pub fn encode_into(
+        &self,
+        v: &[f32],
+        code: &mut [u8],
+        errs: &mut [f32],
+        scratch: &mut Vec<f32>,
+    ) -> Result<()> {
         if v.len() != self.dim {
             return Err(BhError::DimensionMismatch { expected: self.dim, got: v.len() });
         }
-        let ks = self.bits.ks();
-        let mut ids = Vec::with_capacity(self.m);
-        let mut errs = Vec::with_capacity(self.m);
-        let mut dists = vec![0.0f32; ks];
-        for sub in 0..self.m {
-            let sv = &v[sub * self.dsub..(sub + 1) * self.dsub];
-            distance_batch(Metric::L2, sv, self.codebook(sub), self.dsub, &mut dists)?;
-            let mut best = 0usize;
-            for c in 1..ks {
-                if dists[c] < dists[best] {
-                    best = c;
-                }
-            }
-            ids.push(best as u8);
-            errs.push(dists[best].max(0.0));
+        if code.len() != self.code_size() || errs.len() != self.m {
+            return Err(BhError::InvalidArgument("pq: encode buffers of the wrong size".into()));
         }
-        let code = match self.bits {
-            CodeBits::B8 => ids,
-            CodeBits::B4 => {
-                let mut packed = vec![0u8; self.code_size()];
-                for (i, &id) in ids.iter().enumerate() {
-                    packed[i / 2] |= (id & 0x0F) << ((i % 2) * 4);
-                }
-                packed
+        code.fill(0);
+        for (sub, (book, err)) in self.books.iter().zip(errs.iter_mut()).enumerate() {
+            let (id, d) = book.nearest(&v[sub * self.dsub..(sub + 1) * self.dsub], scratch)?;
+            *err = d.max(0.0);
+            match self.bits {
+                CodeBits::B8 => code[sub] = id as u8,
+                CodeBits::B4 => code[sub / 2] |= (id as u8 & 0x0F) << ((sub % 2) * 4),
             }
-        };
-        Ok((code, errs))
+        }
+        Ok(())
     }
 
     /// Decode a code to its reconstruction.
     pub fn decode(&self, code: &[u8]) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.dim);
-        for sub in 0..self.m {
-            let id = self.code_id(code, sub);
-            out.extend_from_slice(self.centroid(sub, id));
+        for (sub, book) in self.books.iter().enumerate() {
+            book.extend_row(self.code_id(code, sub), &mut out);
         }
         out
     }
@@ -227,35 +256,56 @@ impl Pq {
 
     /// Build the ADC lookup table for `query`: `m * ks` partial distances.
     pub fn adc_table(&self, query: &[f32]) -> Result<AdcTable> {
+        let mut table = AdcTable::default();
+        self.adc_table_into(query, &mut table)?;
+        Ok(table)
+    }
+
+    /// [`Self::adc_table`] into a table the caller reuses — an IVF search
+    /// builds one per probed cell.
+    pub fn adc_table_into(&self, query: &[f32], out: &mut AdcTable) -> Result<()> {
         if query.len() != self.dim {
             return Err(BhError::DimensionMismatch { expected: self.dim, got: query.len() });
         }
         let ks = self.bits.ks();
         // Cosine rides the L2 form (IVF searches normalized space); the
-        // InnerProduct batch already returns negated dot. L2 entries use the
+        // inner-product form is the negated dot itself. L2 entries use the
         // expansion `‖q-c‖² = ‖q‖² + ‖c‖² - 2⟨q,c⟩` with the centroid norms
         // hoisted into the trained model, so each query pays one dot-product
-        // batch per subspace instead of a full subtract-square pass.
-        let mut table = vec![0.0f32; self.m * ks];
-        for sub in 0..self.m {
+        // pass per subspace instead of a full subtract-square pass.
+        out.table.clear();
+        out.table.resize(self.m * ks, 0.0);
+        (out.ks, out.m, out.bits) = (ks, self.m, self.bits);
+        for (sub, book) in self.books.iter().enumerate() {
             let qv = &query[sub * self.dsub..(sub + 1) * self.dsub];
-            let out = &mut table[sub * ks..(sub + 1) * ks];
-            distance_batch(Metric::InnerProduct, qv, self.codebook(sub), self.dsub, out)?;
+            let slots = &mut out.table[sub * ks..(sub + 1) * ks];
+            book.neg_dot_to_all(qv, slots)?;
             if !matches!(self.metric, Metric::InnerProduct) {
                 let qn = dot(qv, qv);
-                for (c, slot) in out.iter_mut().enumerate() {
+                for (c, slot) in slots.iter_mut().enumerate() {
                     // `*slot` holds -⟨q,c⟩; the true L2 value is >= 0, so
                     // clamp the float cancellation residue away.
                     *slot = (qn + self.cent_norms[sub * ks + c] + 2.0 * *slot).max(0.0);
                 }
             }
         }
-        Ok(AdcTable { table, ks, m: self.m, bits: self.bits })
+        Ok(())
     }
 
     /// Resident codebook size in bytes.
     pub fn memory_usage(&self) -> usize {
-        self.codebooks.len() * 4 + std::mem::size_of::<Self>()
+        self.books.iter().map(Codebook::memory_usage).sum::<usize>() + std::mem::size_of::<Self>()
+    }
+
+    /// The codebooks as serialized: subspace-major, centroids row-major.
+    fn codebooks(&self) -> Vec<f32> {
+        let mut flat = Vec::with_capacity(self.dim * self.bits.ks());
+        for book in &self.books {
+            for c in 0..book.k() {
+                book.extend_row(c, &mut flat);
+            }
+        }
+        flat
     }
 
     /// Serialize the quantizer into a codec writer.
@@ -271,7 +321,7 @@ impl Pq {
             Metric::InnerProduct => 1,
             Metric::Cosine => 2,
         });
-        w.put_f32_slice(&self.codebooks);
+        w.put_f32_slice(&self.codebooks());
     }
 
     /// Deserialize a quantizer written by [`Self::save`].
@@ -293,22 +343,26 @@ impl Pq {
         if m == 0 || dim == 0 || dim % m != 0 {
             return Err(BhError::Serde("pq: corrupt geometry".into()));
         }
-        let dsub = dim / m;
-        if codebooks.len() != m * bits.ks() * dsub {
+        if codebooks.len() != m * bits.ks() * (dim / m) {
             return Err(BhError::Serde("pq: corrupt codebook size".into()));
         }
-        // Norms are derived state: recomputed on load, never serialized.
-        let cent_norms = centroid_norms(&codebooks, dsub);
-        Ok(Pq { dim, m, bits, dsub, codebooks, cent_norms, metric })
+        Pq::from_codebooks(&codebooks, dim, m, bits, metric)
     }
 }
 
-/// Per-query ADC lookup table.
+/// Per-query ADC lookup table. The default is an empty table for
+/// [`Pq::adc_table_into`] to fill.
 pub struct AdcTable {
     table: Vec<f32>,
     ks: usize,
     m: usize,
     bits: CodeBits,
+}
+
+impl Default for AdcTable {
+    fn default() -> Self {
+        AdcTable { table: Vec::new(), ks: 0, m: 0, bits: CodeBits::B8 }
+    }
 }
 
 impl AdcTable {
@@ -454,6 +508,75 @@ mod tests {
         let mut r = Reader::new(&blob);
         let pq2 = Pq::load(&mut r).unwrap();
         assert_eq!(pq, pq2);
+    }
+
+    #[test]
+    fn training_does_not_depend_on_the_pool() {
+        let dim = 32;
+        let data = sample(600, dim, 9);
+        for bits in [CodeBits::B4, CodeBits::B8] {
+            let params = PqParams { m: 8, bits, seed: 5, kmeans_iters: 6 };
+            let solo = Pq::train_on(&FanoutPool::new(0), &data, dim, Metric::L2, &params).unwrap();
+            let wide = Pq::train_on(&FanoutPool::new(3), &data, dim, Metric::L2, &params).unwrap();
+            assert_eq!(solo, wide, "{bits:?}");
+            assert_eq!(solo, Pq::train(&data, dim, Metric::L2, &params).unwrap(), "{bits:?}");
+        }
+    }
+
+    #[test]
+    fn a_failing_sub_quantizer_fails_the_training() {
+        let dim = 32;
+        let data = sample(200, dim, 10);
+        let params = PqParams { m: 8, bits: CodeBits::B4, seed: 1, kmeans_iters: 4 };
+        let real = |sub: usize, subdata: &[f32], dsub: usize| {
+            train_kmeans(subdata, dsub, &KMeansParams::new(16).with_seed(sub as u64))
+        };
+        for helpers in [0, 2] {
+            let pool = FanoutPool::new(helpers);
+            let failing = |sub: usize, subdata: &[f32], dsub: usize| {
+                if sub == 3 {
+                    return Err(BhError::Index("sub-quantizer 3".into()));
+                }
+                real(sub, subdata, dsub)
+            };
+            let failed = Pq::train_with(&pool, &data, dim, Metric::L2, &params, failing);
+            assert!(matches!(failed, Err(BhError::Index(_))), "helpers {helpers}");
+            let panicking = |sub: usize, subdata: &[f32], dsub: usize| {
+                if sub == 5 {
+                    std::panic::resume_unwind(Box::new("sub-quantizer 5"));
+                }
+                real(sub, subdata, dsub)
+            };
+            let panicked = Pq::train_with(&pool, &data, dim, Metric::L2, &params, panicking);
+            assert!(matches!(panicked, Err(BhError::Internal(_))), "helpers {helpers}");
+            // Neither left the pool unusable.
+            assert!(Pq::train_on(&pool, &data, dim, Metric::L2, &params).is_ok());
+        }
+    }
+
+    #[test]
+    fn reused_buffers_give_the_fresh_answers() {
+        let dim = 16;
+        let data = sample(300, dim, 11);
+        for (m, bits) in [(4, CodeBits::B4), (4, CodeBits::B8), (2, CodeBits::B8)] {
+            let pq = Pq::train(&data, dim, Metric::L2, &PqParams::new(m, bits)).unwrap();
+            let mut table = AdcTable::default();
+            let mut code = vec![0xFFu8; pq.code_size()];
+            let (mut errs, mut scratch) = (vec![0.0f32; m], Vec::new());
+            for v in data.chunks_exact(dim).take(40) {
+                pq.adc_table_into(v, &mut table).unwrap();
+                assert_eq!(table.table, pq.adc_table(v).unwrap().table);
+                pq.encode_into(v, &mut code, &mut errs, &mut scratch).unwrap();
+                assert_eq!(code, pq.encode(v).unwrap());
+                // Each error is the distance to the chosen centroid.
+                let rec = pq.decode(&code);
+                for (sub, &e) in errs.iter().enumerate() {
+                    let at = sub * dim / m..(sub + 1) * dim / m;
+                    assert_eq!(e, l2_sq(&v[at.clone()], &rec[at]));
+                }
+            }
+            assert!(pq.encode_into(&data[..dim], &mut code[1..], &mut errs, &mut scratch).is_err());
+        }
     }
 
     #[test]

@@ -11,11 +11,11 @@
 
 use crate::distance::Metric;
 use crate::iterator::SearchIterator;
-use bh_common::{BhError, Bitset, Result, SharedBound, TopK};
+use bh_common::{BhError, Bitset, FanoutPool, Result, SharedBound, TopK};
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One search hit: a segment-local row offset (`id`) and its distance.
 ///
@@ -529,6 +529,17 @@ pub trait IndexBuilder: Send {
 
     /// Whether `train` must be called before `add_with_ids`.
     fn requires_training(&self) -> bool;
+}
+
+/// The process-wide pool index builds fan out on: the building thread always
+/// works itself, and one parked helper per further core joins in when it is
+/// idle. PQ sub-quantizers and IVF row tiles run on it from inside a build,
+/// and the table store runs compaction groups on it from outside one — a
+/// helper that is busy with a group is skipped by the builds inside it, so
+/// the two levels nest without oversubscribing the machine.
+pub fn build_pool() -> Arc<FanoutPool> {
+    static POOL: OnceLock<Arc<FanoutPool>> = OnceLock::new();
+    Arc::clone(POOL.get_or_init(|| Arc::new(FanoutPool::for_machine())))
 }
 
 /// Helper shared by all builders: validate a row-major batch shape.
