@@ -24,7 +24,6 @@ use bh_vector::quant::sq::Sq8;
 use bh_vector::{GraphScan, IndexKind, IndexRegistry, IndexSpec, Metric, SearchParams};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::Rng;
-use std::collections::BTreeMap;
 use std::hint::black_box;
 
 fn vec_of(dim: usize, seed: f32) -> Vec<f32> {
@@ -288,7 +287,7 @@ fn probe_cost_constants(_c: &mut Criterion) {
 
     // t0_row: the columnar predicate over one column; c_p: one bitmap test.
     let column = ColumnData::Int64(xs.clone());
-    let columns: BTreeMap<String, &ColumnData> = [("x".to_string(), &column)].into();
+    let columns = [("x", &column)];
     let range = Predicate::range("x", Some(Value::Int64(100_000)), Some(Value::Int64(400_000)));
     let t0 = ns_per_call(500, || {
         black_box(range.eval_bitset(&columns, rows).unwrap());
@@ -302,17 +301,16 @@ fn probe_cost_constants(_c: &mut Criterion) {
     });
     lines.push(("c_p  bitmap test".into(), c_p, Some(defaults.c_p)));
 
-    // c_f: the post-filter's row-wise evaluation of one pulled row (cell
-    // read, row map, predicate), as `QueryEngine::passing_rows` does it.
-    let offsets: Vec<usize> = (0..100).map(|i| i * 79 % rows).collect();
+    // c_f: the post-filter's predicate on one pulled row — the batch's cells
+    // gathered typed, one mask from the word kernels — as
+    // `QueryEngine::passing_rows` does it.
+    let offsets: Vec<u32> = (0..100).map(|i| (i * 79 % rows) as u32).collect();
     let c_f = ns_per_call(2_000, || {
-        let cells: Vec<Value> = offsets.iter().map(|&o| column.get(o)).collect();
-        for cell in cells {
-            let row: BTreeMap<String, Value> = [("x".to_string(), cell)].into();
-            black_box(range.eval(&row).unwrap());
-        }
+        let mut cells = ColumnData::empty(column.ty());
+        column.gather_into(&offsets, 0, &mut cells).unwrap();
+        black_box(range.eval_bitset(&[("x", &cells)], offsets.len()).unwrap());
     }) / offsets.len() as f64;
-    lines.push(("c_f  row-wise predicate on a pulled row".into(), c_f, Some(defaults.c_f)));
+    lines.push(("c_f  predicate on a pulled row (gather + mask)".into(), c_f, Some(defaults.c_f)));
 
     // c_c: one ADC lookup chain (16 sub-quantizers, 8-bit codes).
     let pq = Pq::train(&data[..2048 * dim], dim, Metric::L2, &PqParams::new(16, CodeBits::B8))

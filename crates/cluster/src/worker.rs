@@ -15,18 +15,19 @@
 
 use bh_common::metrics::Counter;
 use bh_common::{
-    BhError, Bitset, LatencyModel, MetricsRegistry, Result, SharedBound, SharedClock, Stopwatch,
-    WorkerId,
+    BhError, Bitset, LatencyModel, MetricsRegistry, Result, SegmentId, SharedBound, SharedClock,
+    Stopwatch, WorkerId,
 };
 use bh_storage::cache::{BlockCache, BlockKind, IndexCache};
-use bh_storage::column::ColumnData;
+use bh_storage::column::{ColumnData, BLOCK_ROWS};
 use bh_storage::objectstore::ObjectStore;
 use bh_storage::predicate::Predicate;
 use bh_storage::segment::SegmentMeta;
 use bh_storage::table::TableStore;
-use bh_vector::distance::Metric;
+use bh_storage::value::{ColumnType, Value};
+use bh_vector::distance::{distance_batch, distance_gather, Metric};
 use bh_vector::{IndexRegistry, Neighbor, SearchParams};
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -91,10 +92,12 @@ pub struct Worker {
     /// Decoded-column cache: the "adaptive in-memory caching" of §IV-C —
     /// hybrid queries re-read the same scalar/vector columns constantly,
     /// and caching the *decoded* form avoids per-query block decode cost.
-    column_cache: bh_storage::lru::LruCache<(bh_common::SegmentId, String), Arc<ColumnData>>,
+    /// Keyed by segment and the column's position in the schema
+    /// ([`column_slot`]), so a probe allocates no name.
+    column_cache: bh_storage::lru::LruCache<(SegmentId, usize), Arc<ColumnData>>,
     /// Decoded form of individual blocks (the fine-grained read path's
-    /// counterpart of `column_cache`).
-    decoded_blocks: bh_storage::lru::LruCache<String, Arc<ColumnData>>,
+    /// counterpart of `column_cache`), by segment, column position, block.
+    decoded_blocks: bh_storage::lru::LruCache<(SegmentId, usize, usize), Arc<ColumnData>>,
     alive: AtomicBool,
     /// Segments currently being warmed in the background — deduplicates the
     /// warm storm that would otherwise follow a cache miss under load.
@@ -410,75 +413,61 @@ impl Worker {
                 }
             }
         };
-        // Plan A's cost is s·n·c_d: with a selective filter whose rows sit
-        // in fewer blocks than the column has, fetch only those blocks
-        // instead of the whole column — the "skip rows via primary
-        // keys/indices" behaviour of §II-C. When every block would be
-        // fetched anyway, or the decoded column is already in cache, there
-        // is nothing to skip: the column is read (and cached) and the
-        // qualifying rows are gathered from it directly.
-        let blocks_covered = |f: &Bitset| {
-            let (mut blocks, mut last) = (0, usize::MAX);
-            for block in f.iter().map(ColumnData::block_of) {
-                blocks += usize::from(block != last);
-                last = block;
-            }
-            blocks
-        };
-        let fetch_cells = filter.filter(|f| {
-            self.cfg.fine_grained_reads
-                && f.count() * 4 < meta.row_count
-                && !self.column_cache.contains(&(meta.id, idx_def.column.clone()))
-                && blocks_covered(f) < meta.block_count()
-        });
-        if let Some(f) = fetch_cells {
-            let offsets: Vec<u32> = f.iter().map(|o| o as u32).collect();
-            let cells = self.read_cells(table, meta, &idx_def.column, &offsets)?;
-            for (o, cell) in offsets.iter().zip(&cells) {
-                let v = cell
-                    .as_vector()
-                    .ok_or_else(|| BhError::Internal("vector column expected".into()))?;
-                if query.len() != v.len() {
-                    return Err(BhError::DimensionMismatch {
-                        expected: v.len(),
-                        got: query.len(),
-                    });
-                }
-                offer(*o as usize, metric.distance(query, v));
-            }
-        } else {
-            let col = self.read_column(table, meta, &idx_def.column, meta.row_count)?;
-            let (data, dim) = col
-                .vector_data()
-                .ok_or_else(|| BhError::Internal("vector column expected".into()))?;
-            if query.len() != dim {
-                return Err(BhError::DimensionMismatch { expected: dim, got: query.len() });
-            }
-            match filter.filter(|f| !f.is_all_set()) {
-                Some(f) => {
-                    for row in f.iter() {
-                        offer(row, metric.distance(query, &data[row * dim..(row + 1) * dim]));
+        let mut dists = [0.0f32; 256];
+        match filter.filter(|f| !f.is_all_set()) {
+            None => {
+                // Every row: batched kernel over the contiguous column, in
+                // blocks that keep the distance output in L1.
+                let col = self.read_column(table, meta, &idx_def.column, meta.row_count)?;
+                let (data, dim) = vector_data(&col, query)?;
+                let mut row = 0;
+                while row < meta.row_count {
+                    let rows = 256.min(meta.row_count - row);
+                    let block = &data[row * dim..(row + rows) * dim];
+                    distance_batch(metric, query, block, dim, &mut dists[..rows])?;
+                    for (r, &d) in dists[..rows].iter().enumerate() {
+                        offer(row + r, d);
                     }
+                    row += rows;
                 }
-                None => {
-                    // Every row: batched kernel over the contiguous column,
-                    // in blocks that keep the distance output in L1.
-                    let mut dists = [0.0f32; 256];
-                    let mut row = 0;
-                    while row < meta.row_count {
-                        let rows = 256.min(meta.row_count - row);
-                        let block = &data[row * dim..(row + rows) * dim];
-                        bh_vector::distance::distance_batch(
-                            metric,
-                            query,
-                            block,
-                            dim,
-                            &mut dists[..rows],
-                        )?;
-                        for (r, &d) in dists[..rows].iter().enumerate() {
-                            offer(row + r, d);
-                        }
-                        row += rows;
+            }
+            Some(f) => {
+                // Plan A's cost is s·n·c_d: with a selective filter whose
+                // rows sit in fewer blocks than the column has, gather only
+                // those blocks' cells instead of reading the whole column —
+                // the "skip rows via primary keys/indices" behaviour of
+                // §II-C. When every block would be fetched anyway, or the
+                // decoded column is already in cache, there is nothing to
+                // skip: the column is read (and cached) and scored in place.
+                let offsets: Vec<u32> = f.iter().map(|o| o as u32).collect();
+                let blocks_covered = || {
+                    let (mut blocks, mut last) = (0, usize::MAX);
+                    for block in offsets.iter().map(|&o| ColumnData::block_of(o as usize)) {
+                        blocks += usize::from(block != last);
+                        last = block;
+                    }
+                    blocks
+                };
+                let (slot, _) = column_slot(table, &idx_def.column)?;
+                let (gathered, cached);
+                // The vectors of the selected rows, and where row `i` of the
+                // selection sits among them.
+                let (col, at): (&ColumnData, Cow<'_, [u32]>) = if self.cfg.fine_grained_reads
+                    && offsets.len() * 4 < meta.row_count
+                    && !self.column_cache.contains(&(meta.id, slot))
+                    && blocks_covered() < meta.block_count()
+                {
+                    gathered = self.gather_cells(table, meta, &idx_def.column, &offsets)?;
+                    (&gathered, (0..offsets.len() as u32).collect())
+                } else {
+                    cached = self.read_column(table, meta, &idx_def.column, meta.row_count)?;
+                    (&cached, Cow::Borrowed(&offsets))
+                };
+                let (data, dim) = vector_data(col, query)?;
+                for (at, rows) in at.chunks(256).zip(offsets.chunks(256)) {
+                    distance_gather(metric, query, data, dim, at, &mut dists[..at.len()])?;
+                    for (&row, &d) in rows.iter().zip(&dists) {
+                        offer(row as usize, d);
                     }
                 }
             }
@@ -500,21 +489,11 @@ impl Worker {
         query_rows: usize,
     ) -> Result<Arc<ColumnData>> {
         self.check_alive()?;
+        let (slot, ty) = column_slot(table, name)?;
         // The cache itself reports `cache.column.{hit,miss}` to the registry.
-        let cache_key = (meta.id, name.to_string());
-        if let Some(col) = self.column_cache.get(&cache_key) {
+        if let Some(col) = self.column_cache.get(&(meta.id, slot)) {
             return Ok(col);
         }
-        let def = table
-            .schema()
-            .column(name)
-            .ok_or_else(|| BhError::NotFound(format!("column {name}")))?;
-        let ty = match def.ty {
-            bh_storage::value::ColumnType::Vector(0) => bh_storage::value::ColumnType::Vector(
-                table.schema().index_on(name).map(|i| i.spec.dim).unwrap_or(0),
-            ),
-            t => t,
-        };
         let store = table.remote_store();
         let mut out = ColumnData::empty(ty);
         for b in 0..meta.block_count() {
@@ -526,7 +505,7 @@ impl Worker {
         }
         let out = Arc::new(out);
         if query_rows <= self.cfg.cache_row_limit {
-            self.column_cache.put(cache_key, out.clone(), out.memory_bytes().max(1));
+            self.column_cache.put((meta.id, slot), out.clone(), out.memory_bytes().max(1));
         }
         Ok(out)
     }
@@ -538,73 +517,97 @@ impl Worker {
         self.decoded_blocks.clear();
     }
 
-    /// Read specific cells of a column. With fine-grained reads enabled only
-    /// the covering blocks are fetched — the §IV-C read-amplification
-    /// optimization; otherwise the whole column is read.
+    /// The typed gather: the cells of one column at `offsets`, as a short
+    /// typed column in request order — any order, repeats allowed, no
+    /// [`Value`] per cell. Refine, materialise, Plan C's row filter and
+    /// Plan A's block-skipping scan all read through here.
+    ///
+    /// A decoded column in cache beats any I/O strategy. Otherwise, with
+    /// fine-grained reads, only the covering blocks are touched — the §IV-C
+    /// read-amplification optimization — each resolved once (decoded-block
+    /// cache, then block cache, then the store; a decoded block is kept
+    /// unless the request is past the anti-thrashing row limit); without
+    /// them the whole column is read.
+    pub fn gather_cells(
+        &self,
+        table: &TableStore,
+        meta: &SegmentMeta,
+        name: &str,
+        offsets: &[u32],
+    ) -> Result<ColumnData> {
+        self.check_alive()?;
+        let (slot, ty) = column_slot(table, name)?;
+        let mut out = ColumnData::empty(ty);
+        // Probed without counting: a column that is by design served from
+        // decoded blocks is not a miss of the decoded-column cache.
+        let key = (meta.id, slot);
+        let cached =
+            if self.column_cache.contains(&key) { self.column_cache.get(&key) } else { None };
+        let whole = match cached {
+            Some(col) => Some(col),
+            None if !self.cfg.fine_grained_reads => {
+                Some(self.read_column(table, meta, name, offsets.len())?)
+            }
+            None => None,
+        };
+        if let Some(col) = whole {
+            col.gather_into(offsets, 0, &mut out)?;
+            return Ok(out);
+        }
+        let store = table.remote_store();
+        let mut parts: Vec<Option<Arc<ColumnData>>> = vec![None; meta.block_count()];
+        let mut rest = offsets;
+        while let Some(&first) = rest.first() {
+            // One run of consecutive requests inside the same block.
+            let block = ColumnData::block_of(first as usize);
+            let run =
+                rest.iter().take_while(|&&o| ColumnData::block_of(o as usize) == block).count();
+            let part = match parts.get_mut(block) {
+                Some(Some(part)) => part,
+                Some(unresolved) => {
+                    let key = (meta.id, slot, block);
+                    let part = match self.decoded_blocks.get(&key) {
+                        Some(part) => part,
+                        None => {
+                            let blob_key = meta.block_key(name, block);
+                            let blob = self.block_cache.get_or_fetch(
+                                &blob_key,
+                                BlockKind::Data,
+                                offsets.len(),
+                                || store.get(&blob_key),
+                            )?;
+                            let part = Arc::new(ColumnData::decode_block(ty, &blob)?);
+                            if offsets.len() <= self.cfg.cache_row_limit {
+                                let weight = part.memory_bytes().max(1);
+                                self.decoded_blocks.put(key, part.clone(), weight);
+                            }
+                            part
+                        }
+                    };
+                    unresolved.insert(part)
+                }
+                None => {
+                    return Err(BhError::Internal(format!(
+                        "offset {first} beyond the {} rows of segment {}",
+                        meta.row_count, meta.id
+                    )))
+                }
+            };
+            part.gather_into(&rest[..run], block * BLOCK_ROWS, &mut out)?;
+            rest = &rest[run..];
+        }
+        Ok(out)
+    }
+
+    /// [`Self::gather_cells`] as one [`Value`] per cell.
     pub fn read_cells(
         &self,
         table: &TableStore,
         meta: &SegmentMeta,
         name: &str,
         offsets: &[u32],
-    ) -> Result<Vec<bh_storage::value::Value>> {
-        self.check_alive()?;
-        // A decoded column in cache beats any I/O strategy.
-        if let Some(col) = self.column_cache.get(&(meta.id, name.to_string())) {
-            return Ok(offsets.iter().map(|&o| col.get(o as usize)).collect());
-        }
-        if !self.cfg.fine_grained_reads {
-            let col = self.read_column(table, meta, name, offsets.len())?;
-            return Ok(offsets.iter().map(|&o| col.get(o as usize)).collect());
-        }
-        let def = table
-            .schema()
-            .column(name)
-            .ok_or_else(|| BhError::NotFound(format!("column {name}")))?;
-        let ty = match def.ty {
-            bh_storage::value::ColumnType::Vector(0) => bh_storage::value::ColumnType::Vector(
-                table.schema().index_on(name).map(|i| i.spec.dim).unwrap_or(0),
-            ),
-            t => t,
-        };
-        let store = table.remote_store();
-        // Group needed offsets by block, fetch each block once.
-        let mut by_block: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
-        for &o in offsets {
-            by_block.entry(ColumnData::block_of(o as usize)).or_default().push(o);
-        }
-        let mut cells: BTreeMap<u32, bh_storage::value::Value> = BTreeMap::new();
-        for (block, offs) in by_block {
-            let key = meta.block_key(name, block);
-            let part: Arc<ColumnData> = match self.decoded_blocks.get(&key) {
-                Some(p) => p,
-                None => {
-                    let blob = self.block_cache.get_or_fetch(
-                        &key,
-                        BlockKind::Data,
-                        offsets.len(),
-                        || store.get(&key),
-                    )?;
-                    let p = Arc::new(ColumnData::decode_block(ty, &blob)?);
-                    if offsets.len() <= self.cfg.cache_row_limit {
-                        self.decoded_blocks.put(key.clone(), p.clone(), p.memory_bytes().max(1));
-                    }
-                    p
-                }
-            };
-            let base = block * bh_storage::column::BLOCK_ROWS;
-            for o in offs {
-                cells.insert(o, part.get(o as usize - base));
-            }
-        }
-        offsets
-            .iter()
-            .map(|o| {
-                cells.remove(o).ok_or_else(|| {
-                    BhError::Internal(format!("cell for offset {o} missing after block reads"))
-                })
-            })
-            .collect()
+    ) -> Result<Vec<Value>> {
+        Ok(self.gather_cells(table, meta, name, offsets)?.into_values())
     }
 
     /// Evaluate a predicate over a segment, returning the qualifying bitset
@@ -619,13 +622,13 @@ impl Worker {
         if matches!(predicate, Predicate::True) {
             return Ok(Bitset::full(meta.row_count));
         }
-        let needed = predicate.referenced_columns();
-        let mut columns: BTreeMap<String, Arc<ColumnData>> = BTreeMap::new();
-        for c in &needed {
-            columns.insert(c.clone(), self.read_column(table, meta, c, meta.row_count)?);
-        }
-        let refs: BTreeMap<String, &ColumnData> =
-            columns.iter().map(|(k, v)| (k.clone(), v.as_ref())).collect();
+        let needed = predicate.column_refs();
+        let columns = needed
+            .iter()
+            .map(|c| self.read_column(table, meta, c, meta.row_count))
+            .collect::<Result<Vec<_>>>()?;
+        let refs: Vec<(&str, &ColumnData)> =
+            needed.iter().copied().zip(columns.iter().map(Arc::as_ref)).collect();
         predicate.eval_bitset(&refs, meta.row_count)
     }
 
@@ -645,14 +648,13 @@ impl Worker {
             .first()
             .ok_or_else(|| BhError::Plan("no vector column".into()))?;
         let offsets: Vec<u32> = candidates.iter().map(|n| n.id as u32).collect();
-        let cells = self.read_cells(table, meta, &idx_def.column, &offsets)?;
+        let cells = self.gather_cells(table, meta, &idx_def.column, &offsets)?;
         let mut out = Vec::with_capacity(candidates.len());
-        for (nb, cell) in candidates.iter().zip(cells) {
-            let v = cell
-                .as_vector()
-                .ok_or_else(|| BhError::Internal("refine on non-vector cell".into()))?
-                .to_vec();
-            out.push(Neighbor::new(nb.id, metric.distance_checked(query, &v)?));
+        for (i, nb) in candidates.iter().enumerate() {
+            let v = cells
+                .vector_at(i)
+                .ok_or_else(|| BhError::Internal("refine on non-vector cell".into()))?;
+            out.push(Neighbor::new(nb.id, metric.distance_checked(query, v)?));
         }
         out.sort_by(|a, b| a.distance.total_cmp(&b.distance));
         Ok(out)
@@ -685,6 +687,33 @@ impl Worker {
             }
         }
     }
+}
+
+/// A column's position in the schema — what the decoded caches key on —
+/// and its storage type, a dimensionless vector column taking the dimension
+/// of its index.
+fn column_slot(table: &TableStore, name: &str) -> Result<(usize, ColumnType)> {
+    let schema = table.schema();
+    let slot = schema
+        .column_index(name)
+        .ok_or_else(|| BhError::NotFound(format!("column {name}")))?;
+    let ty = match schema.columns[slot].ty {
+        ColumnType::Vector(0) => {
+            ColumnType::Vector(schema.index_on(name).map(|i| i.spec.dim).unwrap_or(0))
+        }
+        t => t,
+    };
+    Ok((slot, ty))
+}
+
+/// The raw floats of a vector column, checked against the query's dimension.
+fn vector_data<'a>(col: &'a ColumnData, query: &[f32]) -> Result<(&'a [f32], usize)> {
+    let (data, dim) =
+        col.vector_data().ok_or_else(|| BhError::Internal("vector column expected".into()))?;
+    if query.len() != dim {
+        return Err(BhError::DimensionMismatch { expected: dim, got: query.len() });
+    }
+    Ok((data, dim))
 }
 
 #[cfg(test)]
@@ -884,6 +913,61 @@ mod tests {
             "fine-grained ({m_fine} fetches) must beat coarse ({m_coarse})"
         );
         assert_eq!(m_fine, 1, "3 adjacent cells live in one block");
+    }
+
+    /// `read_cells` answers `read_column(..).get(o)` for every requested
+    /// offset in request order — unsorted, repeated, straddling blocks —
+    /// whichever cache state serves it, touches each covering block once,
+    /// and counts on the decoded-column cache only what that cache did.
+    #[test]
+    fn read_cells_contract_in_every_cache_state() {
+        let t = table(3000); // blocks 0..1024, 1024..2048, 2048..3000
+        let meta = t.segments()[0].clone();
+        let offs = [1500u32, 3, 1023, 1024, 3, 2999, 1500, 0];
+        let whole = worker(&t, WorkerConfig::default());
+        let expect = |name: &str| -> Vec<Value> {
+            let col = whole.read_column(&t, &meta, name, meta.row_count).unwrap();
+            offs.iter().map(|&o| col.get(o as usize)).collect()
+        };
+        let expected = [expect("id"), expect("label"), expect("emb")];
+        let counter = |name: &str| t.metrics().counter_value(name);
+        // (column hits, column misses, decoded-block hits, store gets) of `f`.
+        let deltas = |f: &dyn Fn()| {
+            let names =
+                ["cache.column.hit", "cache.column.miss", "cache.decoded.hit", "test-store.get"];
+            let before = names.map(counter);
+            f();
+            let after = names.map(counter);
+            [0, 1, 2, 3].map(|i| after[i] - before[i])
+        };
+        let check = |w: &Worker| {
+            for (name, want) in ["id", "label", "emb"].into_iter().zip(&expected) {
+                assert_eq!(&w.read_cells(&t, &meta, name, &offs).unwrap(), want, "{name}");
+            }
+        };
+
+        // Cold blocks: three columns × three covering blocks fetched, each
+        // once; the decoded-column cache is not involved at all.
+        let w = worker(&t, WorkerConfig::default());
+        assert_eq!(deltas(&|| check(&w)), [0, 0, 0, 9]);
+        // Decoded blocks: one probe per covering block, no fetch.
+        assert_eq!(deltas(&|| check(&w)), [0, 0, 9, 0]);
+        // Column cached (a scan read it): one counted hit per call.
+        for name in ["id", "label", "emb"] {
+            w.read_column(&t, &meta, name, meta.row_count).unwrap();
+        }
+        assert_eq!(deltas(&|| check(&w)), [3, 0, 0, 0]);
+
+        // Fine-grained reads off: the first call misses and loads the whole
+        // column (3 blocks each), the second hits it.
+        let coarse = worker(&t, WorkerConfig { fine_grained_reads: false, ..Default::default() });
+        assert_eq!(deltas(&|| check(&coarse)), [0, 3, 0, 9]);
+        assert_eq!(deltas(&|| check(&coarse)), [3, 0, 0, 0]);
+
+        // An offset past the segment is an error, not a panic.
+        assert!(w.read_cells(&t, &meta, "id", &[3000]).is_err());
+        let cold = worker(&t, WorkerConfig::default());
+        assert!(cold.read_cells(&t, &meta, "id", &[5000]).is_err());
     }
 
     #[test]

@@ -46,6 +46,33 @@ impl Bitset {
         b
     }
 
+    /// Bit `i` is `test(&items[i])`, assembled 64 items per output word with
+    /// no branch on the outcome: a mispredicted branch per row is what a
+    /// filter pays at mid selectivities, and a predicate kernel is exactly
+    /// this loop with a comparison for `test`.
+    pub fn from_tests<T>(items: &[T], mut test: impl FnMut(&T) -> bool) -> Self {
+        // Eight 0/1 bytes to the eight bits of one byte: every partial
+        // product of the multiplication lands on a bit of its own, the one
+        // of byte `i` that matters on bit `56 + i`.
+        const PACK: u64 = 0x0102_0408_1020_4080;
+        let words = items
+            .chunks(64)
+            .map(|chunk| {
+                // Outcomes as bytes first, so that rows do not wait on each
+                // other through a shift-and-or chain.
+                let mut outcomes = [0u8; 64];
+                for (outcome, x) in outcomes.iter_mut().zip(chunk) {
+                    *outcome = u8::from(test(x));
+                }
+                outcomes.chunks_exact(8).enumerate().fold(0u64, |word, (byte, eight)| {
+                    let eight = <[u8; 8]>::try_from(eight).map_or(0, u64::from_le_bytes);
+                    word | (eight.wrapping_mul(PACK) >> 56) << (8 * byte)
+                })
+            })
+            .collect();
+        Self { words, len: items.len() }
+    }
+
     /// Number of addressable bits.
     pub fn len(&self) -> usize {
         self.len
@@ -278,6 +305,19 @@ mod tests {
             for i in 0..len {
                 prop_assert_eq!(b.contains(i), sorted.binary_search(&i).is_ok());
             }
+        }
+
+        #[test]
+        fn prop_from_tests_matches_from_positions(
+            items in proptest::collection::vec(0u32..100, 0..200),
+            below in 0u32..100,
+        ) {
+            let by_word = Bitset::from_tests(&items, |&x| x < below);
+            let by_row = Bitset::from_positions(
+                items.len(),
+                (0..items.len()).filter(|&i| items[i] < below),
+            );
+            prop_assert_eq!(by_word, by_row);
         }
 
         #[test]

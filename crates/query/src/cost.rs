@@ -121,12 +121,14 @@ impl Default for CostParams {
         // row in the kernel, 5 through `Worker::eval_predicate`; a complete
         // IVFPQFS search 28–42 µs at 512 and at 8,000 rows alike (IVFFLAT
         // 3–21 µs, IVFPQ 160–200 µs: one constant until IVF has a visit
-        // model of its own). The row-wise predicate measures 10 per pulled
-        // row; `c_f` stays at 40, which is a *two-segment fit*: the pull runs
+        // model of its own). The predicate on a pulled row measured 10 when
+        // it built a row map per candidate and measures 0.2 as a typed gather
+        // plus one mask (PR 18; the kernel 0.06 per row, not 0.34) — neither
+        // is what `c_f` holds: it stays at 40, a *two-segment fit*: the pull runs
         // in every segment while the model prices it once per table, and 40
         // is what matches forced Plan C on deep_hybrid's and filter_sweep's
         // two segments (the decision table pins both) — per-segment pricing
-        // (ROADMAP) replaces it by the measured 10 x segments. `c_c` and
+        // (ROADMAP) replaces it by a measured cost x segments. `c_c` and
         // `c_p` are left where the IVF decisions were tuned.
         Self {
             t0_row: 0.5,

@@ -933,7 +933,7 @@ impl QueryEngine {
                     let visible: Vec<Neighbor> =
                         hits.into_iter().filter(|nb| vis.contains(nb.id as usize)).collect();
                     let passing = if has_pred {
-                        let pred_cols = bound.predicate.referenced_columns();
+                        let pred_cols = bound.predicate.column_refs();
                         with_segment_retry(vw, meta, |worker| {
                             self.passing_rows(table, &worker, meta, bound, &pred_cols, &visible)
                         })?
@@ -967,7 +967,7 @@ impl QueryEngine {
                     return self.refine(table, vw, opts, st, meta, hits);
                 }
                 let mut it = index.search_iterator(&v.query, &opts.search)?;
-                let pred_cols = bound.predicate.referenced_columns();
+                let pred_cols = bound.predicate.column_refs();
                 let want = k.saturating_mul(opts.sigma.max(1));
                 // `want` is LIMIT-sized; the segment can fill no more than its rows.
                 let mut collected: Vec<Neighbor> = Vec::with_capacity(want.min(meta.row_count));
@@ -1039,31 +1039,27 @@ impl QueryEngine {
         Ok(hits)
     }
 
-    /// The candidates whose rows pass the statement's predicate, evaluated
-    /// on just those rows (order kept).
+    /// The candidates whose rows pass the statement's predicate (order
+    /// kept): the predicate columns' cells of just those rows are gathered,
+    /// and the same word kernels that filter a whole segment answer for the
+    /// batch with one mask.
     fn passing_rows(
         &self,
         table: &TableStore,
         worker: &Arc<Worker>,
         meta: &SegmentMeta,
         bound: &BoundSelect,
-        pred_cols: &[String],
+        pred_cols: &[&str],
         candidates: &[Neighbor],
     ) -> Result<Vec<Neighbor>> {
         let offsets: Vec<u32> = candidates.iter().map(|nb| nb.id as u32).collect();
-        let mut cells: BTreeMap<&str, Vec<Value>> = BTreeMap::new();
-        for c in pred_cols {
-            cells.insert(c, worker.read_cells(table, meta, c, &offsets)?);
-        }
-        let mut out = Vec::new();
-        for (i, nb) in candidates.iter().enumerate() {
-            let row: BTreeMap<String, Value> =
-                pred_cols.iter().map(|c| (c.clone(), cells[c.as_str()][i].clone())).collect();
-            if bound.predicate.eval(&row)? {
-                out.push(*nb);
-            }
-        }
-        Ok(out)
+        let cells = pred_cols
+            .iter()
+            .map(|c| worker.gather_cells(table, meta, c, &offsets))
+            .collect::<Result<Vec<_>>>()?;
+        let columns: Vec<_> = pred_cols.iter().copied().zip(&cells).collect();
+        let mask = bound.predicate.eval_bitset(&columns, candidates.len())?;
+        Ok(mask.iter().map(|i| candidates[i]).collect())
     }
 
     /// Predicate ∧ visibility bitset for one segment.
@@ -1141,6 +1137,28 @@ impl QueryEngine {
         let mut out = ResultSet::new(
             bound.projection.iter().map(|p| p.name().to_string()).collect(),
         );
+        // The columns read per segment, and where in that list each
+        // projection item and the sort key are found.
+        let mut needed: Vec<&str> = plan.columns_needed.iter().map(String::as_str).collect();
+        if let Some((c, _)) = &bound.scalar_order {
+            if !needed.contains(&c.as_str()) {
+                needed.push(c);
+            }
+        }
+        let slot = |c: &str| {
+            needed.iter().position(|n| *n == c).ok_or_else(|| {
+                BhError::Internal(format!("column {c} was not planned for reading"))
+            })
+        };
+        let proj_slots = bound
+            .projection
+            .iter()
+            .map(|p| match p {
+                ProjItem::Column(c) => slot(c).map(Some),
+                ProjItem::Distance(_) => Ok(None),
+            })
+            .collect::<Result<Vec<Option<usize>>>>()?;
+        let key_slot = bound.scalar_order.as_ref().map(|(c, _)| slot(c)).transpose()?;
         // (sort key, row) pairs when ordering is requested.
         let mut keyed: Vec<(Option<Value>, Vec<Value>)> = Vec::new();
         for meta in &selection.scheduled {
@@ -1152,31 +1170,15 @@ impl QueryEngine {
                 continue;
             }
             let offsets: Vec<u32> = rows_bits.iter().map(|o| o as u32).collect();
-            // Read every needed column for the qualifying offsets.
-            let mut cells: BTreeMap<String, Vec<Value>> = BTreeMap::new();
-            let mut needed: Vec<String> = plan.columns_needed.clone();
-            if let Some((c, _)) = &bound.scalar_order {
-                if !needed.contains(c) {
-                    needed.push(c.clone());
-                }
-            }
-            with_segment_retry(vw, meta, |worker| {
-                for c in &needed {
-                    cells.insert(c.clone(), worker.read_cells(table, meta, c, &offsets)?);
-                }
-                Ok(())
+            let cells: Vec<Vec<Value>> = with_segment_retry(vw, meta, |worker| {
+                needed.iter().map(|c| worker.read_cells(table, meta, c, &offsets)).collect()
             })?;
             for i in 0..offsets.len() {
-                let row: Vec<Value> = bound
-                    .projection
+                let row = proj_slots
                     .iter()
-                    .map(|p| match p {
-                        ProjItem::Column(c) => cells[c][i].clone(),
-                        ProjItem::Distance(_) => Value::Null,
-                    })
+                    .map(|s| s.map_or(Value::Null, |at| cells[at][i].clone()))
                     .collect();
-                let key = bound.scalar_order.as_ref().map(|(c, _)| cells[c][i].clone());
-                keyed.push((key, row));
+                keyed.push((key_slot.map(|at| cells[at][i].clone()), row));
             }
         }
         if let Some((_, asc)) = &bound.scalar_order {
@@ -1205,7 +1207,8 @@ impl QueryEngine {
     // ---------------------------------------------------------- materialize
 
     /// Fetch projection columns for the winning rows and assemble the result
-    /// in ascending-distance order.
+    /// in ascending-distance order: one gather per (segment, projected
+    /// column), the cells moved into their rows.
     fn materialize(
         &self,
         table: &TableStore,
@@ -1221,10 +1224,13 @@ impl QueryEngine {
         if hits.is_empty() {
             return Ok(out);
         }
-        // Group by segment for block-granular reads.
-        let mut by_segment: BTreeMap<SegmentId, Vec<(usize, u32)>> = BTreeMap::new();
+        // Group by segment for block-granular reads: where each segment's
+        // hits sit in the result, and their row offsets.
+        let mut by_segment: BTreeMap<SegmentId, (Vec<usize>, Vec<u32>)> = BTreeMap::new();
         for (pos, (seg, off, _)) in hits.iter().enumerate() {
-            by_segment.entry(*seg).or_default().push((pos, *off));
+            let (positions, offsets) = by_segment.entry(*seg).or_default();
+            positions.push(pos);
+            offsets.push(*off);
         }
         let proj_cols: Vec<&str> = bound
             .projection
@@ -1234,27 +1240,26 @@ impl QueryEngine {
                 ProjItem::Distance(_) => None,
             })
             .collect();
-        let mut rows: Vec<Vec<Value>> = vec![Vec::new(); hits.len()];
-        for (seg, entries) in by_segment {
+        let mut rows: Vec<Vec<Value>> =
+            hits.iter().map(|_| Vec::with_capacity(bound.projection.len())).collect();
+        for (seg, (positions, offsets)) in by_segment {
             let meta = table.segment(seg)?;
-            let offsets: Vec<u32> = entries.iter().map(|&(_, o)| o).collect();
-            let mut cells: BTreeMap<String, Vec<Value>> = BTreeMap::new();
-            with_segment_retry(vw, &meta, |worker| {
-                for c in &proj_cols {
-                    cells.insert(c.to_string(), worker.read_cells(table, &meta, c, &offsets)?);
-                }
-                Ok(())
+            // One cell list per projected column, in projection order.
+            let cells: Vec<Vec<Value>> = with_segment_retry(vw, &meta, |worker| {
+                proj_cols.iter().map(|c| worker.read_cells(table, &meta, c, &offsets)).collect()
             })?;
-            for (i, &(pos, _)) in entries.iter().enumerate() {
-                let row: Vec<Value> = bound
-                    .projection
-                    .iter()
-                    .map(|p| match p {
-                        ProjItem::Column(c) => cells[c.as_str()][i].clone(),
+            let mut cells: Vec<_> = cells.into_iter().map(Vec::into_iter).collect();
+            for pos in positions {
+                let mut next_column = cells.iter_mut();
+                for p in &bound.projection {
+                    rows[pos].push(match p {
+                        ProjItem::Column(_) => next_column
+                            .next()
+                            .and_then(Iterator::next)
+                            .ok_or_else(|| BhError::Internal("a gathered cell is missing".into()))?,
                         ProjItem::Distance(_) => Value::Float64(hits[pos].2 as f64),
-                    })
-                    .collect();
-                rows[pos] = row;
+                    });
+                }
             }
         }
         out.rows = rows;

@@ -53,156 +53,114 @@ impl TokenKind {
     }
 }
 
-/// Tokenize a statement.
+/// Tokenize a statement. The text is scanned as bytes and never copied as a
+/// whole: numbers are parsed from their slice of the input, and every
+/// delimiter is ASCII, so multi-byte UTF-8 passes through strings (and
+/// alphabetic identifiers) intact.
 pub fn tokenize(input: &str) -> Result<Vec<Token>> {
-    let bytes: Vec<char> = input.chars().collect();
+    let bytes = input.as_bytes();
+    // The character starting at byte `i` — only consulted off the ASCII
+    // fast paths, where `i` is always on a character boundary.
+    let char_at = |i: usize| input[i..].chars().next().unwrap_or('\0');
     let mut out = Vec::new();
     let mut i = 0;
     while i < bytes.len() {
-        let c = bytes[i];
         let pos = i;
-        match c {
-            c if c.is_whitespace() => {
-                i += 1;
-            }
-            '-' if i + 1 < bytes.len() && bytes[i + 1] == '-' => {
+        let mut push = |kind: TokenKind, len: usize| {
+            out.push(Token { kind, pos });
+            pos + len
+        };
+        let next = bytes.get(i + 1).copied();
+        i = match bytes[i] {
+            b'-' if next == Some(b'-') => {
                 // Line comment.
-                while i < bytes.len() && bytes[i] != '\n' {
-                    i += 1;
-                }
+                bytes[i..].iter().position(|&b| b == b'\n').map_or(bytes.len(), |n| i + n)
             }
-            '(' => {
-                out.push(Token { kind: TokenKind::LParen, pos });
-                i += 1;
-            }
-            ')' => {
-                out.push(Token { kind: TokenKind::RParen, pos });
-                i += 1;
-            }
-            '[' => {
-                out.push(Token { kind: TokenKind::LBracket, pos });
-                i += 1;
-            }
-            ']' => {
-                out.push(Token { kind: TokenKind::RBracket, pos });
-                i += 1;
-            }
-            ',' => {
-                out.push(Token { kind: TokenKind::Comma, pos });
-                i += 1;
-            }
-            ';' => {
-                out.push(Token { kind: TokenKind::Semicolon, pos });
-                i += 1;
-            }
-            '*' => {
-                out.push(Token { kind: TokenKind::Star, pos });
-                i += 1;
-            }
-            '=' => {
-                i += 1;
-                if i < bytes.len() && bytes[i] == '=' {
-                    i += 1;
-                }
-                out.push(Token { kind: TokenKind::Eq, pos });
-            }
-            '!' if i + 1 < bytes.len() && bytes[i + 1] == '=' => {
-                out.push(Token { kind: TokenKind::Ne, pos });
-                i += 2;
-            }
-            '<' => {
-                i += 1;
-                if i < bytes.len() && bytes[i] == '=' {
-                    out.push(Token { kind: TokenKind::Le, pos });
-                    i += 1;
-                } else if i < bytes.len() && bytes[i] == '>' {
-                    out.push(Token { kind: TokenKind::Ne, pos });
-                    i += 1;
-                } else {
-                    out.push(Token { kind: TokenKind::Lt, pos });
-                }
-            }
-            '>' => {
-                i += 1;
-                if i < bytes.len() && bytes[i] == '=' {
-                    out.push(Token { kind: TokenKind::Ge, pos });
-                    i += 1;
-                } else {
-                    out.push(Token { kind: TokenKind::Gt, pos });
-                }
-            }
-            '\'' => {
-                i += 1;
+            b'(' => push(TokenKind::LParen, 1),
+            b')' => push(TokenKind::RParen, 1),
+            b'[' => push(TokenKind::LBracket, 1),
+            b']' => push(TokenKind::RBracket, 1),
+            b',' => push(TokenKind::Comma, 1),
+            b';' => push(TokenKind::Semicolon, 1),
+            b'*' => push(TokenKind::Star, 1),
+            b'=' => push(TokenKind::Eq, if next == Some(b'=') { 2 } else { 1 }),
+            b'!' if next == Some(b'=') => push(TokenKind::Ne, 2),
+            b'<' => match next {
+                Some(b'=') => push(TokenKind::Le, 2),
+                Some(b'>') => push(TokenKind::Ne, 2),
+                _ => push(TokenKind::Lt, 1),
+            },
+            b'>' => match next {
+                Some(b'=') => push(TokenKind::Ge, 2),
+                _ => push(TokenKind::Gt, 1),
+            },
+            b'\'' => {
+                // Copy the runs between quotes; `''` is an escaped quote.
                 let mut s = String::new();
-                let mut closed = false;
-                while i < bytes.len() {
-                    if bytes[i] == '\'' {
-                        if i + 1 < bytes.len() && bytes[i + 1] == '\'' {
-                            s.push('\'');
-                            i += 2;
-                        } else {
-                            i += 1;
-                            closed = true;
+                let mut run = i + 1;
+                loop {
+                    let Some(n) = bytes[run..].iter().position(|&b| b == b'\'') else {
+                        return Err(BhError::Parse(format!("unterminated string at byte {pos}")));
+                    };
+                    s.push_str(&input[run..run + n]);
+                    run += n + 1;
+                    if bytes.get(run) != Some(&b'\'') {
+                        break;
+                    }
+                    s.push('\'');
+                    run += 1;
+                }
+                push(TokenKind::Str(s), run - pos)
+            }
+            c if c.is_ascii_digit() || (c == b'-' && next.is_some_and(|d| d.is_ascii_digit())) => {
+                let mut end = i + 1;
+                let mut is_float = false;
+                while let Some(&b) = bytes.get(end) {
+                    match b {
+                        b'0'..=b'9' => {}
+                        b'.' | b'e' | b'E' => is_float = true,
+                        b'+' | b'-' if matches!(bytes[end - 1], b'e' | b'E') => {}
+                        _ => break,
+                    }
+                    end += 1;
+                }
+                let text = &input[i..end];
+                let kind = if is_float {
+                    TokenKind::Float(
+                        text.parse::<f64>()
+                            .map_err(|_| BhError::Parse(format!("bad float {text} at {pos}")))?,
+                    )
+                } else {
+                    TokenKind::Int(
+                        text.parse::<i64>()
+                            .map_err(|_| BhError::Parse(format!("bad integer {text} at {pos}")))?,
+                    )
+                };
+                push(kind, end - pos)
+            }
+            _ => {
+                // Whitespace, an identifier, or a character with no meaning.
+                let first = if bytes[i].is_ascii() { bytes[i] as char } else { char_at(i) };
+                if first.is_whitespace() {
+                    i + first.len_utf8()
+                } else if first.is_alphabetic() || first == '_' {
+                    let mut end = i + first.len_utf8();
+                    while end < bytes.len() {
+                        let c =
+                            if bytes[end].is_ascii() { bytes[end] as char } else { char_at(end) };
+                        if !(c.is_alphanumeric() || c == '_' || c == '.') {
                             break;
                         }
-                    } else {
-                        s.push(bytes[i]);
-                        i += 1;
+                        end += c.len_utf8();
                     }
-                }
-                if !closed {
-                    return Err(BhError::Parse(format!("unterminated string at byte {pos}")));
-                }
-                out.push(Token { kind: TokenKind::Str(s), pos });
-            }
-            c if c.is_ascii_digit()
-                || (c == '-' && i + 1 < bytes.len() && bytes[i + 1].is_ascii_digit()) =>
-            {
-                let start = i;
-                if c == '-' {
-                    i += 1;
-                }
-                let mut is_float = false;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_digit()
-                        || bytes[i] == '.'
-                        || bytes[i] == 'e'
-                        || bytes[i] == 'E'
-                        || ((bytes[i] == '+' || bytes[i] == '-')
-                            && matches!(bytes[i - 1], 'e' | 'E')))
-                {
-                    if bytes[i] == '.' || bytes[i] == 'e' || bytes[i] == 'E' {
-                        is_float = true;
-                    }
-                    i += 1;
-                }
-                let text: String = bytes[start..i].iter().collect();
-                if is_float {
-                    let v = text
-                        .parse::<f64>()
-                        .map_err(|_| BhError::Parse(format!("bad float {text} at {pos}")))?;
-                    out.push(Token { kind: TokenKind::Float(v), pos });
+                    push(TokenKind::Ident(input[i..end].to_string()), end - pos)
                 } else {
-                    let v = text
-                        .parse::<i64>()
-                        .map_err(|_| BhError::Parse(format!("bad integer {text} at {pos}")))?;
-                    out.push(Token { kind: TokenKind::Int(v), pos });
+                    return Err(BhError::Parse(format!(
+                        "unexpected character '{first}' at byte {pos}"
+                    )));
                 }
             }
-            c if c.is_alphabetic() || c == '_' => {
-                let start = i;
-                while i < bytes.len()
-                    && (bytes[i].is_alphanumeric() || bytes[i] == '_' || bytes[i] == '.')
-                {
-                    i += 1;
-                }
-                let text: String = bytes[start..i].iter().collect();
-                out.push(Token { kind: TokenKind::Ident(text), pos });
-            }
-            other => {
-                return Err(BhError::Parse(format!("unexpected character '{other}' at byte {pos}")))
-            }
-        }
+        };
     }
     out.push(Token { kind: TokenKind::Eof, pos: bytes.len() });
     Ok(out)
@@ -308,5 +266,46 @@ mod tests {
     #[test]
     fn dotted_identifiers() {
         assert_eq!(kinds("db.table")[0], TokenKind::Ident("db.table".into()));
+    }
+
+    #[test]
+    fn positions_are_byte_offsets_and_utf8_survives() {
+        // 'é' and '…' are 2 and 3 bytes; NBSP and VT are whitespace.
+        let sql = "'né…' ключ\u{a0}=\u{b}'it''s ü' ?";
+        let err = tokenize(sql).unwrap_err().to_string();
+        assert!(err.contains("'?'") && err.contains(&format!("byte {}", sql.len() - 1)), "{err}");
+        let toks = tokenize(&sql[..sql.len() - 2]).unwrap();
+        let got: Vec<(TokenKind, usize)> = toks.into_iter().map(|t| (t.kind, t.pos)).collect();
+        assert_eq!(
+            got,
+            vec![
+                (TokenKind::Str("né…".into()), 0),
+                (TokenKind::Ident("ключ".into()), 9),
+                (TokenKind::Eq, 19),
+                (TokenKind::Str("it's ü".into()), 21),
+                (TokenKind::Eof, 31),
+            ]
+        );
+        assert!(tokenize("a € b").unwrap_err().to_string().contains("'€' at byte 2"));
+    }
+
+    #[test]
+    fn number_errors_keep_their_text() {
+        for (sql, msg) in [
+            ("x = 99999999999999999999", "bad integer 99999999999999999999 at 4"),
+            ("[1.2.3]", "bad float 1.2.3 at 1"),
+            ("1e", "bad float 1e at 0"),
+            ("-1e+", "bad float -1e+ at 0"),
+        ] {
+            assert!(tokenize(sql).unwrap_err().to_string().contains(msg), "{sql}");
+        }
+        assert_eq!(kinds("1e-3 -2E+2 7.")[..3], [
+            TokenKind::Float(0.001),
+            TokenKind::Float(-200.0),
+            TokenKind::Float(7.0)
+        ]);
+        // A sign binds to a number only directly before a digit.
+        assert!(tokenize("- 1").is_err());
+        assert_eq!(kinds("1-2"), vec![TokenKind::Int(1), TokenKind::Int(-2), TokenKind::Eof]);
     }
 }

@@ -298,16 +298,67 @@ impl ColumnData {
         Ok(())
     }
 
-    /// Keep only rows at the given sorted offsets (compaction path).
-    pub fn take(&self, offsets: &[u32]) -> ColumnData {
-        let mut out = ColumnData::empty(self.ty());
-        for &o in offsets {
-            // lint: allow(panic) - `self.get` yields values of this column's
-            // own type, which an empty column of the same type always accepts
-            out.push(&self.get(o as usize)).expect("same-typed take");
+    /// The typed gather: append the cells at `rows` to `out` in the order
+    /// given (any order, repeats allowed) with no [`Value`] per cell. `rows`
+    /// are offsets into the column `self` is a part of, `base` the offset of
+    /// `self`'s first row there (0 for a whole column, the block's first
+    /// row for a decoded block).
+    pub fn gather_into(&self, rows: &[u32], base: usize, out: &mut ColumnData) -> Result<()> {
+        fn pick<T: Clone>(src: &[T], rows: &[u32], base: usize, out: &mut Vec<T>) -> Result<()> {
+            out.reserve(rows.len());
+            for &r in rows {
+                let cell = (r as usize).checked_sub(base).and_then(|i| src.get(i));
+                out.push(cell.ok_or_else(|| out_of_range(r, base, src.len()))?.clone());
+            }
+            Ok(())
         }
-        out
+        match (self, out) {
+            (ColumnData::UInt64(s), ColumnData::UInt64(o))
+            | (ColumnData::DateTime(s), ColumnData::DateTime(o)) => pick(s, rows, base, o),
+            (ColumnData::Int64(s), ColumnData::Int64(o)) => pick(s, rows, base, o),
+            (ColumnData::Float64(s), ColumnData::Float64(o)) => pick(s, rows, base, o),
+            (ColumnData::Str(s), ColumnData::Str(o)) => pick(s, rows, base, o),
+            (ColumnData::Vector { dim, data }, ColumnData::Vector { dim: out_dim, data: o }) => {
+                if *out_dim == 0 {
+                    *out_dim = *dim;
+                }
+                if out_dim != dim {
+                    return Err(BhError::DimensionMismatch { expected: *out_dim, got: *dim });
+                }
+                o.reserve(rows.len() * dim);
+                for &r in rows {
+                    let row = (r as usize)
+                        .checked_sub(base)
+                        .and_then(|i| data.get(i * dim..(i + 1) * dim));
+                    o.extend_from_slice(row.ok_or_else(|| out_of_range(r, base, self.len()))?);
+                }
+                Ok(())
+            }
+            (a, b) => Err(BhError::InvalidArgument(format!(
+                "cannot gather {} cells into a {} column",
+                a.ty().name(),
+                b.ty().name()
+            ))),
+        }
     }
+
+    /// The cells as [`Value`]s, strings moved out rather than cloned.
+    pub fn into_values(self) -> Vec<Value> {
+        match self {
+            ColumnData::UInt64(v) => v.into_iter().map(Value::UInt64).collect(),
+            ColumnData::Int64(v) => v.into_iter().map(Value::Int64).collect(),
+            ColumnData::Float64(v) => v.into_iter().map(Value::Float64).collect(),
+            ColumnData::Str(v) => v.into_iter().map(Value::Str).collect(),
+            ColumnData::DateTime(v) => v.into_iter().map(Value::DateTime).collect(),
+            ColumnData::Vector { dim, data } => {
+                data.chunks_exact(dim.max(1)).map(|row| Value::Vector(row.to_vec())).collect()
+            }
+        }
+    }
+}
+
+fn out_of_range(row: u32, base: usize, len: usize) -> BhError {
+    BhError::Internal(format!("row {row} outside rows {base}..{} of the column part", base + len))
 }
 
 #[cfg(test)]
@@ -411,11 +462,27 @@ mod tests {
     }
 
     #[test]
-    fn take_selects_offsets() {
+    fn gather_answers_in_request_order() {
         let col = str_col(20);
-        let sub = col.take(&[0, 5, 19]);
-        assert_eq!(sub.len(), 3);
-        assert_eq!(sub.get(1), Value::Str("row-5".into()));
+        let mut sub = ColumnData::empty(ColumnType::Str);
+        col.gather_into(&[19, 0, 5, 5], 0, &mut sub).unwrap();
+        assert_eq!(
+            sub.into_values(),
+            ["row-19", "row-0", "row-5", "row-5"].map(|s| Value::Str(s.into()))
+        );
+        // A part that starts at row 16 of its column (a decoded block).
+        let mut vecs = ColumnData::empty(ColumnType::Vector(2));
+        for i in 16..20 {
+            vecs.push(&Value::Vector(vec![i as f32, 0.5])).unwrap();
+        }
+        let mut out = ColumnData::empty(ColumnType::Vector(2));
+        vecs.gather_into(&[19, 16], 16, &mut out).unwrap();
+        assert_eq!(out.vector_at(0).unwrap(), &[19.0, 0.5]);
+        assert_eq!(out.vector_at(1).unwrap(), &[16.0, 0.5]);
+        // Rows outside the part, and a target of another type, are errors.
+        assert!(vecs.gather_into(&[15], 16, &mut out).is_err());
+        assert!(vecs.gather_into(&[20], 16, &mut out).is_err());
+        assert!(col.gather_into(&[0], 0, &mut out).is_err());
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! Predicates are the structured half of every hybrid query. They are used
 //! in four distinct ways, all implemented here:
 //!
-//! 1. **Row evaluation** — post-filter execution tests individual rows.
-//! 2. **Bitset evaluation** — pre-filter execution materializes a qualifying
-//!    bitset over a whole segment (the input to the ANN bitmap scan).
+//! 1. **Row evaluation** — one row as a name → [`Value`] map: system-table
+//!    scans, and the reference every other form is tested against.
+//! 2. **Bitset evaluation** — word kernels over typed columns: a qualifying
+//!    bitset over a whole segment (Plan A's scan, the input to the ANN bitmap
+//!    scan) or over the gathered cells of the candidates a post-filter pulled.
 //! 3. **Segment pruning** — `may_match_stats` answers "could any row of a
 //!    segment with these min/max stats qualify?" for scheduler-side pruning.
 //! 4. **Selectivity estimation** — `estimate_selectivity` produces the `s`
@@ -14,7 +16,7 @@
 
 use crate::column::ColumnData;
 use crate::stats::{ColumnSketch, ColumnStats, TableSketch};
-use crate::value::Value;
+use crate::value::{ColumnType, Value};
 use bh_common::regex_lite::Regex;
 use bh_common::{BhError, Bitset, Result};
 use std::collections::BTreeMap;
@@ -90,20 +92,24 @@ impl Predicate {
 
     /// Column names this predicate references, deduplicated.
     pub fn referenced_columns(&self) -> Vec<String> {
+        self.column_refs().into_iter().map(String::from).collect()
+    }
+
+    /// [`Self::referenced_columns`] borrowed from the predicate: sorted,
+    /// deduplicated, one allocation.
+    pub fn column_refs(&self) -> Vec<&str> {
         let mut out = Vec::new();
         self.collect_columns(&mut out);
-        out.sort();
+        out.sort_unstable();
         out.dedup();
         out
     }
 
-    fn collect_columns(&self, out: &mut Vec<String>) {
+    fn collect_columns<'a>(&'a self, out: &mut Vec<&'a str>) {
         match self {
             Predicate::True => {}
-            Predicate::Eq(c, _) | Predicate::RegexMatch(c, _) | Predicate::In(c, _) => {
-                out.push(c.clone())
-            }
-            Predicate::Range { column, .. } => out.push(column.clone()),
+            Predicate::Eq(c, _) | Predicate::RegexMatch(c, _) | Predicate::In(c, _) => out.push(c),
+            Predicate::Range { column, .. } => out.push(column),
             Predicate::And(ps) | Predicate::Or(ps) => {
                 for p in ps {
                     p.collect_columns(out);
@@ -154,78 +160,33 @@ impl Predicate {
         })
     }
 
-    /// Vectorized evaluation over segment columns: bit set ⇔ row qualifies.
-    /// `columns` must contain every referenced column, each with `rows` rows.
-    pub fn eval_bitset(
-        &self,
-        columns: &BTreeMap<String, &ColumnData>,
-        rows: usize,
-    ) -> Result<Bitset> {
+    /// Vectorized evaluation over typed columns: bit set ⇔ row qualifies,
+    /// and for every row exactly what [`Self::eval`] answers on its cells.
+    /// `columns` must hold every referenced column, each with `rows` rows —
+    /// a whole segment, or the gathered cells of a batch of candidates.
+    pub fn eval_bitset(&self, columns: &[(&str, &ColumnData)], rows: usize) -> Result<Bitset> {
         Ok(match self {
             Predicate::True => Bitset::full(rows),
-            Predicate::Eq(c, v) => {
-                let col = col_lookup(columns, c, rows)?;
-                if let Some(fast) = eq_fast(col, v, rows) {
-                    fast
-                } else {
-                    let mut b = Bitset::new(rows);
-                    for i in 0..rows {
-                        if col.get(i).partial_cmp_scalar(v) == Some(std::cmp::Ordering::Equal) {
-                            b.set(i);
-                        }
-                    }
-                    b
+            Predicate::Eq(c, v) => match (col_lookup(columns, c, rows)?, v) {
+                (ColumnData::Str(data), Value::Str(want)) => {
+                    Bitset::from_tests(data, |s| s == want)
                 }
-            }
-            Predicate::Range { column, lo, hi, lo_open, hi_open } => {
-                let col = col_lookup(columns, column, rows)?;
-                if let Some(fast) =
-                    range_fast(col, lo.as_ref(), hi.as_ref(), *lo_open, *hi_open, rows)
-                {
-                    fast
-                } else {
-                    let mut b = Bitset::new(rows);
-                    for i in 0..rows {
-                        if in_range(&col.get(i), lo.as_ref(), hi.as_ref(), *lo_open, *hi_open) {
-                            b.set(i);
-                        }
-                    }
-                    b
+                (col, _) => range_bits(col, Some(v), Some(v), false, false),
+            },
+            Predicate::Range { column, lo, hi, lo_open, hi_open } => range_bits(
+                col_lookup(columns, column, rows)?,
+                lo.as_ref(),
+                hi.as_ref(),
+                *lo_open,
+                *hi_open,
+            ),
+            Predicate::RegexMatch(c, re) => match col_lookup(columns, c, rows)? {
+                ColumnData::Str(data) => Bitset::from_tests(data, |s| re.is_match(s)),
+                _ => {
+                    return Err(BhError::Plan(format!("regex predicate on non-string column {c}")))
                 }
-            }
-            Predicate::RegexMatch(c, re) => {
-                let col = col_lookup(columns, c, rows)?;
-                let mut b = Bitset::new(rows);
-                match col {
-                    ColumnData::Str(v) => {
-                        for (i, s) in v.iter().enumerate() {
-                            if re.is_match(s) {
-                                b.set(i);
-                            }
-                        }
-                    }
-                    _ => {
-                        return Err(BhError::Plan(format!(
-                            "regex predicate on non-string column {c}"
-                        )))
-                    }
-                }
-                b
-            }
-            Predicate::In(c, vals) => {
-                let col = col_lookup(columns, c, rows)?;
-                let mut b = Bitset::new(rows);
-                for i in 0..rows {
-                    let cell = col.get(i);
-                    if vals
-                        .iter()
-                        .any(|v| cell.partial_cmp_scalar(v) == Some(std::cmp::Ordering::Equal))
-                    {
-                        b.set(i);
-                    }
-                }
-                b
-            }
+            },
+            Predicate::In(c, vals) => in_bits(col_lookup(columns, c, rows)?, vals),
             Predicate::And(ps) => {
                 let mut acc = Bitset::full(rows);
                 for p in ps {
@@ -361,107 +322,191 @@ impl fmt::Display for Predicate {
     }
 }
 
-/// Vectorized equality over typed columns — avoids per-cell [`Value`]
-/// boxing on the hot pre-filter path (the engine-level optimization the
-/// paper attributes to vectorized execution). Returns `None` for shapes the
-/// fast path does not cover; callers fall back to the generic loop.
-fn eq_fast(col: &ColumnData, v: &Value, rows: usize) -> Option<Bitset> {
-    let mut b = Bitset::new(rows);
-    match (col, v) {
-        (ColumnData::Str(data), Value::Str(want)) => {
-            for (i, s) in data.iter().enumerate() {
-                if s == want {
-                    b.set(i);
-                }
-            }
-        }
-        (ColumnData::UInt64(data), _) | (ColumnData::DateTime(data), _) => {
-            let want = v.as_f64()?;
-            for (i, &x) in data.iter().enumerate() {
-                if x as f64 == want {
-                    b.set(i);
-                }
-            }
-        }
-        (ColumnData::Int64(data), _) => {
-            let want = v.as_f64()?;
-            for (i, &x) in data.iter().enumerate() {
-                if x as f64 == want {
-                    b.set(i);
-                }
-            }
-        }
-        (ColumnData::Float64(data), _) => {
-            let want = v.as_f64()?;
-            for (i, &x) in data.iter().enumerate() {
-                if x == want {
-                    b.set(i);
-                }
-            }
-        }
-        _ => return None,
-    }
-    Some(b)
+// ------------------------------------------------------------ word kernels
+//
+// A comparison against a typed column is answered 64 rows per output word
+// ([`Bitset::from_tests`]) on integer images of the cells, chosen so that
+// the answer is the one `Value::partial_cmp_scalar` gives for every cell —
+// the row path ([`Predicate::eval`]) and the bitset path must not disagree
+// on a NaN, a signed zero or an integer beyond 2^53, or the four plans of
+// one statement return different rows.
+
+/// `f64::total_cmp` as an integer comparison:
+/// `total_key(a).cmp(&total_key(b)) == a.total_cmp(&b)`.
+fn total_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
-/// Vectorized numeric range test (see [`eq_fast`]). Bound comparisons go
-/// through `f64`, matching `Value::partial_cmp_scalar`'s cross-type rule.
-fn range_fast(
+/// A fixed-width cell and the two ways `partial_cmp_scalar` compares it.
+trait Cell: Copy {
+    /// The literal's payload when it is of this cell's representation.
+    fn of(v: &Value) -> Option<Self>;
+    /// Order-preserving image for a literal of the column's own type: the
+    /// integer itself (exact at any magnitude), a float's `total_cmp` key.
+    fn same(self) -> i64;
+    /// Image for any other numeric literal: both sides go through `f64`.
+    fn cross(self) -> i64;
+}
+
+impl Cell for u64 {
+    fn of(v: &Value) -> Option<u64> {
+        match v {
+            Value::UInt64(x) | Value::DateTime(x) => Some(*x),
+            _ => None,
+        }
+    }
+    fn same(self) -> i64 {
+        (self ^ (1 << 63)) as i64
+    }
+    fn cross(self) -> i64 {
+        total_key(self as f64)
+    }
+}
+
+impl Cell for i64 {
+    fn of(v: &Value) -> Option<i64> {
+        match v {
+            Value::Int64(x) => Some(*x),
+            _ => None,
+        }
+    }
+    fn same(self) -> i64 {
+        self
+    }
+    fn cross(self) -> i64 {
+        total_key(self as f64)
+    }
+}
+
+impl Cell for f64 {
+    fn of(v: &Value) -> Option<f64> {
+        match v {
+            Value::Float64(x) => Some(*x),
+            _ => None,
+        }
+    }
+    fn same(self) -> i64 {
+        total_key(self)
+    }
+    fn cross(self) -> i64 {
+        total_key(self)
+    }
+}
+
+/// Which image of the cells a literal is compared on.
+#[derive(Clone, Copy)]
+enum Image {
+    Same,
+    Cross,
+}
+
+/// The image and key `v` compares on against a column of type `ty` with
+/// cells `T`; `None` when the two are unordered (no row can match).
+fn literal_key<T: Cell>(ty: ColumnType, v: &Value) -> Option<(Image, i64)> {
+    match T::of(v) {
+        Some(x) if v.type_of() == Some(ty) => Some((Image::Same, x.same())),
+        _ => v.as_f64().map(|y| (Image::Cross, total_key(y))),
+    }
+}
+
+/// `lo ≤ cell ≤ hi` (each side optional, optionally exclusive) over a
+/// numeric column. Both sides become closed bounds on an `i64` image, so a
+/// row costs two comparisons whatever the literal types were.
+fn range_words<T: Cell>(
+    data: &[T],
+    ty: ColumnType,
+    lo: Option<&Value>,
+    hi: Option<&Value>,
+    lo_open: bool,
+    hi_open: bool,
+) -> Bitset {
+    // `None`: the literal is unordered against the column, or an exclusive
+    // bound sits on the last key — either way nothing passes.
+    let closed = |v: Option<&Value>, open: bool, unbounded: i64, inward: i64| {
+        let Some(v) = v else { return Some((Image::Same, unbounded)) };
+        let (image, key) = literal_key::<T>(ty, v)?;
+        Some((image, if open { key.checked_add(inward)? } else { key }))
+    };
+    let (Some((lo_image, lo)), Some((hi_image, hi))) =
+        (closed(lo, lo_open, i64::MIN, 1), closed(hi, hi_open, i64::MAX, -1))
+    else {
+        return Bitset::new(data.len());
+    };
+    match (lo_image, hi_image) {
+        (Image::Same, Image::Same) => Bitset::from_tests(data, |x| {
+            let s = x.same();
+            (lo <= s) & (s <= hi)
+        }),
+        (Image::Cross, Image::Cross) => Bitset::from_tests(data, |x| {
+            let c = x.cross();
+            (lo <= c) & (c <= hi)
+        }),
+        (Image::Same, Image::Cross) => {
+            Bitset::from_tests(data, |x| (lo <= x.same()) & (x.cross() <= hi))
+        }
+        (Image::Cross, Image::Same) => {
+            Bitset::from_tests(data, |x| (lo <= x.cross()) & (x.same() <= hi))
+        }
+    }
+}
+
+/// `cell IN (vals)` over a numeric column: one pass, every listed key
+/// compared without a branch.
+fn in_words<T: Cell>(data: &[T], ty: ColumnType, vals: &[Value]) -> Bitset {
+    let (mut same, mut cross) = (Vec::new(), Vec::new());
+    for v in vals {
+        match literal_key::<T>(ty, v) {
+            Some((Image::Same, key)) => same.push(key),
+            Some((Image::Cross, key)) => cross.push(key),
+            None => {}
+        }
+    }
+    let any = |keys: &[i64], k: i64| keys.iter().fold(false, |hit, &w| hit | (w == k));
+    if cross.is_empty() {
+        Bitset::from_tests(data, |x| any(&same, x.same()))
+    } else {
+        Bitset::from_tests(data, |x| any(&same, x.same()) | any(&cross, x.cross()))
+    }
+}
+
+/// Range test over a column of any type (equality is the range `[v, v]`).
+fn range_bits(
     col: &ColumnData,
     lo: Option<&Value>,
     hi: Option<&Value>,
     lo_open: bool,
     hi_open: bool,
-    rows: usize,
-) -> Option<Bitset> {
-    // Extract f64 bounds; a non-numeric bound (e.g. a string) disqualifies.
-    let lo_f = match lo {
-        Some(v) => Some(v.as_f64()?),
-        None => None,
-    };
-    let hi_f = match hi {
-        Some(v) => Some(v.as_f64()?),
-        None => None,
-    };
-    let test = |x: f64| {
-        if let Some(l) = lo_f {
-            if x < l || (lo_open && x == l) {
-                return false;
-            }
-        }
-        if let Some(h) = hi_f {
-            if x > h || (hi_open && x == h) {
-                return false;
-            }
-        }
-        true
-    };
-    let mut b = Bitset::new(rows);
+) -> Bitset {
+    let ty = col.ty();
     match col {
-        ColumnData::UInt64(data) | ColumnData::DateTime(data) => {
-            for (i, &x) in data.iter().enumerate() {
-                if test(x as f64) {
-                    b.set(i);
-                }
-            }
+        ColumnData::UInt64(d) | ColumnData::DateTime(d) => {
+            range_words(d, ty, lo, hi, lo_open, hi_open)
         }
-        ColumnData::Int64(data) => {
-            for (i, &x) in data.iter().enumerate() {
-                if test(x as f64) {
-                    b.set(i);
-                }
-            }
-        }
-        ColumnData::Float64(data) => {
-            for (i, &x) in data.iter().enumerate() {
-                if test(x) {
-                    b.set(i);
-                }
-            }
-        }
-        _ => return None,
+        ColumnData::Int64(d) => range_words(d, ty, lo, hi, lo_open, hi_open),
+        ColumnData::Float64(d) => range_words(d, ty, lo, hi, lo_open, hi_open),
+        // String ranges and (unordered) vector cells: the row rule itself.
+        ColumnData::Str(_) | ColumnData::Vector { .. } => Bitset::from_positions(
+            col.len(),
+            (0..col.len()).filter(|&i| in_range(&col.get(i), lo, hi, lo_open, hi_open)),
+        ),
     }
-    Some(b)
+}
+
+/// `IN` over a column of any type.
+fn in_bits(col: &ColumnData, vals: &[Value]) -> Bitset {
+    let ty = col.ty();
+    match col {
+        ColumnData::UInt64(d) | ColumnData::DateTime(d) => in_words(d, ty, vals),
+        ColumnData::Int64(d) => in_words(d, ty, vals),
+        ColumnData::Float64(d) => in_words(d, ty, vals),
+        ColumnData::Str(d) => {
+            let wanted: Vec<&str> = vals.iter().filter_map(Value::as_str).collect();
+            Bitset::from_tests(d, |s| wanted.contains(&s.as_str()))
+        }
+        // Vectors are unordered: no cell equals any literal.
+        ColumnData::Vector { .. } => Bitset::new(col.len()),
+    }
 }
 
 fn lookup<'a>(row: &'a BTreeMap<String, Value>, col: &str) -> Result<&'a Value> {
@@ -469,12 +514,13 @@ fn lookup<'a>(row: &'a BTreeMap<String, Value>, col: &str) -> Result<&'a Value> 
 }
 
 fn col_lookup<'a>(
-    columns: &BTreeMap<String, &'a ColumnData>,
+    columns: &[(&str, &'a ColumnData)],
     col: &str,
     rows: usize,
 ) -> Result<&'a ColumnData> {
-    let c = columns
-        .get(col)
+    let (_, c) = columns
+        .iter()
+        .find(|(name, _)| *name == col)
         .ok_or_else(|| BhError::Plan(format!("predicate column {col} not provided")))?;
     if c.len() != rows {
         return Err(BhError::Internal(format!(
@@ -506,7 +552,6 @@ fn in_range(v: &Value, lo: Option<&Value>, hi: Option<&Value>, lo_open: bool, hi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::ColumnType;
     use proptest::prelude::*;
 
     fn row(pairs: &[(&str, Value)]) -> BTreeMap<String, Value> {
@@ -560,39 +605,10 @@ mod tests {
     }
 
     #[test]
-    fn bitset_matches_row_eval() {
-        let n = 100;
-        let (ints, labels, sims) = segment_columns(n);
-        let columns: BTreeMap<String, &ColumnData> = [
-            ("x".to_string(), &ints),
-            ("label".to_string(), &labels),
-            ("sim".to_string(), &sims),
-        ]
-        .into_iter()
-        .collect();
-
-        let p = Predicate::And(vec![
-            Predicate::eq("label", Value::Str("animal".into())),
-            Predicate::range("sim", Some(Value::Float64(0.5)), None),
-            Predicate::range("x", None, Some(Value::UInt64(90))),
-        ]);
-        let bits = p.eval_bitset(&columns, n).unwrap();
-        for i in 0..n {
-            let r = row(&[
-                ("x", ints.get(i)),
-                ("label", labels.get(i)),
-                ("sim", sims.get(i)),
-            ]);
-            assert_eq!(bits.contains(i), p.eval(&r).unwrap(), "row {i}");
-        }
-    }
-
-    #[test]
     fn regex_bitset_and_type_error() {
         let n = 10;
         let (ints, labels, _) = segment_columns(n);
-        let columns: BTreeMap<String, &ColumnData> =
-            [("label".to_string(), &labels), ("x".to_string(), &ints)].into_iter().collect();
+        let columns = [("label", &labels), ("x", &ints)];
         let p = Predicate::regex("label", "^pla").unwrap();
         let bits = p.eval_bitset(&columns, n).unwrap();
         assert_eq!(bits.count(), 5);
@@ -602,8 +618,7 @@ mod tests {
 
     #[test]
     fn true_predicate_selects_everything() {
-        let columns = BTreeMap::new();
-        let bits = Predicate::True.eval_bitset(&columns, 7).unwrap();
+        let bits = Predicate::True.eval_bitset(&[], 7).unwrap();
         assert!(bits.is_all_set());
     }
 
@@ -680,6 +695,160 @@ mod tests {
         assert_eq!(p.to_string(), "(label = 'animal' AND t >= dt(5))");
     }
 
+    // ---- bitset path ≡ row path, on the cells where an `f64` shortcut lies
+
+    const P53: u64 = 1 << 53;
+    const U64_POOL: &[u64] =
+        &[0, 1, P53 - 1, P53, P53 + 1, P53 + 2, i64::MAX as u64, 1 << 63, u64::MAX - 1, u64::MAX];
+    const I64_POOL: &[i64] = &[
+        i64::MIN,
+        i64::MIN + 1,
+        -(P53 as i64) - 1,
+        -(P53 as i64),
+        -1,
+        0,
+        1,
+        P53 as i64,
+        P53 as i64 + 1,
+        i64::MAX - 1,
+        i64::MAX,
+    ];
+    const STR_POOL: &[&str] = &["", "a", "ab", "animal", "b", "plant"];
+    /// One column per type; the test table has them all.
+    const COLUMNS: &[&str] = &["u", "i", "f", "s", "t", "v"];
+
+    fn f64_pool() -> Vec<f64> {
+        vec![
+            f64::NAN,
+            -f64::NAN,
+            f64::NEG_INFINITY,
+            -1.5,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.5,
+            P53 as f64,
+            (P53 + 2) as f64,
+            -(P53 as f64),
+            i64::MAX as f64,
+            u64::MAX as f64,
+            f64::INFINITY,
+        ]
+    }
+
+    /// Every cell value of every type, plus the two unordered literals.
+    fn literal_pool() -> Vec<Value> {
+        let mut pool: Vec<Value> = Vec::new();
+        pool.extend(U64_POOL.iter().map(|&x| Value::UInt64(x)));
+        pool.extend(U64_POOL.iter().map(|&x| Value::DateTime(x)));
+        pool.extend(I64_POOL.iter().map(|&x| Value::Int64(x)));
+        pool.extend(f64_pool().into_iter().map(Value::Float64));
+        pool.extend(STR_POOL.iter().map(|s| Value::Str(s.to_string())));
+        pool.push(Value::Vector(vec![0.0, 1.0]));
+        pool.push(Value::Null);
+        pool
+    }
+
+    /// SplitMix64: the test derives cells and predicate shapes from one seed.
+    struct Draw(u64);
+    impl Draw {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut x = self.0;
+            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            x ^ (x >> 31)
+        }
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+        fn pick<'a, T>(&mut self, pool: &'a [T]) -> &'a T {
+            &pool[self.below(pool.len())]
+        }
+    }
+
+    fn edge_table(d: &mut Draw, n: usize) -> Vec<ColumnData> {
+        let floats = f64_pool();
+        vec![
+            ColumnData::UInt64((0..n).map(|_| *d.pick(U64_POOL)).collect()),
+            ColumnData::Int64((0..n).map(|_| *d.pick(I64_POOL)).collect()),
+            ColumnData::Float64((0..n).map(|_| *d.pick(&floats)).collect()),
+            ColumnData::Str((0..n).map(|_| d.pick(STR_POOL).to_string()).collect()),
+            ColumnData::DateTime((0..n).map(|_| *d.pick(U64_POOL)).collect()),
+            ColumnData::Vector { dim: 2, data: (0..2 * n).map(|j| (j % 3) as f32).collect() },
+        ]
+    }
+
+    fn edge_predicate(d: &mut Draw, pool: &[Value], depth: usize) -> Predicate {
+        let column = d.pick(COLUMNS).to_string();
+        let shapes = if depth == 0 { 4 } else { 7 };
+        match d.below(shapes) {
+            0 => Predicate::Eq(column, d.pick(pool).clone()),
+            1 => {
+                // Open, closed and half ranges: each side present 3 times in 4.
+                let side = |d: &mut Draw| (d.below(4) > 0).then(|| d.pick(pool).clone());
+                let (lo, hi) = (side(d), side(d));
+                Predicate::Range {
+                    column,
+                    lo,
+                    hi,
+                    lo_open: d.below(2) == 0,
+                    hi_open: d.below(2) == 0,
+                }
+            }
+            2 => {
+                let vals = (0..d.below(5)).map(|_| d.pick(pool).clone()).collect();
+                Predicate::In(column, vals)
+            }
+            // The binder admits REGEXP on string columns only.
+            3 => Predicate::regex("s", ["^a", "an", "b$", "^$"][d.below(4)]).unwrap(),
+            4 => Predicate::Not(Box::new(edge_predicate(d, pool, depth - 1))),
+            shape => {
+                let parts =
+                    (0..1 + d.below(3)).map(|_| edge_predicate(d, pool, depth - 1)).collect();
+                if shape == 5 {
+                    Predicate::And(parts)
+                } else {
+                    Predicate::Or(parts)
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 192, ..ProptestConfig::default() })]
+
+        /// Every predicate shape × every column type, with NaN, ±0.0, ±inf,
+        /// the integer extremes and the neighbours of 2^53 among the cells
+        /// and the literals (of every type, so cross-type comparisons too),
+        /// at lengths around the 64-row word: `eval_bitset` answers what
+        /// `eval` answers for each row.
+        #[test]
+        fn bitset_matches_row_eval(
+            n in prop_oneof![Just(0usize), Just(1), Just(63), Just(64), Just(65), Just(1025)],
+            seed in any::<u64>(),
+        ) {
+            let mut d = Draw(seed);
+            let table = edge_table(&mut d, n);
+            let columns: Vec<(&str, &ColumnData)> = COLUMNS.iter().copied().zip(&table).collect();
+            let pool = literal_pool();
+            for _ in 0..4 {
+                let p = edge_predicate(&mut d, &pool, 2);
+                let bits = p.eval_bitset(&columns, n).unwrap();
+                prop_assert_eq!(bits.len(), n);
+                for i in 0..n {
+                    let r: BTreeMap<String, Value> =
+                        columns.iter().map(|(name, col)| (name.to_string(), col.get(i))).collect();
+                    prop_assert_eq!(
+                        bits.contains(i),
+                        p.eval(&r).unwrap(),
+                        "row {} of {} under {:?}: cells {:?}", i, n, p, r
+                    );
+                }
+            }
+        }
+    }
+
     proptest! {
         #[test]
         fn prop_bitset_count_matches_row_count(
@@ -690,8 +859,7 @@ mod tests {
             for i in 0..n {
                 ints.push(&Value::UInt64(i as u64)).unwrap();
             }
-            let columns: BTreeMap<String, &ColumnData> =
-                [("x".to_string(), &ints)].into_iter().collect();
+            let columns = [("x", &ints)];
             let p = Predicate::range("x", None, Some(Value::UInt64(threshold)));
             let bits = p.eval_bitset(&columns, n).unwrap();
             let expect = (0..n).filter(|&i| i as u64 <= threshold).count();
@@ -707,8 +875,7 @@ mod tests {
             for i in 0..n {
                 ints.push(&Value::UInt64(i as u64 % m)).unwrap();
             }
-            let columns: BTreeMap<String, &ColumnData> =
-                [("x".to_string(), &ints)].into_iter().collect();
+            let columns = [("x", &ints)];
             let p = Predicate::eq("x", Value::UInt64(0));
             let pos = p.eval_bitset(&columns, n).unwrap();
             let neg = Predicate::Not(Box::new(p)).eval_bitset(&columns, n).unwrap();

@@ -538,13 +538,10 @@ impl TableStore {
         if !predicate.may_match_stats(&meta.column_stats) {
             return Ok(Vec::new());
         }
-        let needed = predicate.referenced_columns();
-        let mut columns: BTreeMap<String, crate::column::ColumnData> = BTreeMap::new();
-        for c in &needed {
-            columns.insert(c.clone(), self.load_column(meta, c)?);
-        }
-        let refs: BTreeMap<String, &crate::column::ColumnData> =
-            columns.iter().map(|(k, v)| (k.clone(), v)).collect();
+        let needed = predicate.column_refs();
+        let columns =
+            needed.iter().map(|c| self.load_column(meta, c)).collect::<Result<Vec<_>>>()?;
+        let refs: Vec<_> = needed.iter().copied().zip(&columns).collect();
         let mut bits = predicate.eval_bitset(&refs, meta.row_count)?;
         bits.intersect_with(&self.visibility(meta));
         Ok(bits.iter().map(|o| o as u32).collect())

@@ -219,6 +219,43 @@ pub fn normalize(v: &mut [f32]) {
     }
 }
 
+/// [`Metric::distance`] on a tier the caller resolved: what a loop over
+/// rows calls so that the tier is looked up once, not per row.
+#[inline(always)]
+fn distance_on(tier: KernelTier, metric: Metric, a: &[f32], b: &[f32]) -> f32 {
+    match metric {
+        Metric::L2 => match tier {
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Avx2 => unsafe { avx2::l2_sq(a, b) }, // SAFETY: tier checked: detect() verified avx2+fma
+            #[cfg(target_arch = "aarch64")]
+            KernelTier::Neon => unsafe { neon::l2_sq(a, b) }, // SAFETY: tier checked: detect() verified neon
+            _ => scalar::l2_sq(a, b),
+        },
+        Metric::InnerProduct => -match tier {
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Avx2 => unsafe { avx2::dot(a, b) }, // SAFETY: tier checked: detect() verified avx2+fma
+            #[cfg(target_arch = "aarch64")]
+            KernelTier::Neon => unsafe { neon::dot(a, b) }, // SAFETY: tier checked: detect() verified neon
+            _ => scalar::dot(a, b),
+        },
+        Metric::Cosine => {
+            let (ab, na2, nb2) = match tier {
+                #[cfg(target_arch = "x86_64")]
+                KernelTier::Avx2 => unsafe { avx2::cosine_terms(a, b) }, // SAFETY: tier checked: detect() verified avx2+fma
+                #[cfg(target_arch = "aarch64")]
+                KernelTier::Neon => unsafe { neon::cosine_terms(a, b) }, // SAFETY: tier checked: detect() verified neon
+                _ => scalar::cosine_terms(a, b),
+            };
+            // As `cosine_distance`, term for term.
+            if na2 == 0.0 || nb2 == 0.0 {
+                1.0
+            } else {
+                1.0 - ab / (na2.sqrt() * nb2.sqrt())
+            }
+        }
+    }
+}
+
 // ------------------------------------------------------------------- batch
 
 /// Distances from `query` to every row of a contiguous row-major `block`,
@@ -309,6 +346,86 @@ pub fn distance_batch(
                 *slot = if na == 0.0 || nb2 == 0.0 { 1.0 } else { 1.0 - ab / (na * nb2.sqrt()) };
             }
         }
+    }
+    Ok(())
+}
+
+/// Rows ahead of the one being scored whose cache lines are requested.
+const GATHER_PREFETCH_ROWS: usize = 4;
+
+/// Request row `row` of a row-major block toward L1. No-op off `x86_64`.
+#[inline]
+fn prefetch_row(block: &[f32], dim: usize, row: usize) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // `wrapping_add`: a row index past the block gives an address that
+        // is never dereferenced (the scoring loop rejects it first).
+        let start = block.as_ptr().wrapping_add(row.wrapping_mul(dim)).cast::<i8>();
+        for line in 0..(dim * 4).div_ceil(64) {
+            // SAFETY: prefetch is a hint; it does not access memory
+            // architecturally and cannot fault whatever the address.
+            unsafe { _mm_prefetch(start.wrapping_add(line * 64), _MM_HINT_T0) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (block, dim, row);
+    }
+}
+
+/// Distances from `query` to the rows of a row-major `block` listed in
+/// `rows`, written into `out` in list order: the filtered form of
+/// [`distance_batch`] (Plan A behind a selective predicate).
+///
+/// The tier is resolved once, and the rows a few places ahead are
+/// prefetched while the current one is scored — selected rows are scattered,
+/// so without it every row waits out a memory latency the sequential scan
+/// never sees. Each row is still one `l2_sq` / `dot` / `cosine_terms` call of
+/// the tier, so every distance is bit-equal to [`Metric::distance`]'s.
+///
+/// Errors with [`BhError::InvalidArgument`] on any shape mismatch, a listed
+/// row beyond the block included.
+pub fn distance_gather(
+    metric: Metric,
+    query: &[f32],
+    block: &[f32],
+    dim: usize,
+    rows: &[u32],
+    out: &mut [f32],
+) -> Result<()> {
+    gather_on(KernelTier::current(), metric, query, block, dim, rows, out)
+}
+
+fn gather_on(
+    tier: KernelTier,
+    metric: Metric,
+    query: &[f32],
+    block: &[f32],
+    dim: usize,
+    rows: &[u32],
+    out: &mut [f32],
+) -> Result<()> {
+    if dim == 0 || query.len() != dim || out.len() != rows.len() {
+        return Err(BhError::InvalidArgument(format!(
+            "distance_gather: query len {} / dim {dim}, {} rows into {} slots",
+            query.len(),
+            rows.len(),
+            out.len()
+        )));
+    }
+    for (i, (&r, slot)) in rows.iter().zip(out.iter_mut()).enumerate() {
+        if let Some(&ahead) = rows.get(i + GATHER_PREFETCH_ROWS) {
+            prefetch_row(block, dim, ahead as usize);
+        }
+        let r = r as usize;
+        let row = block.get(r * dim..(r + 1) * dim).ok_or_else(|| {
+            BhError::InvalidArgument(format!(
+                "distance_gather: row {r} beyond a block of {} rows",
+                block.len() / dim
+            ))
+        })?;
+        *slot = distance_on(tier, metric, query, row);
     }
     Ok(())
 }
@@ -1281,6 +1398,60 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The gather kernel returns, on every tier this machine runs, the bits
+    /// the per-row call returns — for any order of rows, repeats included.
+    #[test]
+    fn gather_is_bit_identical_to_per_row_distance() {
+        for dim in [1usize, 7, 8, 27, 64, 100] {
+            let n = 300;
+            let cell = |seed: u64, j: usize| {
+                (bh_common::rng::derive_seed(seed, j as u64) >> 40) as f32 / (1u64 << 23) as f32
+                    - 1.0
+            };
+            let query: Vec<f32> = (0..dim).map(|j| cell(1, j)).collect();
+            let mut block: Vec<f32> = (0..n * dim).map(|j| cell(2, j)).collect();
+            block[..dim].fill(0.0); // a zero row: cosine's special case
+            let rows: Vec<u32> = (0..n as u64)
+                .map(|j| (bh_common::rng::derive_seed(3, j) % n as u64) as u32)
+                .chain([0, 0, n as u32 - 1])
+                .collect();
+            for metric in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
+                for tier in runnable_tiers() {
+                    let mut out = vec![0.0f32; rows.len()];
+                    gather_on(tier, metric, &query, &block, dim, &rows, &mut out).unwrap();
+                    for (&r, d) in rows.iter().zip(&out) {
+                        let row = &block[r as usize * dim..(r as usize + 1) * dim];
+                        let want = if tier == KernelTier::current() {
+                            metric.distance(&query, row)
+                        } else {
+                            match metric {
+                                Metric::L2 => scalar::l2_sq(&query, row),
+                                Metric::InnerProduct => -scalar::dot(&query, row),
+                                // `cosine_distance` as the scalar tier computes it.
+                                Metric::Cosine => match scalar::cosine_terms(&query, row) {
+                                    (_, na2, nb2) if na2 == 0.0 || nb2 == 0.0 => 1.0,
+                                    (ab, na2, nb2) => 1.0 - ab / (na2.sqrt() * nb2.sqrt()),
+                                },
+                            }
+                        };
+                        assert_eq!(d.to_bits(), want.to_bits(), "{tier:?} {metric:?} dim {dim}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gather_rejects_bad_shapes() {
+        let (q, block) = ([0.0f32; 4], [0.0f32; 12]);
+        let mut out = [0.0f32; 2];
+        assert!(distance_gather(Metric::L2, &q, &block, 0, &[0, 1], &mut out).is_err());
+        assert!(distance_gather(Metric::L2, &q[..3], &block, 4, &[0, 1], &mut out).is_err());
+        assert!(distance_gather(Metric::L2, &q, &block, 4, &[0], &mut out).is_err());
+        assert!(distance_gather(Metric::L2, &q, &block, 4, &[0, 3], &mut out).is_err());
+        assert!(distance_gather(Metric::L2, &q, &block, 4, &[2, 0], &mut out).is_ok());
     }
 
     #[test]

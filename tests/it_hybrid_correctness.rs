@@ -166,3 +166,99 @@ fn semantic_pruning_preserves_correctness_via_adaptive_expansion() {
         assert!(recall >= 0.8, "pruned recall {recall}");
     }
 }
+
+/// Plans A, B and D filter through the column bitset, Plan C row by row on
+/// the candidates it pulls: on a NaN, a signed zero, an infinity or an
+/// integer past 2^53 the two must still give one answer — the one
+/// `Value::partial_cmp_scalar` defines (floats by `total_cmp`, same-typed
+/// integers exactly) — or a statement's rows depend on the plan it got.
+#[test]
+fn four_plans_agree_on_edge_cells() {
+    use blendhouse::Value;
+    const P53: u64 = 1 << 53;
+    let floats =
+        [f64::NAN, -0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY, 0.5, -0.5, 1.0, -f64::NAN, 2.0];
+    let bigs = [P53 - 1, P53, P53 + 1, P53 + 2, u64::MAX, 0, i64::MAX as u64];
+    let smalls = [i64::MIN, -(P53 as i64) - 1, -(P53 as i64), -1, 0, 1, P53 as i64 + 1, i64::MAX];
+
+    let db = blendhouse::Database::new(blendhouse::DatabaseConfig::default());
+    db.execute(
+        "CREATE TABLE edge (id UInt64, big UInt64, small Int64, f Float64, emb Array(Float32), \
+         INDEX ann emb TYPE HNSW('DIM=4')) ORDER BY id",
+    )
+    .unwrap();
+    let n = 70usize; // every (float, big) pairing: 10 × 7
+    let rows: Vec<Vec<Value>> = (0..n)
+        .map(|i| {
+            // Hash-scattered coordinates: no two rows tie on distance.
+            let at = |j: u64| (bh_common::rng::derive_seed(i as u64, j) >> 40) as f32 / 1e6;
+            vec![
+                Value::UInt64(i as u64),
+                Value::UInt64(bigs[i % bigs.len()]),
+                Value::Int64(smalls[i % smalls.len()]),
+                Value::Float64(floats[i % floats.len()]),
+                Value::Vector(vec![at(0), at(1), at(2), at(3)]),
+            ]
+        })
+        .collect();
+    db.table("edge").unwrap().insert_rows(rows).unwrap();
+    db.preload("edge", "default").unwrap();
+
+    let ids_where = |strategy: Strategy, filter: &str| -> Vec<u64> {
+        let opts = QueryOptions {
+            forced_strategy: Some(strategy),
+            search: bh_vector::SearchParams::default().with_ef(256),
+            ..db.default_options()
+        };
+        let sql = format!(
+            "SELECT id FROM edge WHERE {filter} ORDER BY L2Distance(emb, [8.0, 8.0, 8.0, 8.0]) \
+             LIMIT {n}"
+        );
+        let mut ids = result_ids(&db.execute_with(&sql, &opts).unwrap().rows());
+        ids.sort_unstable();
+        ids
+    };
+    let rows_with = |pick: &dyn Fn(usize) -> bool| -> Vec<u64> {
+        (0..n).filter(|&i| pick(i)).map(|i| i as u64).collect()
+    };
+    let f_of = |i: usize| floats[i % floats.len()];
+    let big_of = |i: usize| bigs[i % bigs.len()];
+    let small_of = |i: usize| smalls[i % smalls.len()];
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    let cases: Vec<(&str, Vec<u64>)> = vec![
+        // NaN sorts above +inf (and -NaN below -inf): outside every range.
+        (
+            "f BETWEEN -1.0 AND 1.0",
+            rows_with(&|i| {
+                f_of(i).total_cmp(&-1.0) != Less && f_of(i).total_cmp(&1.0) != Greater
+            }),
+        ),
+        // -0.0 and 0.0 are different cells.
+        ("f = 0.0", rows_with(&|i| f_of(i).total_cmp(&0.0) == Equal)),
+        ("f >= 0.0", rows_with(&|i| f_of(i).total_cmp(&0.0) != Less)),
+        ("NOT f < 0.5", rows_with(&|i| f_of(i).total_cmp(&0.5) != Less)),
+        // Same-typed integers compare exactly, however large.
+        ("big = 9007199254740993", rows_with(&|i| big_of(i) == P53 + 1)),
+        ("big > 9007199254740992", rows_with(&|i| big_of(i) > P53)),
+        ("big IN (9007199254740991, 9007199254740994)", rows_with(&|i| {
+            [P53 - 1, P53 + 2].contains(&big_of(i))
+        })),
+        ("small <= -9007199254740993", rows_with(&|i| small_of(i) <= -(P53 as i64) - 1)),
+        ("small = 9223372036854775807", rows_with(&|i| small_of(i) == i64::MAX)),
+        (
+            "f <= 0.0 AND big >= 9007199254740993",
+            rows_with(&|i| f_of(i).total_cmp(&0.0) != Greater && big_of(i) > P53),
+        ),
+    ];
+    for (filter, expect) in &cases {
+        assert!(!expect.is_empty(), "{filter}: the table must hold passing rows");
+        for strategy in [
+            Strategy::BruteForce,
+            Strategy::PreFilter,
+            Strategy::PostFilter,
+            Strategy::FilteredTraversal,
+        ] {
+            assert_eq!(&ids_where(strategy, filter), expect, "{strategy:?} under WHERE {filter}");
+        }
+    }
+}
