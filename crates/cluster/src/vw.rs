@@ -300,20 +300,32 @@ impl VirtualWarehouse {
         filter: Option<&Bitset>,
         bound: Option<&bh_common::SharedBound>,
     ) -> Result<Vec<Neighbor>> {
-        match self.search_segment_once(table, meta, query, k, params, filter, bound) {
-            Ok(r) => Ok(r),
+        self.with_segment_retry(meta, |target| {
+            self.search_segment_once(table, meta, target, query, k, params, filter, bound)
+        })
+    }
+
+    /// Run `f` against the segment's owning worker. On a retryable failure
+    /// evict the owner if it is dead and run `f` once more against the new
+    /// topology (query-level retry, §II-E).
+    pub fn with_segment_retry<T>(
+        &self,
+        meta: &Arc<SegmentMeta>,
+        mut f: impl FnMut(Arc<Worker>) -> Result<T>,
+    ) -> Result<T> {
+        let (_, worker) = self.owner_of(meta)?;
+        match f(worker) {
             Err(e) if e.is_retryable() => {
-                // Query-level retry (§II-E): evict the dead worker from the
-                // ring and run against the new topology.
                 self.metrics.counter("vw.query_retries").inc();
                 if let Ok((wid, w)) = self.owner_of(meta) {
                     if !w.is_alive() {
-                        let _ = self.scale_down(wid, &[meta.clone()]);
+                        let _ = self.scale_down(wid, std::slice::from_ref(meta));
                     }
                 }
-                self.search_segment_once(table, meta, query, k, params, filter, bound)
+                let (_, worker) = self.owner_of(meta)?;
+                f(worker)
             }
-            Err(e) => Err(e),
+            r => r,
         }
     }
 
@@ -322,13 +334,13 @@ impl VirtualWarehouse {
         &self,
         table: &TableStore,
         meta: &Arc<SegmentMeta>,
+        target: Arc<Worker>,
         query: &[f32],
         k: usize,
         params: &SearchParams,
         filter: Option<&Bitset>,
         bound: Option<&bh_common::SharedBound>,
     ) -> Result<Vec<Neighbor>> {
-        let (_, target) = self.owner_of(meta)?;
         if target.index_resident(meta) || meta.index_kind.is_none() {
             return target.search_segment_bounded(table, meta, query, k, params, filter, bound);
         }

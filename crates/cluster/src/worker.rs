@@ -57,15 +57,8 @@ pub struct WorkerConfig {
     /// unconditional. Off by default: blocking charges keep existing RPC
     /// latency accounting bit-identical.
     pub overlap: bool,
-    /// On this worker's miss path ([`Worker::search_segment`] with the index
-    /// not resident), answer from a head-only partial index when the blob is
-    /// tiered (v3) instead of brute-forcing while the full index loads. The
-    /// query engine reaches that path only with no body transfer in flight,
-    /// i.e. on a store that cannot defer: where it can (every `Database`), a
-    /// statement's cold segments wait out their overlapped transfers and are
-    /// answered from full indexes.
-    /// Off by default so the overlapped path stays byte-identical to the
-    /// blocking path (head results are approximate until the body arrives).
+    /// Kept only because the frozen `benchmark/` compiles against it
+    /// (ROADMAP "Re-anchor the evidence"): read by nothing.
     pub tiered_loading: bool,
 }
 
@@ -230,9 +223,9 @@ impl Worker {
     }
 
     /// Per-segment ANN search through this worker's caches: the resident
-    /// index when there is one, otherwise a head-only partial index
-    /// (`tiered_loading`) or a brute-force scan of the raw column. It never
-    /// loads the index itself; callers warm it ([`Self::warm_index`]).
+    /// index when there is one, otherwise a brute-force scan of the raw
+    /// column. It never loads the index itself; callers warm it
+    /// ([`Self::warm_index`]).
     pub fn search_segment(
         &self,
         table: &TableStore,
@@ -271,30 +264,11 @@ impl Worker {
             span.attr("mode", "local");
             return idx.search_with_bound(query, k, params, filter, bound);
         }
-        // Cache miss. With tiered loading enabled, a head-only partial index
-        // (upper HNSW layers + entry vectors) serves indexed results after
-        // only the head prefix of the blob has arrived; the body keeps
-        // streaming in the background.
-        if let Some(head) = self.head_handle(meta)? {
-            self.metrics.counter("worker.head_search").inc();
-            span.attr("mode", "head");
-            return head.search_with_bound(query, k, params, filter, bound);
-        }
-        // Otherwise brute force over the raw vector column (§II-D), so the
+        // Cache miss: brute force over the raw vector column (§II-D), so the
         // query is served immediately instead of stalling on index load.
         self.metrics.counter("worker.brute_force").inc();
         span.attr("mode", "brute");
         self.brute_force_segment_bounded(table, meta, query, k, filter, bound)
-    }
-
-    /// The head-only partial index for a cold tiered segment, when
-    /// `tiered_loading` is on and the head can actually answer searches
-    /// (e.g. IVF heads hold no rows → `None` → brute-force fallback).
-    fn head_handle(&self, meta: &SegmentMeta) -> Result<Option<Arc<dyn bh_vector::VectorIndex>>> {
-        if !self.cfg.tiered_loading {
-            return Ok(None);
-        }
-        Ok(self.index_cache.get_head(meta)?.filter(|h| h.head_servable()))
     }
 
     /// Search a pre-pinned index handle on behalf of this worker. The caller
@@ -794,41 +768,6 @@ mod tests {
         let warm = w.search_segment(&t, &meta, &q, 3, &params, None).unwrap();
         assert_eq!(warm[0].id, 5);
         assert_eq!(t.metrics().counter_value("worker.local_search"), 1);
-    }
-
-    #[test]
-    fn tiered_loading_serves_head_before_body() {
-        let t = table(400);
-        let w = worker(&t, WorkerConfig { tiered_loading: true, ..Default::default() });
-        let meta = t.segments()[0].clone();
-        assert!(meta.index_head_bytes > 0, "default config persists tiered blobs");
-        let q = vec![5.0; 4];
-        let params = SearchParams::default();
-
-        // Cold: served from the head-only partial, not brute force.
-        let cold = w.search_segment(&t, &meta, &q, 3, &params, None).unwrap();
-        assert!(!cold.is_empty());
-        assert_eq!(t.metrics().counter_value("worker.head_search"), 1);
-        assert_eq!(t.metrics().counter_value("worker.brute_force"), 0);
-        assert!(!w.index_resident(&meta), "head serving is not residency");
-
-        // Once the full index lands, searches upgrade and recall is back.
-        w.warm_index(&meta).unwrap();
-        let warm = w.search_segment(&t, &meta, &q, 3, &params, None).unwrap();
-        assert_eq!(warm[0].id, 5);
-        assert_eq!(t.metrics().counter_value("worker.local_search"), 1);
-    }
-
-    #[test]
-    fn tiered_loading_off_keeps_brute_force_fallback() {
-        let t = table(400);
-        let w = worker(&t, WorkerConfig::default());
-        let meta = t.segments()[0].clone();
-        let cold =
-            w.search_segment(&t, &meta, &[5.0; 4], 3, &SearchParams::default(), None).unwrap();
-        assert_eq!(cold[0].id, 5, "brute force is exact");
-        assert_eq!(t.metrics().counter_value("worker.brute_force"), 1);
-        assert_eq!(t.metrics().counter_value("worker.head_search"), 0);
     }
 
     #[test]

@@ -58,6 +58,19 @@ impl BhError {
         matches!(self, BhError::Rpc(_) | BhError::WorkerUnavailable(_))
     }
 
+    /// True for a failure caused by racing a concurrent compaction's garbage
+    /// collection: a segment of the statement's snapshot, or one of its
+    /// blobs, is gone. Re-running against a fresh snapshot succeeds. Matches
+    /// the messages of `TableStore::segment` and the object stores' `get`
+    /// (held to them by a test beside `TableStore`).
+    pub fn is_snapshot_race(&self) -> bool {
+        match self {
+            BhError::NotFound(msg) => msg.contains("segment"),
+            BhError::Storage(msg) => msg.contains("blob not found"),
+            _ => false,
+        }
+    }
+
     /// Stable machine-readable error code — the variant name in
     /// `SCREAMING_SNAKE_CASE`. Recorded in the query log's `error_code`
     /// column so failures can be grouped without parsing display text.
@@ -130,6 +143,15 @@ mod tests {
         assert!(BhError::WorkerUnavailable("w1".into()).is_retryable());
         assert!(!BhError::Parse("x".into()).is_retryable());
         assert!(!BhError::Storage("x".into()).is_retryable());
+    }
+
+    #[test]
+    fn snapshot_race_classification() {
+        assert!(BhError::NotFound("segment 17".into()).is_snapshot_race());
+        assert!(BhError::Storage("blob not found: tables/t/17/index".into()).is_snapshot_race());
+        assert!(!BhError::NotFound("table t".into()).is_snapshot_race());
+        assert!(!BhError::Storage("disk full".into()).is_snapshot_race());
+        assert!(!BhError::Rpc("segment 17".into()).is_snapshot_race());
     }
 
     #[test]

@@ -41,8 +41,6 @@ pub const NAMES: &[&str] = &[
     "cache.data.bypass",
     "cache.index.disk.hit",
     "cache.index.disk.miss",
-    "cache.index.head.fetch",
-    "cache.index.head.hit",
     "cache.index.mem.hit",
     "cache.index.mem.miss",
     "cache.index.prefetch",
@@ -97,7 +95,6 @@ pub const NAMES: &[&str] = &[
     "vw.scale_up",
     "vw.serving_calls",
     "worker.brute_force",
-    "worker.head_search",
     "worker.local_search",
     "worker.rpc_calls",
     "worker.rpc_ns",

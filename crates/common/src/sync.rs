@@ -129,8 +129,6 @@ lock_rank_table! {
     /// `IndexCache::pending` prefetch map; held across `get_begin` on the
     /// remote store (object-store + reactor ranks above).
     IDXCACHE_PENDING = 410,
-    /// `IndexCache::partial` tiered partial-index map.
-    IDXCACHE_PARTIAL = 420,
     /// `LruCache` internals (memory/disk index caches, block caches).
     LRU_INNER = 450,
     /// Object-store blob maps (`InMemoryObjectStore`, disk manifests);

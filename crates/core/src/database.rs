@@ -1292,8 +1292,8 @@ mod tests {
         .unwrap();
 
         let caches = db.execute("SELECT * FROM system.caches").unwrap().rows();
-        // default VW has 2 workers × (index.mem, index.head, block.meta, block.data).
-        assert_eq!(caches.len(), 8);
+        // default VW has 2 workers × (index.mem, block.meta, block.data).
+        assert_eq!(caches.len(), 6);
         assert!(caches.rows.iter().any(|r| matches!(&r[3], Value::UInt64(u) if *u > 0)
             || matches!(&r[6], Value::UInt64(h) if *h > 0)));
 
@@ -1401,12 +1401,11 @@ mod tests {
 
     /// ROADMAP aim 1's deterministic work count for the overlapped cold
     /// path, through the facade: a cold batch — 16 statements, or one —
-    /// over 8 tiered HNSW segments, index cache about a third of the data,
-    /// pays the remote store `max` (one body transfer), not `sum`; every
-    /// cold body is prefetched once and consumed in flight; no head
-    /// range-get and no head-only answer; rows equal a fully preloaded
-    /// database's. Forced to Plan A, which reads only the raw column, the
-    /// same statement fetches no index at all.
+    /// over 8 HNSW segments, index cache about a third of the data, pays
+    /// the remote store `max` (one blob transfer), not `sum`; every cold
+    /// blob is prefetched once and consumed in flight; rows equal a fully
+    /// preloaded database's. Forced to Plan A, which reads only the raw
+    /// column, the same statement fetches no index at all.
     #[test]
     fn cold_batch_overlaps_index_transfers_max_not_sum() {
         use bh_cluster::worker::WorkerConfig;
@@ -1464,7 +1463,6 @@ mod tests {
 
         let db = build(WorkerConfig {
             index_mem_bytes: SEGMENTS * ROWS_PER_SEGMENT * (DIM * 4 + 160) / 3,
-            tiered_loading: true,
             ..Default::default()
         });
         // The cold *index* path is the subject; 2,000 rows would otherwise
@@ -1473,11 +1471,10 @@ mod tests {
         let (table, vw) = (db.table("t").unwrap(), db.default_vw());
         let segments = table.segments();
         assert_eq!(segments.len(), SEGMENTS);
-        assert!(segments.iter().all(|m| m.index_head_bytes > 0), "segments must be tiered");
         let workers: Vec<_> =
             vw.worker_ids().into_iter().map(|wid| vw.worker(wid).unwrap()).collect();
         // Drop every index and decoded column: a measured run reads index
-        // bodies only (the block caches stay filled).
+        // blobs only (the block caches stay filled).
         let make_cold = || {
             for worker in &workers {
                 for meta in &segments {
@@ -1495,8 +1492,6 @@ mod tests {
         let counters = [
             "query.index_prefetches",
             "cache.index.prefetch.hit",
-            "cache.index.head.fetch",
-            "worker.head_search",
             "remote.get",
         ];
         for input in [&stmts[..], &stmts[..1]] {
@@ -1511,13 +1506,13 @@ mod tests {
                 .map(|(c, b)| db.metrics().counter_value(c) - b)
                 .collect();
 
-            // (a) max, not sum: all eight bodies cost at most two of the largest.
+            // (a) max, not sum: all eight blobs cost at most two of the largest.
             let largest = segments.iter().map(|m| m.index_bytes as usize).max().unwrap();
             let one_get = db.cfg.latencies.remote_store.cost(largest).as_nanos() as u64;
             assert!(elapsed > 0 && elapsed <= 2 * one_get, "{elapsed} ns vs one get {one_get} ns");
-            // (b) every cold body prefetched once and consumed while in flight;
-            // (c) no head range-get, no head-only answer; nothing else fetched.
-            assert_eq!(moved, [SEGMENTS as u64, SEGMENTS as u64, 0, 0, SEGMENTS as u64]);
+            // (b) every cold blob prefetched once and consumed while in
+            // flight; (c) nothing else fetched.
+            assert_eq!(moved, [SEGMENTS as u64; 3]);
             assert!(resident() < SEGMENTS, "cache must be smaller than the working set");
 
             // (d) residency does not change a batch's rows.

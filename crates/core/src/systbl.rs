@@ -542,19 +542,6 @@ fn cache_rows(db: &Database) -> SystemRows {
                 Value::UInt64(misses),
                 Value::UInt64(evictions),
             ]);
-            // Head tier: entry count only — heads are pinned outside the
-            // LRU, so byte/hit accounting lives in `cache.index.*` counters.
-            rows.push(vec![
-                Value::Str(vw.name().to_string()),
-                Value::Str(wid.to_string()),
-                Value::Str("index.head".into()),
-                Value::UInt64(0),
-                Value::UInt64(0),
-                Value::UInt64(ic.head_count() as u64),
-                Value::UInt64(0),
-                Value::UInt64(0),
-                Value::UInt64(0),
-            ]);
             for (kind, used, cap, entries, h, mi, ev) in worker.block_cache().space_stats() {
                 rows.push(vec![
                     Value::Str(vw.name().to_string()),
@@ -583,25 +570,19 @@ fn segment_rows(db: &Database) -> SystemRows {
         ("level", UInt64),
         ("index_kind", Str),
         ("index_bytes", UInt64),
-        ("index_head_bytes", UInt64),
-        ("tiered", UInt64),
         ("resident_workers", UInt64),
-        ("head_resident_workers", UInt64),
     ];
     let vws = db.vw_handles();
     let mut rows = Vec::new();
     for tname in db.table_names() {
         let Ok(t) = db.table(&tname) else { continue };
         for meta in t.segments() {
-            let (mut resident, mut head_resident) = (0u64, 0u64);
+            let mut resident = 0u64;
             for vw in &vws {
                 for wid in vw.worker_ids() {
                     let Ok(worker) = vw.worker(wid) else { continue };
                     if worker.index_cache().resident(meta.id) {
                         resident += 1;
-                    }
-                    if worker.index_cache().head_resident(meta.id) {
-                        head_resident += 1;
                     }
                 }
             }
@@ -613,10 +594,7 @@ fn segment_rows(db: &Database) -> SystemRows {
                 Value::UInt64(u64::from(meta.level)),
                 Value::Str(meta.index_kind.map(|k| k.name().to_string()).unwrap_or_default()),
                 Value::UInt64(meta.index_bytes),
-                Value::UInt64(meta.index_head_bytes),
-                Value::UInt64(u64::from(meta.index_head_bytes > 0)),
                 Value::UInt64(resident),
-                Value::UInt64(head_resident),
             ]);
         }
     }

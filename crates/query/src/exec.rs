@@ -40,6 +40,9 @@ use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
+/// Segments pulled from the reserve per adaptive expansion (§IV-B).
+const ADAPTIVE_BATCH: usize = 2;
+
 /// Per-query execution knobs.
 #[derive(Debug, Clone)]
 pub struct QueryOptions {
@@ -61,8 +64,6 @@ pub struct QueryOptions {
     pub enable_short_circuit: bool,
     /// Scheduling-time segment pruning configuration.
     pub prune: PruneConfig,
-    /// Segments pulled from the reserve per adaptive expansion.
-    pub adaptive_batch: usize,
     /// Maximum threads searching segments of one query concurrently (the
     /// paper's intra-query fan-out, Fig. 9–12): the calling thread plus up
     /// to `intra_query_parallelism - 1` of the engine's parked helpers (of
@@ -88,7 +89,6 @@ impl Default for QueryOptions {
             enable_plan_cache: true,
             enable_short_circuit: true,
             prune: PruneConfig::default(),
-            adaptive_batch: 2,
             intra_query_parallelism: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
@@ -337,8 +337,8 @@ impl QueryEngine {
     /// can defer (every `Database`) a cold segment is therefore answered
     /// from its full index after one overlapped transfer (DESIGN.md §11.3);
     /// on a blocking store nothing is in flight, nothing is pinned, and the
-    /// worker-level miss path (brute force or head first, serving from the
-    /// previous owner, then warm) answers. Pure top-k queries additionally
+    /// worker-level miss path (serving from the previous owner or brute
+    /// force, then warm) answers exactly. Pure top-k queries additionally
     /// carry a [`SharedBound`]: segments searched later skip candidates that
     /// provably cannot enter the final top-k.
     ///
@@ -385,7 +385,7 @@ impl QueryEngine {
         let mut attempts = 0;
         let out = loop {
             match self.exec_batch_inner(table, vw, opts, batch, &plans) {
-                Err(e) if is_snapshot_race(&e) && attempts < 3 => {
+                Err(e) if e.is_snapshot_race() && attempts < 3 => {
                     attempts += 1;
                     self.metrics.counter("query.snapshot_retries").inc();
                     continue;
@@ -613,7 +613,7 @@ impl QueryEngine {
                 // Adaptive runtime adjustment (§IV-B), per query: semantic
                 // pruning was too aggressive; pull reserve segments. The
                 // barrier holds: expand only after the whole round merged.
-                st.pending = st.selection.expand(opts.adaptive_batch.max(1));
+                st.pending = st.selection.expand(ADAPTIVE_BATCH);
                 if !st.pending.is_empty() {
                     expansions += 1;
                     self.metrics.counter("query.adaptive_expansions").inc();
@@ -1278,17 +1278,6 @@ fn index_is_quantized(table: &TableStore) -> bool {
     table.schema().indexes.first().is_some_and(|d| d.spec.kind.is_quantized())
 }
 
-/// A failure caused by the query's segment snapshot racing a concurrent
-/// compaction: the segment or one of its blobs was garbage-collected after
-/// scheduling. Retrying against a fresh snapshot resolves it.
-fn is_snapshot_race(e: &BhError) -> bool {
-    match e {
-        BhError::NotFound(msg) => msg.contains("segment"),
-        BhError::Storage(msg) => msg.contains("blob not found"),
-        _ => false,
-    }
-}
-
 /// Histogram estimate of the fraction of rows passing the predicate of a
 /// filtered vector statement; `None` without a vector clause or a predicate.
 fn filter_selectivity(table: &TableStore, bound: &BoundSelect) -> Option<f64> {
@@ -1325,27 +1314,14 @@ fn describe(e: &PlanEstimate) -> String {
     format!("{:.0} visits, cost {:.1}", e.visits, e.cost)
 }
 
-/// Run `f` against the segment's owning worker, retrying once on a
-/// retryable failure after evicting the dead worker (§II-E).
+/// [`VirtualWarehouse::with_segment_retry`] under the name the benchmark
+/// harness imports.
 pub fn with_segment_retry<T>(
     vw: &VirtualWarehouse,
     meta: &Arc<SegmentMeta>,
-    mut f: impl FnMut(Arc<Worker>) -> Result<T>,
+    f: impl FnMut(Arc<Worker>) -> Result<T>,
 ) -> Result<T> {
-    let (_, worker) = vw.owner_of(meta)?;
-    match f(worker) {
-        Err(e) if e.is_retryable() => {
-            vw.metrics().counter("vw.query_retries").inc();
-            if let Ok((wid, w)) = vw.owner_of(meta) {
-                if !w.is_alive() {
-                    let _ = vw.scale_down(wid, std::slice::from_ref(meta));
-                }
-            }
-            let (_, worker) = vw.owner_of(meta)?;
-            f(worker)
-        }
-        r => r,
-    }
+    vw.with_segment_retry(meta, f)
 }
 
 /// Convenience used by tests and examples: run one statement string.
@@ -2041,6 +2017,37 @@ mod tests {
         )
         .unwrap();
         assert_eq!(rs.len(), 5);
+        assert_eq!(vw.worker_count(), 1);
+    }
+
+    #[test]
+    fn a_retried_call_counts_one_retry_on_either_entry() {
+        let (ts, vw, engine) = setup(400, IndexKind::Hnsw, 100);
+        vw.scale_up(&[]); // three workers: two may die
+        let metas = ts.segments();
+        let retries = || engine.metrics.counter_value("vw.query_retries");
+        let kill_owner = |meta: &Arc<SegmentMeta>| {
+            let (owner, _) = vw.owner_of(meta).unwrap();
+            vw.inject_failure(owner).unwrap();
+        };
+        let q = [0.0f32; 4];
+        let scan = |meta: &Arc<SegmentMeta>| {
+            with_segment_retry(&vw, meta, |w| w.brute_force_segment(&ts, meta, &q, 3, None))
+        };
+        // A live owner: no retry.
+        assert_eq!(scan(&metas[0]).unwrap().len(), 3);
+        assert_eq!(retries(), 0);
+        // The executor's entry.
+        kill_owner(&metas[0]);
+        assert_eq!(scan(&metas[0]).unwrap().len(), 3);
+        assert_eq!(retries(), 1);
+        assert_eq!(vw.worker_count(), 2, "the dead owner was evicted");
+        // The warehouse's own search.
+        kill_owner(&metas[1]);
+        let hits =
+            vw.search_segment(&ts, &metas[1], &q, 3, &SearchParams::default(), None).unwrap();
+        assert_eq!(hits.len(), 3);
+        assert_eq!(retries(), 2);
         assert_eq!(vw.worker_count(), 1);
     }
 

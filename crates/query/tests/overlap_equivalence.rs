@@ -6,16 +6,20 @@
 //! indexes at *every* starting residency. The contract, asserted by the
 //! proptest:
 //!
-//! * overlapped-cold ≡ blocking-warm — residency no longer changes a
-//!   batch's rows (the blocking cold path answers its first statement per
-//!   segment by brute force or from a head, so it is *not* the reference);
+//! * overlapped-cold ≡ blocking-warm — residency does not change a
+//!   batch's rows;
 //! * overlapped-warm ≡ blocking-warm, bit for bit — overlap only changes
 //!   *when* simulated latencies are paid, never which bytes come back.
 //!
-//! A second test pins the failure path: a batch that errors out leaves no
-//! prefetch stranded in any worker's `IndexCache`.
+//! Two plain tests state the cold contract per store kind for a brand-new
+//! warehouse's *first* statement: a deferring store waits out the round's
+//! overlapped transfers and answers from full indexes, a blocking store —
+//! nothing can be in flight — answers by the exact scan and warms; either
+//! way the rows are an always-warm warehouse's. A last test pins the failure
+//! path: a batch that errors out leaves no prefetch stranded in any worker's
+//! `IndexCache`.
 //!
-//! Both force an index plan: on a 480-row table the optimizer would scan
+//! All force an index plan: on a 480-row table the optimizer would scan
 //! the raw column (Plan A), which fetches no index at all.
 
 use bh_cluster::vw::{VirtualWarehouse, VwConfig};
@@ -144,8 +148,7 @@ fn stmt_strategy() -> impl Strategy<Value = String> {
         .prop_map(|(cluster, k, filtered)| stmt_sql(cluster, k, filtered))
 }
 
-/// Half the batches are a single statement: the lone cold statement is the
-/// case that used to have a head-first contract of its own.
+/// Half the batches are a single statement.
 fn batch_strategy() -> impl Strategy<Value = Vec<String>> {
     prop_oneof![Just(1usize).boxed(), (2usize..=6).boxed()]
         .prop_flat_map(|n| prop::collection::vec(stmt_strategy(), n))
@@ -209,6 +212,40 @@ proptest! {
             }
         }
     }
+}
+
+/// Runs a brand-new warehouse's first statement under each index plan, with
+/// and without a filter, and checks ids and distances against an always-warm
+/// warehouse over the same table. Returns how many segment searches the cold
+/// warehouses answered by brute force.
+fn first_statement_matches_always_warm(side: &Side) -> u64 {
+    let vw_warm = make_vw(side, false);
+    vw_warm.preload(&side.table.segments()).unwrap();
+    let brute = side.metrics.counter("worker.brute_force");
+    let before = brute.get();
+    for plan in INDEX_PLANS {
+        let opts = QueryOptions { forced_strategy: Some(plan), ..Default::default() };
+        for filtered in [false, true] {
+            let stmt = parse(&stmt_sql(1, 10, filtered));
+            let vw_cold = make_vw(side, false);
+            let first = side.engine.execute_select(&side.table, &vw_cold, &opts, &stmt).unwrap();
+            let warm = side.engine.execute_select(&side.table, &vw_warm, &opts, &stmt).unwrap();
+            assert_eq!(first.rows.len(), 10);
+            assert_eq!(first.rows, warm.rows, "{plan:?}, filtered={filtered}");
+        }
+    }
+    brute.get() - before
+}
+
+#[test]
+fn blocking_store_answers_the_first_statement_exactly() {
+    let brute = first_statement_matches_always_warm(&side(false));
+    assert!(brute > 0, "nothing was in flight, yet no segment was scanned");
+}
+
+#[test]
+fn deferring_store_answers_the_first_statement_from_full_indexes() {
+    assert_eq!(first_statement_matches_always_warm(&side(true)), 0);
 }
 
 /// A batch that fails after its round's prefetches went out (every owner

@@ -47,9 +47,6 @@ pub struct IndexCache {
     /// someone actually asks for the index. The single owner of the "body
     /// transfer in flight" fact: read it through [`IndexCache::in_flight`].
     pending: Mutex<HashMap<SegmentId, PendingGet>>,
-    /// Head-only partial indexes (tiered v3 blobs), served while the body is
-    /// still in flight; dropped once the full index lands in `mem`.
-    partial: Mutex<HashMap<SegmentId, Arc<dyn VectorIndex>>>,
 }
 
 impl IndexCache {
@@ -72,7 +69,6 @@ impl IndexCache {
             inflight: Mutex::new(&classes::IDXCACHE_INFLIGHT, HashSet::new()),
             inflight_cv: Condvar::new(),
             pending: Mutex::new(&classes::IDXCACHE_PENDING, HashMap::new()),
-            partial: Mutex::new(&classes::IDXCACHE_PARTIAL, HashMap::new()),
         }
     }
 
@@ -157,10 +153,8 @@ impl IndexCache {
                 }
             },
         };
-        let idx = self.registry.load(kind, &blob)?;
+        let idx = self.registry.load_blob(kind, &blob)?;
         self.mem.put(meta.id, idx.clone(), idx.memory_usage());
-        // The full index supersedes any head-only partial.
-        self.partial.lock_checked()?.remove(&meta.id);
         Ok(Some(idx))
     }
 
@@ -198,8 +192,8 @@ impl IndexCache {
 
     /// Is a prefetched body transfer for this segment in flight, i.e. would
     /// the next [`IndexCache::get`] consume it instead of starting a fetch?
-    /// The batch executor pins such segments (waiting out the transfer it
-    /// already started) rather than detouring through a head-only index.
+    /// The batch executor pins such segments, waiting out the transfer it
+    /// already started.
     pub fn in_flight(&self, seg: SegmentId) -> bool {
         self.pending.lock().contains_key(&seg)
     }
@@ -210,35 +204,10 @@ impl IndexCache {
         self.pending.lock().remove(&seg).is_some()
     }
 
-    /// Tiered partial load (v3 blobs): fetch only the head prefix of the
-    /// index blob, deserialize it into a head-only partial index, and start
-    /// prefetching the full blob so the next `get` completes without a
-    /// second cold stall. Returns `None` when the segment has no index or
-    /// its blob is untiered (`index_head_bytes == 0`); returns the full
-    /// index when it is already resident.
+    /// Kept only because the frozen `benchmark/` compiles against it
+    /// (ROADMAP "Re-anchor the evidence"): the resident index, or `None`.
     pub fn get_head(&self, meta: &SegmentMeta) -> Result<Option<Arc<dyn VectorIndex>>> {
-        let Some(kind) = meta.index_kind else { return Ok(None) };
-        if let Some(idx) = self.mem.get(&meta.id) {
-            self.mem_hit.inc();
-            return Ok(Some(idx));
-        }
-        if meta.index_head_bytes == 0 || meta.index_head_bytes >= meta.index_bytes {
-            return Ok(None);
-        }
-        if let Some(idx) = self.partial.lock_checked()?.get(&meta.id) {
-            self.metrics.counter("cache.index.head.hit").inc();
-            return Ok(Some(idx.clone()));
-        }
-        let mut span = self.metrics.tracer().span("cache.index.get_head");
-        span.attr("segment", meta.id.raw());
-        span.attr("head_bytes", meta.index_head_bytes);
-        let prefix = self.remote.get_range(&meta.index_key(), 0, meta.index_head_bytes)?;
-        let idx = self.registry.load_head(kind, &prefix)?;
-        self.metrics.counter("cache.index.head.fetch").inc();
-        self.partial.lock_checked()?.insert(meta.id, idx.clone());
-        // Body follow-up: overlap the full-blob transfer with head serving.
-        self.prefetch(meta)?;
-        Ok(Some(idx))
+        Ok(self.mem.get(&meta.id))
     }
 
     /// Cache-aware preload (§II-D): pull the given segments' indexes into
@@ -258,7 +227,6 @@ impl IndexCache {
     /// Drop a segment from memory and disk tiers (e.g. after compaction).
     pub fn invalidate(&self, meta: &SegmentMeta) {
         self.mem.remove(&meta.id);
-        self.partial.lock().remove(&meta.id);
         self.cancel_prefetch(meta.id);
         if let Some(disk) = &self.disk {
             let _ = disk.delete(&meta.index_key());
@@ -268,7 +236,6 @@ impl IndexCache {
     /// Drop everything from the memory tier (simulates worker restart).
     pub fn clear_memory(&self) {
         self.mem.clear();
-        self.partial.lock().clear();
         self.pending.lock().clear();
     }
 
@@ -288,20 +255,9 @@ impl IndexCache {
         self.mem.stats()
     }
 
-    /// Is a head-only partial index resident for this segment (tiered v3
-    /// blob whose body has not landed yet)?
-    pub fn head_resident(&self, seg: SegmentId) -> bool {
-        self.partial.lock().contains_key(&seg)
-    }
-
     /// Number of resident full indexes in the memory tier.
     pub fn resident_count(&self) -> usize {
         self.mem.len()
-    }
-
-    /// Number of head-only partial indexes currently held.
-    pub fn head_count(&self) -> usize {
-        self.partial.lock().len()
     }
 }
 
@@ -550,40 +506,6 @@ mod tests {
         assert_eq!(idx.meta().len, 10);
     }
 
-    /// Same policy on the tiered head path: a poisoned partial map fails
-    /// `get_head` with the class name rather than a cascading panic.
-    #[test]
-    fn poisoned_partial_lock_fails_get_head_with_class_name() {
-        let clock = VirtualClock::shared();
-        let metrics = MetricsRegistry::new();
-        let remote = Arc::new(InMemoryObjectStore::new(
-            clock,
-            LatencyModel::fixed(Duration::from_micros(1)),
-            metrics.clone(),
-            "remote",
-        ));
-        let registry = Arc::new(IndexRegistry::with_builtins());
-        let mut meta = build_indexed_segment(remote.as_ref(), &registry, 4, 10);
-        // Pretend the blob is tiered so get_head takes the partial path.
-        meta.index_head_bytes = 1;
-        let cache = IndexCache::new(
-            1 << 20,
-            None,
-            remote as Arc<dyn ObjectStore>,
-            registry,
-            metrics,
-        );
-        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _g = cache.partial.lock();
-            panic!("die holding the partial map");
-        }));
-        assert!(died.is_err());
-        assert!(matches!(
-            cache.get_head(&meta),
-            Err(BhError::LockPoisoned(c)) if c == "IDXCACHE_PARTIAL"
-        ));
-    }
-
     #[test]
     fn segment_without_index_returns_none() {
         let remote = InMemoryObjectStore::for_tests();
@@ -645,39 +567,6 @@ mod tests {
             .search_with_bound(&[5.0, 5.0, 5.0, 5.0], 1, &SearchParams::default(), None, None)
             .unwrap();
         assert_eq!(got[0].id, 5);
-    }
-
-    fn build_tiered_segment(
-        store: &dyn ObjectStore,
-        registry: &IndexRegistry,
-        id: u64,
-        n: usize,
-    ) -> SegmentMeta {
-        let schema = TableSchema::new("t")
-            .with_column("id", ColumnType::UInt64)
-            .with_column("emb", ColumnType::Vector(16))
-            .with_vector_index("i", "emb", IndexKind::Hnsw, 16, Metric::L2);
-        let rows: Vec<Vec<Value>> = (0..n)
-            .map(|i| {
-                let v: Vec<f32> = (0..16).map(|d| ((i * 31 + d * 7) % 97) as f32).collect();
-                vec![Value::UInt64(i as u64), Value::Vector(v)]
-            })
-            .collect();
-        let mut seg = Segment::from_rows(&schema, SegmentId(id), rows, vec![], None, 0).unwrap();
-        let spec = IndexSpec::new(IndexKind::Hnsw, 16, Metric::L2);
-        let mut b = registry.create_builder(&spec).unwrap();
-        let (data, _) = seg.columns["emb"].vector_data().unwrap();
-        let ids: Vec<u64> = (0..n as u64).collect();
-        b.add_with_ids(data, &ids).unwrap();
-        let idx = b.finish().unwrap();
-        let (head, body) = idx.save_bytes_tiered().unwrap().unwrap();
-        let blob = bh_vector::tiered::frame(&head, &body);
-        seg.meta.index_kind = Some(IndexKind::Hnsw);
-        seg.meta.index_bytes = blob.len() as u64;
-        seg.meta.index_head_bytes = bh_vector::tiered::head_prefix_len(head.len() as u64);
-        store.put(&seg.meta.index_key(), blob).unwrap();
-        seg.persist(store).unwrap();
-        seg.meta
     }
 
     #[test]
@@ -773,11 +662,10 @@ mod tests {
         assert!(!cache.prefetch(&m1).unwrap(), "resident: nothing to fetch");
     }
 
-    /// The batch executor's pin path: a body transfer is pending for a
-    /// tiered segment, so `get` waits it out and hands back the full index —
-    /// no head range-get, no partial left behind.
+    /// The batch executor's pin path: a transfer is pending for the segment,
+    /// so `get` waits it out and hands back the index.
     #[test]
-    fn pending_body_on_tiered_segment_yields_full_index_and_no_partial() {
+    fn pending_transfer_is_consumed_by_get_and_released_by_cancel() {
         let clock = VirtualClock::shared();
         let metrics = MetricsRegistry::new();
         let remote = Arc::new(
@@ -790,8 +678,7 @@ mod tests {
             .with_reactor(Arc::new(bh_common::Reactor::new(clock.clone()))),
         );
         let registry = Arc::new(IndexRegistry::with_builtins());
-        let meta = build_tiered_segment(remote.as_ref(), &registry, 8, 600);
-        assert!(meta.index_head_bytes > 0, "fixture must be tiered");
+        let meta = build_indexed_segment(remote.as_ref(), &registry, 8, 600);
         let gets_before = metrics.counter_value("remote.get");
         let t0 = clock.now_nanos();
 
@@ -806,13 +693,10 @@ mod tests {
         assert!(cache.prefetch(&meta).unwrap());
         assert!(cache.in_flight(meta.id) && !cache.resident(meta.id));
 
-        let full = cache.get(&meta).unwrap().unwrap();
-        assert!(!full.is_partial());
+        assert_eq!(cache.get(&meta).unwrap().unwrap().meta().len, 600);
         assert!(cache.resident(meta.id) && !cache.in_flight(meta.id));
-        assert_eq!(cache.head_count(), 0, "no partial left behind");
-        assert_eq!(metrics.counter_value("cache.index.head.fetch"), 0);
         assert_eq!(metrics.counter_value("cache.index.prefetch.hit"), 1);
-        // One body transfer, paid once.
+        // One transfer, paid once.
         assert_eq!(metrics.counter_value("remote.get") - gets_before, 1);
         assert_eq!(clock.now_nanos() - t0, 500_000);
 
@@ -838,76 +722,6 @@ mod tests {
         );
         assert!(!cache.prefetch(&meta).unwrap());
         assert!(cache.get(&meta).unwrap().is_some());
-    }
-
-    #[test]
-    fn get_head_serves_partial_then_full_supersedes() {
-        let clock = VirtualClock::shared();
-        let metrics = MetricsRegistry::new();
-        // Per-byte-only model so charged time measures transferred bytes.
-        let reactor = Arc::new(bh_common::Reactor::new(clock.clone()));
-        let remote = Arc::new(
-            InMemoryObjectStore::new(
-                clock.clone(),
-                LatencyModel::new(Duration::ZERO, Duration::from_nanos(10)),
-                metrics.clone(),
-                "remote",
-            )
-            .with_reactor(reactor),
-        );
-        let registry = Arc::new(IndexRegistry::with_builtins());
-        let meta = build_tiered_segment(remote.as_ref(), &registry, 7, 600);
-        let t0 = clock.now_nanos();
-
-        let cache = IndexCache::new(
-            1 << 24,
-            None,
-            remote as Arc<dyn ObjectStore>,
-            registry,
-            metrics.clone(),
-        );
-        let head = cache.get_head(&meta).unwrap().unwrap();
-        assert!(head.is_partial());
-        assert!(head.head_servable());
-        assert_eq!(head.meta().len, 600);
-        assert!(!cache.resident(meta.id), "head serving is not residency");
-        // The head fetch transferred only the head prefix (the body prefetch
-        // was submitted but not yet waited on).
-        let head_cost = clock.now_nanos() - t0;
-        assert_eq!(head_cost, meta.index_head_bytes * 10);
-        assert!(meta.index_head_bytes * 10 <= meta.index_bytes, "head ≤ 10% of blob");
-        // Partial serves real neighbors.
-        let q: Vec<f32> = (0..16).map(|d| ((31 + d * 7) % 97) as f32).collect();
-        let got = head.search_with_bound(&q, 3, &SearchParams::default(), None, None).unwrap();
-        assert!(!got.is_empty());
-        // Second head read hits the partial cache.
-        cache.get_head(&meta).unwrap().unwrap();
-        assert_eq!(metrics.counter_value("cache.index.head.fetch"), 1);
-        assert_eq!(metrics.counter_value("cache.index.head.hit"), 1);
-
-        // A full get consumes the body prefetch and supersedes the partial.
-        let full = cache.get(&meta).unwrap().unwrap();
-        assert!(!full.is_partial());
-        assert!(cache.resident(meta.id));
-        assert_eq!(metrics.counter_value("cache.index.prefetch.hit"), 1);
-        let after_full = cache.get_head(&meta).unwrap().unwrap();
-        assert!(!after_full.is_partial(), "resident full index wins");
-    }
-
-    #[test]
-    fn get_head_returns_none_for_untiered_blob() {
-        let remote = InMemoryObjectStore::for_tests();
-        let registry = Arc::new(IndexRegistry::with_builtins());
-        let meta = build_indexed_segment(remote.as_ref(), &registry, 4, 25);
-        assert_eq!(meta.index_head_bytes, 0);
-        let cache = IndexCache::new(
-            1 << 20,
-            None,
-            remote as Arc<dyn ObjectStore>,
-            registry,
-            MetricsRegistry::new(),
-        );
-        assert!(cache.get_head(&meta).unwrap().is_none());
     }
 
     #[test]

@@ -101,18 +101,6 @@ pub trait ObjectStore: Send + Sync {
         Ok(PendingGet::ready(self.get(key)?))
     }
 
-    /// Fetch `len` bytes of `key` starting at `offset` (clamped to the blob).
-    /// The default fetches the whole blob — charging full transfer cost — and
-    /// slices; stores that can address sub-ranges override this to charge
-    /// only the bytes read (this is what makes tiered head-only index loads
-    /// cheap).
-    fn get_range(&self, key: &str, offset: u64, len: u64) -> Result<Bytes> {
-        let blob = self.get(key)?;
-        let start = (offset as usize).min(blob.len());
-        let end = start.saturating_add(len as usize).min(blob.len());
-        Ok(blob.slice(start..end))
-    }
-
     /// Whether [`ObjectStore::get_begin`] actually defers transfer time
     /// (i.e. the store is reactor-backed). Callers use this to decide if
     /// prefetching buys overlap.
@@ -228,20 +216,6 @@ impl ObjectStore for InMemoryObjectStore {
         })
     }
 
-    fn get_range(&self, key: &str, offset: u64, len: u64) -> Result<Bytes> {
-        let blob = self
-            .blobs
-            .read()
-            .get(key)
-            .cloned()
-            .ok_or_else(|| BhError::Storage(format!("blob not found: {key}")))?;
-        let start = (offset as usize).min(blob.len());
-        let end = start.saturating_add(len as usize).min(blob.len());
-        let slice = blob.slice(start..end);
-        self.charge("get", slice.len());
-        Ok(slice)
-    }
-
     fn supports_deferred(&self) -> bool {
         self.reactor.is_some()
     }
@@ -327,21 +301,6 @@ impl ObjectStore for DiskObjectStore {
             .map_err(|e| BhError::Storage(format!("blob not found: {key} ({e})")))?;
         self.charge("get", data.len());
         Ok(Bytes::from(data))
-    }
-
-    fn get_range(&self, key: &str, offset: u64, len: u64) -> Result<Bytes> {
-        use std::io::{Read, Seek, SeekFrom};
-        let path = self.path_of(key)?;
-        let mut f = std::fs::File::open(&path)
-            .map_err(|e| BhError::Storage(format!("blob not found: {key} ({e})")))?;
-        let total = f.metadata()?.len();
-        let start = offset.min(total);
-        let end = start.saturating_add(len).min(total);
-        f.seek(SeekFrom::Start(start))?;
-        let mut buf = vec![0u8; (end - start) as usize];
-        f.read_exact(&mut buf)?;
-        self.charge("get", buf.len());
-        Ok(Bytes::from(buf))
     }
 
     fn delete(&self, key: &str) -> Result<()> {
@@ -466,39 +425,6 @@ mod tests {
         let p = s.get_begin("a").unwrap();
         drop(p); // forgotten, never waited
         assert_eq!(clock.now_nanos(), now);
-    }
-
-    #[test]
-    fn get_range_charges_only_range_bytes() {
-        let clock = VirtualClock::shared();
-        let model = LatencyModel::new(Duration::ZERO, Duration::from_nanos(10));
-        let m = MetricsRegistry::new();
-        let s = InMemoryObjectStore::new(clock.clone(), model, m.clone(), "remote");
-        s.put("k", Bytes::from(vec![7u8; 1000])).unwrap();
-        let after_put = clock.now_nanos();
-        let head = s.get_range("k", 0, 100).unwrap();
-        assert_eq!(head.len(), 100);
-        assert_eq!(clock.now_nanos(), after_put + 1_000); // 100 bytes * 10ns
-        // Clamped past-the-end range.
-        let tail = s.get_range("k", 900, 500).unwrap();
-        assert_eq!(tail.len(), 100);
-    }
-
-    #[test]
-    fn disk_store_get_range_reads_subrange() {
-        let dir = tempfile::tempdir().unwrap();
-        let s = DiskObjectStore::new(
-            dir.path(),
-            VirtualClock::shared(),
-            LatencyModel::ZERO,
-            MetricsRegistry::new(),
-            "disk",
-        )
-        .unwrap();
-        s.put("k", Bytes::from_static(b"0123456789")).unwrap();
-        assert_eq!(s.get_range("k", 2, 3).unwrap(), Bytes::from_static(b"234"));
-        assert_eq!(s.get_range("k", 8, 10).unwrap(), Bytes::from_static(b"89"));
-        assert_eq!(s.get_range("k", 20, 5).unwrap(), Bytes::new());
     }
 
     #[test]

@@ -53,10 +53,8 @@ pub struct SegmentMeta {
     pub index_kind: Option<IndexKind>,
     /// Size of the serialized index blob (cache weight / transfer size).
     pub index_bytes: u64,
-    /// Bytes of the index blob's *head* prefix when the blob uses the tiered
-    /// v3 container (container prefix + head section). `0` means the blob is
-    /// an untiered v2 whole-index and partial loading is unavailable.
-    /// `#[serde(default)]` keeps pre-tiered metadata blobs readable.
+    /// Kept only because the frozen `benchmark/` compiles against it
+    /// (ROADMAP "Re-anchor the evidence"): always written 0.
     #[serde(default)]
     pub index_head_bytes: u64,
 }

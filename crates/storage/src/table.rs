@@ -62,17 +62,11 @@ pub struct TableStoreConfig {
     /// Compaction merges a group only while the merged segment stays below
     /// this row count.
     pub compact_target_rows: usize,
-    /// Seed for semantic clustering.
-    pub semantic_seed: u64,
     /// Maximum threads rebuilding merged segments (row gather + index
     /// build) concurrently during [`TableStore::compact`], out of the
     /// process-wide [`build_pool`]. `1` keeps the rebuild sequential; the
     /// default is the machine's parallelism.
     pub compact_parallelism: usize,
-    /// Persist index blobs in the tiered v3 container (head + body) when the
-    /// index kind supports it, enabling partial head-first loading on the
-    /// cold path. Kinds without a tiered form fall back to whole v2 blobs.
-    pub tiered_index: bool,
 }
 
 impl Default for TableStoreConfig {
@@ -82,27 +76,18 @@ impl Default for TableStoreConfig {
             ingest_mode: IngestMode::Pipelined,
             auto_index: true,
             compact_target_rows: 64 * 1024,
-            semantic_seed: 0,
             compact_parallelism: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            tiered_index: true,
         }
     }
 }
 
-/// A failure caused by racing a concurrent compaction's garbage collection.
-fn is_snapshot_race(e: &BhError) -> bool {
-    match e {
-        BhError::NotFound(msg) => msg.contains("segment"),
-        BhError::Storage(msg) => msg.contains("blob not found"),
-        _ => false,
-    }
-}
+/// Seed of the semantic clusterer's k-means.
+const SEMANTIC_SEED: u64 = 0;
 
-/// A built index blob ready to upload: framed bytes, kind, and the head
-/// prefix length in bytes (`0` for untiered v2 blobs).
-type IndexBlob = (Bytes, bh_vector::IndexKind, u64);
+/// A built index blob ready to upload, and its kind.
+type IndexBlob = (Bytes, bh_vector::IndexKind);
 
 /// One compacted group staged by the parallel rebuild phase: rows dropped,
 /// bytes uploaded, and the merged segment with its index blob, ready to
@@ -343,24 +328,16 @@ impl TableStore {
         let index = builder.finish()?;
         self.metrics.histogram("table.index_add_ns").record(t.elapsed());
         let t = Stopwatch::start();
-        let tiered = if self.cfg.tiered_index { index.save_bytes_tiered()? } else { None };
-        let blob = match tiered {
-            Some((head, body)) => {
-                let head_bytes = bh_vector::tiered::head_prefix_len(head.len() as u64);
-                (bh_vector::tiered::frame(&head, &body), spec.kind, head_bytes)
-            }
-            None => (index.save_bytes()?, spec.kind, 0),
-        };
+        let blob = index.save_bytes()?;
         self.metrics.histogram("table.index_serialize_ns").record(t.elapsed());
-        Ok(Some(blob))
+        Ok(Some((blob, spec.kind)))
     }
 
     /// Persist index + final metadata and register the segment.
     fn finish_segment(&self, seg: &mut Segment, index_blob: Option<IndexBlob>) -> Result<()> {
-        if let Some((blob, kind, head_bytes)) = index_blob {
+        if let Some((blob, kind)) = index_blob {
             seg.meta.index_kind = Some(kind);
             seg.meta.index_bytes = blob.len() as u64;
-            seg.meta.index_head_bytes = head_bytes;
             self.remote.put(&seg.meta.index_key(), blob)?;
             // Re-persist meta with the index information included.
             let meta_json = serde_json::to_vec(&seg.meta)
@@ -405,7 +382,7 @@ impl TableStore {
         if dim == 0 || embs.is_empty() {
             return Ok(());
         }
-        let cl = SemanticClusterer::train(&embs, dim, cb.buckets, self.cfg.semantic_seed)?;
+        let cl = SemanticClusterer::train(&embs, dim, cb.buckets, SEMANTIC_SEED)?;
         *self.clusterer.write() = Some(Arc::new(cl));
         Ok(())
     }
@@ -427,7 +404,7 @@ impl TableStore {
     pub fn load_index(&self, meta: &SegmentMeta) -> Result<Option<Arc<dyn VectorIndex>>> {
         let Some(kind) = meta.index_kind else { return Ok(None) };
         let blob = self.remote.get(&meta.index_key())?;
-        Ok(Some(self.registry.load(kind, &blob)?))
+        Ok(Some(self.registry.load_blob(kind, &blob)?))
     }
 
     // ---------------------------------------------------------------- updates
@@ -437,7 +414,7 @@ impl TableStore {
     pub fn delete_where(&self, predicate: &Predicate) -> Result<usize> {
         for _attempt in 0..3 {
             match self.delete_where_once(predicate) {
-                Err(e) if is_snapshot_race(&e) => continue,
+                Err(e) if e.is_snapshot_race() => continue,
                 other => return other,
             }
         }
@@ -474,7 +451,7 @@ impl TableStore {
     ) -> Result<usize> {
         for _attempt in 0..3 {
             match self.update_where_once(predicate, assignments) {
-                Err(e) if is_snapshot_race(&e) => continue,
+                Err(e) if e.is_snapshot_race() => continue,
                 other => return other,
             }
         }
@@ -1066,41 +1043,27 @@ mod tests {
         }
     }
 
+    /// The query-level retry matches on these two messages
+    /// (`BhError::is_snapshot_race`): rewording either must fail here.
     #[test]
-    fn tiered_index_blobs_persist_and_load() {
+    fn gone_segment_and_gone_blob_read_as_snapshot_races() {
         let ts = store(schema(None), TableStoreConfig::default());
-        ts.insert_rows(mk_rows(300, 30)).unwrap();
-        for meta in ts.segments() {
-            assert!(meta.index_head_bytes > 0, "HNSW should persist tiered");
-            assert!(meta.index_head_bytes < meta.index_bytes);
-            // The stored blob is a v3 container whose prefix is the head.
-            let blob = ts.remote_store().get(&meta.index_key()).unwrap();
-            assert!(bh_vector::tiered::is_tiered(&blob));
-            // Whole-blob load still round-trips through the registry sniff.
-            let idx = ts.load_index(&meta).unwrap().unwrap();
-            assert_eq!(idx.meta().len, meta.row_count);
-            assert!(!idx.is_partial());
-            // The head prefix alone yields a servable partial index.
-            let prefix = blob.slice(0..meta.index_head_bytes as usize);
-            let partial =
-                ts.registry().load_head(meta.index_kind.unwrap(), &prefix).unwrap();
-            assert!(partial.is_partial());
-            assert_eq!(partial.meta().len, meta.row_count);
-        }
+        assert!(ts.segment(SegmentId(404)).unwrap_err().is_snapshot_race());
+        assert!(ts.remote_store().get("tables/t/404/index").unwrap_err().is_snapshot_race());
     }
 
     #[test]
-    fn untiered_config_writes_v2_blobs() {
-        let ts = store(
-            schema(None),
-            TableStoreConfig { tiered_index: false, ..Default::default() },
-        );
-        ts.insert_rows(mk_rows(120, 31)).unwrap();
+    fn index_blobs_are_one_part_and_load() {
+        let ts = store(schema(None), TableStoreConfig::default());
+        ts.insert_rows(mk_rows(300, 30)).unwrap();
         for meta in ts.segments() {
             assert_eq!(meta.index_head_bytes, 0);
+            // The stored blob is the kind's own `save_bytes` output.
             let blob = ts.remote_store().get(&meta.index_key()).unwrap();
-            assert!(!bh_vector::tiered::is_tiered(&blob));
-            assert!(ts.load_index(&meta).unwrap().is_some());
+            assert_eq!(&blob[..4], b"BHHN");
+            assert_eq!(blob.len() as u64, meta.index_bytes);
+            let idx = ts.load_index(&meta).unwrap().unwrap();
+            assert_eq!(idx.meta().len, meta.row_count);
         }
     }
 

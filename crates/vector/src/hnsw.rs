@@ -18,12 +18,12 @@ use crate::flat::{metric_from_u8, metric_to_u8};
 use crate::iterator::SearchIterator;
 use crate::quant::sq::Sq8;
 use crate::types::{
-    check_batch, sorted_neighbors, BoundedTopK, IndexBuilder, IndexMeta, IndexSpec, Neighbor,
-    SearchParams, VectorIndex,
+    check_batch, BoundedTopK, IndexBuilder, IndexMeta, IndexSpec, Neighbor, SearchParams,
+    VectorIndex,
 };
 use crate::{IndexKind, Metric};
 use bh_common::rng::{derived_rng, DetRng};
-use bh_common::{BhError, Bitset, Result, SharedBound, TopK};
+use bh_common::{BhError, Bitset, Result, SharedBound};
 use bytes::Bytes;
 use rand::Rng;
 use std::cmp::Reverse;
@@ -75,29 +75,6 @@ enum Store {
 }
 
 impl Store {
-    /// Rows `rows` (in order) extracted into a standalone store. Quantizer
-    /// state is duplicated — it is small (two f32 vectors) next to the codes.
-    fn subset(&self, dim: usize, rows: &[u32]) -> Store {
-        match self {
-            Store::Raw { data } => {
-                let mut out = Vec::with_capacity(rows.len() * dim);
-                for &r in rows {
-                    let r = r as usize;
-                    out.extend_from_slice(&data[r * dim..(r + 1) * dim]);
-                }
-                Store::Raw { data: out }
-            }
-            Store::Sq { sq, codes, rho } => {
-                let mut out = Vec::with_capacity(rows.len() * dim);
-                for &r in rows {
-                    let r = r as usize;
-                    out.extend_from_slice(&codes[r * dim..(r + 1) * dim]);
-                }
-                Store::Sq { sq: sq.clone(), codes: out, rho: *rho }
-            }
-        }
-    }
-
     /// Serialize as the v2 store payload (tag, payload, rho section). The
     /// rho section keeps its presence flag (always 1) from when the radius
     /// was optional.
@@ -200,20 +177,13 @@ impl Store {
     }
 }
 
-/// Where a walk reads adjacency and vectors from. Three sources exist: the
-/// sealed index ([`HnswIndex`], any level), the head's upper levels
-/// ([`HnswHeadIndex`], which holds a subset of the nodes under dense slots)
-/// and the builder's growing graph ([`HnswBuilder`]).
+/// Where a walk reads adjacency and vectors from: the sealed index
+/// ([`HnswIndex`]) or the builder's growing graph ([`HnswBuilder`]).
 trait Graph {
     /// Number of addressable nodes (sizes the visited set).
     fn node_count(&self) -> usize;
     /// Link list of `node` at `level`; empty above the node's top level.
     fn links(&self, node: u32, level: usize) -> &[u32];
-    /// The node a link refers to, or `None` when this source does not hold
-    /// it (the head keeps only upper-level nodes).
-    fn resolve(&self, link: u32) -> Option<u32> {
-        Some(link)
-    }
     fn distance(&self, query: &[f32], node: u32) -> f32;
     /// Pull `node`'s vector toward L1 ahead of its distance computation.
     /// The builder keeps this no-op: its beam never prefetched, and doing
@@ -286,8 +256,7 @@ fn descend<G: Graph>(g: &G, query: &[f32], mut cur: u32, from: usize, to: usize)
             improved = false;
             // The list is the one `cur` had when the sweep began: moving to
             // a closer node mid-sweep does not switch lists.
-            for &link in g.links(cur, level) {
-                let Some(nb) = g.resolve(link) else { continue };
+            for &nb in g.links(cur, level) {
                 let d = g.distance(query, nb);
                 if d < cur_d {
                     cur_d = d;
@@ -337,8 +306,7 @@ fn beam<G: Graph, A: Admit>(
         // budget then skips got a wasted prefetch; overlapping the rest
         // still wins.
         fresh.clear();
-        for &link in g.links(c.node, level) {
-            let Some(nb) = g.resolve(link) else { continue };
+        for &nb in g.links(c.node, level) {
             if !visited[nb as usize] {
                 g.prefetch(nb);
                 fresh.push(nb);
@@ -511,353 +479,6 @@ impl HnswIndex {
         Ok(idx)
     }
 
-    /// Node indices (in node order) of every node participating in levels
-    /// ≥ 1 — the nodes the head section carries vectors and links for.
-    /// With the standard level distribution this is ~1/M of all nodes.
-    fn upper_nodes(&self) -> Vec<u32> {
-        (0..self.n() as u32).filter(|&i| self.links[i as usize].len() >= 2).collect()
-    }
-
-    /// Serialize as `(head, body)` sections for the v3 tiered container.
-    ///
-    /// The head carries everything needed to run greedy descent + a level-1
-    /// beam over the upper graph: per-node level counts, the upper nodes'
-    /// links, row ids, and vector payload (raw or SQ codes + quantizer).
-    /// The body carries the base layer: all ids, every node's layer-0
-    /// adjacency, and the full vector store. `load_tiered_parts(head, body)`
-    /// reconstructs an index identical to `self`.
-    pub fn save_tiered_parts(&self) -> Result<(Bytes, Bytes)> {
-        let mut hw = Writer::with_header(HEAD_MAGIC, TIERED_PART_VERSION);
-        hw.put_u8(match self.kind {
-            IndexKind::Hnsw => 0,
-            IndexKind::HnswSq => 1,
-            _ => return Err(BhError::Internal("hnsw: impossible kind".into())),
-        });
-        hw.put_u64(self.dim as u64);
-        hw.put_u8(metric_to_u8(self.metric));
-        hw.put_u64(self.m as u64);
-        hw.put_u32(self.entry);
-        hw.put_u64(self.max_level as u64);
-        let mut level_counts = Vec::with_capacity(self.n());
-        for per in &self.links {
-            if per.len() > u8::MAX as usize {
-                return Err(BhError::Internal("hnsw: level count exceeds u8".into()));
-            }
-            level_counts.push(per.len() as u8);
-        }
-        hw.put_bytes(&level_counts);
-        let upper = self.upper_nodes();
-        for &node in &upper {
-            let per = &self.links[node as usize];
-            for l in &per[1..] {
-                hw.put_u32_slice(l);
-            }
-        }
-        hw.put_u64_slice(&upper.iter().map(|&u| self.ids[u as usize]).collect::<Vec<_>>());
-        self.store.subset(self.dim, &upper).write(&mut hw);
-
-        let mut bw = Writer::with_header(BODY_MAGIC, TIERED_PART_VERSION);
-        bw.put_u64_slice(&self.ids);
-        for per in &self.links {
-            bw.put_u32_slice(&per[0]);
-        }
-        self.store.write(&mut bw);
-        Ok((hw.finish(), bw.finish()))
-    }
-
-    /// Reconstruct a full index from tiered `(head, body)` sections written
-    /// by [`HnswIndex::save_tiered_parts`].
-    pub fn load_tiered_parts(head: &[u8], body: &[u8]) -> Result<HnswIndex> {
-        let h = HnswHead::parse(head)?;
-        let mut r = Reader::new(body);
-        r.expect_header(BODY_MAGIC)?;
-        let ids = r.get_u64_vec()?;
-        if ids.len() != h.level_counts.len() {
-            return Err(BhError::Serde(format!(
-                "hnsw tiered: head describes {} nodes, body has {}",
-                h.level_counts.len(),
-                ids.len()
-            )));
-        }
-        let n = ids.len();
-        let mut links: Vec<Vec<Vec<u32>>> = Vec::with_capacity(n);
-        for node in 0..n {
-            let mut per = Vec::with_capacity(h.level_counts[node] as usize);
-            per.push(r.get_u32_vec()?);
-            links.push(per);
-        }
-        let store = Store::read(&mut r)?;
-        // Graft the upper levels from the head onto the base layer.
-        for (dense, &node) in h.upper.iter().enumerate() {
-            links[node as usize].extend(h.upper_links[dense].iter().cloned());
-        }
-        for (node, per) in links.iter().enumerate() {
-            if per.len() != h.level_counts[node] as usize {
-                return Err(BhError::Serde("hnsw tiered: level count mismatch".into()));
-            }
-        }
-        let idx = HnswIndex {
-            dim: h.dim,
-            metric: h.metric,
-            kind: h.kind,
-            m: h.m,
-            ids,
-            links,
-            entry: h.entry,
-            max_level: h.max_level,
-            store,
-        };
-        if idx.dim == 0 || (idx.n() > 0 && idx.store.len(idx.dim) != idx.n()) {
-            return Err(BhError::Serde("hnsw tiered: corrupt geometry".into()));
-        }
-        Ok(idx)
-    }
-}
-
-/// Magic for the head section of a tiered HNSW blob.
-const HEAD_MAGIC: &[u8; 4] = b"BHH3";
-/// Magic for the body section of a tiered HNSW blob.
-const BODY_MAGIC: &[u8; 4] = b"BHB3";
-const TIERED_PART_VERSION: u16 = 1;
-
-/// Parsed head section, shared by the full tiered load (which grafts it onto
-/// the body) and the head-only partial load.
-struct HnswHead {
-    kind: IndexKind,
-    dim: usize,
-    metric: Metric,
-    m: usize,
-    entry: u32,
-    max_level: usize,
-    /// Per node (all nodes), its level count + 1.
-    level_counts: Vec<u8>,
-    /// Global node indices of upper nodes, ascending.
-    upper: Vec<u32>,
-    /// Per upper node (dense order), its links for levels 1..=level.
-    upper_links: Vec<Vec<Vec<u32>>>,
-    /// Per upper node, its row id.
-    upper_ids: Vec<u64>,
-    /// Vector payload for the upper nodes only.
-    upper_store: Store,
-}
-
-impl HnswHead {
-    fn parse(head: &[u8]) -> Result<HnswHead> {
-        let mut r = Reader::new(head);
-        r.expect_header(HEAD_MAGIC)?;
-        let kind = match r.get_u8()? {
-            0 => IndexKind::Hnsw,
-            1 => IndexKind::HnswSq,
-            x => return Err(BhError::Serde(format!("hnsw head: bad kind byte {x}"))),
-        };
-        let dim = r.get_u64()? as usize;
-        let metric = metric_from_u8(r.get_u8()?)?;
-        let m = r.get_u64()? as usize;
-        let entry = r.get_u32()?;
-        let max_level = r.get_u64()? as usize;
-        let level_counts = r.get_bytes()?;
-        let upper: Vec<u32> = (0..level_counts.len() as u32)
-            .filter(|&i| level_counts[i as usize] >= 2)
-            .collect();
-        let mut upper_links = Vec::with_capacity(upper.len());
-        for &node in &upper {
-            let levels = level_counts[node as usize] as usize;
-            let mut per = Vec::with_capacity(levels - 1);
-            for _ in 1..levels {
-                per.push(r.get_u32_vec()?);
-            }
-            upper_links.push(per);
-        }
-        let upper_ids = r.get_u64_vec()?;
-        if upper_ids.len() != upper.len() {
-            return Err(BhError::Serde("hnsw head: upper id count mismatch".into()));
-        }
-        let upper_store = Store::read(&mut r)?;
-        if dim == 0 || upper_store.len(dim) != upper.len() {
-            return Err(BhError::Serde("hnsw head: corrupt geometry".into()));
-        }
-        Ok(HnswHead {
-            kind,
-            dim,
-            metric,
-            m,
-            entry,
-            max_level,
-            level_counts,
-            upper,
-            upper_links,
-            upper_ids,
-            upper_store,
-        })
-    }
-}
-
-/// A head-only partial HNSW index: the upper layers (levels ≥ 1) with their
-/// vectors, loadable from ~1/M of the blob bytes. Serves real (approximate)
-/// top-k immediately after a head-sized fetch by running greedy descent plus
-/// a level-1 beam over the upper graph — candidates are genuine rows with
-/// exact (or asymmetric-SQ) distances, just drawn from the upper sample of
-/// the dataset instead of the full base layer.
-pub struct HnswHeadIndex {
-    kind: IndexKind,
-    dim: usize,
-    metric: Metric,
-    entry: u32,
-    max_level: usize,
-    /// Total rows in the full index (reported in meta).
-    total_len: usize,
-    /// Global node index per dense upper slot, ascending.
-    upper: Vec<u32>,
-    /// Global node index → dense upper slot.
-    dense_of: std::collections::HashMap<u32, u32>,
-    /// Per dense slot, links for levels 1..=level (global node refs).
-    links: Vec<Vec<Vec<u32>>>,
-    /// Per dense slot, the row id.
-    ids: Vec<u64>,
-    /// Vector payload, rows addressed by dense slot.
-    store: Store,
-}
-
-impl HnswHeadIndex {
-    /// Deserialize the head section of a tiered HNSW blob into a partial
-    /// index.
-    pub fn load_bytes(head: &[u8]) -> Result<HnswHeadIndex> {
-        let h = HnswHead::parse(head)?;
-        let dense_of = h
-            .upper
-            .iter()
-            .enumerate()
-            .map(|(dense, &node)| (node, dense as u32))
-            .collect();
-        Ok(HnswHeadIndex {
-            kind: h.kind,
-            dim: h.dim,
-            metric: h.metric,
-            entry: h.entry,
-            max_level: h.max_level,
-            total_len: h.level_counts.len(),
-            upper: h.upper,
-            dense_of,
-            links: h.upper_links,
-            ids: h.upper_ids,
-            store: h.upper_store,
-        })
-    }
-
-    /// Number of upper nodes resident in the head.
-    pub fn head_len(&self) -> usize {
-        self.upper.len()
-    }
-
-    /// Beam search over level 1 (the lowest level present in the head),
-    /// entered by greedy descent from the global entry point.
-    fn search_upper(&self, query: &[f32], ef: usize) -> Vec<DistNode> {
-        let Some(&top) = self.dense_of.get(&self.entry) else { return Vec::new() };
-        let entry = descend(self, query, top, self.max_level, 1);
-        beam(self, query, entry, ef, 1, &AdmitAll).0
-    }
-}
-
-/// The head addresses its nodes by dense slot; links still name global
-/// nodes, most of which (everything that lives on level 0 only) it does
-/// not hold.
-impl Graph for HnswHeadIndex {
-    fn node_count(&self) -> usize {
-        self.upper.len()
-    }
-    #[inline]
-    fn links(&self, dense: u32, level: usize) -> &[u32] {
-        // Slot `l - 1` holds level `l`: level 0 stays in the body.
-        let per = &self.links[dense as usize];
-        level.checked_sub(1).and_then(|l| per.get(l)).map_or(&[], Vec::as_slice)
-    }
-    #[inline]
-    fn resolve(&self, link: u32) -> Option<u32> {
-        self.dense_of.get(&link).copied()
-    }
-    #[inline]
-    fn distance(&self, query: &[f32], dense: u32) -> f32 {
-        self.store.distance_to(self.metric, self.dim, query, dense as usize)
-    }
-    #[inline]
-    fn prefetch(&self, dense: u32) {
-        self.store.prefetch_row(self.dim, dense as usize);
-    }
-}
-
-impl VectorIndex for HnswHeadIndex {
-    fn meta(&self) -> IndexMeta {
-        IndexMeta { kind: self.kind, dim: self.dim, metric: self.metric, len: self.total_len }
-    }
-
-    fn search_with_bound(
-        &self,
-        query: &[f32],
-        k: usize,
-        params: &SearchParams,
-        filter: Option<&Bitset>,
-        _bound: Option<&SharedBound>,
-    ) -> Result<Vec<Neighbor>> {
-        self.check_query(query)?;
-        if self.upper.is_empty() || k == 0 {
-            return Ok(Vec::new());
-        }
-        let ef = params.ef_search.max(k);
-        // The head holds only upper layers, too sparse for the Plan D
-        // multi-hop traversal — a filtered head search always uses the
-        // widened beam (selectivity-adaptive, legacy 2x without estimate).
-        let ef = if filter.is_some() { params.widened_ef(ef) } else { ef };
-        let mut tk = TopK::new(k);
-        for c in self.search_upper(query, ef) {
-            let id = self.ids[c.node as usize];
-            if filter.is_some_and(|f| !f.contains(id as usize)) {
-                continue;
-            }
-            tk.push(c.dist, id);
-        }
-        Ok(sorted_neighbors(tk))
-    }
-
-    fn search_iterator<'a>(
-        &'a self,
-        query: &[f32],
-        params: &SearchParams,
-    ) -> Result<Box<dyn SearchIterator + 'a>> {
-        self.check_query(query)?;
-        Ok(Box::new(crate::iterator::GenericSearchIterator::new(self, query, params)))
-    }
-
-    fn needs_refine(&self) -> bool {
-        matches!(self.kind, IndexKind::HnswSq)
-    }
-
-    fn memory_usage(&self) -> usize {
-        let link_bytes: usize = self
-            .links
-            .iter()
-            .map(|per| per.iter().map(|l| l.len() * 4 + 24).sum::<usize>() + 24)
-            .sum();
-        self.store.memory_usage()
-            + link_bytes
-            + self.ids.len() * 8
-            + self.upper.len() * 4
-            + self.dense_of.len() * 12
-            + std::mem::size_of::<Self>()
-    }
-
-    fn save_bytes(&self) -> Result<Bytes> {
-        Err(BhError::Internal("head-only partial index cannot be re-saved".into()))
-    }
-
-    fn is_partial(&self) -> bool {
-        true
-    }
-
-    fn head_servable(&self) -> bool {
-        // A graph with no upper layers (tiny segment) has an empty head;
-        // the caller must brute-force until the body arrives.
-        !self.upper.is_empty()
-    }
 }
 
 impl VectorIndex for HnswIndex {
@@ -974,10 +595,6 @@ impl VectorIndex for HnswIndex {
         }
         self.store.write(&mut w);
         Ok(w.finish())
-    }
-
-    fn save_bytes_tiered(&self) -> Result<Option<(Bytes, Bytes)>> {
-        Ok(Some(self.save_tiered_parts()?))
     }
 }
 
@@ -1307,87 +924,6 @@ mod tests {
     }
 
     #[test]
-    fn tiered_roundtrip_is_bit_identical() {
-        for kind in [IndexKind::Hnsw, IndexKind::HnswSq] {
-            let (hnsw, _, data) = build_pair(600, 12, kind, 7);
-            let whole = hnsw.save_bytes().unwrap();
-            let (head, body) = hnsw.save_bytes_tiered().unwrap().unwrap();
-            let rebuilt = HnswIndex::load_tiered_parts(&head, &body).unwrap();
-            // The reconstructed index must serialize to the exact v2 blob.
-            assert_eq!(rebuilt.save_bytes().unwrap(), whole, "{kind:?}");
-            // And search identically.
-            let params = SearchParams::default().with_ef(64);
-            let a = hnsw.search_with_bound(&data[..12], 10, &params, None, None).unwrap();
-            let b = rebuilt.search_with_bound(&data[..12], 10, &params, None, None).unwrap();
-            assert_eq!(a, b, "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn tiered_head_is_small_and_serves() {
-        let dim = 32;
-        let n = 2000;
-        let (hnsw, flat, data) = build_pair(n, dim, IndexKind::Hnsw, 3);
-        let (head, body) = hnsw.save_bytes_tiered().unwrap().unwrap();
-        let total = head.len() + body.len();
-        assert!(
-            head.len() * 10 <= total,
-            "head {} of {} bytes exceeds 10%",
-            head.len(),
-            total
-        );
-        let partial = HnswHeadIndex::load_bytes(&head).unwrap();
-        assert!(partial.is_partial());
-        assert!(partial.head_servable());
-        assert_eq!(partial.meta().len, n);
-        assert!(partial.head_len() < n / 8, "upper layer unexpectedly large");
-        // Head-only search returns genuine rows with exact distances, drawn
-        // from the upper sample: every hit must match the flat oracle's
-        // distance for that id.
-        let params = SearchParams::default().with_ef(64);
-        let q = &data[..dim];
-        let got = partial.search_with_bound(q, 5, &params, None, None).unwrap();
-        assert!(!got.is_empty(), "head-only search returned nothing");
-        let truth = flat.search_with_bound(q, n, &params, None, None).unwrap();
-        for nb in &got {
-            let t = truth.iter().find(|t| t.id == nb.id).unwrap();
-            assert!(
-                (t.distance - nb.distance).abs() <= 1e-4 * (1.0 + t.distance.abs()),
-                "id {} head distance {} vs exact {}",
-                nb.id,
-                nb.distance,
-                t.distance
-            );
-        }
-    }
-
-    #[test]
-    fn tiered_head_respects_filter() {
-        let (hnsw, _, data) = build_pair(800, 8, IndexKind::Hnsw, 11);
-        let (head, _) = hnsw.save_bytes_tiered().unwrap().unwrap();
-        let partial = HnswHeadIndex::load_bytes(&head).unwrap();
-        let allow = Bitset::from_positions(800, (0..800).step_by(2));
-        let got = partial
-            .search_with_bound(&data[..8], 10, &SearchParams::default(), Some(&allow), None)
-            .unwrap();
-        for nb in got {
-            assert_eq!(nb.id % 2, 0);
-        }
-    }
-
-    #[test]
-    fn tiered_truncated_sections_error() {
-        let (hnsw, _, _) = build_pair(300, 8, IndexKind::Hnsw, 5);
-        let (head, body) = hnsw.save_bytes_tiered().unwrap().unwrap();
-        assert!(HnswHeadIndex::load_bytes(&head[..head.len() - 4]).is_err());
-        assert!(HnswIndex::load_tiered_parts(&head, &body[..body.len() - 4]).is_err());
-        // Mismatched sections (head from a different build) must not load.
-        let (other, _, _) = build_pair(301, 8, IndexKind::Hnsw, 6);
-        let (head2, _) = other.save_bytes_tiered().unwrap().unwrap();
-        assert!(HnswIndex::load_tiered_parts(&head2, &body).is_err());
-    }
-
-    #[test]
     fn recall_floor_vs_flat_oracle() {
         let dim = 16;
         let n = 1500;
@@ -1604,12 +1140,6 @@ mod tests {
         assert_eq!(unflagged[flag], 1);
         unflagged[flag] = 0;
         assert!(matches!(HnswIndex::load_bytes(&unflagged), Err(BhError::Serde(_))));
-        // The tiered sections carry the same store payload.
-        let (head, body) = hnswsq.save_bytes_tiered().unwrap().unwrap();
-        let mut body = body.to_vec();
-        let flag = body.len() - 5;
-        body[flag] = 0;
-        assert!(matches!(HnswIndex::load_tiered_parts(&head, &body), Err(BhError::Serde(_))));
     }
 
     #[test]
@@ -1804,8 +1334,10 @@ mod tests {
     /// Pins what every way of driving the graph returns — ids, distance
     /// bits and visited counts — and the bytes the builder produces, so a
     /// refactor of the beam loop, the descent or the codec shows up as a
-    /// changed constant. The constants were produced by this same test at
-    /// the commit before the four loops became one (CHANGES.md, PR 16).
+    /// changed constant. The blob constants were produced by this same test
+    /// at the commit before the four loops became one (CHANGES.md, PR 16),
+    /// the search constants at the commit before head-only search went
+    /// (PR 19).
     #[test]
     #[cfg_attr(miri, ignore = "two 1,000-row builds at ef_construction 120: hours under Miri")]
     fn golden_traversal_and_blob_identity() {
@@ -1832,7 +1364,6 @@ mod tests {
             assert_eq!(bh.0, want_blob, "{kind:?}: save_bytes blob changed ({:#018x})", bh.0);
 
             let idx = HnswIndex::load_bytes(&blob).unwrap();
-            let head = HnswHeadIndex::load_bytes(&idx.save_tiered_parts().unwrap().0).unwrap();
             let plain = SearchParams::default().with_ef(ef);
             let widened = plain.with_selectivity(0.1);
             let walk = widened.with_filter_traversal(true);
@@ -1860,9 +1391,6 @@ mod tests {
                 );
                 h.word(cands.len() as u64);
                 h.word(visited as u64);
-                // Head-only index, with and without a filter.
-                h.hits(&head.search_with_bound(&qv, k, &plain, None, None).unwrap());
-                h.hits(&head.search_with_bound(&qv, k, &widened, Some(&allow), None).unwrap());
                 // Shared bound: a vacuous one gets published to (raw store
                 // only), a tight one prunes.
                 let open = SharedBound::new();
@@ -1884,9 +1412,9 @@ mod tests {
         }
     }
 
-    const GOLDEN_HNSW_SEARCH: u64 = 0x6445_4f1b_26dd_96e4;
+    const GOLDEN_HNSW_SEARCH: u64 = 0x5d21_7675_47d8_9b50;
     const GOLDEN_HNSW_BLOB: u64 = 0x7cd7_0bbb_2be9_cd60;
-    const GOLDEN_HNSWSQ_SEARCH: u64 = 0xcf22_1ff9_f248_12e2;
+    const GOLDEN_HNSWSQ_SEARCH: u64 = 0x19da_d7fe_0329_76a5;
     const GOLDEN_HNSWSQ_BLOB: u64 = 0x40bc_3e76_e82a_7c15;
 
     #[test]

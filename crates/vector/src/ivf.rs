@@ -306,125 +306,6 @@ impl IvfIndex {
         };
         Ok(IvfIndex { dim, metric, kind, coarse, ids, cells, len })
     }
-
-    fn kind_byte(&self) -> Result<u8> {
-        match self.kind {
-            IndexKind::IvfFlat => Ok(0),
-            IndexKind::IvfPq => Ok(1),
-            IndexKind::IvfPqFs => Ok(2),
-            _ => Err(BhError::Internal("ivf: impossible kind".into())),
-        }
-    }
-
-    /// Serialize as `(head, body)` sections for the v3 tiered container.
-    ///
-    /// The head carries the coarse centroids (plus the PQ codebook and
-    /// margins for quantized payloads) — everything a cold worker needs to
-    /// route queries to cells. The body carries the posting lists: per-cell
-    /// ids and vector/code payloads.
-    pub fn save_tiered_parts(&self) -> Result<(Bytes, Bytes)> {
-        let mut hw = Writer::with_header(HEAD_MAGIC, TIERED_PART_VERSION);
-        hw.put_u8(self.kind_byte()?);
-        hw.put_u64(self.dim as u64);
-        hw.put_u8(metric_to_u8(self.metric));
-        hw.put_u64(self.len as u64);
-        hw.put_u64(self.nlist() as u64);
-        hw.put_f32_slice(&self.coarse.centroids);
-        match &self.cells {
-            Cells::Flat { .. } => hw.put_u8(0),
-            Cells::Pq { pq, margins, .. } => {
-                hw.put_u8(1);
-                pq.save(&mut hw);
-                write_margins(&mut hw, margins);
-            }
-        }
-
-        let mut bw = Writer::with_header(BODY_MAGIC, TIERED_PART_VERSION);
-        for cell in &self.ids {
-            bw.put_u64_slice(cell);
-        }
-        match &self.cells {
-            Cells::Flat { vectors } => {
-                for v in vectors {
-                    bw.put_f32_slice(v);
-                }
-            }
-            Cells::Pq { store, .. } => match store {
-                PqStore::Bytes(codes) => {
-                    for c in codes {
-                        bw.put_bytes(c);
-                    }
-                }
-                PqStore::Blocked(cells) => {
-                    let mut buf = Vec::new();
-                    for c in cells {
-                        buf.clear();
-                        for i in 0..c.len() {
-                            buf.extend(c.code_bytes(i));
-                        }
-                        bw.put_bytes(&buf);
-                    }
-                }
-            },
-        }
-        Ok((hw.finish(), bw.finish()))
-    }
-
-    /// Reconstruct a full index from tiered `(head, body)` sections written
-    /// by [`IvfIndex::save_tiered_parts`].
-    pub fn load_tiered_parts(head: &[u8], body: &[u8]) -> Result<IvfIndex> {
-        let h = IvfHead::parse(head)?;
-        let mut r = Reader::new(body);
-        r.expect_header(BODY_MAGIC)?;
-        let nlist = h.coarse.k;
-        let mut ids = Vec::with_capacity(nlist);
-        for _ in 0..nlist {
-            ids.push(r.get_u64_vec()?);
-        }
-        let len: usize = ids.iter().map(|v| v.len()).sum();
-        if len != h.len {
-            return Err(BhError::Serde(format!(
-                "ivf tiered: head says {} rows, body holds {len}",
-                h.len
-            )));
-        }
-        let cells = match h.payload {
-            IvfHeadPayload::Flat => {
-                let mut vectors = Vec::with_capacity(nlist);
-                for _ in 0..nlist {
-                    vectors.push(r.get_f32_vec()?);
-                }
-                Cells::Flat { vectors }
-            }
-            IvfHeadPayload::Pq { pq, margins } => {
-                let cs = pq.code_size();
-                let mut codes = Vec::with_capacity(nlist);
-                for cell_ids in ids.iter().take(nlist) {
-                    let cell = r.get_bytes()?;
-                    if cell.len() != cell_ids.len() * cs {
-                        return Err(BhError::Serde("ivf tiered: pq cell size mismatch".into()));
-                    }
-                    codes.push(cell);
-                }
-                let store = match pq.bits() {
-                    CodeBits::B8 => PqStore::Bytes(codes),
-                    CodeBits::B4 => {
-                        let mut blocked = Vec::with_capacity(nlist);
-                        for cell in &codes {
-                            let mut fc = FastScanCodes::new(cs);
-                            for code in cell.chunks_exact(cs) {
-                                fc.push(code)?;
-                            }
-                            blocked.push(fc);
-                        }
-                        PqStore::Blocked(blocked)
-                    }
-                };
-                Cells::Pq { pq, store, margins }
-            }
-        };
-        Ok(IvfIndex { dim: h.dim, metric: h.metric, kind: h.kind, coarse: h.coarse, ids, cells, len })
-    }
 }
 
 /// The margin section: a presence flag (always 1 — the flag byte survives
@@ -444,126 +325,6 @@ fn read_margins(r: &mut Reader<'_>, pq: &Pq) -> Result<Vec<f32>> {
             Ok(mg)
         }
         x => Err(BhError::Serde(format!("ivf: bad margin flag {x}"))),
-    }
-}
-
-/// Magic for the head section of a tiered IVF blob.
-const HEAD_MAGIC: &[u8; 4] = b"BHIH";
-/// Magic for the body section of a tiered IVF blob.
-const BODY_MAGIC: &[u8; 4] = b"BHIB";
-const TIERED_PART_VERSION: u16 = 1;
-
-enum IvfHeadPayload {
-    Flat,
-    Pq { pq: Pq, margins: Vec<f32> },
-}
-
-/// Parsed head section of a tiered IVF blob.
-struct IvfHead {
-    kind: IndexKind,
-    dim: usize,
-    metric: Metric,
-    len: usize,
-    coarse: KMeans,
-    payload: IvfHeadPayload,
-}
-
-impl IvfHead {
-    fn parse(head: &[u8]) -> Result<IvfHead> {
-        let mut r = Reader::new(head);
-        r.expect_header(HEAD_MAGIC)?;
-        let kind = match r.get_u8()? {
-            0 => IndexKind::IvfFlat,
-            1 => IndexKind::IvfPq,
-            2 => IndexKind::IvfPqFs,
-            x => return Err(BhError::Serde(format!("ivf head: bad kind byte {x}"))),
-        };
-        let dim = r.get_u64()? as usize;
-        let metric = metric_from_u8(r.get_u8()?)?;
-        let len = r.get_u64()? as usize;
-        let nlist = r.get_u64()? as usize;
-        let centroids = r.get_f32_vec()?;
-        if dim == 0 || centroids.len() != nlist * dim {
-            return Err(BhError::Serde("ivf head: corrupt centroids".into()));
-        }
-        let coarse = KMeans { dim, k: nlist, centroids };
-        let payload = match r.get_u8()? {
-            0 => IvfHeadPayload::Flat,
-            1 => {
-                let pq = Pq::load(&mut r)?;
-                let margins = read_margins(&mut r, &pq)?;
-                IvfHeadPayload::Pq { pq, margins }
-            }
-            x => return Err(BhError::Serde(format!("ivf head: bad payload byte {x}"))),
-        };
-        Ok(IvfHead { kind, dim, metric, len, coarse, payload })
-    }
-}
-
-/// A head-only partial IVF index: coarse centroids (and PQ codebook) without
-/// posting lists. It cannot serve searches by itself —
-/// [`VectorIndex::head_servable`] is `false`, so cold workers brute-force
-/// scan until the body arrives — but loading it warms the routing structures
-/// and pins the codebook while the posting lists stream in.
-pub struct IvfHeadIndex {
-    kind: IndexKind,
-    dim: usize,
-    metric: Metric,
-    len: usize,
-    coarse: KMeans,
-}
-
-impl IvfHeadIndex {
-    /// Deserialize the head section of a tiered IVF blob.
-    pub fn load_bytes(head: &[u8]) -> Result<IvfHeadIndex> {
-        let h = IvfHead::parse(head)?;
-        Ok(IvfHeadIndex { kind: h.kind, dim: h.dim, metric: h.metric, len: h.len, coarse: h.coarse })
-    }
-
-    /// Number of coarse cells resident in the head.
-    pub fn nlist(&self) -> usize {
-        self.coarse.k
-    }
-}
-
-impl VectorIndex for IvfHeadIndex {
-    fn meta(&self) -> IndexMeta {
-        IndexMeta { kind: self.kind, dim: self.dim, metric: self.metric, len: self.len }
-    }
-
-    fn search_with_bound(
-        &self,
-        query: &[f32],
-        _k: usize,
-        _params: &SearchParams,
-        _filter: Option<&Bitset>,
-        _bound: Option<&SharedBound>,
-    ) -> Result<Vec<Neighbor>> {
-        self.check_query(query)?;
-        // Posting lists are not resident; there is nothing to return. The
-        // caller gates on `head_servable()` and brute-forces instead.
-        Ok(Vec::new())
-    }
-
-    fn search_iterator<'a>(
-        &'a self,
-        query: &[f32],
-        params: &SearchParams,
-    ) -> Result<Box<dyn SearchIterator + 'a>> {
-        self.check_query(query)?;
-        Ok(Box::new(crate::iterator::GenericSearchIterator::new(self, query, params)))
-    }
-
-    fn memory_usage(&self) -> usize {
-        self.coarse.centroids.len() * 4 + std::mem::size_of::<Self>()
-    }
-
-    fn save_bytes(&self) -> Result<Bytes> {
-        Err(BhError::Internal("head-only partial index cannot be re-saved".into()))
-    }
-
-    fn is_partial(&self) -> bool {
-        true
     }
 }
 
@@ -707,10 +468,6 @@ impl VectorIndex for IvfIndex {
             }
         }
         Ok(w.finish())
-    }
-
-    fn save_bytes_tiered(&self) -> Result<Option<(Bytes, Bytes)>> {
-        Ok(Some(self.save_tiered_parts()?))
     }
 }
 
@@ -1088,50 +845,6 @@ mod tests {
     }
 
     #[test]
-    fn tiered_roundtrip_is_bit_identical() {
-        for kind in [IndexKind::IvfFlat, IndexKind::IvfPq, IndexKind::IvfPqFs] {
-            let (ivf, _, data) = build(kind, 400, 8, 8, Metric::L2, 9);
-            let whole = ivf.save_bytes().unwrap();
-            let (head, body) = ivf.save_bytes_tiered().unwrap().unwrap();
-            let rebuilt = IvfIndex::load_tiered_parts(&head, &body).unwrap();
-            assert_eq!(rebuilt.save_bytes().unwrap(), whole, "{kind:?}");
-            let params = SearchParams::default().with_nprobe(8);
-            let a = ivf.search_with_bound(&data[..8], 10, &params, None, None).unwrap();
-            let b = rebuilt.search_with_bound(&data[..8], 10, &params, None, None).unwrap();
-            assert_eq!(a, b, "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn tiered_head_loads_but_is_not_servable() {
-        let (ivf, _, data) = build(IndexKind::IvfFlat, 500, 8, 10, Metric::L2, 4);
-        let (head, body) = ivf.save_bytes_tiered().unwrap().unwrap();
-        // Centroid-only head is a small fraction of the blob.
-        assert!(head.len() * 5 <= head.len() + body.len());
-        let partial = IvfHeadIndex::load_bytes(&head).unwrap();
-        assert!(partial.is_partial());
-        assert!(!partial.head_servable(), "IVF head holds no rows");
-        assert_eq!(partial.meta().len, 500);
-        assert_eq!(partial.nlist(), 10);
-        // Searches are well-formed but empty (caller brute-forces instead).
-        let got =
-            partial.search_with_bound(&data[..8], 5, &SearchParams::default(), None, None).unwrap();
-        assert!(got.is_empty());
-        // Dimension checks still apply.
-        let short = partial.search_with_bound(&[0.0; 3], 5, &SearchParams::default(), None, None);
-        assert!(short.is_err());
-    }
-
-    #[test]
-    fn tiered_mismatched_sections_error() {
-        let (a, _, _) = build(IndexKind::IvfFlat, 300, 8, 8, Metric::L2, 1);
-        let (b, _, _) = build(IndexKind::IvfFlat, 301, 8, 8, Metric::L2, 2);
-        let (head_a, _) = a.save_bytes_tiered().unwrap().unwrap();
-        let (_, body_b) = b.save_bytes_tiered().unwrap().unwrap();
-        assert!(IvfIndex::load_tiered_parts(&head_a, &body_b).is_err());
-    }
-
-    #[test]
     fn ivfflat_recall_with_full_probe_is_exact() {
         let dim = 8;
         let (ivf, flat, data) = build(IndexKind::IvfFlat, 1000, dim, 16, Metric::L2, 1);
@@ -1310,12 +1023,6 @@ mod tests {
         assert_eq!(unflagged[flag], 1);
         unflagged[flag] = 0;
         assert!(matches!(IvfIndex::load_bytes(&unflagged), Err(BhError::Serde(_))));
-        // The tiered head carries the same section, ending the head.
-        let (head, body) = ivf.save_bytes_tiered().unwrap().unwrap();
-        let mut head = head.to_vec();
-        let flag = head.len() - (1 + 8 + 4 * 2);
-        head[flag] = 0;
-        assert!(matches!(IvfIndex::load_tiered_parts(&head, &body), Err(BhError::Serde(_))));
     }
 
     proptest! {
@@ -1378,13 +1085,12 @@ mod tests {
     }
 
     /// Pins the bytes the IVF build path produces — coarse k-means, residual
-    /// pass, PQ training, encoding, margins, both serializations — so that
-    /// a faster build shows up as an unchanged constant. One FNV-1a per
-    /// build over `save_bytes()` followed by the tiered head and body. The
-    /// constants were produced by this same test at the commit before the
-    /// nearest-centroid kernel and the subspace fan-out (CHANGES.md, PR 17),
-    /// once per kernel tier (the coarse quantizer's dim-64 distances follow
-    /// the tier's summation order; NEON's were never produced).
+    /// pass, PQ training, encoding, margins, serialization — so that a
+    /// faster build shows up as an unchanged constant. One FNV-1a per build
+    /// over `save_bytes()`. The constants were produced by this same test
+    /// at the commit before the head + body container went (CHANGES.md,
+    /// PR 19), once per kernel tier (the coarse quantizer's dim-64 distances
+    /// follow the tier's summation order; NEON's were never produced).
     #[test]
     #[cfg_attr(miri, ignore = "twenty IVF builds, up to 4,096 rows x 256 centroids: hours")]
     fn golden_build_blob_identity() {
@@ -1410,9 +1116,6 @@ mod tests {
             let idx = (b as Box<dyn IndexBuilder>).finish().unwrap();
             let mut h = 0xcbf2_9ce4_8422_2325u64;
             fnv1a(&mut h, &idx.save_bytes().unwrap());
-            let (head, body) = idx.save_bytes_tiered().unwrap().unwrap();
-            fnv1a(&mut h, &head);
-            fnv1a(&mut h, &body);
             if h != want[tier] {
                 changed.push(format!("{kind:?} {metric:?} rows {rows} pq_m {pq_m}: {h:#018x}"));
             }
@@ -1442,7 +1145,7 @@ mod tests {
                     b.add_with_ids(&data[split * dim..], &ids[split..]).unwrap();
                     let idx = (b as Box<dyn IndexBuilder>).finish().unwrap();
                     assert_eq!(idx.meta().len, rows);
-                    (idx.save_bytes().unwrap(), idx.save_bytes_tiered().unwrap())
+                    idx.save_bytes().unwrap()
                 })
                 .collect();
             assert!(blobs.windows(2).all(|w| w[0] == w[1]), "{kind:?}: bytes depend on the pool");
@@ -1453,26 +1156,26 @@ mod tests {
     /// `dsub` = 8, the width the batched per-row kernels keep serving.
     #[rustfmt::skip]
     const GOLDEN_BUILDS: &[(IndexKind, Metric, usize, usize, [u64; 2])] = &[
-        (IndexKind::IvfFlat, Metric::L2, 32, 0, [0x9b33_27c1_cc47_1b96, 0x9b33_27c1_cc47_1b96]),
-        (IndexKind::IvfFlat, Metric::L2, 512, 0, [0x06a4_3094_e18a_79e4, 0x06a4_3094_e18a_79e4]),
-        (IndexKind::IvfFlat, Metric::L2, 4096, 0, [0xa929_07c8_e534_e06c, 0xa929_07c8_e534_e06c]),
-        (IndexKind::IvfFlat, Metric::Cosine, 32, 0, [0x4abc_bdba_d1f2_ae2c, 0x7d46_9801_1873_d3f8]),
-        (IndexKind::IvfFlat, Metric::Cosine, 512, 0, [0x7656_fe53_63f5_52fc, 0x0bed_7717_1e2f_474c]),
-        (IndexKind::IvfFlat, Metric::Cosine, 4096, 0, [0x6b91_7f38_7339_c6a8, 0x6b88_353d_42ae_fd78]),
-        (IndexKind::IvfPq, Metric::L2, 32, 0, [0x59d1_7969_8bc9_97ee, 0x59d1_7969_8bc9_97ee]),
-        (IndexKind::IvfPq, Metric::L2, 512, 0, [0x4606_f867_2367_0b3c, 0x4606_f867_2367_0b3c]),
-        (IndexKind::IvfPq, Metric::L2, 4096, 0, [0xa28e_bb8b_5b71_eb1e, 0xa28e_bb8b_5b71_eb1e]),
-        (IndexKind::IvfPq, Metric::Cosine, 32, 0, [0x6d8a_173b_93f5_a8b2, 0xd811_eafb_72fe_ba92]),
-        (IndexKind::IvfPq, Metric::Cosine, 512, 0, [0x0326_03dc_6657_574e, 0xd5e2_eb13_9a6d_d81e]),
-        (IndexKind::IvfPq, Metric::Cosine, 4096, 0, [0x3588_7525_fea6_1eba, 0x5a3e_0322_21c0_de1a]),
-        (IndexKind::IvfPqFs, Metric::L2, 32, 0, [0x9764_9f03_eadf_2c84, 0x9764_9f03_eadf_2c84]),
-        (IndexKind::IvfPqFs, Metric::L2, 512, 0, [0x9675_3247_78d7_08f6, 0x9675_3247_78d7_08f6]),
-        (IndexKind::IvfPqFs, Metric::L2, 4096, 0, [0x91b5_58ce_d4c6_f8b2, 0x91b5_58ce_d4c6_f8b2]),
-        (IndexKind::IvfPqFs, Metric::Cosine, 32, 0, [0xca73_f4b6_068e_e978, 0x6ba3_6f77_61a2_acec]),
-        (IndexKind::IvfPqFs, Metric::Cosine, 512, 0, [0xc81e_7c3f_643c_3682, 0x2e01_80fe_40ce_bc72]),
-        (IndexKind::IvfPqFs, Metric::Cosine, 4096, 0, [0xfe77_4966_8a47_4234, 0xbf73_b12e_e5bd_d7a0]),
-        (IndexKind::IvfPq, Metric::L2, 512, 8, [0xad21_729a_9853_5f82, 0xea17_21ac_a1e8_17be]),
-        (IndexKind::IvfPqFs, Metric::Cosine, 512, 8, [0x7683_58c9_2c3f_9b78, 0x89c9_dff2_9cff_3834]),
+        (IndexKind::IvfFlat, Metric::L2, 32, 0, [0x7fde_7461_4e38_9805, 0x7fde_7461_4e38_9805]),
+        (IndexKind::IvfFlat, Metric::L2, 512, 0, [0x229a_9411_fccf_4812, 0x229a_9411_fccf_4812]),
+        (IndexKind::IvfFlat, Metric::L2, 4096, 0, [0x8b1a_5fe3_eb6a_a17d, 0x8b1a_5fe3_eb6a_a17d]),
+        (IndexKind::IvfFlat, Metric::Cosine, 32, 0, [0x8d93_4718_1406_3a8e, 0xa242_c942_9dd2_6988]),
+        (IndexKind::IvfFlat, Metric::Cosine, 512, 0, [0x2392_5e7a_57a6_99be, 0x9d4c_a1a0_54ad_0b0e]),
+        (IndexKind::IvfFlat, Metric::Cosine, 4096, 0, [0xb66f_6006_794b_24cf, 0xcc48_85a1_2149_bb29]),
+        (IndexKind::IvfPq, Metric::L2, 32, 0, [0xe4bb_6afa_9bb4_2ecf, 0xe4bb_6afa_9bb4_2ecf]),
+        (IndexKind::IvfPq, Metric::L2, 512, 0, [0x75da_10b9_b649_d3a8, 0x75da_10b9_b649_d3a8]),
+        (IndexKind::IvfPq, Metric::L2, 4096, 0, [0xfdac_52aa_9c36_ede6, 0xfdac_52aa_9c36_ede6]),
+        (IndexKind::IvfPq, Metric::Cosine, 32, 0, [0x6b5a_c9a7_9360_b29a, 0x67d9_8e47_35f9_185d]),
+        (IndexKind::IvfPq, Metric::Cosine, 512, 0, [0xd885_26c1_fd25_af9d, 0x6c4a_f098_0152_2d76]),
+        (IndexKind::IvfPq, Metric::Cosine, 4096, 0, [0x94ce_e928_c18b_641b, 0xb41a_3477_2916_22fc]),
+        (IndexKind::IvfPqFs, Metric::L2, 32, 0, [0xe7f3_9f7e_4e3e_f24f, 0xe7f3_9f7e_4e3e_f24f]),
+        (IndexKind::IvfPqFs, Metric::L2, 512, 0, [0xca9f_c762_3b0e_3f3a, 0xca9f_c762_3b0e_3f3a]),
+        (IndexKind::IvfPqFs, Metric::L2, 4096, 0, [0x5f12_247a_f51e_7286, 0x5f12_247a_f51e_7286]),
+        (IndexKind::IvfPqFs, Metric::Cosine, 32, 0, [0x01bf_5405_96ad_0760, 0x5708_f547_1b75_4a06]),
+        (IndexKind::IvfPqFs, Metric::Cosine, 512, 0, [0x7ffc_9e61_b9f5_e9c0, 0xb916_afd8_00ab_5f17]),
+        (IndexKind::IvfPqFs, Metric::Cosine, 4096, 0, [0x71d1_2572_d287_8c63, 0xda64_a2d8_16da_ed62]),
+        (IndexKind::IvfPq, Metric::L2, 512, 8, [0x3a50_f959_9cb4_42c5, 0xf6ad_7a4d_22e7_2bec]),
+        (IndexKind::IvfPqFs, Metric::Cosine, 512, 8, [0x4946_dc2d_ce54_f929, 0x7dc9_f69f_35d4_a46d]),
     ];
 
     #[test]

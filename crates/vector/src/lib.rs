@@ -9,7 +9,7 @@
 //!   [`VectorIndex::search_iterator`].
 //! * **Storage-layer interfaces**: `CreateIndex` ([`registry::IndexRegistry::create_builder`]),
 //!   `Train` / `AddWithIds` ([`IndexBuilder`]), and `SaveIndex` / `LoadIndex`
-//!   ([`VectorIndex::save_bytes`] / [`registry::IndexRegistry::load`]).
+//!   ([`VectorIndex::save_bytes`] / [`registry::IndexRegistry::load_blob`]).
 //!
 //! ## Index types
 //!
@@ -45,7 +45,6 @@ pub mod kmeans;
 pub mod quant;
 pub mod recall;
 pub mod registry;
-pub mod tiered;
 pub mod types;
 pub mod vamana;
 

@@ -37,34 +37,6 @@ pub trait IndexFactory: Send + Sync {
 
     /// `LoadIndex`: deserialize a previously saved index of `kind`.
     fn load(&self, kind: IndexKind, bytes: &[u8]) -> Result<Arc<dyn VectorIndex>>;
-
-    /// Deserialize only the head section of a v3 tiered blob into a partial
-    /// index ([`VectorIndex::is_partial`]). Factories without tiered support
-    /// keep the default error; the caller then falls back to a full load.
-    fn load_head(&self, kind: IndexKind, head: &[u8]) -> Result<Arc<dyn VectorIndex>> {
-        let _ = head;
-        Err(BhError::InvalidArgument(format!(
-            "{} does not support tiered loading of {}",
-            self.library(),
-            kind.name()
-        )))
-    }
-
-    /// Deserialize head + body sections of a v3 tiered blob into a full
-    /// index, equivalent to loading the legacy whole blob.
-    fn load_tiered(
-        &self,
-        kind: IndexKind,
-        head: &[u8],
-        body: &[u8],
-    ) -> Result<Arc<dyn VectorIndex>> {
-        let _ = (head, body);
-        Err(BhError::InvalidArgument(format!(
-            "{} does not support tiered loading of {}",
-            self.library(),
-            kind.name()
-        )))
-    }
 }
 
 /// Built-in factory standing in for hnswlib.
@@ -86,19 +58,6 @@ impl IndexFactory for HnswlibFactory {
 
     fn load(&self, _kind: IndexKind, bytes: &[u8]) -> Result<Arc<dyn VectorIndex>> {
         Ok(Arc::new(HnswIndex::load_bytes(bytes)?))
-    }
-
-    fn load_head(&self, _kind: IndexKind, head: &[u8]) -> Result<Arc<dyn VectorIndex>> {
-        Ok(Arc::new(crate::hnsw::HnswHeadIndex::load_bytes(head)?))
-    }
-
-    fn load_tiered(
-        &self,
-        _kind: IndexKind,
-        head: &[u8],
-        body: &[u8],
-    ) -> Result<Arc<dyn VectorIndex>> {
-        Ok(Arc::new(HnswIndex::load_tiered_parts(head, body)?))
     }
 }
 
@@ -133,29 +92,6 @@ impl IndexFactory for FaissFactory {
         match kind {
             IndexKind::Flat => Ok(Arc::new(FlatIndex::load_bytes(bytes)?)),
             _ => Ok(Arc::new(IvfIndex::load_bytes(bytes)?)),
-        }
-    }
-
-    fn load_head(&self, kind: IndexKind, head: &[u8]) -> Result<Arc<dyn VectorIndex>> {
-        match kind {
-            IndexKind::Flat => Err(BhError::InvalidArgument(
-                "FLAT indexes have no tiered form".into(),
-            )),
-            _ => Ok(Arc::new(crate::ivf::IvfHeadIndex::load_bytes(head)?)),
-        }
-    }
-
-    fn load_tiered(
-        &self,
-        kind: IndexKind,
-        head: &[u8],
-        body: &[u8],
-    ) -> Result<Arc<dyn VectorIndex>> {
-        match kind {
-            IndexKind::Flat => Err(BhError::InvalidArgument(
-                "FLAT indexes have no tiered form".into(),
-            )),
-            _ => Ok(Arc::new(IvfIndex::load_tiered_parts(head, body)?)),
         }
     }
 }
@@ -237,36 +173,11 @@ impl IndexRegistry {
         self.factory_for(spec.kind)?.create_builder(spec)
     }
 
-    /// `LoadIndex` entry point. Accepts both legacy whole-index blobs and v3
-    /// tiered containers (sniffed by magic), so callers never need to know
-    /// which format a segment was persisted with.
-    pub fn load(&self, kind: IndexKind, bytes: &[u8]) -> Result<Arc<dyn VectorIndex>> {
-        let factory = self.factory_for(kind)?;
-        if crate::tiered::is_tiered(bytes) {
-            let blob = Bytes::copy_from_slice(bytes);
-            let (head, body) = crate::tiered::split(&blob)?;
-            return factory.load_tiered(kind, &head, &body);
-        }
-        factory.load(kind, bytes)
-    }
-
-    /// Zero-copy variant of [`IndexRegistry::load`] for callers that already
-    /// hold the blob as [`Bytes`].
+    /// `LoadIndex` entry point: hand `blob` to the factory registered for
+    /// `kind`. A blob of another format (or a truncated one) is an error of
+    /// the kind's own reader.
     pub fn load_blob(&self, kind: IndexKind, blob: &Bytes) -> Result<Arc<dyn VectorIndex>> {
-        let factory = self.factory_for(kind)?;
-        if crate::tiered::is_tiered(blob) {
-            let (head, body) = crate::tiered::split(blob)?;
-            return factory.load_tiered(kind, &head, &body);
-        }
-        factory.load(kind, blob)
-    }
-
-    /// Load a head-only partial index from a container prefix range-fetch
-    /// (at least `SegmentMeta::index_head_bytes` bytes of the blob). The
-    /// result has [`VectorIndex::is_partial`] `== true`.
-    pub fn load_head(&self, kind: IndexKind, prefix: &Bytes) -> Result<Arc<dyn VectorIndex>> {
-        let head = crate::tiered::head_from_prefix(prefix)?;
-        self.factory_for(kind)?.load_head(kind, &head)
+        self.factory_for(kind)?.load(kind, blob)
     }
 }
 
@@ -297,7 +208,7 @@ mod tests {
         let reg = IndexRegistry::empty();
         let spec = IndexSpec::new(IndexKind::Flat, 4, Metric::L2);
         assert!(reg.create_builder(&spec).is_err());
-        assert!(reg.load(IndexKind::Flat, &[]).is_err());
+        assert!(reg.load_blob(IndexKind::Flat, &Bytes::new()).is_err());
     }
 
     #[test]
@@ -317,57 +228,23 @@ mod tests {
             let idx = b.finish().unwrap();
             assert_eq!(idx.meta().len, n, "{kind:?}");
             let blob = idx.save_bytes().unwrap();
-            let loaded = reg.load(kind, &blob).unwrap();
+            let loaded = reg.load_blob(kind, &blob).unwrap();
             assert_eq!(loaded.meta().kind, kind);
             let got = loaded
                 .search_with_bound(&data[0..dim], 3, &SearchParams::default(), None, None)
                 .unwrap();
             assert!(!got.is_empty(), "{kind:?} returned nothing");
+
+            // Bytes of another format and a cut-off blob are errors of the
+            // kind's reader. `BHT3` is the retired head + body container.
+            let mut framed = b"BHT3".to_vec();
+            framed.extend_from_slice(&blob);
+            assert!(
+                matches!(reg.load_blob(kind, &Bytes::from(framed)), Err(BhError::Serde(_))),
+                "{kind:?}"
+            );
+            assert!(reg.load_blob(kind, &blob.slice(..blob.len() - 3)).is_err(), "{kind:?}");
         }
-    }
-
-    #[test]
-    fn tiered_blobs_load_via_registry() {
-        let reg = IndexRegistry::with_builtins();
-        let dim = 16;
-        let n = 400;
-        let data: Vec<f32> = (0..n * dim).map(|i| ((i * 37) % 100) as f32 / 10.0).collect();
-        let ids: Vec<u64> = (0..n as u64).collect();
-        for kind in [IndexKind::Hnsw, IndexKind::IvfFlat, IndexKind::IvfPq] {
-            let spec = IndexSpec::new(kind, dim, Metric::L2).with_param("nlist", 8);
-            let mut b = reg.create_builder(&spec).unwrap();
-            if b.requires_training() {
-                b.train(&data).unwrap();
-            }
-            b.add_with_ids(&data, &ids).unwrap();
-            let idx = b.finish().unwrap();
-            let (head, body) = idx.save_bytes_tiered().unwrap().expect("tiered support");
-            let framed = crate::tiered::frame(&head, &body);
-
-            // The full tiered container loads to an equivalent index.
-            let full = reg.load(kind, &framed).unwrap();
-            assert!(!full.is_partial(), "{kind:?}");
-            let params = SearchParams::default().with_nprobe(8);
-            let want = idx.search_with_bound(&data[0..dim], 5, &params, None, None).unwrap();
-            let got = full.search_with_bound(&data[0..dim], 5, &params, None, None).unwrap();
-            assert_eq!(want, got, "{kind:?}");
-
-            // A head-only prefix loads to a partial index.
-            let prefix_len = crate::tiered::head_prefix_len(head.len() as u64) as usize;
-            let prefix = framed.slice(0..prefix_len);
-            let partial = reg.load_head(kind, &prefix).unwrap();
-            assert!(partial.is_partial(), "{kind:?}");
-            assert_eq!(partial.meta().len, n, "{kind:?}");
-        }
-
-        // FLAT has no tiered form: declines the split, still loads whole blobs.
-        let spec = IndexSpec::new(IndexKind::Flat, dim, Metric::L2);
-        let mut b = reg.create_builder(&spec).unwrap();
-        b.add_with_ids(&data, &ids).unwrap();
-        let idx = b.finish().unwrap();
-        assert!(idx.save_bytes_tiered().unwrap().is_none());
-        let blob = idx.save_bytes().unwrap();
-        assert!(reg.load(IndexKind::Flat, &blob).is_ok());
     }
 
     /// A custom single-kind factory demonstrating third-party pluggability.
@@ -440,7 +317,7 @@ mod tests {
         // Other kinds untouched.
         assert_eq!(reg.provider(IndexKind::Hnsw), Some("bh-hnswlib"));
         // And the new provider actually serves loads.
-        let idx = reg.load(IndexKind::Flat, &[]).unwrap();
+        let idx = reg.load_blob(IndexKind::Flat, &Bytes::new()).unwrap();
         let got = idx.search_with_bound(&[0.0; 4], 1, &SearchParams::default(), None, None).unwrap();
         assert_eq!(got[0].id, 99);
     }

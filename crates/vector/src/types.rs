@@ -431,31 +431,6 @@ pub trait VectorIndex: Send + Sync {
     /// `SaveIndex`: serialize to a self-describing binary blob.
     fn save_bytes(&self) -> Result<Bytes>;
 
-    /// Serialize as separate `(head, body)` sections for the v3 tiered
-    /// container: the head alone must be loadable via
-    /// [`crate::registry::IndexFactory::load_head`] into a partial index, and
-    /// head + body via `load_tiered` into an index equivalent to `self`.
-    /// `Ok(None)` (the default) means the kind has no tiered form and is
-    /// persisted as a legacy whole blob.
-    fn save_bytes_tiered(&self) -> Result<Option<(Bytes, Bytes)>> {
-        Ok(None)
-    }
-
-    /// Whether this is a head-only partial index (body not yet loaded).
-    /// Partial indexes serve from the resident head; rows only reachable
-    /// through the missing body are not returned.
-    fn is_partial(&self) -> bool {
-        false
-    }
-
-    /// Whether a head-only load of this index can serve useful approximate
-    /// searches by itself (true for HNSW: upper layers contain real vectors;
-    /// false for IVF: centroids alone locate cells but hold no rows, so the
-    /// caller should brute-force until the posting lists arrive).
-    fn head_servable(&self) -> bool {
-        !self.is_partial()
-    }
-
     /// Validate a query vector against the index dimension.
     fn check_query(&self, query: &[f32]) -> Result<()> {
         let dim = self.meta().dim;

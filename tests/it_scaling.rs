@@ -64,14 +64,13 @@ fn moved_segments_are_loaded_overlapped_never_brute_forced() {
     // Warm queries on 1 worker.
     let baselines: Vec<_> = sqls.iter().map(|s| search(&db, s).rows()).collect();
     let counter = |name: &str| db.metrics().counter_value(name);
-    let approximate = ["worker.brute_force", "worker.head_search"];
-    let before = approximate.map(counter);
+    let before = counter("worker.brute_force");
 
     // Scale up step by step, querying between steps. A `Database`'s store
     // can defer, so a statement that finds a moved segment cold on its new
     // owner starts that index's transfer with all the others it needs and
-    // answers from the full index (DESIGN.md §11.3) — never by brute force
-    // or from a head. (On a store that cannot defer the previous owner
+    // answers from the full index (DESIGN.md §11.3) — never by brute
+    // force. (On a store that cannot defer the previous owner
     // serves it via RPC, Fig. 4: `bh-cluster`'s and `bh-query`'s tests.)
     let segments = db.table("bench").unwrap().segments();
     for _ in 0..4 {
@@ -80,7 +79,7 @@ fn moved_segments_are_loaded_overlapped_never_brute_forced() {
             assert_eq!(search(&db, sql).rows().rows, base.rows, "scale-up changed results");
         }
     }
-    assert_eq!(approximate.map(counter), before, "a moved segment got an approximate answer");
+    assert_eq!(counter("worker.brute_force"), before, "a moved segment was brute-forced");
     assert!(counter("query.index_prefetches") > 0, "moved segments load by overlapped transfer");
 }
 
