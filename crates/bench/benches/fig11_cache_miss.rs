@@ -15,7 +15,7 @@ use bh_storage::objectstore::InMemoryObjectStore;
 use bh_storage::schema::TableSchema;
 use bh_storage::table::{TableStore, TableStoreConfig};
 use bh_storage::value::{ColumnType, Value};
-use bh_vector::{IndexKind, IndexRegistry, Metric, SearchParams};
+use bh_vector::{IndexKind, IndexRegistry, Metric, SearchParams, VectorIndex};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -76,11 +76,14 @@ fn main() {
     let params = SearchParams::default().with_ef(64);
     let rpc = LatencyModel::fixed(Duration::from_micros(50));
 
+    // The three answers `VirtualWarehouse::segment_index` can resolve to, each
+    // through the entry it ends in.
+    let top10 =
+        |idx: &dyn VectorIndex, q: &[f32]| idx.search_with_bound(q, 10, &params, None, None);
     let mut qi = 0;
     let local = measure_latency(64, || {
-        std::hint::black_box(
-            warm.search_segment(&table, &meta, &q[qi % q.len()], 10, &params, None).unwrap(),
-        );
+        let idx = warm.index_handle(&meta).unwrap().expect("the segment has an index");
+        std::hint::black_box(top10(idx.as_ref(), &q[qi % q.len()]).unwrap());
         qi += 1;
     });
 
@@ -88,16 +91,15 @@ fn main() {
     let serving = measure_latency(64, || {
         // The newcomer charges the RPC and the previous owner answers.
         cold.charge_rpc(&rpc, data.dim() * 4);
-        std::hint::black_box(
-            warm.serve_remote_search(&meta, &q[qi % q.len()], 10, &params, None, None).unwrap(),
-        );
+        std::hint::black_box(warm.serve_remote(&meta, |idx| top10(idx, &q[qi % q.len()])).unwrap());
         qi += 1;
     });
 
     let mut qi = 0;
     let brute = measure_latency(8, || {
         std::hint::black_box(
-            cold.brute_force_segment(&table, &meta, &q[qi % q.len()], 10, None).unwrap(),
+            cold.brute_force_segment_bounded(&table, &meta, &q[qi % q.len()], 10, None, None)
+                .unwrap(),
         );
         qi += 1;
     });

@@ -11,11 +11,16 @@
 //! each scale step pays a window of brute-force fallbacks (the dip the
 //! paper contrasts against Manu's load-and-wait behaviour).
 //!
-//! Since the engine has one cold contract (DESIGN.md §11.3) a statement
-//! through `db.execute` — whose store defers transfers — loads a moved
+//! What a moved segment is answered from is one decision,
+//! `VirtualWarehouse::segment_index` (DESIGN.md §11.3), and a transfer in
+//! flight comes before a serving peer in it. A statement through
+//! `db.execute` — whose store defers transfers — therefore loads a moved
 //! segment's index overlapped and waits for it, with serving on or off, so
-//! the two columns no longer differ here; the serving path itself is
-//! exercised at the VW level (`bh-cluster`) and on blocking stores.
+//! the two columns do not differ here; serving through the engine is
+//! exercised on blocking stores (`exec.rs`,
+//! `moved_segment_is_served_by_its_previous_owner_on_a_blocking_store`).
+//! Racing the serving RPC against the transfer would be one more arm of
+//! that function (ROADMAP "One cold path").
 
 use bh_bench::datasets::DatasetSpec;
 use bh_bench::harness::{print_table, CpuPool};

@@ -9,10 +9,12 @@
 //!   the one source of truth for ownership; `owners` memoises its answers
 //!   and is wiped inside every critical section that changes the ring or the
 //!   worker map, so a warm statement resolves an owner with one map lookup.
-//! * **Vector search serving** (Fig. 4): when the assigned worker misses its
-//!   index cache, the VW calls the previous owner's search RPC (latency
-//!   charged) instead of falling back to brute force, and warms the new
-//!   owner in the background.
+//! * **One answer for a segment whose index is not where the query landed**
+//!   (§II-D, Fig. 4): [`VirtualWarehouse::segment_index`] resolves, for one
+//!   owner and one segment, the index to search — the owner's own, the
+//!   previous owner's over the search RPC (**vector search serving**, latency
+//!   charged), or none (exact scan of the raw column) — and warms the owner
+//!   whenever it had to look elsewhere.
 //! * **Query-level retry** (§II-E): a dead worker's task is retried on the
 //!   topology with the worker removed.
 //! * **Cache-aware preload** (§II-D): new indexes are pushed to the workers
@@ -29,7 +31,7 @@ use bh_common::{
 use bh_storage::objectstore::ObjectStore;
 use bh_storage::segment::SegmentMeta;
 use bh_storage::table::TableStore;
-use bh_vector::{IndexRegistry, Neighbor, SearchParams};
+use bh_vector::{IndexRegistry, Neighbor, SearchParams, VectorIndex};
 use bh_common::sync::{classes, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -60,6 +62,18 @@ impl Default for VwConfig {
             worker: WorkerConfig::default(),
         }
     }
+}
+
+/// The index a segment's searches run on, as resolved for one owner by
+/// [`VirtualWarehouse::segment_index`] and searched through
+/// [`VirtualWarehouse::search_index`].
+pub enum SegmentIndex {
+    /// The owner's own: it was resident there, or its transfer was in flight
+    /// and has been waited out.
+    Local(Arc<dyn VectorIndex>),
+    /// Resident on this live previous owner; every search is one serving RPC
+    /// (Fig. 4).
+    Served(Arc<Worker>),
 }
 
 /// Entries the owner memo may hold before it is wiped and refilled.
@@ -300,8 +314,11 @@ impl VirtualWarehouse {
         filter: Option<&Bitset>,
         bound: Option<&bh_common::SharedBound>,
     ) -> Result<Vec<Neighbor>> {
-        self.with_segment_retry(meta, |target| {
-            self.search_segment_once(table, meta, target, query, k, params, filter, bound)
+        self.with_segment_retry(meta, |target| match self.segment_index(&target, meta)? {
+            Some(index) => self.search_index(&target, meta, &index, query.len() * 4, |idx| {
+                idx.search_with_bound(query, k, params, filter, bound)
+            }),
+            None => target.brute_force_segment_bounded(table, meta, query, k, filter, bound),
         })
     }
 
@@ -329,48 +346,73 @@ impl VirtualWarehouse {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn search_segment_once(
+    /// The one decision about a segment whose index may not be where the
+    /// query landed (§II-D, Fig. 4; DESIGN.md §11.3) — what searches of
+    /// `meta` dispatched to `owner` run on:
+    ///
+    /// | the index is | answer | the owner is warmed |
+    /// |---|---|---|
+    /// | resident on the owner | `Local` | — |
+    /// | in flight to the owner (a prefetch) | `Local`, the transfer waited out | by that |
+    /// | resident on the live previous owner, serving enabled | `Served` | yes |
+    /// | nowhere to search, or the segment has none | `None`: exact scan | yes, if there is one |
+    ///
+    /// It never starts a load on the answer path: a cold owner with nothing
+    /// in flight is warmed beside the answer ([`VwConfig::synchronous_warm`]).
+    /// `worker.brute_force` counts the `None`s.
+    pub fn segment_index(
         &self,
-        table: &TableStore,
+        owner: &Arc<Worker>,
         meta: &Arc<SegmentMeta>,
-        target: Arc<Worker>,
-        query: &[f32],
-        k: usize,
-        params: &SearchParams,
-        filter: Option<&Bitset>,
-        bound: Option<&bh_common::SharedBound>,
-    ) -> Result<Vec<Neighbor>> {
-        if target.index_resident(meta) || meta.index_kind.is_none() {
-            return target.search_segment_bounded(table, meta, query, k, params, filter, bound);
+    ) -> Result<Option<SegmentIndex>> {
+        owner.check_alive()?;
+        let cache = owner.index_cache();
+        if cache.resident(meta.id) || cache.in_flight(meta.id) {
+            return Ok(owner.index_handle(meta)?.map(SegmentIndex::Local));
         }
-        // Cache miss on the assigned worker.
-        if self.cfg.serving_enabled {
-            if let Some(prev) = self.previous_owner_of(meta) {
-                if prev.is_alive() && prev.index_resident(meta) {
-                    // Serving call: charge RPC latency, search on the peer,
-                    // and warm the new owner so the miss is transient.
-                    let mut span = self.metrics.tracer().span("serving");
-                    span.attr("segment", meta.id.raw());
-                    span.attr("bytes", query.len() * 4);
-                    // Overlap-capable charge: with a reactor-backed worker
-                    // the wire time runs concurrently with the peer's search.
-                    let pending = target.charge_rpc_begin(&self.cfg.rpc, query.len() * 4);
-                    self.metrics.counter("vw.serving_calls").inc();
-                    let result = prev.serve_remote_search(meta, query, k, params, filter, bound);
-                    if let Some((reactor, ticket)) = pending {
-                        reactor.wait(ticket);
-                    }
-                    let result = result?;
-                    self.warm(target.clone(), meta.clone());
-                    return Ok(result);
+        let peer = (self.cfg.serving_enabled.then(|| self.previous_owner_of(meta)).flatten())
+            .filter(|prev| prev.is_alive() && prev.index_resident(meta));
+        if meta.index_kind.is_some() {
+            self.warm(owner.clone(), meta.clone());
+        }
+        if peer.is_none() {
+            self.metrics.counter("worker.brute_force").inc();
+        }
+        Ok(peer.map(SegmentIndex::Served))
+    }
+
+    /// One (statement, segment) search of a resolved index: `search` runs on
+    /// the owner's own index directly, on a served one inside one serving RPC
+    /// of `request_bytes` — charged on the owner (overlapped with the peer's
+    /// search when the owner has a reactor), answered by
+    /// [`Worker::serve_remote`] on the peer.
+    pub fn search_index<T>(
+        &self,
+        owner: &Worker,
+        meta: &SegmentMeta,
+        index: &SegmentIndex,
+        request_bytes: usize,
+        search: impl FnOnce(&dyn VectorIndex) -> Result<T>,
+    ) -> Result<T> {
+        match index {
+            SegmentIndex::Local(idx) => {
+                owner.check_alive()?;
+                owner.local_search.inc();
+                search(idx.as_ref())
+            }
+            SegmentIndex::Served(peer) => {
+                let mut span = self.metrics.tracer().span("serving");
+                span.attr("segment", meta.id.raw());
+                span.attr("bytes", request_bytes);
+                let pending = owner.charge_rpc_begin(&self.cfg.rpc, request_bytes);
+                self.metrics.counter("vw.serving_calls").inc();
+                let result = peer.serve_remote(meta, search);
+                if let Some((reactor, ticket)) = pending {
+                    reactor.wait(ticket);
                 }
+                result
             }
         }
-        // No serving possible: brute force now, warm for the future.
-        let result = target.search_segment_bounded(table, meta, query, k, params, filter, bound)?;
-        self.warm(target, meta.clone());
-        Ok(result)
     }
 
     fn warm(&self, worker: Arc<Worker>, meta: Arc<SegmentMeta>) {
@@ -487,6 +529,23 @@ mod tests {
         assert_eq!(got[0].id, 7);
         assert_eq!(t.metrics().counter_value("worker.local_search"), 1);
         assert_eq!(t.metrics().counter_value("worker.brute_force"), 0);
+    }
+
+    #[test]
+    fn cold_segment_is_scanned_exactly_then_searched_locally() {
+        let t = table(200, 200);
+        let v = vw(&t, VwConfig::default(), 1);
+        let meta = t.segments()[0].clone();
+        let search = || v.search_segment(&t, &meta, &[5.0; 4], 3, &SearchParams::default(), None);
+        // Nothing resident, nothing in flight, nobody to serve: exact scan,
+        // and (synchronous warm) the owner holds the index afterwards.
+        assert_eq!(search().unwrap()[0].id, 5);
+        assert_eq!(t.metrics().counter_value("worker.brute_force"), 1);
+        assert_eq!(t.metrics().counter_value("worker.local_search"), 0);
+        assert!(v.owner_of(&meta).unwrap().1.index_resident(&meta));
+        assert_eq!(search().unwrap()[0].id, 5);
+        assert_eq!(t.metrics().counter_value("worker.brute_force"), 1);
+        assert_eq!(t.metrics().counter_value("worker.local_search"), 1);
     }
 
     #[test]
@@ -811,9 +870,7 @@ mod tests {
                         let q = q as f32 * 9.7 + 0.137;
                         let got = search_all(&v, t, q);
                         // The retries evicted the dead owners they ran
-                        // into (serving can mask a dead *new* owner, which
-                        // then stays a member); an evicted worker is never
-                        // handed out again.
+                        // into; an evicted worker is never handed out again.
                         let members = v.worker_ids();
                         for meta in &metas {
                             let (wid, _) = v.owner_of(meta).unwrap();

@@ -7,11 +7,14 @@
 //!   remote store, §II-D), and
 //! * a split-space **block cache** for scalar column blocks (§IV-C).
 //!
-//! `search_segment` is the per-segment ANN task: local index search when the
-//! index is memory-resident, otherwise (unless the caller routed the request
-//! through vector search serving) a brute-force fallback over the raw vector
-//! column. `serve_remote_search` is the RPC-exposed entry other workers call
-//! during scaling — it only answers from the local memory cache.
+//! A worker holds no routing decision: which index a segment task searches
+//! (this worker's, a peer's over the serving RPC, or none) is resolved by
+//! `VirtualWarehouse::segment_index`. What lives here are the three things
+//! that decision ends in — `index_handle` (the index through this worker's
+//! cache hierarchy), `serve_remote` (the RPC-exposed entry other workers call
+//! during scaling; it only answers from the local memory cache) and
+//! `brute_force_segment_bounded` (the exact scan of the raw vector column) —
+//! plus the scalar reads.
 
 use bh_common::metrics::Counter;
 use bh_common::{
@@ -25,9 +28,8 @@ use bh_storage::predicate::Predicate;
 use bh_storage::segment::SegmentMeta;
 use bh_storage::table::TableStore;
 use bh_storage::value::{ColumnType, Value};
-use bh_vector::distance::{distance_batch, distance_gather, Metric};
-use bh_vector::{IndexRegistry, Neighbor, SearchParams};
-use std::borrow::Cow;
+use bh_vector::distance::{scan_distances, Metric};
+use bh_vector::{BoundedTopK, IndexRegistry, Neighbor, VectorIndex};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -98,7 +100,7 @@ pub struct Worker {
     cfg: WorkerConfig,
     metrics: MetricsRegistry,
     /// `worker.local_search`, resolved once: bumped per segment per statement.
-    local_search: Arc<Counter>,
+    pub(crate) local_search: Arc<Counter>,
     clock: SharedClock,
     /// Completion-queue reactor for overlapped RPC charges (`cfg.overlap`).
     reactor: Option<Arc<bh_common::Reactor>>,
@@ -174,7 +176,7 @@ impl Worker {
         self.alive.store(true, Ordering::Relaxed);
     }
 
-    fn check_alive(&self) -> Result<()> {
+    pub(crate) fn check_alive(&self) -> Result<()> {
         if self.is_alive() {
             Ok(())
         } else {
@@ -222,84 +224,14 @@ impl Worker {
         &self.block_cache
     }
 
-    /// Per-segment ANN search through this worker's caches: the resident
-    /// index when there is one, otherwise a brute-force scan of the raw
-    /// column. It never loads the index itself; callers warm it
-    /// ([`Self::warm_index`]).
-    pub fn search_segment(
-        &self,
-        table: &TableStore,
-        meta: &SegmentMeta,
-        query: &[f32],
-        k: usize,
-        params: &SearchParams,
-        filter: Option<&Bitset>,
-    ) -> Result<Vec<Neighbor>> {
-        self.search_segment_bounded(table, meta, query, k, params, filter, None)
-    }
-
-    /// [`Self::search_segment`] with an optional shared pruning bound
-    /// threaded through to the index scan (DESIGN.md §7).
-    #[allow(clippy::too_many_arguments)]
-    pub fn search_segment_bounded(
-        &self,
-        table: &TableStore,
-        meta: &SegmentMeta,
-        query: &[f32],
-        k: usize,
-        params: &SearchParams,
-        filter: Option<&Bitset>,
-        bound: Option<&SharedBound>,
-    ) -> Result<Vec<Neighbor>> {
-        self.check_alive()?;
-        self.cfg.compute_per_segment.charge(self.clock.as_ref(), 0);
-        let mut span = self.metrics.tracer().span("worker.search");
-        span.attr("segment", meta.id.raw());
-        if self.index_cache.resident(meta.id) {
-            let idx = self
-                .index_cache
-                .get(meta)?
-                .ok_or_else(|| BhError::Internal("resident index vanished".into()))?;
-            self.local_search.inc();
-            span.attr("mode", "local");
-            return idx.search_with_bound(query, k, params, filter, bound);
-        }
-        // Cache miss: brute force over the raw vector column (§II-D), so the
-        // query is served immediately instead of stalling on index load.
-        self.metrics.counter("worker.brute_force").inc();
-        span.attr("mode", "brute");
-        self.brute_force_segment_bounded(table, meta, query, k, filter, bound)
-    }
-
-    /// Search a pre-pinned index handle on behalf of this worker. The caller
-    /// already paid the cache traversal and per-segment compute charge when
-    /// it pinned the handle (once per segment task), so only aliveness and
-    /// the search itself remain.
-    pub fn search_pinned(
-        &self,
-        idx: &Arc<dyn bh_vector::VectorIndex>,
-        query: &[f32],
-        k: usize,
-        params: &SearchParams,
-        filter: Option<&Bitset>,
-        bound: Option<&SharedBound>,
-    ) -> Result<Vec<Neighbor>> {
-        self.check_alive()?;
-        self.local_search.inc();
-        idx.search_with_bound(query, k, params, filter, bound)
-    }
-
-    /// Serving RPC entry (Fig. 4): answer only from the memory cache; callers
-    /// charge the RPC latency themselves.
-    pub fn serve_remote_search(
+    /// Serving RPC entry (Fig. 4): run `search` on the segment's index, which
+    /// must be resident in this worker's memory cache — a serving peer never
+    /// loads. Callers charge the RPC latency themselves.
+    pub fn serve_remote<T>(
         &self,
         meta: &SegmentMeta,
-        query: &[f32],
-        k: usize,
-        params: &SearchParams,
-        filter: Option<&Bitset>,
-        bound: Option<&SharedBound>,
-    ) -> Result<Vec<Neighbor>> {
+        search: impl FnOnce(&dyn VectorIndex) -> Result<T>,
+    ) -> Result<T> {
         // `worker.rpc_ns` sums serving-RPC service time; the query log
         // reports its per-query delta as the RPC stage.
         let t = Stopwatch::start();
@@ -320,39 +252,26 @@ impl Worker {
                 .get(meta)?
                 .ok_or_else(|| BhError::Internal("resident index vanished".into()))?;
             self.metrics.counter("worker.served_remote").inc();
-            idx.search_with_bound(query, k, params, filter, bound)
+            search(idx.as_ref())
         })();
         self.metrics.counter("worker.rpc_ns").add(t.elapsed_nanos());
         r
     }
 
-    /// Fetch the segment's index through the cache hierarchy (used by the
-    /// post-filter executor, which drives the index iterator itself). Counts
-    /// as one per-segment task for the compute-service-time model.
-    pub fn index_handle(
-        &self,
-        meta: &SegmentMeta,
-    ) -> Result<Option<Arc<dyn bh_vector::VectorIndex>>> {
+    /// Fetch the segment's index through the cache hierarchy, waiting out a
+    /// transfer in flight or loading it; `None` when the segment has no
+    /// index. Counts as one per-segment task for the compute-service-time
+    /// model.
+    pub fn index_handle(&self, meta: &SegmentMeta) -> Result<Option<Arc<dyn VectorIndex>>> {
         self.check_alive()?;
         self.cfg.compute_per_segment.charge(self.clock.as_ref(), 0);
         self.index_cache.get(meta)
     }
 
-    /// Exact distance scan over the raw vector column.
-    pub fn brute_force_segment(
-        &self,
-        table: &TableStore,
-        meta: &SegmentMeta,
-        query: &[f32],
-        k: usize,
-        filter: Option<&Bitset>,
-    ) -> Result<Vec<Neighbor>> {
-        self.brute_force_segment_bounded(table, meta, query, k, filter, None)
-    }
-
-    /// [`Self::brute_force_segment`] with an optional shared pruning bound:
-    /// brute-force distances are exact, so rows beaten by the bound are
-    /// skipped and the local k-th distance is published back.
+    /// Exact distance scan over the raw vector column: Plan A, and the
+    /// answer for a segment whose index is nowhere to search. Distances are
+    /// exact, so rows beaten by the shared `bound` are skipped and the local
+    /// k-th distance is published back.
     pub fn brute_force_segment_bounded(
         &self,
         table: &TableStore,
@@ -370,86 +289,44 @@ impl Worker {
             .first()
             .ok_or_else(|| BhError::Plan("table has no vector column/index".into()))?;
         let metric = idx_def.spec.metric;
-        let mut tk = bh_common::TopK::new(k);
-        let mut skipped = 0u64;
-        // One scanned row: brute-force distances are exact, so a row beaten
-        // by the bound is skipped and a full local top-k publishes its k-th.
-        let mut offer = |row: usize, d: f32| {
-            if let Some(b) = bound {
-                if d > b.get() {
-                    skipped += 1;
-                    return;
-                }
+        let mut out = BoundedTopK::new(k, bound, true);
+        // The rows to score, when a filter leaves some out.
+        let offsets: Option<Vec<u32>> =
+            filter.filter(|f| !f.is_all_set()).map(|f| f.iter().map(|o| o as u32).collect());
+        // Plan A's cost is s·n·c_d: with a selective filter whose rows sit in
+        // fewer blocks than the column has, gather only those blocks' cells
+        // instead of reading the whole column — the "skip rows via primary
+        // keys/indices" behaviour of §II-C. When every block would be fetched
+        // anyway, or the decoded column is already in cache, there is nothing
+        // to skip: the column is read (and cached) and scored in place.
+        let blocks_covered = |offsets: &[u32]| {
+            let (mut blocks, mut last) = (0, usize::MAX);
+            for block in offsets.iter().map(|&o| ColumnData::block_of(o as usize)) {
+                blocks += usize::from(block != last);
+                last = block;
             }
-            if tk.push(d, row as u64) && tk.is_full() {
-                if let Some(b) = bound {
-                    b.update(tk.threshold());
-                }
-            }
+            blocks
         };
-        let mut dists = [0.0f32; 256];
-        match filter.filter(|f| !f.is_all_set()) {
-            None => {
-                // Every row: batched kernel over the contiguous column, in
-                // blocks that keep the distance output in L1.
-                let col = self.read_column(table, meta, &idx_def.column, meta.row_count)?;
-                let (data, dim) = vector_data(&col, query)?;
-                let mut row = 0;
-                while row < meta.row_count {
-                    let rows = 256.min(meta.row_count - row);
-                    let block = &data[row * dim..(row + rows) * dim];
-                    distance_batch(metric, query, block, dim, &mut dists[..rows])?;
-                    for (r, &d) in dists[..rows].iter().enumerate() {
-                        offer(row + r, d);
-                    }
-                    row += rows;
-                }
-            }
-            Some(f) => {
-                // Plan A's cost is s·n·c_d: with a selective filter whose
-                // rows sit in fewer blocks than the column has, gather only
-                // those blocks' cells instead of reading the whole column —
-                // the "skip rows via primary keys/indices" behaviour of
-                // §II-C. When every block would be fetched anyway, or the
-                // decoded column is already in cache, there is nothing to
-                // skip: the column is read (and cached) and scored in place.
-                let offsets: Vec<u32> = f.iter().map(|o| o as u32).collect();
-                let blocks_covered = || {
-                    let (mut blocks, mut last) = (0, usize::MAX);
-                    for block in offsets.iter().map(|&o| ColumnData::block_of(o as usize)) {
-                        blocks += usize::from(block != last);
-                        last = block;
-                    }
-                    blocks
-                };
-                let (slot, _) = column_slot(table, &idx_def.column)?;
-                let (gathered, cached);
-                // The vectors of the selected rows, and where row `i` of the
-                // selection sits among them.
-                let (col, at): (&ColumnData, Cow<'_, [u32]>) = if self.cfg.fine_grained_reads
+        let (slot, _) = column_slot(table, &idx_def.column)?;
+        match &offsets {
+            Some(offsets)
+                if self.cfg.fine_grained_reads
                     && offsets.len() * 4 < meta.row_count
                     && !self.column_cache.contains(&(meta.id, slot))
-                    && blocks_covered() < meta.block_count()
-                {
-                    gathered = self.gather_cells(table, meta, &idx_def.column, &offsets)?;
-                    (&gathered, (0..offsets.len() as u32).collect())
-                } else {
-                    cached = self.read_column(table, meta, &idx_def.column, meta.row_count)?;
-                    (&cached, Cow::Borrowed(&offsets))
-                };
-                let (data, dim) = vector_data(col, query)?;
-                for (at, rows) in at.chunks(256).zip(offsets.chunks(256)) {
-                    distance_gather(metric, query, data, dim, at, &mut dists[..at.len()])?;
-                    for (&row, &d) in rows.iter().zip(&dists) {
-                        offer(row as usize, d);
-                    }
-                }
+                    && blocks_covered(offsets) < meta.block_count() =>
+            {
+                let cells = self.gather_cells(table, meta, &idx_def.column, offsets)?;
+                score_cells(metric, query, &cells, |i, d| out.offer(d, d, offsets[i] as u64))?;
+            }
+            _ => {
+                let col = self.read_column(table, meta, &idx_def.column, meta.row_count)?;
+                let (data, dim) = vector_data(&col, query)?;
+                scan_distances(metric, query, data, dim, offsets.as_deref(), |row, d| {
+                    out.offer(d, d, row as u64)
+                })?;
             }
         }
-        if let Some(b) = bound {
-            b.record_skips(skipped);
-        }
-        Ok(tk.into_sorted().into_iter().map(|s| Neighbor::new(s.item, s.distance)).collect())
+        Ok(out.finish())
     }
 
     /// Read a full column through the caches. The decoded-column cache is
@@ -624,18 +501,13 @@ impl Worker {
         let offsets: Vec<u32> = candidates.iter().map(|n| n.id as u32).collect();
         let cells = self.gather_cells(table, meta, &idx_def.column, &offsets)?;
         let mut out = Vec::with_capacity(candidates.len());
-        for (i, nb) in candidates.iter().enumerate() {
-            let v = cells
-                .vector_at(i)
-                .ok_or_else(|| BhError::Internal("refine on non-vector cell".into()))?;
-            out.push(Neighbor::new(nb.id, metric.distance_checked(query, v)?));
-        }
+        score_cells(metric, query, &cells, |i, d| out.push(Neighbor::new(candidates[i].id, d)))?;
         out.sort_by(|a, b| a.distance.total_cmp(&b.distance));
         Ok(out)
     }
 
     /// Charge an RPC round-trip on this worker's clock (callers use this
-    /// before invoking a peer's `serve_remote_search`).
+    /// before invoking a peer's `serve_remote`).
     pub fn charge_rpc(&self, model: &LatencyModel, bytes: usize) {
         if let Some((reactor, ticket)) = self.charge_rpc_begin(model, bytes) {
             reactor.wait(ticket);
@@ -690,6 +562,20 @@ fn vector_data<'a>(col: &'a ColumnData, query: &[f32]) -> Result<(&'a [f32], usi
     Ok((data, dim))
 }
 
+/// Exact distances from `query` to every cell of a gathered vector column,
+/// `visit(i, distance)` in cell order — through the gather kernel, whose
+/// bits are the per-row call's on every metric.
+fn score_cells(
+    metric: Metric,
+    query: &[f32],
+    cells: &ColumnData,
+    visit: impl FnMut(usize, f32),
+) -> Result<()> {
+    let (data, dim) = vector_data(cells, query)?;
+    let all: Vec<u32> = (0..(data.len() / dim) as u32).collect();
+    scan_distances(metric, query, data, dim, Some(&all), visit)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -699,7 +585,7 @@ mod tests {
     use bh_storage::schema::TableSchema;
     use bh_storage::table::{TableStoreConfig, TableStore};
     use bh_storage::value::{ColumnType, Value};
-    use bh_vector::IndexKind;
+    use bh_vector::{IndexKind, SearchParams};
 
     fn table(n: usize) -> Arc<TableStore> {
         let schema = TableSchema::new("t")
@@ -750,27 +636,6 @@ mod tests {
     }
 
     #[test]
-    fn search_fallbacks_to_brute_force_then_uses_index() {
-        let t = table(200);
-        let w = worker(&t, WorkerConfig::default());
-        let meta = t.segments()[0].clone();
-        let q = vec![5.0; 4];
-        let params = SearchParams::default();
-
-        // Cold: brute force.
-        let cold = w.search_segment(&t, &meta, &q, 3, &params, None).unwrap();
-        assert_eq!(cold[0].id, 5);
-        assert_eq!(t.metrics().counter_value("worker.brute_force"), 1);
-
-        // Warm the cache, then search locally.
-        w.warm_index(&meta).unwrap();
-        assert!(w.index_resident(&meta));
-        let warm = w.search_segment(&t, &meta, &q, 3, &params, None).unwrap();
-        assert_eq!(warm[0].id, 5);
-        assert_eq!(t.metrics().counter_value("worker.local_search"), 1);
-    }
-
-    #[test]
     fn overlapped_rpc_charge_matches_blocking_when_sequential() {
         let t = table(50);
         let model = bh_common::LatencyModel::fixed(std::time::Duration::from_micros(100));
@@ -798,14 +663,12 @@ mod tests {
         let t = table(100);
         let w = worker(&t, WorkerConfig::default());
         let meta = t.segments()[0].clone();
-        let q = vec![1.0; 4];
-        let params = SearchParams::default();
-        assert!(matches!(
-            w.serve_remote_search(&meta, &q, 2, &params, None, None),
-            Err(BhError::Rpc(_))
-        ));
+        let top2 = |idx: &dyn VectorIndex| {
+            idx.search_with_bound(&[1.0; 4], 2, &SearchParams::default(), None, None)
+        };
+        assert!(matches!(w.serve_remote(&meta, top2), Err(BhError::Rpc(_))));
         w.warm_index(&meta).unwrap();
-        let got = w.serve_remote_search(&meta, &q, 2, &params, None, None).unwrap();
+        let got = w.serve_remote(&meta, top2).unwrap();
         assert_eq!(got[0].id, 1);
         assert_eq!(t.metrics().counter_value("worker.served_remote"), 1);
     }
@@ -818,10 +681,9 @@ mod tests {
         w.warm_index(&meta).unwrap();
         w.kill();
         assert!(!w.is_alive());
-        let q = vec![0.0; 4];
-        let params = SearchParams::default();
-        let err = w.search_segment(&t, &meta, &q, 1, &params, None).unwrap_err();
+        let err = w.brute_force_segment_bounded(&t, &meta, &[0.0; 4], 1, None, None).unwrap_err();
         assert!(err.is_retryable());
+        assert!(w.index_handle(&meta).is_err());
         assert!(w.warm_index(&meta).is_err());
         w.recover();
         assert!(w.is_alive());
@@ -964,7 +826,7 @@ mod tests {
         let bits = w.eval_predicate(&t, &meta, &p).unwrap();
         assert_eq!(bits.count(), 100);
         // Filtered brute force returns only l0 rows (offsets ≡ 0 mod 3).
-        let got = w.brute_force_segment(&t, &meta, &[4.0; 4], 5, Some(&bits)).unwrap();
+        let got = w.brute_force_segment_bounded(&t, &meta, &[4.0; 4], 5, Some(&bits), None).unwrap();
         for nb in &got {
             assert_eq!(nb.id % 3, 0);
         }

@@ -10,10 +10,12 @@
 //!    beam width and the table's current size.
 //! 3. **Schedule**: segment selection with scalar + semantic pruning and an
 //!    adaptive reserve.
-//! 4. **Execute** per segment on the owning worker (through the VW, which
-//!    adds serving and query-level retry), including the refine pass for
-//!    quantized indexes and adaptive reserve expansion when filtered results
-//!    come up short.
+//! 4. **Execute** per segment on the owning worker: one task per segment
+//!    resolves the owner and the index to search once (the VW decides:
+//!    local, served by the previous owner, or none — and retries the task if
+//!    the owner is dead), then runs each statement's plan on that, including
+//!    the refine pass for quantized indexes; adaptive reserve expansion when
+//!    filtered results come up short.
 //! 5. **Merge** partial top-k results globally, then **materialize** the
 //!    projection through block-granular cell reads.
 
@@ -23,7 +25,7 @@ use crate::plan::plan_select;
 use crate::plancache::{is_short_circuitable, plan_signature, CachedPlan, PlanCache};
 use crate::result::ResultSet;
 use bh_cluster::scheduler::{select_segments, PruneConfig, SegmentSelection};
-use bh_cluster::vw::VirtualWarehouse;
+use bh_cluster::vw::{SegmentIndex, VirtualWarehouse};
 use bh_cluster::worker::Worker;
 use bh_common::metrics::Counter;
 use bh_common::{
@@ -35,7 +37,7 @@ use bh_storage::predicate::Predicate;
 use bh_storage::segment::SegmentMeta;
 use bh_storage::table::TableStore;
 use bh_storage::value::Value;
-use bh_vector::{IndexKind, Neighbor, SearchParams, VectorIndex};
+use bh_vector::{IndexKind, Neighbor, SearchParams};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -97,15 +99,15 @@ impl Default for QueryOptions {
     }
 }
 
-/// What one segment task hands to each of its statements' searches
+/// What one segment task resolved, once, for all of its statements
 /// ([`QueryEngine::run_segment_task`]).
 #[derive(Clone, Copy)]
 struct SegCtx<'a> {
-    /// The segment's owner, resolved once in the round's ordering pass.
+    /// The segment's owner: every read of the task goes to it.
     owner: &'a Arc<Worker>,
-    /// The segment's index on `owner`, pinned once per task when it was
-    /// memory-resident there or its body transfer was already in flight.
-    pin: Option<&'a Arc<dyn VectorIndex>>,
+    /// The index the task's index plans search
+    /// ([`VirtualWarehouse::segment_index`]); `None` is the exact scan.
+    index: Option<&'a SegmentIndex>,
 }
 
 /// Per-statement progress of the vector statements of a batch
@@ -326,21 +328,19 @@ impl QueryEngine {
     /// running each statement as its own batch over the same residency.
     ///
     /// The segment snapshot is taken once for the whole batch. Each round
-    /// resolves every pending segment's owner once, orders its tasks
-    /// resident-first, starts the index transfer of every cold segment some
-    /// statement will search through its index, then fans out one
-    /// work-stealing task per distinct pending segment; a task pins the
-    /// segment's index handle once (resident or in flight on a live owner)
-    /// and then runs every query that scheduled the segment *in batch
-    /// order*, so per-segment side effects (warming, serving upgrades)
-    /// replay exactly as one statement after another would. On a store that
-    /// can defer (every `Database`) a cold segment is therefore answered
-    /// from its full index after one overlapped transfer (DESIGN.md §11.3);
-    /// on a blocking store nothing is in flight, nothing is pinned, and the
-    /// worker-level miss path (serving from the previous owner or brute
-    /// force, then warm) answers exactly. Pure top-k queries additionally
-    /// carry a [`SharedBound`]: segments searched later skip candidates that
-    /// provably cannot enter the final top-k.
+    /// orders its tasks — one per distinct pending segment — resident-first,
+    /// starts the index transfer of every cold segment some statement will
+    /// search through its index, then fans the tasks out work-stealing. A
+    /// task resolves its segment's owner and index once
+    /// ([`Self::run_segment_task`]) and runs every query that scheduled the
+    /// segment against that, *in batch order*. What a cold segment is
+    /// answered from is one decision, `VirtualWarehouse::segment_index`
+    /// (DESIGN.md §11.3): on a store that can defer (every `Database`) the
+    /// full index after the round's one overlapped transfer; on a blocking
+    /// store, where nothing is in flight, a live previous owner over the
+    /// serving RPC or else the exact scan, the owner warmed beside it. Pure
+    /// top-k queries additionally carry a [`SharedBound`]: segments searched
+    /// later skip candidates that provably cannot enter the final top-k.
     ///
     /// Queries run against a snapshot of the segment set; a background
     /// compaction can garbage-collect a segment (and its blobs) mid-query.
@@ -655,19 +655,15 @@ impl QueryEngine {
         Ok((out.into_results()?, helper_tasks))
     }
 
-    /// One segment's task: pin the index handle once, then run every
-    /// assigned statement against this segment in batch order. The task
-    /// fails as soon as one of its statements does.
-    ///
-    /// The pin is taken only when some statement here searches the index,
-    /// and then when the index is memory-resident on a live owner **or its
-    /// body transfer is already in flight** there (the round's prefetch):
-    /// the task needs the full index anyway, so it waits out the transfer
-    /// the round already paid to start and answers every statement from the
-    /// full index, instead of a synchronous head range-get plus an
-    /// approximate head-only first answer. Pinning never *starts* a load: a
-    /// cold segment with nothing in flight (blocking store) takes the
-    /// per-statement miss path — head or brute force first, then warm.
+    /// One segment's task: resolve the segment's owner and, when some
+    /// statement here runs an index plan, its index — once
+    /// ([`VirtualWarehouse::segment_index`]: the owner's own, resident or
+    /// after waiting out the transfer the round started; a live previous
+    /// owner's over the serving RPC; or none, the exact scan) — then run
+    /// every assigned statement against that, in batch order. The task fails
+    /// as soon as one of its statements does; if the owner turns out dead the
+    /// whole task is retried once on the new topology and resolves again
+    /// there (§II-E: one `vw.query_retries` per task, not per read).
     ///
     /// `query.segment_ns` sums wall time across (statement, segment)
     /// searches, so with fan-out it can exceed `query.exec_ns`; the query
@@ -681,30 +677,23 @@ impl QueryEngine {
         task: &SegTask,
         trace_parent: SpanId,
     ) -> Result<Vec<Vec<Neighbor>>> {
-        let (meta, owner) = (&task.meta, &task.owner);
+        let meta = &task.meta;
         let mut task_span = self.metrics.tracer().span_under(trace_parent, "segment.task");
         task_span.attr("segment", meta.id.raw());
         task_span.attr("queries", task.stmts.len());
-        let cache = owner.index_cache();
-        let pin = if task.wants_index
-            && owner.is_alive()
-            && (cache.resident(meta.id) || cache.in_flight(meta.id))
-        {
-            owner.index_handle(meta).ok().flatten()
-        } else {
-            None
-        };
-        task.stmts
-            .iter()
-            .map(|&si| {
-                let st = &states[si];
-                let ctx = SegCtx { owner, pin: pin.as_ref() };
-                let t = Stopwatch::start();
-                let r = self.search_one_segment(table, vw, opts, st, meta, ctx);
-                self.hot.segment_ns.add(t.elapsed_nanos());
-                r
-            })
-            .collect()
+        vw.with_segment_retry(meta, |owner| {
+            let index = if task.wants_index { vw.segment_index(&owner, meta)? } else { None };
+            let ctx = SegCtx { owner: &owner, index: index.as_ref() };
+            task.stmts
+                .iter()
+                .map(|&si| {
+                    let t = Stopwatch::start();
+                    let r = self.search_one_segment(table, vw, opts, &states[si], meta, ctx);
+                    self.hot.segment_ns.add(t.elapsed_nanos());
+                    r
+                })
+                .collect()
+        })
     }
 
     // -------------------------------------------------------------- planning
@@ -810,9 +799,10 @@ impl QueryEngine {
 
     // ------------------------------------------------------------ vector path
 
-    /// One statement's ANN search of one segment under its selected
-    /// strategy. Returned neighbor ids are segment row offsets; distances
-    /// are exact (refine applied for quantized indexes).
+    /// One statement's search of one segment: its plan on the index the task
+    /// resolved, or — Plan A, and every plan when there is no index to search
+    /// — the exact scan. Returned neighbor ids are segment row offsets;
+    /// distances are exact (refine applied for quantized indexes).
     fn search_one_segment(
         &self,
         table: &TableStore,
@@ -830,7 +820,12 @@ impl QueryEngine {
         seg_span.attr("strategy", strategy.name());
         seg_span.attr("rows", meta.row_count);
         let vis = table.visibility(meta);
-        let has_pred = !matches!(bound.predicate, Predicate::True);
+        let index = match ctx.index {
+            Some(index) if strategy != Strategy::BruteForce => index,
+            _ => return self.exact_scan(table, ctx.owner, meta, st, &vis),
+        };
+        // What one serving RPC carries, should the index be a peer's.
+        let request_bytes = v.query.len() * 4;
         // σ over-fetch exists to feed the exact-distance refine of quantized
         // indexes; raw-vector indexes return exact distances already, so
         // padding the demand only inflates the beam (for Plan D the
@@ -839,134 +834,19 @@ impl QueryEngine {
         let fetch_k =
             if index_is_quantized(table) { k.saturating_mul(opts.sigma.max(1)) } else { k };
 
-        match strategy {
-            Strategy::BruteForce => with_segment_retry(vw, meta, |worker| {
-                self.exact_scan(table, &worker, meta, st, &vis)
-            }),
-            Strategy::PreFilter | Strategy::FilteredTraversal => {
-                // Compute the bitset on the owning worker, then run the ANN
-                // scan through the VW (serving-aware). Plan B drives the
-                // widened bitmap scan; Plan D flips `filter_traversal` on so
-                // graph indexes walk the predicate natively (failing nodes
-                // steer, passing nodes score), with the plan-time selectivity
-                // estimate sizing the beam and hop budget. Non-graph indexes
-                // ignore the flag and degrade to the Plan-B bitmap scan.
-                let bits = with_segment_retry(vw, meta, |worker| {
-                    self.filter_bits(table, &worker, meta, bound, &vis)
-                })?;
-                if bits.is_all_clear() {
-                    return Ok(Vec::new());
-                }
-                let search = if strategy == Strategy::FilteredTraversal {
-                    let mut p = opts.search.with_filter_traversal(true);
-                    if p.filter_selectivity.is_none() {
-                        p.filter_selectivity = st.plan.selectivity;
-                    }
-                    p
-                } else {
-                    opts.search
-                };
-                let hits = match v.range {
-                    Some(r) if v.k.is_none() => with_segment_retry(vw, meta, |worker| {
-                        match worker.index_handle(meta)? {
-                            Some(idx) => {
-                                idx.search_with_range(&v.query, r, &search, Some(&bits))
-                            }
-                            None => {
-                                let mut all = worker.brute_force_segment(
-                                    table,
-                                    meta,
-                                    &v.query,
-                                    meta.row_count,
-                                    Some(&bits),
-                                )?;
-                                all.retain(|nb| nb.distance <= r);
-                                Ok(all)
-                            }
-                        }
-                    })?,
-                    // A live pin skips the owner resolution and cache lookup;
-                    // the index Arc is the one the VW path would have
-                    // fetched, so results are identical.
-                    _ => match ctx.pin {
-                        Some(idx) if ctx.owner.is_alive() => ctx.owner.search_pinned(
-                            idx,
-                            &v.query,
-                            fetch_k,
-                            &search,
-                            Some(&bits),
-                            bnd,
-                        )?,
-                        _ => vw.search_segment_bounded(
-                            table,
-                            meta,
-                            &v.query,
-                            fetch_k,
-                            &search,
-                            Some(&bits),
-                            bnd,
-                        )?,
-                    },
-                };
-                let mut hits = self.refine(table, vw, opts, st, meta, hits)?;
-                if let Some(r) = v.range {
-                    hits.retain(|nb| nb.distance <= r);
-                }
-                Ok(hits)
-            }
-            Strategy::PostFilter => {
-                // On a cold owner the iterator would stall on a full index
-                // load; route one serving-friendly top-k through the VW
-                // instead (previous owner answers via RPC, Fig. 4), applying
-                // the predicate to the returned candidates. The owner warms
-                // in the background, so this window is transient.
-                // A pinned handle outlives its eviction from the cache, so a
-                // task holding one is never cold.
-                if meta.index_kind.is_some()
-                    && ctx.owner.is_alive()
-                    && ctx.pin.is_none()
-                    && !ctx.owner.index_resident(meta)
-                {
-                    let fetch_k = k.saturating_mul(opts.sigma.max(1)).saturating_mul(2);
-                    let hits =
-                        vw.search_segment(table, meta, &v.query, fetch_k, &opts.search, None)?;
-                    let visible: Vec<Neighbor> =
-                        hits.into_iter().filter(|nb| vis.contains(nb.id as usize)).collect();
-                    let passing = if has_pred {
-                        let pred_cols = bound.predicate.column_refs();
-                        with_segment_retry(vw, meta, |worker| {
-                            self.passing_rows(table, &worker, meta, bound, &pred_cols, &visible)
-                        })?
-                    } else {
-                        visible
-                    };
-                    let mut hits = self.refine(table, vw, opts, st, meta, passing)?;
-                    if let Some(r) = v.range {
-                        hits.retain(|nb| nb.distance <= r);
-                    }
-                    return Ok(hits);
-                }
-                with_segment_retry(vw, meta, |worker| {
-                // Use the task's pinned handle when the retry did not move
-                // the segment — one cache lookup for the whole task.
-                let handle = match ctx.pin {
-                    Some(idx) if Arc::ptr_eq(ctx.owner, &worker) => Some(idx.clone()),
-                    _ => worker.index_handle(meta)?,
-                };
-                let Some(index) = handle else {
-                    // No index (tiny segment) — brute force is exact anyway.
-                    return self.exact_scan(table, &worker, meta, st, &vis);
-                };
+        let hits = if strategy == Strategy::PostFilter {
+            vw.search_index(ctx.owner, meta, index, request_bytes, |idx| {
+                let has_pred = !matches!(bound.predicate, Predicate::True);
                 if !has_pred && v.range.is_none() {
                     // Pure top-k: nothing can be filtered away, so the plain
                     // beam search (which honours ef_search) beats driving the
                     // incremental iterator.
                     let filter = if vis.is_all_set() { None } else { Some(&vis) };
-                    let hits = index
-                        .search_with_bound(&v.query, fetch_k, &opts.search, filter, bnd)?;
-                    return self.refine(table, vw, opts, st, meta, hits);
+                    return idx.search_with_bound(&v.query, fetch_k, &opts.search, filter, bnd);
                 }
-                let mut it = index.search_iterator(&v.query, &opts.search)?;
+                // Pull the incremental iterator, keeping visible rows that
+                // pass, until `σ·k` are collected or the index is exhausted.
+                let mut it = idx.search_iterator(&v.query, &opts.search)?;
                 let pred_cols = bound.predicate.column_refs();
                 let want = k.saturating_mul(opts.sigma.max(1));
                 // `want` is LIMIT-sized; the segment can fill no more than its rows.
@@ -984,35 +864,59 @@ impl QueryEngine {
                             break;
                         }
                     }
-                    let visible: Vec<Neighbor> = batch
-                        .into_iter()
-                        .filter(|nb| vis.contains(nb.id as usize))
-                        .collect();
+                    let visible: Vec<Neighbor> =
+                        batch.into_iter().filter(|nb| vis.contains(nb.id as usize)).collect();
                     if visible.is_empty() {
                         continue;
                     }
                     if has_pred {
                         collected.extend(
-                            self.passing_rows(table, &worker, meta, bound, &pred_cols, &visible)?,
+                            self.passing_rows(table, ctx.owner, meta, bound, &pred_cols, &visible)?,
                         );
                     } else {
                         collected.extend(visible);
                     }
                 }
                 self.metrics.counter("query.iterator_visited").add(it.visited() as u64);
-                drop(it);
-                let mut hits = self.refine(table, vw, opts, st, meta, collected)?;
-                if let Some(r) = v.range {
-                    hits.retain(|nb| nb.distance <= r);
-                }
-                Ok(hits)
-                })
+                Ok(collected)
+            })?
+        } else {
+            // Plan B drives the widened bitmap scan; Plan D flips
+            // `filter_traversal` on so graph indexes walk the predicate
+            // natively (failing nodes steer, passing nodes score), with the
+            // plan-time selectivity estimate sizing the beam and hop budget.
+            // Non-graph indexes ignore the flag and degrade to the Plan-B
+            // bitmap scan.
+            let bits = self.filter_bits(table, ctx.owner, meta, bound, &vis)?;
+            if bits.is_all_clear() {
+                return Ok(Vec::new());
             }
+            let search = if strategy == Strategy::FilteredTraversal {
+                let mut p = opts.search.with_filter_traversal(true);
+                if p.filter_selectivity.is_none() {
+                    p.filter_selectivity = st.plan.selectivity;
+                }
+                p
+            } else {
+                opts.search
+            };
+            vw.search_index(ctx.owner, meta, index, request_bytes, |idx| match v.range {
+                Some(r) if v.k.is_none() => {
+                    idx.search_with_range(&v.query, r, &search, Some(&bits))
+                }
+                _ => idx.search_with_bound(&v.query, fetch_k, &search, Some(&bits), bnd),
+            })?
+        };
+        let mut hits = self.refine(table, opts, st, meta, ctx.owner, hits)?;
+        if let Some(r) = v.range {
+            hits.retain(|nb| nb.distance <= r);
         }
+        Ok(hits)
     }
 
-    /// Plan A on one segment: exact distances over the raw vectors of the
-    /// rows that are visible and pass the predicate.
+    /// The exact scan of one segment — Plan A, and every plan's answer when
+    /// there is no index to search: exact distances over the raw vectors of
+    /// the rows that are visible and pass the predicate.
     fn exact_scan(
         &self,
         table: &TableStore,
@@ -1091,10 +995,10 @@ impl QueryEngine {
     fn refine(
         &self,
         table: &TableStore,
-        vw: &VirtualWarehouse,
         opts: &QueryOptions,
         st: &StmtState<'_>,
-        meta: &Arc<SegmentMeta>,
+        meta: &SegmentMeta,
+        owner: &Arc<Worker>,
         mut hits: Vec<Neighbor>,
     ) -> Result<Vec<Neighbor>> {
         let (v, k) = (st.v, st.k);
@@ -1103,9 +1007,7 @@ impl QueryEngine {
             return Ok(hits);
         }
         hits.truncate(k.saturating_mul(opts.sigma.max(1)));
-        let mut refined = with_segment_retry(vw, meta, |worker| {
-            worker.refine_distances(table, meta, &v.query, v.metric, &hits)
-        })?;
+        let mut refined = owner.refine_distances(table, meta, &v.query, v.metric, &hits)?;
         refined.truncate(k);
         self.metrics.counter("query.refined").add(refined.len() as u64);
         if let (Some(b), Some(kth)) = (&st.bound, refined.get(k.wrapping_sub(1))) {
@@ -1390,20 +1292,37 @@ mod tests {
         )
         .unwrap();
         ts.insert_rows(rows(0..n, n)).unwrap();
+        let vw = warehouse(&ts, VwConfig::default());
+        let engine = QueryEngine::new(metrics);
+        (Arc::new(ts), vw, engine)
+    }
+
+    /// A two-worker warehouse over `ts`, on the table's metrics.
+    fn warehouse(ts: &TableStore, cfg: VwConfig) -> VirtualWarehouse {
         let vw = VirtualWarehouse::new(
             bh_common::VwId(0),
             "q",
-            VwConfig::default(),
+            cfg,
             ts.remote_store().clone(),
             ts.registry().clone(),
             VirtualClock::shared(),
-            metrics.clone(),
+            ts.metrics().clone(),
             Arc::new(IdGenerator::starting_at(1000)),
         );
         vw.scale_up(&[]);
         vw.scale_up(&[]);
-        let engine = QueryEngine::new(metrics);
-        (Arc::new(ts), vw, engine)
+        vw
+    }
+
+    fn parse_select(sql: &str) -> SelectStmt {
+        match bh_sql::parse_statement(sql).unwrap() {
+            bh_sql::Statement::Select(sel) => sel,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    fn rows_of(batch: &[ResultSet]) -> Vec<&Vec<Vec<Value>>> {
+        batch.iter().map(|rs| &rs.rows).collect()
     }
 
     fn ids_of(rs: &ResultSet) -> Vec<u64> {
@@ -1516,6 +1435,9 @@ mod tests {
     #[test]
     fn quantized_index_is_refined_to_exact_distances() {
         let (ts, vw, engine) = setup(800, IndexKind::IvfPq, 800);
+        // A cold segment on this blocking store would be answered by the
+        // exact scan, which has nothing to refine.
+        vw.preload(&ts.segments()).unwrap();
         let opts = QueryOptions {
             search: SearchParams::default().with_nprobe(32),
             ..Default::default()
@@ -1683,10 +1605,7 @@ mod tests {
         let _ = &vw;
         let sql = "SELECT id FROM t WHERE label = 'l0' \
                    ORDER BY L2Distance(emb, [0.0, 0.1, 0.2, -0.1]) LIMIT 10";
-        let stmt = match bh_sql::parse_statement(sql).unwrap() {
-            bh_sql::Statement::Select(sel) => sel,
-            other => panic!("unexpected {other:?}"),
-        };
+        let stmt = parse_select(sql);
         let out = engine.explain_select(&ts, &QueryOptions::default(), &stmt).unwrap();
         for plan in ["Plan A", "Plan B", "Plan C", "Plan D"] {
             assert!(out.contains(plan), "EXPLAIN missing {plan}: {out}");
@@ -1812,13 +1731,7 @@ mod tests {
             "SELECT id, score FROM t WHERE id >= 90 ORDER BY score DESC LIMIT 3",
             "SELECT id, dist FROM t ORDER BY L2Distance(emb, [12.0, 12.1, 12.2, 11.9]) AS dist LIMIT 7",
         ];
-        let stmts: Vec<SelectStmt> = sqls
-            .iter()
-            .map(|s| match bh_sql::parse_statement(s).unwrap() {
-                bh_sql::Statement::Select(sel) => sel,
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
+        let stmts: Vec<SelectStmt> = sqls.iter().map(|s| parse_select(s)).collect();
         for share_bound in [true, false] {
             let opts = QueryOptions { share_bound, ..Default::default() };
             let seq: Vec<ResultSet> = stmts
@@ -1840,10 +1753,7 @@ mod tests {
         let opts = QueryOptions::default();
         assert!(engine.execute_select_batch(&ts, &vw, &opts, &[]).unwrap().is_empty());
         let sql = "SELECT id FROM t ORDER BY L2Distance(emb, [0.0, 0.1, 0.2, -0.1]) LIMIT 5";
-        let stmt = match bh_sql::parse_statement(sql).unwrap() {
-            bh_sql::Statement::Select(sel) => sel,
-            other => panic!("unexpected {other:?}"),
-        };
+        let stmt = parse_select(sql);
         let one = engine.execute_select_batch(&ts, &vw, &opts, &[stmt]).unwrap();
         assert_eq!(one.len(), 1);
         assert_eq!(ids_of(&one[0]).len(), 5);
@@ -1857,10 +1767,7 @@ mod tests {
         // forced so every candidate row consults the bound.
         let (ts, vw, engine) = setup(500, IndexKind::Flat, 50);
         let sql = "SELECT id FROM t ORDER BY L2Distance(emb, [0.0, 0.1, 0.2, -0.1]) LIMIT 5";
-        let stmt = match bh_sql::parse_statement(sql).unwrap() {
-            bh_sql::Statement::Select(sel) => sel,
-            other => panic!("unexpected {other:?}"),
-        };
+        let stmt = parse_select(sql);
         let opts = QueryOptions {
             forced_strategy: Some(Strategy::BruteForce),
             intra_query_parallelism: 1,
@@ -1893,13 +1800,7 @@ mod tests {
                  ORDER BY L2Distance(emb, [0.0, 0.1, 0.2, -0.1]) LIMIT 5",
                 "SELECT id FROM t ORDER BY L2Distance(emb, [12.0, 12.1, 12.2, 11.9]) LIMIT 5",
             ];
-            let stmts: Vec<SelectStmt> = sqls
-                .iter()
-                .map(|s| match bh_sql::parse_statement(s).unwrap() {
-                    bh_sql::Statement::Select(sel) => sel,
-                    other => panic!("unexpected {other:?}"),
-                })
-                .collect();
+            let stmts: Vec<SelectStmt> = sqls.iter().map(|s| parse_select(s)).collect();
             // Sequential segment order so the first segment's refined k-th
             // is published before later segments scan.
             let opts = QueryOptions { intra_query_parallelism: 1, ..Default::default() };
@@ -1975,30 +1876,71 @@ mod tests {
     #[test]
     fn moved_segment_is_served_by_its_previous_owner_on_a_blocking_store() {
         // Fig. 4 through the engine: this store cannot defer, so nothing is
-        // in flight for a segment that a scale-up moved to a cold worker and
-        // the VW's miss path answers — serving RPC to the previous owner,
-        // then warm — never brute force.
-        let (ts, vw, engine) = setup(400, IndexKind::Hnsw, 50);
+        // in flight for a segment that a scale-up moved to a cold worker. The
+        // task resolves such a segment to its previous owner, and every index
+        // plan runs there — one serving RPC per (statement, moved segment) —
+        // never brute force; with serving off the exact scan answers.
+        let (ts, _, engine) = setup(400, IndexKind::Hnsw, 50);
         let metas = ts.segments();
-        vw.preload(&metas).unwrap();
-        // The index path is the subject; on 400 rows the CBO would scan.
-        let opts =
-            QueryOptions { forced_strategy: Some(Strategy::PostFilter), ..Default::default() };
-        let sql = "SELECT id, dist FROM t \
-                   ORDER BY L2Distance(emb, [6.0, 6.1, 6.2, 5.9]) AS dist LIMIT 12";
-        let baseline = execute_sql_select(&engine, &ts, &vw, &opts, sql).unwrap();
         let m = &engine.metrics;
-        let brute = m.counter_value("worker.brute_force");
-        let is_cold = |meta: &Arc<SegmentMeta>| !vw.owner_of(meta).unwrap().1.index_resident(meta);
-        while !metas.iter().any(is_cold) {
-            vw.scale_up(&metas);
+        let count = |name: &str| m.counter_value(name);
+        let topk = |filter: &str, c: f32| {
+            parse_select(&format!(
+                "SELECT id, dist FROM t {filter}ORDER BY \
+                 L2Distance(emb, [{c}, {}, {}, {}]) AS dist LIMIT 12",
+                c + 0.1,
+                c + 0.2,
+                c - 0.1
+            ))
+        };
+        let (plain, filtered) = (topk("", 6.0), topk("WHERE label = 'l0' ", 6.0));
+        let batches =
+            [vec![plain.clone()], vec![filtered.clone()], vec![plain, filtered, topk("", 12.0)]];
+        for serving_enabled in [true, false] {
+            for plan in [Strategy::PreFilter, Strategy::PostFilter, Strategy::FilteredTraversal] {
+                for stmts in &batches {
+                    let case =
+                        format!("{plan:?}, serving={serving_enabled}, {} stmts", stmts.len());
+                    // The index path is the subject; on 400 rows the CBO would scan.
+                    let opts = QueryOptions { forced_strategy: Some(plan), ..Default::default() };
+                    let exact = QueryOptions {
+                        forced_strategy: Some(Strategy::BruteForce),
+                        ..opts.clone()
+                    };
+                    let vw = warehouse(&ts, VwConfig { serving_enabled, ..Default::default() });
+                    vw.preload(&metas).unwrap();
+                    let baseline = engine.execute_select_batch(&ts, &vw, &opts, stmts).unwrap();
+                    let scanned = engine.execute_select_batch(&ts, &vw, &exact, stmts).unwrap();
+                    let is_cold = |meta: &&Arc<SegmentMeta>| {
+                        !vw.owner_of(meta).unwrap().1.index_resident(meta)
+                    };
+                    while !metas.iter().any(|meta| is_cold(&meta)) {
+                        vw.scale_up(&metas);
+                    }
+                    let cold = metas.iter().filter(is_cold).count() as u64;
+                    let (served, brute) = (count("vw.serving_calls"), count("worker.brute_force"));
+                    let moved = engine.execute_select_batch(&ts, &vw, &opts, stmts).unwrap();
+                    if serving_enabled {
+                        assert_eq!(rows_of(&moved), rows_of(&baseline), "{case}");
+                        assert_eq!(
+                            count("vw.serving_calls") - served,
+                            stmts.len() as u64 * cold,
+                            "{case}: one RPC per (statement, moved segment)"
+                        );
+                        assert_eq!(count("worker.brute_force"), brute, "{case}");
+                    } else {
+                        assert_eq!(rows_of(&moved), rows_of(&scanned), "{case}");
+                        assert_eq!(count("vw.serving_calls"), served, "{case}");
+                        assert_eq!(count("worker.brute_force") - brute, cold, "{case}");
+                    }
+                    assert!(
+                        !metas.iter().any(|meta| is_cold(&meta)),
+                        "{case}: the owner was warmed"
+                    );
+                }
+            }
         }
-        let moved = execute_sql_select(&engine, &ts, &vw, &opts, sql).unwrap();
-        assert_eq!(moved.rows, baseline.rows);
-        assert!(m.counter_value("vw.serving_calls") > 0, "no serving call for the moved segments");
-        assert_eq!(m.counter_value("worker.brute_force"), brute);
-        assert_eq!(m.counter_value("query.index_prefetches"), 0, "a blocking store defers nothing");
-        assert!(!metas.iter().any(is_cold), "serving warms the new owner");
+        assert_eq!(count("query.index_prefetches"), 0, "a blocking store defers nothing");
     }
 
     #[test]
@@ -2032,7 +1974,9 @@ mod tests {
         };
         let q = [0.0f32; 4];
         let scan = |meta: &Arc<SegmentMeta>| {
-            with_segment_retry(&vw, meta, |w| w.brute_force_segment(&ts, meta, &q, 3, None))
+            with_segment_retry(&vw, meta, |w| {
+                w.brute_force_segment_bounded(&ts, meta, &q, 3, None, None)
+            })
         };
         // A live owner: no retry.
         assert_eq!(scan(&metas[0]).unwrap().len(), 3);
@@ -2048,6 +1992,21 @@ mod tests {
             vw.search_segment(&ts, &metas[1], &q, 3, &SearchParams::default(), None).unwrap();
         assert_eq!(hits.len(), 3);
         assert_eq!(retries(), 2);
+        assert_eq!(vw.worker_count(), 1);
+        // The engine's: a statement that reads the dead owner several times
+        // (predicate, index, materialize) retries its segment task, once. On
+        // one thread the eviction is over before the next task starts.
+        vw.scale_up(&[]);
+        kill_owner(&metas[2]);
+        let opts = QueryOptions {
+            forced_strategy: Some(Strategy::PreFilter),
+            intra_query_parallelism: 1,
+            ..Default::default()
+        };
+        let sql = "SELECT id, label FROM t WHERE label = 'l0' \
+                   ORDER BY L2Distance(emb, [0.0, 0.0, 0.0, 0.0]) LIMIT 5";
+        assert_eq!(execute_sql_select(&engine, &ts, &vw, &opts, sql).unwrap().len(), 5);
+        assert_eq!(retries(), 3);
         assert_eq!(vw.worker_count(), 1);
     }
 

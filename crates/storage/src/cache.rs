@@ -192,8 +192,8 @@ impl IndexCache {
 
     /// Is a prefetched body transfer for this segment in flight, i.e. would
     /// the next [`IndexCache::get`] consume it instead of starting a fetch?
-    /// The batch executor pins such segments, waiting out the transfer it
-    /// already started.
+    /// A segment task resolves such a segment to the owner's own index,
+    /// waiting out the transfer its round already started.
     pub fn in_flight(&self, seg: SegmentId) -> bool {
         self.pending.lock().contains_key(&seg)
     }

@@ -430,6 +430,53 @@ fn gather_on(
     Ok(())
 }
 
+/// Rows per kernel call of [`scan_distances`]: large enough to amortize the
+/// tier dispatch, small enough that a block of distances stays in L1.
+const SCAN_BLOCK_ROWS: usize = 256;
+
+/// Exact distances from `query` to the rows of a row-major `block`, handed
+/// to `visit(row, distance)` in order: every row when `rows` is `None`, else
+/// the listed ones in list order. The one blocked loop behind FLAT, the
+/// worker's raw-column scan and refine: [`distance_batch`] /
+/// [`distance_gather`] over 256 rows at a time. The listed form returns
+/// [`Metric::distance`]'s bits on every metric; the all-rows form hoists
+/// cosine's query norm as `distance_batch` does and may differ from the
+/// per-row form in the last place.
+pub fn scan_distances(
+    metric: Metric,
+    query: &[f32],
+    block: &[f32],
+    dim: usize,
+    rows: Option<&[u32]>,
+    mut visit: impl FnMut(usize, f32),
+) -> Result<()> {
+    if dim == 0 {
+        return Err(BhError::InvalidArgument("scan_distances: dim must be > 0".into()));
+    }
+    let mut out = [0.0f32; SCAN_BLOCK_ROWS];
+    match rows {
+        None => {
+            for (b, chunk) in block.chunks(SCAN_BLOCK_ROWS * dim).enumerate() {
+                let out = &mut out[..chunk.len() / dim];
+                distance_batch(metric, query, chunk, dim, out)?;
+                for (r, &d) in out.iter().enumerate() {
+                    visit(b * SCAN_BLOCK_ROWS + r, d);
+                }
+            }
+        }
+        Some(rows) => {
+            for chunk in rows.chunks(SCAN_BLOCK_ROWS) {
+                let out = &mut out[..chunk.len()];
+                distance_gather(metric, query, block, dim, chunk, out)?;
+                for (&row, &d) in chunk.iter().zip(out.iter()) {
+                    visit(row as usize, d);
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------- codebook
 
 /// Dimensionalities below this take [`Codebook`]'s dimension-major kernels:
@@ -1441,6 +1488,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The blocked scan visits every row (or every listed row, repeats and
+    /// disorder included) once, in order, across block boundaries, with the
+    /// bits of the kernel it is built on.
+    #[test]
+    fn scan_visits_rows_in_order_with_kernel_bits() {
+        let (dim, n) = (7, 2 * SCAN_BLOCK_ROWS + 88);
+        let cell = |seed: u64, j: usize| {
+            (bh_common::rng::derive_seed(seed, j as u64) >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+        };
+        let query: Vec<f32> = (0..dim).map(|j| cell(4, j)).collect();
+        let block: Vec<f32> = (0..n * dim).map(|j| cell(5, j)).collect();
+        let listed: Vec<u32> = (0..n as u64 + 40)
+            .map(|j| (bh_common::rng::derive_seed(6, j) % n as u64) as u32)
+            .collect();
+        for metric in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
+            let mut whole = vec![0.0f32; n];
+            distance_batch(metric, &query, &block, dim, &mut whole).unwrap();
+            let mut seen = Vec::new();
+            scan_distances(metric, &query, &block, dim, None, |r, d| seen.push((r, d.to_bits())))
+                .unwrap();
+            let want: Vec<_> = whole.iter().map(|d| d.to_bits()).enumerate().collect();
+            assert_eq!(seen, want, "{metric:?}, every row");
+
+            seen.clear();
+            scan_distances(metric, &query, &block, dim, Some(&listed), |r, d| {
+                seen.push((r, d.to_bits()))
+            })
+            .unwrap();
+            let want: Vec<_> = listed
+                .iter()
+                .map(|&r| {
+                    let r = r as usize;
+                    (r, metric.distance(&query, &block[r * dim..(r + 1) * dim]).to_bits())
+                })
+                .collect();
+            assert_eq!(seen, want, "{metric:?}, listed rows");
+        }
+        assert!(scan_distances(Metric::L2, &query, &block, 0, None, |_, _| {}).is_err());
+        assert!(scan_distances(Metric::L2, &query, &block[1..], dim, None, |_, _| {}).is_err());
+        assert!(
+            scan_distances(Metric::L2, &query, &block, dim, Some(&[n as u32]), |_, _| {}).is_err()
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * the exact-distance source for refine steps on quantized indexes.
 
 use crate::codec::{Reader, Writer};
-use crate::distance::distance_batch;
+use crate::distance::scan_distances;
 use crate::iterator::SearchIterator;
 use crate::types::{
     check_batch, BoundedTopK, IndexBuilder, IndexMeta, IndexSpec, Neighbor, SearchParams,
@@ -22,11 +22,6 @@ use std::sync::Arc;
 const MAGIC: &[u8; 4] = b"BHFL";
 const VERSION: u16 = 1;
 
-/// Rows per `distance_batch` call on the unfiltered scan path. Large enough
-/// to amortize kernel dispatch, small enough that a block of distances stays
-/// in L1.
-const SCAN_BLOCK_ROWS: usize = 256;
-
 /// Exact scan index over raw `f32` vectors.
 #[derive(Debug, Clone)]
 pub struct FlatIndex {
@@ -37,35 +32,6 @@ pub struct FlatIndex {
 }
 
 impl FlatIndex {
-    /// Raw vector stored at `row`.
-    pub fn vector(&self, row: usize) -> &[f32] {
-        &self.data[row * self.dim..(row + 1) * self.dim]
-    }
-
-    /// Direct access to a vector by its id label (linear scan in the id
-    /// table; used only by refine paths on small candidate sets).
-    pub fn vector_by_id(&self, id: u64) -> Option<&[f32]> {
-        self.ids.iter().position(|&x| x == id).map(|row| self.vector(row))
-    }
-
-    /// Run `visit(row, distance)` over every stored row using the batched
-    /// kernel; used by the unfiltered scan and the iterator.
-    fn scan_all(&self, query: &[f32], mut visit: impl FnMut(usize, f32)) -> Result<()> {
-        let n = self.ids.len();
-        let mut out = [0.0f32; SCAN_BLOCK_ROWS];
-        let mut row = 0;
-        while row < n {
-            let rows = SCAN_BLOCK_ROWS.min(n - row);
-            let block = &self.data[row * self.dim..(row + rows) * self.dim];
-            distance_batch(self.metric, query, block, self.dim, &mut out[..rows])?;
-            for (r, &d) in out[..rows].iter().enumerate() {
-                visit(row + r, d);
-            }
-            row += rows;
-        }
-        Ok(())
-    }
-
     /// Deserialize an index written by [`VectorIndex::save_bytes`].
     pub fn load_bytes(bytes: &[u8]) -> Result<FlatIndex> {
         let mut r = Reader::new(bytes);
@@ -115,20 +81,15 @@ impl VectorIndex for FlatIndex {
         // FLAT distances are exact, so candidates beaten by the shared bound
         // can be dropped and our own k-th distance can be published.
         let mut out = BoundedTopK::new(k, bound, true);
-        match filter {
-            Some(f) => {
-                // Selective path: skip excluded rows before paying for the
-                // distance, one row at a time.
-                for row in 0..self.ids.len() {
-                    if !f.contains(self.ids[row] as usize) {
-                        continue;
-                    }
-                    let d = self.metric.distance(query, self.vector(row));
-                    out.offer(d, d, self.ids[row]);
-                }
-            }
-            None => self.scan_all(query, |row, d| out.offer(d, d, self.ids[row]))?,
-        }
+        // Excluded rows are dropped before their distance is paid for.
+        let passing: Option<Vec<u32>> = filter.map(|f| {
+            (0..self.ids.len() as u32)
+                .filter(|&r| f.contains(self.ids[r as usize] as usize))
+                .collect()
+        });
+        scan_distances(self.metric, query, &self.data, self.dim, passing.as_deref(), |row, d| {
+            out.offer(d, d, self.ids[row])
+        })?;
         Ok(out.finish())
     }
 
@@ -174,8 +135,9 @@ impl SearchIterator for FlatIterator<'_> {
     fn next_batch(&mut self, n: usize) -> Result<Vec<Neighbor>> {
         if self.sorted.is_none() {
             let mut all: Vec<Neighbor> = Vec::with_capacity(self.index.ids.len());
-            self.index.scan_all(&self.query, |row, d| {
-                all.push(Neighbor::new(self.index.ids[row], d));
+            let FlatIndex { dim, metric, ids, data } = self.index;
+            scan_distances(*metric, &self.query, data, *dim, None, |row, d| {
+                all.push(Neighbor::new(ids[row], d));
             })?;
             all.sort_by(|a, b| a.distance.total_cmp(&b.distance));
             self.sorted = Some(all);

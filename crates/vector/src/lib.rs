@@ -52,6 +52,6 @@ pub use distance::Metric;
 pub use iterator::{GenericSearchIterator, SearchIterator};
 pub use registry::{IndexFactory, IndexRegistry};
 pub use types::{
-    build_pool, GraphScan, IndexBuilder, IndexGroup, IndexKind, IndexMeta, IndexSpec, Neighbor,
-    SearchParams, VectorIndex,
+    build_pool, BoundedTopK, GraphScan, IndexBuilder, IndexGroup, IndexKind, IndexMeta, IndexSpec,
+    Neighbor, SearchParams, VectorIndex,
 };

@@ -441,9 +441,10 @@ pub trait VectorIndex: Send + Sync {
     }
 }
 
-/// The top-`k` collector of this crate's bound-aware scans: the one place
-/// here the shared bound's prune and publish rules are written.
-pub(crate) struct BoundedTopK<'a> {
+/// The top-`k` collector of every bound-aware scan (the index kinds here and
+/// the worker's raw-column scan): the one place outside `bh_common::bound`
+/// the shared bound's prune and publish rules are written.
+pub struct BoundedTopK<'a> {
     tk: TopK<u64>,
     bound: Option<&'a SharedBound>,
     /// Whether offered distances are exact. Only exact distances tighten
@@ -453,7 +454,9 @@ pub(crate) struct BoundedTopK<'a> {
 }
 
 impl<'a> BoundedTopK<'a> {
-    pub(crate) fn new(k: usize, bound: Option<&'a SharedBound>, exact: bool) -> Self {
+    /// A collector of the `k` nearest offered rows. `exact` says whether the
+    /// offered distances are exact, i.e. may be published to `bound`.
+    pub fn new(k: usize, bound: Option<&'a SharedBound>, exact: bool) -> Self {
         Self { tk: TopK::new(k), bound, exact, skipped: 0 }
     }
 
@@ -461,7 +464,7 @@ impl<'a> BoundedTopK<'a> {
     /// its exact distance (`d` itself when distances are exact): the row is
     /// skipped when that strictly exceeds the shared bound.
     #[inline]
-    pub(crate) fn offer(&mut self, lower: f32, d: f32, id: u64) {
+    pub fn offer(&mut self, lower: f32, d: f32, id: u64) {
         let Some(b) = self.bound else {
             self.tk.push(d, id);
             return;
@@ -474,7 +477,7 @@ impl<'a> BoundedTopK<'a> {
     }
 
     /// The retained rows, ascending by distance; records the skip count.
-    pub(crate) fn finish(self) -> Vec<Neighbor> {
+    pub fn finish(self) -> Vec<Neighbor> {
         if let Some(b) = self.bound {
             b.record_skips(self.skipped);
         }

@@ -5,7 +5,6 @@
 //! strongest statement that delete bitmaps, version masking, and compaction
 //! never lose or resurrect a row.
 
-use bh_storage::predicate::Predicate;
 use bh_storage::value::Value;
 use blendhouse::Database;
 use proptest::prelude::*;
