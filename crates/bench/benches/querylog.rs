@@ -3,8 +3,9 @@
 //! production default), and enabled with slow-query capture retaining every
 //! span tree (threshold 0 — the worst case, every statement traced).
 //!
-//! The log's hot-path cost is one counter sample before dispatch and one
-//! ring append after, so the acceptance bar is tight: enabled-vs-disabled
+//! The statement's context tallies its work whether or not the log is on; the
+//! log's own hot-path cost is SQL normalization, a snapshot of that tally and
+//! one ring append, so the acceptance bar is tight: enabled-vs-disabled
 //! median overhead ≤ 1%. Loops are interleaved within each run and the
 //! per-loop minimum kept (least-perturbed observation on a shared box).
 //! Results go to `target/bench-fresh/BENCH_querylog.json` in the committed

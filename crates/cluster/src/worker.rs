@@ -18,8 +18,8 @@
 
 use bh_common::metrics::Counter;
 use bh_common::{
-    BhError, Bitset, LatencyModel, MetricsRegistry, Result, SegmentId, SharedBound, SharedClock,
-    Stopwatch, WorkerId,
+    BhError, Bitset, LatencyModel, MetricsRegistry, QueryCtx, Result, SegmentId, SharedBound,
+    SharedClock, Stopwatch, WorkerId,
 };
 use bh_storage::cache::{BlockCache, BlockKind, IndexCache};
 use bh_storage::column::{ColumnData, BLOCK_ROWS};
@@ -33,6 +33,10 @@ use bh_vector::{BoundedTopK, IndexRegistry, Neighbor, VectorIndex};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+/// The anti-thrashing row limit (§IV-C): a read of more rows than this
+/// bypasses the block cache's data space and is not kept decoded.
+const CACHE_ROW_LIMIT: usize = 100_000;
+
 /// Sizing and behaviour knobs for one worker.
 #[derive(Debug, Clone)]
 pub struct WorkerConfig {
@@ -42,8 +46,6 @@ pub struct WorkerConfig {
     pub block_meta_bytes: usize,
     /// Block-cache data-space (and decoded-cache) capacity.
     pub block_data_bytes: usize,
-    /// Block-cache anti-thrashing row limit (§IV-C).
-    pub cache_row_limit: usize,
     /// Use fine-grained (per-block) scalar reads instead of whole columns.
     pub fine_grained_reads: bool,
     /// Simulated per-segment-search service time of one worker core.
@@ -70,7 +72,6 @@ impl Default for WorkerConfig {
             index_mem_bytes: 256 << 20,
             block_meta_bytes: 16 << 20,
             block_data_bytes: 128 << 20,
-            cache_row_limit: 100_000,
             fine_grained_reads: true,
             compute_per_segment: bh_common::LatencyModel::ZERO,
             overlap: false,
@@ -128,7 +129,7 @@ impl Worker {
         let block_cache = BlockCache::new(
             cfg.block_meta_bytes,
             cfg.block_data_bytes,
-            cfg.cache_row_limit,
+            CACHE_ROW_LIMIT,
             metrics.clone(),
         );
         let column_cache =
@@ -232,8 +233,8 @@ impl Worker {
         meta: &SegmentMeta,
         search: impl FnOnce(&dyn VectorIndex) -> Result<T>,
     ) -> Result<T> {
-        // `worker.rpc_ns` sums serving-RPC service time; the query log
-        // reports its per-query delta as the RPC stage.
+        // The serving RPC's service time, on the statement it is made for:
+        // the query log's RPC stage, folded into `worker.rpc_ns`.
         let t = Stopwatch::start();
         let r = (|| {
             self.check_alive()?;
@@ -254,7 +255,7 @@ impl Worker {
             self.metrics.counter("worker.served_remote").inc();
             search(idx.as_ref())
         })();
-        self.metrics.counter("worker.rpc_ns").add(t.elapsed_nanos());
+        QueryCtx::with(|c| c.tally.rpc_ns.add(t.elapsed_nanos()));
         r
     }
 
@@ -355,7 +356,7 @@ impl Worker {
             out.extend_from(&ColumnData::decode_block(ty, &blob)?)?;
         }
         let out = Arc::new(out);
-        if query_rows <= self.cfg.cache_row_limit {
+        if query_rows <= CACHE_ROW_LIMIT {
             self.column_cache.put((meta.id, slot), out.clone(), out.memory_bytes().max(1));
         }
         Ok(out)
@@ -428,7 +429,7 @@ impl Worker {
                                 || store.get(&blob_key),
                             )?;
                             let part = Arc::new(ColumnData::decode_block(ty, &blob)?);
-                            if offsets.len() <= self.cfg.cache_row_limit {
+                            if offsets.len() <= CACHE_ROW_LIMIT {
                                 let weight = part.memory_bytes().max(1);
                                 self.decoded_blocks.put(key, part.clone(), weight);
                             }

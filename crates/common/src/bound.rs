@@ -23,6 +23,7 @@
 //! CAS-min loop that compares **as floats** — IP/cosine distances are
 //! negative, and negative floats do not order correctly as raw bits.
 
+use crate::qctx::QueryCtx;
 #[cfg(loom)]
 use crate::loom::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 #[cfg(not(loom))]
@@ -79,11 +80,13 @@ impl SharedBound {
         }
     }
 
-    /// Record `n` candidates skipped because they could not beat the bound.
+    /// Record `n` candidates skipped because they could not beat the bound,
+    /// here and on the statement whose scan skipped them.
     #[inline]
     pub fn record_skips(&self, n: u64) {
         if n > 0 {
             self.skips.fetch_add(n, Ordering::Relaxed);
+            QueryCtx::with(|c| c.tally.bound_skips.add(n));
         }
     }
 

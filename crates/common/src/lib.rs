@@ -25,6 +25,9 @@
 //!   hits, RPC calls, and I/O, with a Prometheus text exposition.
 //! * [`trace`] — hierarchical spans over a lock-free ring recorder; the
 //!   profiling layer behind `EXPLAIN ANALYZE` (near-zero cost when disabled).
+//! * [`qctx`] — the per-statement context: identity, chosen plan and the
+//!   one tally of stage times and work counters, installed on whichever
+//!   thread works for the statement.
 //! * [`querylog`] — the always-on query log: a bounded record ring written
 //!   once per completed statement, plus slow-query span-tree retention and
 //!   chrome://tracing export; the data source of `system.query_log`.
@@ -44,6 +47,7 @@ pub mod error;
 pub mod ids;
 pub mod loom;
 pub mod metrics;
+pub mod qctx;
 pub mod querylog;
 pub mod regex_lite;
 pub mod rng;
@@ -61,6 +65,7 @@ pub use cq::{Reactor, Ticket};
 pub use error::{BhError, Result};
 pub use ids::{RowId, SegmentId, TableId, VwId, WorkerId};
 pub use metrics::MetricsRegistry;
+pub use qctx::{QueryCtx, StatementCounters, StatementWork};
 pub use querylog::{QueryLog, QueryLogRecord, SlowQueryPolicy, SlowQueryTrace};
 pub use topk::TopK;
 pub use trace::{AttrValue, Span, SpanId, SpanRecord, Tracer};

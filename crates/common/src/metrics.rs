@@ -432,36 +432,6 @@ impl MetricsRegistry {
         &self.inner.tracer
     }
 
-    /// Sum the current values of every counter whose name matches the
-    /// predicate, without cloning any names — the query log uses this for
-    /// its per-query cache hit/miss deltas, so it must stay allocation-free.
-    pub fn sum_counters(&self, matches: impl Fn(&str) -> bool) -> u64 {
-        self.inner
-            .counters
-            .read()
-            .iter()
-            .filter(|(k, _)| matches(k))
-            .map(|(_, c)| c.get())
-            .sum()
-    }
-
-    /// Like [`Self::sum_counters`] restricted to names with a common prefix:
-    /// a range scan over the sorted map, so the cost is proportional to the
-    /// prefix group, not the whole registry. The query log samples cache
-    /// hit/miss totals twice per statement through this — a full-registry
-    /// scan there is measurable against sub-millisecond queries.
-    pub fn sum_counters_prefixed(&self, prefix: &str, suffix: &str) -> u64 {
-        use std::ops::Bound;
-        self.inner
-            .counters
-            .read()
-            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .filter(|(k, _)| k.ends_with(suffix))
-            .map(|(_, c)| c.get())
-            .sum()
-    }
-
     /// Snapshot of all counter values, sorted by name.
     pub fn snapshot_counters(&self) -> Vec<(String, u64)> {
         self.inner
@@ -606,24 +576,6 @@ mod tests {
     }
 
     #[test]
-    fn prefixed_sum_matches_predicate_sum() {
-        let m = MetricsRegistry::new();
-        m.counter("cache.block.hit").add(3);
-        m.counter("cache.block.miss").add(2);
-        m.counter("cache.index.hit").add(5);
-        m.counter("cachex.hit").add(7); // sorts after the prefix group
-        m.counter("cac.hit").add(11); // sorts before it
-        m.counter("query.executed").add(9);
-        assert_eq!(m.sum_counters_prefixed("cache.", ".hit"), 8);
-        assert_eq!(m.sum_counters_prefixed("cache.", ".miss"), 2);
-        assert_eq!(m.sum_counters_prefixed("nomatch.", ".hit"), 0);
-        assert_eq!(
-            m.sum_counters_prefixed("cache.", ".hit"),
-            m.sum_counters(|n| n.starts_with("cache.") && n.ends_with(".hit"))
-        );
-    }
-
-    #[test]
     fn quantile_saturates_at_max_sample() {
         let h = Histogram::default();
         h.record(Duration::from_nanos(700));
@@ -751,19 +703,6 @@ mod tests {
             );
             assert!(!name.starts_with('.') && !name.ends_with('.'), "{name:?}");
         }
-    }
-
-    #[test]
-    fn sum_counters_matches_predicate() {
-        let m = MetricsRegistry::new();
-        m.counter("cache.data.hit").add(3);
-        m.counter("cache.index.mem.hit").add(2);
-        m.counter("cache.index.mem.miss").add(5);
-        m.counter("query.executed").add(7);
-        assert_eq!(m.sum_counters(|n| n.starts_with("cache.") && n.ends_with(".hit")), 5);
-        assert_eq!(m.sum_counters(|n| n.ends_with(".miss")), 5);
-        assert_eq!(m.sum_counters(|_| true), 17);
-        assert_eq!(m.sum_counters(|_| false), 0);
     }
 
     #[test]

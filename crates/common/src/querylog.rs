@@ -23,6 +23,7 @@
 //! timelines are directly comparable when both come from the same process.
 
 use crate::clock::Stopwatch;
+use crate::qctx::StatementWork;
 use crate::sync::{classes, Mutex};
 use crate::trace::{AttrValue, SpanRecord};
 use std::collections::VecDeque;
@@ -40,8 +41,8 @@ pub const DEFAULT_SLOW_CAPACITY: usize = 64;
 pub const STATEMENT_KINDS: &[&str] =
     &["select", "insert", "create_table", "update", "delete", "explain", "system", "other"];
 
-/// One completed query, as recorded at statement completion from the
-/// counter deltas the profiler already computes.
+/// One completed query, as built at statement completion from the
+/// statement's own [`crate::QueryCtx`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryLogRecord {
     /// Monotonic per-process query id (1-based).
@@ -59,32 +60,13 @@ pub struct QueryLogRecord {
     pub start_nanos: u64,
     /// End of execution on the same origin; `end_nanos >= start_nanos`.
     pub end_nanos: u64,
-    /// Time in the binder (`query.bind_ns` delta).
-    pub bind_ns: u64,
-    /// Time in the planner (`query.plan_ns` delta).
-    pub plan_ns: u64,
-    /// Time in the executor proper (`query.exec_ns` delta).
-    pub exec_ns: u64,
-    /// Summed per-segment scan time (`query.segment_ns` delta); can exceed
-    /// `exec_ns` when segments are scanned in parallel.
-    pub segment_ns: u64,
-    /// Summed simulated-RPC service time (`worker.rpc_ns` delta).
-    pub rpc_ns: u64,
-    /// Index-iterator rows visited (`query.iterator_visited` delta).
-    pub rows_scanned: u64,
-    /// Segments skipped by pruning (`query.segments_pruned` delta).
-    pub segments_pruned: u64,
-    /// Quantized scans skipped via the shared bound (`query.bound_skips`).
-    pub bound_skips: u64,
-    /// Sum of all `cache.*.hit`-suffixed counter deltas.
-    pub cache_hits: u64,
-    /// Sum of all `cache.*.miss`-suffixed counter deltas.
-    pub cache_misses: u64,
+    /// Stage times and work counters: the statement's tally when it ended.
+    pub work: StatementWork,
     /// Rows in the result set (0 for DDL/DML, affected count for those).
     pub result_rows: u64,
-    /// Chosen physical plan for vector SELECTs (`query.plan.*` counter
-    /// deltas): `"brute_force"`, `"pre_filter"`, `"post_filter"` or
-    /// `"filtered_traversal"`; empty for statements with no plan choice.
+    /// The plan the planner chose for this statement: `"brute_force"`,
+    /// `"pre_filter"`, `"post_filter"` or `"filtered_traversal"`; empty for
+    /// statements the planner never saw.
     pub strategy: &'static str,
     /// Error code (the `BhError` variant name) when the statement failed.
     pub error_code: Option<&'static str>,

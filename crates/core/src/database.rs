@@ -7,8 +7,8 @@ use bh_common::ids::IdGenerator;
 use bh_common::metrics::{self, Counter, Gauge, Histogram};
 use bh_common::querylog::{normalize_sql, SlowQueryTrace, STATEMENT_KINDS};
 use bh_common::{
-    BhError, DeploymentLatencies, MetricsRegistry, QueryLog, QueryLogRecord, Reactor, RealClock,
-    Result, SharedClock, SlowQueryPolicy, VirtualClock, VwId,
+    BhError, DeploymentLatencies, MetricsRegistry, QueryCtx, QueryLog, QueryLogRecord, Reactor,
+    RealClock, Result, SharedClock, SlowQueryPolicy, VirtualClock, VwId,
 };
 use bh_query::bind::{bind_predicate, literal_to_value};
 use bh_query::exec::{QueryEngine, QueryOptions};
@@ -93,93 +93,6 @@ impl Default for DatabaseConfig {
     }
 }
 
-/// Pre-resolved handles of the per-stage counters the query log samples
-/// around every statement. Resolving once at construction keeps the per-query
-/// cost to atomic loads — no registry lookups on the hot path.
-struct StageCounters {
-    bind_ns: Arc<Counter>,
-    plan_ns: Arc<Counter>,
-    exec_ns: Arc<Counter>,
-    segment_ns: Arc<Counter>,
-    rpc_ns: Arc<Counter>,
-    rows_scanned: Arc<Counter>,
-    segments_pruned: Arc<Counter>,
-    bound_skips: Arc<Counter>,
-    plan_brute: Arc<Counter>,
-    plan_pre: Arc<Counter>,
-    plan_post: Arc<Counter>,
-    plan_traversal: Arc<Counter>,
-}
-
-/// One point-in-time reading of [`StageCounters`] plus the cache hit/miss
-/// sums; a statement's log columns are the after-minus-before deltas.
-#[derive(Clone, Copy, Default)]
-struct StageSample {
-    bind_ns: u64,
-    plan_ns: u64,
-    exec_ns: u64,
-    segment_ns: u64,
-    rpc_ns: u64,
-    rows_scanned: u64,
-    segments_pruned: u64,
-    bound_skips: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    plan_brute: u64,
-    plan_pre: u64,
-    plan_post: u64,
-    plan_traversal: u64,
-}
-
-impl StageCounters {
-    fn resolve(m: &MetricsRegistry) -> StageCounters {
-        StageCounters {
-            bind_ns: m.counter("query.bind_ns"),
-            plan_ns: m.counter("query.plan_ns"),
-            exec_ns: m.counter("query.exec_ns"),
-            segment_ns: m.counter("query.segment_ns"),
-            rpc_ns: m.counter("worker.rpc_ns"),
-            rows_scanned: m.counter("query.iterator_visited"),
-            segments_pruned: m.counter("query.segments_pruned"),
-            bound_skips: m.counter("query.bound_skips"),
-            plan_brute: m.counter("query.plan.brute_force"),
-            plan_pre: m.counter("query.plan.pre_filter"),
-            plan_post: m.counter("query.plan.post_filter"),
-            plan_traversal: m.counter("query.plan.filtered_traversal"),
-        }
-    }
-
-    fn sample(&self, m: &MetricsRegistry) -> StageSample {
-        StageSample {
-            bind_ns: self.bind_ns.get(),
-            plan_ns: self.plan_ns.get(),
-            exec_ns: self.exec_ns.get(),
-            segment_ns: self.segment_ns.get(),
-            rpc_ns: self.rpc_ns.get(),
-            rows_scanned: self.rows_scanned.get(),
-            segments_pruned: self.segments_pruned.get(),
-            bound_skips: self.bound_skips.get(),
-            cache_hits: m.sum_counters_prefixed("cache.", ".hit"),
-            cache_misses: m.sum_counters_prefixed("cache.", ".miss"),
-            plan_brute: self.plan_brute.get(),
-            plan_pre: self.plan_pre.get(),
-            plan_post: self.plan_post.get(),
-            plan_traversal: self.plan_traversal.get(),
-        }
-    }
-}
-
-/// Identity of an in-flight statement, carried from dispatch to the
-/// completion bookkeeping.
-struct StatementCtx<'a> {
-    query_id: u64,
-    kind: &'static str,
-    sql: &'a str,
-    tenant: &'a str,
-    session: &'a str,
-    start_nanos: u64,
-}
-
 /// Statement kind for the query log and the per-kind SLO histograms.
 fn statement_kind(parsed: &Result<Statement>) -> &'static str {
     match parsed {
@@ -211,7 +124,6 @@ pub struct Database {
     engine: QueryEngine,
     next_vw: std::sync::atomic::AtomicU64,
     querylog: QueryLog,
-    stages: StageCounters,
     /// Per-statement-kind latency histograms, indexed like
     /// [`STATEMENT_KINDS`]; rendered as `query.slo{kind="…"}` summaries.
     slo: Vec<Arc<Histogram>>,
@@ -270,7 +182,6 @@ impl Database {
             engine: QueryEngine::new(metrics.clone()),
             next_vw: std::sync::atomic::AtomicU64::new(0),
             querylog,
-            stages: StageCounters::resolve(&metrics),
             slo,
             proc_queries: metrics.counter("process.queries"),
             proc_errors: metrics.counter("process.errors"),
@@ -425,15 +336,12 @@ impl Database {
         session: &str,
     ) -> Result<QueryOutput> {
         let parsed = parse_statement(sql);
-        let ctx = StatementCtx {
-            query_id: self.querylog.next_query_id(),
-            kind: statement_kind(&parsed),
-            sql,
-            tenant,
-            session,
-            start_nanos: self.querylog.now_nanos(),
-        };
-        let before = self.stages.sample(&self.metrics);
+        // The statement's context: every layer below tallies its work for
+        // this statement on it, and the log record is built from it alone.
+        let ctx =
+            QueryCtx::new(self.querylog.next_query_id(), statement_kind(&parsed), tenant, session);
+        let _in = ctx.install();
+        let start_nanos = self.querylog.now_nanos();
         // Arm per-statement tracing only when nothing else owns the tracer:
         // EXPLAIN ANALYZE drives it itself, and a concurrent captured query
         // keeps its enablement until it drains.
@@ -454,7 +362,7 @@ impl Database {
             if let Some(rss) = metrics::peak_rss_bytes() {
                 self.proc_rss.set(rss);
             }
-            self.finish_statement(&ctx, &before, false, 0, None);
+            self.finish_statement(&ctx, sql, start_nanos, false, 0, None);
             return self.dispatch(Statement::SystemMetrics, opts);
         }
 
@@ -468,7 +376,7 @@ impl Database {
             Ok(QueryOutput::Created) => (0, None),
             Err(e) => (0, Some(e.code())),
         };
-        self.finish_statement(&ctx, &before, capture, result_rows, error);
+        self.finish_statement(&ctx, sql, start_nanos, capture, result_rows, error);
         result
     }
 
@@ -476,14 +384,15 @@ impl Database {
     /// counters, slow-trace retention, and the query-log record itself.
     fn finish_statement(
         &self,
-        ctx: &StatementCtx<'_>,
-        before: &StageSample,
+        ctx: &QueryCtx,
+        sql: &str,
+        start_nanos: u64,
         capture: bool,
         result_rows: u64,
         error: Option<&'static str>,
     ) {
         let end_nanos = self.querylog.now_nanos();
-        let duration = end_nanos.saturating_sub(ctx.start_nanos);
+        let duration = end_nanos.saturating_sub(start_nanos);
         self.slo[kind_index(ctx.kind)].record(Duration::from_nanos(duration));
         self.proc_queries.inc();
         if error.is_some() {
@@ -494,7 +403,7 @@ impl Database {
         let log_on = self.querylog.is_enabled();
         // Normalized once and shared between the slow trace and the record —
         // normalization is the most expensive step of the logging hot path.
-        let sql = if log_on || capture { normalize_sql(ctx.sql) } else { String::new() };
+        let sql = if log_on || capture { normalize_sql(sql) } else { String::new() };
         let mut traced = false;
         if capture {
             let tracer = self.metrics.tracer();
@@ -514,43 +423,19 @@ impl Database {
         if !log_on {
             return;
         }
-        let after = self.stages.sample(&self.metrics);
-        // A vector SELECT bumps exactly one `query.plan.*` counter; the
-        // biggest delta names the chosen plan (batch/concurrent noise can
-        // only misattribute between concurrent statements, never invent one).
-        let strategy = [
-            ("brute_force", after.plan_brute - before.plan_brute),
-            ("pre_filter", after.plan_pre - before.plan_pre),
-            ("post_filter", after.plan_post - before.plan_post),
-            ("filtered_traversal", after.plan_traversal - before.plan_traversal),
-        ]
-        .into_iter()
-        .filter(|&(_, d)| d > 0)
-        .max_by_key(|&(_, d)| d)
-        .map(|(name, _)| name)
-        .unwrap_or("");
         self.querylog.observe(QueryLogRecord {
             query_id: ctx.query_id,
             kind: ctx.kind,
             sql,
-            tenant: ctx.tenant.to_string(),
-            session: ctx.session.to_string(),
-            start_nanos: ctx.start_nanos,
+            tenant: ctx.tenant.clone(),
+            session: ctx.session.clone(),
+            start_nanos,
             end_nanos,
-            bind_ns: after.bind_ns - before.bind_ns,
-            plan_ns: after.plan_ns - before.plan_ns,
-            exec_ns: after.exec_ns - before.exec_ns,
-            segment_ns: after.segment_ns - before.segment_ns,
-            rpc_ns: after.rpc_ns - before.rpc_ns,
-            rows_scanned: after.rows_scanned - before.rows_scanned,
-            segments_pruned: after.segments_pruned - before.segments_pruned,
-            bound_skips: after.bound_skips - before.bound_skips,
-            cache_hits: after.cache_hits - before.cache_hits,
-            cache_misses: after.cache_misses - before.cache_misses,
+            work: ctx.tally.snapshot(),
             result_rows,
             error_code: error,
             traced,
-            strategy,
+            strategy: ctx.strategy(),
         });
     }
 

@@ -25,7 +25,7 @@
 
 use crate::database::Database;
 use bh_common::trace::AttrValue;
-use bh_common::{sync as bhsync, BhError, Result};
+use bh_common::{sync as bhsync, BhError, Result, StatementWork};
 use bh_query::ResultSet;
 use bh_sql::ast::{Expr, SelectItem, SelectStmt};
 use bh_storage::schema::TableSchema;
@@ -363,7 +363,7 @@ fn eval_agg(
 
 fn query_log_rows(db: &Database) -> SystemRows {
     use ColumnType::{Str, UInt64};
-    let columns = vec![
+    let mut columns = vec![
         ("query_id", UInt64),
         ("kind", Str),
         ("sql", Str),
@@ -372,28 +372,22 @@ fn query_log_rows(db: &Database) -> SystemRows {
         ("start_nanos", UInt64),
         ("end_nanos", UInt64),
         ("duration_ns", UInt64),
-        ("bind_ns", UInt64),
-        ("plan_ns", UInt64),
-        ("exec_ns", UInt64),
-        ("segment_ns", UInt64),
-        ("rpc_ns", UInt64),
-        ("rows_scanned", UInt64),
-        ("segments_pruned", UInt64),
-        ("bound_skips", UInt64),
-        ("cache_hits", UInt64),
-        ("cache_misses", UInt64),
+    ];
+    // The statement's tally, one column per cell (`bind_ns` … `cache_misses`).
+    columns.extend(StatementWork::default().columns().into_iter().map(|(name, _)| (name, UInt64)));
+    columns.extend([
         ("result_rows", UInt64),
         ("strategy", Str),
         ("error_code", Str),
         ("traced", UInt64),
-    ];
+    ]);
     let rows = db
         .query_log()
         .records()
         .into_iter()
         .map(|r| {
             let duration = r.duration_nanos();
-            vec![
+            let mut row = vec![
                 Value::UInt64(r.query_id),
                 Value::Str(r.kind.to_string()),
                 Value::Str(r.sql),
@@ -402,21 +396,15 @@ fn query_log_rows(db: &Database) -> SystemRows {
                 Value::UInt64(r.start_nanos),
                 Value::UInt64(r.end_nanos),
                 Value::UInt64(duration),
-                Value::UInt64(r.bind_ns),
-                Value::UInt64(r.plan_ns),
-                Value::UInt64(r.exec_ns),
-                Value::UInt64(r.segment_ns),
-                Value::UInt64(r.rpc_ns),
-                Value::UInt64(r.rows_scanned),
-                Value::UInt64(r.segments_pruned),
-                Value::UInt64(r.bound_skips),
-                Value::UInt64(r.cache_hits),
-                Value::UInt64(r.cache_misses),
+            ];
+            row.extend(r.work.columns().into_iter().map(|(_, n)| Value::UInt64(n)));
+            row.extend([
                 Value::UInt64(r.result_rows),
                 Value::Str(r.strategy.to_string()),
                 Value::Str(r.error_code.unwrap_or("").to_string()),
                 Value::UInt64(u64::from(r.traced)),
-            ]
+            ]);
+            row
         })
         .collect();
     SystemRows { columns, rows }

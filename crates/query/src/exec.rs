@@ -29,8 +29,8 @@ use bh_cluster::vw::{SegmentIndex, VirtualWarehouse};
 use bh_cluster::worker::Worker;
 use bh_common::metrics::Counter;
 use bh_common::{
-    BhError, Bitset, FanoutPool, MetricsRegistry, Result, SegmentId, SharedBound, SpanId,
-    Stopwatch, TopK,
+    BhError, Bitset, FanoutPool, MetricsRegistry, QueryCtx, Result, SegmentId, SharedBound,
+    SpanId, StatementCounters, Stopwatch, TopK,
 };
 use bh_sql::ast::SelectStmt;
 use bh_storage::predicate::Predicate;
@@ -141,6 +141,8 @@ struct StmtPlan {
     /// Histogram-estimated pass fraction of the predicate of a filtered
     /// vector statement. Plan D sizes its hop budget with it.
     selectivity: Option<f32>,
+    /// The statement's context, installed around every piece of work done for it.
+    ctx: Arc<QueryCtx>,
 }
 
 /// One round's unit of work: a segment and every statement that scheduled
@@ -173,7 +175,6 @@ impl Drop for RoundPrefetches {
 /// Counters bumped once or more per segment per statement, resolved once at
 /// construction instead of by name on the hot path.
 struct HotCounters {
-    segment_ns: Arc<Counter>,
     parallel_segments: Arc<Counter>,
     fanout_batches: Arc<Counter>,
     fanout_caller_tasks: Arc<Counter>,
@@ -190,6 +191,8 @@ pub struct QueryEngine {
     plan_cache: PlanCache,
     metrics: MetricsRegistry,
     hot: HotCounters,
+    /// The global counters each statement's tally folds into.
+    folded: StatementCounters,
     /// Persistent helpers every statement's segment fan-out runs on.
     fanout: FanoutPool,
 }
@@ -202,7 +205,6 @@ impl QueryEngine {
         let tier = bh_vector::distance::KernelTier::current();
         metrics.gauge(&format!("kernel.tier.{}", tier.name())).set(1);
         let hot = HotCounters {
-            segment_ns: metrics.counter("query.segment_ns"),
             parallel_segments: metrics.counter("query.parallel_segments"),
             fanout_batches: metrics.counter("query.fanout_batches"),
             fanout_caller_tasks: metrics.counter("query.fanout.caller_tasks"),
@@ -213,6 +215,7 @@ impl QueryEngine {
         Self {
             cost: CostParams::default(),
             plan_cache: PlanCache::new(),
+            folded: StatementCounters::resolve(&metrics),
             metrics,
             hot,
             fanout: FanoutPool::for_machine(),
@@ -318,7 +321,9 @@ impl QueryEngine {
             let _span = self.metrics.tracer().span("bind");
             stmts.iter().map(|s| bind_select(table.schema(), s)).collect::<Result<_>>()?
         };
-        self.metrics.counter("query.bind_ns").add(t.elapsed_nanos());
+        // Binding happens before the engine has contexts of its own: the
+        // time goes to the statement the caller is running (`Database`).
+        QueryCtx::with(|c| c.tally.bind_ns.add(t.elapsed_nanos()));
         self.execute_batch(table, vw, opts, &batch)
     }
 
@@ -353,11 +358,15 @@ impl QueryEngine {
         opts: &QueryOptions,
         batch: &[BoundSelect],
     ) -> Result<Vec<ResultSet>> {
+        // Each statement's context: the one installed on this thread (one
+        // statement, one engine call: `Database`'s) or else the engine's own.
+        let installed = QueryCtx::current();
         self.metrics.counter("query.batch_size").add(batch.len() as u64);
-        let t = Stopwatch::start();
         let plans: Vec<StmtPlan> = batch
             .iter()
             .map(|b| {
+                let ctx = installed.clone().unwrap_or_default();
+                let t = Stopwatch::start();
                 let mut span = self.metrics.tracer().span("plan");
                 let rules = self.cached_rules(table, opts, b);
                 let selectivity = filter_selectivity(table, b);
@@ -373,11 +382,11 @@ impl QueryEngine {
                         span.attr(e.strategy.slug(), describe(&e));
                     }
                 }
-                self.note_plan(strategy);
-                StmtPlan { rules, strategy, selectivity: selectivity.map(|s| s as f32) }
+                ctx.set_strategy(strategy.slug());
+                ctx.tally.plan_ns.add(t.elapsed_nanos());
+                StmtPlan { rules, strategy, selectivity: selectivity.map(|s| s as f32), ctx }
             })
             .collect();
-        self.metrics.counter("query.plan_ns").add(t.elapsed_nanos());
 
         let t = Stopwatch::start();
         let mut exec_span = self.metrics.tracer().span("exec");
@@ -400,8 +409,17 @@ impl QueryEngine {
             exec_span.attr("rows", results.iter().map(|rs| rs.rows.len()).sum::<usize>());
         }
         drop(exec_span);
-        self.metrics.counter("query.exec_ns").add(t.elapsed_nanos());
+        // One executor phase per batch: its wall time goes to the first
+        // statement, like a segment task's shared index resolution.
+        if let Some(first) = plans.first() {
+            first.ctx.tally.exec_ns.add(t.elapsed_nanos());
+        }
         self.metrics.counter("query.executed").add(batch.len() as u64);
+        // Each tally reaches the global counters here, once, whatever the outcome.
+        match &installed {
+            Some(ctx) => self.folded.fold(ctx),
+            None => plans.iter().for_each(|p| self.folded.fold(&p.ctx)),
+        }
         out
     }
 
@@ -421,14 +439,13 @@ impl QueryEngine {
         for (qi, (sel, plan)) in batch.iter().zip(plans).enumerate() {
             let Some(v) = &sel.vector else {
                 // Scalar statements don't participate in the vector fan-out.
+                let _in = plan.ctx.install();
                 results[qi] = Some(self.exec_scalar(table, vw, opts, sel, &plan.rules)?);
                 continue;
             };
             let selection =
                 select_segments(&segments, &sel.predicate, Some(&v.query), &opts.prune);
-            self.metrics
-                .counter("query.segments_pruned")
-                .add(selection.scalar_pruned as u64);
+            plan.ctx.tally.segments_pruned.add(selection.scalar_pruned as u64);
             let k = v.k.unwrap_or(total_rows.max(1));
             // The bound is exact only for pure top-k queries: a range query
             // must return everything within the range, and an unbounded k
@@ -468,17 +485,7 @@ impl QueryEngine {
             self.search_rounds(table, vw, opts, segments.len(), &mut states)?;
         }
 
-        // Skips accumulate on the (possibly shared) bound: count each
-        // distinct bound once, not once per statement that aliases it.
-        let mut counted: Vec<*const SharedBound> = Vec::new();
         for st in states {
-            if let Some(b) = &st.bound {
-                let p = Arc::as_ptr(b);
-                if !counted.contains(&p) {
-                    counted.push(p);
-                    self.metrics.counter("query.bound_skips").add(b.skips());
-                }
-            }
             let mut hits = st.global.into_sorted();
             if let Some(r) = st.v.range {
                 hits.retain(|s| s.distance <= r);
@@ -488,6 +495,7 @@ impl QueryEngine {
             }
             let hit_list: Vec<(SegmentId, u32, f32)> =
                 hits.into_iter().map(|s| (s.item.0, s.item.1, s.distance)).collect();
+            let _in = st.plan.ctx.install();
             results[st.qi] = Some(self.materialize(table, vw, st.sel, &hit_list)?);
         }
         results
@@ -665,9 +673,10 @@ impl QueryEngine {
     /// whole task is retried once on the new topology and resolves again
     /// there (§II-E: one `vw.query_retries` per task, not per read).
     ///
-    /// `query.segment_ns` sums wall time across (statement, segment)
-    /// searches, so with fan-out it can exceed `query.exec_ns`; the query
-    /// log reports it as the aggregate per-segment scan effort.
+    /// Each statement's context is installed around its own search, so what
+    /// the layers below tally lands on it; the shared resolution is work for
+    /// the first statement that scheduled the segment. `segment_ns` sums wall
+    /// time across a statement's searches: with fan-out it can exceed `exec_ns`.
     fn run_segment_task(
         &self,
         table: &TableStore,
@@ -682,14 +691,17 @@ impl QueryEngine {
         task_span.attr("segment", meta.id.raw());
         task_span.attr("queries", task.stmts.len());
         vw.with_segment_retry(meta, |owner| {
+            let _first = task.wants_index.then(|| states[task.stmts[0]].plan.ctx.install());
             let index = if task.wants_index { vw.segment_index(&owner, meta)? } else { None };
             let ctx = SegCtx { owner: &owner, index: index.as_ref() };
             task.stmts
                 .iter()
                 .map(|&si| {
+                    let st = &states[si];
+                    let _in = st.plan.ctx.install();
                     let t = Stopwatch::start();
-                    let r = self.search_one_segment(table, vw, opts, &states[si], meta, ctx);
-                    self.hot.segment_ns.add(t.elapsed_nanos());
+                    let r = self.search_one_segment(table, vw, opts, st, meta, ctx);
+                    st.plan.ctx.tally.segment_ns.add(t.elapsed_nanos());
                     r
                 })
                 .collect()
@@ -697,20 +709,6 @@ impl QueryEngine {
     }
 
     // -------------------------------------------------------------- planning
-
-    /// Per-strategy chosen-plan counter, once per executed statement (not
-    /// per segment). Literal names so the metric-registry lint (rule 9)
-    /// covers them.
-    fn note_plan(&self, strategy: Strategy) {
-        match strategy {
-            Strategy::BruteForce => self.metrics.counter("query.plan.brute_force").inc(),
-            Strategy::PreFilter => self.metrics.counter("query.plan.pre_filter").inc(),
-            Strategy::PostFilter => self.metrics.counter("query.plan.post_filter").inc(),
-            Strategy::FilteredTraversal => {
-                self.metrics.counter("query.plan.filtered_traversal").inc()
-            }
-        }
-    }
 
     /// The statement's rule output, from the plan cache when its shape was
     /// seen before. The strategy is not part of it:
@@ -1029,9 +1027,7 @@ impl QueryEngine {
         let segments = table.segments();
         let selection: SegmentSelection =
             select_segments(&segments, &bound.predicate, None, &opts.prune);
-        self.metrics
-            .counter("query.segments_pruned")
-            .add(selection.scalar_pruned as u64);
+        QueryCtx::with(|c| c.tally.segments_pruned.add(selection.scalar_pruned as u64));
         let mut scalar_span = self.metrics.tracer().span("exec.scalar");
         scalar_span.attr("segments_scheduled", selection.scheduled.len());
         scalar_span.attr("segments_pruned", selection.scalar_pruned);
@@ -1919,6 +1915,7 @@ mod tests {
                     }
                     let cold = metas.iter().filter(is_cold).count() as u64;
                     let (served, brute) = (count("vw.serving_calls"), count("worker.brute_force"));
+                    let rpc_ns = count("worker.rpc_ns");
                     let moved = engine.execute_select_batch(&ts, &vw, &opts, stmts).unwrap();
                     if serving_enabled {
                         assert_eq!(rows_of(&moved), rows_of(&baseline), "{case}");
@@ -1928,9 +1925,11 @@ mod tests {
                             "{case}: one RPC per (statement, moved segment)"
                         );
                         assert_eq!(count("worker.brute_force"), brute, "{case}");
+                        assert!(count("worker.rpc_ns") > rpc_ns, "{case}: serving time is folded");
                     } else {
                         assert_eq!(rows_of(&moved), rows_of(&scanned), "{case}");
                         assert_eq!(count("vw.serving_calls"), served, "{case}");
+                        assert_eq!(count("worker.rpc_ns"), rpc_ns, "{case}");
                         assert_eq!(count("worker.brute_force") - brute, cold, "{case}");
                     }
                     assert!(

@@ -15,6 +15,7 @@
 use bh_cluster::vw::{VirtualWarehouse, VwConfig};
 use bh_common::ids::IdGenerator;
 use bh_common::querylog::{QueryLog, QueryLogRecord, SlowQueryPolicy, SlowQueryTrace};
+use bh_common::QueryCtx;
 use bh_common::{MetricsRegistry, VirtualClock};
 use bh_query::exec::{QueryEngine, QueryOptions};
 use bh_query::result::ResultSet;
@@ -318,7 +319,7 @@ proptest! {
     /// The always-on query log plus slow-query capture is observation only.
     /// This models the per-statement choreography `Database::execute_session`
     /// runs around the engine — arm the tracer, execute, drain the spans into
-    /// a retained trace, append one record from the counter deltas — and
+    /// a retained trace, append one record from the statement's context — and
     /// asserts the results stay bit-identical to plain runs.
     #[test]
     fn query_log_capture_does_not_change_results(sqls in batch_strategy()) {
@@ -329,16 +330,17 @@ proptest! {
         let log = QueryLog::with_capacities(64, 64);
         log.set_slow_policy(Some(SlowQueryPolicy { threshold_nanos: 0, capture_errors: true }));
         let tracer = fix.metrics.tracer();
-        let exec_ns = fix.metrics.counter("query.exec_ns");
-        let visited = fix.metrics.counter("query.iterator_visited");
         let logged: Vec<ResultSet> = sqls
             .iter()
             .map(|s| {
                 let query_id = log.next_query_id();
+                let ctx = QueryCtx::new(query_id, "select", "default", "default");
                 let start_nanos = log.now_nanos();
-                let (e0, v0) = (exec_ns.get(), visited.get());
                 tracer.set_enabled(true);
-                let rs = run_sql(fix, &opts, s);
+                let rs = {
+                    let _in = ctx.install();
+                    run_sql(fix, &opts, s)
+                };
                 tracer.set_enabled(false);
                 let spans = tracer.drain();
                 let end_nanos = log.now_nanos();
@@ -354,14 +356,14 @@ proptest! {
                 }
                 log.observe(QueryLogRecord {
                     query_id,
-                    kind: "select",
+                    kind: ctx.kind,
                     sql: s.clone(),
-                    tenant: "default".into(),
-                    session: "default".into(),
+                    tenant: ctx.tenant.clone(),
+                    session: ctx.session.clone(),
                     start_nanos,
                     end_nanos,
-                    exec_ns: exec_ns.get() - e0,
-                    rows_scanned: visited.get() - v0,
+                    work: ctx.tally.snapshot(),
+                    strategy: ctx.strategy(),
                     result_rows: rs.rows.len() as u64,
                     traced: true,
                     ..Default::default()

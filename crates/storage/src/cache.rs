@@ -12,13 +12,15 @@
 //!
 //! All cache counters follow the `cache.<space>.<event>` naming convention
 //! (DESIGN.md §9): `cache.{meta,data}.{hit,miss}` for the block cache,
-//! `cache.index.{mem,disk}.{hit,miss}` for the index-cache tiers.
+//! `cache.index.{mem,disk}.{hit,miss}` for the index-cache tiers. Every
+//! `.hit` / `.miss` bump goes through `bh_common::qctx::cache_{hit,miss}`,
+//! which also tallies it on the statement the thread is working for.
 
 use crate::lru::LruCache;
 use crate::objectstore::{ObjectStore, PendingGet};
 use crate::segment::SegmentMeta;
 use bh_common::metrics::Counter;
-use bh_common::{MetricsRegistry, Result, SegmentId};
+use bh_common::{qctx, MetricsRegistry, Result, SegmentId};
 use bh_vector::{IndexKind, IndexRegistry, VectorIndex};
 use bytes::Bytes;
 use bh_common::sync::{classes, Condvar, Mutex};
@@ -91,11 +93,11 @@ impl IndexCache {
         span.attr("segment", meta.id.raw());
         loop {
             if let Some(idx) = self.mem.get(&meta.id) {
-                self.mem_hit.inc();
+                qctx::cache_hit(&self.mem_hit);
                 span.attr("tier", "mem");
                 return Ok(Some(idx));
             }
-            self.mem_miss.inc();
+            qctx::cache_miss(&self.mem_miss);
             let mut g = self.inflight.lock_checked()?;
             if g.insert(meta.id) {
                 break; // we own the fetch
@@ -125,7 +127,7 @@ impl IndexCache {
         let pending = self.pending.lock_checked()?.remove(&meta.id);
         let blob: Bytes = match pending {
             Some(p) => {
-                self.metrics.counter("cache.index.prefetch.hit").inc();
+                qctx::cache_hit(&self.metrics.counter("cache.index.prefetch.hit"));
                 span.attr("tier", "prefetch");
                 let blob = p.wait();
                 if let Some(disk) = &self.disk {
@@ -135,13 +137,13 @@ impl IndexCache {
             }
             None => match &self.disk {
                 Some(disk) if disk.exists(&key) => {
-                    self.metrics.counter("cache.index.disk.hit").inc();
+                    qctx::cache_hit(&self.metrics.counter("cache.index.disk.hit"));
                     span.attr("tier", "disk");
                     disk.get(&key)?
                 }
                 _ => {
                     if self.disk.is_some() {
-                        self.metrics.counter("cache.index.disk.miss").inc();
+                        qctx::cache_miss(&self.metrics.counter("cache.index.disk.miss"));
                     }
                     let blob = self.remote.get(&key)?;
                     self.metrics.counter("cache.index.remote.fetch").inc();
@@ -328,11 +330,11 @@ impl BlockCache {
         let bypass = kind == BlockKind::Data && query_rows > self.row_limit;
         if !bypass {
             if let Some(b) = self.space(kind).get(&key.to_string()) {
-                self.metrics.counter(&format!("{label}.hit")).inc();
+                qctx::cache_hit(&self.metrics.counter(&format!("{label}.hit")));
                 span.attr("hit", true);
                 return Ok(b);
             }
-            self.metrics.counter(&format!("{label}.miss")).inc();
+            qctx::cache_miss(&self.metrics.counter(&format!("{label}.miss")));
             span.attr("hit", false);
         } else {
             self.metrics.counter("cache.data.bypass").inc();

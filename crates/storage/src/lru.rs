@@ -8,7 +8,7 @@
 //! instances for metadata and data, §II-D / §IV-C).
 
 use bh_common::metrics::Counter;
-use bh_common::MetricsRegistry;
+use bh_common::{qctx, MetricsRegistry};
 use bh_common::sync::{classes, Mutex};
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -82,7 +82,7 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
             Some(idx) => {
                 g.hits += 1;
                 if let Some(c) = &self.hit_ctr {
-                    c.inc();
+                    qctx::cache_hit(c);
                 }
                 g.unlink(idx);
                 g.push_front(idx);
@@ -91,7 +91,7 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
             None => {
                 g.misses += 1;
                 if let Some(c) = &self.miss_ctr {
-                    c.inc();
+                    qctx::cache_miss(c);
                 }
                 None
             }

@@ -57,8 +57,6 @@ pub struct TableStoreConfig {
     pub segment_max_rows: usize,
     /// Overlap segment writes with index builds, or stage them.
     pub ingest_mode: IngestMode,
-    /// Fill missing IVF `nlist` from segment size (§III-B auto index).
-    pub auto_index: bool,
     /// Compaction merges a group only while the merged segment stays below
     /// this row count.
     pub compact_target_rows: usize,
@@ -74,7 +72,6 @@ impl Default for TableStoreConfig {
         Self {
             segment_max_rows: 2048,
             ingest_mode: IngestMode::Pipelined,
-            auto_index: true,
             compact_target_rows: 64 * 1024,
             compact_parallelism: std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -311,11 +308,8 @@ impl TableStore {
         if dim == 0 {
             return Ok(None);
         }
-        let spec = if self.cfg.auto_index {
-            apply_auto_index(&idx_def.spec, seg.row_count())
-        } else {
-            idx_def.spec.clone()
-        };
+        // Missing IVF `nlist` is filled from the segment's size (§III-B).
+        let spec = apply_auto_index(&idx_def.spec, seg.row_count());
         let mut builder = self.registry.create_builder(&spec)?;
         let t = Stopwatch::start();
         if builder.requires_training() {

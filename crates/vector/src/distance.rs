@@ -30,7 +30,7 @@
 //! returned negated / inverted accordingly so every index can treat search
 //! uniformly as minimization.
 
-use bh_common::{BhError, Result};
+use bh_common::{BhError, QueryCtx, Result};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::sync::OnceLock;
@@ -441,7 +441,8 @@ const SCAN_BLOCK_ROWS: usize = 256;
 /// [`distance_gather`] over 256 rows at a time. The listed form returns
 /// [`Metric::distance`]'s bits on every metric; the all-rows form hoists
 /// cosine's query norm as `distance_batch` does and may differ from the
-/// per-row form in the last place.
+/// per-row form in the last place. The rows scored are tallied, once, as
+/// `rows_scanned` of the statement the thread is working for.
 pub fn scan_distances(
     metric: Metric,
     query: &[f32],
@@ -474,6 +475,8 @@ pub fn scan_distances(
             }
         }
     }
+    let scored = rows.map_or(block.len() / dim, <[u32]>::len);
+    QueryCtx::with(|c| c.tally.rows_scanned.add(scored as u64));
     Ok(())
 }
 

@@ -23,7 +23,7 @@ use crate::types::{
 };
 use crate::{IndexKind, Metric};
 use bh_common::rng::{derived_rng, DetRng};
-use bh_common::{BhError, Bitset, Result, SharedBound};
+use bh_common::{BhError, Bitset, QueryCtx, Result, SharedBound};
 use bytes::Bytes;
 use rand::Rng;
 use std::cmp::Reverse;
@@ -415,7 +415,8 @@ impl HnswIndex {
 
     /// Level-0 candidate generation for filtered searches: the Plan D
     /// traversal when `params.filter_traversal` asks for it, else the
-    /// classic widened beam with post-hoc bitset checks.
+    /// classic widened beam with post-hoc bitset checks. Returns the
+    /// candidates and the beam's visited count.
     fn filtered_candidates(
         &self,
         query: &[f32],
@@ -423,23 +424,20 @@ impl HnswIndex {
         ef_base: usize,
         params: &SearchParams,
         filter: Option<&Bitset>,
-    ) -> Vec<DistNode> {
+    ) -> (Vec<DistNode>, usize) {
         match filter {
-            Some(f) if params.filter_traversal => {
-                self.search_layer0_filtered(
-                    query,
-                    entry,
-                    params.traversal_ef(ef_base),
-                    f,
-                    params.hop_budget(),
-                )
-                .0
-            }
+            Some(f) if params.filter_traversal => self.search_layer0_filtered(
+                query,
+                entry,
+                params.traversal_ef(ef_base),
+                f,
+                params.hop_budget(),
+            ),
             // With a selective filter, widen the beam so enough filtered
             // rows survive — hnswlib's recipe, with the factor now derived
             // from the selectivity estimate instead of a fixed 2x.
-            Some(_) => self.search_layer(query, entry, params.widened_ef(ef_base), 0).0,
-            None => self.search_layer(query, entry, ef_base, 0).0,
+            Some(_) => self.search_layer(query, entry, params.widened_ef(ef_base), 0),
+            None => self.search_layer(query, entry, ef_base, 0),
         }
     }
 
@@ -503,7 +501,8 @@ impl VectorIndex for HnswIndex {
         // candidate list participates, whichever source produced it.
         let ef = params.ef_search.max(k);
         let entry = self.greedy_to_level(query, self.entry, self.max_level, 0);
-        let cands = self.filtered_candidates(query, entry, ef, params, filter);
+        let (cands, visited) = self.filtered_candidates(query, entry, ef, params, filter);
+        QueryCtx::with(|c| c.tally.rows_scanned.add(visited as u64));
         // SQ stores yield asymmetric (approximate) distances. With the
         // measured reconstruction radius rho they still admit conservative
         // lower bounds on the exact distance, so HNSWSQ can *prune* against
@@ -605,6 +604,14 @@ struct HnswIterator<'a> {
     heap: BinaryHeap<Reverse<DistNode>>,
     visited: Vec<bool>,
     n_visited: usize,
+}
+
+/// What the traversal walked is tallied once, when the statement is done
+/// with it.
+impl Drop for HnswIterator<'_> {
+    fn drop(&mut self) {
+        QueryCtx::with(|c| c.tally.rows_scanned.add(self.n_visited as u64));
+    }
 }
 
 impl SearchIterator for HnswIterator<'_> {

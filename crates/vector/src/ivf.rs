@@ -35,7 +35,7 @@ use crate::types::{
     Neighbor, SearchParams, VectorIndex,
 };
 use crate::{distance, IndexKind, Metric};
-use bh_common::{BhError, Bitset, FanoutPool, Result, SharedBound, TopK};
+use bh_common::{BhError, Bitset, FanoutPool, QueryCtx, Result, SharedBound, TopK};
 use bytes::Bytes;
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -130,6 +130,7 @@ impl IvfIndex {
     /// Scan one flat cell into `out`. Posting lists hold raw vectors, so
     /// distances are exact (in the post-scale domain for cosine): rows the
     /// shared bound beats are dropped and the local k-th is published.
+    /// Returns how many rows were scored.
     fn scan_flat_cell(
         &self,
         vectors: &[f32],
@@ -138,7 +139,7 @@ impl IvfIndex {
         filter: Option<&Bitset>,
         out: &mut BoundedTopK<'_>,
         dists: &mut Vec<f32>,
-    ) {
+    ) -> usize {
         let scale = self.post_scale();
         if filter.is_none() && !cell_ids.is_empty() {
             // The whole posting list is scanned: use the batched kernel over
@@ -150,9 +151,10 @@ impl IvfIndex {
                     let d = d * scale;
                     out.offer(d, d, id);
                 }
-                return;
+                return cell_ids.len();
             }
         }
+        let mut scored = 0;
         for (i, &id) in cell_ids.iter().enumerate() {
             if filter.is_some_and(|f| !f.contains(id as usize)) {
                 continue;
@@ -160,7 +162,9 @@ impl IvfIndex {
             let row = &vectors[i * self.dim..(i + 1) * self.dim];
             let d = self.effective_metric().distance(q, row) * scale;
             out.offer(d, d, id);
+            scored += 1;
         }
+        scored
     }
 
     /// Scan one PQ cell, pushing approximate distances into `tk`. Returns
@@ -352,10 +356,13 @@ impl VectorIndex for IvfIndex {
             Cells::Flat { vectors } => {
                 let mut dists: Vec<f32> = Vec::new();
                 let mut out = BoundedTopK::new(k, bound, true);
+                let mut scored = 0;
                 for (cell, _) in probes {
                     let ids = &self.ids[cell];
-                    self.scan_flat_cell(&vectors[cell], ids, &q, filter, &mut out, &mut dists);
+                    scored +=
+                        self.scan_flat_cell(&vectors[cell], ids, &q, filter, &mut out, &mut dists);
                 }
+                QueryCtx::with(|c| c.tally.rows_scanned.add(scored as u64));
                 Ok(out.finish())
             }
             Cells::Pq { pq, store, margins } => {
@@ -367,11 +374,15 @@ impl VectorIndex for IvfIndex {
                 // probed cells is a uniform (conservative) error bound.
                 let mut max_errq = 0.0f32;
                 let mut scratch = PqScanScratch::default();
+                // A PQ cell's distances are computed for all of its rows.
+                let mut scored = 0;
                 for (cell, _) in probes {
                     let errq =
                         self.scan_pq_cell(pq, store, cell, &q, filter, &mut tk, &mut scratch);
                     max_errq = max_errq.max(errq);
+                    scored += self.ids[cell].len();
                 }
+                QueryCtx::with(|c| c.tally.rows_scanned.add(scored as u64));
                 let mut hits = sorted_neighbors(tk);
                 // Margin pruning needs a metric whose approximate scan value
                 // bounds the exact distance from below — L2, and Cosine via

@@ -28,7 +28,7 @@ use crate::types::{
 };
 use crate::{IndexKind, Metric};
 use bh_common::rng::derived_rng;
-use bh_common::{BhError, Bitset, Result, SharedBound, TopK};
+use bh_common::{BhError, Bitset, QueryCtx, Result, SharedBound, TopK};
 use bytes::Bytes;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -128,6 +128,8 @@ impl DiskAnnIndex {
         let mut list: Vec<(f32, u32)> = vec![(self.approx_dist(&table, self.medoid), self.medoid)];
         visited[self.medoid as usize] = true;
         let mut exact = TopK::new(k);
+        // Nodes read from the blob and scored exactly.
+        let mut scored = 0u64;
 
         loop {
             // Closest unexpanded entry in the working list.
@@ -138,6 +140,7 @@ impl DiskAnnIndex {
             expanded[node as usize] = true;
             let (vec, nbrs) = self.read_node(node);
             let d_exact = self.metric.distance(query, &vec);
+            scored += 1;
             let allowed = filter.map(|f| f.contains(self.ids[node as usize] as usize)).unwrap_or(true);
             if allowed {
                 exact.push(d_exact, self.ids[node as usize]);
@@ -157,6 +160,7 @@ impl DiskAnnIndex {
                 }
             }
         }
+        QueryCtx::with(|c| c.tally.rows_scanned.add(scored));
         Ok(sorted_neighbors(exact))
     }
 
