@@ -73,7 +73,6 @@ pub struct MilvusSim {
     segments: Vec<MilvusSegment>,
     /// Growing (unsealed) segment.
     growing: SimCollection,
-    loaded: bool,
 }
 
 impl MilvusSim {
@@ -85,7 +84,6 @@ impl MilvusSim {
             registry: Arc::new(IndexRegistry::with_builtins()),
             segments: Vec::new(),
             growing: SimCollection::new(dim),
-            loaded: false,
         }
     }
 
@@ -100,12 +98,6 @@ impl MilvusSim {
         for seg in &mut self.segments {
             seg.index = None;
         }
-        self.loaded = false;
-    }
-
-    /// Have all sealed segments been indexed and loaded?
-    pub fn is_loaded(&self) -> bool {
-        self.loaded
     }
 
     /// Sealed segments plus the growing one (if non-empty).
@@ -223,7 +215,6 @@ impl BaselineSystem for MilvusSim {
                 self.segments[i].index = Some(idx);
             }
         }
-        self.loaded = true;
         Ok(())
     }
 

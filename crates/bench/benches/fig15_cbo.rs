@@ -29,10 +29,11 @@ fn main() {
         })
     };
 
-    let cbo_on = run(&QueryOptions { enable_cbo: true, ..db.default_options() });
+    // Every statement here is filtered, so "CBO off" is the pre-filter plan,
+    // forced.
+    let cbo_on = run(&db.default_options());
     let cbo_off = run(&QueryOptions {
-        enable_cbo: false,
-        default_strategy: Strategy::PreFilter,
+        forced_strategy: Some(Strategy::PreFilter),
         enable_plan_cache: false,
         ..db.default_options()
     });

@@ -11,10 +11,10 @@
 //!   worker map, so a warm statement resolves an owner with one map lookup.
 //! * **One answer for a segment whose index is not where the query landed**
 //!   (§II-D, Fig. 4): [`VirtualWarehouse::segment_index`] resolves, for one
-//!   owner and one segment, the index to search — the owner's own, the
-//!   previous owner's over the search RPC (**vector search serving**, latency
-//!   charged), or none (exact scan of the raw column) — and warms the owner
-//!   whenever it had to look elsewhere.
+//!   owner and one segment, the index to search — the owner's own, or, while
+//!   that is still on its way, the previous owner's over the search RPC
+//!   (**vector search serving**, latency charged). The owner's transfer is
+//!   the warm: serve first, wait second.
 //! * **Query-level retry** (§II-E): a dead worker's task is retried on the
 //!   topology with the worker removed.
 //! * **Cache-aware preload** (§II-D): new indexes are pushed to the workers
@@ -45,9 +45,6 @@ pub struct VwConfig {
     pub serving_enabled: bool,
     /// RPC latency model for worker-to-worker serving calls.
     pub rpc: LatencyModel,
-    /// Warm the new owner's cache synchronously after a miss (deterministic
-    /// tests) instead of in a background thread (benchmarks).
-    pub synchronous_warm: bool,
     /// Configuration for workers this VW creates.
     pub worker: WorkerConfig,
 }
@@ -58,7 +55,6 @@ impl Default for VwConfig {
             probes: 21,
             serving_enabled: true,
             rpc: LatencyModel::ZERO,
-            synchronous_warm: true,
             worker: WorkerConfig::default(),
         }
     }
@@ -68,11 +64,11 @@ impl Default for VwConfig {
 /// [`VirtualWarehouse::segment_index`] and searched through
 /// [`VirtualWarehouse::search_index`].
 pub enum SegmentIndex {
-    /// The owner's own: it was resident there, or its transfer was in flight
-    /// and has been waited out.
+    /// The owner's own: it was resident there, or its transfer has arrived
+    /// (waited out, if nobody could serve meanwhile).
     Local(Arc<dyn VectorIndex>),
-    /// Resident on this live previous owner; every search is one serving RPC
-    /// (Fig. 4).
+    /// Resident on this live previous owner while the owner's transfer is in
+    /// flight; every search is one serving RPC (Fig. 4).
     Served(Arc<Worker>),
 }
 
@@ -259,12 +255,6 @@ impl VirtualWarehouse {
         Ok((wid, worker))
     }
 
-    /// Pre-scaling owner of a segment, if recorded and still a member.
-    fn previous_owner_of(&self, meta: &SegmentMeta) -> Option<Arc<Worker>> {
-        let wid = *self.previous_owner.read().get(&meta.id)?;
-        self.workers.read().get(&wid).cloned()
-    }
-
     /// Group segments by their assigned worker.
     pub fn assign(&self, metas: &[Arc<SegmentMeta>]) -> BTreeMap<WorkerId, Vec<Arc<SegmentMeta>>> {
         let ring = self.ring.read();
@@ -350,35 +340,40 @@ impl VirtualWarehouse {
     /// query landed (§II-D, Fig. 4; DESIGN.md §11.3) — what searches of
     /// `meta` dispatched to `owner` run on:
     ///
-    /// | the index is | answer | the owner is warmed |
-    /// |---|---|---|
-    /// | resident on the owner | `Local` | — |
-    /// | in flight to the owner (a prefetch) | `Local`, the transfer waited out | by that |
-    /// | resident on the live previous owner, serving enabled | `Served` | yes |
-    /// | nowhere to search, or the segment has none | `None`: exact scan | yes, if there is one |
+    /// | the index is | answer |
+    /// |---|---|
+    /// | resident on the owner | `Local` |
+    /// | pending on the owner, its transfer at its deadline | `Local`, consumed at no wait |
+    /// | on its way, and resident on the live previous owner (serving enabled) | `Served`; the transfer runs on |
+    /// | on its way, nobody to serve | `Local`, the transfer waited out |
+    /// | not there: the segment has none | `None`: exact scan |
     ///
-    /// It never starts a load on the answer path: a cold owner with nothing
-    /// in flight is warmed beside the answer ([`VwConfig::synchronous_warm`]).
-    /// `worker.brute_force` counts the `None`s.
+    /// The owner's transfer is its warm. The executor's round starts it early
+    /// so a round's transfers overlap; when none is in flight it starts here.
+    /// A served task leaves it running, and the first task to find it arrived
+    /// consumes it. `worker.brute_force` counts the `None`s.
     pub fn segment_index(
         &self,
         owner: &Arc<Worker>,
         meta: &Arc<SegmentMeta>,
     ) -> Result<Option<SegmentIndex>> {
         owner.check_alive()?;
-        let cache = owner.index_cache();
-        if cache.resident(meta.id) || cache.in_flight(meta.id) {
-            return Ok(owner.index_handle(meta)?.map(SegmentIndex::Local));
-        }
-        let peer = (self.cfg.serving_enabled.then(|| self.previous_owner_of(meta)).flatten())
-            .filter(|prev| prev.is_alive() && prev.index_resident(meta));
-        if meta.index_kind.is_some() {
-            self.warm(owner.clone(), meta.clone());
-        }
-        if peer.is_none() {
+        if meta.index_kind.is_none() {
             self.metrics.counter("worker.brute_force").inc();
+            return Ok(None);
         }
-        Ok(peer.map(SegmentIndex::Served))
+        let cache = owner.index_cache();
+        if !cache.resident(meta.id) {
+            cache.prefetch(meta)?;
+            if self.cfg.serving_enabled && cache.awaits_transfer(meta.id) {
+                let previous = self.previous_owner.read().get(&meta.id).copied();
+                let peer = previous.and_then(|wid| self.workers.read().get(&wid).cloned());
+                if let Some(peer) = peer.filter(|p| p.is_alive() && p.index_resident(meta)) {
+                    return Ok(Some(SegmentIndex::Served(peer)));
+                }
+            }
+        }
+        Ok(owner.index_handle(meta)?.map(SegmentIndex::Local))
     }
 
     /// One (statement, segment) search of a resolved index: `search` runs on
@@ -415,22 +410,6 @@ impl VirtualWarehouse {
         }
     }
 
-    fn warm(&self, worker: Arc<Worker>, meta: Arc<SegmentMeta>) {
-        if self.cfg.synchronous_warm {
-            let _ = worker.warm_index(&meta);
-            return;
-        }
-        // Deduplicate: under load many queries miss on the same segment
-        // before the first warm completes; only one loader should run.
-        if !worker.try_begin_warm(meta.id) {
-            return;
-        }
-        std::thread::spawn(move || {
-            let _ = worker.warm_index(&meta);
-            worker.end_warm(meta.id);
-        });
-    }
-
     /// Kill a worker in place (fault injection; stays in the ring until a
     /// retry evicts it, like a real undetected failure).
     pub fn inject_failure(&self, wid: WorkerId) -> Result<()> {
@@ -453,17 +432,26 @@ mod tests {
     use std::time::Duration;
 
     fn table(n: usize, seg_rows: usize) -> Arc<TableStore> {
+        table_on(InMemoryObjectStore::for_tests(), MetricsRegistry::new(), n, seg_rows)
+    }
+
+    fn table_on(
+        store: Arc<dyn ObjectStore>,
+        metrics: MetricsRegistry,
+        n: usize,
+        seg_rows: usize,
+    ) -> Arc<TableStore> {
         let schema = TableSchema::new("t")
             .with_column("id", ColumnType::UInt64)
             .with_column("emb", ColumnType::Vector(4))
             .with_vector_index("i", "emb", IndexKind::Hnsw, 4, bh_vector::Metric::L2);
         let ts = TableStore::new(
             schema,
-            InMemoryObjectStore::for_tests(),
+            store,
             Arc::new(IndexRegistry::with_builtins()),
             TableStoreConfig { segment_max_rows: seg_rows, ..Default::default() },
             Arc::new(IdGenerator::new()),
-            MetricsRegistry::new(),
+            metrics,
         )
         .unwrap();
         let rows: Vec<Vec<Value>> = (0..n)
@@ -532,33 +520,43 @@ mod tests {
     }
 
     #[test]
-    fn cold_segment_is_scanned_exactly_then_searched_locally() {
+    fn cold_segment_waits_out_its_own_transfer_then_is_resident() {
         let t = table(200, 200);
         let v = vw(&t, VwConfig::default(), 1);
         let meta = t.segments()[0].clone();
+        let count = |name: &str| t.metrics().counter_value(name);
         let search = || v.search_segment(&t, &meta, &[5.0; 4], 3, &SearchParams::default(), None);
-        // Nothing resident, nothing in flight, nobody to serve: exact scan,
-        // and (synchronous warm) the owner holds the index afterwards.
+        // Nothing resident, nothing in flight, nobody to serve: the transfer
+        // starts inside the decision and is waited out — never an exact scan.
         assert_eq!(search().unwrap()[0].id, 5);
-        assert_eq!(t.metrics().counter_value("worker.brute_force"), 1);
-        assert_eq!(t.metrics().counter_value("worker.local_search"), 0);
+        assert_eq!(count("cache.index.prefetch"), 1);
+        assert_eq!(count("cache.index.prefetch.hit"), 1);
         assert!(v.owner_of(&meta).unwrap().1.index_resident(&meta));
         assert_eq!(search().unwrap()[0].id, 5);
-        assert_eq!(t.metrics().counter_value("worker.brute_force"), 1);
-        assert_eq!(t.metrics().counter_value("worker.local_search"), 1);
+        assert_eq!(count("cache.index.prefetch"), 1);
+        assert_eq!(count("worker.local_search"), 2);
+        assert_eq!(count("worker.brute_force"), 0);
     }
 
-    #[test]
-    fn serving_answers_from_previous_owner_on_scale_up() {
-        let t = table(300, 300);
+    /// What one get of the moved segment's index blob costs.
+    const BLOB_GET: Duration = Duration::from_millis(1);
+
+    /// One 300-row segment behind a store that charges [`BLOB_GET`] a get
+    /// through a reactor, preloaded on a one-worker warehouse which then
+    /// scaled up until the segment's owner was a cold newcomer.
+    fn moved_segment(
+        cfg: VwConfig,
+    ) -> (Arc<TableStore>, VirtualWarehouse, SharedClock, Arc<SegmentMeta>) {
         let clock = VirtualClock::shared();
+        let metrics = MetricsRegistry::new();
+        let latency = LatencyModel::fixed(BLOB_GET);
+        let store = InMemoryObjectStore::new(clock.clone(), latency, metrics.clone(), "remote")
+            .with_reactor(bh_common::Reactor::shared(clock.clone()));
+        let t = table_on(Arc::new(store), metrics, 300, 300);
         let v = VirtualWarehouse::new(
             VwId(0),
             "vw",
-            VwConfig {
-                rpc: LatencyModel::fixed(Duration::from_micros(200)),
-                ..Default::default()
-            },
+            cfg,
             t.remote_store().clone(),
             t.registry().clone(),
             clock.clone(),
@@ -570,35 +568,49 @@ mod tests {
         v.preload(&metas).unwrap();
         let meta = metas[0].clone();
         let (old_owner, _) = v.owner_of(&meta).unwrap();
-
-        // Scale up until the segment moves to a new worker.
-        let mut moved = false;
         for _ in 0..20 {
             v.scale_up(&metas);
             let (now_owner, w) = v.owner_of(&meta).unwrap();
-            if now_owner != old_owner && !w.index_resident(&meta) {
-                moved = true;
-                break;
+            if now_owner != old_owner {
+                assert!(!w.index_resident(&meta));
+                return (t, v, clock, meta);
             }
         }
-        assert!(moved, "segment never moved after 20 scale-ups");
+        panic!("segment never moved after 20 scale-ups");
+    }
 
-        let before_serving = t.metrics().counter_value("vw.serving_calls");
-        let before_bf = t.metrics().counter_value("worker.brute_force");
-        let got = v
-            .search_segment(&t, &meta, &[5.0; 4], 2, &SearchParams::default(), None)
-            .unwrap();
-        assert_eq!(got[0].id, 5);
-        assert_eq!(t.metrics().counter_value("vw.serving_calls"), before_serving + 1);
-        assert_eq!(
-            t.metrics().counter_value("worker.brute_force"),
-            before_bf,
-            "serving must avoid brute force"
-        );
-        assert!(clock.now_nanos() >= 200_000, "rpc latency charged");
-        // Synchronous warm: the new owner is now resident; next search local.
-        let (_, w) = v.owner_of(&meta).unwrap();
-        assert!(w.index_resident(&meta));
+    #[test]
+    fn previous_owner_serves_until_the_transfer_has_arrived() {
+        let rpc = Duration::from_micros(200);
+        let (t, v, clock, meta) =
+            moved_segment(VwConfig { rpc: LatencyModel::fixed(rpc), ..Default::default() });
+        let count = |name: &str| t.metrics().counter_value(name);
+        let search = || {
+            let t0 = clock.now_nanos();
+            let got =
+                v.search_segment(&t, &meta, &[5.0; 4], 2, &SearchParams::default(), None).unwrap();
+            assert_eq!(got[0].id, 5);
+            clock.now_nanos() - t0
+        };
+        let owner = v.owner_of(&meta).unwrap().1;
+        let gets = count("remote.get");
+        // Serve first: each search costs one RPC, not the blob get, while the
+        // owner's one transfer runs on.
+        for served in 1..=2 {
+            assert_eq!(search(), rpc.as_nanos() as u64);
+            assert_eq!(count("vw.serving_calls"), served);
+            assert!(owner.index_cache().in_flight(meta.id) && !owner.index_resident(&meta));
+        }
+        assert_eq!(count("remote.get") - gets, 1, "one transfer, started once");
+        // Wait second — and here not at all: nobody drove the transfer, the
+        // clock alone says it has arrived.
+        clock.advance(BLOB_GET);
+        assert_eq!(search(), 0);
+        assert!(owner.index_resident(&meta) && !owner.index_cache().in_flight(meta.id));
+        assert_eq!(count("vw.serving_calls"), 2);
+        assert_eq!(count("cache.index.prefetch.hit"), 1);
+        assert_eq!(count("remote.get") - gets, 1);
+        assert_eq!(count("worker.brute_force"), 0, "serving must avoid brute force");
     }
 
     #[test]
@@ -607,41 +619,15 @@ mod tests {
         // runs concurrently with the previous owner's search compute:
         // simulated cost is max(rpc, compute), not the sum.
         let run = |overlap: bool| -> u64 {
-            let t = table(300, 300);
-            let clock = VirtualClock::shared();
-            let v = VirtualWarehouse::new(
-                VwId(0),
-                "vw",
-                VwConfig {
-                    rpc: LatencyModel::fixed(Duration::from_micros(200)),
-                    worker: WorkerConfig {
-                        overlap,
-                        compute_per_segment: LatencyModel::fixed(Duration::from_micros(300)),
-                        ..Default::default()
-                    },
+            let (t, v, clock, meta) = moved_segment(VwConfig {
+                rpc: LatencyModel::fixed(Duration::from_micros(200)),
+                worker: WorkerConfig {
+                    overlap,
+                    compute_per_segment: LatencyModel::fixed(Duration::from_micros(300)),
                     ..Default::default()
                 },
-                t.remote_store().clone(),
-                t.registry().clone(),
-                clock.clone(),
-                t.metrics().clone(),
-                Arc::new(IdGenerator::starting_at(100)),
-            );
-            v.scale_up(&[]);
-            let metas = t.segments();
-            v.preload(&metas).unwrap();
-            let meta = metas[0].clone();
-            let (old_owner, _) = v.owner_of(&meta).unwrap();
-            let mut moved = false;
-            for _ in 0..20 {
-                v.scale_up(&metas);
-                let (now_owner, w) = v.owner_of(&meta).unwrap();
-                if now_owner != old_owner && !w.index_resident(&meta) {
-                    moved = true;
-                    break;
-                }
-            }
-            assert!(moved, "segment never moved after 20 scale-ups");
+                ..Default::default()
+            });
             let t0 = clock.now_nanos();
             v.search_segment(&t, &meta, &[5.0; 4], 2, &SearchParams::default(), None).unwrap();
             clock.now_nanos() - t0
@@ -651,29 +637,25 @@ mod tests {
     }
 
     #[test]
-    fn serving_disabled_falls_back_to_brute_force() {
-        let t = table(300, 300);
-        let v = vw(
-            &t,
-            VwConfig { serving_enabled: false, ..Default::default() },
-            1,
-        );
-        let metas = t.segments();
-        v.preload(&metas).unwrap();
-        let meta = metas[0].clone();
-        // Force a move.
-        for _ in 0..20 {
-            v.scale_up(&metas);
-            let (_, w) = v.owner_of(&meta).unwrap();
-            if !w.index_resident(&meta) {
-                break;
+    fn with_nobody_to_serve_the_transfer_is_waited_out() {
+        for serving_enabled in [false, true] {
+            let (t, v, clock, meta) =
+                moved_segment(VwConfig { serving_enabled, ..Default::default() });
+            if serving_enabled {
+                // Serving is on, but the previous owner died.
+                let owner = v.owner_of(&meta).unwrap().0;
+                for wid in v.worker_ids().into_iter().filter(|w| *w != owner) {
+                    v.inject_failure(wid).unwrap();
+                }
             }
-        }
-        let (_, w) = v.owner_of(&meta).unwrap();
-        if !w.index_resident(&meta) {
-            let before = t.metrics().counter_value("worker.brute_force");
-            v.search_segment(&t, &meta, &[1.0; 4], 1, &SearchParams::default(), None).unwrap();
-            assert_eq!(t.metrics().counter_value("worker.brute_force"), before + 1);
+            let t0 = clock.now_nanos();
+            let got =
+                v.search_segment(&t, &meta, &[1.0; 4], 1, &SearchParams::default(), None).unwrap();
+            assert_eq!(got[0].id, 1);
+            assert_eq!(clock.now_nanos() - t0, BLOB_GET.as_nanos() as u64);
+            assert_eq!(t.metrics().counter_value("vw.serving_calls"), 0);
+            assert_eq!(t.metrics().counter_value("worker.brute_force"), 0);
+            assert!(v.owner_of(&meta).unwrap().1.index_resident(&meta));
         }
     }
 

@@ -13,8 +13,8 @@
 //! that decision ends in — `index_handle` (the index through this worker's
 //! cache hierarchy), `serve_remote` (the RPC-exposed entry other workers call
 //! during scaling; it only answers from the local memory cache) and
-//! `brute_force_segment_bounded` (the exact scan of the raw vector column) —
-//! plus the scalar reads.
+//! `brute_force_segment_bounded` (the exact scan of the raw vector column:
+//! Plan A, and a segment that has no index) — plus the scalar reads.
 
 use bh_common::metrics::Counter;
 use bh_common::{
@@ -95,9 +95,6 @@ pub struct Worker {
     /// counterpart of `column_cache`), by segment, column position, block.
     decoded_blocks: bh_storage::lru::LruCache<(SegmentId, usize, usize), Arc<ColumnData>>,
     alive: AtomicBool,
-    /// Segments currently being warmed in the background — deduplicates the
-    /// warm storm that would otherwise follow a cache miss under load.
-    warming: bh_common::sync::Mutex<std::collections::HashSet<bh_common::SegmentId>>,
     cfg: WorkerConfig,
     metrics: MetricsRegistry,
     /// `worker.local_search`, resolved once: bumped per segment per statement.
@@ -144,10 +141,6 @@ impl Worker {
             column_cache,
             decoded_blocks,
             alive: AtomicBool::new(true),
-            warming: bh_common::sync::Mutex::new(
-                &bh_common::sync::classes::WORKER_WARMING,
-                std::collections::HashSet::new(),
-            ),
             cfg,
             local_search: metrics.counter("worker.local_search"),
             metrics,
@@ -190,23 +183,11 @@ impl Worker {
         self.index_cache.resident(seg.id)
     }
 
-    /// Warm the index cache for a segment (preload / post-miss load).
+    /// Load a segment's index into this worker's cache.
     pub fn warm_index(&self, seg: &SegmentMeta) -> Result<()> {
         self.check_alive()?;
         self.index_cache.get(seg)?;
         Ok(())
-    }
-
-    /// Claim the right to warm a segment in the background; returns false if
-    /// a warm for it is already in flight. Callers must pair with
-    /// [`Self::end_warm`].
-    pub fn try_begin_warm(&self, seg: bh_common::SegmentId) -> bool {
-        self.warming.lock().insert(seg)
-    }
-
-    /// Release a warm claim taken with [`Self::try_begin_warm`].
-    pub fn end_warm(&self, seg: bh_common::SegmentId) {
-        self.warming.lock().remove(&seg);
     }
 
     /// Preload a batch of segments (cache-aware preload, §II-D).
@@ -270,7 +251,7 @@ impl Worker {
     }
 
     /// Exact distance scan over the raw vector column: Plan A, and the
-    /// answer for a segment whose index is nowhere to search. Distances are
+    /// answer for a segment that has no index. Distances are
     /// exact, so rows beaten by the shared `bound` are skipped and the local
     /// k-th distance is published back.
     pub fn brute_force_segment_bounded(

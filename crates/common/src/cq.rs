@@ -73,12 +73,15 @@ const GEN_SHIFT: u32 = 2;
 pub struct Ticket {
     slot: u32,
     gen: u64,
+    /// Absolute clock nanos at which the operation is done; 0 outside a
+    /// [`Reactor`] (a bare [`OpTable`] has no clock).
+    deadline: u64,
 }
 
 impl Ticket {
     /// Sentinel for a zero-cost or overflow-fallback operation that was
     /// charged synchronously at submit time; `wait` returns immediately.
-    const READY: Ticket = Ticket { slot: u32::MAX, gen: 0 };
+    const READY: Ticket = Ticket { slot: u32::MAX, gen: 0, deadline: 0 };
 
     fn is_ready_sentinel(&self) -> bool {
         self.slot == u32::MAX
@@ -89,7 +92,7 @@ impl Ticket {
     /// race a completer against the submitter (`crates/common/tests/loom.rs`).
     #[cfg(loom)]
     pub fn forged(slot: u32, gen: u64) -> Ticket {
-        Ticket { slot, gen }
+        Ticket { slot, gen, deadline: 0 }
     }
 }
 
@@ -129,7 +132,7 @@ impl OpTable {
         let gen = cur >> GEN_SHIFT;
         let next = (gen << GEN_SHIFT) | SUBMITTED;
         match a.compare_exchange(cur, next, Ordering::AcqRel, Ordering::Acquire) {
-            Ok(_) => Some(Ticket { slot, gen }),
+            Ok(_) => Some(Ticket { slot, gen, deadline: 0 }),
             Err(_) => None,
         }
     }
@@ -243,7 +246,7 @@ impl Reactor {
                 let deadline =
                     self.clock.now_nanos().saturating_add(cost.as_nanos().min(u64::MAX as u128) as u64);
                 g.heap.push(Reverse((deadline, t.slot, t.gen)));
-                return t;
+                return Ticket { deadline, ..t };
             }
         }
         drop(g);
@@ -280,7 +283,7 @@ impl Reactor {
                         g.driving = true;
                         drop(g);
                         self.clock.advance_to(deadline);
-                        let done = Ticket { slot, gen };
+                        let done = Ticket { slot, gen, deadline };
                         self.ops.try_complete(done);
                         g = self.inner.lock();
                         if g.forgotten.remove(&(slot, gen)) {
@@ -295,7 +298,7 @@ impl Reactor {
                                 break;
                             }
                             g.heap.pop();
-                            let ripe = Ticket { slot: s, gen: gn };
+                            let ripe = Ticket { slot: s, gen: gn, deadline: dl };
                             self.ops.try_complete(ripe);
                             if g.forgotten.remove(&(s, gn)) {
                                 self.ops.reap(ripe);
@@ -335,9 +338,11 @@ impl Reactor {
         }
     }
 
-    /// Whether `t`'s deadline has already been reached (non-blocking).
+    /// Whether `t`'s deadline has already been reached (non-blocking). Read
+    /// off the clock, not the slot: a slot only flips when some waiter drove
+    /// the reactor past the deadline, and nobody may be waiting.
     pub fn is_complete(&self, t: Ticket) -> bool {
-        t.is_ready_sentinel() || self.ops.is_complete(t)
+        self.clock.now_nanos() >= t.deadline
     }
 
     /// Synchronous convenience: submit + wait. Single-threaded callers

@@ -142,11 +142,6 @@ impl IdGenerator {
         SegmentId(self.next())
     }
 
-    /// Mint a fresh table id.
-    pub fn next_table(&self) -> TableId {
-        TableId(self.next())
-    }
-
     /// Mint a fresh worker id.
     pub fn next_worker(&self) -> WorkerId {
         WorkerId(self.next())

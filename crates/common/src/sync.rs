@@ -107,8 +107,6 @@ lock_rank_table! {
     /// it ranks after both (and after `VW_PREV_OWNER`, which the same
     /// critical section updates first).
     VW_OWNER_MEMO = 230,
-    /// `Worker::warming` in-flight background-warm claim set.
-    WORKER_WARMING = 250,
     /// `TableStore::compaction_lock` — serializes compaction passes; held
     /// across segment-map writes, delete-map updates and object-store I/O.
     TABLE_COMPACTION = 300,
@@ -475,15 +473,10 @@ impl<T: ?Sized> fmt::Debug for Mutex<T> {
 /// Guard for [`Mutex`]. Wraps the std guard in an `Option` so
 /// [`Condvar::wait`] can hand the raw guard to std and re-install it.
 pub struct MutexGuard<'a, T: ?Sized> {
+    /// Read by the lockdep hooks only.
+    #[cfg_attr(not(all(any(debug_assertions, lockdep), not(loom))), allow(dead_code))]
     class: &'static LockClass,
     inner: Option<std::sync::MutexGuard<'a, T>>,
-}
-
-impl<T: ?Sized> MutexGuard<'_, T> {
-    /// The class of the lock this guard holds.
-    pub fn lock_class(&self) -> &'static LockClass {
-        self.class
-    }
 }
 
 impl<T: ?Sized> std::ops::Deref for MutexGuard<'_, T> {
@@ -608,15 +601,10 @@ impl<T: ?Sized> fmt::Debug for RwLock<T> {
 
 /// Shared guard for [`RwLock`].
 pub struct RwLockReadGuard<'a, T: ?Sized> {
+    /// Read by the lockdep hooks only.
+    #[cfg_attr(not(all(any(debug_assertions, lockdep), not(loom))), allow(dead_code))]
     class: &'static LockClass,
     inner: std::sync::RwLockReadGuard<'a, T>,
-}
-
-impl<T: ?Sized> RwLockReadGuard<'_, T> {
-    /// The class of the lock this guard holds.
-    pub fn lock_class(&self) -> &'static LockClass {
-        self.class
-    }
 }
 
 impl<T: ?Sized> std::ops::Deref for RwLockReadGuard<'_, T> {
@@ -641,15 +629,10 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLockReadGuard<'_, T> {
 
 /// Exclusive guard for [`RwLock`].
 pub struct RwLockWriteGuard<'a, T: ?Sized> {
+    /// Read by the lockdep hooks only.
+    #[cfg_attr(not(all(any(debug_assertions, lockdep), not(loom))), allow(dead_code))]
     class: &'static LockClass,
     inner: std::sync::RwLockWriteGuard<'a, T>,
-}
-
-impl<T: ?Sized> RwLockWriteGuard<'_, T> {
-    /// The class of the lock this guard holds.
-    pub fn lock_class(&self) -> &'static LockClass {
-        self.class
-    }
 }
 
 impl<T: ?Sized> std::ops::Deref for RwLockWriteGuard<'_, T> {

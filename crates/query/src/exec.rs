@@ -53,13 +53,9 @@ pub struct QueryOptions {
     /// Refine amplification σ (> 1): candidates re-ranked with exact
     /// distances when the index is quantized.
     pub sigma: usize,
-    /// Use the cost-based optimizer; when off, `default_strategy` is used
-    /// for filtered searches (the paper's CBO-off baseline).
-    pub enable_cbo: bool,
-    /// Bypass the CBO with a specific strategy (tests, ablations).
+    /// Bypass the cost-based optimizer with a specific strategy (tests,
+    /// ablations, the paper's CBO-off baseline).
     pub forced_strategy: Option<Strategy>,
-    /// Strategy used for filtered searches when the CBO is disabled.
-    pub default_strategy: Strategy,
     /// Use the parameterized plan cache.
     pub enable_plan_cache: bool,
     /// Skip full optimization for trivially-shaped queries.
@@ -85,9 +81,7 @@ impl Default for QueryOptions {
         Self {
             search: SearchParams::default(),
             sigma: 2,
-            enable_cbo: true,
             forced_strategy: None,
-            default_strategy: Strategy::PreFilter,
             enable_plan_cache: true,
             enable_short_circuit: true,
             prune: PruneConfig::default(),
@@ -106,7 +100,8 @@ struct SegCtx<'a> {
     /// The segment's owner: every read of the task goes to it.
     owner: &'a Arc<Worker>,
     /// The index the task's index plans search
-    /// ([`VirtualWarehouse::segment_index`]); `None` is the exact scan.
+    /// ([`VirtualWarehouse::segment_index`]); `None` when the task runs
+    /// Plan A only or the segment has no index: the exact scan.
     index: Option<&'a SegmentIndex>,
 }
 
@@ -159,8 +154,9 @@ struct SegTask {
 
 /// The index transfers one batch round started, by the worker they were
 /// started on. Dropping it cancels those no segment task consumed, so a
-/// round that errors out (or whose task never reached the cache) strands
-/// neither blob bytes nor reactor slots in `IndexCache::pending`.
+/// round that errors out strands neither blob bytes nor reactor slots in
+/// `IndexCache::pending`; a round that succeeds disarms it, because what is
+/// still pending then is the warm of a segment a peer served meanwhile.
 #[derive(Default)]
 struct RoundPrefetches(Vec<(Arc<Worker>, SegmentId)>);
 
@@ -222,20 +218,9 @@ impl QueryEngine {
         }
     }
 
-    /// Replace the cost-model constants (ablations, other hardware).
-    pub fn with_cost(mut self, cost: CostParams) -> Self {
-        self.cost = cost;
-        self
-    }
-
     /// The shared parameterized plan cache.
     pub fn plan_cache(&self) -> &PlanCache {
         &self.plan_cache
-    }
-
-    /// The cost-model constants in use.
-    pub fn cost_params(&self) -> &CostParams {
-        &self.cost
     }
 
     /// Execute a parsed SELECT: a batch of one
@@ -340,10 +325,9 @@ impl QueryEngine {
     /// ([`Self::run_segment_task`]) and runs every query that scheduled the
     /// segment against that, *in batch order*. What a cold segment is
     /// answered from is one decision, `VirtualWarehouse::segment_index`
-    /// (DESIGN.md §11.3): on a store that can defer (every `Database`) the
-    /// full index after the round's one overlapped transfer; on a blocking
-    /// store, where nothing is in flight, a live previous owner over the
-    /// serving RPC or else the exact scan, the owner warmed beside it. Pure
+    /// (DESIGN.md §11.3), the same on every store: a live previous owner
+    /// over the serving RPC while the owner's transfer is on its way, else
+    /// the full index once the round's overlapped transfer has arrived. Pure
     /// top-k queries additionally carry a [`SharedBound`]: segments searched
     /// later skip candidates that provably cannot enter the final top-k.
     ///
@@ -573,11 +557,11 @@ impl QueryEngine {
             //   starts its transfer now, before the fan-out, so the blob
             //   fetches run concurrently (N transfers cost max, not sum)
             //   while the resident segments are searched; each cold task
-            //   then waits out a transfer already in flight instead of
+            //   then finds its transfer already in flight instead of
             //   paying the full remote latency serially. A task that only
             //   runs Plan A reads the raw column and fetches no index.
-            //   `round_prefetches` cancels whatever no task consumed on
-            //   every exit from this round, error paths included.
+            //   `round_prefetches` cancels whatever no task consumed if
+            //   the round fails.
             let mut round_prefetches = RoundPrefetches::default();
             let (mut order, mut cold) = (Vec::with_capacity(tasks.len()), Vec::new());
             for (t, task) in tasks.iter().enumerate() {
@@ -599,6 +583,7 @@ impl QueryEngine {
             let (outs, by_helpers) = self.fan_out(opts, order.len(), |i| {
                 self.run_segment_task(table, vw, opts, states, &tasks[order[i]], trace_parent)
             })?;
+            round_prefetches.0.clear();
             helper_tasks += by_helpers as u64;
 
             // Task outputs, addressed by task instead of by execution order.
@@ -665,9 +650,9 @@ impl QueryEngine {
 
     /// One segment's task: resolve the segment's owner and, when some
     /// statement here runs an index plan, its index — once
-    /// ([`VirtualWarehouse::segment_index`]: the owner's own, resident or
-    /// after waiting out the transfer the round started; a live previous
-    /// owner's over the serving RPC; or none, the exact scan) — then run
+    /// ([`VirtualWarehouse::segment_index`]: the owner's own, or a live
+    /// previous owner's over the serving RPC while the transfer the round
+    /// started is on its way) — then run
     /// every assigned statement against that, in batch order. The task fails
     /// as soon as one of its statements does; if the owner turns out dead the
     /// whole task is retried once on the new topology and resolves again
@@ -771,7 +756,7 @@ impl QueryEngine {
     }
 
     /// The strategy this statement runs. Only a statement the CBO decides
-    /// is priced; a forced plan or the CBO-off baseline costs nothing here.
+    /// is priced; a forced plan costs nothing here.
     fn choose_strategy(
         &self,
         table: &TableStore,
@@ -781,10 +766,6 @@ impl QueryEngine {
     ) -> Strategy {
         if let Some(forced) = opts.forced_strategy {
             return forced;
-        }
-        if bound.vector.is_some() && !opts.enable_cbo {
-            // Without a filter even the CBO-off baseline runs plain ANN.
-            return if selectivity.is_none() { Strategy::PostFilter } else { opts.default_strategy };
         }
         let Some(inputs) = cost_inputs(table, opts, bound, selectivity) else {
             // Scalar-only queries have no ANN strategy to pick.
@@ -798,7 +779,7 @@ impl QueryEngine {
     // ------------------------------------------------------------ vector path
 
     /// One statement's search of one segment: its plan on the index the task
-    /// resolved, or — Plan A, and every plan when there is no index to search
+    /// resolved, or — Plan A, and every plan on a segment that has no index
     /// — the exact scan. Returned neighbor ids are segment row offsets;
     /// distances are exact (refine applied for quantized indexes).
     fn search_one_segment(
@@ -912,8 +893,8 @@ impl QueryEngine {
         Ok(hits)
     }
 
-    /// The exact scan of one segment — Plan A, and every plan's answer when
-    /// there is no index to search: exact distances over the raw vectors of
+    /// The exact scan of one segment — Plan A, and every plan's answer for a
+    /// segment that has no index: exact distances over the raw vectors of
     /// the rows that are visible and pass the predicate.
     fn exact_scan(
         &self,
@@ -1241,7 +1222,7 @@ mod tests {
     use super::*;
     use bh_cluster::vw::VwConfig;
     use bh_common::ids::IdGenerator;
-    use bh_common::VirtualClock;
+    use bh_common::{SharedClock, VirtualClock};
     use bh_storage::objectstore::InMemoryObjectStore;
     use bh_storage::schema::TableSchema;
     use bh_storage::table::{TableStoreConfig, TableStore};
@@ -1271,6 +1252,16 @@ mod tests {
         kind: IndexKind,
         seg_rows: usize,
     ) -> (Arc<TableStore>, VirtualWarehouse, QueryEngine) {
+        setup_on(InMemoryObjectStore::for_tests(), n, kind, seg_rows)
+    }
+
+    /// [`setup`] over a given store.
+    fn setup_on(
+        store: Arc<dyn bh_storage::objectstore::ObjectStore>,
+        n: usize,
+        kind: IndexKind,
+        seg_rows: usize,
+    ) -> (Arc<TableStore>, VirtualWarehouse, QueryEngine) {
         let schema = TableSchema::new("t")
             .with_column("id", ColumnType::UInt64)
             .with_column("label", ColumnType::Str)
@@ -1280,7 +1271,7 @@ mod tests {
         let metrics = MetricsRegistry::new();
         let ts = TableStore::new(
             schema,
-            InMemoryObjectStore::for_tests(),
+            store,
             Arc::new(IndexRegistry::with_builtins()),
             TableStoreConfig { segment_max_rows: seg_rows, ..Default::default() },
             Arc::new(IdGenerator::new()),
@@ -1295,13 +1286,18 @@ mod tests {
 
     /// A two-worker warehouse over `ts`, on the table's metrics.
     fn warehouse(ts: &TableStore, cfg: VwConfig) -> VirtualWarehouse {
+        warehouse_on(ts, cfg, VirtualClock::shared())
+    }
+
+    /// [`warehouse`] on a given clock.
+    fn warehouse_on(ts: &TableStore, cfg: VwConfig, clock: SharedClock) -> VirtualWarehouse {
         let vw = VirtualWarehouse::new(
             bh_common::VwId(0),
             "q",
             cfg,
             ts.remote_store().clone(),
             ts.registry().clone(),
-            VirtualClock::shared(),
+            clock,
             ts.metrics().clone(),
             Arc::new(IdGenerator::starting_at(1000)),
         );
@@ -1431,9 +1427,6 @@ mod tests {
     #[test]
     fn quantized_index_is_refined_to_exact_distances() {
         let (ts, vw, engine) = setup(800, IndexKind::IvfPq, 800);
-        // A cold segment on this blocking store would be answered by the
-        // exact scan, which has nothing to refine.
-        vw.preload(&ts.segments()).unwrap();
         let opts = QueryOptions {
             search: SearchParams::default().with_nprobe(32),
             ..Default::default()
@@ -1870,13 +1863,26 @@ mod tests {
     }
 
     #[test]
-    fn moved_segment_is_served_by_its_previous_owner_on_a_blocking_store() {
-        // Fig. 4 through the engine: this store cannot defer, so nothing is
-        // in flight for a segment that a scale-up moved to a cold worker. The
-        // task resolves such a segment to its previous owner, and every index
-        // plan runs there — one serving RPC per (statement, moved segment) —
-        // never brute force; with serving off the exact scan answers.
-        let (ts, _, engine) = setup(400, IndexKind::Hnsw, 50);
+    fn moved_segment_is_served_by_its_previous_owner_while_its_transfer_runs() {
+        // Fig. 4 through the engine. A scale-up moved segments to a cold
+        // worker; the round starts their transfers, and while those run each
+        // task resolves its segment to the previous owner: every index plan
+        // runs there — one serving RPC per (statement, moved segment) — and
+        // the transfers stay pending, the new owner's warm. With serving off
+        // the task waits its transfer out. Never brute force, and the
+        // always-warm rows either way.
+        let clock = VirtualClock::shared();
+        // Bandwidth-bound: a label block read on the cold owner costs far
+        // less than an index blob, so it ripens no transfer.
+        let per_byte = std::time::Duration::from_micros(1);
+        let store = InMemoryObjectStore::new(
+            clock.clone(),
+            bh_common::LatencyModel::new(std::time::Duration::ZERO, per_byte),
+            MetricsRegistry::new(),
+            "remote",
+        )
+        .with_reactor(bh_common::Reactor::shared(clock.clone()));
+        let (ts, _, engine) = setup_on(Arc::new(store), 400, IndexKind::Hnsw, 50);
         let metas = ts.segments();
         let m = &engine.metrics;
         let count = |name: &str| m.counter_value(name);
@@ -1899,47 +1905,42 @@ mod tests {
                         format!("{plan:?}, serving={serving_enabled}, {} stmts", stmts.len());
                     // The index path is the subject; on 400 rows the CBO would scan.
                     let opts = QueryOptions { forced_strategy: Some(plan), ..Default::default() };
-                    let exact = QueryOptions {
-                        forced_strategy: Some(Strategy::BruteForce),
-                        ..opts.clone()
-                    };
-                    let vw = warehouse(&ts, VwConfig { serving_enabled, ..Default::default() });
+                    let cfg = VwConfig { serving_enabled, ..Default::default() };
+                    let vw = warehouse_on(&ts, cfg, clock.clone());
                     vw.preload(&metas).unwrap();
                     let baseline = engine.execute_select_batch(&ts, &vw, &opts, stmts).unwrap();
-                    let scanned = engine.execute_select_batch(&ts, &vw, &exact, stmts).unwrap();
-                    let is_cold = |meta: &&Arc<SegmentMeta>| {
-                        !vw.owner_of(meta).unwrap().1.index_resident(meta)
-                    };
+                    let owner = |meta: &Arc<SegmentMeta>| vw.owner_of(meta).unwrap().1;
+                    let is_cold = |meta: &&Arc<SegmentMeta>| !owner(meta).index_resident(meta);
                     while !metas.iter().any(|meta| is_cold(&meta)) {
                         vw.scale_up(&metas);
                     }
-                    let cold = metas.iter().filter(is_cold).count() as u64;
-                    let (served, brute) = (count("vw.serving_calls"), count("worker.brute_force"));
-                    let rpc_ns = count("worker.rpc_ns");
+                    let cold: Vec<_> = metas.iter().filter(is_cold).collect();
+                    let moving = ["vw.serving_calls", "worker.rpc_ns", "query.index_prefetches"];
+                    let (before, brute) = (moving.map(count), count("worker.brute_force"));
                     let moved = engine.execute_select_batch(&ts, &vw, &opts, stmts).unwrap();
+                    assert_eq!(rows_of(&moved), rows_of(&baseline), "{case}");
+                    assert_eq!(count("worker.brute_force"), brute, "{case}");
+                    let after = moving.map(count);
+                    let [served, rpc_ns, prefetched] = [0, 1, 2].map(|i| after[i] - before[i]);
+                    assert_eq!(prefetched, cold.len() as u64, "{case}: the round starts the warm");
+                    let pending = |meta: &Arc<SegmentMeta>| {
+                        owner(meta).index_cache().in_flight(meta.id)
+                    };
                     if serving_enabled {
-                        assert_eq!(rows_of(&moved), rows_of(&baseline), "{case}");
                         assert_eq!(
-                            count("vw.serving_calls") - served,
-                            stmts.len() as u64 * cold,
+                            served,
+                            (stmts.len() * cold.len()) as u64,
                             "{case}: one RPC per (statement, moved segment)"
                         );
-                        assert_eq!(count("worker.brute_force"), brute, "{case}");
-                        assert!(count("worker.rpc_ns") > rpc_ns, "{case}: serving time is folded");
+                        assert!(rpc_ns > 0, "{case}: serving time is folded");
+                        assert!(cold.iter().all(|m| pending(m) && is_cold(m)), "{case}");
                     } else {
-                        assert_eq!(rows_of(&moved), rows_of(&scanned), "{case}");
-                        assert_eq!(count("vw.serving_calls"), served, "{case}");
-                        assert_eq!(count("worker.rpc_ns"), rpc_ns, "{case}");
-                        assert_eq!(count("worker.brute_force") - brute, cold, "{case}");
+                        assert_eq!((served, rpc_ns), (0, 0), "{case}");
+                        assert!(cold.iter().all(|m| !pending(m) && !is_cold(m)), "{case}");
                     }
-                    assert!(
-                        !metas.iter().any(|meta| is_cold(&meta)),
-                        "{case}: the owner was warmed"
-                    );
                 }
             }
         }
-        assert_eq!(count("query.index_prefetches"), 0, "a blocking store defers nothing");
     }
 
     #[test]

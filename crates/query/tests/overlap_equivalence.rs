@@ -11,14 +11,15 @@
 //! * overlapped-warm ≡ blocking-warm, bit for bit — overlap only changes
 //!   *when* simulated latencies are paid, never which bytes come back.
 //!
-//! Two plain tests state the cold contract per store kind for a brand-new
-//! warehouse's *first* statement — top-k with and without a filter, a filter
-//! passing only a segment's farthest rows, a distance range without LIMIT: a
-//! deferring store waits out the round's overlapped transfers and answers
-//! from full indexes, a blocking store — nothing can be in flight — answers
-//! by the exact scan and warms; either way the rows are an always-warm
-//! warehouse's. A last test pins the failure path: a batch that errors out
-//! leaves no prefetch stranded in any worker's `IndexCache`.
+//! One plain test states the cold contract, the same on every store, for a
+//! brand-new warehouse's *first* statement — top-k with and without a filter,
+//! a filter passing only a segment's farthest rows, a distance range without
+//! LIMIT: with nobody to serve, the round's transfers are waited out
+//! (overlapped on a deferring store, each paid where it starts on a blocking
+//! one) and full indexes answer, never the exact scan; the rows are an
+//! always-warm warehouse's. Two more pin what a round leaves pending in the
+//! workers' `IndexCache`s: nothing when the batch errors out, and exactly the
+//! transfers of the segments a peer served when it succeeds.
 //!
 //! All force an index plan: on a 480-row table the optimizer would scan
 //! the raw column (Plan A), which fetches no index at all.
@@ -107,7 +108,8 @@ fn make_vw(side: &Side, overlap: bool) -> VirtualWarehouse {
         VwId(u64::from(overlap)),
         if overlap { "ovl" } else { "blk" },
         VwConfig {
-            rpc: LatencyModel::fixed(Duration::from_micros(100)),
+            // Far below a blob get, so a served search ripens no transfer.
+            rpc: LatencyModel::fixed(Duration::from_micros(1)),
             worker: WorkerConfig { overlap, ..Default::default() },
             ..Default::default()
         },
@@ -247,38 +249,30 @@ fn first_statements() -> Vec<(String, &'static [Plan], usize)> {
     ]
 }
 
-/// Runs each of [`first_statements`] as a brand-new warehouse's first
-/// statement under each of its plans and checks ids and distances against an
-/// always-warm warehouse over the same table. `scanned` says which answer
-/// the store kind gives a cold segment: the exact scan (`worker.brute_force`
-/// rises with every statement), or the full index (it never moves).
-fn first_statement_matches_always_warm(side: &Side, scanned: bool) {
-    let vw_warm = make_vw(side, false);
-    vw_warm.preload(&side.table.segments()).unwrap();
-    let brute = side.metrics.counter("worker.brute_force");
-    for (sql, plans, rows) in first_statements() {
-        let stmt = parse(&sql);
-        for &plan in plans {
-            let opts = QueryOptions { forced_strategy: Some(plan), ..Default::default() };
-            let vw_cold = make_vw(side, false);
-            let before = brute.get();
-            let first = side.engine.execute_select(&side.table, &vw_cold, &opts, &stmt).unwrap();
-            assert_eq!(brute.get() > before, scanned, "{plan:?}: {sql}");
-            let warm = side.engine.execute_select(&side.table, &vw_warm, &opts, &stmt).unwrap();
-            assert_eq!(first.rows.len(), rows, "{plan:?}: {sql}");
-            assert_eq!(first.rows, warm.rows, "{plan:?}: {sql}");
+/// Each of [`first_statements`] as a brand-new warehouse's first statement,
+/// under each of its plans, on both kinds of store: ids and distances are an
+/// always-warm warehouse's over the same table, and `worker.brute_force`
+/// never moves — an indexed segment is answered from its index.
+#[test]
+fn every_store_answers_the_first_statement_from_full_indexes() {
+    for side in [side(false), side(true)] {
+        let vw_warm = make_vw(&side, false);
+        vw_warm.preload(&side.table.segments()).unwrap();
+        let brute = side.metrics.counter("worker.brute_force");
+        for (sql, plans, rows) in first_statements() {
+            let stmt = parse(&sql);
+            for &plan in plans {
+                let opts = QueryOptions { forced_strategy: Some(plan), ..Default::default() };
+                let vw_cold = make_vw(&side, false);
+                let first =
+                    side.engine.execute_select(&side.table, &vw_cold, &opts, &stmt).unwrap();
+                let warm = side.engine.execute_select(&side.table, &vw_warm, &opts, &stmt).unwrap();
+                assert_eq!(first.rows.len(), rows, "{plan:?}: {sql}");
+                assert_eq!(first.rows, warm.rows, "{plan:?}: {sql}");
+            }
         }
+        assert_eq!(brute.get(), 0);
     }
-}
-
-#[test]
-fn blocking_store_answers_the_first_statement_exactly() {
-    first_statement_matches_always_warm(&side(false), true);
-}
-
-#[test]
-fn deferring_store_answers_the_first_statement_from_full_indexes() {
-    first_statement_matches_always_warm(&side(true), false);
 }
 
 /// A batch that fails after its round's prefetches went out (every owner
@@ -320,4 +314,48 @@ fn failed_batch_strands_no_prefetch() {
     assert_eq!(rows.len(), stmts.len());
     assert!(rows.iter().all(|rs| rs.rows.len() == 10));
     assert!(issued.get() > before, "cache.index.prefetch counted again");
+}
+
+/// A round that succeeds cancels nothing: what it leaves pending is exactly
+/// the transfers of the segments a previous owner served meanwhile — the new
+/// owners' warm — and `invalidate` / `clear_memory` release them.
+#[test]
+fn successful_round_leaves_pending_exactly_the_served_transfers() {
+    let side = side(true);
+    let vw = make_vw(&side, true);
+    let metas = side.table.segments();
+    vw.preload(&metas).unwrap();
+    let owner = |meta: &Arc<bh_storage::segment::SegmentMeta>| vw.owner_of(meta).unwrap().1;
+    let moved = || metas.iter().filter(|m| !owner(m).index_resident(m)).collect::<Vec<_>>();
+    // One scale-up: the VW remembers one previous owner per segment.
+    vw.scale_up(&metas);
+    let moved = moved();
+    assert!(!moved.is_empty());
+    let stmts: Vec<SelectStmt> = (0..4).map(|c| parse(&stmt_sql(c, 10, false))).collect();
+    let opts = QueryOptions { forced_strategy: Some(Plan::PostFilter), ..Default::default() };
+    let served = side.metrics.counter("vw.serving_calls");
+    side.engine.execute_select_batch(&side.table, &vw, &opts, &stmts).unwrap();
+    assert_eq!(served.get(), (stmts.len() * moved.len()) as u64);
+
+    let workers: Vec<_> = vw.worker_ids().into_iter().map(|w| vw.worker(w).unwrap()).collect();
+    let pending = || {
+        let mut all = Vec::new();
+        for w in &workers {
+            all.extend(
+                metas.iter().filter(|m| w.index_cache().in_flight(m.id)).map(|m| (w.id(), m.id)),
+            );
+        }
+        all.sort();
+        all
+    };
+    let mut expected: Vec<_> = moved.iter().map(|m| (owner(m).id(), m.id)).collect();
+    expected.sort();
+    assert_eq!(pending(), expected);
+
+    owner(moved[0]).index_cache().invalidate(moved[0]);
+    assert_eq!(pending().len(), moved.len() - 1);
+    for w in &workers {
+        w.index_cache().clear_memory();
+    }
+    assert!(pending().is_empty());
 }

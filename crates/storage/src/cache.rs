@@ -24,6 +24,7 @@ use bh_common::{qctx, MetricsRegistry, Result, SegmentId};
 use bh_vector::{IndexKind, IndexRegistry, VectorIndex};
 use bytes::Bytes;
 use bh_common::sync::{classes, Condvar, Mutex};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -46,8 +47,9 @@ pub struct IndexCache {
     inflight_cv: Condvar,
     /// In-flight prefetched blobs, consumed by the next [`IndexCache::get`].
     /// Never promoted to `mem` by themselves — `resident` stays false until
-    /// someone actually asks for the index. The single owner of the "body
-    /// transfer in flight" fact: read it through [`IndexCache::in_flight`].
+    /// someone actually asks for the index. The single owner of the
+    /// "transfer in flight" fact: read it through [`IndexCache::in_flight`]
+    /// and [`IndexCache::awaits_transfer`].
     pending: Mutex<HashMap<SegmentId, PendingGet>>,
 }
 
@@ -160,18 +162,20 @@ impl IndexCache {
         Ok(Some(idx))
     }
 
-    /// Begin fetching a segment's index blob without blocking, so a later
-    /// [`IndexCache::get`] finds the transfer already in flight and its
-    /// latency overlaps with intervening work. Submit-only: requires a
-    /// deferred-capable remote store (reactor-backed); on stores without
-    /// deferral this is a no-op, as a synchronous fetch here would serialize
-    /// rather than overlap. Never mutates the memory tier — `resident`
+    /// Begin fetching a segment's index blob, so a later [`IndexCache::get`]
+    /// finds the transfer already in flight and its latency overlaps with
+    /// intervening work. A reactor-backed store submits and returns; a store
+    /// that cannot defer pays the whole transfer here, and the blob is
+    /// pending all the same. Never mutates the memory tier — `resident`
     /// reports false until the blob is consumed by a real `get`.
     ///
     /// Returns whether a new transfer was started.
     pub fn prefetch(&self, meta: &SegmentMeta) -> Result<bool> {
+        // Probed in the order a blob moves (pending, being loaded by a `get`,
+        // resident), so a load that advances meanwhile is still seen.
         if meta.index_kind.is_none()
-            || !self.remote.supports_deferred()
+            || self.in_flight(meta.id)
+            || self.inflight.lock_checked()?.contains(&meta.id)
             || self.mem.contains(&meta.id)
         {
             return Ok(false);
@@ -182,22 +186,31 @@ impl IndexCache {
                 return Ok(false); // cheap local read; nothing to overlap
             }
         }
-        let mut pending = self.pending.lock_checked()?;
-        if pending.contains_key(&meta.id) {
-            return Ok(false);
-        }
+        // Started outside the `pending` lock: a store that cannot defer
+        // sleeps its transfer in `get_begin`, and `in_flight` probes of other
+        // segments must not queue behind it.
         let p = self.remote.get_begin(&key)?;
-        self.metrics.counter("cache.index.prefetch").inc();
-        pending.insert(meta.id, p);
-        Ok(true)
+        match self.pending.lock_checked()?.entry(meta.id) {
+            // Lost a race: dropping `p` forgets the duplicate's ticket.
+            Entry::Occupied(_) => Ok(false),
+            Entry::Vacant(slot) => {
+                slot.insert(p);
+                self.metrics.counter("cache.index.prefetch").inc();
+                Ok(true)
+            }
+        }
     }
 
-    /// Is a prefetched body transfer for this segment in flight, i.e. would
-    /// the next [`IndexCache::get`] consume it instead of starting a fetch?
-    /// A segment task resolves such a segment to the owner's own index,
-    /// waiting out the transfer its round already started.
+    /// Is a prefetched transfer for this segment pending, i.e. would the
+    /// next [`IndexCache::get`] consume it instead of starting a fetch?
     pub fn in_flight(&self, seg: SegmentId) -> bool {
         self.pending.lock().contains_key(&seg)
+    }
+
+    /// Would the next [`IndexCache::get`] have to wait for this segment: is
+    /// a transfer pending whose deadline the clock has not reached?
+    pub fn awaits_transfer(&self, seg: SegmentId) -> bool {
+        self.pending.lock().get(&seg).is_some_and(|p| !p.is_ready())
     }
 
     /// Drop an unconsumed prefetch: the blob bytes are released and the
@@ -345,14 +358,6 @@ impl BlockCache {
             self.space(kind).put(key.to_string(), blob.clone(), blob.len().max(1));
         }
         Ok(blob)
-    }
-
-    /// Remove every cached blob whose key starts with `prefix` (segment GC).
-    pub fn invalidate_prefix(&self, _prefix: &str) {
-        // Full clears are rare (compaction) and correctness-neutral, so the
-        // simple implementation drops both spaces.
-        self.meta_space.clear();
-        self.data_space.clear();
     }
 
     /// Bytes cached in the data space.
@@ -694,6 +699,7 @@ mod tests {
         assert!(!cache.in_flight(meta.id));
         assert!(cache.prefetch(&meta).unwrap());
         assert!(cache.in_flight(meta.id) && !cache.resident(meta.id));
+        assert!(cache.awaits_transfer(meta.id));
 
         assert_eq!(cache.get(&meta).unwrap().unwrap().meta().len, 600);
         assert!(cache.resident(meta.id) && !cache.in_flight(meta.id));
@@ -702,28 +708,41 @@ mod tests {
         assert_eq!(metrics.counter_value("remote.get") - gets_before, 1);
         assert_eq!(clock.now_nanos() - t0, 500_000);
 
-        // A cancelled prefetch releases its slot and is no longer in flight.
+        // A transfer nobody waits on ripens with the clock; cancelled, it
+        // releases its slot and is no longer in flight.
         cache.invalidate(&meta);
         assert!(cache.prefetch(&meta).unwrap());
+        clock.advance(Duration::from_micros(500));
+        assert!(cache.in_flight(meta.id) && !cache.awaits_transfer(meta.id));
         assert!(cache.cancel_prefetch(meta.id));
         assert!(!cache.in_flight(meta.id) && !cache.cancel_prefetch(meta.id));
-        assert_eq!(clock.now_nanos() - t0, 500_000, "cancelled transfer charges nothing");
+        assert_eq!(clock.now_nanos() - t0, 1_000_000, "cancelled transfer charges nothing");
     }
 
+    /// A store that cannot defer pays the whole transfer inside `prefetch`;
+    /// what is pending is ripe, and `get` consumes it at no further cost.
     #[test]
-    fn prefetch_is_noop_without_deferred_store() {
-        let remote = InMemoryObjectStore::for_tests();
+    fn prefetch_on_a_blocking_store_pays_at_once_and_is_ripe() {
+        let clock = VirtualClock::shared();
+        let metrics = MetricsRegistry::new();
+        let remote = Arc::new(InMemoryObjectStore::new(
+            clock.clone(),
+            LatencyModel::fixed(Duration::from_micros(500)),
+            metrics.clone(),
+            "remote",
+        ));
         let registry = Arc::new(IndexRegistry::with_builtins());
         let meta = build_indexed_segment(remote.as_ref(), &registry, 1, 10);
-        let cache = IndexCache::new(
-            1 << 20,
-            None,
-            remote as Arc<dyn ObjectStore>,
-            registry,
-            MetricsRegistry::new(),
-        );
-        assert!(!cache.prefetch(&meta).unwrap());
+        let (t0, gets) = (clock.now_nanos(), metrics.counter_value("remote.get"));
+        let remote = remote as Arc<dyn ObjectStore>;
+        let cache = IndexCache::new(1 << 20, None, remote, registry, metrics.clone());
+        assert!(cache.prefetch(&meta).unwrap());
+        assert_eq!(clock.now_nanos() - t0, 500_000);
+        assert!(cache.in_flight(meta.id) && !cache.awaits_transfer(meta.id));
         assert!(cache.get(&meta).unwrap().is_some());
+        assert_eq!(clock.now_nanos() - t0, 500_000);
+        assert_eq!(metrics.counter_value("remote.get") - gets, 1);
+        assert_eq!(metrics.counter_value("cache.index.prefetch.hit"), 1);
     }
 
     #[test]

@@ -43,7 +43,9 @@ impl PendingGet {
         Self { bytes, ticket: Some((reactor, ticket)) }
     }
 
-    /// Whether the simulated transfer has already completed.
+    /// Whether the clock has reached the transfer's deadline, so that
+    /// [`PendingGet::wait`] returns without waiting — true of an unwaited
+    /// transfer too, on either kind of clock.
     pub fn is_ready(&self) -> bool {
         match &self.ticket {
             None => true,
@@ -100,13 +102,6 @@ pub trait ObjectStore: Send + Sync {
     fn get_begin(&self, key: &str) -> Result<PendingGet> {
         Ok(PendingGet::ready(self.get(key)?))
     }
-
-    /// Whether [`ObjectStore::get_begin`] actually defers transfer time
-    /// (i.e. the store is reactor-backed). Callers use this to decide if
-    /// prefetching buys overlap.
-    fn supports_deferred(&self) -> bool {
-        false
-    }
 }
 
 /// Shared handle.
@@ -122,8 +117,9 @@ pub struct InMemoryObjectStore {
     label: String,
     /// When set, transfer time is deferred through the reactor so concurrent
     /// gets overlap instead of serializing. `Database` always sets it; the
-    /// `None` arm is the blocking reference the overlap tests and the
-    /// `cold_scan` bench compare against.
+    /// `None` arm (every `get_begin` pays its transfer before it returns) is
+    /// the blocking reference the overlap tests and the `cold_scan` bench
+    /// compare against.
     reactor: Option<Arc<Reactor>>,
 }
 
@@ -214,10 +210,6 @@ impl ObjectStore for InMemoryObjectStore {
             Some((r, t)) => PendingGet::deferred(blob, r, t),
             None => PendingGet::ready(blob),
         })
-    }
-
-    fn supports_deferred(&self) -> bool {
-        self.reactor.is_some()
     }
 
     fn delete(&self, key: &str) -> Result<()> {
@@ -399,7 +391,6 @@ mod tests {
         let reactor = Reactor::shared(clock.clone());
         let s = InMemoryObjectStore::new(clock.clone(), LatencyModel::ZERO, MetricsRegistry::new(), "remote");
         let s = InMemoryObjectStore { model, ..s }.with_reactor(reactor);
-        assert!(s.supports_deferred());
         s.put("a", Bytes::from(vec![0u8; 1000])).unwrap(); // 110µs (put waits)
         s.put("b", Bytes::from(vec![0u8; 2000])).unwrap(); // +120µs
         assert_eq!(clock.now_nanos(), 230_000);
@@ -425,6 +416,40 @@ mod tests {
         let p = s.get_begin("a").unwrap();
         drop(p); // forgotten, never waited
         assert_eq!(clock.now_nanos(), now);
+    }
+
+    /// "Ready" is read off the clock: nobody waits on these transfers, so no
+    /// reactor driver ever runs, and they must still ripen.
+    #[test]
+    fn unwaited_pending_get_is_ready_once_the_clock_reaches_its_deadline() {
+        let store = |clock: SharedClock, reactor: bool| {
+            let s = InMemoryObjectStore::new(
+                clock.clone(),
+                LatencyModel::fixed(Duration::from_millis(2)),
+                MetricsRegistry::new(),
+                "remote",
+            );
+            let s = if reactor { s.with_reactor(Reactor::shared(clock)) } else { s };
+            s.blobs.write().insert("a".into(), Bytes::from_static(b"x"));
+            s
+        };
+        let virt = VirtualClock::shared();
+        let p = store(virt.clone(), true).get_begin("a").unwrap();
+        assert!(!p.is_ready());
+        virt.advance(Duration::from_millis(2));
+        assert!(p.is_ready());
+        assert_eq!(virt.now_nanos(), 2_000_000, "asking is free");
+
+        let real = bh_common::RealClock::shared();
+        let p = store(real.clone(), true).get_begin("a").unwrap();
+        assert!(!p.is_ready());
+        std::thread::sleep(Duration::from_millis(3));
+        assert!(p.is_ready());
+
+        // A store that cannot defer has paid the transfer before it returns.
+        let t0 = virt.now_nanos();
+        assert!(store(virt.clone(), false).get_begin("a").unwrap().is_ready());
+        assert_eq!(virt.now_nanos() - t0, 2_000_000);
     }
 
     #[test]

@@ -83,11 +83,6 @@ impl DiskAnnIndex {
         self.disk_reads.load(Ordering::Relaxed)
     }
 
-    /// Size of the on-disk portion in bytes.
-    pub fn disk_bytes(&self) -> usize {
-        self.blob.len()
-    }
-
     /// Read one node from the blob: exact vector + neighbor list.
     fn read_node(&self, node: u32) -> (Vec<f32>, Vec<u32>) {
         self.disk_reads.fetch_add(1, Ordering::Relaxed);

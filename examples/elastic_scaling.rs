@@ -46,10 +46,12 @@ fn main() {
     println!("query over 1 worker returns {} rows", baseline.len());
 
     // Scale out. A statement that finds a moved segment cold on its new
-    // owner starts that index's transfer together with the others it needs
-    // and answers from the full index — never by brute force. (Passing the
-    // segment list lets the VW remember previous owners, which serve moved
-    // segments via RPC where the store cannot defer transfers.)
+    // owner starts that index's transfer together with the others it needs.
+    // While a transfer is on its way the segment's previous owner answers
+    // over the serving RPC (passing the segment list lets the VW remember
+    // it); once it has arrived the new owner answers from the full index —
+    // never by brute force. (This database charges no latency, so every
+    // transfer has arrived at once and nothing needs serving.)
     let segments = table.segments();
     for _ in 0..3 {
         vw.scale_up(&segments);

@@ -5,7 +5,9 @@
 use bh_bench::datasets::DatasetSpec;
 use bh_bench::setup::{build_database, TableOptions};
 use bh_bench::workloads::vector_search;
+use bh_common::{DeploymentLatencies, LatencyModel};
 use blendhouse::{Database, DatabaseConfig, QueryOptions, QueryOutput};
+use std::time::Duration;
 
 fn db_with_segments() -> (blendhouse::Database, Vec<String>) {
     let data = DatasetSpec::tiny().generate();
@@ -56,31 +58,81 @@ fn results_stable_across_scale_out_and_in() {
     }
 }
 
+/// Fig. 4 through `Database::execute`, on the virtual clock: preload → scale
+/// up → a statement → the clock passes the transfers → the statement again.
+/// Serve first, wait second: with serving on, the first statement costs no
+/// blob get — every moved segment is searched on its previous owner while the
+/// new owner's transfer runs — and the second consumes the arrived transfers;
+/// with serving off the first statement waits them out. Never brute force,
+/// and always the rows of a database that stayed warm.
 #[test]
-fn moved_segments_are_loaded_overlapped_never_brute_forced() {
-    let (db, sqls) = db_with_segments();
-    let vw = db.default_vw();
-    db.preload("bench", "default").unwrap();
-    // Warm queries on 1 worker.
-    let baselines: Vec<_> = sqls.iter().map(|s| search(&db, s).rows()).collect();
-    let counter = |name: &str| db.metrics().counter_value(name);
-    let before = counter("worker.brute_force");
+fn moved_segments_are_served_first_and_waited_for_second() {
+    let data = DatasetSpec::tiny().generate();
+    let sql = vector_search(&data, 1, 8, 1)[0].to_sql("bench", "emb");
+    // A bandwidth-bound store: an index blob costs far more than the few id
+    // blocks a statement reads on a worker it has never run on.
+    let latencies = DeploymentLatencies {
+        remote_store: LatencyModel::new(Duration::ZERO, Duration::from_micros(1)),
+        local_disk: LatencyModel::ZERO,
+        rpc: LatencyModel::fixed(Duration::from_micros(5)),
+    };
+    let build = |serving_enabled: bool| {
+        let mut cfg = DatabaseConfig { latencies, default_workers: 1, ..Default::default() };
+        cfg.table.segment_max_rows = 50;
+        cfg.vw.serving_enabled = serving_enabled;
+        let db = build_database(&data, cfg, &TableOptions::default());
+        db.preload("bench", "default").unwrap();
+        db
+    };
+    let warm = search(&build(true), &sql).rows();
+    assert_eq!(warm.rows.len(), 8);
 
-    // Scale up step by step, querying between steps. A `Database`'s store
-    // can defer, so a statement that finds a moved segment cold on its new
-    // owner starts that index's transfer with all the others it needs and
-    // answers from the full index (DESIGN.md §11.3) — never by brute
-    // force. (On a store that cannot defer the previous owner
-    // serves it via RPC, Fig. 4: `bh-cluster`'s and `bh-query`'s tests.)
-    let segments = db.table("bench").unwrap().segments();
-    for _ in 0..4 {
+    for serving in [true, false] {
+        let db = build(serving);
+        let vw = db.default_vw();
+        let segments = db.table("bench").unwrap().segments();
         vw.scale_up(&segments);
-        for (sql, base) in sqls.iter().zip(&baselines) {
-            assert_eq!(search(&db, sql).rows().rows, base.rows, "scale-up changed results");
+        let moved: Vec<_> = segments
+            .iter()
+            .filter(|m| !vw.owner_of(m).unwrap().1.index_resident(m))
+            .map(|m| latencies.remote_store.cost(m.index_bytes as usize))
+            .collect();
+        let (one_get, all_arrived) = (*moved.iter().min().unwrap(), *moved.iter().max().unwrap());
+        let moved = moved.len() as u64;
+        let names =
+            ["vw.serving_calls", "worker.brute_force", "cache.index.prefetch.hit", "remote.get"];
+        // Simulated time and counter movement of one run of the statement.
+        let statement = || {
+            let before = names.map(|n| db.metrics().counter_value(n));
+            let t0 = db.clock().now_nanos();
+            assert_eq!(search(&db, &sql).rows().rows, warm.rows, "serving={serving}");
+            let elapsed = Duration::from_nanos(db.clock().now_nanos() - t0);
+            let after = names.map(|n| db.metrics().counter_value(n));
+            (elapsed, [0, 1, 2, 3].map(|i| after[i] - before[i]))
+        };
+
+        let (elapsed, [served, brute, consumed, _]) = statement();
+        assert_eq!(brute, 0, "a moved segment was brute-forced");
+        if !serving {
+            assert!(elapsed >= one_get, "{elapsed:?} did not wait a blob get ({one_get:?})");
+            assert_eq!((served, consumed), (0, moved));
+            continue;
         }
+        assert!(elapsed < one_get, "{elapsed:?} waited a blob get ({one_get:?})");
+        assert_eq!((served, consumed), (moved, 0), "one RPC per moved segment, nothing waited");
+        let logged = db
+            .execute(
+                "SELECT rpc_ns FROM system.query_log WHERE kind = 'select' \
+                 ORDER BY query_id DESC LIMIT 1",
+            )
+            .unwrap()
+            .rows();
+        assert!(logged.rows[0][0].as_f64().unwrap() > 0.0, "the row carries its serving time");
+
+        db.clock().advance(all_arrived);
+        let (_, second) = statement();
+        assert_eq!(second, [0, 0, moved, 0], "arrived transfers are consumed, nothing fetched");
     }
-    assert_eq!(counter("worker.brute_force"), before, "a moved segment was brute-forced");
-    assert!(counter("query.index_prefetches") > 0, "moved segments load by overlapped transfer");
 }
 
 #[test]
