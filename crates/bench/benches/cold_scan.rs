@@ -30,7 +30,7 @@ use bh_cluster::worker::WorkerConfig;
 use bh_common::ids::IdGenerator;
 use bh_common::trace::AttrValue;
 use bh_common::{
-    LatencyModel, MetricsRegistry, Reactor, SharedClock, VirtualClock, VwId,
+    LatencyModel, MetricsRegistry, QueryCtx, Reactor, SharedClock, Stopwatch, VirtualClock, VwId,
 };
 use bh_query::exec::{QueryEngine, QueryOptions};
 use bh_query::Strategy;
@@ -178,19 +178,19 @@ struct RunResult {
 /// every `store.get` span's `sim_nanos` attribute (the per-transfer cost the
 /// store would charge if nothing overlapped).
 fn run_cold_batch(engine: &QueryEngine, fix: &Fixture, stmts: &[SelectStmt]) -> RunResult {
-    let tracer = fix.metrics.tracer();
-    tracer.set_enabled(true);
-    tracer.clear();
+    // The batch runs as one traced statement: every span its threads open
+    // lands on this context.
+    let ctx = QueryCtx::traced(0, "select", "bench", "cold_scan", Stopwatch::start());
+    let _in = ctx.install();
     // The cold *index* path is the subject; left to the optimizer a table
     // this small is scanned (Plan A), which fetches no index at all.
     let opts = QueryOptions { forced_strategy: Some(Strategy::PostFilter), ..Default::default() };
     let start = fix.clock.now_nanos();
     let results = engine.execute_select_batch(&fix.table, &fix.vw, &opts, stmts).unwrap();
     let wall_sim_ns = fix.clock.now_nanos() - start;
-    tracer.set_enabled(false);
     let mut sum = 0u64;
     let mut spans = 0usize;
-    for rec in tracer.drain() {
+    for rec in ctx.take_spans().unwrap_or_default() {
         if rec.name != "store.get" {
             continue;
         }

@@ -5,9 +5,13 @@
 //!
 //! The statement's context tallies its work whether or not the log is on; the
 //! log's own hot-path cost is SQL normalization, a snapshot of that tally and
-//! one ring append, so the acceptance bar is tight: enabled-vs-disabled
-//! median overhead ≤ 1%. Loops are interleaved within each run and the
-//! per-loop minimum kept (least-perturbed observation on a shared box).
+//! one ring append, so the bar is an absolute cost per statement, whatever
+//! the statement itself costs: `log_cost_ns_per_stmt` (on − off) ≈ 1 µs. A
+//! traced statement records its spans on its own context and hands them over
+//! at completion, so slow capture is bounded against the logged statement:
+//! `slow_capture_ns_per_op` ≤ 2 × `log_on_ns_per_op`. Loops are interleaved
+//! within each run and the per-loop minimum kept (least-perturbed
+//! observation on a shared box).
 //! Results go to `target/bench-fresh/BENCH_querylog.json` in the committed
 //! schema so `cargo xtask bench-diff` covers them.
 
@@ -107,26 +111,26 @@ fn main() {
     let mut cases = Vec::new();
     for run in 1..=RUNS {
         let r = one_run(&db, &sqls);
-        let overhead_pct = (r.log_on_ns - r.log_off_ns) / r.log_off_ns * 100.0;
-        let capture_pct = (r.capture_ns - r.log_off_ns) / r.log_off_ns * 100.0;
+        let log_cost_ns = r.log_on_ns - r.log_off_ns;
+        let capture_ratio = r.capture_ns / r.log_on_ns;
         rows.push(vec![
             format!("{run}"),
             format!("{:.0}", r.log_off_ns),
             format!("{:.0}", r.log_on_ns),
-            format!("{overhead_pct:.2}"),
+            format!("{log_cost_ns:.0}"),
             format!("{:.0}", r.capture_ns),
-            format!("{capture_pct:.2}"),
+            format!("{capture_ratio:.2}"),
         ]);
         cases.push(format!(
             "    {{ \"run\": {run}, \"log_off_ns_per_op\": {:.0}, \
-             \"log_on_ns_per_op\": {:.0}, \"overhead_pct\": {overhead_pct:.2}, \
-             \"slow_capture_ns_per_op\": {:.0}, \"slow_capture_overhead_pct\": {capture_pct:.2} }}",
+             \"log_on_ns_per_op\": {:.0}, \"log_cost_ns_per_stmt\": {log_cost_ns:.0}, \
+             \"slow_capture_ns_per_op\": {:.0}, \"slow_capture_over_log_on\": {capture_ratio:.2} }}",
             r.log_off_ns, r.log_on_ns, r.capture_ns
         ));
     }
     print_table(
         "query-log overhead on the batch-64 hybrid workload (ns/query)",
-        &["run", "log off", "log on", "overhead %", "slow capture", "capture %"],
+        &["run", "log off", "log on", "log cost", "slow capture", "capture / log on"],
         &rows,
     );
 

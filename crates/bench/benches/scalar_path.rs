@@ -29,7 +29,7 @@
 use bh_bench::harness::{print_table, write_fresh_json, Timer};
 use bh_cluster::worker::{Worker, WorkerConfig};
 use bh_common::rng::derive_seed;
-use bh_common::{Bitset, MetricsRegistry, VirtualClock, WorkerId};
+use bh_common::{Bitset, MetricsRegistry, SlowQueryPolicy, VirtualClock, WorkerId};
 use bh_storage::predicate::Predicate;
 use bh_storage::segment::SegmentMeta;
 use bh_storage::table::TableStore;
@@ -236,7 +236,6 @@ fn query_vector(seed: u64) -> Vec<f32> {
 /// Median duration (µs) of the engine's `materialize` span over unfiltered
 /// top-100 statements projecting two columns.
 fn time_materialize(db: &Database) -> f64 {
-    let tracer = db.metrics().tracer();
     let mut samples = Vec::new();
     for s in 0..300u64 {
         let q: Vec<String> = query_vector(s).iter().map(|x| format!("{x:?}")).collect();
@@ -244,16 +243,27 @@ fn time_materialize(db: &Database) -> f64 {
             "SELECT id, x FROM m ORDER BY L2Distance(emb, [{}]) LIMIT 100",
             q.join(", ")
         );
-        tracer.set_enabled(s >= 50); // the first 50 warm the caches
+        if s == 50 {
+            // The first 50 warm the caches; from here every statement is
+            // traced and its span tree retained.
+            db.set_slow_query_policy(Some(SlowQueryPolicy {
+                threshold_nanos: 0,
+                capture_errors: false,
+            }));
+        }
         let rows = db.execute(&sql).expect("select").rows();
         assert_eq!(rows.rows.len(), 100);
-        for span in tracer.drain() {
-            if span.name == "materialize" {
-                samples.push(span.duration_nanos() as f64 / 1e3);
-            }
+        if let Some(trace) = db.query_log().slow_traces().last() {
+            samples.extend(
+                trace
+                    .spans
+                    .iter()
+                    .filter(|span| span.name == "materialize")
+                    .map(|span| span.duration_nanos() as f64 / 1e3),
+            );
         }
     }
-    tracer.set_enabled(false);
+    db.set_slow_query_policy(None);
     assert_eq!(samples.len(), 250, "one materialize span per traced statement");
     median(samples)
 }

@@ -1,6 +1,7 @@
-//! Fresh-emitter counterpart of the committed `BENCH_trace.json`: the cost
-//! of `Tracer::span` open/attr/drop around a per-block-sized unit of work,
-//! with tracing disabled (the production default) and enabled, written to
+//! The in-tree emitter of `BENCH_trace.json`: the cost of `QueryCtx::span`
+//! open/attr/drop around a per-block-sized unit of work, for an untraced
+//! statement (the production default: a context is installed on the thread,
+//! it keeps no spans) and for a traced one, written to
 //! `target/bench-fresh/BENCH_trace.json` in the committed schema so
 //! `cargo xtask bench-diff` covers it.
 //!
@@ -11,7 +12,7 @@
 //! box; `overhead_pct = (disabled - baseline) / baseline`.
 
 use bh_bench::harness::{print_table, write_fresh_json, Timer};
-use bh_common::MetricsRegistry;
+use bh_common::{QueryCtx, Stopwatch};
 use std::hint::black_box;
 
 const OPS: usize = 200_000;
@@ -37,9 +38,9 @@ struct Run {
     enabled_ns: f64,
 }
 
-fn one_run(metrics: &MetricsRegistry, a: &[f32], b: &[f32]) -> Run {
-    let tracer = metrics.tracer();
-    tracer.set_enabled(false);
+fn one_run(a: &[f32], b: &[f32]) -> Run {
+    let untraced = QueryCtx::new(0, "select", "bench", "trace_fresh");
+    let installed = untraced.install();
     let (mut base_min, mut dis_min) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..INTERLEAVES {
         let t = Timer::start();
@@ -53,7 +54,7 @@ fn one_run(metrics: &MetricsRegistry, a: &[f32], b: &[f32]) -> Run {
         let t = Timer::start();
         let mut acc = 0.0f32;
         for i in 0..OPS {
-            let mut span = tracer.span("block.read");
+            let mut span = QueryCtx::span("block.read");
             span.attr("bytes", i as u64);
             acc += work(a, b);
             black_box(&span);
@@ -67,26 +68,27 @@ fn one_run(metrics: &MetricsRegistry, a: &[f32], b: &[f32]) -> Run {
     for _ in 0..INTERLEAVES {
         let t = Timer::start();
         for i in 0..OPS {
-            let mut span = tracer.span("block.read");
+            let mut span = QueryCtx::span("block.read");
             span.attr("bytes", i as u64);
             black_box(&span);
         }
         only_min = only_min.min(t.secs() * 1e9 / OPS as f64);
     }
 
-    tracer.set_enabled(true);
+    // A traced statement: past its first 4,096 spans it counts, not keeps.
+    drop(installed);
+    let traced = QueryCtx::traced(0, "select", "bench", "trace_fresh", Stopwatch::start());
+    let _in = traced.install();
     let t = Timer::start();
     let mut acc = 0.0f32;
     for i in 0..OPS {
-        let mut span = tracer.span("block.read");
+        let mut span = QueryCtx::span("block.read");
         span.attr("bytes", i as u64);
         acc += work(a, b);
         black_box(&span);
     }
     black_box(acc);
     let enabled_ns = t.secs() * 1e9 / OPS as f64;
-    tracer.set_enabled(false);
-    tracer.clear();
 
     Run { baseline_ns: base_min, disabled_ns: dis_min, disabled_only_ns: only_min, enabled_ns }
 }
@@ -94,12 +96,11 @@ fn one_run(metrics: &MetricsRegistry, a: &[f32], b: &[f32]) -> Run {
 fn main() {
     let a: Vec<f32> = (0..WORK_DIM).map(|i| (i as f32 * 0.61803).sin()).collect();
     let b: Vec<f32> = (0..WORK_DIM).map(|i| (i as f32 * 0.31415).cos()).collect();
-    let metrics = MetricsRegistry::new();
 
     let mut rows = Vec::new();
     let mut cases = Vec::new();
     for run in 1..=RUNS {
-        let r = one_run(&metrics, &a, &b);
+        let r = one_run(&a, &b);
         let overhead_pct = (r.disabled_ns - r.baseline_ns) / r.baseline_ns * 100.0;
         rows.push(vec![
             format!("{run}"),
@@ -123,8 +124,8 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"benchmark\": \"tracing overhead: Tracer::span open/attr/drop cost with tracing disabled (production default) and enabled\",\n  \
-         \"method\": \"crates/bench/benches/trace_fresh.rs: {OPS} ops per loop, baseline/disabled interleaved {INTERLEAVES}x per run with per-loop min kept; work = {WORK_DIM}-dim f32 L2 accumulation; {RUNS} runs reported.\",\n  \
+        "{{\n  \"benchmark\": \"tracing overhead: QueryCtx::span open/attr/drop cost for an untraced statement (production default) and a traced one\",\n  \
+         \"method\": \"crates/bench/benches/trace_fresh.rs: {OPS} ops per loop, baseline/disabled interleaved {INTERLEAVES}x per run with per-loop min kept; work = {WORK_DIM}-dim f32 L2 accumulation; disabled = an untraced QueryCtx installed on the thread, enabled = a traced one (it keeps its first 4096 spans and counts the rest: same open/timestamp/lock path); {RUNS} runs reported.\",\n  \
          \"results\": [\n{}\n  ]\n}}\n",
         cases.join(",\n"),
     );

@@ -5,10 +5,11 @@
 //!
 //! * **Scaling-friendly allocation** (§II-D): adding/removing workers moves
 //!   only the minimal key range; `previous_owner` remembers where each
-//!   reassigned segment lived *before* the last topology change. The ring is
-//!   the one source of truth for ownership; `owners` memoises its answers
-//!   and is wiped inside every critical section that changes the ring or the
-//!   worker map, so a warm statement resolves an owner with one map lookup.
+//!   reassigned segment lived *before* the change that last moved it. The
+//!   ring is the one source of truth for ownership; `owners` memoises its
+//!   answers and is wiped inside every critical section that changes the ring
+//!   or the worker map, so a warm statement resolves an owner with one map
+//!   lookup.
 //! * **One answer for a segment whose index is not where the query landed**
 //!   (§II-D, Fig. 4): [`VirtualWarehouse::segment_index`] resolves, for one
 //!   owner and one segment, the index to search — the owner's own, or, while
@@ -25,8 +26,8 @@ use crate::worker::{Worker, WorkerConfig};
 use bh_common::ids::IdGenerator;
 use bh_common::metrics::Counter;
 use bh_common::{
-    BhError, Bitset, LatencyModel, MetricsRegistry, Result, SegmentId, SharedClock, VwId,
-    WorkerId,
+    BhError, Bitset, LatencyModel, MetricsRegistry, QueryCtx, Result, SegmentId, SharedClock,
+    VwId, WorkerId,
 };
 use bh_storage::objectstore::ObjectStore;
 use bh_storage::segment::SegmentMeta;
@@ -87,7 +88,7 @@ pub struct VirtualWarehouse {
     ids: Arc<IdGenerator>,
     workers: RwLock<BTreeMap<WorkerId, Arc<Worker>>>,
     ring: RwLock<MultiProbeRing>,
-    /// Segment → owner before the most recent topology change.
+    /// Segment → its owner before the topology change that last moved it.
     previous_owner: RwLock<HashMap<SegmentId, WorkerId>>,
     /// Memo of `ring.assign_segment` + `workers` lookup, filled by
     /// [`Self::owner_of`] on a miss (under read guards of both) and wiped by
@@ -169,10 +170,12 @@ impl VirtualWarehouse {
         ring.assign_segment(seg)
     }
 
-    /// The one critical section every membership change runs in: record the
-    /// current assignment of `known_segments` as the "previous" topology
-    /// (serving consults it), apply `change` to the worker map and the ring,
-    /// and wipe the owner memo before either write guard is released.
+    /// The one critical section every membership change runs in: apply
+    /// `change` to the worker map and the ring, record for every one of
+    /// `known_segments` the change moved who owned it before (serving
+    /// consults it; a segment that stayed put keeps what it had, so the
+    /// owner it last moved away from survives later changes), and wipe the
+    /// owner memo before either write guard is released.
     fn change_topology<T>(
         &self,
         known_segments: &[Arc<SegmentMeta>],
@@ -180,15 +183,17 @@ impl VirtualWarehouse {
     ) -> T {
         let mut workers = self.workers.write();
         let mut ring = self.ring.write();
+        let before: Vec<Option<WorkerId>> =
+            known_segments.iter().map(|meta| self.walk(&ring, meta.id)).collect();
+        let out = change(&mut workers, &mut ring);
         {
             let mut prev = self.previous_owner.write();
-            for meta in known_segments {
-                if let Some(w) = self.walk(&ring, meta.id) {
+            for (meta, before) in known_segments.iter().zip(before) {
+                if let Some(w) = before.filter(|w| self.walk(&ring, meta.id) != Some(*w)) {
                     prev.insert(meta.id, w);
                 }
             }
         }
-        let out = change(&mut workers, &mut ring);
         self.owners.write().clear();
         out
     }
@@ -396,7 +401,7 @@ impl VirtualWarehouse {
                 search(idx.as_ref())
             }
             SegmentIndex::Served(peer) => {
-                let mut span = self.metrics.tracer().span("serving");
+                let mut span = QueryCtx::span("serving");
                 span.attr("segment", meta.id.raw());
                 span.attr("bytes", request_bytes);
                 let pending = owner.charge_rpc_begin(&self.cfg.rpc, request_bytes);
@@ -611,6 +616,25 @@ mod tests {
         assert_eq!(count("cache.index.prefetch.hit"), 1);
         assert_eq!(count("remote.get") - gets, 1);
         assert_eq!(count("worker.brute_force"), 0, "serving must avoid brute force");
+    }
+
+    /// Two scale-ups, no statement between: the change that did not move the
+    /// segment must leave its previous owner alone (it used to record the
+    /// cold newcomer the segment already sat on, and the search waited).
+    #[test]
+    fn a_later_scale_up_keeps_the_previous_owner_of_a_segment_it_did_not_move() {
+        let rpc = Duration::from_micros(200);
+        let (t, v, clock, meta) =
+            moved_segment(VwConfig { rpc: LatencyModel::fixed(rpc), ..Default::default() });
+        let owner = v.owner_of(&meta).unwrap().0;
+        v.scale_up(&t.segments());
+        assert_eq!(v.owner_of(&meta).unwrap().0, owner, "the second scale-up moved it again");
+        let index = v.segment_index(&v.owner_of(&meta).unwrap().1, &meta).unwrap();
+        assert!(matches!(index, Some(SegmentIndex::Served(_))), "waited instead of served");
+        let t0 = clock.now_nanos();
+        v.search_segment(&t, &meta, &[5.0; 4], 2, &SearchParams::default(), None).unwrap();
+        assert_eq!(clock.now_nanos() - t0, rpc.as_nanos() as u64);
+        assert_eq!(t.metrics().counter_value("vw.serving_calls"), 1);
     }
 
     #[test]

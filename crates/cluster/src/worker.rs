@@ -220,7 +220,7 @@ impl Worker {
         let r = (|| {
             self.check_alive()?;
             self.cfg.compute_per_segment.charge(self.clock.as_ref(), 0);
-            let mut span = self.metrics.tracer().span("rpc.serve");
+            let mut span = QueryCtx::span("rpc.serve");
             span.attr("segment", meta.id.raw());
             if !self.index_cache.resident(meta.id) {
                 span.attr("resident", false);

@@ -122,6 +122,14 @@ impl Stopwatch {
     pub fn elapsed(&self) -> Duration {
         self.start.elapsed()
     }
+
+    /// Nanoseconds from `origin`'s start to this stopwatch's (0 if this one
+    /// started first): places a timed interval on `origin`'s timeline
+    /// without another clock read.
+    pub fn nanos_since(&self, origin: &Stopwatch) -> u64 {
+        let n = self.start.saturating_duration_since(origin.start).as_nanos();
+        u64::try_from(n).unwrap_or(u64::MAX)
+    }
 }
 
 /// Deterministic test clock: `advance` bumps a counter, never sleeps.

@@ -68,4 +68,4 @@ pub use metrics::MetricsRegistry;
 pub use qctx::{QueryCtx, StatementCounters, StatementWork};
 pub use querylog::{QueryLog, QueryLogRecord, SlowQueryPolicy, SlowQueryTrace};
 pub use topk::TopK;
-pub use trace::{AttrValue, Span, SpanId, SpanRecord, Tracer};
+pub use trace::{AttrValue, Span, SpanId, SpanRecord};

@@ -8,17 +8,13 @@
 //! * label support by name suffixing ([`labeled`] renders
 //!   `name{k="v"}` keys that [`MetricsRegistry::render_prometheus`] emits
 //!   verbatim as Prometheus labels),
-//! * a Prometheus text exposition of every counter/gauge/histogram,
-//! * the process-wide [`crate::trace::Tracer`] (reachable from every layer
-//!   that already holds the shared registry, so span context needs no extra
-//!   plumbing through constructor signatures).
+//! * a Prometheus text exposition of every counter/gauge/histogram.
 //!
 //! Metric naming convention (asserted by tests across the workspace):
 //! `<subsystem>.<object>.<event>` in lowercase dot-separated form, e.g.
 //! `cache.data.hit`, `remote.get.bytes`, `vw.serving_calls`. Dots become
 //! underscores in the Prometheus rendering.
 
-use crate::trace::Tracer;
 use crate::sync::{classes, RwLock};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -339,9 +335,6 @@ struct Inner {
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
     gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
     histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,
-    /// The span recorder every holder of this registry shares. Disabled by
-    /// default; `EXPLAIN ANALYZE` (and tests) enable it per query.
-    tracer: Tracer,
 }
 
 impl Default for Inner {
@@ -350,7 +343,6 @@ impl Default for Inner {
             counters: RwLock::new(&classes::METRICS_COUNTERS, BTreeMap::new()),
             gauges: RwLock::new(&classes::METRICS_GAUGES, BTreeMap::new()),
             histograms: RwLock::new(&classes::METRICS_HISTOGRAMS, BTreeMap::new()),
-            tracer: Tracer::default(),
         }
     }
 }
@@ -423,13 +415,6 @@ impl MetricsRegistry {
     /// Get or create the histogram `name{labels}` (see [`labeled`]).
     pub fn histogram_with_labels(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
         self.histogram(&labeled(name, labels))
-    }
-
-    /// The shared span recorder (see [`crate::trace`]). Every clone of this
-    /// registry observes the same tracer, so any layer holding the registry
-    /// can open spans without extra constructor plumbing.
-    pub fn tracer(&self) -> &Tracer {
-        &self.inner.tracer
     }
 
     /// Snapshot of all counter values, sorted by name.
@@ -675,20 +660,6 @@ mod tests {
         assert_eq!(text.matches("# TYPE rpc counter").count(), 1);
         assert!(text.contains("rpc{worker=\"w1\"} 1\n"));
         assert!(text.contains("rpc{worker=\"w2\"} 1\n"));
-    }
-
-    #[test]
-    fn tracer_is_shared_across_clones() {
-        let m = MetricsRegistry::new();
-        let m2 = m.clone();
-        assert!(!m.tracer().is_enabled());
-        m.tracer().set_enabled(true);
-        assert!(m2.tracer().is_enabled());
-        {
-            let _s = m2.tracer().span("x");
-        }
-        m.tracer().set_enabled(false);
-        assert_eq!(m.tracer().drain().len(), 1);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The per-statement context: one statement, one tally.
+//! The per-statement context: one statement, one tally, one trace.
 //!
 //! A [`QueryCtx`] is created once per statement — by `Database::execute_session`,
 //! or by `QueryEngine::execute_batch` (one per statement) when a direct caller
@@ -12,8 +12,16 @@
 //! its call ends, and the query log records the tally itself. Nothing is read
 //! back from a process-wide counter, so concurrent statements cannot see each
 //! other's work. DESIGN.md §13.1 lists which site writes which cell.
+//!
+//! A statement that is to be traced ([`QueryCtx::traced`]: `EXPLAIN ANALYZE`,
+//! an armed slow-query policy, a harness that asks) also owns its spans. Sites
+//! open them through the installed context ([`QueryCtx::span`], inert when
+//! there is none or it is untraced); the timed stages open a [`Stage`], which
+//! writes the tally cell and cuts the span from the same two clock reads.
 
+use crate::clock::Stopwatch;
 use crate::metrics::{Counter, MetricsRegistry};
+use crate::trace::{Span, SpanBuf, SpanId, SpanRecord};
 use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::sync::{Arc, OnceLock};
@@ -85,8 +93,9 @@ work_columns! {
     cache_misses,
 }
 
-/// One statement's identity and tally. Shared (`Arc`) between the thread that
-/// runs the statement and the fan-out threads that search segments for it.
+/// One statement's identity, tally and (when traced) spans. Shared (`Arc`)
+/// between the thread that runs the statement and the fan-out threads that
+/// search segments for it.
 #[derive(Debug, Default)]
 pub struct QueryCtx {
     /// The query-log id (0 for a context the engine made for a direct call).
@@ -100,6 +109,8 @@ pub struct QueryCtx {
     strategy: OnceLock<&'static str>,
     /// The statement's work so far.
     pub tally: Tally,
+    /// The statement's spans; `None` for an untraced statement.
+    trace: Option<Arc<SpanBuf>>,
 }
 
 thread_local! {
@@ -108,13 +119,36 @@ thread_local! {
 }
 
 impl QueryCtx {
-    /// A context for one statement.
+    /// A context for one statement, untraced.
     pub fn new(query_id: u64, kind: &'static str, tenant: &str, session: &str) -> Arc<QueryCtx> {
+        QueryCtx::build(query_id, kind, tenant, session, None)
+    }
+
+    /// A context whose statement is traced: spans opened for it are kept
+    /// (the first [`crate::trace::MAX_SPANS`]), timestamped against `origin`.
+    pub fn traced(
+        query_id: u64,
+        kind: &'static str,
+        tenant: &str,
+        session: &str,
+        origin: Stopwatch,
+    ) -> Arc<QueryCtx> {
+        QueryCtx::build(query_id, kind, tenant, session, Some(SpanBuf::new(origin)))
+    }
+
+    fn build(
+        query_id: u64,
+        kind: &'static str,
+        tenant: &str,
+        session: &str,
+        trace: Option<Arc<SpanBuf>>,
+    ) -> Arc<QueryCtx> {
         Arc::new(QueryCtx {
             query_id,
             kind,
             tenant: tenant.to_string(),
             session: session.to_string(),
+            trace,
             ..QueryCtx::default()
         })
     }
@@ -142,6 +176,45 @@ impl QueryCtx {
         });
     }
 
+    /// Open a span for the statement installed on this thread, parented to
+    /// the innermost span open on it. Inert when no statement is installed or
+    /// it is not traced.
+    #[inline]
+    pub fn span(name: &'static str) -> Span {
+        CURRENT.with(|c| match c.borrow().as_deref() {
+            Some(QueryCtx { trace: Some(buf), .. }) => buf.span(name),
+            _ => Span::disabled(),
+        })
+    }
+
+    /// Open a span for this statement under a span opened for it on another
+    /// thread: how a fan-out helper parents its task to the span open on the
+    /// scheduling thread, whose stack it cannot see.
+    pub fn span_under(&self, parent: SpanId, name: &'static str) -> Span {
+        self.trace.as_ref().map_or_else(Span::disabled, |buf| buf.span_under(parent, name))
+    }
+
+    /// Time a stage of this statement: when the guard drops, its wall time is
+    /// added to `cell` and, if the statement is traced, recorded as the span
+    /// `name` — start and duration from the same two clock reads.
+    pub fn stage<'a>(&self, name: &'static str, cell: &'a Counter) -> Stage<'a> {
+        let started = Stopwatch::start();
+        let span =
+            self.trace.as_ref().map_or_else(Span::disabled, |buf| buf.span_since(name, &started));
+        Stage { cell, started, span }
+    }
+
+    /// The spans finished for this statement so far, oldest first, and how
+    /// many more were dropped at the buffer's bound. Empty when untraced.
+    pub fn spans(&self) -> (Vec<SpanRecord>, u64) {
+        self.trace.as_ref().map_or_else(Default::default, |buf| buf.spans())
+    }
+
+    /// Move this statement's finished spans out (`None` when untraced).
+    pub fn take_spans(&self) -> Option<Vec<SpanRecord>> {
+        self.trace.as_ref().map(|buf| buf.take_spans())
+    }
+
     /// Record the plan the planner chose (the first choice stands).
     pub fn set_strategy(&self, slug: &'static str) {
         let _ = self.strategy.set(slug);
@@ -163,6 +236,23 @@ pub struct Installed {
 impl Drop for Installed {
     fn drop(&mut self) {
         CURRENT.with(|c| *c.borrow_mut() = self.prev.take());
+    }
+}
+
+/// Guard of [`QueryCtx::stage`].
+pub struct Stage<'a> {
+    cell: &'a Counter,
+    started: Stopwatch,
+    /// The stage's span, for attributes (inert when the statement is
+    /// untraced). It ends when the guard drops, not before.
+    pub span: Span,
+}
+
+impl Drop for Stage<'_> {
+    fn drop(&mut self) {
+        let nanos = self.started.elapsed_nanos();
+        self.cell.add(nanos);
+        self.span.end_after(nanos);
     }
 }
 

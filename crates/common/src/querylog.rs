@@ -2,25 +2,26 @@
 //! a [`SlowQueryPolicy`]-governed store of full span trees for slow or
 //! failed queries.
 //!
-//! The design mirrors [`crate::trace`]'s ticket ring: an append is one
-//! `fetch_add` on an atomic head plus one slot-mutex store (class
-//! `QUERYLOG_SLOT`, rank just below `TRACE_SLOT` so the log can be written
-//! from under any statement-path lock). The ring keeps the newest
-//! `capacity` records and never blocks writers on readers; `snapshot()`
-//! clones the live records without consuming them, so `system.query_log`
-//! scans are repeatable.
+//! The ring is a ticket ring: an append is one `fetch_add` on an atomic head
+//! plus one slot-mutex store (class `QUERYLOG_SLOT`, ranked near the top so
+//! the log can be written from under any statement-path lock). The ring
+//! keeps the newest `capacity` records and never blocks writers on readers;
+//! `snapshot()` clones the live records without consuming them, so
+//! `system.query_log` scans are repeatable.
 //!
 //! Slow-query capture is a second, much smaller store: when a
-//! [`SlowQueryPolicy`] is armed the database traces each statement and
-//! hands the drained span tree to [`QueryLog::retain_trace`]; the policy
-//! keeps the *full* tree (not the rollup) for any query whose wall time
-//! exceeds `threshold_nanos` or that ended in an error. Retained traces
-//! back the `system.spans` table and the `SYSTEM TRACE EXPORT` statement,
-//! which renders them as chrome://tracing JSON ([`QueryLog::export_chrome_trace`]).
+//! [`SlowQueryPolicy`] is armed the database traces each statement (a traced
+//! [`crate::QueryCtx`]) and hands the context's span tree to
+//! [`QueryLog::retain_trace`]; the policy keeps the *full* tree (not the
+//! rollup) for any query whose wall time exceeds `threshold_nanos` or that
+//! ended in an error. Retained traces back the `system.spans` table and the
+//! `SYSTEM TRACE EXPORT` statement, which renders them as chrome://tracing
+//! JSON ([`QueryLog::export_chrome_trace`]).
 //!
-//! Timestamps are nanoseconds since the log's origin [`Stopwatch`] — the
-//! same self-measurement convention the tracer uses, so span and record
-//! timelines are directly comparable when both come from the same process.
+//! Timestamps are nanoseconds since the log's origin [`Stopwatch`]
+//! ([`QueryLog::origin`]), which is also the origin the database gives a
+//! traced statement's spans: a span's timestamps lie between its record's
+//! `start_nanos` and `end_nanos`.
 
 use crate::clock::Stopwatch;
 use crate::qctx::StatementWork;
@@ -120,12 +121,11 @@ pub struct SlowQueryTrace {
     pub duration_nanos: u64,
     /// Error code when retained because the statement failed.
     pub error_code: Option<&'static str>,
-    /// The full span tree, in ring order (sorted by start time, id).
+    /// The full span tree, sorted by start time, then id.
     pub spans: Vec<SpanRecord>,
 }
 
-/// Fixed-capacity overwrite-oldest record ring (ticket head + slot locks),
-/// same shape as `trace::Ring`.
+/// Fixed-capacity overwrite-oldest record ring (ticket head + slot locks).
 struct Ring {
     head: AtomicU64,
     slots: Vec<Mutex<Option<QueryLogRecord>>>,
@@ -243,6 +243,12 @@ impl QueryLog {
     /// `start_nanos`/`end_nanos`.
     pub fn now_nanos(&self) -> u64 {
         self.inner.origin.elapsed_nanos()
+    }
+
+    /// The log's time origin: what a traced statement's spans are
+    /// timestamped against, so they share the records' timebase.
+    pub fn origin(&self) -> Stopwatch {
+        self.inner.origin
     }
 
     /// Append one completed-query record (no-op while disabled).
@@ -503,7 +509,7 @@ pub fn normalize_sql(sql: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Tracer;
+    use crate::trace::SpanBuf;
     use std::thread;
 
     fn record(id: u64, start: u64) -> QueryLogRecord {
@@ -617,17 +623,16 @@ mod tests {
 
     #[test]
     fn chrome_export_is_valid_shape() {
-        let tracer = Tracer::new();
-        tracer.set_enabled(true);
+        let log = QueryLog::new(4);
+        let buf = SpanBuf::new(log.origin());
         {
-            let mut root = tracer.span("query");
+            let mut root = buf.span("query");
             root.attr("k", 3u64);
-            let mut child = tracer.span("exec");
+            let mut child = buf.span("exec");
             child.attr("strategy", "flat");
             child.attr("hit", true);
         }
-        let spans = tracer.drain();
-        let log = QueryLog::new(4);
+        let spans = buf.take_spans();
         log.retain_trace(SlowQueryTrace {
             query_id: 7,
             sql: "SELECT \"x\" FROM t".into(),

@@ -154,9 +154,10 @@ lock_rank_table! {
     QUERYLOG_SLOT = 880,
     /// `QueryLog` slow-query span store (retained traces + policy).
     QUERYLOG_SLOW = 890,
-    /// `trace::Ring` span slots. Highest real rank: spans finish (and are
-    /// recorded) while arbitrary locks are held.
-    TRACE_SLOT = 900,
+    /// `trace::SpanBuf::finished`, a traced statement's finished spans.
+    /// Highest real rank: spans finish (and are recorded) while arbitrary
+    /// locks are held.
+    SPAN_BUF = 900,
     /// Test fixture: outer lock of the deliberate-deadlock tests.
     TEST_OUTER = 9000,
     /// Test fixture: inner lock of the deliberate-deadlock tests.

@@ -1,46 +1,44 @@
-//! In-tree tracing: hierarchical spans over a lock-free ring recorder.
+//! In-tree tracing: hierarchical spans recorded on the statement they were
+//! opened for.
 //!
-//! The profiling layer behind `EXPLAIN ANALYZE` and the per-stage latency
-//! numbers in the benches. Design constraints, in order:
+//! The profiling layer behind `EXPLAIN ANALYZE`, slow-query capture and the
+//! per-stage latency numbers in the benches. A traced statement's
+//! [`crate::QueryCtx`] owns one bounded [`SpanBuf`]; every instrumentation
+//! site opens its span through the context installed on the thread
+//! ([`crate::QueryCtx::span`]), so a span can only ever land in the buffer of
+//! the statement it was opened for. Design constraints, in order:
 //!
-//! 1. **Near-zero cost when disabled.** Every instrumentation site calls
-//!    [`Tracer::span`], which when tracing is off performs exactly one
-//!    `Relaxed` atomic load and returns an inert [`Span`] whose methods and
+//! 1. **Near-zero cost when untraced.** With no statement installed, or one
+//!    that is not traced, a site gets an inert [`Span`] whose methods and
 //!    `Drop` are no-ops. Production paths stay traced-but-free.
 //! 2. **No new dependencies.** Timestamps come from the sanctioned
 //!    [`crate::clock::Stopwatch`] (the only wall-clock access point the
-//!    `xtask` lint permits outside `clock` itself); the recorder is a small
-//!    in-tree ring, not an external queue crate.
-//! 3. **Safe under Miri / high concurrency.** Ring slots are claimed with a
-//!    wait-free `fetch_add` ticket and published under an uncontended
-//!    per-slot mutex; when the ring wraps, the oldest records are
-//!    overwritten (keep-newest), never blocking the recording thread.
+//!    `xtask` lint permits outside `clock` itself).
+//! 3. **Bounded.** A buffer keeps the first [`MAX_SPANS`] spans that finish
+//!    and counts the rest; recording never blocks on a reader.
 //!
 //! Span parenting is implicit within a thread (a thread-local span stack) and
-//! explicit across threads: fan-out code captures [`Tracer::current`] before
-//! spawning and opens child spans with [`Tracer::span_under`].
+//! explicit across threads: fan-out code takes the [`Span::id`] of the span
+//! open on the scheduling thread and opens each task's span under it on the
+//! helper ([`crate::QueryCtx::span_under`]).
 //!
 //! The span taxonomy used by the query path is documented in DESIGN.md §9.
 
 use crate::clock::Stopwatch;
 use crate::sync::{classes, Mutex};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Identifier of one recorded span. `SpanId::NONE` (0) means "no span" and is
-/// used both for roots and for every span recorded while tracing is disabled.
+/// Identifier of one recorded span, unique within its statement.
+/// `SpanId::NONE` (0) means "no span": the parent of a root, and the id of
+/// every inert guard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SpanId(pub u64);
 
 impl SpanId {
     /// The null span id: parents a root span, never recorded.
     pub const NONE: SpanId = SpanId(0);
-
-    /// Is this the null id?
-    pub fn is_none(self) -> bool {
-        self.0 == 0
-    }
 }
 
 /// One structured attribute value. Stored, not formatted, so the renderer can
@@ -105,14 +103,14 @@ impl From<bool> for AttrValue {
     }
 }
 
-/// A finished span as drained from the ring.
+/// A finished span, as a statement's [`SpanBuf`] hands it out.
 #[derive(Debug, Clone)]
 pub struct SpanRecord {
     pub id: SpanId,
     pub parent: SpanId,
     /// Static name from the span taxonomy (`"exec"`, `"segment.search"`, …).
     pub name: &'static str,
-    /// Nanoseconds since the tracer's origin [`Stopwatch`] started.
+    /// Nanoseconds since the buffer's origin [`Stopwatch`] started.
     pub start_nanos: u64,
     /// End timestamp on the same origin; `end_nanos >= start_nanos`.
     pub end_nanos: u64,
@@ -131,159 +129,112 @@ impl SpanRecord {
     }
 }
 
-/// Fixed-capacity overwrite-oldest record buffer.
-///
-/// `head` hands out monotonically increasing tickets; a record with ticket
-/// `t` is published into slot `t % capacity` under that slot's (uncontended
-/// in the common case) mutex. When producers outrun the reader the newest
-/// records win, which is what a profiler wants: the spans of the query being
-/// profiled are the most recent ones.
+/// Spans one statement keeps: enough for every span of a large multi-segment
+/// batch with headroom. Spans finishing past it are counted, not kept.
+pub const MAX_SPANS: usize = 4096;
+
+/// The spans of one traced statement: the first [`MAX_SPANS`] that finished,
+/// and how many finished after those. Owned by the statement's
+/// [`crate::QueryCtx`] and shared with its open guards, so a guard dropped on
+/// a fan-out thread records into the statement it was opened for.
 #[derive(Debug)]
-struct Ring {
-    head: AtomicU64,
-    slots: Vec<Mutex<Option<SpanRecord>>>,
-}
-
-impl Ring {
-    fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Self {
-            head: AtomicU64::new(0),
-            slots: (0..capacity).map(|_| Mutex::new(&classes::TRACE_SLOT, None)).collect(),
-        }
-    }
-
-    fn push(&self, record: SpanRecord) {
-        let ticket = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = (ticket % self.slots.len() as u64) as usize;
-        *self.slots[slot].lock() = Some(record);
-    }
-
-    /// Remove and return every record, oldest first (by start timestamp).
-    fn drain(&self) -> Vec<SpanRecord> {
-        let mut out: Vec<SpanRecord> =
-            self.slots.iter().filter_map(|s| s.lock().take()).collect();
-        out.sort_by_key(|r| (r.start_nanos, r.id));
-        out
-    }
-}
-
-#[derive(Debug)]
-struct TracerInner {
-    enabled: AtomicBool,
-    /// Time origin shared by every span of this tracer.
+pub struct SpanBuf {
+    /// Time origin of every span of this statement.
     origin: Stopwatch,
     /// Next span id; starts at 1 so `SpanId::NONE` stays unused.
     next_id: AtomicU64,
-    ring: Ring,
+    finished: Mutex<Finished>,
+}
+
+#[derive(Debug, Default)]
+struct Finished {
+    spans: Vec<SpanRecord>,
+    dropped: u64,
 }
 
 thread_local! {
-    /// Stack of open span ids on this thread, innermost last.
+    /// Stack of open span ids on this thread, innermost last. A thread works
+    /// for one statement at a time, so the ids are that statement's.
     static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Default ring capacity: enough for every span of a large multi-segment
-/// batch query with headroom, small enough to stay cache-friendly.
-pub const DEFAULT_RING_CAPACITY: usize = 4096;
-
-/// Cheap-to-clone handle to a span recorder. Disabled by default; enabling is
-/// per-tracer (e.g. for the duration of one `EXPLAIN ANALYZE`).
-#[derive(Debug, Clone)]
-pub struct Tracer {
-    inner: Arc<TracerInner>,
-}
-
-impl Default for Tracer {
-    fn default() -> Self {
-        Self::with_capacity(DEFAULT_RING_CAPACITY)
-    }
-}
-
-impl Tracer {
-    /// A disabled tracer with the default ring capacity.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A disabled tracer whose ring holds `capacity` records.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            inner: Arc::new(TracerInner {
-                enabled: AtomicBool::new(false),
-                origin: Stopwatch::start(),
-                next_id: AtomicU64::new(1),
-                ring: Ring::new(capacity),
-            }),
-        }
-    }
-
-    /// Turn recording on or off. Spans opened while disabled stay inert even
-    /// if the tracer is re-enabled before they drop.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.inner.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Is recording currently on?
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed)
+impl SpanBuf {
+    /// An empty buffer whose spans are timestamped against `origin` (the
+    /// query log's, so spans and log records share one timeline).
+    pub fn new(origin: Stopwatch) -> Arc<SpanBuf> {
+        Arc::new(SpanBuf {
+            origin,
+            next_id: AtomicU64::new(1),
+            finished: Mutex::new(&classes::SPAN_BUF, Finished::default()),
+        })
     }
 
     /// Open a span parented to the innermost open span on this thread (or a
-    /// root span if there is none). When disabled this is one atomic load.
-    #[inline]
-    pub fn span(&self, name: &'static str) -> Span {
-        if !self.is_enabled() {
-            return Span::disabled();
-        }
-        let parent = SPAN_STACK.with(|s| s.borrow().last().copied().unwrap_or(0));
-        self.open(name, SpanId(parent))
+    /// root span if there is none).
+    pub fn span(self: &Arc<Self>, name: &'static str) -> Span {
+        self.open(name, innermost_open(), self.origin.elapsed_nanos())
     }
 
     /// Open a span under an explicit parent, ignoring this thread's stack for
     /// parenting (but still pushing onto it, so nested spans on this thread
-    /// attach here). Used by fan-out tasks: capture [`Tracer::current`] on
-    /// the scheduling thread, pass it into the worker closure.
-    #[inline]
-    pub fn span_under(&self, parent: SpanId, name: &'static str) -> Span {
-        if !self.is_enabled() {
-            return Span::disabled();
-        }
-        self.open(name, parent)
+    /// attach here). Used by fan-out tasks: take the [`Span::id`] of the span
+    /// open on the scheduling thread, pass it into the helper's closure.
+    pub fn span_under(self: &Arc<Self>, parent: SpanId, name: &'static str) -> Span {
+        self.open(name, parent, self.origin.elapsed_nanos())
     }
 
-    /// The innermost open span on this thread, or `SpanId::NONE`.
-    pub fn current(&self) -> SpanId {
-        if !self.is_enabled() {
-            return SpanId::NONE;
-        }
-        SpanId(SPAN_STACK.with(|s| s.borrow().last().copied().unwrap_or(0)))
+    /// Open a span (parented like [`Self::span`]) that began when `started`
+    /// did and is to be ended with [`Span::end_after`]: the span of a timed
+    /// stage, cut from the stage's own two clock reads.
+    pub fn span_since(self: &Arc<Self>, name: &'static str, started: &Stopwatch) -> Span {
+        self.open(name, innermost_open(), started.nanos_since(&self.origin))
     }
 
-    fn open(&self, name: &'static str, parent: SpanId) -> Span {
-        let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
+    fn open(self: &Arc<Self>, name: &'static str, parent: SpanId, start_nanos: u64) -> Span {
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         SPAN_STACK.with(|s| s.borrow_mut().push(id));
         Span(Some(Box::new(ActiveSpan {
-            tracer: self.inner.clone(),
+            buf: self.clone(),
             id: SpanId(id),
             parent,
             name,
-            start_nanos: self.inner.origin.elapsed_nanos(),
+            start_nanos,
+            end_nanos: None,
             attrs: Vec::new(),
         })))
     }
 
-    /// Remove and return all finished spans, oldest first. Spans still open
-    /// (guards not yet dropped) are not included.
-    pub fn drain(&self) -> Vec<SpanRecord> {
-        self.inner.ring.drain()
+    fn push(&self, record: SpanRecord) {
+        let mut g = self.finished.lock();
+        if g.spans.len() < MAX_SPANS {
+            g.spans.push(record);
+        } else {
+            g.dropped += 1;
+        }
     }
 
-    /// Drop all recorded spans.
-    pub fn clear(&self) {
-        let _ = self.inner.ring.drain();
+    /// The finished spans so far, oldest first (by start timestamp), and how
+    /// many more finished past [`MAX_SPANS`]. Spans still open (guards not
+    /// yet dropped) are not included.
+    pub fn spans(&self) -> (Vec<SpanRecord>, u64) {
+        let g = self.finished.lock();
+        (sorted(g.spans.clone()), g.dropped)
     }
+
+    /// Move the finished spans out, oldest first.
+    pub fn take_spans(&self) -> Vec<SpanRecord> {
+        sorted(std::mem::take(&mut self.finished.lock().spans))
+    }
+}
+
+/// The innermost span open on this thread, `SpanId::NONE` when there is none.
+fn innermost_open() -> SpanId {
+    SpanId(SPAN_STACK.with(|s| s.borrow().last().copied().unwrap_or(0)))
+}
+
+fn sorted(mut spans: Vec<SpanRecord>) -> Vec<SpanRecord> {
+    spans.sort_by_key(|r| (r.start_nanos, r.id));
+    spans
 }
 
 /// Format a nanosecond duration with a human-scale unit.
@@ -299,14 +250,14 @@ pub fn fmt_nanos(nanos: u64) -> String {
     }
 }
 
-/// Render a drained span tree as indented text lines: the root span first,
+/// Render a span tree as indented text lines: the root span first,
 /// then its descendants depth-first in start order, each with wall time and
 /// `key=value` attributes.
 ///
 /// Same-named sibling groups larger than `aggregate_threshold` collapse into
 /// one `name ×N` line carrying total time (and summed `bytes` attributes) —
 /// per-block cache probes would otherwise drown the stage tree. Returns no
-/// lines when `root` has no record (e.g. it was overwritten in the ring).
+/// lines when `root` has no record.
 pub fn render_spans(
     records: &[SpanRecord],
     root: SpanId,
@@ -382,35 +333,39 @@ fn render_subtree(
     }
 }
 
-/// RAII span guard: records itself into the tracer's ring on drop. Inert
-/// (every method a no-op) when opened on a disabled tracer.
+/// RAII span guard: records itself into its statement's [`SpanBuf`] on drop.
+/// Inert (every method a no-op) when opened for no statement or an untraced
+/// one.
 ///
 /// The recording state lives behind a `Box` so an inert guard is a single
 /// null pointer: constructing and dropping one compiles to a null store and
-/// a null check, which is what keeps disabled instrumentation on hot paths
+/// a null check, which is what keeps untraced instrumentation on hot paths
 /// (per-block cache probes) near-free without LTO. A recording span pays one
-/// heap allocation — noise next to the ring publish it already does.
+/// heap allocation — noise next to the buffer push it already does.
 #[derive(Debug)]
 pub struct Span(Option<Box<ActiveSpan>>);
 
 #[derive(Debug)]
 struct ActiveSpan {
-    tracer: Arc<TracerInner>,
+    buf: Arc<SpanBuf>,
     id: SpanId,
     parent: SpanId,
     name: &'static str,
     start_nanos: u64,
+    /// Set by [`Span::end_after`]; otherwise the clock is read on drop.
+    end_nanos: Option<u64>,
     attrs: Vec<(&'static str, AttrValue)>,
 }
 
 impl Span {
+    /// The inert guard.
     #[inline]
-    fn disabled() -> Span {
+    pub fn disabled() -> Span {
         Span(None)
     }
 
-    /// This span's id (`SpanId::NONE` when inert) — pass to
-    /// [`Tracer::span_under`] from spawned tasks.
+    /// This span's id (`SpanId::NONE` when inert) — the parent to hand to
+    /// spans opened for the same statement on other threads.
     #[inline]
     pub fn id(&self) -> SpanId {
         match &self.0 {
@@ -419,7 +374,7 @@ impl Span {
         }
     }
 
-    /// Is this a recording span (as opposed to an inert disabled guard)?
+    /// Is this a recording span (as opposed to an inert guard)?
     #[inline]
     pub fn is_recording(&self) -> bool {
         self.0.is_some()
@@ -432,12 +387,21 @@ impl Span {
             a.attrs.push((key, value.into()));
         }
     }
+
+    /// End the span `nanos` after it began instead of reading the clock when
+    /// it drops (see [`SpanBuf::span_since`]).
+    #[inline]
+    pub fn end_after(&mut self, nanos: u64) {
+        if let Some(a) = &mut self.0 {
+            a.end_nanos = Some(a.start_nanos.saturating_add(nanos));
+        }
+    }
 }
 
 impl Drop for Span {
     #[inline]
     fn drop(&mut self) {
-        // Inert guard (disabled tracer): one null check, no work.
+        // Inert guard: one null check, no work.
         let Some(active) = self.0.take() else { return };
         let active = *active;
         // Pop our id from this thread's stack. Guards normally drop in LIFO
@@ -450,8 +414,8 @@ impl Drop for Span {
                 stack.remove(pos);
             }
         });
-        let end_nanos = active.tracer.origin.elapsed_nanos();
-        active.tracer.ring.push(SpanRecord {
+        let end_nanos = active.end_nanos.unwrap_or_else(|| active.buf.origin.elapsed_nanos());
+        active.buf.push(SpanRecord {
             id: active.id,
             parent: active.parent,
             name: active.name,
@@ -466,54 +430,57 @@ impl Drop for Span {
 mod tests {
     use super::*;
 
+    fn buf() -> Arc<SpanBuf> {
+        SpanBuf::new(Stopwatch::start())
+    }
+
     #[test]
-    fn disabled_tracer_records_nothing() {
-        let t = Tracer::new();
-        {
-            let mut s = t.span("a");
-            s.attr("k", 1u64);
-            let _inner = t.span("b");
-        }
-        assert!(!t.is_enabled());
-        assert!(t.drain().is_empty());
-        assert_eq!(t.current(), SpanId::NONE);
+    fn inert_guard_records_nothing() {
+        let mut s = Span::disabled();
+        s.attr("k", 1u64);
+        s.end_after(5);
+        assert!(!s.is_recording());
+        assert_eq!(s.id(), SpanId::NONE);
     }
 
     #[test]
     fn spans_nest_via_thread_stack() {
-        let t = Tracer::new();
-        t.set_enabled(true);
+        let t = buf();
         let root_id;
         {
             let root = t.span("root");
             root_id = root.id();
-            assert_eq!(t.current(), root_id);
             {
                 let child = t.span("child");
                 let grandchild = t.span("grandchild");
-                assert_eq!(t.current(), grandchild.id());
                 drop(grandchild);
-                assert_eq!(t.current(), child.id());
+                // The stack is back at `child`: a new span parents to it.
+                assert_eq!(t.span("sibling").id(), SpanId(4));
+                drop(child);
             }
-            assert_eq!(t.current(), root_id);
+            // Still open: not handed out yet.
+            assert_eq!(t.spans().0.len(), 3);
         }
-        let spans = t.drain();
-        assert_eq!(spans.len(), 3);
+        let (spans, dropped) = t.spans();
+        assert_eq!((spans.len(), dropped), (4, 0));
         let by_name = |n: &str| spans.iter().find(|s| s.name == n).unwrap();
         assert_eq!(by_name("root").parent, SpanId::NONE);
         assert_eq!(by_name("child").parent, root_id);
         assert_eq!(by_name("grandchild").parent, by_name("child").id);
-        // Drained oldest-first by start time: root opened first.
+        assert_eq!(by_name("sibling").parent, by_name("child").id);
+        // Handed out oldest-first by start time: root opened first.
         assert_eq!(spans[0].name, "root");
         for s in &spans {
             assert!(s.end_nanos >= s.start_nanos);
         }
+        // Taking moves them out.
+        assert_eq!(t.take_spans().len(), 4);
+        assert!(t.take_spans().is_empty());
     }
 
     #[test]
     fn span_under_parents_across_threads() {
-        let t = Tracer::new();
-        t.set_enabled(true);
+        let t = buf();
         let root = t.span("root");
         let parent_id = root.id();
         std::thread::scope(|scope| {
@@ -528,7 +495,7 @@ mod tests {
             }
         });
         drop(root);
-        let spans = t.drain();
+        let spans = t.take_spans();
         let tasks: Vec<_> = spans.iter().filter(|s| s.name == "task").collect();
         assert_eq!(tasks.len(), 4);
         for task in &tasks {
@@ -542,31 +509,48 @@ mod tests {
     }
 
     #[test]
-    fn ring_wraps_keeping_newest() {
-        let t = Tracer::with_capacity(4);
-        t.set_enabled(true);
-        for i in 0..10u64 {
-            let mut s = t.span("s");
-            s.attr("i", i);
-        }
-        let spans = t.drain();
-        assert_eq!(spans.len(), 4);
-        let seen: Vec<u64> = spans
-            .iter()
-            .map(|s| match s.attr("i") {
-                Some(AttrValue::U64(v)) => *v,
-                other => panic!("unexpected attr {other:?}"),
-            })
-            .collect();
-        assert_eq!(seen, vec![6, 7, 8, 9], "newest records survive wraparound");
-        // Drain empties the ring.
-        assert!(t.drain().is_empty());
+    fn out_of_order_drop_keeps_the_stack_intact() {
+        let t = buf();
+        let root = t.span("root");
+        let a = t.span("a");
+        let b = t.span("b");
+        drop(a); // `b` is still open above it
+        let c = t.span("c");
+        assert_eq!((c.id(), b.id()), (SpanId(4), SpanId(3)));
+        drop(c);
+        drop(b);
+        let d = t.span("d");
+        drop(d);
+        drop(root);
+        let spans = t.take_spans();
+        let parent_of = |n: &str| spans.iter().find(|s| s.name == n).unwrap().parent;
+        assert_eq!(parent_of("c"), SpanId(3), "parented to `b`, the innermost open span");
+        assert_eq!(parent_of("d"), SpanId(1), "`a` and `b` left the stack: back at the root");
+    }
+
+    #[test]
+    fn buffer_keeps_the_first_max_spans_and_counts_the_rest() {
+        let t = buf();
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..(MAX_SPANS / 4 + 25) {
+                        let _s = t.span("w");
+                    }
+                });
+            }
+        });
+        let (spans, dropped) = t.spans();
+        assert_eq!((spans.len(), dropped), (MAX_SPANS, 100));
+        let mut ids: Vec<u64> = spans.iter().map(|s| s.id.0).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), MAX_SPANS, "no duplicate records");
     }
 
     #[test]
     fn attrs_round_trip_all_types() {
-        let t = Tracer::new();
-        t.set_enabled(true);
+        let t = buf();
         {
             let mut s = t.span("a");
             s.attr("u", 7u64);
@@ -574,7 +558,7 @@ mod tests {
             s.attr("s", "text");
             s.attr("b", true);
         }
-        let spans = t.drain();
+        let spans = t.take_spans();
         let s = &spans[0];
         assert_eq!(s.attr("u"), Some(&AttrValue::U64(7)));
         assert_eq!(s.attr("f"), Some(&AttrValue::F64(0.5)));
@@ -586,41 +570,20 @@ mod tests {
     }
 
     #[test]
-    fn enable_toggle_is_per_span_open() {
-        let t = Tracer::new();
-        t.set_enabled(true);
-        let live = t.span("live");
-        t.set_enabled(false);
-        let dead = t.span("dead");
-        assert!(!dead.is_recording());
-        drop(dead);
-        // A span opened while enabled still records after disabling.
-        drop(live);
-        let spans = t.drain();
-        assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].name, "live");
-    }
-
-    #[test]
-    fn concurrent_recording_is_safe_and_bounded() {
-        let t = Tracer::with_capacity(64);
-        t.set_enabled(true);
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                let t = t.clone();
-                scope.spawn(move || {
-                    for _ in 0..100 {
-                        let _s = t.span("w");
-                    }
-                });
-            }
-        });
-        let spans = t.drain();
-        assert_eq!(spans.len(), 64, "ring keeps exactly `capacity` newest");
-        let mut ids: Vec<u64> = spans.iter().map(|s| s.id.0).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), 64, "no duplicate records");
+    fn a_stage_span_is_cut_from_the_stage_clock() {
+        let origin = Stopwatch::start();
+        let t = SpanBuf::new(origin);
+        let started = Stopwatch::start();
+        let mut s = t.span_since("stage", &started);
+        let _inner = t.span("inner");
+        s.end_after(1_234);
+        drop(_inner);
+        drop(s);
+        let spans = t.take_spans();
+        let stage = spans.iter().find(|s| s.name == "stage").unwrap();
+        assert_eq!(stage.start_nanos, started.nanos_since(&origin));
+        assert_eq!(stage.duration_nanos(), 1_234);
+        assert_eq!(spans.iter().find(|s| s.name == "inner").unwrap().parent, stage.id);
     }
 
     #[test]

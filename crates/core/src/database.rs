@@ -326,8 +326,8 @@ impl Database {
     ///
     /// Every statement leaves exactly one query-log record (parse failures
     /// log as kind `other` with an error code). When a slow-query policy is
-    /// armed, the statement is traced and the span tree is retained only if
-    /// the policy selects it.
+    /// armed, the statement is traced — its context keeps its own spans — and
+    /// the span tree is retained only if the policy selects it.
     pub fn execute_session(
         &self,
         sql: &str,
@@ -336,23 +336,23 @@ impl Database {
         session: &str,
     ) -> Result<QueryOutput> {
         let parsed = parse_statement(sql);
-        // The statement's context: every layer below tallies its work for
-        // this statement on it, and the log record is built from it alone.
-        let ctx =
-            QueryCtx::new(self.querylog.next_query_id(), statement_kind(&parsed), tenant, session);
+        // The statement's context: every layer below tallies its work and,
+        // when the statement is traced, records its spans on it; the log
+        // record and a retained trace are built from it alone.
+        let (id, kind) = (self.querylog.next_query_id(), statement_kind(&parsed));
+        let traced = match &parsed {
+            Ok(Statement::ExplainAnalyze(_)) => true,
+            // Logged before it runs (below): it would have no spans yet.
+            Ok(Statement::SystemMetrics) => false,
+            _ => self.querylog.capture_armed(),
+        };
+        let ctx = if traced {
+            QueryCtx::traced(id, kind, tenant, session, self.querylog.origin())
+        } else {
+            QueryCtx::new(id, kind, tenant, session)
+        };
         let _in = ctx.install();
         let start_nanos = self.querylog.now_nanos();
-        // Arm per-statement tracing only when nothing else owns the tracer:
-        // EXPLAIN ANALYZE drives it itself, and a concurrent captured query
-        // keeps its enablement until it drains.
-        let capture = self.querylog.capture_armed()
-            && !self.metrics.tracer().is_enabled()
-            && !matches!(parsed, Ok(Statement::ExplainAnalyze(_) | Statement::SystemMetrics));
-        if capture {
-            let tracer = self.metrics.tracer();
-            tracer.clear();
-            tracer.set_enabled(true);
-        }
 
         // SYSTEM METRICS renders the registry itself, so its bookkeeping
         // must land *before* dispatch — otherwise the rendered text would
@@ -362,7 +362,7 @@ impl Database {
             if let Some(rss) = metrics::peak_rss_bytes() {
                 self.proc_rss.set(rss);
             }
-            self.finish_statement(&ctx, sql, start_nanos, false, 0, None);
+            self.finish_statement(&ctx, sql, start_nanos, 0, None);
             return self.dispatch(Statement::SystemMetrics, opts);
         }
 
@@ -376,7 +376,7 @@ impl Database {
             Ok(QueryOutput::Created) => (0, None),
             Err(e) => (0, Some(e.code())),
         };
-        self.finish_statement(&ctx, sql, start_nanos, capture, result_rows, error);
+        self.finish_statement(&ctx, sql, start_nanos, result_rows, error);
         result
     }
 
@@ -387,7 +387,6 @@ impl Database {
         ctx: &QueryCtx,
         sql: &str,
         start_nanos: u64,
-        capture: bool,
         result_rows: u64,
         error: Option<&'static str>,
     ) {
@@ -400,16 +399,16 @@ impl Database {
         }
         self.proc_uptime.set(end_nanos / 1_000_000_000);
 
-        let log_on = self.querylog.is_enabled();
+        if !self.querylog.is_enabled() {
+            return;
+        }
         // Normalized once and shared between the slow trace and the record —
         // normalization is the most expensive step of the logging hot path.
-        let sql = if log_on || capture { normalize_sql(sql) } else { String::new() };
+        let sql = normalize_sql(sql);
         let mut traced = false;
-        if capture {
-            let tracer = self.metrics.tracer();
-            tracer.set_enabled(false);
-            let spans = tracer.drain();
-            if log_on && self.querylog.should_retain(duration, error.is_some()) {
+        if self.querylog.should_retain(duration, error.is_some()) {
+            // An armed policy traced the statement: the tree is its own.
+            if let Some(spans) = ctx.take_spans() {
                 traced = true;
                 self.querylog.retain_trace(SlowQueryTrace {
                     query_id: ctx.query_id,
@@ -419,9 +418,6 @@ impl Database {
                     spans,
                 });
             }
-        }
-        if !log_on {
-            return;
         }
         self.querylog.observe(QueryLogRecord {
             query_id: ctx.query_id,
@@ -482,14 +478,7 @@ impl Database {
             Statement::ExplainAnalyze(sel) => {
                 let t = self.table(&sel.table)?;
                 let vw = self.default_vw();
-                let rs = crate::profile::explain_analyze(
-                    &self.engine,
-                    &self.metrics,
-                    &t,
-                    &vw,
-                    opts,
-                    &sel,
-                )?;
+                let rs = crate::profile::explain_analyze(&self.engine, &t, &vw, opts, &sel)?;
                 Ok(QueryOutput::Rows(rs))
             }
             Statement::SystemMetrics => {
@@ -890,12 +879,15 @@ mod tests {
         assert!(text.contains("helper_tasks="), "{text}");
         assert!(text.contains("result rows: 5"), "{text}");
         assert!(text.contains("kernel tier: "), "{text}");
-        // Counter deltas: cold query pays remote reads and cache misses.
+        // The cold query pays remote reads (spans with their bytes) and
+        // cache misses (its own tally).
+        assert!(text.contains("store.get"), "{text}");
+        assert!(text.contains("bytes="), "{text}");
         assert!(text.contains("counters (this query):"), "{text}");
-        assert!(text.contains("remote.get.bytes:"), "{text}");
-        assert!(text.contains("cache.index.mem.miss:"), "{text}");
-        // Profiling is transient: tracing is off again afterwards.
-        assert!(!db.metrics().tracer().is_enabled());
+        assert!(text.contains("  cache_misses: "), "{text}");
+        assert!(text.contains("  rows_scanned: "), "{text}");
+        // With no policy armed the profile's spans are retained nowhere.
+        assert!(db.query_log().slow_traces().is_empty());
     }
 
     #[test]
@@ -907,7 +899,6 @@ mod tests {
         db.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
         let after = db.execute(sql).unwrap().rows();
         assert_eq!(before, after, "profiling a query must not perturb results");
-        assert!(db.metrics().tracer().drain().is_empty(), "no spans leak past the profile");
     }
 
     #[test]
@@ -1054,9 +1045,6 @@ mod tests {
         }));
         db.execute("SELECT id FROM images ORDER BY L2Distance(emb, [0.0,0.0,0.0,0.0]) LIMIT 3")
             .unwrap();
-        // Capture must leave the shared tracer disabled and drained.
-        assert!(!db.metrics().tracer().is_enabled());
-        assert!(db.metrics().tracer().drain().is_empty());
 
         let traces = db.query_log().slow_traces();
         let slow = traces
@@ -1129,7 +1117,6 @@ mod tests {
         let traces = db.query_log().slow_traces();
         assert_eq!(traces.len(), 1);
         assert_eq!(traces[0].error_code, Some("NOT_FOUND"));
-        assert!(!db.metrics().tracer().is_enabled());
     }
 
     #[test]

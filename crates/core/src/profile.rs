@@ -1,102 +1,69 @@
-//! `EXPLAIN ANALYZE` rendering: run the query with tracing enabled, then turn
-//! the recorded span tree and per-query counter deltas into a text profile.
+//! `EXPLAIN ANALYZE` rendering: run the query on its traced context, then turn
+//! the context's span tree and tally into a text profile.
 //!
 //! The report has three parts:
 //!
-//! 1. the **stage tree** — every span recorded under the root `query` span,
-//!    indented by depth, with wall time and structured attributes. Hot leaf
-//!    spans (per-block cache probes, per-object store reads) collapse into
-//!    one `name ×N` aggregate line per stage once they repeat enough;
+//! 1. the **stage tree** — every span the statement recorded under the root
+//!    `query` span, indented by depth, with wall time and structured
+//!    attributes (remote reads show their `bytes` here). Hot leaf spans
+//!    (per-block cache probes, per-object store reads) collapse into one
+//!    `name ×N` aggregate line per stage once they repeat enough;
 //! 2. the **kernel tier** the distance kernels dispatched to;
-//! 3. the **counter deltas** this query produced (cache hits/misses, remote
-//!    bytes, prune counts, …), so the numbers EXPLAIN ANALYZE shows line up
-//!    with what `SYSTEM METRICS` exposes cumulatively.
+//! 3. the **statement's own tally** — the work columns `system.query_log`
+//!    will record for it (cache hits/misses, rows scanned, prune counts, …).
 //!
-//! Tree layout (grouping, aggregation, units) lives in
-//! [`bh_common::trace::render_spans`]; this module only adds the per-query
-//! counter diff and kernel-tier lookup.
+//! Both come from the statement's [`QueryCtx`] and nothing else, so what a
+//! neighbouring statement does never shows up here. Tree layout (grouping,
+//! aggregation, units) lives in [`bh_common::trace::render_spans`].
 
 use bh_cluster::vw::VirtualWarehouse;
-use bh_common::trace::render_spans;
-use bh_common::{MetricsRegistry, Result};
+use bh_common::trace::{render_spans, MAX_SPANS};
+use bh_common::{QueryCtx, Result};
 use bh_query::exec::{QueryEngine, QueryOptions};
 use bh_query::result::ResultSet;
 use bh_sql::ast::SelectStmt;
 use bh_storage::table::TableStore;
 use bh_storage::value::Value;
-use std::collections::BTreeMap;
+use bh_vector::distance::KernelTier;
 use std::sync::Arc;
-
-/// Counter families worth echoing per query; everything else (global build
-/// counters, id generators, …) stays out of the report.
-const COUNTER_PREFIXES: &[&str] = &["cache.", "remote.", "query.", "worker.", "vw.", "table."];
 
 /// Same-named siblings collapse into one aggregate line past this count —
 /// per-block cache probes would otherwise drown the stage tree.
 const AGGREGATE_THRESHOLD: usize = 8;
 
-/// Execute `sel` with tracing enabled and render the profile report.
+/// Execute `sel` for the (traced) statement installed on this thread and
+/// render the profile report.
 pub(crate) fn explain_analyze(
     engine: &QueryEngine,
-    metrics: &MetricsRegistry,
     table: &Arc<TableStore>,
     vw: &Arc<VirtualWarehouse>,
     opts: &QueryOptions,
     sel: &SelectStmt,
 ) -> Result<ResultSet> {
-    let tracer = metrics.tracer();
-    let before: BTreeMap<String, u64> = metrics.snapshot_counters().into_iter().collect();
-    let was_enabled = tracer.is_enabled();
-    tracer.set_enabled(true);
-    if !was_enabled {
-        // Start from an empty ring so the report covers only this query.
-        tracer.clear();
-    }
-    let root = tracer.span("query");
+    let root = QueryCtx::span("query");
     let root_id = root.id();
     let result = engine.execute_select(table, vw, opts, sel);
     drop(root);
-    tracer.set_enabled(was_enabled);
-    let records = tracer.drain();
-    // Propagate the query error only after the tracer state is restored.
     let rows = result?;
 
-    let mut lines = render_spans(&records, root_id, AGGREGATE_THRESHOLD);
-    if lines.is_empty() {
-        lines.push("(root span lost — ring capacity exceeded?)".into());
+    let ctx = QueryCtx::current().unwrap_or_default();
+    let (spans, dropped) = ctx.spans();
+    let mut lines = render_spans(&spans, root_id, AGGREGATE_THRESHOLD);
+    if dropped > 0 {
+        lines.push(format!(
+            "({dropped} more spans not kept: a statement keeps its first {MAX_SPANS})"
+        ));
     }
     lines.push(format!("result rows: {}", rows.len()));
-    if let Some(tier) = kernel_tier(metrics) {
-        lines.push(format!("kernel tier: {tier}"));
-    }
-
-    let mut deltas: Vec<(String, u64)> = metrics
-        .snapshot_counters()
-        .into_iter()
-        .filter(|(k, _)| COUNTER_PREFIXES.iter().any(|p| k.starts_with(p)))
-        .filter_map(|(k, v)| {
-            let d = v.saturating_sub(before.get(&k).copied().unwrap_or(0));
-            (d > 0).then_some((k, d))
-        })
-        .collect();
-    deltas.sort();
-    if !deltas.is_empty() {
-        lines.push("counters (this query):".into());
-        for (k, d) in deltas {
-            lines.push(format!("  {k}: {d}"));
+    lines.push(format!("kernel tier: {}", KernelTier::current().name()));
+    lines.push("counters (this query):".into());
+    for (name, value) in ctx.tally.snapshot().columns() {
+        if value > 0 {
+            lines.push(format!("  {name}: {value}"));
         }
     }
 
     let mut out = ResultSet::new(vec!["profile".into()]);
     out.rows = lines.into_iter().map(|l| vec![Value::Str(l)]).collect();
     Ok(out)
-}
-
-/// Which SIMD tier the distance kernels run on (gauge set at engine start).
-fn kernel_tier(metrics: &MetricsRegistry) -> Option<String> {
-    metrics
-        .snapshot_gauges()
-        .into_iter()
-        .find(|(k, v)| k.starts_with("kernel.tier.") && *v == 1)
-        .map(|(k, _)| k["kernel.tier.".len()..].to_string())
 }

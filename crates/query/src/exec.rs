@@ -30,7 +30,7 @@ use bh_cluster::worker::Worker;
 use bh_common::metrics::Counter;
 use bh_common::{
     BhError, Bitset, FanoutPool, MetricsRegistry, QueryCtx, Result, SegmentId, SharedBound,
-    SpanId, StatementCounters, Stopwatch, TopK,
+    SpanId, StatementCounters, TopK,
 };
 use bh_sql::ast::SelectStmt;
 use bh_storage::predicate::Predicate;
@@ -301,14 +301,15 @@ impl QueryEngine {
         opts: &QueryOptions,
         stmts: &[SelectStmt],
     ) -> Result<Vec<ResultSet>> {
-        let t = Stopwatch::start();
-        let batch: Vec<BoundSelect> = {
-            let _span = self.metrics.tracer().span("bind");
-            stmts.iter().map(|s| bind_select(table.schema(), s)).collect::<Result<_>>()?
-        };
         // Binding happens before the engine has contexts of its own: the
         // time goes to the statement the caller is running (`Database`).
-        QueryCtx::with(|c| c.tally.bind_ns.add(t.elapsed_nanos()));
+        let installed = QueryCtx::current();
+        let bound: Result<Vec<BoundSelect>> = {
+            let _bind = installed.as_deref().map(|c| c.stage("bind", &c.tally.bind_ns));
+            stmts.iter().map(|s| bind_select(table.schema(), s)).collect()
+        };
+        // A failed bind ends the call here: its time folds here too.
+        let batch = bound.inspect_err(|_| installed.iter().for_each(|c| self.folded.fold(c)))?;
         self.execute_batch(table, vw, opts, &batch)
     }
 
@@ -350,31 +351,33 @@ impl QueryEngine {
             .iter()
             .map(|b| {
                 let ctx = installed.clone().unwrap_or_default();
-                let t = Stopwatch::start();
-                let mut span = self.metrics.tracer().span("plan");
+                let mut stage = ctx.stage("plan", &ctx.tally.plan_ns);
                 let rules = self.cached_rules(table, opts, b);
                 let selectivity = filter_selectivity(table, b);
                 let strategy = self.choose_strategy(table, opts, b, selectivity);
-                span.attr("strategy", strategy.name());
+                stage.span.attr("strategy", strategy.name());
                 // What the model believed: priced (again) only for a reader.
-                let read = span.is_recording().then(|| cost_inputs(table, opts, b, selectivity));
+                let read =
+                    stage.span.is_recording().then(|| cost_inputs(table, opts, b, selectivity));
                 if let Some(inputs) = read.flatten() {
                     let ranked = self.cost.ranked(&inputs);
-                    span.attr("selectivity", inputs.s);
-                    span.attr("runner_up", runner_up(strategy, &ranked).name());
+                    stage.span.attr("selectivity", inputs.s);
+                    stage.span.attr("runner_up", runner_up(strategy, &ranked).name());
                     for e in ranked {
-                        span.attr(e.strategy.slug(), describe(&e));
+                        stage.span.attr(e.strategy.slug(), describe(&e));
                     }
                 }
                 ctx.set_strategy(strategy.slug());
-                ctx.tally.plan_ns.add(t.elapsed_nanos());
+                drop(stage);
                 StmtPlan { rules, strategy, selectivity: selectivity.map(|s| s as f32), ctx }
             })
             .collect();
+        // One executor phase per batch: its wall time goes to the first
+        // statement, like a segment task's shared index resolution.
+        let Some(first) = plans.first() else { return Ok(Vec::new()) };
 
-        let t = Stopwatch::start();
-        let mut exec_span = self.metrics.tracer().span("exec");
-        exec_span.attr("batch", batch.len());
+        let mut exec_stage = first.ctx.stage("exec", &first.ctx.tally.exec_ns);
+        exec_stage.span.attr("batch", batch.len());
         let mut attempts = 0;
         let out = loop {
             match self.exec_batch_inner(table, vw, opts, batch, &plans) {
@@ -387,17 +390,12 @@ impl QueryEngine {
             }
         };
         if attempts > 0 {
-            exec_span.attr("snapshot_retries", attempts as u64);
+            exec_stage.span.attr("snapshot_retries", attempts as u64);
         }
         if let Ok(results) = &out {
-            exec_span.attr("rows", results.iter().map(|rs| rs.rows.len()).sum::<usize>());
+            exec_stage.span.attr("rows", results.iter().map(|rs| rs.rows.len()).sum::<usize>());
         }
-        drop(exec_span);
-        // One executor phase per batch: its wall time goes to the first
-        // statement, like a segment task's shared index resolution.
-        if let Some(first) = plans.first() {
-            first.ctx.tally.exec_ns.add(t.elapsed_nanos());
-        }
+        drop(exec_stage);
         self.metrics.counter("query.executed").add(batch.len() as u64);
         // Each tally reaches the global counters here, once, whatever the outcome.
         match &installed {
@@ -500,7 +498,7 @@ impl QueryEngine {
         segments_total: usize,
         states: &mut [StmtState<'_>],
     ) -> Result<()> {
-        let mut vec_span = self.metrics.tracer().span("exec.vector");
+        let mut vec_span = QueryCtx::span("exec.vector");
         vec_span.attr("segments_total", segments_total * states.len());
         vec_span.attr(
             "segments_scheduled",
@@ -511,7 +509,7 @@ impl QueryEngine {
         let (mut expansions, mut visited, mut helper_tasks) = (0u64, 0u64, 0u64);
         // Helper threads cannot see this thread's span stack; every task
         // span attaches to the span open here explicitly.
-        let trace_parent = self.metrics.tracer().current();
+        let trace_parent = vec_span.id();
 
         loop {
             // Distinct segments still pending for any unfinished statement,
@@ -672,11 +670,12 @@ impl QueryEngine {
         trace_parent: SpanId,
     ) -> Result<Vec<Vec<Neighbor>>> {
         let meta = &task.meta;
-        let mut task_span = self.metrics.tracer().span_under(trace_parent, "segment.task");
+        let first = &states[task.stmts[0]].plan.ctx;
+        let mut task_span = first.span_under(trace_parent, "segment.task");
         task_span.attr("segment", meta.id.raw());
         task_span.attr("queries", task.stmts.len());
         vw.with_segment_retry(meta, |owner| {
-            let _first = task.wants_index.then(|| states[task.stmts[0]].plan.ctx.install());
+            let _first = task.wants_index.then(|| first.install());
             let index = if task.wants_index { vw.segment_index(&owner, meta)? } else { None };
             let ctx = SegCtx { owner: &owner, index: index.as_ref() };
             task.stmts
@@ -684,10 +683,7 @@ impl QueryEngine {
                 .map(|&si| {
                     let st = &states[si];
                     let _in = st.plan.ctx.install();
-                    let t = Stopwatch::start();
-                    let r = self.search_one_segment(table, vw, opts, st, meta, ctx);
-                    st.plan.ctx.tally.segment_ns.add(t.elapsed_nanos());
-                    r
+                    self.search_one_segment(table, vw, opts, st, meta, ctx)
                 })
                 .collect()
         })
@@ -794,10 +790,11 @@ impl QueryEngine {
         let (bound, v, k, bnd) = (st.sel, st.v, st.k, st.bound.as_deref());
         let strategy = st.plan.strategy;
         // `segment.task` is open on this thread, so this parents to it.
-        let mut seg_span = self.metrics.tracer().span("segment.search");
-        seg_span.attr("segment", meta.id.raw());
-        seg_span.attr("strategy", strategy.name());
-        seg_span.attr("rows", meta.row_count);
+        let sctx = &st.plan.ctx;
+        let mut seg_stage = sctx.stage("segment.search", &sctx.tally.segment_ns);
+        seg_stage.span.attr("segment", meta.id.raw());
+        seg_stage.span.attr("strategy", strategy.name());
+        seg_stage.span.attr("rows", meta.row_count);
         let vis = table.visibility(meta);
         let index = match ctx.index {
             Some(index) if strategy != Strategy::BruteForce => index,
@@ -1009,7 +1006,7 @@ impl QueryEngine {
         let selection: SegmentSelection =
             select_segments(&segments, &bound.predicate, None, &opts.prune);
         QueryCtx::with(|c| c.tally.segments_pruned.add(selection.scalar_pruned as u64));
-        let mut scalar_span = self.metrics.tracer().span("exec.scalar");
+        let mut scalar_span = QueryCtx::span("exec.scalar");
         scalar_span.attr("segments_scheduled", selection.scheduled.len());
         scalar_span.attr("segments_pruned", selection.scalar_pruned);
 
@@ -1095,7 +1092,7 @@ impl QueryEngine {
         bound: &BoundSelect,
         hits: &[(SegmentId, u32, f32)],
     ) -> Result<ResultSet> {
-        let mut mat_span = self.metrics.tracer().span("materialize");
+        let mut mat_span = QueryCtx::span("materialize");
         mat_span.attr("rows", hits.len());
         let mut out = ResultSet::new(
             bound.projection.iter().map(|p| p.name().to_string()).collect(),

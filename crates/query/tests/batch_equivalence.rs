@@ -15,8 +15,7 @@
 use bh_cluster::vw::{VirtualWarehouse, VwConfig};
 use bh_common::ids::IdGenerator;
 use bh_common::querylog::{QueryLog, QueryLogRecord, SlowQueryPolicy, SlowQueryTrace};
-use bh_common::QueryCtx;
-use bh_common::{MetricsRegistry, VirtualClock};
+use bh_common::{MetricsRegistry, QueryCtx, Stopwatch, VirtualClock};
 use bh_query::exec::{QueryEngine, QueryOptions};
 use bh_query::result::ResultSet;
 use bh_query::Strategy as PlanStrategy;
@@ -40,15 +39,6 @@ struct Fixture {
 /// 600 rows in 5 well-separated clusters across 12 segments, two rows
 /// deleted, caches warmed by one full-table query.
 fn fixture() -> &'static Fixture {
-    static FIX: OnceLock<Fixture> = OnceLock::new();
-    FIX.get_or_init(build_fixture)
-}
-
-/// A second, fully independent fixture for the query-log capture test: the
-/// capture choreography arms and drains the tracer, which is per-registry
-/// global state — sharing it with [`tracing_does_not_change_results`] under
-/// the parallel test harness would steal that test's spans.
-fn capture_fixture() -> &'static Fixture {
     static FIX: OnceLock<Fixture> = OnceLock::new();
     FIX.get_or_init(build_fixture)
 }
@@ -277,27 +267,35 @@ proptest! {
         }
     }
 
-    /// Tracing is observation only: enabling the tracer (what EXPLAIN ANALYZE
-    /// does under the hood) must leave both single statements' and a batch's
-    /// results bit-identical to untraced runs.
+    /// Tracing is observation only: running under a traced context (what
+    /// EXPLAIN ANALYZE does under the hood) must leave both single
+    /// statements' and a batch's results bit-identical to untraced runs.
     #[test]
     fn tracing_does_not_change_results(sqls in batch_strategy()) {
         let fix = fixture();
         let opts = QueryOptions::default();
         let stmts: Vec<SelectStmt> = sqls.iter().map(|s| parse(s)).collect();
-        let tracer = fix.metrics.tracer();
 
         let plain: Vec<ResultSet> = sqls.iter().map(|s| run_sql(fix, &opts, s)).collect();
         let batched_plain =
             fix.engine.execute_select_batch(&fix.table, &fix.vw, &opts, &stmts).unwrap();
 
-        tracer.set_enabled(true);
-        let traced: Vec<ResultSet> = sqls.iter().map(|s| run_sql(fix, &opts, s)).collect();
-        let batched_traced =
-            fix.engine.execute_select_batch(&fix.table, &fix.vw, &opts, &stmts).unwrap();
-        tracer.set_enabled(false);
-
-        prop_assert!(!tracer.drain().is_empty(), "traced runs recorded no spans");
+        // One traced context per engine call, as `Database` makes them.
+        let mut exec_spans = Vec::new();
+        let mut traced_call = |call: &dyn Fn() -> Vec<ResultSet>| {
+            let ctx = QueryCtx::traced(0, "select", "default", "default", Stopwatch::start());
+            let _in = ctx.install();
+            let out = call();
+            let spans = ctx.take_spans().unwrap_or_default();
+            exec_spans.push(spans.iter().filter(|s| s.name == "exec").count());
+            out
+        };
+        let traced: Vec<ResultSet> =
+            sqls.iter().flat_map(|s| traced_call(&|| vec![run_sql(fix, &opts, s)])).collect();
+        let batched_traced = traced_call(&|| {
+            fix.engine.execute_select_batch(&fix.table, &fix.vw, &opts, &stmts).unwrap()
+        });
+        prop_assert!(exec_spans.iter().all(|&n| n == 1), "one `exec` span per call: {exec_spans:?}");
         for (i, (p, t)) in plain.iter().zip(&traced).enumerate() {
             prop_assert_eq!(&p.rows, &t.rows, "statement {} diverged under tracing: {}", i, sqls[i]);
         }
@@ -317,32 +315,30 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     /// The always-on query log plus slow-query capture is observation only.
-    /// This models the per-statement choreography `Database::execute_session`
-    /// runs around the engine — arm the tracer, execute, drain the spans into
-    /// a retained trace, append one record from the statement's context — and
-    /// asserts the results stay bit-identical to plain runs.
+    /// This models what `Database::execute_session` does around the engine —
+    /// a traced context per statement, its spans moved into a retained trace,
+    /// one record appended from the context — and asserts the results stay
+    /// bit-identical to plain runs.
     #[test]
     fn query_log_capture_does_not_change_results(sqls in batch_strategy()) {
-        let fix = capture_fixture();
+        let fix = fixture();
         let opts = QueryOptions::default();
         let plain: Vec<ResultSet> = sqls.iter().map(|s| run_sql(fix, &opts, s)).collect();
 
         let log = QueryLog::with_capacities(64, 64);
         log.set_slow_policy(Some(SlowQueryPolicy { threshold_nanos: 0, capture_errors: true }));
-        let tracer = fix.metrics.tracer();
         let logged: Vec<ResultSet> = sqls
             .iter()
             .map(|s| {
                 let query_id = log.next_query_id();
-                let ctx = QueryCtx::new(query_id, "select", "default", "default");
+                let ctx =
+                    QueryCtx::traced(query_id, "select", "default", "default", log.origin());
                 let start_nanos = log.now_nanos();
-                tracer.set_enabled(true);
                 let rs = {
                     let _in = ctx.install();
                     run_sql(fix, &opts, s)
                 };
-                tracer.set_enabled(false);
-                let spans = tracer.drain();
+                let spans = ctx.take_spans().unwrap_or_default();
                 let end_nanos = log.now_nanos();
                 let duration = end_nanos.saturating_sub(start_nanos);
                 if log.should_retain(duration, false) {
@@ -375,9 +371,11 @@ proptest! {
         for (i, (p, l)) in plain.iter().zip(&logged).enumerate() {
             prop_assert_eq!(&p.rows, &l.rows, "statement {} diverged under logging: {}", i, sqls[i]);
         }
-        // The choreography leaves the tracer disabled and drained, exactly one
-        // record per statement, and (threshold 0) one retained trace each.
-        prop_assert!(tracer.drain().is_empty());
+        // Exactly one record per statement and (threshold 0) one retained
+        // trace each, holding that statement's executor phase and no other.
+        for t in log.slow_traces() {
+            prop_assert_eq!(t.spans.iter().filter(|s| s.name == "exec").count(), 1);
+        }
         prop_assert_eq!(log.total_logged(), sqls.len() as u64);
         prop_assert_eq!(log.slow_traces().len(), sqls.len());
         for r in log.records() {

@@ -20,7 +20,7 @@ use crate::lru::LruCache;
 use crate::objectstore::{ObjectStore, PendingGet};
 use crate::segment::SegmentMeta;
 use bh_common::metrics::Counter;
-use bh_common::{qctx, MetricsRegistry, Result, SegmentId};
+use bh_common::{qctx, MetricsRegistry, QueryCtx, Result, SegmentId};
 use bh_vector::{IndexKind, IndexRegistry, VectorIndex};
 use bytes::Bytes;
 use bh_common::sync::{classes, Condvar, Mutex};
@@ -91,7 +91,7 @@ impl IndexCache {
     /// the parked callers).
     pub fn get(&self, meta: &SegmentMeta) -> Result<Option<Arc<dyn VectorIndex>>> {
         let Some(kind) = meta.index_kind else { return Ok(None) };
-        let mut span = self.metrics.tracer().span("cache.index.get");
+        let mut span = QueryCtx::span("cache.index.get");
         span.attr("segment", meta.id.raw());
         loop {
             if let Some(idx) = self.mem.get(&meta.id) {
@@ -338,7 +338,7 @@ impl BlockCache {
             BlockKind::Meta => ("cache.meta", "meta"),
             BlockKind::Data => ("cache.data", "data"),
         };
-        let mut span = self.metrics.tracer().span("cache.block.get");
+        let mut span = QueryCtx::span("cache.block.get");
         span.attr("space", space_name);
         let bypass = kind == BlockKind::Data && query_rows > self.row_limit;
         if !bypass {

@@ -13,7 +13,9 @@
 //! bumps metrics counters, so experiments can observe both simulated time and
 //! I/O counts.
 
-use bh_common::{BhError, LatencyModel, MetricsRegistry, Reactor, Result, SharedClock, Ticket};
+use bh_common::{
+    BhError, LatencyModel, MetricsRegistry, QueryCtx, Reactor, Result, SharedClock, Ticket,
+};
 use bytes::Bytes;
 use bh_common::sync::{classes, RwLock};
 use std::collections::BTreeMap;
@@ -156,7 +158,7 @@ impl InMemoryObjectStore {
     /// Emit the span + counters for `op` and either charge synchronously
     /// (no reactor) or submit the cost and hand back the ticket.
     fn charge_begin(&self, op: &str, bytes: usize) -> Option<(Arc<Reactor>, Ticket)> {
-        let mut span = self.metrics.tracer().span(store_span_name(op));
+        let mut span = QueryCtx::span(store_span_name(op));
         span.attr("store", self.label.as_str());
         span.attr("bytes", bytes);
         span.attr("sim_nanos", self.model.cost(bytes).as_nanos() as u64);
@@ -263,7 +265,7 @@ impl DiskObjectStore {
     }
 
     fn charge(&self, op: &str, bytes: usize) {
-        let mut span = self.metrics.tracer().span(store_span_name(op));
+        let mut span = QueryCtx::span(store_span_name(op));
         span.attr("store", self.label.as_str());
         span.attr("bytes", bytes);
         span.attr("sim_nanos", self.model.cost(bytes).as_nanos() as u64);

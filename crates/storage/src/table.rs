@@ -33,7 +33,7 @@ use crate::segment::{Row, Segment, SegmentMeta};
 use crate::stats::{TableSketch, TableSketchBuilder};
 use crate::value::Value;
 use bh_common::ids::IdGenerator;
-use bh_common::{BhError, Bitset, MetricsRegistry, Result, SegmentId, Stopwatch};
+use bh_common::{BhError, Bitset, MetricsRegistry, QueryCtx, Result, SegmentId, Stopwatch};
 use bh_vector::autoindex::apply_auto_index;
 use bh_vector::{build_pool, IndexRegistry, VectorIndex};
 use bytes::Bytes;
@@ -532,7 +532,7 @@ impl TableStore {
     pub fn compact(&self) -> Result<CompactionReport> {
         let _guard = self.compaction_lock.lock();
         let started = Stopwatch::start();
-        let mut compact_span = self.metrics.tracer().span("compact");
+        let mut compact_span = QueryCtx::span("compact");
         let snapshot = self.segments();
         // Group by (partition key, bucket).
         let mut groups: BTreeMap<(String, Option<u32>), Vec<Arc<SegmentMeta>>> = BTreeMap::new();

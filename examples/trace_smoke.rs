@@ -1,11 +1,18 @@
-//! CI smoke test for the observability layer: run a traced query end to end
-//! and exit nonzero if the tracer recorded nothing or the `EXPLAIN ANALYZE`
+//! CI smoke test for the observability layer: run traced queries end to end,
+//! from two threads at once, and exit nonzero if a statement's retained trace
+//! is empty or holds another statement's segment, or the `EXPLAIN ANALYZE`
 //! profile came back without a stage tree.
 //!
 //! Run with: `cargo run --release -p blendhouse-examples --bin trace_smoke`
 
+use bh_common::trace::AttrValue;
+use bh_common::SlowQueryPolicy;
 use bh_storage::table::TableStoreConfig;
 use blendhouse::{Database, DatabaseConfig, QueryOutput, Value};
+use std::collections::HashSet;
+
+const TABLES: [&str; 2] = ["docs", "notes"];
+const STATEMENTS_PER_THREAD: usize = 20;
 
 fn main() {
     // Small segments so the query fans out across several of them and the
@@ -14,37 +21,81 @@ fn main() {
         table: TableStoreConfig { segment_max_rows: 64, ..Default::default() },
         ..Default::default()
     });
-    db.execute(
-        "CREATE TABLE docs (
-           id UInt64, label String, emb Array(Float32),
-           INDEX ann emb TYPE HNSW('DIM=4')
-         ) ORDER BY id",
-    )
-    .expect("create table");
-    let rows: Vec<String> = (0..300)
-        .map(|i| {
-            let c = (i % 3) as f32 * 5.0 + i as f32 * 1e-3;
-            format!("({i}, 'l{}', [{c}, {:.3}, {:.3}, {:.3}])", i % 2, c + 0.1, c + 0.2, c - 0.1)
-        })
-        .collect();
-    db.execute(&format!("INSERT INTO docs VALUES {}", rows.join(", "))).expect("insert");
-
-    // 1. A directly traced query must record spans.
-    let tracer = db.metrics().tracer().clone();
-    tracer.set_enabled(true);
-    db.execute(
-        "SELECT id FROM docs WHERE label = 'l0' \
-         ORDER BY L2Distance(emb, [0.1, 0.2, 0.3, 0.0]) LIMIT 5",
-    )
-    .expect("traced query");
-    tracer.set_enabled(false);
-    let spans = tracer.drain();
-    assert!(!spans.is_empty(), "traced query produced no spans");
-    let have = |name: &str| spans.iter().any(|s| s.name == name);
-    for required in ["bind", "plan", "exec", "exec.vector"] {
-        assert!(have(required), "missing span {required:?}; got {spans:?}");
+    for table in TABLES {
+        db.execute(&format!(
+            "CREATE TABLE {table} (
+               id UInt64, label String, emb Array(Float32),
+               INDEX ann emb TYPE HNSW('DIM=4')
+             ) ORDER BY id"
+        ))
+        .expect("create table");
+        let rows: Vec<String> = (0..300)
+            .map(|i| {
+                let c = (i % 3) as f32 * 5.0 + i as f32 * 1e-3;
+                format!(
+                    "({i}, 'l{}', [{c}, {:.3}, {:.3}, {:.3}])",
+                    i % 2,
+                    c + 0.1,
+                    c + 0.2,
+                    c - 0.1
+                )
+            })
+            .collect();
+        db.execute(&format!("INSERT INTO {table} VALUES {}", rows.join(", "))).expect("insert");
     }
-    println!("traced query recorded {} spans", spans.len());
+
+    // 1. Traced statements on two threads: each retained trace is the tree
+    //    of its own statement — the stages, and no segment of the other table.
+    db.set_slow_query_policy(Some(SlowQueryPolicy { threshold_nanos: 0, capture_errors: true }));
+    std::thread::scope(|scope| {
+        for table in TABLES {
+            let db = &db;
+            scope.spawn(move || {
+                let opts = db.default_options();
+                for i in 0..STATEMENTS_PER_THREAD {
+                    let sql = format!(
+                        "SELECT id FROM {table} WHERE label = 'l0' \
+                         ORDER BY L2Distance(emb, [0.1, 0.2, 0.3, 0.0]) LIMIT {}",
+                        1 + i % 7
+                    );
+                    db.execute_session(&sql, &opts, "smoke", table).expect("traced query");
+                }
+            });
+        }
+    });
+    db.set_slow_query_policy(None);
+    let records = db.query_log().records();
+    let traces = db.query_log().slow_traces();
+    assert_eq!(traces.len(), TABLES.len() * STATEMENTS_PER_THREAD, "every statement is retained");
+    for trace in &traces {
+        let record = records
+            .iter()
+            .find(|r| r.query_id == trace.query_id)
+            .expect("a retained trace has its log record");
+        assert!(record.traced, "query {} retained but not logged as traced", trace.query_id);
+        let own: HashSet<u64> = db
+            .table(&record.session)
+            .expect("session names the table")
+            .segments()
+            .iter()
+            .map(|m| m.id.raw())
+            .collect();
+        let have = |name: &str| trace.spans.iter().filter(|s| s.name == name).count();
+        for required in ["bind", "plan", "exec", "exec.vector"] {
+            assert_eq!(have(required), 1, "query {}: span {required:?}", trace.query_id);
+        }
+        for span in &trace.spans {
+            if let Some(AttrValue::U64(segment)) = span.attr("segment") {
+                assert!(
+                    own.contains(segment),
+                    "query {} on {} holds a span of foreign segment {segment}: {span:?}",
+                    trace.query_id,
+                    record.session
+                );
+            }
+        }
+    }
+    println!("{} concurrent traced queries each kept their own spans", traces.len());
 
     // 2. EXPLAIN ANALYZE must render a non-empty stage tree.
     let out = db

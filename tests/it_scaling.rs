@@ -58,6 +58,30 @@ fn results_stable_across_scale_out_and_in() {
     }
 }
 
+/// A bandwidth-bound store: an index blob costs far more than the few id
+/// blocks a statement reads on a worker it has never run on.
+fn serving_latencies() -> DeploymentLatencies {
+    DeploymentLatencies {
+        remote_store: LatencyModel::new(Duration::ZERO, Duration::from_micros(1)),
+        local_disk: LatencyModel::ZERO,
+        rpc: LatencyModel::fixed(Duration::from_micros(5)),
+    }
+}
+
+/// The tiny dataset in 50-row segments, preloaded on a one-worker warehouse
+/// behind [`serving_latencies`], and one top-8 search of it.
+fn preloaded_on_one_worker(serving_enabled: bool) -> (Database, String) {
+    let data = DatasetSpec::tiny().generate();
+    let sql = vector_search(&data, 1, 8, 1)[0].to_sql("bench", "emb");
+    let mut cfg =
+        DatabaseConfig { latencies: serving_latencies(), default_workers: 1, ..Default::default() };
+    cfg.table.segment_max_rows = 50;
+    cfg.vw.serving_enabled = serving_enabled;
+    let db = build_database(&data, cfg, &TableOptions::default());
+    db.preload("bench", "default").unwrap();
+    (db, sql)
+}
+
 /// Fig. 4 through `Database::execute`, on the virtual clock: preload → scale
 /// up → a statement → the clock passes the transfers → the statement again.
 /// Serve first, wait second: with serving on, the first statement costs no
@@ -67,28 +91,13 @@ fn results_stable_across_scale_out_and_in() {
 /// and always the rows of a database that stayed warm.
 #[test]
 fn moved_segments_are_served_first_and_waited_for_second() {
-    let data = DatasetSpec::tiny().generate();
-    let sql = vector_search(&data, 1, 8, 1)[0].to_sql("bench", "emb");
-    // A bandwidth-bound store: an index blob costs far more than the few id
-    // blocks a statement reads on a worker it has never run on.
-    let latencies = DeploymentLatencies {
-        remote_store: LatencyModel::new(Duration::ZERO, Duration::from_micros(1)),
-        local_disk: LatencyModel::ZERO,
-        rpc: LatencyModel::fixed(Duration::from_micros(5)),
-    };
-    let build = |serving_enabled: bool| {
-        let mut cfg = DatabaseConfig { latencies, default_workers: 1, ..Default::default() };
-        cfg.table.segment_max_rows = 50;
-        cfg.vw.serving_enabled = serving_enabled;
-        let db = build_database(&data, cfg, &TableOptions::default());
-        db.preload("bench", "default").unwrap();
-        db
-    };
-    let warm = search(&build(true), &sql).rows();
+    let (warm_db, sql) = preloaded_on_one_worker(true);
+    let warm = search(&warm_db, &sql).rows();
     assert_eq!(warm.rows.len(), 8);
+    let latencies = serving_latencies();
 
     for serving in [true, false] {
-        let db = build(serving);
+        let (db, _) = preloaded_on_one_worker(serving);
         let vw = db.default_vw();
         let segments = db.table("bench").unwrap().segments();
         vw.scale_up(&segments);
@@ -133,6 +142,41 @@ fn moved_segments_are_served_first_and_waited_for_second() {
         let (_, second) = statement();
         assert_eq!(second, [0, 0, moved, 0], "arrived transfers are consumed, nothing fetched");
     }
+}
+
+/// Two scale-ups with no statement between them: a segment the first one
+/// moved and the second left alone is still served by the worker it moved
+/// away from (the second change used to record its *current*, cold owner as
+/// the previous one, and the statement waited out the blob). A segment moved
+/// twice has only a cold newcomer behind it and waits; none is brute-forced.
+#[test]
+fn a_segment_moved_by_an_earlier_scale_up_is_served_after_a_later_one() {
+    let (warm_db, sql) = preloaded_on_one_worker(true);
+    let warm = search(&warm_db, &sql).rows();
+
+    let (db, _) = preloaded_on_one_worker(true);
+    let vw = db.default_vw();
+    let segments = db.table("bench").unwrap().segments();
+    let owners = || segments.iter().map(|m| vw.owner_of(m).unwrap().0).collect::<Vec<_>>();
+    let home = owners();
+    vw.scale_up(&segments);
+    let first = owners();
+    vw.scale_up(&segments);
+    let second = owners();
+    let count = |f: &dyn Fn(usize) -> bool| (0..segments.len()).filter(|&i| f(i)).count() as u64;
+    let moved_once_early = count(&|i| first[i] != home[i] && second[i] == first[i]);
+    let moved_once_late = count(&|i| first[i] == home[i] && second[i] != home[i]);
+    let moved_twice = count(&|i| first[i] != home[i] && second[i] != first[i]);
+    assert!(moved_once_early > 0, "no segment moved in the first scale-up and stayed");
+
+    let names = ["vw.serving_calls", "worker.brute_force", "cache.index.prefetch.hit"];
+    let before = names.map(|n| db.metrics().counter_value(n));
+    assert_eq!(search(&db, &sql).rows().rows, warm.rows);
+    let [served, brute, waited] =
+        [0, 1, 2].map(|i| db.metrics().counter_value(names[i]) - before[i]);
+    assert_eq!(brute, 0, "a moved segment was brute-forced");
+    assert_eq!(served, moved_once_early + moved_once_late, "every once-moved segment is served");
+    assert_eq!(waited, moved_twice, "only a twice-moved segment waits out its transfer");
 }
 
 #[test]
