@@ -34,7 +34,6 @@ fn main() {
     let cbo_on = run(&db.default_options());
     let cbo_off = run(&QueryOptions {
         forced_strategy: Some(Strategy::PreFilter),
-        enable_plan_cache: false,
         ..db.default_options()
     });
 

@@ -22,14 +22,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// The central metric-name table: every *literal* counter/gauge/histogram
-/// registration in the workspace must use a name from this list (enforced
+/// registration in the workspace must use a name from this list, and every
+/// name here must have such a registration in library code (both enforced
 /// by `cargo xtask lint` rule 9 `metric-names`), so a typo'd dotted name
-/// fails the build instead of silently splitting one series into two.
+/// fails the build instead of silently splitting one series into two, and a
+/// name nothing registers any more cannot linger.
 ///
-/// Dynamically built names (`kernel.tier.<tier>`, `query.cbo.<choice>`,
-/// `<store-label>.get*`) are outside the rule's reach; their *prefixes* are
-/// listed here for documentation only and the lint does not match against
-/// them. Keep the list sorted.
+/// Dynamically built names (`kernel.tier.<tier>`, `<store-label>.get*`) are
+/// outside the rule's reach and are not listed. Keep the list sorted.
 ///
 /// `query.batch_size` counts every executed SELECT: the engine has one
 /// executor and a single statement is a batch of one.
@@ -65,13 +65,10 @@ pub const NAMES: &[&str] = &[
     "query.plan.filtered_traversal",
     "query.plan.post_filter",
     "query.plan.pre_filter",
-    "query.plan_cache_hits",
     "query.plan_ns",
     "query.refined",
-    "query.rules_applied",
     "query.segment_ns",
     "query.segments_pruned",
-    "query.short_circuit",
     "query.slo",
     "query.snapshot_retries",
     "table.compact_bytes_rewritten",

@@ -91,9 +91,6 @@ lock_rank_table! {
     DB_TABLES = 100,
     /// `Database::vws` virtual-warehouse registry map.
     DB_VWS = 110,
-    /// `PlanCache::map` — plan lookup/store; guards are statement-scoped
-    /// but planning may consult storage sketches below.
-    PLANCACHE_MAP = 150,
     /// `VirtualWarehouse::workers` membership map.
     VW_WORKERS = 200,
     /// `VirtualWarehouse::ring` consistent-hash ring; held (read) while

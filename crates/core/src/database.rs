@@ -214,7 +214,7 @@ impl Database {
         vws
     }
 
-    /// The query engine (plan cache, cost model).
+    /// The query engine (cost model, fan-out helpers).
     pub fn engine(&self) -> &QueryEngine {
         &self.engine
     }

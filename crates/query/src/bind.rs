@@ -68,6 +68,24 @@ pub struct BoundSelect {
     pub limit: Option<usize>,
 }
 
+impl BoundSelect {
+    /// The columns the statement names, each once: its predicate's, then the
+    /// projected ones, then the sort key.
+    pub fn columns_read(&self) -> Vec<&str> {
+        let mut cols = self.predicate.column_refs();
+        let projected = self.projection.iter().filter_map(|p| match p {
+            ProjItem::Column(c) => Some(c.as_str()),
+            ProjItem::Distance(_) => None,
+        });
+        for c in projected.chain(self.scalar_order.as_ref().map(|(c, _)| c.as_str())) {
+            if !cols.contains(&c) {
+                cols.push(c);
+            }
+        }
+        cols
+    }
+}
+
 /// Bind a SELECT against a schema.
 pub fn bind_select(schema: &TableSchema, stmt: &SelectStmt) -> Result<BoundSelect> {
     if stmt.table != schema.name {

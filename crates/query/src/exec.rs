@@ -3,11 +3,10 @@
 //! Pipeline per SELECT:
 //!
 //! 1. **Bind** the AST against the schema (scalar predicate + vector query).
-//! 2. **Plan**: the rule output comes from the plan cache by parameterized
-//!    signature (on a miss: the short-circuit fast path for trivial shapes,
-//!    else the full rule pass); the strategy among Plans A/B/C/D is chosen
-//!    by the cost model for every statement from its own selectivity, `k`,
-//!    beam width and the table's current size.
+//! 2. **Plan**: the cost model chooses the strategy among Plans A/B/C/D for
+//!    every statement from its own selectivity, `k`, beam width and the
+//!    table's current size; nothing is cached. The logical tree and its
+//!    rewrite rules are built for EXPLAIN only.
 //! 3. **Schedule**: segment selection with scalar + semantic pruning and an
 //!    adaptive reserve.
 //! 4. **Execute** per segment on the owning worker: one task per segment
@@ -22,7 +21,6 @@
 use crate::bind::{bind_select, BoundSelect, ProjItem, VectorQuery};
 use crate::cost::{CostInputs, CostParams, PlanEstimate, Strategy};
 use crate::plan::plan_select;
-use crate::plancache::{is_short_circuitable, plan_signature, CachedPlan, PlanCache};
 use crate::result::ResultSet;
 use bh_cluster::scheduler::{select_segments, PruneConfig, SegmentSelection};
 use bh_cluster::vw::{SegmentIndex, VirtualWarehouse};
@@ -56,10 +54,6 @@ pub struct QueryOptions {
     /// Bypass the cost-based optimizer with a specific strategy (tests,
     /// ablations, the paper's CBO-off baseline).
     pub forced_strategy: Option<Strategy>,
-    /// Use the parameterized plan cache.
-    pub enable_plan_cache: bool,
-    /// Skip full optimization for trivially-shaped queries.
-    pub enable_short_circuit: bool,
     /// Scheduling-time segment pruning configuration.
     pub prune: PruneConfig,
     /// Maximum threads searching segments of one query concurrently (the
@@ -82,8 +76,6 @@ impl Default for QueryOptions {
             search: SearchParams::default(),
             sigma: 2,
             forced_strategy: None,
-            enable_plan_cache: true,
-            enable_short_circuit: true,
             prune: PruneConfig::default(),
             intra_query_parallelism: std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -128,10 +120,8 @@ struct StmtState<'q> {
     bound: Option<Arc<SharedBound>>,
 }
 
-/// One statement's plan: the rule output, cacheable by shape, plus what is
-/// chosen anew for every statement.
+/// One statement's plan, chosen anew for every statement.
 struct StmtPlan {
-    rules: CachedPlan,
     strategy: Strategy,
     /// Histogram-estimated pass fraction of the predicate of a filtered
     /// vector statement. Plan D sizes its hop budget with it.
@@ -176,15 +166,12 @@ struct HotCounters {
     fanout_caller_tasks: Arc<Counter>,
     fanout_helper_tasks: Arc<Counter>,
     fanout_threads_started: Arc<Counter>,
-    /// `query.cbo.<Strategy>`, indexed by `Strategy as usize`.
-    cbo: [Arc<Counter>; 4],
 }
 
-/// The query engine: planner state (cost constants, plan cache) and the
-/// fan-out helper threads, shared across queries of one database.
+/// The query engine: the cost constants and the fan-out helper threads,
+/// shared across queries of one database.
 pub struct QueryEngine {
     cost: CostParams,
-    plan_cache: PlanCache,
     metrics: MetricsRegistry,
     hot: HotCounters,
     /// The global counters each statement's tally folds into.
@@ -194,7 +181,7 @@ pub struct QueryEngine {
 }
 
 impl QueryEngine {
-    /// An engine with default cost constants and an empty plan cache.
+    /// An engine with default cost constants.
     pub fn new(metrics: MetricsRegistry) -> Self {
         // Record which distance-kernel tier runtime detection selected, once
         // per engine (`kernel.tier.avx2|neon|scalar` = 1).
@@ -206,21 +193,14 @@ impl QueryEngine {
             fanout_caller_tasks: metrics.counter("query.fanout.caller_tasks"),
             fanout_helper_tasks: metrics.counter("query.fanout.helper_tasks"),
             fanout_threads_started: metrics.counter("query.fanout.threads_started"),
-            cbo: Strategy::ALL.map(|s| metrics.counter(&format!("query.cbo.{s:?}"))),
         };
         Self {
             cost: CostParams::default(),
-            plan_cache: PlanCache::new(),
             folded: StatementCounters::resolve(&metrics),
             metrics,
             hot,
             fanout: FanoutPool::for_machine(),
         }
-    }
-
-    /// The shared parameterized plan cache.
-    pub fn plan_cache(&self) -> &PlanCache {
-        &self.plan_cache
     }
 
     /// Execute a parsed SELECT: a batch of one
@@ -352,7 +332,6 @@ impl QueryEngine {
             .map(|b| {
                 let ctx = installed.clone().unwrap_or_default();
                 let mut stage = ctx.stage("plan", &ctx.tally.plan_ns);
-                let rules = self.cached_rules(table, opts, b);
                 let selectivity = filter_selectivity(table, b);
                 let strategy = self.choose_strategy(table, opts, b, selectivity);
                 stage.span.attr("strategy", strategy.name());
@@ -369,7 +348,7 @@ impl QueryEngine {
                 }
                 ctx.set_strategy(strategy.slug());
                 drop(stage);
-                StmtPlan { rules, strategy, selectivity: selectivity.map(|s| s as f32), ctx }
+                StmtPlan { strategy, selectivity: selectivity.map(|s| s as f32), ctx }
             })
             .collect();
         // One executor phase per batch: its wall time goes to the first
@@ -422,7 +401,7 @@ impl QueryEngine {
             let Some(v) = &sel.vector else {
                 // Scalar statements don't participate in the vector fan-out.
                 let _in = plan.ctx.install();
-                results[qi] = Some(self.exec_scalar(table, vw, opts, sel, &plan.rules)?);
+                results[qi] = Some(self.exec_scalar(table, vw, opts, sel)?);
                 continue;
             };
             let selection =
@@ -691,68 +670,12 @@ impl QueryEngine {
 
     // -------------------------------------------------------------- planning
 
-    /// The statement's rule output, from the plan cache when its shape was
-    /// seen before. The strategy is not part of it:
-    /// [`Self::choose_strategy`] picks one for every statement from that
-    /// statement's own `k`, beam width and pass fraction and the table's
-    /// size now, so `LIMIT 10` and `LIMIT 5000` of one shape, or the same
-    /// shape before and after the table grew, can run different plans on a
-    /// cache hit.
-    fn cached_rules(
-        &self,
-        table: &TableStore,
-        opts: &QueryOptions,
-        bound: &BoundSelect,
-    ) -> CachedPlan {
-        if !opts.enable_plan_cache {
-            return self.plan_rules(table, opts, bound);
-        }
-        let sig = plan_signature(bound);
-        if let Some(hit) = self.plan_cache.get(&sig) {
-            self.metrics.counter("query.plan_cache_hits").inc();
-            return hit;
-        }
-        let rules = self.plan_rules(table, opts, bound);
-        self.plan_cache.put(sig, rules.clone());
-        rules
-    }
-
-    fn plan_rules(
-        &self,
-        table: &TableStore,
-        opts: &QueryOptions,
-        bound: &BoundSelect,
-    ) -> CachedPlan {
-        if opts.enable_short_circuit && is_short_circuitable(bound) {
-            // Fast path: skip logical-plan construction and rule matching.
-            self.metrics.counter("query.short_circuit").inc();
-            let mut cols = bound.predicate.referenced_columns();
-            for p in &bound.projection {
-                if let ProjItem::Column(c) = p {
-                    if !cols.contains(c) {
-                        cols.push(c.clone());
-                    }
-                }
-            }
-            let needs_raw =
-                bound.vector.as_ref().map(|v| cols.contains(&v.column)).unwrap_or(false);
-            if let Some(v) = &bound.vector {
-                if !needs_raw {
-                    cols.retain(|c| c != &v.column);
-                }
-            }
-            return CachedPlan { columns_needed: cols, needs_raw_vectors: needs_raw };
-        }
-        let planned = plan_select(table.schema(), bound);
-        self.metrics.counter("query.rules_applied").add(planned.rules_applied.len() as u64);
-        CachedPlan {
-            columns_needed: planned.columns_needed,
-            needs_raw_vectors: planned.needs_raw_vectors,
-        }
-    }
-
-    /// The strategy this statement runs. Only a statement the CBO decides
-    /// is priced; a forced plan costs nothing here.
+    /// The strategy this statement runs: the plan step's one output. Only a
+    /// statement the CBO decides is priced; a forced plan costs nothing here.
+    /// Nothing is cached, because every input is the statement's own — its
+    /// `k`, beam width and pass fraction — or the table's size now: `LIMIT
+    /// 10` and `LIMIT 5000` of one shape, or one shape before and after the
+    /// table grew, can run different plans.
     fn choose_strategy(
         &self,
         table: &TableStore,
@@ -763,13 +686,9 @@ impl QueryEngine {
         if let Some(forced) = opts.forced_strategy {
             return forced;
         }
-        let Some(inputs) = cost_inputs(table, opts, bound, selectivity) else {
-            // Scalar-only queries have no ANN strategy to pick.
-            return Strategy::BruteForce;
-        };
-        let chosen = self.cost.choose(&inputs);
-        self.hot.cbo[chosen as usize].inc();
-        chosen
+        // Scalar-only queries have no ANN strategy to pick.
+        cost_inputs(table, opts, bound, selectivity)
+            .map_or(Strategy::BruteForce, |inputs| self.cost.choose(&inputs))
     }
 
     // ------------------------------------------------------------ vector path
@@ -1000,7 +919,6 @@ impl QueryEngine {
         vw: &VirtualWarehouse,
         opts: &QueryOptions,
         bound: &BoundSelect,
-        plan: &CachedPlan,
     ) -> Result<ResultSet> {
         let segments = table.segments();
         let selection: SegmentSelection =
@@ -1015,15 +933,10 @@ impl QueryEngine {
         );
         // The columns read per segment, and where in that list each
         // projection item and the sort key are found.
-        let mut needed: Vec<&str> = plan.columns_needed.iter().map(String::as_str).collect();
-        if let Some((c, _)) = &bound.scalar_order {
-            if !needed.contains(&c.as_str()) {
-                needed.push(c);
-            }
-        }
+        let needed = bound.columns_read();
         let slot = |c: &str| {
             needed.iter().position(|n| *n == c).ok_or_else(|| {
-                BhError::Internal(format!("column {c} was not planned for reading"))
+                BhError::Internal(format!("column {c} is not among the columns read"))
             })
         };
         let proj_slots = bound
@@ -1198,6 +1111,25 @@ pub fn with_segment_retry<T>(
     f: impl FnMut(Arc<Worker>) -> Result<T>,
 ) -> Result<T> {
     vw.with_segment_retry(meta, f)
+}
+
+impl QueryEngine {
+    /// Kept only because the frozen `benchmark/` compiles against it
+    /// (ROADMAP "Re-anchor the evidence"): the engine caches no plan.
+    pub fn plan_cache(&self) -> NoPlanCache {
+        NoPlanCache
+    }
+}
+
+/// What [`QueryEngine::plan_cache`] returns: a cache that holds nothing.
+#[derive(Debug)]
+pub struct NoPlanCache;
+
+impl NoPlanCache {
+    /// `(hits, misses)`: always `(0, 0)`.
+    pub fn stats(&self) -> (u64, u64) {
+        (0, 0)
+    }
 }
 
 /// Convenience used by tests and examples: run one statement string.
@@ -1452,37 +1384,21 @@ mod tests {
     fn scalar_only_query_with_order_and_limit() {
         let (ts, vw, engine) = setup(100, IndexKind::Hnsw, 100);
         let opts = QueryOptions::default();
-        let rs = execute_sql_select(
-            &engine,
-            &ts,
-            &vw,
-            &opts,
-            "SELECT id, score FROM t WHERE id >= 90 ORDER BY score DESC LIMIT 3",
-        )
-        .unwrap();
-        assert_eq!(ids_of(&rs), vec![99, 98, 97]);
+        let ids = |sql: &str| ids_of(&execute_sql_select(&engine, &ts, &vw, &opts, sql).unwrap());
+        assert_eq!(
+            ids("SELECT id, score FROM t WHERE id >= 90 ORDER BY score DESC LIMIT 3"),
+            vec![99, 98, 97]
+        );
+        // Neither the sort key nor the filter column is projected: both
+        // are still read.
+        assert_eq!(
+            ids("SELECT id FROM t WHERE label = 'l1' ORDER BY score DESC LIMIT 3"),
+            vec![99, 97, 95]
+        );
     }
 
     #[test]
-    fn plan_cache_hits_on_repeated_shape() {
-        let (ts, vw, engine) = setup(200, IndexKind::Hnsw, 200);
-        let opts = QueryOptions::default();
-        for q in 0..5 {
-            let sql = format!(
-                "SELECT id FROM t WHERE label = 'l{}' \
-                 ORDER BY L2Distance(emb, [{}.0, 0.0, 0.0, 0.0]) LIMIT 3",
-                q % 2,
-                q % 5
-            );
-            execute_sql_select(&engine, &ts, &vw, &opts, &sql).unwrap();
-        }
-        let (hits, misses) = engine.plan_cache().stats();
-        assert_eq!(misses, 1, "one shape → one miss");
-        assert_eq!(hits, 4);
-    }
-
-    #[test]
-    fn strategy_is_rechosen_per_statement_on_plan_cache_hits() {
+    fn strategy_is_rechosen_per_statement() {
         let (ts, vw, engine) = setup(400, IndexKind::Hnsw, 400);
         let opts = QueryOptions::default();
         let topk = |limit: usize| {
@@ -1512,23 +1428,15 @@ mod tests {
             assert_eq!(moved.len(), 1, "one plan counter per statement: {moved:?}");
             moved[0]
         };
-        // Both shapes enter the cache; every statement below is a hit.
-        plan_of(topk(10));
-        plan_of(filtered(10));
-        let (hits, misses) = engine.plan_cache().stats();
-        assert_eq!(misses, 2);
-
         // 400 rows: scanning them beats a 64-wide beam's ~260 hops.
         assert_eq!(plan_of(topk(10)), Strategy::BruteForce);
-        // The table grows 30x; the cached shape must not keep its scan.
+        // The table grows 30x; the same statement must not keep its scan.
         ts.insert_rows(rows(400..12_000, 12_000)).unwrap();
         assert_eq!(plan_of(topk(10)), Strategy::PostFilter);
-        // `k` is a masked literal of the shape, and an input of the choice:
+        // `k` is the statement's own literal, and an input of the choice:
         // ten rows come from the index, five thousand from a scan.
         assert_ne!(plan_of(filtered(10)), Strategy::BruteForce);
         assert_eq!(plan_of(filtered(5000)), Strategy::BruteForce);
-
-        assert_eq!(engine.plan_cache().stats(), (hits + 4, misses), "hit ratio 1 after warm-up");
     }
 
     #[test]
@@ -1536,7 +1444,7 @@ mod tests {
         // 6,000 rows: large enough that a 64-wide beam (~310 hops at twelve
         // distances each) undercuts scanning every row.
         let (ts, vw, engine) = setup(6000, IndexKind::Hnsw, 2000);
-        let opts = QueryOptions { enable_plan_cache: false, ..Default::default() };
+        let opts = QueryOptions::default();
         // id < 5 passes 0.5% of rows → Plan A.
         execute_sql_select(
             &engine,
@@ -1547,7 +1455,7 @@ mod tests {
              ORDER BY L2Distance(emb, [0.0, 0.0, 0.0, 0.0]) LIMIT 3",
         )
         .unwrap();
-        assert!(engine.metrics.counter_value("query.cbo.BruteForce") >= 1);
+        assert_eq!(engine.metrics.counter_value("query.plan.brute_force"), 1);
         // No filter → post-filter (plain ANN).
         execute_sql_select(
             &engine,
@@ -1557,13 +1465,13 @@ mod tests {
             "SELECT id FROM t ORDER BY L2Distance(emb, [0.0, 0.0, 0.0, 0.0]) LIMIT 3",
         )
         .unwrap();
-        assert!(engine.metrics.counter_value("query.cbo.PostFilter") >= 1);
+        assert_eq!(engine.metrics.counter_value("query.plan.post_filter"), 1);
     }
 
     #[test]
     fn cbo_picked_traversal_is_the_plan_that_runs_and_honours_the_filter() {
         let (ts, vw, engine) = setup(12_000, IndexKind::Hnsw, 3000);
-        let opts = QueryOptions { enable_plan_cache: false, ..Default::default() };
+        let opts = QueryOptions::default();
         // Which plan the model prefers for a shape is the decision table's
         // business (`cost.rs`); this one — 90% of 12,000 rows passing, k
         // above the default ef — is priced to Plan D, and the point here is
@@ -1581,7 +1489,6 @@ mod tests {
         for id in ids_of(&rs) {
             assert!(id < 10_800, "Plan D returned filtered-out row {id}");
         }
-        assert_eq!(engine.metrics.counter_value("query.cbo.FilteredTraversal"), 1);
         assert_eq!(engine.metrics.counter_value("query.plan.filtered_traversal"), 1);
     }
 

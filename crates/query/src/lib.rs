@@ -10,9 +10,7 @@
 //! * [`cost`] — the accuracy-aware cost model (Table II, Eqs. 1–3) choosing
 //!   among Plan A (brute force), Plan B (pre-filter ANN bitmap scan),
 //!   Plan C (post-filter iterative search) and Plan D (filter-aware graph
-//!   traversal, graph indexes only).
-//! * [`plancache`] — parameterized plan caching and short-circuit processing
-//!   for repetitive hybrid workloads (§IV-C).
+//!   traversal, graph indexes only), for every statement.
 //! * [`exec`] — the distributed executor: scheduling with pruning, the four
 //!   physical strategies, refine, adaptive segment expansion, global top-k
 //!   merge, and projection fetch.
@@ -21,7 +19,6 @@ pub mod bind;
 pub mod cost;
 pub mod exec;
 pub mod plan;
-pub mod plancache;
 pub mod result;
 
 pub use bind::{bind_select, BoundSelect, VectorQuery};

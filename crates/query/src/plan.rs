@@ -1,9 +1,11 @@
 //! Logical plans and rule-based optimization (§II-C).
 //!
-//! The logical plan is a small operator tree used for three purposes: EXPLAIN
-//! output, a place for the rule-based rewrites to act, and the carrier of the
-//! **column pruning** result the executor consumes. Three rules from the
-//! paper are implemented:
+//! The logical plan is a small operator tree that EXPLAIN prints, with the
+//! rule-based rewrites applied to it. The executor never builds it: what it
+//! needs from the plan step is the strategy, chosen for every statement by
+//! the cost model, and the columns a scalar statement reads come straight
+//! from [`BoundSelect::columns_read`]. Three rules from the paper are
+//! implemented:
 //!
 //! * **distance top-k pushdown** — the TopK bound moves into the ANN scan so
 //!   every segment searches with `k` instead of materializing everything;
@@ -96,49 +98,31 @@ impl fmt::Display for LogicalPlan {
     }
 }
 
-/// The planner's output: optimized plan, applied-rule log, and the pruned
-/// column set the executor must read.
+/// What EXPLAIN prints: the optimized plan, the applied-rule log and the
+/// columns read.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannedSelect {
-    /// The optimized operator tree (EXPLAIN output).
+    /// The optimized operator tree.
     pub logical: LogicalPlan,
     /// Names of the rewrite rules that fired.
     pub rules_applied: Vec<String>,
-    /// Scalar columns the executor needs (predicate + projection), after
-    /// vector column pruning.
+    /// Columns read ([`BoundSelect::columns_read`]), after vector column
+    /// pruning.
     pub columns_needed: Vec<String>,
-    /// True when the projection explicitly asks for the raw vector column.
-    pub needs_raw_vectors: bool,
 }
 
 /// Build the naive plan, then apply the rule-based optimizations.
 pub fn plan_select(schema: &TableSchema, bound: &BoundSelect) -> PlannedSelect {
     let mut rules = Vec::new();
-
-    // Columns referenced anywhere.
-    let mut columns: Vec<String> = bound.predicate.referenced_columns();
-    for item in &bound.projection {
-        if let ProjItem::Column(c) = item {
-            if !columns.contains(c) {
-                columns.push(c.clone());
-            }
-        }
-    }
-    if let Some((c, _)) = &bound.scalar_order {
-        if !columns.contains(c) {
-            columns.push(c.clone());
-        }
-    }
+    let mut columns: Vec<String> = bound.columns_read().into_iter().map(String::from).collect();
 
     // Vector column pruning: drop the embedding column from the scan set
     // unless it is explicitly projected.
-    let mut needs_raw_vectors = false;
     if let Some(v) = &bound.vector {
         let projected = bound
             .projection
             .iter()
             .any(|p| matches!(p, ProjItem::Column(c) if c == &v.column));
-        needs_raw_vectors = projected;
         if !projected {
             let before = columns.len();
             columns.retain(|c| c != &v.column);
@@ -194,7 +178,7 @@ pub fn plan_select(schema: &TableSchema, bound: &BoundSelect) -> PlannedSelect {
         input: Box::new(plan),
     };
 
-    PlannedSelect { logical: plan, rules_applied: rules, columns_needed: columns, needs_raw_vectors }
+    PlannedSelect { logical: plan, rules_applied: rules, columns_needed: columns }
 }
 
 #[cfg(test)]
@@ -230,7 +214,6 @@ mod tests {
         assert!(p.rules_applied.contains(&"vector-column-pruning".to_string()));
         // Vector column pruned from the scan column set.
         assert_eq!(p.columns_needed, vec!["label".to_string(), "id".to_string()]);
-        assert!(!p.needs_raw_vectors);
         // The pushed-down k and range appear on the AnnScan leaf.
         let text = p.logical.to_string();
         assert!(text.contains("AnnScan t.emb k=7 range<=3"), "{text}");
@@ -241,7 +224,6 @@ mod tests {
     #[test]
     fn projecting_the_vector_disables_pruning() {
         let p = plan("SELECT emb FROM t ORDER BY L2Distance(emb, [0.0, 0.0]) LIMIT 2");
-        assert!(p.needs_raw_vectors);
         assert!(p.columns_needed.contains(&"emb".to_string()));
         assert!(!p.rules_applied.contains(&"vector-column-pruning".to_string()));
     }

@@ -140,7 +140,7 @@ fn scalar_path_allocations_stay_within_budget() {
             assert_eq!(rs.rows.len(), K, "{filter}");
             n
         };
-        // The plan cache, the decoded-column cache, lazily named counters.
+        // The decoded-column cache, lazily named counters.
         for _ in 0..3 {
             run();
         }

@@ -31,7 +31,7 @@
 //!    `bh_common::loom` (the vendored model checker backing the `--cfg loom`
 //!    tests), `bh_vector::{flat, hnsw, ivf, vamana, quant, iterator}` (index
 //!    implementations — go through `IndexRegistry`/`VectorIndex`),
-//!    `bh_query::{plan, plancache}` and `bh_storage::{partition, delete}`
+//!    `bh_query::plan` and `bh_storage::{partition, delete}`
 //!    (planner and maintenance internals re-exported at their crate roots).
 //!    By contrast `bh_common::clock` *is* public surface: a crate that
 //!    overlaps simulated transfers does it there, with a `LatencyModel`
@@ -49,11 +49,14 @@
 //! 9. **Metric-name registry** — every literal metric registration
 //!    (`.counter("…")`, `.gauge("…")`, `.histogram("…")` and their
 //!    `_with_labels` forms) in library code must name an entry of
-//!    `bh_common::metrics::NAMES`. A typo in a metric name silently forks a
-//!    counter nobody reads; the table makes the namespace reviewable and
-//!    gives dashboards one source of truth. Dynamically built names
-//!    (`format!` tiers, cache labels) are out of the rule's scope, as are
-//!    tests and the harness crates.
+//!    `bh_common::metrics::NAMES`, and every entry of the table must be
+//!    registered by at least one such call. A typo in a metric name silently
+//!    forks a counter nobody reads, and an entry nothing registers names a
+//!    series that reads zero forever; the table makes the namespace
+//!    reviewable and gives dashboards one source of truth. Dynamically built
+//!    names (`format!` tiers, cache labels) are out of the rule's scope, and
+//!    registrations in tests and the harness crates count in neither
+//!    direction.
 //!
 //! The scanner is a line-oriented lexer, not a full parser: it strips string
 //! literals and comments (so `"unsafe"` in an error message is not a
@@ -146,7 +149,7 @@ const HARNESS_CRATES: &[&str] = &["bench", "xtask"];
 const CROSS_CRATE_INTERNAL: &[(&str, &[&str])] = &[
     ("bh_common", &["loom"]),
     ("bh_vector", &["flat", "hnsw", "ivf", "vamana", "quant", "iterator"]),
-    ("bh_query", &["plan", "plancache"]),
+    ("bh_query", &["plan"]),
     ("bh_storage", &["partition", "delete"]),
 ];
 
@@ -886,8 +889,9 @@ fn literal_first_arg(raw_after_paren: &str) -> Option<&str> {
 }
 
 /// Rule 9 over the whole file set: every literal registration must appear in
-/// the NAMES table. Tests and harness crates are exempt; dynamic names are
-/// skipped (they cannot be checked textually).
+/// the NAMES table, and every entry of the table must be registered by one.
+/// Tests and harness crates are exempt; dynamic names are skipped (they
+/// cannot be checked textually).
 pub(crate) fn check_metric_names(sources: &[(String, String)]) -> Vec<Finding> {
     let Some((_, metrics_src)) = sources.iter().find(|(rel, _)| rel == METRIC_NAMES_FILE)
     else {
@@ -911,6 +915,7 @@ pub(crate) fn check_metric_names(sources: &[(String, String)]) -> Vec<Finding> {
     };
 
     let mut findings = Vec::new();
+    let mut registered = vec![false; names.len()];
     for (rel, content) in sources {
         let parts: Vec<&str> = rel.split('/').collect();
         let crate_name = match parts.as_slice() {
@@ -952,8 +957,9 @@ pub(crate) fn check_metric_names(sources: &[(String, String)]) -> Vec<Finding> {
                     else {
                         continue; // dynamic name
                     };
-                    if !names.iter().any(|n| n == name) {
-                        findings.push(Finding {
+                    match names.iter().position(|n| n == name) {
+                        Some(i) => registered[i] = true,
+                        None => findings.push(Finding {
                             file: rel.clone(),
                             line: idx + 1,
                             rule: Rule::MetricNames,
@@ -962,11 +968,27 @@ pub(crate) fn check_metric_names(sources: &[(String, String)]) -> Vec<Finding> {
                                  bh_common::metrics::NAMES; add it to the \
                                  table (or fix the typo)"
                             ),
-                        });
+                        }),
                     }
                 }
             }
         }
+    }
+    // The other direction: a table entry no library site registers, reported
+    // at its line of the table.
+    let table = metrics_src.lines().position(|l| l.contains("pub const NAMES")).unwrap_or(0);
+    for (name, _) in names.iter().zip(&registered).filter(|(_, seen)| !**seen) {
+        let quoted = format!("\"{name}\"");
+        let at = metrics_src.lines().skip(table).position(|l| l.contains(&quoted)).unwrap_or(0);
+        findings.push(Finding {
+            file: METRIC_NAMES_FILE.to_string(),
+            line: table + at + 1,
+            rule: Rule::MetricNames,
+            msg: format!(
+                "metric \"{name}\" is in bh_common::metrics::NAMES but no library \
+                 code registers it; delete the entry"
+            ),
+        });
     }
     findings
 }
@@ -1382,9 +1404,13 @@ mod tests {
     const NAMES_SRC: &str = "//! metrics\npub const NAMES: &[&str] = &[\n    \
                              \"query.executed\",\n    \"query.slo\",\n];\n";
 
+    /// The table, one library file registering both of its names, and `extra`.
     fn metric_sources(extra: &str) -> Vec<(String, String)> {
+        let both = "fn g(m: &M) {\n    m.counter(\"query.executed\").inc();\n    \
+                    m.histogram(\"query.slo\");\n}\n";
         vec![
             ("crates/common/src/metrics.rs".to_string(), NAMES_SRC.to_string()),
+            ("crates/query/src/lib.rs".to_string(), both.to_string()),
             ("crates/query/src/exec.rs".to_string(), extra.to_string()),
         ]
     }
@@ -1448,6 +1474,29 @@ mod tests {
             "fn f(m: &M) { m.counter(\"bench.only\").inc(); }".to_string(),
         ));
         assert!(check_metric_names(&sources).is_empty());
+    }
+
+    #[test]
+    fn metric_names_catches_seeded_unregistered_entry() {
+        // "query.slo" is in the table, but only a test and a harness crate
+        // register it: no library site does.
+        let lib = "fn f(m: &M) { m.counter(\"query.executed\").inc(); }\n\
+                   #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        \
+                   m.histogram(\"query.slo\");\n    }\n}\n";
+        let sources = vec![
+            ("crates/common/src/metrics.rs".to_string(), NAMES_SRC.to_string()),
+            ("crates/query/src/exec.rs".to_string(), lib.to_string()),
+            (
+                "crates/bench/src/harness.rs".to_string(),
+                "fn f(m: &M) { m.histogram(\"query.slo\"); }".to_string(),
+            ),
+        ];
+        let f = check_metric_names(&sources);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, Rule::MetricNames);
+        assert_eq!((f[0].file.as_str(), f[0].line), ("crates/common/src/metrics.rs", 4));
+        let msg = &f[0].msg;
+        assert!(msg.contains("\"query.slo\"") && msg.contains("no library"), "{msg}");
     }
 
     // ---- the tree this lint lands in must be clean ----
