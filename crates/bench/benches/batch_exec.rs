@@ -1,23 +1,27 @@
-//! Batched multi-query execution (DESIGN.md §7): `execute_batch` with the
-//! shared atomic top-k pruning bound vs looping `execute_bound` per query,
-//! over a 32-segment table at k=10 for batch sizes 1 / 8 / 64.
+//! The in-tree emitter of `BENCH_batch.json`: batched multi-query execution
+//! (DESIGN.md §7) through `QueryEngine::execute_batch` against looping
+//! `execute_bound` per statement, over a 32-segment table at k=10 for batch
+//! sizes 1 / 8 / 64, written to `target/bench-fresh/BENCH_batch.json` so
+//! `cargo xtask bench-diff` covers it.
 //!
-//! The acceptance shape for the batched path is ≥ 2x aggregate throughput
-//! at batch 64: the batch amortizes planning, scheduling, segment pinning
-//! and thread fan-out, and bound sharing skips candidates that cannot beat
-//! the k-th distance already found.
+//! The three arms — looped `execute_bound`, `execute_batch`, and
+//! `execute_batch` with `share_bound: false` — must return identical rows for
+//! every statement; that is asserted before anything is timed.
+//! `bound_skip_rate` is the `execute_batch` arm's `bound_skips /
+//! rows_scanned`, read from the `QueryCtx` installed around each engine call.
 
+use bh_bench::harness::{median, write_fresh_json, Timer};
 use bh_common::ids::IdGenerator;
-use bh_common::{MetricsRegistry, VirtualClock};
+use bh_common::{MetricsRegistry, QueryCtx, Result, VirtualClock, VwId};
 use bh_cluster::vw::{VirtualWarehouse, VwConfig};
 use bh_query::bind::{bind_select, BoundSelect};
 use bh_query::exec::{QueryEngine, QueryOptions};
+use bh_query::ResultSet;
 use bh_storage::objectstore::InMemoryObjectStore;
 use bh_storage::schema::TableSchema;
 use bh_storage::table::{TableStore, TableStoreConfig};
 use bh_storage::value::{ColumnType, Value};
 use bh_vector::{IndexKind, IndexRegistry, Metric};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -25,12 +29,18 @@ const DIM: usize = 32;
 const SEGMENTS: usize = 32;
 const ROWS_PER_SEGMENT: usize = 200;
 const K: usize = 10;
+/// Statements per timed cell, whatever the batch size.
+const STMTS_PER_CELL: usize = 256;
+/// Reps per cell, the arms interleaved within each; the median is reported.
+const REPS: usize = 9;
 
 struct Fixture {
-    table: Arc<TableStore>,
+    table: TableStore,
     vw: VirtualWarehouse,
     engine: QueryEngine,
     queries: Vec<BoundSelect>,
+    shared: QueryOptions,
+    unshared: QueryOptions,
 }
 
 fn fixture() -> Fixture {
@@ -48,8 +58,7 @@ fn fixture() -> Fixture {
         metrics.clone(),
     )
     .unwrap();
-    let n = SEGMENTS * ROWS_PER_SEGMENT;
-    let rows: Vec<Vec<Value>> = (0..n)
+    let rows: Vec<Vec<Value>> = (0..SEGMENTS * ROWS_PER_SEGMENT)
         .map(|i| {
             let c = (i % 8) as f32 * 4.0;
             let v: Vec<f32> =
@@ -59,7 +68,7 @@ fn fixture() -> Fixture {
         .collect();
     table.insert_rows(rows).unwrap();
     let vw = VirtualWarehouse::new(
-        bh_common::VwId(0),
+        VwId(0),
         "bench",
         VwConfig::default(),
         table.remote_store().clone(),
@@ -71,7 +80,6 @@ fn fixture() -> Fixture {
     vw.scale_up(&[]);
     vw.scale_up(&[]);
     vw.preload(&table.segments()).unwrap();
-    let engine = QueryEngine::new(metrics);
 
     // 64 distinct pure top-k statements cycling through the clusters.
     let queries: Vec<BoundSelect> = (0..64)
@@ -83,59 +91,117 @@ fn fixture() -> Fixture {
                 "SELECT id, dist FROM t ORDER BY L2Distance(emb, [{}]) AS dist LIMIT {K}",
                 coords.join(", ")
             );
-            let stmt = match bh_sql::parse_statement(&sql).unwrap() {
-                bh_sql::Statement::Select(sel) => sel,
-                other => panic!("expected SELECT, got {other:?}"),
+            let bh_sql::Statement::Select(stmt) = bh_sql::parse_statement(&sql).unwrap() else {
+                panic!("expected a SELECT");
             };
             bind_select(table.schema(), &stmt).unwrap()
         })
         .collect();
-    Fixture { table: Arc::new(table), vw, engine, queries }
+    let shared = QueryOptions::default();
+    let unshared = QueryOptions { share_bound: false, ..shared.clone() };
+    Fixture { table, vw, engine: QueryEngine::new(metrics), queries, shared, unshared }
 }
 
-fn bench_batch_exec(c: &mut Criterion) {
+/// The arms, in `BENCH_batch.json`'s column order.
+#[derive(Debug, Clone, Copy)]
+enum Arm {
+    LoopedExecuteBound,
+    ExecuteBatch,
+    ExecuteBatchNoSharedBound,
+}
+
+/// What an arm's engine calls tallied, and the plan they ran.
+#[derive(Default)]
+struct Work {
+    bound_skips: u64,
+    rows_scanned: u64,
+    plan: &'static str,
+}
+
+impl Work {
+    /// One engine call under a context of its own, tallied here.
+    fn call<T>(&mut self, run: impl FnOnce() -> Result<T>) -> T {
+        let ctx = QueryCtx::new(0, "select", "bench", "batch_exec");
+        let installed = ctx.install();
+        let out = run().unwrap();
+        drop(installed);
+        let tally = ctx.tally.snapshot();
+        self.bound_skips += tally.bound_skips;
+        self.rows_scanned += tally.rows_scanned;
+        self.plan = ctx.strategy();
+        out
+    }
+}
+
+impl Fixture {
+    /// Run `stmts` the arm's way; one result per statement, in order.
+    fn run(&self, arm: Arm, stmts: &[BoundSelect], work: &mut Work) -> Vec<ResultSet> {
+        let (engine, table, vw) = (&self.engine, &self.table, &self.vw);
+        match arm {
+            Arm::LoopedExecuteBound => stmts
+                .iter()
+                .map(|q| work.call(|| engine.execute_bound(table, vw, &self.shared, q)))
+                .collect(),
+            Arm::ExecuteBatch => work.call(|| engine.execute_batch(table, vw, &self.shared, stmts)),
+            Arm::ExecuteBatchNoSharedBound => {
+                work.call(|| engine.execute_batch(table, vw, &self.unshared, stmts))
+            }
+        }
+    }
+}
+
+fn main() {
     let fix = fixture();
-    let mut g = c.benchmark_group("batch_exec");
+    let arms = [Arm::LoopedExecuteBound, Arm::ExecuteBatch, Arm::ExecuteBatchNoSharedBound];
+
+    // Identical rows from every arm for every statement, before timing.
+    let mut work = Work::default();
+    let looped = fix.run(arms[0], &fix.queries, &mut work);
+    assert!(looped.iter().all(|rs| rs.rows.len() == K), "every statement fills its top-{K}");
+    for arm in &arms[1..] {
+        let got = fix.run(*arm, &fix.queries, &mut work);
+        assert_eq!(got.len(), looped.len());
+        for (i, (a, b)) in looped.iter().zip(&got).enumerate() {
+            assert_eq!(a.rows, b.rows, "statement {i}: {arm:?} differs from looped execute_bound");
+        }
+    }
+    let plan = work.plan;
+    println!("[batch_exec] all three arms return identical rows; the planner chose {plan}");
+
+    let mut cases = Vec::new();
     for batch in [1usize, 8, 64] {
         let stmts = &fix.queries[..batch];
-        g.throughput(Throughput::Elements(batch as u64));
-        g.bench_with_input(BenchmarkId::new("looped_execute", batch), &batch, |b, _| {
-            b.iter(|| {
-                for q in stmts {
-                    black_box(
-                        fix.engine
-                            .execute_bound(&fix.table, &fix.vw, &QueryOptions::default(), q)
-                            .unwrap(),
-                    );
+        let mut qps: [Vec<f64>; 3] = Default::default();
+        let mut work: [Work; 3] = Default::default();
+        for _ in 0..REPS {
+            for (a, arm) in arms.into_iter().enumerate() {
+                let t = Timer::start();
+                for _ in 0..STMTS_PER_CELL / batch {
+                    black_box(fix.run(arm, stmts, &mut work[a]));
                 }
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("execute_batch", batch), &batch, |b, _| {
-            b.iter(|| {
-                black_box(
-                    fix.engine
-                        .execute_batch(&fix.table, &fix.vw, &QueryOptions::default(), stmts)
-                        .unwrap(),
-                )
-            })
-        });
-        g.bench_with_input(
-            BenchmarkId::new("execute_batch_no_bound", batch),
-            &batch,
-            |b, _| {
-                let opts = QueryOptions { share_bound: false, ..Default::default() };
-                b.iter(|| {
-                    black_box(fix.engine.execute_batch(&fix.table, &fix.vw, &opts, stmts).unwrap())
-                })
-            },
+                qps[a].push(STMTS_PER_CELL as f64 / t.secs());
+            }
+        }
+        let [sequential_qps, batched_qps, batched_no_bound_qps] = qps.map(median);
+        let skip_rate = work[1].bound_skips as f64 / work[1].rows_scanned.max(1) as f64;
+        let case = format!(
+            "    {{ \"batch\": {batch}, \"sequential_qps\": {sequential_qps:.1}, \
+             \"batched_qps\": {batched_qps:.1}, \"batched_no_bound_qps\": {batched_no_bound_qps:.1}, \
+             \"speedup\": {:.2}, \"bound_skip_rate\": {skip_rate:.4} }}",
+            batched_qps / sequential_qps
         );
+        println!("{case}");
+        cases.push(case);
     }
-    g.finish();
-}
 
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_millis(600)).warm_up_time(std::time::Duration::from_millis(200));
-    targets = bench_batch_exec
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let json = format!(
+        "{{\n  \"benchmark\": \"batched multi-query execution (execute_batch) vs looping execute_bound per statement\",\n  \
+         \"machine\": {{ \"arch\": \"{}\", \"cores\": {cores} }},\n  \
+         \"method\": \"crates/bench/benches/batch_exec.rs: QueryEngine::execute_batch on {SEGMENTS} preloaded HNSW segments x {ROWS_PER_SEGMENT} rows, dim {DIM}, L2, 2 workers, default QueryOptions (the planner chose {plan}); 64 distinct top-{K} statements, the first B per batch. Arms: looped execute_bound, execute_batch, execute_batch with share_bound false; identical rows from all three asserted for every statement before timing. Median of {REPS} interleaved reps of {STMTS_PER_CELL} statements per cell; bound_skip_rate = bound_skips / rows_scanned of the execute_batch arm, from the QueryCtx installed around each engine call.\",\n  \
+         \"results\": [\n{}\n  ]\n}}\n",
+        std::env::consts::ARCH,
+        cases.join(",\n"),
+    );
+    write_fresh_json("BENCH_batch.json", &json);
 }
-criterion_main!(benches);

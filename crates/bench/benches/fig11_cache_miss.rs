@@ -8,9 +8,10 @@
 
 use bh_bench::datasets::DatasetSpec;
 use bh_bench::harness::{fmt_duration, measure_latency, print_table};
+use bh_cluster::vw::{SegmentIndex, VirtualWarehouse, VwConfig};
 use bh_cluster::worker::{Worker, WorkerConfig};
 use bh_common::ids::IdGenerator;
-use bh_common::{LatencyModel, MetricsRegistry, RealClock, WorkerId};
+use bh_common::{LatencyModel, MetricsRegistry, RealClock, VwId, WorkerId};
 use bh_storage::objectstore::InMemoryObjectStore;
 use bh_storage::schema::TableSchema;
 use bh_storage::table::{TableStore, TableStoreConfig};
@@ -50,14 +51,14 @@ fn main() {
     let meta = table.segments()[0].clone();
 
     let mk_worker = |id: u64, data_cache: usize| {
-        Worker::new(
+        Arc::new(Worker::new(
             WorkerId(id),
             WorkerConfig { block_data_bytes: data_cache, ..Default::default() },
             remote.clone(),
             table.registry().clone(),
             clock.clone(),
             metrics.clone(),
-        )
+        ))
     };
     // Worker A: warm (the pre-scaling owner). Worker B: cold newcomer with a
     // tiny block cache (its data is genuinely not local).
@@ -71,26 +72,40 @@ fn main() {
     );
     let cold = mk_worker(2, 0);
 
+    // The hand-made workers stand for the owners; the warehouse supplies
+    // the one search path and its serving RPC model.
+    let vw = VirtualWarehouse::new(
+        VwId(0),
+        "fig11",
+        VwConfig { rpc: LatencyModel::fixed(Duration::from_micros(50)), ..Default::default() },
+        remote.clone(),
+        table.registry().clone(),
+        clock.clone(),
+        metrics.clone(),
+        Arc::new(IdGenerator::new()),
+    );
     let q = data.queries(8, 0);
     let params = SearchParams::default().with_ef(64);
-    let rpc = LatencyModel::fixed(Duration::from_micros(50));
 
     // The three answers `VirtualWarehouse::segment_index` can resolve to, each
-    // through the entry it ends in.
-    let top10 =
-        |idx: &dyn VectorIndex, q: &[f32]| idx.search_with_bound(q, 10, &params, None, None);
+    // through the entry the engine searches it with.
+    let search = |owner: &Worker, index: &SegmentIndex, q: &[f32]| {
+        vw.search_index(owner, &meta, index, data.dim() * 4, |idx: &dyn VectorIndex| {
+            idx.search_with_bound(q, 10, &params, None, None)
+        })
+    };
     let mut qi = 0;
     let local = measure_latency(64, || {
         let idx = warm.index_handle(&meta).unwrap().expect("the segment has an index");
-        std::hint::black_box(top10(idx.as_ref(), &q[qi % q.len()]).unwrap());
+        std::hint::black_box(search(&warm, &SegmentIndex::Local(idx), &q[qi % q.len()]).unwrap());
         qi += 1;
     });
 
+    // The newcomer pays the RPC and the previous owner answers.
+    let served = SegmentIndex::Served(warm.clone());
     let mut qi = 0;
     let serving = measure_latency(64, || {
-        // The newcomer charges the RPC and the previous owner answers.
-        cold.charge_rpc(&rpc, data.dim() * 4);
-        std::hint::black_box(warm.serve_remote(&meta, |idx| top10(idx, &q[qi % q.len()])).unwrap());
+        std::hint::black_box(search(&cold, &served, &q[qi % q.len()]).unwrap());
         qi += 1;
     });
 
@@ -103,34 +118,27 @@ fn main() {
         qi += 1;
     });
 
-    let rows = vec![
-        vec!["local search".into(), fmt_duration(local), "1.00x".into()],
-        vec![
-            "vector search serving".into(),
-            fmt_duration(serving),
-            format!("{:.2}x", serving.as_secs_f64() / local.as_secs_f64()),
-        ],
-        vec![
-            "brute force (cache miss)".into(),
-            fmt_duration(brute),
-            format!("{:.2}x", brute.as_secs_f64() / local.as_secs_f64()),
-        ],
+    let modes = [
+        ("local search", local),
+        ("vector search serving", serving),
+        ("brute force (cache miss)", brute),
     ];
-    println!(
-        "[fig11] local {} | serving {} | brute {}",
-        fmt_duration(local),
-        fmt_duration(serving),
-        fmt_duration(brute)
+    let rows: Vec<Vec<String>> = modes
+        .into_iter()
+        .map(|(mode, t)| {
+            let vs_local = t.as_secs_f64() / local.as_secs_f64();
+            vec![mode.into(), fmt_duration(t), format!("{vs_local:.2}x")]
+        })
+        .collect();
+    print_table(
+        "Fig 11: latency of local search, vector search serving, brute force",
+        &["mode", "mean latency", "vs local"],
+        &rows,
     );
     assert!(serving < brute, "serving must beat the brute-force fallback");
     assert!(local < serving, "serving pays an RPC overhead over local");
     assert!(
         metrics.counter_value("cache.index.mem.hit") > 0,
         "local searches must record cache.index.mem.hit"
-    );
-    print_table(
-        "Fig 11: latency of local search, vector search serving, brute force",
-        &["mode", "mean latency", "vs local"],
-        &rows,
     );
 }

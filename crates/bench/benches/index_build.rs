@@ -28,7 +28,7 @@
 //! `BENCH_build.json`, so `cargo run -p xtask -- bench-diff` can compare.
 
 use bh_bench::datasets::DatasetSpec;
-use bh_bench::harness::{print_table, write_fresh_json, Timer};
+use bh_bench::harness::{median, print_table, write_fresh_json, Timer};
 use bh_common::FanoutPool;
 use bh_vector::autoindex::auto_nlist;
 use bh_vector::distance::{distance_batch, Codebook, KernelTier};
@@ -43,11 +43,6 @@ use std::sync::Arc;
 
 const DIM: usize = 64;
 const REPS: usize = 9;
-
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(f64::total_cmp);
-    v[v.len() / 2]
-}
 
 /// Deterministic values in `[-1, 1)`.
 fn values(n: usize, seed: u64) -> Vec<f32> {

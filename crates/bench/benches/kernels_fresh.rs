@@ -7,7 +7,7 @@
 //! Parity against the scalar oracle is asserted before timing — a fast
 //! wrong kernel must fail here, not in the diff.
 
-use bh_bench::harness::{print_table, write_fresh_json, Timer};
+use bh_bench::harness::{median, print_table, write_fresh_json, Timer};
 use bh_vector::distance::{self, scalar, KernelTier, Metric};
 use std::hint::black_box;
 
@@ -55,8 +55,7 @@ fn time_pairs(kernel: &str, vecs: &[Vec<f32>], dispatched: bool) -> f64 {
         black_box(acc);
         samples.push(t.secs() * 1e9 / (ITERS * PAIRS) as f64);
     }
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+    median(samples)
 }
 
 /// Median ns per row of a full-block `distance_batch(L2)` vs a scalar loop.
@@ -79,11 +78,7 @@ fn time_batched(dim: usize) -> (f64, f64) {
         black_box(&out);
         fast_s.push(t.secs() * 1e9 / rows as f64);
     }
-    let med = |v: &mut Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    (med(&mut scalar_s), med(&mut fast_s))
+    (median(scalar_s), median(fast_s))
 }
 
 fn main() {

@@ -8,7 +8,8 @@
 //! prints them as ratios to `c_d`; the defaults are that output, written
 //! down (DESIGN.md §14).
 //! Keeping the kernels under Criterion regression tracking keeps the
-//! optimizer's ratios honest.
+//! optimizer's ratios honest. The single-pair distance kernels, scalar
+//! against dispatched, are `kernels_fresh`'s (`BENCH_kernels.json`).
 
 use bh_cluster::hashring::MultiProbeRing;
 use bh_common::rng::rng;
@@ -18,151 +19,18 @@ use bh_storage::column::ColumnData;
 use bh_storage::lru::LruCache;
 use bh_storage::predicate::Predicate;
 use bh_storage::value::Value;
-use bh_vector::distance::{self, cosine_distance, distance_batch, dot, l2_sq};
+use bh_vector::distance::distance_batch;
 use bh_vector::quant::pq::{CodeBits, Pq, PqParams};
 use bh_vector::quant::sq::Sq8;
 use bh_vector::{GraphScan, IndexKind, IndexRegistry, IndexSpec, Metric, SearchParams};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use rand::Rng;
 use std::hint::black_box;
-
-fn vec_of(dim: usize, seed: f32) -> Vec<f32> {
-    (0..dim).map(|i| (i as f32 * 0.37 + seed).sin()).collect()
-}
-
-fn bench_distances(c: &mut Criterion) {
-    let mut g = c.benchmark_group("distance");
-    for dim in [64usize, 128, 768] {
-        let a = vec_of(dim, 0.0);
-        let b = vec_of(dim, 1.0);
-        g.bench_with_input(BenchmarkId::new("l2_sq", dim), &dim, |bch, _| {
-            bch.iter(|| black_box(l2_sq(black_box(&a), black_box(&b))))
-        });
-        g.bench_with_input(BenchmarkId::new("dot", dim), &dim, |bch, _| {
-            bch.iter(|| black_box(dot(black_box(&a), black_box(&b))))
-        });
-        g.bench_with_input(BenchmarkId::new("cosine", dim), &dim, |bch, _| {
-            bch.iter(|| black_box(cosine_distance(black_box(&a), black_box(&b))))
-        });
-    }
-    g.finish();
-}
-
-/// Runtime-dispatched SIMD kernels vs the scalar reference (the acceptance
-/// numbers for the kernel-dispatch work: dispatched ≥ 1.5× scalar at
-/// dim ≥ 128 on AVX2/NEON machines).
-fn bench_kernels(c: &mut Criterion) {
-    let mut g = c.benchmark_group("kernel");
-    for dim in [64usize, 128, 768, 1536] {
-        let a = vec_of(dim, 0.0);
-        let b = vec_of(dim, 1.0);
-        g.bench_with_input(BenchmarkId::new("l2_scalar", dim), &dim, |bch, _| {
-            bch.iter(|| black_box(distance::scalar::l2_sq(black_box(&a), black_box(&b))))
-        });
-        g.bench_with_input(BenchmarkId::new("l2_dispatched", dim), &dim, |bch, _| {
-            bch.iter(|| black_box(l2_sq(black_box(&a), black_box(&b))))
-        });
-        g.bench_with_input(BenchmarkId::new("dot_scalar", dim), &dim, |bch, _| {
-            bch.iter(|| black_box(distance::scalar::dot(black_box(&a), black_box(&b))))
-        });
-        g.bench_with_input(BenchmarkId::new("dot_dispatched", dim), &dim, |bch, _| {
-            bch.iter(|| black_box(dot(black_box(&a), black_box(&b))))
-        });
-        g.bench_with_input(BenchmarkId::new("cosine_scalar", dim), &dim, |bch, _| {
-            bch.iter(|| {
-                black_box(distance::scalar::cosine_distance(black_box(&a), black_box(&b)))
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("cosine_dispatched", dim), &dim, |bch, _| {
-            bch.iter(|| black_box(cosine_distance(black_box(&a), black_box(&b))))
-        });
-        // Batched scan of a contiguous 1024-row block.
-        let rows = 1024;
-        let block: Vec<f32> = (0..rows * dim).map(|i| (i as f32 * 0.001).sin()).collect();
-        let mut out = vec![0.0f32; rows];
-        g.bench_with_input(BenchmarkId::new("l2_batch_1024rows", dim), &dim, |bch, _| {
-            bch.iter(|| {
-                distance_batch(Metric::L2, black_box(&a), black_box(&block), dim, &mut out)
-                    .unwrap();
-                black_box(out[rows - 1])
-            })
-        });
-    }
-    g.finish();
-}
-
-/// Intra-query segment fan-out: 32 synthetic segments scanned top-k with
-/// 1 / 4 / 16 threads, mirroring `exec_vector`'s scoped work-stealing loop.
-fn bench_fanout(c: &mut Criterion) {
-    let dim = 128;
-    let rows = 512;
-    let segs = 32;
-    let segments: Vec<Vec<f32>> = (0..segs)
-        .map(|s| (0..rows * dim).map(|i| ((i + s * 37) as f32 * 0.003).sin()).collect())
-        .collect();
-    let q = vec_of(dim, 0.5);
-    let mut g = c.benchmark_group("fanout_32seg");
-    for threads in [1usize, 4, 16] {
-        g.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |bch, &par| {
-            bch.iter(|| {
-                let next = std::sync::atomic::AtomicUsize::new(0);
-                let per_seg: Vec<Vec<(f32, u64)>> = std::thread::scope(|scope| {
-                    let next = &next;
-                    let segments = &segments;
-                    let q = &q;
-                    let handles: Vec<_> = (0..par.min(segs))
-                        .map(|_| {
-                            scope.spawn(move || {
-                                let mut local = Vec::new();
-                                loop {
-                                    let s =
-                                        next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                    if s >= segs {
-                                        break;
-                                    }
-                                    let mut out = vec![0.0f32; rows];
-                                    distance_batch(Metric::L2, q, &segments[s], dim, &mut out)
-                                        .unwrap();
-                                    let mut tk = TopK::new(10);
-                                    for (r, &d) in out.iter().enumerate() {
-                                        tk.push(d, r as u64);
-                                    }
-                                    let hits: Vec<(f32, u64)> = tk
-                                        .into_sorted()
-                                        .into_iter()
-                                        .map(|x| (x.distance, x.item))
-                                        .collect();
-                                    local.push((s, hits));
-                                }
-                                local
-                            })
-                        })
-                        .collect();
-                    let mut merged: Vec<Vec<(f32, u64)>> = vec![Vec::new(); segs];
-                    for h in handles {
-                        for (s, hits) in h.join().expect("bench worker") {
-                            merged[s] = hits;
-                        }
-                    }
-                    merged
-                });
-                let mut global = TopK::new(10);
-                for (s, hits) in per_seg.iter().enumerate() {
-                    for &(d, r) in hits {
-                        global.push(d, (s as u64) << 32 | r);
-                    }
-                }
-                black_box(global.into_sorted())
-            })
-        });
-    }
-    g.finish();
-}
 
 fn bench_quantizers(c: &mut Criterion) {
     let dim = 128;
     let sample: Vec<f32> = (0..512 * dim).map(|i| (i as f32 * 0.01).sin()).collect();
-    let q = vec_of(dim, 0.5);
+    let q: Vec<f32> = (0..dim).map(|i| (i as f32 * 0.37 + 0.5).sin()).collect();
 
     let sq = Sq8::train(&sample, dim).unwrap();
     let code = sq.encode(&q).unwrap();
@@ -400,6 +268,6 @@ fn bench_lru_and_ring(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_millis(600)).warm_up_time(std::time::Duration::from_millis(200));
-    targets = probe_cost_constants, bench_distances, bench_kernels, bench_fanout, bench_quantizers, bench_bitset_and_topk, bench_lru_and_ring
+    targets = probe_cost_constants, bench_quantizers, bench_bitset_and_topk, bench_lru_and_ring
 }
 criterion_main!(benches);

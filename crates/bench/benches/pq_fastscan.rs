@@ -15,7 +15,7 @@
 //! regressions.
 
 use bh_bench::datasets::DatasetSpec;
-use bh_bench::harness::{print_table, Timer};
+use bh_bench::harness::{median, print_table, Timer};
 use bh_common::SharedBound;
 use bh_vector::quant::pq::{CodeBits, Pq, PqParams};
 use bh_vector::quant::FastScanCodes;
@@ -89,14 +89,10 @@ fn time_scans(
         black_box(&out);
         fast.push(t.secs() * 1e9 / packed.len() as f64);
     }
-    let med = |v: &mut Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
     ScanTimes {
-        scalar_adc_ns: med(&mut scalar),
-        blocked_scalar_ns: med(&mut blocked),
-        fastscan_ns: med(&mut fast),
+        scalar_adc_ns: median(scalar),
+        blocked_scalar_ns: median(blocked),
+        fastscan_ns: median(fast),
     }
 }
 

@@ -26,7 +26,7 @@
 //! in the schema of the committed `BENCH_scalar.json` for
 //! `cargo run -p xtask -- bench-diff`.
 
-use bh_bench::harness::{print_table, write_fresh_json, Timer};
+use bh_bench::harness::{median, print_table, write_fresh_json, Timer};
 use bh_cluster::worker::{Worker, WorkerConfig};
 use bh_common::rng::derive_seed;
 use bh_common::{Bitset, MetricsRegistry, SlowQueryPolicy, VirtualClock, WorkerId};
@@ -47,11 +47,6 @@ const FRACTIONS: [f64; 4] = [0.001, 0.1, 0.5, 0.9];
 const RANGE: u64 = 1_000_000;
 /// Literals no categorical cell holds (those are 0 or at least 8).
 const ABSENT: [u64; 7] = [1, 2, 3, 4, 5, 6, 7];
-
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(f64::total_cmp);
-    v[v.len() / 2]
-}
 
 /// Uniform in `[0, 1)` from a (row, stream) pair.
 fn unit(row: usize, stream: u64) -> f64 {

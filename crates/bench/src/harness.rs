@@ -56,6 +56,12 @@ pub fn measure_latency(iters: usize, mut f: impl FnMut()) -> Duration {
     start.elapsed() / iters.max(1) as u32
 }
 
+/// The median of `samples` (the upper middle one of an even count).
+pub fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
 /// Print an aligned table with a title (the per-figure/table output format).
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n=== {title} ===");

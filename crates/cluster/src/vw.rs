@@ -29,7 +29,7 @@ use bh_common::{
     BhError, Bitset, LatencyModel, MetricsRegistry, QueryCtx, Result, SegmentId, SharedClock,
     VwId, WorkerId,
 };
-use bh_storage::objectstore::ObjectStore;
+use bh_storage::objectstore::SharedObjectStore;
 use bh_storage::segment::SegmentMeta;
 use bh_storage::table::TableStore;
 use bh_vector::{IndexRegistry, Neighbor, SearchParams, VectorIndex};
@@ -81,7 +81,7 @@ pub struct VirtualWarehouse {
     id: VwId,
     name: String,
     cfg: VwConfig,
-    remote: Arc<dyn ObjectStore>,
+    remote: SharedObjectStore,
     registry: Arc<IndexRegistry>,
     clock: SharedClock,
     metrics: MetricsRegistry,
@@ -106,7 +106,7 @@ impl VirtualWarehouse {
         id: VwId,
         name: &str,
         cfg: VwConfig,
-        remote: Arc<dyn ObjectStore>,
+        remote: SharedObjectStore,
         registry: Arc<IndexRegistry>,
         clock: SharedClock,
         metrics: MetricsRegistry,
@@ -438,7 +438,7 @@ mod tests {
     }
 
     fn table_on(
-        store: Arc<dyn ObjectStore>,
+        store: SharedObjectStore,
         metrics: MetricsRegistry,
         n: usize,
         seg_rows: usize,

@@ -23,7 +23,7 @@ use bh_common::{
 };
 use bh_storage::cache::{BlockCache, IndexCache};
 use bh_storage::column::{ColumnData, BLOCK_ROWS};
-use bh_storage::objectstore::ObjectStore;
+use bh_storage::objectstore::SharedObjectStore;
 use bh_storage::predicate::Predicate;
 use bh_storage::segment::SegmentMeta;
 use bh_storage::table::TableStore;
@@ -104,7 +104,7 @@ impl Worker {
     pub fn new(
         id: WorkerId,
         cfg: WorkerConfig,
-        remote: Arc<dyn ObjectStore>,
+        remote: SharedObjectStore,
         registry: Arc<IndexRegistry>,
         clock: SharedClock,
         metrics: MetricsRegistry,
@@ -464,12 +464,6 @@ impl Worker {
         Ok(out)
     }
 
-    /// Charge an RPC round-trip on this worker's clock (callers use this
-    /// before invoking a peer's `serve_remote`).
-    pub fn charge_rpc(&self, model: &LatencyModel, bytes: usize) {
-        self.clock.advance_to(self.charge_rpc_begin(model, bytes));
-    }
-
     /// Start charging an RPC round-trip; returns the clock nanos at which it
     /// completes. With `overlap` enabled that deadline is all the charge is,
     /// so the caller overlaps the wire time with the peer's compute and
@@ -591,8 +585,8 @@ mod tests {
                 clock.clone(),
                 MetricsRegistry::new(),
             );
-            w.charge_rpc(&model, 10);
-            w.charge_rpc(&model, 10);
+            clock.advance_to(w.charge_rpc_begin(&model, 10));
+            clock.advance_to(w.charge_rpc_begin(&model, 10));
             clock.now_nanos()
         };
         assert_eq!(elapsed(false), 200_000);

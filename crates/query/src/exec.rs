@@ -1186,7 +1186,7 @@ mod tests {
 
     /// [`setup`] over a given store.
     fn setup_on(
-        store: Arc<dyn bh_storage::objectstore::ObjectStore>,
+        store: Arc<InMemoryObjectStore>,
         n: usize,
         kind: IndexKind,
         seg_rows: usize,

@@ -16,7 +16,7 @@
 //! it on the statement the thread is working for.
 
 use crate::lru::LruCache;
-use crate::objectstore::{ObjectStore, PendingGet};
+use crate::objectstore::{PendingGet, SharedObjectStore};
 use crate::segment::SegmentMeta;
 use bh_common::metrics::Counter;
 use bh_common::{qctx, MetricsRegistry, QueryCtx, Result, SegmentId};
@@ -45,7 +45,7 @@ struct Transfer {
 /// Per-worker vector-index cache: memory LRU over the remote store.
 pub struct IndexCache {
     mem: LruCache<SegmentId, Arc<dyn VectorIndex>>,
-    remote: Arc<dyn ObjectStore>,
+    remote: SharedObjectStore,
     registry: Arc<IndexRegistry>,
     metrics: MetricsRegistry,
     /// `cache.index.mem.{hit,miss}`, resolved once: every warm segment
@@ -65,7 +65,7 @@ impl IndexCache {
     /// A cache with the given memory capacity over the remote store.
     pub fn new(
         mem_capacity_bytes: usize,
-        remote: Arc<dyn ObjectStore>,
+        remote: SharedObjectStore,
         registry: Arc<IndexRegistry>,
         metrics: MetricsRegistry,
     ) -> Self {
@@ -377,7 +377,7 @@ mod tests {
     use std::time::Duration;
 
     fn build_indexed_segment(
-        store: &dyn ObjectStore,
+        store: &InMemoryObjectStore,
         registry: &IndexRegistry,
         id: u64,
         n: usize,
@@ -686,7 +686,6 @@ mod tests {
         let registry = Arc::new(IndexRegistry::with_builtins());
         let meta = build_indexed_segment(remote.as_ref(), &registry, 1, 10);
         let (t0, gets) = (clock.now_nanos(), metrics.counter_value("remote.get"));
-        let remote = remote as Arc<dyn ObjectStore>;
         let cache = IndexCache::new(1 << 20, remote, registry, metrics.clone());
         assert!(cache.prefetch(&meta).unwrap());
         assert_eq!(clock.now_nanos() - t0, 500_000);

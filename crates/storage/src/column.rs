@@ -235,38 +235,6 @@ impl ColumnData {
         Self::decode_rows(ty, &mut r)
     }
 
-    /// Serialize the entire column as a sequence of blocks.
-    pub fn encode_full(&self) -> Bytes {
-        let mut w = Writer::new();
-        w.put_u64(self.len() as u64);
-        w.put_u64(self.block_count() as u64);
-        for b in 0..self.block_count() {
-            let start = b * BLOCK_ROWS;
-            let end = ((b + 1) * BLOCK_ROWS).min(self.len());
-            self.encode_rows(&mut w, start, end);
-        }
-        w.finish()
-    }
-
-    /// Deserialize a full column written by [`Self::encode_full`].
-    pub fn decode_full(ty: ColumnType, bytes: &[u8]) -> Result<ColumnData> {
-        let mut r = Reader::new(bytes);
-        let total = r.get_u64()? as usize;
-        let blocks = r.get_u64()? as usize;
-        let mut out = ColumnData::empty(ty);
-        for _ in 0..blocks {
-            let part = Self::decode_rows(ty, &mut r)?;
-            out.extend_from(&part)?;
-        }
-        if out.len() != total {
-            return Err(BhError::Serde(format!(
-                "column decoded {} rows, header said {total}",
-                out.len()
-            )));
-        }
-        Ok(out)
-    }
-
     /// Append all rows of another same-typed column.
     pub fn extend_from(&mut self, other: &ColumnData) -> Result<()> {
         match (self, other) {
@@ -413,14 +381,23 @@ mod tests {
         assert!(v.push(&Value::Vector(vec![1.0])).is_err());
     }
 
+    /// Every block encoded and decoded in turn, reassembled (what a segment
+    /// persists and loads).
+    fn roundtrip(col: &ColumnData) -> ColumnData {
+        let mut back = ColumnData::empty(col.ty());
+        for b in 0..col.block_count() {
+            let part = ColumnData::decode_block(col.ty(), &col.encode_block(b)).unwrap();
+            back.extend_from(&part).unwrap();
+        }
+        back
+    }
+
     #[test]
     fn full_roundtrip_multi_block() {
         let n = BLOCK_ROWS * 2 + 17;
         let col = str_col(n);
         assert_eq!(col.block_count(), 3);
-        let blob = col.encode_full();
-        let back = ColumnData::decode_full(ColumnType::Str, &blob).unwrap();
-        assert_eq!(back, col);
+        assert_eq!(roundtrip(&col), col);
     }
 
     #[test]
@@ -444,8 +421,7 @@ mod tests {
         for i in 0..10 {
             col.push(&Value::Vector(vec![i as f32; 3])).unwrap();
         }
-        let blob = col.encode_full();
-        let back = ColumnData::decode_full(ColumnType::Vector(3), &blob).unwrap();
+        let back = roundtrip(&col);
         assert_eq!(back, col);
         let (data, dim) = back.vector_data().unwrap();
         assert_eq!(dim, 3);
@@ -454,11 +430,10 @@ mod tests {
 
     #[test]
     fn corrupt_column_blob_rejected() {
-        let col = str_col(10);
-        let blob = col.encode_full();
-        assert!(ColumnData::decode_full(ColumnType::Str, &blob[..blob.len() / 2]).is_err());
-        // Wrong type decoding is rejected or yields mismatched row count.
-        assert!(ColumnData::decode_full(ColumnType::Vector(7), &blob).is_err());
+        let blob = str_col(10).encode_block(0);
+        assert!(ColumnData::decode_block(ColumnType::Str, &blob[..blob.len() / 2]).is_err());
+        // Read as the wrong type: 10 values are not a whole number of 7-d rows.
+        assert!(ColumnData::decode_block(ColumnType::Vector(7), &blob).is_err());
     }
 
     #[test]
@@ -506,8 +481,8 @@ mod tests {
     #[test]
     fn empty_column_encodes() {
         let col = ColumnData::empty(ColumnType::UInt64);
-        let blob = col.encode_full();
-        let back = ColumnData::decode_full(ColumnType::UInt64, &blob).unwrap();
-        assert!(back.is_empty());
+        assert_eq!(col.block_count(), 0);
+        let blob = col.encode_block(0);
+        assert!(ColumnData::decode_block(ColumnType::UInt64, &blob).unwrap().is_empty());
     }
 }

@@ -37,7 +37,7 @@ pub mod value;
 
 pub use cache::{BlockCache, IndexCache};
 pub use delete::DeleteMap;
-pub use objectstore::{InMemoryObjectStore, ObjectStore, PendingGet, SharedObjectStore};
+pub use objectstore::{InMemoryObjectStore, PendingGet, SharedObjectStore};
 pub use predicate::Predicate;
 pub use schema::{ColumnDef, TableSchema, VectorIndexDef};
 pub use segment::{Segment, SegmentMeta};

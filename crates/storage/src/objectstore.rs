@@ -1,15 +1,15 @@
 //! Simulated disaggregated storage.
 //!
 //! All segment column blobs, index blobs and metadata live in an
-//! [`ObjectStore`]. Its implementation, [`InMemoryObjectStore`], is a
-//! latency-charging in-memory blob map: with a remote-profile
-//! [`LatencyModel`] it *is* the paper's "remote distributed storage system";
-//! with the zero model it doubles as a fast test store.
+//! [`InMemoryObjectStore`], a latency-charging in-memory blob map: with a
+//! remote-profile [`LatencyModel`] it *is* the paper's "remote distributed
+//! storage system"; with the zero model it doubles as a fast test store.
 //!
 //! Every get/put charges `model.cost(blob_len)` against the store's clock and
 //! bumps metrics counters, so experiments can observe both simulated time and
 //! I/O counts.
 
+use bh_common::metrics::Counter;
 use bh_common::{BhError, LatencyModel, MetricsRegistry, QueryCtx, Result, SharedClock};
 use bytes::Bytes;
 use bh_common::sync::{classes, RwLock};
@@ -68,41 +68,38 @@ impl PendingGet {
     }
 }
 
-/// Blob store interface (S3-alike: whole-object put/get).
-pub trait ObjectStore: Send + Sync {
-    /// Store a blob under `key`, replacing any previous value.
-    fn put(&self, key: &str, data: Bytes) -> Result<()>;
-    /// Fetch the blob at `key`.
-    fn get(&self, key: &str) -> Result<Bytes>;
-    /// Remove the blob at `key` (idempotent).
-    fn delete(&self, key: &str) -> Result<()>;
-    /// Does a blob exist at `key`? (No latency charge.)
-    fn exists(&self, key: &str) -> bool;
-    /// Keys with the given prefix, sorted.
-    fn list(&self, prefix: &str) -> Vec<String>;
-    /// Sum of stored blob sizes.
-    fn total_bytes(&self) -> u64;
+/// Shared handle.
+pub type SharedObjectStore = Arc<InMemoryObjectStore>;
 
-    /// Begin fetching `key` without blocking on the simulated transfer.
-    /// Blocking stores charge synchronously and return a ready get;
-    /// deferring stores return a deferred get whose transfer overlaps with
-    /// the others in flight.
-    fn get_begin(&self, key: &str) -> Result<PendingGet> {
-        Ok(PendingGet::ready(self.get(key)?))
+/// What one kind of operation reports: its span and the counters
+/// `<label>.<op>` and `<label>.<op>.bytes`, resolved once per store.
+struct OpCounters {
+    span: &'static str,
+    calls: Arc<Counter>,
+    bytes: Arc<Counter>,
+}
+
+impl OpCounters {
+    fn resolve(metrics: &MetricsRegistry, label: &str, op: &str, span: &'static str) -> Self {
+        Self {
+            span,
+            calls: metrics.counter(&format!("{label}.{op}")),
+            bytes: metrics.counter(&format!("{label}.{op}.bytes")),
+        }
     }
 }
 
-/// Shared handle.
-pub type SharedObjectStore = Arc<dyn ObjectStore>;
-
-/// In-memory blob map with injected latency.
+/// In-memory blob map with injected latency (S3-alike: whole-object
+/// put/get).
 pub struct InMemoryObjectStore {
     blobs: RwLock<BTreeMap<String, Bytes>>,
     clock: SharedClock,
     model: LatencyModel,
-    metrics: MetricsRegistry,
     /// Metric name prefix, e.g. `"remote"` → counters `remote.get`, …
     label: String,
+    gets: OpCounters,
+    puts: OpCounters,
+    deletes: OpCounters,
     /// When set, a get's transfer time is its deadline on `clock`, so
     /// concurrent gets overlap instead of serializing. `Database` always
     /// sets it; unset (every `get_begin` pays its transfer before it
@@ -118,8 +115,10 @@ impl InMemoryObjectStore {
             blobs: RwLock::new(&classes::OBJECTSTORE_BLOBS, BTreeMap::new()),
             clock,
             model,
-            metrics,
             label: label.into(),
+            gets: OpCounters::resolve(&metrics, label, "get", "store.get"),
+            puts: OpCounters::resolve(&metrics, label, "put", "store.put"),
+            deletes: OpCounters::resolve(&metrics, label, "delete", "store.delete"),
             deferring: false,
         }
     }
@@ -143,13 +142,13 @@ impl InMemoryObjectStore {
 
     /// Emit the span + counters for `op` and either charge synchronously
     /// (blocking store) or hand back the transfer's deadline.
-    fn charge_begin(&self, op: &str, bytes: usize) -> Option<u64> {
-        let mut span = QueryCtx::span(store_span_name(op));
+    fn charge_begin(&self, op: &OpCounters, bytes: usize) -> Option<u64> {
+        let mut span = QueryCtx::span(op.span);
         span.attr("store", self.label.as_str());
         span.attr("bytes", bytes);
         span.attr("sim_nanos", self.model.cost(bytes).as_nanos() as u64);
-        self.metrics.counter(&format!("{}.{op}", self.label)).inc();
-        self.metrics.counter(&format!("{}.{op}.bytes", self.label)).add(bytes as u64);
+        op.calls.inc();
+        op.bytes.add(bytes as u64);
         if self.deferring {
             return Some(self.model.deadline(self.clock.as_ref(), bytes));
         }
@@ -157,61 +156,54 @@ impl InMemoryObjectStore {
         None
     }
 
-    fn charge(&self, op: &str, bytes: usize) {
+    fn charge(&self, op: &OpCounters, bytes: usize) {
         if let Some(deadline) = self.charge_begin(op, bytes) {
             self.clock.advance_to(deadline);
         }
     }
-}
 
-/// Span names need `&'static str`; map the operation verb once here.
-fn store_span_name(op: &str) -> &'static str {
-    match op {
-        "get" => "store.get",
-        "put" => "store.put",
-        _ => "store.delete",
-    }
-}
-
-impl ObjectStore for InMemoryObjectStore {
-    fn put(&self, key: &str, data: Bytes) -> Result<()> {
-        self.charge("put", data.len());
+    /// Store a blob under `key`, replacing any previous value.
+    pub fn put(&self, key: &str, data: Bytes) -> Result<()> {
+        self.charge(&self.puts, data.len());
         self.blobs.write().insert(key.to_string(), data);
         Ok(())
     }
 
-    fn get(&self, key: &str) -> Result<Bytes> {
+    /// Fetch the blob at `key`.
+    pub fn get(&self, key: &str) -> Result<Bytes> {
         Ok(self.get_begin(key)?.wait())
     }
 
-    fn get_begin(&self, key: &str) -> Result<PendingGet> {
+    /// Begin fetching `key`. A blocking store pays the transfer before it
+    /// returns a ready get; a deferring one returns a deferred get whose
+    /// transfer overlaps with the others in flight.
+    pub fn get_begin(&self, key: &str) -> Result<PendingGet> {
         let blob = self
             .blobs
             .read()
             .get(key)
             .cloned()
             .ok_or_else(|| BhError::Storage(format!("blob not found: {key}")))?;
-        Ok(match self.charge_begin("get", blob.len()) {
+        Ok(match self.charge_begin(&self.gets, blob.len()) {
             Some(deadline) => PendingGet::deferred(blob, self.clock.clone(), deadline),
             None => PendingGet::ready(blob),
         })
     }
 
-    fn delete(&self, key: &str) -> Result<()> {
-        self.charge("delete", 0);
+    /// Remove the blob at `key` (idempotent).
+    pub fn delete(&self, key: &str) -> Result<()> {
+        self.charge(&self.deletes, 0);
         self.blobs.write().remove(key);
         Ok(())
     }
 
-    fn exists(&self, key: &str) -> bool {
-        self.blobs.read().contains_key(key)
-    }
-
-    fn list(&self, prefix: &str) -> Vec<String> {
+    /// Keys with the given prefix, sorted.
+    pub fn list(&self, prefix: &str) -> Vec<String> {
         self.blobs.read().keys().filter(|k| k.starts_with(prefix)).cloned().collect()
     }
 
-    fn total_bytes(&self) -> u64 {
+    /// Sum of stored blob sizes.
+    pub fn total_bytes(&self) -> u64 {
         self.blobs.read().values().map(|b| b.len() as u64).sum()
     }
 }
@@ -225,9 +217,8 @@ mod tests {
     #[test]
     fn memory_store_roundtrip() {
         let s = InMemoryObjectStore::for_tests();
-        assert!(!s.exists("a"));
+        assert!(s.get("a").is_err());
         s.put("a", Bytes::from_static(b"hello")).unwrap();
-        assert!(s.exists("a"));
         assert_eq!(s.get("a").unwrap(), Bytes::from_static(b"hello"));
         assert_eq!(s.total_bytes(), 5);
         s.delete("a").unwrap();

@@ -18,6 +18,7 @@
 //! optimization of §IV-C).
 
 use crate::column::{ColumnData, BLOCK_ROWS};
+use crate::objectstore::InMemoryObjectStore;
 use crate::schema::TableSchema;
 use crate::stats::ColumnStats;
 use crate::value::Value;
@@ -239,7 +240,7 @@ impl Segment {
 
     /// Persist all column blocks and metadata to `store`; returns the bytes
     /// written.
-    pub fn persist(&self, store: &dyn crate::objectstore::ObjectStore) -> Result<u64> {
+    pub fn persist(&self, store: &InMemoryObjectStore) -> Result<u64> {
         let mut bytes = 0;
         for (name, col) in &self.columns {
             for b in 0..col.block_count() {
@@ -257,7 +258,7 @@ impl Segment {
 
     /// Load segment metadata from the store.
     pub fn load_meta(
-        store: &dyn crate::objectstore::ObjectStore,
+        store: &InMemoryObjectStore,
         table: &str,
         id: SegmentId,
     ) -> Result<SegmentMeta> {
@@ -268,7 +269,7 @@ impl Segment {
 
     /// Load one full column (all blocks) from the store.
     pub fn load_column(
-        store: &dyn crate::objectstore::ObjectStore,
+        store: &InMemoryObjectStore,
         schema: &TableSchema,
         meta: &SegmentMeta,
         name: &str,
@@ -296,7 +297,7 @@ impl Segment {
 
     /// Load a whole segment (all columns).
     pub fn load(
-        store: &dyn crate::objectstore::ObjectStore,
+        store: &InMemoryObjectStore,
         schema: &TableSchema,
         meta: &SegmentMeta,
     ) -> Result<Segment> {
@@ -308,10 +309,7 @@ impl Segment {
     }
 
     /// Delete all blobs of a segment (compaction garbage collection).
-    pub fn delete_blobs(
-        store: &dyn crate::objectstore::ObjectStore,
-        meta: &SegmentMeta,
-    ) -> Result<()> {
+    pub fn delete_blobs(store: &InMemoryObjectStore, meta: &SegmentMeta) -> Result<()> {
         for key in store.list(&meta.prefix()) {
             store.delete(&key)?;
         }
@@ -322,7 +320,6 @@ impl Segment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::objectstore::{InMemoryObjectStore, ObjectStore};
     use crate::value::ColumnType;
     use bh_vector::Metric;
 
