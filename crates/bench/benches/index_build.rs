@@ -201,7 +201,7 @@ fn time_stages(data: &[f32], pool: &FanoutPool) -> [f64; 3] {
         let mut residuals = Vec::with_capacity(data.len());
         let mut dists = Vec::new();
         for v in data.chunks_exact(DIM) {
-            let c = coarse.centroid(coarse.assign_into(v, &mut dists));
+            let c = coarse.centroid(coarse.assign_into(v, &mut dists).unwrap());
             residuals.extend(v.iter().zip(c).map(|(a, b)| a - b));
         }
         samples[1].push(t.secs() * 1e9 / rows as f64);

@@ -58,25 +58,37 @@ fn time_pairs(kernel: &str, vecs: &[Vec<f32>], dispatched: bool) -> f64 {
     median(samples)
 }
 
-/// Median ns per row of a full-block `distance_batch(L2)` vs a scalar loop.
-fn time_batched(dim: usize) -> (f64, f64) {
-    let rows = 4096;
-    let block: Vec<f32> = gen_vectors(dim, rows, 7).into_iter().flatten().collect();
+/// Median ns per row of `distance_batch(L2)` over a 4,096-row block, or of
+/// `distance_gather(L2)` over an ascending quarter of its rows (Plan A's
+/// shape), vs a scalar loop over the same rows.
+fn time_batched(dim: usize, listed: bool) -> (f64, f64) {
+    let rows = 4096u32;
+    let block: Vec<f32> = gen_vectors(dim, rows as usize, 7).into_iter().flatten().collect();
     let q: Vec<f32> = gen_vectors(dim, 1, 11).remove(0);
-    let mut out = vec![0.0f32; rows];
+    let picked: Vec<u32> = if listed {
+        (0..rows).filter(|i| i.wrapping_mul(2_654_435_761) >> 30 == 0).collect()
+    } else {
+        (0..rows).collect()
+    };
+    let mut out = vec![0.0f32; picked.len()];
     let (mut scalar_s, mut fast_s) = (Vec::new(), Vec::new());
     for _ in 0..REPS {
         let t = Timer::start();
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = scalar::l2_sq(&q, &block[i * dim..(i + 1) * dim]);
+        for (&r, slot) in picked.iter().zip(out.iter_mut()) {
+            let r = r as usize;
+            *slot = scalar::l2_sq(&q, &block[r * dim..(r + 1) * dim]);
         }
         black_box(&out);
-        scalar_s.push(t.secs() * 1e9 / rows as f64);
+        scalar_s.push(t.secs() * 1e9 / picked.len() as f64);
 
         let t = Timer::start();
-        distance::distance_batch(Metric::L2, &q, &block, dim, &mut out).unwrap();
+        if listed {
+            distance::distance_gather(Metric::L2, &q, &block, dim, &picked, &mut out).unwrap();
+        } else {
+            distance::distance_batch(Metric::L2, &q, &block, dim, &mut out).unwrap();
+        }
         black_box(&out);
-        fast_s.push(t.secs() * 1e9 / rows as f64);
+        fast_s.push(t.secs() * 1e9 / picked.len() as f64);
     }
     (median(scalar_s), median(fast_s))
 }
@@ -124,16 +136,18 @@ fn main() {
 
     let mut brows = Vec::new();
     let mut bcases = Vec::new();
-    for dim in [128usize, 768] {
-        let (s, d) = time_batched(dim);
+    for (dim, listed) in [(64usize, false), (64, true), (128, false), (768, false)] {
+        let (s, d) = time_batched(dim, listed);
+        let kernel = if listed { "distance_gather(L2)" } else { "distance_batch(L2)" };
         brows.push(vec![
             format!("{dim}"),
+            kernel.to_string(),
             format!("{s:.1}"),
             format!("{d:.1}"),
             format!("{:.2}", s / d),
         ]);
         bcases.push(format!(
-            "    {{ \"dim\": {dim}, \"kernel\": \"distance_batch(L2)\", \
+            "    {{ \"dim\": {dim}, \"kernel\": \"{kernel}\", \
              \"scalar_ns_per_row\": {s:.1}, \"dispatched_ns_per_row\": {d:.1}, \
              \"speedup\": {:.2} }}",
             s / d
@@ -141,14 +155,14 @@ fn main() {
     }
     print_table(
         "batched L2 scan (ns/row)",
-        &["dim", "scalar", "dispatched", "speedup"],
+        &["dim", "kernel", "scalar", "dispatched", "speedup"],
         &brows,
     );
 
     let json = format!(
         "{{\n  \"benchmark\": \"runtime-dispatched SIMD distance kernels vs scalar reference\",\n  \
          \"machine\": {{ \"arch\": \"{}\", \"kernel_tier_detected\": \"{}\" }},\n  \
-         \"method\": \"crates/bench/benches/kernels_fresh.rs: median ns/call over {REPS} reps of {} warm calls per dim/kernel; parity vs the scalar oracle asserted before timing.\",\n  \
+         \"method\": \"crates/bench/benches/kernels_fresh.rs: median ns/call over {REPS} reps of {} warm calls per dim/kernel; batched_scan_ns_per_row: median ns/row of one call over 4096 rows (distance_batch) or an ascending quarter of them (distance_gather) vs a scalar::l2_sq loop over the same rows; parity vs the scalar oracle asserted before timing.\",\n  \
          \"single_pair_ns\": [\n{}\n  ],\n  \
          \"batched_scan_ns_per_row\": [\n{}\n  ]\n}}\n",
         std::env::consts::ARCH,

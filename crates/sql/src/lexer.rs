@@ -126,10 +126,12 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                 }
                 let text = &input[i..end];
                 let kind = if is_float {
-                    TokenKind::Float(
-                        text.parse::<f64>()
+                    TokenKind::Float(match fast_float(text) {
+                        Some(v) => v,
+                        None => text
+                            .parse::<f64>()
                             .map_err(|_| BhError::Parse(format!("bad float {text} at {pos}")))?,
-                    )
+                    })
                 } else {
                     TokenKind::Int(
                         text.parse::<i64>()
@@ -164,6 +166,71 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
     }
     out.push(Token { kind: TokenKind::Eof, pos: bytes.len() });
     Ok(out)
+}
+
+/// Clinger's fast path for a float token (`-`? digits `.` digits, then an
+/// optional exponent): when the decimal mantissa is below 2^53 and the
+/// power of ten is at most 22 in magnitude, both are exact `f64`s, so one
+/// multiply or divide rounds once to the nearest `f64` of the exact value —
+/// the value `str::parse::<f64>` returns, bit for bit. `None` for every
+/// other token, which the caller hands to `str::parse`.
+#[inline]
+fn fast_float(text: &str) -> Option<f64> {
+    const POW10: [f64; 23] = [
+        1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+        1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+    ];
+    let b = text.as_bytes();
+    let negative = b.first() == Some(&b'-');
+    let mut i = usize::from(negative);
+    let (mut mantissa, mut digits, mut frac_digits, mut dot) = (0u64, 0, 0i32, false);
+    while let Some(&c) = b.get(i) {
+        match c {
+            b'0'..=b'9' => {
+                // 19 digits cannot overflow a u64; more leave the fast path.
+                mantissa = mantissa.wrapping_mul(10).wrapping_add(u64::from(c - b'0'));
+                digits += 1;
+                frac_digits += i32::from(dot);
+            }
+            b'.' if !dot => dot = true,
+            _ => break,
+        }
+        i += 1;
+    }
+    if digits == 0 || digits > 19 || mantissa >= 1 << 53 {
+        return None;
+    }
+    let mut exp = 0i32;
+    if let Some(&c) = b.get(i) {
+        if !matches!(c, b'e' | b'E') {
+            return None;
+        }
+        i += 1;
+        let exp_negative = b.get(i) == Some(&b'-');
+        i += usize::from(matches!(b.get(i), Some(b'-' | b'+')));
+        let exp_digits = &b[i..];
+        // Four digits are far outside the fast range: leave them to `parse`.
+        if exp_digits.is_empty() || exp_digits.len() > 3 {
+            return None;
+        }
+        for &c in exp_digits {
+            if !c.is_ascii_digit() {
+                return None;
+            }
+            exp = exp * 10 + i32::from(c - b'0');
+        }
+        if exp_negative {
+            exp = -exp;
+        }
+    }
+    let e = exp - frac_digits;
+    let m = mantissa as f64;
+    let v = if e >= 0 {
+        m * POW10.get(e as usize)?
+    } else {
+        m / POW10.get(e.unsigned_abs() as usize)?
+    };
+    Some(if negative { -v } else { v })
 }
 
 #[cfg(test)]
@@ -307,5 +374,56 @@ mod tests {
         // A sign binds to a number only directly before a digit.
         assert!(tokenize("- 1").is_err());
         assert_eq!(kinds("1-2"), vec![TokenKind::Int(1), TokenKind::Int(-2), TokenKind::Eof]);
+    }
+
+    /// The bits `tokenize` gives a float token, beside `str::parse`'s.
+    fn float_bits(text: &str) -> (u64, u64) {
+        let want = text.parse::<f64>().unwrap().to_bits();
+        match &kinds(text)[..] {
+            [TokenKind::Float(v), TokenKind::Eof] => (v.to_bits(), want),
+            other => panic!("{text}: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn floats_at_the_edges_of_the_fast_path_match_str_parse() {
+        for text in [
+            "-0.0", "0.0", "0.1", "7.", "1e22", "1e23", "1e-22", "1e-23", "9007199254740991.0",
+            "9007199254740992.0", "9007199254740993.0", "123456789012345678901.5", "4.9e-324",
+            "2.2250738585072011e-308", "1e309", "-1e309", "1.7976931348623157e308", "0.000000001e0",
+            "1E+022", "1e0022", "0.30000000000000004", "-123.456e-7",
+        ] {
+            let (got, want) = float_bits(text);
+            assert_eq!(got, want, "{text}");
+        }
+    }
+
+    proptest::proptest! {
+        /// Every float token equals `str::parse::<f64>` bit for bit: 1–20
+        /// digit mantissas (so both sides of 2^53), a dot anywhere, and
+        /// exponents around ±22 / ±23 or reaching subnormals and overflow.
+        #[test]
+        fn prop_float_tokens_parse_like_std(
+            mantissa in proptest::prelude::any::<u64>(),
+            digits in 1usize..=20,
+            dot in 0usize..=20,
+            exp in proptest::prop_oneof![-25i32..=25, -345i32..=-290, 290i32..=320],
+            with_exp in proptest::prelude::any::<bool>(),
+            negative in proptest::prelude::any::<bool>(),
+        ) {
+            let all = format!("{mantissa:020}");
+            let digits = &all[20 - digits..];
+            let dot = dot.min(digits.len());
+            let sign = if negative { "-" } else { "" };
+            let mut text = format!("{sign}{}.{}", &digits[..dot], &digits[dot..]);
+            if dot == 0 {
+                text = format!("{sign}0{}", &text[sign.len()..]);
+            }
+            if with_exp {
+                text.push_str(&format!("e{exp}"));
+            }
+            let (got, want) = float_bits(&text);
+            proptest::prop_assert_eq!(got, want, "{}", text);
+        }
     }
 }

@@ -37,19 +37,19 @@ impl SemanticClusterer {
         Ok(Self { km })
     }
 
-    /// Bucket of one embedding.
-    pub fn assign(&self, embedding: &[f32]) -> u32 {
-        self.km.assign(embedding) as u32
+    /// Bucket of one embedding; errors when its dimension is not the
+    /// clusterer's.
+    pub fn assign(&self, embedding: &[f32]) -> Result<u32> {
+        Ok(self.km.assign(embedding)? as u32)
     }
 
     /// Bucket centroids ranked by distance to a query vector — the semantic
-    /// pruning order used at scheduling time.
-    pub fn ranked_buckets(&self, query: &[f32]) -> Vec<(u32, f32)> {
-        self.km
-            .nearest_centroids(query, self.km.k)
-            .into_iter()
-            .map(|(c, d)| (c as u32, d))
-            .collect()
+    /// pruning order used at scheduling time. `None` when the query cannot
+    /// be compared with the centroids (a different dimension): the caller
+    /// then prunes nothing.
+    pub fn ranked_buckets(&self, query: &[f32]) -> Option<Vec<(u32, f32)>> {
+        let ranked = self.km.nearest_centroids(query, self.km.k).ok()?;
+        Some(ranked.into_iter().map(|(c, d)| (c as u32, d)).collect())
     }
 
     /// Number of buckets.
@@ -115,7 +115,7 @@ pub fn group_rows(
                 let emb = row[vi]
                     .as_vector()
                     .ok_or_else(|| BhError::InvalidArgument("cluster column not a vector".into()))?;
-                Some(cl.assign(emb))
+                Some(cl.assign(emb)?)
             }
             _ => None,
         };
@@ -192,7 +192,7 @@ mod tests {
         // assign to the group's bucket.
         for g in &groups {
             for row in &g.rows {
-                assert_eq!(cl.assign(row[2].as_vector().unwrap()), g.bucket.unwrap());
+                assert_eq!(cl.assign(row[2].as_vector().unwrap()).unwrap(), g.bucket.unwrap());
             }
         }
     }
@@ -203,12 +203,16 @@ mod tests {
         let embs: Vec<f32> = rows.iter().flat_map(|r| r[2].as_vector().unwrap().to_vec()).collect();
         let cl = SemanticClusterer::train(&embs, 4, 3, 0).unwrap();
         let q = vec![0.0f32; 4]; // near cluster center 0
-        let ranked = cl.ranked_buckets(&q);
+        let ranked = cl.ranked_buckets(&q).unwrap();
         assert_eq!(ranked.len(), 3);
         for w in ranked.windows(2) {
             assert!(w[0].1 <= w[1].1);
         }
-        assert_eq!(ranked[0].0, cl.assign(&q));
+        assert_eq!(ranked[0].0, cl.assign(&q).unwrap());
+        // A query of another dimension ranks nothing, so nothing is pruned,
+        // and an embedding of another dimension is refused.
+        assert!(cl.ranked_buckets(&q[..3]).is_none());
+        assert!(cl.assign(&[0.0; 5]).is_err());
     }
 
     #[test]

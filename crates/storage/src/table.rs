@@ -811,7 +811,7 @@ mod tests {
             let seg = ts.load_segment(meta).unwrap();
             let (data, dim) = seg.columns["emb"].vector_data().unwrap();
             for i in 0..seg.row_count() {
-                assert_eq!(cl.assign(&data[i * dim..(i + 1) * dim]), b);
+                assert_eq!(cl.assign(&data[i * dim..(i + 1) * dim]).unwrap(), b);
             }
         }
         // Labels alternate with parity, clusters cycle mod 4, so each label

@@ -156,10 +156,10 @@ impl KernelTier {
 
 // ---------------------------------------------------------------- dispatch
 
-/// Squared Euclidean distance (runtime-dispatched).
-#[inline]
-pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
-    match KernelTier::current() {
+/// Squared Euclidean distance on a tier the caller resolved.
+#[inline(always)]
+fn l2_on(tier: KernelTier, a: &[f32], b: &[f32]) -> f32 {
+    match tier {
         #[cfg(target_arch = "x86_64")]
         KernelTier::Avx2 => unsafe { avx2::l2_sq(a, b) }, // SAFETY: tier checked: detect() verified avx2+fma
         #[cfg(target_arch = "aarch64")]
@@ -168,10 +168,10 @@ pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
     }
 }
 
-/// Inner (dot) product (runtime-dispatched).
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    match KernelTier::current() {
+/// Inner product on a tier the caller resolved.
+#[inline(always)]
+fn dot_on(tier: KernelTier, a: &[f32], b: &[f32]) -> f32 {
+    match tier {
         #[cfg(target_arch = "x86_64")]
         KernelTier::Avx2 => unsafe { avx2::dot(a, b) }, // SAFETY: tier checked: detect() verified avx2+fma
         #[cfg(target_arch = "aarch64")]
@@ -180,16 +180,34 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     }
 }
 
-/// Fused cosine terms `(a·b, ‖a‖², ‖b‖²)` in one pass (runtime-dispatched).
-#[inline]
-pub fn cosine_terms(a: &[f32], b: &[f32]) -> (f32, f32, f32) {
-    match KernelTier::current() {
+/// Fused cosine terms on a tier the caller resolved.
+#[inline(always)]
+fn cosine_terms_on(tier: KernelTier, a: &[f32], b: &[f32]) -> (f32, f32, f32) {
+    match tier {
         #[cfg(target_arch = "x86_64")]
         KernelTier::Avx2 => unsafe { avx2::cosine_terms(a, b) }, // SAFETY: tier checked: detect() verified avx2+fma
         #[cfg(target_arch = "aarch64")]
         KernelTier::Neon => unsafe { neon::cosine_terms(a, b) }, // SAFETY: tier checked: detect() verified neon
         _ => scalar::cosine_terms(a, b),
     }
+}
+
+/// Squared Euclidean distance (runtime-dispatched).
+#[inline]
+pub fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
+    l2_on(KernelTier::current(), a, b)
+}
+
+/// Inner (dot) product (runtime-dispatched).
+#[inline]
+pub fn dot(a: &[f32], b: &[f32]) -> f32 {
+    dot_on(KernelTier::current(), a, b)
+}
+
+/// Fused cosine terms `(a·b, ‖a‖², ‖b‖²)` in one pass (runtime-dispatched).
+#[inline]
+pub fn cosine_terms(a: &[f32], b: &[f32]) -> (f32, f32, f32) {
+    cosine_terms_on(KernelTier::current(), a, b)
 }
 
 /// Euclidean norm.
@@ -203,10 +221,18 @@ pub fn norm(a: &[f32]) -> f32 {
 #[inline]
 pub fn cosine_distance(a: &[f32], b: &[f32]) -> f32 {
     let (ab, na2, nb2) = cosine_terms(a, b);
-    if na2 == 0.0 || nb2 == 0.0 {
-        return 1.0;
+    cosine_from(ab, na2.sqrt(), nb2)
+}
+
+/// Cosine distance from `a·b`, `‖a‖` and `‖b‖²`: the one formula every
+/// cosine path ends in (`na == 0` exactly when `‖a‖² == 0`).
+#[inline(always)]
+fn cosine_from(ab: f32, na: f32, nb2: f32) -> f32 {
+    if na == 0.0 || nb2 == 0.0 {
+        1.0
+    } else {
+        1.0 - ab / (na * nb2.sqrt())
     }
-    1.0 - ab / (na2.sqrt() * nb2.sqrt())
 }
 
 /// Normalize a vector in place to unit length; zero vectors are left as-is.
@@ -219,44 +245,110 @@ pub fn normalize(v: &mut [f32]) {
     }
 }
 
-/// [`Metric::distance`] on a tier the caller resolved: what a loop over
-/// rows calls so that the tier is looked up once, not per row.
-#[inline(always)]
-fn distance_on(tier: KernelTier, metric: Metric, a: &[f32], b: &[f32]) -> f32 {
-    match metric {
-        Metric::L2 => match tier {
-            #[cfg(target_arch = "x86_64")]
-            KernelTier::Avx2 => unsafe { avx2::l2_sq(a, b) }, // SAFETY: tier checked: detect() verified avx2+fma
-            #[cfg(target_arch = "aarch64")]
-            KernelTier::Neon => unsafe { neon::l2_sq(a, b) }, // SAFETY: tier checked: detect() verified neon
-            _ => scalar::l2_sq(a, b),
-        },
-        Metric::InnerProduct => -match tier {
-            #[cfg(target_arch = "x86_64")]
-            KernelTier::Avx2 => unsafe { avx2::dot(a, b) }, // SAFETY: tier checked: detect() verified avx2+fma
-            #[cfg(target_arch = "aarch64")]
-            KernelTier::Neon => unsafe { neon::dot(a, b) }, // SAFETY: tier checked: detect() verified neon
-            _ => scalar::dot(a, b),
-        },
-        Metric::Cosine => {
-            let (ab, na2, nb2) = match tier {
-                #[cfg(target_arch = "x86_64")]
-                KernelTier::Avx2 => unsafe { avx2::cosine_terms(a, b) }, // SAFETY: tier checked: detect() verified avx2+fma
-                #[cfg(target_arch = "aarch64")]
-                KernelTier::Neon => unsafe { neon::cosine_terms(a, b) }, // SAFETY: tier checked: detect() verified neon
-                _ => scalar::cosine_terms(a, b),
-            };
-            // As `cosine_distance`, term for term.
-            if na2 == 0.0 || nb2 == 0.0 {
-                1.0
-            } else {
-                1.0 - ab / (na2.sqrt() * nb2.sqrt())
-            }
+// ------------------------------------------------------------------- batch
+
+/// Rows one kernel call scores on the AVX2 tier.
+const ROW_GROUP: usize = 4;
+
+/// Rows ahead of the group being scored whose cache lines the listed form
+/// requests: the group after next.
+const GATHER_PREFETCH_ROWS: usize = 2 * ROW_GROUP;
+
+/// Request row `row` of a row-major block toward L1. No-op off `x86_64`.
+#[inline]
+fn prefetch_row(block: &[f32], dim: usize, row: usize) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // `wrapping_add`: the address is only a hint, never dereferenced.
+        let start = block.as_ptr().wrapping_add(row.wrapping_mul(dim)).cast::<i8>();
+        for line in 0..(dim * 4).div_ceil(64) {
+            // SAFETY: prefetch is a hint; it does not access memory
+            // architecturally and cannot fault whatever the address.
+            unsafe { _mm_prefetch(start.wrapping_add(line * 64), _MM_HINT_T0) };
         }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (block, dim, row);
     }
 }
 
-// ------------------------------------------------------------------- batch
+/// The one blocked loop behind [`distance_batch`] and [`distance_gather`]:
+/// `out[i]` = the distance from `query` to `row(i)`, with `prefetch(i)`
+/// called before the group starting at slot `i` is scored.
+///
+/// The tier and metric are resolved once per call; rows go to the kernel
+/// [`ROW_GROUP`] at a time. On AVX2 one call scores all four
+/// (`avx2::*_x4`), each row keeping the accumulator split, horizontal sum
+/// and in-order tail of the one-row kernel, so every distance has the bits
+/// `l2_sq` / `dot` / `cosine_terms` give it: the four rows only add
+/// independent FMA chains. NEON and scalar call their one-row kernels four
+/// times. Cosine ends in [`cosine_from`] with the caller's query norm `na`.
+fn score_rows<'b>(
+    tier: KernelTier,
+    metric: Metric,
+    query: &[f32],
+    na: f32,
+    row: impl Fn(usize) -> &'b [f32],
+    prefetch: impl Fn(usize),
+    out: &mut [f32],
+) {
+    match (tier, metric) {
+        #[cfg(target_arch = "x86_64")]
+        (KernelTier::Avx2, Metric::L2) => for_groups(out, &row, &prefetch, |rows| {
+            // SAFETY: tier checked: detect() verified avx2+fma
+            unsafe { avx2::l2_sq_x4(query, rows) }
+        }),
+        #[cfg(target_arch = "x86_64")]
+        (KernelTier::Avx2, Metric::InnerProduct) => for_groups(out, &row, &prefetch, |rows| {
+            // SAFETY: tier checked: detect() verified avx2+fma
+            unsafe { avx2::dot_x4(query, rows) }.map(|d| -d)
+        }),
+        #[cfg(target_arch = "x86_64")]
+        (KernelTier::Avx2, Metric::Cosine) => for_groups(out, &row, &prefetch, |rows| {
+            // SAFETY: tier checked: detect() verified avx2+fma
+            let (ab, nb2) = unsafe { avx2::cosine_terms_x4(query, rows) };
+            std::array::from_fn(|j| cosine_from(ab[j], na, nb2[j]))
+        }),
+        (_, Metric::L2) => {
+            for_groups(out, &row, &prefetch, |rows| rows.map(|r| l2_on(tier, query, r)))
+        }
+        (_, Metric::InnerProduct) => {
+            for_groups(out, &row, &prefetch, |rows| rows.map(|r| -dot_on(tier, query, r)))
+        }
+        (_, Metric::Cosine) => for_groups(out, &row, &prefetch, |rows| {
+            rows.map(|r| {
+                let (ab, _, nb2) = cosine_terms_on(tier, query, r);
+                cosine_from(ab, na, nb2)
+            })
+        }),
+    }
+}
+
+/// `out`, [`ROW_GROUP`] slots at a time: `prefetch(first)`, then one
+/// `kernel` call on the group's rows. A short last group repeats its last
+/// row and drops the extra results.
+#[inline(always)]
+fn for_groups<'b>(
+    out: &mut [f32],
+    row: &impl Fn(usize) -> &'b [f32],
+    prefetch: &impl Fn(usize),
+    mut kernel: impl FnMut([&'b [f32]; ROW_GROUP]) -> [f32; ROW_GROUP],
+) {
+    let n = out.len();
+    let whole = n - n % ROW_GROUP;
+    let (groups, rest) = out.split_at_mut(whole);
+    for (g, slots) in groups.chunks_exact_mut(ROW_GROUP).enumerate() {
+        let first = g * ROW_GROUP;
+        prefetch(first);
+        slots.copy_from_slice(&kernel(std::array::from_fn(|j| row(first + j))));
+    }
+    if !rest.is_empty() {
+        let d = kernel(std::array::from_fn(|j| row((whole + j).min(n - 1))));
+        rest.copy_from_slice(&d[..rest.len()]);
+    }
+}
 
 /// Distances from `query` to every row of a contiguous row-major `block`,
 /// written into `out` (one slot per row).
@@ -264,12 +356,25 @@ fn distance_on(tier: KernelTier, metric: Metric, a: &[f32], b: &[f32]) -> f32 {
 /// This is the preferred shape for exhaustive scans: the tier dispatch
 /// happens once per block instead of once per row, the query stays hot in
 /// registers/L1, and the block is walked sequentially (prefetch-friendly).
-/// For [`Metric::Cosine`] the query norm is computed once for the whole
-/// block.
+/// Each distance has the bits of the tier's one-row kernel; for
+/// [`Metric::Cosine`] the query norm is computed once for the whole block
+/// (`dot(query, query)`, which may differ from the fused kernel's `‖a‖²` in
+/// the last place).
 ///
 /// Errors with [`BhError::InvalidArgument`] on any shape mismatch — no
 /// silent truncation.
 pub fn distance_batch(
+    metric: Metric,
+    query: &[f32],
+    block: &[f32],
+    dim: usize,
+    out: &mut [f32],
+) -> Result<()> {
+    batch_on(KernelTier::current(), metric, query, block, dim, out)
+}
+
+fn batch_on(
+    tier: KernelTier,
     metric: Metric,
     query: &[f32],
     block: &[f32],
@@ -285,104 +390,30 @@ pub fn distance_batch(
             query.len()
         )));
     }
-    if block.len() % dim != 0 {
+    // One multiply, not a division: callers as small as one k-means
+    // assignment pay this per call.
+    if out.len().checked_mul(dim) != Some(block.len()) {
         return Err(BhError::InvalidArgument(format!(
-            "distance_batch: block len {} is not a multiple of dim {dim}",
-            block.len()
-        )));
-    }
-    let rows = block.len() / dim;
-    if out.len() != rows {
-        return Err(BhError::InvalidArgument(format!(
-            "distance_batch: out len {} != row count {rows}",
+            "distance_batch: block len {} is not {} rows (out len) of dim {dim}",
+            block.len(),
             out.len()
         )));
     }
-    let tier = KernelTier::current();
-    match metric {
-        Metric::L2 => {
-            for (r, slot) in out.iter_mut().enumerate() {
-                let row = &block[r * dim..(r + 1) * dim];
-                *slot = match tier {
-                    #[cfg(target_arch = "x86_64")]
-                    KernelTier::Avx2 => unsafe { avx2::l2_sq(query, row) }, // SAFETY: tier checked: detect() verified avx2+fma
-                    #[cfg(target_arch = "aarch64")]
-                    KernelTier::Neon => unsafe { neon::l2_sq(query, row) }, // SAFETY: tier checked: detect() verified neon
-                    _ => scalar::l2_sq(query, row),
-                };
-            }
-        }
-        Metric::InnerProduct => {
-            for (r, slot) in out.iter_mut().enumerate() {
-                let row = &block[r * dim..(r + 1) * dim];
-                *slot = -match tier {
-                    #[cfg(target_arch = "x86_64")]
-                    KernelTier::Avx2 => unsafe { avx2::dot(query, row) }, // SAFETY: tier checked: detect() verified avx2+fma
-                    #[cfg(target_arch = "aarch64")]
-                    KernelTier::Neon => unsafe { neon::dot(query, row) }, // SAFETY: tier checked: detect() verified neon
-                    _ => scalar::dot(query, row),
-                };
-            }
-        }
-        Metric::Cosine => {
-            // Query norm once per block, not once per row.
-            let na2 = match tier {
-                #[cfg(target_arch = "x86_64")]
-                KernelTier::Avx2 => unsafe { avx2::dot(query, query) }, // SAFETY: tier checked: detect() verified avx2+fma
-                #[cfg(target_arch = "aarch64")]
-                KernelTier::Neon => unsafe { neon::dot(query, query) }, // SAFETY: tier checked: detect() verified neon
-                _ => scalar::dot(query, query),
-            };
-            let na = na2.sqrt();
-            for (r, slot) in out.iter_mut().enumerate() {
-                let row = &block[r * dim..(r + 1) * dim];
-                let (ab, _, nb2) = match tier {
-                    #[cfg(target_arch = "x86_64")]
-                    KernelTier::Avx2 => unsafe { avx2::cosine_terms(query, row) }, // SAFETY: tier checked: detect() verified avx2+fma
-                    #[cfg(target_arch = "aarch64")]
-                    KernelTier::Neon => unsafe { neon::cosine_terms(query, row) }, // SAFETY: tier checked: detect() verified neon
-                    _ => scalar::cosine_terms(query, row),
-                };
-                *slot = if na == 0.0 || nb2 == 0.0 { 1.0 } else { 1.0 - ab / (na * nb2.sqrt()) };
-            }
-        }
-    }
+    // Cosine's query norm once per block, not once per row.
+    let na = if metric == Metric::Cosine { dot_on(tier, query, query).sqrt() } else { 0.0 };
+    score_rows(tier, metric, query, na, |i| &block[i * dim..(i + 1) * dim], |_| {}, out);
     Ok(())
-}
-
-/// Rows ahead of the one being scored whose cache lines are requested.
-const GATHER_PREFETCH_ROWS: usize = 4;
-
-/// Request row `row` of a row-major block toward L1. No-op off `x86_64`.
-#[inline]
-fn prefetch_row(block: &[f32], dim: usize, row: usize) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        // `wrapping_add`: a row index past the block gives an address that
-        // is never dereferenced (the scoring loop rejects it first).
-        let start = block.as_ptr().wrapping_add(row.wrapping_mul(dim)).cast::<i8>();
-        for line in 0..(dim * 4).div_ceil(64) {
-            // SAFETY: prefetch is a hint; it does not access memory
-            // architecturally and cannot fault whatever the address.
-            unsafe { _mm_prefetch(start.wrapping_add(line * 64), _MM_HINT_T0) };
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (block, dim, row);
-    }
 }
 
 /// Distances from `query` to the rows of a row-major `block` listed in
 /// `rows`, written into `out` in list order: the filtered form of
 /// [`distance_batch`] (Plan A behind a selective predicate).
 ///
-/// The tier is resolved once, and the rows a few places ahead are
-/// prefetched while the current one is scored — selected rows are scattered,
-/// so without it every row waits out a memory latency the sequential scan
-/// never sees. Each row is still one `l2_sq` / `dot` / `cosine_terms` call of
-/// the tier, so every distance is bit-equal to [`Metric::distance`]'s.
+/// The same blocked loop, with the rows two groups ahead prefetched while
+/// the current group is scored — selected rows are scattered, so without it
+/// every group waits out a memory latency the sequential scan never sees.
+/// Cosine takes the query's `‖a‖²` from the fused kernel, so every distance
+/// is bit-equal to [`Metric::distance`]'s on every metric.
 ///
 /// Errors with [`BhError::InvalidArgument`] on any shape mismatch, a listed
 /// row beyond the block included.
@@ -414,19 +445,31 @@ fn gather_on(
             out.len()
         )));
     }
-    for (i, (&r, slot)) in rows.iter().zip(out.iter_mut()).enumerate() {
-        if let Some(&ahead) = rows.get(i + GATHER_PREFETCH_ROWS) {
-            prefetch_row(block, dim, ahead as usize);
-        }
-        let r = r as usize;
-        let row = block.get(r * dim..(r + 1) * dim).ok_or_else(|| {
-            BhError::InvalidArgument(format!(
-                "distance_gather: row {r} beyond a block of {} rows",
-                block.len() / dim
-            ))
-        })?;
-        *slot = distance_on(tier, metric, query, row);
+    let in_block = block.len() / dim;
+    if let Some(&r) = rows.iter().find(|&&r| r as usize >= in_block) {
+        return Err(BhError::InvalidArgument(format!(
+            "distance_gather: row {r} beyond a block of {in_block} rows"
+        )));
     }
+    // `‖query‖²` as the fused kernel computes it beside every row: it
+    // depends on the query alone, so this is the per-row value exactly.
+    let na = if metric == Metric::Cosine {
+        cosine_terms_on(tier, query, query).1.sqrt()
+    } else {
+        0.0
+    };
+    let row = |i: usize| {
+        let r = rows[i] as usize;
+        &block[r * dim..(r + 1) * dim]
+    };
+    // Listed rows are scattered: request the group after next.
+    let prefetch = |first: usize| {
+        let ahead = rows.get(first + GATHER_PREFETCH_ROWS..).unwrap_or_default();
+        for &r in ahead.iter().take(ROW_GROUP) {
+            prefetch_row(block, dim, r as usize);
+        }
+    };
+    score_rows(tier, metric, query, na, row, prefetch, out);
     Ok(())
 }
 
@@ -667,17 +710,28 @@ impl<'a> Codebook<'a> {
         query: &[f32],
         scratch: &mut Vec<f32>,
     ) -> Result<(usize, f32)> {
-        scratch.clear();
+        // Every slot is overwritten: no clearing.
         scratch.resize(self.k, 0.0);
         self.to_all::<false>(tier, query, scratch)?;
-        let mut best = 0;
-        for c in 1..self.k {
-            if scratch[c] < scratch[best] {
-                best = c;
-            }
-        }
-        Ok((best, scratch[best]))
+        Ok(first_lowest(scratch))
     }
+}
+
+/// Index and value of the first lowest of `d`: the answer of a
+/// `d[c] < d[best]` scan from index 0, NaN included. The running minimum
+/// is kept in a register, so no step waits on the previous step's load.
+///
+/// # Panics
+/// If `d` is empty.
+#[inline]
+pub(crate) fn first_lowest(d: &[f32]) -> (usize, f32) {
+    let (mut best, mut best_d) = (0, d[0]);
+    for (c, &x) in d.iter().enumerate().skip(1) {
+        if x < best_d {
+            (best, best_d) = (c, x);
+        }
+    }
+    (best, best_d)
 }
 
 // ------------------------------------------------------------------ scalar
@@ -939,6 +993,180 @@ mod avx2 {
                 i += 1;
             }
             (ab, aa, bb)
+        }
+    }
+
+    /// [`hsum`] of four vectors at once: lane `r` of the result is
+    /// `hsum(v[r])` bit for bit. `hsum` adds `s_i = v_i + v_{i+4}`, then
+    /// `(s_0 + s_2) + (s_1 + s_3)`; this does the same adds on transposed
+    /// operands, so each row's sum is rounded in the same order.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn hsum4(v: [__m256; 4]) -> [f32; 4] {
+        // SAFETY: lane-shuffle/add intrinsics only touch the values `v`; the
+        // store is into a local array of four floats; the fn contract
+        // guarantees AVX2 is available.
+        unsafe {
+            // [s(v0) | s(v1)] and [s(v2) | s(v3)].
+            let s01 = _mm256_add_ps(
+                _mm256_permute2f128_ps::<0x20>(v[0], v[1]),
+                _mm256_permute2f128_ps::<0x31>(v[0], v[1]),
+            );
+            let s23 = _mm256_add_ps(
+                _mm256_permute2f128_ps::<0x20>(v[2], v[3]),
+                _mm256_permute2f128_ps::<0x31>(v[2], v[3]),
+            );
+            // Per half: [s0+s2, t0+t2, s1+s3, t1+t3] of (v0, v2) | (v1, v3).
+            let t = _mm256_add_ps(_mm256_unpacklo_ps(s01, s23), _mm256_unpackhi_ps(s01, s23));
+            // Lanes 0 and 1 of each half: (s0 + s2) + (s1 + s3).
+            let u = _mm256_add_ps(t, _mm256_permute_ps::<0b01_00_11_10>(t));
+            let (lo, hi) = (_mm256_castps256_ps128(u), _mm256_extractf128_ps::<1>(u));
+            let mut out = [0.0f32; 4];
+            _mm_storeu_ps(out.as_mut_ptr(), _mm_unpacklo_ps(lo, hi));
+            out
+        }
+    }
+
+    /// `n` for a four-row kernel: the prefix every row and the query share.
+    #[inline(always)]
+    fn common_len(q: &[f32], rows: &[&[f32]; 4]) -> usize {
+        rows.iter().fold(q.len(), |n, r| n.min(r.len()))
+    }
+
+    /// [`l2_sq`] of `q` against four rows at once: eight independent FMA
+    /// chains, each row's `acc0` / `acc1`, horizontal sum and tail exactly
+    /// as the one-row kernel orders them, so each result has its bits.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA. Only the common prefix of `q` and
+    /// all four rows is read, via unaligned loads.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn l2_sq_x4(q: &[f32], rows: [&[f32]; 4]) -> [f32; 4] {
+        // SAFETY: the fn contract guarantees the required CPU features;
+        // every load/deref index is < n, the common prefix, and the SIMD
+        // loads are the unaligned variants.
+        unsafe {
+            let n = common_len(q, &rows);
+            let (pq, pr) = (q.as_ptr(), rows.map(<[f32]>::as_ptr));
+            let mut acc0 = [_mm256_setzero_ps(); 4];
+            let mut acc1 = [_mm256_setzero_ps(); 4];
+            let mut i = 0usize;
+            while i + 16 <= n {
+                let (q0, q1) = (_mm256_loadu_ps(pq.add(i)), _mm256_loadu_ps(pq.add(i + 8)));
+                for r in 0..4 {
+                    let d0 = _mm256_sub_ps(q0, _mm256_loadu_ps(pr[r].add(i)));
+                    let d1 = _mm256_sub_ps(q1, _mm256_loadu_ps(pr[r].add(i + 8)));
+                    acc0[r] = _mm256_fmadd_ps(d0, d0, acc0[r]);
+                    acc1[r] = _mm256_fmadd_ps(d1, d1, acc1[r]);
+                }
+                i += 16;
+            }
+            if i + 8 <= n {
+                let q0 = _mm256_loadu_ps(pq.add(i));
+                for r in 0..4 {
+                    let d = _mm256_sub_ps(q0, _mm256_loadu_ps(pr[r].add(i)));
+                    acc0[r] = _mm256_fmadd_ps(d, d, acc0[r]);
+                }
+                i += 8;
+            }
+            for (a0, a1) in acc0.iter_mut().zip(acc1) {
+                *a0 = _mm256_add_ps(*a0, a1);
+            }
+            let mut out = hsum4(acc0);
+            for (sum, p) in out.iter_mut().zip(pr) {
+                for j in i..n {
+                    let d = *pq.add(j) - *p.add(j);
+                    *sum += d * d;
+                }
+            }
+            out
+        }
+    }
+
+    /// [`dot`] of `q` against four rows at once, each with the one-row
+    /// kernel's bits (see [`l2_sq_x4`]).
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA. Only the common prefix of `q` and
+    /// all four rows is read, via unaligned loads.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn dot_x4(q: &[f32], rows: [&[f32]; 4]) -> [f32; 4] {
+        // SAFETY: the fn contract guarantees the required CPU features;
+        // every load/deref index is < n, the common prefix, and the SIMD
+        // loads are the unaligned variants.
+        unsafe {
+            let n = common_len(q, &rows);
+            let (pq, pr) = (q.as_ptr(), rows.map(<[f32]>::as_ptr));
+            let mut acc0 = [_mm256_setzero_ps(); 4];
+            let mut acc1 = [_mm256_setzero_ps(); 4];
+            let mut i = 0usize;
+            while i + 16 <= n {
+                let (q0, q1) = (_mm256_loadu_ps(pq.add(i)), _mm256_loadu_ps(pq.add(i + 8)));
+                for r in 0..4 {
+                    acc0[r] = _mm256_fmadd_ps(q0, _mm256_loadu_ps(pr[r].add(i)), acc0[r]);
+                    acc1[r] = _mm256_fmadd_ps(q1, _mm256_loadu_ps(pr[r].add(i + 8)), acc1[r]);
+                }
+                i += 16;
+            }
+            if i + 8 <= n {
+                let q0 = _mm256_loadu_ps(pq.add(i));
+                for r in 0..4 {
+                    acc0[r] = _mm256_fmadd_ps(q0, _mm256_loadu_ps(pr[r].add(i)), acc0[r]);
+                }
+                i += 8;
+            }
+            for (a0, a1) in acc0.iter_mut().zip(acc1) {
+                *a0 = _mm256_add_ps(*a0, a1);
+            }
+            let mut out = hsum4(acc0);
+            for (sum, p) in out.iter_mut().zip(pr) {
+                for j in i..n {
+                    *sum += *pq.add(j) * *p.add(j);
+                }
+            }
+            out
+        }
+    }
+
+    /// The `(a·b, ‖b‖²)` terms of [`cosine_terms`] for `q` against four
+    /// rows at once, each with the one-row kernel's bits; `‖a‖²` depends on
+    /// `q` alone and is the caller's.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA. Only the common prefix of `q` and
+    /// all four rows is read, via unaligned loads.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn cosine_terms_x4(q: &[f32], rows: [&[f32]; 4]) -> ([f32; 4], [f32; 4]) {
+        // SAFETY: the fn contract guarantees the required CPU features;
+        // every load/deref index is < n, the common prefix, and the SIMD
+        // loads are the unaligned variants.
+        unsafe {
+            let n = common_len(q, &rows);
+            let (pq, pr) = (q.as_ptr(), rows.map(<[f32]>::as_ptr));
+            let mut acc_ab = [_mm256_setzero_ps(); 4];
+            let mut acc_bb = [_mm256_setzero_ps(); 4];
+            let mut i = 0usize;
+            while i + 8 <= n {
+                let va = _mm256_loadu_ps(pq.add(i));
+                for r in 0..4 {
+                    let vb = _mm256_loadu_ps(pr[r].add(i));
+                    acc_ab[r] = _mm256_fmadd_ps(va, vb, acc_ab[r]);
+                    acc_bb[r] = _mm256_fmadd_ps(vb, vb, acc_bb[r]);
+                }
+                i += 8;
+            }
+            let (mut ab, mut bb) = (hsum4(acc_ab), hsum4(acc_bb));
+            for r in 0..4 {
+                for j in i..n {
+                    let (x, y) = (*pq.add(j), *pr[r].add(j));
+                    ab[r] += x * y;
+                    bb[r] += y * y;
+                }
+            }
+            (ab, bb)
         }
     }
 
@@ -1560,8 +1788,9 @@ mod tests {
         assert!(distance_batch(Metric::L2, &q, &block, 4, &mut out).is_ok());
     }
 
-    /// The argmin contract of [`Codebook::nearest`]: a `<` scan from 0.
-    fn first_lowest(d: &[f32]) -> usize {
+    /// The argmin contract of [`Codebook::nearest`] and [`first_lowest`]:
+    /// a `d[c] < d[best]` scan from 0.
+    fn first_lowest_scan(d: &[f32]) -> usize {
         (1..d.len()).fold(0, |best, c| if d[c] < d[best] { c } else { best })
     }
 
@@ -1594,7 +1823,7 @@ mod tests {
         let book = Codebook::new(rows, dim).unwrap();
         let (want_l2, want_dot): (Vec<f32>, Vec<f32>) =
             rows.chunks_exact(dim).map(|row| row_l2_and_dot(query, row)).unzip();
-        let best = first_lowest(&want_l2);
+        let best = first_lowest_scan(&want_l2);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for tier in runnable_tiers() {
             let mut out = vec![0.0f32; k];
@@ -1662,7 +1891,7 @@ mod tests {
             }
             assert_eq!(got, want);
         }
-        let best = first_lowest(&want_l2(&query, &rows, dim));
+        let best = first_lowest_scan(&want_l2(&query, &rows, dim));
         assert_eq!(book.nearest(&query, &mut Vec::new()).unwrap().0, best);
         let mut row = Vec::new();
         book.extend_row(5, &mut row);
@@ -1719,6 +1948,65 @@ mod tests {
             let book = Codebook::new(&rows, dim).unwrap();
             book.extend_row(k - 1, &mut row);
             prop_assert_eq!(&row[..], &rows[(k - 1) * dim..]);
+        }
+
+        /// The blocked loop returns the one-row kernels' bits on every tier
+        /// this machine runs, for every remainder of four rows: contiguous
+        /// rows as `distance_batch` defines them (cosine's query norm from
+        /// `dot(q, q)`), listed rows — repeats and disorder included — as
+        /// `Metric::distance` does.
+        #[test]
+        fn prop_blocked_loop_is_bit_identical_to_row_kernels(
+            dim in 1usize..=257,
+            n in 0usize..=9,
+            seed in any::<u64>(),
+        ) {
+            let value = |j: u64| {
+                (bh_common::rng::derive_seed(seed, j) >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+            };
+            let query: Vec<f32> = (0..dim as u64).map(|d| value(u64::MAX - d)).collect();
+            let mut block: Vec<f32> = (0..(n * dim) as u64).map(value).collect();
+            if n > 1 {
+                block[dim..2 * dim].fill(0.0); // a zero row: cosine's special case
+            }
+            let listed: Vec<u32> = (0..n as u64 * 2)
+                .map(|j| (bh_common::rng::derive_seed(!seed, j) % n as u64) as u32)
+                .collect();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for tier in runnable_tiers() {
+                for metric in [Metric::L2, Metric::InnerProduct, Metric::Cosine] {
+                    let per_row = |row: &[f32], hoisted: bool| match metric {
+                        Metric::L2 => l2_on(tier, &query, row),
+                        Metric::InnerProduct => -dot_on(tier, &query, row),
+                        Metric::Cosine => {
+                            let (ab, na2, nb2) = cosine_terms_on(tier, &query, row);
+                            let na2 = if hoisted { dot_on(tier, &query, &query) } else { na2 };
+                            if na2 == 0.0 || nb2 == 0.0 {
+                                1.0
+                            } else {
+                                1.0 - ab / (na2.sqrt() * nb2.sqrt())
+                            }
+                        }
+                    };
+                    let mut out = vec![0.0f32; n];
+                    batch_on(tier, metric, &query, &block, dim, &mut out).unwrap();
+                    let want: Vec<f32> =
+                        block.chunks_exact(dim).map(|r| per_row(r, true)).collect();
+                    prop_assert_eq!(bits(&out), bits(&want), "{:?} {:?} contiguous", tier, metric);
+
+                    let rows: Vec<&[f32]> =
+                        listed.iter().map(|&r| &block[r as usize * dim..][..dim]).collect();
+                    let mut out = vec![0.0f32; listed.len()];
+                    gather_on(tier, metric, &query, &block, dim, &listed, &mut out).unwrap();
+                    let want: Vec<f32> = rows.iter().map(|r| per_row(r, false)).collect();
+                    prop_assert_eq!(bits(&out), bits(&want), "{:?} {:?} listed", tier, metric);
+                    if tier == KernelTier::current() {
+                        let want: Vec<f32> =
+                            rows.iter().map(|r| metric.distance(&query, r)).collect();
+                        prop_assert_eq!(bits(&out), bits(&want), "{:?} Metric::distance", metric);
+                    }
+                }
+            }
         }
 
         #[test]

@@ -24,7 +24,7 @@
 //! never *published* to the bound.
 
 use crate::codec::{Reader, Writer};
-use crate::distance::distance_batch;
+use crate::distance::scan_distances;
 use crate::flat::{metric_from_u8, metric_to_u8};
 use crate::iterator::{GenericSearchIterator, SearchIterator};
 use crate::kmeans::{train_kmeans, KMeans, KMeansParams};
@@ -127,10 +127,11 @@ impl IvfIndex {
         q
     }
 
-    /// Scan one flat cell into `out`. Posting lists hold raw vectors, so
-    /// distances are exact (in the post-scale domain for cosine): rows the
-    /// shared bound beats are dropped and the local k-th is published.
-    /// Returns how many rows were scored.
+    /// Scan one flat cell into `out` through the exact blocked scan: the
+    /// whole posting list, or the positions in `passing` the filter keeps.
+    /// Posting lists hold raw vectors, so distances are exact (in the
+    /// post-scale domain for cosine): rows the shared bound beats are
+    /// dropped and the local k-th is published.
     fn scan_flat_cell(
         &self,
         vectors: &[f32],
@@ -138,33 +139,20 @@ impl IvfIndex {
         q: &[f32],
         filter: Option<&Bitset>,
         out: &mut BoundedTopK<'_>,
-        dists: &mut Vec<f32>,
-    ) -> usize {
+        passing: &mut Vec<u32>,
+    ) -> Result<()> {
+        let listed = filter.map(|f| {
+            passing.clear();
+            passing.extend(
+                (0..cell_ids.len() as u32).filter(|&i| f.contains(cell_ids[i as usize] as usize)),
+            );
+            &passing[..]
+        });
         let scale = self.post_scale();
-        if filter.is_none() && !cell_ids.is_empty() {
-            // The whole posting list is scanned: use the batched kernel over
-            // the cell's contiguous row-major block.
-            dists.clear();
-            dists.resize(cell_ids.len(), 0.0);
-            if distance_batch(self.effective_metric(), q, vectors, self.dim, dists).is_ok() {
-                for (&d, &id) in dists.iter().zip(cell_ids) {
-                    let d = d * scale;
-                    out.offer(d, d, id);
-                }
-                return cell_ids.len();
-            }
-        }
-        let mut scored = 0;
-        for (i, &id) in cell_ids.iter().enumerate() {
-            if filter.is_some_and(|f| !f.contains(id as usize)) {
-                continue;
-            }
-            let row = &vectors[i * self.dim..(i + 1) * self.dim];
-            let d = self.effective_metric().distance(q, row) * scale;
-            out.offer(d, d, id);
-            scored += 1;
-        }
-        scored
+        scan_distances(self.effective_metric(), q, vectors, self.dim, listed, |row, d| {
+            let d = d * scale;
+            out.offer(d, d, cell_ids[row]);
+        })
     }
 
     /// Scan one PQ cell, pushing approximate distances into `tk`. Returns
@@ -351,18 +339,15 @@ impl VectorIndex for IvfIndex {
         }
         let q = self.prep_query(query);
         let nprobe = params.nprobe.clamp(1, self.nlist());
-        let probes = self.coarse.nearest_centroids(&q, nprobe);
+        let probes = self.coarse.nearest_centroids(&q, nprobe)?;
         match &self.cells {
             Cells::Flat { vectors } => {
-                let mut dists: Vec<f32> = Vec::new();
+                let mut passing = Vec::new();
                 let mut out = BoundedTopK::new(k, bound, true);
-                let mut scored = 0;
                 for (cell, _) in probes {
                     let ids = &self.ids[cell];
-                    scored +=
-                        self.scan_flat_cell(&vectors[cell], ids, &q, filter, &mut out, &mut dists);
+                    self.scan_flat_cell(&vectors[cell], ids, &q, filter, &mut out, &mut passing)?;
                 }
-                QueryCtx::with(|c| c.tally.rows_scanned.add(scored as u64));
                 Ok(out.finish())
             }
             Cells::Pq { pq, store, margins } => {
@@ -519,6 +504,21 @@ pub struct IvfBuilder {
     len: usize,
     /// Where PQ sub-quantizers and row tiles fan out.
     pool: Arc<FanoutPool>,
+    /// What the residual pass of `train` computed (PQ kinds), until the
+    /// first `add_with_ids`.
+    trained: Option<TrainedRows>,
+    /// Rows assigned to a coarse cell so far: one per row and build when
+    /// `add_with_ids` is handed the rows `train` saw.
+    assigned: usize,
+}
+
+/// The rows `train` was handed (normalized for cosine) and each row's
+/// coarse cell. `add_with_ids` reuses the cells when its rows equal these
+/// bit for bit, which they do when the table store builds a segment's
+/// index: it trains on the segment's column and adds the same column.
+struct TrainedRows {
+    rows: Vec<f32>,
+    cells: Vec<usize>,
 }
 
 /// Rows per fan-out task of the residual pass and of `add_with_ids`: small
@@ -526,19 +526,25 @@ pub struct IvfBuilder {
 /// that claiming a tile is noise next to assigning and encoding it.
 const TILE_ROWS: usize = 128;
 
-/// `task` over every tile of `TILE_ROWS` rows of `vectors`, side by side on
-/// `pool`; results in tile order.
+/// `task(first_row, rows)` over every tile of `TILE_ROWS` rows of
+/// `vectors`, side by side on `pool`; results in tile order.
 fn run_tiles<T: Send + Sync>(
     pool: &FanoutPool,
     vectors: &[f32],
     dim: usize,
-    task: impl Fn(&[f32]) -> Result<T> + Sync,
+    task: impl Fn(usize, &[f32]) -> Result<T> + Sync,
 ) -> Result<Vec<T>> {
     let tile = TILE_ROWS * dim;
     pool.run(vectors.len().div_ceil(tile), usize::MAX, |t| {
-        task(&vectors[t * tile..((t + 1) * tile).min(vectors.len())])
+        task(t * TILE_ROWS, &vectors[t * tile..((t + 1) * tile).min(vectors.len())])
     })
     .into_results()
+}
+
+/// Whether two blocks hold the same floats, bit for bit (`-0.0` and
+/// `+0.0` differ, a NaN equals itself).
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// What one tile of `add_with_ids` computes before anything is appended.
@@ -589,6 +595,8 @@ impl IvfBuilder {
             max_sq_err: Vec::new(),
             len: 0,
             pool,
+            trained: None,
+            assigned: 0,
         })
     }
 
@@ -660,16 +668,20 @@ impl IndexBuilder for IvfBuilder {
 
         if matches!(self.kind, IndexKind::IvfPq | IndexKind::IvfPqFs) {
             // Train PQ on residuals against the coarse centroids.
-            let residuals = run_tiles(&self.pool, &sample, dim, |rows| {
-                let mut out = Vec::with_capacity(rows.len());
+            let tiles = run_tiles(&self.pool, &sample, dim, |_, rows| {
+                let mut cells = Vec::with_capacity(rows.len() / dim);
+                let mut residuals = Vec::with_capacity(rows.len());
                 let mut dists = Vec::new();
                 for v in rows.chunks_exact(dim) {
-                    let c = coarse.centroid(coarse.assign_into(v, &mut dists));
-                    out.extend(v.iter().zip(c).map(|(a, b)| a - b));
+                    let cell = coarse.assign_into(v, &mut dists)?;
+                    cells.push(cell);
+                    residuals.extend(v.iter().zip(coarse.centroid(cell)).map(|(a, b)| a - b));
                 }
-                Ok(out)
-            })?
-            .concat();
+                Ok((cells, residuals))
+            })?;
+            self.assigned += n;
+            let (cells, residuals): (Vec<_>, Vec<_>) = tiles.into_iter().unzip();
+            let residuals = residuals.concat();
             let bits = if self.kind == IndexKind::IvfPqFs { CodeBits::B4 } else { CodeBits::B8 };
             let m = self.pq_m()?;
             let metric = if self.spec.metric == Metric::Cosine { Metric::L2 } else { self.spec.metric };
@@ -686,6 +698,7 @@ impl IndexBuilder for IvfBuilder {
             }
             self.max_sq_err = vec![0.0; m];
             self.pq = Some(pq);
+            self.trained = Some(TrainedRows { rows: sample.into_owned(), cells: cells.concat() });
         } else {
             self.flat = vec![Vec::new(); nlist];
         }
@@ -711,11 +724,16 @@ impl IndexBuilder for IvfBuilder {
             return Err(BhError::Internal("ivf: untrained payload".into()));
         }
         let cs = pq.map_or(0, Pq::code_size);
+        // The rows `train` just assigned: their cells stand.
+        let trained = self.trained.take().filter(|t| same_bits(&t.rows, &vectors));
+        if trained.is_none() {
+            self.assigned += n;
+        }
 
         // Per tile, side by side: the cell of every row and, for PQ
         // payloads, its code and encoding errors, in buffers the tile's
         // rows share.
-        let tiles = run_tiles(&self.pool, &vectors, dim, |rows| {
+        let tiles = run_tiles(&self.pool, &vectors, dim, |first, rows| {
             let mut tile = EncodedTile {
                 cells: Vec::with_capacity(rows.len() / dim),
                 codes: vec![0u8; rows.len() / dim * cs],
@@ -725,7 +743,11 @@ impl IndexBuilder for IvfBuilder {
             let mut resid = vec![0.0f32; dim];
             let mut errs = vec![0.0f32; self.max_sq_err.len()];
             for (r, v) in rows.chunks_exact(dim).enumerate() {
-                let cell = coarse.assign_into(v, &mut dists);
+                let at = first + r;
+                let cell = match &trained {
+                    Some(t) => t.cells[at],
+                    None => coarse.assign_into(v, &mut dists)?,
+                };
                 tile.cells.push(cell);
                 let Some(pq) = pq else { continue };
                 for ((x, a), b) in resid.iter_mut().zip(v).zip(coarse.centroid(cell)) {
@@ -1160,6 +1182,37 @@ mod tests {
                 })
                 .collect();
             assert!(blobs.windows(2).all(|w| w[0] == w[1]), "{kind:?}: bytes depend on the pool");
+        }
+    }
+
+    /// `add_with_ids` handed the rows `train` saw (equal by content: here a
+    /// copy at another address) reuses their coarse cells, so a PQ
+    /// build assigns each row once instead of twice, and the blob is the one
+    /// the fresh path builds when the same rows arrive in two batches.
+    #[test]
+    fn add_reuses_the_training_assignment_byte_for_byte() {
+        let (dim, rows, split) = (16, 700, 300);
+        let data = clustered_det(rows, dim, 5);
+        let copy = data.clone();
+        let ids: Vec<u64> = (0..rows as u64).collect();
+        for kind in [IndexKind::IvfFlat, IndexKind::IvfPq, IndexKind::IvfPqFs] {
+            for metric in [Metric::L2, Metric::Cosine] {
+                let spec = IndexSpec::new(kind, dim, metric).with_param("seed", 4);
+                let mut reused = Box::new(IvfBuilder::new(&spec, kind).unwrap());
+                reused.train(&data).unwrap();
+                reused.add_with_ids(&copy, &ids).unwrap();
+                let mut fresh = Box::new(IvfBuilder::new(&spec, kind).unwrap());
+                fresh.train(&data).unwrap();
+                fresh.add_with_ids(&copy[..split * dim], &ids[..split]).unwrap();
+                fresh.add_with_ids(&copy[split * dim..], &ids[split..]).unwrap();
+                // IVFFLAT's `train` has no residual pass and assigns nothing.
+                let fresh_assigned = if kind == IndexKind::IvfFlat { rows } else { 2 * rows };
+                assert_eq!((reused.assigned, fresh.assigned), (rows, fresh_assigned), "{kind:?}");
+                let blob = |b: Box<IvfBuilder>| {
+                    (b as Box<dyn IndexBuilder>).finish().unwrap().save_bytes().unwrap()
+                };
+                assert_eq!(blob(reused), blob(fresh), "{kind:?} {metric:?}");
+            }
         }
     }
 

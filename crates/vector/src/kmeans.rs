@@ -5,7 +5,7 @@
 //! partitioning (§IV-B). Clustering always uses squared-L2 internally —
 //! cosine-metric callers normalize their vectors first.
 
-use crate::distance::{distance_batch, l2_sq, Codebook, Metric};
+use crate::distance::{distance_batch, first_lowest, l2_sq, Codebook, Metric};
 use bh_common::rng::derived_rng;
 use bh_common::{BhError, Result};
 use rand::seq::SliceRandom;
@@ -62,54 +62,34 @@ impl KMeans {
     }
 
     /// Index of the nearest centroid.
-    pub fn assign(&self, v: &[f32]) -> usize {
-        let mut dists = Vec::new();
-        self.assign_into(v, &mut dists)
+    pub fn assign(&self, v: &[f32]) -> Result<usize> {
+        self.assign_into(v, &mut Vec::new())
     }
 
     /// As [`KMeans::assign`], reusing a caller-provided distance buffer so
     /// tight loops (Lloyd iterations, IVF `add_with_ids`) do not allocate per
-    /// point. The batched kernel scans the whole `k × dim` centroid table.
-    pub fn assign_into(&self, v: &[f32], dists: &mut Vec<f32>) -> usize {
+    /// point. The batched kernel scans the whole `k × dim` centroid table;
+    /// of several centroids at the same distance the lowest index wins.
+    /// Errors when `v` is not `dim` long.
+    pub fn assign_into(&self, v: &[f32], dists: &mut Vec<f32>) -> Result<usize> {
+        if self.k == 0 {
+            return Err(BhError::InvalidArgument("kmeans: no centroids to assign to".into()));
+        }
         dists.resize(self.k, 0.0);
-        if v.len() == self.dim
-            && distance_batch(Metric::L2, v, &self.centroids, self.dim, dists).is_ok()
-        {
-            let mut best = 0;
-            for c in 1..self.k {
-                if dists[c] < dists[best] {
-                    best = c;
-                }
-            }
-            return best;
-        }
-        // Out-of-contract query shape: keep the legacy truncating scan.
-        let mut best = 0;
-        let mut best_d = f32::INFINITY;
-        for c in 0..self.k {
-            let d = l2_sq(v, self.centroid(c));
-            if d < best_d {
-                best_d = d;
-                best = c;
-            }
-        }
-        best
+        distance_batch(Metric::L2, v, &self.centroids, self.dim, dists)?;
+        Ok(first_lowest(dists).0)
     }
 
     /// The `m` nearest centroids with distances, ascending. Used for IVF
-    /// probe selection and semantic segment pruning.
-    pub fn nearest_centroids(&self, v: &[f32], m: usize) -> Vec<(usize, f32)> {
+    /// probe selection and semantic segment pruning. Errors when `v` is not
+    /// `dim` long.
+    pub fn nearest_centroids(&self, v: &[f32], m: usize) -> Result<Vec<(usize, f32)>> {
         let mut dists = vec![0.0f32; self.k];
-        let mut all: Vec<(usize, f32)> = if v.len() == self.dim
-            && distance_batch(Metric::L2, v, &self.centroids, self.dim, &mut dists).is_ok()
-        {
-            dists.iter().copied().enumerate().collect()
-        } else {
-            (0..self.k).map(|c| (c, l2_sq(v, self.centroid(c)))).collect()
-        };
+        distance_batch(Metric::L2, v, &self.centroids, self.dim, &mut dists)?;
+        let mut all: Vec<(usize, f32)> = dists.into_iter().enumerate().collect();
         all.sort_by(|a, b| a.1.total_cmp(&b.1));
         all.truncate(m);
-        all
+        Ok(all)
     }
 }
 
@@ -290,7 +270,7 @@ mod tests {
         // Every pair of same-label points must land in the same cluster and
         // different-label points in different clusters.
         let assignment: Vec<usize> =
-            (0..150).map(|i| km.assign(&data[i * dim..(i + 1) * dim])).collect();
+            (0..150).map(|i| km.assign(&data[i * dim..(i + 1) * dim]).unwrap()).collect();
         for i in 0..150 {
             for j in 0..150 {
                 assert_eq!(
@@ -329,7 +309,7 @@ mod tests {
     fn identical_points_do_not_crash() {
         let data = vec![5.0f32; 40]; // 10 identical 4-d points
         let km = train_kmeans(&data, 4, &KMeansParams::new(3)).unwrap();
-        assert_eq!(km.assign(&[5.0; 4]), km.assign(&[5.0; 4]));
+        assert_eq!(km.assign(&[5.0; 4]).unwrap(), km.assign(&[5.0; 4]).unwrap());
     }
 
     #[test]
@@ -337,12 +317,23 @@ mod tests {
         let (data, _) = blobs(40, 2, 3);
         let km = train_kmeans(&data, 2, &KMeansParams::new(3).with_seed(1)).unwrap();
         let q = vec![9.5, 9.5];
-        let near = km.nearest_centroids(&q, 3);
+        let near = km.nearest_centroids(&q, 3).unwrap();
         assert_eq!(near.len(), 3);
         for w in near.windows(2) {
             assert!(w[0].1 <= w[1].1);
         }
-        assert_eq!(near[0].0, km.assign(&q));
+        assert_eq!(near[0].0, km.assign(&q).unwrap());
+    }
+
+    #[test]
+    fn wrong_dimension_is_an_error_not_a_truncated_scan() {
+        let (data, _) = blobs(20, 4, 5);
+        let km = train_kmeans(&data, 4, &KMeansParams::new(3).with_seed(2)).unwrap();
+        for v in [&data[..3], &data[..5], &[][..]] {
+            assert!(km.assign(v).is_err(), "{} dims", v.len());
+            assert!(km.assign_into(v, &mut Vec::new()).is_err());
+            assert!(km.nearest_centroids(v, 2).is_err());
+        }
     }
 
     #[test]
@@ -353,7 +344,7 @@ mod tests {
         // All three blob centers should have a centroid within 2.0.
         for c in [-10.0f32, 0.0, 10.0] {
             let q = vec![c, c];
-            let (_, d) = km.nearest_centroids(&q, 1)[0];
+            let (_, d) = km.nearest_centroids(&q, 1).unwrap()[0];
             assert!(d < 4.0, "no centroid near blob at {c}: d={d}");
         }
     }
