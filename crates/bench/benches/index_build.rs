@@ -1,18 +1,20 @@
-//! IVF/PQ build path (DESIGN.md §10.5): the dimension-major nearest-centroid
+//! IVF/PQ build path (DESIGN.md §10.5): the point-slab nearest-centroid
 //! kernel against the per-row dispatch it replaced, and what it and the
 //! subspace / row-tile fan-out make of a whole index build.
 //!
-//! Four tables, bottom row of the write path's cost first:
+//! Five tables, bottom row of the write path's cost first:
 //!
 //! 1. ns per (point, codebook) for "nearest of `k` centroids at `dim`" —
-//!    `distance_batch` + a first-lowest scan (the shape `train_kmeans`,
-//!    `Pq::encode` and `Pq::adc_table` used to have) vs `Codebook::nearest`,
-//!    at (k, dim) = (16, 4), (256, 4), (16, 2). Index and distance bits are
-//!    asserted equal before anything is timed.
+//!    `distance_batch` + a first-lowest scan per point (the shape k-means,
+//!    `Pq::encode` and `Pq::adc_table` once had) vs one
+//!    `Codebook::nearest_in` call over all points, at (k, dim) = (16, 4),
+//!    (256, 4), (16, 2). Index and distance bits are asserted equal before
+//!    anything is timed.
 //! 2. ns per ADC table (one probed cell of an IVFPQ / IVFPQFS search).
 //! 3. `train` / `add_with_ids` ns per row for IVFFLAT / IVFPQ / IVFPQFS at
 //!    512 / 4,096 / 16,384 rows × dim 64, on a pool without helpers and on
-//!    one sized to the machine. The two blobs are asserted byte-identical.
+//!    one sized to the machine. The two blobs are asserted byte-identical,
+//!    and on the AVX2 tier the IVFPQFS blobs' FNV-1a against constants.
 //! 4. The stages of an IVFPQFS `train` — coarse k-means, residual pass, PQ
 //!    training — timed through the same public functions with the builder's
 //!    parameters, plus `add_with_ids`, at 512 and 16,128 rows (the insert
@@ -22,6 +24,13 @@
 //!    IVFPQFS table with a compaction after every 8th, the write schedule
 //!    of `ingest_mixed` — and the share of its wall time the
 //!    `table.index_*_ns` / `table.compact_ns` histograms put in each stage.
+//!
+//! Every build, stage and write-pass row also carries the exact k-means
+//! work behind it (`bh_vector::kmeans::work_done`): Lloyd iterations,
+//! seeding rounds and point–centroid distance evaluations. They follow from
+//! the data, the parameters and the distance bits, are asserted equal
+//! across the repeats and pool sizes of a row, and a change that moves them
+//! changed the algorithm, not its speed.
 //!
 //! Besides the printed tables, results are written to
 //! `target/bench-fresh/BENCH_build.json` in the schema of the committed
@@ -33,7 +42,7 @@ use bh_common::FanoutPool;
 use bh_vector::autoindex::auto_nlist;
 use bh_vector::distance::{distance_batch, Codebook, KernelTier};
 use bh_vector::ivf::IvfBuilder;
-use bh_vector::kmeans::{train_kmeans, KMeansParams};
+use bh_vector::kmeans::{train_kmeans_on, work_done, KMeansParams, KMeansWork};
 use bh_vector::quant::pq::{AdcTable, CodeBits, Pq, PqParams};
 use bh_vector::{IndexBuilder, IndexKind, IndexSpec, Metric};
 use blendhouse::Database;
@@ -51,12 +60,36 @@ fn values(n: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
+/// FNV-1a of the IVFPQFS blobs at 512 / 4,096 / 16,384 rows on the AVX2
+/// tier: the bytes `golden_build_blob_identity` pins, at bench scale.
+const IVFPQFS_BLOB_FNV: [(usize, u64); 3] = [
+    (512, 0x7668_134b_feb9_6694),
+    (4_096, 0x0630_f3d9_7071_f545),
+    (16_384, 0x1885_6f9d_759b_eaf1),
+];
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The JSON fields of a row's exact k-means work.
+fn work_json(w: KMeansWork) -> String {
+    format!(
+        "\"lloyd_iters\": {}, \"seed_rounds\": {}, \"point_centroid_evals\": {}",
+        w.lloyd_iters, w.seed_rounds, w.evals
+    )
+}
+
 /// `(per_row_ns, kernel_ns)` per (point, codebook) at one shape.
 fn time_nearest(k: usize, dim: usize) -> (f64, f64) {
     let points = 8_192;
     let rows = values(k * dim, 1);
     let data = values(points * dim, 2);
     let book = Codebook::new(&rows, dim).unwrap();
+    let slab = Codebook::new(&data, dim).unwrap();
+    let mut near = vec![(0u32, 0.0f32); points];
     let mut dists = vec![0.0f32; k];
     let per_row = |p: &[f32], dists: &mut Vec<f32>| {
         distance_batch(Metric::L2, p, &rows, dim, dists).unwrap();
@@ -68,19 +101,16 @@ fn time_nearest(k: usize, dim: usize) -> (f64, f64) {
         }
         (best, dists[best])
     };
-    for p in data.chunks_exact(dim) {
-        let (a, b) = (
-            per_row(p, &mut dists),
-            book.nearest(p, &mut Vec::new()).unwrap(),
-        );
+    slab.nearest_in(&book, 0, &mut near).unwrap();
+    for (p, &(c, d)) in data.chunks_exact(dim).zip(&near) {
+        let a = per_row(p, &mut dists);
         assert_eq!(
             (a.0, a.1.to_bits()),
-            (b.0, b.1.to_bits()),
+            (c as usize, d.to_bits()),
             "k {k} dim {dim}"
         );
     }
     let (mut old, mut new) = (Vec::new(), Vec::new());
-    let mut scratch = Vec::new();
     for _ in 0..REPS {
         let t = Timer::start();
         let mut acc = 0usize;
@@ -91,11 +121,8 @@ fn time_nearest(k: usize, dim: usize) -> (f64, f64) {
         old.push(t.secs() * 1e9 / points as f64);
 
         let t = Timer::start();
-        let mut acc = 0usize;
-        for p in data.chunks_exact(dim) {
-            acc += book.nearest(p, &mut scratch).unwrap().0;
-        }
-        black_box(acc);
+        slab.nearest_in(&book, 0, &mut near).unwrap();
+        black_box(&near);
         new.push(t.secs() * 1e9 / points as f64);
     }
     (median(old), median(new))
@@ -128,6 +155,7 @@ struct BuildTimes {
     train_ns_per_row: f64,
     add_ns_per_row: f64,
     blob: Vec<u8>,
+    work: KMeansWork,
 }
 
 /// One IVF build on `pool`, the way the table store drives it.
@@ -136,12 +164,14 @@ fn build(kind: IndexKind, data: &[f32], pool: &Arc<FanoutPool>) -> BuildTimes {
     let spec = IndexSpec::new(kind, DIM, Metric::L2).with_param("nlist", auto_nlist(rows));
     let ids: Vec<u64> = (0..rows as u64).collect();
     let mut b = Box::new(IvfBuilder::with_pool(&spec, kind, Arc::clone(pool)).unwrap());
+    let before = work_done();
     let t = Timer::start();
     b.train(data).unwrap();
     let train_ns_per_row = t.secs() * 1e9 / rows as f64;
     let t = Timer::start();
     b.add_with_ids(data, &ids).unwrap();
     let add_ns_per_row = t.secs() * 1e9 / rows as f64;
+    let work = work_done() - before;
     let blob = (b as Box<dyn IndexBuilder>)
         .finish()
         .unwrap()
@@ -152,23 +182,33 @@ fn build(kind: IndexKind, data: &[f32], pool: &Arc<FanoutPool>) -> BuildTimes {
         train_ns_per_row,
         add_ns_per_row,
         blob,
+        work,
     }
 }
 
-/// Median-of-three build times on one pool; every blob must be `want`'s.
+/// What every run of one build must reproduce: the blob and the k-means
+/// work behind it.
+type Built = Option<(Vec<u8>, KMeansWork)>;
+
+/// Median-of-three build times on one pool; every blob and work count must
+/// be `want`'s.
 fn time_build(
     kind: IndexKind,
     data: &[f32],
     pool: &Arc<FanoutPool>,
-    want: &mut Option<Vec<u8>>,
+    want: &mut Built,
 ) -> (f64, f64) {
     let (mut train, mut add) = (Vec::new(), Vec::new());
     for _ in 0..3 {
         let times = build(kind, data, pool);
-        let want = want.get_or_insert_with(|| times.blob.clone());
+        let want = want.get_or_insert_with(|| (times.blob.clone(), times.work));
         assert!(
-            *want == times.blob,
+            want.0 == times.blob,
             "{kind:?}: blob depends on the pool or the run"
+        );
+        assert_eq!(
+            want.1, times.work,
+            "{kind:?}: k-means work depends on the pool or the run"
         );
         train.push(times.train_ns_per_row);
         add.push(times.add_ns_per_row);
@@ -177,14 +217,18 @@ fn time_build(
 }
 
 /// The stages of an IVFPQFS `train` on `pool`, ns per row: coarse k-means,
-/// residual pass, PQ training — the builder's own parameters.
-fn time_stages(data: &[f32], pool: &FanoutPool) -> [f64; 3] {
+/// residual pass, PQ training — the builder's own parameters — and the
+/// k-means work of the two trainings, asserted equal across the repeats.
+fn time_stages(data: &[f32], pool: &FanoutPool) -> ([f64; 3], KMeansWork) {
     let rows = data.len() / DIM;
     let nlist = auto_nlist(rows);
     let mut samples = [Vec::new(), Vec::new(), Vec::new()];
+    let mut work = None;
     for _ in 0..3 {
+        let before = work_done();
         let t = Timer::start();
-        let coarse = train_kmeans(
+        let coarse = train_kmeans_on(
+            pool,
             data,
             DIM,
             &KMeansParams {
@@ -215,14 +259,21 @@ fn time_stages(data: &[f32], pool: &FanoutPool) -> [f64; 3] {
         };
         black_box(Pq::train_on(pool, &residuals, DIM, Metric::L2, &params).unwrap());
         samples[2].push(t.secs() * 1e9 / rows as f64);
+        let done = work_done() - before;
+        assert_eq!(
+            *work.get_or_insert(done),
+            done,
+            "stage work depends on the run"
+        );
     }
-    samples.map(median)
+    (samples.map(median), work.expect("three repeats"))
 }
 
 /// One write pass through the facade; `[wall, train, add, serialize,
 /// compact]` in ms, the last four from the table store's own histograms
-/// (index builds inside a compaction count in both).
-fn write_pass(data: &[f32]) -> [f64; 5] {
+/// (index builds inside a compaction count in both), and the k-means work
+/// of the pass.
+fn write_pass(data: &[f32]) -> ([f64; 5], KMeansWork) {
     let (inserts, batch) = (32, 512);
     let sqls: Vec<String> = (0..inserts)
         .map(|b| {
@@ -240,6 +291,7 @@ fn write_pass(data: &[f32]) -> [f64; 5] {
         "CREATE TABLE t (id UInt64, emb Array(Float32), INDEX ann emb TYPE IVFPQFS('DIM={DIM}')) ORDER BY id"
     ))
     .unwrap();
+    let before = work_done();
     let t = Timer::start();
     for (b, sql) in sqls.iter().enumerate() {
         db.execute(sql).unwrap();
@@ -248,14 +300,18 @@ fn write_pass(data: &[f32]) -> [f64; 5] {
         }
     }
     let wall = t.secs() * 1e3;
+    let work = work_done() - before;
     let ms = |name: &str| db.metrics().histogram(name).snapshot().sum.as_secs_f64() * 1e3;
-    [
-        wall,
-        ms("table.index_train_ns"),
-        ms("table.index_add_ns"),
-        ms("table.index_serialize_ns"),
-        ms("table.compact_ns"),
-    ]
+    (
+        [
+            wall,
+            ms("table.index_train_ns"),
+            ms("table.index_add_ns"),
+            ms("table.index_serialize_ns"),
+            ms("table.compact_ns"),
+        ],
+        work,
+    )
 }
 
 fn main() {
@@ -324,9 +380,19 @@ fn main() {
     let mut build_json = Vec::new();
     for kind in [IndexKind::IvfFlat, IndexKind::IvfPq, IndexKind::IvfPqFs] {
         for n in [512usize, 4_096, 16_384] {
-            let mut blob = None;
+            let mut built = None;
             for (pool, helpers) in [(&solo, 0), (&machine, cores - 1)] {
-                let (train, add) = time_build(kind, &data[..n * DIM], pool, &mut blob);
+                let (train, add) = time_build(kind, &data[..n * DIM], pool, &mut built);
+                let (blob, work) = built.as_ref().expect("built");
+                let fnv = fnv1a(blob);
+                if kind == IndexKind::IvfPqFs && KernelTier::current() == KernelTier::Avx2 {
+                    let want = IVFPQFS_BLOB_FNV
+                        .iter()
+                        .find(|&&(rows, _)| rows == n)
+                        .expect("a constant per size")
+                        .1;
+                    assert_eq!(fnv, want, "IVFPQFS blob at {n} rows: {fnv:#018x}");
+                }
                 rows.push(vec![
                     kind.name().to_string(),
                     format!("{n}"),
@@ -336,8 +402,10 @@ fn main() {
                 ]);
                 build_json.push(format!(
                     "    {{ \"kind\": \"{}\", \"rows\": {n}, \"pool_helpers\": {helpers}, \
-                     \"train_ns_per_row\": {train:.0}, \"add_ns_per_row\": {add:.0} }}",
-                    kind.name()
+                     \"train_ns_per_row\": {train:.0}, \"add_ns_per_row\": {add:.0}, {}, \
+                     \"blob_fnv\": \"{fnv:#018x}\" }}",
+                    kind.name(),
+                    work_json(*work)
                 ));
             }
         }
@@ -353,7 +421,7 @@ fn main() {
     let mut stage_json = Vec::new();
     for n in [512usize, 16_128] {
         for (pool, helpers) in [(&solo, 0), (&machine, cores - 1)] {
-            let [coarse, resid, pq] = time_stages(&data[..n * DIM], pool);
+            let ([coarse, resid, pq], work) = time_stages(&data[..n * DIM], pool);
             let (_, add) = time_build(IndexKind::IvfPqFs, &data[..n * DIM], pool, &mut None);
             let ms = |ns_per_row: f64| format!("{:.2}", ns_per_row * n as f64 / 1e6);
             rows.push(vec![
@@ -367,7 +435,8 @@ fn main() {
             stage_json.push(format!(
                 "    {{ \"rows\": {n}, \"pool_helpers\": {helpers}, \"coarse_kmeans_ns_per_row\": {coarse:.0}, \
                  \"residual_pass_ns_per_row\": {resid:.0}, \"pq_train_ns_per_row\": {pq:.0}, \
-                 \"add_ns_per_row\": {add:.0} }}"
+                 \"add_ns_per_row\": {add:.0}, {} }}",
+                work_json(work)
             ));
         }
     }
@@ -385,9 +454,14 @@ fn main() {
     );
 
     // 5. A write pass through the facade, by the table store's histograms.
-    let mut passes: Vec<[f64; 5]> = (0..3).map(|_| write_pass(data)).collect();
-    passes.sort_by(|a, b| a[0].total_cmp(&b[0]));
-    let [wall, train, add, serialize, compact] = passes[1];
+    let mut passes: Vec<([f64; 5], KMeansWork)> = (0..3).map(|_| write_pass(data)).collect();
+    let pass_work = passes[0].1;
+    assert!(
+        passes.iter().all(|p| p.1 == pass_work),
+        "write-pass work depends on the run"
+    );
+    passes.sort_by(|a, b| a.0[0].total_cmp(&b.0[0]));
+    let [wall, train, add, serialize, compact] = passes[1].0;
     let share = |ms: f64| format!("{:.1} %", 100.0 * ms / wall);
     print_table(
         "write pass through Database: 32 x 512-row INSERT, compaction every 8th (median of 3)",
@@ -409,8 +483,9 @@ fn main() {
     let pass_json = format!(
         "{{ \"inserts\": 32, \"rows_per_insert\": 512, \"compact_every\": 8, \"wall_ms\": {wall:.1}, \
          \"index_train_ms\": {train:.1}, \"index_add_ms\": {add:.1}, \"index_serialize_ms\": {serialize:.1}, \
-         \"compact_ms\": {compact:.1}, \"train_share\": {:.3} }}",
-        train / wall
+         \"compact_ms\": {compact:.1}, \"train_share\": {:.3}, {} }}",
+        train / wall,
+        work_json(pass_work)
     );
 
     let verdict = if speedup_16_4 >= 4.0 {
@@ -422,7 +497,7 @@ fn main() {
     let json = format!(
         "{{\n  \"benchmark\": \"IVF/PQ build path: dimension-major nearest-centroid kernel and build fan-out\",\n  \
          \"machine\": {{ \"arch\": \"{}\", \"kernel_tier_detected\": \"{}\", \"cores\": {cores} }},\n  \
-         \"method\": \"crates/bench/benches/index_build.rs (plain-main harness). nearest_centroid: median of {REPS} passes over 8192 points, ns per (point, codebook); per_row is distance_batch + first-lowest scan, kernel is Codebook::nearest, index and distance bits asserted equal first. adc_table: median ns per Pq::adc_table_into at dim 64 / dsub 4. build: median of 3 IvfBuilder train / add_with_ids at dim 64 on a 64-cluster Gaussian mixture, nlist by the auto rule, on a pool with 0 helpers and on FanoutPool::for_machine(); the blobs of all runs asserted byte-identical. stages: the three parts of an IVFPQFS train timed through train_kmeans / assign_into / Pq::train_on with the builder's parameters. write_pass: median-wall of 3 passes of 32 SQL INSERTs of 512 rows with Database::compact after every 8th, stage times read from the table.index_*_ns and table.compact_ns histograms.\",\n  \
+         \"method\": \"crates/bench/benches/index_build.rs (plain-main harness). nearest_centroid: median of {REPS} passes over 8192 points, ns per (point, codebook); per_row is distance_batch + first-lowest scan per point, kernel is one Codebook::nearest_in over all points (points in lanes), index and distance bits asserted equal first. adc_table: median ns per Pq::adc_table_into at dim 64 / dsub 4. build: median of 3 IvfBuilder train / add_with_ids at dim 64 on a 64-cluster Gaussian mixture, nlist by the auto rule, on a pool with 0 helpers and on FanoutPool::for_machine(); the blobs of all runs asserted byte-identical, IVFPQFS blob FNV-1a asserted against constants on AVX2. stages: the three parts of an IVFPQFS train timed through train_kmeans_on / assign_into / Pq::train_on with the builder's parameters on the row's pool. Exact fields (lloyd_iters, seed_rounds, point_centroid_evals: bh_vector::kmeans::work_done deltas; blob_fnv) are asserted equal across repeats and pools. write_pass: median-wall of 3 passes of 32 SQL INSERTs of 512 rows with Database::compact after every 8th, stage times read from the table.index_*_ns and table.compact_ns histograms.\",\n  \
          \"acceptance\": \"kernel >= 4x per-row at (16, 4) ({verdict}: {speedup_16_4:.2}x); byte-identical blobs across pool sizes (asserted)\",\n  \
          \"nearest_centroid\": [\n{}\n  ],\n  \"adc_table\": [\n{}\n  ],\n  \"build\": [\n{}\n  ],\n  \"stages\": [\n{}\n  ],\n  \
          \"write_pass\": {pass_json}\n}}\n",

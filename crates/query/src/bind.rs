@@ -332,6 +332,12 @@ fn bind_distance_call(
         return Err(BhError::Plan(format!("{fname} needs an array literal query vector")));
     };
     let qvec: Vec<f32> = vals.iter().map(|&v| v as f32).collect();
+    if let Some(i) = qvec.iter().position(|x| !x.is_finite()) {
+        return Err(BhError::Plan(format!(
+            "{fname} query vector for column {column}: component {i} is {}, not a finite Float32",
+            qvec[i]
+        )));
+    }
     let expected_dim = match schema.storage_type(def) {
         ColumnType::Vector(d) => d,
         _ => return Err(BhError::Plan(format!("{column} is not a vector column"))),
@@ -668,6 +674,18 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, BhError::DimensionMismatch { expected: 2, got: 3 }));
+    }
+
+    #[test]
+    fn non_finite_query_vector_components_are_errors() {
+        for (sql, at) in [
+            ("SELECT id FROM images ORDER BY L2Distance(embedding, [1e39, 2.0]) LIMIT 1", 0),
+            ("SELECT id FROM images ORDER BY CosineDistance([1.0, -1e39], embedding) LIMIT 1", 1),
+            ("SELECT id FROM images WHERE L2Distance(embedding, [1.0, 1e300]) < 2.0", 1),
+        ] {
+            let err = bind(sql).unwrap_err().to_string();
+            assert!(err.contains(&format!("column embedding: component {at} is")), "{sql}: {err}");
+        }
     }
 
     #[test]

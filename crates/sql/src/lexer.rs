@@ -1,9 +1,10 @@
 //! SQL tokenizer.
 //!
-//! Produces a token stream with byte positions for error messages. Keywords
-//! are recognized case-insensitively at parse time (the lexer only emits
-//! `Ident`), matching ClickHouse/ByteHouse behaviour where identifiers and
-//! keywords share a namespace.
+//! [`Lexer`] hands out tokens one at a time, with byte positions for error
+//! messages, as the parser consumes them. Keywords are recognized
+//! case-insensitively at parse time (the lexer only emits `Ident`),
+//! matching ClickHouse/ByteHouse behaviour where identifiers and keywords
+//! share a namespace.
 
 use bh_common::{BhError, Result};
 
@@ -53,99 +54,101 @@ impl TokenKind {
     }
 }
 
-/// Tokenize a statement. The text is scanned as bytes and never copied as a
+/// A statement's tokens, one at a time, for a parser that holds only the
+/// few it looks at. The text is scanned as bytes and never copied as a
 /// whole: numbers are parsed from their slice of the input, and every
 /// delimiter is ASCII, so multi-byte UTF-8 passes through strings (and
 /// alphabetic identifiers) intact.
-pub fn tokenize(input: &str) -> Result<Vec<Token>> {
-    let bytes = input.as_bytes();
-    // The character starting at byte `i` — only consulted off the ASCII
-    // fast paths, where `i` is always on a character boundary.
-    let char_at = |i: usize| input[i..].chars().next().unwrap_or('\0');
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        let pos = i;
-        let mut push = |kind: TokenKind, len: usize| {
-            out.push(Token { kind, pos });
-            pos + len
-        };
-        let next = bytes.get(i + 1).copied();
-        i = match bytes[i] {
-            b'-' if next == Some(b'-') => {
-                // Line comment.
-                bytes[i..].iter().position(|&b| b == b'\n').map_or(bytes.len(), |n| i + n)
-            }
-            b'(' => push(TokenKind::LParen, 1),
-            b')' => push(TokenKind::RParen, 1),
-            b'[' => push(TokenKind::LBracket, 1),
-            b']' => push(TokenKind::RBracket, 1),
-            b',' => push(TokenKind::Comma, 1),
-            b';' => push(TokenKind::Semicolon, 1),
-            b'*' => push(TokenKind::Star, 1),
-            b'=' => push(TokenKind::Eq, if next == Some(b'=') { 2 } else { 1 }),
-            b'!' if next == Some(b'=') => push(TokenKind::Ne, 2),
-            b'<' => match next {
-                Some(b'=') => push(TokenKind::Le, 2),
-                Some(b'>') => push(TokenKind::Ne, 2),
-                _ => push(TokenKind::Lt, 1),
-            },
-            b'>' => match next {
-                Some(b'=') => push(TokenKind::Ge, 2),
-                _ => push(TokenKind::Gt, 1),
-            },
-            b'\'' => {
-                // Copy the runs between quotes; `''` is an escaped quote.
-                let mut s = String::new();
-                let mut run = i + 1;
-                loop {
-                    let Some(n) = bytes[run..].iter().position(|&b| b == b'\'') else {
-                        return Err(BhError::Parse(format!("unterminated string at byte {pos}")));
-                    };
-                    s.push_str(&input[run..run + n]);
-                    run += n + 1;
-                    if bytes.get(run) != Some(&b'\'') {
-                        break;
-                    }
-                    s.push('\'');
-                    run += 1;
+#[derive(Debug, Clone)]
+pub struct Lexer<'a> {
+    input: &'a str,
+    /// Byte offset of the next character to scan.
+    at: usize,
+}
+
+impl<'a> Lexer<'a> {
+    /// A lexer at the start of `input`.
+    pub fn new(input: &'a str) -> Lexer<'a> {
+        Lexer { input, at: 0 }
+    }
+
+    /// The next token: `Eof` at the end of the input, and again on every
+    /// later call. An error leaves the lexer where it was.
+    #[inline(always)]
+    pub fn next_token(&mut self) -> Result<Token> {
+        let (input, bytes) = (self.input, self.input.as_bytes());
+        // The character starting at byte `i` — only consulted off the ASCII
+        // fast paths, where `i` is always on a character boundary.
+        let char_at = |i: usize| input[i..].chars().next().unwrap_or('\0');
+        let mut i = self.at;
+        while i < bytes.len() {
+            let pos = i;
+            let next = bytes.get(i + 1).copied();
+            let digit = |d: u8| d.is_ascii_digit();
+            let token = |kind: TokenKind, len: usize| (Token { kind, pos }, pos + len);
+            let (token, end) = match bytes[i] {
+                b'-' if next == Some(b'-') => {
+                    // Line comment.
+                    i = bytes[i..].iter().position(|&b| b == b'\n').map_or(bytes.len(), |n| i + n);
+                    continue;
                 }
-                push(TokenKind::Str(s), run - pos)
-            }
-            c if c.is_ascii_digit() || (c == b'-' && next.is_some_and(|d| d.is_ascii_digit())) => {
-                let mut end = i + 1;
-                let mut is_float = false;
-                while let Some(&b) = bytes.get(end) {
-                    match b {
-                        b'0'..=b'9' => {}
-                        b'.' | b'e' | b'E' => is_float = true,
-                        b'+' | b'-' if matches!(bytes[end - 1], b'e' | b'E') => {}
-                        _ => break,
+                b'(' => token(TokenKind::LParen, 1),
+                b')' => token(TokenKind::RParen, 1),
+                b'[' => token(TokenKind::LBracket, 1),
+                b']' => token(TokenKind::RBracket, 1),
+                b',' => token(TokenKind::Comma, 1),
+                b';' => token(TokenKind::Semicolon, 1),
+                b'*' => token(TokenKind::Star, 1),
+                b'=' => token(TokenKind::Eq, if next == Some(b'=') { 2 } else { 1 }),
+                b'!' if next == Some(b'=') => token(TokenKind::Ne, 2),
+                b'<' => match next {
+                    Some(b'=') => token(TokenKind::Le, 2),
+                    Some(b'>') => token(TokenKind::Ne, 2),
+                    _ => token(TokenKind::Lt, 1),
+                },
+                b'>' => match next {
+                    Some(b'=') => token(TokenKind::Ge, 2),
+                    _ => token(TokenKind::Gt, 1),
+                },
+                b'\'' => {
+                    // Copy the runs between quotes; `''` is an escaped quote.
+                    let mut s = String::new();
+                    let mut run = i + 1;
+                    loop {
+                        let Some(n) = bytes[run..].iter().position(|&b| b == b'\'') else {
+                            let msg = format!("unterminated string at byte {pos}");
+                            return Err(BhError::Parse(msg));
+                        };
+                        s.push_str(&input[run..run + n]);
+                        run += n + 1;
+                        if bytes.get(run) != Some(&b'\'') {
+                            break;
+                        }
+                        s.push('\'');
+                        run += 1;
                     }
-                    end += 1;
+                    token(TokenKind::Str(s), run - pos)
                 }
-                let text = &input[i..end];
-                let kind = if is_float {
-                    TokenKind::Float(match fast_float(text) {
-                        Some(v) => v,
-                        None => text
-                            .parse::<f64>()
-                            .map_err(|_| BhError::Parse(format!("bad float {text} at {pos}")))?,
-                    })
-                } else {
-                    TokenKind::Int(
-                        text.parse::<i64>()
-                            .map_err(|_| BhError::Parse(format!("bad integer {text} at {pos}")))?,
-                    )
-                };
-                push(kind, end - pos)
-            }
-            _ => {
-                // Whitespace, an identifier, or a character with no meaning.
-                let first = if bytes[i].is_ascii() { bytes[i] as char } else { char_at(i) };
-                if first.is_whitespace() {
-                    i + first.len_utf8()
-                } else if first.is_alphabetic() || first == '_' {
+                c if c.is_ascii_digit() || (c == b'-' && next.is_some_and(digit)) => {
+                    let (kind, end) = lex_number(input, i)?;
+                    token(kind, end - pos)
+                }
+                b' ' | b'\t' | b'\n' | b'\r' => {
+                    i += 1;
+                    continue;
+                }
+                _ => {
+                    // Whitespace, an identifier, or a character with no meaning.
+                    let first = if bytes[i].is_ascii() { bytes[i] as char } else { char_at(i) };
+                    if first.is_whitespace() {
+                        i += first.len_utf8();
+                        continue;
+                    }
+                    if !(first.is_alphabetic() || first == '_') {
+                        return Err(BhError::Parse(format!(
+                            "unexpected character '{first}' at byte {pos}"
+                        )));
+                    }
                     let mut end = i + first.len_utf8();
                     while end < bytes.len() {
                         let c =
@@ -155,87 +158,160 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                         }
                         end += c.len_utf8();
                     }
-                    push(TokenKind::Ident(input[i..end].to_string()), end - pos)
-                } else {
-                    return Err(BhError::Parse(format!(
-                        "unexpected character '{first}' at byte {pos}"
-                    )));
+                    token(TokenKind::Ident(input[i..end].to_string()), end - pos)
                 }
-            }
-        };
+            };
+            self.at = end;
+            return Ok(token);
+        }
+        self.at = bytes.len();
+        Ok(Token { kind: TokenKind::Eof, pos: bytes.len() })
     }
-    out.push(Token { kind: TokenKind::Eof, pos: bytes.len() });
-    Ok(out)
 }
 
-/// Clinger's fast path for a float token (`-`? digits `.` digits, then an
-/// optional exponent): when the decimal mantissa is below 2^53 and the
-/// power of ten is at most 22 in magnitude, both are exact `f64`s, so one
-/// multiply or divide rounds once to the nearest `f64` of the exact value —
-/// the value `str::parse::<f64>` returns, bit for bit. `None` for every
-/// other token, which the caller hands to `str::parse`.
+/// The number token starting at byte `start` and the byte after it. The
+/// token runs over digits, `.`, `e` / `E` and a sign right after an
+/// exponent mark; a `.` or an exponent makes it a float with the value
+/// `str::parse::<f64>` gives its text, else an `i64`.
+///
+/// A number of the usual shape — digits, an optional dot and digits, an
+/// optional exponent of one to three digits — is valued in the pass that
+/// finds its end. The mantissa accumulates eight digits at a time where it
+/// can ([`eight_digits`]), one at a time elsewhere. Then Clinger's fast
+/// path: when the mantissa is below 2^53 and the power of ten is at most 22
+/// in magnitude, both are exact `f64`s, so one multiply or divide rounds
+/// once, to the value `str::parse::<f64>` returns, bit for bit. Every other
+/// token — more significant digits, a larger exponent, a malformed one —
+/// goes to `str::parse` on its text, so every error keeps its text.
 #[inline]
-fn fast_float(text: &str) -> Option<f64> {
+fn lex_number(input: &str, start: usize) -> Result<(TokenKind, usize)> {
     const POW10: [f64; 23] = [
         1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
         1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
     ];
-    let b = text.as_bytes();
-    let negative = b.first() == Some(&b'-');
-    let mut i = usize::from(negative);
-    let (mut mantissa, mut digits, mut frac_digits, mut dot) = (0u64, 0, 0i32, false);
-    while let Some(&c) = b.get(i) {
-        match c {
-            b'0'..=b'9' => {
-                // 19 digits cannot overflow a u64; more leave the fast path.
-                mantissa = mantissa.wrapping_mul(10).wrapping_add(u64::from(c - b'0'));
-                digits += 1;
-                frac_digits += i32::from(dot);
-            }
-            b'.' if !dot => dot = true,
-            _ => break,
+    let b = input.as_bytes();
+    let negative = b[start] == b'-';
+    let mut end = start + usize::from(negative);
+    let mut mantissa = 0u64;
+    // Digits from `end` on, into the mantissa; it wraps past 19 digits, and
+    // such a token leaves the fast path.
+    let digits_into = |end: &mut usize, mantissa: &mut u64| {
+        let from = *end;
+        while let Some(eight) = b.get(*end..*end + 8).and_then(eight_digits) {
+            *mantissa = mantissa.wrapping_mul(100_000_000).wrapping_add(eight);
+            *end += 8;
         }
-        i += 1;
+        while let Some(&c) = b.get(*end).filter(|c| c.is_ascii_digit()) {
+            *mantissa = mantissa.wrapping_mul(10).wrapping_add(u64::from(c - b'0'));
+            *end += 1;
+        }
+        *end - from
+    };
+    let mut digits = digits_into(&mut end, &mut mantissa);
+    let mut float = false;
+    let mut frac_digits = 0;
+    if b.get(end) == Some(&b'.') {
+        end += 1;
+        float = true;
+        frac_digits = digits_into(&mut end, &mut mantissa);
+        digits += frac_digits;
     }
-    if digits == 0 || digits > 19 || mantissa >= 1 << 53 {
+    let mut exp = Some(0i32);
+    if matches!(b.get(end), Some(b'e' | b'E')) {
+        end += 1;
+        float = true;
+        let exp_negative = b.get(end) == Some(&b'-');
+        end += usize::from(matches!(b.get(end), Some(b'-' | b'+')));
+        let mut value = 0u64;
+        let len = digits_into(&mut end, &mut value);
+        // Four digits are far outside the fast range: leave them to `parse`.
+        exp = (1..=3).contains(&len).then(|| {
+            let value = value as i32;
+            if exp_negative {
+                -value
+            } else {
+                value
+            }
+        });
+    }
+    // A second dot or exponent mark: the rest of the token by the general
+    // rule, and its text to `str::parse`.
+    if matches!(b.get(end), Some(b'.' | b'e' | b'E')) {
+        exp = None;
+        while let Some(&c) = b.get(end) {
+            match c {
+                b'0'..=b'9' | b'.' | b'e' | b'E' => {}
+                b'+' | b'-' if matches!(b[end - 1], b'e' | b'E') => {}
+                _ => break,
+            }
+            end += 1;
+        }
+    }
+    let text = || &input[start..end];
+    if !float {
+        let text = text();
+        let v = text
+            .parse::<i64>()
+            .map_err(|_| BhError::Parse(format!("bad integer {text} at {start}")))?;
+        return Ok((TokenKind::Int(v), end));
+    }
+    let fast = exp.filter(|_| digits <= 19 && mantissa < 1 << 53).and_then(|exp| {
+        let e = exp - frac_digits as i32;
+        let m = mantissa as f64;
+        let v = if e >= 0 {
+            m * POW10.get(e as usize)?
+        } else {
+            m / POW10.get(e.unsigned_abs() as usize)?
+        };
+        Some(if negative { -v } else { v })
+    });
+    let v = match fast {
+        Some(v) => v,
+        None => {
+            let text = text();
+            text.parse::<f64>().map_err(|_| BhError::Parse(format!("bad float {text} at {start}")))?
+        }
+    };
+    Ok((TokenKind::Float(v), end))
+}
+
+/// The value of eight ASCII digits, or `None` if any byte is not one: all
+/// eight at once in a `u64` (SWAR), the same number a digit-by-digit
+/// `10 * m + d` gives.
+#[inline]
+fn eight_digits(bytes: &[u8]) -> Option<u64> {
+    let chunk = u64::from_le_bytes(bytes.try_into().ok()?);
+    // Every byte in 0x30..=0x39: high nibble 3, and adding 6 keeps it 3.
+    const HIGH: u64 = 0xF0F0_F0F0_F0F0_F0F0;
+    let threes = 0x3030_3030_3030_3030;
+    if chunk & HIGH != threes || chunk.wrapping_add(0x0606_0606_0606_0606) & HIGH != threes {
         return None;
     }
-    let mut exp = 0i32;
-    if let Some(&c) = b.get(i) {
-        if !matches!(c, b'e' | b'E') {
-            return None;
-        }
-        i += 1;
-        let exp_negative = b.get(i) == Some(&b'-');
-        i += usize::from(matches!(b.get(i), Some(b'-' | b'+')));
-        let exp_digits = &b[i..];
-        // Four digits are far outside the fast range: leave them to `parse`.
-        if exp_digits.is_empty() || exp_digits.len() > 3 {
-            return None;
-        }
-        for &c in exp_digits {
-            if !c.is_ascii_digit() {
-                return None;
-            }
-            exp = exp * 10 + i32::from(c - b'0');
-        }
-        if exp_negative {
-            exp = -exp;
-        }
-    }
-    let e = exp - frac_digits;
-    let m = mantissa as f64;
-    let v = if e >= 0 {
-        m * POW10.get(e as usize)?
-    } else {
-        m / POW10.get(e.unsigned_abs() as usize)?
-    };
-    Some(if negative { -v } else { v })
+    // Pairs, then quads, then the whole: byte 0 is the most significant
+    // digit.
+    let d = chunk - threes;
+    let pairs = (d * 10 + (d >> 8)) & 0x00FF_00FF_00FF_00FF;
+    let quads = (pairs * 100 + (pairs >> 16)) & 0x0000_FFFF_0000_FFFF;
+    Some((quads * 10_000 + (quads >> 32)) & 0xFFFF_FFFF)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every token of `input`, `Eof` last.
+    fn tokenize(input: &str) -> Result<Vec<Token>> {
+        let mut lexer = Lexer::new(input);
+        let mut out = Vec::new();
+        loop {
+            let token = lexer.next_token()?;
+            let end = token.kind == TokenKind::Eof;
+            out.push(token);
+            if end {
+                return Ok(out);
+            }
+        }
+    }
 
     fn kinds(sql: &str) -> Vec<TokenKind> {
         tokenize(sql).unwrap().into_iter().map(|t| t.kind).collect()
@@ -383,6 +459,17 @@ mod tests {
             [TokenKind::Float(v), TokenKind::Eof] => (v.to_bits(), want),
             other => panic!("{text}: {other:?}"),
         }
+    }
+
+    #[test]
+    fn eight_digits_at_once_is_the_digit_loop() {
+        for text in ["00000000", "12345678", "99999999", "90000001", "01020304"] {
+            assert_eq!(eight_digits(text.as_bytes()), text.parse::<u64>().ok(), "{text}");
+        }
+        for text in ["1234567a", "/2345678", ":2345678", "1234 678", "1234.678"] {
+            assert_eq!(eight_digits(text.as_bytes()), None, "{text}");
+        }
+        assert_eq!(eight_digits(b"1234567"), None);
     }
 
     #[test]

@@ -1,50 +1,93 @@
 //! Recursive-descent parser for the BlendHouse dialect.
 
 use crate::ast::*;
-use crate::lexer::{tokenize, Token, TokenKind};
+use crate::lexer::{Lexer, Token, TokenKind};
 use bh_common::{BhError, Result};
 
 /// Parse one SQL statement (a trailing semicolon is allowed).
 pub fn parse_statement(sql: &str) -> Result<Statement> {
-    let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let stmt = p.parse_statement()?;
-    p.eat_semicolons();
-    p.expect_eof()?;
-    Ok(stmt)
+    let mut p = Parser::new(sql);
+    let parsed = p.parse_statement().and_then(|stmt| {
+        p.eat_semicolons();
+        p.expect_eof()?;
+        Ok(stmt)
+    });
+    // A lexing error anywhere in the text wins over the parse's outcome,
+    // as it did when the whole text was tokenized before parsing.
+    match p.lex_error() {
+        Some(e) => Err(e),
+        None => parsed,
+    }
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+/// Recursive descent over a two-token window the lexer fills as tokens are
+/// consumed: the deepest lookahead is one token past the current one
+/// (`NOT BETWEEN` / `NOT IN`), so a statement's tokens are never all held
+/// at once.
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The current token.
+    cur: Token,
+    /// The token after it.
+    next: Token,
+    /// The lexer's first error. The window reads `Eof` from there on, and
+    /// [`parse_statement`] reports the error whatever the parse made of it.
+    lex_err: Option<BhError>,
+    /// Length of the last array literal: the capacity of the next one (the
+    /// rows of an INSERT share a dimension).
+    array_len: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)].kind
+impl<'a> Parser<'a> {
+    fn new(sql: &'a str) -> Parser<'a> {
+        let eof = Token { kind: TokenKind::Eof, pos: sql.len() };
+        let mut p = Parser {
+            lexer: Lexer::new(sql),
+            cur: eof.clone(),
+            next: eof,
+            lex_err: None,
+            array_len: 0,
+        };
+        p.cur = p.pull();
+        p.next = p.pull();
+        p
     }
 
-    fn peek_at(&self, n: usize) -> &TokenKind {
-        &self.tokens[(self.pos + n).min(self.tokens.len() - 1)].kind
-    }
-
-    fn pos_of_current(&self) -> usize {
-        self.tokens[self.pos.min(self.tokens.len() - 1)].pos
-    }
-
-    /// Consume the current token, moving it out of the stream: the parser
-    /// never looks behind `pos`, and the final `Eof` it stays on is replaced
-    /// by itself.
-    fn advance(&mut self) -> TokenKind {
-        let at = self.pos.min(self.tokens.len() - 1);
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
+    /// The lexer's next token, or `Eof` once it has failed.
+    fn pull(&mut self) -> Token {
+        if self.lex_err.is_none() {
+            match self.lexer.next_token() {
+                Ok(token) => return token,
+                Err(e) => self.lex_err = Some(e),
+            }
         }
-        std::mem::replace(&mut self.tokens[at].kind, TokenKind::Eof)
+        // Never reported: the lexing error is.
+        Token { kind: TokenKind::Eof, pos: 0 }
+    }
+
+    /// Lex what the parse left unread and return the first lexing error of
+    /// the whole text, if there is one.
+    fn lex_error(mut self) -> Option<BhError> {
+        while self.lex_err.is_none() && self.next.kind != TokenKind::Eof {
+            self.next = self.pull();
+        }
+        self.lex_err
+    }
+
+    fn peek(&self) -> &TokenKind {
+        &self.cur.kind
+    }
+
+    /// Consume the current token, moving it out of the window; at `Eof`
+    /// the window stays on `Eof`.
+    fn advance(&mut self) -> TokenKind {
+        let after = self.pull();
+        let next = std::mem::replace(&mut self.next, after);
+        std::mem::replace(&mut self.cur, next).kind
     }
 
     fn err(&self, msg: &str) -> BhError {
-        BhError::Parse(format!("{msg} at byte {} (near {:?})", self.pos_of_current(), self.peek()))
+        BhError::Parse(format!("{msg} at byte {} (near {:?})", self.cur.pos, self.peek()))
     }
 
     /// Case-insensitive keyword check without consuming.
@@ -52,8 +95,9 @@ impl Parser {
         self.peek().ident().map(|s| s.eq_ignore_ascii_case(kw)).unwrap_or(false)
     }
 
-    fn peek_kw_at(&self, n: usize, kw: &str) -> bool {
-        self.peek_at(n).ident().map(|s| s.eq_ignore_ascii_case(kw)).unwrap_or(false)
+    /// [`Self::peek_kw`] one token further on.
+    fn peek_next_kw(&self, kw: &str) -> bool {
+        self.next.kind.ident().map(|s| s.eq_ignore_ascii_case(kw)).unwrap_or(false)
     }
 
     /// Consume the keyword if present.
@@ -430,7 +474,7 @@ impl Parser {
     }
 
     fn parse_not(&mut self) -> Result<Expr> {
-        if self.peek_kw("NOT") && !self.peek_kw_at(1, "BETWEEN") && !self.peek_kw_at(1, "IN") {
+        if self.peek_kw("NOT") && !self.peek_next_kw("BETWEEN") && !self.peek_next_kw("IN") {
             self.advance();
             return Ok(Expr::Not(Box::new(self.parse_not()?)));
         }
@@ -442,7 +486,7 @@ impl Parser {
 
         // Postfix predicates: BETWEEN / IN / REGEXP / LIKE-adjacent.
         let negated = if self.peek_kw("NOT")
-            && (self.peek_kw_at(1, "BETWEEN") || self.peek_kw_at(1, "IN"))
+            && (self.peek_next_kw("BETWEEN") || self.peek_next_kw("IN"))
         {
             self.advance();
             true
@@ -557,31 +601,24 @@ impl Parser {
     }
 
     fn parse_literal(&mut self) -> Result<Lit> {
-        match self.peek().clone() {
-            TokenKind::Int(v) => {
-                self.advance();
-                Ok(Lit::Int(v))
-            }
-            TokenKind::Float(v) => {
-                self.advance();
-                Ok(Lit::Float(v))
-            }
-            TokenKind::Str(s) => {
-                self.advance();
-                Ok(Lit::Str(s))
-            }
-            TokenKind::LBracket => self.parse_array_literal(),
-            TokenKind::Ident(s) if s.eq_ignore_ascii_case("NULL") => {
-                self.advance();
-                Ok(Lit::Null)
-            }
-            _ => Err(self.err("expected literal")),
+        match self.peek() {
+            TokenKind::LBracket => return self.parse_array_literal(),
+            TokenKind::Int(_) | TokenKind::Float(_) | TokenKind::Str(_) => {}
+            TokenKind::Ident(s) if s.eq_ignore_ascii_case("NULL") => {}
+            _ => return Err(self.err("expected literal")),
         }
+        // The token moves into the literal; only NULL is left.
+        Ok(match self.advance() {
+            TokenKind::Int(v) => Lit::Int(v),
+            TokenKind::Float(v) => Lit::Float(v),
+            TokenKind::Str(s) => Lit::Str(s),
+            _ => Lit::Null,
+        })
     }
 
     fn parse_array_literal(&mut self) -> Result<Lit> {
         self.expect(&TokenKind::LBracket, "[")?;
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.array_len);
         while !matches!(self.peek(), TokenKind::RBracket) {
             match self.advance() {
                 TokenKind::Int(v) => out.push(v as f64),
@@ -593,6 +630,7 @@ impl Parser {
             }
         }
         self.expect(&TokenKind::RBracket, "]")?;
+        self.array_len = out.len();
         Ok(Lit::Array(out))
     }
 }
@@ -894,6 +932,25 @@ mod tests {
             panic!()
         };
         assert_eq!(rows[0], vec![Lit::Null, Lit::Null]);
+    }
+
+    /// The parser reads tokens as it goes, yet reports what it reported
+    /// when the text was tokenized whole first: a lexing error anywhere
+    /// wins over a parse error before it, and parse errors keep their byte
+    /// positions.
+    #[test]
+    fn lexing_errors_win_wherever_they_are() {
+        for (sql, msg) in [
+            ("SELEC x FROM t WHERE a ? 1", "unexpected character '?' at byte 23"),
+            ("INSERT INTO t VALUES (1, [1.0]) garbage 'open", "unterminated string at byte 40"),
+            ("SELECT * FROM t LIMIT 99999999999999999999", "bad integer 99999999999999999999"),
+            ("INSERT INTO t VALUES (1, [1.0, x])", "array literal at byte 32 (near RBracket)"),
+            ("SELECT * FROM t WHERE a NOT LIKE 1", "trailing input after statement at byte 24"),
+            ("SELECT * FROM t;;  x", "trailing input after statement at byte 19 (near Ident"),
+        ] {
+            let err = parse_statement(sql).unwrap_err().to_string();
+            assert!(err.contains(msg), "{sql}: {err}");
+        }
     }
 
     proptest::proptest! {

@@ -234,6 +234,16 @@ impl TableSchema {
                     ty.name()
                 )));
             }
+            // A non-finite component has no distance order: every distance
+            // to it is NaN or infinite.
+            if let Value::Vector(v) = v {
+                if let Some(i) = v.iter().position(|x| !x.is_finite()) {
+                    return Err(BhError::InvalidArgument(format!(
+                        "column {} component {i} is {}, not a finite Float32",
+                        c.name, v[i]
+                    )));
+                }
+            }
         }
         Ok(())
     }
@@ -339,6 +349,22 @@ mod tests {
             Value::Vector(vec![0.0; 8]),
         ];
         assert!(s.validate_row(&bad_type).is_err());
+    }
+
+    #[test]
+    fn non_finite_vector_components_are_rejected_by_column_and_index() {
+        let s = images_schema();
+        let row = |v: Vec<f32>| {
+            vec![Value::UInt64(1), Value::Str("x".into()), Value::DateTime(100), Value::Vector(v)]
+        };
+        for (bad, at) in [(f32::INFINITY, 0), (f32::NEG_INFINITY, 3), (f32::NAN, 7)] {
+            let mut v = vec![1.0f32; 8];
+            v[at] = bad;
+            let err = s.validate_row(&row(v)).unwrap_err().to_string();
+            assert!(err.contains(&format!("column embedding component {at}")), "{err}");
+        }
+        s.validate_row(&row(vec![f32::MAX, -f32::MAX, f32::MIN_POSITIVE, -0.0, 0.0, 1.0, 2.0, 3.0]))
+            .unwrap();
     }
 
     #[test]

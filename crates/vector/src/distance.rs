@@ -115,10 +115,43 @@ pub enum KernelTier {
 
 static TIER: OnceLock<KernelTier> = OnceLock::new();
 
+#[cfg(test)]
+thread_local! {
+    /// The tier a test runs this thread's dispatch on, when not the
+    /// detected one (see [`with_tier`]).
+    static FORCED_TIER: std::cell::Cell<Option<KernelTier>> = const { std::cell::Cell::new(None) };
+}
+
+/// The tiers this machine can run, the detected one first.
+#[cfg(test)]
+pub(crate) fn runnable_tiers() -> Vec<KernelTier> {
+    let mut tiers = vec![*TIER.get_or_init(KernelTier::detect)];
+    if tiers[0] != KernelTier::Scalar {
+        tiers.push(KernelTier::Scalar);
+    }
+    tiers
+}
+
+/// Run `f` with this thread's kernels dispatched to `tier`, one of
+/// [`runnable_tiers`]. Work `f` hands to other threads keeps the detected
+/// tier.
+#[cfg(test)]
+pub(crate) fn with_tier<T>(tier: KernelTier, f: impl FnOnce() -> T) -> T {
+    assert!(runnable_tiers().contains(&tier), "{tier:?} does not run here");
+    let before = FORCED_TIER.with(|t| t.replace(Some(tier)));
+    let out = f();
+    FORCED_TIER.with(|t| t.set(before));
+    out
+}
+
 impl KernelTier {
     /// The tier selected for this process (detected once, then cached).
     #[inline]
     pub fn current() -> KernelTier {
+        #[cfg(test)]
+        if let Some(tier) = FORCED_TIER.with(|t| t.get()) {
+            return tier;
+        }
         *TIER.get_or_init(Self::detect)
     }
 
@@ -536,8 +569,9 @@ const COLUMN_DIMS: usize = 8;
 const COLUMN_LANES: usize = 8;
 
 /// `k` vectors of one dimensionality laid out to answer "one query against
-/// all of them": the Lloyd assignment and k-means++ update of
-/// [`crate::kmeans::train_kmeans`], PQ encoding and the per-query ADC table.
+/// all of them" and "each of them against a set of centroids": the k-means
+/// seeding and Lloyd assignment of [`crate::kmeans::train_kmeans_on`], PQ
+/// encoding and the per-query ADC table.
 ///
 /// For `dim < 8` the vectors are copied **dimension-major** — `dim` columns
 /// of `k` values, each padded to a multiple of eight — so the `k` vectors
@@ -599,7 +633,8 @@ impl<'a> Codebook<'a> {
         self.data.len() * 4
     }
 
-    fn columnar(&self) -> bool {
+    /// Whether the vectors are laid out dimension-major (`dim < 8`).
+    pub(crate) fn columnar(&self) -> bool {
         self.dim < COLUMN_DIMS
     }
 
@@ -617,103 +652,148 @@ impl<'a> Codebook<'a> {
         }
     }
 
+    /// Vectors `first..first + len` exist, and in the column layout they
+    /// start a register: `first` is a multiple of eight.
     #[inline]
-    fn check(&self, query: &[f32], out_len: usize) -> Result<()> {
-        if query.len() != self.dim || out_len != self.k {
+    fn check_range(&self, first: usize, len: usize) -> Result<()> {
+        let fits = first.checked_add(len).is_some_and(|end| end <= self.k);
+        if !fits || (self.columnar() && first % COLUMN_LANES != 0) {
             return Err(BhError::InvalidArgument(format!(
-                "codebook: query len {} / out len {out_len} for {} vectors of dim {}",
-                query.len(),
-                self.k,
-                self.dim
+                "codebook: vectors {first}..+{len} of {} (column layouts start at multiples of \
+                 {COLUMN_LANES})",
+                self.k
             )));
         }
         Ok(())
     }
 
-    /// `out[c] = l2_sq(query, vector c)` for every vector.
+    /// `out[i] = l2_sq(query, vector first + i)` for every slot of `out`;
+    /// `first` must be a multiple of eight when `dim < 8`.
     #[inline]
-    pub fn l2_to_all(&self, query: &[f32], out: &mut [f32]) -> Result<()> {
-        self.to_all::<false>(KernelTier::current(), query, out)
+    pub fn l2_to_range(&self, query: &[f32], first: usize, out: &mut [f32]) -> Result<()> {
+        self.to_range::<false>(KernelTier::current(), query, first, out)
     }
 
     /// `out[c] = -dot(query, vector c)` for every vector — the
     /// [`Metric::InnerProduct`] form of [`distance_batch`].
     #[inline]
     pub fn neg_dot_to_all(&self, query: &[f32], out: &mut [f32]) -> Result<()> {
-        self.to_all::<true>(KernelTier::current(), query, out)
+        if out.len() != self.k {
+            return Err(BhError::InvalidArgument(format!(
+                "codebook: out len {} for {} vectors",
+                out.len(),
+                self.k
+            )));
+        }
+        self.to_range::<true>(KernelTier::current(), query, 0, out)
     }
 
     #[inline]
-    fn to_all<const DOT: bool>(
+    fn to_range<const DOT: bool>(
         &self,
         tier: KernelTier,
         query: &[f32],
+        first: usize,
         out: &mut [f32],
     ) -> Result<()> {
+        self.check_range(first, out.len())?;
         if !self.columnar() {
             let metric = if DOT { Metric::InnerProduct } else { Metric::L2 };
-            return distance_batch(metric, query, &self.data, self.dim, out);
+            let rows = &self.data[first * self.dim..(first + out.len()) * self.dim];
+            return batch_on(tier, metric, query, rows, self.dim, out);
         }
-        self.check(query, out.len())?;
-        let (cols, stride) = (&self.data[..], self.stride());
+        if query.len() != self.dim {
+            return Err(BhError::InvalidArgument(format!(
+                "codebook: query len {} for vectors of dim {}",
+                query.len(),
+                self.dim
+            )));
+        }
+        // Columns stay `stride` apart; lane 0 of the slice is vector `first`.
+        let (cols, stride) = (&self.data[first..], self.stride());
         match tier {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: tier checked: detect() verified avx2; `cols` holds
-            // `dim` columns of `stride` values and `out.len() == k <= stride`.
+            // `dim` columns `stride` apart, each with the `out.len()`
+            // values rounded up to eight that `first + out.len() <= k <=
+            // stride` leaves after `first`, a multiple of eight.
             KernelTier::Avx2 => unsafe { avx2::columns_to_all::<DOT>(query, cols, stride, out) },
             #[cfg(target_arch = "aarch64")]
-            // SAFETY: tier checked: detect() verified neon; `cols` holds
-            // `dim` columns of `stride` values and `out.len() == k <= stride`.
+            // SAFETY: tier checked: detect() verified neon; the shapes as
+            // for AVX2 above.
             KernelTier::Neon => unsafe { neon::columns_to_all::<DOT>(query, cols, stride, out) },
             _ => scalar::columns_to_all::<DOT>(query, cols, stride, out),
         }
         Ok(())
     }
 
-    /// Index and squared-L2 distance of the vector nearest to `query`; of
-    /// several at the same distance the lowest index — the answer of a
-    /// `d[c] < d[best]` scan from index 0 over [`Self::l2_to_all`], which
-    /// is also how a NaN distance is treated. `scratch` is reused across
-    /// calls by the paths that materialize all `k` distances.
-    #[inline]
-    pub fn nearest(&self, query: &[f32], scratch: &mut Vec<f32>) -> Result<(usize, f32)> {
-        self.nearest_on(KernelTier::current(), query, scratch)
+    /// For vectors `first..first + out.len()` of this layout (the points),
+    /// the index and squared-L2 distance of the nearest vector of
+    /// `centroids`: the answer of a `d[c] < d[best]` scan from centroid 0
+    /// over the distances `centroids` gives the point (its
+    /// `l2_to_range(point, 0, ..)`), bit for bit, a NaN distance included.
+    /// `first` is a multiple of eight when `dim < 8`.
+    ///
+    /// Below the SIMD width the points are the lanes: one AVX2 call scores
+    /// eight of them against every centroid, broadcast one value at a time,
+    /// in the column kernel's per-lane op order (`+0.0`, dimensions in
+    /// order, point minus centroid, separate multiply and add), and keeps a
+    /// per-lane running minimum with a strict `<`. The scalar and NEON
+    /// tiers run the same loop one lane at a time. From `dim` 8 each point
+    /// is one [`distance_batch`] over the centroid block and a first-lowest
+    /// scan.
+    pub fn nearest_in(
+        &self,
+        centroids: &Codebook<'_>,
+        first: usize,
+        out: &mut [(u32, f32)],
+    ) -> Result<()> {
+        self.nearest_in_on(KernelTier::current(), centroids, first, out)
     }
 
-    #[inline]
-    fn nearest_on(
+    fn nearest_in_on(
         &self,
         tier: KernelTier,
-        query: &[f32],
-        scratch: &mut Vec<f32>,
-    ) -> Result<(usize, f32)> {
-        self.check(query, self.k)?;
-        // The vector argmin is AVX2's; its lane indices are `i32`s.
-        #[cfg(target_arch = "x86_64")]
-        if tier == KernelTier::Avx2 && self.columnar() && self.stride() <= i32::MAX as usize {
-            // SAFETY: tier checked: detect() verified avx2; `data` holds
-            // `dim` columns of `stride` values.
-            let found = unsafe { avx2::columns_nearest(query, &self.data, self.stride()) };
-            if let Some(hit) = found {
-                return Ok(hit);
+        centroids: &Codebook<'_>,
+        first: usize,
+        out: &mut [(u32, f32)],
+    ) -> Result<()> {
+        self.check_range(first, out.len())?;
+        if centroids.dim != self.dim || centroids.k > i32::MAX as usize {
+            return Err(BhError::InvalidArgument(format!(
+                "codebook: {} centroids of dim {} for points of dim {}",
+                centroids.k, centroids.dim, self.dim
+            )));
+        }
+        let dim = self.dim;
+        if !self.columnar() {
+            let mut dists = vec![0.0f32; centroids.k];
+            for (i, slot) in out.iter_mut().enumerate() {
+                let p = &self.data[(first + i) * dim..(first + i + 1) * dim];
+                batch_on(tier, Metric::L2, p, &centroids.data, dim, &mut dists)?;
+                let (c, d) = first_lowest(&dists);
+                *slot = (c as u32, d);
+            }
+            return Ok(());
+        }
+        let points = &self.data[first..];
+        let (pstride, cstride) = (self.stride(), centroids.stride());
+        match tier {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: tier checked: detect() verified avx2; `points` holds
+            // `dim` columns `pstride` apart with the `out.len()` values
+            // rounded up to eight after `first` (a multiple of eight, as
+            // `pstride` is), `centroids.data` `dim` columns `cstride` apart
+            // of at least `centroids.k` values.
+            KernelTier::Avx2 => unsafe {
+                avx2::slab_nearest(dim, points, pstride, &centroids.data, cstride, centroids.k, out)
+            },
+            _ => {
+                let (cents, k) = (&centroids.data[..], centroids.k);
+                scalar::slab_nearest(dim, points, pstride, cents, cstride, k, out)
             }
         }
-        self.nearest_by_scan(tier, query, scratch)
-    }
-
-    /// The scan itself, over distances the tier's kernels fill in: the
-    /// scalar and NEON tiers, `dim >= 8`, and a NaN among the first lanes
-    /// (which only the scan orders the way callers expect).
-    fn nearest_by_scan(
-        &self,
-        tier: KernelTier,
-        query: &[f32],
-        scratch: &mut Vec<f32>,
-    ) -> Result<(usize, f32)> {
-        // Every slot is overwritten: no clearing.
-        scratch.resize(self.k, 0.0);
-        self.to_all::<false>(tier, query, scratch)?;
-        Ok(first_lowest(scratch))
+        Ok(())
     }
 }
 
@@ -841,6 +921,40 @@ pub mod scalar {
             for (slot, a) in chunk.iter_mut().zip(acc) {
                 *slot = if DOT { -a } else { a };
             }
+        }
+    }
+
+    /// [`super::Codebook::nearest_in`] below the SIMD width, one point at a
+    /// time: point `i` is lane `i` of the `dim` columns of `points`
+    /// (`pstride` apart), centroid `c` lane `c` of those of `cents`
+    /// (`cstride` apart). Each distance takes the column kernel's op order;
+    /// a strict `<` from centroid 0 keeps the first lowest.
+    pub(super) fn slab_nearest(
+        dim: usize,
+        points: &[f32],
+        pstride: usize,
+        cents: &[f32],
+        cstride: usize,
+        k: usize,
+        out: &mut [(u32, f32)],
+    ) {
+        for (i, slot) in out.iter_mut().enumerate() {
+            let dist = |c: usize| {
+                let mut acc = 0.0f32;
+                for d in 0..dim {
+                    let t = points[d * pstride + i] - cents[d * cstride + c];
+                    acc += t * t;
+                }
+                acc
+            };
+            let (mut best, mut best_d) = (0, dist(0));
+            for c in 1..k {
+                let x = dist(c);
+                if x < best_d {
+                    (best, best_d) = (c, x);
+                }
+            }
+            *slot = (best as u32, best_d);
         }
     }
 
@@ -1211,9 +1325,9 @@ mod avx2 {
     }
 
     /// # Safety
-    /// The CPU must support AVX2; `query.len() == DIM`, `stride` must be a
-    /// multiple of eight, `cols.len() == DIM * stride` and `out.len() <=
-    /// stride`.
+    /// The CPU must support AVX2; `query.len() == DIM` and `cols` must hold
+    /// `DIM` columns `stride` apart, each with `out.len()` rounded up to
+    /// eight readable values.
     #[target_feature(enable = "avx2")]
     unsafe fn to_all<const DIM: usize, const DOT: bool>(
         query: &[f32],
@@ -1221,10 +1335,11 @@ mod avx2 {
         stride: usize,
         out: &mut [f32],
     ) {
-        // SAFETY: the fn contract guarantees AVX2 and the shapes: `j + 8 <=
-        // stride` for every chunk start `j < out.len()`, so the column loads
-        // stay inside `cols`; full chunks store inside `out`, the last
-        // partial one goes through a stack buffer.
+        // SAFETY: the fn contract guarantees AVX2 and the shapes: every
+        // chunk start `j < out.len()` leaves eight readable values at
+        // `d * stride + j`, so the column loads stay inside `cols`; full
+        // chunks store inside `out`, the last partial one goes through a
+        // stack buffer.
         unsafe {
             let k = out.len();
             let mut j = 0usize;
@@ -1242,51 +1357,119 @@ mod avx2 {
         }
     }
 
+    /// Squared L2 of the eight points `p` (one per lane, dimension `d` in
+    /// `p[d]`) to centroid `c`, broadcast from `cents` one dimension at a
+    /// time: the column kernel's op order with the point as the lane.
+    ///
     /// # Safety
-    /// The CPU must support AVX2; `query.len() == DIM`, `stride` must be a
-    /// non-zero multiple of eight no larger than `i32::MAX` and
-    /// `cols.len() == DIM * stride`.
+    /// The CPU must support AVX2 and `cents` must be valid for a read at
+    /// `d * cstride + c` for every `d < DIM`.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn nearest<const DIM: usize>(
-        query: &[f32],
-        cols: &[f32],
-        stride: usize,
-    ) -> Option<(usize, f32)> {
-        // SAFETY: the fn contract guarantees AVX2 and the shapes: every
-        // chunk start `j` is a multiple of eight below `stride`, so the
-        // column loads stay inside `cols`. The rest is register arithmetic.
+    unsafe fn slab_lanes<const DIM: usize>(
+        p: &[__m256; DIM],
+        cents: *const f32,
+        cstride: usize,
+        c: usize,
+    ) -> __m256 {
+        // SAFETY: the fn contract guarantees AVX2 and the reads.
         unsafe {
-            // Per lane: the smallest distance seen and the first chunk that
-            // had it (strict `<` keeps the earlier index).
-            let mut best_d = column_lanes::<DIM, false>(query, cols.as_ptr(), stride, 0);
-            let mut idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-            let mut best_i = idx;
-            let mut j = 8usize;
-            while j < stride {
-                idx = _mm256_add_epi32(idx, _mm256_set1_epi32(8));
-                let d = column_lanes::<DIM, false>(query, cols.as_ptr(), stride, j);
-                let lt = _mm256_cmp_ps::<_CMP_LT_OQ>(d, best_d);
-                best_d = _mm256_blendv_ps(best_d, d, lt);
-                best_i = _mm256_castps_si256(_mm256_blendv_ps(
-                    _mm256_castsi256_ps(best_i),
-                    _mm256_castsi256_ps(idx),
-                    lt,
-                ));
+            let mut acc = _mm256_setzero_ps();
+            for (d, &pd) in p.iter().enumerate() {
+                let diff = _mm256_sub_ps(pd, _mm256_broadcast_ss(&*cents.add(d * cstride + c)));
+                acc = _mm256_add_ps(acc, _mm256_mul_ps(diff, diff));
+            }
+            acc
+        }
+    }
+
+    /// `G` registers of eight points starting at point `j`, each lane
+    /// scored against centroid 0, 1, … in turn; the first `out.len()` of
+    /// the `8 * G` lanes are written to `out`. Per lane the running minimum
+    /// and the first centroid that had it: `min_ps(d, best)` is `d < best
+    /// ? d : best`, the scan's step, NaN included. The groups share each
+    /// broadcast and run independent minimum chains.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2; `points` must hold `DIM` columns
+    /// `pstride` apart, each readable for `8 * G` values from `j`, and
+    /// `cents` `DIM` columns `cstride` apart of at least `k` values;
+    /// `0 < k <= i32::MAX` and `out.len() <= 8 * G`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn slab_groups<const DIM: usize, const G: usize>(
+        points: &[f32],
+        pstride: usize,
+        j: usize,
+        cents: &[f32],
+        cstride: usize,
+        k: usize,
+        out: &mut [(u32, f32)],
+    ) {
+        // SAFETY: the fn contract guarantees AVX2 and the shapes: every
+        // point load of eight floats at `d * pstride + j + 8 * g` and every
+        // centroid read at `d * cstride + c`, `c < k`, is in bounds. The
+        // rest is register arithmetic and stores to stack arrays.
+        unsafe {
+            let mut p = [[_mm256_setzero_ps(); DIM]; G];
+            for (g, pg) in p.iter_mut().enumerate() {
+                for (d, pd) in pg.iter_mut().enumerate() {
+                    *pd = _mm256_loadu_ps(points.as_ptr().add(d * pstride + j + 8 * g));
+                }
+            }
+            let mut best_d = [_mm256_setzero_ps(); G];
+            for (bd, pg) in best_d.iter_mut().zip(&p) {
+                *bd = slab_lanes::<DIM>(pg, cents.as_ptr(), cstride, 0);
+            }
+            let mut best_i = [_mm256_setzero_ps(); G];
+            for c in 1..k {
+                let idx = _mm256_castsi256_ps(_mm256_set1_epi32(c as i32));
+                for g in 0..G {
+                    let d = slab_lanes::<DIM>(&p[g], cents.as_ptr(), cstride, c);
+                    let lt = _mm256_cmp_ps::<_CMP_LT_OQ>(d, best_d[g]);
+                    best_d[g] = _mm256_min_ps(d, best_d[g]);
+                    best_i[g] = _mm256_blendv_ps(best_i[g], idx, lt);
+                }
+            }
+            for g in 0..G {
+                let (mut bd, mut bi) = ([0.0f32; 8], [0u32; 8]);
+                _mm256_storeu_ps(bd.as_mut_ptr(), best_d[g]);
+                _mm256_storeu_ps(bi.as_mut_ptr().cast(), best_i[g]);
+                for (l, slot) in out.iter_mut().skip(8 * g).take(8).enumerate() {
+                    *slot = (bi[l], bd[l]);
+                }
+            }
+        }
+    }
+
+    /// # Safety
+    /// The CPU must support AVX2; `points` must hold `DIM` columns
+    /// `pstride` apart, each with `out.len()` rounded up to eight readable
+    /// values, and `cents` `DIM` columns `cstride` apart of at least `k`
+    /// values; `0 < k <= i32::MAX`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn slab<const DIM: usize>(
+        points: &[f32],
+        pstride: usize,
+        cents: &[f32],
+        cstride: usize,
+        k: usize,
+        out: &mut [(u32, f32)],
+    ) {
+        // SAFETY: the fn contract is the callee's: sixteen points at a
+        // time while sixteen remain, then eight (the last possibly short,
+        // its loads inside the rounded-up columns).
+        unsafe {
+            let mut j = 0usize;
+            while j + 16 <= out.len() {
+                slab_groups::<DIM, 2>(points, pstride, j, cents, cstride, k, &mut out[j..j + 16]);
+                j += 16;
+            }
+            while j < out.len() {
+                let end = (j + 8).min(out.len());
+                slab_groups::<DIM, 1>(points, pstride, j, cents, cstride, k, &mut out[j..end]);
                 j += 8;
             }
-            if _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_UNORD_Q>(best_d, best_d)) != 0 {
-                return None;
-            }
-            // Across lanes: the minimum, then the lowest index holding it.
-            let m = _mm256_min_ps(best_d, _mm256_permute2f128_ps::<1>(best_d, best_d));
-            let m = _mm256_min_ps(m, _mm256_shuffle_ps::<0b0100_1110>(m, m));
-            let m = _mm256_min_ps(m, _mm256_shuffle_ps::<0b1011_0001>(m, m));
-            let holds = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_EQ_OQ>(best_d, m));
-            let i = _mm256_blendv_epi8(_mm256_set1_epi32(i32::MAX), best_i, holds);
-            let i = _mm256_min_epi32(i, _mm256_permute2x128_si256::<1>(i, i));
-            let i = _mm256_min_epi32(i, _mm256_shuffle_epi32::<0b0100_1110>(i));
-            let i = _mm256_min_epi32(i, _mm256_shuffle_epi32::<0b1011_0001>(i));
-            Some((_mm256_cvtsi256_si32(i) as usize, _mm256_cvtss_f32(m)))
         }
     }
 
@@ -1294,8 +1477,9 @@ mod avx2 {
     /// column `c`, for `query.len() < 8`.
     ///
     /// # Safety
-    /// The CPU must support AVX2; `stride` must be a multiple of eight,
-    /// `cols.len() == query.len() * stride` and `out.len() <= stride`.
+    /// The CPU must support AVX2; `cols` must hold `query.len()` columns
+    /// `stride` apart, each with `out.len()` rounded up to eight readable
+    /// values.
     #[inline]
     pub unsafe fn columns_to_all<const DOT: bool>(
         query: &[f32],
@@ -1303,7 +1487,10 @@ mod avx2 {
         stride: usize,
         out: &mut [f32],
     ) {
-        debug_assert!(stride % 8 == 0 && cols.len() == query.len() * stride && out.len() <= stride);
+        debug_assert!(
+            !query.is_empty()
+                && cols.len() >= (query.len() - 1) * stride + out.len().next_multiple_of(8)
+        );
         // SAFETY: the fn contract is the callees', with `DIM` matched to
         // `query.len()`.
         unsafe {
@@ -1320,34 +1507,37 @@ mod avx2 {
         }
     }
 
-    /// Nearest column by squared L2, lowest index on ties, over all
-    /// `stride` lanes (padding is `+inf`, so it never wins against a real
-    /// lane), for `query.len() < 8`. `None` when a NaN reached the running
-    /// minimum: the caller's scalar scan decides that case.
+    /// Nearest of `k` centroids for each point, `query.len() < 8`: see
+    /// [`slab`].
     ///
     /// # Safety
-    /// The CPU must support AVX2; `stride` must be a non-zero multiple of
-    /// eight no larger than `i32::MAX` and `cols.len() == query.len() *
-    /// stride`.
+    /// The CPU must support AVX2; `points` must hold `dim` columns
+    /// `pstride` apart, each with `out.len()` rounded up to eight readable
+    /// values, and `cents` `dim` columns `cstride` apart of at least `k`
+    /// values, `dim` in `1..=7`; `0 < k <= i32::MAX`.
     #[inline]
-    pub unsafe fn columns_nearest(
-        query: &[f32],
-        cols: &[f32],
-        stride: usize,
-    ) -> Option<(usize, f32)> {
-        debug_assert!(stride >= 8 && stride % 8 == 0 && cols.len() == query.len() * stride);
+    pub unsafe fn slab_nearest(
+        dim: usize,
+        points: &[f32],
+        pstride: usize,
+        cents: &[f32],
+        cstride: usize,
+        k: usize,
+        out: &mut [(u32, f32)],
+    ) {
+        debug_assert!(k > 0 && k <= cstride && cents.len() >= dim * cstride);
         // SAFETY: the fn contract is the callees', with `DIM` matched to
-        // `query.len()`.
+        // `dim`.
         unsafe {
-            match query.len() {
-                1 => nearest::<1>(query, cols, stride),
-                2 => nearest::<2>(query, cols, stride),
-                3 => nearest::<3>(query, cols, stride),
-                4 => nearest::<4>(query, cols, stride),
-                5 => nearest::<5>(query, cols, stride),
-                6 => nearest::<6>(query, cols, stride),
-                7 => nearest::<7>(query, cols, stride),
-                _ => None,
+            match dim {
+                1 => slab::<1>(points, pstride, cents, cstride, k, out),
+                2 => slab::<2>(points, pstride, cents, cstride, k, out),
+                3 => slab::<3>(points, pstride, cents, cstride, k, out),
+                4 => slab::<4>(points, pstride, cents, cstride, k, out),
+                5 => slab::<5>(points, pstride, cents, cstride, k, out),
+                6 => slab::<6>(points, pstride, cents, cstride, k, out),
+                7 => slab::<7>(points, pstride, cents, cstride, k, out),
+                _ => debug_assert!(false, "the slab kernel serves dims 1..=7"),
             }
         }
     }
@@ -1533,8 +1723,9 @@ mod neon {
     }
 
     /// # Safety
-    /// The CPU must support NEON; `stride` must be a multiple of four,
-    /// `cols.len() == query.len() * stride` and `out.len() <= stride`.
+    /// The CPU must support NEON; `cols` must hold `query.len()` columns
+    /// `stride` apart, each with `out.len()` rounded up to four readable
+    /// values.
     #[target_feature(enable = "neon")]
     pub unsafe fn columns_to_all<const DOT: bool>(
         query: &[f32],
@@ -1542,11 +1733,15 @@ mod neon {
         stride: usize,
         out: &mut [f32],
     ) {
-        debug_assert!(stride % 4 == 0 && cols.len() == query.len() * stride && out.len() <= stride);
-        // SAFETY: the fn contract guarantees NEON and the shapes: `j + 4 <=
-        // stride` for every chunk start `j < out.len()`, so the column loads
-        // stay inside `cols`; full chunks store inside `out`, the last
-        // partial one goes through a stack buffer.
+        debug_assert!(
+            !query.is_empty()
+                && cols.len() >= (query.len() - 1) * stride + out.len().next_multiple_of(4)
+        );
+        // SAFETY: the fn contract guarantees NEON and the shapes: every
+        // chunk start `j < out.len()` leaves four readable values at
+        // `d * stride + j`, so the column loads stay inside `cols`; full
+        // chunks store inside `out`, the last partial one goes through a
+        // stack buffer.
         unsafe {
             let k = out.len();
             let mut j = 0usize;
@@ -1788,19 +1983,10 @@ mod tests {
         assert!(distance_batch(Metric::L2, &q, &block, 4, &mut out).is_ok());
     }
 
-    /// The argmin contract of [`Codebook::nearest`] and [`first_lowest`]:
+    /// The argmin contract of [`Codebook::nearest_in`] and [`first_lowest`]:
     /// a `d[c] < d[best]` scan from 0.
     fn first_lowest_scan(d: &[f32]) -> usize {
         (1..d.len()).fold(0, |best, c| if d[c] < d[best] { c } else { best })
-    }
-
-    /// The tiers this machine can run, dispatched one first.
-    fn runnable_tiers() -> Vec<KernelTier> {
-        let mut tiers = vec![KernelTier::current()];
-        if tiers[0] != KernelTier::Scalar {
-            tiers.push(KernelTier::Scalar);
-        }
-        tiers
     }
 
     /// What the per-row dispatch returned for (`query`, `row`) before the
@@ -1827,12 +2013,15 @@ mod tests {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         for tier in runnable_tiers() {
             let mut out = vec![0.0f32; k];
-            book.to_all::<false>(tier, query, &mut out).unwrap();
+            book.to_range::<false>(tier, query, 0, &mut out).unwrap();
             assert_eq!(bits(&out), bits(&want_l2), "{tier:?} l2 dim {dim} k {k}");
-            book.to_all::<true>(tier, query, &mut out).unwrap();
+            book.to_range::<true>(tier, query, 0, &mut out).unwrap();
             let neg: Vec<f32> = want_dot.iter().map(|x| -x).collect();
             assert_eq!(bits(&out), bits(&neg), "{tier:?} dot dim {dim} k {k}");
-            let (i, d) = book.nearest_on(tier, query, &mut Vec::new()).unwrap();
+            let mut near = [(0u32, 0.0f32)];
+            let point = Codebook::new(query, dim).unwrap();
+            point.nearest_in_on(tier, &book, 0, &mut near).unwrap();
+            let (i, d) = (near[0].0 as usize, near[0].1);
             let want = (best, want_l2[best].to_bits());
             assert_eq!((i, d.to_bits()), want, "{tier:?} dim {dim} k {k}");
         }
@@ -1887,12 +2076,14 @@ mod tests {
             if dot {
                 book.neg_dot_to_all(&query, &mut got).unwrap();
             } else {
-                book.l2_to_all(&query, &mut got).unwrap();
+                book.l2_to_range(&query, 0, &mut got).unwrap();
             }
             assert_eq!(got, want);
         }
         let best = first_lowest_scan(&want_l2(&query, &rows, dim));
-        assert_eq!(book.nearest(&query, &mut Vec::new()).unwrap().0, best);
+        let mut near = [(0u32, 0.0f32)];
+        Codebook::new(&query, dim).unwrap().nearest_in(&book, 0, &mut near).unwrap();
+        assert_eq!(near[0].0 as usize, best);
         let mut row = Vec::new();
         book.extend_row(5, &mut row);
         assert_eq!(row, rows[5 * dim..6 * dim]);
@@ -1911,14 +2102,79 @@ mod tests {
             let rows = vec![0.0f32; 3 * dim];
             let book = Codebook::new(&rows, dim).unwrap();
             let mut out = [0.0f32; 3];
-            assert!(book.l2_to_all(&rows[..dim - 1], &mut out).is_err());
+            assert!(book.l2_to_range(&rows[..dim - 1], 0, &mut out).is_err());
+            assert!(book.l2_to_range(&rows[..dim], 1, &mut out).is_err());
+            assert!(book.l2_to_range(&rows[..dim], 0, &mut [0.0; 4]).is_err());
             assert!(book.neg_dot_to_all(&rows[..dim], &mut out[..2]).is_err());
-            assert!(book.nearest(&rows[..dim + 1], &mut Vec::new()).is_err());
-            assert!(book.l2_to_all(&rows[..dim], &mut out).is_ok());
+            let other = Codebook::new(&rows[..dim + 1], dim + 1).unwrap();
+            assert!(book.nearest_in(&other, 0, &mut [(0, 0.0); 3]).is_err());
+            assert!(book.nearest_in(&book, 0, &mut [(0, 0.0); 4]).is_err());
+            assert!(book.l2_to_range(&rows[..dim], 0, &mut out).is_ok());
         }
     }
 
+    /// The scan the slab kernel replaces: point `i` of `points` against
+    /// every centroid by the column kernel of `tier`, then the first lowest.
+    fn scan_nearest(
+        tier: KernelTier,
+        points: &[f32],
+        centroids: &[f32],
+        dim: usize,
+        i: usize,
+    ) -> (u32, u32) {
+        let book = Codebook::new(centroids, dim).unwrap();
+        let mut d = vec![0.0f32; book.k()];
+        book.to_range::<false>(tier, &points[i * dim..(i + 1) * dim], 0, &mut d).unwrap();
+        let (c, x) = first_lowest(&d);
+        (c as u32, x.to_bits())
+    }
+
     proptest! {
+        /// The slab kernel (points in lanes, centroids broadcast) returns
+        /// the scan's index and distance bits for every point on every tier
+        /// this machine runs: every `dim` 1..=7, `k` 1..=256, a range of
+        /// points that is not a whole number of registers and starts at
+        /// register 0, 1 or 2. Coordinates come from a seven-point grid
+        /// (exact ties between centroids) or are random; a share of them is
+        /// NaN, ±inf, ±0 or `f32::MAX`.
+        #[test]
+        fn prop_slab_is_the_scan_bit_for_bit(
+            dim in 1usize..=7,
+            k in 1usize..=256,
+            n in 1usize..=29,
+            first_group in 0usize..=2,
+            seed in any::<u64>(),
+            grid in any::<bool>(),
+            special_one_in in prop_oneof![Just(0u64), Just(5u64), Just(40u64)],
+        ) {
+            const SPECIAL: [f32; 6] =
+                [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, f32::MAX];
+            let value = |j: u64| {
+                let bits = bh_common::rng::derive_seed(seed, j);
+                if special_one_in > 0 && (bits >> 3) % special_one_in == 0 {
+                    SPECIAL[(bits >> 16) as usize % SPECIAL.len()]
+                } else if grid {
+                    (bits % 7) as f32 - 3.0
+                } else {
+                    (bits >> 40) as f32 / (1u64 << 22) as f32 - 2.0
+                }
+            };
+            let first = first_group * COLUMN_LANES;
+            let total = first + n;
+            let points: Vec<f32> = (0..(total * dim) as u64).map(value).collect();
+            let centroids: Vec<f32> = (0..(k * dim) as u64).map(|j| value(!j)).collect();
+            let slab = Codebook::new(&points, dim).unwrap();
+            let book = Codebook::new(&centroids, dim).unwrap();
+            for tier in runnable_tiers() {
+                let mut out = vec![(u32::MAX, 0.0f32); n];
+                slab.nearest_in_on(tier, &book, first, &mut out).unwrap();
+                for (i, &(c, d)) in out.iter().enumerate() {
+                    let want = scan_nearest(tier, &points, &centroids, dim, first + i);
+                    prop_assert_eq!((c, d.to_bits()), want, "{:?} point {}", tier, first + i);
+                }
+            }
+        }
+
         /// Every (dim, k) below the SIMD width: the column kernels return
         /// the bits of the per-row `l2_sq` / `dot` they replace, on every
         /// tier this machine runs, and `nearest` is the first-lowest scan.

@@ -27,7 +27,7 @@ use crate::codec::{Reader, Writer};
 use crate::distance::scan_distances;
 use crate::flat::{metric_from_u8, metric_to_u8};
 use crate::iterator::{GenericSearchIterator, SearchIterator};
-use crate::kmeans::{train_kmeans, KMeans, KMeansParams};
+use crate::kmeans::{train_kmeans_on, KMeans, KMeansParams};
 use crate::quant::fastscan::FastScanCodes;
 use crate::quant::pq::{AdcTable, CodeBits, Pq, PqParams};
 use crate::types::{
@@ -654,7 +654,8 @@ impl IndexBuilder for IvfBuilder {
         };
         // Sample cap scales with nlist (faiss' max_points_per_centroid idea)
         // so coarse training cost stays proportionate to the codebook size.
-        let coarse = train_kmeans(
+        let coarse = train_kmeans_on(
+            &self.pool,
             &sample,
             dim,
             &KMeansParams {
@@ -740,24 +741,19 @@ impl IndexBuilder for IvfBuilder {
                 max_sq_err: vec![0.0; self.max_sq_err.len()],
             };
             let mut dists = Vec::new();
-            let mut resid = vec![0.0f32; dim];
-            let mut errs = vec![0.0f32; self.max_sq_err.len()];
+            let mut resid = Vec::with_capacity(if pq.is_some() { rows.len() } else { 0 });
             for (r, v) in rows.chunks_exact(dim).enumerate() {
-                let at = first + r;
                 let cell = match &trained {
-                    Some(t) => t.cells[at],
+                    Some(t) => t.cells[first + r],
                     None => coarse.assign_into(v, &mut dists)?,
                 };
                 tile.cells.push(cell);
-                let Some(pq) = pq else { continue };
-                for ((x, a), b) in resid.iter_mut().zip(v).zip(coarse.centroid(cell)) {
-                    *x = a - b;
+                if pq.is_some() {
+                    resid.extend(v.iter().zip(coarse.centroid(cell)).map(|(a, b)| a - b));
                 }
-                let code = &mut tile.codes[r * cs..(r + 1) * cs];
-                pq.encode_into(&resid, code, &mut errs, &mut dists)?;
-                for (slot, &e) in tile.max_sq_err.iter_mut().zip(&errs) {
-                    *slot = slot.max(e);
-                }
+            }
+            if let Some(pq) = pq {
+                pq.encode_into(&resid, &mut tile.codes, &mut tile.max_sq_err)?;
             }
             Ok(tile)
         })?;

@@ -6,10 +6,12 @@
 //! cosine-metric callers normalize their vectors first.
 
 use crate::distance::{distance_batch, first_lowest, l2_sq, Codebook, Metric};
+use crate::types::build_pool;
 use bh_common::rng::derived_rng;
-use bh_common::{BhError, Result};
+use bh_common::{BhError, FanoutPool, Result};
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Training parameters.
 #[derive(Debug, Clone, Copy)]
@@ -93,12 +95,77 @@ impl KMeans {
     }
 }
 
+/// Points per fan-out task of a Lloyd assignment or a seeding round: a
+/// multiple of the column layout's eight lanes, large enough that claiming
+/// a tile is noise next to scoring it.
+const TILE_POINTS: usize = 512;
+
+/// Work counters, process-wide and cumulative: what every k-means trained
+/// so far has done. The counts follow from the input, the parameters and
+/// the distance bits (which follow the kernel tier from `dim` 8), so a
+/// deterministic workload reads the same numbers whatever the pool size or
+/// the timing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KMeansWork {
+    /// Lloyd iterations run (an iteration that moves no point still counts).
+    pub lloyd_iters: u64,
+    /// k-means++ seeding rounds: one distance pass per chosen centroid.
+    pub seed_rounds: u64,
+    /// Point–centroid distances evaluated: seeding, Lloyd assignment and
+    /// the farthest-point search of an empty-cluster reseed.
+    pub evals: u64,
+}
+
+static LLOYD_ITERS: AtomicU64 = AtomicU64::new(0);
+static SEED_ROUNDS: AtomicU64 = AtomicU64::new(0);
+static EVALS: AtomicU64 = AtomicU64::new(0);
+
+/// The work counters' current totals; subtract two readings for the work
+/// of what ran between them.
+pub fn work_done() -> KMeansWork {
+    KMeansWork {
+        lloyd_iters: LLOYD_ITERS.load(Ordering::Relaxed),
+        seed_rounds: SEED_ROUNDS.load(Ordering::Relaxed),
+        evals: EVALS.load(Ordering::Relaxed),
+    }
+}
+
+impl std::ops::Sub for KMeansWork {
+    type Output = KMeansWork;
+
+    fn sub(self, rhs: KMeansWork) -> KMeansWork {
+        KMeansWork {
+            lloyd_iters: self.lloyd_iters - rhs.lloyd_iters,
+            seed_rounds: self.seed_rounds - rhs.seed_rounds,
+            evals: self.evals - rhs.evals,
+        }
+    }
+}
+
+/// [`train_kmeans_on`] on the process-wide [`build_pool`].
+pub fn train_kmeans(data: &[f32], dim: usize, params: &KMeansParams) -> Result<KMeans> {
+    train_kmeans_on(&build_pool(), data, dim, params)
+}
+
 /// Train k-means over `n = data.len() / dim` row-major points.
 ///
 /// `k` is clamped to `n`. Empty clusters are reseeded to the point farthest
 /// from its assigned centroid, so the returned codebook always has exactly
 /// `min(k, n)` distinct, non-empty centroids for non-degenerate input.
-pub fn train_kmeans(data: &[f32], dim: usize, params: &KMeansParams) -> Result<KMeans> {
+///
+/// The training points are laid out once as a [`Codebook`] (dimension-major
+/// below `dim` 8, so eight points share a register). Each seeding round's
+/// distance pass and each Lloyd assignment run in tiles of points on
+/// `pool`; the minima, the seeding totals, the cluster counts and the `f64`
+/// sums are folded afterwards, sequentially in point order. Every distance
+/// has the bits of the per-point scan, so the result does not depend on the
+/// pool's size.
+pub fn train_kmeans_on(
+    pool: &FanoutPool,
+    data: &[f32],
+    dim: usize,
+    params: &KMeansParams,
+) -> Result<KMeans> {
     if dim == 0 {
         return Err(BhError::InvalidArgument("kmeans: dim must be > 0".into()));
     }
@@ -131,18 +198,17 @@ pub fn train_kmeans(data: &[f32], dim: usize, params: &KMeansParams) -> Result<K
 
     let k = params.k.min(n_train);
     let point = |i: usize| &train[i * dim..(i + 1) * dim];
-
-    // k-means++ seeding. Every step is "one new centroid against all
-    // points": the points are the codebook here.
     let points = Codebook::new(train, dim)?;
+
+    // k-means++ seeding. Every round is "one new centroid against all
+    // points", folded into each point's distance to its nearest centroid
+    // so far and the total of those, in point order.
     let mut centroids = Vec::with_capacity(k * dim);
     let first = rng.gen_range(0..n_train);
     centroids.extend_from_slice(point(first));
     let mut min_d2 = vec![0.0f32; n_train];
-    points.l2_to_all(point(first), &mut min_d2)?;
-    let mut d2 = vec![0.0f32; n_train];
+    let mut total = seed_round(pool, &points, point(first), &mut min_d2, true)?;
     while centroids.len() / dim < k {
-        let total: f64 = min_d2.iter().map(|&d| d as f64).sum();
         let chosen = if total <= f64::EPSILON {
             // All points coincide with existing centroids; pick uniformly.
             rng.gen_range(0..n_train)
@@ -159,37 +225,39 @@ pub fn train_kmeans(data: &[f32], dim: usize, params: &KMeansParams) -> Result<K
             pick
         };
         centroids.extend_from_slice(point(chosen));
-        points.l2_to_all(point(chosen), &mut d2)?;
-        for (min, &d) in min_d2.iter_mut().zip(&d2) {
-            if d < *min {
-                *min = d;
-            }
-        }
+        total = seed_round(pool, &points, point(chosen), &mut min_d2, false)?;
     }
-    drop(points);
 
     let mut km = KMeans { dim, k, centroids };
 
-    // Lloyd iterations: assign every point and add it to its cluster's sum,
-    // in point order.
+    // Lloyd iterations: assign every point, then add each to its cluster's
+    // sum in point order.
     let mut assignments = vec![0usize; n_train];
-    let mut dist_scratch = Vec::new();
     for _ in 0..params.max_iters {
-        let mut moved = false;
+        let book = Codebook::new(&km.centroids, dim)?;
+        let nearest = run_tiles(pool, n_train, |first, out| points.nearest_in(&book, first, out))?;
+        LLOYD_ITERS.fetch_add(1, Ordering::Relaxed);
+        EVALS.fetch_add((n_train * k) as u64, Ordering::Relaxed);
         let mut sums = vec![0.0f64; k * dim];
         let mut counts = vec![0usize; k];
-        let book = Codebook::new(&km.centroids, dim)?;
-        for (p, assigned) in train.chunks_exact(dim).zip(assignments.iter_mut()) {
-            let (c, _) = book.nearest(p, &mut dist_scratch)?;
-            if c != *assigned {
-                *assigned = c;
-                moved = true;
-            }
-            counts[c] += 1;
-            for (sum, &x) in sums[c * dim..(c + 1) * dim].iter_mut().zip(p) {
-                *sum += x as f64;
-            }
-        }
+        let fold = Fold {
+            dim,
+            train,
+            nearest: &nearest,
+            assignments: &mut assignments,
+            sums: &mut sums,
+            counts: &mut counts,
+        };
+        let moved = match dim {
+            1 => fold.run::<1>(),
+            2 => fold.run::<2>(),
+            3 => fold.run::<3>(),
+            4 => fold.run::<4>(),
+            5 => fold.run::<5>(),
+            6 => fold.run::<6>(),
+            7 => fold.run::<7>(),
+            _ => fold.run::<0>(),
+        };
         reseed_empty_clusters(&mut sums, &mut counts, train, dim, &assignments, &km);
         for c in 0..k {
             if counts[c] > 0 {
@@ -203,6 +271,102 @@ pub fn train_kmeans(data: &[f32], dim: usize, params: &KMeansParams) -> Result<K
         }
     }
     Ok(km)
+}
+
+/// One Lloyd iteration's fold: every point, in point order, recorded as
+/// assigned to its nearest centroid and added to that cluster's count and
+/// `f64` sum.
+struct Fold<'a> {
+    dim: usize,
+    train: &'a [f32],
+    nearest: &'a [(u32, f32)],
+    assignments: &'a mut [usize],
+    sums: &'a mut [f64],
+    counts: &'a mut [usize],
+}
+
+impl Fold<'_> {
+    /// Run the fold; whether any assignment changed. `D` is `dim` when it
+    /// is a column-layout width, so the per-point add has a fixed size the
+    /// compiler keeps in registers (one `f64x4` add at 4); 0 otherwise.
+    fn run<const D: usize>(self) -> bool {
+        let dim = if D > 0 { D } else { self.dim };
+        let mut moved = false;
+        let points = self.train.chunks_exact(dim).zip(self.assignments.iter_mut());
+        for ((p, assigned), &(c, _)) in points.zip(self.nearest) {
+            let c = c as usize;
+            moved |= c != *assigned;
+            *assigned = c;
+            self.counts[c] += 1;
+            for (sum, &x) in self.sums[c * dim..][..dim].iter_mut().zip(p) {
+                *sum += x as f64;
+            }
+        }
+        moved
+    }
+}
+
+/// `task(first, out)` over every tile of [`TILE_POINTS`] of `n` points,
+/// side by side on `pool`, `out` the tile's slots; the `n` results in
+/// point order.
+fn run_tiles<T: Copy + Default + Send + Sync>(
+    pool: &FanoutPool,
+    n: usize,
+    task: impl Fn(usize, &mut [T]) -> Result<()> + Sync,
+) -> Result<Vec<T>> {
+    let tiles = pool
+        .run(n.div_ceil(TILE_POINTS), usize::MAX, |t| {
+            let first = t * TILE_POINTS;
+            let mut out = vec![T::default(); TILE_POINTS.min(n - first)];
+            task(first, &mut out)?;
+            Ok(out)
+        })
+        .into_results()?;
+    Ok(tiles.concat())
+}
+
+/// Points per distance call of a seeding round on the column layout.
+const SEED_CHUNK: usize = 64;
+
+/// One seeding round: the distance from `centroid` to every point, folded
+/// into `min_d2` (replaced on the `first` round, else by a `d < min` step)
+/// in point order. Returns the `f64` total of the new minima, summed in
+/// point order — the next round's sampling mass.
+///
+/// On the column layout a distance costs a fraction of its fold, so the
+/// round is one pass, [`SEED_CHUNK`] points at a time through a stack
+/// buffer. On the row layout the distances run in tiles on `pool` first.
+fn seed_round(
+    pool: &FanoutPool,
+    points: &Codebook<'_>,
+    centroid: &[f32],
+    min_d2: &mut [f32],
+    first: bool,
+) -> Result<f64> {
+    SEED_ROUNDS.fetch_add(1, Ordering::Relaxed);
+    EVALS.fetch_add(min_d2.len() as u64, Ordering::Relaxed);
+    // The running total is passed along, not captured, so it stays in a
+    // register; the minimum is a select, not a branch the data decides.
+    let fold = |mut total: f64, mins: &mut [f32], dists: &[f32]| {
+        for (min, &d) in mins.iter_mut().zip(dists) {
+            *min = if first || d < *min { d } else { *min };
+            total += *min as f64;
+        }
+        total
+    };
+    let mut total = 0.0f64;
+    if points.columnar() {
+        let mut dists = [0.0f32; SEED_CHUNK];
+        for (c, mins) in min_d2.chunks_mut(SEED_CHUNK).enumerate() {
+            let dists = &mut dists[..mins.len()];
+            points.l2_to_range(centroid, c * SEED_CHUNK, dists)?;
+            total = fold(total, mins, dists);
+        }
+    } else {
+        let dists = run_tiles(pool, min_d2.len(), |at, out| points.l2_to_range(centroid, at, out))?;
+        total = fold(total, min_d2, &dists);
+    }
+    Ok(total)
 }
 
 /// Replace empty clusters' accumulators with the point currently farthest
@@ -220,6 +384,7 @@ fn reseed_empty_clusters(
         if counts[c] > 0 {
             continue;
         }
+        EVALS.fetch_add(n as u64, Ordering::Relaxed);
         // Farthest point from its assigned centroid.
         let mut far_i = 0;
         let mut far_d = -1.0f32;
@@ -333,6 +498,21 @@ mod tests {
             assert!(km.assign(v).is_err(), "{} dims", v.len());
             assert!(km.assign_into(v, &mut Vec::new()).is_err());
             assert!(km.nearest_centroids(v, 2).is_err());
+        }
+    }
+
+    /// The coarse quantizer's shape (dim 64, `k` 23, a sample cap) trains
+    /// to the same centroid bits on pools of 0, 1 and 3 helpers, and with
+    /// the same work: the tiles only decide where distances are computed.
+    #[test]
+    fn training_at_dim_64_does_not_depend_on_the_pool() {
+        let (data, _) = blobs(300, 64, 6);
+        let params = KMeansParams { k: 23, max_iters: 6, seed: 3, sample_limit: 700 };
+        let bits = |km: &KMeans| km.centroids.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let want = train_kmeans_on(&FanoutPool::new(0), &data, 64, &params).unwrap();
+        for helpers in [0, 1, 3] {
+            let km = train_kmeans_on(&FanoutPool::new(helpers), &data, 64, &params).unwrap();
+            assert_eq!(bits(&km), bits(&want), "{helpers} helpers");
         }
     }
 

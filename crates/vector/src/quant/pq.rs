@@ -17,7 +17,7 @@
 
 use crate::codec::{Reader, Writer};
 use crate::distance::{dot, Codebook};
-use crate::kmeans::{train_kmeans, KMeans, KMeansParams};
+use crate::kmeans::{train_kmeans_on, KMeans, KMeansParams};
 use crate::quant::fastscan::QuantizedLut;
 use crate::types::build_pool;
 use crate::Metric;
@@ -121,7 +121,8 @@ impl Pq {
     ) -> Result<Pq> {
         let ks = params.bits.ks();
         Self::train_with(pool, sample, dim, metric, params, |sub, subdata, dsub| {
-            train_kmeans(
+            train_kmeans_on(
+                pool,
                 subdata,
                 dsub,
                 &KMeansParams {
@@ -158,11 +159,10 @@ impl Pq {
         let slabs = pool
             .run(params.m, params.m, |sub| {
                 // Gather the subvectors of this subspace.
-                let subdata: Vec<f32> = sample
-                    .chunks_exact(dim)
-                    .flat_map(|row| &row[sub * dsub..(sub + 1) * dsub])
-                    .copied()
-                    .collect();
+                let mut subdata = Vec::with_capacity(sample.len() / params.m);
+                for row in sample.chunks_exact(dim) {
+                    subdata.extend_from_slice(&row[sub * dsub..(sub + 1) * dsub]);
+                }
                 let km = train_sub(sub, &subdata, dsub)?;
                 // km.k may be < ks when the sample is small; replicate the
                 // last centroid so every code id stays decodable.
@@ -201,37 +201,55 @@ impl Pq {
 
     /// Encode one vector into `code_size()` bytes.
     pub fn encode(&self, v: &[f32]) -> Result<Vec<u8>> {
-        let mut code = vec![0u8; self.code_size()];
-        self.encode_into(v, &mut code, &mut vec![0.0; self.m], &mut Vec::new())?;
-        Ok(code)
-    }
-
-    /// Encode one vector into `code` (`code_size()` bytes) and report in
-    /// `errs` (`m` entries) the squared reconstruction error of each
-    /// subspace — the distance to the chosen centroid. IVF aggregates these
-    /// into the per-subspace worst-case margins that make quantized pruning
-    /// against an exact bound sound. Nothing is allocated: `scratch` is the
-    /// distance buffer of [`Codebook::nearest`], reused across calls.
-    pub fn encode_into(
-        &self,
-        v: &[f32],
-        code: &mut [u8],
-        errs: &mut [f32],
-        scratch: &mut Vec<f32>,
-    ) -> Result<()> {
         if v.len() != self.dim {
             return Err(BhError::DimensionMismatch { expected: self.dim, got: v.len() });
         }
-        if code.len() != self.code_size() || errs.len() != self.m {
+        let mut code = vec![0u8; self.code_size()];
+        self.encode_into(v, &mut code, &mut vec![0.0; self.m])?;
+        Ok(code)
+    }
+
+    /// Encode the `rows.len() / dim` row-major vectors of `rows` into
+    /// `codes`, `code_size()` bytes each, and raise each of the `m` slots of
+    /// `max_sq_err` to the largest squared reconstruction error (distance
+    /// to the chosen centroid) of its subspace among them. IVF aggregates
+    /// these into the per-subspace worst-case margins that make quantized
+    /// pruning against an exact bound sound. Per subspace the rows'
+    /// subvectors are laid out once and all of them are assigned in one
+    /// [`Codebook::nearest_in`] call.
+    pub fn encode_into(
+        &self,
+        rows: &[f32],
+        codes: &mut [u8],
+        max_sq_err: &mut [f32],
+    ) -> Result<()> {
+        let ragged = rows.len() % self.dim;
+        if ragged != 0 {
+            return Err(BhError::DimensionMismatch { expected: self.dim, got: ragged });
+        }
+        let (n, cs) = (rows.len() / self.dim, self.code_size());
+        if codes.len() != n * cs || max_sq_err.len() != self.m {
             return Err(BhError::InvalidArgument("pq: encode buffers of the wrong size".into()));
         }
-        code.fill(0);
-        for (sub, (book, err)) in self.books.iter().zip(errs.iter_mut()).enumerate() {
-            let (id, d) = book.nearest(&v[sub * self.dsub..(sub + 1) * self.dsub], scratch)?;
-            *err = d.max(0.0);
-            match self.bits {
-                CodeBits::B8 => code[sub] = id as u8,
-                CodeBits::B4 => code[sub / 2] |= (id as u8 & 0x0F) << ((sub % 2) * 4),
+        if n == 0 {
+            return Ok(());
+        }
+        codes.fill(0);
+        let dsub = self.dsub;
+        let mut subvectors = Vec::with_capacity(n * dsub);
+        let mut nearest = vec![(0u32, 0.0f32); n];
+        for (sub, (book, max_err)) in self.books.iter().zip(max_sq_err.iter_mut()).enumerate() {
+            subvectors.clear();
+            for v in rows.chunks_exact(self.dim) {
+                subvectors.extend_from_slice(&v[sub * dsub..(sub + 1) * dsub]);
+            }
+            Codebook::new(&subvectors, dsub)?.nearest_in(book, 0, &mut nearest)?;
+            for (code, &(id, d)) in codes.chunks_exact_mut(cs).zip(&nearest) {
+                *max_err = max_err.max(d.max(0.0));
+                match self.bits {
+                    CodeBits::B8 => code[sub] = id as u8,
+                    CodeBits::B4 => code[sub / 2] |= (id as u8 & 0x0F) << ((sub % 2) * 4),
+                }
             }
         }
         Ok(())
@@ -402,6 +420,7 @@ impl AdcTable {
 mod tests {
     use super::*;
     use crate::distance::{dot, l2_sq};
+    use crate::kmeans::train_kmeans;
     use bh_common::rng::rng;
     use rand::Rng;
 
@@ -510,16 +529,36 @@ mod tests {
         assert_eq!(pq, pq2);
     }
 
+    fn saved(pq: &Pq) -> Vec<u8> {
+        let mut w = Writer::new();
+        pq.save(&mut w);
+        w.finish().to_vec()
+    }
+
+    /// The same codebook bytes on pools of 0, 1 and 3 helpers and on every
+    /// kernel tier this machine runs: below `dsub` 8 every distance comes
+    /// from the column layouts, whose bits do not depend on the tier, and
+    /// the sums are folded in point order wherever the tiles ran. `dsub`
+    /// 4 and 3, 700 rows (not a multiple of eight), both code widths.
     #[test]
     fn training_does_not_depend_on_the_pool() {
-        let dim = 32;
-        let data = sample(600, dim, 9);
-        for bits in [CodeBits::B4, CodeBits::B8] {
-            let params = PqParams { m: 8, bits, seed: 5, kmeans_iters: 6 };
-            let solo = Pq::train_on(&FanoutPool::new(0), &data, dim, Metric::L2, &params).unwrap();
-            let wide = Pq::train_on(&FanoutPool::new(3), &data, dim, Metric::L2, &params).unwrap();
-            assert_eq!(solo, wide, "{bits:?}");
-            assert_eq!(solo, Pq::train(&data, dim, Metric::L2, &params).unwrap(), "{bits:?}");
+        for (dim, m) in [(32, 8), (12, 4)] {
+            let data = sample(700, dim, 9);
+            for bits in [CodeBits::B4, CodeBits::B8] {
+                let params = PqParams { m, bits, seed: 5, kmeans_iters: 6 };
+                let want = saved(&Pq::train(&data, dim, Metric::L2, &params).unwrap());
+                for helpers in [0, 1, 3] {
+                    let pool = FanoutPool::new(helpers);
+                    let pq = Pq::train_on(&pool, &data, dim, Metric::L2, &params).unwrap();
+                    assert!(saved(&pq) == want, "dim {dim} {bits:?}: {helpers} helpers");
+                }
+                for tier in crate::distance::runnable_tiers() {
+                    let pq = crate::distance::with_tier(tier, || {
+                        Pq::train_on(&FanoutPool::new(0), &data, dim, Metric::L2, &params).unwrap()
+                    });
+                    assert!(saved(&pq) == want, "dim {dim} {bits:?}: {tier:?}");
+                }
+            }
         }
     }
 
@@ -562,20 +601,33 @@ mod tests {
             let pq = Pq::train(&data, dim, Metric::L2, &PqParams::new(m, bits)).unwrap();
             let mut table = AdcTable::default();
             let mut code = vec![0xFFu8; pq.code_size()];
-            let (mut errs, mut scratch) = (vec![0.0f32; m], Vec::new());
-            for v in data.chunks_exact(dim).take(40) {
+            let mut errs = vec![0.0f32; m];
+            let rows = &data[..40 * dim];
+            let mut want_max = vec![0.0f32; m];
+            for v in rows.chunks_exact(dim) {
                 pq.adc_table_into(v, &mut table).unwrap();
                 assert_eq!(table.table, pq.adc_table(v).unwrap().table);
-                pq.encode_into(v, &mut code, &mut errs, &mut scratch).unwrap();
+                errs.fill(0.0);
+                pq.encode_into(v, &mut code, &mut errs).unwrap();
                 assert_eq!(code, pq.encode(v).unwrap());
                 // Each error is the distance to the chosen centroid.
                 let rec = pq.decode(&code);
                 for (sub, &e) in errs.iter().enumerate() {
                     let at = sub * dim / m..(sub + 1) * dim / m;
                     assert_eq!(e, l2_sq(&v[at.clone()], &rec[at]));
+                    want_max[sub] = want_max[sub].max(e);
                 }
             }
-            assert!(pq.encode_into(&data[..dim], &mut code[1..], &mut errs, &mut scratch).is_err());
+            // Many rows in one call: each row's code, the largest errors.
+            let mut codes = vec![0xFFu8; 40 * pq.code_size()];
+            let mut max_err = vec![0.0f32; m];
+            pq.encode_into(rows, &mut codes, &mut max_err).unwrap();
+            let one_by_one: Vec<u8> =
+                rows.chunks_exact(dim).flat_map(|v| pq.encode(v).unwrap()).collect();
+            assert_eq!(codes, one_by_one);
+            assert_eq!(max_err, want_max);
+            assert!(pq.encode_into(&data[..dim], &mut code[1..], &mut errs).is_err());
+            assert!(pq.encode_into(&data[..dim + 1], &mut code, &mut errs).is_err());
         }
     }
 

@@ -142,6 +142,38 @@ fn error_paths_are_clean() {
     assert!(db.execute("SELECT id FROM images LIMIT 1").is_ok());
 }
 
+/// A component that overflows `f32` used to be stored as `+inf`, and a
+/// query with one ranked rows by NaN distances. Both are errors now, on
+/// every index kind, through SQL and through `insert_rows`.
+#[test]
+fn non_finite_vector_components_are_errors() {
+    for kind in ["IVFPQFS", "HNSW"] {
+        let db = Database::in_memory();
+        db.execute(&format!(
+            "CREATE TABLE t (id UInt64, emb Array(Float32), \
+             INDEX ann emb TYPE {kind}('DIM=4')) ORDER BY id"
+        ))
+        .unwrap();
+        let rows: Vec<String> =
+            (0..10).map(|i| format!("({i}, [{}.0, 1.0, 1.0, 2.0])", i % 3)).collect();
+        db.execute(&format!("INSERT INTO t VALUES {}", rows.join(", "))).unwrap();
+
+        let err = db.execute("INSERT INTO t VALUES (10, [1e39, 1.0, 1.0, 2.0])").unwrap_err();
+        assert!(err.to_string().contains("column emb component 0"), "{kind}: {err}");
+        let store = db.table("t").unwrap();
+        let bad = vec![Value::UInt64(11), Value::Vector(vec![1.0, f32::NAN, 1.0, 2.0])];
+        let err = store.insert_rows(vec![bad]).unwrap_err();
+        assert!(err.to_string().contains("column emb component 1"), "{kind}: {err}");
+
+        let err = db
+            .execute("SELECT id FROM t ORDER BY L2Distance(emb, [1e39, 1.0, 1.0, 2.0]) LIMIT 3")
+            .unwrap_err();
+        assert!(err.to_string().contains("component 0"), "{kind}: {err}");
+        let stored = db.execute("SELECT id FROM t LIMIT 100").unwrap().rows();
+        assert_eq!(stored.len(), 10, "{kind}: nothing was stored");
+    }
+}
+
 #[test]
 fn concurrent_reads_and_writes_are_safe() {
     use std::sync::atomic::{AtomicBool, Ordering};
