@@ -69,7 +69,6 @@ impl Default for MilvusConfig {
 pub struct MilvusSim {
     cfg: MilvusConfig,
     dim: usize,
-    registry: Arc<IndexRegistry>,
     segments: Vec<MilvusSegment>,
     /// Growing (unsealed) segment.
     growing: SimCollection,
@@ -81,7 +80,6 @@ impl MilvusSim {
         Self {
             cfg,
             dim,
-            registry: Arc::new(IndexRegistry::with_builtins()),
             segments: Vec::new(),
             growing: SimCollection::new(dim),
         }
@@ -117,7 +115,7 @@ impl MilvusSim {
         let spec = IndexSpec::new(self.cfg.index, self.dim, self.cfg.metric)
             .with_param("m", self.cfg.m)
             .with_param("ef_construction", self.cfg.ef_construction);
-        let mut b = self.registry.create_builder(&spec)?;
+        let mut b = IndexRegistry.create_builder(&spec)?;
         if b.requires_training() {
             b.train(&data.vectors)?;
         }

@@ -52,7 +52,6 @@ impl Default for PgvectorConfig {
 pub struct PgvectorSim {
     cfg: PgvectorConfig,
     dim: usize,
-    registry: Arc<IndexRegistry>,
     heap: SimCollection,
     index: Option<Arc<dyn VectorIndex>>,
 }
@@ -63,7 +62,6 @@ impl PgvectorSim {
         Self {
             cfg,
             dim,
-            registry: Arc::new(IndexRegistry::with_builtins()),
             heap: SimCollection::new(dim),
             index: None,
         }
@@ -106,7 +104,7 @@ impl BaselineSystem for PgvectorSim {
         let spec = IndexSpec::new(IndexKind::Hnsw, self.dim, self.cfg.metric)
             .with_param("m", self.cfg.m)
             .with_param("ef_construction", self.cfg.ef_construction);
-        let mut b = self.registry.create_builder(&spec)?;
+        let mut b = IndexRegistry.create_builder(&spec)?;
         // pgvector labels index entries with heap row offsets — and since the
         // heap is one big table, offsets coincide with our row numbers.
         let offsets: Vec<u64> = (0..self.heap.len() as u64).collect();

@@ -23,7 +23,6 @@ use std::collections::HashMap;
 
 fn ablation_iterator() -> Vec<Vec<String>> {
     let data = DatasetSpec::laion_sim().generate();
-    let reg = IndexRegistry::with_builtins();
     let n = 8_000.min(data.n());
     let ids: Vec<u64> = (0..n as u64).collect();
     let slice = &data.vectors[..n * data.dim()];
@@ -33,7 +32,7 @@ fn ablation_iterator() -> Vec<Vec<String>> {
     let mut out = Vec::new();
     for (label, kind) in [("native (HNSW)", IndexKind::Hnsw), ("generic (IVFFLAT)", IndexKind::IvfFlat)] {
         let spec = IndexSpec::new(kind, data.dim(), Metric::L2).with_param("nlist", 64);
-        let mut b = reg.create_builder(&spec).unwrap();
+        let mut b = IndexRegistry.create_builder(&spec).unwrap();
         if b.requires_training() {
             b.train(slice).unwrap();
         }
@@ -71,7 +70,7 @@ fn ablation_hashing() -> Vec<Vec<String>> {
         for w in 0..16 {
             ring.add_worker(WorkerId(w));
         }
-        let mut counts = vec![0usize; 16];
+        let mut counts = [0usize; 16];
         for k in &keys {
             counts[ring.assign(k).unwrap().raw() as usize] += 1;
         }
@@ -121,9 +120,8 @@ fn ablation_row_offsets() -> Vec<Vec<String>> {
     // with the hash map a real LSM PK index would consult.
     let data = DatasetSpec::laion_sim().generate();
     let n = 8_000.min(data.n());
-    let reg = IndexRegistry::with_builtins();
     let spec = IndexSpec::new(IndexKind::Hnsw, data.dim(), Metric::L2);
-    let mut b = reg.create_builder(&spec).unwrap();
+    let mut b = IndexRegistry.create_builder(&spec).unwrap();
     let ids: Vec<u64> = (0..n as u64).collect();
     b.add_with_ids(&data.vectors[..n * data.dim()], &ids).unwrap();
     let idx = b.finish().unwrap();
@@ -146,8 +144,8 @@ fn ablation_row_offsets() -> Vec<Vec<String>> {
         let hits = idx.search_with_bound(q, 100, &params, None, None).unwrap();
         for h in &hits {
             // PK design: translate every hit through the PK index.
-            for probe in 0..8 {
-                let pk = h.id * 97 + 13 + probe % 1;
+            for _ in 0..8 {
+                let pk = h.id * 97 + 13;
                 acc += *pk_map.get(&pk).unwrap_or(&0) as u64;
             }
         }

@@ -21,7 +21,7 @@ use bh_storage::objectstore::InMemoryObjectStore;
 use bh_storage::schema::TableSchema;
 use bh_storage::table::{TableStore, TableStoreConfig};
 use bh_storage::value::{ColumnType, Value};
-use bh_vector::{IndexKind, IndexRegistry, Metric};
+use bh_vector::{IndexKind, Metric};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -52,7 +52,6 @@ fn fixture() -> Fixture {
     let table = TableStore::new(
         schema,
         InMemoryObjectStore::for_tests(),
-        Arc::new(IndexRegistry::with_builtins()),
         TableStoreConfig { segment_max_rows: ROWS_PER_SEGMENT, ..Default::default() },
         Arc::new(IdGenerator::new()),
         metrics.clone(),
@@ -72,7 +71,6 @@ fn fixture() -> Fixture {
         "bench",
         VwConfig::default(),
         table.remote_store().clone(),
-        table.registry().clone(),
         VirtualClock::shared(),
         metrics.clone(),
         Arc::new(IdGenerator::starting_at(10_000)),

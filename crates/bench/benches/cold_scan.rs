@@ -40,7 +40,7 @@ use bh_storage::objectstore::InMemoryObjectStore;
 use bh_storage::schema::TableSchema;
 use bh_storage::table::{TableStore, TableStoreConfig};
 use bh_storage::value::{ColumnType, Value};
-use bh_vector::{IndexKind, IndexRegistry, Metric};
+use bh_vector::{IndexKind, Metric};
 use blendhouse::{Database, DatabaseConfig};
 use std::sync::Arc;
 use std::time::Duration;
@@ -94,7 +94,6 @@ fn fixture(overlapped: bool) -> Fixture {
     let table = TableStore::new(
         schema,
         store,
-        Arc::new(IndexRegistry::with_builtins()),
         TableStoreConfig { segment_max_rows: ROWS_PER_SEGMENT, ..Default::default() },
         Arc::new(IdGenerator::new()),
         metrics.clone(),
@@ -106,7 +105,6 @@ fn fixture(overlapped: bool) -> Fixture {
         if overlapped { "overlapped" } else { "blocking" },
         VwConfig { worker: worker_config(overlapped), ..Default::default() },
         table.remote_store().clone(),
-        table.registry().clone(),
         clock.clone(),
         metrics.clone(),
         Arc::new(IdGenerator::starting_at(10_000)),

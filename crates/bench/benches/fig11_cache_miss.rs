@@ -16,7 +16,7 @@ use bh_storage::objectstore::InMemoryObjectStore;
 use bh_storage::schema::TableSchema;
 use bh_storage::table::{TableStore, TableStoreConfig};
 use bh_storage::value::{ColumnType, Value};
-use bh_vector::{IndexKind, IndexRegistry, Metric, SearchParams, VectorIndex};
+use bh_vector::{IndexKind, Metric, SearchParams, VectorIndex};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -38,7 +38,6 @@ fn main() {
     let table = TableStore::new(
         schema,
         remote.clone(),
-        Arc::new(IndexRegistry::with_builtins()),
         TableStoreConfig { segment_max_rows: data.n(), ..Default::default() },
         Arc::new(IdGenerator::new()),
         metrics.clone(),
@@ -55,7 +54,6 @@ fn main() {
             WorkerId(id),
             WorkerConfig { block_data_bytes: data_cache, ..Default::default() },
             remote.clone(),
-            table.registry().clone(),
             clock.clone(),
             metrics.clone(),
         ))
@@ -79,7 +77,6 @@ fn main() {
         "fig11",
         VwConfig { rpc: LatencyModel::fixed(Duration::from_micros(50)), ..Default::default() },
         remote.clone(),
-        table.registry().clone(),
         clock.clone(),
         metrics.clone(),
         Arc::new(IdGenerator::new()),

@@ -12,11 +12,10 @@ use bh_vector::{IndexKind, IndexRegistry, IndexSpec, Metric, SearchParams};
 use std::time::Duration;
 
 fn build_ivf(data: &Dataset, n: usize, nlist: usize) -> std::sync::Arc<dyn bh_vector::VectorIndex> {
-    let reg = IndexRegistry::with_builtins();
     let spec = IndexSpec::new(IndexKind::IvfPqFs, data.dim(), Metric::L2)
         .with_param("nlist", nlist)
         .with_param("pq_m", data.dim() / 4);
-    let mut b = reg.create_builder(&spec).unwrap();
+    let mut b = IndexRegistry.create_builder(&spec).unwrap();
     let slice = &data.vectors[..n * data.dim()];
     b.train(slice).unwrap();
     let ids: Vec<u64> = (0..n as u64).collect();

@@ -81,7 +81,7 @@ fn probe_cost_constants(_c: &mut Criterion) {
     let queries: Vec<Vec<f32>> = (0..32).map(|_| point()).collect();
     let xs: Vec<i64> = (0..rows).map(|_| r.gen_range(0..1_000_000usize) as i64).collect();
     let spec = IndexSpec::new(IndexKind::Hnsw, dim, Metric::L2);
-    let mut b = IndexRegistry::with_builtins().create_builder(&spec).unwrap();
+    let mut b = IndexRegistry.create_builder(&spec).unwrap();
     b.add_with_ids(&data, &(0..rows as u64).collect::<Vec<_>>()).unwrap();
     let index = b.finish().unwrap();
     let mut q = 0usize;
@@ -197,7 +197,7 @@ fn probe_cost_constants(_c: &mut Criterion) {
         .flat_map(|kind| [(kind, 512usize), (kind, 8_000)])
     {
         let spec = IndexSpec::new(kind, dim, Metric::L2);
-        let mut b = IndexRegistry::with_builtins().create_builder(&spec).unwrap();
+        let mut b = IndexRegistry.create_builder(&spec).unwrap();
         b.add_with_ids(&data[..rows * dim], &(0..rows as u64).collect::<Vec<_>>()).unwrap();
         let ivf = b.finish().unwrap();
         let p = SearchParams::default();

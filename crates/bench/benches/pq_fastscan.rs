@@ -107,7 +107,6 @@ fn shared_bound_skip_rate(
     dataset: &bh_bench::datasets::Dataset,
     queries: &[Vec<f32>],
 ) -> (u64, u64) {
-    let reg = IndexRegistry::with_builtins();
     // Row-range partition of cluster-sorted rows: each segment holds half
     // the clusters, like storage-level semantic clustering.
     let mut order: Vec<usize> = (0..dataset.n()).collect();
@@ -118,7 +117,7 @@ fn shared_bound_skip_rate(
         let spec = IndexSpec::new(IndexKind::IvfPqFs, DIM, Metric::L2)
             .with_param("nlist", 128)
             .with_param("pq_m", M);
-        let mut b = reg.create_builder(&spec).unwrap();
+        let mut b = IndexRegistry.create_builder(&spec).unwrap();
         b.train(&slice).unwrap();
         let ids: Vec<u64> = rows.iter().map(|&r| r as u64).collect();
         b.add_with_ids(&slice, &ids).unwrap();
@@ -161,7 +160,7 @@ fn main() {
     let data = &dataset.vectors;
     let queries = dataset.queries(QUERIES, 7);
 
-    let pq = Pq::train(&data, DIM, Metric::L2, &PqParams::new(M, CodeBits::B4)).unwrap();
+    let pq = Pq::train(data, DIM, Metric::L2, &PqParams::new(M, CodeBits::B4)).unwrap();
     let packed: Vec<Vec<u8>> =
         (0..N).map(|i| pq.encode(&data[i * DIM..(i + 1) * DIM]).unwrap()).collect();
     let mut fs_codes = FastScanCodes::new(pq.code_size());
@@ -183,7 +182,7 @@ fn main() {
             *slot = table.distance(code);
         }
         lut.scan(&fs_codes, &mut out_fast).unwrap();
-        let truth = exact_topk(&data, q, K);
+        let truth = exact_topk(data, q, K);
         let top_scalar = topk_of(&out_scalar, K);
         let top_fast = topk_of(&out_fast, K);
         recall_scalar += overlap(&truth, &top_scalar);

@@ -336,7 +336,6 @@ fn main() {
         WorkerId(99),
         WorkerConfig::default(),
         table.remote_store().clone(),
-        table.registry().clone(),
         VirtualClock::shared(),
         MetricsRegistry::new(),
     );

@@ -39,11 +39,11 @@ fn build_blendhouse(data: &bh_bench::datasets::Dataset, partitioned: bool) -> Da
     let table = db.table("bench").unwrap();
     let ys = second_attr(data);
     let mut rows = Vec::with_capacity(4096);
-    for i in 0..data.n() {
+    for (i, &y) in ys.iter().enumerate() {
         rows.push(vec![
             Value::UInt64(i as u64),
             Value::Int64(data.rand_int[i]),
-            Value::Int64(ys[i]),
+            Value::Int64(y),
             Value::Int64(data.rand_int[i] / BUCKET_WIDTH),
             Value::Vector(data.vector(i).to_vec()),
         ]);

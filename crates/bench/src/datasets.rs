@@ -107,11 +107,11 @@ impl Dataset {
             let c = r.gen_range(0..spec.clusters);
             cluster_of.push(c as u32);
             let center = &centers[c];
-            for d in 0..spec.dim {
+            for (d, &mid) in center.iter().enumerate() {
                 // Anisotropic noise: later dimensions are tighter, like the
                 // decaying spectrum of real embeddings.
                 let sigma = 1.0 / (1.0 + d as f32 * 0.05);
-                vectors.push(center[d] + (r.gen::<f32>() * 2.0 - 1.0) * sigma);
+                vectors.push(mid + (r.gen::<f32>() * 2.0 - 1.0) * sigma);
             }
             rand_int.push(r.gen_range(0..1_000_000usize) as i64);
             similarity.push(r.gen::<f64>());

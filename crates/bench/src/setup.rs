@@ -67,11 +67,11 @@ pub fn ingest_dataset(db: &Database, data: &Dataset, with_pbucket: bool) {
     let ys = second_attr(data);
     let batch = 4096;
     let mut rows = Vec::with_capacity(batch);
-    for i in 0..data.n() {
+    for (i, &y) in ys.iter().enumerate() {
         let mut row = vec![
             Value::UInt64(i as u64),
             Value::Int64(data.rand_int[i]),
-            Value::Int64(ys[i]),
+            Value::Int64(y),
             Value::Str(data.captions.get(i).cloned().unwrap_or_default()),
             Value::Float64(data.similarity[i]),
         ];

@@ -231,7 +231,7 @@ mod tests {
     fn multi_probe_balances_better_than_single_probe() {
         let imbalance = |probes: u32| {
             let r = ring(8, probes);
-            let mut counts = vec![0usize; 8];
+            let mut counts = [0usize; 8];
             for k in keys(4000) {
                 counts[r.assign(&k).unwrap().raw() as usize] += 1;
             }

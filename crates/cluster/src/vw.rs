@@ -32,7 +32,7 @@ use bh_common::{
 use bh_storage::objectstore::SharedObjectStore;
 use bh_storage::segment::SegmentMeta;
 use bh_storage::table::TableStore;
-use bh_vector::{IndexRegistry, Neighbor, SearchParams, VectorIndex};
+use bh_vector::{Neighbor, SearchParams, VectorIndex};
 use bh_common::sync::{classes, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -82,7 +82,6 @@ pub struct VirtualWarehouse {
     name: String,
     cfg: VwConfig,
     remote: SharedObjectStore,
-    registry: Arc<IndexRegistry>,
     clock: SharedClock,
     metrics: MetricsRegistry,
     ids: Arc<IdGenerator>,
@@ -101,13 +100,11 @@ pub struct VirtualWarehouse {
 
 impl VirtualWarehouse {
     /// An empty warehouse (add workers with [`Self::scale_up`]).
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         id: VwId,
         name: &str,
         cfg: VwConfig,
         remote: SharedObjectStore,
-        registry: Arc<IndexRegistry>,
         clock: SharedClock,
         metrics: MetricsRegistry,
         ids: Arc<IdGenerator>,
@@ -118,7 +115,6 @@ impl VirtualWarehouse {
             name: name.to_string(),
             cfg,
             remote,
-            registry,
             clock,
             ids,
             workers: RwLock::new(&classes::VW_WORKERS, BTreeMap::new()),
@@ -206,7 +202,6 @@ impl VirtualWarehouse {
             wid,
             self.cfg.worker.clone(),
             self.remote.clone(),
-            self.registry.clone(),
             self.clock.clone(),
             self.metrics.clone(),
         ));
@@ -450,7 +445,6 @@ mod tests {
         let ts = TableStore::new(
             schema,
             store,
-            Arc::new(IndexRegistry::with_builtins()),
             TableStoreConfig { segment_max_rows: seg_rows, ..Default::default() },
             Arc::new(IdGenerator::new()),
             metrics,
@@ -469,7 +463,6 @@ mod tests {
             "test-vw",
             cfg,
             table.remote_store().clone(),
-            table.registry().clone(),
             VirtualClock::shared(),
             table.metrics().clone(),
             Arc::new(IdGenerator::starting_at(100)),
@@ -560,7 +553,6 @@ mod tests {
             "vw",
             cfg,
             t.remote_store().clone(),
-            t.registry().clone(),
             clock.clone(),
             t.metrics().clone(),
             Arc::new(IdGenerator::starting_at(100)),

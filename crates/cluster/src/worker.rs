@@ -29,7 +29,7 @@ use bh_storage::segment::SegmentMeta;
 use bh_storage::table::TableStore;
 use bh_storage::value::{ColumnType, Value};
 use bh_vector::distance::{scan_distances, Metric};
-use bh_vector::{BoundedTopK, IndexRegistry, Neighbor, VectorIndex};
+use bh_vector::{BoundedTopK, Neighbor, VectorIndex};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -105,11 +105,10 @@ impl Worker {
         id: WorkerId,
         cfg: WorkerConfig,
         remote: SharedObjectStore,
-        registry: Arc<IndexRegistry>,
         clock: SharedClock,
         metrics: MetricsRegistry,
     ) -> Self {
-        let index_cache = IndexCache::new(cfg.index_mem_bytes, remote, registry, metrics.clone());
+        let index_cache = IndexCache::new(cfg.index_mem_bytes, remote, metrics.clone());
         let block_cache = BlockCache::new(cfg.block_data_bytes, CACHE_ROW_LIMIT, metrics.clone());
         let column_cache =
             bh_storage::lru::LruCache::with_metrics(cfg.block_data_bytes, &metrics, "column");
@@ -541,7 +540,6 @@ mod tests {
                 metrics.clone(),
                 "test-store",
             )),
-            Arc::new(IndexRegistry::with_builtins()),
             TableStoreConfig { segment_max_rows: 4096, ..Default::default() },
             Arc::new(IdGenerator::new()),
             metrics,
@@ -565,7 +563,6 @@ mod tests {
             WorkerId(0),
             cfg,
             table.remote_store().clone(),
-            table.registry().clone(),
             VirtualClock::shared(),
             table.metrics().clone(),
         )
@@ -581,7 +578,6 @@ mod tests {
                 WorkerId(0),
                 WorkerConfig { overlap, ..Default::default() },
                 t.remote_store().clone(),
-                t.registry().clone(),
                 clock.clone(),
                 MetricsRegistry::new(),
             );

@@ -256,12 +256,15 @@ impl Drop for Stage<'_> {
     }
 }
 
+/// Reads one cell of a [`StatementWork`].
+type WorkCell = fn(&StatementWork) -> u64;
+
 /// The global counters a statement's tally folds into, resolved once by the
 /// engine that folds it (`QueryEngine::execute_batch`, when the call ends).
 /// `rows_scanned` has no global counter and the cache cells' are the caches'
 /// own ([`cache_hit`], [`cache_miss`]).
 pub struct StatementCounters {
-    work: [(Arc<Counter>, fn(&StatementWork) -> u64); 7],
+    work: [(Arc<Counter>, WorkCell); 7],
     /// `query.plan.<slug>`, by slug.
     plans: [(&'static str, Arc<Counter>); 4],
 }

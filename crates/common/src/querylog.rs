@@ -454,10 +454,8 @@ pub fn normalize_sql(sql: &str) -> String {
                 // a shape key.
                 let mut prev = c;
                 while let Some(&n) = chars.peek() {
-                    if n.is_ascii_digit() || n == '.' || n == 'e' || n == 'E' {
-                        prev = n;
-                        chars.next();
-                    } else if (n == '+' || n == '-') && matches!(prev, 'e' | 'E') {
+                    let sign_of_exponent = (n == '+' || n == '-') && matches!(prev, 'e' | 'E');
+                    if n.is_ascii_digit() || n == '.' || n == 'e' || n == 'E' || sign_of_exponent {
                         prev = n;
                         chars.next();
                     } else {

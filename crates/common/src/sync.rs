@@ -125,8 +125,6 @@ lock_rank_table! {
     LRU_INNER = 450,
     /// `InMemoryObjectStore` blob map.
     OBJECTSTORE_BLOBS = 500,
-    /// `IndexRegistry::factories` index-factory map.
-    REGISTRY_FACTORIES = 550,
     /// `FanoutPool` helper mailbox (job hand-off + thread handles). A leaf:
     /// held only to move a job in or out, never across a task, so it ranks
     /// above everything a statement may hold when it fans out.

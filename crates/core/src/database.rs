@@ -115,7 +115,6 @@ fn kind_index(kind: &str) -> usize {
 pub struct Database {
     cfg: DatabaseConfig,
     remote: SharedObjectStore,
-    registry: Arc<IndexRegistry>,
     metrics: MetricsRegistry,
     clock: SharedClock,
     ids: Arc<IdGenerator>,
@@ -173,7 +172,6 @@ impl Database {
         let db = Database {
             cfg: cfg.clone(),
             remote,
-            registry: Arc::new(IndexRegistry::with_builtins()),
             metrics: metrics.clone(),
             clock,
             ids: Arc::new(IdGenerator::new()),
@@ -219,9 +217,9 @@ impl Database {
         &self.engine
     }
 
-    /// The pluggable index-library registry.
-    pub fn registry(&self) -> &Arc<IndexRegistry> {
-        &self.registry
+    /// The index libraries builds and loads go through.
+    pub fn registry(&self) -> &IndexRegistry {
+        &IndexRegistry
     }
 
     /// The simulated remote shared store all tables persist to.
@@ -250,7 +248,6 @@ impl Database {
             name,
             VwConfig { rpc: self.cfg.latencies.rpc, ..self.cfg.vw.clone() },
             self.remote.clone(),
-            self.registry.clone(),
             self.clock.clone(),
             self.metrics.clone(),
             self.ids.clone(),
@@ -447,7 +444,6 @@ impl Database {
                 let store = TableStore::new(
                     schema,
                     self.remote.clone(),
-                    self.registry.clone(),
                     self.cfg.table.clone(),
                     self.ids.clone(),
                     self.metrics.clone(),
@@ -689,6 +685,43 @@ mod tests {
                     ids.dedup();
                     assert_eq!(ids.len(), visible, "{index} {forced:?} `{filter}`");
                 }
+            }
+        }
+    }
+
+    /// A build parameter no build can use is a CREATE TABLE error naming
+    /// the parameter and its range, not a panic at every later INSERT.
+    #[test]
+    fn build_params_that_can_never_build_are_rejected_at_create_table() {
+        let cases = [
+            (
+                "HNSW('DIM=4', 'M=18446744073709551615')",
+                Some("M=18446744073709551615 must be in 2..=512"),
+            ),
+            ("HNSW('DIM=4', 'M=1')", Some("M=1 must be in 2..=512")),
+            ("HNSWSQ('DIM=4', 'M=512')", None),
+            (
+                "IVFFLAT('DIM=4', 'NLIST=18446744073709551615')",
+                Some("NLIST=18446744073709551615 must be in 0..=65536"),
+            ),
+            ("IVFPQ('DIM=4', 'NLIST=65536')", None),
+            ("IVFPQ('DIM=10', 'PQ_M=3')", Some("PQ_M=3 must divide DIM=10")),
+            ("IVFPQFS('DIM=10', 'PQ_M=5')", None),
+        ];
+        for (i, (index, rejected)) in cases.into_iter().enumerate() {
+            let db = Database::in_memory();
+            let got = db.execute(&format!(
+                "CREATE TABLE t{i} (id UInt64, emb Array(Float32), INDEX ann emb TYPE {index}) \
+                 ORDER BY id"
+            ));
+            match rejected {
+                Some(want) => {
+                    let err = got.err().unwrap_or_else(|| panic!("{index} was accepted"));
+                    assert!(matches!(err, BhError::InvalidArgument(_)), "{index}: {err}");
+                    assert!(err.to_string().contains(want), "{index}: {err}");
+                    assert!(db.execute(&format!("SELECT id FROM t{i} LIMIT 1")).is_err());
+                }
+                None => assert!(got.is_ok(), "{index}: {got:?}"),
             }
         }
     }

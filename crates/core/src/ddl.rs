@@ -117,15 +117,23 @@ mod tests {
 
     #[test]
     fn unknown_index_type_rejected() {
-        assert!(schema_of(
-            "CREATE TABLE t (v Array(Float32), INDEX i v TYPE LSH('DIM=4'))"
-        )
-        .is_err());
+        for kind in ["LSH", "DISKANN"] {
+            let err = schema_of(&format!(
+                "CREATE TABLE t (v Array(Float32), INDEX i v TYPE {kind}('DIM=4'))"
+            ))
+            .unwrap_err();
+            assert!(matches!(err, BhError::InvalidArgument(_)), "{kind}: {err}");
+            let msg = err.to_string();
+            assert!(msg.contains(kind), "{msg}");
+            for known in IndexKind::ALL {
+                assert!(msg.contains(known.name()), "{kind}: {msg} misses {}", known.name());
+            }
+        }
     }
 
     #[test]
     fn every_index_kind_parses() {
-        for kind in ["FLAT", "HNSW", "HNSWSQ", "IVFFLAT", "IVFPQ", "IVFPQFS", "DISKANN"] {
+        for kind in IndexKind::ALL.map(|k| k.name()) {
             let s = schema_of(&format!(
                 "CREATE TABLE t (v Array(Float32), INDEX i v TYPE {kind}('DIM=8'))"
             ))

@@ -266,12 +266,15 @@ pub fn split_conjuncts(e: &Expr) -> Vec<&Expr> {
     }
 }
 
+/// A bound `Distance(col, [q]) < r`: column, query, metric and radius.
+type DistanceRange = (String, Vec<f32>, Metric, f32);
+
 /// Recognize `Distance(col, [q]) < r` (either operand order). Returns the
 /// bound components or `None` when the conjunct is purely scalar.
 fn extract_distance_range(
     schema: &TableSchema,
     e: &Expr,
-) -> Result<Option<(String, Vec<f32>, Metric, f32)>> {
+) -> Result<Option<DistanceRange>> {
     let Expr::Binary { op, lhs, rhs } = e else { return Ok(None) };
     let ((fname, args), lit, op_towards_lit) = if let Some(call) = lhs.as_distance_call() {
         (call, rhs.as_ref(), *op)

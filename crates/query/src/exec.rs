@@ -962,13 +962,13 @@ impl QueryEngine {
             let cells: Vec<Vec<Value>> = with_segment_retry(vw, meta, |worker| {
                 needed.iter().map(|c| worker.read_cells(table, meta, c, &offsets)).collect()
             })?;
-            for i in 0..offsets.len() {
+            keyed.extend((0..offsets.len()).map(|i| {
                 let row = proj_slots
                     .iter()
                     .map(|s| s.map_or(Value::Null, |at| cells[at][i].clone()))
                     .collect();
-                keyed.push((key_slot.map(|at| cells[at][i].clone()), row));
-            }
+                (key_slot.map(|at| cells[at][i].clone()), row)
+            }));
         }
         if let Some((_, asc)) = &bound.scalar_order {
             keyed.sort_by(|a, b| {
@@ -1156,7 +1156,7 @@ mod tests {
     use bh_storage::schema::TableSchema;
     use bh_storage::table::{TableStoreConfig, TableStore};
     use bh_storage::value::ColumnType;
-    use bh_vector::{IndexKind, IndexRegistry, Metric};
+    use bh_vector::{IndexKind, Metric};
 
     /// Rows `ids` of the clustered table: row i has its embedding centered
     /// at (i%5)·6, label l{i%2}, score i/n.
@@ -1201,7 +1201,6 @@ mod tests {
         let ts = TableStore::new(
             schema,
             store,
-            Arc::new(IndexRegistry::with_builtins()),
             TableStoreConfig { segment_max_rows: seg_rows, ..Default::default() },
             Arc::new(IdGenerator::new()),
             metrics.clone(),
@@ -1225,7 +1224,6 @@ mod tests {
             "q",
             cfg,
             ts.remote_store().clone(),
-            ts.registry().clone(),
             clock,
             ts.metrics().clone(),
             Arc::new(IdGenerator::starting_at(1000)),
@@ -1736,7 +1734,6 @@ mod tests {
                 ..Default::default()
             },
             ts.remote_store().clone(),
-            ts.registry().clone(),
             bh_common::RealClock::shared(),
             engine.metrics.clone(),
             Arc::new(IdGenerator::starting_at(2000)),
@@ -1940,7 +1937,6 @@ mod tests {
         let ts = TableStore::new(
             schema,
             InMemoryObjectStore::for_tests(),
-            Arc::new(IndexRegistry::with_builtins()),
             TableStoreConfig::default(),
             Arc::new(IdGenerator::new()),
             metrics.clone(),
@@ -1951,7 +1947,6 @@ mod tests {
             "q",
             VwConfig::default(),
             ts.remote_store().clone(),
-            ts.registry().clone(),
             VirtualClock::shared(),
             metrics.clone(),
             Arc::new(IdGenerator::starting_at(1000)),

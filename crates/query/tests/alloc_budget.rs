@@ -24,7 +24,7 @@ use bh_storage::predicate::Predicate;
 use bh_storage::schema::TableSchema;
 use bh_storage::table::{TableStore, TableStoreConfig};
 use bh_storage::value::{ColumnType, Value};
-use bh_vector::{IndexKind, IndexRegistry, Metric};
+use bh_vector::{IndexKind, Metric};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -89,7 +89,6 @@ fn scalar_path_allocations_stay_within_budget() {
     let table = TableStore::new(
         schema,
         InMemoryObjectStore::for_tests(),
-        Arc::new(IndexRegistry::with_builtins()),
         TableStoreConfig { segment_max_rows: ROWS_PER_SEGMENT, ..Default::default() },
         Arc::new(IdGenerator::new()),
         metrics.clone(),
@@ -112,7 +111,6 @@ fn scalar_path_allocations_stay_within_budget() {
         "q",
         VwConfig::default(),
         table.remote_store().clone(),
-        table.registry().clone(),
         VirtualClock::shared(),
         metrics.clone(),
         Arc::new(IdGenerator::starting_at(1000)),

@@ -25,7 +25,7 @@ use bh_storage::predicate::Predicate;
 use bh_storage::schema::TableSchema;
 use bh_storage::table::{TableStore, TableStoreConfig};
 use bh_storage::value::{ColumnType, Value};
-use bh_vector::{IndexKind, IndexRegistry, Metric};
+use bh_vector::{IndexKind, Metric};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
@@ -54,7 +54,6 @@ fn build_fixture() -> Fixture {
         let table = TableStore::new(
             schema,
             InMemoryObjectStore::for_tests(),
-            Arc::new(IndexRegistry::with_builtins()),
             TableStoreConfig { segment_max_rows: 50, ..Default::default() },
             Arc::new(IdGenerator::new()),
             metrics.clone(),
@@ -94,7 +93,6 @@ fn make_vw(table: &TableStore, metrics: &MetricsRegistry) -> VirtualWarehouse {
         "q",
         VwConfig::default(),
         table.remote_store().clone(),
-        table.registry().clone(),
         VirtualClock::shared(),
         metrics.clone(),
         Arc::new(IdGenerator::starting_at(1000)),

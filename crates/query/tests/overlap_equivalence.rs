@@ -35,7 +35,7 @@ use bh_storage::objectstore::InMemoryObjectStore;
 use bh_storage::schema::TableSchema;
 use bh_storage::table::{TableStore, TableStoreConfig};
 use bh_storage::value::{ColumnType, Value};
-use bh_vector::{IndexKind, IndexRegistry, Metric};
+use bh_vector::{IndexKind, Metric};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -71,7 +71,6 @@ fn side(overlapped: bool) -> Side {
     let table = TableStore::new(
         schema,
         store,
-        Arc::new(IndexRegistry::with_builtins()),
         TableStoreConfig { segment_max_rows: 60, ..Default::default() },
         Arc::new(IdGenerator::new()),
         metrics.clone(),
@@ -110,7 +109,6 @@ fn make_vw(side: &Side, overlap: bool) -> VirtualWarehouse {
             ..Default::default()
         },
         side.table.remote_store().clone(),
-        side.table.registry().clone(),
         side.clock.clone(),
         side.metrics.clone(),
         Arc::new(IdGenerator::starting_at(1000)),

@@ -18,7 +18,7 @@ use bh_storage::objectstore::InMemoryObjectStore;
 use bh_storage::schema::TableSchema;
 use bh_storage::table::{TableStore, TableStoreConfig};
 use bh_storage::value::{ColumnType, Value};
-use bh_vector::{IndexKind, IndexRegistry, Metric, SearchParams};
+use bh_vector::{IndexKind, Metric, SearchParams};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
@@ -42,7 +42,6 @@ fn fixture() -> &'static Fixture {
         let table = TableStore::new(
             schema,
             InMemoryObjectStore::for_tests(),
-            Arc::new(IndexRegistry::with_builtins()),
             TableStoreConfig { segment_max_rows: 100, ..Default::default() },
             Arc::new(IdGenerator::new()),
             metrics.clone(),
@@ -64,7 +63,6 @@ fn fixture() -> &'static Fixture {
             "q",
             VwConfig::default(),
             table.remote_store().clone(),
-            table.registry().clone(),
             VirtualClock::shared(),
             metrics.clone(),
             Arc::new(IdGenerator::starting_at(1000)),
@@ -100,11 +98,14 @@ fn ids(rs: &ResultSet) -> Vec<u64> {
         .collect()
 }
 
+/// Whether the row with this id passes a filter.
+type RowOracle = fn(u64) -> bool;
+
 /// The swept filters: SQL text, true pass fraction, and a row-level oracle.
 /// Spans the selectivity range the cost model routes to Plan D and beyond it
 /// into the regions where A (tiny s) or C (large s) would normally win — a
 /// forced Plan D must stay correct everywhere, not just where it is chosen.
-const FILTERS: &[(&str, f32, fn(u64) -> bool)] = &[
+const FILTERS: &[(&str, f32, RowOracle)] = &[
     ("WHERE id < 24 ", 0.02, |id| id < 24),
     ("WHERE id < 120 ", 0.1, |id| id < 120),
     ("WHERE label = 'l1' AND id < 600 ", 0.25, |id| id % 2 == 1 && id < 600),

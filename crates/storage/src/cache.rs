@@ -46,7 +46,6 @@ struct Transfer {
 pub struct IndexCache {
     mem: LruCache<SegmentId, Arc<dyn VectorIndex>>,
     remote: SharedObjectStore,
-    registry: Arc<IndexRegistry>,
     metrics: MetricsRegistry,
     /// `cache.index.mem.{hit,miss}`, resolved once: every warm segment
     /// search bumps one of them.
@@ -66,13 +65,11 @@ impl IndexCache {
     pub fn new(
         mem_capacity_bytes: usize,
         remote: SharedObjectStore,
-        registry: Arc<IndexRegistry>,
         metrics: MetricsRegistry,
     ) -> Self {
         Self {
             mem: LruCache::new(mem_capacity_bytes),
             remote,
-            registry,
             mem_hit: metrics.counter("cache.index.mem.hit"),
             mem_miss: metrics.counter("cache.index.mem.miss"),
             metrics,
@@ -142,7 +139,7 @@ impl IndexCache {
     ) -> Result<Arc<dyn VectorIndex>> {
         let loaded = self
             .blob(meta, transfer)
-            .and_then(|blob| self.registry.load_blob(kind, &blob.wait()));
+            .and_then(|blob| IndexRegistry.load_blob(kind, &blob.wait()));
         if let Ok(idx) = &loaded {
             self.mem.put(meta.id, idx.clone(), idx.memory_usage());
         }
@@ -378,7 +375,6 @@ mod tests {
 
     fn build_indexed_segment(
         store: &InMemoryObjectStore,
-        registry: &IndexRegistry,
         id: u64,
         n: usize,
     ) -> SegmentMeta {
@@ -392,7 +388,7 @@ mod tests {
         let mut seg = Segment::from_rows(&schema, SegmentId(id), rows, vec![], None, 0).unwrap();
         // Build + persist the index.
         let spec = IndexSpec::new(IndexKind::Flat, 4, Metric::L2);
-        let mut b = registry.create_builder(&spec).unwrap();
+        let mut b = IndexRegistry.create_builder(&spec).unwrap();
         let (data, _) = seg.columns["emb"].vector_data().unwrap();
         let ids: Vec<u64> = (0..n as u64).collect();
         b.add_with_ids(data, &ids).unwrap();
@@ -414,10 +410,9 @@ mod tests {
             metrics.clone(),
             "remote",
         ));
-        let registry = Arc::new(IndexRegistry::with_builtins());
-        let meta = build_indexed_segment(remote.as_ref(), &registry, 1, 50);
+        let meta = build_indexed_segment(remote.as_ref(), 1, 50);
 
-        let cache = IndexCache::new(1 << 20, remote, registry, metrics.clone());
+        let cache = IndexCache::new(1 << 20, remote, metrics.clone());
         assert!(!cache.resident(meta.id));
 
         // First get: memory miss, one remote fetch, then resident.
@@ -451,9 +446,8 @@ mod tests {
             metrics.clone(),
             "remote",
         ));
-        let registry = Arc::new(IndexRegistry::with_builtins());
-        let meta = build_indexed_segment(remote.as_ref(), &registry, 3, 10);
-        let cache = IndexCache::new(1 << 20, remote, registry, metrics);
+        let meta = build_indexed_segment(remote.as_ref(), 3, 10);
+        let cache = IndexCache::new(1 << 20, remote, metrics);
 
         // Poison: a caller dies while holding the transfer table.
         let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -477,7 +471,6 @@ mod tests {
     #[test]
     fn segment_without_index_returns_none() {
         let remote = InMemoryObjectStore::for_tests();
-        let registry = Arc::new(IndexRegistry::with_builtins());
         let schema = TableSchema::new("t").with_column("id", ColumnType::UInt64);
         let seg = Segment::from_rows(
             &schema,
@@ -488,17 +481,16 @@ mod tests {
             0,
         )
         .unwrap();
-        let cache = IndexCache::new(1 << 20, remote, registry, MetricsRegistry::new());
+        let cache = IndexCache::new(1 << 20, remote, MetricsRegistry::new());
         assert!(cache.get(&seg.meta).unwrap().is_none());
     }
 
     #[test]
     fn preload_warms_cache_and_invalidate_clears() {
         let remote = InMemoryObjectStore::for_tests();
-        let registry = Arc::new(IndexRegistry::with_builtins());
-        let m1 = build_indexed_segment(remote.as_ref(), &registry, 1, 20);
-        let m2 = build_indexed_segment(remote.as_ref(), &registry, 2, 20);
-        let cache = IndexCache::new(1 << 20, remote, registry, MetricsRegistry::new());
+        let m1 = build_indexed_segment(remote.as_ref(), 1, 20);
+        let m2 = build_indexed_segment(remote.as_ref(), 2, 20);
+        let cache = IndexCache::new(1 << 20, remote, MetricsRegistry::new());
         assert_eq!(cache.preload([&m1, &m2]).unwrap(), 2);
         assert!(cache.resident(m1.id) && cache.resident(m2.id));
         cache.invalidate(&m1);
@@ -509,9 +501,8 @@ mod tests {
     #[test]
     fn loaded_index_actually_searches() {
         let remote = InMemoryObjectStore::for_tests();
-        let registry = Arc::new(IndexRegistry::with_builtins());
-        let meta = build_indexed_segment(remote.as_ref(), &registry, 3, 30);
-        let cache = IndexCache::new(1 << 20, remote, registry, MetricsRegistry::new());
+        let meta = build_indexed_segment(remote.as_ref(), 3, 30);
+        let cache = IndexCache::new(1 << 20, remote, MetricsRegistry::new());
         let idx = cache.get(&meta).unwrap().unwrap();
         let got = idx
             .search_with_bound(&[5.0, 5.0, 5.0, 5.0], 1, &SearchParams::default(), None, None)
@@ -531,9 +522,8 @@ mod tests {
             "remote",
         );
         let remote = Arc::new(if deferring { remote.deferring() } else { remote });
-        let registry = Arc::new(IndexRegistry::with_builtins());
-        let meta = build_indexed_segment(remote.as_ref(), &registry, id, 40);
-        let cache = Arc::new(IndexCache::new(1 << 20, remote, registry, metrics.clone()));
+        let meta = build_indexed_segment(remote.as_ref(), id, 40);
+        let cache = Arc::new(IndexCache::new(1 << 20, remote, metrics.clone()));
         (cache, meta, metrics)
     }
 
@@ -602,12 +592,11 @@ mod tests {
             )
             .deferring(),
         );
-        let registry = Arc::new(IndexRegistry::with_builtins());
-        let m1 = build_indexed_segment(remote.as_ref(), &registry, 1, 20);
-        let m2 = build_indexed_segment(remote.as_ref(), &registry, 2, 20);
+        let m1 = build_indexed_segment(remote.as_ref(), 1, 20);
+        let m2 = build_indexed_segment(remote.as_ref(), 2, 20);
         let after_setup = clock.now_nanos();
 
-        let cache = IndexCache::new(1 << 20, remote, registry, metrics.clone());
+        let cache = IndexCache::new(1 << 20, remote, metrics.clone());
         // Submissions start both transfers without advancing the clock and
         // without making anything resident.
         assert!(cache.prefetch(&m1).unwrap());
@@ -642,12 +631,11 @@ mod tests {
             )
             .deferring(),
         );
-        let registry = Arc::new(IndexRegistry::with_builtins());
-        let meta = build_indexed_segment(remote.as_ref(), &registry, 8, 600);
+        let meta = build_indexed_segment(remote.as_ref(), 8, 600);
         let gets_before = metrics.counter_value("remote.get");
         let t0 = clock.now_nanos();
 
-        let cache = IndexCache::new(1 << 24, remote, registry, metrics.clone());
+        let cache = IndexCache::new(1 << 24, remote, metrics.clone());
         assert!(!cache.in_flight(meta.id));
         assert!(cache.prefetch(&meta).unwrap());
         assert!(cache.in_flight(meta.id) && !cache.resident(meta.id));
@@ -683,10 +671,9 @@ mod tests {
             metrics.clone(),
             "remote",
         ));
-        let registry = Arc::new(IndexRegistry::with_builtins());
-        let meta = build_indexed_segment(remote.as_ref(), &registry, 1, 10);
+        let meta = build_indexed_segment(remote.as_ref(), 1, 10);
         let (t0, gets) = (clock.now_nanos(), metrics.counter_value("remote.get"));
-        let cache = IndexCache::new(1 << 20, remote, registry, metrics.clone());
+        let cache = IndexCache::new(1 << 20, remote, metrics.clone());
         assert!(cache.prefetch(&meta).unwrap());
         assert_eq!(clock.now_nanos() - t0, 500_000);
         assert!(cache.in_flight(meta.id) && !cache.awaits_transfer(meta.id));

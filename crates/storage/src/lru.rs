@@ -356,7 +356,7 @@ mod tests {
             let c = c.clone();
             handles.push(std::thread::spawn(move || {
                 for i in 0..2000u32 {
-                    let k = (t * 1000 + i % 100) as u32;
+                    let k = t * 1000 + i % 100;
                     c.put(k, k, 7);
                     c.get(&k);
                 }

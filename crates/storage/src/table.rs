@@ -106,7 +106,6 @@ pub struct CompactionReport {
 pub struct TableStore {
     schema: TableSchema,
     remote: SharedObjectStore,
-    registry: Arc<IndexRegistry>,
     cfg: TableStoreConfig,
     segments: RwLock<BTreeMap<SegmentId, Arc<SegmentMeta>>>,
     deletes: DeleteMap,
@@ -127,7 +126,6 @@ impl TableStore {
     pub fn new(
         schema: TableSchema,
         remote: SharedObjectStore,
-        registry: Arc<IndexRegistry>,
         cfg: TableStoreConfig,
         ids: Arc<IdGenerator>,
         metrics: MetricsRegistry,
@@ -136,7 +134,6 @@ impl TableStore {
         Ok(TableStore {
             schema,
             remote,
-            registry,
             cfg,
             segments: RwLock::new(&classes::TABLE_SEGMENTS, BTreeMap::new()),
             deletes: DeleteMap::new(),
@@ -157,11 +154,6 @@ impl TableStore {
     /// The remote store this table persists to.
     pub fn remote_store(&self) -> &SharedObjectStore {
         &self.remote
-    }
-
-    /// The index-library registry used for builds and loads.
-    pub fn registry(&self) -> &Arc<IndexRegistry> {
-        &self.registry
     }
 
     /// Shared metrics registry.
@@ -310,7 +302,7 @@ impl TableStore {
         }
         // Missing IVF `nlist` is filled from the segment's size (§III-B).
         let spec = apply_auto_index(&idx_def.spec, seg.row_count());
-        let mut builder = self.registry.create_builder(&spec)?;
+        let mut builder = IndexRegistry.create_builder(&spec)?;
         let t = Stopwatch::start();
         if builder.requires_training() {
             builder.train(data)?;
@@ -398,7 +390,7 @@ impl TableStore {
     pub fn load_index(&self, meta: &SegmentMeta) -> Result<Option<Arc<dyn VectorIndex>>> {
         let Some(kind) = meta.index_kind else { return Ok(None) };
         let blob = self.remote.get(&meta.index_key())?;
-        Ok(Some(self.registry.load_blob(kind, &blob)?))
+        Ok(Some(IndexRegistry.load_blob(kind, &blob)?))
     }
 
     // ---------------------------------------------------------------- updates
@@ -709,7 +701,6 @@ mod tests {
         TableStore::new(
             schema,
             InMemoryObjectStore::for_tests(),
-            Arc::new(IndexRegistry::with_builtins()),
             cfg,
             Arc::new(IdGenerator::new()),
             MetricsRegistry::new(),
@@ -1005,12 +996,10 @@ mod tests {
     #[test]
     fn reload_from_store_recovers_catalog() {
         let remote = InMemoryObjectStore::for_tests();
-        let registry = Arc::new(IndexRegistry::with_builtins());
         let ids = Arc::new(IdGenerator::new());
         let ts = TableStore::new(
             schema(None),
             remote.clone(),
-            registry.clone(),
             TableStoreConfig::default(),
             ids.clone(),
             MetricsRegistry::new(),
@@ -1023,7 +1012,6 @@ mod tests {
         let ts2 = TableStore::new(
             schema(None),
             remote,
-            registry,
             TableStoreConfig::default(),
             Arc::new(IdGenerator::starting_at(1_000)),
             MetricsRegistry::new(),

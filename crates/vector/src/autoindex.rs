@@ -10,6 +10,10 @@
 
 use crate::types::{IndexKind, IndexSpec};
 
+/// The most cells an IVF index has: `auto_nlist`'s clamp, Fig. 7's largest
+/// `K_IVF`, and the largest `NLIST` a spec may ask for.
+pub const MAX_NLIST: usize = 65_536;
+
 /// Rule-based `nlist` selection used at ingest time: `√n`, clamped so tiny
 /// segments still get a few cells and huge ones don't over-fragment. (The
 /// faiss guideline range is `√n`–`16·√n`; the low end keeps the coarse
@@ -21,7 +25,7 @@ use crate::types::{IndexKind, IndexSpec};
 /// the column kernels of DESIGN.md §10.5.)
 pub fn auto_nlist(n: usize) -> usize {
     let k = (n.max(1) as f64).sqrt().round() as usize;
-    k.clamp(4, 65_536).min(n.max(1))
+    k.clamp(4, MAX_NLIST).min(n.max(1))
 }
 
 /// Simple analytic IVF search-cost model: probing scans all `k` centroids

@@ -596,7 +596,7 @@ pub struct Codebook<'a> {
 impl<'a> Codebook<'a> {
     /// Lay out the `rows.len() / dim` row-major vectors of `rows`.
     pub fn new(rows: &'a [f32], dim: usize) -> Result<Codebook<'a>> {
-        if dim == 0 || rows.is_empty() || rows.len() % dim != 0 {
+        if dim == 0 || rows.is_empty() || !rows.len().is_multiple_of(dim) {
             return Err(BhError::InvalidArgument(format!(
                 "codebook: {} values are not a non-empty block of dim {dim}",
                 rows.len()
@@ -657,7 +657,7 @@ impl<'a> Codebook<'a> {
     #[inline]
     fn check_range(&self, first: usize, len: usize) -> Result<()> {
         let fits = first.checked_add(len).is_some_and(|end| end <= self.k);
-        if !fits || (self.columnar() && first % COLUMN_LANES != 0) {
+        if !fits || (self.columnar() && !first.is_multiple_of(COLUMN_LANES)) {
             return Err(BhError::InvalidArgument(format!(
                 "codebook: vectors {first}..+{len} of {} (column layouts start at multiples of \
                  {COLUMN_LANES})",
@@ -2151,7 +2151,7 @@ mod tests {
                 [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0, f32::MAX];
             let value = |j: u64| {
                 let bits = bh_common::rng::derive_seed(seed, j);
-                if special_one_in > 0 && (bits >> 3) % special_one_in == 0 {
+                if special_one_in > 0 && (bits >> 3).is_multiple_of(special_one_in) {
                     SPECIAL[(bits >> 16) as usize % SPECIAL.len()]
                 } else if grid {
                     (bits % 7) as f32 - 3.0

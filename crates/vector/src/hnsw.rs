@@ -667,16 +667,13 @@ impl HnswBuilder {
     /// A builder for `HNSW` or `HNSWSQ` validated against `spec`.
     pub fn new(spec: &IndexSpec, kind: IndexKind) -> Result<HnswBuilder> {
         spec.validate()?;
-        if !matches!(kind, IndexKind::Hnsw | IndexKind::HnswSq) {
+        if kind != spec.kind || !matches!(kind, IndexKind::Hnsw | IndexKind::HnswSq) {
             return Err(BhError::InvalidArgument(format!(
                 "HnswBuilder cannot build {}",
                 kind.name()
             )));
         }
         let m = spec.param_usize("m", 16)?;
-        if m < 2 {
-            return Err(BhError::InvalidArgument("hnsw: M must be >= 2".into()));
-        }
         let ef_construction = spec.param_usize("ef_construction", 128)?.max(m);
         let seed = spec.param_usize("seed", 0)? as u64;
         Ok(HnswBuilder {
@@ -1292,7 +1289,8 @@ mod tests {
                         }
                         it.visited()
                     };
-                    let walks: [(GraphScan, usize, &dyn Fn(&[f32], u32) -> usize); 4] = [
+                    type Walk<'a> = &'a dyn Fn(&[f32], u32) -> usize;
+                    let walks: [(GraphScan, usize, Walk); 4] = [
                         (GraphScan::Beam, k, &beam),
                         (GraphScan::WidenedBeam, k, &widened),
                         (GraphScan::FilteredTraversal, k, &traversal),

@@ -572,7 +572,9 @@ impl IvfBuilder {
         pool: Arc<FanoutPool>,
     ) -> Result<IvfBuilder> {
         spec.validate()?;
-        if !matches!(kind, IndexKind::IvfFlat | IndexKind::IvfPq | IndexKind::IvfPqFs) {
+        if kind != spec.kind
+            || !matches!(kind, IndexKind::IvfFlat | IndexKind::IvfPq | IndexKind::IvfPqFs)
+        {
             return Err(BhError::InvalidArgument(format!(
                 "IvfBuilder cannot build {}",
                 kind.name()
@@ -616,22 +618,17 @@ impl IvfBuilder {
     }
 
     fn pq_m(&self) -> Result<usize> {
+        // `IndexSpec::validate` checked that a requested `pq_m` divides dim.
         // Default: subspaces of ~4 dims, clamped to a divisor of dim.
         let requested = self.spec.param_usize("pq_m", 0)?;
         if requested > 0 {
-            if self.dim() % requested != 0 {
-                return Err(BhError::InvalidArgument(format!(
-                    "pq_m={requested} must divide dim={}",
-                    self.dim()
-                )));
-            }
             return Ok(requested);
         }
         let target = (self.dim() / 4).max(1);
         // Largest divisor of dim that is <= target.
         let mut best = 1;
         for m in 1..=target {
-            if self.dim() % m == 0 {
+            if self.dim().is_multiple_of(m) {
                 best = m;
             }
         }
@@ -642,7 +639,7 @@ impl IvfBuilder {
 impl IndexBuilder for IvfBuilder {
     fn train(&mut self, sample: &[f32]) -> Result<()> {
         let dim = self.dim();
-        if sample.is_empty() || sample.len() % dim != 0 {
+        if sample.is_empty() || !sample.len().is_multiple_of(dim) {
             return Err(BhError::InvalidArgument("ivf: bad training sample shape".into()));
         }
         let sample = self.normalize_if_cosine(sample);
@@ -1241,8 +1238,7 @@ mod tests {
     #[test]
     fn pq_m_must_divide_dim() {
         let spec = IndexSpec::new(IndexKind::IvfPq, 10, Metric::L2).with_param("pq_m", 3);
-        let mut b = IvfBuilder::new(&spec, IndexKind::IvfPq).unwrap();
-        assert!(b.train(&clustered(100, 10, 11)).is_err());
+        assert!(IvfBuilder::new(&spec, IndexKind::IvfPq).is_err());
     }
 
     #[test]

@@ -169,7 +169,7 @@ pub fn train_kmeans_on(
     if dim == 0 {
         return Err(BhError::InvalidArgument("kmeans: dim must be > 0".into()));
     }
-    if data.len() % dim != 0 {
+    if !data.len().is_multiple_of(dim) {
         return Err(BhError::DimensionMismatch { expected: dim, got: data.len() % dim });
     }
     let n = data.len() / dim;

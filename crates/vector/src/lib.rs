@@ -1,7 +1,7 @@
 //! # bh-vector — the pluggable vector index library
 //!
 //! A from-scratch Rust implementation of the index algorithms BlendHouse
-//! consumes from hnswlib / faiss / diskann, exposed behind the paper's
+//! consumes from hnswlib / faiss, exposed behind the paper's
 //! "virtual vector index" abstraction (Fig. 5):
 //!
 //! * **Execution-layer interfaces**: [`VectorIndex::search_with_bound`]
@@ -21,7 +21,6 @@
 //! | `IVFFLAT` | inverted file | [`ivf`] |
 //! | `IVFPQ` | inverted file + product quantization | [`ivf`] over [`quant::pq`] |
 //! | `IVFPQFS` | inverted file + 4-bit PQ (fast-scan layout) | [`ivf`] |
-//! | `DISKANN` | disk-resident Vamana graph | [`vamana`] |
 //!
 //! Quantized indexes return *approximate* distances; the query executor
 //! optionally refines the top `σ·k` candidates with exact distances fetched
@@ -29,10 +28,10 @@
 //!
 //! ## Pluggability
 //!
-//! Index implementations register [`IndexFactory`] objects in an
-//! [`registry::IndexRegistry`]; BlendHouse instantiates indexes purely through
-//! the registry, so a new library is integrated by registering one factory —
-//! exactly the extensibility claim of §III-A.
+//! BlendHouse instantiates indexes only through [`registry::IndexRegistry`],
+//! whose `create_builder` and `load_blob` are each one `match` on the kind.
+//! A new library is one arm in each plus a [`VectorIndex`] / [`IndexBuilder`]
+//! impl, and no engine layer changes — the extensibility claim of §III-A.
 
 pub mod autoindex;
 pub mod codec;
@@ -46,11 +45,10 @@ pub mod quant;
 pub mod recall;
 pub mod registry;
 pub mod types;
-pub mod vamana;
 
 pub use distance::Metric;
 pub use iterator::{GenericSearchIterator, SearchIterator};
-pub use registry::{IndexFactory, IndexRegistry};
+pub use registry::IndexRegistry;
 pub use types::{
     build_pool, BoundedTopK, GraphScan, IndexBuilder, IndexGroup, IndexKind, IndexMeta, IndexSpec,
     Neighbor, SearchParams, VectorIndex,

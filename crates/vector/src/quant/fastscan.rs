@@ -228,7 +228,7 @@ impl QuantizedLut {
     /// Performs the identical saturating-`u16` arithmetic as the SIMD paths.
     pub fn scan_scalar(&self, codes: &FastScanCodes, out: &mut [f32]) {
         let stride = self.groups * BLOCK;
-        for v in 0..codes.len {
+        for (v, o) in out[..codes.len].iter_mut().enumerate() {
             let base = (v / BLOCK) * stride;
             let lane = v % BLOCK;
             let mut qsum = 0u16;
@@ -238,7 +238,7 @@ impl QuantizedLut {
                 let hi = self.luts[g * 32 + 16 + (byte >> 4) as usize];
                 qsum = qsum.saturating_add(lo as u16).saturating_add(hi as u16);
             }
-            out[v] = self.bias + self.delta * qsum as f32;
+            *o = self.bias + self.delta * qsum as f32;
         }
     }
 }
@@ -473,11 +473,11 @@ mod tests {
     #[test]
     fn build_rejects_unquantizable_tables() {
         assert!(QuantizedLut::build(&[], 0).is_none());
-        assert!(QuantizedLut::build(&vec![0.0; 16], 2).is_none()); // wrong len
-        assert!(QuantizedLut::build(&vec![f32::NAN; 16], 1).is_none());
+        assert!(QuantizedLut::build(&[0.0; 16], 2).is_none()); // wrong len
+        assert!(QuantizedLut::build(&[f32::NAN; 16], 1).is_none());
         // m > 257 overflows the u16 accumulator budget.
         assert!(QuantizedLut::build(&vec![0.0; 258 * 16], 258).is_none());
-        assert!(QuantizedLut::build(&vec![1.0; 16], 1).is_some());
+        assert!(QuantizedLut::build(&[1.0; 16], 1).is_some());
     }
 
     #[test]

@@ -145,13 +145,13 @@ impl Pq {
         params: &PqParams,
         train_sub: impl Fn(usize, &[f32], usize) -> Result<KMeans> + Sync,
     ) -> Result<Pq> {
-        if dim == 0 || params.m == 0 || dim % params.m != 0 {
+        if dim == 0 || params.m == 0 || !dim.is_multiple_of(params.m) {
             return Err(BhError::InvalidArgument(format!(
                 "pq: m={} must divide dim={dim}",
                 params.m
             )));
         }
-        if sample.is_empty() || sample.len() % dim != 0 {
+        if sample.is_empty() || !sample.len().is_multiple_of(dim) {
             return Err(BhError::InvalidArgument("pq: bad sample shape".into()));
         }
         let dsub = dim / params.m;
@@ -358,7 +358,7 @@ impl Pq {
             x => return Err(BhError::Serde(format!("pq: bad metric {x}"))),
         };
         let codebooks = r.get_f32_vec()?;
-        if m == 0 || dim == 0 || dim % m != 0 {
+        if m == 0 || dim == 0 || !dim.is_multiple_of(m) {
             return Err(BhError::Serde("pq: corrupt geometry".into()));
         }
         if codebooks.len() != m * bits.ks() * (dim / m) {
@@ -390,8 +390,8 @@ impl AdcTable {
         let mut sum = 0.0;
         match self.bits {
             CodeBits::B8 => {
-                for sub in 0..self.m {
-                    sum += self.table[sub * self.ks + code[sub] as usize];
+                for (sub, &c) in code[..self.m].iter().enumerate() {
+                    sum += self.table[sub * self.ks + c as usize];
                 }
             }
             CodeBits::B4 => {

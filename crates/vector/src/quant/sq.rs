@@ -27,7 +27,7 @@ impl Sq8 {
         if dim == 0 {
             return Err(BhError::InvalidArgument("sq8: dim must be > 0".into()));
         }
-        if sample.is_empty() || sample.len() % dim != 0 {
+        if sample.is_empty() || !sample.len().is_multiple_of(dim) {
             return Err(BhError::InvalidArgument(format!(
                 "sq8: sample len {} is not a positive multiple of dim {dim}",
                 sample.len()

@@ -7,7 +7,8 @@
 //! [`VectorIndex::search_with_bound`] (the paper's `SearchWithFilter`),
 //! [`VectorIndex::search_with_range`] and [`VectorIndex::search_iterator`].
 //! A new index library plugs in by implementing the two required search
-//! methods and registering an [`crate::registry::IndexFactory`].
+//! methods and [`IndexBuilder`], plus one arm in each of
+//! [`crate::registry::IndexRegistry`]'s two `match`es.
 
 use crate::distance::Metric;
 use crate::iterator::SearchIterator;
@@ -38,8 +39,8 @@ impl Neighbor {
 }
 
 /// The index algorithms BlendHouse supports, grouped as in §III-A:
-/// graph-based (HNSW, HNSWSQ), IVF-based (IVFFLAT, IVFPQ, IVFPQFS) and
-/// disk-based (DISKANN). `Flat` is the exact brute-force fallback.
+/// graph-based (HNSW, HNSWSQ) and IVF-based (IVFFLAT, IVFPQ, IVFPQFS).
+/// `Flat` is the exact brute-force fallback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum IndexKind {
     /// Exact brute-force scan over raw vectors.
@@ -54,8 +55,6 @@ pub enum IndexKind {
     IvfPq,
     /// Inverted file with 4-bit PQ residuals (fast-scan layout).
     IvfPqFs,
-    /// Disk-resident Vamana graph (DiskANN).
-    DiskAnn,
 }
 
 /// Algorithm family, used for coarse capability checks and reporting.
@@ -67,11 +66,19 @@ pub enum IndexGroup {
     Graph,
     /// Inverted-file indexes.
     Ivf,
-    /// Disk-resident indexes.
-    Disk,
 }
 
 impl IndexKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [IndexKind; 6] = [
+        IndexKind::Flat,
+        IndexKind::Hnsw,
+        IndexKind::HnswSq,
+        IndexKind::IvfFlat,
+        IndexKind::IvfPq,
+        IndexKind::IvfPqFs,
+    ];
+
     /// Parse the SQL-facing type name (`INDEX ann_idx embedding TYPE HNSW(...)`).
     pub fn parse(s: &str) -> Result<IndexKind> {
         match s.to_ascii_uppercase().as_str() {
@@ -81,8 +88,13 @@ impl IndexKind {
             "IVFFLAT" | "IVF_FLAT" => Ok(IndexKind::IvfFlat),
             "IVFPQ" | "IVF_PQ" => Ok(IndexKind::IvfPq),
             "IVFPQFS" | "IVF_PQ_FS" | "IVFPQ_FS" => Ok(IndexKind::IvfPqFs),
-            "DISKANN" | "DISK_ANN" => Ok(IndexKind::DiskAnn),
-            other => Err(BhError::InvalidArgument(format!("unknown index type: {other}"))),
+            other => {
+                let known: Vec<&str> = IndexKind::ALL.iter().map(IndexKind::name).collect();
+                Err(BhError::InvalidArgument(format!(
+                    "unknown index type: {other} (supported: {})",
+                    known.join(", ")
+                )))
+            }
         }
     }
 
@@ -95,7 +107,6 @@ impl IndexKind {
             IndexKind::IvfFlat => "IVFFLAT",
             IndexKind::IvfPq => "IVFPQ",
             IndexKind::IvfPqFs => "IVFPQFS",
-            IndexKind::DiskAnn => "DISKANN",
         }
     }
 
@@ -105,7 +116,6 @@ impl IndexKind {
             IndexKind::Flat => IndexGroup::Exact,
             IndexKind::Hnsw | IndexKind::HnswSq => IndexGroup::Graph,
             IndexKind::IvfFlat | IndexKind::IvfPq | IndexKind::IvfPqFs => IndexGroup::Ivf,
-            IndexKind::DiskAnn => IndexGroup::Disk,
         }
     }
 
@@ -172,10 +182,39 @@ impl IndexSpec {
         }
     }
 
-    /// Validate the parts every index shares.
+    /// Validate the spec before any build: `DIM` > 0 for every kind, and
+    /// each kind's build parameters within the range it can build with.
+    /// Every builder calls this, and CREATE TABLE does through the schema.
     pub fn validate(&self) -> Result<()> {
         if self.dim == 0 {
             return Err(BhError::InvalidArgument("index dim must be > 0".into()));
+        }
+        match self.kind {
+            IndexKind::Flat => {}
+            IndexKind::Hnsw | IndexKind::HnswSq => {
+                let m = self.param_usize("m", 16)?;
+                if !(2..=512).contains(&m) {
+                    return Err(BhError::InvalidArgument(format!(
+                        "index param M={m} must be in 2..=512"
+                    )));
+                }
+            }
+            IndexKind::IvfFlat | IndexKind::IvfPq | IndexKind::IvfPqFs => {
+                let nlist = self.param_usize("nlist", 0)?;
+                if nlist > crate::autoindex::MAX_NLIST {
+                    return Err(BhError::InvalidArgument(format!(
+                        "index param NLIST={nlist} must be in 0..={} (0 picks it from the rows)",
+                        crate::autoindex::MAX_NLIST
+                    )));
+                }
+                let pq_m = self.param_usize("pq_m", 0)?;
+                if self.kind != IndexKind::IvfFlat && pq_m > 0 && !self.dim.is_multiple_of(pq_m) {
+                    return Err(BhError::InvalidArgument(format!(
+                        "index param PQ_M={pq_m} must divide DIM={} (or be 0 for the default)",
+                        self.dim
+                    )));
+                }
+            }
         }
         Ok(())
     }
@@ -199,7 +238,7 @@ pub struct IndexMeta {
 /// mirroring faiss' search-parameter objects).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SearchParams {
-    /// Beam width for graph indexes (HNSW `ef_search`, Vamana beam).
+    /// Beam width for graph indexes (HNSW `ef_search`).
     pub ef_search: usize,
     /// Number of inverted lists probed by IVF indexes.
     pub nprobe: usize,
@@ -525,7 +564,7 @@ pub fn check_batch(dim: usize, vectors: &[f32], ids: &[u64]) -> Result<usize> {
     if dim == 0 {
         return Err(BhError::InvalidArgument("dim must be > 0".into()));
     }
-    if vectors.len() % dim != 0 {
+    if !vectors.len().is_multiple_of(dim) {
         return Err(BhError::DimensionMismatch { expected: dim, got: vectors.len() % dim });
     }
     let n = vectors.len() / dim;
@@ -544,15 +583,7 @@ mod tests {
 
     #[test]
     fn kind_parse_roundtrip() {
-        for k in [
-            IndexKind::Flat,
-            IndexKind::Hnsw,
-            IndexKind::HnswSq,
-            IndexKind::IvfFlat,
-            IndexKind::IvfPq,
-            IndexKind::IvfPqFs,
-            IndexKind::DiskAnn,
-        ] {
+        for k in IndexKind::ALL {
             assert_eq!(IndexKind::parse(k.name()).unwrap(), k);
         }
         assert_eq!(IndexKind::parse("ivf_flat").unwrap(), IndexKind::IvfFlat);
@@ -563,7 +594,6 @@ mod tests {
     fn kind_groups() {
         assert_eq!(IndexKind::Hnsw.group(), IndexGroup::Graph);
         assert_eq!(IndexKind::IvfPqFs.group(), IndexGroup::Ivf);
-        assert_eq!(IndexKind::DiskAnn.group(), IndexGroup::Disk);
         assert_eq!(IndexKind::Flat.group(), IndexGroup::Exact);
     }
 
