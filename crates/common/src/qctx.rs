@@ -76,9 +76,10 @@ work_columns! {
     /// (folds into `worker.rpc_ns`).
     rpc_ns,
     /// Rows or graph nodes whose distance was evaluated, under every plan:
-    /// the rows the exact scan scored (Plan A, FLAT, the refine pass), the
-    /// nodes an HNSW beam or the Plan C iterator visited, the rows scored in
-    /// the IVF cells probed. No global counter carries it.
+    /// the rows the exact column scan scored (Plan A, every plan on a FLAT
+    /// or unindexed segment, the refine pass), the nodes an HNSW beam or the
+    /// Plan C iterator visited, the rows scored in the IVF cells probed. No
+    /// global counter carries it.
     rows_scanned,
     /// Segments skipped by scalar pruning (folds into
     /// `query.segments_pruned`).

@@ -132,7 +132,7 @@ mod tests {
             .with_column("label", ColumnType::Str)
             .with_column("ts", ColumnType::DateTime)
             .with_column("emb", ColumnType::Vector(3))
-            .with_vector_index("i", "emb", IndexKind::Flat, 3, Metric::L2)
+            .with_vector_index("i", "emb", IndexKind::Hnsw, 3, Metric::L2)
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! it is a candidate only while that factor covers the filter
 //! (`widen · s ≥ 1`); below that its recall collapses and it is priced out.
 //!
-//! **Other indexes (IVF family, flat)** keep the paper's fractions:
+//! **IVF indexes (IVFFLAT, IVFPQ, IVFPQFS)** keep the paper's fractions:
 //! a plain scan visits `β·n` records (`β = ef_search / n`, a placeholder —
 //! ROADMAP), a bitmap scan `2β·n/s`, at `c_c` per quantized code or `c_d` per
 //! raw vector, plus the `σ·k·c_d` refine. The IVF kinds have no resumable
@@ -37,6 +37,9 @@
 //! cell) whatever the row count. So on a small table Plan B's single search
 //! behind one structured scan wins, and on a large one, where `T0` outgrows
 //! the rounds, the pull does.
+//!
+//! **A FLAT table** (or one with no index) has no index to plan over: the
+//! model never prices it, and every statement on it runs Plan A.
 //!
 //! Constants are relative to `c_d = 1` and fixed: the probe in
 //! `crates/bench/benches/micro_criterion.rs` measures them (DESIGN.md §14
@@ -155,8 +158,9 @@ pub struct CostInputs {
     pub k: usize,
     /// The statement's search knobs (beam width, widening hint).
     pub search: SearchParams,
-    /// The table's vector index. The HNSW kinds are priced by predicted
-    /// visits; a quantized payload (SQ/PQ) over-fetches `σ·k` and refines.
+    /// The table's vector index, never FLAT. The HNSW kinds are priced by
+    /// predicted visits; a quantized payload (SQ/PQ) over-fetches `σ·k` and
+    /// refines.
     pub index: IndexKind,
 }
 
@@ -177,7 +181,7 @@ impl CostParams {
         let n = i.n as f64;
         let s = i.s.clamp(1e-6, 1.0);
         let filtered = i.s < 1.0;
-        let graph = i.index.group() == IndexGroup::Graph;
+        let graph = i.index.group() == Some(IndexGroup::Graph);
         let quantized = i.index.is_quantized();
         let t0 = if filtered { self.t0_row * n } else { 0.0 };
         // Rows a search returns, and rows the post-filter pull surfaces.
@@ -216,11 +220,7 @@ impl CostParams {
                 // The executor pulls `k` rows a batch (16..=256); the restart
                 // wrapper starts there and doubles until it has `pulled`.
                 let first = i.k.clamp(16, 256).next_power_of_two() as f64;
-                let restarts = if filtered && i.index.group() == IndexGroup::Ivf {
-                    (pulled / first).log2().max(0.0).ceil()
-                } else {
-                    0.0
-                };
+                let restarts = if filtered { (pulled / first).log2().max(0.0).ceil() } else { 0.0 };
                 let pull = if filtered { pulled * self.c_f } else { 0.0 };
                 (v, v * c_scan + restarts * self.c_r + pull + refine)
             }
@@ -370,8 +370,9 @@ mod tests {
         assert_eq!(c(1.0, IndexKind::IvfPqFs), scan(1.0) + 20.0, "plain top-k: one search");
         assert_eq!(c(0.9, IndexKind::IvfPqFs), scan(0.9) + p.c_r + pull(0.9) + 20.0);
         assert_eq!(c(0.3, IndexKind::IvfPqFs), scan(0.3) + 3.0 * p.c_r + pull(0.3) + 20.0);
-        // A flat scan resumes where it stopped.
-        assert_eq!(c(0.3, IndexKind::Flat), 64.0 / 0.3 * p.c_d + pull(0.3) + 20.0);
+        // Raw cells pay an exact distance per vector and restart alike.
+        let raw = 64.0 / 0.3 * p.c_d;
+        assert_eq!(c(0.3, IndexKind::IvfFlat), raw + 3.0 * p.c_r + pull(0.3) + 20.0);
         // Large k on a large table: the pull's row-wise filter, not the
         // restarts, is what hands the middle of the range to the bitmap scan.
         assert_eq!(p.choose(&ivf(1_000_000, 0.1, 1_000, 64)), B);

@@ -1076,7 +1076,8 @@ fn filter_selectivity(table: &TableStore, bound: &BoundSelect) -> Option<f64> {
 
 /// The cost model's inputs for a vector statement, from the statement's own
 /// `k`, beam and pass fraction and the table's size now; `None` for a scalar
-/// statement.
+/// statement and for a table with no index to plan over (no index, or
+/// FLAT), whose statements all run Plan A.
 fn cost_inputs(
     table: &TableStore,
     opts: &QueryOptions,
@@ -1084,12 +1085,13 @@ fn cost_inputs(
     selectivity: Option<f64>,
 ) -> Option<CostInputs> {
     let v = bound.vector.as_ref()?;
-    Some(CostInputs {
+    let index = table.schema().indexes.first()?.spec.kind;
+    (index != IndexKind::Flat).then(|| CostInputs {
         n: table.visible_rows().max(1),
         s: selectivity.unwrap_or(1.0),
         k: v.k.unwrap_or(100),
         search: opts.search,
-        index: table.schema().indexes.first().map_or(IndexKind::Flat, |d| d.spec.kind),
+        index,
     })
 }
 
@@ -1656,7 +1658,7 @@ mod tests {
         // a query's early segments publish their k-th distance, its scans
         // of later segments must record skipped candidates. BruteForce is
         // forced so every candidate row consults the bound.
-        let (ts, vw, engine) = setup(500, IndexKind::Flat, 50);
+        let (ts, vw, engine) = setup(500, IndexKind::Hnsw, 50);
         let sql = "SELECT id FROM t ORDER BY L2Distance(emb, [0.0, 0.1, 0.2, -0.1]) LIMIT 5";
         let stmt = parse_select(sql);
         let opts = QueryOptions {

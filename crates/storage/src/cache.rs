@@ -381,20 +381,20 @@ mod tests {
         let schema = TableSchema::new("t")
             .with_column("id", ColumnType::UInt64)
             .with_column("emb", ColumnType::Vector(4))
-            .with_vector_index("i", "emb", IndexKind::Flat, 4, Metric::L2);
+            .with_vector_index("i", "emb", IndexKind::Hnsw, 4, Metric::L2);
         let rows: Vec<Vec<Value>> = (0..n)
             .map(|i| vec![Value::UInt64(i as u64), Value::Vector(vec![i as f32; 4])])
             .collect();
         let mut seg = Segment::from_rows(&schema, SegmentId(id), rows, vec![], None, 0).unwrap();
         // Build + persist the index.
-        let spec = IndexSpec::new(IndexKind::Flat, 4, Metric::L2);
+        let spec = IndexSpec::new(IndexKind::Hnsw, 4, Metric::L2);
         let mut b = IndexRegistry.create_builder(&spec).unwrap();
         let (data, _) = seg.columns["emb"].vector_data().unwrap();
         let ids: Vec<u64> = (0..n as u64).collect();
         b.add_with_ids(data, &ids).unwrap();
         let idx = b.finish().unwrap();
         let blob = idx.save_bytes().unwrap();
-        seg.meta.index_kind = Some(IndexKind::Flat);
+        seg.meta.index_kind = Some(IndexKind::Hnsw);
         seg.meta.index_bytes = blob.len() as u64;
         store.put(&seg.meta.index_key(), blob).unwrap();
         seg.persist(store).unwrap();

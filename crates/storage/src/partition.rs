@@ -148,7 +148,7 @@ mod tests {
             .with_column("emb", ColumnType::Vector(4))
             .with_partition_by(&["label"])
             .with_cluster_by("emb", 3)
-            .with_vector_index("i", "emb", IndexKind::Flat, 4, Metric::L2)
+            .with_vector_index("i", "emb", IndexKind::Hnsw, 4, Metric::L2)
     }
 
     fn mk_rows(n: usize, seed: u64) -> Vec<Row> {

@@ -329,7 +329,7 @@ mod tests {
             .with_column("label", ColumnType::Str)
             .with_column("emb", ColumnType::Vector(4))
             .with_order_by(&["id"])
-            .with_vector_index("idx", "emb", bh_vector::IndexKind::Flat, 4, Metric::L2)
+            .with_vector_index("idx", "emb", bh_vector::IndexKind::Hnsw, 4, Metric::L2)
     }
 
     fn rows(n: usize) -> Vec<Row> {

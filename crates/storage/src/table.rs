@@ -35,7 +35,7 @@ use crate::value::Value;
 use bh_common::ids::IdGenerator;
 use bh_common::{BhError, Bitset, MetricsRegistry, QueryCtx, Result, SegmentId, Stopwatch};
 use bh_vector::autoindex::apply_auto_index;
-use bh_vector::{build_pool, IndexRegistry, VectorIndex};
+use bh_vector::{build_pool, IndexKind, IndexRegistry, VectorIndex};
 use bytes::Bytes;
 use bh_common::sync::{classes, Mutex, RwLock};
 use std::collections::BTreeMap;
@@ -287,10 +287,11 @@ impl TableStore {
         Ok(created)
     }
 
-    /// Build the per-segment vector index blob, if the schema declares one.
+    /// Build the per-segment vector index blob, if the schema declares an
+    /// index structure. A FLAT segment has none: its column is the index.
     fn build_index_blob(&self, seg: &Segment) -> Result<Option<IndexBlob>> {
         let Some(idx_def) = self.schema.indexes.first() else { return Ok(None) };
-        if seg.row_count() == 0 {
+        if idx_def.spec.kind == IndexKind::Flat || seg.row_count() == 0 {
             return Ok(None);
         }
         let col = seg.column(&idx_def.column)?;

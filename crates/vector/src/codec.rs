@@ -6,6 +6,7 @@
 //! distort every I/O-sensitive experiment. The format is little-endian,
 //! length-prefixed, with a magic+version header per blob.
 
+use crate::Metric;
 use bh_common::{BhError, Result};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -243,6 +244,23 @@ impl<'a> Reader<'a> {
     /// Bytes left to read.
     pub fn remaining(&self) -> usize {
         self.buf.remaining()
+    }
+}
+
+pub(crate) fn metric_to_u8(m: Metric) -> u8 {
+    match m {
+        Metric::L2 => 0,
+        Metric::InnerProduct => 1,
+        Metric::Cosine => 2,
+    }
+}
+
+pub(crate) fn metric_from_u8(v: u8) -> Result<Metric> {
+    match v {
+        0 => Ok(Metric::L2),
+        1 => Ok(Metric::InnerProduct),
+        2 => Ok(Metric::Cosine),
+        x => Err(bh_common::BhError::Serde(format!("bad metric byte {x}"))),
     }
 }
 

@@ -13,7 +13,7 @@
 //!
 //! The tier is detected once per process ([`KernelTier::current`]) and every
 //! public kernel dispatches on it. [`distance_batch`] amortizes the dispatch
-//! across a contiguous row-major block — the layout the FLAT scan, IVF
+//! across a contiguous row-major block — the layout the exact column scan, IVF
 //! posting lists, k-means centroid tables and PQ codebooks all share.
 //!
 //! Cosine is computed in a **single fused pass** accumulating `a·b`, `‖a‖²`
@@ -512,8 +512,8 @@ const SCAN_BLOCK_ROWS: usize = 256;
 
 /// Exact distances from `query` to the rows of a row-major `block`, handed
 /// to `visit(row, distance)` in order: every row when `rows` is `None`, else
-/// the listed ones in list order. The one blocked loop behind FLAT, the
-/// worker's raw-column scan and refine: [`distance_batch`] /
+/// the listed ones in list order. The one blocked loop behind the worker's
+/// exact column scan, refine and IVFFLAT's cells: [`distance_batch`] /
 /// [`distance_gather`] over 256 rows at a time. The listed form returns
 /// [`Metric::distance`]'s bits on every metric; the all-rows form hoists
 /// cosine's query norm as `distance_batch` does and may differ from the

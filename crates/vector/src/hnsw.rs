@@ -13,8 +13,7 @@
 //! state (candidate heap + visited set) persists across batches, so asking
 //! for "k more" costs only the incremental expansion — no doubled-k restart.
 
-use crate::codec::{Reader, Writer};
-use crate::flat::{metric_from_u8, metric_to_u8};
+use crate::codec::{metric_from_u8, metric_to_u8, Reader, Writer};
 use crate::iterator::SearchIterator;
 use crate::quant::sq::Sq8;
 use crate::types::{
@@ -885,8 +884,7 @@ impl IndexBuilder for HnswBuilder {
 mod tests {
     use super::*;
     use crate::distance::KernelTier;
-    use crate::flat::FlatBuilder;
-    use crate::recall::recall_at_k;
+    use crate::recall::{exact_topk, recall_at_k};
     use bh_common::rng::{derive_seed, rng};
     use rand::Rng;
 
@@ -909,7 +907,7 @@ mod tests {
         dim: usize,
         kind: IndexKind,
         seed: u64,
-    ) -> (Arc<dyn VectorIndex>, Arc<dyn VectorIndex>, Vec<f32>) {
+    ) -> (Arc<dyn VectorIndex>, Vec<f32>) {
         let data = clustered(n, dim, seed);
         let ids: Vec<u64> = (0..n as u64).collect();
         let spec = IndexSpec::new(kind, dim, Metric::L2)
@@ -918,26 +916,20 @@ mod tests {
         let mut hb = Box::new(HnswBuilder::new(&spec, kind).unwrap());
         hb.train(&data).unwrap();
         hb.add_with_ids(&data, &ids).unwrap();
-        let hnsw = (hb as Box<dyn IndexBuilder>).finish().unwrap();
-
-        let fspec = IndexSpec::new(IndexKind::Flat, dim, Metric::L2);
-        let mut fb = Box::new(FlatBuilder::new(&fspec).unwrap());
-        fb.add_with_ids(&data, &ids).unwrap();
-        let flat = (fb as Box<dyn IndexBuilder>).finish().unwrap();
-        (hnsw, flat, data)
+        ((hb as Box<dyn IndexBuilder>).finish().unwrap(), data)
     }
 
     #[test]
     fn recall_floor_vs_flat_oracle() {
         let dim = 16;
         let n = 1500;
-        let (hnsw, flat, data) = build_pair(n, dim, IndexKind::Hnsw, 1);
+        let (hnsw, data) = build_pair(n, dim, IndexKind::Hnsw, 1);
         let params = SearchParams::default().with_ef(96);
         let mut total = 0.0;
         let queries = 20;
         for q in 0..queries {
             let qv = &data[q * 37 * dim % (n * dim - dim)..][..dim];
-            let truth = flat.search_with_bound(qv, 10, &params, None, None).unwrap();
+            let truth = exact_topk(Metric::L2, &data, dim, qv, 10, None);
             let got = hnsw.search_with_bound(qv, 10, &params, None, None).unwrap();
             total += recall_at_k(&truth, &got, 10);
         }
@@ -949,8 +941,8 @@ mod tests {
     fn sq_variant_recall_and_memory() {
         let dim = 16;
         let n = 1200;
-        let (hnswsq, flat, data) = build_pair(n, dim, IndexKind::HnswSq, 2);
-        let (hnsw, _, _) = build_pair(n, dim, IndexKind::Hnsw, 2);
+        let (hnswsq, data) = build_pair(n, dim, IndexKind::HnswSq, 2);
+        let (hnsw, _) = build_pair(n, dim, IndexKind::Hnsw, 2);
         assert!(
             hnswsq.memory_usage() < hnsw.memory_usage(),
             "SQ must shrink memory: {} vs {}",
@@ -962,7 +954,7 @@ mod tests {
         let mut total = 0.0;
         for q in 0..15 {
             let qv = &data[q * 53 * dim % (n * dim - dim)..][..dim];
-            let truth = flat.search_with_bound(qv, 10, &params, None, None).unwrap();
+            let truth = exact_topk(Metric::L2, &data, dim, qv, 10, None);
             let got = hnswsq.search_with_bound(qv, 10, &params, None, None).unwrap();
             total += recall_at_k(&truth, &got, 10);
         }
@@ -972,7 +964,7 @@ mod tests {
     #[test]
     fn filtered_search_respects_bitset() {
         let dim = 8;
-        let (hnsw, _, data) = build_pair(600, dim, IndexKind::Hnsw, 3);
+        let (hnsw, data) = build_pair(600, dim, IndexKind::Hnsw, 3);
         let allowed = Bitset::from_positions(600, (0..600).filter(|i| i % 7 == 0));
         let got = hnsw
             .search_with_bound(&data[0..dim], 10, &SearchParams::default(), Some(&allowed), None)
@@ -992,7 +984,7 @@ mod tests {
             .search_with_bound(&[0.0; 4], 5, &SearchParams::default(), None, None)
             .unwrap()
             .is_empty());
-        let (hnsw, _, data) = build_pair(50, 4, IndexKind::Hnsw, 4);
+        let (hnsw, data) = build_pair(50, 4, IndexKind::Hnsw, 4);
         assert!(hnsw
             .search_with_bound(&data[0..4], 0, &SearchParams::default(), None, None)
             .unwrap()
@@ -1003,7 +995,7 @@ mod tests {
     fn native_iterator_is_incremental_and_complete() {
         let dim = 8;
         let n = 300;
-        let (hnsw, _, data) = build_pair(n, dim, IndexKind::Hnsw, 5);
+        let (hnsw, data) = build_pair(n, dim, IndexKind::Hnsw, 5);
         let q = data[0..dim].to_vec();
         let params = SearchParams::default();
         let mut it = hnsw.search_iterator(&q, &params).unwrap();
@@ -1027,10 +1019,10 @@ mod tests {
     #[test]
     fn iterator_first_batch_contains_true_nearest() {
         let dim = 8;
-        let (hnsw, flat, data) = build_pair(500, dim, IndexKind::Hnsw, 6);
+        let (hnsw, data) = build_pair(500, dim, IndexKind::Hnsw, 6);
         let q = data[40 * dim..41 * dim].to_vec();
         let params = SearchParams::default().with_ef(64);
-        let truth = flat.search_with_bound(&q, 1, &params, None, None).unwrap();
+        let truth = exact_topk(Metric::L2, &data, dim, &q, 1, None);
         let mut it = hnsw.search_iterator(&q, &params).unwrap();
         let first = it.next_batch(10).unwrap();
         assert!(
@@ -1044,11 +1036,12 @@ mod tests {
     #[test]
     fn range_search_finds_close_cluster() {
         let dim = 4;
-        let (hnsw, flat, data) = build_pair(800, dim, IndexKind::Hnsw, 7);
+        let (hnsw, data) = build_pair(800, dim, IndexKind::Hnsw, 7);
         let q = data[0..dim].to_vec();
         let radius = 2.0;
         let params = SearchParams::default().with_ef(64);
-        let truth = flat.search_with_range(&q, radius, &params, None).unwrap();
+        let mut truth = exact_topk(Metric::L2, &data, dim, &q, 800, None);
+        truth.retain(|nb| nb.distance <= radius);
         let got = hnsw.search_with_range(&q, radius, &params, None).unwrap();
         assert!(!truth.is_empty());
         // ANN range search may miss a few fringe rows but must find most.
@@ -1066,7 +1059,7 @@ mod tests {
     #[test]
     fn save_load_roundtrip_preserves_search() {
         let dim = 8;
-        let (hnsw, _, data) = build_pair(400, dim, IndexKind::Hnsw, 8);
+        let (hnsw, data) = build_pair(400, dim, IndexKind::Hnsw, 8);
         let blob = hnsw.save_bytes().unwrap();
         let loaded = HnswIndex::load_bytes(&blob).unwrap();
         let q = &data[0..dim];
@@ -1080,7 +1073,7 @@ mod tests {
     #[test]
     fn sq_save_load_roundtrip() {
         let dim = 8;
-        let (hnswsq, _, data) = build_pair(300, dim, IndexKind::HnswSq, 9);
+        let (hnswsq, data) = build_pair(300, dim, IndexKind::HnswSq, 9);
         let blob = hnswsq.save_bytes().unwrap();
         let loaded = HnswIndex::load_bytes(&blob).unwrap();
         assert_eq!(loaded.meta().kind, IndexKind::HnswSq);
@@ -1096,14 +1089,14 @@ mod tests {
     fn sq_bound_prunes_far_candidates_without_dropping_true_ones() {
         let dim = 8;
         let n = 300;
-        let (hnswsq, flat, data) = build_pair(n, dim, IndexKind::HnswSq, 12);
+        let (hnswsq, data) = build_pair(n, dim, IndexKind::HnswSq, 12);
         // Wide beam on small clusters so the candidate list spans clusters:
         // far-cluster candidates sit ~4 per dim away, far outside the
         // rho-adjusted lower bound.
         let params = SearchParams::default().with_ef(160);
         let q = &data[0..dim];
         let k = 40;
-        let truth = flat.search_with_bound(q, 10, &params, None, None).unwrap();
+        let truth = exact_topk(Metric::L2, &data, dim, q, 10, None);
         let bound_val = truth[9].distance;
         let b = SharedBound::new();
         b.update(bound_val);
@@ -1131,7 +1124,7 @@ mod tests {
 
     #[test]
     fn sq_blob_without_rho_is_rejected() {
-        let (hnswsq, _, _) = build_pair(200, 8, IndexKind::HnswSq, 13);
+        let (hnswsq, _) = build_pair(200, 8, IndexKind::HnswSq, 13);
         let blob = hnswsq.save_bytes().unwrap().to_vec();
         assert!(HnswIndex::load_bytes(&blob).is_ok());
         // A header version below 2 (bytes [4,6), little-endian).
@@ -1150,7 +1143,7 @@ mod tests {
     fn filtered_traversal_passes_filter_and_meets_recall_floor() {
         let dim = 8;
         let n = 1000;
-        let (hnsw, flat, data) = build_pair(n, dim, IndexKind::Hnsw, 21);
+        let (hnsw, data) = build_pair(n, dim, IndexKind::Hnsw, 21);
         let k = 10;
         // From permissive to selective: every 2nd, 10th, 50th row passes.
         for (s, step) in [(0.5f32, 2usize), (0.1, 10), (0.02, 50)] {
@@ -1170,7 +1163,7 @@ mod tests {
                         nb.id
                     );
                 }
-                let truth = flat.search_with_bound(qv, k, &params, Some(&allow), None).unwrap();
+                let truth = exact_topk(Metric::L2, &data, dim, qv, k, Some(&allow));
                 total += recall_at_k(&truth, &got, k);
             }
             // On this fixture the bands reach 1.0, 1.0 and 0.958.
@@ -1183,7 +1176,7 @@ mod tests {
     fn filtered_traversal_respects_shared_bound_rules() {
         let dim = 8;
         let n = 800;
-        let (hnsw, flat, data) = build_pair(n, dim, IndexKind::Hnsw, 22);
+        let (hnsw, data) = build_pair(n, dim, IndexKind::Hnsw, 22);
         let allow = Bitset::from_positions(n, (0..n).step_by(5));
         let params =
             SearchParams::default().with_ef(96).with_selectivity(0.2).with_filter_traversal(true);
@@ -1198,7 +1191,7 @@ mod tests {
         assert!(b.get() < f32::INFINITY, "exact store must publish its k-th");
         // A tight bound (true filtered 5th distance) prunes exactly the
         // candidates whose exact distance exceeds it — never a survivor.
-        let truth = flat.search_with_bound(q, k, &params, Some(&allow), None).unwrap();
+        let truth = exact_topk(Metric::L2, &data, dim, q, k, Some(&allow));
         let tight = truth[4].distance;
         let b2 = SharedBound::new();
         b2.update(tight);
@@ -1213,7 +1206,7 @@ mod tests {
     fn filtered_traversal_sq_respects_filter() {
         let dim = 8;
         let n = 600;
-        let (hnswsq, _, data) = build_pair(n, dim, IndexKind::HnswSq, 23);
+        let (hnswsq, data) = build_pair(n, dim, IndexKind::HnswSq, 23);
         let allow = Bitset::from_positions(n, (0..n).step_by(7));
         let params =
             SearchParams::default().with_ef(96).with_selectivity(0.15).with_filter_traversal(true);
@@ -1356,7 +1349,7 @@ mod tests {
             (IndexKind::Hnsw, GOLDEN_HNSW_SEARCH, GOLDEN_HNSW_BLOB),
             (IndexKind::HnswSq, GOLDEN_HNSWSQ_SEARCH, GOLDEN_HNSWSQ_BLOB),
         ] {
-            let (built, _, data) = build_pair(n, dim, kind, 77);
+            let (built, data) = build_pair(n, dim, kind, 77);
             let blob = built.save_bytes().unwrap();
             let mut bh = Fnv::new();
             for chunk in blob.chunks(8) {
@@ -1422,7 +1415,7 @@ mod tests {
 
     #[test]
     fn corrupt_blob_rejected() {
-        let (hnsw, _, _) = build_pair(50, 4, IndexKind::Hnsw, 10);
+        let (hnsw, _) = build_pair(50, 4, IndexKind::Hnsw, 10);
         let blob = hnsw.save_bytes().unwrap();
         assert!(HnswIndex::load_bytes(&blob[..20]).is_err());
     }

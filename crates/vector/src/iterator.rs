@@ -7,8 +7,8 @@
 //!
 //! Two implementations exist:
 //!
-//! * Indexes with **native** support (our extended HNSW, flat scan) resume
-//!   their internal traversal state, so each additional row costs only the
+//! * Indexes with **native** support (our extended HNSW) resume their
+//!   internal traversal state, so each additional row costs only the
 //!   incremental graph expansion.
 //! * Everything else uses [`GenericSearchIterator`], the SingleStore-V-style
 //!   wrapper that restarts the top-k search with **doubled k** each round and
@@ -126,22 +126,58 @@ impl SearchIterator for GenericSearchIterator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::IndexBuilder;
-    use crate::{IndexKind, IndexSpec, Metric};
+    use crate::recall::exact_topk;
+    use crate::{IndexKind, Metric};
 
-    fn sample_index(n: usize, dim: usize) -> std::sync::Arc<dyn VectorIndex> {
-        let spec = IndexSpec::new(IndexKind::Flat, dim, Metric::L2);
-        let mut b = Box::new(crate::flat::FlatBuilder::new(&spec).unwrap());
-        let mut data = Vec::new();
-        let mut ids = Vec::new();
-        for i in 0..n {
-            for d in 0..dim {
-                data.push(i as f32 + d as f32 * 0.001);
-            }
-            ids.push(i as u64);
+    /// A test-only exact index over row-major vectors. With `unstable` set it
+    /// acts like a quantized index whose approximate order depends on `k`:
+    /// whenever `k` is a power of four the three nearest rows come back last
+    /// — the previous result is not a prefix of the next.
+    struct Rows {
+        dim: usize,
+        data: Vec<f32>,
+        unstable: bool,
+    }
+
+    /// `n` rows, row `i` at `i + 0.001·d` in dimension `d`.
+    fn sample_index(n: usize, dim: usize) -> Rows {
+        let data = (0..n * dim).map(|j| (j / dim) as f32 + (j % dim) as f32 * 0.001).collect();
+        Rows { dim, data, unstable: false }
+    }
+
+    impl VectorIndex for Rows {
+        fn meta(&self) -> crate::IndexMeta {
+            let len = self.data.len() / self.dim;
+            crate::IndexMeta { kind: IndexKind::Flat, dim: self.dim, metric: Metric::L2, len }
         }
-        b.add_with_ids(&data, &ids).unwrap();
-        (b as Box<dyn IndexBuilder>).finish().unwrap()
+        fn search_with_bound(
+            &self,
+            query: &[f32],
+            k: usize,
+            _params: &SearchParams,
+            filter: Option<&bh_common::Bitset>,
+            _bound: Option<&bh_common::SharedBound>,
+        ) -> Result<Vec<Neighbor>> {
+            let mut hits = exact_topk(Metric::L2, &self.data, self.dim, query, k, filter);
+            if self.unstable && k.trailing_zeros() & 1 == 0 {
+                let by = 3.min(hits.len());
+                hits.rotate_left(by);
+            }
+            Ok(hits)
+        }
+        fn search_iterator<'a>(
+            &'a self,
+            query: &[f32],
+            params: &SearchParams,
+        ) -> Result<Box<dyn SearchIterator + 'a>> {
+            Ok(Box::new(GenericSearchIterator::new(self, query, params)))
+        }
+        fn memory_usage(&self) -> usize {
+            self.data.len() * 4
+        }
+        fn save_bytes(&self) -> Result<bytes::Bytes> {
+            Ok(bytes::Bytes::new())
+        }
     }
 
     #[test]
@@ -149,7 +185,7 @@ mod tests {
         let idx = sample_index(20, 4);
         let q = vec![0.0; 4];
         let params = SearchParams::default();
-        let mut it = GenericSearchIterator::new(idx.as_ref(), &q, &params);
+        let mut it = GenericSearchIterator::new(&idx, &q, &params);
         let mut seen = Vec::new();
         loop {
             let batch = it.next_batch(3).unwrap();
@@ -179,48 +215,9 @@ mod tests {
         assert!(it.next_batch(5).unwrap().is_empty());
     }
 
-    /// A quantized index whose approximate order depends on `k`: whenever
-    /// `k` is a power of four the three nearest rows come back last — the
-    /// previous result is not a prefix of the next.
-    struct Unstable(std::sync::Arc<dyn VectorIndex>);
-
-    impl VectorIndex for Unstable {
-        fn meta(&self) -> crate::IndexMeta {
-            self.0.meta()
-        }
-        fn search_with_bound(
-            &self,
-            query: &[f32],
-            k: usize,
-            params: &SearchParams,
-            filter: Option<&bh_common::Bitset>,
-            bound: Option<&bh_common::SharedBound>,
-        ) -> Result<Vec<Neighbor>> {
-            let mut hits = self.0.search_with_bound(query, k, params, filter, bound)?;
-            if k.trailing_zeros() & 1 == 0 {
-                let by = 3.min(hits.len());
-                hits.rotate_left(by);
-            }
-            Ok(hits)
-        }
-        fn search_iterator<'a>(
-            &'a self,
-            query: &[f32],
-            params: &SearchParams,
-        ) -> Result<Box<dyn SearchIterator + 'a>> {
-            Ok(Box::new(GenericSearchIterator::new(self, query, params)))
-        }
-        fn memory_usage(&self) -> usize {
-            self.0.memory_usage()
-        }
-        fn save_bytes(&self) -> Result<bytes::Bytes> {
-            self.0.save_bytes()
-        }
-    }
-
     #[test]
     fn generic_iterator_never_repeats_a_row_when_restarts_reorder_the_prefix() {
-        let idx = Unstable(sample_index(40, 4));
+        let idx = Rows { unstable: true, ..sample_index(40, 4) };
         let q = vec![0.0; 4];
         let mut it = idx.search_iterator(&q, &SearchParams::default()).unwrap();
         let mut ids = Vec::new();
@@ -239,7 +236,7 @@ mod tests {
         let idx = sample_index(64, 4);
         let q = vec![0.0; 4];
         let params = SearchParams::default();
-        let mut it = GenericSearchIterator::new(idx.as_ref(), &q, &params);
+        let mut it = GenericSearchIterator::new(&idx, &q, &params);
         let mut total = 0;
         while !it.exhausted() {
             total += it.next_batch(4).unwrap().len();
@@ -258,19 +255,17 @@ mod tests {
         let idx = sample_index(5, 2);
         let q = vec![0.0; 2];
         let params = SearchParams::default();
-        let mut it = GenericSearchIterator::new(idx.as_ref(), &q, &params);
+        let mut it = GenericSearchIterator::new(&idx, &q, &params);
         assert!(it.next_batch(0).unwrap().is_empty());
         assert_eq!(it.visited(), 0);
     }
 
     #[test]
     fn empty_index_exhausts_immediately() {
-        let spec = IndexSpec::new(IndexKind::Flat, 2, Metric::L2);
-        let b = Box::new(crate::flat::FlatBuilder::new(&spec).unwrap());
-        let idx = (b as Box<dyn IndexBuilder>).finish().unwrap();
+        let idx = sample_index(0, 2);
         let q = vec![0.0; 2];
         let params = SearchParams::default();
-        let mut it = GenericSearchIterator::new(idx.as_ref(), &q, &params);
+        let mut it = GenericSearchIterator::new(&idx, &q, &params);
         assert!(it.next_batch(3).unwrap().is_empty());
         assert!(it.exhausted());
     }

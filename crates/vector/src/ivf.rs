@@ -23,9 +23,8 @@
 //! exact threshold are dropped after the scan; approximate distances are
 //! never *published* to the bound.
 
-use crate::codec::{Reader, Writer};
+use crate::codec::{metric_from_u8, metric_to_u8, Reader, Writer};
 use crate::distance::scan_distances;
-use crate::flat::{metric_from_u8, metric_to_u8};
 use crate::iterator::{GenericSearchIterator, SearchIterator};
 use crate::kmeans::{train_kmeans_on, KMeans, KMeansParams};
 use crate::quant::fastscan::FastScanCodes;
@@ -808,9 +807,8 @@ impl IndexBuilder for IvfBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flat::FlatBuilder;
     use crate::distance::KernelTier;
-    use crate::recall::recall_at_k;
+    use crate::recall::{exact_topk, recall_at_k};
     use bh_common::rng::{derive_seed, rng};
     use proptest::prelude::*;
     use rand::Rng;
@@ -834,25 +832,18 @@ mod tests {
         nlist: usize,
         metric: Metric,
         seed: u64,
-    ) -> (Arc<dyn VectorIndex>, Arc<dyn VectorIndex>, Vec<f32>) {
+    ) -> (Arc<dyn VectorIndex>, Vec<f32>) {
         let data = clustered(n, dim, seed);
         let ids: Vec<u64> = (0..n as u64).collect();
         let spec = IndexSpec::new(kind, dim, metric).with_param("nlist", nlist);
         let mut b = Box::new(IvfBuilder::new(&spec, kind).unwrap());
         b.train(&data).unwrap();
         b.add_with_ids(&data, &ids).unwrap();
-        let ivf = (b as Box<dyn IndexBuilder>).finish().unwrap();
-
-        let fspec = IndexSpec::new(IndexKind::Flat, dim, metric);
-        let mut fb = Box::new(FlatBuilder::new(&fspec).unwrap());
-        fb.add_with_ids(&data, &ids).unwrap();
-        let flat = (fb as Box<dyn IndexBuilder>).finish().unwrap();
-        (ivf, flat, data)
+        ((b as Box<dyn IndexBuilder>).finish().unwrap(), data)
     }
 
     fn mean_recall(
         ivf: &Arc<dyn VectorIndex>,
-        flat: &Arc<dyn VectorIndex>,
         data: &[f32],
         dim: usize,
         params: &SearchParams,
@@ -863,7 +854,7 @@ mod tests {
         for q in 0..queries {
             let row = (q * 31) % n;
             let qv = &data[row * dim..(row + 1) * dim];
-            let truth = flat.search_with_bound(qv, 10, params, None, None).unwrap();
+            let truth = exact_topk(ivf.meta().metric, data, dim, qv, 10, None);
             let got = ivf.search_with_bound(qv, 10, params, None, None).unwrap();
             total += recall_at_k(&truth, &got, 10);
         }
@@ -873,20 +864,20 @@ mod tests {
     #[test]
     fn ivfflat_recall_with_full_probe_is_exact() {
         let dim = 8;
-        let (ivf, flat, data) = build(IndexKind::IvfFlat, 1000, dim, 16, Metric::L2, 1);
+        let (ivf, data) = build(IndexKind::IvfFlat, 1000, dim, 16, Metric::L2, 1);
         let params = SearchParams::default().with_nprobe(16); // all cells
-        let r = mean_recall(&ivf, &flat, &data, dim, &params, 15);
+        let r = mean_recall(&ivf, &data, dim, &params, 15);
         assert!(r > 0.999, "full-probe IVFFLAT must be exact, recall {r}");
     }
 
     #[test]
     fn recall_improves_with_nprobe() {
         let dim = 8;
-        let (ivf, flat, data) = build(IndexKind::IvfFlat, 2000, dim, 32, Metric::L2, 2);
-        let r1 = mean_recall(&ivf, &flat, &data, dim, &SearchParams::default().with_nprobe(1), 20);
-        let r8 = mean_recall(&ivf, &flat, &data, dim, &SearchParams::default().with_nprobe(8), 20);
+        let (ivf, data) = build(IndexKind::IvfFlat, 2000, dim, 32, Metric::L2, 2);
+        let r1 = mean_recall(&ivf, &data, dim, &SearchParams::default().with_nprobe(1), 20);
+        let r8 = mean_recall(&ivf, &data, dim, &SearchParams::default().with_nprobe(8), 20);
         let r32 =
-            mean_recall(&ivf, &flat, &data, dim, &SearchParams::default().with_nprobe(32), 20);
+            mean_recall(&ivf, &data, dim, &SearchParams::default().with_nprobe(32), 20);
         assert!(r8 >= r1, "recall must not drop with more probes: {r1} -> {r8}");
         assert!(r32 >= r8);
         assert!(r32 > 0.99);
@@ -895,19 +886,19 @@ mod tests {
     #[test]
     fn ivfpq_recall_floor_on_clustered_data() {
         let dim = 16;
-        let (ivf, flat, data) = build(IndexKind::IvfPq, 2000, dim, 16, Metric::L2, 3);
+        let (ivf, data) = build(IndexKind::IvfPq, 2000, dim, 16, Metric::L2, 3);
         assert!(ivf.needs_refine());
         let params = SearchParams::default().with_nprobe(8);
-        let r = mean_recall(&ivf, &flat, &data, dim, &params, 20);
+        let r = mean_recall(&ivf, &data, dim, &params, 20);
         assert!(r > 0.6, "IVFPQ recall {r} unreasonably low");
     }
 
     #[test]
     fn ivfpqfs_smaller_than_ivfpq_smaller_than_flat() {
         let dim = 16;
-        let (pqfs, _, _) = build(IndexKind::IvfPqFs, 1500, dim, 16, Metric::L2, 4);
-        let (pq, _, _) = build(IndexKind::IvfPq, 1500, dim, 16, Metric::L2, 4);
-        let (fl, _, _) = build(IndexKind::IvfFlat, 1500, dim, 16, Metric::L2, 4);
+        let (pqfs, _) = build(IndexKind::IvfPqFs, 1500, dim, 16, Metric::L2, 4);
+        let (pq, _) = build(IndexKind::IvfPq, 1500, dim, 16, Metric::L2, 4);
+        let (fl, _) = build(IndexKind::IvfFlat, 1500, dim, 16, Metric::L2, 4);
         assert!(pqfs.memory_usage() < pq.memory_usage());
         assert!(pq.memory_usage() < fl.memory_usage());
     }
@@ -915,7 +906,7 @@ mod tests {
     #[test]
     fn filter_respected() {
         let dim = 8;
-        let (ivf, _, data) = build(IndexKind::IvfFlat, 500, dim, 8, Metric::L2, 5);
+        let (ivf, data) = build(IndexKind::IvfFlat, 500, dim, 8, Metric::L2, 5);
         let allowed = Bitset::from_positions(500, (0..500).filter(|i| i % 3 == 0));
         let got = ivf
             .search_with_bound(
@@ -935,10 +926,11 @@ mod tests {
     #[test]
     fn range_search_within_probed_cells() {
         let dim = 4;
-        let (ivf, flat, data) = build(IndexKind::IvfFlat, 800, dim, 8, Metric::L2, 6);
+        let (ivf, data) = build(IndexKind::IvfFlat, 800, dim, 8, Metric::L2, 6);
         let q = &data[0..dim];
         let params = SearchParams::default().with_nprobe(8);
-        let truth = flat.search_with_range(q, 3.0, &params, None).unwrap();
+        let mut truth = exact_topk(Metric::L2, &data, dim, q, 800, None);
+        truth.retain(|nb| nb.distance <= 3.0);
         let got = ivf.search_with_range(q, 3.0, &params, None).unwrap();
         assert_eq!(got.len(), truth.len(), "full probe range must be exact");
         for nb in &got {
@@ -949,10 +941,10 @@ mod tests {
     #[test]
     fn cosine_metric_normalizes_and_scales() {
         let dim = 8;
-        let (ivf, flat, data) = build(IndexKind::IvfFlat, 600, dim, 8, Metric::Cosine, 7);
+        let (ivf, data) = build(IndexKind::IvfFlat, 600, dim, 8, Metric::Cosine, 7);
         let q = &data[dim..2 * dim];
         let params = SearchParams::default().with_nprobe(8);
-        let truth = flat.search_with_bound(q, 5, &params, None, None).unwrap();
+        let truth = exact_topk(Metric::Cosine, &data, dim, q, 5, None);
         let got = ivf.search_with_bound(q, 5, &params, None, None).unwrap();
         let t_ids: Vec<u64> = truth.iter().map(|x| x.id).collect();
         let g_ids: Vec<u64> = got.iter().map(|x| x.id).collect();
@@ -986,7 +978,7 @@ mod tests {
     fn save_load_roundtrip_all_variants() {
         for kind in [IndexKind::IvfFlat, IndexKind::IvfPq, IndexKind::IvfPqFs] {
             let dim = 8;
-            let (ivf, _, data) = build(kind, 400, dim, 8, Metric::L2, 9);
+            let (ivf, data) = build(kind, 400, dim, 8, Metric::L2, 9);
             let blob = ivf.save_bytes().unwrap();
             let loaded = IvfIndex::load_bytes(&blob).unwrap();
             assert_eq!(loaded.meta().kind, kind);
@@ -1002,7 +994,7 @@ mod tests {
 
     #[test]
     fn corrupt_blob_rejected() {
-        let (ivf, _, _) = build(IndexKind::IvfFlat, 100, 4, 4, Metric::L2, 10);
+        let (ivf, _) = build(IndexKind::IvfFlat, 100, 4, 4, Metric::L2, 10);
         let blob = ivf.save_bytes().unwrap();
         assert!(IvfIndex::load_bytes(&blob[..16]).is_err());
     }
@@ -1013,10 +1005,10 @@ mod tests {
         // far-cluster candidates sit ~sqrt(dim)*5 away, far outside the
         // margin-adjusted lower bound, so a kth-exact bound must skip them.
         let dim = 16;
-        let (ivf, flat, data) = build(IndexKind::IvfPqFs, 300, dim, 8, Metric::L2, 20);
+        let (ivf, data) = build(IndexKind::IvfPqFs, 300, dim, 8, Metric::L2, 20);
         let params = SearchParams::default().with_nprobe(8);
         let q = &data[0..dim];
-        let truth = flat.search_with_bound(q, 10, &params, None, None).unwrap();
+        let truth = exact_topk(Metric::L2, &data, dim, q, 10, None);
         let b = SharedBound::new();
         b.update(truth[9].distance);
         let got = ivf.search_with_bound(q, 80, &params, None, Some(&b)).unwrap();
@@ -1035,7 +1027,7 @@ mod tests {
 
     #[test]
     fn blob_without_margins_is_rejected() {
-        let (ivf, _, _) = build(IndexKind::IvfPqFs, 400, 8, 8, Metric::L2, 21);
+        let (ivf, _) = build(IndexKind::IvfPqFs, 400, 8, 8, Metric::L2, 21);
         let blob = ivf.save_bytes().unwrap().to_vec();
         assert!(IvfIndex::load_bytes(&blob).is_ok());
         // A header version below 2 (bytes [4,6), little-endian).
@@ -1065,10 +1057,10 @@ mod tests {
         ) {
             let dim = 8;
             let kind = [IndexKind::IvfPq, IndexKind::IvfPqFs][kindsel];
-            let (ivf, flat, data) = build(kind, 800, dim, 8, Metric::L2, 100 + seed);
+            let (ivf, data) = build(kind, 800, dim, 8, Metric::L2, 100 + seed);
             let params = SearchParams::default().with_nprobe(8);
             let q = &data[qrow * dim..(qrow + 1) * dim];
-            let truth = flat.search_with_bound(q, 10, &params, None, None).unwrap();
+            let truth = exact_topk(Metric::L2, &data, dim, q, 10, None);
             let bound_val = truth[truth.len() - 1].distance;
             let b = SharedBound::new();
             b.update(bound_val);
@@ -1243,7 +1235,7 @@ mod tests {
 
     #[test]
     fn dimension_mismatch_rejected() {
-        let (ivf, _, _) = build(IndexKind::IvfFlat, 50, 8, 4, Metric::L2, 12);
+        let (ivf, _) = build(IndexKind::IvfFlat, 50, 8, 4, Metric::L2, 12);
         assert!(ivf.search_with_bound(&[0.0; 7], 3, &SearchParams::default(), None, None).is_err());
     }
 }

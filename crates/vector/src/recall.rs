@@ -2,9 +2,11 @@
 
 use crate::types::Neighbor;
 use std::collections::HashSet;
+#[cfg(test)]
+use {crate::distance::scan_distances, crate::Metric, bh_common::Bitset};
 
 /// `recall@k`: fraction of the true top-k ids that appear in the returned
-/// top-k. `truth` is assumed exact (e.g. from the FLAT oracle). When fewer
+/// top-k. `truth` is assumed exact (e.g. from an exact scan). When fewer
 /// than `k` true results exist, recall is computed against what exists;
 /// empty truth counts as perfect recall (nothing to find).
 pub fn recall_at_k(truth: &[Neighbor], got: &[Neighbor], k: usize) -> f64 {
@@ -22,6 +24,29 @@ pub fn mean_recall_at_k(pairs: &[(Vec<Neighbor>, Vec<Neighbor>)], k: usize) -> f
         return 1.0;
     }
     pairs.iter().map(|(t, g)| recall_at_k(t, g, k)).sum::<f64>() / pairs.len() as f64
+}
+
+/// The exact answer the index tests measure against: the `k` rows of the
+/// row-major `data` nearest to `query` among those `filter` passes (ids are
+/// row offsets), ascending. The same blocked scan the worker runs on a
+/// segment's vector column.
+#[cfg(test)]
+pub(crate) fn exact_topk(
+    metric: Metric,
+    data: &[f32],
+    dim: usize,
+    query: &[f32],
+    k: usize,
+    filter: Option<&Bitset>,
+) -> Vec<Neighbor> {
+    let rows: Option<Vec<u32>> = filter
+        .map(|f| (0..(data.len() / dim) as u32).filter(|&r| f.contains(r as usize)).collect());
+    let mut tk = bh_common::TopK::new(k);
+    scan_distances(metric, query, data, dim, rows.as_deref(), |row, d| {
+        tk.push(d, row as u64);
+    })
+    .unwrap();
+    crate::types::sorted_neighbors(tk)
 }
 
 #[cfg(test)]

@@ -5,14 +5,14 @@
 //! `LoadIndex` is [`IndexRegistry::load_blob`]. Each is one `match` on the
 //! [`IndexKind`], so plugging in a library is one arm in each plus a
 //! [`VectorIndex`] / [`IndexBuilder`] impl. The built-in arms stand in for
-//! the paper's libraries: hnswlib (`HNSW`, `HNSWSQ`) and faiss (`FLAT`,
-//! `IVFFLAT`, `IVFPQ`, `IVFPQFS`).
+//! the paper's libraries: hnswlib (`HNSW`, `HNSWSQ`) and faiss (`IVFFLAT`,
+//! `IVFPQ`, `IVFPQFS`). `FLAT` has no library: a FLAT table builds and
+//! loads nothing, and its segments are searched by the exact column scan.
 
-use crate::flat::{FlatBuilder, FlatIndex};
 use crate::hnsw::{HnswBuilder, HnswIndex};
 use crate::ivf::{IvfBuilder, IvfIndex};
 use crate::types::{IndexBuilder, IndexKind, IndexSpec, VectorIndex};
-use bh_common::Result;
+use bh_common::{BhError, Result};
 use bytes::Bytes;
 use std::sync::Arc;
 
@@ -22,10 +22,10 @@ pub struct IndexRegistry;
 
 impl IndexRegistry {
     /// `CreateIndex` entry point: a builder for `spec`, which the builder
-    /// validates.
+    /// validates. FLAT declares no index, so it has no builder.
     pub fn create_builder(&self, spec: &IndexSpec) -> Result<Box<dyn IndexBuilder>> {
         Ok(match spec.kind {
-            IndexKind::Flat => Box::new(FlatBuilder::new(spec)?),
+            IndexKind::Flat => return Err(no_flat_index()),
             IndexKind::Hnsw | IndexKind::HnswSq => Box::new(HnswBuilder::new(spec, spec.kind)?),
             IndexKind::IvfFlat | IndexKind::IvfPq | IndexKind::IvfPqFs => {
                 Box::new(IvfBuilder::new(spec, spec.kind)?)
@@ -35,9 +35,10 @@ impl IndexRegistry {
 
     /// `LoadIndex` entry point: decode `blob` with `kind`'s reader. A blob
     /// of another format (or a truncated one) is an error of that reader.
+    /// No FLAT blob exists to load.
     pub fn load_blob(&self, kind: IndexKind, blob: &Bytes) -> Result<Arc<dyn VectorIndex>> {
         Ok(match kind {
-            IndexKind::Flat => Arc::new(FlatIndex::load_bytes(blob)?),
+            IndexKind::Flat => return Err(no_flat_index()),
             IndexKind::Hnsw | IndexKind::HnswSq => Arc::new(HnswIndex::load_bytes(blob)?),
             IndexKind::IvfFlat | IndexKind::IvfPq | IndexKind::IvfPqFs => {
                 Arc::new(IvfIndex::load_bytes(blob)?)
@@ -46,12 +47,17 @@ impl IndexRegistry {
     }
 }
 
+fn no_flat_index() -> BhError {
+    BhError::InvalidArgument(
+        "FLAT has no index structure: its segments are searched by the exact column scan".into(),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::types::SearchParams;
     use crate::Metric;
-    use bh_common::BhError;
 
     #[test]
     fn build_save_load_via_registry_for_every_kind() {
@@ -61,6 +67,18 @@ mod tests {
         let ids: Vec<u64> = (0..n as u64).collect();
         for kind in IndexKind::ALL {
             let spec = IndexSpec::new(kind, dim, Metric::L2).with_param("nlist", 8);
+            if kind == IndexKind::Flat {
+                assert!(matches!(
+                    IndexRegistry.create_builder(&spec),
+                    Err(BhError::InvalidArgument(_))
+                ));
+                let blob = Bytes::from_static(b"BHFL");
+                assert!(matches!(
+                    IndexRegistry.load_blob(kind, &blob),
+                    Err(BhError::InvalidArgument(_))
+                ));
+                continue;
+            }
             let mut b = IndexRegistry.create_builder(&spec).unwrap();
             if b.requires_training() {
                 b.train(&data).unwrap();

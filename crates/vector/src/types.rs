@@ -40,10 +40,10 @@ impl Neighbor {
 
 /// The index algorithms BlendHouse supports, grouped as in §III-A:
 /// graph-based (HNSW, HNSWSQ) and IVF-based (IVFFLAT, IVFPQ, IVFPQFS).
-/// `Flat` is the exact brute-force fallback.
+/// `Flat` declares the vector column and metric with no index structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum IndexKind {
-    /// Exact brute-force scan over raw vectors.
+    /// No index structure: every search is the exact scan of the column.
     Flat,
     /// Hierarchical navigable small world graph.
     Hnsw,
@@ -60,8 +60,6 @@ pub enum IndexKind {
 /// Algorithm family, used for coarse capability checks and reporting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexGroup {
-    /// Exhaustive scan, exact results.
-    Exact,
     /// Graph-traversal indexes (HNSW family).
     Graph,
     /// Inverted-file indexes.
@@ -110,12 +108,13 @@ impl IndexKind {
         }
     }
 
-    /// Algorithm family of this kind.
-    pub fn group(&self) -> IndexGroup {
+    /// Algorithm family of this kind; `None` for FLAT, which has no index
+    /// structure.
+    pub fn group(&self) -> Option<IndexGroup> {
         match self {
-            IndexKind::Flat => IndexGroup::Exact,
-            IndexKind::Hnsw | IndexKind::HnswSq => IndexGroup::Graph,
-            IndexKind::IvfFlat | IndexKind::IvfPq | IndexKind::IvfPqFs => IndexGroup::Ivf,
+            IndexKind::Flat => None,
+            IndexKind::Hnsw | IndexKind::HnswSq => Some(IndexGroup::Graph),
+            IndexKind::IvfFlat | IndexKind::IvfPq | IndexKind::IvfPqFs => Some(IndexGroup::Ivf),
         }
     }
 
@@ -592,9 +591,9 @@ mod tests {
 
     #[test]
     fn kind_groups() {
-        assert_eq!(IndexKind::Hnsw.group(), IndexGroup::Graph);
-        assert_eq!(IndexKind::IvfPqFs.group(), IndexGroup::Ivf);
-        assert_eq!(IndexKind::Flat.group(), IndexGroup::Exact);
+        assert_eq!(IndexKind::Hnsw.group(), Some(IndexGroup::Graph));
+        assert_eq!(IndexKind::IvfPqFs.group(), Some(IndexGroup::Ivf));
+        assert_eq!(IndexKind::Flat.group(), None);
     }
 
     #[test]

@@ -9,11 +9,16 @@
 //! A fresh value more than `threshold` percent *slower* than the committed
 //! one is a regression and fails the task.
 //!
-//! Fields that are derived from latencies (`speedup`, recall, counts) are
-//! ignored: they would double-count the underlying numbers. Committed files
-//! with no fresh counterpart are skipped with a note (not every harness runs
-//! on every machine), as are fresh files with no committed baseline (a new
-//! benchmark has nothing to regress against).
+//! Deterministic work counts (`index_build`'s k-means counters
+//! `lloyd_iters`, `seed_rounds` and `point_centroid_evals`) are compared
+//! exactly: any difference, in either direction, is reported as `MOVED` and
+//! fails the task. An intended move means re-committing the file.
+//!
+//! Other fields (`speedup`, recall, other counts) are ignored: those derived
+//! from latencies would double-count them. Committed files with no fresh
+//! counterpart are skipped with a note (not every harness runs on every
+//! machine), as are fresh files with no committed baseline (a new benchmark
+//! has nothing to regress against).
 //!
 //! Like the rest of xtask this is dependency-free: it carries its own
 //! minimal JSON reader rather than pulling `serde_json` into the
@@ -26,7 +31,8 @@ use std::path::Path;
 /// Default regression gate: fresh latency > committed × (1 + 15%).
 pub const DEFAULT_THRESHOLD_PCT: f64 = 15.0;
 
-/// One latency-field comparison between a fresh and a committed file.
+/// One latency-field or work-count comparison between a fresh and a
+/// committed file.
 pub struct Comparison {
     /// `file :: json.path.to.field` (array elements labelled by their
     /// identifying fields where present).
@@ -38,13 +44,17 @@ pub struct Comparison {
     pub change_pct: f64,
     pub regressed: bool,
     /// Display unit of the raw values: "ns" for latency, "qps" for
-    /// throughput.
+    /// throughput, "count" for an exact work count (regressed = moved).
     pub unit: &'static str,
 }
 
 impl fmt::Display for Comparison {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let tag = if self.regressed { "REGRESSED" } else { "ok" };
+        let tag = match (self.regressed, self.unit) {
+            (false, _) => "ok",
+            (true, "count") => "MOVED",
+            (true, _) => "REGRESSED",
+        };
         write!(
             f,
             "{:9} {:+7.1}%  {:>10.1} -> {:>10.1} {}  {}",
@@ -113,6 +123,11 @@ fn is_latency_key(key: &str) -> bool {
     key.ends_with("_ns") || key.ends_with("_ns_per_row") || key.ends_with("_ns_per_op")
 }
 
+/// Work counts a deterministic build repeats exactly.
+fn is_exact_key(key: &str) -> bool {
+    matches!(key, "lloyd_iters" | "seed_rounds" | "point_centroid_evals")
+}
+
 /// Throughput fields are maximized: the regression direction inverts
 /// (fresh *lower* than committed is the slowdown).
 fn is_throughput_key(key: &str) -> bool {
@@ -150,6 +165,15 @@ fn walk(path: &str, committed: &Json, fresh: &Json, threshold_pct: f64, out: &mu
                                 change_pct,
                                 regressed: change_pct > threshold_pct,
                                 unit: "qps",
+                            });
+                        } else if is_exact_key(key) {
+                            out.push(Comparison {
+                                path: format!("{path}.{key}"),
+                                committed: *c,
+                                fresh: *f,
+                                change_pct: (f - c) / c.max(1.0) * 100.0,
+                                regressed: f != c,
+                                unit: "count",
                             });
                         }
                     } else {
@@ -423,6 +447,29 @@ mod tests {
         assert_eq!(bat.unit, "qps");
         assert!(op.regressed, "_ns_per_op is a latency key; +60% must regress");
         assert_eq!(op.unit, "ns");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_work_count_that_moves_either_way_fails() {
+        let root = tmp_root("exact");
+        let fresh = root.join("fresh");
+        let row = |evals: u32| {
+            format!(
+                r#"{{"build":[{{"kind":"IVFPQFS","train_ns_per_row":10.0,"lloyd_iters":25,"seed_rounds":16,"point_centroid_evals":{evals},"rows":512}}]}}"#
+            )
+        };
+        fixture(&root, "BENCH_build.json", &row(1000));
+        for (evals, moved) in [(1000, false), (1001, true), (999, true)] {
+            fixture(&fresh, "BENCH_build.json", &row(evals));
+            let (cmp, _) = diff_benchmarks(&root, &fresh, 15.0).unwrap();
+            // One latency field and three exact counts; `rows` is ignored.
+            assert_eq!(cmp.len(), 4);
+            let evals = cmp.iter().find(|c| c.path.ends_with("point_centroid_evals")).unwrap();
+            assert_eq!(evals.regressed, moved, "{evals}");
+            assert_eq!(evals.to_string().starts_with("MOVED"), moved, "{evals}");
+            assert_eq!(cmp.iter().filter(|c| c.regressed).count(), usize::from(moved));
+        }
         let _ = fs::remove_dir_all(&root);
     }
 

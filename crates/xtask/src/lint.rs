@@ -29,7 +29,7 @@
 //!    implementation layout the owning crate never promised and makes
 //!    intra-crate refactors breaking changes. Internal today:
 //!    `bh_common::loom` (the vendored model checker backing the `--cfg loom`
-//!    tests), `bh_vector::{flat, hnsw, ivf, quant, iterator}` (index
+//!    tests), `bh_vector::{hnsw, ivf, quant, iterator}` (index
 //!    implementations — go through `IndexRegistry`/`VectorIndex`),
 //!    `bh_query::plan` and `bh_storage::{partition, delete}`
 //!    (planner and maintenance internals re-exported at their crate roots).
@@ -148,7 +148,7 @@ const HARNESS_CRATES: &[&str] = &["bench", "xtask"];
 /// made here, in review, not by the first caller that finds it convenient.
 const CROSS_CRATE_INTERNAL: &[(&str, &[&str])] = &[
     ("bh_common", &["loom"]),
-    ("bh_vector", &["flat", "hnsw", "ivf", "quant", "iterator"]),
+    ("bh_vector", &["hnsw", "ivf", "quant", "iterator"]),
     ("bh_query", &["plan"]),
     ("bh_storage", &["partition", "delete"]),
 ];

@@ -16,7 +16,8 @@
 //! inline on pull requests. `bench-diff` compares freshly generated
 //! benchmark JSON (default `target/bench-fresh/BENCH_*.json`) against the
 //! committed copies at the workspace root and fails on any latency
-//! regression beyond the threshold (default 15%); see [`bench_diff`].
+//! regression beyond the threshold (default 15%) and on any moved exact work
+//! count; see [`bench_diff`].
 //! `loc` prints code lines per crate and per file — comments, blanks and
 //! test code excluded — optionally next to the same count at `--base <rev>`;
 //! see [`loc`].
@@ -263,14 +264,14 @@ fn run_bench_diff(args: &[String]) -> ExitCode {
     if regressions > 0 {
         eprintln!();
         eprintln!(
-            "xtask bench-diff: {regressions} latency field(s) regressed beyond {threshold}% \
+            "xtask bench-diff: {regressions} field(s) regressed beyond {threshold}% or moved \
              (of {} compared)",
             comparisons.len()
         );
         return ExitCode::FAILURE;
     }
     eprintln!(
-        "xtask bench-diff: {} latency field(s) within {threshold}% of committed baselines",
+        "xtask bench-diff: {} field(s) within {threshold}% of, or equal to, committed baselines",
         comparisons.len()
     );
     ExitCode::SUCCESS

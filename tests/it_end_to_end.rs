@@ -271,3 +271,116 @@ fn results_consistent_across_strategies_and_vws() {
         assert_eq!(rs.rows, default_rows.rows, "{strategy:?} differs");
     }
 }
+
+/// `TYPE FLAT` declares a table's vector column and metric and no index
+/// structure: INSERT stores no index, the planner prices nothing, and every
+/// plan is the exact scan of the column — filtered, ranged, past the table's
+/// size and on any metric.
+#[test]
+fn flat_table_is_searched_exactly_from_its_column() {
+    use bh_vector::Metric;
+    use blendhouse::{QueryOptions, Strategy};
+
+    let db = Database::in_memory();
+    db.execute(
+        "CREATE TABLE f (id UInt64, label String, emb Array(Float32), \
+         INDEX i emb TYPE FLAT('DIM=2'))",
+    )
+    .unwrap();
+    let emb = |i: u64| [(i * 37 % 101) as f32 * 0.1 + i as f32 * 1e-3, (i * 53 % 89) as f32 * 0.1];
+    for part in 0..3u64 {
+        let values: Vec<String> = (part * 40..(part + 1) * 40)
+            .map(|i| format!("({i}, 'l{}', [{}, {}])", i % 3, emb(i)[0], emb(i)[1]))
+            .collect();
+        db.execute(&format!("INSERT INTO f VALUES {}", values.join(", "))).unwrap();
+    }
+
+    // Three segments, none with an index in the store or the catalog.
+    let keys = db.remote_store().list("tables/f/");
+    assert!(!keys.is_empty());
+    assert!(keys.iter().all(|k| !k.ends_with("/index")), "{keys:?}");
+    let segs = db.execute("SELECT * FROM system.segments").unwrap().rows();
+    assert_eq!(segs.len(), 3);
+    for v in segs.column_values("index_kind").unwrap() {
+        assert_eq!(v.as_str(), Some(""));
+    }
+    for v in segs.column_values("index_bytes").unwrap() {
+        assert_eq!(v, Value::UInt64(0));
+    }
+
+    let q = [5.0f32, 4.0];
+    let explain = db
+        .execute("EXPLAIN SELECT id FROM f WHERE label = 'l1' ORDER BY L2Distance(emb, [5.0, 4.0]) LIMIT 5")
+        .unwrap()
+        .rows();
+    let text: Vec<&str> = explain.rows.iter().filter_map(|r| r[0].as_str()).collect();
+    let text = text.join("\n");
+    assert!(text.contains("strategy: brute-force (Plan A)"), "{text}");
+    assert!(!text.contains("estimates:"), "a FLAT table is not priced: {text}");
+
+    // The exact answer: every passing row's distance, nearest first.
+    let exact = |pass: &dyn Fn(u64) -> bool, k: usize| {
+        let mut all: Vec<(u64, f32)> =
+            (0..120).filter(|&i| pass(i)).map(|i| (i, Metric::L2.distance(&q, &emb(i)))).collect();
+        all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        all.truncate(k);
+        all
+    };
+    // A radius halfway between the 30th and 31st nearest rows.
+    let ranked = exact(&|_| true, 120);
+    let radius = (ranked[29].1 + ranked[30].1) / 2.0;
+    let cases: [(String, Vec<(u64, f32)>); 5] = [
+        (String::new(), exact(&|_| true, 10)),
+        ("WHERE label = 'l1'".into(), exact(&|i| i % 3 == 1, 10)),
+        ("WHERE id >= 1000".into(), Vec::new()),
+        (format!("WHERE L2Distance(emb, [5.0, 4.0]) < {radius}"), ranked[..30].to_vec()),
+        (String::new(), ranked.clone()),
+    ];
+    for (i, (filter, want)) in cases.iter().enumerate() {
+        // LIMIT past the table's size for the range and the last case.
+        let limit = if i >= 3 { 1000 } else { want.len().max(5) };
+        let sql = format!(
+            "SELECT id, d FROM f {filter} ORDER BY L2Distance(emb, [5.0, 4.0]) AS d LIMIT {limit}"
+        );
+        for strategy in Strategy::ALL {
+            let opts = QueryOptions { forced_strategy: Some(strategy), ..db.default_options() };
+            let rs = db.execute_with(&sql, &opts).unwrap().rows();
+            let got: Vec<(u64, f32)> = rs
+                .rows
+                .iter()
+                .map(|r| match (&r[0], r[1].as_f64()) {
+                    (Value::UInt64(id), Some(d)) => (*id, d as f32),
+                    other => panic!("{other:?}"),
+                })
+                .collect();
+            let bits =
+                |v: &[(u64, f32)]| v.iter().map(|(i, d)| (*i, d.to_bits())).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(want), "{strategy:?}: {sql}");
+        }
+    }
+
+    // Inner product ranks by the largest dot product.
+    db.execute(
+        "CREATE TABLE g (id UInt64, emb Array(Float32), \
+         INDEX i emb TYPE FLAT('DIM=2', 'METRIC=IP'))",
+    )
+    .unwrap();
+    db.execute("INSERT INTO g VALUES (0, [1.0, 0.0]), (1, [10.0, 0.0]), (2, [5.0, 0.0])").unwrap();
+    for strategy in Strategy::ALL {
+        let opts = QueryOptions { forced_strategy: Some(strategy), ..db.default_options() };
+        let rs = db
+            .execute_with("SELECT id FROM g ORDER BY IPDistance(emb, [1.0, 0.0]) LIMIT 3", &opts)
+            .unwrap()
+            .rows();
+        let ids: Vec<Value> = rs.rows.iter().map(|r| r[0].clone()).collect();
+        assert_eq!(ids, [1, 2, 0].map(Value::UInt64), "{strategy:?}");
+    }
+
+    // A query vector of the wrong dimension is an error, not a scan.
+    for sql in [
+        "SELECT id FROM f ORDER BY L2Distance(emb, [0.0, 0.0, 0.0]) LIMIT 1",
+        "SELECT id FROM f WHERE L2Distance(emb, [0.0]) < 1.0 LIMIT 10",
+    ] {
+        assert!(db.execute(sql).is_err(), "{sql}");
+    }
+}
