@@ -536,7 +536,7 @@ mod tests {
     /// What one get of the moved segment's index blob costs.
     const BLOB_GET: Duration = Duration::from_millis(1);
 
-    /// One 300-row segment behind a deferring store whose gets take
+    /// One 300-row segment behind a store whose gets take
     /// [`BLOB_GET`], preloaded on a one-worker warehouse which then
     /// scaled up until the segment's owner was a cold newcomer.
     fn moved_segment(
@@ -545,8 +545,7 @@ mod tests {
         let clock = VirtualClock::shared();
         let metrics = MetricsRegistry::new();
         let latency = LatencyModel::fixed(BLOB_GET);
-        let store =
-            InMemoryObjectStore::new(clock.clone(), latency, metrics.clone(), "remote").deferring();
+        let store = InMemoryObjectStore::new(clock.clone(), latency, metrics.clone(), "remote");
         let t = table_on(Arc::new(store), metrics, 300, 300);
         let v = VirtualWarehouse::new(
             VwId(0),

@@ -23,6 +23,7 @@ use bh_common::{
 };
 use bh_storage::cache::{BlockCache, IndexCache};
 use bh_storage::column::{ColumnData, BLOCK_ROWS};
+use bh_storage::lru::CacheRow;
 use bh_storage::objectstore::SharedObjectStore;
 use bh_storage::predicate::Predicate;
 use bh_storage::segment::SegmentMeta;
@@ -53,11 +54,10 @@ pub struct WorkerConfig {
     /// Overlap this worker's **RPC** charges only: a serving call's
     /// worker-to-worker wire time becomes a deadline on the clock, waited
     /// out after the peer's compute, so the two cost `max`, not `sum`
-    /// ([`Worker::charge_rpc_begin`]). It does not govern store I/O:
-    /// whether index/column transfers overlap is a property of the remote
-    /// store (deferring or not), and under `Database` that is
-    /// unconditional. Off by default: blocking charges keep existing RPC
-    /// latency accounting bit-identical.
+    /// ([`Worker::charge_rpc_begin`]). It does not govern store I/O: a
+    /// store get is always its transfer's deadline, so index/column
+    /// transfers begun together overlap. Off by default: blocking charges
+    /// keep existing RPC latency accounting bit-identical.
     pub overlap: bool,
     /// Kept only because the frozen `benchmark/` compiles against it
     /// (ROADMAP "Re-anchor the evidence"): read by nothing.
@@ -180,9 +180,21 @@ impl Worker {
         &self.index_cache
     }
 
-    /// The worker's column-block cache (introspection: `system.caches`).
+    /// The worker's column-block cache.
     pub fn block_cache(&self) -> &BlockCache {
         &self.block_cache
+    }
+
+    /// The worker's four caches as `system.caches` rows: the index memory
+    /// tier, the block cache, and the decoded-column (`column`) and
+    /// decoded-block (`decoded`) LRUs.
+    pub fn cache_rows(&self) -> [CacheRow; 4] {
+        [
+            self.index_cache.cache_row(),
+            self.block_cache.cache_row(),
+            self.column_cache.cache_row("column"),
+            self.decoded_blocks.cache_row("decoded"),
+        ]
     }
 
     /// Serving RPC entry (Fig. 4): run `search` on the segment's index, which

@@ -118,8 +118,10 @@ lock_rank_table! {
     TABLE_SKETCH_CACHE = 340,
     /// `DeleteMap::bitmaps` per-segment delete bitmaps.
     DELETE_BITMAPS = 360,
-    /// `IndexCache::transfers` transfer table; held only to look up, enter
-    /// or remove a segment's transfer, never across a store call or a decode.
+    /// `IndexCache::transfers` transfer table; held to look up, enter or
+    /// remove a segment's transfer. Entering one starts its blob under it
+    /// (`get_begin` returns at once, taking `OBJECTSTORE_BLOBS`); never held
+    /// across a wait or a decode.
     IDXCACHE_PENDING = 410,
     /// `LruCache` internals (index cache, block caches, decoded columns).
     LRU_INNER = 450,

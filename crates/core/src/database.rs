@@ -143,19 +143,16 @@ impl Database {
         let metrics = MetricsRegistry::new();
         let clock: SharedClock =
             if cfg.real_time { RealClock::shared() } else { VirtualClock::shared() };
-        // Always deferring: a get is its transfer's deadline on the clock,
-        // so the index prefetches the batch executor issues overlap (N cold
-        // bodies cost max, not sum), while a get waited at once costs
-        // exactly its synchronous charge.
-        let remote: SharedObjectStore = Arc::new(
-            InMemoryObjectStore::new(
-                clock.clone(),
-                cfg.latencies.remote_store,
-                metrics.clone(),
-                "remote",
-            )
-            .deferring(),
-        );
+        // A get is its transfer's deadline on the clock, so the index
+        // prefetches the batch executor issues overlap (N cold bodies cost
+        // max, not sum), while a get waited at once costs exactly its
+        // synchronous charge.
+        let remote: SharedObjectStore = Arc::new(InMemoryObjectStore::new(
+            clock.clone(),
+            cfg.latencies.remote_store,
+            metrics.clone(),
+            "remote",
+        ));
         let querylog = QueryLog::new(cfg.query_log_capacity);
         querylog.set_slow_policy(cfg.slow_query.clone());
         // Pre-register the SLO histograms and process self-metrics so
@@ -689,6 +686,38 @@ mod tests {
         }
     }
 
+    /// A distance function of another metric than the index's is a bind
+    /// error naming both metrics and the matching function, in the ORDER BY
+    /// and the range form, on every kind: each plan ranks by the index's
+    /// metric, so the rows it returned were ordered by the wrong distance.
+    #[test]
+    fn a_distance_function_of_another_metric_is_a_bind_error() {
+        for kind in bh_vector::IndexKind::ALL.map(|k| k.name()) {
+            let db = Database::in_memory();
+            db.execute(&format!(
+                "CREATE TABLE t (id UInt64, emb Array(Float32), \
+                 INDEX ann emb TYPE {kind}('DIM=4')) ORDER BY id"
+            ))
+            .unwrap();
+            db.execute("INSERT INTO t VALUES (1, [1.0, 0.0, 0.0, 0.0]), (2, [0.0, 1.0, 0.0, 0.0])")
+                .unwrap();
+            let q = "[1.0, 2.0, 3.0, 4.0]";
+            for f in ["cosineDistance", "IPDistance"] {
+                for sql in [
+                    format!("SELECT id, d FROM t ORDER BY {f}(emb, {q}) AS d LIMIT 3"),
+                    format!("SELECT id FROM t WHERE {f}(emb, {q}) < 0.5"),
+                ] {
+                    let err = db.execute(&sql).unwrap_err().to_string();
+                    for want in [f, "L2", "use L2Distance"] {
+                        assert!(err.contains(want), "{kind}: `{sql}` -> {err}");
+                    }
+                }
+            }
+            let sql = format!("SELECT id FROM t ORDER BY L2Distance(emb, {q}) LIMIT 1");
+            assert_eq!(db.execute(&sql).unwrap().rows().rows.len(), 1, "{kind}");
+        }
+    }
+
     /// A build parameter no build can use is a CREATE TABLE error naming
     /// the parameter and its range, not a panic at every later INSERT.
     #[test]
@@ -1188,10 +1217,30 @@ mod tests {
         .unwrap();
 
         let caches = db.execute("SELECT * FROM system.caches").unwrap().rows();
-        // default VW has 2 workers × (index.mem, block.data).
-        assert_eq!(caches.len(), 4);
+        // default VW has 2 workers × (index.mem, block.data, column, decoded).
+        assert_eq!(caches.len(), 8);
+        for kind in ["index.mem", "block.data", "column", "decoded"] {
+            assert_eq!(caches.rows.iter().filter(|r| r[2] == Value::Str(kind.into())).count(), 2);
+        }
         assert!(caches.rows.iter().any(|r| matches!(&r[3], Value::UInt64(u) if *u > 0)
             || matches!(&r[6], Value::UInt64(h) if *h > 0)));
+        // A filtered top-k reads its rows' cells through the decoded-block
+        // cache: a repeat hits it.
+        let decoded_hits = || {
+            let sql = "SELECT sum(hits) FROM system.caches WHERE cache = 'decoded'";
+            let Value::UInt64(h) = db.execute(sql).unwrap().rows().rows[0][0] else { panic!() };
+            h
+        };
+        let before = decoded_hits();
+        for _ in 0..2 {
+            db.execute_with(
+                "SELECT id, label FROM images WHERE label = 'l1' \
+                 ORDER BY L2Distance(emb, [5.0,5.0,5.0,5.0]) LIMIT 3",
+                &index_plan,
+            )
+            .unwrap();
+        }
+        assert!(decoded_hits() > before, "decoded hits stayed at {before}");
 
         let segs = db
             .execute("SELECT * FROM system.segments WHERE rows > 0 ORDER BY segment_id ASC")

@@ -517,20 +517,7 @@ fn cache_rows(db: &Database) -> SystemRows {
     for vw in db.vw_handles() {
         for wid in vw.worker_ids() {
             let Ok(worker) = vw.worker(wid) else { continue };
-            let ic = worker.index_cache();
-            let (hits, misses, evictions) = ic.memory_stats();
-            let index_mem = (
-                "index.mem",
-                ic.memory_used(),
-                ic.memory_capacity(),
-                ic.resident_count(),
-                hits,
-                misses,
-                evictions,
-            );
-            for (kind, used, cap, entries, h, mi, ev) in
-                [index_mem, worker.block_cache().space_stats()]
-            {
+            for (kind, used, cap, entries, h, mi, ev) in worker.cache_rows() {
                 rows.push(vec![
                     Value::Str(vw.name().to_string()),
                     Value::Str(wid.to_string()),

@@ -348,6 +348,17 @@ fn bind_distance_call(
     if expected_dim != 0 && qvec.len() != expected_dim {
         return Err(BhError::DimensionMismatch { expected: expected_dim, got: qvec.len() });
     }
+    // Every plan ranks by the index's metric, so another one would return
+    // rows ordered by a distance the statement did not ask for.
+    if let Some(idx) = schema.index_on(column).filter(|i| i.spec.metric != metric) {
+        return Err(BhError::Plan(format!(
+            "{fname} is {metric:?} distance, but index {} on {column} is built for {:?}: \
+             use {}",
+            idx.name,
+            idx.spec.metric,
+            idx.spec.metric.sql_function()
+        )));
+    }
     Ok((column.clone(), qvec, metric))
 }
 

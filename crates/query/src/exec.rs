@@ -1783,8 +1783,7 @@ mod tests {
             bh_common::LatencyModel::new(std::time::Duration::ZERO, per_byte),
             MetricsRegistry::new(),
             "remote",
-        )
-        .deferring();
+        );
         let (ts, _, engine) = setup_on(Arc::new(store), 400, IndexKind::Hnsw, 50);
         let metas = ts.segments();
         let m = &engine.metrics;

@@ -195,9 +195,9 @@ proptest! {
             // first, so a batch's segment tasks run in a different order
             // than the one-by-one statements visit them and the shared bound
             // tightens along a different path — the merged rows must not
-            // notice. On this blocking store both sides answer a cold
-            // segment's first statement by brute force and warm it, one
-            // fresh VW each.
+            // notice. On this zero-latency store a cold segment's transfer
+            // is ripe at once, so both sides answer its first statement from
+            // its full index and warm it, one fresh VW each.
             let opts = QueryOptions { share_bound, ..Default::default() };
             let metas = fix.table.segments();
             let (vw_ref, vw_batch) =

@@ -1,23 +1,20 @@
 //! The overlapped cold path's equivalence contract (DESIGN.md §11.3).
 //!
-//! On a deferring store the executor prefetches every cold segment's
-//! index body and each segment task consumes the transfer in flight, so a
-//! batch — of any size, one statement included — is answered from full
-//! indexes at *every* starting residency. The contract, asserted by the
-//! proptest:
+//! The executor prefetches every cold segment's index body and each segment
+//! task consumes the transfer in flight, so a batch — of any size, one
+//! statement included — is answered from full indexes at *every* starting
+//! residency. The contract, asserted by the proptest against a preloaded
+//! warehouse on the same store:
 //!
-//! * overlapped-cold ≡ blocking-warm — residency does not change a
-//!   batch's rows;
-//! * overlapped-warm ≡ blocking-warm, bit for bit — overlap only changes
-//!   *when* simulated latencies are paid, never which bytes come back.
+//! * overlapped-cold ≡ warm — residency does not change a batch's rows;
+//! * overlapped-warm ≡ warm, bit for bit — overlap only changes *when*
+//!   simulated latencies are paid, never which bytes come back.
 //!
-//! One plain test states the cold contract, the same on every store, for a
-//! brand-new warehouse's *first* statement — top-k with and without a filter,
-//! a filter passing only a segment's farthest rows, a distance range without
-//! LIMIT: with nobody to serve, the round's transfers are waited out
-//! (overlapped on a deferring store, each paid where it starts on a blocking
-//! one) and full indexes answer, never the exact scan; the rows are an
-//! always-warm warehouse's. Two more pin what a round leaves pending in the
+//! One plain test states the cold contract for a brand-new warehouse's
+//! *first* statement — top-k with and without a filter, a filter passing
+//! only a segment's farthest rows, a distance range without LIMIT: with
+//! nobody to serve, the round's transfers are waited out and full indexes
+//! answer, never the exact scan; the rows are an always-warm warehouse's. Two more pin what a round leaves pending in the
 //! workers' `IndexCache`s: nothing when the batch errors out, and exactly the
 //! transfers of the segments a peer served when it succeeds.
 //!
@@ -40,7 +37,7 @@ use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-/// One table with its own store, clock, metrics and engine.
+/// One table with its store, clock, metrics and engine.
 struct Side {
     table: Arc<TableStore>,
     clock: SharedClock,
@@ -49,21 +46,17 @@ struct Side {
 }
 
 /// 480 rows in 4 clusters across 8 segments, persisted through an in-memory
-/// store with nonzero transfer latency. `overlapped` makes the store
-/// deferring (what `Database` always does), so a get and an executor
-/// prefetch return at once with their transfer's deadline; without it every
-/// get charges synchronously. Index builds are seeded, so both sides hold
-/// byte-identical segments.
-fn side(overlapped: bool) -> Side {
+/// store with nonzero transfer latency: a get and an executor prefetch
+/// return at once with their transfer's deadline.
+fn side() -> Side {
     let clock: SharedClock = VirtualClock::shared();
     let metrics = MetricsRegistry::new();
-    let store = InMemoryObjectStore::new(
+    let store = Arc::new(InMemoryObjectStore::new(
         clock.clone(),
         LatencyModel::new(Duration::from_micros(50), Duration::from_nanos(2)),
         metrics.clone(),
         "remote",
-    );
-    let store = Arc::new(if overlapped { store.deferring() } else { store });
+    ));
     let schema = TableSchema::new("t")
         .with_column("id", ColumnType::UInt64)
         .with_column("emb", ColumnType::Vector(4))
@@ -86,22 +79,17 @@ fn side(overlapped: bool) -> Side {
     Side { table: Arc::new(table), clock, engine: QueryEngine::new(metrics.clone()), metrics }
 }
 
-struct Fixture {
-    blocking: Side,
-    overlapped: Side,
+fn fixture() -> &'static Side {
+    static FIX: OnceLock<Side> = OnceLock::new();
+    FIX.get_or_init(side)
 }
 
-fn fixture() -> &'static Fixture {
-    static FIX: OnceLock<Fixture> = OnceLock::new();
-    FIX.get_or_init(|| Fixture { blocking: side(false), overlapped: side(true) })
-}
-
-/// A fresh two-worker VW over one side's table. `overlap` additionally
+/// A fresh two-worker VW over the side's table. `overlap` additionally
 /// overlaps a serving RPC's wire time with the peer's search.
 fn make_vw(side: &Side, overlap: bool) -> VirtualWarehouse {
     let vw = VirtualWarehouse::new(
         VwId(u64::from(overlap)),
-        if overlap { "ovl" } else { "blk" },
+        if overlap { "ovl" } else { "plain" },
         VwConfig {
             // Far below a blob get, so a served search ripens no transfer.
             rpc: LatencyModel::fixed(Duration::from_micros(1)),
@@ -155,38 +143,32 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
     #[test]
-    fn overlapped_batch_at_any_residency_matches_blocking_warm(
+    fn overlapped_batch_at_any_residency_matches_preloaded(
         sqls in batch_strategy(),
         residency in 0usize..3,
         plan in 0usize..INDEX_PLANS.len(),
     ) {
         let fix = fixture();
         let stmts: Vec<SelectStmt> = sqls.iter().map(|s| parse(s)).collect();
-        // The reference: blocking store, every index preloaded.
-        let vw_reference = make_vw(&fix.blocking, false);
-        vw_reference.preload(&fix.blocking.table.segments()).unwrap();
-        // Under test: deferring store, none, half, or all preloaded.
-        let vw_overlap = make_vw(&fix.overlapped, true);
-        let metas = fix.overlapped.table.segments();
+        let metas = fix.table.segments();
+        // The reference: every index preloaded.
+        let vw_reference = make_vw(fix, false);
+        vw_reference.preload(&metas).unwrap();
+        // Under test: none, half, or all preloaded.
+        let vw_overlap = make_vw(fix, true);
         vw_overlap.preload(&metas[..metas.len() * residency / 2]).unwrap();
 
         let opts =
             QueryOptions { forced_strategy: Some(INDEX_PLANS[plan]), ..Default::default() };
-        let prefetches = fix.overlapped.metrics.counter("query.index_prefetches");
+        let prefetches = fix.metrics.counter("query.index_prefetches");
         // Two rounds: the first runs at the chosen residency, the second on
         // whatever mix the first round's loads produced.
         for round in 0..2 {
-            let reference = fix
-                .blocking
-                .engine
-                .execute_select_batch(&fix.blocking.table, &vw_reference, &opts, &stmts)
-                .unwrap();
+            let reference =
+                fix.engine.execute_select_batch(&fix.table, &vw_reference, &opts, &stmts).unwrap();
             let before = prefetches.get();
-            let overlapped = fix
-                .overlapped
-                .engine
-                .execute_select_batch(&fix.overlapped.table, &vw_overlap, &opts, &stmts)
-                .unwrap();
+            let overlapped =
+                fix.engine.execute_select_batch(&fix.table, &vw_overlap, &opts, &stmts).unwrap();
             // The overlapped path must actually have engaged when cold, and
             // must not fetch anything when warm.
             match (residency, round) {
@@ -244,29 +226,27 @@ fn first_statements() -> Vec<(String, &'static [Plan], usize)> {
 }
 
 /// Each of [`first_statements`] as a brand-new warehouse's first statement,
-/// under each of its plans, on both kinds of store: ids and distances are an
-/// always-warm warehouse's over the same table, and `worker.brute_force`
-/// never moves — an indexed segment is answered from its index.
+/// under each of its plans: ids and distances are an always-warm
+/// warehouse's over the same table, and `worker.brute_force` never moves —
+/// an indexed segment is answered from its index.
 #[test]
-fn every_store_answers_the_first_statement_from_full_indexes() {
-    for side in [side(false), side(true)] {
-        let vw_warm = make_vw(&side, false);
-        vw_warm.preload(&side.table.segments()).unwrap();
-        let brute = side.metrics.counter("worker.brute_force");
-        for (sql, plans, rows) in first_statements() {
-            let stmt = parse(&sql);
-            for &plan in plans {
-                let opts = QueryOptions { forced_strategy: Some(plan), ..Default::default() };
-                let vw_cold = make_vw(&side, false);
-                let first =
-                    side.engine.execute_select(&side.table, &vw_cold, &opts, &stmt).unwrap();
-                let warm = side.engine.execute_select(&side.table, &vw_warm, &opts, &stmt).unwrap();
-                assert_eq!(first.rows.len(), rows, "{plan:?}: {sql}");
-                assert_eq!(first.rows, warm.rows, "{plan:?}: {sql}");
-            }
+fn the_first_statement_is_answered_from_full_indexes() {
+    let side = side();
+    let vw_warm = make_vw(&side, false);
+    vw_warm.preload(&side.table.segments()).unwrap();
+    let brute = side.metrics.counter("worker.brute_force");
+    for (sql, plans, rows) in first_statements() {
+        let stmt = parse(&sql);
+        for &plan in plans {
+            let opts = QueryOptions { forced_strategy: Some(plan), ..Default::default() };
+            let vw_cold = make_vw(&side, false);
+            let first = side.engine.execute_select(&side.table, &vw_cold, &opts, &stmt).unwrap();
+            let warm = side.engine.execute_select(&side.table, &vw_warm, &opts, &stmt).unwrap();
+            assert_eq!(first.rows.len(), rows, "{plan:?}: {sql}");
+            assert_eq!(first.rows, warm.rows, "{plan:?}: {sql}");
         }
-        assert_eq!(brute.get(), 0);
     }
+    assert_eq!(brute.get(), 0);
 }
 
 /// A batch that fails after its round's prefetches went out (every owner
@@ -275,7 +255,7 @@ fn every_store_answers_the_first_statement_from_full_indexes() {
 /// succeed as usual.
 #[test]
 fn failed_batch_strands_no_prefetch() {
-    let side = side(true);
+    let side = side();
     let vw = make_vw(&side, true);
     let metas = side.table.segments();
     let stmts: Vec<SelectStmt> = (0..4).map(|c| parse(&stmt_sql(c, 10, false))).collect();
@@ -315,7 +295,7 @@ fn failed_batch_strands_no_prefetch() {
 /// owners' warm — and `invalidate` / `clear_memory` release them.
 #[test]
 fn successful_round_leaves_pending_exactly_the_served_transfers() {
-    let side = side(true);
+    let side = side();
     let vw = make_vw(&side, true);
     let metas = side.table.segments();
     vw.preload(&metas).unwrap();

@@ -15,7 +15,7 @@
 //! bump goes through `bh_common::qctx::cache_{hit,miss}`, which also tallies
 //! it on the statement the thread is working for.
 
-use crate::lru::LruCache;
+use crate::lru::{CacheRow, LruCache};
 use crate::objectstore::{PendingGet, SharedObjectStore};
 use crate::segment::SegmentMeta;
 use bh_common::metrics::Counter;
@@ -32,10 +32,8 @@ use std::sync::{Arc, OnceLock};
 /// it; the first to arrive waits out its deadline and decodes the blob, and
 /// the rest receive that same index.
 struct Transfer {
-    /// Started by whoever entered the transfer in the table, after the
-    /// entry exists: a get that joins while a store that cannot defer is
-    /// still paying in `get_begin` waits here instead of starting another.
-    blob: OnceLock<Result<PendingGet>>,
+    /// Started by whoever entered the transfer in the table, under its lock.
+    blob: PendingGet,
     /// Whether a `get` has joined yet: false only for a prefetch nobody
     /// has asked for.
     claimed: AtomicBool,
@@ -137,9 +135,7 @@ impl IndexCache {
         kind: IndexKind,
         transfer: &Arc<Transfer>,
     ) -> Result<Arc<dyn VectorIndex>> {
-        let loaded = self
-            .blob(meta, transfer)
-            .and_then(|blob| IndexRegistry.load_blob(kind, &blob.wait()));
+        let loaded = IndexRegistry.load_blob(kind, &transfer.blob.wait());
         if let Ok(idx) = &loaded {
             self.mem.put(meta.id, idx.clone(), idx.memory_usage());
         }
@@ -149,35 +145,21 @@ impl IndexCache {
         loaded
     }
 
-    /// Enter a transfer for `meta` in the table, or find the one entered
-    /// already, and start its blob. Returns the segment's transfer and
-    /// whether it is the one entered here.
+    /// Enter a transfer for `meta` in the table and start its blob, or find
+    /// the one entered already. Returns the segment's transfer and whether it
+    /// is the one entered here; a start that fails enters nothing.
     fn begin(&self, meta: &SegmentMeta, claimed: bool) -> Result<(Arc<Transfer>, bool)> {
-        let (transfer, began) = match self.transfers.lock_checked()?.entry(meta.id) {
+        Ok(match self.transfers.lock_checked()?.entry(meta.id) {
             Entry::Occupied(e) => (e.get().clone(), false),
             Entry::Vacant(slot) => {
+                // A start returns at once with its deadline, so the table
+                // lock is not held across the transfer.
+                let blob = self.remote.get_begin(&meta.index_key())?;
                 let claimed = AtomicBool::new(claimed);
-                let t = Transfer { blob: OnceLock::new(), claimed, index: OnceLock::new() };
+                let t = Transfer { blob, claimed, index: OnceLock::new() };
                 (slot.insert(Arc::new(t)).clone(), true)
             }
-        };
-        // Started outside the table lock: a store that cannot defer sleeps
-        // its transfer in `get_begin`, and probes of other segments must not
-        // queue behind it.
-        if began {
-            if let Err(e) = self.blob(meta, &transfer) {
-                self.retire(meta.id, &transfer);
-                return Err(e);
-            }
-        }
-        Ok((transfer, began))
-    }
-
-    /// The transfer's blob, started by the first caller; the rest wait for
-    /// `get_begin` to return.
-    fn blob<'t>(&self, meta: &SegmentMeta, transfer: &'t Transfer) -> Result<&'t PendingGet> {
-        let blob = transfer.blob.get_or_init(|| self.remote.get_begin(&meta.index_key()));
-        blob.as_ref().map_err(Clone::clone)
+        })
     }
 
     /// Remove `transfer` from the table; one cancelled or replaced
@@ -191,10 +173,9 @@ impl IndexCache {
 
     /// Begin fetching a segment's index blob, so a later [`IndexCache::get`]
     /// finds the transfer already in flight and its latency overlaps with
-    /// intervening work. A deferring store returns at once; a store
-    /// that cannot defer pays the whole transfer here, and the blob is
-    /// pending all the same. Never mutates the memory tier — `resident`
-    /// reports false until the blob is consumed by a real `get`.
+    /// intervening work: it returns at once with the transfer's deadline.
+    /// Never mutates the memory tier — `resident` reports false until the
+    /// blob is consumed by a real `get`.
     ///
     /// Returns whether a new transfer was started.
     pub fn prefetch(&self, meta: &SegmentMeta) -> Result<bool> {
@@ -219,11 +200,7 @@ impl IndexCache {
     /// Would the next [`IndexCache::get`] have to wait for this segment: is
     /// a transfer in flight whose deadline the clock has not reached?
     pub fn awaits_transfer(&self, seg: SegmentId) -> bool {
-        self.transfers.lock().get(&seg).is_some_and(|t| match t.blob.get() {
-            Some(blob) => blob.as_ref().is_ok_and(|p| !p.is_ready()),
-            // Still in `get_begin`, where a store that cannot defer pays.
-            None => true,
-        })
+        self.transfers.lock().get(&seg).is_some_and(|t| !t.blob.is_ready())
     }
 
     /// Drop an unconsumed transfer: the blob bytes are released once no
@@ -265,20 +242,10 @@ impl IndexCache {
         self.transfers.lock().clear();
     }
 
-    /// Bytes of index currently resident in memory.
-    pub fn memory_used(&self) -> usize {
-        self.mem.used_bytes()
-    }
-
-    /// Configured memory-tier capacity in bytes.
-    pub fn memory_capacity(&self) -> usize {
-        self.mem.capacity()
-    }
-
-    /// `(hits, misses, evictions)` of the memory tier (the LRU's own
+    /// The memory tier's `index.mem` row of `system.caches` (the LRU's own
     /// counters, not the `cache.index.*` registry counters).
-    pub fn memory_stats(&self) -> (u64, u64, u64) {
-        self.mem.stats()
+    pub fn cache_row(&self) -> CacheRow {
+        self.mem.cache_row("index.mem")
     }
 
     /// Number of resident full indexes in the memory tier.
@@ -353,12 +320,9 @@ impl BlockCache {
         self.space.used_bytes()
     }
 
-    /// `(name, used, capacity, entries, hits, misses, evictions)` of the
-    /// space, the `block.data` row of the `system.caches` table.
-    pub fn space_stats(&self) -> (&'static str, usize, usize, usize, u64, u64, u64) {
-        let (hits, misses, evictions) = self.space.stats();
-        let s = &self.space;
-        ("block.data", s.used_bytes(), s.capacity(), s.len(), hits, misses, evictions)
+    /// The space's `block.data` row of `system.caches`.
+    pub fn cache_row(&self) -> CacheRow {
+        self.space.cache_row("block.data")
     }
 }
 
@@ -511,17 +475,15 @@ mod tests {
     }
 
     /// A store on a real clock, so a transfer genuinely takes long enough
-    /// for other threads to arrive and join it: paid inside `get_begin`, or
-    /// (`deferring`) waited out at its deadline.
-    fn slow_cache(id: u64, deferring: bool) -> (Arc<IndexCache>, SegmentMeta, MetricsRegistry) {
+    /// for other threads to arrive and join it.
+    fn slow_cache(id: u64) -> (Arc<IndexCache>, SegmentMeta, MetricsRegistry) {
         let metrics = MetricsRegistry::new();
-        let remote = InMemoryObjectStore::new(
+        let remote = Arc::new(InMemoryObjectStore::new(
             bh_common::RealClock::shared(),
             LatencyModel::fixed(Duration::from_millis(60)),
             metrics.clone(),
             "remote",
-        );
-        let remote = Arc::new(if deferring { remote.deferring() } else { remote });
+        ));
         let meta = build_indexed_segment(remote.as_ref(), id, 40);
         let cache = Arc::new(IndexCache::new(1 << 20, remote, metrics.clone()));
         (cache, meta, metrics)
@@ -529,31 +491,28 @@ mod tests {
 
     #[test]
     fn single_flight_dedups_concurrent_gets() {
-        for deferring in [false, true] {
-            let (cache, meta, metrics) = slow_cache(1, deferring);
-            let get = || cache.get(&meta).unwrap().unwrap();
-            let indexes: Vec<_> = std::thread::scope(|s| {
-                let leader = s.spawn(get);
-                // The followers arrive while the leader's 60ms transfer runs.
-                while !cache.in_flight(meta.id) && !leader.is_finished() {
-                    std::thread::yield_now();
-                }
-                let followers: Vec<_> = (0..3).map(|_| s.spawn(get)).collect();
-                std::iter::once(leader).chain(followers).map(|h| h.join().unwrap()).collect()
-            });
-            let gets = metrics.counter_value("remote.get");
-            assert_eq!(gets, 1, "deferring={deferring}: one transfer serves every caller");
-            assert_eq!(metrics.counter_value("cache.index.remote.fetch"), 1);
-            assert!(metrics.counter_value("cache.index.singleflight.wait") >= 3);
-            assert!(indexes.iter().all(|idx| Arc::ptr_eq(idx, &indexes[0])), "one decode");
-        }
+        let (cache, meta, metrics) = slow_cache(1);
+        let get = || cache.get(&meta).unwrap().unwrap();
+        let indexes: Vec<_> = std::thread::scope(|s| {
+            let leader = s.spawn(get);
+            // The followers arrive while the leader's 60ms transfer runs.
+            while !cache.in_flight(meta.id) && !leader.is_finished() {
+                std::thread::yield_now();
+            }
+            let followers: Vec<_> = (0..3).map(|_| s.spawn(get)).collect();
+            std::iter::once(leader).chain(followers).map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(metrics.counter_value("remote.get"), 1, "one transfer serves every caller");
+        assert_eq!(metrics.counter_value("cache.index.remote.fetch"), 1);
+        assert!(metrics.counter_value("cache.index.singleflight.wait") >= 3);
+        assert!(indexes.iter().all(|idx| Arc::ptr_eq(idx, &indexes[0])), "one decode");
     }
 
     /// Gets racing for a prefetched transfer: one consumes it, the other
     /// joins, and both receive the index decoded once.
     #[test]
     fn gets_racing_for_a_prefetch_share_its_transfer() {
-        let (cache, meta, metrics) = slow_cache(2, true);
+        let (cache, meta, metrics) = slow_cache(2);
         let prefetched = std::sync::Barrier::new(3);
         let indexes: Vec<_> = std::thread::scope(|s| {
             s.spawn(|| {
@@ -583,15 +542,12 @@ mod tests {
     fn prefetch_overlaps_and_get_consumes() {
         let clock = VirtualClock::shared();
         let metrics = MetricsRegistry::new();
-        let remote = Arc::new(
-            InMemoryObjectStore::new(
-                clock.clone(),
-                LatencyModel::fixed(Duration::from_micros(500)),
-                metrics.clone(),
-                "remote",
-            )
-            .deferring(),
-        );
+        let remote = Arc::new(InMemoryObjectStore::new(
+            clock.clone(),
+            LatencyModel::fixed(Duration::from_micros(500)),
+            metrics.clone(),
+            "remote",
+        ));
         let m1 = build_indexed_segment(remote.as_ref(), 1, 20);
         let m2 = build_indexed_segment(remote.as_ref(), 2, 20);
         let after_setup = clock.now_nanos();
@@ -622,15 +578,12 @@ mod tests {
     fn pending_transfer_is_consumed_by_get_and_released_by_cancel() {
         let clock = VirtualClock::shared();
         let metrics = MetricsRegistry::new();
-        let remote = Arc::new(
-            InMemoryObjectStore::new(
-                clock.clone(),
-                LatencyModel::fixed(Duration::from_micros(500)),
-                metrics.clone(),
-                "remote",
-            )
-            .deferring(),
-        );
+        let remote = Arc::new(InMemoryObjectStore::new(
+            clock.clone(),
+            LatencyModel::fixed(Duration::from_micros(500)),
+            metrics.clone(),
+            "remote",
+        ));
         let meta = build_indexed_segment(remote.as_ref(), 8, 600);
         let gets_before = metrics.counter_value("remote.get");
         let t0 = clock.now_nanos();
@@ -659,28 +612,37 @@ mod tests {
         assert_eq!(clock.now_nanos() - t0, 1_000_000, "cancelled transfer charges nothing");
     }
 
-    /// A store that cannot defer pays the whole transfer inside `prefetch`;
-    /// what is pending is ripe, and `get` consumes it at no further cost.
+    /// A start that fails — the segment's index blob was garbage-collected
+    /// under a stale snapshot — enters no transfer and counts nothing, and
+    /// the next segment's get is unaffected.
     #[test]
-    fn prefetch_on_a_blocking_store_pays_at_once_and_is_ripe() {
-        let clock = VirtualClock::shared();
+    fn a_failed_transfer_start_leaves_nothing_behind() {
         let metrics = MetricsRegistry::new();
         let remote = Arc::new(InMemoryObjectStore::new(
-            clock.clone(),
+            VirtualClock::shared(),
             LatencyModel::fixed(Duration::from_micros(500)),
             metrics.clone(),
             "remote",
         ));
-        let meta = build_indexed_segment(remote.as_ref(), 1, 10);
-        let (t0, gets) = (clock.now_nanos(), metrics.counter_value("remote.get"));
+        let gone = build_indexed_segment(remote.as_ref(), 1, 10);
+        let live = build_indexed_segment(remote.as_ref(), 2, 10);
+        remote.delete(&gone.index_key()).unwrap();
         let cache = IndexCache::new(1 << 20, remote, metrics.clone());
-        assert!(cache.prefetch(&meta).unwrap());
-        assert_eq!(clock.now_nanos() - t0, 500_000);
-        assert!(cache.in_flight(meta.id) && !cache.awaits_transfer(meta.id));
-        assert!(cache.get(&meta).unwrap().is_some());
-        assert_eq!(clock.now_nanos() - t0, 500_000);
-        assert_eq!(metrics.counter_value("remote.get") - gets, 1);
-        assert_eq!(metrics.counter_value("cache.index.prefetch.hit"), 1);
+        let count = |name: &str| metrics.counter_value(name);
+        let failed = |err: Option<BhError>| {
+            let err = err.expect("starting a collected blob must fail");
+            assert!(err.is_snapshot_race(), "{err}");
+            assert!(!cache.in_flight(gone.id) && !cache.resident(gone.id));
+        };
+        failed(cache.get(&gone).err());
+        failed(cache.prefetch(&gone).err());
+        assert_eq!(count("cache.index.prefetch"), 0);
+        assert_eq!(count("cache.index.remote.fetch"), 0);
+
+        let gets = count("remote.get");
+        assert_eq!(cache.get(&live).unwrap().unwrap().meta().len, 10);
+        assert_eq!(count("remote.get") - gets, 1);
+        assert!(!cache.in_flight(live.id));
     }
 
     #[test]

@@ -16,6 +16,10 @@ use std::sync::Arc;
 
 const NIL: usize = usize::MAX;
 
+/// One cache's row of `system.caches`: `(name, used, capacity, entries,
+/// hits, misses, evictions)`, weights in bytes.
+pub type CacheRow = (&'static str, usize, usize, usize, u64, u64, u64);
+
 struct Slot<K, V> {
     key: K,
     /// `None` once the slot is on the free list: a freed slot keeps nothing
@@ -171,10 +175,10 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         self.inner.lock().capacity
     }
 
-    /// `(hits, misses, evictions)` counters.
-    pub fn stats(&self) -> (u64, u64, u64) {
+    /// This cache's `system.caches` row under `name`, read in one lock.
+    pub fn cache_row(&self, name: &'static str) -> CacheRow {
         let g = self.inner.lock();
-        (g.hits, g.misses, g.evictions)
+        (name, g.used, g.capacity, g.map.len(), g.hits, g.misses, g.evictions)
     }
 }
 
@@ -250,7 +254,7 @@ mod tests {
         c.put("a", 1, 10);
         assert_eq!(c.get(&"a"), Some(1));
         assert_eq!(c.used_bytes(), 10);
-        assert_eq!(c.stats(), (1, 1, 0));
+        assert_eq!(c.cache_row("t"), ("t", 10, 100, 1, 1, 1, 0));
     }
 
     #[test]
@@ -266,7 +270,7 @@ mod tests {
         assert_eq!(c.get(&"a"), Some(1));
         assert_eq!(c.get(&"c"), Some(3));
         assert_eq!(c.get(&"d"), Some(4));
-        let (_, _, evictions) = c.stats();
+        let (.., evictions) = c.cache_row("t");
         assert_eq!(evictions, 1);
     }
 
@@ -334,7 +338,7 @@ mod tests {
         assert_eq!(m.counter_value("cache.decoded.hit"), 1);
         assert_eq!(m.counter_value("cache.decoded.miss"), 1);
         // Internal stats stay in lockstep with the registry counters.
-        let (hits, misses, _) = c.stats();
+        let (.., hits, misses, _) = c.cache_row("decoded");
         assert_eq!((hits, misses), (1, 1));
     }
 

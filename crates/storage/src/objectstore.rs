@@ -5,9 +5,10 @@
 //! remote-profile [`LatencyModel`] it *is* the paper's "remote distributed
 //! storage system"; with the zero model it doubles as a fast test store.
 //!
-//! Every get/put charges `model.cost(blob_len)` against the store's clock and
-//! bumps metrics counters, so experiments can observe both simulated time and
-//! I/O counts.
+//! Every get/put/delete is a transfer of `model.cost(blob_len)` that arrives
+//! at a deadline on the store's clock — `get_begin` returns before it, `get`,
+//! `put` and `delete` wait it out — and bumps metrics counters, so
+//! experiments can observe both simulated time and I/O counts.
 
 use bh_common::metrics::Counter;
 use bh_common::{BhError, LatencyModel, MetricsRegistry, QueryCtx, Result, SharedClock};
@@ -17,53 +18,28 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// An in-flight `get`: the bytes are already in hand (the simulation reads
-/// eagerly) but the simulated transfer may still be on its way — it arrives
-/// at an absolute deadline on the store's clock. Call [`PendingGet::wait`]
-/// to settle the time and read the bytes; dropping one unwaited (an
-/// abandoned prefetch) costs nothing.
+/// eagerly) but the simulated transfer arrives at an absolute deadline on
+/// the store's clock. Call [`PendingGet::wait`] to settle the time and read
+/// the bytes; dropping one unwaited (an abandoned prefetch) costs nothing.
 #[derive(Debug)]
 pub struct PendingGet {
     bytes: Bytes,
-    due: Option<(SharedClock, u64)>,
+    clock: SharedClock,
+    deadline: u64,
 }
 
 impl PendingGet {
-    /// A get whose transfer time was already charged synchronously.
-    pub fn ready(bytes: Bytes) -> Self {
-        Self { bytes, due: None }
-    }
-
-    /// A get whose transfer arrives when `clock` reaches `deadline`.
-    pub fn deferred(bytes: Bytes, clock: SharedClock, deadline: u64) -> Self {
-        Self { bytes, due: Some((clock, deadline)) }
-    }
-
     /// Whether the clock has reached the transfer's deadline, so that
     /// [`PendingGet::wait`] returns without waiting — true of an unwaited
     /// transfer too, on either kind of clock.
     pub fn is_ready(&self) -> bool {
-        match &self.due {
-            None => true,
-            Some((clock, deadline)) => clock.now_nanos() >= *deadline,
-        }
-    }
-
-    /// Number of bytes this get will deliver.
-    pub fn len(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Whether the blob is empty.
-    pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
+        self.clock.now_nanos() >= self.deadline
     }
 
     /// Block until the simulated transfer completes, then hand back the
     /// bytes (a shared handle, not a copy).
     pub fn wait(&self) -> Bytes {
-        if let Some((clock, deadline)) = &self.due {
-            clock.advance_to(*deadline);
-        }
+        self.clock.advance_to(self.deadline);
         self.bytes.clone()
     }
 }
@@ -100,12 +76,6 @@ pub struct InMemoryObjectStore {
     gets: OpCounters,
     puts: OpCounters,
     deletes: OpCounters,
-    /// When set, a get's transfer time is its deadline on `clock`, so
-    /// concurrent gets overlap instead of serializing. `Database` always
-    /// sets it; unset (every `get_begin` pays its transfer before it
-    /// returns) is the blocking reference the overlap tests and the
-    /// `cold_scan` bench compare against.
-    deferring: bool,
 }
 
 impl InMemoryObjectStore {
@@ -119,7 +89,6 @@ impl InMemoryObjectStore {
             gets: OpCounters::resolve(&metrics, label, "get", "store.get"),
             puts: OpCounters::resolve(&metrics, label, "put", "store.put"),
             deletes: OpCounters::resolve(&metrics, label, "delete", "store.delete"),
-            deferring: false,
         }
     }
 
@@ -133,33 +102,22 @@ impl InMemoryObjectStore {
         ))
     }
 
-    /// Defer transfer time: a get returns at once with its transfer's
-    /// deadline, so simultaneous transfers cost `max`, not `sum`.
-    pub fn deferring(mut self) -> Self {
-        self.deferring = true;
-        self
-    }
-
-    /// Emit the span + counters for `op` and either charge synchronously
-    /// (blocking store) or hand back the transfer's deadline.
-    fn charge_begin(&self, op: &OpCounters, bytes: usize) -> Option<u64> {
+    /// Emit the span + counters for `op` and hand back the transfer's
+    /// deadline on the clock.
+    fn charge_begin(&self, op: &OpCounters, bytes: usize) -> u64 {
         let mut span = QueryCtx::span(op.span);
         span.attr("store", self.label.as_str());
         span.attr("bytes", bytes);
         span.attr("sim_nanos", self.model.cost(bytes).as_nanos() as u64);
         op.calls.inc();
         op.bytes.add(bytes as u64);
-        if self.deferring {
-            return Some(self.model.deadline(self.clock.as_ref(), bytes));
-        }
-        self.model.charge(self.clock.as_ref(), bytes);
-        None
+        self.model.deadline(self.clock.as_ref(), bytes)
     }
 
+    /// Charge `op` and wait its deadline out on the spot: on one thread,
+    /// exactly the blocking charge.
     fn charge(&self, op: &OpCounters, bytes: usize) {
-        if let Some(deadline) = self.charge_begin(op, bytes) {
-            self.clock.advance_to(deadline);
-        }
+        self.clock.advance_to(self.charge_begin(op, bytes));
     }
 
     /// Store a blob under `key`, replacing any previous value.
@@ -174,9 +132,8 @@ impl InMemoryObjectStore {
         Ok(self.get_begin(key)?.wait())
     }
 
-    /// Begin fetching `key`. A blocking store pays the transfer before it
-    /// returns a ready get; a deferring one returns a deferred get whose
-    /// transfer overlaps with the others in flight.
+    /// Begin fetching `key`: returns at once with the transfer's deadline,
+    /// so gets begun together overlap (they cost `max`, not `sum`).
     pub fn get_begin(&self, key: &str) -> Result<PendingGet> {
         let blob = self
             .blobs
@@ -184,10 +141,8 @@ impl InMemoryObjectStore {
             .get(key)
             .cloned()
             .ok_or_else(|| BhError::Storage(format!("blob not found: {key}")))?;
-        Ok(match self.charge_begin(&self.gets, blob.len()) {
-            Some(deadline) => PendingGet::deferred(blob, self.clock.clone(), deadline),
-            None => PendingGet::ready(blob),
-        })
+        let deadline = self.charge_begin(&self.gets, blob.len());
+        Ok(PendingGet { bytes: blob, clock: self.clock.clone(), deadline })
     }
 
     /// Remove the blob at `key` (idempotent).
@@ -251,15 +206,15 @@ mod tests {
         assert_eq!(m.counter_value("remote.put.bytes"), 1000);
     }
 
-    fn deferring_store(clock: &SharedClock, model: LatencyModel) -> InMemoryObjectStore {
-        InMemoryObjectStore::new(clock.clone(), model, MetricsRegistry::new(), "remote").deferring()
+    fn store(clock: &SharedClock, model: LatencyModel) -> InMemoryObjectStore {
+        InMemoryObjectStore::new(clock.clone(), model, MetricsRegistry::new(), "remote")
     }
 
     #[test]
     fn deferred_gets_overlap() {
         let clock = VirtualClock::shared();
         let model = LatencyModel::new(Duration::from_micros(100), Duration::from_nanos(10));
-        let s = deferring_store(&clock, model);
+        let s = store(&clock, model);
         s.put("a", Bytes::from(vec![0u8; 1000])).unwrap(); // 110µs (put waits)
         s.put("b", Bytes::from(vec![0u8; 2000])).unwrap(); // +120µs
         assert_eq!(clock.now_nanos(), 230_000);
@@ -276,8 +231,8 @@ mod tests {
     #[test]
     fn two_stores_share_one_clock() {
         let clock = VirtualClock::shared();
-        let slow = deferring_store(&clock, LatencyModel::fixed(Duration::from_micros(100)));
-        let fast = deferring_store(&clock, LatencyModel::fixed(Duration::from_micros(60)));
+        let slow = store(&clock, LatencyModel::fixed(Duration::from_micros(100)));
+        let fast = store(&clock, LatencyModel::fixed(Duration::from_micros(60)));
         for s in [&slow, &fast] {
             s.blobs.write().insert("a".into(), Bytes::from_static(b"x"));
         }
@@ -291,7 +246,7 @@ mod tests {
     #[test]
     fn abandoned_pending_get_charges_nothing_extra() {
         let clock = VirtualClock::shared();
-        let s = deferring_store(&clock, LatencyModel::fixed(Duration::from_micros(50)));
+        let s = store(&clock, LatencyModel::fixed(Duration::from_micros(50)));
         s.put("a", Bytes::from_static(b"x")).unwrap();
         let now = clock.now_nanos();
         let p = s.get_begin("a").unwrap();
@@ -303,33 +258,21 @@ mod tests {
     /// they must still ripen.
     #[test]
     fn unwaited_pending_get_is_ready_once_the_clock_reaches_its_deadline() {
-        let store = |clock: SharedClock, deferring: bool| {
-            let s = InMemoryObjectStore::new(
-                clock,
-                LatencyModel::fixed(Duration::from_millis(2)),
-                MetricsRegistry::new(),
-                "remote",
-            );
-            let s = if deferring { s.deferring() } else { s };
+        let pending = |clock: &SharedClock| {
+            let s = store(clock, LatencyModel::fixed(Duration::from_millis(2)));
             s.blobs.write().insert("a".into(), Bytes::from_static(b"x"));
-            s
+            s.get_begin("a").unwrap()
         };
         let virt = VirtualClock::shared();
-        let p = store(virt.clone(), true).get_begin("a").unwrap();
+        let p = pending(&virt);
         assert!(!p.is_ready());
         virt.advance(Duration::from_millis(2));
         assert!(p.is_ready());
         assert_eq!(virt.now_nanos(), 2_000_000, "asking is free");
 
-        let real = bh_common::RealClock::shared();
-        let p = store(real.clone(), true).get_begin("a").unwrap();
+        let p = pending(&bh_common::RealClock::shared());
         assert!(!p.is_ready());
         std::thread::sleep(Duration::from_millis(3));
         assert!(p.is_ready());
-
-        // A store that cannot defer has paid the transfer before it returns.
-        let t0 = virt.now_nanos();
-        assert!(store(virt.clone(), false).get_begin("a").unwrap().is_ready());
-        assert_eq!(virt.now_nanos() - t0, 2_000_000);
     }
 }

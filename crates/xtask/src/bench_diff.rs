@@ -9,10 +9,12 @@
 //! A fresh value more than `threshold` percent *slower* than the committed
 //! one is a regression and fails the task.
 //!
-//! Deterministic work counts (`index_build`'s k-means counters
-//! `lloyd_iters`, `seed_rounds` and `point_centroid_evals`) are compared
-//! exactly: any difference, in either direction, is reported as `MOVED` and
-//! fails the task. An intended move means re-committing the file.
+//! Deterministic values are compared exactly: `index_build`'s k-means
+//! counters (`lloyd_iters`, `seed_rounds`, `point_centroid_evals`), and
+//! every virtual-clock time (`*_sim_ns`) and span count (`*_spans`), which
+//! are checked before the latency rule. Any difference, in either
+//! direction, is reported as `MOVED` and fails the task. An intended move
+//! means re-committing the file.
 //!
 //! Other fields (`speedup`, recall, other counts) are ignored: those derived
 //! from latencies would double-count them. Committed files with no fresh
@@ -123,9 +125,12 @@ fn is_latency_key(key: &str) -> bool {
     key.ends_with("_ns") || key.ends_with("_ns_per_row") || key.ends_with("_ns_per_op")
 }
 
-/// Work counts a deterministic build repeats exactly.
+/// Work counts, simulated times and span counts a deterministic run
+/// repeats exactly.
 fn is_exact_key(key: &str) -> bool {
     matches!(key, "lloyd_iters" | "seed_rounds" | "point_centroid_evals")
+        || key.ends_with("_sim_ns")
+        || key.ends_with("_spans")
 }
 
 /// Throughput fields are maximized: the regression direction inverts
@@ -143,7 +148,16 @@ fn walk(path: &str, committed: &Json, fresh: &Json, threshold_pct: f64, out: &mu
             for (key, cv) in ck {
                 if let Some((_, fv)) = fk.iter().find(|(k, _)| k == key) {
                     if let (Json::Num(c), Json::Num(f)) = (cv, fv) {
-                        if is_latency_key(key) && *c > 0.0 {
+                        if is_exact_key(key) {
+                            out.push(Comparison {
+                                path: format!("{path}.{key}"),
+                                committed: *c,
+                                fresh: *f,
+                                change_pct: (f - c) / c.max(1.0) * 100.0,
+                                regressed: f != c,
+                                unit: "count",
+                            });
+                        } else if is_latency_key(key) && *c > 0.0 {
                             let change_pct = (f - c) / c * 100.0;
                             out.push(Comparison {
                                 path: format!("{path}.{key}"),
@@ -165,15 +179,6 @@ fn walk(path: &str, committed: &Json, fresh: &Json, threshold_pct: f64, out: &mu
                                 change_pct,
                                 regressed: change_pct > threshold_pct,
                                 unit: "qps",
-                            });
-                        } else if is_exact_key(key) {
-                            out.push(Comparison {
-                                path: format!("{path}.{key}"),
-                                committed: *c,
-                                fresh: *f,
-                                change_pct: (f - c) / c.max(1.0) * 100.0,
-                                regressed: f != c,
-                                unit: "count",
                             });
                         }
                     } else {
@@ -468,6 +473,30 @@ mod tests {
             let evals = cmp.iter().find(|c| c.path.ends_with("point_centroid_evals")).unwrap();
             assert_eq!(evals.regressed, moved, "{evals}");
             assert_eq!(evals.to_string().starts_with("MOVED"), moved, "{evals}");
+            assert_eq!(cmp.iter().filter(|c| c.regressed).count(), usize::from(moved));
+        }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_simulated_time_that_moves_one_nanosecond_fails() {
+        let root = tmp_root("sim");
+        let fresh = root.join("fresh");
+        let row = |wall: u64| {
+            format!(
+                r#"{{"results":[{{"case":"overlapped","wall_sim_ns":{wall},"store_get_sum_sim_ns":12059480,"store_get_spans":24,"overlap_ratio":5.088}}]}}"#
+            )
+        };
+        fixture(&root, "BENCH_io.json", &row(2_370_170));
+        for (wall, moved) in [(2_370_170, false), (2_370_171, true), (2_370_169, true)] {
+            fixture(&fresh, "BENCH_io.json", &row(wall));
+            let (cmp, _) = diff_benchmarks(&root, &fresh, 15.0).unwrap();
+            // Two simulated times and a span count, all exact; the ratio is
+            // ignored.
+            assert_eq!(cmp.len(), 3);
+            let wall = cmp.iter().find(|c| c.path.ends_with("wall_sim_ns")).unwrap();
+            assert_eq!(wall.regressed, moved, "{wall}");
+            assert_eq!(wall.to_string().starts_with("MOVED"), moved, "{wall}");
             assert_eq!(cmp.iter().filter(|c| c.regressed).count(), usize::from(moved));
         }
         let _ = fs::remove_dir_all(&root);

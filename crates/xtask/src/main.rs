@@ -16,8 +16,8 @@
 //! inline on pull requests. `bench-diff` compares freshly generated
 //! benchmark JSON (default `target/bench-fresh/BENCH_*.json`) against the
 //! committed copies at the workspace root and fails on any latency
-//! regression beyond the threshold (default 15%) and on any moved exact work
-//! count; see [`bench_diff`].
+//! regression beyond the threshold (default 15%) and on any moved exact value
+//! (work count, simulated time, span count); see [`bench_diff`].
 //! `loc` prints code lines per crate and per file — comments, blanks and
 //! test code excluded — optionally next to the same count at `--base <rev>`;
 //! see [`loc`].
