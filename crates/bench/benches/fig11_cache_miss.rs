@@ -59,7 +59,7 @@ fn main() {
         ))
     };
     // Worker A: warm (the pre-scaling owner). Worker B: cold newcomer with a
-    // tiny block cache (its data is genuinely not local).
+    // tiny data cache (its data is genuinely not local).
     let warm = mk_worker(1, 128 << 20);
     warm.warm_index(&meta).unwrap();
     // The standardized `cache.*` counter names are part of the observability

@@ -1,6 +1,6 @@
 //! **Fig. 17** — performance breakdown of the workload-aware optimizations
-//! (§IV-C, §V-B8): baseline → +READ_Opt (fine-grained block reads + the
-//! adaptive column cache).
+//! (§IV-C, §V-B8): baseline (no decoded caches: every block read goes to the
+//! store) → +READ_Opt (the decoded-block and decoded-column caches).
 //!
 //! Paper shape: READ_Opt gives a large step (theirs +124%), Query_Opt (plan
 //! cache + short-circuit processing) a further step (+206% total) on a
@@ -43,8 +43,8 @@ fn main() {
         })
     };
 
-    let baseline =
-        run(WorkerConfig { fine_grained_reads: false, block_data_bytes: 0, ..Default::default() });
+    // No decoded caches: every block read goes to the 150 µs store.
+    let baseline = run(WorkerConfig { block_data_bytes: 0, ..Default::default() });
     let read_opt = run(WorkerConfig::default());
 
     let pct = |x: f64| (x / baseline - 1.0) * 100.0;

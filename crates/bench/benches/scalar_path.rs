@@ -19,8 +19,10 @@
 //!    0.01 / 0.1 / 0.3 / 0.9 on 8,000 × 64.
 //!
 //! Before anything is timed the bitset is checked against `Predicate::eval`
-//! row by row, the gathered cells against `read_column(..).get(..)`, and the
-//! filtered scan against per-row `Metric::distance`.
+//! row by row, the gathered cells against the uncached
+//! `TableStore::load_column`, and the filtered scan against per-row
+//! `Metric::distance`. The gather and scan rows also carry `cold_store_gets`:
+//! the store gets of the same first call on a fresh worker, an exact count.
 //!
 //! Results are printed and written to `target/bench-fresh/BENCH_scalar.json`
 //! in the schema of the committed `BENCH_scalar.json` for
@@ -139,11 +141,25 @@ fn owner(db: &Database, meta: &SegmentMeta) -> Arc<Worker> {
     db.default_vw().owner_of(meta).expect("owner").1
 }
 
+/// The store gets `call` makes on a fresh worker: what a cold read costs.
+fn cold_store_gets(db: &Database, table: &TableStore, call: impl FnOnce(&Worker)) -> u64 {
+    let fresh = Worker::new(
+        WorkerId(99),
+        WorkerConfig::default(),
+        table.remote_store().clone(),
+        VirtualClock::shared(),
+        MetricsRegistry::new(),
+    );
+    let before = db.metrics().counter_value("remote.get");
+    call(&fresh);
+    db.metrics().counter_value("remote.get") - before
+}
+
 /// `eval_predicate` answers `Predicate::eval` for every row of the segment.
 fn check_predicate(table: &TableStore, worker: &Worker, meta: &SegmentMeta, p: &Predicate) -> f64 {
     let bits = worker.eval_predicate(table, meta, p).expect("eval_predicate");
     let name = p.referenced_columns().pop().expect("one column");
-    let col = worker.read_column(table, meta, &name, meta.row_count).expect("column");
+    let col = table.load_column(meta, &name).expect("column");
     for i in 0..meta.row_count {
         let row: BTreeMap<String, Value> = [(name.clone(), col.get(i))].into();
         assert_eq!(bits.contains(i), p.eval(&row).expect("eval"), "row {i} under {p}");
@@ -174,8 +190,15 @@ fn time_predicate(db: &Database, table: &TableStore, ty: Ty, shape: &str, f: usi
     (median(samples), passing.iter().sum::<f64>() / passing.len() as f64)
 }
 
-/// ns per cell of `read_cells` for 100 scattered cells of `column`.
-fn time_gather(table: &TableStore, worker: &Worker, meta: &SegmentMeta, column: &str) -> f64 {
+/// ns per cell of `read_cells` for 100 scattered cells of `column`, and the
+/// store gets of the first request on a fresh worker.
+fn time_gather(
+    db: &Database,
+    table: &TableStore,
+    worker: &Worker,
+    meta: &SegmentMeta,
+    column: &str,
+) -> (f64, u64) {
     // Distinct offsets in no order, as a result's rows are: the first 100 of
     // a different shuffle of the segment per request.
     let requests: Vec<Vec<u32>> = (0..64u64)
@@ -186,6 +209,9 @@ fn time_gather(table: &TableStore, worker: &Worker, meta: &SegmentMeta, column: 
             all
         })
         .collect();
+    let cold_gets = cold_store_gets(db, table, |w| {
+        w.read_cells(table, meta, column, &requests[0]).expect("read_cells");
+    });
     let mut samples = Vec::new();
     for _ in 0..REPS {
         let t = Timer::start();
@@ -196,7 +222,7 @@ fn time_gather(table: &TableStore, worker: &Worker, meta: &SegmentMeta, column: 
         }
         samples.push(t.secs() * 1e9 / (8 * requests.len() * 100) as f64);
     }
-    median(samples)
+    (median(samples), cold_gets)
 }
 
 /// The table of parts 3 and 4: `(id, x, emb)`, 2 segments × 8,000 × dim 64.
@@ -263,26 +289,37 @@ fn time_materialize(db: &Database) -> f64 {
     median(samples)
 }
 
-/// ns per passing row of Plan A's scan behind a bitset of pass fraction `s`.
-fn time_plan_a(table: &TableStore, worker: &Worker, meta: &SegmentMeta, s: f64) -> f64 {
+/// ns per passing row of Plan A's scan behind a bitset of pass fraction `s`,
+/// and the store gets of the first scan on a fresh worker.
+fn time_plan_a(
+    db: &Database,
+    table: &TableStore,
+    worker: &Worker,
+    meta: &SegmentMeta,
+    s: f64,
+) -> (f64, u64) {
     let filters: Vec<Bitset> = (0..8u64)
         .map(|f| Bitset::from_positions(ROWS, (0..ROWS).filter(|&i| unit(i, 700 + f) < s)))
         .collect();
     let queries: Vec<Vec<f32>> = (0..8).map(query_vector).collect();
     // The scan returns what per-row `Metric::distance` over the passing
     // rows returns: ids, distance bits, order.
-    let col = worker.read_column(table, meta, "emb", meta.row_count).expect("emb");
+    let col = table.load_column(meta, "emb").expect("emb");
     let mut want: Vec<(f32, u64)> = filters[0]
         .iter()
         .map(|i| (Metric::L2.distance(&queries[0], col.vector_at(i).expect("vector")), i as u64))
         .collect();
     want.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let got = worker
-        .brute_force_segment_bounded(table, meta, &queries[0], 100, Some(&filters[0]), None)
-        .expect("scan");
-    let got: Vec<(u32, u64)> = got.iter().map(|nb| (nb.distance.to_bits(), nb.id)).collect();
     let want: Vec<(u32, u64)> = want.iter().take(100).map(|(d, i)| (d.to_bits(), *i)).collect();
-    assert_eq!(got, want, "filtered scan at s = {s}");
+    let scan = |w: &Worker| {
+        let got =
+            w.brute_force_segment_bounded(table, meta, &queries[0], 100, Some(&filters[0]), None);
+        let got: Vec<(u32, u64)> =
+            got.expect("scan").iter().map(|nb| (nb.distance.to_bits(), nb.id)).collect();
+        assert_eq!(got, want, "filtered scan at s = {s}");
+    };
+    scan(worker);
+    let cold_gets = cold_store_gets(db, table, scan);
 
     let passing: usize = filters.iter().map(Bitset::count).sum();
     let mut samples = Vec::new();
@@ -296,7 +333,7 @@ fn time_plan_a(table: &TableStore, worker: &Worker, meta: &SegmentMeta, s: f64) 
         }
         samples.push(t.secs() * 1e9 / (6 * passing) as f64);
     }
-    median(samples)
+    (median(samples), cold_gets)
 }
 
 fn main() {
@@ -332,29 +369,25 @@ fn main() {
     // 2. Gather.
     let meta = table.segments()[0].clone();
     let worker = owner(&db, &meta);
-    let reference = Worker::new(
-        WorkerId(99),
-        WorkerConfig::default(),
-        table.remote_store().clone(),
-        VirtualClock::shared(),
-        MetricsRegistry::new(),
-    );
     let offsets: Vec<u32> = (0..100u64).map(|j| ((7 + j * 1_237) % ROWS as u64) as u32).collect();
     for column in ["ri", "id"] {
-        let whole = reference.read_column(&table, &meta, column, ROWS).expect("column");
+        let whole = table.load_column(&meta, column).expect("column");
         let want: Vec<Value> = offsets.iter().map(|&o| whole.get(o as usize)).collect();
         assert_eq!(worker.read_cells(&table, &meta, column, &offsets).expect("read_cells"), want);
     }
     // `ri` was scanned by the predicates above (decoded column in cache);
     // `id` never is, so its cells come from decoded blocks.
     let gather = [
-        ("column_cached", time_gather(&table, &worker, &meta, "ri")),
-        ("decoded_blocks", time_gather(&table, &worker, &meta, "id")),
+        ("column_cached", time_gather(&db, &table, &worker, &meta, "ri")),
+        ("decoded_blocks", time_gather(&db, &table, &worker, &meta, "id")),
     ];
     print_table(
         "Worker::read_cells, 100 scattered cells of an 8,000-row column",
-        &["served from", "ns/cell"],
-        &gather.iter().map(|(s, ns)| vec![s.to_string(), format!("{ns:.1}")]).collect::<Vec<_>>(),
+        &["served from", "ns/cell", "cold store gets"],
+        &gather
+            .iter()
+            .map(|(s, (ns, gets))| vec![s.to_string(), format!("{ns:.1}"), gets.to_string()])
+            .collect::<Vec<_>>(),
     );
     drop((db, table));
 
@@ -370,22 +403,29 @@ fn main() {
     let worker = owner(&db, &meta);
     let (mut rows, mut scan_json) = (Vec::new(), Vec::new());
     for s in [0.01, 0.1, 0.3, 0.9] {
-        let ns = time_plan_a(&table, &worker, &meta, s);
+        let (ns, gets) = time_plan_a(&db, &table, &worker, &meta, s);
         let segment_us = ns * s * ROWS as f64 / 1e3;
-        rows.push(vec![format!("{s}"), format!("{ns:.1}"), format!("{segment_us:.1}")]);
-        scan_json
-            .push(format!("    {{ \"pass_fraction\": {s}, \"passing_row_ns_per_row\": {ns:.2} }}"));
+        rows.push(vec![
+            format!("{s}"),
+            format!("{ns:.1}"),
+            format!("{segment_us:.1}"),
+            gets.to_string(),
+        ]);
+        scan_json.push(format!(
+            "    {{ \"pass_fraction\": {s}, \"passing_row_ns_per_row\": {ns:.2}, \
+             \"cold_store_gets\": {gets} }}"
+        ));
     }
     print_table(
         "Plan A filtered scan, 8,000 x 64, warm column, k = 100",
-        &["s", "ns/passing row", "us/segment"],
+        &["s", "ns/passing row", "us/segment", "cold store gets"],
         &rows,
     );
 
     let json = format!(
         "{{\n  \"benchmark\": \"Scalar path of a hybrid query: word-at-a-time predicates, typed gather, materialise, Plan A's gather-distance scan\",\n  \
          \"machine\": {{ \"arch\": \"{}\", \"kernel_tier_detected\": \"{}\", \"cores\": {} }},\n  \
-         \"method\": \"crates/bench/benches/scalar_path.rs (plain-main harness), medians of {REPS} passes. predicate: ns per row of Worker::eval_predicate on 8,000-row segments, 96 calls per pass, every call a fresh range (range) or the next of 4 independently drawn segments (eq, in8: cell 0 with the stated probability, IN list of 8 with the one matching literal at a rotating place), bitset asserted equal to Predicate::eval per row first. gather: ns per cell of Worker::read_cells for 100 scattered cells, decoded column in cache / decoded blocks, asserted equal to read_column(..).get(..). materialize: median of the engine's own materialize span over 250 warm unfiltered top-100 statements, SELECT id, x, 2 segments (tracing on). plan_a_scan: ns per passing row of Worker::brute_force_segment_bounded behind 8 rotating random bitsets, 8,000 x 64, k = 100, decoded column in cache, asserted equal in ids and distance bits to per-row Metric::distance.\",\n  \
+         \"method\": \"crates/bench/benches/scalar_path.rs (plain-main harness), medians of {REPS} passes. predicate: ns per row of Worker::eval_predicate on 8,000-row segments, 96 calls per pass, every call a fresh range (range) or the next of 4 independently drawn segments (eq, in8: cell 0 with the stated probability, IN list of 8 with the one matching literal at a rotating place), bitset asserted equal to Predicate::eval per row first. gather: ns per cell of Worker::read_cells for 100 scattered cells, decoded column in cache / decoded blocks, asserted equal to the uncached TableStore::load_column(..).get(..). materialize: median of the engine's own materialize span over 250 warm unfiltered top-100 statements, SELECT id, x, 2 segments (tracing on). plan_a_scan: ns per passing row of Worker::brute_force_segment_bounded behind 8 rotating random bitsets, 8,000 x 64, k = 100, decoded column in cache, asserted equal in ids and distance bits to per-row Metric::distance. cold_store_gets: remote.get calls of the first gather / scan on a fresh worker.\",\n  \
          \"predicate\": [\n{}\n  ],\n  \"gather\": [\n{}\n  ],\n  \
          \"materialize\": {{ \"rows\": 100, \"columns\": 2, \"segments\": 2, \"span_ns\": {:.0} }},\n  \
          \"plan_a_scan\": [\n{}\n  ]\n}}\n",
@@ -395,8 +435,9 @@ fn main() {
         predicate_json.join(",\n"),
         gather
             .iter()
-            .map(|(s, ns)| format!(
-                "    {{ \"served_from\": \"{s}\", \"cells\": 100, \"cell_ns_per_op\": {ns:.2} }}"
+            .map(|(s, (ns, gets))| format!(
+                "    {{ \"served_from\": \"{s}\", \"cells\": 100, \"cell_ns_per_op\": {ns:.2}, \
+                 \"cold_store_gets\": {gets} }}"
             ))
             .collect::<Vec<_>>()
             .join(",\n"),

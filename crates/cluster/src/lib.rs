@@ -6,7 +6,7 @@
 //! * [`hashring`] — multi-probe consistent hashing (Fig. 3) for
 //!   scaling-friendly segment→worker allocation.
 //! * [`worker`] — stateless compute workers, each owning a hierarchical
-//!   vector-index cache and a split-space block cache; on an index cache miss
+//!   vector-index cache and decoded column-data caches; on an index cache miss
 //!   a worker falls back to brute-force distance computation over the raw
 //!   vector column (§II-D).
 //! * [`vw`] — virtual warehouses: worker membership, scaling (with the

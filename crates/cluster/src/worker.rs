@@ -5,7 +5,9 @@
 //!
 //! * a **vector-index cache** (§II-D): an index is resident in memory or in
 //!   transfer from the remote store, and
-//! * a split-space **block cache** for scalar column blocks (§IV-C).
+//! * the **decoded caches** for column data (§IV-C): every block a read
+//!   touches is kept decoded, and a column a scan reads whole is kept
+//!   assembled too.
 //!
 //! A worker holds no routing decision: which index a segment task searches
 //! (this worker's, a peer's over the serving RPC, or none) is resolved by
@@ -21,7 +23,7 @@ use bh_common::{
     BhError, Bitset, LatencyModel, MetricsRegistry, QueryCtx, Result, SegmentId, SharedBound,
     SharedClock, Stopwatch, WorkerId,
 };
-use bh_storage::cache::{BlockCache, IndexCache};
+use bh_storage::cache::IndexCache;
 use bh_storage::column::{ColumnData, BLOCK_ROWS};
 use bh_storage::lru::CacheRow;
 use bh_storage::objectstore::SharedObjectStore;
@@ -35,7 +37,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// The anti-thrashing row limit (§IV-C): a read of more rows than this
-/// bypasses the block cache and is not kept decoded.
+/// keeps neither its blocks nor its column decoded.
 const CACHE_ROW_LIMIT: usize = 100_000;
 
 /// Sizing and behaviour knobs for one worker.
@@ -43,10 +45,9 @@ const CACHE_ROW_LIMIT: usize = 100_000;
 pub struct WorkerConfig {
     /// In-memory vector-index cache capacity.
     pub index_mem_bytes: usize,
-    /// Block-cache (and decoded-cache) capacity.
+    /// Capacity of each decoded cache (blocks, columns); zero caches
+    /// nothing, so every read goes to the store.
     pub block_data_bytes: usize,
-    /// Use fine-grained (per-block) scalar reads instead of whole columns.
-    pub fine_grained_reads: bool,
     /// Simulated per-segment-search service time of one worker core.
     /// Zero by default; the elasticity experiments set it so that capacity —
     /// not the host's core count — bounds throughput, as in a real cluster.
@@ -69,7 +70,6 @@ impl Default for WorkerConfig {
         Self {
             index_mem_bytes: 256 << 20,
             block_data_bytes: 128 << 20,
-            fine_grained_reads: true,
             compute_per_segment: bh_common::LatencyModel::ZERO,
             overlap: false,
             tiered_loading: false,
@@ -81,15 +81,15 @@ impl Default for WorkerConfig {
 pub struct Worker {
     id: WorkerId,
     index_cache: IndexCache,
-    block_cache: BlockCache,
     /// Decoded-column cache: the "adaptive in-memory caching" of §IV-C —
     /// hybrid queries re-read the same scalar/vector columns constantly,
     /// and caching the *decoded* form avoids per-query block decode cost.
     /// Keyed by segment and the column's position in the schema
     /// ([`column_slot`]), so a probe allocates no name.
     column_cache: bh_storage::lru::LruCache<(SegmentId, usize), Arc<ColumnData>>,
-    /// Decoded form of individual blocks (the fine-grained read path's
-    /// counterpart of `column_cache`), by segment, column position, block.
+    /// Decoded blocks, by segment, column position and block: the one
+    /// cache a read that misses `column_cache` touches before the store
+    /// ([`Worker::block`]).
     decoded_blocks: bh_storage::lru::LruCache<(SegmentId, usize, usize), Arc<ColumnData>>,
     alive: AtomicBool,
     cfg: WorkerConfig,
@@ -109,7 +109,6 @@ impl Worker {
         metrics: MetricsRegistry,
     ) -> Self {
         let index_cache = IndexCache::new(cfg.index_mem_bytes, remote, metrics.clone());
-        let block_cache = BlockCache::new(cfg.block_data_bytes, CACHE_ROW_LIMIT, metrics.clone());
         let column_cache =
             bh_storage::lru::LruCache::with_metrics(cfg.block_data_bytes, &metrics, "column");
         let decoded_blocks =
@@ -117,7 +116,6 @@ impl Worker {
         Self {
             id,
             index_cache,
-            block_cache,
             column_cache,
             decoded_blocks,
             alive: AtomicBool::new(true),
@@ -143,9 +141,11 @@ impl Worker {
         self.alive.store(false, Ordering::Relaxed);
     }
 
-    /// "Failed nodes recover within seconds": restart with cold memory cache.
+    /// "Failed nodes recover within seconds": restart with cold memory caches.
     pub fn recover(&self) {
         self.index_cache.clear_memory();
+        self.column_cache.clear();
+        self.decoded_blocks.clear();
         self.alive.store(true, Ordering::Relaxed);
     }
 
@@ -180,18 +180,12 @@ impl Worker {
         &self.index_cache
     }
 
-    /// The worker's column-block cache.
-    pub fn block_cache(&self) -> &BlockCache {
-        &self.block_cache
-    }
-
-    /// The worker's four caches as `system.caches` rows: the index memory
-    /// tier, the block cache, and the decoded-column (`column`) and
-    /// decoded-block (`decoded`) LRUs.
-    pub fn cache_rows(&self) -> [CacheRow; 4] {
+    /// The worker's three caches as `system.caches` rows: the index memory
+    /// tier, and the decoded-column (`column`) and decoded-block (`decoded`)
+    /// LRUs.
+    pub fn cache_rows(&self) -> [CacheRow; 3] {
         [
             self.index_cache.cache_row(),
-            self.block_cache.cache_row(),
             self.column_cache.cache_row("column"),
             self.decoded_blocks.cache_row("decoded"),
         ]
@@ -266,45 +260,18 @@ impl Worker {
         // The rows to score, when a filter leaves some out.
         let offsets: Option<Vec<u32>> =
             filter.filter(|f| !f.is_all_set()).map(|f| f.iter().map(|o| o as u32).collect());
-        // Plan A's cost is s·n·c_d: with a selective filter whose rows sit in
-        // fewer blocks than the column has, gather only those blocks' cells
-        // instead of reading the whole column — the "skip rows via primary
-        // keys/indices" behaviour of §II-C. When every block would be fetched
-        // anyway, or the decoded column is already in cache, there is nothing
-        // to skip: the column is read (and cached) and scored in place.
-        let blocks_covered = |offsets: &[u32]| {
-            let (mut blocks, mut last) = (0, usize::MAX);
-            for block in offsets.iter().map(|&o| ColumnData::block_of(o as usize)) {
-                blocks += usize::from(block != last);
-                last = block;
-            }
-            blocks
-        };
-        let (slot, _) = column_slot(table, &idx_def.column)?;
-        match &offsets {
-            Some(offsets)
-                if self.cfg.fine_grained_reads
-                    && offsets.len() * 4 < meta.row_count
-                    && !self.column_cache.contains(&(meta.id, slot))
-                    && blocks_covered(offsets) < meta.block_count() =>
-            {
-                let cells = self.gather_cells(table, meta, &idx_def.column, offsets)?;
-                score_cells(metric, query, &cells, |i, d| out.offer(d, d, offsets[i] as u64))?;
-            }
-            _ => {
-                let col = self.read_column(table, meta, &idx_def.column, meta.row_count)?;
-                let (data, dim) = vector_data(&col, query)?;
-                scan_distances(metric, query, data, dim, offsets.as_deref(), |row, d| {
-                    out.offer(d, d, row as u64)
-                })?;
-            }
-        }
+        let col = self.read_column(table, meta, &idx_def.column, meta.row_count)?;
+        let (data, dim) = vector_data(&col, query)?;
+        scan_distances(metric, query, data, dim, offsets.as_deref(), |row, d| {
+            out.offer(d, d, row as u64)
+        })?;
         Ok(out.finish())
     }
 
-    /// Read a full column through the caches. The decoded-column cache is
-    /// consulted first; `query_rows` feeds the anti-thrashing bypass
-    /// decision (§IV-C row limit) for both cache layers.
+    /// Read a full column: from the decoded-column cache, else assembled
+    /// from its blocks ([`Worker::block`]). `query_rows` is the read's size
+    /// for the anti-thrashing rule (§IV-C row limit): past it, neither the
+    /// column nor its blocks are kept.
     pub fn read_column(
         &self,
         table: &TableStore,
@@ -318,12 +285,9 @@ impl Worker {
         if let Some(col) = self.column_cache.get(&(meta.id, slot)) {
             return Ok(col);
         }
-        let store = table.remote_store();
         let mut out = ColumnData::empty(ty);
         for b in 0..meta.block_count() {
-            let key = meta.block_key(name, b);
-            let blob = self.block_cache.get_or_fetch(&key, query_rows, || store.get(&key))?;
-            out.extend_from(&ColumnData::decode_block(ty, &blob)?)?;
+            out.extend_from(&*self.block(table, meta, name, (slot, ty), b, query_rows)?)?;
         }
         let out = Arc::new(out);
         if query_rows <= CACHE_ROW_LIMIT {
@@ -332,24 +296,44 @@ impl Worker {
         Ok(out)
     }
 
-    /// Drop all cached decoded columns (compaction invalidation — rare, so
-    /// a full clear is simpler than prefix tracking).
+    /// One block of a column, decoded: from the decoded-block cache, else
+    /// fetched from the store and decoded, and kept unless the read that
+    /// wants it (`query_rows`) is past the anti-thrashing row limit.
+    fn block(
+        &self,
+        table: &TableStore,
+        meta: &SegmentMeta,
+        name: &str,
+        (slot, ty): (usize, ColumnType),
+        block: usize,
+        query_rows: usize,
+    ) -> Result<Arc<ColumnData>> {
+        let key = (meta.id, slot, block);
+        if let Some(part) = self.decoded_blocks.get(&key) {
+            return Ok(part);
+        }
+        let blob = table.remote_store().get(&meta.block_key(name, block))?;
+        let part = Arc::new(ColumnData::decode_block(ty, &blob)?);
+        if query_rows <= CACHE_ROW_LIMIT {
+            self.decoded_blocks.put(key, part.clone(), part.memory_bytes().max(1));
+        }
+        Ok(part)
+    }
+
+    /// Drop all assembled columns; the next scan reassembles each from its
+    /// decoded blocks.
     pub fn invalidate_columns(&self) {
         self.column_cache.clear();
-        self.decoded_blocks.clear();
     }
 
     /// The typed gather: the cells of one column at `offsets`, as a short
     /// typed column in request order — any order, repeats allowed, no
-    /// [`Value`] per cell. Refine, materialise, Plan C's row filter and
-    /// Plan A's block-skipping scan all read through here.
+    /// [`Value`] per cell. Refine, materialise and Plan C's row filter all
+    /// read through here.
     ///
-    /// A decoded column in cache beats any I/O strategy. Otherwise, with
-    /// fine-grained reads, only the covering blocks are touched — the §IV-C
-    /// read-amplification optimization — each resolved once (decoded-block
-    /// cache, then block cache, then the store; a decoded block is kept
-    /// unless the request is past the anti-thrashing row limit); without
-    /// them the whole column is read.
+    /// From the decoded column when it is in cache; otherwise only the
+    /// covering blocks are touched — the §IV-C read-amplification
+    /// optimization — each resolved once through [`Worker::block`].
     pub fn gather_cells(
         &self,
         table: &TableStore,
@@ -363,20 +347,12 @@ impl Worker {
         // Probed without counting: a column that is by design served from
         // decoded blocks is not a miss of the decoded-column cache.
         let key = (meta.id, slot);
-        let cached =
-            if self.column_cache.contains(&key) { self.column_cache.get(&key) } else { None };
-        let whole = match cached {
-            Some(col) => Some(col),
-            None if !self.cfg.fine_grained_reads => {
-                Some(self.read_column(table, meta, name, offsets.len())?)
+        if self.column_cache.contains(&key) {
+            if let Some(col) = self.column_cache.get(&key) {
+                col.gather_into(offsets, 0, &mut out)?;
+                return Ok(out);
             }
-            None => None,
-        };
-        if let Some(col) = whole {
-            col.gather_into(offsets, 0, &mut out)?;
-            return Ok(out);
         }
-        let store = table.remote_store();
         let mut parts: Vec<Option<Arc<ColumnData>>> = vec![None; meta.block_count()];
         let mut rest = offsets;
         while let Some(&first) = rest.first() {
@@ -387,23 +363,7 @@ impl Worker {
             let part = match parts.get_mut(block) {
                 Some(Some(part)) => part,
                 Some(unresolved) => {
-                    let key = (meta.id, slot, block);
-                    let part = match self.decoded_blocks.get(&key) {
-                        Some(part) => part,
-                        None => {
-                            let blob_key = meta.block_key(name, block);
-                            let blob =
-                                self.block_cache.get_or_fetch(&blob_key, offsets.len(), || {
-                                    store.get(&blob_key)
-                                })?;
-                            let part = Arc::new(ColumnData::decode_block(ty, &blob)?);
-                            if offsets.len() <= CACHE_ROW_LIMIT {
-                                let weight = part.memory_bytes().max(1);
-                                self.decoded_blocks.put(key, part.clone(), weight);
-                            }
-                            part
-                        }
-                    };
+                    let part = self.block(table, meta, name, (slot, ty), block, offsets.len())?;
                     unresolved.insert(part)
                 }
                 None => {
@@ -621,7 +581,17 @@ mod tests {
         let t = table(50);
         let w = worker(&t, WorkerConfig::default());
         let meta = t.segments()[0].clone();
+        let gets = || t.metrics().counter_value("test-store.get");
+        // Warm: the index, a gathered block and an assembled column.
         w.warm_index(&meta).unwrap();
+        let read = || {
+            w.read_cells(&t, &meta, "id", &[0, 1]).unwrap();
+            w.read_column(&t, &meta, "label", meta.row_count).unwrap();
+        };
+        read();
+        let warm = gets();
+        read();
+        assert_eq!(gets(), warm, "served from the decoded caches");
         w.kill();
         assert!(!w.is_alive());
         let err = w.brute_force_segment_bounded(&t, &meta, &[0.0; 4], 1, None, None).unwrap_err();
@@ -631,35 +601,28 @@ mod tests {
         w.recover();
         assert!(w.is_alive());
         assert!(!w.index_resident(&meta), "recovered worker starts cold");
+        read();
+        assert_eq!(gets(), warm + 2, "both reads go to the store again");
     }
 
     #[test]
     fn read_cells_fine_grained_fetches_fewer_blocks() {
-        let t = table(5000); // ~5 blocks of 1024
-        let meta = t.segments()[0].clone();
-        let offs = vec![0u32, 1, 2]; // single block
-        let m_fine = {
-            let w = worker(&t, WorkerConfig { fine_grained_reads: true, ..Default::default() });
-            let before = t.metrics().counter_value("test-store.get");
-            let cells = w.read_cells(&t, &meta, "id", &offs).unwrap();
-            assert_eq!(cells[2], Value::UInt64(2));
-            t.metrics().counter_value("test-store.get") - before
-        };
-        let m_coarse = {
-            let w = worker(&t, WorkerConfig { fine_grained_reads: false, ..Default::default() });
-            let before = t.metrics().counter_value("test-store.get");
-            let cells = w.read_cells(&t, &meta, "id", &offs).unwrap();
-            assert_eq!(cells[2], Value::UInt64(2));
-            t.metrics().counter_value("test-store.get") - before
-        };
-        assert!(
-            m_fine < m_coarse,
-            "fine-grained ({m_fine} fetches) must beat coarse ({m_coarse})"
-        );
-        assert_eq!(m_fine, 1, "3 adjacent cells live in one block");
+        let t = table(5000);
+        let meta = t.segments()[0].clone(); // 4,096 rows: 4 blocks of 1024
+        assert_eq!(meta.block_count(), 4);
+        let gets = || t.metrics().counter_value("test-store.get");
+        let w = worker(&t, WorkerConfig::default());
+        let before = gets();
+        let cells = w.read_cells(&t, &meta, "id", &[0, 1, 2]).unwrap();
+        assert_eq!(cells[2], Value::UInt64(2));
+        assert_eq!(gets() - before, 1, "3 adjacent cells live in one block");
+        let cold = worker(&t, WorkerConfig::default());
+        let before = gets();
+        assert_eq!(cold.read_column(&t, &meta, "id", meta.row_count).unwrap().len(), 4096);
+        assert_eq!(gets() - before, 4, "a whole column fetches every block");
     }
 
-    /// `read_cells` answers `read_column(..).get(o)` for every requested
+    /// `read_cells` answers the stored column's cells for every requested
     /// offset in request order — unsorted, repeated, straddling blocks —
     /// whichever cache state serves it, touches each covering block once,
     /// and counts on the decoded-column cache only what that cache did.
@@ -668,9 +631,8 @@ mod tests {
         let t = table(3000); // blocks 0..1024, 1024..2048, 2048..3000
         let meta = t.segments()[0].clone();
         let offs = [1500u32, 3, 1023, 1024, 3, 2999, 1500, 0];
-        let whole = worker(&t, WorkerConfig::default());
         let expect = |name: &str| -> Vec<Value> {
-            let col = whole.read_column(&t, &meta, name, meta.row_count).unwrap();
+            let col = t.load_column(&meta, name).unwrap();
             offs.iter().map(|&o| col.get(o as usize)).collect()
         };
         let expected = [expect("id"), expect("label"), expect("emb")];
@@ -696,17 +658,16 @@ mod tests {
         assert_eq!(deltas(&|| check(&w)), [0, 0, 0, 9]);
         // Decoded blocks: one probe per covering block, no fetch.
         assert_eq!(deltas(&|| check(&w)), [0, 0, 9, 0]);
-        // Column cached (a scan read it): one counted hit per call.
-        for name in ["id", "label", "emb"] {
-            w.read_column(&t, &meta, name, meta.row_count).unwrap();
-        }
+        // A scan assembles each column from the decoded blocks: a counted
+        // miss per column, a hit per block, no fetch.
+        let scan = || {
+            for name in ["id", "label", "emb"] {
+                w.read_column(&t, &meta, name, meta.row_count).unwrap();
+            }
+        };
+        assert_eq!(deltas(&scan), [0, 3, 9, 0]);
+        // Column cached: one counted hit per call.
         assert_eq!(deltas(&|| check(&w)), [3, 0, 0, 0]);
-
-        // Fine-grained reads off: the first call misses and loads the whole
-        // column (3 blocks each), the second hits it.
-        let coarse = worker(&t, WorkerConfig { fine_grained_reads: false, ..Default::default() });
-        assert_eq!(deltas(&|| check(&coarse)), [0, 3, 0, 9]);
-        assert_eq!(deltas(&|| check(&coarse)), [3, 0, 0, 0]);
 
         // An offset past the segment is an error, not a panic.
         assert!(w.read_cells(&t, &meta, "id", &[3000]).is_err());
@@ -714,50 +675,73 @@ mod tests {
         assert!(cold.read_cells(&t, &meta, "id", &[5000]).is_err());
     }
 
+    /// Plan A scores the decoded column in place whatever the filter: a
+    /// cold worker (which reads the column through the store) and a warm
+    /// one return the same rows, distance bits and shared-bound bookkeeping.
     #[test]
     fn brute_force_paths_agree_bit_for_bit() {
-        let t = table(3000); // ~3 blocks of 1024
+        let t = table(3000); // 3 blocks of up to 1024
         let meta = t.segments()[0].clone();
         let (query, k) = ([1234.3f32, 1234.1, 1233.9, 1234.6], 20);
-        let scan = |w: &Worker, filter: Option<&Bitset>, bound: Option<&SharedBound>| {
-            w.brute_force_segment_bounded(&t, &meta, &query, k, filter, bound).unwrap()
+        let scan = |w: &Worker, filter: Option<&Bitset>| {
+            let bound = SharedBound::new();
+            let hits = w.brute_force_segment_bounded(&t, &meta, &query, k, filter, Some(&bound));
+            let bits: Vec<(u64, u32)> =
+                hits.unwrap().iter().map(|nb| (nb.id, nb.distance.to_bits())).collect();
+            (bits, bound.get().to_bits(), bound.skips())
         };
-        // An all-set bitset scans like no filter at all.
-        let w = worker(&t, WorkerConfig::default());
-        let all = scan(&w, None, None);
+        let gets = || t.metrics().counter_value("test-store.get");
+        let warm = worker(&t, WorkerConfig::default());
+        let (all, _, _) = scan(&warm, None);
         assert_eq!(all.len(), k);
-        assert_eq!(scan(&w, Some(&Bitset::full(3000)), None), all);
 
-        // A selective filter whose rows sit in one of the three blocks: a
-        // cold worker fetches that block's cells only; a worker holding the
-        // decoded column gathers from it. Same rows, same distances, same
-        // shared-bound bookkeeping.
-        let clustered = Bitset::from_positions(3000, (1100..1900).step_by(7));
-        let cold = worker(&t, WorkerConfig::default());
-        let counter = |name: &str| t.metrics().counter_value(name);
-        let (gets, column_hits) = (counter("test-store.get"), counter("cache.column.hit"));
-        let (b_cells, b_gather) = (SharedBound::new(), SharedBound::new());
-        let from_cells = scan(&cold, Some(&clustered), Some(&b_cells));
-        assert_eq!(counter("test-store.get"), gets + 1, "one block covers the rows");
-        assert_eq!(counter("cache.column.hit"), column_hits, "cold: cell reads");
-        let from_column = scan(&w, Some(&clustered), Some(&b_gather));
-        assert!(counter("cache.column.hit") > column_hits);
-        assert_eq!(from_cells, from_column);
-        assert_eq!((b_cells.get(), b_cells.skips()), (b_gather.get(), b_gather.skips()));
-        let expect: Vec<Neighbor> =
-            all.iter().copied().filter(|nb| clustered.contains(nb.id as usize)).collect();
-        assert!(!expect.is_empty());
-        assert_eq!(from_column[..expect.len()], expect[..], "the gather sees the same distances");
+        // All set, rows in one block, rows spread over every block.
+        let filters = [
+            Bitset::full(3000),
+            Bitset::from_positions(3000, (1100..1900).step_by(7)),
+            Bitset::from_positions(3000, (0..3000).step_by(7)),
+        ];
+        for filter in &filters {
+            let cold = worker(&t, WorkerConfig::default());
+            let before = gets();
+            let from_cold = scan(&cold, Some(filter));
+            assert_eq!(gets() - before, 3, "a cold scan reads the column once");
+            let before = gets();
+            let from_warm = scan(&warm, Some(filter));
+            assert_eq!(gets(), before, "a warm scan reads nothing");
+            assert_eq!(from_cold, from_warm);
+            // The filtered answer is the unfiltered one's passing rows.
+            let expect: Vec<(u64, u32)> =
+                all.iter().copied().filter(|&(id, _)| filter.contains(id as usize)).collect();
+            assert!(!expect.is_empty());
+            assert_eq!(from_warm.0[..expect.len()], expect[..]);
+        }
+    }
 
-        // A selective filter spread over every block skips nothing: the cold
-        // worker reads the column once, keeps it, and gathers.
-        let spread = Bitset::from_positions(3000, (0..3000).step_by(7));
-        let misses = counter("cache.column.miss");
-        let first = scan(&cold, Some(&spread), None);
-        assert_eq!(counter("cache.column.miss"), misses + 1);
-        assert_eq!(scan(&cold, Some(&spread), None), first);
-        assert_eq!(counter("cache.column.miss"), misses + 1, "second scan hits the cached column");
-        assert_eq!(first, scan(&w, Some(&spread), None));
+    /// The anti-thrashing row limit (§IV-C): a read past it keeps neither
+    /// its column nor its blocks, so a repeat read fetches again.
+    #[test]
+    fn read_past_row_limit_keeps_neither_column_nor_blocks() {
+        let t = table(2000); // 2 blocks
+        let w = worker(&t, WorkerConfig::default());
+        let meta = t.segments()[0].clone();
+        let gets = || t.metrics().counter_value("test-store.get");
+        let read = |query_rows: usize| {
+            let before = gets();
+            w.read_column(&t, &meta, "id", query_rows).unwrap();
+            gets() - before
+        };
+        let entries = || w.cache_rows().map(|(_, _, _, entries, ..)| entries);
+        assert_eq!(read(CACHE_ROW_LIMIT + 1), 2);
+        assert_eq!(read(CACHE_ROW_LIMIT + 1), 2, "nothing was kept");
+        assert_eq!(entries()[1..], [0, 0]);
+        // At the limit both are kept: the repeat fetches nothing.
+        assert_eq!(read(CACHE_ROW_LIMIT), 2);
+        assert_eq!(entries()[1..], [1, 2]);
+        assert_eq!(read(CACHE_ROW_LIMIT + 1), 0);
+        // Without its column, the next scan reassembles it from the blocks.
+        w.invalidate_columns();
+        assert_eq!(read(1), 0);
     }
 
     #[test]

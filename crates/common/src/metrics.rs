@@ -12,7 +12,7 @@
 //!
 //! Metric naming convention (asserted by tests across the workspace):
 //! `<subsystem>.<object>.<event>` in lowercase dot-separated form, e.g.
-//! `cache.data.hit`, `remote.get.bytes`, `vw.serving_calls`. Dots become
+//! `cache.index.mem.hit`, `remote.get.bytes`, `vw.serving_calls`. Dots become
 //! underscores in the Prometheus rendering.
 
 use crate::sync::{classes, RwLock};
@@ -34,9 +34,6 @@ use std::time::Duration;
 /// `query.batch_size` counts every executed SELECT: the engine has one
 /// executor and a single statement is a batch of one.
 pub const NAMES: &[&str] = &[
-    "cache.data.bypass",
-    "cache.data.hit",
-    "cache.data.miss",
     "cache.index.mem.hit",
     "cache.index.mem.miss",
     "cache.index.prefetch",
@@ -624,12 +621,12 @@ mod tests {
     #[test]
     fn prometheus_rendering() {
         let m = MetricsRegistry::new();
-        m.counter("cache.data.hit").add(3);
+        m.counter("cache.index.mem.hit").add(3);
         m.counter_with_labels("store.get", &[("label", "remote")]).add(7);
         m.gauge("kernel.tier").set(2);
         m.histogram("query.lat").record(Duration::from_millis(2));
         let text = m.render_prometheus();
-        assert!(text.contains("# TYPE cache_data_hit counter\ncache_data_hit 3\n"));
+        assert!(text.contains("# TYPE cache_index_mem_hit counter\ncache_index_mem_hit 3\n"));
         assert!(text.contains("store_get{label=\"remote\"} 7\n"));
         assert!(text.contains("# TYPE kernel_tier gauge\nkernel_tier 2\n"));
         assert!(text.contains("# TYPE query_lat summary\n"));

@@ -123,7 +123,7 @@ lock_rank_table! {
     /// (`get_begin` returns at once, taking `OBJECTSTORE_BLOBS`); never held
     /// across a wait or a decode.
     IDXCACHE_PENDING = 410,
-    /// `LruCache` internals (index cache, block caches, decoded columns).
+    /// `LruCache` internals (index cache, decoded blocks and columns).
     LRU_INNER = 450,
     /// `InMemoryObjectStore` blob map.
     OBJECTSTORE_BLOBS = 500,

@@ -1217,9 +1217,9 @@ mod tests {
         .unwrap();
 
         let caches = db.execute("SELECT * FROM system.caches").unwrap().rows();
-        // default VW has 2 workers × (index.mem, block.data, column, decoded).
-        assert_eq!(caches.len(), 8);
-        for kind in ["index.mem", "block.data", "column", "decoded"] {
+        // default VW has 2 workers × (index.mem, column, decoded).
+        assert_eq!(caches.len(), 6);
+        for kind in ["index.mem", "column", "decoded"] {
             assert_eq!(caches.rows.iter().filter(|r| r[2] == Value::Str(kind.into())).count(), 2);
         }
         assert!(caches.rows.iter().any(|r| matches!(&r[3], Value::UInt64(u) if *u > 0)
@@ -1418,8 +1418,8 @@ mod tests {
         assert_eq!(segments.len(), SEGMENTS);
         let workers: Vec<_> =
             vw.worker_ids().into_iter().map(|wid| vw.worker(wid).unwrap()).collect();
-        // Drop every index and decoded column: a measured run reads index
-        // blobs only (the block caches stay filled).
+        // Drop every index and assembled column: a measured run reads index
+        // blobs only (the decoded-block caches stay filled).
         let make_cold = || {
             for worker in &workers {
                 for meta in &segments {
@@ -1431,7 +1431,7 @@ mod tests {
         let resident = || workers.iter().map(|w| w.index_cache().resident_count()).sum::<usize>();
         let warm_db = build(WorkerConfig::default());
         assert_eq!(warm_db.preload("t", "default").unwrap(), SEGMENTS);
-        // One pass to fill the block caches.
+        // One pass to fill the decoded-block caches.
         run(&db, &stmts, &opts);
 
         let counters = [

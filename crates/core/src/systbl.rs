@@ -15,7 +15,8 @@
 //! * `system.metrics` — every registered counter/gauge, plus histogram
 //!   quantile rows (`<name>.p50_ns` …).
 //! * `system.spans` — retained slow-query span trees, one row per span.
-//! * `system.caches` — per-worker index/block cache occupancy and hit rates.
+//! * `system.caches` — per-worker index and decoded-data cache occupancy and
+//!   hit rates.
 //! * `system.segments` — per-segment rows, index kind/tier and residency.
 //! * `system.lock_classes` — the PR 8 lock rank table with observed
 //!   acquisition-edge counts (edges are empty when lockdep is compiled out).

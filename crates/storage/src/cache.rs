@@ -1,17 +1,14 @@
-//! Hierarchical caches (§II-D, §IV-C).
+//! The vector-index cache (§II-D).
 //!
-//! * [`IndexCache`] — the vector-index cache every worker owns: an index is
-//!   either resident in its in-memory LRU or on its way from the remote
-//!   shared store (the source of truth) in its one transfer table. Its
-//!   counters are exported through the metrics registry, which is what the
-//!   cache-miss and elasticity experiments observe.
-//! * [`BlockCache`] — the adaptive in-memory column-block cache with a
-//!   **row-limit bypass** so one huge hybrid query can't thrash it. Segment
-//!   metadata lives in the table catalog, so the cache holds data blocks only.
+//! [`IndexCache`] is the vector-index cache every worker owns: an index is
+//! either resident in its in-memory LRU or on its way from the remote shared
+//! store (the source of truth) in its one transfer table. Its counters are
+//! exported through the metrics registry, which is what the cache-miss and
+//! elasticity experiments observe. (A worker's column data is cached decoded,
+//! in its own LRUs: `bh_cluster::worker`.)
 //!
 //! All cache counters follow the `cache.<space>.<event>` naming convention
-//! (DESIGN.md §9): `cache.data.{hit,miss}` for the block cache,
-//! `cache.index.mem.{hit,miss}` for the index cache. Every `.hit` / `.miss`
+//! (DESIGN.md §9), here `cache.index.mem.{hit,miss}`. Every `.hit` / `.miss`
 //! bump goes through `bh_common::qctx::cache_{hit,miss}`, which also tallies
 //! it on the statement the thread is working for.
 
@@ -21,7 +18,6 @@ use crate::segment::SegmentMeta;
 use bh_common::metrics::Counter;
 use bh_common::{qctx, MetricsRegistry, QueryCtx, Result, SegmentId};
 use bh_vector::{IndexKind, IndexRegistry, VectorIndex};
-use bytes::Bytes;
 use bh_common::sync::{classes, Mutex};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -251,78 +247,6 @@ impl IndexCache {
     /// Number of resident full indexes in the memory tier.
     pub fn resident_count(&self) -> usize {
         self.mem.len()
-    }
-}
-
-/// Adaptive column-block cache: one LRU space for data blocks with a
-/// row-limit bypass so one huge hybrid query can't thrash it.
-pub struct BlockCache {
-    space: LruCache<String, Bytes>,
-    /// Queries reading more than this many rows bypass the space entirely
-    /// (anti-thrashing row limit, §IV-C).
-    row_limit: usize,
-    /// `cache.data.{hit,miss,bypass}`, resolved once.
-    hit: Arc<Counter>,
-    miss: Arc<Counter>,
-    bypass: Arc<Counter>,
-}
-
-impl BlockCache {
-    /// A cache of `capacity` bytes with a row limit.
-    pub fn new(capacity: usize, row_limit: usize, metrics: MetricsRegistry) -> Self {
-        Self {
-            space: LruCache::new(capacity),
-            row_limit,
-            hit: metrics.counter("cache.data.hit"),
-            miss: metrics.counter("cache.data.miss"),
-            bypass: metrics.counter("cache.data.bypass"),
-        }
-    }
-
-    /// The anti-thrashing row limit.
-    pub fn row_limit(&self) -> usize {
-        self.row_limit
-    }
-
-    /// Fetch a block through the cache. `query_rows` is the number of rows
-    /// the surrounding query will touch: when it exceeds the row limit the
-    /// cache is bypassed (read-through, no insert) so bulk scans cannot
-    /// evict the working set.
-    pub fn get_or_fetch(
-        &self,
-        key: &str,
-        query_rows: usize,
-        fetch: impl FnOnce() -> Result<Bytes>,
-    ) -> Result<Bytes> {
-        let mut span = QueryCtx::span("cache.block.get");
-        let bypass = query_rows > self.row_limit;
-        if !bypass {
-            if let Some(b) = self.space.get(&key.to_string()) {
-                qctx::cache_hit(&self.hit);
-                span.attr("hit", true);
-                return Ok(b);
-            }
-            qctx::cache_miss(&self.miss);
-            span.attr("hit", false);
-        } else {
-            self.bypass.inc();
-            span.attr("bypass", true);
-        }
-        let blob = fetch()?;
-        if !bypass {
-            self.space.put(key.to_string(), blob.clone(), blob.len().max(1));
-        }
-        Ok(blob)
-    }
-
-    /// Bytes cached.
-    pub fn data_used(&self) -> usize {
-        self.space.used_bytes()
-    }
-
-    /// The space's `block.data` row of `system.caches`.
-    pub fn cache_row(&self) -> CacheRow {
-        self.space.cache_row("block.data")
     }
 }
 
@@ -643,28 +567,5 @@ mod tests {
         assert_eq!(cache.get(&live).unwrap().unwrap().meta().len, 10);
         assert_eq!(count("remote.get") - gets, 1);
         assert!(!cache.in_flight(live.id));
-    }
-
-    #[test]
-    fn block_cache_row_limit_bypasses_data_space() {
-        let metrics = MetricsRegistry::new();
-        let cache = BlockCache::new(1 << 10, 100, metrics.clone());
-        let fetched = std::cell::Cell::new(0);
-        let fetch = || {
-            fetched.set(fetched.get() + 1);
-            Ok(Bytes::from_static(b"x"))
-        };
-        // Over the row limit: fetch but do not cache.
-        cache.get_or_fetch("big", 1000, fetch).unwrap();
-        assert_eq!(metrics.counter_value("cache.data.bypass"), 1);
-        assert_eq!(cache.data_used(), 0);
-        // A small query for the same key misses (it was never cached)...
-        cache.get_or_fetch("big", 1, fetch).unwrap();
-        assert_eq!(metrics.counter_value("cache.data.miss"), 1);
-        assert!(cache.data_used() > 0);
-        // ...and the next one hits.
-        cache.get_or_fetch("big", 1, fetch).unwrap();
-        assert_eq!(metrics.counter_value("cache.data.hit"), 1);
-        assert_eq!(fetched.get(), 2, "the third read must not fetch");
     }
 }

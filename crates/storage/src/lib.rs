@@ -16,9 +16,9 @@
 //! * **Disaggregated persistence** ([`objectstore`]): all blobs live in a
 //!   (simulated) remote shared store with injectable latency; compute stays
 //!   stateless.
-//! * **Hierarchical caches** ([`cache`], [`lru`]): in-memory LRUs (the
-//!   block cache with separate metadata/data spaces) over the remote store
-//!   (§II-D).
+//! * **Hierarchical caches** ([`cache`], [`lru`]): the vector-index cache,
+//!   an in-memory LRU over the remote store (§II-D), and the byte-weighted
+//!   LRU that workers also cache decoded column data in.
 //! * **Selectivity statistics** ([`stats`]): per-column min/max and
 //!   equi-width histograms feeding the cost-based optimizer's `s` estimate.
 
@@ -35,7 +35,7 @@ pub mod stats;
 pub mod table;
 pub mod value;
 
-pub use cache::{BlockCache, IndexCache};
+pub use cache::IndexCache;
 pub use delete::DeleteMap;
 pub use objectstore::{InMemoryObjectStore, PendingGet, SharedObjectStore};
 pub use predicate::Predicate;

@@ -4,8 +4,8 @@
 //! (most-recent at head) plus a `HashMap` from key to slot index. Entries
 //! carry a byte weight; inserting evicts from the tail until the configured
 //! capacity holds. Used by both layers of the paper's hierarchical design —
-//! the in-memory vector-index cache and the block cache (with separate
-//! instances for metadata and data, §II-D / §IV-C).
+//! the in-memory vector-index cache (§II-D) and a worker's decoded column
+//! data, one instance for blocks and one for whole columns (§IV-C).
 
 use bh_common::metrics::Counter;
 use bh_common::{qctx, MetricsRegistry};

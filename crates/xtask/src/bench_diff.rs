@@ -11,8 +11,8 @@
 //!
 //! Deterministic values are compared exactly: `index_build`'s k-means
 //! counters (`lloyd_iters`, `seed_rounds`, `point_centroid_evals`), and
-//! every virtual-clock time (`*_sim_ns`) and span count (`*_spans`), which
-//! are checked before the latency rule. Any difference, in either
+//! every virtual-clock time (`*_sim_ns`), span count (`*_spans`) and store
+//! get count (`*_gets`), which are checked before the latency rule. Any difference, in either
 //! direction, is reported as `MOVED` and fails the task. An intended move
 //! means re-committing the file.
 //!
@@ -125,12 +125,13 @@ fn is_latency_key(key: &str) -> bool {
     key.ends_with("_ns") || key.ends_with("_ns_per_row") || key.ends_with("_ns_per_op")
 }
 
-/// Work counts, simulated times and span counts a deterministic run
-/// repeats exactly.
+/// Work counts, simulated times, span counts and store gets a
+/// deterministic run repeats exactly.
 fn is_exact_key(key: &str) -> bool {
     matches!(key, "lloyd_iters" | "seed_rounds" | "point_centroid_evals")
         || key.ends_with("_sim_ns")
         || key.ends_with("_spans")
+        || key.ends_with("_gets")
 }
 
 /// Throughput fields are maximized: the regression direction inverts
@@ -497,6 +498,29 @@ mod tests {
             let wall = cmp.iter().find(|c| c.path.ends_with("wall_sim_ns")).unwrap();
             assert_eq!(wall.regressed, moved, "{wall}");
             assert_eq!(wall.to_string().starts_with("MOVED"), moved, "{wall}");
+            assert_eq!(cmp.iter().filter(|c| c.regressed).count(), usize::from(moved));
+        }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_store_get_count_that_moves_either_way_fails() {
+        let root = tmp_root("gets");
+        let fresh = root.join("fresh");
+        let row = |gets: u32| {
+            format!(
+                r#"{{"gather":[{{"served_from":"decoded_blocks","cells":100,"cell_ns_per_op":19.3,"cold_store_gets":{gets}}}]}}"#
+            )
+        };
+        fixture(&root, "BENCH_scalar.json", &row(1));
+        for (gets, moved) in [(1, false), (2, true), (0, true)] {
+            fixture(&fresh, "BENCH_scalar.json", &row(gets));
+            let (cmp, _) = diff_benchmarks(&root, &fresh, 15.0).unwrap();
+            // One latency field and the exact get count; `cells` is ignored.
+            assert_eq!(cmp.len(), 2);
+            let gets = cmp.iter().find(|c| c.path.ends_with("cold_store_gets")).unwrap();
+            assert_eq!(gets.regressed, moved, "{gets}");
+            assert_eq!(gets.to_string().starts_with("MOVED"), moved, "{gets}");
             assert_eq!(cmp.iter().filter(|c| c.regressed).count(), usize::from(moved));
         }
         let _ = fs::remove_dir_all(&root);
