@@ -6,19 +6,14 @@
 //!    (§III-B post-filter): redundant visits and wall time.
 //! 2. Multi-probe consistent hashing vs a single-probe ring (Fig. 3):
 //!    load balance at equal ring size.
-//! 3. Pipelined vs staged ingest (§V-B1): the overlap that produces
-//!    Table IV's gap, isolated inside one system.
-//! 4. Row-offset labels vs primary-key labels in per-segment indexes
+//! 3. Row-offset labels vs primary-key labels in per-segment indexes
 //!    (§III-B): cost of mapping search hits back to scalar rows.
 
 use bh_bench::datasets::DatasetSpec;
 use bh_bench::harness::{print_table, Timer};
-use bh_bench::setup::{build_database, TableOptions};
 use bh_cluster::hashring::MultiProbeRing;
 use bh_common::WorkerId;
-use bh_storage::table::IngestMode;
 use bh_vector::{IndexKind, IndexRegistry, IndexSpec, Metric, SearchParams};
-use blendhouse::DatabaseConfig;
 use std::collections::HashMap;
 
 fn ablation_iterator() -> Vec<Vec<String>> {
@@ -86,34 +81,6 @@ fn ablation_hashing() -> Vec<Vec<String>> {
     out
 }
 
-fn ablation_ingest() -> Vec<Vec<String>> {
-    // The pipelining win is overlap between segment persistence (remote I/O,
-    // charged on the wall clock) and index construction (CPU); run with a
-    // disaggregated latency profile so the overlap is observable even on a
-    // single-core host.
-    let data = DatasetSpec::cohere_sim().generate();
-    let mut out = Vec::new();
-    for (label, mode) in [("pipelined", IngestMode::Pipelined), ("staged", IngestMode::Staged)] {
-        let mut cfg = DatabaseConfig {
-            real_time: true,
-            latencies: bh_common::DeploymentLatencies {
-                remote_store: bh_common::LatencyModel::new(
-                    std::time::Duration::from_millis(4),
-                    std::time::Duration::from_nanos(1),
-                ),
-                rpc: bh_common::LatencyModel::ZERO,
-            },
-            ..Default::default()
-        };
-        cfg.table.ingest_mode = mode;
-        let t = Timer::start();
-        let db = build_database(&data, cfg, &TableOptions::default());
-        out.push(vec![label.to_string(), format!("{:.2}s", t.secs())]);
-        drop(db);
-    }
-    out
-}
-
 fn ablation_row_offsets() -> Vec<Vec<String>> {
     // Per-segment indexes label rows with offsets; the rejected design labels
     // with primary keys and pays a PK→row lookup per hit. Model the lookup
@@ -174,12 +141,7 @@ fn main() {
         &ablation_hashing(),
     );
     print_table(
-        "Ablation 3: pipelined vs staged ingest (cohere-sim, HNSW)",
-        &["mode", "load time"],
-        &ablation_ingest(),
-    );
-    print_table(
-        "Ablation 4: index hit → scalar row mapping",
+        "Ablation 3: index hit → scalar row mapping",
         &["label scheme", "64 queries × top-100"],
         &ablation_row_offsets(),
     );

@@ -6,21 +6,18 @@
 
 use bh_bench::datasets::DatasetSpec;
 use bh_bench::harness::{measure_qps, print_table};
-use bh_bench::setup::{build_database, loaded_milvus, loaded_pgvector, recall_of, result_ids, TableOptions};
+use bh_bench::setup::{mean_recall, System, TableOptions};
 use bh_bench::workloads::{ground_truth, HybridQuery};
-use bh_baselines::BaselineSystem;
 use bh_vector::SearchParams;
 use blendhouse::DatabaseConfig;
 use std::time::Duration;
 
 const K: usize = 10;
+const EFS: [usize; 6] = [8, 16, 32, 64, 128, 256];
 
 fn main() {
     let spec = DatasetSpec::cohere_sim();
     let data = spec.generate();
-    let db = build_database(&data, DatabaseConfig::default(), &TableOptions::default());
-    let milvus = loaded_milvus(&data);
-    let pg = loaded_pgvector(&data);
     // Hard interpolated queries: perturbed-copy queries saturate recall at
     // tiny beams on clustered data, flattening the frontier the figure is
     // about.
@@ -36,58 +33,24 @@ fn main() {
         })
         .collect();
     let truths: Vec<_> = queries.iter().map(|q| ground_truth(&data, q, None)).collect();
-    let sqls: Vec<String> = queries.iter().map(|q| q.to_sql("bench", "emb")).collect();
 
-    let mut rows = Vec::new();
-    for ef in [8usize, 16, 32, 64, 128, 256] {
-        let params = SearchParams::default().with_ef(ef);
-        let opts = blendhouse::QueryOptions { search: params, ..db.default_options() };
-
-        let mut qi = 0;
-        let bh_qps = measure_qps(24, Duration::from_millis(400), || {
-            std::hint::black_box(db.execute_with(&sqls[qi % sqls.len()], &opts).unwrap());
-            qi += 1;
-        });
-        let bh_recall: f64 = queries
-            .iter()
-            .zip(&truths)
-            .map(|(q, t)| {
-                let rs = db.execute_with(&q.to_sql("bench", "emb"), &opts).unwrap().rows();
-                recall_of(&result_ids(&rs), t)
-            })
-            .sum::<f64>()
-            / queries.len() as f64;
-
-        let mut cells = vec![format!("{ef}"), format!("{bh_recall:.3}/{bh_qps:.0}")];
-        for sys in [&milvus as &dyn BaselineSystem, &pg as &dyn BaselineSystem] {
+    let mut rows: Vec<Vec<String>> = EFS.iter().map(|ef| vec![ef.to_string()]).collect();
+    for sys in System::ALL {
+        let db = sys.load(&data, DatabaseConfig::default(), &TableOptions::default());
+        for (row, &ef) in rows.iter_mut().zip(&EFS) {
+            let search = SearchParams::default().with_ef(ef);
+            let stmts: Vec<_> =
+                queries.iter().map(|q| sys.prepare(&db, &data, None, q, search)).collect();
             let mut qi = 0;
             let qps = measure_qps(24, Duration::from_millis(400), || {
-                let q = &queries[qi % queries.len()];
-                std::hint::black_box(sys.search(&q.vector, K, &params, None).unwrap());
+                std::hint::black_box(stmts[qi % stmts.len()].run(&db));
                 qi += 1;
             });
-            let recall: f64 = queries
-                .iter()
-                .zip(&truths)
-                .map(|(q, t)| {
-                    let ids: Vec<u64> = sys
-                        .search(&q.vector, K, &params, None)
-                        .unwrap()
-                        .iter()
-                        .map(|n| n.id)
-                        .collect();
-                    recall_of(&ids, t)
-                })
-                .sum::<f64>()
-                / queries.len() as f64;
-            cells.push(format!("{recall:.3}/{qps:.0}"));
+            let recall = mean_recall(&db, &stmts, &truths);
+            println!("[fig10] {} ef={ef}: {recall:.3}/{qps:.0}", sys.name());
+            row.push(format!("{recall:.3}/{qps:.0}"));
         }
-        println!("[fig10] ef={ef}: {}", cells[1..].join(" | "));
-        rows.push(cells);
     }
-    print_table(
-        "Fig 10: recall/QPS by ef_search (format: recall/QPS)",
-        &["ef", "BlendHouse", "MilvusSim", "PgvectorSim"],
-        &rows,
-    );
+    let headers: Vec<&str> = ["ef"].into_iter().chain(System::ALL.map(System::name)).collect();
+    print_table("Fig 10: recall/QPS by ef_search (format: recall/QPS)", &headers, &rows);
 }

@@ -7,120 +7,81 @@
 //! BlendHouse (via its CBO) and Milvus (via its fallback rule) brute-force
 //! the few qualifying rows with full recall and very high QPS, while
 //! pgvector's single-shot post-filter collapses to <10% recall.
+//!
+//! Every system is this engine under its own configuration and statement
+//! form (`setup::System`), so all three pay the same SQL and execution
+//! stack.
 
-use bh_bench::datasets::DatasetSpec;
+use bh_bench::datasets::{Dataset, DatasetSpec};
 use bh_bench::harness::{measure_qps, print_table};
-use bh_bench::setup::{
-    build_database, loaded_milvus, loaded_pgvector, recall_of, result_ids, to_sim_filter,
-    TableOptions,
-};
+use bh_bench::setup::{mean_recall, System, TableOptions};
 use bh_bench::workloads::{filtered_search, ground_truth, vector_search, HybridQuery};
-use bh_baselines::BaselineSystem;
-use bh_bench::datasets::Dataset;
 use bh_vector::SearchParams;
 use blendhouse::DatabaseConfig;
 use std::time::Duration;
 
 const K: usize = 10;
 const EF: usize = 128;
+const TINY_PASS: &str = "hybrid pass~1%";
 
 fn workloads(data: &Dataset) -> Vec<(&'static str, Vec<HybridQuery>)> {
     vec![
         ("vector-search", vector_search(data, 24, K, 1)),
         ("hybrid pass~99%", filtered_search(data, 24, K, 0.99, 2)),
-        ("hybrid pass~1%", filtered_search(data, 24, K, 0.01, 3)),
+        (TINY_PASS, filtered_search(data, 24, K, 0.01, 3)),
     ]
 }
 
 fn main() {
+    let search = SearchParams::default().with_ef(EF);
     let mut rows = Vec::new();
     for spec in [DatasetSpec::cohere_sim(), DatasetSpec::openai_sim()] {
         let data = spec.generate();
-        let db = build_database(&data, DatabaseConfig::default(), &TableOptions::default());
-        let opts = blendhouse::QueryOptions {
-            search: SearchParams::default().with_ef(EF),
-            ..db.default_options()
-        };
-        let milvus = loaded_milvus(&data);
-        let pg = loaded_pgvector(&data);
-        let params = SearchParams::default().with_ef(EF);
-
-        for (wname, queries) in workloads(&data) {
-            let truths: Vec<_> = queries.iter().map(|q| ground_truth(&data, q, None)).collect();
-
-            // BlendHouse.
-            let sqls: Vec<String> = queries.iter().map(|q| q.to_sql("bench", "emb")).collect();
-            let mut qi = 0;
-            let bh_qps = measure_qps(24, Duration::from_millis(600), || {
-                let rs = db.execute_with(&sqls[qi % sqls.len()], &opts).unwrap().rows();
-                std::hint::black_box(rs);
-                qi += 1;
-            });
-            let bh_recall: f64 = queries
-                .iter()
-                .zip(&truths)
-                .map(|(q, t)| {
-                    let rs = db.execute_with(&q.to_sql("bench", "emb"), &opts).unwrap().rows();
-                    recall_of(&result_ids(&rs), t)
-                })
-                .sum::<f64>()
-                / queries.len() as f64;
-
-            // Baselines.
-            let mut baseline_row = Vec::new();
-            for sys in [&milvus as &dyn BaselineSystem, &pg as &dyn BaselineSystem] {
+        let workloads = workloads(&data);
+        let truths: Vec<Vec<_>> = workloads
+            .iter()
+            .map(|(_, queries)| queries.iter().map(|q| ground_truth(&data, q, None)).collect())
+            .collect();
+        let mut cells: Vec<Vec<String>> = workloads
+            .iter()
+            .map(|(wname, _)| vec![spec.name.to_string(), wname.to_string()])
+            .collect();
+        for sys in System::ALL {
+            let db = sys.load(&data, DatabaseConfig::default(), &TableOptions::default());
+            for (w, (wname, queries)) in workloads.iter().enumerate() {
+                let stmts: Vec<_> =
+                    queries.iter().map(|q| sys.prepare(&db, &data, None, q, search)).collect();
                 let mut qi = 0;
                 let qps = measure_qps(24, Duration::from_millis(600), || {
-                    let q = &queries[qi % queries.len()];
-                    let f = to_sim_filter(q);
-                    std::hint::black_box(
-                        sys.search(&q.vector, q.k, &params, f.as_ref()).unwrap(),
-                    );
+                    std::hint::black_box(stmts[qi % stmts.len()].run(&db));
                     qi += 1;
                 });
-                let recall: f64 = queries
-                    .iter()
-                    .zip(&truths)
-                    .map(|(q, t)| {
-                        let f = to_sim_filter(q);
-                        let hits = sys.search(&q.vector, q.k, &params, f.as_ref()).unwrap();
-                        let ids: Vec<u64> = hits.iter().map(|n| n.id).collect();
-                        recall_of(&ids, t)
-                    })
-                    .sum::<f64>()
-                    / queries.len() as f64;
-                baseline_row.push((qps, recall));
-            }
-
-            println!(
-                "[fig9] {} / {wname}: BH {bh_qps:.0} qps (r={bh_recall:.3}) | \
-                 Milvus {:.0} qps (r={:.3}) | pgvector {:.0} qps (r={:.3})",
-                spec.name,
-                baseline_row[0].0,
-                baseline_row[0].1,
-                baseline_row[1].0,
-                baseline_row[1].1
-            );
-            rows.push(vec![
-                spec.name.to_string(),
-                wname.to_string(),
-                format!("{bh_qps:.0} (r={bh_recall:.3})"),
-                format!("{:.0} (r={:.3})", baseline_row[0].0, baseline_row[0].1),
-                format!("{:.0} (r={:.3})", baseline_row[1].0, baseline_row[1].1),
-            ]);
-            if wname == "hybrid pass~1%" {
-                assert!(
-                    baseline_row[1].1 < 0.5,
-                    "pgvector post-filter should lose recall at tiny pass fractions, got {}",
-                    baseline_row[1].1
+                let recall = mean_recall(&db, &stmts, &truths[w]);
+                println!(
+                    "[fig9] {} / {wname} / {}: {qps:.0} qps (r={recall:.3})",
+                    spec.name,
+                    sys.name()
                 );
-                assert!(bh_recall > 0.95, "BlendHouse brute-force path must keep recall");
+                cells[w].push(format!("{qps:.0} (r={recall:.3})"));
+                if *wname == TINY_PASS {
+                    match sys {
+                        System::BlendHouse => assert!(
+                            recall > 0.95,
+                            "BlendHouse brute-force path must keep recall, got {recall}"
+                        ),
+                        System::Pgvector => assert!(
+                            recall < 0.5,
+                            "pgvector post-filter should lose recall at tiny pass fractions, \
+                             got {recall}"
+                        ),
+                        System::Milvus => {}
+                    }
+                }
             }
         }
+        rows.extend(cells);
     }
-    print_table(
-        "Fig 9: QPS (and recall) by workload and system",
-        &["dataset", "workload", "BlendHouse", "MilvusSim", "PgvectorSim"],
-        &rows,
-    );
+    let headers: Vec<&str> =
+        ["dataset", "workload"].into_iter().chain(System::ALL.map(System::name)).collect();
+    print_table("Fig 9: QPS (and recall) by workload and system", &headers, &rows);
 }

@@ -9,14 +9,22 @@
 //!   emb Array(Float32), INDEX ann emb TYPE <kind>('DIM=<dim>', …)
 //! ) ORDER BY id [PARTITION BY …] [CLUSTER BY emb INTO n BUCKETS]
 //! ```
+//!
+//! The §V comparators are [`System`]s: Milvus and pgvector are this engine
+//! under their strategy restrictions, run through `Database` like
+//! BlendHouse.
 
 use crate::datasets::Dataset;
 use crate::workloads::HybridQuery;
-use bh_baselines::{BaselineSystem, MilvusSim, PgvectorSim, SimFilter};
 use bh_common::rng::derived_rng;
+use bh_storage::table::IngestMode;
 use bh_storage::value::Value;
-use blendhouse::{Database, DatabaseConfig};
+use bh_vector::SearchParams;
+use blendhouse::{Database, DatabaseConfig, QueryOptions, Strategy};
 use rand::Rng;
+
+/// Rows per `insert_rows` call when a dataset is loaded in batches.
+const INSERT_BATCH: usize = 4096;
 
 /// Declarative knobs for [`build_database`].
 #[derive(Debug, Clone, Default)]
@@ -42,6 +50,16 @@ pub fn second_attr(data: &Dataset) -> Vec<i64> {
 
 /// Build a BlendHouse database containing the dataset in table `bench`.
 pub fn build_database(data: &Dataset, cfg: DatabaseConfig, topts: &TableOptions) -> Database {
+    load_database(data, cfg, topts, INSERT_BATCH)
+}
+
+/// Create table `bench` and ingest the dataset in `batch`-row inserts.
+fn load_database(
+    data: &Dataset,
+    cfg: DatabaseConfig,
+    topts: &TableOptions,
+    batch: usize,
+) -> Database {
     let db = Database::new(cfg);
     let index = topts
         .index_clause
@@ -57,16 +75,9 @@ pub fn build_database(data: &Dataset, cfg: DatabaseConfig, topts: &TableOptions)
         topts.partition_clause, topts.cluster_clause,
     );
     db.execute(&ddl).unwrap_or_else(|e| panic!("DDL failed: {e}\n{ddl}"));
-    ingest_dataset(&db, data, topts.with_pbucket);
-    db
-}
-
-/// Ingest a dataset into the `bench` table in batches.
-pub fn ingest_dataset(db: &Database, data: &Dataset, with_pbucket: bool) {
     let table = db.table("bench").expect("created above");
     let ys = second_attr(data);
-    let batch = 4096;
-    let mut rows = Vec::with_capacity(batch);
+    let mut rows = Vec::with_capacity(batch.min(data.n()));
     for (i, &y) in ys.iter().enumerate() {
         let mut row = vec![
             Value::UInt64(i as u64),
@@ -75,7 +86,7 @@ pub fn ingest_dataset(db: &Database, data: &Dataset, with_pbucket: bool) {
             Value::Str(data.captions.get(i).cloned().unwrap_or_default()),
             Value::Float64(data.similarity[i]),
         ];
-        if with_pbucket {
+        if topts.with_pbucket {
             row.push(Value::Int64((data.similarity[i] * 10.0) as i64));
         }
         row.push(Value::Vector(data.vector(i).to_vec()));
@@ -87,74 +98,178 @@ pub fn ingest_dataset(db: &Database, data: &Dataset, with_pbucket: bool) {
     if !rows.is_empty() {
         table.insert_rows(rows).expect("ingest");
     }
+    db
 }
 
-/// Load a dataset into a baseline system (x/y/similarity attributes).
-pub fn load_baseline(sys: &mut dyn BaselineSystem, data: &Dataset) {
-    let ys = second_attr(data);
-    let xs: Vec<f64> = data.rand_int.iter().map(|&v| v as f64).collect();
-    let ys_f: Vec<f64> = ys.iter().map(|&v| v as f64).collect();
-    let sims: Vec<f64> = data.similarity.clone();
-    let ids: Vec<u64> = (0..data.n() as u64).collect();
-    let batch = 4096;
-    let mut start = 0;
-    while start < data.n() {
-        let end = (start + batch).min(data.n());
-        sys.ingest(
-            &data.vectors[start * data.dim()..end * data.dim()],
-            &ids[start..end],
-            &[
-                ("x", &xs[start..end]),
-                ("y", &ys_f[start..end]),
-                ("similarity", &sims[start..end]),
-            ],
-        )
-        .expect("baseline ingest");
-        start = end;
+/// Milvus' one filtered-search rule: a segment whose filter bitmap holds
+/// fewer than this many rows per requested result is brute-forced.
+const MILVUS_BRUTE_FORCE_THRESHOLD: usize = 64;
+
+/// A system of the paper's §V comparisons, expressed as a configuration of
+/// this engine plus the form each query takes on it. All three pay the same
+/// SQL, scheduling, cache and index layers; they differ only in the strategy
+/// restrictions the paper attributes its gaps to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum System {
+    /// Pipelined ingest, serving on cache miss, and the cost-based optimizer
+    /// choosing every statement's plan.
+    BlendHouse,
+    /// Milvus 2.4.5: segments are written first and indexed after (staged
+    /// ingest), a segment answers only once its own worker has loaded it,
+    /// and a filtered search is a pre-filter bitmap, brute-forced when a
+    /// segment's bitmap holds fewer than 64·k rows.
+    Milvus,
+    /// pgvector 0.7.4: one monolithic HNSW over the whole table on one node,
+    /// and a filtered query is a single-shot post-filter: one unfiltered
+    /// index scan of `max(ef_search, k)` rows, the filter applied to what
+    /// comes back, no second pass.
+    Pgvector,
+}
+
+impl System {
+    /// Every system, in the order the figures print them.
+    pub const ALL: [System; 3] = [System::BlendHouse, System::Milvus, System::Pgvector];
+
+    /// Label used in printed tables.
+    pub fn name(self) -> &'static str {
+        match self {
+            System::BlendHouse => "BlendHouse",
+            System::Milvus => "Milvus",
+            System::Pgvector => "pgvector",
+        }
+    }
+
+    /// `base` with this system's restrictions applied.
+    pub fn config(self, mut base: DatabaseConfig) -> DatabaseConfig {
+        match self {
+            System::BlendHouse => {}
+            System::Milvus => {
+                base.table.ingest_mode = IngestMode::Staged;
+                base.vw.serving_enabled = false;
+            }
+            System::Pgvector => {
+                base.table.segment_max_rows = usize::MAX;
+                base.default_workers = 1;
+            }
+        }
+        base
+    }
+
+    /// The dataset loaded into table `bench` under `self.config(base)`:
+    /// in 4,096-row inserts, or for pgvector in one insert of the whole
+    /// table, so that it builds one HNSW.
+    pub fn load(self, data: &Dataset, base: DatabaseConfig, topts: &TableOptions) -> Database {
+        let batch = if self == System::Pgvector { data.n() } else { INSERT_BATCH };
+        load_database(data, self.config(base), topts, batch)
+    }
+
+    /// How this system runs `q` on `db` (table `bench`, loaded from `data`)
+    /// with `search` knobs. Everything decided per query is decided here,
+    /// once, so that a timed loop only runs [`Prepared::run`]. `second_attr`
+    /// is the `y` column, as for [`crate::workloads::ground_truth`].
+    pub fn prepare<'a>(
+        self,
+        db: &Database,
+        data: &'a Dataset,
+        second_attr: Option<&'a [i64]>,
+        q: &'a HybridQuery,
+        search: SearchParams,
+    ) -> Prepared<'a> {
+        let mut opts = QueryOptions { search, ..db.default_options() };
+        let mut sql = q.to_sql("bench", "emb");
+        let mut post_filter = None;
+        match self {
+            System::BlendHouse => {}
+            System::Milvus => {
+                // An unfiltered query has no bitmap: Milvus runs the plain
+                // beam search, which is what Plan C is on a statement with
+                // no predicate (Plan B would widen the beam for an all-pass
+                // bitmap). A filtered query's bitmap holds, per segment, the
+                // passing rows spread over the segments.
+                let plan = if q.where_sql().is_empty() {
+                    Strategy::PostFilter
+                } else {
+                    let segments = db.table("bench").expect("bench table").segments().len();
+                    let passing =
+                        (0..data.n()).filter(|&row| q.passes(data, row, second_attr)).count();
+                    if passing / segments.max(1) < MILVUS_BRUTE_FORCE_THRESHOLD * q.k {
+                        Strategy::BruteForce
+                    } else {
+                        Strategy::PreFilter
+                    }
+                };
+                opts.forced_strategy = Some(plan);
+            }
+            System::Pgvector => {
+                let unfiltered = HybridQuery {
+                    vector: q.vector.clone(),
+                    ranges: Vec::new(),
+                    regex: None,
+                    similarity_floor: None,
+                    k: search.ef_search.max(q.k),
+                };
+                sql = unfiltered.to_sql("bench", "emb");
+                opts.forced_strategy = Some(Strategy::PostFilter);
+                post_filter = Some(PostFilter { data, second_attr, q });
+            }
+        }
+        Prepared { sql, opts, post_filter }
     }
 }
 
-/// A fresh, fully loaded Milvus stand-in for a dataset.
-pub fn loaded_milvus(data: &Dataset) -> MilvusSim {
-    let mut m = MilvusSim::with_defaults(data.dim());
-    load_baseline(&mut m, data);
-    m.finalize().expect("milvus finalize");
-    m
+/// One query as a [`System`] runs it.
+pub struct Prepared<'a> {
+    /// The statement sent to the database.
+    pub sql: String,
+    /// Its options: the search knobs and, for Milvus and pgvector, the
+    /// forced plan.
+    pub opts: QueryOptions,
+    /// pgvector only: the filter applied to the rows the statement returns.
+    post_filter: Option<PostFilter<'a>>,
 }
 
-/// A fresh, fully loaded pgvector stand-in for a dataset.
-pub fn loaded_pgvector(data: &Dataset) -> PgvectorSim {
-    let mut p = PgvectorSim::with_defaults(data.dim());
-    load_baseline(&mut p, data);
-    p.finalize().expect("pgvector finalize");
-    p
+/// The query whose conditions a client applies after the statement.
+struct PostFilter<'a> {
+    data: &'a Dataset,
+    second_attr: Option<&'a [i64]>,
+    q: &'a HybridQuery,
 }
 
-/// Convert a workload query to a baseline filter.
-pub fn to_sim_filter(q: &HybridQuery) -> Option<SimFilter> {
-    let mut f = SimFilter::default();
-    for (col, lo, hi) in &q.ranges {
-        f = f.and(col, *lo as f64, *hi as f64);
-    }
-    if let Some(floor) = q.similarity_floor {
-        f = f.and("similarity", floor, 1.0);
-    }
-    // Regex filters are not supported by the baseline collection model; the
-    // experiments that use them run on BlendHouse only.
-    if f.ranges.is_empty() {
-        None
-    } else {
-        Some(f)
+impl Prepared<'_> {
+    /// Execute the statement; the ids of the rows it answers with.
+    pub fn run(&self, db: &Database) -> Vec<u64> {
+        let rs = db.execute_with(&self.sql, &self.opts).expect("statement").rows();
+        let ids = result_ids(&rs);
+        match &self.post_filter {
+            None => ids,
+            Some(f) => ids
+                .into_iter()
+                .filter(|&id| f.q.passes(f.data, id as usize, f.second_attr))
+                .take(f.q.k)
+                .collect(),
+        }
     }
 }
 
-/// Recall of returned ids against exact ground-truth rows.
+/// Mean recall of `statements` run on `db` against their ground truths.
+pub fn mean_recall(
+    db: &Database,
+    statements: &[Prepared<'_>],
+    truths: &[Vec<(usize, f32)>],
+) -> f64 {
+    let total: f64 = statements.iter().zip(truths).map(|(s, t)| recall_of(&s.run(db), t)).sum();
+    total / statements.len().max(1) as f64
+}
+
+/// Recall of returned ids against exact ground-truth rows: the share of
+/// true rows found, each counted once however often it is returned.
 pub fn recall_of(ids: &[u64], truth: &[(usize, f32)]) -> f64 {
     if truth.is_empty() {
         return 1.0;
     }
-    let want: std::collections::HashSet<u64> = truth.iter().map(|&(r, _)| r as u64).collect();
-    ids.iter().filter(|id| want.contains(id)).count() as f64 / want.len() as f64
+    let got: std::collections::HashSet<u64> = ids.iter().copied().collect();
+    truth.iter().filter(|&&(row, _)| got.contains(&(row as u64))).count() as f64
+        / truth.len() as f64
 }
 
 /// Extract ids from a BlendHouse result set (expects an `id` column).
@@ -174,7 +289,6 @@ mod tests {
     use super::*;
     use crate::datasets::DatasetSpec;
     use crate::workloads::{filtered_search, ground_truth, vector_search};
-    use bh_vector::SearchParams;
 
     #[test]
     fn database_setup_answers_queries() {
@@ -202,32 +316,10 @@ mod tests {
     }
 
     #[test]
-    fn baselines_load_and_search() {
-        let data = DatasetSpec::tiny().generate();
-        let m = loaded_milvus(&data);
-        let p = loaded_pgvector(&data);
-        assert_eq!(m.len(), data.n());
-        assert_eq!(p.len(), data.n());
-        let q = &vector_search(&data, 1, 5, 0)[0];
-        let truth = ground_truth(&data, q, None);
-        for sys in [&m as &dyn BaselineSystem, &p as &dyn BaselineSystem] {
-            let hits = sys
-                .search(&q.vector, 5, &SearchParams::default().with_ef(64), None)
-                .unwrap();
-            let ids: Vec<u64> = hits.iter().map(|n| n.id).collect();
-            let r = recall_of(&ids, &truth);
-            assert!(r >= 0.8, "{}: recall {r}", sys.name());
-        }
-    }
-
-    #[test]
-    fn sim_filter_conversion() {
-        let data = DatasetSpec::tiny().generate();
-        let q = &filtered_search(&data, 1, 5, 0.2, 0)[0];
-        let f = to_sim_filter(q).unwrap();
-        assert_eq!(f.ranges.len(), 1);
-        let pure = &vector_search(&data, 1, 5, 0)[0];
-        assert!(to_sim_filter(pure).is_none());
+    fn recall_counts_each_true_row_once() {
+        assert_eq!(recall_of(&[1, 1], &[(1, 0.0), (2, 0.0)]), 0.5);
+        assert_eq!(recall_of(&[2, 1, 3], &[(1, 0.0), (2, 0.0)]), 1.0);
+        assert_eq!(recall_of(&[], &[]), 1.0);
     }
 }
 

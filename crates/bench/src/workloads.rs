@@ -16,8 +16,9 @@ use crate::datasets::Dataset;
 use bh_common::rng::derived_rng;
 use rand::Rng;
 
-/// One hybrid query: a vector plus optional scalar conditions (expressed
-/// both as SQL fragments for BlendHouse and as raw ranges for baselines).
+/// One hybrid query: a vector plus optional scalar conditions, rendered as
+/// SQL ([`HybridQuery::to_sql`]) and evaluated on dataset rows
+/// ([`HybridQuery::passes`]).
 #[derive(Debug, Clone)]
 pub struct HybridQuery {
     /// The query embedding.
@@ -46,6 +47,25 @@ impl HybridQuery {
             parts.push(format!("similarity >= {floor}"));
         }
         parts.join(" AND ")
+    }
+
+    /// Does dataset row `row` pass every scalar condition of the query?
+    /// `second_attr` holds the `y` column (see `setup::second_attr`); a
+    /// condition on any other column passes nothing.
+    pub fn passes(&self, data: &Dataset, row: usize, second_attr: Option<&[i64]>) -> bool {
+        self.ranges.iter().all(|(col, lo, hi)| {
+            let v = match col.as_str() {
+                "x" => data.rand_int[row],
+                "y" => second_attr.map_or(0, |a| a[row]),
+                _ => return false,
+            };
+            (*lo..=*hi).contains(&v)
+        }) && self.similarity_floor.is_none_or(|f| data.similarity[row] >= f)
+            && self.regex.as_ref().is_none_or(|re| {
+                bh_common::regex_lite::Regex::new(re)
+                    .map(|r| r.is_match(&data.captions[row]))
+                    .unwrap_or(false)
+            })
     }
 
     /// Full SELECT against a BlendHouse table with columns
@@ -163,27 +183,7 @@ pub fn ground_truth(
     second_attr: Option<&[i64]>,
 ) -> Vec<(usize, f32)> {
     let mut hits: Vec<(usize, f32)> = (0..data.n())
-        .filter(|&row| {
-            q.ranges.iter().all(|(col, lo, hi)| {
-                let v = match col.as_str() {
-                    "x" => data.rand_int[row],
-                    "y" => second_attr.map(|a| a[row]).unwrap_or(0),
-                    _ => return false,
-                };
-                v >= *lo && v <= *hi
-            }) && q
-                .similarity_floor
-                .map(|f| data.similarity[row] >= f)
-                .unwrap_or(true)
-                && q.regex
-                    .as_ref()
-                    .map(|re| {
-                        bh_common::regex_lite::Regex::new(re)
-                            .map(|r| r.is_match(&data.captions[row]))
-                            .unwrap_or(false)
-                    })
-                    .unwrap_or(true)
-        })
+        .filter(|&row| q.passes(data, row, second_attr))
         .map(|row| (row, bh_vector::distance::l2_sq(&q.vector, data.vector(row))))
         .collect();
     hits.sort_by(|a, b| a.1.total_cmp(&b.1));

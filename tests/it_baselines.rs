@@ -1,162 +1,101 @@
-//! Baseline-system behaviour contracts: the strategy restrictions that the
-//! paper's comparisons rest on must hold in the simulators, and BlendHouse
-//! must not share the baselines' failure modes.
+//! Comparator contracts: Milvus and pgvector are this engine under their
+//! strategy restrictions (`bh_bench::setup::System`), and the restrictions
+//! the paper's comparisons rest on must show through `Database`, while
+//! BlendHouse must not share the comparators' failure modes.
 
-use bh_baselines::{BaselineSystem, MilvusSim, PgvectorSim, SimFilter};
-use bh_bench::datasets::DatasetSpec;
-use bh_bench::setup::{
-    build_database, loaded_milvus, loaded_pgvector, recall_of, result_ids, to_sim_filter,
-    TableOptions,
-};
-use bh_bench::workloads::{filtered_search, ground_truth};
+use bh_bench::datasets::{Dataset, DatasetSpec};
+use bh_bench::setup::{mean_recall, System, TableOptions};
+use bh_bench::workloads::{filtered_search, ground_truth, HybridQuery};
 use bh_vector::SearchParams;
+use blendhouse::{DatabaseConfig, Strategy};
+
+fn load(sys: System, data: &Dataset) -> blendhouse::Database {
+    sys.load(data, DatabaseConfig::default(), &TableOptions::default())
+}
+
+/// Mean recall of `sys` over `queries` at beam width `ef`.
+fn recall(sys: System, data: &Dataset, queries: &[HybridQuery], ef: usize) -> f64 {
+    let db = load(sys, data);
+    let search = SearchParams::default().with_ef(ef);
+    let stmts: Vec<_> = queries.iter().map(|q| sys.prepare(&db, data, None, q, search)).collect();
+    let truths: Vec<_> = queries.iter().map(|q| ground_truth(data, q, None)).collect();
+    mean_recall(&db, &stmts, &truths)
+}
 
 #[test]
 fn all_three_systems_agree_on_easy_queries() {
     let data = DatasetSpec::tiny().generate();
-    let db = build_database(
-        &data,
-        blendhouse::DatabaseConfig::default(),
-        &TableOptions::default(),
-    );
-    let milvus = loaded_milvus(&data);
-    let pg = loaded_pgvector(&data);
-    let params = SearchParams::default().with_ef(128);
-    for q in &filtered_search(&data, 6, 5, 0.9, 1) {
-        let truth = ground_truth(&data, q, None);
-        let bh = {
-            let rs = db.execute(&q.to_sql("bench", "emb")).unwrap().rows();
-            recall_of(&result_ids(&rs), &truth)
-        };
-        let f = to_sim_filter(q);
-        let mv = {
-            let ids: Vec<u64> = milvus
-                .search(&q.vector, q.k, &params, f.as_ref())
-                .unwrap()
-                .iter()
-                .map(|n| n.id)
-                .collect();
-            recall_of(&ids, &truth)
-        };
-        let pv = {
-            let ids: Vec<u64> = pg
-                .search(&q.vector, q.k, &params, f.as_ref())
-                .unwrap()
-                .iter()
-                .map(|n| n.id)
-                .collect();
-            recall_of(&ids, &truth)
-        };
-        assert!(bh >= 0.8 && mv >= 0.8 && pv >= 0.8, "bh {bh} mv {mv} pv {pv}");
+    let queries = filtered_search(&data, 6, 5, 0.9, 1);
+    for sys in System::ALL {
+        let r = recall(sys, &data, &queries, 128);
+        assert!(r >= 0.8, "{}: recall {r}", sys.name());
     }
 }
 
 #[test]
 fn pgvector_collapses_where_blendhouse_does_not() {
-    // The central Fig. 9 contrast: a filter passing ~1% of rows.
+    // The central Fig. 9 contrast: a filter passing ~2% of rows.
     let data = DatasetSpec::tiny().generate();
-    let db = build_database(
-        &data,
-        blendhouse::DatabaseConfig::default(),
-        &TableOptions::default(),
-    );
-    let pg = loaded_pgvector(&data);
-    let params = SearchParams::default().with_ef(64);
-    let mut bh_total = 0.0;
-    let mut pg_total = 0.0;
-    let queries = filtered_search(&data, 6, 5, 0.02, 2);
-    for q in &queries {
-        let truth = ground_truth(&data, q, None);
-        if truth.is_empty() {
-            continue;
-        }
-        let rs = db.execute(&q.to_sql("bench", "emb")).unwrap().rows();
-        bh_total += recall_of(&result_ids(&rs), &truth);
-        let ids: Vec<u64> = pg
-            .search(&q.vector, q.k, &params, to_sim_filter(q).as_ref())
-            .unwrap()
-            .iter()
-            .map(|n| n.id)
-            .collect();
-        pg_total += recall_of(&ids, &truth);
-    }
-    let n = queries.len() as f64;
-    assert!(bh_total / n >= 0.95, "BlendHouse recall {}", bh_total / n);
-    assert!(
-        pg_total / n < 0.6,
-        "pgvector's single-shot post-filter should collapse, got {}",
-        pg_total / n
-    );
-}
-
-#[test]
-fn milvus_must_load_before_fast_serving() {
-    let data = DatasetSpec::tiny().generate();
-    let mut m = MilvusSim::with_defaults(data.dim());
-    bh_bench::setup::load_baseline(&mut m, &data);
-    // Without finalize (= flush + build + load) searches still answer, via
-    // brute force over raw data.
-    let q = data.queries(1, 3).remove(0);
-    let before = m.search(&q, 5, &SearchParams::default(), None).unwrap();
-    assert_eq!(before.len(), 5);
-    m.finalize().unwrap();
-    let after = m.search(&q, 5, &SearchParams::default(), None).unwrap();
-    // Indexed results track the exact ones.
-    let before_ids: std::collections::HashSet<u64> = before.iter().map(|n| n.id).collect();
-    let overlap = after.iter().filter(|n| before_ids.contains(&n.id)).count();
-    assert!(overlap >= 4, "index vs exact overlap too low: {overlap}");
+    let queries: Vec<_> = filtered_search(&data, 6, 5, 0.02, 2)
+        .into_iter()
+        .filter(|q| !ground_truth(&data, q, None).is_empty())
+        .collect();
+    assert!(!queries.is_empty());
+    let bh = recall(System::BlendHouse, &data, &queries, 64);
+    let pg = recall(System::Pgvector, &data, &queries, 64);
+    assert!(bh >= 0.95, "BlendHouse recall {bh}");
+    assert!(pg < 0.6, "pgvector's single-shot post-filter should collapse, got {pg}");
 }
 
 #[test]
 fn milvus_brute_force_rule_gives_exact_results_on_tiny_candidate_sets() {
     let data = DatasetSpec::tiny().generate();
-    let milvus = loaded_milvus(&data);
-    // Filter passing only a handful of rows → the rule-based fallback.
-    let f = SimFilter::range("x", 0.0, 20_000.0); // ~2% of uniform [0, 1e6)
-    let q = data.queries(1, 4).remove(0);
-    let got = milvus.search(&q, 10, &SearchParams::default().with_ef(16), Some(&f)).unwrap();
-    // Verify exactness against manual scan.
+    let db = load(System::Milvus, &data);
+    // A filter passing ~2% of uniform [0, 1e6) → the rule-based fallback.
+    let q = HybridQuery {
+        vector: data.queries(1, 4).remove(0),
+        ranges: vec![("x".into(), 0, 20_000)],
+        regex: None,
+        similarity_floor: None,
+        k: 10,
+    };
+    let stmt = System::Milvus.prepare(&db, &data, None, &q, SearchParams::default().with_ef(16));
+    assert_eq!(stmt.opts.forced_strategy, Some(Strategy::BruteForce));
+    // Exact against a manual scan.
     let mut expect: Vec<(f32, u64)> = (0..data.n())
-        .filter(|&i| (0.0..=20_000.0).contains(&(data.rand_int[i] as f64)))
-        .map(|i| (bh_vector::distance::l2_sq(&q, data.vector(i)), i as u64))
+        .filter(|&i| (0..=20_000).contains(&data.rand_int[i]))
+        .map(|i| (bh_vector::distance::l2_sq(&q.vector, data.vector(i)), i as u64))
         .collect();
     expect.sort_by(|a, b| a.0.total_cmp(&b.0));
     let expect_ids: Vec<u64> = expect.iter().take(10).map(|&(_, i)| i).collect();
-    let got_ids: Vec<u64> = got.iter().map(|n| n.id).collect();
-    assert_eq!(got_ids, expect_ids);
+    assert_eq!(stmt.run(&db), expect_ids);
+    // A bitmap of ≥ 64·k rows keeps Milvus on its filtered index search
+    // (~450 rows pass, k = 5), and no filter on the plain beam search.
+    let wide = HybridQuery { ranges: vec![("x".into(), 0, 900_000)], k: 5, ..q.clone() };
+    let stmt = System::Milvus.prepare(&db, &data, None, &wide, SearchParams::default());
+    assert_eq!(stmt.opts.forced_strategy, Some(Strategy::PreFilter));
+    let open = HybridQuery { ranges: Vec::new(), ..q };
+    let stmt = System::Milvus.prepare(&db, &data, None, &open, SearchParams::default());
+    assert_eq!(stmt.opts.forced_strategy, Some(Strategy::PostFilter));
 }
 
 #[test]
 fn baseline_ingest_invariants() {
-    let data = DatasetSpec::tiny().generate();
-    let m = loaded_milvus(&data);
-    let p = loaded_pgvector(&data);
-    assert_eq!(m.len(), data.n());
-    assert_eq!(p.len(), data.n());
-    assert!(!m.is_empty() && !p.is_empty());
-    assert!(m.segment_count() >= 1);
-    assert!(p.has_index());
-}
-
-#[test]
-fn pgvector_overhead_constant_is_configurable() {
-    // The modeled client-server overhead can be zeroed for microbenchmarks.
-    let data = DatasetSpec::tiny().generate();
-    let mut p = PgvectorSim::new(
-        data.dim(),
-        bh_baselines::pgvector::PgvectorConfig {
-            per_query_overhead: std::time::Duration::ZERO,
-            ..Default::default()
-        },
-    );
-    bh_bench::setup::load_baseline(&mut p, &data);
-    p.finalize().unwrap();
-    let q = data.queries(1, 5).remove(0);
-    let t = std::time::Instant::now();
-    for _ in 0..50 {
-        p.search(&q, 5, &SearchParams::default(), None).unwrap();
+    // Enough rows for Milvus to seal several segments.
+    let data = DatasetSpec { name: "small", n: 4_500, dim: 8, clusters: 4, seed: 1 }.generate();
+    for (sys, segments) in [(System::Milvus, data.n().div_ceil(2048)), (System::Pgvector, 1)] {
+        let db = load(sys, &data);
+        let rs = db.execute("SELECT rows FROM system.segments").unwrap().rows();
+        assert_eq!(rs.len(), segments, "{} segments", sys.name());
+        let rows: u64 = rs
+            .column_values("rows")
+            .unwrap()
+            .into_iter()
+            .map(|v| match v {
+                bh_storage::value::Value::UInt64(n) => n,
+                other => panic!("rows is {other}"),
+            })
+            .sum();
+        assert_eq!(rows, data.n() as u64, "{} rows", sys.name());
     }
-    // 50 queries without the 250µs sleep each complete far faster than the
-    // 12.5ms the overhead alone would cost.
-    assert!(t.elapsed() < std::time::Duration::from_millis(60));
 }
