@@ -67,7 +67,8 @@ pub struct QueryLogRecord {
     pub result_rows: u64,
     /// The plan the planner chose for this statement: `"brute_force"`,
     /// `"pre_filter"`, `"post_filter"` or `"filtered_traversal"`; empty for
-    /// statements the planner never saw.
+    /// a statement that runs no vector plan (DDL/DML, a scalar SELECT,
+    /// EXPLAIN).
     pub strategy: &'static str,
     /// Error code (the `BhError` variant name) when the statement failed.
     pub error_code: Option<&'static str>,

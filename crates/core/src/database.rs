@@ -841,33 +841,103 @@ mod tests {
         assert_eq!(rs.len(), 50);
     }
 
+    /// EXPLAIN's strategy is the one that ran: for every statement, the
+    /// `strategy:` line of EXPLAIN, the `plan` span of EXPLAIN ANALYZE and
+    /// the query-log row of the executed statement name one plan, and the
+    /// EXPLAIN statement's own row names none.
     #[test]
     fn explain_reports_plan_and_strategy() {
-        let db = images_db(200);
-        let rs = db
-            .execute(
-                "EXPLAIN SELECT id FROM images WHERE label = 'l0' \
-                 ORDER BY L2Distance(emb, [0.0, 0.0, 0.0, 0.0]) LIMIT 5",
-            )
-            .unwrap()
-            .rows();
-        let text: Vec<String> = rs
-            .rows
-            .iter()
-            .map(|r| match &r[0] {
-                Value::Str(s) => s.clone(),
-                _ => panic!(),
+        use bh_query::Strategy;
+        // README's table: 12,000 rows in four segments, `price` uniform.
+        let db = Database::new(DatabaseConfig {
+            table: TableStoreConfig { segment_max_rows: 3000, ..Default::default() },
+            ..Default::default()
+        });
+        db.execute(
+            "CREATE TABLE docs (
+               id UInt64, label String, price Float64, emb Array(Float32),
+               INDEX ann emb TYPE HNSW('DIM=4')
+             ) ORDER BY id",
+        )
+        .unwrap();
+        let values: Vec<String> = (0..12_000)
+            .map(|i| {
+                let c = (i % 5) as f32 * 6.0 + i as f32 * 1e-4;
+                format!("({i}, 'l{}', {}, [{c}, {c}, {c}, {c}])", i % 2, i * 37 % 100)
             })
             .collect();
-        let joined = text.join("\n");
-        assert!(joined.contains("AnnScan"), "{joined}");
-        assert!(joined.contains("strategy:"), "{joined}");
-        // Per plan: the work it is expected to touch and what that costs.
-        assert!(joined.contains("estimates: n=200 k=5 ef=64 selectivity=0.5"), "{joined}");
-        assert!(joined.contains("runner-up="), "{joined}");
-        assert!(joined.contains("brute-force (Plan A): 100 visits, cost 200.0"), "{joined}");
-        assert!(joined.contains("filtered-traversal (Plan D): "), "{joined}");
-        assert!(joined.contains("distance-topk-pushdown"), "{joined}");
+        db.execute(&format!("INSERT INTO docs VALUES {}", values.join(", "))).unwrap();
+
+        let lines = |sql: &str, opts: &QueryOptions| -> Vec<String> {
+            let rs = db.execute_with(sql, opts).unwrap().rows();
+            rs.rows.iter().map(|r| r[0].as_str().unwrap().to_string()).collect()
+        };
+        let logged = || db.query_log().records().last().unwrap().strategy;
+        // The plan each of the three reports names (`None` / "" for none),
+        // and EXPLAIN's text.
+        let ran = |sql: &str, opts: &QueryOptions| {
+            let explain = lines(&format!("EXPLAIN {sql}"), opts);
+            assert_eq!(logged(), "", "the EXPLAIN statement runs no plan: {sql}");
+            let explained = explain
+                .iter()
+                .find_map(|l| l.strip_prefix("strategy: "))
+                .map(|name| Strategy::ALL.into_iter().find(|s| s.name() == name).unwrap());
+            let profile = lines(&format!("EXPLAIN ANALYZE {sql}"), opts);
+            let plan_span = profile.iter().find(|l| l.starts_with("  plan ")).unwrap();
+            let profiled = plan_span
+                .split_once("strategy=")
+                .map(|(_, rest)| rest.split("  ").next().unwrap().to_string());
+            db.execute_with(sql, opts).unwrap();
+            assert_eq!(profiled.as_deref(), explained.map(|s| s.name()), "{sql}");
+            assert_eq!(logged(), explained.map_or("", |s| s.slug()), "{sql}");
+            (explained, explain.join("\n"))
+        };
+        let defaults = db.default_options();
+        let filtered = |price: u32| {
+            format!(
+                "SELECT id FROM docs WHERE price < {price} \
+                 ORDER BY L2Distance(emb, [5.0, 5.1, 5.2, 4.9]) LIMIT 100"
+            )
+        };
+
+        // README's two shapes: 90 % passing walks the filter, 40 % scans.
+        let (chosen, text) = ran(&filtered(90), &defaults);
+        assert_eq!(chosen, Some(Strategy::FilteredTraversal), "{text}");
+        assert!(text.contains("estimates: n=12000 k=100 ef=64 selectivity=0.9"), "{text}");
+        assert!(text.contains("runner-up="), "{text}");
+        assert!(text.contains("search: emb k=100\nfilter: price < 90\n"), "{text}");
+        assert!(text.contains("columns read: [price, id]"), "{text}");
+        assert!(text.contains("segments: 4 of 4 scheduled, 0 scalar-pruned"), "{text}");
+        let (chosen, text) = ran(&filtered(40), &defaults);
+        assert_eq!(chosen, Some(Strategy::BruteForce), "{text}");
+        // A forced plan runs, and is reported, as forced; the estimates stay.
+        for strategy in Strategy::ALL {
+            let opts = forcing(&db, strategy);
+            let (chosen, text) = ran(&filtered(90), &opts);
+            assert_eq!(chosen, Some(strategy), "{text}");
+            assert!(text.contains("filtered-traversal (Plan D): "), "{text}");
+        }
+        // The pushed search carries k and the range; an unprojected vector
+        // column is not read, a projected one is.
+        let (_, text) = ran(
+            "SELECT id FROM docs \
+             WHERE label = 'l0' AND L2Distance(emb, [0.0, 0.0, 0.0, 0.0]) < 3.0 \
+             ORDER BY L2Distance(emb, [0.0, 0.0, 0.0, 0.0]) LIMIT 7",
+            &defaults,
+        );
+        assert!(text.contains("search: emb k=7 range<=3\n"), "{text}");
+        assert!(text.contains("columns read: [label, id]"), "{text}");
+        let projecting = "SELECT emb FROM docs ORDER BY L2Distance(emb, [0.0, 0.0, 0.0, 0.0]) LIMIT 2";
+        let (_, text) = ran(projecting, &defaults);
+        assert!(text.contains("columns read: [emb]"), "{text}");
+        assert!(!text.contains("filter:"), "{text}");
+        // A scalar statement runs no vector plan, and reports none.
+        let scalar = "SELECT id FROM docs WHERE id >= 9000 ORDER BY id LIMIT 5";
+        let (chosen, text) = ran(scalar, &defaults);
+        assert_eq!(chosen, None, "{text}");
+        assert!(!text.contains("estimates:"), "{text}");
+        let pruned = "segments: 1 of 4 scheduled, 3 scalar-pruned, 0 in reserve";
+        assert!(text.contains(pruned), "{text}");
     }
 
     #[test]

@@ -3,10 +3,15 @@
 //! Pipeline per SELECT:
 //!
 //! 1. **Bind** the AST against the schema (scalar predicate + vector query).
-//! 2. **Plan**: the cost model chooses the strategy among Plans A/B/C/D for
-//!    every statement from its own selectivity, `k`, beam width and the
-//!    table's current size; nothing is cached. The logical tree and its
-//!    rewrite rules are built for EXPLAIN only.
+//! 2. **Plan** ([`QueryEngine::plan`], the one step EXPLAIN prints too): the
+//!    cost model prices Plans A/B/C/D for every statement from its own
+//!    selectivity, `k`, beam width and the table's current size, and the
+//!    cheapest (or the forced one) runs; nothing is cached. A table with no
+//!    index to plan over is not priced and runs Plan A. The paper's three
+//!    rewrites hold by construction: every segment search takes `k` (`σ·k`
+//!    on a quantized index), a distance range bounds the search and stops
+//!    the iterator, and `BoundSelect::columns_read` never lists an
+//!    unprojected vector column.
 //! 3. **Schedule**: segment selection with scalar + semantic pruning and an
 //!    adaptive reserve.
 //! 4. **Execute** per segment on the owning worker: one task per segment
@@ -20,7 +25,6 @@
 
 use crate::bind::{bind_select, BoundSelect, ProjItem, VectorQuery};
 use crate::cost::{CostInputs, CostParams, PlanEstimate, Strategy};
-use crate::plan::plan_select;
 use crate::result::ResultSet;
 use bh_cluster::scheduler::{select_segments, PruneConfig, SegmentSelection};
 use bh_cluster::vw::{SegmentIndex, VirtualWarehouse};
@@ -105,6 +109,8 @@ struct StmtState<'q> {
     sel: &'q BoundSelect,
     v: &'q VectorQuery,
     plan: &'q StmtPlan,
+    /// The vector plan the statement runs (`plan.strategy`, resolved).
+    strategy: Strategy,
     selection: SegmentSelection,
     /// Segments the current round searches for this statement; empty once
     /// the statement is finished.
@@ -120,12 +126,19 @@ struct StmtState<'q> {
     bound: Option<Arc<SharedBound>>,
 }
 
-/// One statement's plan, chosen anew for every statement.
+/// One statement's plan ([`QueryEngine::plan`]), chosen anew for every
+/// statement.
 struct StmtPlan {
-    strategy: Strategy,
+    /// The vector plan that runs; `None` for a scalar statement, which runs
+    /// none.
+    strategy: Option<Strategy>,
     /// Histogram-estimated pass fraction of the predicate of a filtered
     /// vector statement. Plan D sizes its hop budget with it.
     selectivity: Option<f32>,
+    /// What the cost model was fed and its four estimates, cheapest first;
+    /// `None` when nothing was priced (a scalar statement, or a table with
+    /// no index to plan over).
+    priced: Option<(CostInputs, [PlanEstimate; 4])>,
     /// The statement's context, installed around every piece of work done for it.
     ctx: Arc<QueryCtx>,
 }
@@ -215,9 +228,12 @@ impl QueryEngine {
         only_result(self.execute_select_batch(table, vw, opts, std::slice::from_ref(stmt)))
     }
 
-    /// Produce an EXPLAIN report for a SELECT: the optimized logical plan,
-    /// the rules applied, the CBO's strategy choice, and the per-plan cost
-    /// estimates that drove it.
+    /// Produce an EXPLAIN report for a SELECT from the plan step the executor
+    /// runs ([`Self::plan`]): the strategy and the estimates that chose it,
+    /// the search pushed into every segment, the filter, the columns read
+    /// and the segments scheduled. The plan step runs on a context of its
+    /// own, so the EXPLAIN statement records no strategy and moves no
+    /// `query.plan.*` counter.
     pub fn explain_select(
         &self,
         table: &TableStore,
@@ -225,38 +241,50 @@ impl QueryEngine {
         stmt: &SelectStmt,
     ) -> Result<String> {
         let bound = bind_select(table.schema(), stmt)?;
-        let planned = plan_select(table.schema(), &bound);
-        let selectivity = filter_selectivity(table, &bound);
-        let strategy = self.choose_strategy(table, opts, &bound, selectivity);
+        let plan = self.plan(table, opts, &bound, Arc::default());
         let mut out = String::new();
-        out.push_str(&planned.logical.to_string());
-        out.push_str(&format!(
-            "rules applied: {}\n",
-            if planned.rules_applied.is_empty() {
-                "(none)".to_string()
-            } else {
-                planned.rules_applied.join(", ")
-            }
-        ));
-        out.push_str(&format!(
-            "columns read: [{}]\n",
-            planned.columns_needed.join(", ")
-        ));
-        out.push_str(&format!("strategy: {}\n", strategy.name()));
-        if let Some(inputs) = cost_inputs(table, opts, &bound, selectivity) {
-            let ranked = self.cost.ranked(&inputs);
-            out.push_str(&format!(
-                "estimates: n={} k={} ef={} selectivity={:.4} runner-up={}\n",
-                inputs.n,
-                inputs.k,
-                inputs.search.ef_search,
-                inputs.s,
-                runner_up(strategy, &ranked).name()
-            ));
-            for e in ranked {
-                out.push_str(&format!("  {}: {}\n", e.strategy.name(), describe(&e)));
+        if let Some(strategy) = plan.strategy {
+            out.push_str(&format!("strategy: {}\n", strategy.name()));
+            if let Some((inputs, ranked)) = &plan.priced {
+                let (runner_up, estimates) = estimates(strategy, ranked);
+                out.push_str(&format!(
+                    "estimates: n={} k={} ef={} selectivity={:.4} runner-up={}\n",
+                    inputs.n,
+                    inputs.k,
+                    inputs.search.ef_search,
+                    inputs.s,
+                    runner_up.name()
+                ));
+                for (s, e) in estimates {
+                    out.push_str(&format!("  {}: {e}\n", s.name()));
+                }
             }
         }
+        if let Some(v) = &bound.vector {
+            out.push_str(&format!("search: {}", v.column));
+            if let Some(k) = v.k {
+                out.push_str(&format!(" k={k}"));
+            }
+            if let Some(r) = v.range {
+                out.push_str(&format!(" range<={r}"));
+            }
+            out.push('\n');
+        }
+        if !matches!(bound.predicate, Predicate::True) {
+            out.push_str(&format!("filter: {}\n", bound.predicate));
+        }
+        out.push_str(&format!("columns read: [{}]\n", bound.columns_read().join(", ")));
+        // The selection `exec_scalar` and `exec_batch_inner` make.
+        let segments = table.segments();
+        let query = bound.vector.as_ref().map(|v| v.query.as_slice());
+        let selection = select_segments(&segments, &bound.predicate, query, &opts.prune);
+        out.push_str(&format!(
+            "segments: {} of {} scheduled, {} scalar-pruned, {} in reserve\n",
+            selection.scheduled.len(),
+            segments.len(),
+            selection.scalar_pruned,
+            selection.reserve.len()
+        ));
         Ok(out)
     }
 
@@ -329,27 +357,7 @@ impl QueryEngine {
         self.metrics.counter("query.batch_size").add(batch.len() as u64);
         let plans: Vec<StmtPlan> = batch
             .iter()
-            .map(|b| {
-                let ctx = installed.clone().unwrap_or_default();
-                let mut stage = ctx.stage("plan", &ctx.tally.plan_ns);
-                let selectivity = filter_selectivity(table, b);
-                let strategy = self.choose_strategy(table, opts, b, selectivity);
-                stage.span.attr("strategy", strategy.name());
-                // What the model believed: priced (again) only for a reader.
-                let read =
-                    stage.span.is_recording().then(|| cost_inputs(table, opts, b, selectivity));
-                if let Some(inputs) = read.flatten() {
-                    let ranked = self.cost.ranked(&inputs);
-                    stage.span.attr("selectivity", inputs.s);
-                    stage.span.attr("runner_up", runner_up(strategy, &ranked).name());
-                    for e in ranked {
-                        stage.span.attr(e.strategy.slug(), describe(&e));
-                    }
-                }
-                ctx.set_strategy(strategy.slug());
-                drop(stage);
-                StmtPlan { strategy, selectivity: selectivity.map(|s| s as f32), ctx }
-            })
+            .map(|b| self.plan(table, opts, b, installed.clone().unwrap_or_default()))
             .collect();
         // One executor phase per batch: its wall time goes to the first
         // statement, like a segment task's shared index resolution.
@@ -398,7 +406,7 @@ impl QueryEngine {
         let mut results: Vec<Option<ResultSet>> = (0..batch.len()).map(|_| None).collect();
         let mut states: Vec<StmtState<'_>> = Vec::with_capacity(batch.len());
         for (qi, (sel, plan)) in batch.iter().zip(plans).enumerate() {
-            let Some(v) = &sel.vector else {
+            let (Some(v), Some(strategy)) = (&sel.vector, plan.strategy) else {
                 // Scalar statements don't participate in the vector fan-out.
                 let _in = plan.ctx.install();
                 results[qi] = Some(self.exec_scalar(table, vw, opts, sel)?);
@@ -433,6 +441,7 @@ impl QueryEngine {
                 sel,
                 v,
                 plan,
+                strategy,
                 pending: selection.scheduled.clone(),
                 slots: Vec::new(),
                 selection,
@@ -514,7 +523,7 @@ impl QueryEngine {
                             *e.insert(tasks.len() - 1)
                         }
                     };
-                    tasks[t].wants_index |= st.plan.strategy != Strategy::BruteForce;
+                    tasks[t].wants_index |= st.strategy != Strategy::BruteForce;
                     st.slots.push((t, tasks[t].stmts.len()));
                     tasks[t].stmts.push(si);
                 }
@@ -670,25 +679,46 @@ impl QueryEngine {
 
     // -------------------------------------------------------------- planning
 
-    /// The strategy this statement runs: the plan step's one output. Only a
-    /// statement the CBO decides is priced; a forced plan costs nothing here.
-    /// Nothing is cached, because every input is the statement's own — its
-    /// `k`, beam width and pass fraction — or the table's size now: `LIMIT
-    /// 10` and `LIMIT 5000` of one shape, or one shape before and after the
-    /// table grew, can run different plans.
-    fn choose_strategy(
+    /// The plan step, on the statement's context `ctx`: the one both
+    /// [`Self::execute_batch`] and [`Self::explain_select`] run. A vector
+    /// statement on a table with an index to plan over is priced, once (four
+    /// closed-form estimates), and runs the forced plan or else the cheapest;
+    /// on a table with none it runs Plan A, whatever is forced, because every
+    /// segment answers from the exact scan. A scalar statement runs no vector
+    /// plan and records none. Nothing is cached, because every input is the
+    /// statement's own — its `k`, beam width and pass fraction — or the
+    /// table's size now: `LIMIT 10` and `LIMIT 5000` of one shape, or one
+    /// shape before and after the table grew, can run different plans.
+    fn plan(
         &self,
         table: &TableStore,
         opts: &QueryOptions,
         bound: &BoundSelect,
-        selectivity: Option<f64>,
-    ) -> Strategy {
-        if let Some(forced) = opts.forced_strategy {
-            return forced;
+        ctx: Arc<QueryCtx>,
+    ) -> StmtPlan {
+        let mut stage = ctx.stage("plan", &ctx.tally.plan_ns);
+        let selectivity = filter_selectivity(table, bound);
+        let priced = cost_inputs(table, opts, bound, selectivity)
+            .map(|inputs| (inputs, self.cost.ranked(&inputs)));
+        let strategy = bound.vector.as_ref().map(|_| match &priced {
+            Some((_, ranked)) => opts.forced_strategy.unwrap_or(ranked[0].strategy),
+            None => Strategy::BruteForce,
+        });
+        if let Some(strategy) = strategy {
+            stage.span.attr("strategy", strategy.name());
+            ctx.set_strategy(strategy.slug());
+            // What the model believed, for a reader.
+            if let Some((inputs, ranked)) = priced.as_ref().filter(|_| stage.span.is_recording()) {
+                let (runner_up, estimates) = estimates(strategy, ranked);
+                stage.span.attr("selectivity", inputs.s);
+                stage.span.attr("runner_up", runner_up.name());
+                for (s, e) in estimates {
+                    stage.span.attr(s.slug(), e);
+                }
+            }
         }
-        // Scalar-only queries have no ANN strategy to pick.
-        cost_inputs(table, opts, bound, selectivity)
-            .map_or(Strategy::BruteForce, |inputs| self.cost.choose(&inputs))
+        drop(stage);
+        StmtPlan { strategy, selectivity: selectivity.map(|s| s as f32), priced, ctx }
     }
 
     // ------------------------------------------------------------ vector path
@@ -707,7 +737,7 @@ impl QueryEngine {
         ctx: SegCtx<'_>,
     ) -> Result<Vec<Neighbor>> {
         let (bound, v, k, bnd) = (st.sel, st.v, st.k, st.bound.as_deref());
-        let strategy = st.plan.strategy;
+        let strategy = st.strategy;
         // `segment.task` is open on this thread, so this parents to it.
         let sctx = &st.plan.ctx;
         let mut seg_stage = sctx.stage("segment.search", &sctx.tally.segment_ns);
@@ -1095,14 +1125,12 @@ fn cost_inputs(
     })
 }
 
-/// The cheapest plan other than the one that runs.
-fn runner_up(chosen: Strategy, ranked: &[PlanEstimate; 4]) -> Strategy {
-    ranked.iter().map(|e| e.strategy).find(|s| *s != chosen).unwrap_or(chosen)
-}
-
-/// One estimate's work count and cost (`plan` span attributes, EXPLAIN).
-fn describe(e: &PlanEstimate) -> String {
-    format!("{:.0} visits, cost {:.1}", e.visits, e.cost)
+/// A priced plan for a reader (the `plan` span, EXPLAIN): the cheapest plan
+/// other than the one that runs, and each plan's work count and cost,
+/// cheapest first.
+fn estimates(chosen: Strategy, ranked: &[PlanEstimate; 4]) -> (Strategy, [(Strategy, String); 4]) {
+    let runner_up = ranked.iter().map(|e| e.strategy).find(|s| *s != chosen).unwrap_or(chosen);
+    (runner_up, ranked.map(|e| (e.strategy, format!("{:.0} visits, cost {:.1}", e.visits, e.cost))))
 }
 
 /// [`VirtualWarehouse::with_segment_retry`] under the name the benchmark
@@ -1914,16 +1942,35 @@ mod tests {
 
     #[test]
     fn projection_with_vector_column() {
-        let (ts, vw, engine) = setup(100, IndexKind::Hnsw, 100);
-        let opts = QueryOptions::default();
-        let rs = execute_sql_select(
-            &engine,
-            &ts,
-            &vw,
-            &opts,
-            "SELECT emb FROM t ORDER BY L2Distance(emb, [0.0, 0.1, 0.2, -0.1]) LIMIT 1",
-        )
-        .unwrap();
+        // The store counts its gets on a registry of its own.
+        let store_metrics = MetricsRegistry::new();
+        let store = Arc::new(InMemoryObjectStore::new(
+            VirtualClock::shared(),
+            bh_common::clock::LatencyModel::ZERO,
+            store_metrics.clone(),
+            "s",
+        ));
+        let (ts, vw, engine) = setup_on(store.clone(), 100, IndexKind::Hnsw, 100);
+        // An index plan: 100 rows are cheaper to scan, and the scan reads `emb`.
+        let opts =
+            QueryOptions { forced_strategy: Some(Strategy::PostFilter), ..Default::default() };
+        let gets = || store_metrics.counter_value("s.get");
+        let run = |projection: &str| {
+            let sql = format!(
+                "SELECT {projection} FROM t ORDER BY L2Distance(emb, [0.0, 0.1, 0.2, -0.1]) LIMIT 1"
+            );
+            execute_sql_select(&engine, &ts, &vw, &opts, &sql).unwrap()
+        };
+        run("id");
+        let warm = gets();
+        run("id");
+        assert_eq!(gets(), warm, "a warm statement fetches nothing");
+        // Vector column pruning holds on the executor: neither statement
+        // fetched an `emb` block, so the first that projects `emb` does.
+        let rs = run("emb");
+        let fetched = gets() - warm;
+        let emb_blocks = store.list("tables/t/").iter().filter(|k| k.contains("/col/emb/")).count();
+        assert!((1..=emb_blocks as u64).contains(&fetched), "{fetched} of {emb_blocks}");
         let Value::Vector(v) = &rs.rows[0][0] else { panic!("expected vector") };
         assert_eq!(v.len(), 4);
     }

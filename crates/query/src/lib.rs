@@ -5,20 +5,20 @@
 //!
 //! * [`bind`] — semantic analysis: AST → typed predicate + vector-query
 //!   component (distance ORDER BY, distance range constraints, top-k).
-//! * [`plan`] — logical plans and the rule-based optimizations (distance
-//!   top-k pushdown, distance range-filter pushdown, vector column pruning).
 //! * [`cost`] — the accuracy-aware cost model (Table II, Eqs. 1–3) choosing
 //!   among Plan A (brute force), Plan B (pre-filter ANN bitmap scan),
 //!   Plan C (post-filter iterative search) and Plan D (filter-aware graph
 //!   traversal, graph indexes only), for every statement.
-//! * [`exec`] — the distributed executor: scheduling with pruning, the four
-//!   physical strategies, refine, adaptive segment expansion, global top-k
-//!   merge, and projection fetch.
+//! * [`exec`] — the plan step (the one EXPLAIN prints) and the distributed
+//!   executor: scheduling with pruning, the four physical strategies,
+//!   refine, adaptive segment expansion, global top-k merge, and projection
+//!   fetch. The paper's three rule-based rewrites (§II-C: distance top-k
+//!   pushdown, distance range pushdown, vector column pruning) are
+//!   properties the executor has by construction, not a pass over a tree.
 
 pub mod bind;
 pub mod cost;
 pub mod exec;
-pub mod plan;
 pub mod result;
 
 pub use bind::{bind_select, BoundSelect, VectorQuery};

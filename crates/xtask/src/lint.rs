@@ -30,9 +30,9 @@
 //!    intra-crate refactors breaking changes. Internal today:
 //!    `bh_common::loom` (the vendored model checker backing the `--cfg loom`
 //!    tests), `bh_vector::{hnsw, ivf, quant, iterator}` (index
-//!    implementations — go through `IndexRegistry`/`VectorIndex`),
-//!    `bh_query::plan` and `bh_storage::{partition, delete}`
-//!    (planner and maintenance internals re-exported at their crate roots).
+//!    implementations — go through `IndexRegistry`/`VectorIndex`) and
+//!    `bh_storage::{partition, delete}` (maintenance internals re-exported
+//!    at the crate root).
 //!    By contrast `bh_common::clock` *is* public surface: a crate that
 //!    overlaps simulated transfers does it there, with a `LatencyModel`
 //!    deadline paid by `Clock::advance_to` (DESIGN.md §11).
@@ -149,7 +149,6 @@ const HARNESS_CRATES: &[&str] = &["bench", "xtask"];
 const CROSS_CRATE_INTERNAL: &[(&str, &[&str])] = &[
     ("bh_common", &["loom"]),
     ("bh_vector", &["hnsw", "ivf", "quant", "iterator"]),
-    ("bh_query", &["plan"]),
     ("bh_storage", &["partition", "delete"]),
 ];
 
@@ -1294,8 +1293,11 @@ mod tests {
     fn cross_crate_allow_annotation_and_tests_are_exempt() {
         let allowed = "fn f() {\n    // lint: allow(cross_crate) - loom model shim for the fan-out harness\n    let _ = bh_common::loom::model;\n}\n";
         assert!(rules("crates/query/src/x.rs", allowed).is_empty());
-        let in_tests = "#[cfg(test)]\nmod tests {\n    use bh_query::plan::PhysicalPlan;\n    #[test]\n    fn t() { let _ = std::any::type_name::<PhysicalPlan>(); }\n}\n";
-        assert!(rules("crates/storage/src/x.rs", in_tests).is_empty());
+        let in_tests = "#[cfg(test)]\nmod tests {\n    use bh_storage::partition::SemanticClusterer;\n    #[test]\n    fn t() { let _ = std::any::type_name::<SemanticClusterer>(); }\n}\n";
+        assert!(rules("crates/query/src/x.rs", in_tests).is_empty());
+        // The same import outside the test module is a finding.
+        let outside = in_tests.replace("#[cfg(test)]\n", "");
+        assert_eq!(rules("crates/query/src/x.rs", &outside), vec![Rule::CrossCrateInternal]);
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! CI smoke test for the observability layer: run traced queries end to end,
 //! from two threads at once, and exit nonzero if a statement's retained trace
-//! is empty or holds another statement's segment, or the `EXPLAIN ANALYZE`
-//! profile came back without a stage tree.
+//! is empty or holds another statement's segment, the `EXPLAIN ANALYZE`
+//! profile came back without a stage tree, or EXPLAIN, the `plan` span and
+//! the query log disagree on the plan a filtered statement ran.
 //!
 //! Run with: `cargo run --release -p blendhouse-examples --bin trace_smoke`
 
 use bh_common::trace::AttrValue;
 use bh_common::SlowQueryPolicy;
 use bh_storage::table::TableStoreConfig;
-use blendhouse::{Database, DatabaseConfig, QueryOutput, Value};
+use blendhouse::{Database, DatabaseConfig, QueryOutput, Strategy, Value};
 use std::collections::HashSet;
 
 const TABLES: [&str; 2] = ["docs", "notes"];
@@ -98,21 +99,10 @@ fn main() {
     println!("{} concurrent traced queries each kept their own spans", traces.len());
 
     // 2. EXPLAIN ANALYZE must render a non-empty stage tree.
-    let out = db
-        .execute(
-            "EXPLAIN ANALYZE SELECT id FROM docs \
-             ORDER BY L2Distance(emb, [5.0, 5.1, 5.2, 4.9]) LIMIT 3",
-        )
-        .expect("explain analyze");
-    let QueryOutput::Rows(profile) = out else { panic!("EXPLAIN ANALYZE returned no rows") };
-    let text: Vec<String> = profile
-        .rows
-        .iter()
-        .map(|r| match &r[0] {
-            Value::Str(s) => s.clone(),
-            other => panic!("profile cell is not a string: {other:?}"),
-        })
-        .collect();
+    let text = lines(
+        &db,
+        "EXPLAIN ANALYZE SELECT id FROM docs ORDER BY L2Distance(emb, [5.0, 5.1, 5.2, 4.9]) LIMIT 3",
+    );
     assert!(
         text.first().is_some_and(|l| l.starts_with("query  ")),
         "profile does not start with the root query span: {text:?}"
@@ -123,8 +113,41 @@ fn main() {
         println!("{line}");
     }
 
-    // 3. Metrics exposition carries the query's counters.
+    // 3. EXPLAIN is the plan that runs: one filtered statement, three ways.
+    let sql = "SELECT id FROM docs WHERE label = 'l0' \
+               ORDER BY L2Distance(emb, [0.1, 0.2, 0.3, 0.0]) LIMIT 5";
+    let explained = lines(&db, &format!("EXPLAIN {sql}"))
+        .iter()
+        .find_map(|l| l.strip_prefix("strategy: ").map(String::from))
+        .expect("EXPLAIN prints a strategy");
+    let profiled = lines(&db, &format!("EXPLAIN ANALYZE {sql}"))
+        .iter()
+        .find_map(|l| {
+            let (_, attrs) = l.trim_start().strip_prefix("plan ")?.split_once("strategy=")?;
+            attrs.split("  ").next().map(String::from)
+        })
+        .expect("the plan span carries a strategy");
+    db.execute(sql).expect("filtered query");
+    let logged = db.query_log().records().last().expect("the statement is logged").strategy;
+    let slug = Strategy::ALL.into_iter().find(|s| s.name() == explained).map(|s| s.slug());
+    assert_eq!(profiled, explained, "EXPLAIN ANALYZE ran another plan than EXPLAIN printed");
+    assert_eq!(slug, Some(logged), "the query log records another plan than EXPLAIN printed");
+    println!("EXPLAIN, the plan span and the query log agree: {explained}");
+
+    // 4. Metrics exposition carries the query's counters.
     let metrics = db.metrics_text();
     assert!(metrics.contains("remote_get_bytes"), "metrics text missing remote_get_bytes");
     println!("trace smoke OK");
+}
+
+/// The one string column of a statement's rows, line by line.
+fn lines(db: &Database, sql: &str) -> Vec<String> {
+    let Ok(QueryOutput::Rows(rows)) = db.execute(sql) else { panic!("{sql} returned no rows") };
+    rows.rows
+        .iter()
+        .map(|r| match &r[0] {
+            Value::Str(s) => s.clone(),
+            other => panic!("cell is not a string: {other:?}"),
+        })
+        .collect()
 }

@@ -344,7 +344,13 @@ fn flat_table_is_searched_exactly_from_its_column() {
         );
         for strategy in Strategy::ALL {
             let opts = QueryOptions { forced_strategy: Some(strategy), ..db.default_options() };
+            // No index to plan over: a forced plan runs the scan, and says so.
+            let explain = db.execute_with(&format!("EXPLAIN {sql}"), &opts).unwrap().rows();
+            let said: Vec<&str> = explain.rows.iter().filter_map(|r| r[0].as_str()).collect();
+            assert!(said.contains(&"strategy: brute-force (Plan A)"), "{strategy:?}: {said:?}");
             let rs = db.execute_with(&sql, &opts).unwrap().rows();
+            let logged = db.query_log().records().last().unwrap().strategy;
+            assert_eq!(logged, "brute_force", "{strategy:?}: {sql}");
             let got: Vec<(u64, f32)> = rs
                 .rows
                 .iter()
