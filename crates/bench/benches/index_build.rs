@@ -24,6 +24,10 @@
 //!    IVFPQFS table with a compaction after every 8th, the write schedule
 //!    of `ingest_mixed` — and the share of its wall time the
 //!    `table.index_*_ns` / `table.compact_ns` histograms put in each stage.
+//!    `store_fnv` hashes every `(key, blob)` the pass left in the store;
+//!    it is asserted equal across the three passes and, on the AVX2 tier,
+//!    to a constant, and `bench-diff` compares it with the committed one
+//!    exactly.
 //!
 //! Every build, stage and write-pass row also carries the exact k-means
 //! work behind it (`bh_vector::kmeans::work_done`): Lloyd iterations,
@@ -68,9 +72,27 @@ const IVFPQFS_BLOB_FNV: [(usize, u64); 3] = [
     (16_384, 0x1885_6f9d_759b_eaf1),
 ];
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+/// FNV-1a of what a write pass leaves in the store on the AVX2 tier,
+/// derived before the write path took typed columns: column blocks, metas
+/// and index blobs have not moved a byte since.
+const WRITE_PASS_STORE_FNV: u64 = 0xd4ee_db53_a75e_829a;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a of `bytes`, continuing from `h` (`FNV_OFFSET` to start).
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// FNV-1a over every `(key, blob)` the database's store holds, in key
+/// order: each key, a 0xff byte, then the blob.
+fn store_fnv(db: &Database) -> u64 {
+    let store = db.remote_store();
+    let mut keys = store.list("");
+    keys.sort();
+    keys.iter().fold(FNV_OFFSET, |h, key| {
+        let h = fnv1a(fnv1a(h, key.as_bytes()), &[0xff]);
+        fnv1a(h, &store.get(key).expect("listed key"))
     })
 }
 
@@ -271,9 +293,9 @@ fn time_stages(data: &[f32], pool: &FanoutPool) -> ([f64; 3], KMeansWork) {
 
 /// One write pass through the facade; `[wall, train, add, serialize,
 /// compact]` in ms, the last four from the table store's own histograms
-/// (index builds inside a compaction count in both), and the k-means work
-/// of the pass.
-fn write_pass(data: &[f32]) -> ([f64; 5], KMeansWork) {
+/// (index builds inside a compaction count in both), the k-means work of
+/// the pass and the FNV-1a of what it left in the store.
+fn write_pass(data: &[f32]) -> ([f64; 5], KMeansWork, u64) {
     let (inserts, batch) = (32, 512);
     let sqls: Vec<String> = (0..inserts)
         .map(|b| {
@@ -311,6 +333,7 @@ fn write_pass(data: &[f32]) -> ([f64; 5], KMeansWork) {
             ms("table.compact_ns"),
         ],
         work,
+        store_fnv(&db),
     )
 }
 
@@ -384,7 +407,7 @@ fn main() {
             for (pool, helpers) in [(&solo, 0), (&machine, cores - 1)] {
                 let (train, add) = time_build(kind, &data[..n * DIM], pool, &mut built);
                 let (blob, work) = built.as_ref().expect("built");
-                let fnv = fnv1a(blob);
+                let fnv = fnv1a(FNV_OFFSET, blob);
                 if kind == IndexKind::IvfPqFs && KernelTier::current() == KernelTier::Avx2 {
                     let want = IVFPQFS_BLOB_FNV
                         .iter()
@@ -454,12 +477,13 @@ fn main() {
     );
 
     // 5. A write pass through the facade, by the table store's histograms.
-    let mut passes: Vec<([f64; 5], KMeansWork)> = (0..3).map(|_| write_pass(data)).collect();
-    let pass_work = passes[0].1;
-    assert!(
-        passes.iter().all(|p| p.1 == pass_work),
-        "write-pass work depends on the run"
-    );
+    let mut passes: Vec<([f64; 5], KMeansWork, u64)> = (0..3).map(|_| write_pass(data)).collect();
+    let (pass_work, pass_fnv) = (passes[0].1, passes[0].2);
+    assert!(passes.iter().all(|p| p.1 == pass_work), "write-pass work depends on the run");
+    assert!(passes.iter().all(|p| p.2 == pass_fnv), "write-pass store bytes depend on the run");
+    if KernelTier::current() == KernelTier::Avx2 {
+        assert_eq!(pass_fnv, WRITE_PASS_STORE_FNV, "write-pass store bytes: {pass_fnv:#018x}");
+    }
     passes.sort_by(|a, b| a.0[0].total_cmp(&b.0[0]));
     let [wall, train, add, serialize, compact] = passes[1].0;
     let share = |ms: f64| format!("{:.1} %", 100.0 * ms / wall);
@@ -483,7 +507,7 @@ fn main() {
     let pass_json = format!(
         "{{ \"inserts\": 32, \"rows_per_insert\": 512, \"compact_every\": 8, \"wall_ms\": {wall:.1}, \
          \"index_train_ms\": {train:.1}, \"index_add_ms\": {add:.1}, \"index_serialize_ms\": {serialize:.1}, \
-         \"compact_ms\": {compact:.1}, \"train_share\": {:.3}, {} }}",
+         \"compact_ms\": {compact:.1}, \"train_share\": {:.3}, {}, \"store_fnv\": \"{pass_fnv:#018x}\" }}",
         train / wall,
         work_json(pass_work)
     );
@@ -497,7 +521,7 @@ fn main() {
     let json = format!(
         "{{\n  \"benchmark\": \"IVF/PQ build path: dimension-major nearest-centroid kernel and build fan-out\",\n  \
          \"machine\": {{ \"arch\": \"{}\", \"kernel_tier_detected\": \"{}\", \"cores\": {cores} }},\n  \
-         \"method\": \"crates/bench/benches/index_build.rs (plain-main harness). nearest_centroid: median of {REPS} passes over 8192 points, ns per (point, codebook); per_row is distance_batch + first-lowest scan per point, kernel is one Codebook::nearest_in over all points (points in lanes), index and distance bits asserted equal first. adc_table: median ns per Pq::adc_table_into at dim 64 / dsub 4. build: median of 3 IvfBuilder train / add_with_ids at dim 64 on a 64-cluster Gaussian mixture, nlist by the auto rule, on a pool with 0 helpers and on FanoutPool::for_machine(); the blobs of all runs asserted byte-identical, IVFPQFS blob FNV-1a asserted against constants on AVX2. stages: the three parts of an IVFPQFS train timed through train_kmeans_on / assign_into / Pq::train_on with the builder's parameters on the row's pool. Exact fields (lloyd_iters, seed_rounds, point_centroid_evals: bh_vector::kmeans::work_done deltas; blob_fnv) are asserted equal across repeats and pools. write_pass: median-wall of 3 passes of 32 SQL INSERTs of 512 rows with Database::compact after every 8th, stage times read from the table.index_*_ns and table.compact_ns histograms.\",\n  \
+         \"method\": \"crates/bench/benches/index_build.rs (plain-main harness). nearest_centroid: median of {REPS} passes over 8192 points, ns per (point, codebook); per_row is distance_batch + first-lowest scan per point, kernel is one Codebook::nearest_in over all points (points in lanes), index and distance bits asserted equal first. adc_table: median ns per Pq::adc_table_into at dim 64 / dsub 4. build: median of 3 IvfBuilder train / add_with_ids at dim 64 on a 64-cluster Gaussian mixture, nlist by the auto rule, on a pool with 0 helpers and on FanoutPool::for_machine(); the blobs of all runs asserted byte-identical, IVFPQFS blob FNV-1a asserted against constants on AVX2. stages: the three parts of an IVFPQFS train timed through train_kmeans_on / assign_into / Pq::train_on with the builder's parameters on the row's pool. Exact fields (lloyd_iters, seed_rounds, point_centroid_evals: bh_vector::kmeans::work_done deltas; blob_fnv) are asserted equal across repeats and pools. write_pass: median-wall of 3 passes of 32 SQL INSERTs of 512 rows with Database::compact after every 8th, stage times read from the table.index_*_ns and table.compact_ns histograms; store_fnv is FNV-1a over every (key, 0xff, blob) in the store after a pass, in key order, asserted equal across the passes and, on AVX2, to a constant.\",\n  \
          \"acceptance\": \"kernel >= 4x per-row at (16, 4) ({verdict}: {speedup_16_4:.2}x); byte-identical blobs across pool sizes (asserted)\",\n  \
          \"nearest_centroid\": [\n{}\n  ],\n  \"adc_table\": [\n{}\n  ],\n  \"build\": [\n{}\n  ],\n  \"stages\": [\n{}\n  ],\n  \
          \"write_pass\": {pass_json}\n}}\n",

@@ -128,14 +128,14 @@ pub fn select_segments(
 mod tests {
     use super::*;
     use bh_common::SegmentId;
+    use bh_storage::column::ColumnData;
     use bh_storage::stats::ColumnStats;
     use bh_storage::value::Value;
     use std::collections::BTreeMap;
 
     fn meta(id: u64, label: &str, centroid: Vec<f32>) -> Arc<SegmentMeta> {
         let mut stats = BTreeMap::new();
-        let mut st = ColumnStats::default();
-        st.observe(&Value::Str(label.into()));
+        let st = ColumnStats::of(&ColumnData::Str(vec![label.into()])).unwrap();
         stats.insert("label".to_string(), st);
         Arc::new(SegmentMeta {
             id: SegmentId(id),

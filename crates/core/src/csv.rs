@@ -6,8 +6,8 @@
 //! unquoted `[0.1;0.2]` with semicolon separators).
 
 use bh_common::{BhError, Result};
+use bh_storage::column::ColumnData;
 use bh_storage::schema::TableSchema;
-use bh_storage::value::{ColumnType, Value};
 
 /// Split one CSV line into raw fields (commas inside quotes or brackets do
 /// not split).
@@ -46,50 +46,52 @@ pub fn split_csv_line(line: &str) -> Vec<String> {
     fields
 }
 
-/// Parse one field against a column type.
-pub fn parse_field(field: &str, ty: ColumnType, dim_hint: usize) -> Result<Value> {
+/// Parse one field and append it to its column, typed by the column
+/// (whose vector dimension the schema's index has already given it).
+fn push_field(col: &mut ColumnData, field: &str) -> Result<()> {
     let f = field.trim();
     let bad = |what: &str| BhError::Parse(format!("csv field '{f}' is not a valid {what}"));
-    Ok(match ty {
-        ColumnType::UInt64 => Value::UInt64(f.parse().map_err(|_| bad("UInt64"))?),
-        ColumnType::Int64 => Value::Int64(f.parse().map_err(|_| bad("Int64"))?),
-        ColumnType::Float64 => Value::Float64(f.parse().map_err(|_| bad("Float64"))?),
-        ColumnType::Str => Value::Str(f.to_string()),
-        ColumnType::DateTime => {
-            // Numeric epoch or "YYYY-MM-DD HH:MM:SS".
-            if let Ok(epoch) = f.parse::<u64>() {
-                Value::DateTime(epoch)
-            } else {
-                Value::DateTime(bh_query::bind::parse_datetime(f)?)
-            }
-        }
-        ColumnType::Vector(d) => {
+    match col {
+        ColumnData::UInt64(v) => v.push(f.parse().map_err(|_| bad("UInt64"))?),
+        ColumnData::Int64(v) => v.push(f.parse().map_err(|_| bad("Int64"))?),
+        ColumnData::Float64(v) => v.push(f.parse().map_err(|_| bad("Float64"))?),
+        ColumnData::Str(v) => v.push(f.to_string()),
+        // Numeric epoch or "YYYY-MM-DD HH:MM:SS".
+        ColumnData::DateTime(v) => v.push(match f.parse::<u64>() {
+            Ok(epoch) => epoch,
+            Err(_) => bh_query::bind::parse_datetime(f)?,
+        }),
+        ColumnData::Vector { dim, data } => {
             let inner = f
                 .strip_prefix('[')
                 .and_then(|s| s.strip_suffix(']'))
                 .ok_or_else(|| bad("vector (expected [a, b, …])"))?;
-            let mut v = Vec::new();
+            let start = data.len();
             for part in inner.split([',', ';']) {
                 let p = part.trim();
                 if p.is_empty() {
                     continue;
                 }
-                v.push(p.parse::<f32>().map_err(|_| bad("vector element"))?);
+                data.push(p.parse::<f32>().map_err(|_| bad("vector element"))?);
             }
-            let want = if d != 0 { d } else { dim_hint };
-            if want != 0 && v.len() != want {
-                return Err(BhError::DimensionMismatch { expected: want, got: v.len() });
+            let got = data.len() - start;
+            // A dimensionless column without an index takes its first row's.
+            if *dim == 0 {
+                *dim = got;
             }
-            Value::Vector(v)
+            if got != *dim {
+                return Err(BhError::DimensionMismatch { expected: *dim, got });
+            }
         }
-    })
+    }
+    Ok(())
 }
 
-/// Parse full CSV text into rows conforming to the schema (column order =
-/// schema order). Blank lines are skipped; an optional header line equal to
-/// the column names is skipped too.
-pub fn parse_csv(schema: &TableSchema, text: &str) -> Result<Vec<Vec<Value>>> {
-    let mut rows = Vec::new();
+/// Parse full CSV text into one typed column per schema column, in schema
+/// order. Blank lines are skipped; an optional header line equal to the
+/// column names is skipped too.
+pub fn parse_csv(schema: &TableSchema, text: &str) -> Result<Vec<ColumnData>> {
+    let mut columns = schema.empty_batch();
     let header: Vec<&str> = schema.columns.iter().map(|c| c.name.as_str()).collect();
     for (lineno, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
@@ -107,23 +109,18 @@ pub fn parse_csv(schema: &TableSchema, text: &str) -> Result<Vec<Vec<Value>>> {
                 schema.columns.len()
             )));
         }
-        let row: Vec<Value> = fields
-            .iter()
-            .zip(&schema.columns)
-            .map(|(f, def)| {
-                let dim_hint = schema.index_on(&def.name).map(|i| i.spec.dim).unwrap_or(0);
-                parse_field(f, def.ty, dim_hint)
-                    .map_err(|e| BhError::Parse(format!("csv line {}: {e}", lineno + 1)))
-            })
-            .collect::<Result<_>>()?;
-        rows.push(row);
+        for (f, col) in fields.iter().zip(&mut columns) {
+            push_field(col, f)
+                .map_err(|e| BhError::Parse(format!("csv line {}: {e}", lineno + 1)))?;
+        }
     }
-    Ok(rows)
+    Ok(columns)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bh_storage::value::{ColumnType, Value};
     use bh_vector::{IndexKind, Metric};
 
     fn schema() -> TableSchema {
@@ -147,23 +144,22 @@ mod tests {
     #[test]
     fn full_rows_parse() {
         let text = "1,cat,100,[0.1, 0.2, 0.3]\n2,\"a,dog\",2024-01-01 00:00:00,[1;2;3]\n";
-        let rows = parse_csv(&schema(), text).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0][0], Value::UInt64(1));
-        assert_eq!(rows[1][1], Value::Str("a,dog".into()));
-        assert_eq!(rows[0][3], Value::Vector(vec![0.1, 0.2, 0.3]));
-        assert_eq!(rows[1][3], Value::Vector(vec![1.0, 2.0, 3.0]));
+        let cols = parse_csv(&schema(), text).unwrap();
+        assert_eq!(cols.len(), 4);
+        assert_eq!(cols[0], ColumnData::UInt64(vec![1, 2]));
+        assert_eq!(cols[1].get(1), Value::Str("a,dog".into()));
+        assert_eq!(cols[3].vector_at(0).unwrap(), &[0.1, 0.2, 0.3]);
+        assert_eq!(cols[3].vector_at(1).unwrap(), &[1.0, 2.0, 3.0]);
         // DateTime from string form.
-        let Value::DateTime(ts) = rows[1][2] else { panic!() };
+        let Value::DateTime(ts) = cols[2].get(1) else { panic!() };
         assert!(ts > 1_700_000_000);
     }
 
     #[test]
     fn header_row_skipped() {
         let text = "id,label,ts,emb\n7,x,0,[1,2,3]\n";
-        let rows = parse_csv(&schema(), text).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0][0], Value::UInt64(7));
+        let cols = parse_csv(&schema(), text).unwrap();
+        assert_eq!(cols[0], ColumnData::UInt64(vec![7]));
     }
 
     #[test]
@@ -178,7 +174,16 @@ mod tests {
 
     #[test]
     fn blank_lines_skipped() {
-        let rows = parse_csv(&schema(), "\n1,x,0,[1,2,3]\n\n").unwrap();
-        assert_eq!(rows.len(), 1);
+        let cols = parse_csv(&schema(), "\n1,x,0,[1,2,3]\n\n").unwrap();
+        assert!(cols.iter().all(|c| c.len() == 1));
+    }
+
+    #[test]
+    fn dimensionless_column_takes_its_first_rows_dimension() {
+        let s = TableSchema::new("t").with_column("emb", ColumnType::Vector(0));
+        let cols = parse_csv(&s, "[1, 2]\n[3, 4]\n").unwrap();
+        assert_eq!(cols, vec![ColumnData::Vector { dim: 2, data: vec![1.0, 2.0, 3.0, 4.0] }]);
+        let err = parse_csv(&s, "[1, 2]\n[3]\n").unwrap_err().to_string();
+        assert!(err.contains("line 2") && err.contains("dimension mismatch"), "{err}");
     }
 }

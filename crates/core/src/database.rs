@@ -523,7 +523,7 @@ impl Database {
             InsertStmt::Values { table, rows } => {
                 let t = self.table(table)?;
                 let schema = t.schema();
-                let mut typed = Vec::with_capacity(rows.len());
+                let mut columns = schema.empty_batch();
                 for lits in rows {
                     if lits.len() != schema.columns.len() {
                         return Err(BhError::InvalidArgument(format!(
@@ -532,24 +532,22 @@ impl Database {
                             schema.columns.len()
                         )));
                     }
-                    let row: Vec<Value> = lits
-                        .iter()
-                        .zip(&schema.columns)
-                        .map(|(l, def)| literal_to_value(l, schema.storage_type(def)))
-                        .collect::<Result<_>>()?;
-                    typed.push(row);
+                    for ((lit, def), col) in lits.iter().zip(&schema.columns).zip(&mut columns) {
+                        col.push(&literal_to_value(lit, schema.storage_type(def))?).map_err(
+                            |e| BhError::InvalidArgument(format!("column {}: {e}", def.name)),
+                        )?;
+                    }
                 }
-                let n = typed.len();
-                t.insert_rows(typed)?;
-                Ok(QueryOutput::Affected(n))
+                t.insert(columns)?;
+                Ok(QueryOutput::Affected(rows.len()))
             }
             InsertStmt::CsvFile { table, path } => {
                 let t = self.table(table)?;
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| BhError::Io(format!("csv file {path}: {e}")))?;
-                let rows = parse_csv(t.schema(), &text)?;
-                let n = rows.len();
-                t.insert_rows(rows)?;
+                let columns = parse_csv(t.schema(), &text)?;
+                let n = columns.first().map_or(0, |c| c.len());
+                t.insert(columns)?;
                 Ok(QueryOutput::Affected(n))
             }
         }

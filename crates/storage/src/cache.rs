@@ -253,10 +253,11 @@ impl IndexCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::ColumnData;
     use crate::objectstore::InMemoryObjectStore;
     use crate::schema::TableSchema;
     use crate::segment::Segment;
-    use crate::value::{ColumnType, Value};
+    use crate::value::ColumnType;
     use bh_common::{BhError, LatencyModel, SegmentId, VirtualClock};
     use bh_vector::{IndexKind, IndexSpec, Metric, SearchParams};
     use std::time::Duration;
@@ -270,10 +271,14 @@ mod tests {
             .with_column("id", ColumnType::UInt64)
             .with_column("emb", ColumnType::Vector(4))
             .with_vector_index("i", "emb", IndexKind::Hnsw, 4, Metric::L2);
-        let rows: Vec<Vec<Value>> = (0..n)
-            .map(|i| vec![Value::UInt64(i as u64), Value::Vector(vec![i as f32; 4])])
-            .collect();
-        let mut seg = Segment::from_rows(&schema, SegmentId(id), rows, vec![], None, 0).unwrap();
+        let columns = vec![
+            ColumnData::UInt64((0..n as u64).collect()),
+            ColumnData::Vector { dim: 4, data: (0..n).flat_map(|i| [i as f32; 4]).collect() },
+        ];
+        let rows: Vec<u32> = (0..n as u32).collect();
+        let mut seg =
+            Segment::from_columns(&schema, SegmentId(id), &columns, &rows, vec![], None, 0)
+                .unwrap();
         // Build + persist the index.
         let spec = IndexSpec::new(IndexKind::Hnsw, 4, Metric::L2);
         let mut b = IndexRegistry.create_builder(&spec).unwrap();
@@ -281,11 +286,8 @@ mod tests {
         let ids: Vec<u64> = (0..n as u64).collect();
         b.add_with_ids(data, &ids).unwrap();
         let idx = b.finish().unwrap();
-        let blob = idx.save_bytes().unwrap();
-        seg.meta.index_kind = Some(IndexKind::Hnsw);
-        seg.meta.index_bytes = blob.len() as u64;
-        store.put(&seg.meta.index_key(), blob).unwrap();
-        seg.persist(store).unwrap();
+        seg.persist_columns(store).unwrap();
+        seg.commit(store, Some((idx.save_bytes().unwrap(), IndexKind::Hnsw))).unwrap();
         seg.meta
     }
 
@@ -360,15 +362,9 @@ mod tests {
     fn segment_without_index_returns_none() {
         let remote = InMemoryObjectStore::for_tests();
         let schema = TableSchema::new("t").with_column("id", ColumnType::UInt64);
-        let seg = Segment::from_rows(
-            &schema,
-            SegmentId(9),
-            vec![vec![Value::UInt64(1)]],
-            vec![],
-            None,
-            0,
-        )
-        .unwrap();
+        let columns = [ColumnData::UInt64(vec![1])];
+        let seg =
+            Segment::from_columns(&schema, SegmentId(9), &columns, &[0], vec![], None, 0).unwrap();
         let cache = IndexCache::new(1 << 20, remote, MetricsRegistry::new());
         assert!(cache.get(&seg.meta).unwrap().is_none());
     }

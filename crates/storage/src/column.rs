@@ -10,6 +10,7 @@ use crate::value::{ColumnType, Value};
 use bh_common::{BhError, Result};
 use bh_vector::codec::{Reader, Writer};
 use bytes::Bytes;
+use std::cmp::Ordering;
 
 /// Rows per serialized block. Kept small relative to segment sizes so the
 /// fine-grained read path has real granularity to exploit.
@@ -115,6 +116,25 @@ impl ColumnData {
                 Value::Vector(data[row * dim..(row + 1) * dim].to_vec())
             }
         }
+    }
+
+    /// How row `a` orders against row `b`: what
+    /// [`Value::partial_cmp_scalar`] says of the two cells, without making
+    /// them. Vector cells have no order and compare equal.
+    pub fn cmp_rows(&self, a: usize, b: usize) -> Ordering {
+        match self {
+            ColumnData::UInt64(v) | ColumnData::DateTime(v) => v[a].cmp(&v[b]),
+            ColumnData::Int64(v) => v[a].cmp(&v[b]),
+            ColumnData::Float64(v) => v[a].total_cmp(&v[b]),
+            ColumnData::Str(v) => v[a].cmp(&v[b]),
+            ColumnData::Vector { .. } => Ordering::Equal,
+        }
+    }
+
+    /// How row `a` orders against row `b` under a key of several columns:
+    /// the first column that tells them apart decides.
+    pub fn cmp_key(key: &[&ColumnData], a: usize, b: usize) -> Ordering {
+        key.iter().map(|c| c.cmp_rows(a, b)).find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
     }
 
     /// Direct vector slice access (hot path for index builds and refine).
@@ -458,6 +478,27 @@ mod tests {
         assert!(vecs.gather_into(&[15], 16, &mut out).is_err());
         assert!(vecs.gather_into(&[20], 16, &mut out).is_err());
         assert!(col.gather_into(&[0], 0, &mut out).is_err());
+    }
+
+    #[test]
+    fn cmp_rows_is_the_value_order() {
+        let cols = [
+            ColumnData::UInt64(vec![3, 1, 3, u64::MAX]),
+            ColumnData::Int64(vec![-2, 5, -2, i64::MIN]),
+            ColumnData::Float64(vec![0.0, -0.0, f64::NAN, f64::NEG_INFINITY]),
+            ColumnData::Str(vec!["b".into(), "a".into(), "b".into(), String::new()]),
+            ColumnData::DateTime(vec![9, 9, 0, 1]),
+            ColumnData::Vector { dim: 1, data: vec![1.0, 0.0, 2.0, 1.0] },
+        ];
+        for col in &cols {
+            for a in 0..4 {
+                for b in 0..4 {
+                    let want =
+                        col.get(a).partial_cmp_scalar(&col.get(b)).unwrap_or(Ordering::Equal);
+                    assert_eq!(col.cmp_rows(a, b), want, "{:?} rows {a}, {b}", col.ty());
+                }
+            }
+        }
     }
 
     #[test]

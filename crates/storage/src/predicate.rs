@@ -554,7 +554,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn row(pairs: &[(&str, Value)]) -> BTreeMap<String, Value> {
+    fn cells(pairs: &[(&str, Value)]) -> BTreeMap<String, Value> {
         pairs.iter().map(|(k, v)| (k.to_string(), v.clone())).collect()
     }
 
@@ -574,7 +574,7 @@ mod tests {
 
     #[test]
     fn row_eval_basics() {
-        let r = row(&[("x", Value::UInt64(5)), ("s", Value::Str("animal".into()))]);
+        let r = cells(&[("x", Value::UInt64(5)), ("s", Value::Str("animal".into()))]);
         assert!(Predicate::eq("x", Value::UInt64(5)).eval(&r).unwrap());
         assert!(!Predicate::eq("x", Value::UInt64(6)).eval(&r).unwrap());
         assert!(Predicate::range("x", Some(Value::UInt64(5)), Some(Value::UInt64(9)))
@@ -590,7 +590,7 @@ mod tests {
 
     #[test]
     fn compound_eval() {
-        let r = row(&[("a", Value::UInt64(1)), ("b", Value::UInt64(2))]);
+        let r = cells(&[("a", Value::UInt64(1)), ("b", Value::UInt64(2))]);
         let p = Predicate::And(vec![
             Predicate::eq("a", Value::UInt64(1)),
             Predicate::eq("b", Value::UInt64(2)),
@@ -624,10 +624,7 @@ mod tests {
 
     #[test]
     fn stats_pruning() {
-        let mut st = ColumnStats::default();
-        for v in 10..20u64 {
-            st.observe(&Value::UInt64(v));
-        }
+        let st = ColumnStats::of(&ColumnData::UInt64((10..20).collect())).unwrap();
         let stats: BTreeMap<String, ColumnStats> = [("x".to_string(), st)].into_iter().collect();
         assert!(Predicate::eq("x", Value::UInt64(15)).may_match_stats(&stats));
         assert!(!Predicate::eq("x", Value::UInt64(50)).may_match_stats(&stats));
@@ -650,17 +647,12 @@ mod tests {
 
     #[test]
     fn selectivity_estimates() {
-        let mut b = crate::stats::TableSketch::builder();
-        for i in 0..1000u64 {
-            b.observe("x", ColumnType::UInt64, &Value::UInt64(i));
-            b.observe(
-                "label",
-                ColumnType::Str,
-                &Value::Str(if i % 10 == 0 { "rare".into() } else { "common".into() }),
-            );
-        }
+        let mut b = crate::stats::TableSketchBuilder::default();
+        b.observe_column("x", &ColumnData::UInt64((0..1000).collect()));
+        let labels = (0..1000).map(|i| if i % 10 == 0 { "rare" } else { "common" }.to_string());
+        b.observe_column("label", &ColumnData::Str(labels.collect()));
         b.observe_row_count(1000);
-        let sk = b.finish();
+        let sk = b.snapshot();
         let s = Predicate::range("x", Some(Value::UInt64(0)), Some(Value::UInt64(99)))
             .estimate_selectivity(&sk);
         assert!((s - 0.1).abs() < 0.05, "range selectivity {s}");

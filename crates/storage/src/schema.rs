@@ -1,7 +1,8 @@
 //! Table schemas: columns, sort key, partitioning, and vector index
 //! definitions — the storage-side mirror of Example 1's DDL.
 
-use crate::value::{ColumnType, Value};
+use crate::column::ColumnData;
+use crate::value::ColumnType;
 use bh_common::{BhError, Result};
 use bh_vector::{IndexKind, IndexSpec, Metric};
 use serde::{Deserialize, Serialize};
@@ -216,36 +217,64 @@ impl TableSchema {
         Ok(())
     }
 
-    /// Validate one row against the schema (arity + per-cell type).
-    pub fn validate_row(&self, row: &[Value]) -> Result<()> {
-        if row.len() != self.columns.len() {
+    /// The columns of a batch that `key` (`ORDER BY`, `PARTITION BY`) names.
+    pub fn key_columns<'a>(
+        &self,
+        key: &[String],
+        columns: &'a [ColumnData],
+    ) -> Result<Vec<&'a ColumnData>> {
+        let find = |c: &String| self.column_index(c).map(|i| &columns[i]);
+        key.iter()
+            .map(|c| find(c).ok_or_else(|| BhError::NotFound(format!("key column {c}"))))
+            .collect()
+    }
+
+    /// One empty column per schema column, of its storage type: an ingest
+    /// batch to fill.
+    pub fn empty_batch(&self) -> Vec<ColumnData> {
+        self.columns.iter().map(|c| ColumnData::empty(self.storage_type(c))).collect()
+    }
+
+    /// Check an ingest batch — one column per schema column, in order —
+    /// and return its row count. Every column has its storage type (a
+    /// dimensionless vector column takes any one dimension) and the same
+    /// number of rows, and every vector component is finite. A column
+    /// cannot hold a NULL: filling one with it fails, naming the column.
+    pub fn check_batch(&self, columns: &[ColumnData]) -> Result<usize> {
+        if columns.len() != self.columns.len() {
             return Err(BhError::InvalidArgument(format!(
-                "row arity {} != schema arity {}",
-                row.len(),
+                "batch of {} columns for {} schema columns",
+                columns.len(),
                 self.columns.len()
             )));
         }
-        for (v, c) in row.iter().zip(&self.columns) {
-            let ty = self.storage_type(c);
-            if !v.conforms_to(ty) {
+        let rows = columns.first().map_or(0, ColumnData::len);
+        for (col, def) in columns.iter().zip(&self.columns) {
+            let (got, want) = (col.ty(), self.storage_type(def));
+            let typed = got == want || (want == ColumnType::Vector(0) && got.is_vector());
+            if !typed || col.len() != rows {
                 return Err(BhError::InvalidArgument(format!(
-                    "value {v} does not conform to column {} ({})",
-                    c.name,
-                    ty.name()
+                    "column {} holds {} {} cells, not {rows} {}",
+                    def.name,
+                    col.len(),
+                    got.name(),
+                    want.name()
                 )));
             }
             // A non-finite component has no distance order: every distance
             // to it is NaN or infinite.
-            if let Value::Vector(v) = v {
-                if let Some(i) = v.iter().position(|x| !x.is_finite()) {
+            if let Some((data, dim)) = col.vector_data() {
+                if let Some(i) = data.iter().position(|x| !x.is_finite()) {
                     return Err(BhError::InvalidArgument(format!(
-                        "column {} component {i} is {}, not a finite Float32",
-                        c.name, v[i]
+                        "column {} component {} is {}, not a finite Float32",
+                        def.name,
+                        i % dim.max(1),
+                        data[i]
                     )));
                 }
             }
         }
-        Ok(())
+        Ok(rows)
     }
 }
 
@@ -323,48 +352,45 @@ mod tests {
         assert!(s.validate().is_err());
     }
 
+    /// A two-row batch of `images_schema`, its vectors `[first; second]`.
+    fn batch(first: Vec<f32>, second: Vec<f32>) -> Vec<ColumnData> {
+        vec![
+            ColumnData::UInt64(vec![1, 2]),
+            ColumnData::Str(vec!["animal".into(), "plant".into()]),
+            ColumnData::DateTime(vec![100, 200]),
+            ColumnData::Vector { dim: first.len(), data: [first, second].concat() },
+        ]
+    }
+
     #[test]
     fn row_validation() {
         let s = images_schema();
-        let good = vec![
-            Value::UInt64(1),
-            Value::Str("animal".into()),
-            Value::DateTime(100),
-            Value::Vector(vec![0.0; 8]),
-        ];
-        s.validate_row(&good).unwrap();
-        let bad_arity = vec![Value::UInt64(1)];
-        assert!(s.validate_row(&bad_arity).is_err());
-        let bad_dim = vec![
-            Value::UInt64(1),
-            Value::Str("x".into()),
-            Value::DateTime(100),
-            Value::Vector(vec![0.0; 4]),
-        ];
-        assert!(s.validate_row(&bad_dim).is_err());
-        let bad_type = vec![
-            Value::Str("oops".into()),
-            Value::Str("x".into()),
-            Value::DateTime(100),
-            Value::Vector(vec![0.0; 8]),
-        ];
-        assert!(s.validate_row(&bad_type).is_err());
+        assert_eq!(s.check_batch(&batch(vec![0.0; 8], vec![1.0; 8])).unwrap(), 2);
+        assert_eq!(s.check_batch(&s.empty_batch()).unwrap(), 0);
+        let mut bad_arity = batch(vec![0.0; 8], vec![1.0; 8]);
+        bad_arity.pop();
+        assert!(s.check_batch(&bad_arity).is_err());
+        let err = s.check_batch(&batch(vec![0.0; 4], vec![1.0; 4])).unwrap_err().to_string();
+        assert!(err.contains("column embedding"), "{err}");
+        let mut bad_type = batch(vec![0.0; 8], vec![1.0; 8]);
+        bad_type[0] = ColumnData::Str(vec!["oops".into(), "x".into()]);
+        assert!(s.check_batch(&bad_type).unwrap_err().to_string().contains("column id"));
+        let mut ragged = batch(vec![0.0; 8], vec![1.0; 8]);
+        ragged[2] = ColumnData::DateTime(vec![100]);
+        assert!(s.check_batch(&ragged).unwrap_err().to_string().contains("column published_time"));
     }
 
     #[test]
     fn non_finite_vector_components_are_rejected_by_column_and_index() {
         let s = images_schema();
-        let row = |v: Vec<f32>| {
-            vec![Value::UInt64(1), Value::Str("x".into()), Value::DateTime(100), Value::Vector(v)]
-        };
         for (bad, at) in [(f32::INFINITY, 0), (f32::NEG_INFINITY, 3), (f32::NAN, 7)] {
             let mut v = vec![1.0f32; 8];
             v[at] = bad;
-            let err = s.validate_row(&row(v)).unwrap_err().to_string();
+            let err = s.check_batch(&batch(vec![1.0; 8], v)).unwrap_err().to_string();
             assert!(err.contains(&format!("column embedding component {at}")), "{err}");
         }
-        s.validate_row(&row(vec![f32::MAX, -f32::MAX, f32::MIN_POSITIVE, -0.0, 0.0, 1.0, 2.0, 3.0]))
-            .unwrap();
+        let extremes = vec![f32::MAX, -f32::MAX, f32::MIN_POSITIVE, -0.0, 0.0, 1.0, 2.0, 3.0];
+        s.check_batch(&batch(extremes, vec![0.0; 8])).unwrap();
     }
 
     #[test]
@@ -373,7 +399,12 @@ mod tests {
             .with_column("v", ColumnType::Vector(0))
             .with_vector_index("i", "v", IndexKind::Hnsw, 4, Metric::L2);
         s.validate().unwrap();
-        assert!(s.validate_row(&[Value::Vector(vec![0.0; 4])]).is_ok());
-        assert!(s.validate_row(&[Value::Vector(vec![0.0; 5])]).is_err());
+        assert_eq!(s.empty_batch(), vec![ColumnData::empty(ColumnType::Vector(4))]);
+        let vectors = |dim: usize| vec![ColumnData::Vector { dim, data: vec![0.0; dim] }];
+        assert_eq!(s.check_batch(&vectors(4)).unwrap(), 1);
+        assert!(s.check_batch(&vectors(5)).is_err());
+        // With no index to take a dimension from, any one dimension fits.
+        let s = TableSchema::new("t").with_column("v", ColumnType::Vector(0));
+        assert_eq!(s.check_batch(&vectors(5)).unwrap(), 1);
     }
 }

@@ -10,11 +10,14 @@
 //!   the cost-based optimizer its `s` (predicate selectivity) estimate
 //!   (Table II, Poosala-style histograms).
 
-use crate::value::{ColumnType, Value};
+use crate::column::ColumnData;
+use crate::value::Value;
+use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Min/max of one column within one segment. Vector columns carry no stats.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// Min/max of one column within one segment (part of the segment's meta
+/// blob). Vector columns carry no stats.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ColumnStats {
     /// Smallest observed value.
     pub min: Option<Value>,
@@ -25,28 +28,23 @@ pub struct ColumnStats {
 }
 
 impl ColumnStats {
-    /// Fold one value into the stats.
-    pub fn observe(&mut self, v: &Value) {
-        if v.is_null() || v.as_vector().is_some() {
-            return;
+    /// Min / max / count of one column: the first smallest and the first
+    /// largest cell by [`ColumnData::cmp_rows`]. `None` for a vector column
+    /// or one with no rows.
+    pub fn of(col: &ColumnData) -> Option<ColumnStats> {
+        if col.ty().is_vector() || col.is_empty() {
+            return None;
         }
-        self.rows += 1;
-        match &self.min {
-            None => self.min = Some(v.clone()),
-            Some(m) => {
-                if v.partial_cmp_scalar(m) == Some(std::cmp::Ordering::Less) {
-                    self.min = Some(v.clone());
-                }
+        let (mut lo, mut hi) = (0, 0);
+        for i in 1..col.len() {
+            if col.cmp_rows(i, lo).is_lt() {
+                lo = i;
+            }
+            if col.cmp_rows(i, hi).is_gt() {
+                hi = i;
             }
         }
-        match &self.max {
-            None => self.max = Some(v.clone()),
-            Some(m) => {
-                if v.partial_cmp_scalar(m) == Some(std::cmp::Ordering::Greater) {
-                    self.max = Some(v.clone());
-                }
-            }
-        }
+        Some(ColumnStats { min: Some(col.get(lo)), max: Some(col.get(hi)), rows: col.len() })
     }
 
     /// Could any value in `[min, max]` fall inside `[lo, hi]`? `None` bounds
@@ -235,13 +233,6 @@ pub struct TableSketch {
     pub rows: u64,
 }
 
-impl TableSketch {
-    /// Build from column iterators. Vector columns are skipped.
-    pub fn builder() -> TableSketchBuilder {
-        TableSketchBuilder::default()
-    }
-}
-
 /// Incremental builder used during segment writes.
 #[derive(Debug, Default)]
 pub struct TableSketchBuilder {
@@ -251,20 +242,27 @@ pub struct TableSketchBuilder {
 }
 
 impl TableSketchBuilder {
-    /// Fold one cell into the per-column accumulators.
-    pub fn observe(&mut self, column: &str, ty: ColumnType, v: &Value) {
-        match ty {
-            ColumnType::Str => {
-                if let Some(s) = v.as_str() {
-                    self.strings.entry(column.to_string()).or_default().observe(s);
-                }
+    /// Fold one column of an ingest batch into its accumulator: strings
+    /// into the distinct counter, numbers (as `f64`) into the histogram's
+    /// values, in row order. Vector columns are skipped.
+    pub fn observe_column(&mut self, column: &str, data: &ColumnData) {
+        if data.is_empty() {
+            return;
+        }
+        let mut numbers = |cells: &mut dyn Iterator<Item = f64>| {
+            self.numeric.entry(column.to_string()).or_default().extend(cells)
+        };
+        match data {
+            ColumnData::UInt64(v) | ColumnData::DateTime(v) => {
+                numbers(&mut v.iter().map(|&x| x as f64))
             }
-            ColumnType::Vector(_) => {}
-            _ => {
-                if let Some(f) = v.as_f64() {
-                    self.numeric.entry(column.to_string()).or_default().push(f);
-                }
+            ColumnData::Int64(v) => numbers(&mut v.iter().map(|&x| x as f64)),
+            ColumnData::Float64(v) => numbers(&mut v.iter().copied()),
+            ColumnData::Str(v) => {
+                let sketch = self.strings.entry(column.to_string()).or_default();
+                v.iter().for_each(|s| sketch.observe(s));
             }
+            ColumnData::Vector { .. } => {}
         }
     }
 
@@ -291,24 +289,6 @@ impl TableSketchBuilder {
         }
         TableSketch { columns, rows: self.rows }
     }
-
-    /// Consume the builder into a sketch.
-    pub fn finish(self) -> TableSketch {
-        let mut columns = BTreeMap::new();
-        for (name, vals) in self.numeric {
-            columns.insert(
-                name,
-                ColumnSketch::Numeric(NumericHistogram::build(
-                    vals,
-                    NumericHistogram::DEFAULT_BUCKETS,
-                )),
-            );
-        }
-        for (name, sk) in self.strings {
-            columns.insert(name, ColumnSketch::Strings(sk));
-        }
-        TableSketch { columns, rows: self.rows }
-    }
 }
 
 #[cfg(test)]
@@ -318,10 +298,8 @@ mod tests {
 
     #[test]
     fn column_stats_minmax_and_pruning() {
-        let mut s = ColumnStats::default();
-        for v in [5u64, 1, 9, 3] {
-            s.observe(&Value::UInt64(v));
-        }
+        let s = ColumnStats::of(&ColumnData::UInt64(vec![5, 1, 9, 3])).unwrap();
+        assert_eq!(s.rows, 4);
         assert_eq!(s.min, Some(Value::UInt64(1)));
         assert_eq!(s.max, Some(Value::UInt64(9)));
         assert!(s.may_contain(&Value::UInt64(5)));
@@ -339,10 +317,8 @@ mod tests {
 
     #[test]
     fn vector_values_ignored() {
-        let mut s = ColumnStats::default();
-        s.observe(&Value::Vector(vec![1.0]));
-        assert_eq!(s.rows, 0);
-        assert!(s.min.is_none());
+        assert!(ColumnStats::of(&ColumnData::Vector { dim: 1, data: vec![1.0] }).is_none());
+        assert!(ColumnStats::of(&ColumnData::UInt64(vec![])).is_none());
     }
 
     #[test]
@@ -393,18 +369,21 @@ mod tests {
 
     #[test]
     fn sketch_builder_routes_types() {
-        let mut b = TableSketch::builder();
-        for i in 0..100 {
-            b.observe("x", ColumnType::UInt64, &Value::UInt64(i));
-            b.observe("label", ColumnType::Str, &Value::Str(format!("l{}", i % 4)));
-            b.observe("v", ColumnType::Vector(2), &Value::Vector(vec![0.0, 1.0]));
-        }
+        let mut b = TableSketchBuilder::default();
+        b.observe_column("x", &ColumnData::UInt64((0..100).collect()));
+        b.observe_column(
+            "label",
+            &ColumnData::Str((0..100).map(|i| format!("l{}", i % 4)).collect()),
+        );
+        b.observe_column("v", &ColumnData::Vector { dim: 2, data: [0.0, 1.0].repeat(100) });
+        b.observe_column("empty", &ColumnData::Float64(vec![]));
         b.observe_row_count(100);
-        let sk = b.finish();
+        let sk = b.snapshot();
         assert_eq!(sk.rows, 100);
         assert!(matches!(sk.columns.get("x"), Some(ColumnSketch::Numeric(_))));
         assert!(matches!(sk.columns.get("label"), Some(ColumnSketch::Strings(_))));
         assert!(!sk.columns.contains_key("v"));
+        assert!(!sk.columns.contains_key("empty"));
     }
 
     proptest! {

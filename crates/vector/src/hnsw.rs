@@ -425,13 +425,16 @@ impl HnswIndex {
         filter: Option<&Bitset>,
     ) -> (Vec<DistNode>, usize) {
         match filter {
-            Some(f) if params.filter_traversal => self.search_layer0_filtered(
-                query,
-                entry,
-                params.traversal_ef(ef_base),
-                f,
-                params.hop_budget(),
-            ),
+            // The base ef, unwidened: the traversal's result heap admits
+            // only predicate-passing rows, so an `ef`-sized heap already
+            // demands `ef` answerable candidates, and the wavefront covers
+            // what a plain beam of width `ef/s` would
+            // (`SearchParams::predicted_visits`). Widening on top would
+            // count the selectivity twice (ACORN keeps its candidate list
+            // size unchanged for the same reason).
+            Some(f) if params.filter_traversal => {
+                self.search_layer0_filtered(query, entry, ef_base, f, params.hop_budget())
+            }
             // With a selective filter, widen the beam so enough filtered
             // rows survive — hnswlib's recipe, with the factor now derived
             // from the selectivity estimate instead of a fixed 2x.
@@ -636,10 +639,6 @@ impl SearchIterator for HnswIterator<'_> {
 
     fn visited(&self) -> usize {
         self.n_visited
-    }
-
-    fn exhausted(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -1266,7 +1265,6 @@ mod tests {
                     let beam = |q: &[f32], e: u32| idx.search_layer(q, e, ef, 0).1;
                     let widened = |q: &[f32], e: u32| idx.search_layer(q, e, p.widened_ef(ef), 0).1;
                     let traversal = |q: &[f32], e: u32| {
-                        let ef = p.traversal_ef(ef);
                         idx.search_layer0_filtered(q, e, ef, &bits, p.hop_budget()).1
                     };
                     let pull = |q: &[f32], _: u32| {
@@ -1378,13 +1376,8 @@ mod tests {
                 h.word(idx.search_layer(&qv, entry, widened.widened_ef(ef), 0).1 as u64);
                 // Plan D: predicate-aware traversal.
                 h.hits(&idx.search_with_bound(&qv, k, &walk, Some(&allow), None).unwrap());
-                let (cands, visited) = idx.search_layer0_filtered(
-                    &qv,
-                    entry,
-                    walk.traversal_ef(ef),
-                    &allow,
-                    walk.hop_budget(),
-                );
+                let (cands, visited) =
+                    idx.search_layer0_filtered(&qv, entry, ef, &allow, walk.hop_budget());
                 h.word(cands.len() as u64);
                 h.word(visited as u64);
                 // Shared bound: a vacuous one gets published to (raw store

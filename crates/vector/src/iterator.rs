@@ -29,9 +29,6 @@ pub trait SearchIterator {
     /// Total number of candidate rows visited so far (distance computations),
     /// used for cost accounting and the iterator-redundancy ablation.
     fn visited(&self) -> usize;
-
-    /// True once the iterator can produce no further results.
-    fn exhausted(&self) -> bool;
 }
 
 /// Restart-based iterator for indexes without native incremental search.
@@ -116,10 +113,6 @@ impl SearchIterator for GenericSearchIterator<'_> {
 
     fn visited(&self) -> usize {
         self.visited
-    }
-
-    fn exhausted(&self) -> bool {
-        self.exhausted && self.pending.is_empty()
     }
 }
 
@@ -210,7 +203,6 @@ mod tests {
             assert!(w[0].distance <= w[1].distance + 1e-6);
         }
         expected.sort_unstable();
-        assert!(it.exhausted());
         // Further calls stay empty.
         assert!(it.next_batch(5).unwrap().is_empty());
     }
@@ -221,8 +213,12 @@ mod tests {
         let q = vec![0.0; 4];
         let mut it = idx.search_iterator(&q, &SearchParams::default()).unwrap();
         let mut ids = Vec::new();
-        while !it.exhausted() {
-            ids.extend(it.next_batch(3).unwrap().iter().map(|nb| nb.id));
+        loop {
+            let batch = it.next_batch(3).unwrap();
+            if batch.is_empty() {
+                break;
+            }
+            ids.extend(batch.iter().map(|nb| nb.id));
         }
         let mut sorted = ids.clone();
         sorted.sort_unstable();
@@ -238,8 +234,12 @@ mod tests {
         let params = SearchParams::default();
         let mut it = GenericSearchIterator::new(&idx, &q, &params);
         let mut total = 0;
-        while !it.exhausted() {
-            total += it.next_batch(4).unwrap().len();
+        loop {
+            let got = it.next_batch(4).unwrap().len();
+            if got == 0 {
+                break;
+            }
+            total += got;
         }
         assert_eq!(total, 64);
         // Restart redundancy: visited strictly exceeds rows returned.
@@ -267,6 +267,6 @@ mod tests {
         let params = SearchParams::default();
         let mut it = GenericSearchIterator::new(&idx, &q, &params);
         assert!(it.next_batch(3).unwrap().is_empty());
-        assert!(it.exhausted());
+        assert!(it.next_batch(3).unwrap().is_empty());
     }
 }

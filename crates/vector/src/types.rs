@@ -303,20 +303,6 @@ impl SearchParams {
         base.saturating_mul(self.filter_widen_factor())
     }
 
-    /// Beam width for the predicate-aware traversal: the base ef,
-    /// unchanged. Unlike the bitmap-filtered beam, the traversal's result
-    /// heap admits only predicate-passing rows, so an `ef`-sized heap
-    /// already demands `ef` *answerable* candidates — the widening is
-    /// implicit: to collect them the wavefront covers the ball holding the
-    /// `ef/s` nearest rows, i.e. it visits what a plain beam of width
-    /// `ef/s` would ([`Self::predicted_visits`]). Multiplying ef on top of
-    /// that double-counts the selectivity and re-inflates the beam the
-    /// traversal exists to avoid (ACORN keeps the candidate list size
-    /// unchanged for the same reason).
-    pub fn traversal_ef(&self, base: usize) -> usize {
-        base
-    }
-
     /// How many consecutive predicate-failing hops the traversal may take
     /// from the last passing node before abandoning a path. Selective
     /// filters leave fewer passing nodes, so the graph needs deeper
@@ -628,27 +614,22 @@ mod tests {
         let p = SearchParams::default();
         assert_eq!(p.filter_widen_factor(), 2);
         assert_eq!(p.widened_ef(64), 128);
-        assert_eq!(p.traversal_ef(64), 64);
         assert_eq!(p.hop_budget(), 3);
 
         // Permissive filter: almost everything passes, no widening needed.
         let p = SearchParams::default().with_selectivity(1.0);
         assert_eq!(p.filter_widen_factor(), 1);
-        assert_eq!(p.traversal_ef(64), 64);
         assert_eq!(p.hop_budget(), 2);
 
-        // Mid selectivity: bitmap widening ~1/s; the traversal heap stays at
-        // base ef (only passing rows enter it — widening is implicit).
+        // Mid selectivity: bitmap widening ~1/s.
         let p = SearchParams::default().with_selectivity(0.25);
         assert_eq!(p.filter_widen_factor(), 4);
         assert_eq!(p.widened_ef(64), 256);
-        assert_eq!(p.traversal_ef(64), 64);
         assert_eq!(p.hop_budget(), 3);
 
         // Ultra-selective: bitmap factor hits its clamp; deepest hops.
         let p = SearchParams::default().with_selectivity(1e-4);
         assert_eq!(p.filter_widen_factor(), 16);
-        assert_eq!(p.traversal_ef(64), 64);
         assert_eq!(p.hop_budget(), 5);
 
         // Degenerate estimates fall back to the legacy factor.
