@@ -46,11 +46,12 @@ fn visible_state(db: &Database) -> HashMap<u64, i64> {
     let table = db.table("t").unwrap();
     let mut out = HashMap::new();
     for meta in table.segments() {
-        let seg = table.load_segment(&meta).unwrap();
+        let ids = table.load_column(&meta, "id").unwrap();
+        let scores = table.load_column(&meta, "score").unwrap();
         let vis = table.visibility(&meta);
         for o in vis.iter() {
-            let Value::UInt64(id) = seg.columns["id"].get(o) else { panic!() };
-            let Value::Int64(score) = seg.columns["score"].get(o) else { panic!() };
+            let Value::UInt64(id) = ids.get(o) else { panic!() };
+            let Value::Int64(score) = scores.get(o) else { panic!() };
             let prev = out.insert(id, score);
             assert!(prev.is_none(), "two visible versions of id {id}");
         }
