@@ -21,8 +21,9 @@
 //! has left is thin, and re-anchoring the sweep is a ROADMAP item.
 //!
 //! Results go to `target/bench-fresh/BENCH_filter.json` in the committed
-//! schema so `cargo xtask bench-diff` gates the `_qps` fields (recall
-//! fields are recorded but not gated — they are not latencies).
+//! schema so `cargo xtask bench-diff` gates the `_qps` fields at its
+//! latency threshold and the `_recall` fields exactly: data and queries are
+//! seeded, so two runs of one build return the same rows.
 
 use bh_bench::datasets::DatasetSpec;
 use bh_bench::harness::{measure_qps, print_table, write_fresh_json, Timer};

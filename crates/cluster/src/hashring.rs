@@ -49,6 +49,10 @@ fn worker_point(w: WorkerId) -> u64 {
     fnv1a(format!("worker-{}", w.raw()).as_bytes())
 }
 
+/// Hash probes per segment key on a warehouse's ring: the paper-cited 21,
+/// which gives ~1.05 peak load ratio.
+pub const RING_PROBES: u32 = 21;
+
 /// The ring: one point per worker, `probes` hash probes per key.
 #[derive(Debug, Clone)]
 pub struct MultiProbeRing {
@@ -57,8 +61,8 @@ pub struct MultiProbeRing {
 }
 
 impl MultiProbeRing {
-    /// `probes` ≥ 1; the paper-cited default of 21 probes gives ~1.05 peak
-    /// load ratio.
+    /// `probes` ≥ 1 ([`RING_PROBES`] on a warehouse; the balance test
+    /// compares it with one).
     pub fn new(probes: u32) -> Self {
         Self { points: BTreeMap::new(), probes: probes.max(1) }
     }

@@ -21,7 +21,7 @@
 //! * **Cache-aware preload** (§II-D): new indexes are pushed to the workers
 //!   the ring assigns them to.
 
-use crate::hashring::MultiProbeRing;
+use crate::hashring::{MultiProbeRing, RING_PROBES};
 use crate::worker::{Worker, WorkerConfig};
 use bh_common::ids::IdGenerator;
 use bh_common::metrics::Counter;
@@ -40,8 +40,6 @@ use std::sync::Arc;
 /// VW-level configuration.
 #[derive(Debug, Clone)]
 pub struct VwConfig {
-    /// Hash probes per segment key (multi-probe consistent hashing).
-    pub probes: u32,
     /// Enable vector search serving on cache miss.
     pub serving_enabled: bool,
     /// RPC latency model for worker-to-worker serving calls.
@@ -52,12 +50,7 @@ pub struct VwConfig {
 
 impl Default for VwConfig {
     fn default() -> Self {
-        Self {
-            probes: 21,
-            serving_enabled: true,
-            rpc: LatencyModel::ZERO,
-            worker: WorkerConfig::default(),
-        }
+        Self { serving_enabled: true, rpc: LatencyModel::ZERO, worker: WorkerConfig::default() }
     }
 }
 
@@ -109,7 +102,6 @@ impl VirtualWarehouse {
         metrics: MetricsRegistry,
         ids: Arc<IdGenerator>,
     ) -> Self {
-        let probes = cfg.probes;
         Self {
             id,
             name: name.to_string(),
@@ -118,7 +110,7 @@ impl VirtualWarehouse {
             clock,
             ids,
             workers: RwLock::new(&classes::VW_WORKERS, BTreeMap::new()),
-            ring: RwLock::new(&classes::VW_RING, MultiProbeRing::new(probes)),
+            ring: RwLock::new(&classes::VW_RING, MultiProbeRing::new(RING_PROBES)),
             previous_owner: RwLock::new(&classes::VW_PREV_OWNER, HashMap::new()),
             owners: RwLock::new(&classes::VW_OWNER_MEMO, HashMap::new()),
             ring_assigns: metrics.counter("vw.ring_assigns"),
@@ -732,7 +724,7 @@ mod tests {
 
     /// The ring a warehouse rebuilt from scratch with `v`'s membership has.
     fn fresh_ring(v: &VirtualWarehouse) -> MultiProbeRing {
-        let mut ring = MultiProbeRing::new(VwConfig::default().probes);
+        let mut ring = MultiProbeRing::new(RING_PROBES);
         for wid in v.worker_ids() {
             ring.add_worker(wid);
         }

@@ -401,11 +401,6 @@ impl MetricsRegistry {
         self.counter(&labeled(name, labels))
     }
 
-    /// Get or create the gauge `name{labels}` (see [`labeled`]).
-    pub fn gauge_with_labels(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        self.gauge(&labeled(name, labels))
-    }
-
     /// Get or create the histogram `name{labels}` (see [`labeled`]).
     pub fn histogram_with_labels(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
         self.histogram(&labeled(name, labels))

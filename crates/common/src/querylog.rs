@@ -31,7 +31,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Default number of records the ring retains.
+/// Records the ring retains: a `Database` keeps its last this many
+/// statements for `system.query_log`.
 pub const DEFAULT_LOG_CAPACITY: usize = 1024;
 
 /// Default number of slow-query traces retained.

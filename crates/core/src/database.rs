@@ -69,9 +69,6 @@ pub struct DatabaseConfig {
     pub default_workers: usize,
     /// Default query options (can be overridden per statement).
     pub query: QueryOptions,
-    /// Ring capacity of the always-on query log (records retained for
-    /// `system.query_log`).
-    pub query_log_capacity: usize,
     /// When set, every statement is traced and queries the policy selects
     /// (slow or failed) keep their full span tree for `system.spans` /
     /// `SYSTEM TRACE EXPORT`.
@@ -87,7 +84,6 @@ impl Default for DatabaseConfig {
             vw: VwConfig::default(),
             default_workers: 2,
             query: QueryOptions::default(),
-            query_log_capacity: bh_common::querylog::DEFAULT_LOG_CAPACITY,
             slow_query: None,
         }
     }
@@ -153,7 +149,7 @@ impl Database {
             metrics.clone(),
             "remote",
         ));
-        let querylog = QueryLog::new(cfg.query_log_capacity);
+        let querylog = QueryLog::default();
         querylog.set_slow_policy(cfg.slow_query.clone());
         // Pre-register the SLO histograms and process self-metrics so
         // `metrics_text()` is non-empty even before the first table exists.

@@ -112,8 +112,6 @@ pub struct CostParams {
     /// One complete search of an IVF index (`c_r`): what each further round
     /// of the post-filter restart wrapper costs.
     pub c_r: f64,
-    /// Refine amplification (`σ > 1`).
-    pub sigma: f64,
 }
 
 impl Default for CostParams {
@@ -133,16 +131,7 @@ impl Default for CostParams {
         // two segments (the decision table pins both) — per-segment pricing
         // (ROADMAP) replaces it by a measured cost x segments. `c_c` and
         // `c_p` are left where the IVF decisions were tuned.
-        Self {
-            t0_row: 0.5,
-            c_p: 0.005,
-            c_d: 1.0,
-            c_c: 0.25,
-            c_f: 40.0,
-            c_g: 12.0,
-            c_r: 4_000.0,
-            sigma: 2.0,
-        }
+        Self { t0_row: 0.5, c_p: 0.005, c_d: 1.0, c_c: 0.25, c_f: 40.0, c_g: 12.0, c_r: 4_000.0 }
     }
 }
 
@@ -156,6 +145,9 @@ pub struct CostInputs {
     pub s: f64,
     /// Requested result count (`k`).
     pub k: usize,
+    /// The statement's refine amplification (`σ`, `QueryOptions::sigma`):
+    /// a quantized search and the post-filter pull want `σ·k` rows.
+    pub sigma: usize,
     /// The statement's search knobs (beam width, widening hint).
     pub search: SearchParams,
     /// The table's vector index, never FLAT. The HNSW kinds are priced by
@@ -185,7 +177,7 @@ impl CostParams {
         let quantized = i.index.is_quantized();
         let t0 = if filtered { self.t0_row * n } else { 0.0 };
         // Rows a search returns, and rows the post-filter pull surfaces.
-        let want = self.sigma * i.k as f64;
+        let want = i.k.saturating_mul(i.sigma.max(1)) as f64;
         let fetch_k = if quantized { want as usize } else { i.k };
         let pulled = (want / s).min(n);
         let refine = if quantized || !graph { want * self.c_d } else { 0.0 };
@@ -257,7 +249,7 @@ mod tests {
 
     fn inputs(n: usize, s: f64, k: usize, ef: usize) -> CostInputs {
         let search = SearchParams::default().with_ef(ef);
-        CostInputs { n, s, k, search, index: IndexKind::Hnsw }
+        CostInputs { n, s, k, sigma: 2, search, index: IndexKind::Hnsw }
     }
 
     /// No graph, quantized codes.

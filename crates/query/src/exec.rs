@@ -39,7 +39,7 @@ use bh_storage::predicate::Predicate;
 use bh_storage::segment::SegmentMeta;
 use bh_storage::table::TableStore;
 use bh_storage::value::Value;
-use bh_vector::{IndexKind, Neighbor, SearchParams};
+use bh_vector::{search_with_range, IndexKind, Neighbor, SearchParams};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -457,9 +457,6 @@ impl QueryEngine {
 
         for st in states {
             let mut hits = st.global.into_sorted();
-            if let Some(r) = st.v.range {
-                hits.retain(|s| s.distance <= r);
-            }
             if let Some(limit) = st.sel.limit {
                 hits.truncate(limit);
             }
@@ -736,14 +733,33 @@ impl QueryEngine {
         meta: &Arc<SegmentMeta>,
         ctx: SegCtx<'_>,
     ) -> Result<Vec<Neighbor>> {
-        let (bound, v, k, bnd) = (st.sel, st.v, st.k, st.bound.as_deref());
-        let strategy = st.strategy;
         // `segment.task` is open on this thread, so this parents to it.
         let sctx = &st.plan.ctx;
         let mut seg_stage = sctx.stage("segment.search", &sctx.tally.segment_ns);
         seg_stage.span.attr("segment", meta.id.raw());
-        seg_stage.span.attr("strategy", strategy.name());
+        seg_stage.span.attr("strategy", st.strategy.name());
         seg_stage.span.attr("rows", meta.row_count);
+        let mut hits = self.segment_plan(table, vw, opts, st, meta, ctx)?;
+        // The one range cut: on exact distances, after refine or the exact scan.
+        if let Some(r) = st.v.range {
+            hits.retain(|nb| nb.distance <= r);
+        }
+        Ok(hits)
+    }
+
+    /// [`Self::search_one_segment`]'s plan: the exact scan, or the index
+    /// search and its refine.
+    fn segment_plan(
+        &self,
+        table: &TableStore,
+        vw: &VirtualWarehouse,
+        opts: &QueryOptions,
+        st: &StmtState<'_>,
+        meta: &Arc<SegmentMeta>,
+        ctx: SegCtx<'_>,
+    ) -> Result<Vec<Neighbor>> {
+        let (bound, v, k, bnd) = (st.sel, st.v, st.k, st.bound.as_deref());
+        let strategy = st.strategy;
         let vis = table.visibility(meta);
         let index = match ctx.index {
             Some(index) if strategy != Strategy::BruteForce => index,
@@ -758,6 +774,9 @@ impl QueryEngine {
         // the whole walk).
         let fetch_k =
             if index_is_quantized(table) { k.saturating_mul(opts.sigma.max(1)) } else { k };
+        // A range pull stops after this many consecutive rows beyond the
+        // radius: the iterator's order is only approximately nearest-first.
+        let slack = opts.search.ef_search.max(16);
 
         let hits = if strategy == Strategy::PostFilter {
             vw.search_index(ctx.owner, meta, index, request_bytes, |idx| {
@@ -769,41 +788,22 @@ impl QueryEngine {
                     let filter = if vis.is_all_set() { None } else { Some(&vis) };
                     return idx.search_with_bound(&v.query, fetch_k, &opts.search, filter, bnd);
                 }
-                // Pull the incremental iterator, keeping visible rows that
-                // pass, until `σ·k` are collected or the index is exhausted.
-                let mut it = idx.search_iterator(&v.query, &opts.search)?;
+                // Pull the iterator, keeping visible rows that pass, until
+                // `σ·k` are kept, the index is exhausted or the range is passed.
                 let pred_cols = bound.predicate.column_refs();
+                let mut it = idx.search_iterator(&v.query, &opts.search)?;
                 let want = k.saturating_mul(opts.sigma.max(1));
-                // `want` is LIMIT-sized; the segment can fill no more than its rows.
-                let mut collected: Vec<Neighbor> = Vec::with_capacity(want.min(meta.row_count));
-                let batch_size = k.clamp(16, 256);
-                while collected.len() < want {
-                    let batch = it.next_batch(batch_size)?;
-                    if batch.is_empty() {
-                        break;
-                    }
-                    // If the traversal has gone far past the range bound,
-                    // stop early (range pushdown into the iterator).
-                    if let Some(r) = v.range {
-                        if batch.iter().all(|nb| nb.distance > r * 1.5) {
-                            break;
+                let hits =
+                    search_with_range(&mut *it, v.range, slack, want, k.clamp(16, 256), |rows| {
+                        let visible: Vec<Neighbor> =
+                            rows.into_iter().filter(|nb| vis.contains(nb.id as usize)).collect();
+                        if !has_pred || visible.is_empty() {
+                            return Ok(visible);
                         }
-                    }
-                    let visible: Vec<Neighbor> =
-                        batch.into_iter().filter(|nb| vis.contains(nb.id as usize)).collect();
-                    if visible.is_empty() {
-                        continue;
-                    }
-                    if has_pred {
-                        collected.extend(
-                            self.passing_rows(table, ctx.owner, meta, bound, &pred_cols, &visible)?,
-                        );
-                    } else {
-                        collected.extend(visible);
-                    }
-                }
+                        self.passing_rows(table, ctx.owner, meta, bound, &pred_cols, &visible)
+                    })?;
                 self.metrics.counter("query.iterator_visited").add(it.visited() as u64);
-                Ok(collected)
+                Ok(hits)
             })?
         } else {
             // Plan B drives the widened bitmap scan; Plan D flips
@@ -826,17 +826,17 @@ impl QueryEngine {
                 opts.search
             };
             vw.search_index(ctx.owner, meta, index, request_bytes, |idx| match v.range {
+                // A range with no LIMIT: every passing row within it.
                 Some(r) if v.k.is_none() => {
-                    idx.search_with_range(&v.query, r, &search, Some(&bits))
+                    let mut it = idx.search_iterator(&v.query, &search)?;
+                    search_with_range(&mut *it, Some(r), slack, usize::MAX, slack, |rows| {
+                        Ok(rows.into_iter().filter(|nb| bits.contains(nb.id as usize)).collect())
+                    })
                 }
                 _ => idx.search_with_bound(&v.query, fetch_k, &search, Some(&bits), bnd),
             })?
         };
-        let mut hits = self.refine(table, opts, st, meta, ctx.owner, hits)?;
-        if let Some(r) = v.range {
-            hits.retain(|nb| nb.distance <= r);
-        }
-        Ok(hits)
+        self.refine(table, opts, st, meta, ctx.owner, hits)
     }
 
     /// The exact scan of one segment — Plan A, and every plan's answer for a
@@ -854,18 +854,14 @@ impl QueryEngine {
         if bits.is_all_clear() {
             return Ok(Vec::new());
         }
-        let mut hits = worker.brute_force_segment_bounded(
+        worker.brute_force_segment_bounded(
             table,
             meta,
             &st.v.query,
             st.k,
             Some(&bits),
             st.bound.as_deref(),
-        )?;
-        if let Some(r) = st.v.range {
-            hits.retain(|nb| nb.distance <= r);
-        }
-        Ok(hits)
+        )
     }
 
     /// The candidates whose rows pass the statement's predicate (order
@@ -1120,6 +1116,7 @@ fn cost_inputs(
         n: table.visible_rows().max(1),
         s: selectivity.unwrap_or(1.0),
         k: v.k.unwrap_or(100),
+        sigma: opts.sigma,
         search: opts.search,
         index,
     })
@@ -1211,22 +1208,23 @@ mod tests {
         kind: IndexKind,
         seg_rows: usize,
     ) -> (Arc<TableStore>, VirtualWarehouse, QueryEngine) {
-        setup_on(InMemoryObjectStore::for_tests(), n, kind, seg_rows)
+        setup_on(InMemoryObjectStore::for_tests(), n, kind, seg_rows, Metric::L2)
     }
 
-    /// [`setup`] over a given store.
+    /// [`setup`] over a given store, the index built for `metric`.
     fn setup_on(
         store: Arc<InMemoryObjectStore>,
         n: usize,
         kind: IndexKind,
         seg_rows: usize,
+        metric: Metric,
     ) -> (Arc<TableStore>, VirtualWarehouse, QueryEngine) {
         let schema = TableSchema::new("t")
             .with_column("id", ColumnType::UInt64)
             .with_column("label", ColumnType::Str)
             .with_column("score", ColumnType::Float64)
             .with_column("emb", ColumnType::Vector(4))
-            .with_vector_index("i", "emb", kind, 4, Metric::L2);
+            .with_vector_index("i", "emb", kind, 4, metric);
         let metrics = MetricsRegistry::new();
         let ts = TableStore::new(
             schema,
@@ -1309,36 +1307,63 @@ mod tests {
         }
     }
 
+    /// Every forced plan returns Plan A's ids: for a filtered top-k, and for
+    /// distance ranges — L2, and IP with its negative radius; with and
+    /// without LIMIT and a predicate — on a graph and an IVF index.
     #[test]
     fn all_four_strategies_agree_on_results() {
+        let under_each_plan =
+            |ts: &TableStore, vw: &VirtualWarehouse, engine: &QueryEngine, sql: &str| {
+                Strategy::ALL.map(|strategy| {
+                    let opts = QueryOptions {
+                        forced_strategy: Some(strategy),
+                        search: SearchParams::default().with_ef(128).with_nprobe(64),
+                        ..Default::default()
+                    };
+                    ids_of(&execute_sql_select(engine, ts, vw, &opts, sql).unwrap())
+                })
+            };
+
         let (ts, vw, engine) = setup(600, IndexKind::Hnsw, 300);
         let sql = "SELECT id FROM t WHERE label = 'l0' \
                    ORDER BY L2Distance(emb, [6.0, 6.1, 6.2, 5.9]) LIMIT 8";
-        let mut results = Vec::new();
-        for strategy in [
-            Strategy::BruteForce,
-            Strategy::PreFilter,
-            Strategy::PostFilter,
-            Strategy::FilteredTraversal,
-        ] {
-            let opts = QueryOptions {
-                forced_strategy: Some(strategy),
-                search: SearchParams::default().with_ef(128),
-                ..Default::default()
-            };
-            let rs = execute_sql_select(&engine, &ts, &vw, &opts, sql).unwrap();
-            assert_eq!(rs.len(), 8, "{strategy:?}");
-            for id in ids_of(&rs) {
+        let results = under_each_plan(&ts, &vw, &engine, sql);
+        for (strategy, ids) in Strategy::ALL.iter().zip(&results) {
+            assert_eq!(ids.len(), 8, "{strategy:?}");
+            for id in ids {
                 assert_eq!(id % 2, 0, "{strategy:?} returned non-l0 row {id}");
                 assert_eq!(id % 5, 1, "{strategy:?} returned row outside cluster 1: {id}");
             }
-            results.push(ids_of(&rs));
+            // Brute force is exact; ANN strategies must match it here
+            // (clusters are well separated).
+            assert_eq!(*ids, results[0], "{strategy:?}");
         }
-        // Brute force is exact; ANN strategies must match it here (clusters
-        // are well separated).
-        assert_eq!(results[0], results[1]);
-        assert_eq!(results[0], results[2]);
-        assert_eq!(results[0], results[3]);
+
+        // Each radius cuts a cluster in half: cluster 1's rows up to id 300
+        // (L2), cluster 4's from id 301 (IP, distance = -c).
+        let ranges = [
+            (Metric::L2, "L2Distance(emb, [6.0, 6.1, 6.2, 5.9]) < 0.0036"),
+            (Metric::InnerProduct, "IPDistance(emb, [1.0, 0.0, 0.0, 0.0]) < -24.03"),
+        ];
+        for kind in [IndexKind::Hnsw, IndexKind::IvfFlat] {
+            for (metric, range) in ranges {
+                let (ts, vw, engine) =
+                    setup_on(InMemoryObjectStore::for_tests(), 600, kind, 300, metric);
+                for (pred, limit, rows) in [
+                    ("", "", 60),
+                    ("label = 'l0' AND ", "", 30),
+                    ("", " LIMIT 8", 8),
+                    ("label = 'l0' AND ", " LIMIT 8", 8),
+                ] {
+                    let sql = format!("SELECT id FROM t WHERE {pred}{range}{limit}");
+                    let results = under_each_plan(&ts, &vw, &engine, &sql);
+                    assert_eq!(results[0].len(), rows, "{kind:?}: {sql}");
+                    for (strategy, ids) in Strategy::ALL.iter().zip(&results) {
+                        assert_eq!(*ids, results[0], "{kind:?} {strategy:?}: {sql}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1532,6 +1557,28 @@ mod tests {
             assert!(out.contains(plan), "EXPLAIN missing {plan}: {out}");
         }
         assert!(out.contains("strategy: "), "{out}");
+    }
+
+    #[test]
+    fn explain_prices_the_statements_sigma() {
+        let (ts, _vw, engine) = setup(800, IndexKind::IvfPq, 800);
+        let stmt = parse_select(
+            "SELECT id FROM t ORDER BY L2Distance(emb, [0.0, 0.1, 0.2, -0.1]) LIMIT 10",
+        );
+        let cost = |sigma: usize, plan: &str| -> f64 {
+            let opts = QueryOptions { sigma, ..Default::default() };
+            let out = engine.explain_select(&ts, &opts, &stmt).unwrap();
+            let estimate = |l: &&str| l.starts_with("  ") && l.contains(plan);
+            let line = out.lines().find(estimate).unwrap_or_else(|| panic!("{out}"));
+            line.rsplit("cost ").next().unwrap().parse().unwrap()
+        };
+        // The refine term is σ·k exact distances (k = 10, c_d = 1); EXPLAIN
+        // prints costs to one decimal.
+        for plan in ["Plan B", "Plan C"] {
+            let moved = cost(4, plan) - cost(2, plan);
+            assert!((moved - 20.0).abs() < 0.1, "{plan}: {moved}");
+        }
+        assert_eq!(cost(4, "Plan A"), cost(2, "Plan A"));
     }
 
     #[test]
@@ -1812,7 +1859,7 @@ mod tests {
             MetricsRegistry::new(),
             "remote",
         );
-        let (ts, _, engine) = setup_on(Arc::new(store), 400, IndexKind::Hnsw, 50);
+        let (ts, _, engine) = setup_on(Arc::new(store), 400, IndexKind::Hnsw, 50, Metric::L2);
         let metas = ts.segments();
         let m = &engine.metrics;
         let count = |name: &str| m.counter_value(name);
@@ -1950,7 +1997,7 @@ mod tests {
             store_metrics.clone(),
             "s",
         ));
-        let (ts, vw, engine) = setup_on(store.clone(), 100, IndexKind::Hnsw, 100);
+        let (ts, vw, engine) = setup_on(store.clone(), 100, IndexKind::Hnsw, 100, Metric::L2);
         // An index plan: 100 rows are cheaper to scan, and the scan reads `emb`.
         let opts =
             QueryOptions { forced_strategy: Some(Strategy::PostFilter), ..Default::default() };

@@ -50,6 +50,9 @@ use bh_common::sync::{classes, Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+/// Columns by name, as a predicate refers to them.
+type NamedColumns<'p> = Vec<(&'p str, ColumnData)>;
+
 /// How ingest overlaps segment writing with index building.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IngestMode {
@@ -414,7 +417,7 @@ impl TableStore {
     fn delete_where_once(&self, predicate: &Predicate) -> Result<usize> {
         let mut total = 0;
         for meta in self.segments() {
-            let offsets = self.matching_offsets(&meta, predicate)?;
+            let (offsets, _) = self.matching_offsets(&meta, predicate)?;
             // The segment may have been compacted away while we scanned it;
             // marking deletes on a dropped segment would be lost. Re-check
             // membership under the current catalog before marking.
@@ -469,13 +472,18 @@ impl TableStore {
         let mut batch = self.schema.empty_batch();
         let mut to_mark: Vec<(SegmentId, usize, Vec<u32>)> = Vec::new();
         for meta in self.segments() {
-            let offsets = self.matching_offsets(&meta, predicate)?;
+            let (offsets, loaded) = self.matching_offsets(&meta, predicate)?;
             if offsets.is_empty() {
                 continue;
             }
             for ((def, out), cell) in self.schema.columns.iter().zip(&mut batch).zip(&assigned) {
-                if cell.is_none() {
-                    self.load_column(&meta, &def.name)?.gather_into(&offsets, 0, out)?;
+                if cell.is_some() {
+                    continue;
+                }
+                // The predicate's columns are read once, by `matching_offsets`.
+                match loaded.iter().find(|(name, _)| *name == def.name) {
+                    Some((_, column)) => column.gather_into(&offsets, 0, out)?,
+                    None => self.load_column(&meta, &def.name)?.gather_into(&offsets, 0, out)?,
                 }
             }
             to_mark.push((meta.id, meta.row_count, offsets));
@@ -501,18 +509,25 @@ impl TableStore {
         Ok(updated)
     }
 
-    /// Row offsets of a segment that are visible and satisfy `predicate`.
-    fn matching_offsets(&self, meta: &SegmentMeta, predicate: &Predicate) -> Result<Vec<u32>> {
+    /// Row offsets of a segment that are visible and satisfy `predicate`,
+    /// and the predicate's columns, loaded to evaluate it.
+    fn matching_offsets<'p>(
+        &self,
+        meta: &SegmentMeta,
+        predicate: &'p Predicate,
+    ) -> Result<(Vec<u32>, NamedColumns<'p>)> {
         if !predicate.may_match_stats(&meta.column_stats) {
-            return Ok(Vec::new());
+            return Ok((Vec::new(), Vec::new()));
         }
-        let needed = predicate.column_refs();
-        let columns =
-            needed.iter().map(|c| self.load_column(meta, c)).collect::<Result<Vec<_>>>()?;
-        let refs: Vec<_> = needed.iter().copied().zip(&columns).collect();
+        let columns = predicate
+            .column_refs()
+            .into_iter()
+            .map(|c| Ok((c, self.load_column(meta, c)?)))
+            .collect::<Result<Vec<_>>>()?;
+        let refs: Vec<_> = columns.iter().map(|(c, data)| (*c, data)).collect();
         let mut bits = predicate.eval_bitset(&refs, meta.row_count)?;
         bits.intersect_with(&self.visibility(meta));
-        Ok(bits.iter().map(|o| o as u32).collect())
+        Ok((bits.iter().map(|o| o as u32).collect(), columns))
     }
 
     // ------------------------------------------------------------- compaction
@@ -879,6 +894,38 @@ mod tests {
             }
         }
         assert_eq!(seen, 1, "exactly one visible version");
+    }
+
+    #[test]
+    fn update_reads_its_predicate_columns_once() {
+        let metrics = MetricsRegistry::new();
+        let remote = Arc::new(InMemoryObjectStore::new(
+            bh_common::VirtualClock::shared(),
+            bh_common::LatencyModel::ZERO,
+            metrics.clone(),
+            "remote",
+        ));
+        let schema = TableSchema::new("t")
+            .with_column("id", ColumnType::UInt64)
+            .with_column("x", ColumnType::UInt64);
+        let ts = TableStore::new(
+            schema,
+            remote,
+            TableStoreConfig::default(),
+            Arc::new(IdGenerator::new()),
+            metrics.clone(),
+        )
+        .unwrap();
+        ts.insert_rows((0..20u64).map(|i| vec![Value::UInt64(i), Value::UInt64(0)]).collect())
+            .unwrap();
+        assert_eq!(ts.segment_count(), 1);
+        let gets = metrics.counter_value("remote.get");
+        let n = ts
+            .update_where(&Predicate::eq("id", Value::UInt64(7)), &[("x".into(), Value::UInt64(1))])
+            .unwrap();
+        assert_eq!(n, 1);
+        // `id` is read to match and gathered from that read; `x` is assigned.
+        assert_eq!(metrics.counter_value("remote.get") - gets, 1);
     }
 
     #[test]

@@ -61,12 +61,6 @@ impl ColumnType {
     pub fn is_vector(&self) -> bool {
         matches!(self, ColumnType::Vector(_))
     }
-
-    /// Whether values of this type order linearly (usable in range
-    /// predicates, ORDER BY and min/max pruning).
-    pub fn is_ordered_scalar(&self) -> bool {
-        !self.is_vector()
-    }
 }
 
 /// A single cell value.
@@ -144,14 +138,6 @@ impl Value {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Embedding view, if this is a vector.
-    pub fn as_vector(&self) -> Option<&[f32]> {
-        match self {
-            Value::Vector(v) => Some(v),
             _ => None,
         }
     }

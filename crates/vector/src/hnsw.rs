@@ -883,6 +883,7 @@ impl IndexBuilder for HnswBuilder {
 mod tests {
     use super::*;
     use crate::distance::KernelTier;
+    use crate::iterator::search_with_range;
     use crate::recall::{exact_topk, recall_at_k};
     use bh_common::rng::{derive_seed, rng};
     use rand::Rng;
@@ -1041,7 +1042,8 @@ mod tests {
         let params = SearchParams::default().with_ef(64);
         let mut truth = exact_topk(Metric::L2, &data, dim, &q, 800, None);
         truth.retain(|nb| nb.distance <= radius);
-        let got = hnsw.search_with_range(&q, radius, &params, None).unwrap();
+        let mut it = hnsw.search_iterator(&q, &params).unwrap();
+        let got = search_with_range(&mut *it, Some(radius), 64, usize::MAX, 64, Ok).unwrap();
         assert!(!truth.is_empty());
         // ANN range search may miss a few fringe rows but must find most.
         assert!(

@@ -3,9 +3,10 @@
 //! The post-filter execution strategy needs "give me the *next* nearest
 //! neighbors" semantics: search a batch, filter on scalar predicates, and if
 //! fewer than `k` rows survive, fetch more — without re-finding rows already
-//! returned.
+//! returned. [`search_with_range`] is that pull, written once: the
+//! post-filter plan and every distance-range search run it.
 //!
-//! Two implementations exist:
+//! Two iterator implementations exist:
 //!
 //! * Indexes with **native** support (our extended HNSW) resume their
 //!   internal traversal state, so each additional row costs only the
@@ -29,6 +30,43 @@ pub trait SearchIterator {
     /// Total number of candidate rows visited so far (distance computations),
     /// used for cost accounting and the iterator-redundancy ablation.
     fn visited(&self) -> usize;
+}
+
+/// `SearchWithRange` with a row filter: pull `it` nearest-first, `batch`
+/// rows a call, and hand each batch's rows within `radius` (all of them
+/// without one) to `keep`, which returns the rows it keeps, in order. Stops
+/// once `want` rows are kept, when the index is exhausted, or once `slack`
+/// consecutive pulled rows lie beyond `radius` — an approximate index's
+/// order is only approximately nearest-first, so one row beyond does not end
+/// the range. A row beyond `radius` is never kept. The rows come back in
+/// pull order, possibly more than `want` (the last batch is kept whole).
+pub fn search_with_range(
+    it: &mut dyn SearchIterator,
+    radius: Option<f32>,
+    slack: usize,
+    want: usize,
+    batch: usize,
+    mut keep: impl FnMut(Vec<Neighbor>) -> Result<Vec<Neighbor>>,
+) -> Result<Vec<Neighbor>> {
+    let mut kept = Vec::new();
+    let mut beyond = 0usize;
+    while kept.len() < want {
+        let mut rows = it.next_batch(batch)?;
+        if rows.is_empty() {
+            break;
+        }
+        if let Some(r) = radius {
+            for nb in &rows {
+                beyond = if nb.distance <= r { 0 } else { beyond + 1 };
+            }
+            rows.retain(|nb| nb.distance <= r);
+        }
+        kept.extend(keep(rows)?);
+        if radius.is_some() && beyond >= slack {
+            break;
+        }
+    }
+    Ok(kept)
 }
 
 /// Restart-based iterator for indexes without native incremental search.

@@ -808,6 +808,7 @@ impl IndexBuilder for IvfBuilder {
 mod tests {
     use super::*;
     use crate::distance::KernelTier;
+    use crate::iterator::search_with_range;
     use crate::recall::{exact_topk, recall_at_k};
     use bh_common::rng::{derive_seed, rng};
     use proptest::prelude::*;
@@ -931,7 +932,8 @@ mod tests {
         let params = SearchParams::default().with_nprobe(8);
         let mut truth = exact_topk(Metric::L2, &data, dim, q, 800, None);
         truth.retain(|nb| nb.distance <= 3.0);
-        let got = ivf.search_with_range(q, 3.0, &params, None).unwrap();
+        let mut it = ivf.search_iterator(q, &params).unwrap();
+        let got = search_with_range(&mut *it, Some(3.0), 64, usize::MAX, 64, Ok).unwrap();
         assert_eq!(got.len(), truth.len(), "full probe range must be exact");
         for nb in &got {
             assert!(nb.distance <= 3.0);

@@ -5,8 +5,9 @@
 //! "virtual vector index" abstraction (Fig. 5):
 //!
 //! * **Execution-layer interfaces**: [`VectorIndex::search_with_bound`]
-//!   (`SearchWithFilter`), [`VectorIndex::search_with_range`], and
-//!   [`VectorIndex::search_iterator`].
+//!   (`SearchWithFilter`), [`VectorIndex::search_iterator`], and
+//!   [`iterator::search_with_range`] (`SearchWithRange`), the one pull over
+//!   an iterator.
 //! * **Storage-layer interfaces**: `CreateIndex` ([`registry::IndexRegistry::create_builder`]),
 //!   `Train` / `AddWithIds` ([`IndexBuilder`]), and `SaveIndex` / `LoadIndex`
 //!   ([`VectorIndex::save_bytes`] / [`registry::IndexRegistry::load_blob`]).
@@ -46,7 +47,7 @@ pub mod registry;
 pub mod types;
 
 pub use distance::Metric;
-pub use iterator::{GenericSearchIterator, SearchIterator};
+pub use iterator::{search_with_range, GenericSearchIterator, SearchIterator};
 pub use registry::IndexRegistry;
 pub use types::{
     build_pool, BoundedTopK, GraphScan, IndexBuilder, IndexGroup, IndexKind, IndexMeta, IndexSpec,

@@ -4,8 +4,9 @@
 //! layer builds indexes through [`IndexBuilder`] (`Train`, `AddWithIds`,
 //! `CreateIndex`) and persists them via [`VectorIndex::save_bytes`]
 //! (`SaveIndex`); the execution layer searches through
-//! [`VectorIndex::search_with_bound`] (the paper's `SearchWithFilter`),
-//! [`VectorIndex::search_with_range`] and [`VectorIndex::search_iterator`].
+//! [`VectorIndex::search_with_bound`] (the paper's `SearchWithFilter`) and
+//! [`VectorIndex::search_iterator`], which the one pull
+//! [`crate::iterator::search_with_range`] (`SearchWithRange`) drives.
 //! A new index library plugs in by implementing the two required search
 //! methods and [`IndexBuilder`], plus one arm in each of
 //! [`crate::registry::IndexRegistry`]'s two `match`es.
@@ -167,16 +168,6 @@ impl IndexSpec {
             None => Ok(default),
             Some(v) => v.parse::<usize>().map_err(|_| {
                 BhError::InvalidArgument(format!("index param {key}={v} is not an integer"))
-            }),
-        }
-    }
-
-    /// Read a float parameter with a default.
-    pub fn param_f32(&self, key: &str, default: f32) -> Result<f32> {
-        match self.params.get(&key.to_ascii_lowercase()) {
-            None => Ok(default),
-            Some(v) => v.parse::<f32>().map_err(|_| {
-                BhError::InvalidArgument(format!("index param {key}={v} is not a number"))
             }),
         }
     }
@@ -392,48 +383,9 @@ pub trait VectorIndex: Send + Sync {
         bound: Option<&SharedBound>,
     ) -> Result<Vec<Neighbor>>;
 
-    /// `SearchWithRange`: all rows within `radius` of `query` (by the index
-    /// metric), passing `filter`, sorted ascending by distance.
-    ///
-    /// Written once on top of [`Self::search_iterator`]: stream nearest-first
-    /// until a window of `slack` consecutive rows lies beyond the radius (an
-    /// approximate index's order is only approximately sorted).
-    fn search_with_range(
-        &self,
-        query: &[f32],
-        radius: f32,
-        params: &SearchParams,
-        filter: Option<&Bitset>,
-    ) -> Result<Vec<Neighbor>> {
-        let mut it = self.search_iterator(query, params)?;
-        let slack = params.ef_search.max(16);
-        let mut out = Vec::new();
-        let mut beyond = 0usize;
-        loop {
-            let batch = it.next_batch(slack)?;
-            if batch.is_empty() {
-                break;
-            }
-            for nb in batch {
-                if nb.distance <= radius {
-                    beyond = 0;
-                    if filter.map(|f| f.contains(nb.id as usize)).unwrap_or(true) {
-                        out.push(nb);
-                    }
-                } else {
-                    beyond += 1;
-                }
-            }
-            if beyond >= slack {
-                break;
-            }
-        }
-        out.sort_by(|a, b| a.distance.total_cmp(&b.distance));
-        Ok(out)
-    }
-
-    /// `SearchIterator`: incremental nearest-first traversal used by the
-    /// post-filter strategy. Indexes without native support return a
+    /// `SearchIterator`: incremental nearest-first traversal, pulled by
+    /// [`crate::iterator::search_with_range`] for the post-filter strategy
+    /// and every distance-range search. Indexes without native support return a
     /// [`crate::iterator::GenericSearchIterator`] that restarts with doubled
     /// `k` (§III-B).
     fn search_iterator<'a>(

@@ -11,16 +11,18 @@
 //!
 //! Deterministic values are compared exactly: `index_build`'s k-means
 //! counters (`lloyd_iters`, `seed_rounds`, `point_centroid_evals`), every
-//! virtual-clock time (`*_sim_ns`), span count (`*_spans`) and store get
-//! count (`*_gets`), which are checked before the latency rule, and every
+//! virtual-clock time (`*_sim_ns`), span count (`*_spans`), store get
+//! count (`*_gets`) and recall (`*_recall`: a seeded bench returns the same
+//! rows every run, so `filter_sweep`'s per-plan recall says whether a plan's
+//! search moved), which are checked before the latency rule, and every
 //! byte hash (`*_fnv`, `index_build`'s `blob_fnv` and `store_fnv`),
 //! compared as strings: a hash spelled as a JSON number would lose its low
 //! bits to an `f64`, so it never counts as equal. Any difference, in either
 //! direction, is reported as `MOVED` and fails the task. An intended move means
 //! re-committing the file.
 //!
-//! Other fields (`speedup`, recall, other counts) are ignored: those derived
-//! from latencies would double-count them. Committed files with no fresh
+//! Other fields (`speedup`, other counts) are ignored: those derived from
+//! latencies would double-count them. Committed files with no fresh
 //! counterpart are skipped with a note (not every harness runs on every
 //! machine), as are fresh files with no committed baseline (a new benchmark
 //! has nothing to regress against).
@@ -132,13 +134,14 @@ fn is_latency_key(key: &str) -> bool {
     key.ends_with("_ns") || key.ends_with("_ns_per_row") || key.ends_with("_ns_per_op")
 }
 
-/// Work counts, simulated times, span counts and store gets a
+/// Work counts, simulated times, span counts, store gets and recalls a
 /// deterministic run repeats exactly.
 fn is_exact_key(key: &str) -> bool {
     matches!(key, "lloyd_iters" | "seed_rounds" | "point_centroid_evals")
         || key.ends_with("_sim_ns")
         || key.ends_with("_spans")
         || key.ends_with("_gets")
+        || key.ends_with("_recall")
 }
 
 /// Byte hashes: the same string on both sides, or the bytes moved.
@@ -158,13 +161,15 @@ fn is_throughput_key(key: &str) -> bool {
 fn walk(path: &str, committed: &Json, fresh: &Json, threshold_pct: f64, out: &mut Vec<Comparison>) {
     match (committed, fresh) {
         (Json::Obj(ck), Json::Obj(fk)) => {
-            let text = |v: &Json| match v {
-                Json::Str(s) => s.clone(),
-                Json::Num(n) => format!("{n:.1}"),
-                _ => "-".into(),
-            };
             for (key, cv) in ck {
                 let Some((_, fv)) = fk.iter().find(|(k, _)| k == key) else { continue };
+                let text = |v: &Json| match v {
+                    Json::Str(s) => s.clone(),
+                    // An exact value in full: a recall moves in its third decimal.
+                    Json::Num(n) if is_exact_key(key) => format!("{n}"),
+                    Json::Num(n) => format!("{n:.1}"),
+                    _ => "-".into(),
+                };
                 // (unit, change in percent, regressed) of a compared field.
                 let verdict = match (cv, fv) {
                     _ if is_hash_key(key) => {
@@ -537,6 +542,29 @@ mod tests {
             assert_eq!(gets.regressed, moved, "{gets}");
             assert_eq!(gets.to_string().starts_with("MOVED"), moved, "{gets}");
             assert_eq!(cmp.iter().filter(|c| c.regressed).count(), usize::from(moved));
+        }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_recall_that_moves_either_way_fails() {
+        let root = tmp_root("recall");
+        let fresh = root.join("fresh");
+        let row = |recall: &str| {
+            format!(
+                r#"{{"results":[{{"case":"s=0.01","selectivity":0.01,"plan_c_qps":44,"plan_c_recall":{recall}}}]}}"#
+            )
+        };
+        fixture(&root, "BENCH_filter.json", &row("0.987"));
+        for (recall, moved) in [("0.987", false), ("0.988", true), ("0.986", true)] {
+            fixture(&fresh, "BENCH_filter.json", &row(recall));
+            let (cmp, _) = diff_benchmarks(&root, &fresh, 15.0).unwrap();
+            // One throughput field and the exact recall; `selectivity` is ignored.
+            assert_eq!(cmp.len(), 2);
+            let r = cmp.iter().find(|c| c.path.ends_with("plan_c_recall")).unwrap();
+            assert_eq!(r.regressed, moved, "{r}");
+            assert_eq!(r.to_string().starts_with("MOVED"), moved, "{r}");
+            assert!(r.to_string().contains(&format!("0.987 -> {recall:>10}")), "{r}");
         }
         let _ = fs::remove_dir_all(&root);
     }

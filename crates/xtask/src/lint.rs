@@ -850,7 +850,6 @@ const METRIC_NAMES_FILE: &str = "crates/common/src/metrics.rs";
 /// Registration calls whose first argument names a metric.
 const METRIC_REGISTRATIONS: &[&str] = &[
     ".counter_with_labels(",
-    ".gauge_with_labels(",
     ".histogram_with_labels(",
     ".counter(",
     ".gauge(",
