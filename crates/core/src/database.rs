@@ -458,8 +458,11 @@ impl Database {
             Statement::Update(upd) => self.execute_update(&upd),
             Statement::Delete(del) => self.execute_delete(&del),
             Statement::Explain(sel) => {
-                let t = self.table(&sel.table)?;
-                let text = self.engine.explain_select(&t, opts, &sel)?;
+                let text = if crate::systbl::is_system_table(&sel.table) {
+                    crate::systbl::explain_system_select(self, &sel)?
+                } else {
+                    self.engine.explain_select(&*self.table(&sel.table)?, opts, &sel)?
+                };
                 let mut rs = ResultSet::new(vec!["plan".into()]);
                 rs.rows = text.lines().map(|l| vec![Value::Str(l.to_string())]).collect();
                 Ok(QueryOutput::Rows(rs))

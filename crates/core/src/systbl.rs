@@ -5,8 +5,10 @@
 //! the same SELECT grammar they use for data. This module reproduces that:
 //! each provider materializes one snapshot of an in-process source (query
 //! log ring, metrics registry, slow-query span store, worker caches, segment
-//! catalog, lockdep graph) as rows, and a small generic executor applies
-//! projection, WHERE, ORDER BY, LIMIT and vector-free aggregates on top.
+//! catalog, lockdep graph) as rows. A statement on one binds with the
+//! engine's binder against the snapshot's columns, filters it with the
+//! predicate kernels of a data-table WHERE, and ends in the engine's scalar
+//! finishing step (`bh_query::finish`): one SELECT dialect on every table.
 //!
 //! Tables:
 //!
@@ -27,11 +29,11 @@
 use crate::database::Database;
 use bh_common::trace::AttrValue;
 use bh_common::{sync as bhsync, BhError, Result, StatementWork};
-use bh_query::ResultSet;
-use bh_sql::ast::{Expr, SelectItem, SelectStmt};
+use bh_query::{bind_select, finish_scalar, BoundSelect, ResultSet};
+use bh_sql::ast::SelectStmt;
+use bh_storage::column::ColumnData;
 use bh_storage::schema::TableSchema;
 use bh_storage::value::{ColumnType, Value};
-use std::collections::BTreeMap;
 
 /// Does `name` address a virtual system table? (Any dotted name under the
 /// `system.` database — unknown members fail with `NotFound` in
@@ -57,305 +59,89 @@ struct SystemRows {
     rows: Vec<Vec<Value>>,
 }
 
-/// Execute a SELECT against a `system.*` table.
-pub fn execute_system_select(db: &Database, sel: &SelectStmt) -> Result<ResultSet> {
-    let snap = match sel.table.as_str() {
-        "system.query_log" => query_log_rows(db),
-        "system.metrics" => metrics_rows(db),
-        "system.spans" => span_rows(db),
-        "system.caches" => cache_rows(db),
-        "system.segments" => segment_rows(db),
-        "system.lock_classes" => lock_class_rows(),
-        other => {
-            return Err(BhError::NotFound(format!(
-                "system table {other} (available: {})",
-                SYSTEM_TABLES.join(", ")
-            )))
-        }
-    };
-    scan(&snap, sel)
-}
-
-// ---------------------------------------------------------------------------
-// Generic scan: WHERE → ORDER BY → projection/aggregation → LIMIT.
-// ---------------------------------------------------------------------------
-
-fn scan(snap: &SystemRows, sel: &SelectStmt) -> Result<ResultSet> {
-    let schema = synthetic_schema(&sel.table, &snap.columns);
-    let col_index: BTreeMap<&str, usize> =
-        snap.columns.iter().enumerate().map(|(i, (n, _))| (*n, i)).collect();
-
-    // Filter. Predicates bind against the synthetic schema, so system
-    // columns get the same literal coercion rules as data columns.
-    let mut kept: Vec<&Vec<Value>> = match &sel.where_clause {
-        None => snap.rows.iter().collect(),
-        Some(e) => {
-            let pred = bh_query::bind::bind_predicate(&schema, e)?;
-            let mut out = Vec::new();
-            for row in &snap.rows {
-                if pred.eval(&row_map(&snap.columns, row))? {
-                    out.push(row);
-                }
-            }
-            out
-        }
-    };
-
-    // Sort. ORDER BY names a column of the table (or a projection alias for
-    // one); incomparable pairs (Null vs value) sort last.
-    if !sel.order_by.is_empty() {
-        let mut keys = Vec::with_capacity(sel.order_by.len());
-        for item in &sel.order_by {
-            let name = order_column(&item.expr, sel)?;
-            let idx = *col_index.get(name.as_str()).ok_or_else(|| {
-                BhError::Plan(format!("unknown ORDER BY column {name} in {}", sel.table))
-            })?;
-            keys.push((idx, item.asc));
-        }
-        kept.sort_by(|a, b| {
-            for &(idx, asc) in &keys {
-                let ord = a[idx]
-                    .partial_cmp_scalar(&b[idx])
-                    .unwrap_or(std::cmp::Ordering::Greater);
-                let ord = if asc { ord } else { ord.reverse() };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-    }
-
-    // Projection — either plain columns/star, or all-aggregate. An aggregate
-    // folds every row that passed WHERE; LIMIT caps the rows it outputs.
-    let limit = sel.limit.map_or(usize::MAX, |n| n as usize);
-    if let Some(aggs) = aggregate_projection(sel)? {
-        let mut rs = aggregate(&snap.columns, &col_index, &kept, &aggs)?;
-        rs.rows.truncate(limit);
-        return Ok(rs);
-    }
-    kept.truncate(limit);
-
-    let mut out_cols = Vec::new();
-    let mut idxs = Vec::new();
-    for item in &sel.projection {
-        match item {
-            SelectItem::Star => {
-                for (i, (n, _)) in snap.columns.iter().enumerate() {
-                    out_cols.push((*n).to_string());
-                    idxs.push(i);
-                }
-            }
-            SelectItem::Expr { expr: Expr::Column(c), alias } => {
-                let idx = *col_index.get(c.as_str()).ok_or_else(|| {
-                    BhError::Plan(format!("unknown column {c} in {}", sel.table))
-                })?;
-                out_cols.push(alias.clone().unwrap_or_else(|| c.clone()));
-                idxs.push(idx);
-            }
+impl SystemRows {
+    /// Take the snapshot of the system table `table`.
+    fn take(db: &Database, table: &str) -> Result<SystemRows> {
+        Ok(match table {
+            "system.query_log" => query_log_rows(db),
+            "system.metrics" => metrics_rows(db),
+            "system.spans" => span_rows(db),
+            "system.caches" => cache_rows(db),
+            "system.segments" => segment_rows(db),
+            "system.lock_classes" => lock_class_rows(),
             other => {
-                return Err(BhError::Plan(format!(
-                    "system tables support column, * and aggregate projections, got {other:?}"
+                return Err(BhError::NotFound(format!(
+                    "system table {other} (available: {})",
+                    SYSTEM_TABLES.join(", ")
                 )))
             }
+        })
+    }
+
+    /// The schema a statement on the snapshot binds against.
+    fn schema(&self, table: &str) -> TableSchema {
+        let mut s = TableSchema::new(table);
+        for (n, ty) in &self.columns {
+            s = s.with_column(n, *ty);
         }
+        s
     }
-    let mut rs = ResultSet::new(out_cols);
-    for row in kept {
-        rs.rows.push(idxs.iter().map(|&i| row[i].clone()).collect());
+
+    fn position(&self, column: &str) -> Result<usize> {
+        self.columns
+            .iter()
+            .position(|(n, _)| *n == column)
+            .ok_or_else(|| BhError::Internal(format!("system column {column} is missing")))
     }
-    Ok(rs)
+
+    /// The rows passing `bound`'s predicate, as the finishing step takes
+    /// them. The predicate runs on the kernels every data-table WHERE uses.
+    fn passing(&self, bound: &BoundSelect) -> Result<Vec<Vec<Value>>> {
+        let filter_columns = bound
+            .predicate
+            .column_refs()
+            .into_iter()
+            .map(|c| {
+                let at = self.position(c)?;
+                let mut data = ColumnData::empty(self.columns[at].1);
+                self.rows.iter().try_for_each(|row| data.push(&row[at]))?;
+                Ok((c, data))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let filter_columns: Vec<(&str, &ColumnData)> =
+            filter_columns.iter().map(|(c, data)| (*c, data)).collect();
+        let bits = bound.predicate.eval_bitset(&filter_columns, self.rows.len())?;
+        let slots = bound
+            .finish_columns()
+            .into_iter()
+            .map(|c| self.position(c))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(bits
+            .iter()
+            .map(|r| slots.iter().map(|&at| self.rows[r][at].clone()).collect())
+            .collect())
+    }
 }
 
-fn synthetic_schema(table: &str, columns: &[(&'static str, ColumnType)]) -> TableSchema {
-    let mut s = TableSchema::new(table);
-    for (n, ty) in columns {
-        s = s.with_column(n, *ty);
-    }
-    s
+/// Execute a SELECT against a `system.*` table: bound like any SELECT and
+/// finished by the engine's scalar step, over a snapshot.
+pub fn execute_system_select(db: &Database, sel: &SelectStmt) -> Result<ResultSet> {
+    let snap = SystemRows::take(db, &sel.table)?;
+    let bound = bind_select(&snap.schema(&sel.table), sel)?;
+    finish_scalar(&bound, snap.passing(&bound)?)
 }
 
-fn row_map(columns: &[(&'static str, ColumnType)], row: &[Value]) -> BTreeMap<String, Value> {
-    columns
-        .iter()
-        .zip(row.iter())
-        .map(|((n, _), v)| ((*n).to_string(), v.clone()))
-        .collect()
-}
-
-/// Resolve an ORDER BY expression to a source column name. A bare column
-/// name wins; otherwise a projection alias for a plain column is accepted.
-fn order_column(e: &Expr, sel: &SelectStmt) -> Result<String> {
-    let Expr::Column(name) = e else {
-        return Err(BhError::Plan(
-            "system tables only support ORDER BY <column> [ASC|DESC]".into(),
-        ));
-    };
-    for item in &sel.projection {
-        if let SelectItem::Expr { expr: Expr::Column(c), alias: Some(a) } = item {
-            if a == name {
-                return Ok(c.clone());
-            }
-        }
-    }
-    Ok(name.clone())
-}
-
-/// One bound aggregate: function + source column (`None` = `count(*)`).
-struct AggItem {
-    func: AggFunc,
-    column: Option<String>,
-    out_name: String,
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum AggFunc {
-    Count,
-    Sum,
-    Min,
-    Max,
-    Avg,
-}
-
-/// If the projection is made of aggregate calls, return them; a mix of
-/// aggregates and plain columns is rejected (no GROUP BY in the dialect).
-fn aggregate_projection(sel: &SelectStmt) -> Result<Option<Vec<AggItem>>> {
-    let mut aggs = Vec::new();
-    let mut plain = 0usize;
-    for item in &sel.projection {
-        if let SelectItem::Expr { expr: Expr::FuncCall { name, args }, alias } = item {
-            let func = match name.to_ascii_lowercase().as_str() {
-                "count" => AggFunc::Count,
-                "sum" => AggFunc::Sum,
-                "min" => AggFunc::Min,
-                "max" => AggFunc::Max,
-                "avg" => AggFunc::Avg,
-                _ => {
-                    plain += 1;
-                    continue;
-                }
-            };
-            let column = match (func, args.as_slice()) {
-                (AggFunc::Count, []) => None,
-                (_, [Expr::Column(c)]) => Some(c.clone()),
-                _ => {
-                    return Err(BhError::Plan(format!(
-                        "{name} takes a single column argument (or * for count)"
-                    )))
-                }
-            };
-            let out_name = alias.clone().unwrap_or_else(|| match &column {
-                Some(c) => format!("{}({c})", name.to_ascii_lowercase()),
-                None => "count(*)".into(),
-            });
-            aggs.push(AggItem { func, column, out_name });
-        } else {
-            plain += 1;
-        }
-    }
-    if aggs.is_empty() {
-        return Ok(None);
-    }
-    if plain > 0 {
-        return Err(BhError::Plan(
-            "cannot mix aggregate and plain projections without GROUP BY".into(),
-        ));
-    }
-    Ok(Some(aggs))
-}
-
-fn aggregate(
-    columns: &[(&'static str, ColumnType)],
-    col_index: &BTreeMap<&str, usize>,
-    rows: &[&Vec<Value>],
-    aggs: &[AggItem],
-) -> Result<ResultSet> {
-    let mut rs = ResultSet::new(aggs.iter().map(|a| a.out_name.clone()).collect());
-    let mut out = Vec::with_capacity(aggs.len());
-    for agg in aggs {
-        let idx = match &agg.column {
-            None => None,
-            Some(c) => Some(*col_index.get(c.as_str()).ok_or_else(|| {
-                BhError::Plan(format!("unknown aggregate column {c}"))
-            })?),
-        };
-        out.push(eval_agg(agg.func, idx.map(|i| (i, columns[i].1)), rows)?);
-    }
-    rs.rows.push(out);
-    Ok(rs)
-}
-
-fn eval_agg(
-    func: AggFunc,
-    col: Option<(usize, ColumnType)>,
-    rows: &[&Vec<Value>],
-) -> Result<Value> {
-    let Some((idx, ty)) = col else {
-        // count(*)
-        return Ok(Value::UInt64(rows.len() as u64));
-    };
-    if ty.is_vector() {
-        return Err(BhError::Plan("aggregates over vector columns are unsupported".into()));
-    }
-    let cells = || rows.iter().map(|r| &r[idx]).filter(|v| !v.is_null());
-    match func {
-        AggFunc::Count => Ok(Value::UInt64(cells().count() as u64)),
-        AggFunc::Sum => match ty {
-            ColumnType::Float64 => {
-                Ok(Value::Float64(cells().filter_map(|v| v.as_f64()).sum()))
-            }
-            ColumnType::Int64 => {
-                let s: i128 = cells()
-                    .filter_map(|v| match v {
-                        Value::Int64(x) => Some(*x as i128),
-                        _ => None,
-                    })
-                    .sum();
-                Ok(Value::Int64(s as i64))
-            }
-            _ => {
-                let s: u128 = cells()
-                    .filter_map(|v| match v {
-                        Value::UInt64(x) | Value::DateTime(x) => Some(*x as u128),
-                        _ => None,
-                    })
-                    .sum();
-                Ok(Value::UInt64(s as u64))
-            }
-        },
-        AggFunc::Min | AggFunc::Max => {
-            let mut best: Option<&Value> = None;
-            for v in cells() {
-                best = Some(match best {
-                    None => v,
-                    Some(b) => {
-                        let ord = v.partial_cmp_scalar(b).unwrap_or(std::cmp::Ordering::Equal);
-                        let take = if func == AggFunc::Min {
-                            ord == std::cmp::Ordering::Less
-                        } else {
-                            ord == std::cmp::Ordering::Greater
-                        };
-                        if take {
-                            v
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
-            Ok(best.cloned().unwrap_or(Value::Null))
-        }
-        AggFunc::Avg => {
-            let (mut sum, mut n) = (0.0f64, 0u64);
-            for v in cells() {
-                if let Some(x) = v.as_f64() {
-                    sum += x;
-                    n += 1;
-                }
-            }
-            Ok(if n == 0 { Value::Null } else { Value::Float64(sum / n as f64) })
-        }
-    }
+/// EXPLAIN a SELECT against a `system.*` table: the filter and columns read,
+/// in the data-table format, and the snapshot it reads.
+pub fn explain_system_select(db: &Database, sel: &SelectStmt) -> Result<String> {
+    let snap = SystemRows::take(db, &sel.table)?;
+    let bound = bind_select(&snap.schema(&sel.table), sel)?;
+    Ok(format!(
+        "{}source: {} snapshot of {} rows, no segments\n",
+        bound.explain_reads(),
+        sel.table,
+        snap.rows.len()
+    ))
 }
 
 // ---------------------------------------------------------------------------

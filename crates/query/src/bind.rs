@@ -35,20 +35,56 @@ pub struct VectorQuery {
 /// One projection output.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ProjItem {
-    /// A table column, by name.
-    Column(String),
+    /// A table column, and the name it is output under: its alias, else
+    /// its own name.
+    Column {
+        /// The column read.
+        column: String,
+        /// The output name.
+        name: String,
+    },
     /// The distance value, labeled with this output name.
     Distance(String),
+    /// An aggregate over every row that passes the filter. A projection
+    /// holding one holds nothing else.
+    Aggregate(AggItem),
 }
 
 impl ProjItem {
     /// Output column name of this item.
     pub fn name(&self) -> &str {
         match self {
-            ProjItem::Column(c) => c,
-            ProjItem::Distance(n) => n,
+            ProjItem::Column { name, .. } | ProjItem::Distance(name) => name,
+            ProjItem::Aggregate(a) => &a.name,
         }
     }
+}
+
+/// An aggregate function of the dialect (there is no GROUP BY: it folds
+/// every row that passes the filter into one).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AggFunc {
+    /// `count(*)` or `count(col)`.
+    Count,
+    /// `sum(col)`.
+    Sum,
+    /// `min(col)`.
+    Min,
+    /// `max(col)`.
+    Max,
+    /// `avg(col)`.
+    Avg,
+}
+
+/// One bound aggregate.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AggItem {
+    /// The function.
+    pub func: AggFunc,
+    /// The argument column and its type; `None` for `count(*)`.
+    pub column: Option<(String, ColumnType)>,
+    /// The output name: the alias, else `count(*)` or `sum(col)`.
+    pub name: String,
 }
 
 /// A fully bound SELECT.
@@ -62,27 +98,58 @@ pub struct BoundSelect {
     pub predicate: Predicate,
     /// Vector half of the query, if any.
     pub vector: Option<VectorQuery>,
-    /// Scalar ordering (column, ascending) for non-vector ORDER BY.
-    pub scalar_order: Option<(String, bool)>,
+    /// Sort keys (column, ascending) of a statement with no vector, most
+    /// significant first.
+    pub scalar_order: Vec<(String, bool)>,
     /// `LIMIT` count.
     pub limit: Option<usize>,
 }
 
 impl BoundSelect {
-    /// The columns the statement names, each once: its predicate's, then the
-    /// projected ones, then the sort key.
-    pub fn columns_read(&self) -> Vec<&str> {
-        let mut cols = self.predicate.column_refs();
+    /// Is the projection an aggregate (one output row)?
+    pub(crate) fn is_aggregate(&self) -> bool {
+        matches!(self.projection.first(), Some(ProjItem::Aggregate(_)))
+    }
+
+    /// The columns the finishing step reads, each once: the projected ones
+    /// and the aggregates' arguments, then the sort keys. A scalar
+    /// statement's rows hold these cells, in this order.
+    pub fn finish_columns(&self) -> Vec<&str> {
+        let mut cols: Vec<&str> = Vec::new();
         let projected = self.projection.iter().filter_map(|p| match p {
-            ProjItem::Column(c) => Some(c.as_str()),
+            ProjItem::Column { column, .. } => Some(column.as_str()),
+            ProjItem::Aggregate(a) => a.column.as_ref().map(|(c, _)| c.as_str()),
             ProjItem::Distance(_) => None,
         });
-        for c in projected.chain(self.scalar_order.as_ref().map(|(c, _)| c.as_str())) {
+        for c in projected.chain(self.scalar_order.iter().map(|(c, _)| c.as_str())) {
             if !cols.contains(&c) {
                 cols.push(c);
             }
         }
         cols
+    }
+
+    /// The columns the statement names, each once: its predicate's, then
+    /// [`Self::finish_columns`].
+    pub fn columns_read(&self) -> Vec<&str> {
+        let mut cols = self.predicate.column_refs();
+        for c in self.finish_columns() {
+            if !cols.contains(&c) {
+                cols.push(c);
+            }
+        }
+        cols
+    }
+
+    /// The `filter:` and `columns read:` lines EXPLAIN prints for the
+    /// statement, on any table.
+    pub fn explain_reads(&self) -> String {
+        let mut out = String::new();
+        if !matches!(self.predicate, Predicate::True) {
+            out.push_str(&format!("filter: {}\n", self.predicate));
+        }
+        out.push_str(&format!("columns read: [{}]\n", self.columns_read().join(", ")));
+        out
     }
 }
 
@@ -95,15 +162,16 @@ pub fn bind_select(schema: &TableSchema, stmt: &SelectStmt) -> Result<BoundSelec
         )));
     }
 
-    // ORDER BY: either one distance expression or one scalar column.
+    // ORDER BY: either one distance expression, or scalar keys, each a
+    // column or a projection alias for one.
     let mut vector: Option<VectorQuery> = None;
-    let mut scalar_order: Option<(String, bool)> = None;
-    if let Some(first) = stmt.order_by.first() {
-        if stmt.order_by.len() > 1 {
-            return Err(BhError::Plan("only single-key ORDER BY is supported".into()));
-        }
-        if let Some((fname, args)) = first.expr.as_distance_call() {
-            if !first.asc {
+    let mut scalar_order = Vec::new();
+    for item in &stmt.order_by {
+        if let Some((fname, args)) = item.expr.as_distance_call() {
+            if stmt.order_by.len() > 1 {
+                return Err(BhError::Plan("a distance must be the only ORDER BY key".into()));
+            }
+            if !item.asc {
                 return Err(BhError::Plan(
                     "ORDER BY distance DESC is not a nearest-neighbor query".into(),
                 ));
@@ -115,16 +183,17 @@ pub fn bind_select(schema: &TableSchema, stmt: &SelectStmt) -> Result<BoundSelec
                 query: qvec,
                 k: stmt.limit.map(|l| l as usize),
                 range: None,
-                alias: first.alias.clone(),
+                alias: item.alias.clone(),
             });
-        } else if let Expr::Column(c) = &first.expr {
+        } else if let Expr::Column(key) = &item.expr {
+            let c = aliased_column(stmt, key).unwrap_or(key);
             let def = schema
                 .column(c)
                 .ok_or_else(|| BhError::Plan(format!("ORDER BY unknown column {c}")))?;
             if def.ty.is_vector() {
                 return Err(BhError::Plan("cannot ORDER BY a raw vector column".into()));
             }
-            scalar_order = Some((c.clone(), first.asc));
+            scalar_order.push((c.to_string(), item.asc));
         } else {
             return Err(BhError::Plan("unsupported ORDER BY expression".into()));
         }
@@ -194,7 +263,8 @@ pub fn bind_select(schema: &TableSchema, stmt: &SelectStmt) -> Result<BoundSelec
         match item {
             SelectItem::Star => {
                 for def in &schema.columns {
-                    projection.push(ProjItem::Column(def.name.clone()));
+                    let name = def.name.clone();
+                    projection.push(ProjItem::Column { column: name.clone(), name });
                 }
                 if let Some(v) = &vector {
                     if let Some(a) = &v.alias {
@@ -204,20 +274,22 @@ pub fn bind_select(schema: &TableSchema, stmt: &SelectStmt) -> Result<BoundSelec
             }
             SelectItem::Expr { expr, alias } => match expr {
                 Expr::Column(c) => {
+                    let name = alias.clone().unwrap_or_else(|| c.clone());
                     if schema.column(c).is_some() {
-                        projection.push(ProjItem::Column(c.clone()));
-                    } else if vector
-                        .as_ref()
-                        .and_then(|v| v.alias.as_deref())
-                        .map(|a| a == c)
-                        .unwrap_or(false)
-                    {
-                        projection.push(ProjItem::Distance(c.clone()));
+                        projection.push(ProjItem::Column { column: c.clone(), name });
+                    } else if vector.as_ref().and_then(|v| v.alias.as_deref()) == Some(c.as_str()) {
+                        projection.push(ProjItem::Distance(name));
                     } else {
                         return Err(BhError::Plan(format!("unknown column {c}")));
                     }
                 }
                 other => {
+                    if let Expr::FuncCall { name, args } = other {
+                        if let Some(agg) = bind_aggregate(schema, name, args, alias.as_ref())? {
+                            projection.push(ProjItem::Aggregate(agg));
+                            continue;
+                        }
+                    }
                     let Some((fname, args)) = other.as_distance_call() else {
                         return Err(BhError::Plan(format!(
                             "unsupported projection expression: {other:?}"
@@ -243,6 +315,15 @@ pub fn bind_select(schema: &TableSchema, stmt: &SelectStmt) -> Result<BoundSelec
     if projection.is_empty() {
         return Err(BhError::Plan("empty projection".into()));
     }
+    let aggregates = projection.iter().filter(|p| matches!(p, ProjItem::Aggregate(_))).count();
+    if aggregates > 0 && aggregates < projection.len() {
+        return Err(BhError::Plan(
+            "cannot mix aggregate and plain projections without GROUP BY".into(),
+        ));
+    }
+    if aggregates > 0 && vector.is_some() {
+        return Err(BhError::Plan("aggregates do not apply to a vector search".into()));
+    }
 
     Ok(BoundSelect {
         table: stmt.table.clone(),
@@ -252,6 +333,55 @@ pub fn bind_select(schema: &TableSchema, stmt: &SelectStmt) -> Result<BoundSelec
         scalar_order,
         limit: stmt.limit.map(|l| l as usize),
     })
+}
+
+/// The column a plain projection item aliased `name` reads, if one is.
+fn aliased_column<'a>(stmt: &'a SelectStmt, name: &str) -> Option<&'a str> {
+    stmt.projection.iter().find_map(|item| match item {
+        SelectItem::Expr { expr: Expr::Column(c), alias: Some(a) } if a == name => Some(c.as_str()),
+        _ => None,
+    })
+}
+
+/// Bind `count(*)`, `count(col)`, `sum(col)`, `min(col)`, `max(col)` or
+/// `avg(col)` (any case); `None` when `fname` is no aggregate.
+fn bind_aggregate(
+    schema: &TableSchema,
+    fname: &str,
+    args: &[Expr],
+    alias: Option<&String>,
+) -> Result<Option<AggItem>> {
+    let func = match fname.to_ascii_lowercase().as_str() {
+        "count" => AggFunc::Count,
+        "sum" => AggFunc::Sum,
+        "min" => AggFunc::Min,
+        "max" => AggFunc::Max,
+        "avg" => AggFunc::Avg,
+        _ => return Ok(None),
+    };
+    let column = match (func, args) {
+        (AggFunc::Count, []) => None,
+        (_, [Expr::Column(c)]) => {
+            let ty = column_type(schema, c)?;
+            if ty.is_vector() {
+                return Err(BhError::Plan("aggregates over vector columns are unsupported".into()));
+            }
+            if ty == ColumnType::Str && matches!(func, AggFunc::Sum | AggFunc::Avg) {
+                return Err(BhError::Plan(format!("{fname} over String column {c}")));
+            }
+            Some((c.clone(), ty))
+        }
+        _ => {
+            return Err(BhError::Plan(format!(
+                "{fname} takes a single column argument (or * for count)"
+            )))
+        }
+    };
+    let name = alias.cloned().unwrap_or_else(|| match &column {
+        Some((c, _)) => format!("{}({c})", fname.to_ascii_lowercase()),
+        None => "count(*)".into(),
+    });
+    Ok(Some(AggItem { func, column, name }))
 }
 
 /// Split an expression into top-level AND conjuncts.
@@ -629,7 +759,39 @@ mod tests {
     fn scalar_order_by() {
         let b = bind("SELECT id FROM images ORDER BY score DESC LIMIT 3").unwrap();
         assert!(b.vector.is_none());
-        assert_eq!(b.scalar_order, Some(("score".into(), false)));
+        assert_eq!(b.scalar_order, vec![("score".into(), false)]);
+    }
+
+    #[test]
+    fn aliases_and_sort_keys_bind_to_their_columns() {
+        let b = bind("SELECT id AS i, score FROM images ORDER BY i DESC, label LIMIT 3").unwrap();
+        assert_eq!(b.projection[0], ProjItem::Column { column: "id".into(), name: "i".into() });
+        assert_eq!(b.scalar_order, vec![("id".into(), false), ("label".into(), true)]);
+        assert_eq!(b.finish_columns(), ["id", "score", "label"]);
+        let err =
+            bind("SELECT id FROM images ORDER BY score, L2Distance(embedding, [0.0, 0.0]) LIMIT 1")
+                .unwrap_err();
+        assert!(err.to_string().contains("only ORDER BY key"), "{err}");
+    }
+
+    #[test]
+    fn aggregates_bind_without_vectors() {
+        let b = bind("SELECT count(*), SUM(score) AS s FROM images WHERE id > 5").unwrap();
+        assert!(b.is_aggregate());
+        assert_eq!(b.projection.iter().map(ProjItem::name).collect::<Vec<_>>(), ["count(*)", "s"]);
+        assert_eq!(b.finish_columns(), ["score"]);
+        for (sql, why) in [
+            ("SELECT sum(embedding) FROM images", "vector columns"),
+            (
+                "SELECT count(*) FROM images ORDER BY L2Distance(embedding, [0.0, 0.0]) LIMIT 1",
+                "vector search",
+            ),
+            ("SELECT id, max(score) FROM images", "cannot mix"),
+            ("SELECT avg(label) FROM images", "String column"),
+        ] {
+            let err = bind(sql).unwrap_err().to_string();
+            assert!(err.contains(why), "{sql}: {err}");
+        }
     }
 
     #[test]

@@ -25,6 +25,7 @@
 
 use crate::bind::{bind_select, BoundSelect, ProjItem, VectorQuery};
 use crate::cost::{CostInputs, CostParams, PlanEstimate, Strategy};
+use crate::finish::finish_scalar;
 use crate::result::ResultSet;
 use bh_cluster::scheduler::{select_segments, PruneConfig, SegmentSelection};
 use bh_cluster::vw::{SegmentIndex, VirtualWarehouse};
@@ -270,10 +271,7 @@ impl QueryEngine {
             }
             out.push('\n');
         }
-        if !matches!(bound.predicate, Predicate::True) {
-            out.push_str(&format!("filter: {}\n", bound.predicate));
-        }
-        out.push_str(&format!("columns read: [{}]\n", bound.columns_read().join(", ")));
+        out.push_str(&bound.explain_reads());
         // The selection `exec_scalar` and `exec_batch_inner` make.
         let segments = table.segments();
         let query = bound.vector.as_ref().map(|v| v.query.as_slice());
@@ -939,6 +937,10 @@ impl QueryEngine {
 
     // ------------------------------------------------------------ scalar path
 
+    /// A statement with no vector: the rows passing its filter, segment by
+    /// segment, finished by [`finish_scalar`]. Without a sort or an
+    /// aggregate, a LIMIT's rows are the first that pass in segment order,
+    /// so the scan stops once it has them.
     fn exec_scalar(
         &self,
         table: &TableStore,
@@ -954,67 +956,34 @@ impl QueryEngine {
         scalar_span.attr("segments_scheduled", selection.scheduled.len());
         scalar_span.attr("segments_pruned", selection.scalar_pruned);
 
-        let mut out = ResultSet::new(
-            bound.projection.iter().map(|p| p.name().to_string()).collect(),
-        );
-        // The columns read per segment, and where in that list each
-        // projection item and the sort key are found.
-        let needed = bound.columns_read();
-        let slot = |c: &str| {
-            needed.iter().position(|n| *n == c).ok_or_else(|| {
-                BhError::Internal(format!("column {c} is not among the columns read"))
-            })
-        };
-        let proj_slots = bound
-            .projection
-            .iter()
-            .map(|p| match p {
-                ProjItem::Column(c) => slot(c).map(Some),
-                ProjItem::Distance(_) => Ok(None),
-            })
-            .collect::<Result<Vec<Option<usize>>>>()?;
-        let key_slot = bound.scalar_order.as_ref().map(|(c, _)| slot(c)).transpose()?;
-        // (sort key, row) pairs when ordering is requested.
-        let mut keyed: Vec<(Option<Value>, Vec<Value>)> = Vec::new();
+        let needed = bound.finish_columns();
+        let wanted = bound
+            .limit
+            .filter(|_| bound.scalar_order.is_empty() && !bound.is_aggregate())
+            .unwrap_or(usize::MAX);
+        let mut rows: Vec<Vec<Value>> = Vec::new();
         for meta in &selection.scheduled {
+            if rows.len() >= wanted {
+                break;
+            }
             let vis = table.visibility(meta);
             let rows_bits = with_segment_retry(vw, meta, |worker| {
                 self.filter_bits(table, &worker, meta, bound, &vis)
             })?;
-            if rows_bits.is_all_clear() {
+            let offsets: Vec<u32> =
+                rows_bits.iter().take(wanted - rows.len()).map(|o| o as u32).collect();
+            if offsets.is_empty() {
                 continue;
             }
-            let offsets: Vec<u32> = rows_bits.iter().map(|o| o as u32).collect();
-            let cells: Vec<Vec<Value>> = with_segment_retry(vw, meta, |worker| {
+            let mut cells: Vec<Vec<Value>> = with_segment_retry(vw, meta, |worker| {
                 needed.iter().map(|c| worker.read_cells(table, meta, c, &offsets)).collect()
             })?;
-            keyed.extend((0..offsets.len()).map(|i| {
-                let row = proj_slots
-                    .iter()
-                    .map(|s| s.map_or(Value::Null, |at| cells[at][i].clone()))
-                    .collect();
-                (key_slot.map(|at| cells[at][i].clone()), row)
-            }));
+            for i in 0..offsets.len() {
+                let row = cells.iter_mut().map(|c| std::mem::replace(&mut c[i], Value::Null));
+                rows.push(row.collect());
+            }
         }
-        if let Some((_, asc)) = &bound.scalar_order {
-            keyed.sort_by(|a, b| {
-                let ord = match (&a.0, &b.0) {
-                    (Some(x), Some(y)) => {
-                        x.partial_cmp_scalar(y).unwrap_or(std::cmp::Ordering::Equal)
-                    }
-                    _ => std::cmp::Ordering::Equal,
-                };
-                if *asc {
-                    ord
-                } else {
-                    ord.reverse()
-                }
-            });
-        }
-        if let Some(limit) = bound.limit {
-            keyed.truncate(limit);
-        }
-        out.rows = keyed.into_iter().map(|(_, r)| r).collect();
+        let out = finish_scalar(bound, rows)?;
         scalar_span.attr("rows", out.rows.len());
         Ok(out)
     }
@@ -1051,8 +1020,8 @@ impl QueryEngine {
             .projection
             .iter()
             .filter_map(|p| match p {
-                ProjItem::Column(c) => Some(c.as_str()),
-                ProjItem::Distance(_) => None,
+                ProjItem::Column { column, .. } => Some(column.as_str()),
+                _ => None,
             })
             .collect();
         let mut rows: Vec<Vec<Value>> =
@@ -1068,11 +1037,14 @@ impl QueryEngine {
                 let mut next_column = cells.iter_mut();
                 for p in &bound.projection {
                     rows[pos].push(match p {
-                        ProjItem::Column(_) => next_column
+                        ProjItem::Column { .. } => next_column
                             .next()
                             .and_then(Iterator::next)
                             .ok_or_else(|| BhError::Internal("a gathered cell is missing".into()))?,
                         ProjItem::Distance(_) => Value::Float64(hits[pos].2 as f64),
+                        ProjItem::Aggregate(_) => {
+                            return Err(BhError::Internal("an aggregate in a vector search".into()))
+                        }
                     });
                 }
             }

@@ -9,6 +9,8 @@
 //!   among Plan A (brute force), Plan B (pre-filter ANN bitmap scan),
 //!   Plan C (post-filter iterative search) and Plan D (filter-aware graph
 //!   traversal, graph indexes only), for every statement.
+//! * [`finish`] — the one sort / LIMIT / project / aggregate step every
+//!   scalar SELECT ends in, on a data table or a `system.*` snapshot.
 //! * [`exec`] — the plan step (the one EXPLAIN prints) and the distributed
 //!   executor: scheduling with pruning, the four physical strategies,
 //!   refine, adaptive segment expansion, global top-k merge, and projection
@@ -19,9 +21,11 @@
 pub mod bind;
 pub mod cost;
 pub mod exec;
+pub mod finish;
 pub mod result;
 
 pub use bind::{bind_select, BoundSelect, VectorQuery};
 pub use cost::{CostParams, Strategy};
 pub use exec::{QueryEngine, QueryOptions};
+pub use finish::finish_scalar;
 pub use result::ResultSet;

@@ -42,7 +42,9 @@ use crate::segment::{Segment, SegmentMeta};
 use crate::stats::{TableSketch, TableSketchBuilder};
 use crate::value::Value;
 use bh_common::ids::IdGenerator;
-use bh_common::{BhError, Bitset, MetricsRegistry, QueryCtx, Result, SegmentId, Stopwatch};
+use bh_common::{
+    BhError, Bitset, FanoutPool, MetricsRegistry, QueryCtx, Result, SegmentId, Stopwatch,
+};
 use bh_vector::autoindex::apply_auto_index;
 use bh_vector::{build_pool, IndexKind, IndexRegistry, VectorIndex};
 use bytes::Bytes;
@@ -72,11 +74,6 @@ pub struct TableStoreConfig {
     /// Compaction merges a group only while the merged segment stays below
     /// this row count.
     pub compact_target_rows: usize,
-    /// Maximum threads rebuilding merged segments (column gather + index
-    /// build) concurrently during [`TableStore::compact`], out of the
-    /// process-wide [`build_pool`]. `1` keeps the rebuild sequential; the
-    /// default is the machine's parallelism.
-    pub compact_parallelism: usize,
 }
 
 impl Default for TableStoreConfig {
@@ -85,9 +82,6 @@ impl Default for TableStoreConfig {
             segment_max_rows: 2048,
             ingest_mode: IngestMode::Pipelined,
             compact_target_rows: 64 * 1024,
-            compact_parallelism: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
         }
     }
 }
@@ -537,11 +531,17 @@ impl TableStore {
     ///
     /// The per-group rebuild (column gather, merged-segment construction, index
     /// build, blob upload) is the expensive part and touches only that
-    /// group's disjoint segment set, so it fans out across up to
-    /// `compact_parallelism` threads of the build pool. Catalog mutations — registering
-    /// the merged segment, dropping the old ones, garbage-collecting blobs —
-    /// commit afterwards in group order, exactly as the sequential loop did.
+    /// group's disjoint segment set, so it fans out across the whole
+    /// process-wide [`build_pool`], as index builds do. Catalog mutations —
+    /// registering the merged segment, dropping the old ones,
+    /// garbage-collecting blobs — commit afterwards in group order, exactly
+    /// as the sequential loop did.
     pub fn compact(&self) -> Result<CompactionReport> {
+        self.compact_on(&build_pool())
+    }
+
+    /// [`Self::compact`] with its rebuilds on `pool`.
+    pub(crate) fn compact_on(&self, pool: &FanoutPool) -> Result<CompactionReport> {
         let _guard = self.compaction_lock.lock();
         let started = Stopwatch::start();
         let mut compact_span = QueryCtx::span("compact");
@@ -581,12 +581,11 @@ impl TableStore {
         // Phase 2: rebuild groups side by side on the build pool, this thread
         // first. A failure stops further claims; groups already claimed
         // finish and the first error in group order surfaces below.
-        if jobs.len() > 1 && self.cfg.compact_parallelism > 1 {
+        if jobs.len() > 1 {
             self.metrics.counter("table.parallel_compact_groups").add(jobs.len() as u64);
         }
-        let rebuilt = build_pool().run(jobs.len(), self.cfg.compact_parallelism, |i| {
-            self.rebuild_group(&jobs[i].0, jobs[i].1)
-        });
+        let rebuilt =
+            pool.run(jobs.len(), usize::MAX, |i| self.rebuild_group(&jobs[i].0, jobs[i].1));
         if rebuilt.panicked {
             return Err(BhError::Internal("compaction worker panicked".into()));
         }
@@ -974,17 +973,13 @@ mod tests {
 
     #[test]
     fn parallel_compaction_matches_sequential() {
-        // Two identical tables, one compacted sequentially and one with the
-        // scoped fan-out: reports, visible rows, and per-segment contents
-        // must agree.
-        let build = |par: usize| {
+        // Two identical tables, one compacted on a pool with no helpers and
+        // one on a wide pool: reports, visible rows, and per-segment
+        // contents must agree.
+        let build = || {
             let ts = store(
                 schema(Some(4)),
-                TableStoreConfig {
-                    segment_max_rows: 20,
-                    compact_parallelism: par,
-                    ..Default::default()
-                },
+                TableStoreConfig { segment_max_rows: 20, ..Default::default() },
             );
             for batch in 0..3 {
                 ts.insert_rows(mk_rows(60, 40 + batch)).unwrap();
@@ -992,11 +987,10 @@ mod tests {
             ts.delete_where(&Predicate::range("id", None, Some(Value::UInt64(7)))).unwrap();
             ts
         };
-        let seq = build(1);
-        let par = build(8);
+        let (seq, par) = (build(), build());
         assert_eq!(seq.segment_count(), par.segment_count());
-        let seq_report = seq.compact().unwrap();
-        let par_report = par.compact().unwrap();
+        let seq_report = seq.compact_on(&FanoutPool::new(0)).unwrap();
+        let par_report = par.compact_on(&FanoutPool::new(7)).unwrap();
         assert_eq!(seq_report, par_report);
         assert_eq!(seq.visible_rows(), par.visible_rows());
         assert_eq!(seq.segment_count(), par.segment_count());

@@ -1,6 +1,7 @@
 //! CI smoke test for queryable introspection: run a workload with slow-query
 //! capture armed, then check that every `system.*` table answers real SELECTs
-//! and that `SYSTEM TRACE EXPORT` renders chrome://tracing JSON.
+//! in the data tables' dialect and that `SYSTEM TRACE EXPORT` renders
+//! chrome://tracing JSON.
 //!
 //! Run with: `cargo run --release -p blendhouse-examples --bin system_tables`
 
@@ -49,6 +50,14 @@ fn main() {
          ORDER BY L2Distance(emb, [0.1, 0.2, 0.3, 0.0]) LIMIT 5",
     )
     .expect("vector query");
+    // The dialect of the system tables is the data tables' own: an alias, a
+    // two-key ORDER BY and aggregates on `docs`.
+    let agg = rows(
+        &db,
+        "SELECT count(*) AS n, min(id) AS lo, max(id) AS hi FROM docs \
+         WHERE label = 'l1' ORDER BY label, id DESC LIMIT 1",
+    );
+    assert_eq!(agg, [vec![Value::UInt64(150), Value::UInt64(1), Value::UInt64(299)]], "{agg:?}");
     let err = db.execute("SELECT id FROM missing_table").expect_err("query must fail");
     println!("expected failure captured: {err}");
 
