@@ -4,9 +4,11 @@
 //! Both configurations run the same batch of queries against an identical
 //! freshly-built table whose every index is cold. A store get returns at
 //! once with its transfer's deadline on the clock. The *overlapped* fixture
-//! wires the store, table and warehouse by hand and enables
+//! wires the store, table and warehouse by hand (telling the warehouse the
+//! table's vector column, as the facade does) and enables
 //! `WorkerConfig { overlap }`: the executor prefetches every scheduled
-//! segment's index blob at the start of the round, each segment task
+//! segment's index — its links blob and its vector-column blocks — at the
+//! start of the round, each segment task
 //! consumes its transfer in flight, and concurrent transfer deadlines
 //! collapse to their max on the shared virtual clock. The *database* case is
 //! the same cold scan through the `Database` facade: nothing is wired by
@@ -14,7 +16,7 @@
 //!
 //! What the same fetches would cost serialized is the sum of every
 //! `store.get` span's `sim_nanos`, which each row reports beside its wall
-//! time. The reference rows come from a warehouse whose every index was
+//! time, and `store_get_bytes` sums the spans' bytes. The reference rows come from a warehouse whose every index was
 //! preloaded, on the overlapped fixture's store.
 //!
 //! All times are *simulated* nanoseconds read off the `VirtualClock`, so the
@@ -96,6 +98,7 @@ fn warehouse(
         metrics.clone(),
         Arc::new(IdGenerator::starting_at(10_000)),
     );
+    vw.register_table(table.schema());
     vw.scale_up(&[]);
     vw.scale_up(&[]);
     Arc::new(vw)
@@ -176,6 +179,7 @@ struct RunResult {
     wall_sim_ns: u64,
     store_get_sum_sim_ns: u64,
     store_get_spans: usize,
+    store_get_bytes: u64,
     rows: Vec<Vec<bh_storage::value::Value>>,
 }
 
@@ -195,6 +199,7 @@ fn run_cold_batch(engine: &QueryEngine, fix: &Fixture, stmts: &[SelectStmt]) -> 
     let wall_sim_ns = fix.clock.now_nanos() - start;
     let mut sum = 0u64;
     let mut spans = 0usize;
+    let mut bytes = 0u64;
     for rec in ctx.take_spans().unwrap_or_default() {
         if rec.name != "store.get" {
             continue;
@@ -203,11 +208,15 @@ fn run_cold_batch(engine: &QueryEngine, fix: &Fixture, stmts: &[SelectStmt]) -> 
             sum += ns;
             spans += 1;
         }
+        if let Some(AttrValue::U64(b)) = rec.attr("bytes") {
+            bytes += b;
+        }
     }
     RunResult {
         wall_sim_ns,
         store_get_sum_sim_ns: sum,
         store_get_spans: spans,
+        store_get_bytes: bytes,
         rows: results.into_iter().flat_map(|r| r.rows).collect(),
     }
 }
@@ -278,17 +287,18 @@ fn main() {
         .map(|(name, r)| {
             format!(
                 "    {{ \"case\": \"{name}\", \"wall_sim_ns\": {}, \"store_get_sum_sim_ns\": {}, \
-                 \"store_get_spans\": {}, \"overlap_ratio\": {:.3} }}",
+                 \"store_get_spans\": {}, \"store_get_bytes\": {}, \"overlap_ratio\": {:.3} }}",
                 r.wall_sim_ns,
                 r.store_get_sum_sim_ns,
                 r.store_get_spans,
+                r.store_get_bytes,
                 ratio(r)
             )
         })
         .collect();
     let json = format!(
         "{{\n  \"benchmark\": \"cold multi-segment batch: overlapped index transfers vs their serialized sum\",\n  \
-         \"method\": \"Simulated time on a VirtualClock; remote store charges 100us + 10ns/byte per get, and a get returns at once with its transfer's deadline on the clock. {SEGMENTS} cold HNSW segments x {ROWS_PER_SEGMENT} rows (dim {DIM}), batch of {BATCH} top-{K} queries via execute_select_batch. Overlapped = hand-wired store, table and warehouse + executor prefetch of every scheduled segment, each segment task consuming its blob transfer in flight. Database = the same scan through the Database facade. wall_sim_ns is the clock delta across the batch; store_get_sum_sim_ns sums every store.get span's sim_nanos attr, i.e. what the same gets cost serialized; overlap_ratio is the second over the first. Both return the rows of a warehouse preloaded on the overlapped fixture's store (asserted). Deterministic: identical on every machine.\",\n  \
+         \"method\": \"Simulated time on a VirtualClock; remote store charges 100us + 10ns/byte per get, and a get returns at once with its transfer's deadline on the clock. {SEGMENTS} cold HNSW segments x {ROWS_PER_SEGMENT} rows (dim {DIM}), batch of {BATCH} top-{K} queries via execute_select_batch. Overlapped = hand-wired store, table and warehouse + executor prefetch of every scheduled segment, each segment task consuming its index transfer (links blob + vector-column block) in flight. Database = the same scan through the Database facade. wall_sim_ns is the clock delta across the batch; store_get_sum_sim_ns sums every store.get span's sim_nanos attr, i.e. what the same gets cost serialized; store_get_bytes sums the same spans' bytes attr; overlap_ratio is the second over the first. Both return the rows of a warehouse preloaded on the overlapped fixture's store (asserted). Deterministic: identical on every machine.\",\n  \
          \"acceptance\": \"store_get_sum_sim_ns / wall_sim_ns >= 2 on overlapped and database — met ({:.2}x, {:.2}x)\",\n  \
          \"results\": [\n{}\n  ]\n}}\n",
         ratio(&overlapped),

@@ -56,6 +56,7 @@ fn main() {
             remote.clone(),
             clock.clone(),
             metrics.clone(),
+            Arc::default(),
         ))
     };
     // Worker A: warm (the pre-scaling owner). Worker B: cold newcomer with a

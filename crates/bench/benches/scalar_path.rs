@@ -149,6 +149,7 @@ fn cold_store_gets(db: &Database, table: &TableStore, call: impl FnOnce(&Worker)
         table.remote_store().clone(),
         VirtualClock::shared(),
         MetricsRegistry::new(),
+        Arc::default(),
     );
     let before = db.metrics().counter_value("remote.get");
     call(&fresh);

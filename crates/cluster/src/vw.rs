@@ -29,6 +29,8 @@ use bh_common::{
     BhError, Bitset, LatencyModel, MetricsRegistry, QueryCtx, Result, SegmentId, SharedClock,
     VwId, WorkerId,
 };
+use bh_storage::cache::IndexedColumns;
+use bh_storage::schema::TableSchema;
 use bh_storage::objectstore::SharedObjectStore;
 use bh_storage::segment::SegmentMeta;
 use bh_storage::table::TableStore;
@@ -87,6 +89,9 @@ pub struct VirtualWarehouse {
     /// [`Self::change_topology`] (under write guards of both), so an entry
     /// can never outlive the topology it was computed from.
     owners: RwLock<HashMap<SegmentId, (WorkerId, Arc<Worker>)>>,
+    /// Which vector column each table's index loads with, shared by every
+    /// worker's index cache ([`Self::register_table`]).
+    columns: Arc<IndexedColumns>,
     /// `vw.ring_assigns`: multi-probe ring walks actually performed.
     ring_assigns: Arc<Counter>,
 }
@@ -113,6 +118,7 @@ impl VirtualWarehouse {
             ring: RwLock::new(&classes::VW_RING, MultiProbeRing::new(RING_PROBES)),
             previous_owner: RwLock::new(&classes::VW_PREV_OWNER, HashMap::new()),
             owners: RwLock::new(&classes::VW_OWNER_MEMO, HashMap::new()),
+            columns: Arc::default(),
             ring_assigns: metrics.counter("vw.ring_assigns"),
             metrics,
         }
@@ -186,6 +192,15 @@ impl VirtualWarehouse {
         out
     }
 
+    /// Tell every worker, present and future, which vector column `schema`'s
+    /// index loads with, so a cold load of a graph-only blob fetches the
+    /// column beside it (untold, the first load learns it from the blob, one
+    /// get after the other). Idempotent; the database calls it for every
+    /// table and warehouse.
+    pub fn register_table(&self, schema: &TableSchema) {
+        self.columns.register(schema);
+    }
+
     /// Add a worker (scale up). `known_segments` lets the VW remember the
     /// pre-scaling owners for serving.
     pub fn scale_up(&self, known_segments: &[Arc<SegmentMeta>]) -> WorkerId {
@@ -196,6 +211,7 @@ impl VirtualWarehouse {
             self.remote.clone(),
             self.clock.clone(),
             self.metrics.clone(),
+            self.columns.clone(),
         ));
         self.change_topology(known_segments, |workers, ring| {
             workers.insert(wid, w);
@@ -586,7 +602,8 @@ mod tests {
             assert_eq!(count("vw.serving_calls"), served);
             assert!(owner.index_cache().in_flight(meta.id) && !owner.index_resident(&meta));
         }
-        assert_eq!(count("remote.get") - gets, 1, "one transfer, started once");
+        // One transfer, started once: the blob and the column's one block.
+        assert_eq!(count("remote.get") - gets, 2);
         // Wait second — and here not at all: nobody drove the transfer, the
         // clock alone says it has arrived.
         clock.advance(BLOB_GET);
@@ -594,7 +611,7 @@ mod tests {
         assert!(owner.index_resident(&meta) && !owner.index_cache().in_flight(meta.id));
         assert_eq!(count("vw.serving_calls"), 2);
         assert_eq!(count("cache.index.prefetch.hit"), 1);
-        assert_eq!(count("remote.get") - gets, 1);
+        assert_eq!(count("remote.get") - gets, 2);
         assert_eq!(count("worker.brute_force"), 0, "serving must avoid brute force");
     }
 

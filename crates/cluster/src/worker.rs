@@ -23,7 +23,7 @@ use bh_common::{
     BhError, Bitset, LatencyModel, MetricsRegistry, QueryCtx, Result, SegmentId, SharedBound,
     SharedClock, Stopwatch, WorkerId,
 };
-use bh_storage::cache::IndexCache;
+use bh_storage::cache::{IndexCache, IndexedColumns};
 use bh_storage::column::{ColumnData, BLOCK_ROWS};
 use bh_storage::lru::CacheRow;
 use bh_storage::objectstore::SharedObjectStore;
@@ -100,15 +100,18 @@ pub struct Worker {
 }
 
 impl Worker {
-    /// A stateless worker over the remote store.
+    /// A stateless worker over the remote store; `columns` tells its index
+    /// cache which vector column a graph-only blob loads with (its
+    /// warehouse's map).
     pub fn new(
         id: WorkerId,
         cfg: WorkerConfig,
         remote: SharedObjectStore,
         clock: SharedClock,
         metrics: MetricsRegistry,
+        columns: Arc<IndexedColumns>,
     ) -> Self {
-        let index_cache = IndexCache::new(cfg.index_mem_bytes, remote, metrics.clone());
+        let index_cache = IndexCache::new(cfg.index_mem_bytes, remote, metrics.clone(), columns);
         let column_cache =
             bh_storage::lru::LruCache::with_metrics(cfg.block_data_bytes, &metrics, "column");
         let decoded_blocks =
@@ -537,6 +540,7 @@ mod tests {
             table.remote_store().clone(),
             VirtualClock::shared(),
             table.metrics().clone(),
+            Arc::default(),
         )
     }
 
@@ -552,6 +556,7 @@ mod tests {
                 t.remote_store().clone(),
                 clock.clone(),
                 MetricsRegistry::new(),
+                Arc::default(),
             );
             clock.advance_to(w.charge_rpc_begin(&model, 10));
             clock.advance_to(w.charge_rpc_begin(&model, 10));

@@ -118,6 +118,10 @@ lock_rank_table! {
     TABLE_SKETCH_CACHE = 340,
     /// `DeleteMap::bitmaps` per-segment delete bitmaps.
     DELETE_BITMAPS = 360,
+    /// `IndexedColumns` table → vector-column map a warehouse's index
+    /// caches share; read before a transfer is entered, never held across
+    /// one.
+    IDXCACHE_COLUMNS = 400,
     /// `IndexCache::transfers` transfer table; held to look up, enter or
     /// remove a segment's transfer. Entering one starts its blob under it
     /// (`get_begin` returns at once, taking `OBJECTSTORE_BLOBS`); never held

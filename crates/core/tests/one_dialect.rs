@@ -190,3 +190,26 @@ fn explain_answers_on_every_system_table() {
     assert!(data.contains(&"filter: id = 3".to_string()), "{data:?}");
     assert!(data.contains(&"columns read: [id, cat, price]".to_string()), "{data:?}");
 }
+
+/// A sum its output type cannot hold fails on a data table instead of
+/// wrapping, past either end; one whose terms cancel comes back whole.
+#[test]
+fn a_sum_past_its_type_fails_on_a_data_table() {
+    let db = Database::in_memory();
+    db.execute("CREATE TABLE s (id UInt64, u UInt64, q Int64) ORDER BY id").unwrap();
+    // SQL literals stop at i64, so the extremes go in through the table.
+    let (umax, imax, imin) = (u64::MAX, i64::MAX, i64::MIN);
+    let rows = [(0, umax, imax), (1, 1, 1), (2, 0, imin), (3, 0, -1)]
+        .map(|(id, u, q)| vec![Value::UInt64(id), Value::UInt64(u), Value::Int64(q)]);
+    db.table("s").unwrap().insert_rows(rows.to_vec()).unwrap();
+    for sql in [
+        "SELECT sum(u) FROM s",
+        "SELECT sum(q) FROM s WHERE id <= 1",
+        "SELECT sum(q) FROM s WHERE id >= 2",
+    ] {
+        let err = db.execute(sql).err().unwrap_or_else(|| panic!("{sql} did not fail"));
+        assert!(matches!(err, bh_common::BhError::InvalidArgument(_)), "{sql}: {err}");
+    }
+    assert_eq!(run(&db, "SELECT sum(q) FROM s").rows, vec![vec![Value::Int64(-1)]]);
+    assert_eq!(run(&db, "SELECT sum(u) FROM s WHERE id = 0").rows, vec![vec![Value::UInt64(umax)]]);
+}

@@ -47,7 +47,7 @@ pub fn finish_scalar(bound: &BoundSelect, mut rows: Vec<Vec<Value>>) -> Result<R
             .map(|p| match p {
                 ProjItem::Aggregate(agg) => {
                     let at = agg.column.as_ref().map(|(c, _)| slot(c)).transpose()?;
-                    Ok(fold(agg, at, &rows))
+                    fold(agg, at, &rows)
                 }
                 _ => Err(BhError::Internal("a plain item in an aggregate projection".into())),
             })
@@ -71,13 +71,15 @@ pub fn finish_scalar(bound: &BoundSelect, mut rows: Vec<Vec<Value>>) -> Result<R
 
 /// One aggregate over `rows`, its argument at `at` (`None`: `count(*)`).
 /// `sum` folds Int64 in i128, UInt64 and DateTime in u128 and Float64 in
-/// f64; `min`, `max` and `avg` over no rows are NULL.
-fn fold(agg: &AggItem, at: Option<usize>, rows: &[Vec<Value>]) -> Value {
+/// f64, and a sum its output type cannot hold is an error; `min`, `max` and
+/// `avg` over no rows are NULL.
+fn fold(agg: &AggItem, at: Option<usize>, rows: &[Vec<Value>]) -> Result<Value> {
     let (Some(at), Some((_, ty))) = (at, &agg.column) else {
-        return Value::UInt64(rows.len() as u64);
+        return Ok(Value::UInt64(rows.len() as u64));
     };
     let cells = || rows.iter().map(|r| &r[at]).filter(|v| !v.is_null());
-    match agg.func {
+    let overflow = |out: &str| BhError::InvalidArgument(format!("{} overflows {out}", agg.name));
+    Ok(match agg.func {
         AggFunc::Count => Value::UInt64(cells().count() as u64),
         AggFunc::Sum => match ty {
             ColumnType::Float64 => Value::Float64(cells().filter_map(Value::as_f64).sum()),
@@ -88,7 +90,7 @@ fn fold(agg: &AggItem, at: Option<usize>, rows: &[Vec<Value>]) -> Value {
                         _ => None,
                     })
                     .sum();
-                Value::Int64(s as i64)
+                Value::Int64(i64::try_from(s).map_err(|_| overflow("Int64"))?)
             }
             _ => {
                 let s: u128 = cells()
@@ -97,7 +99,7 @@ fn fold(agg: &AggItem, at: Option<usize>, rows: &[Vec<Value>]) -> Value {
                         _ => None,
                     })
                     .sum();
-                Value::UInt64(s as u64)
+                Value::UInt64(u64::try_from(s).map_err(|_| overflow("UInt64"))?)
             }
         },
         AggFunc::Min | AggFunc::Max => {
@@ -117,7 +119,7 @@ fn fold(agg: &AggItem, at: Option<usize>, rows: &[Vec<Value>]) -> Value {
                 Value::Float64(sum / n as f64)
             }
         }
-    }
+    })
 }
 
 #[cfg(test)]
@@ -128,20 +130,39 @@ mod tests {
         AggItem { func, column: Some(("x".into(), ty)), name: "x".into() }
     }
 
+    fn rows(vals: Vec<Value>) -> Vec<Vec<Value>> {
+        vals.into_iter().map(|v| vec![v]).collect()
+    }
+
     #[test]
     fn folds_over_cells_and_over_no_rows() {
-        let rows = |vals: Vec<Value>| vals.into_iter().map(|v| vec![v]).collect::<Vec<_>>();
         let ints = rows(vec![Value::Int64(i64::MAX), Value::Int64(1), Value::Int64(-2)]);
         assert_eq!(
-            fold(&agg(AggFunc::Sum, ColumnType::Int64), Some(0), &ints),
+            fold(&agg(AggFunc::Sum, ColumnType::Int64), Some(0), &ints).unwrap(),
             Value::Int64(i64::MAX - 1)
         );
         let uints = rows(vec![Value::UInt64(u64::MAX), Value::UInt64(1)]);
         assert_eq!(
-            fold(&agg(AggFunc::Max, ColumnType::UInt64), Some(0), &uints),
+            fold(&agg(AggFunc::Max, ColumnType::UInt64), Some(0), &uints).unwrap(),
             Value::UInt64(u64::MAX)
         );
-        assert_eq!(fold(&agg(AggFunc::Avg, ColumnType::Int64), Some(0), &[]), Value::Null);
-        assert_eq!(fold(&agg(AggFunc::Count, ColumnType::Int64), Some(0), &[]), Value::UInt64(0));
+        let none = |func| fold(&agg(func, ColumnType::Int64), Some(0), &[]).unwrap();
+        assert_eq!(none(AggFunc::Avg), Value::Null);
+        assert_eq!(none(AggFunc::Count), Value::UInt64(0));
+    }
+
+    /// A sum its output type cannot hold fails instead of wrapping; the
+    /// wide intermediate still lets a sum pass through and come back.
+    #[test]
+    fn a_sum_past_its_output_type_is_an_error() {
+        let sum = |ty, vals| fold(&agg(AggFunc::Sum, ty), Some(0), &rows(vals));
+        let fails = |ty, vals| matches!(sum(ty, vals), Err(BhError::InvalidArgument(_)));
+        let (u, i, t) = (Value::UInt64, Value::Int64, Value::DateTime);
+        assert!(fails(ColumnType::UInt64, vec![u(u64::MAX), u(1)]));
+        assert!(fails(ColumnType::DateTime, vec![t(u64::MAX), t(1)]));
+        assert_eq!(sum(ColumnType::UInt64, vec![u(u64::MAX), u(0)]).unwrap(), u(u64::MAX));
+        assert!(fails(ColumnType::Int64, vec![i(i64::MAX), i(1)]));
+        assert!(fails(ColumnType::Int64, vec![i(i64::MIN), i(-1)]));
+        assert_eq!(sum(ColumnType::Int64, vec![i(i64::MIN), i(-1), i(1)]).unwrap(), i(i64::MIN));
     }
 }

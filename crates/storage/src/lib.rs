@@ -35,7 +35,7 @@ pub mod stats;
 pub mod table;
 pub mod value;
 
-pub use cache::IndexCache;
+pub use cache::{IndexCache, IndexedColumns};
 pub use delete::DeleteMap;
 pub use objectstore::{InMemoryObjectStore, PendingGet, SharedObjectStore};
 pub use predicate::Predicate;

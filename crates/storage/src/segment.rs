@@ -58,7 +58,8 @@ pub struct SegmentMeta {
     pub column_stats: BTreeMap<String, ColumnStats>,
     /// Kind of the per-segment vector index, if one was built.
     pub index_kind: Option<IndexKind>,
-    /// Size of the serialized index blob (cache weight / transfer size).
+    /// Size of the serialized index blob: what a cold load transfers, plus
+    /// the vector column's blocks for a graph-only (raw HNSW) blob.
     pub index_bytes: u64,
     /// Kept only because the frozen `benchmark/` compiles against it
     /// (ROADMAP "Re-anchor the evidence"): always written 0.

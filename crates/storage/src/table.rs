@@ -331,7 +331,7 @@ impl TableStore {
             return Ok(None);
         }
         // Missing IVF `nlist` is filled from the segment's size (§III-B).
-        let spec = apply_auto_index(&idx_def.spec, seg.row_count());
+        let spec = apply_auto_index(&idx_def.spec, seg.row_count()).on_column(&idx_def.column);
         let mut builder = IndexRegistry.create_builder(&spec)?;
         let t = Stopwatch::start();
         if builder.requires_training() {
@@ -387,11 +387,19 @@ impl TableStore {
         Segment::load_column(self.remote.as_ref(), &self.schema, meta, name)
     }
 
-    /// Load and deserialize a segment's vector index (uncached).
+    /// Load and deserialize a segment's vector index (uncached): the blob,
+    /// and for a graph-only blob the vector column it was built over.
     pub fn load_index(&self, meta: &SegmentMeta) -> Result<Option<Arc<dyn VectorIndex>>> {
         let Some(kind) = meta.index_kind else { return Ok(None) };
         let blob = self.remote.get(&meta.index_key())?;
-        Ok(Some(IndexRegistry.load_blob(kind, &blob)?))
+        let vectors = match self.schema.indexes.first() {
+            Some(def) if kind.loads_column() => match self.load_column(meta, &def.column)? {
+                crate::column::ColumnData::Vector { data, .. } => data,
+                _ => return Err(BhError::Internal("index column is not a vector".into())),
+            },
+            _ => Vec::new(),
+        };
+        Ok(Some(IndexRegistry.load(kind, &blob, vectors)?))
     }
 
     // ---------------------------------------------------------------- updates
@@ -1191,14 +1199,14 @@ mod tests {
     /// A seeded INSERT / UPDATE / DELETE / compact replay over one column of
     /// every type, with ORDER BY (ties included), PARTITION BY and CLUSTER
     /// BY: the hash of everything it stored — column blocks, metas, index
-    /// blobs. The constants were derived at the commit before the write path
-    /// took typed columns, once per kernel tier (HNSW neighbours, IVF cells
-    /// and the clusterer's buckets follow the tier's distances).
+    /// blobs. One constant per kernel tier (HNSW neighbours, IVF cells and
+    /// the clusterer's buckets follow the tier's distances); the HNSW ones
+    /// are blob format v3's, whose blobs hold the graph alone.
     #[test]
     #[cfg_attr(miri, ignore = "two tables of 400 rows with HNSW and IVFPQFS builds")]
     fn write_path_bytes_are_pinned() {
         const WANT: [(IndexKind, [u64; 2]); 2] = [
-            (IndexKind::Hnsw, [0xeae4_76a8_32f6_557b; 2]),
+            (IndexKind::Hnsw, [0x34bd_cef8_11d8_b6a0; 2]),
             (IndexKind::IvfPqFs, [0x58f6_1d19_e8d5_433a; 2]),
         ];
         let tier = match bh_vector::distance::KernelTier::current() {

@@ -3,7 +3,8 @@
 //!
 //! Two storage backends share one graph implementation:
 //!
-//! * `HNSW` — raw f32 vectors (exact distances).
+//! * `HNSW` — raw f32 vectors (exact distances); its blob holds the graph
+//!   alone and a load takes the rows from the segment's vector column.
 //! * `HNSWSQ` — vectors stored as 8-bit scalar-quantized codes
 //!   ([`crate::quant::sq::Sq8`]), decoded on the fly (asymmetric distance):
 //!   ~4x less memory for a small recall cost (Table VI's shape).
@@ -30,10 +31,10 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"BHHN";
-/// v2 appends a reconstruction-radius section to the SQ store payload
-/// (`flag u8` + `f32 rho`), the measured max ‖x − decode(encode(x))‖ over
-/// all build rows. Nothing writes v1 any more, so older headers are rejected.
-const VERSION: u16 = 2;
+/// v3 holds the graph alone — flat per-level links, ids only when not
+/// `0..n`, HNSWSQ's codes and `rho`; a raw blob's vectors are the segment's
+/// column, handed to [`HnswIndex::load`]. Older versions are rejected.
+const VERSION: u16 = 3;
 
 /// Ordered (distance, node) pair for binary heaps.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,46 +75,30 @@ enum Store {
 }
 
 impl Store {
-    /// Serialize as the v2 store payload (tag, payload, rho section). The
-    /// rho section keeps its presence flag (always 1) from when the radius
-    /// was optional.
+    /// Serialize what a blob carries of the store: nothing raw (the rows are
+    /// the segment's column); SQ's quantizer, codes and `rho`.
     fn write(&self, w: &mut Writer) {
-        match self {
-            Store::Raw { data } => {
-                w.put_u8(0);
-                w.put_f32_slice(data);
-            }
-            Store::Sq { sq, codes, rho } => {
-                w.put_u8(1);
-                sq.save(w);
-                w.put_bytes(codes);
-                w.put_u8(1);
-                w.put_f32(*rho);
-            }
+        if let Store::Sq { sq, codes, rho } = self {
+            sq.save(w);
+            w.put_bytes(codes);
+            w.put_f32(*rho);
         }
     }
 
-    /// Deserialize a v2 store payload written by [`Store::write`].
-    fn read(r: &mut Reader<'_>) -> Result<Store> {
-        match r.get_u8()? {
-            0 => Ok(Store::Raw { data: r.get_f32_vec()? }),
-            1 => {
-                let sq = Sq8::load(r)?;
-                let codes = r.get_bytes()?;
-                let rho = match r.get_u8()? {
-                    1 => r.get_f32()?,
-                    x => return Err(BhError::Serde(format!("hnsw: bad rho flag {x}"))),
-                };
-                Ok(Store::Sq { sq, codes, rho })
-            }
-            x => Err(BhError::Serde(format!("hnsw: bad store byte {x}"))),
+    /// Read [`Store::write`]'s payload for `kind`; raw owns `vectors`.
+    fn read(kind: IndexKind, r: &mut Reader<'_>, vectors: Vec<f32>) -> Result<Store> {
+        if kind == IndexKind::Hnsw {
+            return Ok(Store::Raw { data: vectors });
         }
+        let (sq, codes) = (Sq8::load(r)?, r.get_bytes()?);
+        Ok(Store::Sq { sq, codes, rho: r.get_f32()? })
     }
 
-    fn len(&self, dim: usize) -> usize {
+    /// Whether the store holds `n` rows of `dim` (raw: or none at all).
+    fn fits(&self, n: usize, dim: usize) -> bool {
         match self {
-            Store::Raw { data } => data.len() / dim,
-            Store::Sq { codes, .. } => codes.len() / dim,
+            Store::Raw { data } => data.is_empty() || data.len() == n * dim,
+            Store::Sq { codes, .. } => codes.len() == n * dim,
         }
     }
 
@@ -343,6 +328,61 @@ fn beam<G: Graph, A: Admit>(
     (out, n_visited)
 }
 
+/// One level's adjacency, flat: the neighbours of the level's `i`-th node
+/// are `links[offsets[i]..offsets[i + 1]]`. Level 0 holds every node in node
+/// order; an upper level lists its own `nodes`, ascending.
+#[derive(Debug)]
+struct Level {
+    nodes: Vec<u32>,
+    offsets: Vec<u32>,
+    links: Vec<u32>,
+}
+
+impl Level {
+    /// Flatten the builder's per-node lists into one level per level.
+    fn seal(per_node: &[Vec<Vec<u32>>], max_level: usize) -> Vec<Level> {
+        let mut levels: Vec<Level> = (0..=max_level)
+            .map(|_| Level { nodes: Vec::new(), offsets: vec![0], links: Vec::new() })
+            .collect();
+        for (node, per) in per_node.iter().enumerate() {
+            for (l, (level, list)) in levels.iter_mut().zip(per).enumerate() {
+                level.nodes.extend((l > 0).then_some(node as u32));
+                level.links.extend_from_slice(list);
+                level.offsets.push(level.links.len() as u32);
+            }
+        }
+        levels
+    }
+
+    fn write(&self, w: &mut Writer, upper: bool) {
+        if upper {
+            w.put_u32_slice(&self.nodes);
+        }
+        w.put_u32_slice(&self.offsets);
+        w.put_u32_slice(&self.links);
+    }
+
+    /// Read a [`Level::write`]: level 0 when `nodes_of` is `None`, else an
+    /// upper level of a graph of that many nodes, checked against it.
+    fn read(r: &mut Reader<'_>, nodes_of: Option<usize>) -> Result<Level> {
+        let nodes = if nodes_of.is_some() { r.get_u32_vec()? } else { Vec::new() };
+        let offsets = r.get_u32_vec()?;
+        let links = r.get_u32_vec()?;
+        let rows = nodes_of.map_or(offsets.len().saturating_sub(1), |_| nodes.len());
+        let n = nodes_of.unwrap_or(rows);
+        if offsets.len() != rows + 1
+            || offsets[0] != 0
+            || offsets.windows(2).any(|p| p[0] > p[1])
+            || offsets[rows] as usize != links.len()
+            || nodes.windows(2).any(|p| p[0] >= p[1])
+            || links.iter().chain(&nodes).any(|&x| x as usize >= n)
+        {
+            return Err(BhError::Serde("hnsw: corrupt link section".into()));
+        }
+        Ok(Level { nodes, offsets, links })
+    }
+}
+
 /// An immutable HNSW index.
 #[derive(Debug)]
 pub struct HnswIndex {
@@ -350,10 +390,11 @@ pub struct HnswIndex {
     metric: Metric,
     kind: IndexKind,
     m: usize,
+    /// The table column the graph was built over (empty outside a table).
+    column: String,
     ids: Vec<u64>,
-    /// Per node, per level, the neighbor list. `links[n].len()` is the node's
-    /// level count + 1.
-    links: Vec<Vec<Vec<u32>>>,
+    /// Level `l`'s adjacency; `levels.len()` is `max_level + 1`.
+    levels: Vec<Level>,
     entry: u32,
     max_level: usize,
     store: Store,
@@ -365,7 +406,9 @@ impl Graph for HnswIndex {
     }
     #[inline]
     fn links(&self, node: u32, level: usize) -> &[u32] {
-        self.links[node as usize].get(level).map_or(&[], Vec::as_slice)
+        let Some(l) = self.levels.get(level) else { return &[] };
+        let i = if level == 0 { Ok(node as usize) } else { l.nodes.binary_search(&node) };
+        i.map_or(&[], |i| &l.links[l.offsets[i] as usize..l.offsets[i + 1] as usize])
     }
     #[inline]
     fn distance(&self, query: &[f32], node: u32) -> f32 {
@@ -380,36 +423,6 @@ impl Graph for HnswIndex {
 impl HnswIndex {
     fn n(&self) -> usize {
         self.ids.len()
-    }
-
-    /// Greedy descent through upper levels to the closest entry at `to`.
-    fn greedy_to_level(&self, query: &[f32], cur: u32, from: usize, to: usize) -> u32 {
-        descend(self, query, cur, from, to)
-    }
-
-    /// Beam search at one level: up to `ef` nearest in ascending order, and
-    /// the visited count.
-    fn search_layer(
-        &self,
-        query: &[f32],
-        entry: u32,
-        ef: usize,
-        level: usize,
-    ) -> (Vec<DistNode>, usize) {
-        beam(self, query, entry, ef, level, &AdmitAll)
-    }
-
-    /// Predicate-aware beam search at level 0 (Plan D, ACORN-style): the
-    /// beam under the [`AdmitPassing`] policy.
-    fn search_layer0_filtered(
-        &self,
-        query: &[f32],
-        entry: u32,
-        ef: usize,
-        filter: &Bitset,
-        hop_budget: usize,
-    ) -> (Vec<DistNode>, usize) {
-        beam(self, query, entry, ef, 0, &AdmitPassing { ids: &self.ids, filter, hop_budget })
     }
 
     /// Level-0 candidate generation for filtered searches: the Plan D
@@ -433,52 +446,71 @@ impl HnswIndex {
             // count the selectivity twice (ACORN keeps its candidate list
             // size unchanged for the same reason).
             Some(f) if params.filter_traversal => {
-                self.search_layer0_filtered(query, entry, ef_base, f, params.hop_budget())
+                let admit =
+                    AdmitPassing { ids: &self.ids, filter: f, hop_budget: params.hop_budget() };
+                beam(self, query, entry, ef_base, 0, &admit)
             }
             // With a selective filter, widen the beam so enough filtered
             // rows survive — hnswlib's recipe, with the factor now derived
             // from the selectivity estimate instead of a fixed 2x.
-            Some(_) => self.search_layer(query, entry, params.widened_ef(ef_base), 0),
-            None => self.search_layer(query, entry, ef_base, 0),
+            Some(_) => beam(self, query, entry, params.widened_ef(ef_base), 0, &AdmitAll),
+            None => beam(self, query, entry, ef_base, 0, &AdmitAll),
         }
     }
 
-    /// Deserialize an index written by [`VectorIndex::save_bytes`].
-    pub fn load_bytes(bytes: &[u8]) -> Result<HnswIndex> {
+    /// Deserialize a [`VectorIndex::save_bytes`] blob. A raw HNSW graph owns
+    /// `vectors`, its rows in node order (the segment's column); loaded with
+    /// none, every search of it errs. HNSWSQ carries its codes, takes none.
+    pub fn load(bytes: &[u8], vectors: Vec<f32>) -> Result<HnswIndex> {
         let mut r = Reader::new(bytes);
-        let version = r.expect_header(MAGIC)?;
-        if version < VERSION {
-            return Err(BhError::Serde(format!("hnsw: blob version {version} is no longer read")));
-        }
-        let kind = match r.get_u8()? {
-            0 => IndexKind::Hnsw,
-            1 => IndexKind::HnswSq,
-            x => return Err(BhError::Serde(format!("hnsw: bad kind byte {x}"))),
-        };
+        let (kind, column) = Self::header(&mut r)?;
         let dim = r.get_u64()? as usize;
         let metric = metric_from_u8(r.get_u8()?)?;
         let m = r.get_u64()? as usize;
         let entry = r.get_u32()?;
         let max_level = r.get_u64()? as usize;
-        let ids = r.get_u64_vec()?;
-        let n = ids.len();
-        let mut links = Vec::with_capacity(n);
-        for _ in 0..n {
-            let levels = r.get_u64()? as usize;
-            let mut per = Vec::with_capacity(levels);
-            for _ in 0..levels {
-                per.push(r.get_u32_vec()?);
-            }
-            links.push(per);
+        let mut levels = vec![Level::read(&mut r, None)?];
+        let n = levels[0].offsets.len() - 1;
+        for _ in 0..max_level {
+            levels.push(Level::read(&mut r, Some(n))?);
         }
-        let store = Store::read(&mut r)?;
-        let idx = HnswIndex { dim, metric, kind, m, ids, links, entry, max_level, store };
-        if dim == 0 || (idx.n() > 0 && idx.store.len(dim) != idx.n()) {
+        let ids = match r.get_u8()? {
+            0 => (0..n as u64).collect(),
+            1 => r.get_u64_vec()?,
+            x => return Err(BhError::Serde(format!("hnsw: bad ids byte {x}"))),
+        };
+        let store = Store::read(kind, &mut r, vectors)?;
+        if dim == 0 || ids.len() != n || (n > 0 && entry as usize >= n) || !store.fits(n, dim) {
             return Err(BhError::Serde("hnsw: corrupt geometry".into()));
         }
-        Ok(idx)
+        Ok(HnswIndex { dim, metric, kind, m, column, ids, levels, entry, max_level, store })
     }
 
+    /// The table column a blob's graph was built over, from its header.
+    pub fn column_of(bytes: &[u8]) -> Result<String> {
+        Ok(Self::header(&mut Reader::new(bytes))?.1)
+    }
+
+    fn header(r: &mut Reader<'_>) -> Result<(IndexKind, String)> {
+        let version = r.expect_header(MAGIC)?;
+        if version < VERSION {
+            return Err(BhError::Serde(format!("hnsw: blob version {version} is no longer read")));
+        }
+        let kind = [IndexKind::Hnsw, IndexKind::HnswSq].get(usize::from(r.get_u8()?)).copied();
+        Ok((kind.ok_or_else(|| BhError::Serde("hnsw: bad kind byte".into()))?, r.get_str()?))
+    }
+
+    /// [`VectorIndex::check_query`], and that a raw graph has its vector rows.
+    fn check_search(&self, query: &[f32]) -> Result<()> {
+        self.check_query(query)?;
+        if matches!(&self.store, Store::Raw { data } if data.len() != self.n() * self.dim) {
+            return Err(BhError::Index(format!(
+                "hnsw: {:?} loaded without its vectors",
+                self.column
+            )));
+        }
+        Ok(())
+    }
 }
 
 impl VectorIndex for HnswIndex {
@@ -494,7 +526,7 @@ impl VectorIndex for HnswIndex {
         filter: Option<&Bitset>,
         bound: Option<&SharedBound>,
     ) -> Result<Vec<Neighbor>> {
-        self.check_query(query)?;
+        self.check_search(query)?;
         if self.n() == 0 || k == 0 {
             return Ok(Vec::new());
         }
@@ -502,7 +534,7 @@ impl VectorIndex for HnswIndex {
         // would change which neighborhoods get explored. Only the final
         // candidate list participates, whichever source produced it.
         let ef = params.ef_search.max(k);
-        let entry = self.greedy_to_level(query, self.entry, self.max_level, 0);
+        let entry = descend(self, query, self.entry, self.max_level, 0);
         let (cands, visited) = self.filtered_candidates(query, entry, ef, params, filter);
         QueryCtx::with(|c| c.tally.rows_scanned.add(visited as u64));
         // SQ stores yield asymmetric (approximate) distances. With the
@@ -551,15 +583,21 @@ impl VectorIndex for HnswIndex {
         query: &[f32],
         _params: &SearchParams,
     ) -> Result<Box<dyn SearchIterator + 'a>> {
-        self.check_query(query)?;
+        self.check_search(query)?;
         let mut heap = BinaryHeap::new();
         let mut visited = vec![false; self.n()];
         if self.n() > 0 {
-            let entry = self.greedy_to_level(query, self.entry, self.max_level, 0);
+            let entry = descend(self, query, self.entry, self.max_level, 0);
             visited[entry as usize] = true;
             heap.push(Reverse(DistNode { dist: self.distance(query, entry), node: entry }));
         }
-        Ok(Box::new(HnswIterator { index: self, query: query.to_vec(), heap, visited, n_visited: if self.n() > 0 { 1 } else { 0 } }))
+        Ok(Box::new(HnswIterator {
+            index: self,
+            query: query.to_vec(),
+            heap,
+            visited,
+            n_visited: if self.n() > 0 { 1 } else { 0 },
+        }))
     }
 
     fn needs_refine(&self) -> bool {
@@ -567,12 +605,9 @@ impl VectorIndex for HnswIndex {
     }
 
     fn memory_usage(&self) -> usize {
-        let link_bytes: usize = self
-            .links
-            .iter()
-            .map(|per| per.iter().map(|l| l.len() * 4 + 24).sum::<usize>() + 24)
-            .sum();
-        self.store.memory_usage() + link_bytes + self.ids.len() * 8 + std::mem::size_of::<Self>()
+        let words: usize =
+            self.levels.iter().map(|l| l.nodes.len() + l.offsets.len() + l.links.len()).sum();
+        self.store.memory_usage() + words * 4 + self.ids.len() * 8 + std::mem::size_of::<Self>()
     }
 
     fn save_bytes(&self) -> Result<Bytes> {
@@ -582,17 +617,20 @@ impl VectorIndex for HnswIndex {
             IndexKind::HnswSq => 1,
             _ => return Err(BhError::Internal("hnsw: impossible kind".into())),
         });
+        w.put_str(&self.column);
         w.put_u64(self.dim as u64);
         w.put_u8(metric_to_u8(self.metric));
         w.put_u64(self.m as u64);
         w.put_u32(self.entry);
         w.put_u64(self.max_level as u64);
-        w.put_u64_slice(&self.ids);
-        for per in &self.links {
-            w.put_u64(per.len() as u64);
-            for l in per {
-                w.put_u32_slice(l);
-            }
+        for (l, level) in self.levels.iter().enumerate() {
+            level.write(&mut w, l > 0);
+        }
+        if self.ids.iter().copied().eq(0..self.n() as u64) {
+            w.put_u8(0);
+        } else {
+            w.put_u8(1);
+            w.put_u64_slice(&self.ids);
         }
         self.store.write(&mut w);
         Ok(w.finish())
@@ -622,17 +660,16 @@ impl SearchIterator for HnswIterator<'_> {
         while out.len() < n {
             let Some(Reverse(c)) = self.heap.pop() else { break };
             // Expand neighbors before emitting so the frontier stays ahead.
-            if !self.index.links[c.node as usize].is_empty() {
-                for &nb in &self.index.links[c.node as usize][0] {
-                    if !self.visited[nb as usize] {
-                        self.visited[nb as usize] = true;
-                        self.n_visited += 1;
-                        let d = self.index.distance(&self.query, nb);
-                        self.heap.push(Reverse(DistNode { dist: d, node: nb }));
-                    }
+            let index = self.index;
+            for &nb in index.links(c.node, 0) {
+                if !self.visited[nb as usize] {
+                    self.visited[nb as usize] = true;
+                    self.n_visited += 1;
+                    let d = index.distance(&self.query, nb);
+                    self.heap.push(Reverse(DistNode { dist: d, node: nb }));
                 }
             }
-            out.push(Neighbor::new(self.index.ids[c.node as usize], c.dist));
+            out.push(Neighbor::new(index.ids[c.node as usize], c.dist));
         }
         Ok(out)
     }
@@ -722,9 +759,8 @@ impl HnswBuilder {
             if selected.len() >= m {
                 break;
             }
-            let dominated = selected
-                .iter()
-                .any(|s| self.dist(s.node as usize, c.node as usize) < c.dist);
+            let dominated =
+                selected.iter().any(|s| self.dist(s.node as usize, c.node as usize) < c.dist);
             if !dominated {
                 selected.push(c);
             }
@@ -850,8 +886,7 @@ impl IndexBuilder for HnswBuilder {
                     let row = &self.raw[i * dim..(i + 1) * dim];
                     let code = sq.encode(row)?;
                     let recon = sq.decode(&code);
-                    let err: f32 =
-                        row.iter().zip(&recon).map(|(a, b)| (a - b) * (a - b)).sum();
+                    let err: f32 = row.iter().zip(&recon).map(|(a, b)| (a - b) * (a - b)).sum();
                     rho_sq = rho_sq.max(err);
                     codes.extend(code);
                 }
@@ -866,8 +901,9 @@ impl IndexBuilder for HnswBuilder {
             metric: self.spec.metric,
             kind: self.kind,
             m: self.m,
+            column: self.spec.column,
             ids: self.ids,
-            links: self.links,
+            levels: Level::seal(&self.links, self.max_level),
             entry: self.entry,
             max_level: self.max_level,
             store,
@@ -1062,7 +1098,9 @@ mod tests {
         let dim = 8;
         let (hnsw, data) = build_pair(400, dim, IndexKind::Hnsw, 8);
         let blob = hnsw.save_bytes().unwrap();
-        let loaded = HnswIndex::load_bytes(&blob).unwrap();
+        // A raw blob holds the graph alone; the rows come from the column.
+        let loaded = HnswIndex::load(&blob, data.clone()).unwrap();
+        assert_eq!(loaded.meta().kind, IndexKind::Hnsw);
         let q = &data[0..dim];
         let params = SearchParams::default();
         assert_eq!(
@@ -1076,7 +1114,8 @@ mod tests {
         let dim = 8;
         let (hnswsq, data) = build_pair(300, dim, IndexKind::HnswSq, 9);
         let blob = hnswsq.save_bytes().unwrap();
-        let loaded = HnswIndex::load_bytes(&blob).unwrap();
+        // HNSWSQ carries its own codes and takes no column.
+        let loaded = HnswIndex::load(&blob, Vec::new()).unwrap();
         assert_eq!(loaded.meta().kind, IndexKind::HnswSq);
         let q = &data[0..dim];
         let params = SearchParams::default();
@@ -1115,7 +1154,7 @@ mod tests {
             );
         }
         // Roundtrip keeps rho, so the loaded index prunes too.
-        let loaded = HnswIndex::load_bytes(&hnswsq.save_bytes().unwrap()).unwrap();
+        let loaded = HnswIndex::load(&hnswsq.save_bytes().unwrap(), Vec::new()).unwrap();
         let b2 = SharedBound::new();
         b2.update(bound_val);
         let got2 = loaded.search_with_bound(q, k, &params, None, Some(&b2)).unwrap();
@@ -1127,17 +1166,14 @@ mod tests {
     fn sq_blob_without_rho_is_rejected() {
         let (hnswsq, _) = build_pair(200, 8, IndexKind::HnswSq, 13);
         let blob = hnswsq.save_bytes().unwrap().to_vec();
-        assert!(HnswIndex::load_bytes(&blob).is_ok());
-        // A header version below 2 (bytes [4,6), little-endian).
-        let mut v1 = blob.clone();
-        v1[4] = 1;
-        assert!(matches!(HnswIndex::load_bytes(&v1), Err(BhError::Serde(_))));
-        // A cleared rho flag: the blob ends with flag byte + f32 rho.
-        let mut unflagged = blob.clone();
-        let flag = blob.len() - 5;
-        assert_eq!(unflagged[flag], 1);
-        unflagged[flag] = 0;
-        assert!(matches!(HnswIndex::load_bytes(&unflagged), Err(BhError::Serde(_))));
+        assert!(HnswIndex::load(&blob, Vec::new()).is_ok());
+        // A v2 header (bytes [4,6), little-endian): no longer read.
+        let mut v2 = blob.clone();
+        v2[4] = 2;
+        assert!(matches!(HnswIndex::load(&v2, Vec::new()), Err(BhError::Serde(_))));
+        // The blob ends with the f32 rho: cut off, it is rejected.
+        let cut = &blob[..blob.len() - 4];
+        assert!(matches!(HnswIndex::load(cut, Vec::new()), Err(BhError::Serde(_))));
     }
 
     #[test]
@@ -1157,12 +1193,7 @@ mod tests {
                 let qv = &data[q * 83 * dim % (n * dim - dim)..][..dim];
                 let got = hnsw.search_with_bound(qv, k, &params, Some(&allow), None).unwrap();
                 for nb in &got {
-                    assert_eq!(
-                        nb.id as usize % step,
-                        0,
-                        "s={s}: row {} escaped the filter",
-                        nb.id
-                    );
+                    assert_eq!(nb.id as usize % step, 0, "s={s}: row {} escaped the filter", nb.id);
                 }
                 let truth = exact_topk(Metric::L2, &data, dim, qv, k, Some(&allow));
                 total += recall_at_k(&truth, &got, k);
@@ -1247,12 +1278,12 @@ mod tests {
             let mut hb = Box::new(HnswBuilder::new(&spec, IndexKind::Hnsw).unwrap());
             hb.add_with_ids(data, &ids).unwrap();
             let blob = (hb as Box<dyn IndexBuilder>).finish().unwrap().save_bytes().unwrap();
-            let idx = HnswIndex::load_bytes(&blob).unwrap();
+            let idx = HnswIndex::load(&blob, data.to_vec()).unwrap();
             // Mean visits over the query set of one way of driving layer 0.
             let mean = |walk: &dyn Fn(&[f32], u32) -> usize| -> f64 {
                 let total: usize = queries
                     .chunks(dim)
-                    .map(|q| walk(q, idx.greedy_to_level(q, idx.entry, idx.max_level, 0)))
+                    .map(|q| walk(q, descend(&idx, q, idx.entry, idx.max_level, 0)))
                     .sum();
                 total as f64 / (queries.len() / dim) as f64
             };
@@ -1264,11 +1295,12 @@ mod tests {
                         Bitset::from_positions(rows, (0..rows).filter(|_| draw.gen::<f64>() < s));
                     // The pull's demand (σ·k of the executor) varies with the cell.
                     let want = ef;
-                    let beam = |q: &[f32], e: u32| idx.search_layer(q, e, ef, 0).1;
-                    let widened = |q: &[f32], e: u32| idx.search_layer(q, e, p.widened_ef(ef), 0).1;
-                    let traversal = |q: &[f32], e: u32| {
-                        idx.search_layer0_filtered(q, e, ef, &bits, p.hop_budget()).1
-                    };
+                    let plain = |q: &[f32], e: u32| beam(&idx, q, e, ef, 0, &AdmitAll).1;
+                    let widened =
+                        |q: &[f32], e: u32| beam(&idx, q, e, p.widened_ef(ef), 0, &AdmitAll).1;
+                    let admit =
+                        AdmitPassing { ids: &idx.ids, filter: &bits, hop_budget: p.hop_budget() };
+                    let traversal = |q: &[f32], e: u32| beam(&idx, q, e, ef, 0, &admit).1;
                     let pull = |q: &[f32], _: u32| {
                         let mut it = idx.search_iterator(q, &p).unwrap();
                         let mut passing = 0;
@@ -1284,7 +1316,7 @@ mod tests {
                     };
                     type Walk<'a> = &'a dyn Fn(&[f32], u32) -> usize;
                     let walks: [(GraphScan, usize, Walk); 4] = [
-                        (GraphScan::Beam, k, &beam),
+                        (GraphScan::Beam, k, &plain),
                         (GraphScan::WidenedBeam, k, &widened),
                         (GraphScan::FilteredTraversal, k, &traversal),
                         (GraphScan::IteratorPull, want, &pull),
@@ -1330,10 +1362,9 @@ mod tests {
     /// Pins what every way of driving the graph returns — ids, distance
     /// bits and visited counts — and the bytes the builder produces, so a
     /// refactor of the beam loop, the descent or the codec shows up as a
-    /// changed constant. The blob constants were produced by this same test
-    /// at the commit before the four loops became one (CHANGES.md, PR 16),
-    /// the search constants at the commit before head-only search went
-    /// (PR 19).
+    /// changed constant. The blob constants are blob format v3's (the graph
+    /// alone); the search constants predate it and did not move with it:
+    /// the loaded graph walks exactly as the built one.
     #[test]
     #[cfg_attr(miri, ignore = "two 1,000-row builds at ef_construction 120: hours under Miri")]
     fn golden_traversal_and_blob_identity() {
@@ -1357,9 +1388,9 @@ mod tests {
                 w[..chunk.len()].copy_from_slice(chunk);
                 bh.word(u64::from_le_bytes(w));
             }
-            assert_eq!(bh.0, want_blob, "{kind:?}: save_bytes blob changed ({:#018x})", bh.0);
 
-            let idx = HnswIndex::load_bytes(&blob).unwrap();
+            let vectors = if kind == IndexKind::Hnsw { data.clone() } else { Vec::new() };
+            let idx = HnswIndex::load(&blob, vectors).unwrap();
             let plain = SearchParams::default().with_ef(ef);
             let widened = plain.with_selectivity(0.1);
             let walk = widened.with_filter_traversal(true);
@@ -1367,19 +1398,20 @@ mod tests {
             for q in 0..8 {
                 // Off-row queries: a data row shifted by a fixed offset.
                 let qv: Vec<f32> = data[q * 97 * dim..][..dim].iter().map(|x| x + 0.37).collect();
-                let entry = idx.greedy_to_level(&qv, idx.entry, idx.max_level, 0);
+                let entry = descend(&idx, &qv, idx.entry, idx.max_level, 0);
                 h.word(u64::from(entry));
                 // Plain beam.
                 let top = idx.search_with_bound(&qv, k, &plain, None, None).unwrap();
                 h.hits(&top);
-                h.word(idx.search_layer(&qv, entry, ef, 0).1 as u64);
+                h.word(beam(&idx, &qv, entry, ef, 0, &AdmitAll).1 as u64);
                 // Plan B: widened beam, bitmap applied afterwards.
                 h.hits(&idx.search_with_bound(&qv, k, &widened, Some(&allow), None).unwrap());
-                h.word(idx.search_layer(&qv, entry, widened.widened_ef(ef), 0).1 as u64);
+                h.word(beam(&idx, &qv, entry, widened.widened_ef(ef), 0, &AdmitAll).1 as u64);
                 // Plan D: predicate-aware traversal.
                 h.hits(&idx.search_with_bound(&qv, k, &walk, Some(&allow), None).unwrap());
-                let (cands, visited) =
-                    idx.search_layer0_filtered(&qv, entry, ef, &allow, walk.hop_budget());
+                let admit =
+                    AdmitPassing { ids: &idx.ids, filter: &allow, hop_budget: walk.hop_budget() };
+                let (cands, visited) = beam(&idx, &qv, entry, ef, 0, &admit);
                 h.word(cands.len() as u64);
                 h.word(visited as u64);
                 // Shared bound: a vacuous one gets published to (raw store
@@ -1400,19 +1432,20 @@ mod tests {
                 h.word(it.visited() as u64);
             }
             assert_eq!(h.0, want_search, "{kind:?}: traversal changed ({:#018x})", h.0);
+            assert_eq!(bh.0, want_blob, "{kind:?}: save_bytes blob changed ({:#018x})", bh.0);
         }
     }
 
     const GOLDEN_HNSW_SEARCH: u64 = 0x5d21_7675_47d8_9b50;
-    const GOLDEN_HNSW_BLOB: u64 = 0x7cd7_0bbb_2be9_cd60;
+    const GOLDEN_HNSW_BLOB: u64 = 0x12b2_1042_2e20_2b0a;
     const GOLDEN_HNSWSQ_SEARCH: u64 = 0x19da_d7fe_0329_76a5;
-    const GOLDEN_HNSWSQ_BLOB: u64 = 0x40bc_3e76_e82a_7c15;
+    const GOLDEN_HNSWSQ_BLOB: u64 = 0x9a6b_be98_c5ec_b02b;
 
     #[test]
     fn corrupt_blob_rejected() {
         let (hnsw, _) = build_pair(50, 4, IndexKind::Hnsw, 10);
         let blob = hnsw.save_bytes().unwrap();
-        assert!(HnswIndex::load_bytes(&blob[..20]).is_err());
+        assert!(HnswIndex::load(&blob[..20], Vec::new()).is_err());
     }
 
     #[test]
@@ -1431,8 +1464,7 @@ mod tests {
         let data = clustered(200, dim, 11);
         let ids: Vec<u64> = (0..200).collect();
         let mk = || {
-            let spec =
-                IndexSpec::new(IndexKind::Hnsw, dim, Metric::L2).with_param("seed", 42);
+            let spec = IndexSpec::new(IndexKind::Hnsw, dim, Metric::L2).with_param("seed", 42);
             let mut b = Box::new(HnswBuilder::new(&spec, IndexKind::Hnsw).unwrap());
             b.add_with_ids(&data, &ids).unwrap();
             (b as Box<dyn IndexBuilder>).finish().unwrap().save_bytes().unwrap()

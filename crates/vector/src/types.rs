@@ -126,6 +126,13 @@ impl IndexKind {
         matches!(self, IndexKind::HnswSq | IndexKind::IvfPq | IndexKind::IvfPqFs)
     }
 
+    /// Whether the index's blob holds the graph alone and a load takes the
+    /// segment's vector column beside it (raw `HNSW`): every vector is
+    /// stored once, in its column.
+    pub fn loads_column(&self) -> bool {
+        matches!(self, IndexKind::Hnsw)
+    }
+
     /// Whether building requires a training pass (k-means for IVF/PQ).
     pub fn requires_training(&self) -> bool {
         matches!(
@@ -148,12 +155,22 @@ pub struct IndexSpec {
     pub metric: Metric,
     /// Algorithm-specific build parameters (lower-cased keys).
     pub params: BTreeMap<String, String>,
+    /// The table column the index is built over, which an HNSW blob names
+    /// (empty outside a table).
+    #[serde(default)]
+    pub column: String,
 }
 
 impl IndexSpec {
     /// A spec with no algorithm-specific parameters.
     pub fn new(kind: IndexKind, dim: usize, metric: Metric) -> Self {
-        Self { kind, dim, metric, params: BTreeMap::new() }
+        Self { kind, dim, metric, params: BTreeMap::new(), column: String::new() }
+    }
+
+    /// The same spec, built over table column `column`.
+    pub fn on_column(mut self, column: &str) -> Self {
+        self.column = column.to_string();
+        self
     }
 
     /// Builder-style parameter setter.

@@ -12,7 +12,8 @@
 //! Deterministic values are compared exactly: `index_build`'s k-means
 //! counters (`lloyd_iters`, `seed_rounds`, `point_centroid_evals`), every
 //! virtual-clock time (`*_sim_ns`), span count (`*_spans`), store get
-//! count (`*_gets`) and recall (`*_recall`: a seeded bench returns the same
+//! count (`*_gets`), byte count (`*_bytes`: `cold_scan`'s bytes fetched)
+//! and recall (`*_recall`: a seeded bench returns the same
 //! rows every run, so `filter_sweep`'s per-plan recall says whether a plan's
 //! search moved), which are checked before the latency rule, and every
 //! byte hash (`*_fnv`, `index_build`'s `blob_fnv` and `store_fnv`),
@@ -134,13 +135,14 @@ fn is_latency_key(key: &str) -> bool {
     key.ends_with("_ns") || key.ends_with("_ns_per_row") || key.ends_with("_ns_per_op")
 }
 
-/// Work counts, simulated times, span counts, store gets and recalls a
-/// deterministic run repeats exactly.
+/// Work counts, simulated times, span counts, store gets, byte counts and
+/// recalls a deterministic run repeats exactly.
 fn is_exact_key(key: &str) -> bool {
     matches!(key, "lloyd_iters" | "seed_rounds" | "point_centroid_evals")
         || key.ends_with("_sim_ns")
         || key.ends_with("_spans")
         || key.ends_with("_gets")
+        || key.ends_with("_bytes")
         || key.ends_with("_recall")
 }
 
@@ -541,6 +543,29 @@ mod tests {
             let gets = cmp.iter().find(|c| c.path.ends_with("cold_store_gets")).unwrap();
             assert_eq!(gets.regressed, moved, "{gets}");
             assert_eq!(gets.to_string().starts_with("MOVED"), moved, "{gets}");
+            assert_eq!(cmp.iter().filter(|c| c.regressed).count(), usize::from(moved));
+        }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_byte_count_that_moves_fails() {
+        let root = tmp_root("bytes");
+        let fresh = root.join("fresh");
+        let row = |bytes: u64| {
+            format!(
+                r#"{{"results":[{{"case":"database","wall_sim_ns":2000,"store_get_bytes":{bytes},"overlap_ratio":5.1}}]}}"#
+            )
+        };
+        fixture(&root, "BENCH_io.json", &row(4096));
+        for (bytes, moved) in [(4096, false), (4097, true), (4095, true)] {
+            fixture(&fresh, "BENCH_io.json", &row(bytes));
+            let (cmp, _) = diff_benchmarks(&root, &fresh, 15.0).unwrap();
+            // The exact wall time and byte count; the ratio is ignored.
+            assert_eq!(cmp.len(), 2);
+            let b = cmp.iter().find(|c| c.path.ends_with("store_get_bytes")).unwrap();
+            assert_eq!(b.regressed, moved, "{b}");
+            assert_eq!(b.to_string().starts_with("MOVED"), moved, "{b}");
             assert_eq!(cmp.iter().filter(|c| c.regressed).count(), usize::from(moved));
         }
         let _ = fs::remove_dir_all(&root);
