@@ -27,7 +27,13 @@
 //!    `store_fnv` hashes every `(key, blob)` the pass left in the store;
 //!    it is asserted equal across the three passes and, on the AVX2 tier,
 //!    to a constant, and `bench-diff` compares it with the committed one
-//!    exactly.
+//!    exactly. The same pass is then replayed once per ingest mode on a
+//!    virtual clock whose store charges a fixed cost per operation:
+//!    `pipelined_sim_ns` and `staged_sim_ns` are what the write step cost on
+//!    that clock. They count operations and the uploads that overlapped, so
+//!    they repeat on every kernel tier, are asserted against constants and
+//!    are exact in `bench-diff`. Both replays must leave the first pass's
+//!    store bytes. The file is written before any of these asserts runs.
 //!
 //! Every build, stage and write-pass row also carries the exact k-means
 //! work behind it (`bh_vector::kmeans::work_done`): Lloyd iterations,
@@ -42,14 +48,15 @@
 
 use bh_bench::datasets::DatasetSpec;
 use bh_bench::harness::{median, print_table, write_fresh_json, Timer};
-use bh_common::FanoutPool;
+use bh_common::{DeploymentLatencies, FanoutPool, LatencyModel};
+use bh_storage::table::IngestMode;
 use bh_vector::autoindex::auto_nlist;
 use bh_vector::distance::{distance_batch, Codebook, KernelTier};
 use bh_vector::ivf::IvfBuilder;
 use bh_vector::kmeans::{train_kmeans_on, work_done, KMeansParams, KMeansWork};
 use bh_vector::quant::pq::{AdcTable, CodeBits, Pq, PqParams};
 use bh_vector::{IndexBuilder, IndexKind, IndexSpec, Metric};
-use blendhouse::Database;
+use blendhouse::{Database, DatabaseConfig};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -76,6 +83,17 @@ const IVFPQFS_BLOB_FNV: [(usize, u64); 3] = [
 /// derived before the write path took typed columns: column blocks, metas
 /// and index blobs have not moved a byte since.
 const WRITE_PASS_STORE_FNV: u64 = 0xd4ee_db53_a75e_829a;
+
+/// What every store operation of the timed write passes costs on their
+/// virtual clock, whatever its size.
+const WRITE_OP_NS: u64 = 100_000;
+
+/// Virtual-clock nanos of the write pass under `Pipelined` and under
+/// `Staged` ingest, at `WRITE_OP_NS` per store operation.
+/// `Staged` waits out each of the pass's 510 operations; `Pipelined` waits
+/// out each statement's block uploads as one, 108 waits fewer.
+const WRITE_PASS_SIM_NS: [(IngestMode, u64); 2] =
+    [(IngestMode::Pipelined, 40_200_000), (IngestMode::Staged, 51_000_000)];
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -291,11 +309,17 @@ fn time_stages(data: &[f32], pool: &FanoutPool) -> ([f64; 3], KMeansWork) {
     (samples.map(median), work.expect("three repeats"))
 }
 
-/// One write pass through the facade; `[wall, train, add, serialize,
-/// compact]` in ms, the last four from the table store's own histograms
-/// (index builds inside a compaction count in both), the k-means work of
-/// the pass and the FNV-1a of what it left in the store.
-fn write_pass(data: &[f32]) -> ([f64; 5], KMeansWork, u64) {
+/// What one write pass measured: `[wall, train, add, serialize, compact]`
+/// in ms, the k-means work, the FNV-1a of the store and the nanos the
+/// database clock moved.
+type WritePass = ([f64; 5], KMeansWork, u64, u64);
+
+/// One write pass through a database of `cfg`; `[wall, train, add,
+/// serialize, compact]` in ms, the last four from the table store's own
+/// histograms (index builds inside a compaction count in both), the
+/// k-means work of the pass, the FNV-1a of what it left in the store and
+/// how far the pass moved the database's clock.
+fn write_pass(data: &[f32], cfg: DatabaseConfig) -> WritePass {
     let (inserts, batch) = (32, 512);
     let sqls: Vec<String> = (0..inserts)
         .map(|b| {
@@ -308,12 +332,13 @@ fn write_pass(data: &[f32]) -> ([f64; 5], KMeansWork, u64) {
             sql
         })
         .collect();
-    let db = Database::in_memory();
+    let db = Database::new(cfg);
     db.execute(&format!(
         "CREATE TABLE t (id UInt64, emb Array(Float32), INDEX ann emb TYPE IVFPQFS('DIM={DIM}')) ORDER BY id"
     ))
     .unwrap();
     let before = work_done();
+    let clock_before = db.clock().now_nanos();
     let t = Timer::start();
     for (b, sql) in sqls.iter().enumerate() {
         db.execute(sql).unwrap();
@@ -322,6 +347,7 @@ fn write_pass(data: &[f32]) -> ([f64; 5], KMeansWork, u64) {
         }
     }
     let wall = t.secs() * 1e3;
+    let sim_ns = db.clock().now_nanos() - clock_before;
     let work = work_done() - before;
     let ms = |name: &str| db.metrics().histogram(name).snapshot().sum.as_secs_f64() * 1e3;
     (
@@ -334,7 +360,22 @@ fn write_pass(data: &[f32]) -> ([f64; 5], KMeansWork, u64) {
         ],
         work,
         store_fnv(&db),
+        sim_ns,
     )
+}
+
+/// [`write_pass`] on a virtual clock whose store charges `WRITE_OP_NS` per
+/// operation, under `mode`.
+fn timed_write_pass(data: &[f32], mode: IngestMode) -> WritePass {
+    let mut cfg = DatabaseConfig {
+        latencies: DeploymentLatencies {
+            remote_store: LatencyModel::fixed(std::time::Duration::from_nanos(WRITE_OP_NS)),
+            rpc: LatencyModel::ZERO,
+        },
+        ..Default::default()
+    };
+    cfg.table.ingest_mode = mode;
+    write_pass(data, cfg)
 }
 
 fn main() {
@@ -398,7 +439,9 @@ fn main() {
         &rows,
     );
 
-    // 3. Whole builds, without and with helpers.
+    // 3. Whole builds, without and with helpers. Exact values off their
+    // constants are asserted once the file is written.
+    let mut moved = Vec::new();
     let mut rows = Vec::new();
     let mut build_json = Vec::new();
     for kind in [IndexKind::IvfFlat, IndexKind::IvfPq, IndexKind::IvfPqFs] {
@@ -414,7 +457,9 @@ fn main() {
                         .find(|&&(rows, _)| rows == n)
                         .expect("a constant per size")
                         .1;
-                    assert_eq!(fnv, want, "IVFPQFS blob at {n} rows: {fnv:#018x}");
+                    if fnv != want {
+                        moved.push(format!("IVFPQFS blob at {n} rows: {fnv:#018x}"));
+                    }
                 }
                 rows.push(vec![
                     kind.name().to_string(),
@@ -476,14 +521,35 @@ fn main() {
         &rows,
     );
 
-    // 5. A write pass through the facade, by the table store's histograms.
-    let mut passes: Vec<([f64; 5], KMeansWork, u64)> = (0..3).map(|_| write_pass(data)).collect();
+    // 5. A write pass through the facade, by the table store's histograms,
+    // then once per ingest mode on the virtual clock.
+    let mut passes: Vec<WritePass> =
+        (0..3).map(|_| write_pass(data, DatabaseConfig::default())).collect();
     let (pass_work, pass_fnv) = (passes[0].1, passes[0].2);
-    assert!(passes.iter().all(|p| p.1 == pass_work), "write-pass work depends on the run");
-    assert!(passes.iter().all(|p| p.2 == pass_fnv), "write-pass store bytes depend on the run");
-    if KernelTier::current() == KernelTier::Avx2 {
-        assert_eq!(pass_fnv, WRITE_PASS_STORE_FNV, "write-pass store bytes: {pass_fnv:#018x}");
+    if passes.iter().any(|p| p.1 != pass_work) {
+        moved.push("write-pass work depends on the run".into());
     }
+    if passes.iter().any(|p| p.2 != pass_fnv) {
+        moved.push("write-pass store bytes depend on the run".into());
+    }
+    if KernelTier::current() == KernelTier::Avx2 && pass_fnv != WRITE_PASS_STORE_FNV {
+        moved.push(format!("write-pass store bytes: {pass_fnv:#018x}"));
+    }
+    let sim_ns = WRITE_PASS_SIM_NS.map(|(mode, want)| {
+        let (_, _, fnv, got) = timed_write_pass(data, mode);
+        if fnv != pass_fnv {
+            moved.push(format!("{mode:?} write pass stores other bytes: {fnv:#018x}"));
+        }
+        if got != want {
+            moved.push(format!("{mode:?} write pass sim_ns: {got}"));
+        }
+        got
+    });
+    let [pipelined_sim_ns, staged_sim_ns] = sim_ns;
+    println!(
+        "[index_build] write pass on the virtual clock ({WRITE_OP_NS} ns per store operation): \
+         pipelined {pipelined_sim_ns} ns, staged {staged_sim_ns} ns"
+    );
     passes.sort_by(|a, b| a.0[0].total_cmp(&b.0[0]));
     let [wall, train, add, serialize, compact] = passes[1].0;
     let share = |ms: f64| format!("{:.1} %", 100.0 * ms / wall);
@@ -507,7 +573,8 @@ fn main() {
     let pass_json = format!(
         "{{ \"inserts\": 32, \"rows_per_insert\": 512, \"compact_every\": 8, \"wall_ms\": {wall:.1}, \
          \"index_train_ms\": {train:.1}, \"index_add_ms\": {add:.1}, \"index_serialize_ms\": {serialize:.1}, \
-         \"compact_ms\": {compact:.1}, \"train_share\": {:.3}, {}, \"store_fnv\": \"{pass_fnv:#018x}\" }}",
+         \"compact_ms\": {compact:.1}, \"train_share\": {:.3}, {}, \"store_fnv\": \"{pass_fnv:#018x}\", \
+         \"store_op_sim_ns\": {WRITE_OP_NS}, \"pipelined_sim_ns\": {pipelined_sim_ns}, \"staged_sim_ns\": {staged_sim_ns} }}",
         train / wall,
         work_json(pass_work)
     );
@@ -521,7 +588,7 @@ fn main() {
     let json = format!(
         "{{\n  \"benchmark\": \"IVF/PQ build path: dimension-major nearest-centroid kernel and build fan-out\",\n  \
          \"machine\": {{ \"arch\": \"{}\", \"kernel_tier_detected\": \"{}\", \"cores\": {cores} }},\n  \
-         \"method\": \"crates/bench/benches/index_build.rs (plain-main harness). nearest_centroid: median of {REPS} passes over 8192 points, ns per (point, codebook); per_row is distance_batch + first-lowest scan per point, kernel is one Codebook::nearest_in over all points (points in lanes), index and distance bits asserted equal first. adc_table: median ns per Pq::adc_table_into at dim 64 / dsub 4. build: median of 3 IvfBuilder train / add_with_ids at dim 64 on a 64-cluster Gaussian mixture, nlist by the auto rule, on a pool with 0 helpers and on FanoutPool::for_machine(); the blobs of all runs asserted byte-identical, IVFPQFS blob FNV-1a asserted against constants on AVX2. stages: the three parts of an IVFPQFS train timed through train_kmeans_on / assign_into / Pq::train_on with the builder's parameters on the row's pool. Exact fields (lloyd_iters, seed_rounds, point_centroid_evals: bh_vector::kmeans::work_done deltas; blob_fnv) are asserted equal across repeats and pools. write_pass: median-wall of 3 passes of 32 SQL INSERTs of 512 rows with Database::compact after every 8th, stage times read from the table.index_*_ns and table.compact_ns histograms; store_fnv is FNV-1a over every (key, 0xff, blob) in the store after a pass, in key order, asserted equal across the passes and, on AVX2, to a constant.\",\n  \
+         \"method\": \"crates/bench/benches/index_build.rs (plain-main harness). nearest_centroid: median of {REPS} passes over 8192 points, ns per (point, codebook); per_row is distance_batch + first-lowest scan per point, kernel is one Codebook::nearest_in over all points (points in lanes), index and distance bits asserted equal first. adc_table: median ns per Pq::adc_table_into at dim 64 / dsub 4. build: median of 3 IvfBuilder train / add_with_ids at dim 64 on a 64-cluster Gaussian mixture, nlist by the auto rule, on a pool with 0 helpers and on FanoutPool::for_machine(); the blobs of all runs asserted byte-identical, IVFPQFS blob FNV-1a asserted against constants on AVX2. stages: the three parts of an IVFPQFS train timed through train_kmeans_on / assign_into / Pq::train_on with the builder's parameters on the row's pool. Exact fields (lloyd_iters, seed_rounds, point_centroid_evals: bh_vector::kmeans::work_done deltas; blob_fnv) are asserted equal across repeats and pools. write_pass: median-wall of 3 passes of 32 SQL INSERTs of 512 rows with Database::compact after every 8th, stage times read from the table.index_*_ns and table.compact_ns histograms; store_fnv is FNV-1a over every (key, 0xff, blob) in the store after a pass, in key order, asserted equal across the passes and, on AVX2, to a constant; pipelined_sim_ns / staged_sim_ns: the same pass replayed once per ingest mode on a virtual clock whose store charges store_op_sim_ns per operation, the clock's movement over the pass, asserted against constants on every tier and the store bytes asserted equal to the first pass's. The constants (blob_fnv, store_fnv, the two sim_ns) and the write passes' repeats are checked after this file is written.\",\n  \
          \"acceptance\": \"kernel >= 4x per-row at (16, 4) ({verdict}: {speedup_16_4:.2}x); byte-identical blobs across pool sizes (asserted)\",\n  \
          \"nearest_centroid\": [\n{}\n  ],\n  \"adc_table\": [\n{}\n  ],\n  \"build\": [\n{}\n  ],\n  \"stages\": [\n{}\n  ],\n  \
          \"write_pass\": {pass_json}\n}}\n",
@@ -533,4 +600,6 @@ fn main() {
         stage_json.join(",\n"),
     );
     write_fresh_json("BENCH_build.json", &json);
+    assert!(moved.is_empty(), "exact values moved:\n{}", moved.join("\n"));
+    assert!(pipelined_sim_ns < staged_sim_ns, "pipelined uploads overlap nothing");
 }

@@ -9,7 +9,11 @@
 //! a real-time 4 ms remote-store latency, so that the overlap between
 //! segment persistence (remote I/O) and index construction (CPU) that
 //! pipelining buys is observable even on a single-core host. BlendHouse and
-//! Milvus differ only in ingest mode, so their gap is the pipelining factor.
+//! Milvus differ only in ingest mode, and the two modes differ only in
+//! where a statement waits out its column-block uploads: BlendHouse after
+//! its index builds, so the uploads overlap them and each other, Milvus as
+//! each upload begins, with its builds after them one at a time. Their gap
+//! is the pipelining factor.
 
 use bh_bench::datasets::DatasetSpec;
 use bh_bench::harness::{print_table, Timer};

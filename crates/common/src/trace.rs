@@ -255,7 +255,8 @@ pub fn fmt_nanos(nanos: u64) -> String {
 /// `key=value` attributes.
 ///
 /// Same-named sibling groups larger than `aggregate_threshold` collapse into
-/// one `name ×N` line carrying total time (and summed `bytes` attributes) —
+/// one `name ×N` line carrying total time (and summed `bytes` and
+/// `sim_nanos` attributes) —
 /// per-block cache probes would otherwise drown the stage tree. Returns no
 /// lines when `root` has no record.
 pub fn render_spans(
@@ -307,16 +308,18 @@ fn render_subtree(
         let group = &groups[name];
         if group.len() > aggregate_threshold {
             let total: u64 = group.iter().map(|r| r.duration_nanos()).sum();
-            let bytes: u64 = group
-                .iter()
-                .filter_map(|r| match r.attr("bytes") {
-                    Some(AttrValue::U64(b)) => Some(*b),
-                    _ => None,
-                })
-                .sum();
             let mut line = format!("{indent}{name} ×{}  total {}", group.len(), fmt_nanos(total));
-            if bytes > 0 {
-                line.push_str(&format!("  bytes={bytes}"));
+            for key in ["bytes", "sim_nanos"] {
+                let sum: u64 = group
+                    .iter()
+                    .filter_map(|r| match r.attr(key) {
+                        Some(AttrValue::U64(v)) => Some(*v),
+                        _ => None,
+                    })
+                    .sum();
+                if sum > 0 {
+                    line.push_str(&format!("  {key}={sum}"));
+                }
             }
             out.push(line);
             continue;
@@ -633,6 +636,23 @@ mod tests {
         assert_eq!(lines[2], "  exec  10ns");
         assert_eq!(lines[3], "  exec  10ns");
         assert_eq!(lines.len(), 4);
+    }
+
+    /// A folded transfer group keeps what its transfers cost on the
+    /// database clock, summed like its bytes.
+    #[test]
+    fn render_spans_sums_sim_nanos_into_a_folded_line() {
+        let mut records = vec![rec(1, 0, "query", 0, 100)];
+        for i in 0..4u64 {
+            let mut r = rec(10 + i, 1, "store.get", i, i + 5);
+            r.attrs.push(("store", AttrValue::Str("remote".into())));
+            r.attrs.push(("bytes", AttrValue::U64(1_000 + i)));
+            r.attrs.push(("sim_nanos", AttrValue::U64(2_000_000 + i)));
+            records.push(r);
+        }
+        let lines = render_spans(&records, SpanId(1), 3);
+        assert_eq!(lines[1], "  store.get ×4  total 20ns  bytes=4006  sim_nanos=8000006");
+        assert_eq!(lines.len(), 2);
     }
 
     #[test]

@@ -197,11 +197,11 @@ fn explain_answers_on_every_system_table() {
 fn a_sum_past_its_type_fails_on_a_data_table() {
     let db = Database::in_memory();
     db.execute("CREATE TABLE s (id UInt64, u UInt64, q Int64) ORDER BY id").unwrap();
-    // SQL literals stop at i64, so the extremes go in through the table.
     let (umax, imax, imin) = (u64::MAX, i64::MAX, i64::MIN);
-    let rows = [(0, umax, imax), (1, 1, 1), (2, 0, imin), (3, 0, -1)]
-        .map(|(id, u, q)| vec![Value::UInt64(id), Value::UInt64(u), Value::Int64(q)]);
-    db.table("s").unwrap().insert_rows(rows.to_vec()).unwrap();
+    db.execute(&format!(
+        "INSERT INTO s VALUES (0, {umax}, {imax}), (1, 1, 1), (2, 0, {imin}), (3, 0, -1)"
+    ))
+    .unwrap();
     for sql in [
         "SELECT sum(u) FROM s",
         "SELECT sum(q) FROM s WHERE id <= 1",
@@ -212,4 +212,26 @@ fn a_sum_past_its_type_fails_on_a_data_table() {
     }
     assert_eq!(run(&db, "SELECT sum(q) FROM s").rows, vec![vec![Value::Int64(-1)]]);
     assert_eq!(run(&db, "SELECT sum(u) FROM s WHERE id = 0").rows, vec![vec![Value::UInt64(umax)]]);
+}
+
+/// Integer literals reach every `UInt64` value, and a literal its column
+/// cannot hold is an error, not a wrapped value.
+#[test]
+fn a_uint64_literal_past_i64_reaches_its_column() {
+    let db = Database::in_memory();
+    db.execute("CREATE TABLE s (id UInt64, u UInt64, q Int64) ORDER BY id").unwrap();
+    db.execute("INSERT INTO s VALUES (0, 18446744073709551615, 1), (1, 9223372036854775808, 2)")
+        .unwrap();
+    let got = run(&db, "SELECT id FROM s WHERE u = 18446744073709551615");
+    assert_eq!(got.rows, vec![vec![Value::UInt64(0)]]);
+    let got = run(&db, "SELECT q FROM s WHERE u > 9223372036854775807 ORDER BY q");
+    assert_eq!(got.rows, vec![vec![Value::Int64(1)], vec![Value::Int64(2)]]);
+    for sql in [
+        "INSERT INTO s VALUES (2, 0, 9223372036854775808)",
+        "INSERT INTO s VALUES (2, 0, -1), (3, -1, 0)",
+        "SELECT id FROM s WHERE q = 9223372036854775808",
+    ] {
+        assert!(db.execute(sql).is_err(), "{sql} did not fail");
+    }
+    assert_eq!(run(&db, "SELECT count(*) FROM s").rows, vec![vec![Value::UInt64(2)]]);
 }

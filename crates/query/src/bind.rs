@@ -605,7 +605,7 @@ pub fn literal_to_value(lit: &Lit, ty: ColumnType) -> Result<Value> {
         (Lit::Int(v), ColumnType::UInt64) => {
             Value::UInt64(u64::try_from(*v).map_err(|_| fail())?)
         }
-        (Lit::Int(v), ColumnType::Int64) => Value::Int64(*v),
+        (Lit::Int(v), ColumnType::Int64) => Value::Int64(i64::try_from(*v).map_err(|_| fail())?),
         (Lit::Int(v), ColumnType::Float64) => Value::Float64(*v as f64),
         (Lit::Int(v), ColumnType::DateTime) => {
             Value::DateTime(u64::try_from(*v).map_err(|_| fail())?)
@@ -882,6 +882,14 @@ mod tests {
             Value::Float64(5.0)
         );
         assert!(literal_to_value(&Lit::Int(-1), ColumnType::UInt64).is_err());
+        let umax = Lit::Int(u64::MAX.into());
+        assert_eq!(literal_to_value(&umax, ColumnType::UInt64).unwrap(), Value::UInt64(u64::MAX));
+        assert!(literal_to_value(&umax, ColumnType::Int64).is_err());
+        assert!(literal_to_value(&Lit::Int(-1), ColumnType::DateTime).is_err());
+        assert_eq!(
+            literal_to_value(&Lit::Int(i64::MIN.into()), ColumnType::Int64).unwrap(),
+            Value::Int64(i64::MIN)
+        );
         assert!(literal_to_value(&Lit::Str("x".into()), ColumnType::UInt64).is_err());
         assert_eq!(
             literal_to_value(&Lit::Array(vec![1.0]), ColumnType::Vector(0)).unwrap(),

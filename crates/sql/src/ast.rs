@@ -1,6 +1,5 @@
 //! Abstract syntax tree of the BlendHouse SQL dialect.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A parsed statement.
@@ -149,10 +148,11 @@ pub struct DeleteStmt {
 }
 
 /// Literal values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Lit {
-    /// Integer literal.
-    Int(i64),
+    /// Integer literal, wide enough for every `Int64` and `UInt64` value;
+    /// the column it meets decides whether it fits.
+    Int(i128),
     /// Float literal.
     Float(f64),
     /// String literal.

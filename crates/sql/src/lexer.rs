@@ -22,8 +22,9 @@ pub struct Token {
 pub enum TokenKind {
     /// Bare identifier or keyword.
     Ident(String),
-    /// Integer literal.
-    Int(i64),
+    /// Integer literal: any `Int64` or `UInt64` value, so `i64::MIN ..=
+    /// u64::MAX`.
+    Int(i128),
     /// Float literal.
     Float(f64),
     /// Single-quoted string, quotes stripped, `''` unescaped.
@@ -251,8 +252,10 @@ fn lex_number(input: &str, start: usize) -> Result<(TokenKind, usize)> {
     if !float {
         let text = text();
         let v = text
-            .parse::<i64>()
-            .map_err(|_| BhError::Parse(format!("bad integer {text} at {start}")))?;
+            .parse::<i128>()
+            .ok()
+            .filter(|v| (i128::from(i64::MIN)..=i128::from(u64::MAX)).contains(v))
+            .ok_or_else(|| BhError::Parse(format!("bad integer {text} at {start}")))?;
         return Ok((TokenKind::Int(v), end));
     }
     let fast = exp.filter(|_| digits <= 19 && mantissa < 1 << 53).and_then(|exp| {
@@ -345,6 +348,11 @@ mod tests {
             ]
         );
         assert_eq!(kinds("[-1.5, 2]")[1], TokenKind::Float(-1.5));
+        // Every UInt64 and Int64 value lexes; the column decides the fit.
+        assert_eq!(kinds("18446744073709551615")[0], TokenKind::Int(u64::MAX.into()));
+        assert_eq!(kinds("-9223372036854775808")[0], TokenKind::Int(i64::MIN.into()));
+        assert!(tokenize("18446744073709551616").is_err());
+        assert!(tokenize("-9223372036854775809").is_err());
     }
 
     #[test]

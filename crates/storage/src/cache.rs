@@ -390,7 +390,7 @@ mod tests {
         let ids: Vec<u64> = (0..n as u64).collect();
         b.add_with_ids(data, &ids).unwrap();
         let idx = b.finish().unwrap();
-        seg.persist_columns(store).unwrap();
+        seg.persist_columns(store, true);
         seg.commit(store, Some((idx.save_bytes().unwrap(), IndexKind::Hnsw))).unwrap();
         seg.meta
     }

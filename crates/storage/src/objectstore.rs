@@ -6,9 +6,9 @@
 //! storage system"; with the zero model it doubles as a fast test store.
 //!
 //! Every get/put/delete is a transfer of `model.cost(blob_len)` that arrives
-//! at a deadline on the store's clock — `get_begin` returns before it, `get`,
-//! `put` and `delete` wait it out — and bumps metrics counters, so
-//! experiments can observe both simulated time and I/O counts.
+//! at a deadline on the store's clock — `get_begin` and `put_begin` return
+//! before it, `get`, `put` and `delete` wait it out — and bumps metrics
+//! counters, so experiments can observe both simulated time and I/O counts.
 
 use bh_common::metrics::Counter;
 use bh_common::{BhError, LatencyModel, MetricsRegistry, QueryCtx, Result, SharedClock};
@@ -114,17 +114,25 @@ impl InMemoryObjectStore {
         self.model.deadline(self.clock.as_ref(), bytes)
     }
 
-    /// Charge `op` and wait its deadline out on the spot: on one thread,
-    /// exactly the blocking charge.
-    fn charge(&self, op: &OpCounters, bytes: usize) {
-        self.clock.advance_to(self.charge_begin(op, bytes));
+    /// Wait until the store's clock reaches `deadline`, the arrival of a
+    /// transfer begun by [`Self::put_begin`] (no wait once it has arrived).
+    pub fn wait(&self, deadline: u64) {
+        self.clock.advance_to(deadline);
     }
 
     /// Store a blob under `key`, replacing any previous value.
     pub fn put(&self, key: &str, data: Bytes) -> Result<()> {
-        self.charge(&self.puts, data.len());
-        self.blobs.write().insert(key.to_string(), data);
+        self.wait(self.put_begin(key, data));
         Ok(())
+    }
+
+    /// Begin uploading `data` to `key`: the blob is stored at once and the
+    /// call returns its transfer's deadline, so puts begun together overlap
+    /// (they cost `max`, not `sum`) once [`Self::wait`]ed out.
+    pub fn put_begin(&self, key: &str, data: Bytes) -> u64 {
+        let deadline = self.charge_begin(&self.puts, data.len());
+        self.blobs.write().insert(key.to_string(), data);
+        deadline
     }
 
     /// Fetch the blob at `key`.
@@ -147,7 +155,7 @@ impl InMemoryObjectStore {
 
     /// Remove the blob at `key` (idempotent).
     pub fn delete(&self, key: &str) -> Result<()> {
-        self.charge(&self.deletes, 0);
+        self.wait(self.charge_begin(&self.deletes, 0));
         self.blobs.write().remove(key);
         Ok(())
     }
@@ -226,6 +234,22 @@ mod tests {
         let b = pb.wait();
         assert_eq!((a.len(), b.len()), (1000, 2000));
         assert_eq!(clock.now_nanos(), 230_000 + 120_000);
+    }
+
+    #[test]
+    fn puts_begun_together_overlap() {
+        let clock = VirtualClock::shared();
+        let model = LatencyModel::new(Duration::from_micros(100), Duration::from_nanos(10));
+        let s = store(&clock, model);
+        let a = s.put_begin("a", Bytes::from(vec![0u8; 1000]));
+        let b = s.put_begin("b", Bytes::from(vec![0u8; 2000]));
+        // Stored at once, before anyone waits.
+        assert_eq!(s.total_bytes(), 3000);
+        assert_eq!(clock.now_nanos(), 0);
+        s.wait(a.max(b));
+        assert_eq!(clock.now_nanos(), 120_000, "max(110, 120) µs, not their sum");
+        s.wait(a);
+        assert_eq!(clock.now_nanos(), 120_000, "an arrived transfer costs nothing");
     }
 
     #[test]

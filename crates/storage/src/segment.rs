@@ -187,17 +187,25 @@ impl Segment {
             .ok_or_else(|| BhError::NotFound(format!("column {name} in {}", self.meta.id)))
     }
 
-    /// Persist every column block to `store`; returns the bytes written.
-    pub fn persist_columns(&self, store: &InMemoryObjectStore) -> Result<u64> {
-        let mut bytes = 0;
+    /// Begin uploading every column block to `store`; returns the bytes
+    /// written and the latest upload's deadline, to wait out with
+    /// [`InMemoryObjectStore::wait`]. With `wait_each`, every upload is
+    /// waited out as it begins, so the blocks cost the sum of their
+    /// transfers instead of the longest one.
+    pub fn persist_columns(&self, store: &InMemoryObjectStore, wait_each: bool) -> (u64, u64) {
+        let (mut bytes, mut deadline) = (0, 0);
         for (name, col) in &self.columns {
             for b in 0..col.block_count() {
                 let block = col.encode_block(b);
                 bytes += block.len() as u64;
-                store.put(&self.meta.block_key(name, b), block)?;
+                let arrives = store.put_begin(&self.meta.block_key(name, b), block);
+                if wait_each {
+                    store.wait(arrives);
+                }
+                deadline = deadline.max(arrives);
             }
         }
-        Ok(bytes)
+        (bytes, deadline)
     }
 
     /// After [`Self::persist_columns`]: write the index blob, if the
@@ -351,7 +359,7 @@ mod tests {
         let s = schema();
         let store = InMemoryObjectStore::for_tests();
         let mut seg = segment(3, 2500, Some(7), 1);
-        seg.persist_columns(store.as_ref()).unwrap();
+        seg.persist_columns(store.as_ref(), true);
         assert!(Segment::load_meta(store.as_ref(), "t", SegmentId(3)).is_err(), "meta goes last");
         seg.commit(store.as_ref(), Some((Bytes::from_static(b"blob"), IndexKind::Hnsw))).unwrap();
 
@@ -372,7 +380,7 @@ mod tests {
         let s = schema();
         let store = InMemoryObjectStore::for_tests();
         let seg = segment(4, 100, None, 0);
-        seg.persist_columns(store.as_ref()).unwrap();
+        seg.persist_columns(store.as_ref(), true);
         let col = Segment::load_column(store.as_ref(), &s, &seg.meta, "label").unwrap();
         assert_eq!(col.len(), 100);
         assert!(Segment::load_column(store.as_ref(), &s, &seg.meta, "nope").is_err());
@@ -382,7 +390,7 @@ mod tests {
     fn delete_blobs_removes_everything() {
         let store = InMemoryObjectStore::for_tests();
         let mut seg = segment(5, 10, None, 0);
-        seg.persist_columns(store.as_ref()).unwrap();
+        seg.persist_columns(store.as_ref(), true);
         seg.commit(store.as_ref(), None).unwrap();
         assert!(!store.list(&seg.meta.prefix()).is_empty());
         Segment::delete_blobs(store.as_ref(), &seg.meta).unwrap();

@@ -15,13 +15,17 @@
 //! grouped by (scalar partition, semantic bucket) into offset lists, each
 //! group is chunked into segments ([`Segment::from_columns`] sorts a chunk
 //! by a permutation and gathers each column once), and the segments are
-//! persisted: column blocks, then the index, then the meta, written once
-//! and last. Two modes exist to reproduce the paper's ingest comparison:
+//! written by the one write step INSERT and compaction share: it begins
+//! every segment's column-block uploads, builds the index blobs on the
+//! build pool, waits the uploads out and commits the segments in order —
+//! the index, then the meta, written once and last. An upload is its
+//! deadline on the store's clock, so the two modes of the paper's ingest
+//! comparison differ only in where that deadline is waited out:
 //!
-//! * [`IngestMode::Pipelined`] (BlendHouse): each segment's vector index is
-//!   built **concurrently** with writing its column blocks.
-//! * [`IngestMode::Staged`] (baseline behaviour): all column data is written
-//!   first, then indexes are built sequentially.
+//! * [`IngestMode::Pipelined`] (BlendHouse): after the index builds, so the
+//!   uploads overlap them.
+//! * [`IngestMode::Staged`] (Milvus): as each upload begins, with the index
+//!   builds one at a time after all of them.
 //!
 //! ## Updates (Fig. 6)
 //!
@@ -30,7 +34,7 @@
 //! versions in fresh segments; the old offsets are marked in the delete
 //! bitmap — the index of an old segment is never touched. `compact` gathers
 //! the visible rows of a group's segments column by column into one merged
-//! segment, rebuilds its vector index, and clears bitmaps.
+//! segment, writes it through the same step, and clears bitmaps.
 
 use crate::column::ColumnData;
 use crate::delete::DeleteMap;
@@ -55,12 +59,13 @@ use std::sync::Arc;
 /// Columns by name, as a predicate refers to them.
 type NamedColumns<'p> = Vec<(&'p str, ColumnData)>;
 
-/// How ingest overlaps segment writing with index building.
+/// Where a write waits out its column-block uploads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IngestMode {
-    /// Build each segment's index concurrently with persisting its columns.
+    /// After the index builds, which run on the build pool: the uploads
+    /// overlap the builds.
     Pipelined,
-    /// Persist every segment first, then build all indexes sequentially.
+    /// As each upload begins; the indexes are then built one at a time.
     Staged,
 }
 
@@ -71,31 +76,23 @@ pub struct TableStoreConfig {
     pub segment_max_rows: usize,
     /// Overlap segment writes with index builds, or stage them.
     pub ingest_mode: IngestMode,
-    /// Compaction merges a group only while the merged segment stays below
-    /// this row count.
-    pub compact_target_rows: usize,
 }
 
 impl Default for TableStoreConfig {
     fn default() -> Self {
-        Self {
-            segment_max_rows: 2048,
-            ingest_mode: IngestMode::Pipelined,
-            compact_target_rows: 64 * 1024,
-        }
+        Self { segment_max_rows: 2048, ingest_mode: IngestMode::Pipelined }
     }
 }
 
 /// Seed of the semantic clusterer's k-means.
 const SEMANTIC_SEED: u64 = 0;
 
+/// Compaction merges a group only while the merged segment stays at or
+/// below this row count.
+const COMPACT_TARGET_ROWS: usize = 64 * 1024;
+
 /// A built index blob ready to upload, and its kind.
 type IndexBlob = (Bytes, bh_vector::IndexKind);
-
-/// One compacted group staged by the parallel rebuild phase: rows dropped,
-/// column bytes uploaded, and the merged segment with its index blob, ready
-/// to commit (`None` when every row of the group was deleted).
-type RebuiltGroup = (usize, u64, Option<(Segment, Option<IndexBlob>)>);
 
 /// Outcome of one compaction run.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -227,6 +224,15 @@ impl TableStore {
     /// order; returns the created segment ids. The batch is checked whole
     /// before the sketch or the clusterer sees a cell.
     pub fn insert(&self, columns: Vec<ColumnData>) -> Result<Vec<SegmentId>> {
+        self.insert_on(&build_pool(), columns)
+    }
+
+    /// [`Self::insert`] with its index builds on `pool`.
+    pub(crate) fn insert_on(
+        &self,
+        pool: &FanoutPool,
+        columns: Vec<ColumnData>,
+    ) -> Result<Vec<SegmentId>> {
         let rows = self.schema.check_batch(&columns)?;
         if rows == 0 {
             return Ok(Vec::new());
@@ -236,10 +242,10 @@ impl TableStore {
         let groups = group_batch(&self.schema, clusterer.as_deref(), &columns, rows)?;
 
         // Materialize all segments (in memory) first.
-        let mut pending: Vec<Segment> = Vec::new();
+        let mut pending = Vec::new();
         for group in groups {
             for chunk in group.rows.chunks(self.cfg.segment_max_rows) {
-                pending.push(Segment::from_columns(
+                pending.push(Some(Segment::from_columns(
                     &self.schema,
                     self.ids.next_segment(),
                     &columns,
@@ -247,9 +253,10 @@ impl TableStore {
                     group.partition_key.clone(),
                     group.bucket,
                     0,
-                )?);
+                )?));
             }
         }
+        let created: Vec<SegmentId> = pending.iter().flatten().map(|seg| seg.meta.id).collect();
 
         let mut sk = self.sketch.lock();
         for (def, col) in self.schema.columns.iter().zip(&columns) {
@@ -259,10 +266,7 @@ impl TableStore {
         drop(sk);
         *self.sketch_cache.write() = None;
 
-        let created = match self.cfg.ingest_mode {
-            IngestMode::Pipelined => self.ingest_pipelined(pending)?,
-            IngestMode::Staged => self.ingest_staged(pending)?,
-        };
+        self.write_segments(pending, pool, |_| Ok(()))?;
         self.metrics.counter("table.segments_created").add(created.len() as u64);
         Ok(created)
     }
@@ -287,33 +291,47 @@ impl TableStore {
         self.insert(columns)
     }
 
-    /// Pipelined: per segment, column persistence and index build overlap.
-    fn ingest_pipelined(&self, pending: Vec<Segment>) -> Result<Vec<SegmentId>> {
-        let mut created = Vec::with_capacity(pending.len());
-        for mut seg in pending {
-            let index_blob: Option<IndexBlob> = std::thread::scope(|scope| -> Result<_> {
-                let build = scope.spawn(|| self.build_index_blob(&seg));
-                seg.persist_columns(self.remote.as_ref())?;
-                build.join().map_err(|_| BhError::Internal("index build panicked".into()))?
-            })?;
-            self.finish_segment(&mut seg, index_blob)?;
-            created.push(seg.meta.id);
+    /// The one write step of INSERT and compaction: begin every segment's
+    /// column-block uploads, build the index blobs on `pool`, wait the
+    /// uploads out, then commit the segments in order — the index, the
+    /// meta, the catalog entry — running `committed(i)` after slot `i`. A
+    /// `None` slot (a compacted group with no row left) commits nothing.
+    /// The ingest mode is read in one place: `Staged` waits each upload
+    /// out as it begins and builds one index at a time, `Pipelined` waits
+    /// after the builds, which run at the pool's full width. Returns the
+    /// bytes written.
+    fn write_segments(
+        &self,
+        slots: Vec<Option<Segment>>,
+        pool: &FanoutPool,
+        mut committed: impl FnMut(usize) -> Result<()>,
+    ) -> Result<u64> {
+        let (wait_each, parallelism) = match self.cfg.ingest_mode {
+            IngestMode::Pipelined => (false, usize::MAX),
+            IngestMode::Staged => (true, 1),
+        };
+        let (mut bytes, mut uploaded) = (0, 0);
+        for seg in slots.iter().flatten() {
+            let (written, deadline) = seg.persist_columns(self.remote.as_ref(), wait_each);
+            bytes += written;
+            uploaded = uploaded.max(deadline);
         }
-        Ok(created)
-    }
-
-    /// Staged: write all column data, then build indexes one by one.
-    fn ingest_staged(&self, pending: Vec<Segment>) -> Result<Vec<SegmentId>> {
-        for seg in &pending {
-            seg.persist_columns(self.remote.as_ref())?;
+        let blobs = pool
+            .run(slots.len(), parallelism, |i| match &slots[i] {
+                Some(seg) => self.build_index_blob(seg),
+                None => Ok(None),
+            })
+            .into_results()?;
+        self.remote.wait(uploaded);
+        for (i, (slot, blob)) in slots.into_iter().zip(blobs).enumerate() {
+            if let Some(mut seg) = slot {
+                bytes += seg.commit(self.remote.as_ref(), blob)?;
+                self.metrics.counter("table.rows_ingested").add(seg.row_count() as u64);
+                self.segments.write().insert(seg.meta.id, Arc::new(seg.meta));
+            }
+            committed(i)?;
         }
-        let mut created = Vec::with_capacity(pending.len());
-        for mut seg in pending {
-            let blob = self.build_index_blob(&seg)?;
-            self.finish_segment(&mut seg, blob)?;
-            created.push(seg.meta.id);
-        }
-        Ok(created)
+        Ok(bytes)
     }
 
     /// Build the per-segment vector index blob, if the schema declares an
@@ -347,15 +365,6 @@ impl TableStore {
         let blob = index.save_bytes()?;
         self.metrics.histogram("table.index_serialize_ns").record(t.elapsed());
         Ok(Some((blob, spec.kind)))
-    }
-
-    /// Write the index and then the meta (the segment's commit record) and
-    /// register the segment; returns the bytes written.
-    fn finish_segment(&self, seg: &mut Segment, index_blob: Option<IndexBlob>) -> Result<u64> {
-        let bytes = seg.commit(self.remote.as_ref(), index_blob)?;
-        self.metrics.counter("table.rows_ingested").add(seg.row_count() as u64);
-        self.segments.write().insert(seg.meta.id, Arc::new(seg.meta.clone()));
-        Ok(bytes)
     }
 
     /// Train the semantic clusterer on the vector column of the first batch
@@ -537,19 +546,28 @@ impl TableStore {
     /// Merge small segments group-by-group, dropping dead rows and building a
     /// fresh vector index per merged segment.
     ///
-    /// The per-group rebuild (column gather, merged-segment construction, index
-    /// build, blob upload) is the expensive part and touches only that
-    /// group's disjoint segment set, so it fans out across the whole
-    /// process-wide [`build_pool`], as index builds do. Catalog mutations —
-    /// registering the merged segment, dropping the old ones,
-    /// garbage-collecting blobs — commit afterwards in group order, exactly
-    /// as the sequential loop did.
+    /// Each eligible group's visible rows are gathered into one merged
+    /// segment, in group order, and the merged segments go through the
+    /// write step INSERT uses, their index builds fanned out across the
+    /// process-wide [`build_pool`]. The catalog changes per group, in group
+    /// order: the merged segment is registered, then the group's old
+    /// segments are dropped and their blobs garbage-collected.
     pub fn compact(&self) -> Result<CompactionReport> {
         self.compact_on(&build_pool())
     }
 
-    /// [`Self::compact`] with its rebuilds on `pool`.
+    /// [`Self::compact`] with its index builds on `pool`.
     pub(crate) fn compact_on(&self, pool: &FanoutPool) -> Result<CompactionReport> {
+        self.compact_within(pool, COMPACT_TARGET_ROWS)
+    }
+
+    /// [`Self::compact_on`], merging only groups of at most `target_rows`
+    /// visible rows.
+    pub(crate) fn compact_within(
+        &self,
+        pool: &FanoutPool,
+        target_rows: usize,
+    ) -> Result<CompactionReport> {
         let _guard = self.compaction_lock.lock();
         let started = Stopwatch::start();
         let mut compact_span = QueryCtx::span("compact");
@@ -565,10 +583,9 @@ impl TableStore {
             groups.entry(key).or_default().push(meta);
         }
 
-        // Phase 1: pick the eligible groups and pre-assign each merged
-        // segment's id, so id allocation stays in deterministic group order
-        // regardless of which rebuild finishes first.
-        let mut jobs: Vec<(Vec<Arc<SegmentMeta>>, SegmentId)> = Vec::new();
+        // Gather each eligible group into its merged segment, in group order.
+        let mut report = CompactionReport::default();
+        let (mut old, mut merged) = (Vec::new(), Vec::new());
         for (_, metas) in groups {
             let has_deletes = metas.iter().any(|m| self.deletes.deleted_count(m.id) > 0);
             if metas.len() < 2 && !has_deletes {
@@ -576,64 +593,39 @@ impl TableStore {
             }
             let visible: usize =
                 metas.iter().map(|m| m.row_count - self.deletes.deleted_count(m.id)).sum();
-            if visible > self.cfg.compact_target_rows {
+            if visible > target_rows {
                 continue;
             }
-            jobs.push((metas, self.ids.next_segment()));
+            let (dropped, seg) = self.merge_group(&metas, self.ids.next_segment())?;
+            report.merged_segments += metas.len();
+            report.new_segments += usize::from(seg.is_some());
+            report.rows_dropped += dropped;
+            old.push(metas);
+            merged.push(seg);
         }
-        if jobs.is_empty() {
+        if old.is_empty() {
             self.metrics.counter("table.compactions").inc();
-            return Ok(CompactionReport::default());
+            return Ok(report);
+        }
+        if old.len() > 1 {
+            self.metrics.counter("table.parallel_compact_groups").add(old.len() as u64);
         }
 
-        // Phase 2: rebuild groups side by side on the build pool, this thread
-        // first. A failure stops further claims; groups already claimed
-        // finish and the first error in group order surfaces below.
-        if jobs.len() > 1 {
-            self.metrics.counter("table.parallel_compact_groups").add(jobs.len() as u64);
-        }
-        let rebuilt =
-            pool.run(jobs.len(), usize::MAX, |i| self.rebuild_group(&jobs[i].0, jobs[i].1));
-        if rebuilt.panicked {
-            return Err(BhError::Internal("compaction worker panicked".into()));
-        }
-
-        // Phase 3: commit in group order.
-        let mut report = CompactionReport::default();
-        let mut bytes_rewritten = 0;
-        for ((metas, _), slot) in jobs.iter().zip(rebuilt.results) {
-            let (dropped, bytes, built) = match slot {
-                Some(Ok(r)) => r,
-                Some(Err(e)) => return Err(e),
-                None => {
-                    return Err(BhError::Internal(
-                        "compaction aborted by peer failure".into(),
-                    ))
-                }
-            };
-            bytes_rewritten += bytes;
-            let new_segments = match built {
-                Some((mut seg, blob)) => {
-                    bytes_rewritten += self.finish_segment(&mut seg, blob)?;
-                    1
-                }
-                None => 0,
-            };
-            // Swap: register new (done above), drop old.
+        // Write the merged segments; after each one's commit, drop the
+        // group it replaces.
+        let bytes_rewritten = self.write_segments(merged, pool, |i| {
             {
                 let mut g = self.segments.write_checked()?;
-                for meta in metas {
+                for meta in &old[i] {
                     g.remove(&meta.id);
                 }
             }
-            for meta in metas {
+            for meta in &old[i] {
                 self.deletes.clear(meta.id);
                 Segment::delete_blobs(self.remote.as_ref(), meta)?;
             }
-            report.merged_segments += metas.len();
-            report.new_segments += new_segments;
-            report.rows_dropped += dropped;
-        }
+            Ok(())
+        })?;
         self.metrics.counter("table.compactions").inc();
         self.metrics.counter("table.compact_bytes_rewritten").add(bytes_rewritten);
         self.metrics.histogram("table.compact_ns").record(started.elapsed());
@@ -643,16 +635,14 @@ impl TableStore {
         Ok(report)
     }
 
-    /// The catalog-read-only part of compacting one group: gather the
-    /// visible rows of its segments column by column, build the merged
-    /// segment and its index, and upload the column blocks. Returns the
-    /// dropped-row count, the bytes uploaded and the staged segment
+    /// Gather the visible rows of a group's segments column by column into
+    /// one merged segment. Returns the dropped-row count and the segment
     /// (`None` when the whole group is deleted).
-    fn rebuild_group(
+    fn merge_group(
         &self,
         metas: &[Arc<SegmentMeta>],
         new_id: SegmentId,
-    ) -> Result<RebuiltGroup> {
+    ) -> Result<(usize, Option<Segment>)> {
         let mut merged = self.schema.empty_batch();
         let (mut kept, mut dropped) = (0, 0);
         for meta in metas {
@@ -664,24 +654,20 @@ impl TableStore {
             }
         }
         if kept == 0 {
-            return Ok((dropped, 0, None));
+            return Ok((dropped, None));
         }
         let level = metas.iter().map(|m| m.level).max().unwrap_or(0).saturating_add(1);
-        let partition_key = metas[0].partition_key.clone();
-        let bucket = metas[0].cluster_bucket;
         let rows: Vec<u32> = (0..kept as u32).collect();
         let seg = Segment::from_columns(
             &self.schema,
             new_id,
             &merged,
             &rows,
-            partition_key,
-            bucket,
+            metas[0].partition_key.clone(),
+            metas[0].cluster_bucket,
             level,
         )?;
-        let blob = self.build_index_blob(&seg)?;
-        let bytes = seg.persist_columns(self.remote.as_ref())?;
-        Ok((dropped, bytes, Some((seg, blob))))
+        Ok((dropped, Some(seg)))
     }
 
     // -------------------------------------------------------------- reload
@@ -807,6 +793,7 @@ mod tests {
 
     #[test]
     fn staged_and_pipelined_produce_equivalent_state() {
+        let mut stores = Vec::new();
         for mode in [IngestMode::Pipelined, IngestMode::Staged] {
             let metrics = MetricsRegistry::new();
             let remote = Arc::new(InMemoryObjectStore::new(
@@ -815,8 +802,7 @@ mod tests {
                 metrics.clone(),
                 "remote",
             ));
-            let cfg =
-                TableStoreConfig { segment_max_rows: 64, ingest_mode: mode, ..Default::default() };
+            let cfg = TableStoreConfig { segment_max_rows: 64, ingest_mode: mode };
             let ts =
                 TableStore::new(schema(None), remote, cfg, Arc::new(IdGenerator::new()), metrics)
                     .unwrap();
@@ -833,6 +819,46 @@ mod tests {
                 puts += 4 * meta.block_count() as u64 + 2;
             }
             assert_eq!(ts.metrics().counter_value("remote.put"), puts, "{mode:?}");
+            stores.push(store_fnv(&ts));
+        }
+        assert_eq!(stores[0], stores[1], "both modes store the same bytes");
+    }
+
+    /// What one store operation costs in `pipelined_uploads_overlap_and_staged_ones_add_up`.
+    const OP_NS: u64 = 1_000;
+
+    /// An upload is its deadline on the clock. `Pipelined` begins every
+    /// block upload of the statement before it builds, so together they
+    /// cost one put; the index and meta puts of each commit follow one by
+    /// one. `Staged` waits each put out as it begins: the sum of them all,
+    /// as a blocking store charges.
+    #[test]
+    fn pipelined_uploads_overlap_and_staged_ones_add_up() {
+        for mode in [IngestMode::Pipelined, IngestMode::Staged] {
+            let (clock, metrics) = (bh_common::VirtualClock::shared(), MetricsRegistry::new());
+            let remote = Arc::new(InMemoryObjectStore::new(
+                clock.clone(),
+                bh_common::LatencyModel::fixed(std::time::Duration::from_nanos(OP_NS)),
+                metrics.clone(),
+                "remote",
+            ));
+            let cfg = TableStoreConfig { segment_max_rows: 64, ingest_mode: mode };
+            let ts =
+                TableStore::new(schema(None), remote, cfg, Arc::new(IdGenerator::new()), metrics)
+                    .unwrap();
+            let created = ts.insert_rows(mk_rows(300, 70)).unwrap();
+            let puts = ts.metrics().counter_value("remote.put");
+            assert!(created.len() > 2, "{created:?}");
+            let want = match mode {
+                IngestMode::Pipelined => (1 + 2 * created.len() as u64) * OP_NS,
+                IngestMode::Staged => puts * OP_NS,
+            };
+            assert_eq!(
+                clock.now_nanos(),
+                want,
+                "{mode:?}: {puts} puts, {} segments",
+                created.len()
+            );
         }
     }
 
@@ -1029,17 +1055,12 @@ mod tests {
 
     #[test]
     fn compaction_skips_oversized_groups() {
-        let ts = store(
-            schema(None),
-            TableStoreConfig {
-                segment_max_rows: 50,
-                compact_target_rows: 60, // merged group would exceed this
-                ..Default::default()
-            },
-        );
+        let ts =
+            store(schema(None), TableStoreConfig { segment_max_rows: 50, ..Default::default() });
         ts.insert_rows(mk_rows(200, 20)).unwrap();
         let before = ts.segment_count();
-        let report = ts.compact().unwrap();
+        // Each label's group holds 100 rows: over a 60-row target.
+        let report = ts.compact_within(&build_pool(), 60).unwrap();
         assert_eq!(report.merged_segments, 0);
         assert_eq!(ts.segment_count(), before);
     }
@@ -1176,6 +1197,32 @@ mod tests {
             }
         }
         assert!(buckets.len() > 1, "{buckets:?}");
+    }
+
+    /// The pool an INSERT builds its indexes on does not reach a stored
+    /// byte: each segment's HNSW build runs whole on whichever thread
+    /// claims it, caller or helper.
+    #[test]
+    fn insert_bytes_do_not_depend_on_the_pool() {
+        let hashes: Vec<u64> = [0, 7]
+            .into_iter()
+            .map(|helpers| {
+                let ts = store(
+                    schema(Some(4)),
+                    TableStoreConfig { segment_max_rows: 40, ..Default::default() },
+                );
+                let mut columns = ts.schema().empty_batch();
+                for row in mk_rows(400, 71) {
+                    for (col, cell) in columns.iter_mut().zip(&row) {
+                        col.push(cell).unwrap();
+                    }
+                }
+                let created = ts.insert_on(&FanoutPool::new(helpers), columns).unwrap();
+                assert!(created.len() > 4, "{created:?}");
+                store_fnv(&ts)
+            })
+            .collect();
+        assert_eq!(hashes[0], hashes[1]);
     }
 
     /// FNV-1a over every `(key, blob)` the table's store holds, in key order.

@@ -505,9 +505,10 @@ pub trait IndexBuilder: Send {
 /// The process-wide pool index builds fan out on: the building thread always
 /// works itself, and one parked helper per further core joins in when it is
 /// idle. PQ sub-quantizers and IVF row tiles run on it from inside a build,
-/// and the table store runs compaction groups on it from outside one — a
-/// helper that is busy with a group is skipped by the builds inside it, so
-/// the two levels nest without oversubscribing the machine.
+/// and the table store runs a write's per-segment index builds on it from
+/// outside one — a helper that is busy with a segment is skipped by the
+/// builds inside it, so the two levels nest without oversubscribing the
+/// machine.
 pub fn build_pool() -> Arc<FanoutPool> {
     static POOL: OnceLock<Arc<FanoutPool>> = OnceLock::new();
     Arc::clone(POOL.get_or_init(|| Arc::new(FanoutPool::for_machine())))
