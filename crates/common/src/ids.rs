@@ -132,6 +132,12 @@ impl IdGenerator {
         Self { next: std::sync::atomic::AtomicU64::new(start) }
     }
 
+    /// Never mint `id` or anything below it from now on (a reloaded
+    /// catalog's largest id).
+    pub fn skip_past(&self, id: u64) {
+        self.next.fetch_max(id.saturating_add(1), std::sync::atomic::Ordering::Relaxed);
+    }
+
     /// Mint the next raw id.
     pub fn next(&self) -> u64 {
         self.next.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
@@ -196,6 +202,15 @@ mod tests {
             }
         }
         assert_eq!(all.len(), 4000);
+    }
+
+    #[test]
+    fn skip_past_only_moves_forward() {
+        let g = IdGenerator::starting_at(10);
+        g.skip_past(3);
+        assert_eq!(g.next(), 10);
+        g.skip_past(20);
+        assert_eq!(g.next(), 21);
     }
 
     #[test]

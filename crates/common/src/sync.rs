@@ -104,20 +104,19 @@ lock_rank_table! {
     /// it ranks after both (and after `VW_PREV_OWNER`, which the same
     /// critical section updates first).
     VW_OWNER_MEMO = 230,
-    /// `TableStore::compaction_lock` — serializes compaction passes; held
-    /// across segment-map writes, delete-map updates and object-store I/O.
-    TABLE_COMPACTION = 300,
-    /// `TableStore::segments` metadata map; held (write) across remote
-    /// object-store reads during `reload_from_store`.
-    TABLE_SEGMENTS = 310,
-    /// `TableStore::clusterer` semantic-clusterer slot.
-    TABLE_CLUSTERER = 320,
+    /// `TableStore::writer` — held by every commit while it builds the next
+    /// table version and swaps it in; DELETE, UPDATE, compaction and reload
+    /// hold it for their whole run, across object-store I/O, index builds
+    /// and the sketch; INSERT only to publish.
+    TABLE_WRITER = 300,
+    /// `TableStore::version` pointer to the current table version; held
+    /// only to clone the `Arc` or to swap in the next one, never across
+    /// I/O.
+    TABLE_VERSION = 310,
     /// `TableStore::sketch` histogram builder.
     TABLE_SKETCH = 330,
     /// `TableStore::sketch_cache` memoized sketch snapshot.
     TABLE_SKETCH_CACHE = 340,
-    /// `DeleteMap::bitmaps` per-segment delete bitmaps.
-    DELETE_BITMAPS = 360,
     /// `IndexedColumns` table → vector-column map a warehouse's index
     /// caches share; read before a transfer is entered, never held across
     /// one.

@@ -338,7 +338,8 @@ fn segment_rows(db: &Database) -> SystemRows {
     let mut rows = Vec::new();
     for tname in db.table_names() {
         let Ok(t) = db.table(&tname) else { continue };
-        for meta in t.segments() {
+        let version = t.version();
+        for meta in version.segments() {
             let mut resident = 0u64;
             for vw in &vws {
                 for wid in vw.worker_ids() {
@@ -352,7 +353,7 @@ fn segment_rows(db: &Database) -> SystemRows {
                 Value::Str(tname.clone()),
                 Value::UInt64(meta.id.0),
                 Value::UInt64(meta.row_count as u64),
-                Value::UInt64(t.delete_map().deleted_count(meta.id) as u64),
+                Value::UInt64(version.deleted_count(meta.id) as u64),
                 Value::UInt64(u64::from(meta.level)),
                 Value::Str(meta.index_kind.map(|k| k.name().to_string()).unwrap_or_default()),
                 Value::UInt64(meta.index_bytes),

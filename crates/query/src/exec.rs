@@ -38,7 +38,7 @@ use bh_common::{
 use bh_sql::ast::SelectStmt;
 use bh_storage::predicate::Predicate;
 use bh_storage::segment::SegmentMeta;
-use bh_storage::table::TableStore;
+use bh_storage::table::{TableStore, TableVersion};
 use bh_storage::value::Value;
 use bh_vector::{search_with_range, IndexKind, Neighbor, SearchParams};
 use std::collections::hash_map::Entry;
@@ -100,6 +100,8 @@ struct SegCtx<'a> {
     /// ([`VirtualWarehouse::segment_index`]); `None` when the task runs
     /// Plan A only or the segment has no index: the exact scan.
     index: Option<&'a SegmentIndex>,
+    /// The segment's visible rows in the batch's table version.
+    vis: &'a Bitset,
 }
 
 /// Per-statement progress of the vector statements of a batch
@@ -154,6 +156,8 @@ struct SegTask {
     /// Some statement here runs a plan that reads the index (anything but
     /// Plan A, which scans the raw column only).
     wants_index: bool,
+    /// The segment's visible rows in the batch's table version.
+    vis: Bitset,
 }
 
 /// The index transfers one batch round started, by the worker they were
@@ -324,7 +328,7 @@ impl QueryEngine {
     /// of one. Results come back in batch order and are bit-identical to
     /// running each statement as its own batch over the same residency.
     ///
-    /// The segment snapshot is taken once for the whole batch. Each round
+    /// The table version is read once for the whole batch. Each round
     /// orders its tasks — one per distinct pending segment — resident-first,
     /// starts the index transfer of every cold segment some statement will
     /// search through its index, then fans the tasks out work-stealing. A
@@ -338,10 +342,11 @@ impl QueryEngine {
     /// top-k queries additionally carry a [`SharedBound`]: segments searched
     /// later skip candidates that provably cannot enter the final top-k.
     ///
-    /// Queries run against a snapshot of the segment set; a background
-    /// compaction can garbage-collect a segment (and its blobs) mid-query.
-    /// Per §II-E the system retries at the query level: the retry takes a
-    /// fresh snapshot, which the new merged segments serve.
+    /// An attempt reads segments and visibility from one table version
+    /// ([`TableStore::version`]); a compaction committed meanwhile can
+    /// garbage-collect a segment's blobs mid-query. Per §II-E the system
+    /// retries at the query level: the retry reads the current version,
+    /// which the new merged segments serve.
     pub fn execute_batch(
         &self,
         table: &TableStore,
@@ -398,7 +403,9 @@ impl QueryEngine {
         batch: &[BoundSelect],
         plans: &[StmtPlan],
     ) -> Result<Vec<ResultSet>> {
-        let segments = table.segments();
+        // Segments and visibility come from one version for the attempt.
+        let version = table.version();
+        let segments = version.segments();
         let total_rows: usize = segments.iter().map(|m| m.row_count).sum();
 
         let mut results: Vec<Option<ResultSet>> = (0..batch.len()).map(|_| None).collect();
@@ -407,7 +414,7 @@ impl QueryEngine {
             let (Some(v), Some(strategy)) = (&sel.vector, plan.strategy) else {
                 // Scalar statements don't participate in the vector fan-out.
                 let _in = plan.ctx.install();
-                results[qi] = Some(self.exec_scalar(table, vw, opts, sel)?);
+                results[qi] = Some(self.exec_scalar(table, &version, vw, opts, sel)?);
                 continue;
             };
             let selection =
@@ -450,7 +457,7 @@ impl QueryEngine {
         }
         // A batch of scalar statements has no vector phase.
         if !states.is_empty() {
-            self.search_rounds(table, vw, opts, segments.len(), &mut states)?;
+            self.search_rounds(table, &version, vw, opts, &mut states)?;
         }
 
         for st in states {
@@ -461,7 +468,7 @@ impl QueryEngine {
             let hit_list: Vec<(SegmentId, u32, f32)> =
                 hits.into_iter().map(|s| (s.item.0, s.item.1, s.distance)).collect();
             let _in = st.plan.ctx.install();
-            results[st.qi] = Some(self.materialize(table, vw, st.sel, &hit_list)?);
+            results[st.qi] = Some(self.materialize(table, &version, vw, st.sel, &hit_list)?);
         }
         results
             .into_iter()
@@ -476,13 +483,13 @@ impl QueryEngine {
     fn search_rounds(
         &self,
         table: &TableStore,
+        version: &TableVersion,
         vw: &VirtualWarehouse,
         opts: &QueryOptions,
-        segments_total: usize,
         states: &mut [StmtState<'_>],
     ) -> Result<()> {
         let mut vec_span = QueryCtx::span("exec.vector");
-        vec_span.attr("segments_total", segments_total * states.len());
+        vec_span.attr("segments_total", version.segment_count() * states.len());
         vec_span.attr(
             "segments_scheduled",
             states.iter().map(|st| st.selection.scheduled.len()).sum::<usize>(),
@@ -514,6 +521,7 @@ impl QueryEngine {
                                 owner,
                                 stmts: Vec::new(),
                                 wants_index: false,
+                                vis: version.visibility(meta),
                             });
                             *e.insert(tasks.len() - 1)
                         }
@@ -660,7 +668,7 @@ impl QueryEngine {
         vw.with_segment_retry(meta, |owner| {
             let _first = task.wants_index.then(|| first.install());
             let index = if task.wants_index { vw.segment_index(&owner, meta)? } else { None };
-            let ctx = SegCtx { owner: &owner, index: index.as_ref() };
+            let ctx = SegCtx { owner: &owner, index: index.as_ref(), vis: &task.vis };
             task.stmts
                 .iter()
                 .map(|&si| {
@@ -758,10 +766,10 @@ impl QueryEngine {
     ) -> Result<Vec<Neighbor>> {
         let (bound, v, k, bnd) = (st.sel, st.v, st.k, st.bound.as_deref());
         let strategy = st.strategy;
-        let vis = table.visibility(meta);
+        let vis = ctx.vis;
         let index = match ctx.index {
             Some(index) if strategy != Strategy::BruteForce => index,
-            _ => return self.exact_scan(table, ctx.owner, meta, st, &vis),
+            _ => return self.exact_scan(table, ctx.owner, meta, st, vis),
         };
         // What one serving RPC carries, should the index be a peer's.
         let request_bytes = v.query.len() * 4;
@@ -783,7 +791,7 @@ impl QueryEngine {
                     // Pure top-k: nothing can be filtered away, so the plain
                     // beam search (which honours ef_search) beats driving the
                     // incremental iterator.
-                    let filter = if vis.is_all_set() { None } else { Some(&vis) };
+                    let filter = if vis.is_all_set() { None } else { Some(vis) };
                     return idx.search_with_bound(&v.query, fetch_k, &opts.search, filter, bnd);
                 }
                 // Pull the iterator, keeping visible rows that pass, until
@@ -810,7 +818,7 @@ impl QueryEngine {
             // plan-time selectivity estimate sizing the beam and hop budget.
             // Non-graph indexes ignore the flag and degrade to the Plan-B
             // bitmap scan.
-            let bits = self.filter_bits(table, ctx.owner, meta, bound, &vis)?;
+            let bits = self.filter_bits(table, ctx.owner, meta, bound, vis)?;
             if bits.is_all_clear() {
                 return Ok(Vec::new());
             }
@@ -944,11 +952,12 @@ impl QueryEngine {
     fn exec_scalar(
         &self,
         table: &TableStore,
+        version: &TableVersion,
         vw: &VirtualWarehouse,
         opts: &QueryOptions,
         bound: &BoundSelect,
     ) -> Result<ResultSet> {
-        let segments = table.segments();
+        let segments = version.segments();
         let selection: SegmentSelection =
             select_segments(&segments, &bound.predicate, None, &opts.prune);
         QueryCtx::with(|c| c.tally.segments_pruned.add(selection.scalar_pruned as u64));
@@ -966,7 +975,7 @@ impl QueryEngine {
             if rows.len() >= wanted {
                 break;
             }
-            let vis = table.visibility(meta);
+            let vis = version.visibility(meta);
             let rows_bits = with_segment_retry(vw, meta, |worker| {
                 self.filter_bits(table, &worker, meta, bound, &vis)
             })?;
@@ -996,6 +1005,7 @@ impl QueryEngine {
     fn materialize(
         &self,
         table: &TableStore,
+        version: &TableVersion,
         vw: &VirtualWarehouse,
         bound: &BoundSelect,
         hits: &[(SegmentId, u32, f32)],
@@ -1027,7 +1037,7 @@ impl QueryEngine {
         let mut rows: Vec<Vec<Value>> =
             hits.iter().map(|_| Vec::with_capacity(bound.projection.len())).collect();
         for (seg, (positions, offsets)) in by_segment {
-            let meta = table.segment(seg)?;
+            let meta = version.segment(seg)?;
             // One cell list per projected column, in projection order.
             let cells: Vec<Vec<Value>> = with_segment_retry(vw, &meta, |worker| {
                 proj_cols.iter().map(|c| worker.read_cells(table, &meta, c, &offsets)).collect()

@@ -138,7 +138,10 @@ fn is_latency_key(key: &str) -> bool {
 /// Work counts, simulated times, span counts, store gets, byte counts and
 /// recalls a deterministic run repeats exactly.
 fn is_exact_key(key: &str) -> bool {
-    matches!(key, "lloyd_iters" | "seed_rounds" | "point_centroid_evals")
+    matches!(key, "lloyd_iters" | "seed_rounds")
+        || key.ends_with("_evals")
+        || key.ends_with("_visits")
+        || key.ends_with("_rows")
         || key.ends_with("_sim_ns")
         || key.ends_with("_spans")
         || key.ends_with("_gets")
@@ -567,6 +570,31 @@ mod tests {
             assert_eq!(b.regressed, moved, "{b}");
             assert_eq!(b.to_string().starts_with("MOVED"), moved, "{b}");
             assert_eq!(cmp.iter().filter(|c| c.regressed).count(), usize::from(moved));
+        }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_work_count_that_moves_fails() {
+        let root = tmp_root("work");
+        let fresh = root.join("fresh");
+        let row = |n: u64| {
+            format!(
+                r#"{{"results":[{{"case":"d64","build_ns":900,"point_centroid_evals":{n},"beam_visits":{n},"scanned_rows":{n},"speedup":1.5}}]}}"#
+            )
+        };
+        fixture(&root, "BENCH_build.json", &row(640));
+        for (n, moved) in [(640, false), (641, true), (639, true)] {
+            fixture(&fresh, "BENCH_build.json", &row(n));
+            let (cmp, _) = diff_benchmarks(&root, &fresh, 15.0).unwrap();
+            // The wall time and the three counts; the speedup is ignored.
+            assert_eq!(cmp.len(), 4);
+            for key in ["point_centroid_evals", "beam_visits", "scanned_rows"] {
+                let c = cmp.iter().find(|c| c.path.ends_with(key)).unwrap();
+                assert_eq!(c.regressed, moved, "{c}");
+                assert_eq!(c.to_string().starts_with("MOVED"), moved, "{c}");
+            }
+            assert_eq!(cmp.iter().filter(|c| c.regressed).count(), 3 * usize::from(moved));
         }
         let _ = fs::remove_dir_all(&root);
     }

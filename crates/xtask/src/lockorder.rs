@@ -591,8 +591,8 @@ mod tests {
 lock_rank_table! {
     /// Catalog of tables.
     DB_TABLES = 100,
-    TABLE_COMPACTION = 300,
-    TABLE_SEGMENTS = 310,
+    TABLE_WRITER = 300,
+    TABLE_VERSION = 310,
     METRICS_COUNTERS = 850,
 }
 ";
@@ -611,7 +611,7 @@ lock_rank_table! {
     fn rank_table_parses_names_and_ranks() {
         let t = table();
         assert_eq!(t.len(), 4);
-        assert_eq!(t.rank("TABLE_SEGMENTS"), Some(310));
+        assert_eq!(t.rank("TABLE_VERSION"), Some(310));
         assert_eq!(t.rank("DB_TABLES"), Some(100));
         assert_eq!(t.rank("NOPE"), None);
     }
@@ -626,7 +626,7 @@ lock_rank_table! {
             .expect("sync.rs readable");
         let t = parse_rank_table(&src).expect("real rank table parses");
         assert!(t.len() >= 20, "expected the full rank table, got {}", t.len());
-        assert_eq!(t.rank("TABLE_SEGMENTS"), Some(310));
+        assert_eq!(t.rank("TABLE_VERSION"), Some(310));
         assert_eq!(t.rank("IDXCACHE_PENDING"), Some(410));
     }
 
@@ -636,7 +636,7 @@ impl Db {
     fn new() -> Self {
         Db {
             tables: RwLock::new(&classes::DB_TABLES, 0),
-            segments: RwLock::new(&classes::TABLE_SEGMENTS, 0),
+            segments: RwLock::new(&classes::TABLE_VERSION, 0),
         }
     }
     fn ordered(&self) {
@@ -663,7 +663,7 @@ impl Db {
     fn new() -> Self {
         Db {
             tables: RwLock::new(&classes::DB_TABLES, 0),
-            segments: RwLock::new(&classes::TABLE_SEGMENTS, 0),
+            segments: RwLock::new(&classes::TABLE_VERSION, 0),
         }
     }
     fn ab(&self) {
@@ -685,7 +685,7 @@ impl Db {
             .expect("seeded ABBA must raise an inversion");
         assert_eq!(inversion.rule, Rule::LockOrder);
         assert!(inversion.msg.contains("DB_TABLES"), "{}", inversion.msg);
-        assert!(inversion.msg.contains("TABLE_SEGMENTS"), "{}", inversion.msg);
+        assert!(inversion.msg.contains("TABLE_VERSION"), "{}", inversion.msg);
         assert!(inversion.msg.contains("rank 100"), "{}", inversion.msg);
         assert!(inversion.msg.contains("rank 310"), "{}", inversion.msg);
         assert!(
@@ -702,7 +702,7 @@ impl Db {
 struct X { a: Mutex<u32>, b: Mutex<u32> }
 impl X {
     fn new() -> Self {
-        X { a: Mutex::new(&classes::DB_TABLES, 0), b: Mutex::new(&classes::TABLE_SEGMENTS, 0) }
+        X { a: Mutex::new(&classes::DB_TABLES, 0), b: Mutex::new(&classes::TABLE_VERSION, 0) }
     }
     fn f(&self) { let g = self.a.lock(); self.b.lock().checked_add(*g); }
 }
@@ -711,7 +711,7 @@ impl X {
 struct Y { c: Mutex<u32>, d: Mutex<u32> }
 impl Y {
     fn new() -> Self {
-        Y { c: Mutex::new(&classes::TABLE_SEGMENTS, 0), d: Mutex::new(&classes::DB_TABLES, 0) }
+        Y { c: Mutex::new(&classes::TABLE_VERSION, 0), d: Mutex::new(&classes::DB_TABLES, 0) }
     }
     fn f(&self) { let g = self.c.lock(); self.d.lock().checked_add(*g); }
 }
@@ -745,7 +745,7 @@ impl X {
 struct X { a: Mutex<u32>, b: Mutex<u32> }
 impl X {
     fn new() -> Self {
-        X { a: Mutex::new(&classes::TABLE_SEGMENTS, 0), b: Mutex::new(&classes::DB_TABLES, 0) }
+        X { a: Mutex::new(&classes::TABLE_VERSION, 0), b: Mutex::new(&classes::DB_TABLES, 0) }
     }
     fn f(&self) {
         let n = self.a.lock().checked_add(1);
@@ -783,7 +783,7 @@ impl M {
 struct X { a: Mutex<u32>, b: Mutex<u32> }
 impl X {
     fn new() -> Self {
-        X { a: Mutex::new(&classes::TABLE_SEGMENTS, 0), b: Mutex::new(&classes::DB_TABLES, 0) }
+        X { a: Mutex::new(&classes::TABLE_VERSION, 0), b: Mutex::new(&classes::DB_TABLES, 0) }
     }
     fn f(&self) {
         let g = self.a.lock();
@@ -802,7 +802,7 @@ impl X {
 struct X { a: Mutex<u32>, b: Mutex<u32> }
 impl X {
     fn new() -> Self {
-        X { a: Mutex::new(&classes::TABLE_SEGMENTS, 0), b: Mutex::new(&classes::DB_TABLES, 0) }
+        X { a: Mutex::new(&classes::TABLE_VERSION, 0), b: Mutex::new(&classes::DB_TABLES, 0) }
     }
     fn f(&self) {
         let g = self.a.lock();
@@ -823,7 +823,7 @@ impl C {
     fn new() -> Self {
         C {
             inflight: Mutex::new(&classes::DB_TABLES, 0),
-            pending: Mutex::new(&classes::TABLE_SEGMENTS, 0),
+            pending: Mutex::new(&classes::TABLE_VERSION, 0),
         }
     }
     fn f(&self) -> Result<(), ()> {
@@ -852,7 +852,7 @@ impl C {
 struct X { a: Mutex<u32>, b: Mutex<u32> }
 impl X {
     fn new() -> Self {
-        X { a: Mutex::new(&classes::DB_TABLES, 0), b: Mutex::new(&classes::TABLE_SEGMENTS, 0) }
+        X { a: Mutex::new(&classes::DB_TABLES, 0), b: Mutex::new(&classes::TABLE_VERSION, 0) }
     }
 }
 #[cfg(test)]
@@ -875,7 +875,7 @@ mod tests {
 struct X { a: Mutex<u32>, b: Mutex<u32> }
 impl X {
     fn new() -> Self {
-        X { a: Mutex::new(&classes::DB_TABLES, 0), b: Mutex::new(&classes::TABLE_SEGMENTS, 0) }
+        X { a: Mutex::new(&classes::DB_TABLES, 0), b: Mutex::new(&classes::TABLE_VERSION, 0) }
     }
     fn f(&self) {
         let g = self.b.lock();

@@ -114,7 +114,7 @@ proptest! {
                 Op::Compact => {
                     db.compact("t").unwrap();
                     prop_assert_eq!(
-                        table.delete_map().total_deleted(),
+                        table.version().total_deleted(),
                         0,
                         "compaction must clear delete bitmaps"
                     );

@@ -52,7 +52,7 @@ fn repeated_updates_keep_single_visible_version() {
     }
     let table = db.table("docs").unwrap();
     assert_eq!(table.visible_rows(), 100);
-    assert!(table.delete_map().total_deleted() >= 5);
+    assert!(table.version().total_deleted() >= 5);
 }
 
 #[test]
@@ -69,7 +69,7 @@ fn compaction_drops_dead_versions_and_preserves_results() {
 
     let report = db.compact("docs").unwrap();
     assert_eq!(report.rows_dropped, 150, "100 superseded + 50 deleted");
-    assert_eq!(table.delete_map().total_deleted(), 0);
+    assert_eq!(table.version().total_deleted(), 0);
     assert_eq!(table.visible_rows(), 350);
 
     let after = db
