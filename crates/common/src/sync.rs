@@ -105,18 +105,15 @@ lock_rank_table! {
     /// critical section updates first).
     VW_OWNER_MEMO = 230,
     /// `TableStore::writer` — held by every commit while it builds the next
-    /// table version and swaps it in; DELETE, UPDATE, compaction and reload
-    /// hold it for their whole run, across object-store I/O, index builds
-    /// and the sketch; INSERT only to publish.
+    /// table version (segments, delete marks and the merged sketch) and
+    /// swaps it in; DELETE, UPDATE, compaction and reload hold it for their
+    /// whole run, across object-store I/O and index builds; INSERT only to
+    /// publish.
     TABLE_WRITER = 300,
     /// `TableStore::version` pointer to the current table version; held
     /// only to clone the `Arc` or to swap in the next one, never across
     /// I/O.
     TABLE_VERSION = 310,
-    /// `TableStore::sketch` histogram builder.
-    TABLE_SKETCH = 330,
-    /// `TableStore::sketch_cache` memoized sketch snapshot.
-    TABLE_SKETCH_CACHE = 340,
     /// `IndexedColumns` table → vector-column map a warehouse's index
     /// caches share; read before a transfer is entered, never held across
     /// one.

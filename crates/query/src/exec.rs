@@ -236,9 +236,9 @@ impl QueryEngine {
     /// Produce an EXPLAIN report for a SELECT from the plan step the executor
     /// runs ([`Self::plan`]): the strategy and the estimates that chose it,
     /// the search pushed into every segment, the filter, the columns read
-    /// and the segments scheduled. The plan step runs on a context of its
-    /// own, so the EXPLAIN statement records no strategy and moves no
-    /// `query.plan.*` counter.
+    /// and the segments scheduled, all from one table version. The plan step
+    /// runs on a context of its own, so the EXPLAIN statement records no
+    /// strategy and moves no `query.plan.*` counter.
     pub fn explain_select(
         &self,
         table: &TableStore,
@@ -246,7 +246,8 @@ impl QueryEngine {
         stmt: &SelectStmt,
     ) -> Result<String> {
         let bound = bind_select(table.schema(), stmt)?;
-        let plan = self.plan(table, opts, &bound, Arc::default());
+        let version = table.version();
+        let plan = self.plan(table, &version, opts, &bound, Arc::default());
         let mut out = String::new();
         if let Some(strategy) = plan.strategy {
             out.push_str(&format!("strategy: {}\n", strategy.name()));
@@ -277,7 +278,7 @@ impl QueryEngine {
         }
         out.push_str(&bound.explain_reads());
         // The selection `exec_scalar` and `exec_batch_inner` make.
-        let segments = table.segments();
+        let segments = version.segments();
         let query = bound.vector.as_ref().map(|v| v.query.as_slice());
         let selection = select_segments(&segments, &bound.predicate, query, &opts.prune);
         out.push_str(&format!(
@@ -358,9 +359,10 @@ impl QueryEngine {
         // statement, one engine call: `Database`'s) or else the engine's own.
         let installed = QueryCtx::current();
         self.metrics.counter("query.batch_size").add(batch.len() as u64);
+        let version = table.version();
         let plans: Vec<StmtPlan> = batch
             .iter()
-            .map(|b| self.plan(table, opts, b, installed.clone().unwrap_or_default()))
+            .map(|b| self.plan(table, &version, opts, b, installed.clone().unwrap_or_default()))
             .collect();
         // One executor phase per batch: its wall time goes to the first
         // statement, like a segment task's shared index resolution.
@@ -690,18 +692,20 @@ impl QueryEngine {
     /// segment answers from the exact scan. A scalar statement runs no vector
     /// plan and records none. Nothing is cached, because every input is the
     /// statement's own — its `k`, beam width and pass fraction — or the
-    /// table's size now: `LIMIT 10` and `LIMIT 5000` of one shape, or one
-    /// shape before and after the table grew, can run different plans.
+    /// table's size in `version`: `LIMIT 10` and `LIMIT 5000` of one shape,
+    /// or one shape before and after the table grew, can run different
+    /// plans. The pass fraction and the size come from that one version.
     fn plan(
         &self,
         table: &TableStore,
+        version: &TableVersion,
         opts: &QueryOptions,
         bound: &BoundSelect,
         ctx: Arc<QueryCtx>,
     ) -> StmtPlan {
         let mut stage = ctx.stage("plan", &ctx.tally.plan_ns);
-        let selectivity = filter_selectivity(table, bound);
-        let priced = cost_inputs(table, opts, bound, selectivity)
+        let selectivity = filter_selectivity(version, bound);
+        let priced = cost_inputs(table, version, opts, bound, selectivity)
             .map(|inputs| (inputs, self.cost.ranked(&inputs)));
         let strategy = bound.vector.as_ref().map(|_| match &priced {
             Some((_, ranked)) => opts.forced_strategy.unwrap_or(ranked[0].strategy),
@@ -1075,19 +1079,21 @@ fn index_is_quantized(table: &TableStore) -> bool {
     table.schema().indexes.first().is_some_and(|d| d.spec.kind.is_quantized())
 }
 
-/// Histogram estimate of the fraction of rows passing the predicate of a
-/// filtered vector statement; `None` without a vector clause or a predicate.
-fn filter_selectivity(table: &TableStore, bound: &BoundSelect) -> Option<f64> {
+/// Histogram estimate, on `version`'s sketch, of the fraction of rows
+/// passing the predicate of a filtered vector statement; `None` without a
+/// vector clause or a predicate.
+fn filter_selectivity(version: &TableVersion, bound: &BoundSelect) -> Option<f64> {
     (bound.vector.is_some() && !matches!(bound.predicate, Predicate::True))
-        .then(|| bound.predicate.estimate_selectivity(&table.sketch()))
+        .then(|| bound.predicate.estimate_selectivity(version.sketch()))
 }
 
 /// The cost model's inputs for a vector statement, from the statement's own
-/// `k`, beam and pass fraction and the table's size now; `None` for a scalar
-/// statement and for a table with no index to plan over (no index, or
-/// FLAT), whose statements all run Plan A.
+/// `k`, beam and pass fraction and the table's size in `version`; `None`
+/// for a scalar statement and for a table with no index to plan over (no
+/// index, or FLAT), whose statements all run Plan A.
 fn cost_inputs(
     table: &TableStore,
+    version: &TableVersion,
     opts: &QueryOptions,
     bound: &BoundSelect,
     selectivity: Option<f64>,
@@ -1095,7 +1101,7 @@ fn cost_inputs(
     let v = bound.vector.as_ref()?;
     let index = table.schema().indexes.first()?.spec.kind;
     (index != IndexKind::Flat).then(|| CostInputs {
-        n: table.visible_rows().max(1),
+        n: version.visible_rows().max(1),
         s: selectivity.unwrap_or(1.0),
         k: v.k.unwrap_or(100),
         sigma: opts.sigma,

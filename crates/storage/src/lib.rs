@@ -21,7 +21,8 @@
 //!   an in-memory LRU over the remote store (§II-D), and the byte-weighted
 //!   LRU that workers also cache decoded column data in.
 //! * **Selectivity statistics** ([`stats`]): per-column min/max and
-//!   equi-width histograms feeding the cost-based optimizer's `s` estimate.
+//!   equi-width histograms, one sketch per segment merged into each table
+//!   version's, feeding the cost-based optimizer's `s` estimate.
 
 pub mod cache;
 pub mod column;

@@ -647,12 +647,10 @@ mod tests {
 
     #[test]
     fn selectivity_estimates() {
-        let mut b = crate::stats::TableSketchBuilder::default();
-        b.observe_column("x", &ColumnData::UInt64((0..1000).collect()));
+        let x = ColumnData::UInt64((0..1000).collect());
         let labels = (0..1000).map(|i| if i % 10 == 0 { "rare" } else { "common" }.to_string());
-        b.observe_column("label", &ColumnData::Str(labels.collect()));
-        b.observe_row_count(1000);
-        let sk = b.snapshot();
+        let label = ColumnData::Str(labels.collect());
+        let sk = TableSketch::of_columns(1000, [("x", &x), ("label", &label)]);
         let s = Predicate::range("x", Some(Value::UInt64(0)), Some(Value::UInt64(99)))
             .estimate_selectivity(&sk);
         assert!((s - 0.1).abs() < 0.05, "range selectivity {s}");

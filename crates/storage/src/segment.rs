@@ -28,7 +28,7 @@
 use crate::column::{ColumnData, BLOCK_ROWS};
 use crate::objectstore::InMemoryObjectStore;
 use crate::schema::TableSchema;
-use crate::stats::ColumnStats;
+use crate::stats::{ColumnStats, TableSketch};
 use crate::value::Value;
 use bh_common::{BhError, Result, SegmentId};
 use bh_vector::IndexKind;
@@ -101,6 +101,8 @@ pub struct Segment {
     pub meta: SegmentMeta,
     /// Column name → data.
     pub columns: BTreeMap<String, ColumnData>,
+    /// The optimizer's sketch of the segment's rows (kept in memory only).
+    pub sketch: TableSketch,
 }
 
 impl Segment {
@@ -109,8 +111,8 @@ impl Segment {
     /// are sorted by the schema's `ORDER BY` key — a stable sort under
     /// [`ColumnData::cmp_rows`], which orders cells as
     /// [`Value::partial_cmp_scalar`] does — and each column is gathered
-    /// once in that order. Column stats and the vector centroid are
-    /// computed from the gathered columns.
+    /// once in that order. Column stats, the sketch and the vector centroid
+    /// are computed from the gathered columns.
     pub fn from_columns(
         schema: &TableSchema,
         id: SegmentId,
@@ -142,6 +144,8 @@ impl Segment {
             }
             gathered.insert(def.name.clone(), out);
         }
+        let sketch =
+            TableSketch::of_columns(order.len(), gathered.iter().map(|(n, c)| (n.as_str(), c)));
 
         // Centroid of the (sole) vector column, for semantic pruning.
         let centroid = schema.sole_vector_column().and_then(|vc| {
@@ -172,7 +176,7 @@ impl Segment {
             index_bytes: 0,
             index_head_bytes: 0,
         };
-        Ok(Segment { meta, columns: gathered })
+        Ok(Segment { meta, columns: gathered, sketch })
     }
 
     /// Number of rows (visible or not).

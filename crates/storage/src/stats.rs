@@ -5,10 +5,14 @@
 //! * **Per-segment min/max** ([`ColumnStats`]) — drives segment pruning at
 //!   scheduling time (§IV-B scalar partition pruning and zone-map style
 //!   skipping).
-//! * **Table-level sketches** ([`TableSketch`]) — equi-width histograms for
-//!   numeric columns and a capped distinct-value counter for strings, giving
-//!   the cost-based optimizer its `s` (predicate selectivity) estimate
-//!   (Table II, Poosala-style histograms).
+//! * **Sketches** ([`TableSketch`]) — equi-width histograms for numeric
+//!   columns and a capped distinct-value counter for strings, giving the
+//!   cost-based optimizer its `s` (predicate selectivity) estimate (Table
+//!   II, Poosala-style histograms). Each segment gets its own, built once
+//!   from its columns ([`TableSketch::of_columns`]); a table version's
+//!   sketch is the merge of its live segments' ([`TableSketch::merge`]), so
+//!   it describes exactly the rows of those segments and its size is bounded
+//!   by segments × columns × buckets (strings: ≤ 1,024 values per segment).
 
 use crate::column::ColumnData;
 use crate::value::Value;
@@ -70,12 +74,13 @@ impl ColumnStats {
     }
 }
 
-/// Equi-width histogram over a numeric column.
+/// Equi-width histogram over a numeric column. Bucket counts are `f64`: a
+/// merged histogram holds fractions of its sources' buckets.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NumericHistogram {
     lo: f64,
     hi: f64,
-    buckets: Vec<u64>,
+    buckets: Vec<f64>,
     total: u64,
 }
 
@@ -88,26 +93,68 @@ impl NumericHistogram {
     pub fn build(values: impl IntoIterator<Item = f64>, n_buckets: usize) -> NumericHistogram {
         let vals: Vec<f64> = values.into_iter().filter(|v| v.is_finite()).collect();
         if vals.is_empty() {
-            return NumericHistogram { lo: 0.0, hi: 0.0, buckets: vec![0], total: 0 };
+            return NumericHistogram::EMPTY;
         }
         let lo = vals.iter().copied().fold(f64::INFINITY, f64::min);
         let hi = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let total = vals.len() as u64;
         if lo == hi {
-            return NumericHistogram {
-                lo,
-                hi,
-                buckets: vec![vals.len() as u64],
-                total: vals.len() as u64,
-            };
+            return NumericHistogram { lo, hi, buckets: vec![total as f64], total };
         }
         let nb = n_buckets.max(1);
-        let mut buckets = vec![0u64; nb];
+        let mut buckets = vec![0.0; nb];
         let width = (hi - lo) / nb as f64;
         for v in &vals {
-            let idx = (((v - lo) / width) as usize).min(nb - 1);
-            buckets[idx] += 1;
+            buckets[(((v - lo) / width) as usize).min(nb - 1)] += 1.0;
         }
-        NumericHistogram { lo, hi, buckets, total: vals.len() as u64 }
+        NumericHistogram { lo, hi, buckets, total }
+    }
+
+    /// The histogram of no values.
+    const EMPTY: NumericHistogram =
+        NumericHistogram { lo: 0.0, hi: 0.0, buckets: Vec::new(), total: 0 };
+
+    /// One histogram over the values of all `parts`: `n_buckets` buckets
+    /// over `[min lo, max hi]`, each part's bucket spread over the buckets
+    /// it overlaps in proportion to the overlap. A constant part puts its
+    /// whole mass in the bucket holding its value.
+    pub fn merge<'a>(
+        parts: impl IntoIterator<Item = &'a NumericHistogram>,
+        n_buckets: usize,
+    ) -> NumericHistogram {
+        let parts: Vec<_> = parts.into_iter().filter(|h| h.total > 0).collect();
+        if parts.is_empty() {
+            return NumericHistogram::EMPTY;
+        }
+        let lo = parts.iter().map(|h| h.lo).fold(f64::INFINITY, f64::min);
+        let hi = parts.iter().map(|h| h.hi).fold(f64::NEG_INFINITY, f64::max);
+        let total = parts.iter().map(|h| h.total).sum();
+        if lo == hi {
+            return NumericHistogram { lo, hi, buckets: vec![total as f64], total };
+        }
+        let nb = n_buckets.max(1);
+        let width = (hi - lo) / nb as f64;
+        let bucket = |v: f64| (((v - lo) / width) as usize).min(nb - 1);
+        let mut buckets = vec![0.0; nb];
+        for h in parts {
+            if h.lo == h.hi {
+                buckets[bucket(h.lo)] += h.total as f64;
+                continue;
+            }
+            let src = (h.hi - h.lo) / h.buckets.len() as f64;
+            for (i, &count) in h.buckets.iter().enumerate().filter(|&(_, &c)| c > 0.0) {
+                let (s_lo, s_hi) = (h.lo + i as f64 * src, h.lo + (i + 1) as f64 * src);
+                let (first, last) = (bucket(s_lo), bucket(s_hi));
+                for (j, b) in buckets.iter_mut().enumerate().take(last + 1).skip(first) {
+                    let (t_lo, t_hi) = (lo + j as f64 * width, lo + (j + 1) as f64 * width);
+                    let overlap = s_hi.min(t_hi) - s_lo.max(t_lo);
+                    if overlap > 0.0 {
+                        *b += count * overlap / src;
+                    }
+                }
+            }
+        }
+        NumericHistogram { lo, hi, buckets, total }
     }
 
     /// Number of values the histogram was built over.
@@ -139,7 +186,7 @@ impl NumericHistogram {
             let o_lo = q_lo.max(b_lo);
             let o_hi = q_hi.min(b_hi);
             if o_hi > o_lo {
-                count += b as f64 * ((o_hi - o_lo) / width).min(1.0);
+                count += b * ((o_hi - o_lo) / width).min(1.0);
             }
         }
         (count / self.total as f64).clamp(0.0, 1.0)
@@ -157,7 +204,7 @@ impl NumericHistogram {
         let width = (self.hi - self.lo) / nb as f64;
         let idx = (((v - self.lo) / width) as usize).min(nb - 1);
         // Assume ~width distinct values per bucket.
-        (self.buckets[idx] as f64 / self.total as f64 / width.max(1.0)).clamp(0.0, 1.0)
+        (self.buckets[idx] / self.total as f64 / width.max(1.0)).clamp(0.0, 1.0)
     }
 }
 
@@ -175,13 +222,29 @@ impl StringSketch {
 
     /// Fold one string occurrence into the sketch.
     pub fn observe(&mut self, s: &str) {
-        self.total += 1;
+        self.add(s, 1);
+    }
+
+    /// Fold another sketch in: its values in order, each as `observe`
+    /// would take that many occurrences of it, and its overflow.
+    pub fn absorb(&mut self, other: &StringSketch) {
+        for (s, &n) in &other.counts {
+            self.add(s, n);
+        }
+        self.overflow += other.overflow;
+        self.total += other.overflow;
+    }
+
+    /// `n` occurrences of `s`: counted if tracked or there is room to track
+    /// it, else overflow.
+    fn add(&mut self, s: &str, n: u64) {
+        self.total += n;
         if let Some(c) = self.counts.get_mut(s) {
-            *c += 1;
+            *c += n;
         } else if self.counts.len() < Self::MAX_DISTINCT {
-            self.counts.insert(s.to_string(), 1);
+            self.counts.insert(s.to_string(), n);
         } else {
-            self.overflow += 1;
+            self.overflow += n;
         }
     }
 
@@ -224,70 +287,77 @@ pub enum ColumnSketch {
     Strings(StringSketch),
 }
 
-/// Table-level statistics: one sketch per scalar column.
-#[derive(Debug, Clone, Default)]
+impl ColumnSketch {
+    /// The sketch of one column: strings into the distinct counter, numbers
+    /// (as `f64`) into a histogram of [`NumericHistogram::DEFAULT_BUCKETS`].
+    /// `None` for a vector column or one with no rows.
+    pub fn of(col: &ColumnData) -> Option<ColumnSketch> {
+        let numbers = |cells: &mut dyn Iterator<Item = f64>| {
+            ColumnSketch::Numeric(NumericHistogram::build(cells, NumericHistogram::DEFAULT_BUCKETS))
+        };
+        match col {
+            _ if col.is_empty() => None,
+            ColumnData::UInt64(v) | ColumnData::DateTime(v) => {
+                Some(numbers(&mut v.iter().map(|&x| x as f64)))
+            }
+            ColumnData::Int64(v) => Some(numbers(&mut v.iter().map(|&x| x as f64))),
+            ColumnData::Float64(v) => Some(numbers(&mut v.iter().copied())),
+            ColumnData::Str(v) => {
+                let mut sketch = StringSketch::default();
+                v.iter().for_each(|s| sketch.observe(s));
+                Some(ColumnSketch::Strings(sketch))
+            }
+            ColumnData::Vector { .. } => None,
+        }
+    }
+}
+
+/// Statistics of a set of rows — one segment's, or a table version's
+/// merged from its segments': one sketch per scalar column.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TableSketch {
     /// Per-column sketches (vector columns excluded).
     pub columns: BTreeMap<String, ColumnSketch>,
-    /// Total ingested rows.
+    /// Rows the sketch describes.
     pub rows: u64,
 }
 
-/// Incremental builder used during segment writes.
-#[derive(Debug, Default)]
-pub struct TableSketchBuilder {
-    numeric: BTreeMap<String, Vec<f64>>,
-    strings: BTreeMap<String, StringSketch>,
-    rows: u64,
-}
-
-impl TableSketchBuilder {
-    /// Fold one column of an ingest batch into its accumulator: strings
-    /// into the distinct counter, numbers (as `f64`) into the histogram's
-    /// values, in row order. Vector columns are skipped.
-    pub fn observe_column(&mut self, column: &str, data: &ColumnData) {
-        if data.is_empty() {
-            return;
-        }
-        let mut numbers = |cells: &mut dyn Iterator<Item = f64>| {
-            self.numeric.entry(column.to_string()).or_default().extend(cells)
-        };
-        match data {
-            ColumnData::UInt64(v) | ColumnData::DateTime(v) => {
-                numbers(&mut v.iter().map(|&x| x as f64))
-            }
-            ColumnData::Int64(v) => numbers(&mut v.iter().map(|&x| x as f64)),
-            ColumnData::Float64(v) => numbers(&mut v.iter().copied()),
-            ColumnData::Str(v) => {
-                let sketch = self.strings.entry(column.to_string()).or_default();
-                v.iter().for_each(|s| sketch.observe(s));
-            }
-            ColumnData::Vector { .. } => {}
-        }
+impl TableSketch {
+    /// The sketch of `rows` rows held in `columns` (name, data).
+    pub fn of_columns<'a>(
+        rows: usize,
+        columns: impl IntoIterator<Item = (&'a str, &'a ColumnData)>,
+    ) -> TableSketch {
+        let columns = columns
+            .into_iter()
+            .filter_map(|(name, data)| Some((name.to_string(), ColumnSketch::of(data)?)))
+            .collect();
+        TableSketch { columns, rows: rows as u64 }
     }
 
-    /// Record ingested rows (once per batch).
-    pub fn observe_row_count(&mut self, n: u64) {
-        self.rows += n;
-    }
-
-    /// Build a sketch from the current state without consuming the builder
-    /// (used by the table store, which keeps accumulating across ingests).
-    pub fn snapshot(&self) -> TableSketch {
-        let mut columns = BTreeMap::new();
-        for (name, vals) in &self.numeric {
-            columns.insert(
-                name.clone(),
-                ColumnSketch::Numeric(NumericHistogram::build(
-                    vals.iter().copied(),
-                    NumericHistogram::DEFAULT_BUCKETS,
-                )),
-            );
+    /// One sketch of the rows of all `parts`, column by column: histograms
+    /// by [`NumericHistogram::merge`], string counts summed in part order
+    /// under the distinct-value cap ([`StringSketch::absorb`]).
+    pub fn merge<'a>(parts: impl IntoIterator<Item = &'a TableSketch>) -> TableSketch {
+        let mut numeric: BTreeMap<&str, Vec<&NumericHistogram>> = BTreeMap::new();
+        let mut strings: BTreeMap<&str, StringSketch> = BTreeMap::new();
+        let mut rows = 0;
+        for part in parts {
+            rows += part.rows;
+            for (name, column) in &part.columns {
+                match column {
+                    ColumnSketch::Numeric(h) => numeric.entry(name).or_default().push(h),
+                    ColumnSketch::Strings(sk) => strings.entry(name).or_default().absorb(sk),
+                }
+            }
         }
-        for (name, sk) in &self.strings {
-            columns.insert(name.clone(), ColumnSketch::Strings(sk.clone()));
-        }
-        TableSketch { columns, rows: self.rows }
+        let numeric = numeric.into_iter().map(|(name, parts)| {
+            let h = NumericHistogram::merge(parts, NumericHistogram::DEFAULT_BUCKETS);
+            (name, ColumnSketch::Numeric(h))
+        });
+        let strings = strings.into_iter().map(|(name, sk)| (name, ColumnSketch::Strings(sk)));
+        let columns = numeric.chain(strings).map(|(name, c)| (name.to_string(), c)).collect();
+        TableSketch { columns, rows }
     }
 }
 
@@ -295,6 +365,7 @@ impl TableSketchBuilder {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::Rng;
 
     #[test]
     fn column_stats_minmax_and_pruning() {
@@ -368,22 +439,105 @@ mod tests {
     }
 
     #[test]
-    fn sketch_builder_routes_types() {
-        let mut b = TableSketchBuilder::default();
-        b.observe_column("x", &ColumnData::UInt64((0..100).collect()));
-        b.observe_column(
-            "label",
-            &ColumnData::Str((0..100).map(|i| format!("l{}", i % 4)).collect()),
-        );
-        b.observe_column("v", &ColumnData::Vector { dim: 2, data: [0.0, 1.0].repeat(100) });
-        b.observe_column("empty", &ColumnData::Float64(vec![]));
-        b.observe_row_count(100);
-        let sk = b.snapshot();
+    fn column_sketches_route_types() {
+        let x = ColumnData::UInt64((0..100).collect());
+        let label = ColumnData::Str((0..100).map(|i| format!("l{}", i % 4)).collect());
+        let v = ColumnData::Vector { dim: 2, data: [0.0, 1.0].repeat(100) };
+        let empty = ColumnData::Float64(vec![]);
+        let columns = [("x", &x), ("label", &label), ("v", &v), ("empty", &empty)];
+        let sk = TableSketch::of_columns(100, columns);
         assert_eq!(sk.rows, 100);
         assert!(matches!(sk.columns.get("x"), Some(ColumnSketch::Numeric(_))));
         assert!(matches!(sk.columns.get("label"), Some(ColumnSketch::Strings(_))));
         assert!(!sk.columns.contains_key("v"));
         assert!(!sk.columns.contains_key("empty"));
+    }
+
+    #[test]
+    fn histogram_merge_of_degenerate_parts() {
+        let empty = NumericHistogram::build(std::iter::empty(), 8);
+        assert_eq!(NumericHistogram::merge([&empty, &empty], 8), empty);
+        let (three, two) =
+            (NumericHistogram::build([7.0; 3], 8), NumericHistogram::build([7.0; 2], 8));
+        let constant = NumericHistogram::merge([&three, &empty, &two], 8);
+        assert_eq!(constant, NumericHistogram::build([7.0; 5], 8));
+        // A constant part's mass lands whole in the bucket holding its value.
+        let zeros = NumericHistogram::build([0.0; 10], 64);
+        let spread = NumericHistogram::build((0..=100).map(f64::from), 64);
+        let merged = NumericHistogram::merge([&zeros, &spread], 64);
+        assert_eq!(merged.total(), 111);
+        let low = merged.selectivity_range(None, Some(100.0 / 64.0));
+        assert!((low - 12.0 / 111.0).abs() < 1e-9, "{low}");
+    }
+
+    /// The value at `share` of `sorted`.
+    fn quantile(sorted: &[f64], share: f64) -> f64 {
+        sorted[((share * sorted.len() as f64) as usize).min(sorted.len() - 1)]
+    }
+
+    /// A table cut into 2, 8 or 32 segments, strided or sorted: the merge of
+    /// the segments' sketches prices every range the way one sketch over all
+    /// rows does, within 0.005, and counts tracked strings exactly.
+    #[test]
+    fn merged_sketch_matches_one_built_over_all_rows() {
+        const N: usize = 16_000;
+        let mut r = bh_common::rng::rng(47);
+        let uniform: Vec<f64> = (0..N).map(|_| r.gen::<f64>() * 1_000.0).collect();
+        let exponential: Vec<f64> = (0..N).map(|_| -(1.0 - r.gen::<f64>()).ln() * 100.0).collect();
+        let labels: Vec<String> =
+            (0..N).map(|i| format!("l{}", (i * i) % 997 % (1 + i % 300))).collect();
+        let range = |sk: &TableSketch, lo: f64, hi: f64| match &sk.columns["x"] {
+            ColumnSketch::Numeric(h) => h.selectivity_range(Some(lo), Some(hi)),
+            other => panic!("x is numeric: {other:?}"),
+        };
+        let mut worst = (0.0f64, String::new());
+        for (dist, values) in [("uniform", &uniform), ("exponential", &exponential)] {
+            let mut sorted = values.clone();
+            sorted.sort_by(f64::total_cmp);
+            let (x, s) = (ColumnData::Float64(values.clone()), ColumnData::Str(labels.clone()));
+            let whole = TableSketch::of_columns(N, [("x", &x), ("s", &s)]);
+            for parts in [2, 8, 32] {
+                for cut in ["strided", "sorted"] {
+                    let rows = |p: usize| -> Vec<usize> {
+                        match cut {
+                            "strided" => (p..N).step_by(parts).collect(),
+                            _ => {
+                                let mut by_x: Vec<usize> = (0..N).collect();
+                                by_x.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
+                                by_x[p * N / parts..(p + 1) * N / parts].to_vec()
+                            }
+                        }
+                    };
+                    let sketches: Vec<TableSketch> = (0..parts)
+                        .map(|p| {
+                            let rows = rows(p);
+                            let x = ColumnData::Float64(rows.iter().map(|&i| values[i]).collect());
+                            let s =
+                                ColumnData::Str(rows.iter().map(|&i| labels[i].clone()).collect());
+                            TableSketch::of_columns(rows.len(), [("x", &x), ("s", &s)])
+                        })
+                        .collect();
+                    let merged = TableSketch::merge(&sketches);
+                    assert_eq!(merged.rows, N as u64);
+                    assert_eq!(merged.columns["s"], whole.columns["s"], "{dist} {parts} {cut}");
+                    for share in [0.001, 0.01, 0.1, 0.3, 0.9] {
+                        // A range from the bottom, and one centred on the median.
+                        let bottom = (sorted[0], quantile(&sorted, share));
+                        let centred = (
+                            quantile(&sorted, 0.5 - share / 2.0),
+                            quantile(&sorted, 0.5 + share / 2.0),
+                        );
+                        for (lo, hi) in [bottom, centred] {
+                            let err = (range(&merged, lo, hi) - range(&whole, lo, hi)).abs();
+                            if err > worst.0 {
+                                worst = (err, format!("{dist} {parts} {cut} share {share}"));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(worst.0 <= 0.005, "worst error {} at {}", worst.0, worst.1);
     }
 
     proptest! {

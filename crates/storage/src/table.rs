@@ -2,23 +2,26 @@
 //! updates, and compaction.
 //!
 //! This is the storage-side control plane of BlendHouse. Per table it holds
-//! one immutable [`TableVersion`] — the live segments and each one's delete
-//! bitmap — plus the semantic clusterer and the selectivity sketch; all data
-//! lives in the (simulated) remote object store, keeping compute nodes
-//! stateless (§II-A).
+//! one immutable [`TableVersion`] — the live segments, each one's delete
+//! bitmap and sketch, and the optimizer's sketch merged from those — plus
+//! the semantic clusterer; all data lives in the (simulated) remote object
+//! store, keeping compute nodes stateless (§II-A).
 //!
 //! ## Versions
 //!
 //! A reader takes the current version ([`TableStore::version`]) and reads
-//! segments and visibility from it alone, so it sees every row in exactly
-//! one version: the one that version holds. A writer never edits a version:
+//! segments, visibility and the sketch from it alone, so it sees every row
+//! in exactly one version: the one that version holds, and the sketch it
+//! plans with describes exactly that version's segments (a segment reloaded
+//! from the store carries no sketch). A writer never edits a version:
 //! it builds the next one from the current one and swaps it in, under the
 //! table's writer lock. DELETE, UPDATE and compaction hold that lock for
 //! their whole run; INSERT takes it only to publish, so concurrent INSERTs
 //! build their indexes in parallel. What one commit publishes together:
 //! all segments of one INSERT; an UPDATE's new segments and its delete
 //! marks; a compaction's merged segments and the removal of the segments
-//! (and bitmaps) they replace.
+//! (and bitmaps and sketches) they replace. A commit that changes the
+//! segment set merges the live segments' sketches into the version's.
 //!
 //! ## Ingest (§V-B1, Table IV)
 //!
@@ -28,11 +31,11 @@
 //! clusterer and the optimizer's sketch as they were. Its rows are then
 //! grouped by (scalar partition, semantic bucket) into offset lists, each
 //! group is chunked into segments ([`Segment::from_columns`] sorts a chunk
-//! by a permutation and gathers each column once), and the segments are
-//! written by the one write step INSERT and compaction share: it begins
-//! every segment's column-block uploads, builds the index blobs on the
-//! build pool, waits the uploads out and writes each segment's index, then
-//! its meta, once and last. An upload is its deadline on the store's
+//! by a permutation, gathers each column once and sketches it), and the
+//! segments are written by the one write step INSERT and compaction share:
+//! it begins every segment's column-block uploads, builds the index blobs
+//! on the build pool, waits the uploads out and writes each segment's
+//! index, then its meta, once and last. An upload is its deadline on the store's
 //! clock, so the two modes of the paper's ingest comparison differ only in
 //! where that deadline is waited out:
 //!
@@ -58,7 +61,7 @@ use crate::partition::{group_batch, SemanticClusterer};
 use crate::predicate::Predicate;
 use crate::schema::TableSchema;
 use crate::segment::{Segment, SegmentMeta};
-use crate::stats::{TableSketch, TableSketchBuilder};
+use crate::stats::TableSketch;
 use crate::value::Value;
 use bh_common::ids::IdGenerator;
 use bh_common::sync::{classes, Mutex, MutexGuard, RwLock};
@@ -109,6 +112,9 @@ const COMPACT_TARGET_ROWS: usize = 64 * 1024;
 /// A built index blob ready to upload, and its kind.
 type IndexBlob = (Bytes, bh_vector::IndexKind);
 
+/// A written segment, ready to publish: its meta and its sketch.
+type Written = (Arc<SegmentMeta>, Arc<TableSketch>);
+
 /// Outcome of one compaction run.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct CompactionReport {
@@ -121,13 +127,18 @@ pub struct CompactionReport {
 }
 
 /// One immutable state of a table: its live segments and, per segment, the
-/// rows deleted from it (the delete bitmap of Fig. 6). A commit never
-/// edits a version; it builds the next one, so whoever holds a version
-/// reads segments and visibility that were published together.
+/// rows deleted from it (the delete bitmap of Fig. 6) and the sketch of
+/// its rows, plus the merge of those sketches. A commit never edits a
+/// version; it builds the next one, so whoever holds a version reads
+/// segments, visibility and the sketch that were published together.
 #[derive(Debug, Default, Clone)]
 pub struct TableVersion {
     segments: BTreeMap<SegmentId, Arc<SegmentMeta>>,
     deletes: DeleteMarks,
+    /// Per-segment sketches; a segment reloaded from the store has none.
+    sketches: BTreeMap<SegmentId, Arc<TableSketch>>,
+    /// The merge of `sketches`, in segment order.
+    sketch: Arc<TableSketch>,
 }
 
 impl TableVersion {
@@ -166,14 +177,23 @@ impl TableVersion {
         self.deletes.visibility(meta.id, meta.row_count)
     }
 
-    fn add(&mut self, meta: Arc<SegmentMeta>) {
+    /// The optimizer's sketch: the merge of the live segments' sketches.
+    /// Deleted rows stay in it until compaction merges their segment away.
+    pub fn sketch(&self) -> &Arc<TableSketch> {
+        &self.sketch
+    }
+
+    /// Add a written segment with its sketch.
+    fn add(&mut self, (meta, sketch): Written) {
+        self.sketches.insert(meta.id, sketch);
         self.segments.insert(meta.id, meta);
     }
 
-    /// Drop a segment together with its delete bitmap.
+    /// Drop a segment together with its delete bitmap and its sketch.
     fn remove(&mut self, id: SegmentId) {
         self.segments.remove(&id);
         self.deletes.clear(id);
+        self.sketches.remove(&id);
     }
 
     /// Mark row offsets of a live segment deleted.
@@ -195,10 +215,6 @@ pub struct TableStore {
     /// in; DELETE, UPDATE and compaction hold it for their whole run.
     writer: Mutex<()>,
     clusterer: OnceLock<SemanticClusterer>,
-    sketch: Mutex<TableSketchBuilder>,
-    /// Memoized sketch snapshot — rebuilding histograms per query would
-    /// serialize the whole planner; invalidated on ingest.
-    sketch_cache: RwLock<Option<Arc<TableSketch>>>,
     ids: Arc<IdGenerator>,
     metrics: MetricsRegistry,
 }
@@ -220,8 +236,6 @@ impl TableStore {
             version: RwLock::new(&classes::TABLE_VERSION, Arc::default()),
             writer: Mutex::new(&classes::TABLE_WRITER, ()),
             clusterer: OnceLock::new(),
-            sketch: Mutex::new(&classes::TABLE_SKETCH, TableSketchBuilder::default()),
-            sketch_cache: RwLock::new(&classes::TABLE_SKETCH_CACHE, None),
             ids,
             metrics,
         })
@@ -273,15 +287,10 @@ impl TableStore {
         self.version().visibility(meta)
     }
 
-    /// Current selectivity sketch (histograms) for the optimizer. Snapshots
-    /// are memoized between ingests.
+    /// The current version's selectivity sketch (histograms) for the
+    /// optimizer.
     pub fn sketch(&self) -> Arc<TableSketch> {
-        if let Some(s) = self.sketch_cache.read().clone() {
-            return s;
-        }
-        let built = Arc::new(self.sketch.lock().snapshot());
-        *self.sketch_cache.write() = Some(built.clone());
-        built
+        self.version().sketch().clone()
     }
 
     /// The semantic clusterer, once trained.
@@ -290,10 +299,16 @@ impl TableStore {
     }
 
     /// Swap in the next version, `change` applied to a copy of the current
-    /// one. The caller holds the writer lock.
+    /// one; if the change added or removed a sketched segment, the next
+    /// version's sketch is merged anew from its segments'. The caller holds
+    /// the writer lock.
     fn publish(&self, _writer: &MutexGuard<'_, ()>, change: impl FnOnce(&mut TableVersion)) {
-        let mut next = TableVersion::clone(&self.version());
+        let current = self.version();
+        let mut next = TableVersion::clone(&current);
         change(&mut next);
+        if !next.sketches.keys().eq(current.sketches.keys()) {
+            next.sketch = Arc::new(TableSketch::merge(next.sketches.values().map(Arc::as_ref)));
+        }
         *self.version.write() = Arc::new(next);
     }
 
@@ -301,7 +316,7 @@ impl TableStore {
 
     /// Insert a batch of typed columns, one per schema column in schema
     /// order; returns the created segment ids. The batch is checked whole
-    /// before the sketch or the clusterer sees a cell.
+    /// before the clusterer sees a cell.
     pub fn insert(&self, columns: Vec<ColumnData>) -> Result<Vec<SegmentId>> {
         self.insert_on(&build_pool(), columns)
     }
@@ -312,22 +327,18 @@ impl TableStore {
         pool: &FanoutPool,
         columns: Vec<ColumnData>,
     ) -> Result<Vec<SegmentId>> {
-        let metas = self.write_batch(pool, columns)?;
-        let created = metas.iter().map(|m| m.id).collect();
-        if !metas.is_empty() {
+        let written = self.write_batch(pool, columns)?;
+        let created = written.iter().map(|(m, _)| m.id).collect();
+        if !written.is_empty() {
             let writer = self.writer.lock();
-            self.publish(&writer, |v| metas.into_iter().for_each(|m| v.add(m)));
+            self.publish(&writer, |v| written.into_iter().for_each(|w| v.add(w)));
         }
         Ok(created)
     }
 
-    /// Check a batch, feed it to the clusterer and the sketch, cut it into
-    /// segments and write them: everything of an INSERT but its commit.
-    fn write_batch(
-        &self,
-        pool: &FanoutPool,
-        columns: Vec<ColumnData>,
-    ) -> Result<Vec<Arc<SegmentMeta>>> {
+    /// Check a batch, feed it to the clusterer, cut it into segments and
+    /// write them: everything of an INSERT but its commit.
+    fn write_batch(&self, pool: &FanoutPool, columns: Vec<ColumnData>) -> Result<Vec<Written>> {
         let rows = self.schema.check_batch(&columns)?;
         if rows == 0 {
             return Ok(Vec::new());
@@ -351,17 +362,9 @@ impl TableStore {
             }
         }
 
-        let mut sk = self.sketch.lock();
-        for (def, col) in self.schema.columns.iter().zip(&columns) {
-            sk.observe_column(&def.name, col);
-        }
-        sk.observe_row_count(rows as u64);
-        drop(sk);
-        *self.sketch_cache.write() = None;
-
-        let (metas, _) = self.write_segments(pending, pool)?;
-        self.metrics.counter("table.segments_created").add(metas.len() as u64);
-        Ok(metas)
+        let (written, _) = self.write_segments(pending, pool)?;
+        self.metrics.counter("table.segments_created").add(written.len() as u64);
+        Ok(written)
     }
 
     /// Insert rows of values in schema order: transposed into one typed
@@ -390,13 +393,13 @@ impl TableStore {
     /// The ingest mode is read in one place: `Staged` waits each upload
     /// out as it begins and builds one index at a time, `Pipelined` waits
     /// after the builds, which run at the pool's full width. Returns the
-    /// written metas, in order, and the bytes written; the caller commits
-    /// the metas.
+    /// written segments' metas and sketches, in order, and the bytes
+    /// written; the caller commits them.
     fn write_segments(
         &self,
         segments: Vec<Segment>,
         pool: &FanoutPool,
-    ) -> Result<(Vec<Arc<SegmentMeta>>, u64)> {
+    ) -> Result<(Vec<Written>, u64)> {
         let (wait_each, parallelism) = match self.cfg.ingest_mode {
             IngestMode::Pipelined => (false, usize::MAX),
             IngestMode::Staged => (true, 1),
@@ -411,13 +414,13 @@ impl TableStore {
             .run(segments.len(), parallelism, |i| self.build_index_blob(&segments[i]))
             .into_results()?;
         self.remote.wait(uploaded);
-        let mut metas = Vec::with_capacity(segments.len());
+        let mut written = Vec::with_capacity(segments.len());
         for (mut seg, blob) in segments.into_iter().zip(blobs) {
             bytes += seg.commit(self.remote.as_ref(), blob)?;
             self.metrics.counter("table.rows_ingested").add(seg.row_count() as u64);
-            metas.push(Arc::new(seg.meta));
+            written.push((Arc::new(seg.meta), Arc::new(seg.sketch)));
         }
-        Ok((metas, bytes))
+        Ok((written, bytes))
     }
 
     /// Build the per-segment vector index blob, if the schema declares an
@@ -573,9 +576,9 @@ impl TableStore {
         }
         // The new versions and the old ones' delete marks commit together:
         // a reader sees each updated row exactly once, old or new.
-        let metas = self.write_batch(&build_pool(), batch)?;
+        let written = self.write_batch(&build_pool(), batch)?;
         self.publish(&writer, |v| {
-            metas.into_iter().for_each(|m| v.add(m));
+            written.into_iter().for_each(|w| v.add(w));
             marks.iter().for_each(|(id, o)| v.mark_deleted(*id, o));
         });
         self.metrics.counter("table.rows_updated").add(updated as u64);
@@ -674,9 +677,9 @@ impl TableStore {
             self.metrics.counter("table.parallel_compact_groups").add(merged_groups);
         }
 
-        let (metas, bytes_rewritten) = self.write_segments(merged, pool)?;
+        let (written, bytes_rewritten) = self.write_segments(merged, pool)?;
         self.publish(&writer, |v| {
-            metas.into_iter().for_each(|m| v.add(m));
+            written.into_iter().for_each(|w| v.add(w));
             old.iter().for_each(|m| v.remove(m.id));
         });
         for meta in &old {
@@ -733,7 +736,8 @@ impl TableStore {
     /// move the id generator past every segment id found, so a later write
     /// never reuses a live segment's objects. Delete bitmaps are not
     /// persisted in this reproduction — reload assumes compaction ran before
-    /// shutdown (documented in DESIGN.md).
+    /// shutdown (documented in DESIGN.md) — and neither are sketches: a
+    /// reloaded segment has none, so the reloaded version's sketch is empty.
     pub fn reload_from_store(&self) -> Result<usize> {
         let writer = self.writer.lock();
         let prefix = format!("tables/{}/", self.schema.name);
@@ -746,7 +750,8 @@ impl TableStore {
             let meta: SegmentMeta = serde_json::from_slice(&blob)
                 .map_err(|e| BhError::Serde(format!("segment meta: {e}")))?;
             self.ids.skip_past(meta.id.raw());
-            loaded.add(Arc::new(meta));
+            // A reloaded segment carries no sketch.
+            loaded.segments.insert(meta.id, Arc::new(meta));
         }
         let found = loaded.segment_count();
         self.publish(&writer, |v| *v = loaded);
@@ -1297,15 +1302,166 @@ mod tests {
         assert!(ts.remote_store().list("tables/images/").is_empty());
     }
 
+    /// The table's sketch is the merge, in segment order, of one sketch per
+    /// segment built from that segment's columns.
     #[test]
     fn sketch_reflects_ingested_data() {
-        let ts = store(schema(None), TableStoreConfig::default());
+        let ts =
+            store(schema(None), TableStoreConfig { segment_max_rows: 100, ..Default::default() });
         ts.insert_rows(mk_rows(500, 22)).unwrap();
         let sk = ts.sketch();
         assert_eq!(sk.rows, 500);
+        let per_segment: Vec<TableSketch> = ts
+            .segments()
+            .iter()
+            .map(|meta| {
+                let columns: Vec<_> = ts
+                    .schema()
+                    .columns
+                    .iter()
+                    .map(|def| (def.name.as_str(), ts.load_column(meta, &def.name).unwrap()))
+                    .collect();
+                TableSketch::of_columns(meta.row_count, columns.iter().map(|(n, c)| (*n, c)))
+            })
+            .collect();
+        assert!(per_segment.len() > 2, "{}", per_segment.len());
+        assert_eq!(*sk, TableSketch::merge(&per_segment));
         let sel = Predicate::range("id", Some(Value::UInt64(0)), Some(Value::UInt64(49)))
             .estimate_selectivity(&sk);
         assert!((sel - 0.1).abs() < 0.05, "selectivity {sel}");
+    }
+
+    /// Σ of the numeric histograms' totals, per numeric column, of a sketch.
+    fn numeric_totals(sk: &TableSketch) -> Vec<u64> {
+        sk.columns
+            .values()
+            .filter_map(|c| match c {
+                crate::stats::ColumnSketch::Numeric(h) => Some(h.total()),
+                crate::stats::ColumnSketch::Strings(_) => None,
+            })
+            .collect()
+    }
+
+    /// Rows superseded by an UPDATE or gone by a DELETE leave the sketch
+    /// when compaction merges their segments away. `x` holds each of
+    /// `0..1000` once; the UPDATE sets every `x < 500` to 0 and the DELETE
+    /// drops 100 rows of `x` in `500..600`, so 900 rows stay: 500 zeros and
+    /// `x` in `600..1000`. Over `[0, 999]` in 64 buckets the zeros all sit
+    /// in the first bucket, `[0, 15.6)`, and the numeric estimator spreads a
+    /// bucket over its width (`x = 0` itself reads 500 / 900 / 15.6), so
+    /// the checks are on ranges the buckets resolve: `x <= 15` is the first
+    /// bucket, ≈ 15 / 15.6 × 500 / 900 = 0.53, and `x BETWEEN 16 AND 499`
+    /// holds only superseded values. A sketch that kept every value ever
+    /// inserted would count 1,499 and read 0.33 and 0.32 there.
+    #[test]
+    fn compaction_forgets_superseded_values() {
+        let schema = TableSchema::new("t")
+            .with_column("id", ColumnType::UInt64)
+            .with_column("x", ColumnType::UInt64)
+            .with_order_by(&["id"]);
+        let cfg = TableStoreConfig { segment_max_rows: 128, ..Default::default() };
+        let ts = store(schema, cfg);
+        let x_of = |id: u64| id * 337 % 1_000;
+        ts.insert_rows(
+            (0..1_000).map(|id| vec![Value::UInt64(id), Value::UInt64(x_of(id))]).collect(),
+        )
+        .unwrap();
+        let x = |lo: u64, hi: u64| {
+            Predicate::range("x", Some(Value::UInt64(lo)), Some(Value::UInt64(hi)))
+        };
+        let zero = [("x".to_string(), Value::UInt64(0))];
+        assert_eq!(ts.update_where(&x(1, 499), &zero).unwrap(), 499);
+        assert_eq!(ts.delete_where(&x(500, 599)).unwrap(), 100);
+        ts.compact().unwrap();
+        assert_eq!(ts.visible_rows(), 900);
+        let sk = ts.sketch();
+        assert_eq!(sk.rows, 900);
+        assert_eq!(numeric_totals(&sk), vec![900, 900]);
+        let first_bucket =
+            Predicate::range("x", None, Some(Value::UInt64(15))).estimate_selectivity(&sk);
+        assert!((first_bucket - 0.5).abs() < 0.05, "x <= 15: {first_bucket}");
+        let superseded = x(16, 499).estimate_selectivity(&sk);
+        assert!(superseded < 0.005, "x BETWEEN 16 AND 499: {superseded}");
+        let live = x(600, 999).estimate_selectivity(&sk);
+        assert!((live - 0.44).abs() < 0.02, "x BETWEEN 600 AND 999: {live}");
+    }
+
+    /// A seeded stream of INSERT / UPDATE / DELETE / compact / reload: after
+    /// every step the version's sketch counts exactly the rows of that
+    /// version's sketched segments — in every numeric histogram and in
+    /// `rows` — and equals the merge of their sketches.
+    #[test]
+    fn the_sketch_matches_the_version_it_rides_in() {
+        let remote = InMemoryObjectStore::for_tests();
+        let cfg = TableStoreConfig { segment_max_rows: 40, ..Default::default() };
+        let open = || {
+            let ids = Arc::new(IdGenerator::new());
+            TableStore::new(schema(None), remote.clone(), cfg.clone(), ids, MetricsRegistry::new())
+                .unwrap()
+        };
+        let mut ts = open();
+        let mut r = rng(48);
+        let mut next_id = 0u64;
+        for step in 0..40 {
+            let ids = |lo: u64, span: u64| {
+                Predicate::range("id", Some(Value::UInt64(lo)), Some(Value::UInt64(lo + span)))
+            };
+            let op = match r.gen_range(0..10usize) {
+                0..=3 => {
+                    let n = 1 + r.gen_range(0..90usize);
+                    let rows: Vec<_> = mk_rows(n, step)
+                        .into_iter()
+                        .enumerate()
+                        .map(|(i, mut row)| {
+                            row[0] = Value::UInt64(next_id + i as u64);
+                            row
+                        })
+                        .collect();
+                    next_id += n as u64;
+                    ts.insert_rows(rows).unwrap();
+                    "insert"
+                }
+                4 | 5 => {
+                    let lo = r.gen_range(0..next_id.max(1) as usize) as u64;
+                    let score = [("score".to_string(), Value::Float64(r.gen::<f64>()))];
+                    ts.update_where(&ids(lo, 15), &score).unwrap();
+                    "update"
+                }
+                6 | 7 => {
+                    let lo = r.gen_range(0..next_id.max(1) as usize) as u64;
+                    ts.delete_where(&ids(lo, 10)).unwrap();
+                    "delete"
+                }
+                8 => {
+                    ts.compact().unwrap();
+                    "compact"
+                }
+                _ => {
+                    ts = open();
+                    ts.reload_from_store().unwrap();
+                    "reload"
+                }
+            };
+            let version = ts.version();
+            let sketched: Vec<&TableSketch> = version
+                .segments()
+                .iter()
+                .filter_map(|m| version.sketches.get(&m.id).map(Arc::as_ref))
+                .collect();
+            assert_eq!(sketched.len(), version.sketches.len(), "step {step} {op}");
+            let rows: u64 = version
+                .segments()
+                .iter()
+                .filter(|m| version.sketches.contains_key(&m.id))
+                .map(|m| m.row_count as u64)
+                .sum();
+            let sk = version.sketch();
+            assert_eq!(sk.rows, rows, "step {step} {op}");
+            let totals = numeric_totals(sk);
+            let numeric = if rows == 0 { 0 } else { 2 };
+            assert_eq!(totals, vec![rows; numeric], "step {step} {op}");
+            assert_eq!(**sk, TableSketch::merge(sketched), "step {step} {op}");
+        }
     }
 
     #[test]
