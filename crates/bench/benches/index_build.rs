@@ -15,6 +15,11 @@
 //!    512 / 4,096 / 16,384 rows × dim 64, on a pool without helpers and on
 //!    one sized to the machine. The two blobs are asserted byte-identical,
 //!    and on the AVX2 tier the IVFPQFS blobs' FNV-1a against constants.
+//!    The same for HNSW's `add_with_ids` (batch-synchronous insertion,
+//!    DESIGN.md §10.6) at 1,000 and 8,000 rows × dim 64: µs per row, the
+//!    distances the build computed (`dist_evals`) and the blob's FNV-1a,
+//!    all asserted equal across runs and pools, the hash against constants
+//!    on AVX2.
 //! 4. The stages of an IVFPQFS `train` — coarse k-means, residual pass, PQ
 //!    training — timed through the same public functions with the builder's
 //!    parameters, plus `add_with_ids`, at 512 and 16,128 rows (the insert
@@ -52,6 +57,7 @@ use bh_common::{DeploymentLatencies, FanoutPool, LatencyModel};
 use bh_storage::table::IngestMode;
 use bh_vector::autoindex::auto_nlist;
 use bh_vector::distance::{distance_batch, Codebook, KernelTier};
+use bh_vector::hnsw::HnswBuilder;
 use bh_vector::ivf::IvfBuilder;
 use bh_vector::kmeans::{train_kmeans_on, work_done, KMeansParams, KMeansWork};
 use bh_vector::quant::pq::{AdcTable, CodeBits, Pq, PqParams};
@@ -78,6 +84,10 @@ const IVFPQFS_BLOB_FNV: [(usize, u64); 3] = [
     (4_096, 0x0630_f3d9_7071_f545),
     (16_384, 0x1885_6f9d_759b_eaf1),
 ];
+
+/// FNV-1a of the HNSW blobs at 1,000 / 8,000 rows on the AVX2 tier.
+const HNSW_BLOB_FNV: [(usize, u64); 2] =
+    [(1_000, 0x9c3f_aed5_d387_ad4f), (8_000, 0x8f89_4cc5_496f_39f4)];
 
 /// FNV-1a of what a write pass leaves in the store on the AVX2 tier,
 /// derived before the write path took typed columns: column blocks, metas
@@ -254,6 +264,33 @@ fn time_build(
         add.push(times.add_ns_per_row);
     }
     (median(train), median(add))
+}
+
+/// Median-of-three HNSW `add_with_ids` on `pool`, µs per row; every run's
+/// blob and distance count must be `want`'s.
+fn time_hnsw(data: &[f32], pool: &Arc<FanoutPool>, want: &mut Option<(Vec<u8>, u64)>) -> f64 {
+    let rows = data.len() / DIM;
+    let ids: Vec<u64> = (0..rows as u64).collect();
+    let spec = IndexSpec::new(IndexKind::Hnsw, DIM, Metric::L2);
+    let mut us = Vec::new();
+    for _ in 0..3 {
+        let mut b =
+            Box::new(HnswBuilder::with_pool(&spec, IndexKind::Hnsw, Arc::clone(pool)).unwrap());
+        let t = Timer::start();
+        b.add_with_ids(data, &ids).unwrap();
+        us.push(t.secs() * 1e6 / rows as f64);
+        let evals = b.dist_evals();
+        let blob = (b as Box<dyn IndexBuilder>)
+            .finish()
+            .unwrap()
+            .save_bytes()
+            .unwrap()
+            .to_vec();
+        let want = want.get_or_insert_with(|| (blob.clone(), evals));
+        assert!(want.0 == blob, "HNSW blob depends on the pool or the run");
+        assert_eq!(want.1, evals, "HNSW distance count depends on the pool or the run");
+    }
+    median(us)
 }
 
 /// The stages of an IVFPQFS `train` on `pool`, ns per row: coarse k-means,
@@ -483,6 +520,34 @@ fn main() {
         &["kind", "rows", "helpers", "train", "add_with_ids"],
         &rows,
     );
+    let mut rows = Vec::new();
+    let mut hnsw_json = Vec::new();
+    for (n, want_fnv) in HNSW_BLOB_FNV {
+        let mut built = None;
+        for (pool, helpers) in [(&solo, 0), (&machine, cores - 1)] {
+            let us = time_hnsw(&data[..n * DIM], pool, &mut built);
+            let (blob, evals) = built.as_ref().expect("built");
+            let fnv = fnv1a(FNV_OFFSET, blob);
+            if KernelTier::current() == KernelTier::Avx2 && fnv != want_fnv {
+                moved.push(format!("HNSW blob at {n} rows: {fnv:#018x}"));
+            }
+            rows.push(vec![
+                format!("{n}"),
+                format!("{helpers}"),
+                format!("{us:.1}"),
+                format!("{:.0}", *evals as f64 / n as f64),
+            ]);
+            hnsw_json.push(format!(
+                "    {{ \"kind\": \"HNSW\", \"rows\": {n}, \"pool_helpers\": {helpers}, \
+                 \"build_us_per_row\": {us:.1}, \"dist_evals\": {evals}, \"blob_fnv\": \"{fnv:#018x}\" }}"
+            ));
+        }
+    }
+    print_table(
+        "HNSW build, dim 64 (add_with_ids; blobs and distance counts identical across pools)",
+        &["rows", "helpers", "us per row", "distances per row"],
+        &rows,
+    );
 
     // 4. Where an IVFPQFS build's time goes.
     let mut rows = Vec::new();
@@ -588,15 +653,16 @@ fn main() {
     let json = format!(
         "{{\n  \"benchmark\": \"IVF/PQ build path: dimension-major nearest-centroid kernel and build fan-out\",\n  \
          \"machine\": {{ \"arch\": \"{}\", \"kernel_tier_detected\": \"{}\", \"cores\": {cores} }},\n  \
-         \"method\": \"crates/bench/benches/index_build.rs (plain-main harness). nearest_centroid: median of {REPS} passes over 8192 points, ns per (point, codebook); per_row is distance_batch + first-lowest scan per point, kernel is one Codebook::nearest_in over all points (points in lanes), index and distance bits asserted equal first. adc_table: median ns per Pq::adc_table_into at dim 64 / dsub 4. build: median of 3 IvfBuilder train / add_with_ids at dim 64 on a 64-cluster Gaussian mixture, nlist by the auto rule, on a pool with 0 helpers and on FanoutPool::for_machine(); the blobs of all runs asserted byte-identical, IVFPQFS blob FNV-1a asserted against constants on AVX2. stages: the three parts of an IVFPQFS train timed through train_kmeans_on / assign_into / Pq::train_on with the builder's parameters on the row's pool. Exact fields (lloyd_iters, seed_rounds, point_centroid_evals: bh_vector::kmeans::work_done deltas; blob_fnv) are asserted equal across repeats and pools. write_pass: median-wall of 3 passes of 32 SQL INSERTs of 512 rows with Database::compact after every 8th, stage times read from the table.index_*_ns and table.compact_ns histograms; store_fnv is FNV-1a over every (key, 0xff, blob) in the store after a pass, in key order, asserted equal across the passes and, on AVX2, to a constant; pipelined_sim_ns / staged_sim_ns: the same pass replayed once per ingest mode on a virtual clock whose store charges store_op_sim_ns per operation, the clock's movement over the pass, asserted against constants on every tier and the store bytes asserted equal to the first pass's. The constants (blob_fnv, store_fnv, the two sim_ns) and the write passes' repeats are checked after this file is written.\",\n  \
+         \"method\": \"crates/bench/benches/index_build.rs (plain-main harness). nearest_centroid: median of {REPS} passes over 8192 points, ns per (point, codebook); per_row is distance_batch + first-lowest scan per point, kernel is one Codebook::nearest_in over all points (points in lanes), index and distance bits asserted equal first. adc_table: median ns per Pq::adc_table_into at dim 64 / dsub 4. build: median of 3 IvfBuilder train / add_with_ids at dim 64 on a 64-cluster Gaussian mixture, nlist by the auto rule, on a pool with 0 helpers and on FanoutPool::for_machine(); the blobs of all runs asserted byte-identical, IVFPQFS blob FNV-1a asserted against constants on AVX2. hnsw_build: median of 3 HnswBuilder add_with_ids (M 16, ef_construction 128) at dim 64 on the same rows and pools, build_us_per_row wall time; dist_evals (HnswBuilder::dist_evals, the distances one build computed) and blob_fnv asserted equal across runs and pools, blob_fnv against constants on AVX2. stages: the three parts of an IVFPQFS train timed through train_kmeans_on / assign_into / Pq::train_on with the builder's parameters on the row's pool. Exact fields (lloyd_iters, seed_rounds, point_centroid_evals: bh_vector::kmeans::work_done deltas; dist_evals; blob_fnv) are asserted equal across repeats and pools. write_pass: median-wall of 3 passes of 32 SQL INSERTs of 512 rows with Database::compact after every 8th, stage times read from the table.index_*_ns and table.compact_ns histograms; store_fnv is FNV-1a over every (key, 0xff, blob) in the store after a pass, in key order, asserted equal across the passes and, on AVX2, to a constant; pipelined_sim_ns / staged_sim_ns: the same pass replayed once per ingest mode on a virtual clock whose store charges store_op_sim_ns per operation, the clock's movement over the pass, asserted against constants on every tier and the store bytes asserted equal to the first pass's. The constants (blob_fnv, store_fnv, the two sim_ns) and the write passes' repeats are checked after this file is written.\",\n  \
          \"acceptance\": \"kernel >= 4x per-row at (16, 4) ({verdict}: {speedup_16_4:.2}x); byte-identical blobs across pool sizes (asserted)\",\n  \
-         \"nearest_centroid\": [\n{}\n  ],\n  \"adc_table\": [\n{}\n  ],\n  \"build\": [\n{}\n  ],\n  \"stages\": [\n{}\n  ],\n  \
+         \"nearest_centroid\": [\n{}\n  ],\n  \"adc_table\": [\n{}\n  ],\n  \"build\": [\n{}\n  ],\n  \"hnsw_build\": [\n{}\n  ],\n  \"stages\": [\n{}\n  ],\n  \
          \"write_pass\": {pass_json}\n}}\n",
         std::env::consts::ARCH,
         KernelTier::current().name(),
         nearest_json.join(",\n"),
         adc_json.join(",\n"),
         build_json.join(",\n"),
+        hnsw_json.join(",\n"),
         stage_json.join(",\n"),
     );
     write_fresh_json("BENCH_build.json", &json);

@@ -6,7 +6,8 @@
 //!   scheduling time (§IV-B scalar partition pruning and zone-map style
 //!   skipping).
 //! * **Sketches** ([`TableSketch`]) — equi-width histograms for numeric
-//!   columns and a capped distinct-value counter for strings, giving the
+//!   columns, beside a short list of their most common values counted
+//!   exactly, and a capped distinct-value counter for strings, giving the
 //!   cost-based optimizer its `s` (predicate selectivity) estimate (Table
 //!   II, Poosala-style histograms). Each segment gets its own, built once
 //!   from its columns ([`TableSketch::of_columns`]); a table version's
@@ -74,13 +75,21 @@ impl ColumnStats {
     }
 }
 
-/// Equi-width histogram over a numeric column. Bucket counts are `f64`: a
-/// merged histogram holds fractions of its sources' buckets.
+/// Equi-width histogram over a numeric column, beside the column's most
+/// common values. A value that alone holds more than one bucket's share of
+/// the rows is counted exactly in `common` and left out of the buckets,
+/// which spread the rest evenly over their width: a heavy value is neither
+/// priced as rare nor smeared over its empty neighbours. Bucket counts are
+/// `f64`: a merged histogram holds fractions of its sources' buckets.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NumericHistogram {
+    /// Smallest and largest value, common ones included.
     lo: f64,
     hi: f64,
+    /// The values not in `common`, per bucket of `[lo, hi]`.
     buckets: Vec<f64>,
+    /// Up to [`Self::MAX_COMMON`] values with their counts, ascending.
+    common: Vec<(f64, u64)>,
     total: u64,
 }
 
@@ -88,36 +97,76 @@ impl NumericHistogram {
     /// Default bucket count used by the table sketch.
     pub const DEFAULT_BUCKETS: usize = 64;
 
+    /// Most common values a histogram counts exactly.
+    pub const MAX_COMMON: usize = 16;
+
     /// Build from raw values. Degenerate inputs (empty, constant) are
     /// handled with a single-bucket histogram.
     pub fn build(values: impl IntoIterator<Item = f64>, n_buckets: usize) -> NumericHistogram {
-        let vals: Vec<f64> = values.into_iter().filter(|v| v.is_finite()).collect();
+        let mut vals: Vec<f64> = values.into_iter().filter(|v| v.is_finite()).collect();
         if vals.is_empty() {
             return NumericHistogram::EMPTY;
         }
-        let lo = vals.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let total = vals.len() as u64;
-        if lo == hi {
-            return NumericHistogram { lo, hi, buckets: vec![total as f64], total };
-        }
+        vals.sort_by(f64::total_cmp);
+        let (lo, hi, total) = (vals[0], vals[vals.len() - 1], vals.len() as u64);
         let nb = n_buckets.max(1);
-        let mut buckets = vec![0.0; nb];
-        let width = (hi - lo) / nb as f64;
-        for v in &vals {
-            buckets[(((v - lo) / width) as usize).min(nb - 1)] += 1.0;
+        // Runs of equal values holding more than one bucket's share.
+        let mut common: Vec<(f64, u64)> = Vec::new();
+        let mut start = 0;
+        for end in 1..=vals.len() {
+            if end == vals.len() || vals[end] != vals[start] {
+                let count = (end - start) as u64;
+                if count >= 2 && count * nb as u64 > total {
+                    common.push((vals[start], count));
+                }
+                start = end;
+            }
         }
-        NumericHistogram { lo, hi, buckets, total }
+        // Values cut off the list stay in the buckets with the rest.
+        Self::keep_most_common(&mut common);
+        let is_common = |v: f64| common.iter().any(|&(c, _)| c == v);
+        let nb = if lo == hi { 1 } else { nb };
+        let (mut buckets, width) = (vec![0.0; nb], (hi - lo) / nb as f64);
+        for &v in vals.iter().filter(|&&v| !is_common(v)) {
+            buckets[Self::bucket_of(v, lo, width, nb)] += 1.0;
+        }
+        NumericHistogram { lo, hi, buckets, common, total }
+    }
+
+    /// Cut `common` to the [`Self::MAX_COMMON`] highest counts (ties to
+    /// the smaller value), ascending by value; returns the values cut off.
+    fn keep_most_common(common: &mut Vec<(f64, u64)>) -> Vec<(f64, u64)> {
+        common.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.total_cmp(&b.0)));
+        let cut = common.split_off(common.len().min(Self::MAX_COMMON));
+        common.sort_by(|a, b| a.0.total_cmp(&b.0));
+        cut
+    }
+
+    /// The bucket of `v` among `nb` of `width` from `lo` (one bucket when
+    /// the range is a point).
+    fn bucket_of(v: f64, lo: f64, width: f64, nb: usize) -> usize {
+        if nb == 1 {
+            0
+        } else {
+            (((v - lo) / width) as usize).min(nb - 1)
+        }
     }
 
     /// The histogram of no values.
     const EMPTY: NumericHistogram =
-        NumericHistogram { lo: 0.0, hi: 0.0, buckets: Vec::new(), total: 0 };
+        NumericHistogram { lo: 0.0, hi: 0.0, buckets: Vec::new(), common: Vec::new(), total: 0 };
+
+    /// Rows of the common values in `[lo, hi]`.
+    fn common_within(&self, lo: f64, hi: f64) -> u64 {
+        self.common.iter().filter(|&&(v, _)| lo <= v && v <= hi).map(|&(_, c)| c).sum()
+    }
 
     /// One histogram over the values of all `parts`: `n_buckets` buckets
     /// over `[min lo, max hi]`, each part's bucket spread over the buckets
     /// it overlaps in proportion to the overlap. A constant part puts its
-    /// whole mass in the bucket holding its value.
+    /// whole mass in the bucket holding its value. The parts' common values
+    /// are summed per value; the [`Self::MAX_COMMON`] most counted stay
+    /// common, the rest go to the buckets holding them.
     pub fn merge<'a>(
         parts: impl IntoIterator<Item = &'a NumericHistogram>,
         n_buckets: usize,
@@ -129,16 +178,24 @@ impl NumericHistogram {
         let lo = parts.iter().map(|h| h.lo).fold(f64::INFINITY, f64::min);
         let hi = parts.iter().map(|h| h.hi).fold(f64::NEG_INFINITY, f64::max);
         let total = parts.iter().map(|h| h.total).sum();
-        if lo == hi {
-            return NumericHistogram { lo, hi, buckets: vec![total as f64], total };
+        let mut common: Vec<(f64, u64)> = Vec::new();
+        for &(v, count) in parts.iter().flat_map(|h| &h.common) {
+            match common.iter_mut().find(|(c, _)| *c == v) {
+                Some((_, n)) => *n += count,
+                None => common.push((v, count)),
+            }
         }
-        let nb = n_buckets.max(1);
+        let rest = Self::keep_most_common(&mut common);
+        let nb = if lo == hi { 1 } else { n_buckets.max(1) };
         let width = (hi - lo) / nb as f64;
-        let bucket = |v: f64| (((v - lo) / width) as usize).min(nb - 1);
+        let bucket = |v: f64| Self::bucket_of(v, lo, width, nb);
         let mut buckets = vec![0.0; nb];
+        for (v, count) in rest {
+            buckets[bucket(v)] += count as f64;
+        }
         for h in parts {
             if h.lo == h.hi {
-                buckets[bucket(h.lo)] += h.total as f64;
+                buckets[bucket(h.lo)] += h.buckets.iter().sum::<f64>();
                 continue;
             }
             let src = (h.hi - h.lo) / h.buckets.len() as f64;
@@ -154,7 +211,7 @@ impl NumericHistogram {
                 }
             }
         }
-        NumericHistogram { lo, hi, buckets, total }
+        NumericHistogram { lo, hi, buckets, common, total }
     }
 
     /// Number of values the histogram was built over.
@@ -163,8 +220,8 @@ impl NumericHistogram {
     }
 
     /// Estimated fraction of rows with value in `[lo, hi]` (unbounded sides
-    /// as `None`), with linear interpolation inside partially covered
-    /// buckets.
+    /// as `None`): the common values inside it exactly, the rest with
+    /// linear interpolation inside partially covered buckets.
     pub fn selectivity_range(&self, lo: Option<f64>, hi: Option<f64>) -> f64 {
         if self.total == 0 {
             return 0.0;
@@ -174,12 +231,15 @@ impl NumericHistogram {
         if q_lo > q_hi {
             return 0.0;
         }
+        let mut count = self.common_within(q_lo, q_hi) as f64;
         if self.lo == self.hi {
-            return if q_lo <= self.lo && self.lo <= q_hi { 1.0 } else { 0.0 };
+            if q_lo <= self.lo && self.lo <= q_hi {
+                count += self.buckets[0];
+            }
+            return count / self.total as f64;
         }
         let nb = self.buckets.len();
         let width = (self.hi - self.lo) / nb as f64;
-        let mut count = 0.0;
         for (i, &b) in self.buckets.iter().enumerate() {
             let b_lo = self.lo + i as f64 * width;
             let b_hi = b_lo + width;
@@ -192,13 +252,19 @@ impl NumericHistogram {
         (count / self.total as f64).clamp(0.0, 1.0)
     }
 
-    /// Point-equality selectivity: the covering bucket spread over its width.
+    /// Point-equality selectivity: a common value's exact share, else the
+    /// covering bucket spread over its width.
     pub fn selectivity_eq(&self, v: f64) -> f64 {
         if self.total == 0 || v < self.lo || v > self.hi {
             return 0.0;
         }
+        // Inside `[lo, hi]`, so a point range is `v` itself.
+        let listed = self.common_within(v, v) as f64;
         if self.lo == self.hi {
-            return if v == self.lo { 1.0 } else { 0.0 };
+            return (listed + self.buckets[0]) / self.total as f64;
+        }
+        if listed > 0.0 {
+            return listed / self.total as f64;
         }
         let nb = self.buckets.len();
         let width = (self.hi - self.lo) / nb as f64;
@@ -468,6 +534,38 @@ mod tests {
         assert_eq!(merged.total(), 111);
         let low = merged.selectivity_range(None, Some(100.0 / 64.0));
         assert!((low - 12.0 / 111.0).abs() < 1e-9, "{low}");
+    }
+
+    /// A value holding more than a bucket's share of the rows is counted
+    /// exactly, in one sketch and merged across parts; uniform values with
+    /// a few repeats leave the list empty and the estimates as they were.
+    #[test]
+    fn a_heavy_value_is_counted_not_spread() {
+        let heavy: Vec<f64> = (0..1_000).map(|i| if i < 500 { 0.0 } else { i as f64 }).collect();
+        let h = NumericHistogram::build(heavy.iter().copied(), 64);
+        assert_eq!(h.common, vec![(0.0, 500)]);
+        assert_eq!(h.selectivity_eq(0.0), 0.5);
+        assert!(h.selectivity_range(Some(1.0), Some(499.0)) < 1e-9);
+        assert!((h.selectivity_range(Some(500.0), None) - 0.5).abs() < 0.01);
+        // Two halves merged count the value once, in full.
+        let (a, b) = heavy.split_at(300);
+        let (a, b) =
+            (NumericHistogram::build(a.to_vec(), 64), NumericHistogram::build(b.to_vec(), 64));
+        let merged = NumericHistogram::merge([&a, &b], 64);
+        assert_eq!(merged.common, vec![(0.0, 500)]);
+        assert_eq!(merged.selectivity_eq(0.0), 0.5);
+        assert!(merged.selectivity_range(Some(1.0), Some(499.0)) < 1e-9);
+        // 8,000 draws of a million values repeat a few: none is common.
+        let mut r = bh_common::rng::rng(3);
+        let uniform: Vec<f64> = (0..8_000).map(|_| r.gen_range(0..1_000_000u32) as f64).collect();
+        assert!(NumericHistogram::build(uniform, 64).common.is_empty());
+        // More than `MAX_COMMON` heavy values: the most counted stay.
+        let many = (0..40u32).flat_map(|v| std::iter::repeat_n(f64::from(v), 10 + v as usize));
+        let capped = NumericHistogram::build(many, 64);
+        assert_eq!(capped.common.len(), NumericHistogram::MAX_COMMON);
+        assert_eq!(capped.common[0], (24.0, 34));
+        let rows = capped.buckets.iter().sum::<f64>() as u64 + capped.common_within(0.0, 40.0);
+        assert_eq!(rows, capped.total());
     }
 
     /// The value at `share` of `sorted`.

@@ -1346,13 +1346,12 @@ mod tests {
     /// when compaction merges their segments away. `x` holds each of
     /// `0..1000` once; the UPDATE sets every `x < 500` to 0 and the DELETE
     /// drops 100 rows of `x` in `500..600`, so 900 rows stay: 500 zeros and
-    /// `x` in `600..1000`. Over `[0, 999]` in 64 buckets the zeros all sit
-    /// in the first bucket, `[0, 15.6)`, and the numeric estimator spreads a
-    /// bucket over its width (`x = 0` itself reads 500 / 900 / 15.6), so
-    /// the checks are on ranges the buckets resolve: `x <= 15` is the first
-    /// bucket, ≈ 15 / 15.6 × 500 / 900 = 0.53, and `x BETWEEN 16 AND 499`
-    /// holds only superseded values. A sketch that kept every value ever
-    /// inserted would count 1,499 and read 0.33 and 0.32 there.
+    /// `x` in `600..1000`. The zeros are a common value, counted exactly
+    /// beside the buckets: `x = 0` and `x <= 15` read 500 / 900 = 0.56, and
+    /// `x BETWEEN 1 AND 499` holds only superseded values (spread over the
+    /// first bucket, `[0, 15.6)`, the zeros would price it at 0.52 and
+    /// `x = 0` at 0.036). A sketch that kept every value ever inserted would
+    /// count 1,499 and read 0.33 and 0.32 on the two ranges.
     #[test]
     fn compaction_forgets_superseded_values() {
         let schema = TableSchema::new("t")
@@ -1379,9 +1378,12 @@ mod tests {
         assert_eq!(numeric_totals(&sk), vec![900, 900]);
         let first_bucket =
             Predicate::range("x", None, Some(Value::UInt64(15))).estimate_selectivity(&sk);
-        assert!((first_bucket - 0.5).abs() < 0.05, "x <= 15: {first_bucket}");
-        let superseded = x(16, 499).estimate_selectivity(&sk);
-        assert!(superseded < 0.005, "x BETWEEN 16 AND 499: {superseded}");
+        assert!((first_bucket - 0.556).abs() < 0.01, "x <= 15: {first_bucket}");
+        let zero = Predicate::eq("x", Value::UInt64(0)).estimate_selectivity(&sk);
+        assert!((zero - 0.556).abs() < 0.01, "x = 0: {zero}");
+        let superseded = x(1, 499).estimate_selectivity(&sk);
+        assert!(superseded < 0.01, "x BETWEEN 1 AND 499: {superseded}");
+        assert!(x(16, 499).estimate_selectivity(&sk) < 0.005);
         let live = x(600, 999).estimate_selectivity(&sk);
         assert!((live - 0.44).abs() < 0.02, "x BETWEEN 600 AND 999: {live}");
     }
